@@ -52,8 +52,8 @@ Four fixed-seed suites:
 
 * ``transport`` (``BENCH_PR6.json``, section ``transport``) — the
   overlap-shared workload through 4 worker processes over both batch
-  transports: pickled ``EventBatch`` blobs versus columnar buffers in
-  shared-memory slab rings (``repro/runtime/transport.py``).  The recorded
+  transports: framed columnar bytes through the worker queues versus the
+  same bytes in shared-memory slab rings (``repro/runtime/transport.py``).  The recorded
   ``speedup_shm_over_pickle`` ratio is the PR 6 transport headline; the
   checksums must be identical and are gated, the wall ratio is
   machine-dependent like every other (see ``environment``).
@@ -434,7 +434,7 @@ def _block_scenarios() -> dict[str, Callable]:
 
     def payload(events) -> bytes:
         if not payload_cache:
-            payload_cache.append(EventBlock.from_events(events).to_bytes("columnar"))
+            payload_cache.append(EventBlock.from_events(events).to_bytes())
         return payload_cache[0]
 
     factory = _ENGINE_FACTORIES["hamlet"]

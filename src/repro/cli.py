@@ -324,11 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--kernel-backend",
-        choices=("python", "numpy", "auto"),
+        choices=("python", "numpy"),
         default=None,
-        help="burst-fold kernel backend; auto picks per burst by run "
-        "length; default: REPRO_KERNEL_BACKEND or the pure-Python "
-        "reference (numpy needs the [numpy] extra)",
+        help="burst-fold kernel backend; default: REPRO_KERNEL_BACKEND or "
+        "the pure-Python reference (numpy needs the [numpy] extra)",
     )
     stream.add_argument(
         "--transport",
@@ -390,11 +389,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         arguments.command == "stream"
         and arguments.burst_size is not None
         and arguments.optimizer is None
-        and arguments.kernel_backend not in ("numpy", "auto")
+        and arguments.kernel_backend != "numpy"
     ):
         parser.error(
             "--burst-size requires --optimizer (bursts are adaptive-mode only) "
-            "or --kernel-backend numpy/auto (which fold bursts without one)"
+            "or --kernel-backend numpy (which folds bursts without one)"
         )
     if (
         arguments.command == "stream"

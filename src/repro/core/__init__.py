@@ -23,7 +23,6 @@ from repro.core.graphlet import Graphlet, HamletNode
 from repro.core.hamlet_graph import HamletGraph, TypeAccumulator
 from repro.core.kernels import (
     KERNEL_BACKENDS,
-    AutoKernelBackend,
     KernelBackend,
     PythonKernelBackend,
     resolve_kernel_backend,
@@ -31,7 +30,6 @@ from repro.core.kernels import (
 from repro.core.snapshot import Snapshot, SnapshotTable
 
 __all__ = [
-    "AutoKernelBackend",
     "Graphlet",
     "HamletEngine",
     "HamletGraph",

@@ -392,118 +392,11 @@ def _load_numpy_backend() -> KernelBackend:
     return NumpyKernelBackend()
 
 
-#: Environment override pinning the auto backend's run-length threshold
-#: (skips startup calibration; used to make fold choices reproducible).
-AUTO_KERNEL_THRESHOLD_ENV = "REPRO_AUTO_KERNEL_THRESHOLD"
-
-
-class AutoKernelBackend(KernelBackend):
-    """Per-burst backend selection: NumPy only where it wins.
-
-    BENCH_PR6 showed the vectorized backend *losing* on short runs — array
-    setup costs more than the per-event loop it replaces — so picking
-    ``numpy`` globally regresses workloads dominated by short bursts.  This
-    backend dispatches each run by length: runs of at least ``threshold``
-    events fold through the closed-form NumPy kernels, shorter runs through
-    the reference loop.  Without NumPy installed it degrades to the
-    reference backend for every run (and never calibrates).
-
-    The threshold is calibrated once at startup by timing both backends on
-    synthetic scalar runs (pin it via ``REPRO_AUTO_KERNEL_THRESHOLD`` to
-    skip calibration).  Calibration affects *which* backend folds a given
-    run, never the value contract: on integer-valued workloads both
-    backends are bit-identical, and beyond 2^53 the choice is covered by
-    the documented ``1e-9`` tolerance (see :mod:`repro.core.kernels_numpy`),
-    so ``exact`` is inherited from the vectorized side.
-    """
-
-    name = "auto"
-    exact = False
-    wants_bursts = True
-
-    #: Fallback threshold when calibration is inconclusive (and the upper
-    #: bound probed): past ~64-event runs the closed form has always won on
-    #: the boxes benchmarked so far.
-    DEFAULT_THRESHOLD = 64
-
-    _CALIBRATION_LENGTHS = (4, 8, 16, 32, 64)
-    _CALIBRATION_WINDOWS = 32
-    _CALIBRATION_REPEATS = 5
-
-    def __init__(self, threshold: Optional[int] = None) -> None:
-        self._python = PythonKernelBackend()
-        try:
-            from repro.core.kernels_numpy import NumpyKernelBackend
-
-            self._vector: Optional[KernelBackend] = NumpyKernelBackend()
-        except ImportError:
-            self._vector = None
-        if threshold is None:
-            pinned = os.environ.get(AUTO_KERNEL_THRESHOLD_ENV)
-            if pinned:
-                threshold = int(pinned)
-            elif self._vector is None:
-                threshold = self.DEFAULT_THRESHOLD
-            else:
-                threshold = self._calibrate()
-        self.threshold = max(1, threshold)
-
-    def _calibrate(self) -> int:
-        """Smallest probed run length where the vectorized fold wins.
-
-        Times both backends folding a scalar Kleene run over a fixed set of
-        armed windows.  Wall-clock noise only moves the crossover point, so
-        a noisy measurement costs a little speed, never correctness.
-        """
-        import timeit
-
-        vector = self._vector
-        assert vector is not None
-        indices = tuple(range(self._CALIBRATION_WINDOWS))
-        for length in self._CALIBRATION_LENGTHS:
-
-            def run(backend: KernelBackend, count: int = length) -> None:
-                total: dict[int, float] = dict.fromkeys(indices, 1.0)
-                backend.fold_scalar_run(total, indices, (total,), 1.0, count)
-
-            python_time = min(
-                timeit.repeat(
-                    lambda: run(self._python), number=1, repeat=self._CALIBRATION_REPEATS
-                )
-            )
-            vector_time = min(
-                timeit.repeat(
-                    lambda: run(vector), number=1, repeat=self._CALIBRATION_REPEATS
-                )
-            )
-            if vector_time < python_time:
-                return length
-        return self.DEFAULT_THRESHOLD
-
-    def _select(self, count: int) -> KernelBackend:
-        if self._vector is not None and count >= self.threshold:
-            return self._vector
-        return self._python
-
-    def fold_scalar_run(self, total_map, indices, sources, base, count):
-        return self._select(count).fold_scalar_run(
-            total_map, indices, sources, base, count
-        )
-
-    def fold_vector_run(
-        self, total_map, indices, sources, base, contribution_rows, dimension
-    ):
-        return self._select(len(contribution_rows)).fold_vector_run(
-            total_map, indices, sources, base, contribution_rows, dimension
-        )
-
-
 #: Zero-argument factories keyed by backend name (the registry shard
 #: workers resolve names through, mirroring ``OPTIMIZER_POLICIES``).
 KERNEL_BACKENDS: dict[str, Callable[[], KernelBackend]] = {
     "python": PythonKernelBackend,
     "numpy": _load_numpy_backend,
-    "auto": AutoKernelBackend,
 }
 
 #: What callers may pass: nothing (environment default), a backend name, or

@@ -8,14 +8,13 @@ This package provides the substrate every engine in the library is built on:
   — attribute declarations and validation for event types.
 * :class:`~repro.events.stream.EventStream` — an ordered, replayable sequence
   of events with helpers for slicing, merging and rate statistics.
-* :class:`~repro.events.batch.EventBatch` — a compact, picklable chunk of
-  events for cross-process transport (the sharded runtime's wire format).
-* :class:`~repro.events.block.EventBlock` — the columnar in-memory batch the
-  hot path consumes natively (zero-copy slices, lazy per-row event views).
+* :class:`~repro.events.block.EventBlock` — the one batch container: the
+  columnar in-memory form the hot path consumes natively (zero-copy slices,
+  lazy per-row event views) and, framed by :mod:`~repro.events.columnar`,
+  the only form in which a batch crosses a process boundary.
 * :mod:`~repro.events.time` — time-stamp helpers shared by windows and panes.
 """
 
-from repro.events.batch import EventBatch
 from repro.events.block import EventBlock, EventBlockBuilder
 from repro.events.event import Event, EventType
 from repro.events.schema import Attribute, AttributeKind, Schema
@@ -26,7 +25,6 @@ __all__ = [
     "Attribute",
     "AttributeKind",
     "Event",
-    "EventBatch",
     "EventBlock",
     "EventBlockBuilder",
     "EventStream",

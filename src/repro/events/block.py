@@ -31,11 +31,10 @@ survive a round-trip bit-identically and payload key order is never sorted.
 from __future__ import annotations
 
 import bisect
-import pickle
 from array import array
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
-from repro.errors import ExecutionError, SchemaError
+from repro.errors import SchemaError
 from repro.events import columnar
 from repro.events import event as _event_module
 from repro.events.columnar import Buffer, build_event
@@ -118,46 +117,10 @@ class EventBlock:
         return builder.finish()
 
     @classmethod
-    def from_rows(
-        cls,
-        type_table: Sequence[EventType],
-        key_table: Sequence[tuple[str, ...]],
-        rows: Sequence[columnar.Row],
-    ) -> "EventBlock":
-        """Build a block from the interned row form shared with ``EventBatch``."""
-        times: list[Timestamp] = []
-        sequences: list[int] = []
-        type_codes = array("I")
-        key_codes = array("I")
-        row_slots = array("I")
-        shape_columns: ShapeColumns = [
-            [[] for _ in keys] for keys in key_table
-        ]
-        occupancy = [0] * len(key_table)
-        for type_code, time, sequence, key_code, values in rows:
-            times.append(time)
-            sequences.append(sequence)
-            type_codes.append(type_code)
-            key_codes.append(key_code)
-            row_slots.append(occupancy[key_code])
-            occupancy[key_code] += 1
-            columns = shape_columns[key_code]
-            for position, value in enumerate(values):
-                columns[position].append(value)
-        return cls(
-            times,
-            sequences,
-            tuple(type_table),
-            type_codes,
-            tuple(key_table),
-            key_codes,
-            row_slots,
-            shape_columns,
-        )
-
-    @classmethod
-    def from_parsed_columns(cls, parsed: "columnar._ParsedColumns") -> "EventBlock":
-        """Wrap a decoded column set without touching the payload columns."""
+    def from_bytes(cls, data: Buffer) -> "EventBlock":
+        """Decode a framed buffer into a block: one column parse, the
+        payload columns are adopted as-is, no per-event objects."""
+        parsed = columnar._parse_columns(columnar.parse_frame(data))
         row_slots = array("I")
         occupancy = [0] * len(parsed.key_table)
         for code in parsed.key_codes:
@@ -173,24 +136,6 @@ class EventBlock:
             row_slots,
             parsed.shape_columns,
         )
-
-    @classmethod
-    def from_bytes(cls, data: Buffer) -> "EventBlock":
-        """Decode any framed batch buffer into a block.
-
-        The columnar codec is the fast path: one column parse, the payload
-        columns are adopted as-is.  The legacy pickle codec round-trips
-        through the interned row form — still no per-event objects.
-        """
-        codec, body = columnar.parse_frame(data)
-        if codec == columnar.CODEC_COLUMNAR:
-            return cls.from_parsed_columns(columnar._parse_columns(body))
-        try:
-            state = pickle.loads(body)
-        except Exception as error:
-            raise ExecutionError(f"pickle batch body corrupt: {error}") from None
-        type_table, key_table, rows = state
-        return cls.from_rows(type_table, key_table, rows)
 
     # ------------------------------------------------------------------ #
     # Size and range
@@ -489,50 +434,31 @@ class EventBlock:
         return keys
 
     # ------------------------------------------------------------------ #
-    # Serialization (shared wire framing with EventBatch)
+    # Serialization
     # ------------------------------------------------------------------ #
-    def _rows(self) -> tuple[columnar.Row, ...]:
-        rows: list[columnar.Row] = []
-        times = self._times
-        sequences = self._sequences
-        type_codes = self._type_codes
-        key_codes = self._key_codes
-        row_slots = self._row_slots
-        shapes = self._shape_columns
-        for position in range(self._start, self._stop):
-            key_code = key_codes[position]
-            slot = row_slots[position]
-            values = tuple(column[slot] for column in shapes[key_code])
-            rows.append(
-                (
-                    type_codes[position],
-                    times[position],
-                    sequences[position],
-                    key_code,
-                    values,
-                )
-            )
-        return tuple(rows)
+    def to_bytes(self) -> bytes:
+        """Serialize this block's rows to a framed columnar buffer.
 
-    def to_bytes(self, codec: str = "columnar") -> bytes:
-        """Serialize this block's rows to a framed buffer.
-
-        The output interoperates with ``EventBatch.from_bytes`` and
-        :meth:`EventBlock.from_bytes` — same magic, same codecs.
+        The columns are written as they stand: slots are handed out in row
+        order per shape, so the rows of ``[start, stop)`` occupy one
+        contiguous slot range of each shape's columns.  A slice or gather
+        keeps its root's interned tables whole.
         """
-        if codec == "columnar":
-            body = columnar.encode_columnar_body(
-                self._type_table, self._key_table, self._rows()
-            )
-            return columnar.frame(columnar.CODEC_COLUMNAR, body)
-        if codec == "pickle":
-            blob = pickle.dumps(
-                (self._type_table, self._key_table, self._rows()),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            return columnar.frame(columnar.CODEC_PICKLE, blob)
-        raise ExecutionError(
-            f"unknown block codec {codec!r}; choose 'pickle' or 'columnar'"
+        start, stop = self._start, self._stop
+        key_codes = self._key_codes[start:stop]
+        shape_columns: ShapeColumns = []
+        for code, columns in enumerate(self._shape_columns):
+            rows = key_codes.count(code)
+            low = self._row_slots[start + key_codes.index(code)] if rows else 0
+            shape_columns.append([column[low : low + rows] for column in columns])
+        return columnar.encode_frame(
+            self._times[start:stop],
+            self._sequences[start:stop],
+            self._type_table,
+            self._type_codes[start:stop],
+            self._key_table,
+            key_codes,
+            shape_columns,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -547,8 +473,9 @@ class EventBlockBuilder:
 
     Dataset simulators append raw ``(type, time, payload)`` rows
     (:meth:`append_row`); compatibility paths append existing events
-    (:meth:`append`).  Rows must arrive in non-decreasing time order —
-    the same contract :class:`~repro.events.stream.EventStream` enforces.
+    (:meth:`append`).  Row order is the caller's: nothing here checks
+    times, and the sharded lateness path legitimately builds disordered
+    blocks for the shard reorder buffers to sort.
     """
 
     __slots__ = (

@@ -1,29 +1,23 @@
-"""Versioned wire framing and the fixed-dtype columnar batch codec.
+"""Versioned wire framing and the fixed-dtype columnar event codec.
 
-Every byte-level batch (:meth:`repro.events.batch.EventBatch.to_bytes`, the
-shared-memory slab transport) starts with a four-byte magic and a codec id,
-so the two codecs coexist on the wire and a mismatched or corrupt buffer
-fails with a clear :class:`~repro.errors.ExecutionError` instead of an
-unpickling crash:
-
-* ``CODEC_PICKLE`` — the legacy representation: the batch's interned tables
-  and rows as one pickle blob.  Compact and zero-maintenance, but decode
-  rebuilds every row tuple before a single event exists.
-* ``CODEC_COLUMNAR`` — fixed-dtype columns: times as f64, sequences as i64,
-  event types and payload key tuples interned into tables, and one typed
-  column per (key shape, attribute).  A payload column whose values are not
-  uniformly ``float``/``int``-in-i64/``bool`` falls back to a pickled object
-  column, so arbitrary payloads (big ints, ``None``, nested tuples, strings)
-  round-trip exactly — the homogeneous numeric columns the simulators emit
-  just travel as raw arrays.
+Every byte-level batch (:meth:`repro.events.block.EventBlock.to_bytes`, a
+shared-memory slab, a raw queue message) is one *frame*: a four-byte magic,
+a codec id, and a columnar body — times as f64, sequences as i64, event
+types and payload key tuples interned into tables, and one typed column per
+(key shape, attribute).  A payload column whose values are not uniformly
+``float``/``int``-in-i64/``bool`` falls back to a pickled object column, so
+arbitrary payloads (big ints, ``None``, nested tuples, strings) round-trip
+exactly — the homogeneous numeric columns the simulators emit just travel
+as raw arrays.  A mismatched or corrupt buffer fails with a clear
+:class:`~repro.errors.ExecutionError`; codec id 1 (the retired whole-batch
+pickle codec) is refused by name and never unpickled.
 
 Columns use the stdlib :mod:`array` machine formats, normalized to
 little-endian on the (rare) big-endian host, so encode/decode of numeric
 data is a C-speed ``frombytes``/``tobytes`` instead of a per-value loop.
-:func:`decode_columnar_events` additionally assembles :class:`Event` objects
-straight from the columns (skipping row tuples and the dataclass ``__init__``
-re-validation — values were validated when the events were first created),
-which is what makes the shared-memory receive path cheap.
+:func:`decode_columnar_events` assembles :class:`Event` objects straight
+from the columns (skipping the dataclass ``__init__`` re-validation — values
+were validated when the events were first created).
 
 Type preservation contract (pinned by the codec fuzz suite): decoding is
 exact — ``type(value)`` survives for every payload value, ``time`` and
@@ -46,27 +40,23 @@ from repro.events.time import Timestamp
 #: Anything the decoders accept: raw bytes or a (shared-memory) view.
 Buffer = Union[bytes, bytearray, memoryview]
 
-#: The interned row form: ``(type_code, time, sequence, key_code, values)``.
-Row = tuple[int, Timestamp, int, int, tuple[Any, ...]]
-
 __all__ = [
     "CODEC_COLUMNAR",
-    "CODEC_PICKLE",
     "MAGIC",
-    "decode_columnar_body",
     "decode_columnar_events",
-    "encode_columnar_body",
-    "frame",
+    "decode_events",
+    "encode_events",
+    "encode_frame",
     "parse_frame",
 ]
 
 #: Wire magic of every framed batch ("RePro Event Batch").
 MAGIC = b"RPEB"
-#: Codec ids (the byte after the magic).
-CODEC_PICKLE = 1
+#: The codec id (the byte after the magic).
 CODEC_COLUMNAR = 2
+#: Id of the whole-batch pickle codec older builds wrote; refused on sight.
+_RETIRED_PICKLE_CODEC = 1
 
-_KNOWN_CODECS = frozenset({CODEC_PICKLE, CODEC_COLUMNAR})
 _BIG_ENDIAN = sys.byteorder == "big"
 
 _U8 = struct.Struct("<B")
@@ -80,17 +70,13 @@ _I64_MAX = 2**63 - 1
 # ---------------------------------------------------------------------- #
 # Framing
 # ---------------------------------------------------------------------- #
-def frame(codec: int, body: bytes) -> bytes:
-    """Prepend the versioned header to a codec body."""
-    return MAGIC + _U8.pack(codec) + body
-
-
-def parse_frame(data: Buffer) -> tuple[int, memoryview]:
-    """Split a framed buffer into ``(codec, body)``.
+def parse_frame(data: Buffer) -> memoryview:
+    """Check a framed buffer's header and return its columnar body.
 
     Raises:
         ExecutionError: if the buffer is truncated, carries the wrong magic
-            (e.g. a legacy unframed pickle blob) or an unknown codec id.
+            (e.g. an unframed pickle blob), the retired pickle codec id or
+            an unknown one.
     """
     view = memoryview(data)
     if len(view) < 5:
@@ -105,12 +91,18 @@ def parse_frame(data: Buffer) -> tuple[int, memoryview]:
             f"{magic!r}); refusing to unpickle an unframed or foreign blob"
         )
     codec = view[4]
-    if codec not in _KNOWN_CODECS:
+    if codec == _RETIRED_PICKLE_CODEC:
+        raise ExecutionError(
+            "batch buffer uses codec id 1, the retired whole-batch pickle "
+            "codec; this build reads columnar frames (codec id 2) only and "
+            "will not unpickle it"
+        )
+    if codec != CODEC_COLUMNAR:
         raise ExecutionError(
             f"unknown batch codec id {codec}; this build understands "
-            f"{sorted(_KNOWN_CODECS)} (pickle, columnar)"
+            f"{CODEC_COLUMNAR} (columnar) only"
         )
-    return codec, view[5:]
+    return view[5:]
 
 
 # ---------------------------------------------------------------------- #
@@ -241,58 +233,57 @@ def _decode_codes(
     return codes, offset + 4 + nbytes
 
 
-# ---------------------------------------------------------------------- #
-# Body codec (interned rows <-> columns)
-# ---------------------------------------------------------------------- #
-def encode_columnar_body(
-    type_table: Sequence[EventType],
-    key_table: Sequence[tuple[str, ...]],
-    rows: Sequence[Row],
-) -> bytes:
-    """Encode a batch's interned representation into the columnar body.
+def _encode_codes(codes: "array[int]", out: bytearray) -> None:
+    if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
+        codes = array("I", codes)
+        codes.byteswap()
+    packed = codes.tobytes()
+    out += _U32.pack(len(packed))
+    out += packed
 
-    ``rows`` is the :class:`EventBatch` row form:
-    ``(type_code, time, sequence, key_code, values)``.
+
+# ---------------------------------------------------------------------- #
+# Frame codec (columns <-> bytes)
+# ---------------------------------------------------------------------- #
+def encode_frame(
+    times: Sequence[Timestamp],
+    sequences: Sequence[int],
+    type_table: Sequence[EventType],
+    type_codes: "array[int]",
+    key_table: Sequence[tuple[str, ...]],
+    key_codes: "array[int]",
+    shape_columns: Sequence[Sequence[Sequence[Any]]],
+) -> bytes:
+    """Encode one batch's columns into a framed buffer.
+
+    The row-aligned arguments (``times``, ``sequences`` and the two
+    ``array("I")`` code columns) cover exactly the batch's rows;
+    ``shape_columns[k][j]`` holds attribute ``j`` of the rows whose key
+    shape is ``k``, in stream order.
     """
-    out = bytearray()
-    count = len(rows)
-    out += _U32.pack(count)
-    _encode_column([row[1] for row in rows], out)  # times
-    _encode_column([row[2] for row in rows], out)  # sequences
+    out = bytearray(MAGIC)
+    out += _U8.pack(CODEC_COLUMNAR)
+    out += _U32.pack(len(times))
+    _encode_column(times, out)
+    _encode_column(sequences, out)
     out += _U32.pack(len(type_table))
     for name in type_table:
         _encode_string(name, out)
-    type_codes = array("I", [row[0] for row in rows])
-    if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-        type_codes.byteswap()
-    packed = type_codes.tobytes()
-    out += _U32.pack(len(packed))
-    out += packed
+    _encode_codes(type_codes, out)
     out += _U32.pack(len(key_table))
     for keys in key_table:
         out += _U16.pack(len(keys))
         for key in keys:
             _encode_string(key, out)
-    key_codes = array("I", [row[3] for row in rows])
-    if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-        key_codes.byteswap()
-    packed = key_codes.tobytes()
-    out += _U32.pack(len(packed))
-    out += packed
-    # One typed column per (key shape, attribute position), holding the
-    # values of that shape's events in stream order.
-    values_by_shape: list[list[tuple[Any, ...]]] = [[] for _ in key_table]
-    for row in rows:
-        values_by_shape[row[3]].append(row[4])
-    for shape_index, keys in enumerate(key_table):
-        shape_rows = values_by_shape[shape_index]
-        for position in range(len(keys)):
-            _encode_column([values[position] for values in shape_rows], out)
+    _encode_codes(key_codes, out)
+    for columns in shape_columns:
+        for column in columns:
+            _encode_column(column, out)
     return bytes(out)
 
 
 class _ParsedColumns:
-    """The decoded column set, shared by both assemblers."""
+    """The decoded column set, shared by the block and event assemblers."""
 
     __slots__ = (
         "count",
@@ -365,33 +356,8 @@ def _parse_columns(buffer: Buffer) -> _ParsedColumns:
     return parsed
 
 
-def decode_columnar_body(
-    buffer: Buffer,
-) -> tuple[tuple[EventType, ...], tuple[tuple[str, ...], ...], tuple[Row, ...]]:
-    """Decode a columnar body back into the batch's interned row form."""
-    parsed = _parse_columns(buffer)
-    cursors = [0] * len(parsed.key_table)
-    shape_columns = parsed.shape_columns
-    rows: list[Row] = []
-    for index in range(parsed.count):
-        key_code = parsed.key_codes[index]
-        cursor = cursors[key_code]
-        cursors[key_code] = cursor + 1
-        values = tuple(column[cursor] for column in shape_columns[key_code])
-        rows.append(
-            (
-                parsed.type_codes[index],
-                parsed.times[index],
-                parsed.sequences[index],
-                key_code,
-                values,
-            )
-        )
-    return tuple(parsed.type_table), tuple(parsed.key_table), tuple(rows)
-
-
 # ---------------------------------------------------------------------- #
-# Fast event assembly (the shared-memory receive path)
+# Fast event assembly
 # ---------------------------------------------------------------------- #
 _event_new = Event.__new__
 _event_set = object.__setattr__
@@ -415,7 +381,7 @@ def build_event(
 
 
 def decode_columnar_events(buffer: Buffer) -> list[Event]:
-    """Decode a columnar body straight into events (no intermediate rows)."""
+    """Decode a columnar body straight into events."""
     parsed = _parse_columns(buffer)
     type_table = parsed.type_table
     key_table = parsed.key_table
@@ -442,20 +408,13 @@ def decode_columnar_events(buffer: Buffer) -> list[Event]:
     return events
 
 
-def encode_events(events: Iterable[Event], codec: int) -> bytes:
-    """Encode a chunk of events into a framed buffer with ``codec``."""
-    from repro.events.batch import EventBatch
+def encode_events(events: Iterable[Event]) -> bytes:
+    """Encode a chunk of events into a framed buffer."""
+    from repro.events.block import EventBlock
 
-    return EventBatch.from_events(events).to_bytes(
-        codec="columnar" if codec == CODEC_COLUMNAR else "pickle"
-    )
+    return EventBlock.from_events(events).to_bytes()
 
 
 def decode_events(data: Buffer) -> list[Event]:
-    """Decode any framed buffer into events, dispatching on its codec."""
-    codec, body = parse_frame(data)
-    if codec == CODEC_COLUMNAR:
-        return decode_columnar_events(body)
-    from repro.events.batch import EventBatch
-
-    return EventBatch.from_bytes(data).events()
+    """Decode a framed buffer into events."""
+    return decode_columnar_events(parse_frame(data))

@@ -22,12 +22,12 @@ into parallelism:
   :class:`~repro.runtime.streaming.StreamingExecutor` per shard — unmodified;
   anything satisfying :class:`~repro.interfaces.StreamProcessor` would do —
   either in-process (``workers=0``, the testable-without-fork mode) or in a
-  ``multiprocessing`` pool.  Events cross process boundaries in batches —
-  as pickled :class:`~repro.events.batch.EventBatch` chunks
-  (``transport="pickle"``) or as columnar buffers in reusable
-  shared-memory slabs with only ``(slab, length)`` references on the wire
-  (``transport="shm"``; see :mod:`repro.runtime.transport`) — the
-  per-shard input queues are bounded (``max_inflight`` batches) so a slow
+  ``multiprocessing`` pool.  Events cross process boundaries as framed
+  columnar :class:`~repro.events.block.EventBlock` bytes — through the
+  worker queues (``transport="pickle"``) or in reusable shared-memory slabs
+  with only ``(slab, length)`` references on the queue (``transport="shm"``;
+  see :mod:`repro.runtime.transport`) — the per-shard input queues are
+  bounded (``max_inflight`` batches) so a slow
   shard back-pressures the router instead of buffering the stream, and the
   per-shard reports are merged **deterministically**: partition results are
   ordered by ``(window end, execution unit, group key)`` using the same
@@ -61,8 +61,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from repro.core.engine import HamletEngine
 from repro.core.kernels import KernelBackendSpec, resolve_kernel_backend
 from repro.errors import ExecutionError, OutOfOrderError, WorkerCrashError
-from repro.events import columnar
-from repro.events.batch import EventBatch
 from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
 from repro.events.stream import EventStream, slice_stream
@@ -499,13 +497,13 @@ def _shard_worker_main(
     shard-placement invariant because bursts are segmented per ``(group,
     unit)`` stream and every such stream lives wholly inside one shard.
 
-    ``channel`` selects the transport: ``None`` means pickle (queue items
-    are ``("batch", seq, EventBatch)``); a ``(segment name, slab bytes,
-    ack pipe)`` triple means shared memory — queue items are ``("slab",
-    seq, index, nbytes)`` references into the ring (acked back after
-    decoding) or ``("raw", seq, payload)`` framed-bytes fallbacks.  The
-    driver-assigned ``seq`` tags identify batches across worker
-    incarnations (checkpoint bookkeeping and post-restore replay).
+    Every queue item carries one framed columnar batch: ``("raw", seq,
+    payload)`` holds the bytes themselves; ``("slab", seq, index, nbytes)``
+    references them in the shared-memory ring ``channel`` names (a
+    ``(segment name, slab bytes, ack pipe)`` triple; ``None`` under the
+    pickle transport, which ships ``raw`` only) and is acked back after
+    decoding.  The driver-assigned ``seq`` tags identify batches across
+    worker incarnations (checkpoint bookkeeping and post-restore replay).
 
     ``recovery`` enables checkpointing: ``(checkpoint dir, window
     interval, batch cadence, epoch, resume, ack pipe)``.  The worker
@@ -548,46 +546,34 @@ def _shard_worker_main(
         if channel is not None:
             segment_name, slab_bytes, ack_send = channel
             reader = SlabReader(segment_name, slab_bytes, ack_send)
-        process = executor.process
         windows_marked = executor.windows_closed
         batches_since = 0
         while True:
             message = in_queue.get()
             if message is None:
                 break
-            kind = message[0]
-            block: Optional[EventBlock] = None
-            if kind == "slab":
+            if message[0] == "slab":
                 assert reader is not None
                 _, seq, slab, nbytes = message
                 view = reader.view(slab, nbytes)
                 try:
                     # Parsing copies every column out of the mapped
                     # slab, so the slab is recyclable the moment the
-                    # block is built — ack before processing.  No
-                    # per-event objects are constructed on this path.
+                    # block is built — ack before processing.
                     block = EventBlock.from_bytes(view)
                 finally:
                     view.release()
                 if fault is not None:
                     fault("mid-batch-decode")  # decoded, slab unacked
                 reader.ack(slab)
-            elif kind == "raw":
+            else:
                 _, seq, payload = message
                 block = EventBlock.from_bytes(payload)
                 if fault is not None:
                     fault("mid-batch-decode")
-            else:  # "batch": a pickled EventBatch
-                _, seq, events = message
-                if fault is not None:
-                    fault("mid-batch-decode")
             if fault is not None:
                 fault("pre-fold")
-            if block is not None:
-                executor.process_block(block)
-            else:
-                for event in events:
-                    process(event)
+            executor.process_block(block)
             if writer is not None:
                 batches_since += 1
                 if (
@@ -640,7 +626,7 @@ class ShardedStreamingExecutor:
             ``workers > 0`` the shard count *is* the worker count.
         routing: ``"auto"`` (group hash when the workload has a common
             GROUP BY, else by execution unit), ``"group"`` or ``"unit"``.
-        batch_size: Events per :class:`EventBatch` shipped to a worker.
+        batch_size: Events per batch :meth:`process` ships to a worker.
         max_inflight: Bound on undelivered batches per shard; a full queue
             back-pressures :meth:`process` instead of buffering the stream.
         lazy_open / shared_windows: Forwarded to every shard's
@@ -657,14 +643,14 @@ class ShardedStreamingExecutor:
             shard's :class:`StreamingExecutor` (same registry-name pattern
             as ``optimizer``; see
             :func:`~repro.core.kernels.resolve_kernel_backend`).
-        transport: How batches cross the process boundary with
-            ``workers > 0``: ``"pickle"`` ships :class:`EventBatch` blobs
-            through the queues; ``"shm"`` writes columnar-encoded batches
-            into a per-worker ring of reusable shared-memory slabs and
-            ships only ``(slab index, length)`` references (see
-            :mod:`repro.runtime.transport`).  Accepted-and-inert with
-            ``workers=0`` — there is no process boundary to cross — so
-            callers can sweep transports across worker counts uniformly.
+        transport: How a batch's framed columnar bytes cross the process
+            boundary with ``workers > 0``: ``"pickle"`` ships them through
+            the queues; ``"shm"`` writes them into a per-worker ring of
+            reusable shared-memory slabs and ships only ``(slab index,
+            length)`` references (see :mod:`repro.runtime.transport`).
+            Accepted-and-inert with ``workers=0`` — there is no process
+            boundary to cross — so callers can sweep transports across
+            worker counts uniformly.
         slab_bytes: Slab payload capacity for the shm transport; batches
             that encode larger fall back to the queue.
         on_window: Per-window callback; only available with ``workers=0``
@@ -986,9 +972,9 @@ class ShardedStreamingExecutor:
         block in one vectorized pass (:meth:`ShardRouter.route_block`), and
         each shard's rows stay columns end to end — in-process shards ingest
         a gathered sub-block directly, pool workers receive its framed
-        columnar bytes (both transports) and rebuild a block without
-        constructing per-event objects.  Results are bit-identical to
-        feeding the block's events through :meth:`process` one by one.
+        columnar bytes and rebuild a block without constructing per-event
+        objects.  Results are bit-identical to feeding the block's events
+        through :meth:`process` one by one.
 
         Internal ordering of the block is enforced by the shard executors
         (in-process: immediately; pool mode: the worker's error surfaces at
@@ -1044,16 +1030,7 @@ class ShardedStreamingExecutor:
                 # buffered ahead of this block.
                 if self._buffers[shard_id]:
                     self._ship(shard_id)
-                self._shard_batches[shard_id] += 1
-                payload = shard_block.to_bytes("columnar")
-                seq = self._next_seq(shard_id, "raw", payload, len(indices))
-                if self._rings:
-                    self._send_encoded(shard_id, seq, payload)
-                else:
-                    try:
-                        self._put(shard_id, ("raw", seq, payload))
-                    except _WorkerRecovered:
-                        pass  # replayed into the respawned worker already
+                self._send(shard_id, *self._frame(shard_id, shard_block))
         if self._ckpt_countdown:
             self._ckpt_countdown -= count
             if self._ckpt_countdown <= 0:
@@ -1153,7 +1130,7 @@ class ShardedStreamingExecutor:
         #: Messages tagged with a stale epoch are a dead incarnation's
         #: stragglers and are dropped (duplicate-result suppression).
         self._epochs: list[int] = [0] * self.router.shards
-        #: Per-shard replay buffer: (seq, kind, payload, events) of every
+        #: Per-shard replay buffer: (seq, frame bytes, events) of every
         #: batch shipped but not yet covered by an acked checkpoint.
         self._replay: list[deque] = [deque() for _ in range(self.router.shards)]
         #: Whether each shard's end-of-stream sentinel has been enqueued
@@ -1303,47 +1280,35 @@ class ShardedStreamingExecutor:
                 self._recovery.checkpoints += 1
                 self._recovery.checkpoint_bytes += nbytes
 
-    def _next_seq(self, shard_id: int, kind: str, payload, events: int) -> int:
-        """Assign the next batch seq and record it in the replay buffer.
+    def _frame(self, shard_id: int, block: EventBlock) -> tuple[int, bytes]:
+        """Encode one shard batch and enter it in the books: batch count,
+        next seq and — with recovery on — the replay buffer.
 
-        ``payload`` is whatever re-shipping needs: the framed columnar
-        bytes (shm's slab *and* raw messages both replay as ``raw`` — a
-        dead worker's ring is torn down with it, so replay must not
-        reference slabs) or the :class:`EventBatch` (pickle transport).
+        The frame bytes are what re-shipping needs: replay goes through
+        :meth:`_send` like any batch, never by slab reference (a dead
+        worker's ring is torn down with it).
         """
+        self._shard_batches[shard_id] += 1
+        payload = block.to_bytes()
         self._seq[shard_id] += 1
         seq = self._seq[shard_id]
         if self._recovery_enabled:
             self._wait_replay_capacity(shard_id)
-            self._replay[shard_id].append((seq, kind, payload, events))
-        return seq
+            self._replay[shard_id].append((seq, payload, len(block)))
+        return seq, payload
 
     def _ship(self, shard_id: int) -> None:
         buffer = self._buffers[shard_id]
-        self._shard_batches[shard_id] += 1
-        events = len(buffer)
-        if self._rings:
-            payload = columnar.encode_events(buffer, columnar.CODEC_COLUMNAR)
-            buffer.clear()
-            seq = self._next_seq(shard_id, "raw", payload, events)
-            self._send_encoded(shard_id, seq, payload)
-            return
-        batch = EventBatch.from_events(buffer)
+        block = EventBlock.from_events(buffer)
         buffer.clear()
-        seq = self._next_seq(shard_id, "batch", batch, events)
-        try:
-            self._put(shard_id, ("batch", seq, batch))
-        except _WorkerRecovered:
-            # The batch is in the replay buffer and was re-shipped to the
-            # new incarnation as part of recovery; nothing left to send.
-            pass
+        self._send(shard_id, *self._frame(shard_id, block))
 
-    def _send_encoded(self, shard_id: int, seq: int, payload: bytes) -> None:
-        """Ship framed columnar bytes: through a slab when one fits, else
-        as a raw queue message (oversized batches, end-of-stream tails)."""
+    def _send(self, shard_id: int, seq: int, payload: bytes) -> None:
+        """Ship one frame: through a slab when the shm ring has one it fits,
+        else as a raw queue message (pickle transport, oversized batches)."""
         try:
-            ring = self._rings[shard_id]
-            if ring.fits(payload):
+            ring = self._rings[shard_id] if self._rings else None
+            if ring is not None and ring.fits(payload):
                 slab = ring.acquire(
                     poll_seconds=_POLL_SECONDS,
                     on_stall=lambda: self._check_alive(shard_id),
@@ -1560,18 +1525,12 @@ class ShardedStreamingExecutor:
             self._ckpt_recv[shard_id] = recv
             self._ckpt_send[shard_id] = send
         self._spawn_worker(shard_id, resume=True)
-        for seq, kind, payload, events in list(replay):
+        for seq, payload, events in list(replay):
             if self._epochs[shard_id] != epoch:
                 return
             self._recovery.replayed_batches += 1
             self._recovery.replayed_events += events
-            if kind == "raw":
-                self._send_encoded(shard_id, seq, payload)
-            else:
-                try:
-                    self._put(shard_id, (kind, seq, payload))
-                except _WorkerRecovered:
-                    return
+            self._send(shard_id, seq, payload)
         if self._sentinel_sent[shard_id] and self._epochs[shard_id] == epoch:
             try:
                 self._put(shard_id, None)
@@ -1591,19 +1550,11 @@ class ShardedStreamingExecutor:
             items: list = []
             buffer = self._buffers[shard_id]
             if buffer:
-                events = len(buffer)
-                self._shard_batches[shard_id] += 1
-                if self._rings:
-                    # Tail batches ride the raw fallback: acquiring a slab
-                    # can block on worker acks, which would defeat this
-                    # round-robin of strictly non-blocking puts.
-                    payload = columnar.encode_events(buffer, columnar.CODEC_COLUMNAR)
-                    seq = self._next_seq(shard_id, "raw", payload, events)
-                    items.append(("raw", seq, payload))
-                else:
-                    batch = EventBatch.from_events(buffer)
-                    seq = self._next_seq(shard_id, "batch", batch, events)
-                    items.append(("batch", seq, batch))
+                # Tail batches ride raw messages under both transports:
+                # acquiring a slab can block on worker acks, which would
+                # defeat this round-robin of strictly non-blocking puts.
+                tail = EventBlock.from_events(buffer)
+                items.append(("raw", *self._frame(shard_id, tail)))
                 buffer.clear()
             items.append(None)
             pending[shard_id] = items

@@ -502,7 +502,6 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         contribution_rows = (
             None if scalar else [unit.contributions(event) for event, _, _ in burst]
         )
-        backend = self._backend
         for plan in plans:
             spec = plan.spec
             if spec.check_locals:
@@ -550,31 +549,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             if not fast:
                 self._burst_reference(plan, accepted, rows)
                 continue
-            indices = list(armed)
-            base = 1.0 if plan.is_start else 0.0
-            count = len(accepted)
-            created = 0
-            replica_created = 0
-            canonical = plan.total_map
-            for total_map in plan.targets:
-                sources = plan.fold_sources(total_map)
-                if scalar:
-                    made = backend.fold_scalar_run(
-                        total_map, indices, sources, base, count
-                    )
-                else:
-                    made = backend.fold_vector_run(
-                        total_map, indices, sources, base, rows, unit.dimension
-                    )
-                if total_map is canonical:
-                    created += made
-                else:
-                    replica_created += made
-            self._coeff_entries += created
-            self._replica_entries += replica_created
-            self._ops += (
-                count * len(plan.targets) * len(indices) * (1 + len(plan.pred_maps))
-            )
+            self._fold_run(plan, armed, len(accepted), rows)
 
     def process_block_run(
         self,
@@ -630,8 +605,6 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         count = len(times)
         if plans is None:
             return True
-        scalar = unit.scalar
-        backend = self._backend
         for plan in plans:
             armed = self._armed[plan.spec.index]
             if plan.is_start:
@@ -652,36 +625,53 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                         self._armed_entries += 1
             if not armed:
                 continue
-            indices = list(armed)
-            base = 1.0 if plan.is_start else 0.0
-            created = 0
-            replica_created = 0
-            canonical = plan.total_map
-            for total_map in plan.targets:
-                sources = plan.fold_sources(total_map)
-                if scalar:
-                    made = backend.fold_scalar_run(
-                        total_map, indices, sources, base, count
-                    )
-                else:
-                    made = backend.fold_vector_run(
-                        total_map,
-                        indices,
-                        sources,
-                        base,
-                        contribution_rows,
-                        unit.dimension,
-                    )
-                if total_map is canonical:
-                    created += made
-                else:
-                    replica_created += made
-            self._coeff_entries += created
-            self._replica_entries += replica_created
-            self._ops += (
-                count * len(plan.targets) * len(indices) * (1 + len(plan.pred_maps))
-            )
+            self._fold_run(plan, armed, count, contribution_rows)
         return True
+
+    def _fold_run(
+        self,
+        plan: _TypePlan,
+        armed: dict,
+        count: int,
+        contribution_rows: Optional[Sequence[tuple[float, ...]]],
+    ) -> None:
+        """Hand one fast-eligible run of ``count`` rows to the kernel backend.
+
+        Folds every sharing column of ``plan`` over the armed windows
+        (``contribution_rows`` is ``None`` for scalar units) and charges
+        exactly the per-event fast-path operation total.
+        """
+        backend = self._backend
+        scalar = self.unit.scalar
+        indices = list(armed)
+        base = 1.0 if plan.is_start else 0.0
+        created = 0
+        replica_created = 0
+        canonical = plan.total_map
+        for total_map in plan.targets:
+            sources = plan.fold_sources(total_map)
+            if scalar:
+                made = backend.fold_scalar_run(
+                    total_map, indices, sources, base, count
+                )
+            else:
+                made = backend.fold_vector_run(
+                    total_map,
+                    indices,
+                    sources,
+                    base,
+                    contribution_rows,
+                    self.unit.dimension,
+                )
+            if total_map is canonical:
+                created += made
+            else:
+                replica_created += made
+        self._coeff_entries += created
+        self._replica_entries += replica_created
+        self._ops += (
+            count * len(plan.targets) * len(indices) * (1 + len(plan.pred_maps))
+        )
 
     def _block_run_reference(
         self,

@@ -1,22 +1,22 @@
-"""Zero-copy shared-memory batch transport for the sharded runtime.
+"""Shared-memory slab transport for the sharded runtime.
 
-With the pickle transport every :class:`~repro.events.batch.EventBatch`
-crosses a worker queue as a pickle blob: the driver serializes it in the
-queue's feeder thread, the bytes are copied through a pipe, and the worker
-deserializes row tuples before a single event exists.  This module replaces
-the blob with a **ring of reusable shared-memory slabs** per (driver,
-worker) channel:
+Every batch the driver ships to a shard worker is one framed columnar
+buffer (:meth:`repro.events.block.EventBlock.to_bytes`).  With the pickle
+transport those bytes ride the worker's input queue: serialized by the
+queue's feeder thread and copied through a pipe.  This module replaces the
+copy with a **ring of reusable shared-memory slabs** per (driver, worker)
+channel:
 
-* the driver encodes a batch once into the columnar codec
-  (:mod:`repro.events.columnar`) directly inside a free slab of the ring —
-  one ``memcpy``-shaped write into the mapped segment;
-* the hand-off through the bounded input queue is just ``("slab", index,
-  nbytes)`` — a few dozen bytes instead of the whole batch;
-* the worker decodes events straight out of the mapped slab (typed columns
+* the driver writes the frame into a free slab of the ring — one
+  ``memcpy``-shaped write into the mapped segment;
+* the hand-off through the bounded input queue is just ``("slab", seq,
+  index, nbytes)`` — a few dozen bytes instead of the whole batch;
+* the worker parses a block straight out of the mapped slab (typed columns
   are C-speed ``frombytes`` reads) and then *acks* the slab index back over
   a pipe, recycling it for the driver's next acquire;
 * a batch that outgrows the slab (or the end-of-stream residual) falls back
-  to ``("raw", payload)`` through the queue — same framed bytes, no slab.
+  to ``("raw", seq, payload)`` through the queue — same framed bytes, no
+  slab, exactly what the pickle transport ships for every batch.
 
 Crash and teardown discipline (the "no leaked segments" contract, checked
 by the transport tests and a CI sweep of ``/dev/shm``):

@@ -2,8 +2,8 @@
 
 Pins the design points from the block's contract: empty/single-row blocks,
 mixed payload dtypes falling back to object columns, zero-copy slice
-aliasing, selection, both wire codecs interoperating with ``EventBatch``,
-and a hypothesis round-trip suite proving events -> block -> events
+aliasing, selection, the wire codec interoperating with the event-level
+helpers, and a hypothesis round-trip suite proving events -> block -> events
 preserves exact types and the ``(time, sequence)`` order.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, SchemaError
-from repro.events import Event, EventBatch, EventBlock, EventBlockBuilder, EventStream
+from repro.events import Event, EventBlock, EventBlockBuilder, EventStream
 from repro.events import columnar
 
 
@@ -110,9 +110,13 @@ class TestEdgeCases:
         assert second.sequence > first.sequence
         assert first < second
 
-    def test_unknown_codec_is_a_clean_error(self):
-        with pytest.raises(ExecutionError, match="codec"):
-            EventBlock.empty().to_bytes("json")
+    def test_builder_does_not_enforce_time_order(self):
+        # Order is the caller's contract: the sharded lateness path builds
+        # disordered blocks for the shard reorder buffers to sort.
+        builder = EventBlockBuilder()
+        builder.append_row("T", 5.0, {"v": 1})
+        builder.append_row("T", 2.0, {"v": 2})
+        assert [e.time for e in builder.finish().to_events()] == [5.0, 2.0]
 
 
 class TestSlicing:
@@ -166,27 +170,32 @@ class TestSlicing:
         events = make([{"v": float(i)} for i in range(8)])
         block = EventBlock.from_events(events)
         child = block.slice(3, 6)
-        for codec in ("columnar", "pickle"):
-            identical(
-                EventBlock.from_bytes(child.to_bytes(codec)).to_events(),
-                events[3:6],
-            )
+        identical(EventBlock.from_bytes(child.to_bytes()).to_events(), events[3:6])
+        # ... with multiple payload shapes too: each shape's rows occupy one
+        # contiguous slot range, wherever the slice starts.
+        mixed = make([{"v": i} if i % 3 else {"w": float(i), "u": i} for i in range(9)])
+        block = EventBlock.from_events(mixed)
+        for start in range(9):
+            for stop in range(start, 10):
+                child = block.slice(start, stop)
+                identical(
+                    EventBlock.from_bytes(child.to_bytes()).to_events(),
+                    mixed[start:stop],
+                )
 
 
 class TestWireInterop:
-    def test_from_bytes_accepts_both_codecs(self):
+    def test_from_bytes_reads_event_encoder_output(self):
         events = make([{"v": 1.5}, {"v": 2.5}], type_name="A") + make(
             [{"n": 3}], type_name="B"
         )
-        for codec in ("pickle", "columnar"):
-            data = EventBatch.from_events(events).to_bytes(codec=codec)
-            identical(EventBlock.from_bytes(data).to_events(), events)
+        data = columnar.encode_events(events)
+        identical(EventBlock.from_bytes(data).to_events(), events)
 
-    def test_batch_reads_block_bytes(self):
+    def test_event_decoder_reads_block_bytes(self):
         events = make([{"v": 1.5}, {"n": 2}])
         block = EventBlock.from_events(events)
-        for codec in ("pickle", "columnar"):
-            identical(EventBatch.from_bytes(block.to_bytes(codec)).events(), events)
+        identical(columnar.decode_events(block.to_bytes()), events)
 
     def test_from_bytes_rejects_garbage(self):
         with pytest.raises(ExecutionError, match="magic"):
@@ -252,13 +261,10 @@ class TestRoundTripProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(events=_fuzz_events())
-    def test_wire_round_trip_through_both_codecs(self, events):
+    def test_wire_round_trip(self, events):
         block = EventBlock.from_events(events)
-        for codec in ("columnar", "pickle"):
-            identical(EventBlock.from_bytes(block.to_bytes(codec)).to_events(), events)
-        # columnar wire from the canonical encoder parses into a block too
-        data = columnar.encode_events(events, columnar.CODEC_COLUMNAR)
-        identical(EventBlock.from_bytes(data).to_events(), events)
+        identical(EventBlock.from_bytes(block.to_bytes()).to_events(), events)
+        identical(columnar.decode_events(block.to_bytes()), events)
 
     @settings(max_examples=30, deadline=None)
     @given(events=_fuzz_events(), cut=st.integers(min_value=0, max_value=40))

@@ -1,9 +1,9 @@
 """Columnar wire codec: framing, typed columns, exact-type round trips.
 
-The randomized identity property over both codecs lives in
-``tests/runtime/test_sharding.py`` (the EventBatch fuzz); this module pins
-the deliberate design points — the versioned header's failure modes, the
-exact-type column classification and the object-column fallback.
+The randomized identity property lives in ``tests/runtime/test_sharding.py``
+(the wire fuzz); this module pins the deliberate design points — the
+versioned header's failure modes (the retired pickle codec id among them),
+the exact-type column classification and the object-column fallback.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.errors import ExecutionError
-from repro.events import Event, EventBatch
+from repro.events import Event, EventBlock
 from repro.events import columnar
 
 
@@ -24,46 +24,52 @@ def make(payloads, type_name="T"):
     ]
 
 
-def round_trip(events, codec="columnar"):
-    data = EventBatch.from_events(events).to_bytes(codec=codec)
-    return EventBatch.from_bytes(data).events()
+def round_trip(events):
+    data = EventBlock.from_events(events).to_bytes()
+    return EventBlock.from_bytes(data).to_events()
 
 
 class TestFraming:
     def test_header_magic_and_codec_byte(self):
-        data = EventBatch.from_events(make([{}])).to_bytes(codec="columnar")
+        data = EventBlock.from_events(make([{}])).to_bytes()
         assert data[:4] == columnar.MAGIC
-        assert data[4] == columnar.CODEC_COLUMNAR
-        pickled = EventBatch.from_events(make([{}])).to_bytes()
-        assert pickled[:4] == columnar.MAGIC
-        assert pickled[4] == columnar.CODEC_PICKLE
+        assert data[4] == columnar.CODEC_COLUMNAR == 2
 
     def test_wrong_magic_is_a_clean_error(self):
         with pytest.raises(ExecutionError, match="magic"):
-            EventBatch.from_bytes(b"XXXX" + bytes(64))
+            EventBlock.from_bytes(b"XXXX" + bytes(64))
 
     def test_legacy_unframed_pickle_is_a_clean_error(self):
         legacy = pickle.dumps(("T",), protocol=pickle.HIGHEST_PROTOCOL)
         with pytest.raises(ExecutionError, match="magic"):
-            EventBatch.from_bytes(legacy)
+            EventBlock.from_bytes(legacy)
 
     def test_unknown_codec_version_is_a_clean_error(self):
-        data = bytearray(EventBatch.from_events(make([{}])).to_bytes())
+        data = bytearray(EventBlock.from_events(make([{}])).to_bytes())
         data[4] = 0x7F
         with pytest.raises(ExecutionError, match="codec"):
-            EventBatch.from_bytes(bytes(data))
+            EventBlock.from_bytes(bytes(data))
+
+    def test_retired_pickle_codec_is_refused_not_unpickled(self, monkeypatch):
+        # A codec-1 frame as older builds wrote it: header + pickle blob.
+        blob = pickle.dumps((("T",), ((),), ((0, 0.0, 1, 0, ()),)))
+        frame = columnar.MAGIC + bytes([1]) + blob
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a codec-1 frame reached pickle.loads")
+
+        monkeypatch.setattr(columnar.pickle, "loads", forbidden)
+        for decode in (EventBlock.from_bytes, columnar.decode_events, columnar.parse_frame):
+            with pytest.raises(ExecutionError, match="retired.*pickle codec"):
+                decode(frame)
 
     def test_truncated_buffer_is_a_clean_error(self):
-        data = EventBatch.from_events(
+        data = EventBlock.from_events(
             make([{"v": 1.0, "w": 2}, {"v": 3.5, "w": 4}])
-        ).to_bytes(codec="columnar")
+        ).to_bytes()
         for cut in (0, 3, 5, len(data) // 2, len(data) - 1):
             with pytest.raises(ExecutionError):
-                EventBatch.from_bytes(data[:cut])
-
-    def test_unknown_codec_name_on_encode(self):
-        with pytest.raises(ExecutionError, match="codec"):
-            EventBatch.from_events(make([{}])).to_bytes(codec="json")
+                EventBlock.from_bytes(data[:cut])
 
 
 class TestTypedColumns:
@@ -124,13 +130,13 @@ class TestTypedColumns:
 
     def test_decode_accepts_memoryview(self):
         events = make([{"v": 1.5}, {"v": 2.5}])
-        data = EventBatch.from_events(events).to_bytes(codec="columnar")
+        data = EventBlock.from_events(events).to_bytes()
         assert columnar.decode_events(memoryview(data)) == events
 
-    def test_encode_decode_events_helpers_dispatch(self):
+    def test_encode_decode_events_helpers(self):
         events = make([{"v": 1.5}])
-        for codec in (columnar.CODEC_PICKLE, columnar.CODEC_COLUMNAR):
-            data = columnar.encode_events(events, codec)
-            decoded = columnar.decode_events(data)
-            assert decoded == events
-            assert decoded[0].payload == events[0].payload
+        data = columnar.encode_events(events)
+        assert data == EventBlock.from_events(events).to_bytes()
+        decoded = columnar.decode_events(data)
+        assert decoded == events
+        assert decoded[0].payload == events[0].payload

@@ -161,10 +161,8 @@ def test_block_ingest_across_paths(lazy_open, shared_windows):
     assert_reports_identical(per_event, block)
 
 
-@pytest.mark.parametrize("backend", ("python", "numpy", "auto"))
+@pytest.mark.parametrize("backend", ("python", "numpy"))
 def test_block_ingest_across_kernel_backends(backend):
-    # "auto" runs with or without numpy: it degrades to the reference
-    # backend per run when the vectorized one is unavailable.
     pytest.importorskip("numpy") if backend == "numpy" else None
     events = make_stream(5, 400)
     per_event, block = run_pair(
@@ -188,7 +186,7 @@ def test_block_ingest_adaptive_optimizer_compat_shim():
 
 def test_block_from_wire_bytes_matches_from_events():
     events = make_stream(9, 300)
-    data = columnar.encode_events(events, columnar.CODEC_COLUMNAR)
+    data = columnar.encode_events(events)
     queries = workload(SLIDING, group_by=("g",))
     from_events = StreamingExecutor(queries, HamletEngine).run(EventBlock.from_events(events))
     from_bytes = StreamingExecutor(queries, HamletEngine).run(EventBlock.from_bytes(data))

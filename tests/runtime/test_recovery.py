@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from faultline import checkpoint_temp_files, run_differential
+from faultline import canonical_report, checkpoint_temp_files, run_differential
 from repro.core import HamletEngine
 from repro.errors import ExecutionError, WorkerCrashError
 from repro.events import Event
@@ -136,6 +136,58 @@ def test_replay_counters_are_populated():
     assert result.recovery.replayed_batches >= 1
     assert result.recovery.replayed_events >= 1
     assert result.recovery.checkpoint_bytes > 0
+
+
+@pytest.mark.parametrize("transport", ["pickle", "shm"])
+def test_scalar_ingest_replay_reships_frames_only(transport, monkeypatch, tmp_path):
+    """The replay tail of a worker fed by scalar ``process()`` calls is
+    framed columnar bytes — the one thing a worker loop understands — and
+    recovery re-ships exactly those, never event objects."""
+    clean = ShardedStreamingExecutor(_workload(), workers=0, shards=2).run(_stream())
+    monkeypatch.setenv(FAULTLINE_ENV, "post-close-pre-ack@1:4:kill")
+    executor = ShardedStreamingExecutor(
+        _workload(),
+        workers=2,
+        transport=transport,
+        batch_size=64,
+        checkpoint_dir=str(tmp_path),
+        checkpoint_interval=4,
+    )
+    shipped: list[tuple] = []  # (in recovery?, queue message)
+    recovering = False
+    put, recover = executor._put, executor._recover
+
+    def recording_put(shard_id, item):
+        if item is not None:
+            shipped.append((recovering, item))
+            for _seq, payload, _events in executor._replay[shard_id]:
+                assert type(payload) is bytes and payload[:5] == b"RPEB\x02"
+        put(shard_id, item)
+
+    def recording_recover(shard_id):
+        nonlocal recovering
+        recovering = True
+        try:
+            recover(shard_id)
+        finally:
+            recovering = False
+
+    monkeypatch.setattr(executor, "_put", recording_put)
+    monkeypatch.setattr(executor, "_recover", recording_recover)
+    for event in _stream():
+        executor.process(event)
+    report = executor.finish()
+
+    assert canonical_report(report) == canonical_report(clean)
+    assert report.recovery.restarts == 1
+    replayed = [item for in_recovery, item in shipped if in_recovery]
+    assert len(replayed) == report.recovery.replayed_batches >= 1
+    kinds = {"raw"} if transport == "pickle" else {"raw", "slab"}
+    assert {item[0] for _, item in shipped} <= kinds
+    for item in replayed:
+        if item[0] == "raw":
+            assert type(item[2]) is bytes and item[2][:5] == b"RPEB\x02"
+    _assert_no_ring_leak()
 
 
 # --------------------------------------------------------------------- #

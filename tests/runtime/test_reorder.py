@@ -317,9 +317,6 @@ _BACKENDS = (
     pytest.param(
         "numpy", marks=pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed")
     ),
-    pytest.param(
-        "auto", marks=pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed")
-    ),
 )
 
 

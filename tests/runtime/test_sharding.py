@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import HamletEngine
 from repro.errors import ExecutionError
-from repro.events import Event, EventBatch
+from repro.events import Event, EventBlock
 from repro.optimizer import DynamicSharingOptimizer
 from repro.query import Query, Window, avg, kleene, parse_pattern, seq, sum_of
 from repro.runtime import (
@@ -63,10 +63,10 @@ def make_events(seed: int, size: int, groups: int = 6) -> list[Event]:
     return events
 
 
-class TestEventBatch:
+class TestWireBatch:
     def test_round_trip_preserves_events_exactly(self):
         events = make_events(1, 200)
-        decoded = EventBatch.from_events(events).events()
+        decoded = EventBlock.from_events(events).to_events()
         assert decoded == events
         for original, copy in zip(events, decoded):
             assert copy.event_type == original.event_type
@@ -77,24 +77,25 @@ class TestEventBatch:
 
     def test_byte_codec_round_trip(self):
         events = make_events(2, 64)
-        batch = EventBatch.from_events(events)
-        assert EventBatch.from_bytes(batch.to_bytes()).events() == events
+        batch = EventBlock.from_events(events)
+        assert EventBlock.from_bytes(batch.to_bytes()).to_events() == events
 
     def test_interning_tables_stay_small(self):
         events = make_events(3, 500)
-        batch = EventBatch.from_events(events)
+        batch = EventBlock.from_bytes(EventBlock.from_events(events).to_bytes())
         assert len(batch) == 500
         # 5 event types and one payload-key shape cross the boundary once.
         assert len(batch.event_types) <= 5
+        assert len(batch.key_table) == 1
 
     def test_empty_batch(self):
-        batch = EventBatch.from_events([])
+        batch = EventBlock.from_bytes(EventBlock.from_events([]).to_bytes())
         assert len(batch) == 0 and not batch
-        assert batch.events() == []
+        assert batch.to_events() == []
 
 
 # --------------------------------------------------------------------- #
-# Hypothesis round-trip fuzz for the EventBatch codec
+# Hypothesis round-trip fuzz for the wire codec
 # --------------------------------------------------------------------- #
 #: Payload values the codec must carry verbatim: numbers (ints beyond
 #: 2**53, bools, finite floats), unicode text, None, and nested numeric
@@ -132,26 +133,22 @@ def _fuzz_events(draw):
     return events
 
 
-class TestEventBatchFuzz:
+class TestWireBatchFuzz:
     """Property: encode/decode is the identity on arbitrary event chunks.
 
-    Both wire codecs carry the same strategy: the pickle body trivially,
-    the columnar body through its typed-column classification (f64 / i64 /
-    bool columns with the object-pickle fallback for big ints, None,
-    strings and nested tuples) — mixed dtypes under one key, unicode keys
-    and ints beyond 2**63 all land in the fallback column and must still
-    round-trip exactly.
+    The columnar body carries the strategy through its typed-column
+    classification (f64 / i64 / bool columns with the object-pickle
+    fallback for big ints, None, strings and nested tuples) — mixed dtypes
+    under one key, unicode keys and ints beyond 2**63 all land in the
+    fallback column and must still round-trip exactly.
     """
 
-    @pytest.mark.parametrize("codec", ("pickle", "columnar"))
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(events=_fuzz_events())
-    def test_round_trip_is_identity(self, codec, events):
+    def test_round_trip_is_identity(self, events):
         for decoded in (
-            EventBatch.from_events(events).events(),
-            EventBatch.from_bytes(
-                EventBatch.from_events(events).to_bytes(codec=codec)
-            ).events(),
+            EventBlock.from_events(events).to_events(),
+            EventBlock.from_bytes(EventBlock.from_events(events).to_bytes()).to_events(),
         ):
             assert decoded == events  # (type, time, sequence) equality
             for original, copy in zip(events, decoded):
@@ -170,7 +167,7 @@ class TestEventBatchFuzz:
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(events=_fuzz_events())
     def test_interning_never_conflates_payload_shapes(self, events):
-        batch = EventBatch.from_events(events)
+        batch = EventBlock.from_events(events)
         assert len(batch) == len(events)
         assert set(batch.event_types) == {event.event_type for event in events}
         # Key tuples are interned by exact shape: decoding must reproduce
