@@ -35,9 +35,13 @@ Four fixed-seed suites:
   sparse, type-alternating trickles — the Figure 12/13 regime) through the
   adaptive streaming runtime: the static compile-time plan, the dynamic
   per-burst optimizer and both static extremes (always / never share).
-  All four rows are bit-identical in results; the recorded
+  All rows are bit-identical in results; the recorded
   ``adaptive_vs_static`` section divides the static rows' ops by the
   dynamic row's — the dynamic optimizer must beat the worse extreme.
+  ``adaptive_dynamic_block`` feeds the dynamic row's stream as 512-row
+  ``process_block`` slices and must reproduce its ops, digest and decision
+  counters exactly (checked at run time); the gate compares the decision
+  counters of every row too, since result digests cannot see them.
 
 * ``sharded`` (``BENCH_PR4.json``) — the overlap-shared workload (20
   districts, so >= 8 distinct group keys) through the sharded driver:
@@ -97,9 +101,11 @@ PR live side by side::
 
 Besides wall-clock numbers the harness records the engines' *abstract
 operation counts*, which are deterministic for a fixed seed.  ``--gate``
-compares the current operation counts against the recorded ``after`` label
-and fails on regression — a machine-independent, non-flaky threshold gate
-suitable for CI (wall-clock numbers are recorded but never gated).
+compares the current operation counts against the recorded rows (the
+``after`` label's, with rows re-recorded under a later label replacing
+them — ``trend.baseline_rows``) and fails on regression — a
+machine-independent, non-flaky threshold gate suitable for CI (wall-clock
+numbers are recorded but never gated).
 """
 
 from __future__ import annotations
@@ -138,6 +144,7 @@ from repro.runtime.executor import WorkloadExecutor
 from repro.runtime.sharding import ShardedStreamingExecutor
 from repro.runtime.streaming import StreamingExecutor
 from repro.bench.workloads import kleene_sharing_workload, multi_aggregate_workload
+from trend import baseline_rows
 
 #: Permitted relative growth of deterministic operation counts before the
 #: ``--gate`` mode fails (guards against accidental algorithmic regressions
@@ -351,16 +358,46 @@ def _adaptive_scenario(optimizer: str | None) -> Callable:
     ).run(events)
 
 
+#: Rows per ``process_block`` call of the block-fed bursty row: small enough
+#: that most bursts of a storm phase straddle a block boundary.
+BURSTY_BLOCK_ROWS = 512
+
+
+def _adaptive_block_scenario(optimizer: str) -> Callable:
+    factory = _ENGINE_FACTORIES["hamlet"]
+    # Built once, outside the timed region (the block belongs to the producer).
+    block_cache: list[EventBlock] = []
+
+    def run(workload, events):
+        if not block_cache:
+            block_cache.append(EventBlock.from_events(events))
+        block = block_cache[0]
+        executor = StreamingExecutor(workload, factory, optimizer=optimizer)
+        for start in range(0, len(block), BURSTY_BLOCK_ROWS):
+            executor.process_block(block.slice(start, start + BURSTY_BLOCK_ROWS))
+        return executor.finish()
+
+    return run
+
+
 def _bursty_scenarios() -> dict[str, Callable]:
-    # All four rows produce bit-identical totals (the differential property
+    # All rows produce bit-identical totals (the differential property
     # suite guards this); only the work and memory profiles differ, which
-    # is exactly what the recorded ops are gating.
+    # is exactly what the recorded ops are gating.  The block-fed row is the
+    # dynamic row again through ``process_block``: same ops, same digest,
+    # same decisions, or the block path cut a burst the scalar path did not.
     return {
         "static_compile_time": _adaptive_scenario(None),
         "adaptive_dynamic": _adaptive_scenario("dynamic"),
+        "adaptive_dynamic_block": _adaptive_block_scenario("dynamic"),
         "static_always_share": _adaptive_scenario("always"),
         "static_never_share": _adaptive_scenario("never"),
     }
+
+
+#: Deterministic row fields: the gate compares them exactly (``operations``
+#: keeps its historical ceiling) and the in-run twin checks read them.
+DECISION_FIELDS = ("decisions", "merges", "splits", "shared_fraction")
 
 
 def _sharded_scenario(workers: int, transport: str = "pickle") -> Callable:
@@ -807,7 +844,7 @@ def run_scenario(name: str, runner: Callable, workload, events, repeats: int) ->
         result["merges"] = statistics.merges
         result["splits"] = statistics.splits
     print(
-        f"  {name:<20} {result['events_per_second']:>10.0f} ev/s  "
+        f"  {name:<24} {result['events_per_second']:>10.0f} ev/s  "
         f"{best_seconds:8.3f} s  ops={result['operations']:>10}  "
         f"digest={result['result_digest']:016x}"
     )
@@ -1022,8 +1059,8 @@ def attach_kernel_ratios(results: dict) -> None:
 
 def gate(results: dict, current: dict, suite: Suite) -> int:
     """Compare deterministic operation counts against the recorded baseline."""
-    baseline = results["runs"].get("after") or results["runs"].get("before")
-    if baseline is None:
+    baseline = baseline_rows(results["runs"])
+    if not baseline:
         print(f"gate[{suite.name}]: no recorded baseline label; nothing to compare against")
         return 1
     failures = []
@@ -1056,11 +1093,21 @@ def gate(results: dict, current: dict, suite: Suite) -> int:
                 f"{name}: operations regressed {recorded['operations']} -> "
                 f"{row['operations']} (> {GATE_TOLERANCE:.0%} tolerance)"
             )
+        # Result digests are decision-invariant by construction, so the
+        # sharing decisions need their own (exact) comparison.
+        for field in DECISION_FIELDS:
+            if field in recorded and row.get(field) != recorded[field]:
+                failures.append(
+                    f"{name}: {field} changed ({recorded[field]} -> {row.get(field)})"
+                )
     if failures:
         for failure in failures:
             print(f"gate[{suite.name}] FAILED: {failure}")
         return 1
-    print(f"gate[{suite.name}] OK: operation counts and result digests match")
+    print(
+        f"gate[{suite.name}] OK: operation counts, result digests and "
+        f"decision counters match"
+    )
     return 0
 
 
@@ -1148,6 +1195,18 @@ def run_suite(suite: Suite, args) -> int:
                 print(
                     f"perf_smoke[ooo] FAILED: {name} digest diverges from "
                     f"scalar_strict"
+                )
+                return 1
+
+    if suite.name == "bursty":
+        # The block path's claim under an optimizer is "the same run": the
+        # block-fed row must reproduce the scalar row's work and decisions.
+        scalar, block_fed = current["adaptive_dynamic"], current["adaptive_dynamic_block"]
+        for field in ("operations", "result_digest", *DECISION_FIELDS):
+            if block_fed.get(field) != scalar.get(field):
+                print(
+                    f"perf_smoke[bursty] FAILED: adaptive_dynamic_block {field} "
+                    f"{block_fed.get(field)} diverges from adaptive_dynamic {scalar.get(field)}"
                 )
                 return 1
 

@@ -52,8 +52,14 @@ def bench_files() -> list[tuple[int, Path]]:
 
 
 def baseline_rows(runs: dict) -> dict:
-    """The label the perf_smoke gate reads: ``after``, else ``before``."""
-    return runs.get("after") or runs.get("before") or {}
+    """The rows the perf_smoke gate reads: every recorded label's, row by
+    row, a later label (``before`` < ``after`` < any other, by name)
+    replacing an earlier one's — so a re-recording under a new label can add
+    a scenario without discarding the rows it did not run."""
+    rows: dict = {}
+    for label in sorted(runs, key=lambda name: ({"before": 0, "after": 1}.get(name, 2), name)):
+        rows.update(runs[label])
+    return rows
 
 
 def iter_suites(container: dict):

@@ -37,7 +37,7 @@ from repro.greta.aggregators import (
 )
 from repro.interfaces import TrendAggregationEngine
 from repro.optimizer.decisions import DynamicSharingOptimizer, SharingDecision, SharingOptimizer
-from repro.optimizer.statistics import BurstStatistics, QueryBurstProfile
+from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
 from repro.query.query import Query
 from repro.template.merged import MergedTemplate
 from repro.template.template import QueryTemplate
@@ -399,14 +399,12 @@ class HamletEngine(TrendAggregationEngine):
             2, round(sum(len(t.event_types) for t in self._templates.values()) / len(self._templates))
         )
         return BurstStatistics(
-            event_type=event_type,
+            candidates=CandidateSet(event_type, tuple(profiles), types_per_query),
             burst_size=burst_size,
             events_in_window=events_in_window,
             graphlet_size=graphlet_size,
             snapshots_propagated=snapshots_propagated,
             graphlet_snapshots_needed=0 if continuing else 1,
-            profiles=tuple(profiles),
-            types_per_query=types_per_query,
         )
 
     # ------------------------------------------------------------------ #

@@ -361,23 +361,45 @@ class PythonKernelBackend(KernelBackend):
     def fold_vector_run(
         self, total_map, indices, sources, base, contribution_rows, dimension
     ):
+        # Windows are independent and a run writes only ``total_map``, so
+        # the fold goes window by window: each window's entry objects are
+        # resolved once, and every row then costs float adds only — no
+        # accumulator object, no method call.  Per window and row the adds
+        # happen in the per-event order (count: base, then the sources in
+        # order; each measure: 0.0, the sources in order, the contribution,
+        # then into the total), so totals are bit-identical to it.
         created = 0
-        total_get = total_map.get
-        for contributions in contribution_rows:
-            for index in indices:
-                accumulator = MutableAggregate(dimension)
-                accumulator.count = base
-                for window_map in sources:
-                    previous = window_map.get(index)
-                    if previous is not None:
-                        accumulator.add(previous)
-                accumulator.apply_contributions(contributions)
-                total = total_get(index)
-                if total is None:
-                    total_map[index] = accumulator
-                    created += 1
-                else:
-                    total.add(accumulator)
+        if not contribution_rows:
+            return created
+        measure_positions = range(dimension)
+        for index in indices:
+            total = total_map.get(index)
+            if total is None:
+                # A zero entry stands in for "absent": x + 0.0 == x for every
+                # value a fold can produce (none is -0.0), including through
+                # a Kleene self-loop source.
+                total = total_map[index] = MutableAggregate(dimension)
+                created += 1
+            found = [
+                previous
+                for window_map in sources
+                if (previous := window_map.get(index)) is not None
+            ]
+            source_measures = [previous.measures for previous in found]
+            total_measures = total.measures
+            for contributions in contribution_rows:
+                count = base
+                for previous in found:
+                    count += previous.count
+                for position in measure_positions:
+                    value = 0.0
+                    for measures in source_measures:
+                        value += measures[position]
+                    contribution = contributions[position]
+                    if contribution:
+                        value += contribution * count
+                    total_measures[position] += value
+                total.count += count
         return created
 
 

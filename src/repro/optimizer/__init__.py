@@ -28,11 +28,12 @@ from repro.optimizer.decisions import (
 from repro.optimizer.query_set import choose_query_set, exhaustive_best_plan
 from repro.optimizer.registry import OPTIMIZER_POLICIES, resolve_optimizer_factory
 from repro.optimizer.static import AlwaysShareOptimizer, NeverShareOptimizer, StaticPlanOptimizer
-from repro.optimizer.statistics import BurstStatistics, QueryBurstProfile
+from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
 
 __all__ = [
     "AlwaysShareOptimizer",
     "BurstStatistics",
+    "CandidateSet",
     "CostModel",
     "DynamicSharingOptimizer",
     "NeverShareOptimizer",

@@ -175,4 +175,14 @@ class CostModel:
 
     def benefit(self, stats: BurstStatistics) -> float:
         """Benefit of sharing the burst among all candidate queries."""
-        return self.non_shared(stats) - self.shared(stats)
+        return benefit(
+            stats.burst_size,
+            stats.events_in_window,
+            stats.graphlet_size,
+            stats.query_count,
+            stats.snapshots_created,
+            stats.snapshots_propagated,
+            stats.types_per_query,
+            stats.predecessor_types,
+            self.variant,
+        )

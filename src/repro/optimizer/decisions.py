@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from repro.optimizer.cost_model import CostModel
-from repro.optimizer.query_set import QuerySetChoice, choose_query_set
+from repro.optimizer.query_set import cheapest_plan
 from repro.optimizer.statistics import BurstStatistics, PlanKey
 
 
@@ -130,37 +130,30 @@ class DynamicSharingOptimizer(SharingOptimizer):
         self.cost_model = cost_model or CostModel()
 
     def _decide(self, stats: BurstStatistics) -> SharingDecision:
+        candidates = stats.candidates.names
         if stats.query_count < 2:
             return SharingDecision(
-                share=False,
-                shared_queries=frozenset(),
-                non_shared_queries=frozenset(p.query_name for p in stats.profiles),
-                estimated_benefit=0.0,
-                reason="fewer than two candidate queries",
+                False, frozenset(), candidates, 0.0, "fewer than two candidate queries"
             )
-        choice: QuerySetChoice = choose_query_set(stats)
-        if choice.share_count < 2:
+        shared, _ = cheapest_plan(stats)
+        if len(shared) < 2:
             return SharingDecision(
-                share=False,
-                shared_queries=frozenset(),
-                non_shared_queries=frozenset(p.query_name for p in stats.profiles),
-                estimated_benefit=0.0,
-                reason="no query subset with positive sharing benefit",
+                False, frozenset(), candidates, 0.0,
+                "no query subset with positive sharing benefit",
             )
-        restricted = stats.restrict(choice.shared)
-        estimated_benefit = self.cost_model.benefit(restricted)
+        # Sharing everyone (the only outcome for snapshot-free candidates)
+        # restricts to the statistics themselves.
+        everyone = len(shared) == stats.query_count
+        estimated_benefit = self.cost_model.benefit(stats if everyone else stats.restrict(shared))
         if estimated_benefit <= 0:
             return SharingDecision(
-                share=False,
-                shared_queries=frozenset(),
-                non_shared_queries=frozenset(p.query_name for p in stats.profiles),
-                estimated_benefit=estimated_benefit,
-                reason="snapshot maintenance outweighs the sharing benefit",
+                False, frozenset(), candidates, estimated_benefit,
+                "snapshot maintenance outweighs the sharing benefit",
             )
         return SharingDecision(
-            share=True,
-            shared_queries=choice.shared,
-            non_shared_queries=choice.non_shared,
-            estimated_benefit=estimated_benefit,
-            reason="positive sharing benefit",
+            True,
+            shared,
+            frozenset() if everyone else candidates - shared,
+            estimated_benefit,
+            "positive sharing benefit",
         )

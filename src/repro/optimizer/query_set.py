@@ -25,7 +25,9 @@ the additive decomposition of the paper's burst model:
 * one *re-processing* term ``b * (log2(g) + n)`` per query processed
   separately.
 
-:func:`choose_query_set` implements the pruned selection in ``O(m)``;
+:func:`choose_query_set` implements the pruned selection in ``O(m)`` — and
+in ``O(1)`` when no candidate introduces snapshots, the case every class of
+the multi-window runtime is in;
 :func:`exhaustive_best_plan` enumerates every plan and is used by the tests
 to confirm the pruned choice is never worse.
 """
@@ -73,16 +75,27 @@ def _reprocess_cost(stats: BurstStatistics) -> float:
 
 def plan_cost(stats: BurstStatistics, shared: frozenset[str]) -> float:
     """Cost of the plan that shares ``shared`` and processes the rest separately."""
-    profiles = stats.profile_map()
-    cost = 0.0
-    if len(shared) >= 2:
-        cost += _propagation_cost(stats)
-        cost += sum(_maintenance_cost(stats, profiles[name].expected_snapshots) for name in shared)
+    return _plan_cost(stats, shared, _reprocess_cost(stats))
+
+
+def _plan_cost(stats: BurstStatistics, shared: frozenset[str], reprocess: float) -> float:
+    sharing = len(shared)
+    if sharing >= 2:
+        candidates = stats.candidates
+        if candidates.snapshot_free:
+            # Every shared query pays the same integer-valued maintenance
+            # term, so the product is the running sum, to the bit.
+            maintenance = sharing * _maintenance_cost(stats, 0.0)
+        else:
+            profiles = candidates.by_name
+            maintenance = sum(
+                _maintenance_cost(stats, profiles[name].expected_snapshots) for name in shared
+            )
+        cost = 0.0 + _propagation_cost(stats) + maintenance
     else:
         # A "shared" group of zero or one query degenerates to separate processing.
-        cost += len(shared) * _reprocess_cost(stats)
-    cost += (stats.query_count - len(shared)) * _reprocess_cost(stats)
-    return cost
+        cost = 0.0 + sharing * reprocess
+    return cost + (stats.query_count - sharing) * reprocess
 
 
 def choose_query_set(stats: BurstStatistics) -> QuerySetChoice:
@@ -92,7 +105,38 @@ def choose_query_set(stats: BurstStatistics) -> QuerySetChoice:
     snapshot-introducing query is shared exactly when its snapshot
     maintenance is cheaper than re-processing the burst for it (Theorem 4.2).
     """
+    shared, total_cost = cheapest_plan(stats)
+    return QuerySetChoice(
+        shared=shared, non_shared=stats.candidates.names - shared, total_cost=total_cost
+    )
+
+
+def cheapest_plan(stats: BurstStatistics) -> tuple[frozenset[str], float]:
+    """:func:`choose_query_set` as a bare ``(shared set, plan cost)`` pair."""
     reprocess = _reprocess_cost(stats)
+    candidates = stats.candidates
+    if candidates.snapshot_free:
+        # One margin for all: the beneficial set is everyone or no one.  A
+        # two-query top-up of an all-harmful set costs the propagation term
+        # plus twice the positive margin more than sharing nothing, so it is
+        # never the cheaper option and need not be priced.
+        shareable = len(candidates.profiles) >= 2
+        margin = _maintenance_cost(stats, 0.0) - reprocess
+        best_sharing = candidates.names if shareable and margin <= 0 else frozenset()
+    else:
+        best_sharing = _best_sharing_set(stats, reprocess)
+    # ``min`` semantics of the two-option comparison: sharing must be
+    # strictly cheaper than processing every query separately.
+    separate_cost = _plan_cost(stats, frozenset(), reprocess)
+    if best_sharing:
+        sharing_cost = _plan_cost(stats, best_sharing, reprocess)
+        if sharing_cost < separate_cost:
+            return best_sharing, sharing_cost
+    return frozenset(), separate_cost
+
+
+def _best_sharing_set(stats: BurstStatistics, reprocess: float) -> frozenset[str]:
+    """The cheapest plan that shares at all, for mixed candidate profiles."""
     # Margin of sharing a query: its snapshot-maintenance cost minus the cost
     # of re-processing the burst for it.  Queries that introduce no snapshots
     # only pay for the graphlet-level snapshot, which is why they are
@@ -105,8 +149,7 @@ def choose_query_set(stats: BurstStatistics) -> QuerySetChoice:
         - reprocess
         for profile in stats.profiles
     }
-    beneficial = {name for name, margin in margins.items() if margin <= 0}
-    candidate = set(beneficial)
+    candidate = {name for name, margin in margins.items() if margin <= 0}
     if len(candidate) < 2 and stats.query_count >= 2:
         # Sharing needs two participants; top the group up with the least
         # harmful queries so the comparison against the all-non-shared plan
@@ -115,15 +158,7 @@ def choose_query_set(stats: BurstStatistics) -> QuerySetChoice:
             (name for name in margins if name not in candidate), key=lambda name: margins[name]
         )
         candidate.update(remaining[: 2 - len(candidate)])
-    best_sharing = frozenset(candidate) if len(candidate) >= 2 else frozenset()
-    options = [frozenset(), best_sharing]
-    shared_frozen = min(options, key=lambda shared: plan_cost(stats, shared))
-    non_shared = frozenset(p.query_name for p in stats.profiles) - shared_frozen
-    return QuerySetChoice(
-        shared=shared_frozen,
-        non_shared=non_shared,
-        total_cost=plan_cost(stats, shared_frozen),
-    )
+    return frozenset(candidate) if len(candidate) >= 2 else frozenset()
 
 
 def exhaustive_best_plan(stats: BurstStatistics) -> QuerySetChoice:

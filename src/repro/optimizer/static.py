@@ -25,7 +25,7 @@ class AlwaysShareOptimizer(SharingOptimizer):
     """Share every burst among all candidate queries."""
 
     def _decide(self, stats: BurstStatistics) -> SharingDecision:
-        candidates = frozenset(profile.query_name for profile in stats.profiles)
+        candidates = stats.candidates.names
         if len(candidates) < 2:
             return SharingDecision(False, frozenset(), candidates, 0.0, "single candidate query")
         return SharingDecision(True, candidates, frozenset(), 0.0, "static plan: always share")
@@ -35,7 +35,7 @@ class NeverShareOptimizer(SharingOptimizer):
     """Process every burst per query (non-shared)."""
 
     def _decide(self, stats: BurstStatistics) -> SharingDecision:
-        candidates = frozenset(profile.query_name for profile in stats.profiles)
+        candidates = stats.candidates.names
         return SharingDecision(False, frozenset(), candidates, 0.0, "static plan: never share")
 
 
@@ -54,14 +54,14 @@ class StaticPlanOptimizer(SharingOptimizer):
         if stats.plan_key in self._plan:
             fixed = self._plan[stats.plan_key]
             # Re-emit the fixed plan, restricted to the current candidates.
-            candidates = frozenset(profile.query_name for profile in stats.profiles)
+            candidates = stats.candidates.names
             shared = fixed.shared_queries & candidates
             if fixed.share and len(shared) >= 2:
                 return SharingDecision(True, shared, candidates - shared, fixed.estimated_benefit,
                                        "static plan (fixed at first burst)")
             return SharingDecision(False, frozenset(), candidates, fixed.estimated_benefit,
                                    "static plan (fixed at first burst)")
-        candidates = frozenset(profile.query_name for profile in stats.profiles)
+        candidates = stats.candidates.names
         if len(candidates) < 2:
             decision = SharingDecision(False, frozenset(), candidates, 0.0, "single candidate query")
         else:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import ExecutionError, OutOfOrderError
 from repro.events.block import EventBlock
@@ -51,7 +51,6 @@ __all__ = [
     "ReorderBuffer",
     "ensure_block_in_order",
     "ensure_in_order",
-    "ensure_shared_event_run_order",
     "ensure_shared_order",
     "ensure_shared_run_order",
     "late_event_error",
@@ -177,29 +176,12 @@ def ensure_shared_order(latest, event) -> None:
         )
 
 
-def ensure_shared_event_run_order(events: Iterator, latest):
-    """Strict guard over a run of events; returns the new cursor.
-
-    ``events`` yields objects with ``time``/``sequence``; the run must
-    strictly follow ``latest`` and be strictly ordered internally.
-    Returns the last event (or ``latest`` for an empty run).
-    """
-    previous = latest
-    for event in events:
-        if previous is not None and not previous < event:
-            raise _shared_order_error(
-                event.time, event.sequence, previous.time, previous.sequence
-            )
-        previous = event
-    return previous
-
-
 def ensure_shared_run_order(times: Sequence, sequences: Sequence, latest):
     """Strict guard over parallel scalar columns; returns ``(time, seq)``.
 
-    The columnar sibling of :func:`ensure_shared_event_run_order` for the
-    block fast path — no per-event objects anywhere.  Returns the run's
-    last ``(time, sequence)`` pair, or ``None`` for an empty run.
+    The run-level guard of the engine's column folds — no per-event
+    objects anywhere.  Returns the run's last ``(time, sequence)`` pair, or
+    ``None`` for an empty run.
     """
     if latest is not None:
         last_time, last_sequence = latest.time, latest.sequence

@@ -68,15 +68,15 @@ from repro.errors import ExecutionError
 from repro.events.event import Event, EventType
 from repro.greta.aggregators import Measure, measures_for_queries, result_from_vector
 from repro.interfaces import MultiWindowEngine, TrendAggregationEngine
-from repro.optimizer.statistics import BurstStatistics, QueryBurstProfile
-from repro.runtime.reorder import (
-    ensure_shared_event_run_order,
-    ensure_shared_order,
-    ensure_shared_run_order,
-)
+from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
+from repro.runtime.reorder import ensure_shared_order, ensure_shared_run_order
 from repro.query.predicates import CompositePredicate
 from repro.query.query import Query
 from repro.template.template import NegationConstraint, QueryTemplate, compile_pattern
+
+
+#: The per-event vector fold is the reference backend's run fold over one row.
+_REFERENCE_FOLD = PythonKernelBackend()
 
 
 class QueryClassSpec:
@@ -100,6 +100,7 @@ class QueryClassSpec:
         "trailing_negations",
         "pred_types",
         "end_types",
+        "candidates",
     )
 
     def __init__(self, index: int, queries: Sequence[Query], template: QueryTemplate) -> None:
@@ -132,6 +133,23 @@ class QueryClassSpec:
             for event_type in template.event_types
         }
         self.end_types: tuple[EventType, ...] = tuple(sorted(template.end_types))
+        #: The static half of every per-burst sharing decision about this
+        #: class, per burst type (multi-member classes only — a single query
+        #: has nothing to share).  Members are computationally identical, so
+        #: sharing them never requires event-level snapshots (Theorem 4.1
+        #: territory): the decision trades the per-query fold cost against
+        #: the merge cost of starting a fresh shared run.
+        self.candidates: dict[EventType, CandidateSet] = {}
+        if len(self.queries) >= 2:
+            types_per_query = max(2, len(template.event_types))
+            for event_type, predecessors in self.pred_types.items():
+                profiles = tuple(
+                    QueryBurstProfile(query.name, False, 0.0, max(1, len(predecessors)))
+                    for query in self.queries
+                )
+                self.candidates[event_type] = CandidateSet(
+                    event_type, profiles, types_per_query
+                )
 
 
 def _template_signature(template: QueryTemplate) -> tuple:
@@ -210,6 +228,24 @@ class UnitCompilation:
         #: class may scan them later); everything else is never stored.
         self.stored_node_types: frozenset[EventType] = frozenset(stored_types)
         self.needs_store = bool(stored_types) or bool(negative)
+        #: Event types whose runs :meth:`MultiWindowLinearEngine.process_block_run`
+        #: never declines — nothing about them is stored, negated, locally
+        #: filtered or guarded — so their rows never need an ``Event``.  (Runs
+        #: of every other positive type are always declined: a guard can only
+        #: go stale for a class with negations, whose types are all stored.)
+        self.columnar_types: frozenset[EventType] = frozenset(
+            event_type
+            for event_type, specs in positive.items()
+            if not (
+                self.needs_store and (event_type in negative or event_type in stored_types)
+            )
+            and all(
+                not spec.check_locals
+                and spec.fast_guards.get(event_type) is not None
+                and not (self.needs_store and spec.fast_guards[event_type])
+                for spec in specs
+            )
+        )
 
     def contributions(self, event: Event) -> tuple[float, ...]:
         """The event's contribution to each unit measure (Equation 1)."""
@@ -454,102 +490,21 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         if store is not None and event.event_type in unit.stored_node_types:
             store.add_node(event, lo, hi, node_values)
 
-    def process_burst(self, burst: Sequence[tuple[Event, int, int]]) -> None:
-        """Fold a maximal same-type run with per-burst plan resolution.
+    def process_burst(self, burst: Sequence[tuple], event_type: EventType) -> bool:
+        """Fold one buffered same-type burst of column rows.
 
-        Semantically equivalent to calling :meth:`process` per buffered
-        event; the run-level entry point resolves each ``(class, type)``
-        plan — maps, sources, guards, armed sets — **once per burst**
-        instead of once per event, and hands eligible runs to the kernel
-        backend, which may fold them with per-event reference arithmetic
-        (the python backend: bit-identical) or a vectorized closed form
-        (the numpy backend: the documented float-tolerance contract).
-
-        A run falls back to per-event processing whenever per-event
-        structure matters: store interactions (the burst type is negated or
-        stored by some class), non-uniform covering ranges of a start type
-        (arming interleaves with folding), or the scan slow path.  Abstract
-        operation counts are backend-invariant: a backend fold charges
-        exactly the per-event fast-path total.
+        ``burst`` is what the streaming executor buffers per group: rows
+        ``(time, sequence, lo, hi, contribution row, event)`` in arrival
+        order (the contribution row is ``None`` for scalar units; the event
+        is the caller's, for replaying a declined run).  Transposes the
+        rows and hands the columns to :meth:`process_block_run`, whose
+        contract — including returning ``False`` untouched when the run
+        needs per-event structure — is this method's.
         """
-        if not burst:
-            return
-        if len(burst) == 1:
-            event, lo, hi = burst[0]
-            self.process(event, lo, hi)
-            return
-        event_type = burst[0][0].event_type
-        unit = self.unit
-        store = self._store
-        plans = self._plans_by_type.get(event_type)
-        if plans is None or (
-            store is not None
-            and (
-                event_type in unit.negative_classes_by_type
-                or event_type in unit.stored_node_types
-            )
-        ):
-            # Negation recording and per-node value storage are inherently
-            # per event; the reference path handles them unchanged.
-            process = self.process
-            for event, lo, hi in burst:
-                process(event, lo, hi)
-            return
-        self._latest_event = ensure_shared_event_run_order(
-            (event for event, _, _ in burst), self._latest_event
+        times, sequences, lows, highs, rows, _ = zip(*burst)
+        return self.process_block_run(
+            event_type, times, sequences, lows, highs, None if self.unit.scalar else rows
         )
-        scalar = unit.scalar
-        contribution_rows = (
-            None if scalar else [unit.contributions(event) for event, _, _ in burst]
-        )
-        for plan in plans:
-            spec = plan.spec
-            if spec.check_locals:
-                accepts = spec.predicates.accepts_event
-                selected = [
-                    position
-                    for position, (event, _, _) in enumerate(burst)
-                    if accepts(event)
-                ]
-                if not selected:
-                    continue
-                accepted = [burst[position] for position in selected]
-                rows = (
-                    None
-                    if scalar
-                    else [contribution_rows[position] for position in selected]
-                )
-            else:
-                accepted = burst  # type: ignore[assignment]
-                rows = contribution_rows
-            armed = self._armed[spec.index]
-            if plan.is_start:
-                lo0, hi0 = accepted[0][1], accepted[0][2]
-                if any(lo != lo0 or hi != hi0 for _, lo, hi in accepted):
-                    # Covering ranges differ inside the run: arming
-                    # interleaves with folding, which only the per-event
-                    # order reproduces.
-                    self._burst_reference(plan, accepted, rows)
-                    continue
-                for index in range(lo0, hi0 + 1):
-                    if index not in armed:
-                        armed[index] = True
-                        self._armed_entries += 1
-            if not armed:
-                continue
-            fast = plan.guards is not None
-            if fast and plan.guards and store is not None:
-                # The store cannot change during the run (its type is
-                # neither negated nor stored), so one guard check covers
-                # every event of the burst.
-                for negated_type in plan.guards:
-                    if store.has_negatives(negated_type):
-                        fast = False
-                        break
-            if not fast:
-                self._burst_reference(plan, accepted, rows)
-                continue
-            self._fold_run(plan, armed, len(accepted), rows)
 
     def process_block_run(
         self,
@@ -562,12 +517,17 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     ) -> bool:
         """Fold one same-type run straight from block columns.
 
-        The columnar sibling of :meth:`process_burst`: the caller hands the
+        The run-level entry point of both ingest paths: the caller hands the
         run's parallel columns (times, sequences, covering ranges, and —
         for vector units — precomputed contribution rows) and no per-event
-        objects exist anywhere on the path.  ``lows``/``highs`` must be the
-        non-decreasing covering ranges of the (sorted) ``times`` — what
-        :meth:`Window.instance_range_columns` produces.  Results *and* abstract
+        objects exist anywhere on the path.  Each ``(class, type)`` plan —
+        maps, sources, guards, armed sets — is resolved once per run, and
+        the kernel backend folds it with per-event reference arithmetic (the
+        python backend: bit-identical) or a vectorized closed form (the
+        numpy backend: the documented float-tolerance contract).
+        ``lows``/``highs`` must be the non-decreasing covering ranges of the
+        (sorted) ``times`` — what :meth:`Window.instance_range_columns`
+        produces.  Results *and* abstract
         operation counts equal the equivalent sequence of :meth:`process`
         calls under the python backend; this is pinned by the block
         differential suites.
@@ -682,12 +642,11 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     ) -> None:
         """Per-event-order fold of one plan over a non-uniform block run.
 
-        The block analog of :meth:`_burst_reference` for start plans whose
-        covering ranges differ inside the run: arm each row's range, then
-        take the fast path per row.  The caller has already established
-        that every plan of the run's type is fast-eligible (guards present
-        and not stale) and that the type is neither stored nor negated, so
-        no :class:`Event` is ever needed.
+        For start plans whose covering ranges differ inside the run: arm
+        each row's range, then take the fast path per row.  The caller has
+        already established that every plan of the run's type is
+        fast-eligible (guards present and not stale) and that the type is
+        neither stored nor negated, so no :class:`Event` is ever needed.
         """
         armed = self._armed[plan.spec.index]
         scalar = self.unit.scalar
@@ -703,45 +662,6 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             else:
                 assert contribution_rows is not None
                 self._fast_vector(plan, armed, contribution_rows[position], None)
-
-    def _burst_reference(
-        self,
-        plan: _TypePlan,
-        accepted: Sequence[tuple[Event, int, int]],
-        contribution_rows: Optional[Sequence[tuple[float, ...]]],
-    ) -> None:
-        """Per-event reference fold of one plan over an accepted run.
-
-        Reproduces :meth:`process`'s per-plan body exactly (arming, guard
-        staleness, fast/slow dispatch) for the runs the backend fold cannot
-        take; ``node_values`` is never threaded because burst-eligible types
-        are never stored (see :meth:`process_burst`).
-        """
-        store = self._store
-        armed = self._armed[plan.spec.index]
-        scalar = self.unit.scalar
-        for position, (event, lo, hi) in enumerate(accepted):
-            contributions = None if scalar else contribution_rows[position]
-            if plan.is_start:
-                for index in range(lo, hi + 1):
-                    if index not in armed:
-                        armed[index] = True
-                        self._armed_entries += 1
-            if not armed:
-                continue
-            fast = plan.guards is not None
-            if fast and plan.guards and store is not None:
-                for negated_type in plan.guards:
-                    if store.has_negatives(negated_type):
-                        fast = False
-                        break
-            if fast:
-                if scalar:
-                    self._fast_scalar(plan, armed, None)
-                else:
-                    self._fast_vector(plan, armed, contributions, None)
-            else:
-                self._slow_path(plan, event, armed, contributions, None)
 
     def close_window(self, index: int) -> dict[str, float]:
         """Equation 3 readout of one instance from its coefficient column."""
@@ -894,31 +814,18 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     ) -> BurstStatistics:
         """Cost-model inputs for one burst of ``event_type`` at one class.
 
-        Member queries of a class are computationally identical, so sharing
-        them never requires event-level snapshots (``introduces_snapshots``
-        is False for every profile — Theorem 4.1 territory); the decision
-        trades the per-query fold cost against the merge cost of starting a
-        fresh shared run.
+        Everything static comes compiled (``spec.candidates``); only the
+        burst's own numbers — ``b``, ``n``, ``g`` and whether a fresh merge
+        is needed (``sc``) — are filled in here.
         """
         continuing, run_length = self._continuing_run(spec, event_type)
-        profiles = tuple(
-            QueryBurstProfile(
-                query_name=query.name,
-                introduces_snapshots=False,
-                expected_snapshots=0.0,
-                predecessor_types=max(1, len(spec.pred_types[event_type])),
-            )
-            for query in spec.queries
-        )
         return BurstStatistics(
-            event_type=event_type,
+            candidates=spec.candidates[event_type],
             burst_size=burst_size,
             events_in_window=max(1, events_in_window),
             graphlet_size=run_length + burst_size if continuing else burst_size,
             snapshots_propagated=1,
             graphlet_snapshots_needed=0 if continuing else 1,
-            profiles=profiles,
-            types_per_query=max(2, len(spec.template.event_types)),
         )
 
     def apply_burst_decision(
@@ -1140,35 +1047,41 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     ) -> Optional[dict]:
         dimension = self.unit.dimension
         canonical = plan.total_map
-        pred_maps = plan.pred_maps
-        spec_index = plan.spec.index
-        store_values = plan.spec.store_values
+        base = 1.0 if plan.is_start else 0.0
         for total_map in plan.targets:
             is_canonical = total_map is canonical
             sources = plan.fold_sources(total_map)
-            for index in armed:
-                accumulator = MutableAggregate(dimension)
-                if plan.is_start:
-                    accumulator.count = 1.0
-                for window_map in sources:
-                    previous = window_map.get(index)
-                    if previous is not None:
-                        accumulator.add(previous)
-                accumulator.apply_contributions(contributions)
-                if store_values and is_canonical:
-                    if node_values is None:
-                        node_values = {}
+            if is_canonical and plan.spec.store_values:
+                # The stored node keeps its own per-window value, so this
+                # column needs the accumulator object the plain fold avoids.
+                made = 0
+                spec_index = plan.spec.index
+                if node_values is None:
+                    node_values = {}
+                for index in armed:
+                    accumulator = MutableAggregate(dimension)
+                    accumulator.count = base
+                    for window_map in sources:
+                        previous = window_map.get(index)
+                        if previous is not None:
+                            accumulator.add(previous)
+                    accumulator.apply_contributions(contributions)
                     node_values[(spec_index, index)] = accumulator.freeze()
-                total = total_map.get(index)
-                if total is None:
-                    total_map[index] = accumulator
-                    if is_canonical:
-                        self._coeff_entries += 1
+                    total = total_map.get(index)
+                    if total is None:
+                        total_map[index] = accumulator
+                        made += 1
                     else:
-                        self._replica_entries += 1
-                else:
-                    total.add(accumulator)
-        self._ops += len(plan.targets) * len(armed) * (1 + len(pred_maps))
+                        total.add(accumulator)
+            else:
+                made = _REFERENCE_FOLD.fold_vector_run(
+                    total_map, armed, sources, base, (contributions,), dimension
+                )
+            if is_canonical:
+                self._coeff_entries += made
+            else:
+                self._replica_entries += made
+        self._ops += len(plan.targets) * len(armed) * (1 + len(plan.pred_maps))
         return node_values
 
     def _slow_path(

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import bisect
 import pickle
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -120,7 +121,9 @@ from repro.template.template import compile_pattern
 #: v2: core state moved under a ``"core"`` key and an optional ``"reorder"``
 #: section (buffered events, watermark, late counters, retract snapshots)
 #: rides along.
-SNAPSHOT_VERSION = 2
+#: v3: the unflushed burst buffer inside the core state holds column rows
+#: (see ``_SharedGroup.burst``), not ``(Event, lo, hi)`` tuples.
+SNAPSHOT_VERSION = 3
 
 #: Retract policy: a core snapshot is rotated every this many released
 #: items; the last two are retained, bounding both the replay work of one
@@ -202,8 +205,17 @@ class _SharedGroup:
     #: decision counts invariant under sharding, where each group lives
     #: wholly inside one shard.
     optimizer: Optional[SharingOptimizer] = None
-    #: Adaptive mode only: type of the burst being buffered, and its events
-    #: with their covering window-instance ranges.
+    #: The same-type run being buffered for one engine feed, as column rows
+    #: ``(time, sequence, lo, hi, contribution row, event)``: the event's
+    #: order key, its covering window-instance range, its measure
+    #: contributions (``None`` in scalar units) and — for the per-event
+    #: replay of a run the engine declines — the :class:`Event` itself,
+    #: ``None`` for block rows of a type whose runs are never declined
+    #: (``UnitCompilation.columnar_types``).  Burst-buffered configurations
+    #: keep it across ``process``/``process_block`` calls (flushed on the
+    #: burst schedule: type change, size cap, window close, finish); the
+    #: static path only within one block.  ``burst_type`` is meaningful
+    #: while ``burst`` is non-empty.
     burst_type: Optional[EventType] = None
     burst: list = field(default_factory=list)
 
@@ -212,7 +224,6 @@ class _SharedGroup:
 class _BlockUnitColumns:
     """Per-unit columns prepared once per ingested block (block fast path)."""
 
-    unit: "_Unit"
     #: ``spec.group_key(event)`` per block row (the block's cached column).
     group_keys: Sequence[tuple]
     #: First / last covering window-instance index per block row.
@@ -220,9 +231,9 @@ class _BlockUnitColumns:
     highs: Sequence[int]
     #: Lazy-open qualification per *type code* of the block's type table.
     qualifies: Sequence[bool]
-    #: ``group key -> [group, type code, [(local, time, seq, low, high), ...]]``
-    #: — the unit's buffered maximal same-``(group, type)`` runs.
-    pending: dict = field(default_factory=dict)
+    #: ``compiled.contributions(event)`` per block row (``None`` per row in
+    #: scalar units).
+    contributions: Sequence[Optional[tuple[float, ...]]]
     #: ``group key -> highest armed window index`` since the last close sweep.
     #: Between sweeps no window closes, so once a row armed ``lo..hi`` every
     #: later row of the group (``lo`` is non-decreasing) only needs to check
@@ -481,21 +492,25 @@ class StreamingExecutor:
 
         Semantically identical to calling :meth:`process` for every row in
         order — same results, same abstract operation counts, same emission
-        order (the block differential suites pin this) — but on the default
-        configuration (static plan, python kernel backend, shared windows)
-        no per-row :class:`Event` object is built anywhere: covering window
-        ranges come from one vectorized pass over the time column
+        order, same sharing decisions (the block differential suites pin
+        this) — but on shared-window units no per-row :class:`Event` object
+        is built on the way to the fold: covering window ranges come from
+        one vectorized pass over the time column
         (:meth:`~repro.query.windows.Window.instance_range_columns`), group
         keys and measure contributions read the block's cached payload
-        columns, and maximal same-``(group, type)`` runs feed the engine's
-        run-level fold (:meth:`MultiWindowLinearEngine.process_block_run`)
-        directly.
+        columns, and maximal same-``(group, type)`` runs are buffered as
+        column rows and fed to the engine's run-level fold
+        (:meth:`MultiWindowLinearEngine.process_block_run`).
 
+        The static plan folds every pending run by the end of the block.
         Burst-buffered configurations (an adaptive optimizer, or a kernel
-        backend that wants bursts) segment and flush runs on their own
-        schedule, which block-boundary flushing cannot reproduce; for those
-        — and for the per-instance reference path — this degrades to the
-        thin per-event compat shim with lazily materialized row views.
+        backend that wants bursts) keep a group's pending run across the
+        block boundary and flush it on the burst schedule alone — type
+        change, ``burst_size`` cap, window close, finish — so bursts, and
+        with them the per-burst decisions, are those of the per-event run
+        whatever the block cuts.  Row views are materialized only for runs
+        the engine declines (negation, local or edge predicates) and for
+        per-instance fallback units.
 
         With ``allowed_lateness`` set the block goes through the reorder
         buffer: a ``(time, sequence)``-sorted block is split once at the
@@ -580,10 +595,6 @@ class StreamingExecutor:
 
     def _ingest_block(self, block: EventBlock) -> None:
         """Feed one in-order block to the core (past the reorder buffer)."""
-        if self._burst_buffering or not self.shared_windows:
-            for local in range(len(block)):
-                self._ingest_event(block.event_at(local))
-            return
         count = len(block)
         if count == 0:
             return
@@ -602,12 +613,18 @@ class StreamingExecutor:
         #: shape share one covering-range pass over the time column.
         range_cache: dict[tuple[float, float], tuple[list[int], list[int]]] = {}
         prepared: dict[_Unit, _BlockUnitColumns] = {}
-        #: Shared-unit states in first-touch order (close boundaries and the
-        #: block end flush their pending runs in this deterministic order).
+        #: Shared-unit states in first-touch order.
         states: list[_BlockUnitColumns] = []
-        #: Per type code: ``(unit, state-or-None, qualifies)`` triples,
-        #: resolved lazily on the code's first row.
-        triples_by_code: list[Optional[list]] = [None] * len(block.type_table)
+        #: Per type code: the ``_block_code_feeds`` tuples, resolved lazily
+        #: on the code's first row.
+        feeds_by_code: list[Optional[list]] = [None] * len(block.type_table)
+        #: Groups whose burst took rows of this block (repeats allowed).
+        touched: list[_SharedGroup] = []
+        #: ``None`` per row: the contribution column of scalar units and the
+        #: event column of types whose runs are always folded from columns.
+        nones: list[None] = [None] * count
+        buffering = self._burst_buffering
+        cap = self.burst_size if self.burst_size is not None else sys.maxsize
         arrival = time.perf_counter()
         clock = self._clock
         consumed = self._consumed
@@ -620,13 +637,15 @@ class StreamingExecutor:
             clock = event_time
             consumed += 1
             if event_time >= next_close:
-                # Pending rows precede the boundary: fold them before any
-                # window they may contribute to is read out.
+                if not buffering:
+                    # Pending rows precede the boundary: fold them before any
+                    # window they may contribute to is read out.  (Buffered
+                    # bursts stay; the sweep flushes those of closing groups.)
+                    for group in touched:
+                        if group.burst:
+                            self._flush_group(group)
+                    touched.clear()
                 for state in states:
-                    if state.pending:
-                        for entry in state.pending.values():
-                            self._flush_block_run(block, state.unit, entry)
-                        state.pending.clear()
                     state.armed.clear()
                 self._clock = clock
                 self._consumed = consumed
@@ -634,32 +653,27 @@ class StreamingExecutor:
                 engine_feeds = 0
                 self._close_passed_windows(event_time)
                 next_close = self._next_close
-            triples = triples_by_code[code]
-            if triples is None:
-                triples = triples_by_code[code] = self._block_code_triples(
-                    block, code, prepared, states, range_cache
+            feeds = feeds_by_code[code]
+            if feeds is None:
+                feeds = feeds_by_code[code] = self._block_code_feeds(
+                    block, code, codes_col, nones, prepared, states, range_cache
                 )
-            if not triples:
+            if not feeds:
                 continue
             event: Optional[Event] = None
-            for unit, state, qualifies in triples:
+            for unit, state, qualifies, event_type, contributions, events in feeds:
                 if state is None:
                     if event is None:
                         event = block.event_at(local)
                     self._feed_unit(unit, event, arrival)
+                    next_close = self._next_close  # an instance may have opened
                     continue
                 group_key = state.group_keys[local]
                 group = unit.shared_groups.get(group_key)
                 if group is None:
                     if not qualifies:
                         continue
-                    assert unit.compiled is not None
-                    engine = MultiWindowLinearEngine(
-                        unit.compiled, self._kernel_backend
-                    )
-                    group = unit.shared_groups[group_key] = _SharedGroup(
-                        engine=engine, evicts=engine.store is not None
-                    )
+                    group = self._open_group(unit, group_key)
                 lo = state.lows[local]
                 hi = state.highs[local]
                 if hi < lo:
@@ -691,24 +705,25 @@ class StreamingExecutor:
                             metrics.note_active_windows(self.active_window_count())
                 if not metas:
                     continue
-                entry = state.pending.get(group_key)
-                if entry is not None and entry[1] != code:
-                    del state.pending[group_key]
-                    self._flush_block_run(block, unit, entry)
-                    entry = None
-                if entry is None:
-                    entry = state.pending[group_key] = [group, code, []]
-                    # One stamp covers the whole block: every feed of this
-                    # group during the block happens at the same arrival.
-                    group.last_arrival = arrival
-                entry[2].append((local, event_time, sequence, lo, hi))
+                burst = group.burst
+                if burst and (group.burst_type != event_type or len(burst) >= cap):
+                    self._flush_group(group)
+                    burst = group.burst
+                if not burst:
+                    group.burst_type = event_type
+                    touched.append(group)
+                burst.append(
+                    (event_time, sequence, lo, hi, contributions[local], events[local])
+                )
                 group.fed += 1
+                # One stamp covers the whole block: every feed of this
+                # group during the block happens at the same arrival.
+                group.last_arrival = arrival
                 engine_feeds += 1
-        for state in states:
-            if state.pending:
-                for entry in state.pending.values():
-                    self._flush_block_run(block, state.unit, entry)
-                state.pending.clear()
+        if not buffering:
+            for group in touched:
+                if group.burst:
+                    self._flush_group(group)
         self._clock = clock
         self._consumed = consumed
         self._engine_feeds += engine_feeds
@@ -988,9 +1003,9 @@ class StreamingExecutor:
         self._report.metrics.note_memory_units(self._open_memory_units())
         for unit in self._units:
             if unit.shared:
-                if self._burst_buffering:
-                    for group in unit.shared_groups.values():
-                        self._flush_group(unit, group)
+                for group in unit.shared_groups.values():
+                    if group.burst:
+                        self._flush_group(group)
                 pending = [
                     (meta.end, group_key, meta.index)
                     for group_key, group in unit.shared_groups.items()
@@ -1261,13 +1276,7 @@ class StreamingExecutor:
                 # covering this event is unopened, so the event is provably
                 # inert — don't even build the group's engine.
                 return
-            assert unit.compiled is not None
-            engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
-            group = unit.shared_groups[group_key] = _SharedGroup(
-                engine=engine, evicts=engine.store is not None
-            )
-            if self._optimizer_factory is not None:
-                group.optimizer = self._optimizer_factory()
+            group = self._open_group(unit, group_key)
         indices = window.instance_indices_covering(event.time)
         lo, hi = indices.start, indices.stop - 1
         if hi < lo:
@@ -1300,9 +1309,19 @@ class StreamingExecutor:
                 group.burst_type != event.event_type
                 or (self.burst_size is not None and len(group.burst) >= self.burst_size)
             ):
-                self._flush_group(unit, group)
+                self._flush_group(group)
             group.burst_type = event.event_type
-            group.burst.append((event, lo, hi))
+            compiled = group.engine.unit
+            group.burst.append(
+                (
+                    event.time,
+                    event.sequence,
+                    lo,
+                    hi,
+                    None if compiled.scalar else compiled.contributions(event),
+                    event,
+                )
+            )
             group.fed += 1
             group.last_arrival = arrival
             self._engine_feeds += 1
@@ -1315,71 +1334,89 @@ class StreamingExecutor:
         group.share_seconds += duration / len(metas)
         self._engine_feeds += 1
 
-    def _flush_group(self, unit: _Unit, group: _SharedGroup) -> None:
-        """Decide and process the group's pending burst (adaptive mode).
+    def _open_group(self, unit: _Unit, group_key: tuple) -> _SharedGroup:
+        """Build the shared engine of a ``(group, unit)`` pair seen anew."""
+        assert unit.compiled is not None
+        engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
+        group = unit.shared_groups[group_key] = _SharedGroup(
+            engine=engine, evicts=engine.store is not None
+        )
+        if self._optimizer_factory is not None:
+            group.optimizer = self._optimizer_factory()
+        return group
+
+    def _flush_group(self, group: _SharedGroup) -> None:
+        """Decide (adaptive mode) and fold the group's buffered run.
 
         One consultation of the group's optimizer per eligible query class
         (classes with at least two computationally identical members whose
         template is positive for the burst type), mirroring the batch
         engine's per-burst decision; the engine's coefficient columns are
-        split or merged before the buffered events are folded.
+        split or merged before the buffered rows are folded.  The fold is
+        one run-level engine feed from the buffered columns; a run the
+        engine declines (store writes, local predicates, the scan slow
+        path) is replayed through its per-event entry point — the only
+        place a buffered block row becomes an :class:`Event`.
         """
         burst = group.burst
         if not burst:
-            group.burst_type = None
             return
         event_type = group.burst_type
         group.burst = []
-        group.burst_type = None
         engine = group.engine
-        compiled = unit.compiled
-        assert compiled is not None and event_type is not None
+        compiled = engine.unit
+        assert event_type is not None
         started = time.perf_counter()
         optimizer = group.optimizer
         if optimizer is not None and event_type in compiled.positive_classes_by_type:
             engine.note_positive_burst(event_type)
             eligible = compiled.adaptive_classes_by_type.get(event_type)
             if eligible:
+                size = len(burst)
                 # ``n`` of the cost model: events currently relevant to the
                 # oldest live window of this group (deterministic counts —
-                # identical across re-runs and shard layouts).
-                events_in_window = group.fed - min(
-                    meta.opened_fed for meta in group.metas.values()
-                )
+                # identical across re-runs and shard layouts).  Windows open
+                # in index order, so the first meta is the oldest.
+                events_in_window = group.fed - next(iter(group.metas.values())).opened_fed
                 for spec in eligible:
-                    stats = engine.burst_statistics(
-                        spec, event_type, len(burst), events_in_window
+                    decision = optimizer.decide(
+                        engine.burst_statistics(spec, event_type, size, events_in_window)
                     )
-                    decision = optimizer.decide(stats)
                     shared = decision.shared_queries if decision.share else frozenset()
-                    engine.apply_burst_decision(spec, event_type, shared, len(burst))
-        # One run-level engine feed: plan resolution is hoisted to burst
-        # start and the kernel backend folds the whole run (the python
-        # backend with per-event reference arithmetic, the numpy backend
-        # with a closed-form array op).
-        engine.process_burst(burst)
+                    engine.apply_burst_decision(spec, event_type, shared, size)
+        if not engine.process_burst(burst, event_type):
+            for _, _, lo, hi, _, event in burst:
+                engine.process(event, lo, hi)
         duration = time.perf_counter() - started
         group.share_seconds += duration / max(1, len(group.metas))
 
-    def _block_code_triples(
+    def _block_code_feeds(
         self,
         block: EventBlock,
         code: int,
+        codes: Sequence[int],
+        nones: Sequence[None],
         prepared: dict[_Unit, _BlockUnitColumns],
         states: list[_BlockUnitColumns],
         range_cache: dict[tuple[float, float], tuple[list[int], list[int]]],
-    ) -> list[tuple[_Unit, Optional[_BlockUnitColumns], bool]]:
-        """Resolve one type code's ``(unit, state, qualifies)`` triples.
+    ) -> list[tuple]:
+        """Resolve who one type code's rows feed, and with which columns.
 
-        Built lazily on the code's first row; shared-unit states are built
-        once per unit (covering ranges shared between units with the same
-        window shape) and ``None`` marks a per-instance fallback unit.
+        One ``(unit, state, qualifies, event type, contributions, events)``
+        tuple per unit the type is relevant to, built lazily on the code's
+        first row.  Shared-unit states are built once per unit (covering
+        ranges shared between units with the same window shape); a ``None``
+        state marks a per-instance fallback unit.  ``events`` is the
+        per-row :class:`Event` column of the buffered rows: ``nones`` where
+        the engine folds every run of the type from columns, the block
+        itself (materializing a row view per index) where it declines them.
         """
-        units = self._units_by_type.get(block.type_table[code])
-        triples: list[tuple[_Unit, Optional[_BlockUnitColumns], bool]] = []
-        for unit in units or ():
-            if not unit.shared:
-                triples.append((unit, None, True))
+        event_type = block.type_table[code]
+        feeds: list[tuple] = []
+        for unit in self._units_by_type.get(event_type, ()):
+            compiled = unit.compiled
+            if compiled is None:
+                feeds.append((unit, None, True, event_type, None, None))
                 continue
             state = prepared.get(unit)
             if state is None:
@@ -1392,73 +1429,56 @@ class StreamingExecutor:
                     )
                 if self.lazy_open:
                     qualifies_by_code = [
-                        event_type in unit.opening_types
-                        for event_type in block.type_table
+                        name in unit.opening_types for name in block.type_table
                     ]
                 else:
                     qualifies_by_code = [True] * len(block.type_table)
                 state = prepared[unit] = _BlockUnitColumns(
-                    unit=unit,
                     group_keys=block.group_keys(unit.spec.group_by),
                     lows=ranges[0],
                     highs=ranges[1],
                     qualifies=qualifies_by_code,
+                    contributions=(
+                        nones
+                        if compiled.scalar
+                        else self._block_contributions(block, compiled, codes)
+                    ),
                 )
                 states.append(state)
-            triples.append((unit, state, bool(state.qualifies[code])))
-        return triples
+            events: Sequence[Optional[Event]] = (
+                nones if event_type in compiled.columnar_types else block
+            )
+            feeds.append(
+                (unit, state, bool(state.qualifies[code]), event_type, state.contributions, events)
+            )
+        return feeds
 
-    def _flush_block_run(self, block: EventBlock, unit: _Unit, entry: list) -> None:
-        """Feed one buffered ``(group, type)`` run to its shared engine.
-
-        The engine folds the run from columns when it can
-        (:meth:`MultiWindowLinearEngine.process_block_run`); runs that need
-        per-event structure (store writes, local predicates, the scan slow
-        path) are replayed through the per-event reference entry point with
-        lazily materialized row views — exact per-event semantics.
-        """
-        group, code, run = entry
-        positions, run_times, run_sequences, lows, highs = zip(*run)
-        engine = group.engine
-        compiled = unit.compiled
-        event_type = block.type_table[code]
-        rows = None
-        if compiled is not None and not compiled.scalar:
-            rows = self._block_contribution_rows(block, compiled, event_type, positions)
-        started = time.perf_counter()
-        folded = engine.process_block_run(
-            event_type, run_times, run_sequences, lows, highs, rows
-        )
-        if not folded:
-            for offset, local in enumerate(positions):
-                engine.process(block.event_at(local), lows[offset], highs[offset])
-        duration = time.perf_counter() - started
-        group.share_seconds += duration / max(1, len(group.metas))
-
-    def _block_contribution_rows(
-        self,
-        block: EventBlock,
-        compiled: UnitCompilation,
-        event_type: EventType,
-        positions: Sequence[int],
-    ) -> list[tuple[float, ...]]:
-        """``unit.contributions(event)`` for a same-type run, from columns.
+    @staticmethod
+    def _block_contributions(
+        block: EventBlock, compiled: UnitCompilation, codes: Sequence[int]
+    ) -> Sequence[tuple[float, ...]]:
+        """``compiled.contributions(event)`` for every block row, from columns.
 
         Per measure: a foreign event type contributes 0.0, ``COUNT``-style
         measures (no attribute) contribute 1.0, and attribute measures read
         the block's cached payload column — the same values
         :meth:`Measure.contribution` computes per event.
         """
-        count = len(positions)
+        count = len(block)
+        type_table = block.type_table
         columns: list[list[float]] = []
         for measure in compiled.measures:
-            if measure.event_type != event_type:
+            if measure.event_type not in type_table:
                 columns.append([0.0] * count)
-            elif measure.attribute is None:
-                columns.append([1.0] * count)
+                continue
+            own = type_table.index(measure.event_type)
+            if measure.attribute is None:
+                columns.append([1.0 if code == own else 0.0 for code in codes])
             else:
                 source = block.payload_column(measure.attribute)
-                columns.append([float(source[local]) for local in positions])
+                columns.append(
+                    [float(value) if code == own else 0.0 for value, code in zip(source, codes)]
+                )
         return list(zip(*columns))
 
     def _close_shared_window(
@@ -1606,7 +1626,7 @@ class StreamingExecutor:
             ):
                 # A window of this group is about to be read out: fold the
                 # pending burst first — its events precede the close.
-                self._flush_group(unit, group)
+                self._flush_group(group)
             for meta in group.metas.values():  # ascending index == ascending end
                 if meta.end <= now:
                     expired.append((meta.end, group_key, meta.index))

@@ -56,3 +56,30 @@ class TestTrajectoryTable:
             assert f"| {number} |" in rendered
         # The PR 9 headline is present.
         assert "speedup_block_over_per_event" in rendered
+
+
+class TestGateBaseline:
+    ROW = {
+        "operations": 100,
+        "result_digest": 7,
+        "decisions": 10,
+        "merges": 2,
+        "splits": 1,
+        "shared_fraction": 0.5,
+    }
+
+    def test_later_labels_replace_earlier_rows_one_by_one(self):
+        runs = {"pr13": {"b": 5}, "after": {"a": 1, "b": 2}, "before": {"a": 0, "c": 3}}
+        assert trend.baseline_rows(runs) == {"a": 1, "b": 5, "c": 3}
+        assert trend.baseline_rows({}) == {}
+
+    def test_gate_compares_the_decision_counters(self, capsys):
+        import perf_smoke
+
+        suite = perf_smoke.SUITES["bursty"]
+        recorded = {"runs": {"after": {"adaptive_dynamic": dict(self.ROW)}}}
+        assert perf_smoke.gate(recorded, {"adaptive_dynamic": dict(self.ROW)}, suite) == 0
+        # Same work, same (decision-invariant) digest, one merge more.
+        drifted = dict(self.ROW, merges=3)
+        assert perf_smoke.gate(recorded, {"adaptive_dynamic": drifted}, suite) == 1
+        assert "merges changed (2 -> 3)" in capsys.readouterr().out

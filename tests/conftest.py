@@ -25,6 +25,21 @@ def make_events(spec: str, *, spacing: float = 1.0, start: float = 0.0, **payloa
     return events
 
 
+def decision_counters(report):
+    """The deterministic half of a report's ``OptimizerStatistics`` (all but
+    the wall-clock ``decision_seconds``); ``None`` for a run without one."""
+    statistics = report.optimizer_statistics
+    if statistics is None:
+        return None
+    return (
+        statistics.decisions,
+        statistics.shared_bursts,
+        statistics.non_shared_bursts,
+        statistics.merges,
+        statistics.splits,
+    )
+
+
 @pytest.fixture
 def ab_query() -> Query:
     """The paper's running example q1: ``SEQ(A, B+)`` counting trends."""

@@ -11,7 +11,7 @@ from repro.optimizer.cost_model import (
     window_non_shared_cost,
     window_shared_cost,
 )
-from repro.optimizer.statistics import BurstStatistics, QueryBurstProfile
+from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
 
 
 class TestPaperWorkedExamples:
@@ -95,7 +95,10 @@ class TestCostModelOnStatistics:
             types_per_query=2,
         )
         defaults.update(overrides)
-        return BurstStatistics(**defaults)
+        candidates = CandidateSet(
+            defaults.pop("event_type"), defaults.pop("profiles"), defaults.pop("types_per_query")
+        )
+        return BurstStatistics(candidates=candidates, **defaults)
 
     def test_benefit_matches_equation9(self):
         model = CostModel()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.optimizer import (
     AlwaysShareOptimizer,
+    CostModel,
     DynamicSharingOptimizer,
     NeverShareOptimizer,
     StaticPlanOptimizer,
@@ -14,20 +17,18 @@ from repro.optimizer import (
     exhaustive_best_plan,
 )
 from repro.optimizer.query_set import plan_cost
-from repro.optimizer.statistics import BurstStatistics, QueryBurstProfile
+from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
 
 
 def _stats(profiles, *, burst_size=6, events_in_window=40, graphlet_size=8,
            snapshots_propagated=1, graphlet_snapshots_needed=1) -> BurstStatistics:
     return BurstStatistics(
-        event_type="B",
+        candidates=CandidateSet("B", tuple(profiles), types_per_query=2),
         burst_size=burst_size,
         events_in_window=events_in_window,
         graphlet_size=graphlet_size,
         snapshots_propagated=snapshots_propagated,
         graphlet_snapshots_needed=graphlet_snapshots_needed,
-        profiles=tuple(profiles),
-        types_per_query=2,
     )
 
 
@@ -81,6 +82,152 @@ class TestChooseQuerySet:
         exhaustive = exhaustive_best_plan(stats)
         assert pruned.total_cost == pytest.approx(exhaustive.total_cost)
         assert plan_cost(stats, pruned.shared) == pytest.approx(pruned.total_cost)
+
+
+# --------------------------------------------------------------------- #
+# The selection as it was before the compile-once / O(1) rewrite, kept as
+# the reference the rewritten functions are pinned against, to the bit.
+# --------------------------------------------------------------------- #
+def _reference_plan_cost(stats: BurstStatistics, shared: frozenset) -> float:
+    log2 = math.log2(stats.graphlet_size) if stats.graphlet_size > 1 else 0.0
+    reprocess = stats.burst_size * (log2 + stats.events_in_window)
+    profiles = {profile.query_name: profile for profile in stats.profiles}
+    p = max(1, round(sum(q.predecessor_types for q in stats.profiles) / len(stats.profiles)))
+    cost = 0.0
+    if len(shared) >= 2:
+        cost += stats.burst_size * (
+            log2 + stats.events_in_window * max(1, stats.snapshots_propagated)
+        )
+        cost += sum(
+            (stats.graphlet_snapshots_needed + profiles[name].expected_snapshots)
+            * stats.graphlet_size
+            * p
+            for name in shared
+        )
+    else:
+        cost += len(shared) * reprocess
+    cost += (len(stats.profiles) - len(shared)) * reprocess
+    return cost
+
+
+def _reference_choose(stats: BurstStatistics):
+    log2 = math.log2(stats.graphlet_size) if stats.graphlet_size > 1 else 0.0
+    reprocess = stats.burst_size * (log2 + stats.events_in_window)
+    p = max(1, round(sum(q.predecessor_types for q in stats.profiles) / len(stats.profiles)))
+    margins = {
+        profile.query_name: (
+            stats.graphlet_snapshots_needed
+            + (profile.expected_snapshots if profile.introduces_snapshots else 0.0)
+        )
+        * stats.graphlet_size
+        * p
+        - reprocess
+        for profile in stats.profiles
+    }
+    candidate = {name for name, margin in margins.items() if margin <= 0}
+    if len(candidate) < 2 and len(stats.profiles) >= 2:
+        remaining = sorted(
+            (name for name in margins if name not in candidate), key=lambda name: margins[name]
+        )
+        candidate.update(remaining[: 2 - len(candidate)])
+    best_sharing = frozenset(candidate) if len(candidate) >= 2 else frozenset()
+    shared = min([frozenset(), best_sharing], key=lambda s: _reference_plan_cost(stats, s))
+    return shared, _reference_plan_cost(stats, shared)
+
+
+class TestCompileOnceDecisions:
+    """The O(1) decision for snapshot-free candidate sets changes nothing."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        burst_size=st.integers(min_value=0, max_value=400),
+        events=st.integers(min_value=1, max_value=20_000),
+        graphlet_log2=st.integers(min_value=0, max_value=12),
+        merge_needed=st.integers(min_value=0, max_value=1),
+        queries=st.integers(min_value=1, max_value=6),
+        predecessors=st.integers(min_value=1, max_value=4),
+    )
+    def test_uniform_snapshot_free_equals_exhaustive_to_the_bit(
+        self, burst_size, events, graphlet_log2, merge_needed, queries, predecessors
+    ):
+        # A power-of-two ``g`` keeps every cost an exact integer, so ties
+        # are exact and "equals the enumeration" is a statement about bits.
+        profiles = [
+            QueryBurstProfile(f"q{i}", False, 0.0, predecessors) for i in range(queries)
+        ]
+        stats = _stats(
+            profiles,
+            burst_size=burst_size,
+            events_in_window=events,
+            graphlet_size=2**graphlet_log2,
+            graphlet_snapshots_needed=merge_needed,
+        )
+        assert stats.candidates.snapshot_free
+        choice = choose_query_set(stats)
+        exhaustive = exhaustive_best_plan(stats)
+        assert choice.shared in (frozenset(), stats.candidates.names)  # all or nothing
+        assert choice.share_count == (exhaustive.share_count if exhaustive.share_count >= 2 else 0)
+        assert choice.total_cost == exhaustive.total_cost
+        assert choice.non_shared == stats.candidates.names - choice.shared
+        decision = DynamicSharingOptimizer().decide(stats)
+        assert decision.share == (
+            choice.share_count >= 2 and CostModel().benefit(stats) > 0
+        )
+        assert decision.shared_queries == (choice.shared if decision.share else frozenset())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        expected=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=60.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        burst_size=st.integers(min_value=0, max_value=60),
+        events=st.integers(min_value=1, max_value=500),
+        graphlet=st.integers(min_value=1, max_value=300),
+        merge_needed=st.integers(min_value=0, max_value=1),
+        predecessors=st.lists(st.integers(min_value=1, max_value=4), min_size=6, max_size=6),
+    )
+    def test_choice_and_plan_cost_are_unchanged(
+        self, expected, burst_size, events, graphlet, merge_needed, predecessors
+    ):
+        """Uniform or mixed profiles, any ``g``: the same set, the same bits."""
+        profiles = [
+            QueryBurstProfile(f"q{i}", value > 0, value, predecessors[i])
+            for i, value in enumerate(expected)
+        ]
+        stats = _stats(
+            profiles,
+            burst_size=burst_size,
+            events_in_window=events,
+            graphlet_size=graphlet,
+            graphlet_snapshots_needed=merge_needed,
+        )
+        shared, total_cost = _reference_choose(stats)
+        choice = choose_query_set(stats)
+        assert (choice.shared, choice.total_cost) == (shared, total_cost)
+        names = [profile.query_name for profile in profiles]
+        for size in range(len(names) + 1):
+            subset = frozenset(names[:size])
+            assert plan_cost(stats, subset) == _reference_plan_cost(stats, subset)
+
+    def test_derived_inputs_are_computed_once_per_candidate_set(self):
+        profiles = (
+            QueryBurstProfile("q1", False, 0.0, 1),
+            QueryBurstProfile("q2", True, 2.5, 4),
+        )
+        candidates = CandidateSet("B", profiles, types_per_query=3)
+        assert candidates.names == frozenset({"q1", "q2"})
+        assert candidates.plan_key == ("B", frozenset({"q1", "q2"}))
+        assert candidates.predecessor_types == 2  # round(2.5) -> banker's 2
+        assert candidates.expected_snapshots == 2.5 and not candidates.snapshot_free
+        stats = BurstStatistics(candidates, 4, 9, 4, 1, 1)
+        assert stats.plan_key is candidates.plan_key
+        assert stats.profile_map() is candidates.by_name
+        assert (stats.event_type, stats.types_per_query, stats.query_count) == ("B", 3, 2)
+        assert stats.snapshots_created == 3.5
+        narrowed = stats.restrict(frozenset({"q1"}))
+        assert narrowed.candidates.snapshot_free and narrowed.burst_size == 4
 
 
 class TestDynamicOptimizer:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import HamletEngine
 from repro.events import Event
+from repro.events.block import EventBlock
 from repro.optimizer import DynamicSharingOptimizer
 from repro.query import (
     Query,
@@ -42,7 +43,14 @@ from repro.query import (
     seq,
     sum_of,
 )
-from repro.runtime import run_sharded, run_streaming, run_workload
+from repro.runtime import (
+    ShardedStreamingExecutor,
+    StreamingExecutor,
+    run_sharded,
+    run_streaming,
+    run_workload,
+)
+from tests.conftest import decision_counters
 
 SETTINGS = settings(
     deadline=None,
@@ -207,25 +215,48 @@ def test_sharded_adaptive_bit_identical_and_decision_invariant(
     )
     assert sharded.totals == single.totals
     assert partition_multiset(sharded) == partition_multiset(single)
-    ours, theirs = sharded.optimizer_statistics, single.optimizer_statistics
-    assert ours is not None and theirs is not None
-    assert (
-        ours.decisions,
-        ours.shared_bursts,
-        ours.non_shared_bursts,
-        ours.merges,
-        ours.splits,
-    ) == (
-        theirs.decisions,
-        theirs.shared_bursts,
-        theirs.non_shared_bursts,
-        theirs.merges,
-        theirs.splits,
-    )
+    assert decision_counters(sharded) == decision_counters(single)
+
+
+@SETTINGS
+@given(
+    queries=workloads(),
+    events=bursty_streams(),
+    policy=st.sampled_from(("dynamic", "always", "never", "static")),
+    cap=st.sampled_from((None, 2)),
+    rows=st.sampled_from((1, 3, 8, 64)),
+    lateness=st.sampled_from((None, 4.0)),
+    shards=st.sampled_from((None, 1, 2)),
+)
+def test_block_fed_adaptive_reproduces_the_per_event_run(
+    queries, events, policy, cap, rows, lateness, shards
+):
+    """Blocks of any size: the per-event bits, operations *and* decisions.
+
+    A group's pending burst survives the block boundary, so block cuts never
+    segment a burst: the decision counters equal the per-event run's — with
+    a reorder buffer in front, and sharded (each shard ingests sub-blocks).
+    """
+    options = dict(optimizer=policy, burst_size=cap, allowed_lateness=lateness)
+    per_event = run_streaming(queries, events, engine_factory, **options)
+    if shards is None:
+        executor = StreamingExecutor(queries, engine_factory, **options)
+    else:
+        executor = ShardedStreamingExecutor(
+            queries, engine_factory, workers=0, shards=shards, **options
+        )
+    block = EventBlock.from_events(events)
+    for start in range(0, len(block), rows):
+        executor.process_block(block.slice(start, min(start + rows, len(block))))
+    report = executor.finish()
+    assert report.totals == per_event.totals
+    assert partition_multiset(report) == partition_multiset(per_event)
+    assert report.metrics.operations == per_event.metrics.operations
+    assert decision_counters(report) == decision_counters(per_event)
 
 
 @settings(deadline=None, derandomize=True, max_examples=25)
-@given(events=bursty_streams(), workers=st.sampled_from((2,)))
+@given(events=bursty_streams(), workers=st.sampled_from((1, 2)))
 def test_multiprocess_adaptive_bit_identical(events, workers):
     """Real worker processes reproduce the adaptive bits (fixed workload)."""
     window = Window(32.0, 8.0)
@@ -250,3 +281,5 @@ def test_multiprocess_adaptive_bit_identical(events, workers):
     )
     assert sharded.totals == single.totals
     assert partition_multiset(sharded) == partition_multiset(single)
+    # Workers ingest framed sub-blocks through ``process_block``.
+    assert decision_counters(sharded) == decision_counters(single)

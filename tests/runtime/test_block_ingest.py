@@ -9,7 +9,9 @@ statement is differential and exact: feeding a stream as one
 the same stream event by event, including per-partition results, abstract
 operation counts and peak memory units, across execution paths (shared /
 per-instance), kernel backends, lazy opening, GROUP BY, negation, and the
-adaptive optimizer (which takes the per-event compat shim).
+adaptive optimizer — whose pending burst survives the block boundary, so
+bursts and per-burst decisions are those of the per-event run whatever the
+block cuts.
 
 All attributes are small integers so sums are exact in float64 and ``==``
 comparison is meaningful (same convention as the streaming equivalence
@@ -27,7 +29,6 @@ from repro.events import Event
 from repro.events import columnar
 from repro.events.block import EventBlock
 from repro.events.stream import EventStream
-from repro.optimizer import DynamicSharingOptimizer
 from repro.query import (
     Query,
     Window,
@@ -40,6 +41,7 @@ from repro.query import (
 )
 from repro.query.predicates import attr_less
 from repro.runtime import StreamingExecutor
+from tests.conftest import decision_counters
 
 TYPE_NAMES = ("A", "B", "C", "D", "X")
 
@@ -171,17 +173,156 @@ def test_block_ingest_across_kernel_backends(backend):
     assert_reports_identical(per_event, block)
 
 
-def test_block_ingest_adaptive_optimizer_compat_shim():
-    # Adaptive configs buffer bursts with their own flush timing; the block
-    # path must fall back to exact per-event processing.
-    events = make_stream(3, 400)
-    per_event, block = run_pair(
-        workload(SLIDING),
-        events,
-        engine_factory=lambda: HamletEngine(DynamicSharingOptimizer()),
-        optimizer=DynamicSharingOptimizer,
+# --------------------------------------------------------------------- #
+# Burst-buffered configurations on the block path
+# --------------------------------------------------------------------- #
+#: A short stream (times 0..35) with windows closing inside it at 16, 24
+#: and 32, so the every-offset cuts below land mid-burst, on a type change
+#: and exactly on a close.
+ADAPTIVE_EVENTS = 36
+ADAPTIVE_WINDOW = Window(16.0, 8.0)
+
+
+def adaptive_workload(*, with_negation: bool = False) -> list[Query]:
+    """Two 2-member classes (so per-burst decisions are taken), vector unit."""
+    patterns = [("A", "ad_a"), ("C", "ad_c")]
+    queries = []
+    for prefix, name in patterns:
+        for aggregate, tag in ((sum_of("B", "v"), "sum"), (avg("B", "v"), "avg")):
+            queries.append(
+                Query.build(
+                    seq(prefix, kleene("B")),
+                    aggregate=aggregate,
+                    group_by=("g",),
+                    window=ADAPTIVE_WINDOW,
+                    name=f"{name}_{tag}",
+                )
+            )
+    if with_negation:
+        queries.append(
+            Query.build(
+                parse_pattern("SEQ(A, NOT X, B+)"),
+                aggregate=sum_of("B", "v"),
+                group_by=("g",),
+                window=ADAPTIVE_WINDOW,
+                name="ad_not",
+            )
+        )
+    return queries
+
+
+def run_collecting(queries, feed, **kwargs):
+    """Run ``feed(executor)``; return the report and the emission sequence."""
+    emitted = []
+    executor = StreamingExecutor(
+        queries,
+        on_window=lambda r: emitted.append((r.group_key, r.window_index, dict(r.results))),
+        **kwargs,
     )
-    assert_reports_identical(per_event, block)
+    feed(executor)
+    return executor.finish(), emitted
+
+
+@pytest.mark.parametrize("burst_size", (None, 1, 3))
+@pytest.mark.parametrize("optimizer", ("dynamic", "always", "never", "static"))
+def test_block_ingest_adaptive_equals_per_event_at_every_cut(optimizer, burst_size):
+    # A pending burst survives the block boundary: whatever the cut, bursts
+    # — and so decisions, merges and splits — are those of the per-event run.
+    events = make_stream(3, ADAPTIVE_EVENTS)
+    block = EventBlock.from_events(events)
+    queries = adaptive_workload()
+    options = dict(optimizer=optimizer, burst_size=burst_size)
+
+    def per_event(executor):
+        for event in events:
+            executor.process(event)
+
+    expected, expected_emitted = run_collecting(queries, per_event, **options)
+    assert decision_counters(expected)[0] > 0
+    for cut in range(len(events) + 1):
+
+        def two_blocks(executor, cut=cut):
+            executor.process_block(block.slice(0, cut))
+            executor.process_block(block.slice(cut, len(block)))
+
+        report, emitted = run_collecting(queries, two_blocks, **options)
+        assert_reports_identical(expected, report)
+        assert emitted == expected_emitted, cut
+        assert decision_counters(report) == decision_counters(expected), cut
+
+
+@pytest.mark.parametrize("optimizer", ("dynamic", "static"))
+def test_block_ingest_adaptive_with_declined_runs(optimizer):
+    # Negation puts stored and negated types in the unit: their runs are
+    # declined by the engine and replayed per event, mid-burst cuts included.
+    events = make_stream(5, 120)
+    block = EventBlock.from_events(events)
+    queries = adaptive_workload(with_negation=True)
+
+    def per_event(executor):
+        for event in events:
+            executor.process(event)
+
+    def sliced(executor):
+        for start in range(0, len(block), 7):
+            executor.process_block(block.slice(start, min(start + 7, len(block))))
+
+    expected, expected_emitted = run_collecting(queries, per_event, optimizer=optimizer)
+    report, emitted = run_collecting(queries, sliced, optimizer=optimizer)
+    assert_reports_identical(expected, report)
+    assert emitted == expected_emitted
+    assert decision_counters(report) == decision_counters(expected)
+
+
+class _RowViewSpy:
+    """Counts ``EventBlock.event_at`` calls and the rows of declined runs."""
+
+    def __init__(self, monkeypatch):
+        from repro.runtime import MultiWindowLinearEngine
+
+        self.materialized = 0
+        self.declined_rows = 0
+        event_at = EventBlock.event_at
+        process_block_run = MultiWindowLinearEngine.process_block_run
+
+        def counting_event_at(block, index):
+            self.materialized += 1
+            return event_at(block, index)
+
+        def counting_run(engine, event_type, times, *columns):
+            folded = process_block_run(engine, event_type, times, *columns)
+            if not folded:
+                self.declined_rows += len(times)
+            return folded
+
+        monkeypatch.setattr(EventBlock, "event_at", counting_event_at)
+        monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", counting_run)
+
+
+@pytest.mark.parametrize("optimizer", (None, "dynamic", "always"))
+def test_default_adaptive_path_builds_no_row_views(monkeypatch, optimizer):
+    events = make_stream(7, 300)
+    block = EventBlock.from_events(events)
+    spy = _RowViewSpy(monkeypatch)
+    executor = StreamingExecutor(adaptive_workload(), optimizer=optimizer)
+    for start in range(0, len(block), 64):
+        executor.process_block(block.slice(start, min(start + 64, len(block))))
+    report = executor.finish()
+    assert report.metrics.operations > 0
+    assert (spy.materialized, spy.declined_rows) == (0, 0)
+
+
+@pytest.mark.parametrize("optimizer", (None, "dynamic"))
+def test_row_views_are_built_only_for_declined_runs(monkeypatch, optimizer):
+    events = make_stream(7, 300)
+    block = EventBlock.from_events(events)
+    spy = _RowViewSpy(monkeypatch)
+    executor = StreamingExecutor(adaptive_workload(with_negation=True), optimizer=optimizer)
+    for start in range(0, len(block), 64):
+        executor.process_block(block.slice(start, min(start + 64, len(block))))
+    executor.finish()
+    assert spy.declined_rows > 0
+    assert spy.materialized == spy.declined_rows
 
 
 def test_block_from_wire_bytes_matches_from_events():

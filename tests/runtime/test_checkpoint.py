@@ -14,7 +14,8 @@ Three layers, matching `repro/runtime/checkpoint.py`'s split:
   deterministic gate in this repo) — snapshot a
   :class:`StreamingExecutor` at an arbitrary mid-stream point (including
   mid-burst, which is where the adaptive optimizer's unflushed buffer
-  lives), restore into a *fresh* executor of the same workload, feed the
+  lives, and mid-block, between two ``process_block`` slices of one
+  burst), restore into a *fresh* executor of the same workload, feed the
   tail, and demand the finished report be **bit-identical** to an
   uninterrupted run.  The property quantifies over the workload shapes
   the equivalence suites care about: all sharing policies, GROUP BY on
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from faultline import canonical_report
 from repro.errors import CheckpointError
 from repro.events import Event
+from repro.events.block import EventBlock
 from repro.query import Query, Window, kleene, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor
 from repro.runtime.checkpoint import (
@@ -44,6 +46,7 @@ from repro.runtime.checkpoint import (
     pack_checkpoint,
     unpack_checkpoint,
 )
+from tests.conftest import decision_counters
 
 SETTINGS = settings(
     deadline=None,
@@ -302,6 +305,76 @@ def test_snapshot_survives_the_disk_container(case, tmp_path_factory):
     for event in events[split:]:
         second.process(event)
     assert canonical_report(second.finish()) == expected
+
+
+@SETTINGS
+@given(case=round_trip_cases(), rows=st.sampled_from((2, 5, 16)))
+def test_snapshot_between_block_slices_is_bit_identical(case, rows):
+    """The split point taken mid-block: ``split`` cuts one block in two
+    (mid-burst whenever it lands inside a same-type run), the snapshot is
+    taken between the two ``process_block`` slices, and the resumed run must
+    reproduce the per-event run — results *and* decision counters — with the
+    rest fed as further slices of ``rows`` rows."""
+    queries, events, split, optimizer = case
+    uninterrupted = _fresh(queries, optimizer)
+    for event in events:
+        uninterrupted.process(event)
+    expected = uninterrupted.finish()
+
+    block = EventBlock.from_events(events)
+    first = _fresh(queries, optimizer)
+    first.process_block(block.slice(0, split))
+    payload = first.snapshot_state()
+
+    second = _fresh(queries, optimizer)
+    second.restore_state(payload)
+    for start in range(split, len(block), rows):
+        second.process_block(block.slice(start, min(start + rows, len(block))))
+    resumed = second.finish()
+    assert canonical_report(resumed) == canonical_report(expected)
+    assert resumed.metrics.operations == expected.metrics.operations
+    assert decision_counters(resumed) == decision_counters(expected)
+
+
+def test_snapshot_carries_the_pending_burst_as_column_rows():
+    """Pinned shape: a snapshot taken mid-burst holds the unflushed rows."""
+    window = Window(16.0, 4.0)
+    queries = [
+        Query.build(seq("A", kleene("B")), aggregate=sum_of("B", "v"), window=window, name="s1"),
+        Query.build(seq("A", kleene("B")), aggregate=sum_of("B", "v"), window=window, name="s2"),
+    ]
+    events = [Event("A", 0.0, {"v": 1.0, "g": 1.0})] + [
+        Event("B", float(t), {"v": 2.0, "g": 1.0}) for t in range(1, 5)
+    ]
+    block = EventBlock.from_events(events)
+    first = _fresh(queries, "dynamic")
+    first.process_block(block.slice(0, 3))
+    (unit,) = first._units
+    (group,) = unit.shared_groups.values()
+    assert group.burst_type == "B" and len(group.burst) == 2
+    time_, sequence, lo, hi, contributions, event = group.burst[0]
+    assert (time_, sequence) == (1.0, events[1].sequence) and lo <= hi
+    assert contributions == (2.0,) and event is None  # no row view on this path
+    second = _fresh(queries, "dynamic")
+    second.restore_state(first.snapshot_state())
+    (restored,) = second._units[0].shared_groups.values()
+    assert restored.burst == group.burst
+
+
+def test_restore_refuses_a_snapshot_of_the_previous_schema():
+    """A pre-PR-13 snapshot (``(Event, lo, hi)`` burst tuples) is refused
+    with a typed error instead of resuming a mis-shaped buffer."""
+    import pickle
+
+    from repro.errors import ExecutionError
+    from repro.runtime.streaming import SNAPSHOT_VERSION
+
+    executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
+    state = pickle.loads(executor.snapshot_state())
+    assert state["version"] == SNAPSHOT_VERSION == 3
+    state["version"] = 2
+    with pytest.raises(ExecutionError, match="schema version 2"):
+        executor.restore_state(pickle.dumps(state))
 
 
 def test_restore_refuses_a_different_workload():
