@@ -26,7 +26,8 @@ Example: ``REPRO_FAULTLINE="post-close-pre-ack@1:3:kill"`` SIGKILLs
 shard 1 the third time its *original* worker reaches the
 post-close-pre-ack site.
 
-The kill sites (see ``_shard_worker_main``):
+The kill sites (see ``_shard_worker_main``; ``post-log-pre-snapshot`` sits
+on the worker's checkpoint writer thread, in ``CheckpointStore.write``):
 
 * ``pre-fold`` — batch decoded (and, on shm, the slab acked) but no
   event of it folded yet;
@@ -34,6 +35,9 @@ The kill sites (see ``_shard_worker_main``):
   or folding it (the unacked-slab reclamation case);
 * ``post-close-pre-ack`` — after folding a batch (window closes
   included) but before the checkpoint covering it is acked;
+* ``post-log-pre-snapshot`` — a checkpoint's output-log record is
+  appended and fsynced, the snapshot that covers it not yet renamed in
+  (the uncovered-log-tail case);
 * ``pre-report`` — everything folded, sentinel seen, death just before
   the final report ships.
 
@@ -65,7 +69,13 @@ FAULTLINE_ENV = "REPRO_FAULTLINE"
 FAULT_EXIT_CODE = 70
 
 #: The planted kill sites, in worker-loop order.
-KILL_POINTS = ("pre-fold", "mid-batch-decode", "post-close-pre-ack", "pre-report")
+KILL_POINTS = (
+    "pre-fold",
+    "mid-batch-decode",
+    "post-close-pre-ack",
+    "post-log-pre-snapshot",
+    "pre-report",
+)
 
 _MODES = ("exit", "kill")
 

@@ -249,7 +249,9 @@ class ReorderBuffer:
     until the watermark strictly passes it, so a same-time,
     later-sequence arrival can never find its predecessor already
     released.  The instance pickles as-is — buffered state rides the
-    executor snapshots into checkpoints.
+    executor snapshots into checkpoints — and stays horizon-sized: the
+    tail's consumed prefix is dropped whenever it outweighs the live
+    suffix, so neither memory nor the pickle grows with the stream.
     """
 
     __slots__ = (
@@ -382,6 +384,13 @@ class ReorderBuffer:
         if position == len(tail):
             tail.clear()
             position = 0
+        elif position > len(tail) - position:
+            # Drop the consumed prefix once it outweighs the live suffix:
+            # amortised O(1) per release, and the tail (memory and pickle)
+            # stays within 2x the lateness horizon's population instead
+            # of growing with the stream.
+            del tail[:position]
+            position = 0
         self._tail_pos = position
         self._buffered -= len(released)
         return released
@@ -478,8 +487,11 @@ class ReorderBuffer:
                         self._tail_pos += 1
                     else:
                         break
-                if self._tail_pos == len(self._tail) and self._tail:
-                    self._tail.clear()
+                if self._tail_pos > len(self._tail) - self._tail_pos:
+                    # Same compaction as push(): consumed prefix dropped
+                    # once it outweighs the live suffix (all of it, when
+                    # the tail drained).
+                    del self._tail[: self._tail_pos]
                     self._tail_pos = 0
                 self._buffered -= len(events)
                 releases.append(("events", events))

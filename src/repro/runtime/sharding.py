@@ -520,8 +520,9 @@ def _shard_worker_main(
     """
     reader: Optional[SlabReader] = None
     writer: Optional[AsyncCheckpointWriter] = None
-    epoch = 0
+    epoch = recovery[3] if recovery is not None else 0
     try:
+        fault = resolve_fault_hook(shard_id, epoch)
         executor = StreamingExecutor(
             list(queries),
             engine_factory,
@@ -535,14 +536,14 @@ def _shard_worker_main(
         )
         interval = cadence = 0
         if recovery is not None:
-            directory, interval, cadence, epoch, resume, checkpoint_ack = recovery
+            directory, interval, cadence, _, resume, checkpoint_ack = recovery
             store = CheckpointStore(directory, shard_id)
+            store.fault = fault  # post-log-pre-snapshot, on the writer thread
             if resume:
                 latest = store.latest()
                 if latest is not None:
-                    executor.restore_state(latest.payload)
+                    executor.restore_state(latest.payload, latest.output)
             writer = AsyncCheckpointWriter(store, checkpoint_ack)
-        fault = resolve_fault_hook(shard_id, epoch)
         if channel is not None:
             segment_name, slab_bytes, ack_send = channel
             reader = SlabReader(segment_name, slab_bytes, ack_send)
@@ -582,7 +583,7 @@ def _shard_worker_main(
                 ):
                     # Snapshot synchronously (the state must hold still),
                     # write + fsync on the background thread.
-                    writer.submit(epoch, seq, executor.snapshot_state())
+                    writer.submit(epoch, seq, *executor.snapshot_state(windows_marked))
                     windows_marked = executor.windows_closed
                     batches_since = 0
             if fault is not None:
@@ -1165,6 +1166,9 @@ class ShardedStreamingExecutor:
     def _start_shards(self) -> None:
         self._started = True
         self._run_started = time.perf_counter()
+        if self.checkpoint_dir is not None:
+            for shard_id in range(self.router.shards):
+                CheckpointStore(self.checkpoint_dir, shard_id).clear()
         if self.workers == 0:
             self._local = [
                 StreamingExecutor(
@@ -1274,7 +1278,9 @@ class ShardedStreamingExecutor:
                 >= self.checkpoint_interval
             ):
                 nbytes = self._local_stores[shard_id].write(
-                    0, self._consumed, executor.snapshot_state()
+                    0,
+                    self._consumed,
+                    *executor.snapshot_state(self._local_marked[shard_id]),
                 )
                 self._local_marked[shard_id] = executor.windows_closed
                 self._recovery.checkpoints += 1
@@ -1502,8 +1508,7 @@ class ShardedStreamingExecutor:
         # checkpoint is this recovery's restore point.
         store = CheckpointStore(self.checkpoint_dir, shard_id)
         store.clean_temporaries()
-        latest = store.latest()
-        restore_seq = latest.seq if latest is not None else 0
+        restore_seq = store.latest_seq() or 0
         replay = self._replay[shard_id]
         while replay and replay[0][0] <= restore_seq:
             replay.popleft()

@@ -74,7 +74,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
 from repro.core.kernels import KernelBackendSpec, resolve_kernel_backend
@@ -123,7 +123,10 @@ from repro.template.template import compile_pattern
 #: rides along.
 #: v3: the unflushed burst buffer inside the core state holds column rows
 #: (see ``_SharedGroup.burst``), not ``(Event, lo, hi)`` tuples.
-SNAPSHOT_VERSION = 3
+#: v4: the core state is the *live* state only; the append-only output
+#: (``StreamingExecutor._output``) rides beside it under ``"output"`` in
+#: the self-contained form, or outside the payload in the incremental one.
+SNAPSHOT_VERSION = 4
 
 #: Retract policy: a core snapshot is rotated every this many released
 #: items; the last two are retained, bounding both the replay work of one
@@ -567,6 +570,10 @@ class StreamingExecutor:
             for local in range(count):
                 time_value = times[base + local]
                 if buffer.is_late(time_value):
+                    # Late means behind what was *released* (a retraction
+                    # splices into the release log): catch the releases up
+                    # with the watermark this block's own rows advanced.
+                    self._drain(buffer.release_ready())
                     self._handle_late_event(block.event_at(local))
                 else:
                     buffer.add(time_value, sequences[base + local], block.event_at(local))
@@ -805,8 +812,16 @@ class StreamingExecutor:
             self.allowed_lateness,
         )
 
+    def _output(self) -> tuple[list, list, list]:
+        """The append-only output: one row per closed window in each list,
+        so ``windows_closed`` is the one mark that addresses all three."""
+        report, metrics = self._report, self._report.metrics
+        return report.partition_results, metrics.latencies, metrics.emission_latencies
+
     def _core_state(self) -> dict:
-        """The pickled-copy view of everything the core ingest state owns."""
+        """The pickled-copy view of the *live* core ingest state: all the
+        core owns except its :meth:`_output`, which ``windows_closed`` marks."""
+        report = self._report
         return {
             "clock": self._clock,
             "consumed": self._consumed,
@@ -818,12 +833,17 @@ class StreamingExecutor:
                 (unit.shared_groups, unit.open, unit.pool, unit.next_close)
                 for unit in self._units
             ],
-            "report": self._report,
+            "report": replace(
+                report,
+                partition_results=[],
+                metrics=replace(report.metrics, latencies=[], emission_latencies=[]),
+            ),
             "adaptive_stats": self._adaptive_stats,
         }
 
-    def _restore_core(self, core: dict) -> None:
-        """Reattach a :meth:`_core_state` copy (snapshot restore / retract).
+    def _restore_core(self, core: dict, output: tuple[list, list, list]) -> None:
+        """Reattach a :meth:`_core_state` copy (snapshot restore / retract)
+        and the ``output`` lists, rolled back to the copy's mark.
 
         Never touches the lateness machinery: the reorder buffer, late
         counters and retract log live *upstream* of the core and survive a
@@ -854,8 +874,16 @@ class StreamingExecutor:
         self._shared_active = core["shared_active"]
         self._windows_closed = core["windows_closed"]
         self._next_close = core["next_close"]
-        self._report = core["report"]
+        self._report = report = core["report"]
         self._adaptive_stats = core["adaptive_stats"]
+        mark, rows = self._windows_closed, min(map(len, output))
+        if rows < mark:
+            raise CheckpointError(f"snapshot marks {mark} emitted windows, got only {rows}")
+        self._output_rewound = min(self._output_rewound, mark)
+        for values in output:
+            del values[mark:]
+        report.partition_results, report.metrics.latencies = output[:2]
+        report.metrics.emission_latencies = output[2]
 
     def _rotate_retract_snapshot(self) -> None:
         """Snapshot the core at the release cursor; retain the last two.
@@ -914,7 +942,7 @@ class StreamingExecutor:
         del snapshots[chosen + 1 :]
         merged = self._merge_late_into_log(self._released_log[log_index:], event, key)
         self._released_log[log_index:] = merged
-        self._restore_core(pickle.loads(payload))
+        self._restore_core(pickle.loads(payload), self._output())
         for kind, entry in merged:
             if kind == "events":
                 for item in entry:
@@ -1095,7 +1123,13 @@ class StreamingExecutor:
             "late_policy": self.late_policy,
         }
 
-    def snapshot_state(self) -> bytes:
+    @overload
+    def snapshot_state(self) -> bytes: ...
+
+    @overload
+    def snapshot_state(self, since: int) -> tuple[bytes, bytes]: ...
+
+    def snapshot_state(self, since: Optional[int] = None) -> bytes | tuple[bytes, bytes]:
         """Serialize the full mid-stream execution state.
 
         The snapshot captures everything :meth:`restore_state` needs to
@@ -1105,7 +1139,12 @@ class StreamingExecutor:
         the *unflushed* burst buffer — flushing here would force a burst
         decision the uninterrupted run takes later), per-instance open
         windows and engine pools, the partial :class:`ExecutionReport`,
-        and the stream/close clocks.  With ``allowed_lateness`` set, the
+        and the stream/close clocks.  With ``since`` — ``windows_closed``
+        at the caller's previous snapshot — the result is ``(payload,
+        delta)``: live state alone, and the output rows from ``since`` on
+        tagged with their start row (further back when a retraction
+        rewrote rows an earlier delta carried), so a snapshot costs the
+        open windows, not the stream's history.  With ``allowed_lateness`` set, the
         reorder buffer (buffered events and the watermark), the late
         counters and the retract machinery ride along under a ``"reorder"``
         section, so a restore resumes mid-horizon disorder handling too.
@@ -1132,10 +1171,20 @@ class StreamingExecutor:
             "core": self._core_state(),
             "reorder": reorder,
         }
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        protocol = pickle.HIGHEST_PROTOCOL
+        if since is None:
+            state["output"] = self._output()
+            return pickle.dumps(state, protocol=protocol)
+        # A retraction since the previous snapshot rewrote rows that one
+        # already handed out: the delta restarts at the lowest mark reached.
+        start = min(since, self._output_rewound)
+        self._output_rewound = sys.maxsize
+        delta = (start, *(values[start:] for values in self._output()))
+        return pickle.dumps(state, protocol=protocol), pickle.dumps(delta, protocol=protocol)
 
-    def restore_state(self, payload: bytes) -> None:
-        """Resume from a :meth:`snapshot_state` payload.
+    def restore_state(self, payload: bytes, output: Sequence[bytes] = ()) -> None:
+        """Resume from a :meth:`snapshot_state` payload — and, for an
+        incremental one, the ``output`` deltas of every snapshot up to it.
 
         The executor must have been constructed from the same workload and
         configuration as the snapshotting one; mismatches raise
@@ -1146,6 +1195,7 @@ class StreamingExecutor:
         """
         try:
             state = pickle.loads(payload)
+            deltas = [pickle.loads(delta) for delta in output]
         except Exception as error:
             raise CheckpointError(f"undecodable snapshot payload: {error!r}") from error
         if not isinstance(state, dict) or state.get("version") != SNAPSHOT_VERSION:
@@ -1160,7 +1210,15 @@ class StreamingExecutor:
                 f"snapshot {state['fingerprint']!r} vs executor {fingerprint!r}"
             )
         self._begin_run()
-        self._restore_core(state["core"])
+        restored: tuple[list, list, list] = state.get("output") or ([], [], [])
+        for start, *suffixes in deltas:
+            if start > len(restored[0]):
+                raise CheckpointError(
+                    f"output delta starts at row {start}, only {len(restored[0])} came before it"
+                )
+            for values, suffix in zip(restored, suffixes):
+                values[start:] = suffix
+        self._restore_core(state["core"], restored)
         reorder = state.get("reorder")
         if reorder is not None:
             self._reorder = reorder["buffer"]
@@ -1234,6 +1292,9 @@ class StreamingExecutor:
         #: Window instances closed this run (both paths) — the checkpoint
         #: scheduler's "every N window boundaries" trigger reads this.
         self._windows_closed = 0
+        #: Lowest mark a retraction rolled the output back to since the
+        #: last incremental snapshot (``sys.maxsize``: none did).
+        self._output_rewound = sys.maxsize
         #: Lateness machinery: buffer, policy counters and retract state.
         self._reorder: Optional[ReorderBuffer] = (
             ReorderBuffer(self.allowed_lateness)

@@ -1,6 +1,6 @@
-"""Checkpoint container, store, and snapshot round-trip tests.
+"""Checkpoint container, store, output log and snapshot round-trip tests.
 
-Three layers, matching `repro/runtime/checkpoint.py`'s split:
+Four layers, matching `repro/runtime/checkpoint.py`'s split:
 
 * the **RPCP container** — pack/unpack round-trips, and every corruption
   mode (bad magic, wrong version, truncation at either end, payload
@@ -10,6 +10,11 @@ Three layers, matching `repro/runtime/checkpoint.py`'s split:
   a crash-shaped corruption of the newest file falls back to the
   previous one, pruning keeps the footprint bounded, orphaned temp files
   are collected;
+* the **output log** — one checksummed record per snapshot, appended
+  before the snapshot is renamed in: a torn or uncovered last record is
+  ignored by readers and cut off by the next writer, a record that fails
+  inside the covered prefix is a :class:`CheckpointError`, and the
+  fallback to an older snapshot file takes exactly that file's records;
 * the **snapshot round trip** (hypothesis, derandomized like every other
   deterministic gate in this repo) — snapshot a
   :class:`StreamingExecutor` at an arbitrary mid-stream point (including
@@ -19,11 +24,15 @@ Three layers, matching `repro/runtime/checkpoint.py`'s split:
   tail, and demand the finished report be **bit-identical** to an
   uninterrupted run.  The property quantifies over the workload shapes
   the equivalence suites care about: all sharing policies, GROUP BY on
-  and off, negation patterns, fractional slides.
+  and off, negation patterns, fractional slides.  The incremental form
+  (``snapshot_state(since)`` + the store's log) goes through the same
+  property, and its bytes are pinned to follow the open windows, not the
+  stream's length.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -44,6 +53,7 @@ from repro.runtime.checkpoint import (
     Checkpoint,
     CheckpointStore,
     pack_checkpoint,
+    pack_log_record,
     unpack_checkpoint,
 )
 from tests.conftest import decision_counters
@@ -107,7 +117,7 @@ class TestStore:
         nbytes = store.write(0, 5, b"state five")
         assert nbytes > len(b"state five")  # container framing included
         latest = store.latest()
-        assert latest == Checkpoint(epoch=0, seq=5, payload=b"state five")
+        assert latest == Checkpoint(epoch=0, seq=5, payload=b"state five", output=(b"",))
 
     def test_latest_prefers_newest(self, tmp_path):
         store = CheckpointStore(tmp_path, shard_id=0)
@@ -125,7 +135,7 @@ class TestStore:
         store.write(0, 9, b"about to be torn")
         newest = max(tmp_path.glob("shard000-e*.ckpt"), key=lambda p: p.name)
         newest.write_bytes(newest.read_bytes()[:-4])  # simulate a torn write
-        assert store.latest() == Checkpoint(epoch=0, seq=5, payload=b"good")
+        assert store.latest() == Checkpoint(epoch=0, seq=5, payload=b"good", output=(b"",))
 
     def test_stale_pointer_falls_back_to_scan(self, tmp_path):
         store = CheckpointStore(tmp_path, shard_id=0)
@@ -158,9 +168,126 @@ class TestStore:
         assert not list(tmp_path.glob(f"shard000*{TEMP_SUFFIX}"))
         assert other.exists()  # other shards' files are not ours to delete
 
+    def test_clear_removes_this_shards_files_only(self, tmp_path):
+        zero = CheckpointStore(tmp_path, shard_id=0)
+        one = CheckpointStore(tmp_path, shard_id=1)
+        zero.write(0, 1, b"zero", b"delta")
+        one.write(0, 2, b"one", b"delta")
+        (tmp_path / f"shard000-junk{TEMP_SUFFIX}").write_bytes(b"crash debris")
+        zero.clear()
+        assert not list(tmp_path.glob("shard000*"))
+        assert CheckpointStore(tmp_path, shard_id=0).latest() is None
+        assert one.latest().payload == b"one"
+
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(CheckpointError, match="keep"):
             CheckpointStore(tmp_path, shard_id=0, keep=0)
+
+
+class TestOutputLog:
+    """The append-only per-shard log beside the snapshot files."""
+
+    @staticmethod
+    def _store_with_two(tmp_path) -> CheckpointStore:
+        store = CheckpointStore(tmp_path, shard_id=0, keep=2)
+        store.write(0, 3, b"state three", b"delta-a")
+        store.write(0, 7, b"state seven", b"delta-bb")
+        return store
+
+    def test_latest_returns_the_covered_deltas_in_order(self, tmp_path):
+        store = self._store_with_two(tmp_path)
+        nbytes = store.write(0, 9, b"state nine")
+        assert nbytes == len(pack_checkpoint(0, 9, b"state nine")) + len(
+            pack_log_record(0, 9, b"")
+        )
+        latest = CheckpointStore(tmp_path, shard_id=0).latest()
+        assert (latest.seq, latest.payload) == (9, b"state nine")
+        assert latest.output == (b"delta-a", b"delta-bb", b"")  # one per record
+        assert CheckpointStore(tmp_path, shard_id=0).latest_seq() == 9
+        assert CheckpointStore(tmp_path, shard_id=1).latest_seq() is None
+
+    def test_seq_must_advance(self, tmp_path):
+        store = self._store_with_two(tmp_path)
+        with pytest.raises(CheckpointError, match="does not advance"):
+            store.write(0, 7, b"again", b"delta")
+
+    def test_torn_or_uncovered_tail_is_ignored_then_cut_back(self, tmp_path):
+        """Death between the log append and the snapshot rename, with the
+        append torn at every possible byte: readers see seq 7 and its two
+        deltas, and the next incarnation's first write cuts the tail off
+        before appending its own record for the same seq."""
+        self._store_with_two(tmp_path)
+        log = tmp_path / "shard000.log"
+        covered = log.read_bytes()
+        orphan = pack_log_record(0, 11, b"never covered")
+        for cut in range(len(orphan) + 1):
+            log.write_bytes(covered + orphan[:cut])
+            resumed = CheckpointStore(tmp_path, shard_id=0)
+            latest = resumed.latest()
+            assert (latest.seq, latest.output) == (7, (b"delta-a", b"delta-bb"))
+        resumed.write(1, 11, b"state eleven", b"delta-ccc")
+        assert log.read_bytes() == covered + pack_log_record(1, 11, b"delta-ccc")
+        final = CheckpointStore(tmp_path, shard_id=0).latest()
+        assert (final.epoch, final.seq) == (1, 11)
+        assert final.output == (b"delta-a", b"delta-bb", b"delta-ccc")
+
+    def test_corrupt_covered_record_is_a_typed_error(self, tmp_path):
+        """One flipped byte anywhere in a covered record — header, tags,
+        length, digest or payload — and the store refuses: a report that
+        silently lost a delta would still look like a report."""
+        self._store_with_two(tmp_path)
+        log = tmp_path / "shard000.log"
+        intact = log.read_bytes()
+        for position in range(len(intact)):
+            damaged = bytearray(intact)
+            damaged[position] ^= 0x20
+            log.write_bytes(bytes(damaged))
+            with pytest.raises(CheckpointError, match="output log of shard 0"):
+                CheckpointStore(tmp_path, shard_id=0).latest()
+        log.write_bytes(intact[:-1])  # the covered record itself torn
+        with pytest.raises(CheckpointError, match="before the record of checkpoint seq 7"):
+            CheckpointStore(tmp_path, shard_id=0).latest()
+        log.unlink()
+        with pytest.raises(CheckpointError, match="at byte 0"):
+            CheckpointStore(tmp_path, shard_id=0).latest()
+
+    def test_fallback_snapshot_takes_exactly_its_own_records(self, tmp_path):
+        store = self._store_with_two(tmp_path)
+        newest = max(tmp_path.glob("shard000-e*.ckpt"), key=lambda p: p.name)
+        newest.write_bytes(newest.read_bytes()[:-4])  # torn newest snapshot
+        fallback = store.latest()
+        assert (fallback.seq, fallback.payload) == (3, b"state three")
+        assert fallback.output == (b"delta-a",)  # seq 7's record is not its
+        # The owner resumed from seq 3, so its next write drops seq 7's record.
+        store.write(1, 5, b"state five", b"delta-x")
+        assert CheckpointStore(tmp_path, shard_id=0).latest().output == (
+            b"delta-a",
+            b"delta-x",
+        )
+
+    def test_death_on_the_first_checkpoint_leaves_nothing_behind(self, tmp_path):
+        """The kill point between the log append and the snapshot rename,
+        hit on a shard's very first checkpoint: no snapshot to restore, and
+        the resumed writer's first write cuts the orphan record off."""
+
+        class Died(Exception):
+            pass
+
+        def die(point):
+            assert point == "post-log-pre-snapshot"
+            raise Died
+
+        first = CheckpointStore(tmp_path, shard_id=0)
+        first.fault = die
+        with pytest.raises(Died):
+            first.write(0, 4, b"never renamed in", b"orphan")
+        log = tmp_path / "shard000.log"
+        assert log.read_bytes() == pack_log_record(0, 4, b"orphan")
+        assert not list(tmp_path.glob("shard000-e*"))
+        resumed = CheckpointStore(tmp_path, shard_id=0)
+        assert resumed.latest() is None and resumed.latest_seq() is None
+        resumed.write(1, 4, b"state four", b"delta-new")
+        assert log.read_bytes() == pack_log_record(1, 4, b"delta-new")
 
 
 class TestAsyncWriter:
@@ -173,12 +300,17 @@ class TestAsyncWriter:
 
         store = CheckpointStore(tmp_path, shard_id=0)
         writer = AsyncCheckpointWriter(store, ack=Ack())
-        writer.submit(0, 3, b"three")
-        writer.submit(0, 7, b"seven")
+        writer.submit(0, 3, b"three", b"delta-3")
+        writer.submit(0, 7, b"seven", b"delta-7")
         writer.close()
-        assert store.latest().seq == 7
+        latest = store.latest()
+        assert (latest.seq, latest.output) == (7, (b"delta-3", b"delta-7"))
         assert [(epoch, seq) for epoch, seq, _ in acks] == [(0, 3), (0, 7)]
-        assert all(nbytes > 0 for _, _, nbytes in acks)
+        # The acked size is the honest total: snapshot container + log record.
+        assert [nbytes for _, _, nbytes in acks] == [
+            len(pack_checkpoint(0, seq, payload)) + len(pack_log_record(0, seq, delta))
+            for seq, payload, delta in ((3, b"three", b"delta-3"), (7, b"seven", b"delta-7"))
+        ]
 
     def test_store_failure_surfaces_on_close(self, tmp_path):
         store = CheckpointStore(tmp_path, shard_id=0)
@@ -287,24 +419,39 @@ def test_snapshot_round_trip_is_bit_identical(case):
 @SETTINGS
 @given(case=round_trip_cases())
 def test_snapshot_survives_the_disk_container(case, tmp_path_factory):
-    """Snapshot -> RPCP container on disk -> restore: still bit-identical."""
+    """Incremental snapshots -> RPCP containers + output log on disk ->
+    restore from the newest: still bit-identical, latencies included in
+    the count (the worker loop's path: every snapshot passes the mark of
+    the previous one and the store keeps the deltas)."""
     queries, events, split, optimizer = case
     uninterrupted = _fresh(queries, optimizer)
     for event in events:
         uninterrupted.process(event)
-    expected = canonical_report(uninterrupted.finish())
+    expected = uninterrupted.finish()
 
     first = _fresh(queries, optimizer)
-    for event in events[:split]:
-        first.process(event)
     store = CheckpointStore(tmp_path_factory.mktemp("ckpt"), shard_id=0)
-    store.write(0, split, first.snapshot_state())
+    marked = 0
+    for position, event in enumerate(events[:split], start=1):
+        first.process(event)
+        if position % 16 == 0 or position == split:
+            store.write(0, position, *first.snapshot_state(marked))
+            marked = first.windows_closed
 
+    latest = CheckpointStore(store.directory, shard_id=0).latest()
+    assert latest.seq == split
     second = _fresh(queries, optimizer)
-    second.restore_state(store.latest().payload)
+    second.restore_state(latest.payload, latest.output)
+    assert second.windows_closed == marked
     for event in events[split:]:
         second.process(event)
-    assert canonical_report(second.finish()) == expected
+    resumed = second.finish()
+    assert canonical_report(resumed) == canonical_report(expected)
+    assert resumed.metrics.partitions == expected.metrics.partitions
+    assert len(resumed.metrics.latencies) == len(expected.metrics.latencies)
+    assert len(resumed.metrics.emission_latencies) == len(
+        expected.metrics.emission_latencies
+    )
 
 
 @SETTINGS
@@ -361,9 +508,190 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
     assert restored.burst == group.burst
 
 
+def test_snapshot_splits_output_from_live_state():
+    """Pinned shape (v4): the core state's report carries scalars and
+    totals only; the three per-window output lists ride under ``"output"``
+    in the self-contained form and outside the payload in the incremental
+    one, all three addressed by the one ``windows_closed`` mark."""
+    executor = _fresh(_workload(Window(8.0), ("g",), False), None)
+    for index in range(60):
+        executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
+    closed = executor.windows_closed
+    assert closed > 2
+    state = pickle.loads(executor.snapshot_state())
+    assert sorted(state) == ["core", "fingerprint", "output", "reorder", "version"]
+    report = state["core"]["report"]
+    assert report.partition_results == [] and report.metrics.latencies == []
+    assert report.metrics.emission_latencies == []
+    assert report.metrics.partitions == closed and report.totals
+    assert [len(values) for values in state["output"]] == [closed] * 3
+    payload, delta = executor.snapshot_state(closed - 2)
+    assert "output" not in pickle.loads(payload)
+    start, *rows = pickle.loads(delta)  # a delta names the row it starts at
+    assert start == closed - 2 and [len(values) for values in rows] == [2, 2, 2]
+    assert rows[0] == state["output"][0][-2:]
+    # The live report still owns its lists: snapshotting detached nothing.
+    assert len(executor.finish().partition_results) >= closed
+
+
+def test_restore_refuses_an_incremental_snapshot_without_its_output():
+    """The typed error behind "never a silently shorter report"."""
+    executor = _fresh(_workload(Window(8.0), ("g",), False), None)
+    for index in range(60):
+        executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
+    payload, delta = executor.snapshot_state(0)
+    fresh = _fresh(_workload(Window(8.0), ("g",), False), None)
+    with pytest.raises(CheckpointError, match="emitted windows"):
+        fresh.restore_state(payload)
+    with pytest.raises(CheckpointError, match="undecodable"):
+        fresh.restore_state(payload, [b"not a delta"])
+    gap = pickle.dumps((3, [], [], []))  # starts past the rows restored so far
+    with pytest.raises(CheckpointError, match="starts at row 3"):
+        fresh.restore_state(payload, [gap, delta])
+    fresh.restore_state(payload, [delta])
+    assert fresh.windows_closed == executor.windows_closed
+
+
+def _steady_events(size: int) -> list[Event]:
+    rng = random.Random(size)
+    return [
+        Event(rng.choice("ABB"), index * 0.5, {"v": 1.0, "g": float(rng.randint(1, 3))})
+        for index in range(size)
+    ]
+
+
+def test_incremental_snapshot_bytes_follow_the_window_not_the_history():
+    """An incremental snapshot 90% into a steady stream is within 1.5x the
+    bytes of one 10% in (deterministic: bytes, not seconds), while the
+    self-contained form — which carries the history by design — grows."""
+    events = _steady_events(4_000)
+    executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), None)
+    sizes = {}
+    marked = 0
+    for position, event in enumerate(events, start=1):
+        executor.process(event)
+        if position % 100 == 0:
+            payload, delta = executor.snapshot_state(marked)
+            marked = executor.windows_closed
+            sizes[position] = (len(payload) + len(delta), len(executor.snapshot_state()))
+    early, late = sizes[400], sizes[3_600]
+    assert late[0] <= 1.5 * early[0]
+    assert late[1] > 4 * early[1]  # what every checkpoint used to cost
+
+
+@pytest.mark.parametrize("ingest", ("scalar", "block"))
+def test_retract_rotation_payload_is_flat_in_stream_length(ingest):
+    """``late_policy="retract"`` rotates a core snapshot every 256 releases
+    through the same function: its payload must not grow with the stream
+    either (at the parent: the whole accumulated report, every rotation)."""
+    queries = _workload(Window(16.0, 4.0), ("g",), False)
+
+    def rotation_bytes(size: int) -> int:
+        executor = StreamingExecutor(queries, allowed_lateness=4.0, late_policy="retract")
+        events = _steady_events(size)
+        if ingest == "scalar":
+            for event in events:
+                executor.process(event)
+        else:
+            block = EventBlock.from_events(events)
+            for start in range(0, size, 128):
+                executor.process_block(block.slice(start, min(start + 128, size)))
+        assert len(executor._retract_snapshots) == 2
+        assert len(executor._output()[0]) == executor.windows_closed > size // 40
+        return len(executor._retract_snapshots[-1][1])
+
+    assert rotation_bytes(6_000) <= 1.25 * rotation_bytes(1_500)
+
+
+def _retract_stream(size: int, seed: int, late_until: int) -> list[Event]:
+    """Ordered events, every 37th of the first ``late_until`` delivered 40
+    positions (10 time units) late: beyond ``allowed_lateness=4`` each one
+    retracts, rewriting windows that closed — and were logged — before it."""
+    rng = random.Random(seed)
+    events = [
+        Event(rng.choice("ABB"), index * 0.25, {"v": 1.0, "g": float(rng.randint(1, 3))})
+        for index in range(size)
+    ]
+    for index in range(37, late_until, 37):
+        events.insert(index + 40, events.pop(index))
+    return events
+
+
+def _retracting(queries) -> StreamingExecutor:
+    return StreamingExecutor(queries, allowed_lateness=4.0, late_policy="retract")
+
+
+def test_retraction_restarts_the_output_delta_at_the_rolled_back_row():
+    """A retraction truncates the output lists below the previous
+    snapshot's mark and re-closes those windows: the next delta starts at
+    the lowest row reached, not at ``since``, and says so."""
+    queries = _workload(Window(16.0, 4.0), ("g",), False)
+    events = _retract_stream(400, seed=5, late_until=300)
+    executor = _retracting(queries)
+    late = [i for i in range(1, len(events)) if events[i].time < events[i - 1].time][4]
+    for event in events[:late]:
+        executor.process(event)
+    marked = executor.windows_closed
+    assert marked > 4
+    executor.snapshot_state(0)  # the previous checkpoint: rows [0, marked) logged
+    executor.process(events[late])
+    assert executor._late_retracted == 5
+    start, *rows = pickle.loads(executor.snapshot_state(marked)[1])
+    assert start < marked  # rewound: rows an earlier delta carried are re-sent
+    assert start + len(rows[0]) == executor.windows_closed
+    # ... once: the next delta is back to starting at its caller's mark.
+    marked = executor.windows_closed
+    assert pickle.loads(executor.snapshot_state(marked)[1])[0] == marked
+
+
+@SETTINGS
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    size=st.integers(min_value=300, max_value=900),
+    late_share=st.sampled_from((0.3, 0.6, 1.0)),
+    split_share=st.floats(min_value=0.05, max_value=0.98),
+    every=st.sampled_from((5, 16, 50)),
+)
+def test_retract_survives_the_disk_container(
+    seed, size, late_share, split_share, every, tmp_path_factory
+):
+    """The disk round trip under ``late_policy="retract"``: late events land
+    after checkpoints that already logged the windows they rewrite, and a
+    restore from the store's chain still finishes with the uninterrupted
+    report.  (With ``late_share < 1`` the late events stop early, so no
+    later retraction can paper over a stale row.)"""
+    queries = _workload(Window(16.0, 4.0), ("g",), False)
+    events = _retract_stream(size, seed, late_until=int(size * late_share) - 40)
+    split = max(1, int(size * split_share))
+    uninterrupted = _retracting(queries)
+    for event in events:
+        uninterrupted.process(event)
+    expected = uninterrupted.finish()
+    assert expected.metrics.late_retracted > 0
+
+    first = _retracting(queries)
+    store = CheckpointStore(tmp_path_factory.mktemp("ckpt"), shard_id=0)
+    marked = 0
+    for position, event in enumerate(events[:split], start=1):
+        first.process(event)
+        if position % every == 0 or position == split:
+            store.write(0, position, *first.snapshot_state(marked))
+            marked = first.windows_closed
+    latest = CheckpointStore(store.directory, shard_id=0).latest()
+    second = _retracting(queries)
+    second.restore_state(latest.payload, latest.output)
+    for event in events[split:]:
+        second.process(event)
+    resumed = second.finish()
+    assert canonical_report(resumed) == canonical_report(expected)
+    assert resumed.metrics.late_retracted == expected.metrics.late_retracted
+    assert len(resumed.metrics.latencies) == len(expected.metrics.latencies)
+
+
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A pre-PR-13 snapshot (``(Event, lo, hi)`` burst tuples) is refused
-    with a typed error instead of resuming a mis-shaped buffer."""
+    """A pre-PR-14 snapshot (v3: the whole accumulated report pickled inside
+    the core state, no output section) is refused with a typed error instead
+    of resuming a report whose output lists would be attached twice."""
     import pickle
 
     from repro.errors import ExecutionError
@@ -371,9 +699,9 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 3
-    state["version"] = 2
-    with pytest.raises(ExecutionError, match="schema version 2"):
+    assert state["version"] == SNAPSHOT_VERSION == 4
+    state["version"] = 3
+    with pytest.raises(ExecutionError, match="schema version 3"):
         executor.restore_state(pickle.dumps(state))
 
 

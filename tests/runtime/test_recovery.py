@@ -2,8 +2,8 @@
 
 The fault-tolerance contract (docs/DESIGN.md, "Fault tolerance") is that
 a shard worker killed at *any* planted point — pre-fold,
-mid-batch-decode, post-close-pre-ack, pre-report, by ``os._exit`` or
-self-SIGKILL — is restored from its last checkpoint, replayed, and the
+mid-batch-decode, post-close-pre-ack, post-log-pre-snapshot (on the
+checkpoint writer thread), pre-report, by ``os._exit`` or self-SIGKILL — is restored from its last checkpoint, replayed, and the
 merged report comes out **bit-identical** to an uninterrupted run, with
 no leaked shared-memory segments or orphaned checkpoint temp files.
 This file runs a tier-1-sized slice of that matrix through
@@ -17,6 +17,7 @@ grammar, and epoch-scoped trigger arming.
 from __future__ import annotations
 
 import glob
+import pickle
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.errors import ExecutionError, WorkerCrashError
 from repro.events import Event
 from repro.query import Query, Window, kleene, seq
 from repro.runtime import ShardedStreamingExecutor
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faultpoints import (
     FAULT_EXIT_CODE,
     FAULTLINE_ENV,
@@ -136,6 +138,111 @@ def test_replay_counters_are_populated():
     assert result.recovery.replayed_batches >= 1
     assert result.recovery.replayed_events >= 1
     assert result.recovery.checkpoint_bytes > 0
+
+
+def test_uncovered_log_record_of_a_dead_writer_is_not_replayed_twice(tmp_path):
+    """Death after a checkpoint's log append, before its snapshot rename:
+    the respawn restores the previous snapshot, cuts the dead writer's
+    record off and appends its own — the log ends up holding every closed
+    window of the shard exactly once."""
+    result = run_differential(
+        _workload,
+        _stream,
+        spec="post-log-pre-snapshot@1:2:kill",
+        workers=2,
+        checkpoint_dir=str(tmp_path),
+    )
+    assert result.identical
+    assert result.recovery.restarts == 1
+    assert result.leaked_temporaries == []
+    latest = CheckpointStore(tmp_path, shard_id=1).latest()
+    assert latest.epoch == 1
+    logged = sum(len(pickle.loads(delta)[1]) for delta in latest.output)
+    assert logged == pickle.loads(latest.payload)["core"]["windows_closed"] > 0
+
+
+def _late_stream() -> list[Event]:
+    """``_stream`` with every 37th event of the first 60% delivered 40
+    positions (10 time units) late — each one a retraction under
+    ``allowed_lateness=4`` — and none after, so a stale row restored from
+    the log cannot be rewritten again before the report."""
+    events = _stream()
+    for index in range(37, 900, 37):
+        events.insert(index + 40, events.pop(index))
+    return events
+
+
+@pytest.mark.parametrize("transport", ["pickle", "shm"])
+@pytest.mark.parametrize("point", KILL_POINTS)
+def test_retraction_after_a_checkpoint_survives_every_kill_point(point, transport):
+    """``late_policy="retract"`` rewrites output rows an earlier checkpoint
+    already logged, and every checkpoint after it must carry the rewritten
+    rows.  Shard 0's last (12th) batch comes after its last retraction, so
+    ``post-log-pre-snapshot`` there and ``pre-report`` — nothing replayed,
+    the report is exactly what the log chain reassembles — are the sharp
+    ones; the worker-loop points restore from wherever the async writer
+    had got to, often before the retractions, which the replay then redoes."""
+    nth = 1 if point == "pre-report" else 12
+    result = run_differential(
+        _workload,
+        _late_stream,
+        spec=f"{point}@0:{nth}:kill",
+        workers=2,
+        transport=transport,
+        checkpoint_interval=1,
+        allowed_lateness=4.0,
+        late_policy="retract",
+    )
+    assert result.clean.metrics.late_retracted > 10
+    assert result.identical, f"{point}/{transport}: recovered report differs"
+    assert result.injected.metrics.late_retracted == result.clean.metrics.late_retracted
+    assert result.recovery.restarts == 1
+    assert result.leaked_temporaries == []
+    _assert_no_ring_leak()
+
+
+def test_reused_checkpoint_dir_never_restores_the_previous_runs_state(tmp_path):
+    """A run starts by clearing its shards' files (the soak reuses one
+    directory round after round): a worker that dies before its first
+    checkpoint must come back empty, not "restored" into the last
+    snapshot of whatever ran there before."""
+    first = run_differential(
+        _workload, _stream, spec="pre-fold@0:3:kill", workers=2, checkpoint_dir=str(tmp_path)
+    )
+    assert first.identical and first.recovery.checkpoints >= 1
+    assert list(tmp_path.glob("shard000-e*.ckpt"))
+    second = run_differential(
+        _workload,
+        lambda: _stream(seed=12),
+        spec="pre-fold@0:1:kill",
+        workers=2,
+        checkpoint_dir=str(tmp_path),
+    )
+    assert second.identical
+    assert second.recovery.restarts == 1
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_checkpoint_bytes_scale_with_the_stream_not_its_square(workers, tmp_path):
+    """Twice the stream takes twice the checkpoints of the same size
+    (deterministic: bytes, not seconds).  At the parent every checkpoint
+    re-wrote the whole report so far: ~4x the bytes for 2x the stream."""
+
+    def checkpoint_bytes(size: int) -> tuple[int, int]:
+        report = ShardedStreamingExecutor(
+            _workload(),
+            workers=workers,
+            shards=2 if workers == 0 else None,
+            batch_size=64,
+            checkpoint_dir=str(tmp_path / str(size)),
+            checkpoint_interval=4,
+        ).run(_stream(size))
+        return report.recovery.checkpoints, report.recovery.checkpoint_bytes
+
+    short_count, short_bytes = checkpoint_bytes(1500)
+    long_count, long_bytes = checkpoint_bytes(3000)
+    assert 1.8 * short_count <= long_count <= 2.2 * short_count
+    assert long_bytes <= 2.3 * short_bytes
 
 
 @pytest.mark.parametrize("transport", ["pickle", "shm"])

@@ -12,6 +12,7 @@ the configured policy: ``raise`` (default), ``drop``, ``side_output`` or
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -171,6 +172,85 @@ class TestReorderBuffer:
             ReorderBuffer(-1.0)
         with pytest.raises(ExecutionError, match="allowed_lateness"):
             ReorderBuffer(float("nan"))
+
+
+class TestTailCompaction:
+    """The in-order tail drops its consumed prefix (PR 14): buffer memory
+    and its pickle follow the lateness horizon's population, not the stream
+    — at the parent the tail kept every entry ever appended while anything
+    at all stayed buffered, i.e. for the whole life of a steady stream."""
+
+    HORIZON = 40.0
+
+    @staticmethod
+    def _arrivals(size: int) -> list[tuple]:
+        rng = random.Random(size)
+        keys = [(float(index), index) for index in range(size)]
+        return sorted(keys, key=lambda key: key[0] + rng.uniform(-20.0, 20.0))
+
+    @staticmethod
+    def _step(buffer: ReorderBuffer, chunk: list[tuple], scalar: bool) -> list[tuple]:
+        """Feed one chunk the way the executor does; returns what it released."""
+        drain = TestReorderBuffer._drain_keys
+        released: list[tuple] = []
+        if scalar:
+            for time, sequence in chunk:
+                out = buffer.push(time, sequence, (time, sequence))
+                released.extend(drain(buffer.release_ready()) if out is None else out)
+        else:  # the unsorted-block path of StreamingExecutor._buffer_block
+            for time, sequence in chunk:
+                buffer.add(time, sequence, (time, sequence))
+                buffer.observe(time)
+            released.extend(drain(buffer.release_ready()))
+        return released
+
+    def _feed(self, size: int, scalar: bool):
+        """Returns (released keys, per-chunk ``len(buffer)``, the buffer's
+        pickle three quarters into the stream)."""
+        buffer = ReorderBuffer(self.HORIZON)
+        arrivals = self._arrivals(size)
+        released: list[tuple] = []
+        depths: list[int] = []
+        pickled = b""
+        for start in range(0, size, 64):
+            released.extend(self._step(buffer, arrivals[start : start + 64], scalar))
+            depths.append(len(buffer))
+            if start <= size * 3 // 4 < start + 64:
+                pickled = pickle.dumps(buffer)
+        assert len(buffer) == size - len(released)
+        released.extend(TestReorderBuffer._drain_keys(buffer.flush()))
+        assert len(buffer) == 0 and not buffer._tail
+        return released, depths, pickled
+
+    @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
+    def test_tail_and_pickle_follow_the_horizon_not_the_stream(self, scalar):
+        small, small_depths, small_pickle = self._feed(20_000, scalar)
+        large, large_depths, large_pickle = self._feed(80_000, scalar)
+        assert small == sorted(small) and len(small) == 20_000
+        assert large == sorted(large) and len(large) == 80_000
+        # Depth is the horizon's population either way (~HORIZON + a chunk).
+        assert max(large_depths) <= max(small_depths) + 64 <= 4 * self.HORIZON + 128
+        # 4x the stream, same pickle (at the parent: ~4x the bytes).
+        assert len(large_pickle) <= 1.5 * len(small_pickle)
+        assert len(pickle.loads(large_pickle)._tail) <= 2 * max(large_depths) + 64
+
+    @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
+    def test_mid_buffer_pickle_round_trip_releases_identically(self, scalar):
+        """A buffer pickled mid-stream continues exactly like the one it
+        was copied from, wherever the last compaction fell."""
+        arrivals = self._arrivals(3_000)
+        for split in (1_999, 2_000, 2_017):
+            buffer = ReorderBuffer(self.HORIZON)
+            released = self._step(buffer, arrivals[:split], scalar)
+            clone = pickle.loads(pickle.dumps(buffer))
+            assert len(clone) == len(buffer)
+            tails = []
+            for target in (buffer, clone):
+                tail = self._step(target, arrivals[split:], scalar)
+                tail.extend(TestReorderBuffer._drain_keys(target.flush()))
+                tails.append(tail)
+            assert tails[0] == tails[1]
+            assert released + tails[0] == sorted(arrivals)
 
 
 # --------------------------------------------------------------------- #
@@ -498,6 +578,28 @@ class TestLatePolicies:
             late_policy="retract",
         )
         assert report.metrics.late_retracted == len(late)
+        assert report_fingerprint(report) == report_fingerprint(ordered)
+
+    @pytest.mark.parametrize("rows", (1, 7, 64, 240))
+    def test_retract_of_rows_late_to_their_own_blocks_watermark(self, rows):
+        """A block whose earlier rows push the watermark past one of its
+        later rows: the late row splices into the *release* log, so what
+        the watermark already allows must be released before it, exactly
+        as the per-event path does.  (Deferred to the end of the block,
+        the release came out behind the late row: ``OutOfOrderError``.)"""
+        events = make_events(seed=61, size=240)
+        arrivals = list(events)
+        for index in range(20, 200, 20):
+            arrivals.insert(index + 30, arrivals.pop(index))  # ~15 time units late
+        ordered = run_streaming(grouped_queries(), events, HamletEngine)
+        executor = StreamingExecutor(
+            grouped_queries(), HamletEngine, allowed_lateness=5.0, late_policy="retract"
+        )
+        block = EventBlock.from_events(arrivals)
+        for start in range(0, len(block), rows):
+            executor.process_block(block.slice(start, min(start + rows, len(block))))
+        report = executor.finish()
+        assert report.metrics.late_retracted == 9
         assert report_fingerprint(report) == report_fingerprint(ordered)
 
     def test_retract_reemits_changed_windows_flagged(self):

@@ -540,6 +540,57 @@ class TestRL009:
             """
         assert run_rule(self.RULE, good, "repro/runtime/checkpoint.py") == []
 
+    def test_good_log_writer_appends_in_place_with_fsync(self):
+        """The second sanctioned shape: open-append + write + fsync, in
+        the named output-log writer only (no rename: a torn append is an
+        uncovered tail, not a torn checkpoint)."""
+        good = """
+            import os
+
+            def _append_log(path, record):
+                with open(path, "ab") as handle:
+                    handle.write(record)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            """
+        assert run_rule(self.RULE, good, "repro/runtime/checkpoint.py") == []
+
+    def test_bad_log_append_outside_the_named_writer(self):
+        bad = """
+            import os
+
+            def append_record(path, record):
+                with open(path, "ab") as handle:
+                    handle.write(record)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            """
+        violations = run_rule(self.RULE, bad, "repro/runtime/checkpoint.py")
+        assert rule_ids(violations) == ["RL009"]
+        assert "_append_log" in violations[0].message
+
+    def test_bad_log_writer_without_fsync_or_with_another_mode(self):
+        unsynced = """
+            def _append_log(path, record):
+                with open(path, "ab") as handle:
+                    handle.write(record)
+            """
+        violations = run_rule(self.RULE, unsynced, "repro/runtime/checkpoint.py")
+        assert rule_ids(violations) == ["RL009"]
+        assert "os.fsync" in violations[0].message
+        assert "os.replace" not in violations[0].message.split("(")[0]
+        rewriting = """
+            import os
+
+            def _append_log(path, record):
+                with open(path, "r+b") as handle:
+                    handle.write(record)
+                    os.fsync(handle.fileno())
+            """
+        violations = run_rule(self.RULE, rewriting, "repro/runtime/checkpoint.py")
+        assert rule_ids(violations) == ["RL009"]
+        assert "os.replace" in violations[0].message.split("(")[0]
+
     def test_scope_is_checkpoint_basenames_only(self):
         bad = """
             def save(path, blob):

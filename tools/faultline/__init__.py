@@ -106,6 +106,7 @@ def run_differential(
     checkpoint_interval: int = 4,
     max_restarts: int = 8,
     checkpoint_dir: Optional[str] = None,
+    **options: object,
 ) -> DifferentialResult:
     """Run clean then injected, and compare canonically.
 
@@ -114,11 +115,12 @@ def run_differential(
     run arms ``spec`` in :data:`FAULTLINE_ENV` for its worker pool and
     runs with checkpointing + supervision enabled.  Factories (not
     values) keep the two runs independent: each builds its own workload
-    objects and replays its own stream.
+    objects and replays its own stream.  ``options`` (lateness, late
+    policy, ...) go to both executors.
     """
     parse_faultline(spec)  # fail fast on a malformed spec
     clean = ShardedStreamingExecutor(
-        list(workload_factory()), workers=0, shards=workers
+        list(workload_factory()), workers=0, shards=workers, **options
     ).run(stream_factory())
     previous = os.environ.get(FAULTLINE_ENV)
     owned_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -135,6 +137,7 @@ def run_differential(
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=checkpoint_interval,
             max_restarts=max_restarts,
+            **options,
         ).run(stream_factory())
         leaked = checkpoint_temp_files(checkpoint_dir)
     finally:

@@ -13,6 +13,15 @@ for writing (or calls ``Path.write_bytes``/``write_text``) must also
 call ``os.replace`` or ``os.rename`` **and** ``os.fsync`` — the rename
 without the fsync is not durable, the fsync without the rename is not
 atomic.
+
+PR 14 added the one other sanctioned shape: the per-shard *output log*
+is appended in place — ``open(path, "ab")`` + write + ``os.fsync`` —
+because a record is never read before the (atomically renamed) snapshot
+that covers it exists, so a torn append is an ignorable tail rather than
+a torn checkpoint.  That argument holds for exactly one writer, so the
+exemption is by *function name* (:data:`LOG_WRITERS`): an append-only
+open inside it needs the fsync but no rename; an append anywhere else,
+or any other mode inside it, is held to the atomic shape.
 """
 
 from __future__ import annotations
@@ -37,12 +46,15 @@ _WRITE_MODE_CHARS = frozenset("wax+")
 #: Path methods that clobber the target file directly.
 _PATH_WRITERS = frozenset({"write_bytes", "write_text"})
 
+#: The functions allowed to append in place (open-append + fsync).
+LOG_WRITERS = frozenset({"_append_log"})
 
-def _open_write_mode(node: ast.Call) -> bool:
-    """True for ``open(path, "wb")``-shaped calls with a writing mode."""
+
+def _open_mode(node: ast.Call) -> str:
+    """The literal mode of an ``open(...)`` call ("" when there is none)."""
     callee = call_name(node)
     if callee is None or callee.split(".")[-1] != "open":
-        return False
+        return ""
     mode: Optional[ast.expr] = None
     if len(node.args) >= 2:
         mode = node.args[1]
@@ -51,12 +63,12 @@ def _open_write_mode(node: ast.Call) -> bool:
             mode = keyword.value
     if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str):
         # No mode (default "r") or a dynamic mode we cannot see through.
-        return False
-    return bool(_WRITE_MODE_CHARS & set(mode.value))
+        return ""
+    return mode.value
 
 
 def _is_file_write(node: ast.Call) -> bool:
-    if _open_write_mode(node):
+    if _WRITE_MODE_CHARS & set(_open_mode(node)):
         return True
     callee = call_name(node)
     return callee is not None and callee.split(".")[-1] in _PATH_WRITERS
@@ -73,12 +85,18 @@ def _calls_any(scope: ast.AST, patterns: tuple[str, ...]) -> bool:
 
 class AtomicCheckpointWriteRule(Rule):
     id: ClassVar[str] = "RL009"
-    title: ClassVar[str] = "checkpoint writes must be write-temp + fsync + rename"
+    title: ClassVar[str] = (
+        "checkpoint writes must be write-temp + fsync + rename "
+        "(or open-append + fsync in the log writer)"
+    )
     rationale: ClassVar[str] = (
         "A checkpoint written in place is torn by the very crash it exists "
         "to survive.  Functions in checkpoint modules that open files for "
         "writing must also fsync the data and os.replace/os.rename it over "
-        "the final name, so readers always find a complete file."
+        "the final name, so readers always find a complete file.  The one "
+        "exception is the output log's named writer, which may append in "
+        "place (mode 'a'/'ab') as long as it fsyncs: its records are only "
+        "read once a renamed snapshot covers them."
     )
     # Scope is by *file name*, not package prefix: any module whose
     # basename mentions checkpoints is held to the atomic-write shape,
@@ -92,9 +110,17 @@ class AtomicCheckpointWriteRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or not _is_file_write(node):
                 continue
-            scope: ast.AST = enclosing_function(node) or module.tree
+            function = enclosing_function(node)
+            scope: ast.AST = function or module.tree
+            mode = _open_mode(node)
+            log_append = (
+                function is not None
+                and function.name in LOG_WRITERS
+                and "a" in mode
+                and set(mode) <= set("ab")
+            )
             missing: list[str] = []
-            if not _calls_any(scope, ("os.replace", "os.rename")):
+            if not log_append and not _calls_any(scope, ("os.replace", "os.rename")):
                 missing.append("os.replace/os.rename")
             if not _calls_any(scope, ("os.fsync",)):
                 missing.append("os.fsync")
@@ -105,5 +131,7 @@ class AtomicCheckpointWriteRule(Rule):
                     "in-place checkpoint write: the enclosing scope never calls "
                     + " or ".join(missing)
                     + " (write to a temp file, fsync, then rename over the final "
-                    "name)",
+                    "name; only "
+                    + "/".join(sorted(LOG_WRITERS))
+                    + " may append in place, with an fsync)",
                 )
