@@ -87,8 +87,11 @@ Four fixed-seed suites:
   pair records the honest per-event constant next to it), and a stream
   shuffled within the lateness horizon reproduces the strict run's
   result digest bit-identically — single-process and through the
-  in-process sharded driver.  Digest identity across all rows is
-  checked at run time and gated, like the block suite's twins.
+  in-process sharded driver, fed as events and (``block_buffered_shuffled``,
+  ``sharded_block_shuffled``: the path the e2e ``ooo-paced`` and
+  ``sharded-full`` workloads lean on) as shuffled blocks, frame by frame.
+  Digest identity and the operation count across all rows are checked at
+  run time and gated, like the block suite's twins.
 
 Each scenario is repeated and the best wall-clock time is kept; throughput
 is ``stream events / best wall seconds``.  Results are merged into the
@@ -510,6 +513,9 @@ def _block_scenarios() -> dict[str, Callable]:
 #: each sort key by at most half of it, so no event is ever late.
 OOO_LATENESS = 5.0
 OOO_SHARDS = 4
+#: Rows per ``process_block`` call of the shuffled block rows (the e2e
+#: ``ooo-paced`` frame size).
+OOO_FRAME_ROWS = 1024
 
 
 def _ooo_scenarios() -> dict[str, Callable]:
@@ -566,13 +572,40 @@ def _ooo_scenarios() -> dict[str, Callable]:
             allowed_lateness=OOO_LATENESS,
         ).run(shuffled(events))
 
+    shuffled_block_cache: list[EventBlock] = []
+
+    def shuffled_block(events) -> EventBlock:
+        if not shuffled_block_cache:
+            shuffled_block_cache.append(EventBlock.from_events(shuffled(events)))
+        return shuffled_block_cache[0]
+
+    def fed_in_frames(executor, block):
+        # Frame by frame, as a live feed delivers it: each frame is sorted
+        # on entry and merged with what earlier frames left buffered.
+        for start in range(0, len(block), OOO_FRAME_ROWS):
+            executor.process_block(block.slice(start, start + OOO_FRAME_ROWS))
+        return executor.finish()
+
+    def block_buffered_shuffled(workload, events):
+        executor = StreamingExecutor(workload, factory, allowed_lateness=OOO_LATENESS)
+        return fed_in_frames(executor, shuffled_block(events))
+
+    def sharded_block_shuffled(workload, events):
+        executor = ShardedStreamingExecutor(
+            workload, factory, workers=0, shards=OOO_SHARDS,
+            allowed_lateness=OOO_LATENESS,
+        )
+        return fed_in_frames(executor, shuffled_block(events))
+
     return {
         "scalar_strict": scalar_strict,
         "scalar_buffered_inorder": scalar_buffered_inorder,
         "scalar_buffered_shuffled": scalar_buffered_shuffled,
         "block_strict": block_strict,
         "block_buffered_inorder": block_buffered_inorder,
+        "block_buffered_shuffled": block_buffered_shuffled,
         "sharded_buffered_shuffled": sharded_shuffled,
+        "sharded_block_shuffled": sharded_block_shuffled,
     }
 
 
@@ -1189,14 +1222,15 @@ def run_suite(suite: Suite, args) -> int:
         # The buffer's whole claim is determinism: every row — buffered
         # pass-through, shuffled, sharded-shuffled — must land on the
         # strict row's digest exactly, or the reorder path changed results.
-        strict_digest = current["scalar_strict"]["result_digest"]
+        strict = current["scalar_strict"]
         for name, row in current.items():
-            if row["result_digest"] != strict_digest:
-                print(
-                    f"perf_smoke[ooo] FAILED: {name} digest diverges from "
-                    f"scalar_strict"
-                )
-                return 1
+            for field in ("result_digest", "operations"):
+                if row[field] != strict[field]:
+                    print(
+                        f"perf_smoke[ooo] FAILED: {name} {field} diverges from "
+                        f"scalar_strict"
+                    )
+                    return 1
 
     if suite.name == "bursty":
         # The block path's claim under an optimizer is "the same run": the

@@ -997,7 +997,7 @@ class ShardedStreamingExecutor:
         else:
             # The block may be internally disordered (the shard buffers
             # re-sort it); the driver clock tracks the max over its rows.
-            self._clock = max(self._clock, *block.times[block.start : block.stop])
+            self._clock = max(self._clock, max(block.times[block.start : block.stop]))
         self._consumed += count
         if not self._started:
             self._start_shards()
@@ -1007,23 +1007,22 @@ class ShardedStreamingExecutor:
                 self._shard_max_time[0] = self._clock
             self._single.process_block(block)
         else:
-            times = block.times
-            base = block.start
             for shard_id, indices in enumerate(self.router.route_block(block)):
                 if not indices:
                     continue
                 self._shard_events[shard_id] += len(indices)
-                if self.allowed_lateness is None:
-                    # Sorted block: the selection is ascending, so its last
-                    # row holds the shard's max — no scan needed.
-                    shard_max = times[base + indices[-1]]
-                else:
-                    shard_max = max(times[base + local] for local in indices)
-                if shard_max > self._shard_max_time[shard_id]:
-                    self._shard_max_time[shard_id] = shard_max
                 shard_block = (
                     block if len(indices) == count else block.select(indices)
                 )
+                shard_times = shard_block.times
+                if self.allowed_lateness is None:
+                    # Sorted block: the selection is ascending, so its last
+                    # row holds the shard's max — no scan needed.
+                    shard_max = shard_times[shard_block.stop - 1]
+                else:
+                    shard_max = max(shard_times[shard_block.start : shard_block.stop])
+                if shard_max > self._shard_max_time[shard_id]:
+                    self._shard_max_time[shard_id] = shard_max
                 if self._local is not None:
                     self._local[shard_id].process_block(shard_block)
                     continue

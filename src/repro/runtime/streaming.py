@@ -126,7 +126,10 @@ from repro.template.template import compile_pattern
 #: v4: the core state is the *live* state only; the append-only output
 #: (``StreamingExecutor._output``) rides beside it under ``"output"`` in
 #: the self-contained form, or outside the payload in the incremental one.
-SNAPSHOT_VERSION = 4
+#: v5: the reorder buffer holds its segments as plain blocks of unreleased
+#: rows (no ``[block, cursor]`` pairs) and a block pickles its own rows
+#: only, compacted (``EventBlock.__reduce__``).
+SNAPSHOT_VERSION = 5
 
 #: Retract policy: a core snapshot is rotated every this many released
 #: items; the last two are retained, bounding both the replay work of one
@@ -465,7 +468,7 @@ class StreamingExecutor:
             self._ingest_event(event)
             return
         if buffer.is_late(event.time):
-            self._handle_late_event(event)
+            self._handle_late(event.time, event.sequence, lambda: event)
             return
         released = buffer.push(event.time, event.sequence, event)
         if released is None:
@@ -515,12 +518,10 @@ class StreamingExecutor:
         the engine declines (negation, local or edge predicates) and for
         per-instance fallback units.
 
-        With ``allowed_lateness`` set the block goes through the reorder
-        buffer: a ``(time, sequence)``-sorted block is split once at the
-        entry watermark (late prefix to the policy, the rest buffered as a
-        zero-copy segment and released as block slices — never exploded to
-        per-event objects); a block with internal regressions falls back to
-        buffering per-row views.
+        With ``allowed_lateness`` set the block — in any row order — goes
+        through the reorder buffer as columns and comes back as blocks;
+        only a late row handed to ``side_output`` / ``retract`` becomes an
+        :class:`Event`.
         """
         if self._reorder is None:
             if len(block):
@@ -532,73 +533,31 @@ class StreamingExecutor:
         self._buffer_block(block)
 
     def _buffer_block(self, block: EventBlock) -> None:
-        """Route one block through the reorder buffer (lateness mode)."""
-        count = len(block)
-        if count == 0:
-            return
+        """Route one block, in any row order, through the reorder buffer.
+
+        The block is cut at its late rows (usually none: one segment, one
+        drain).  Late means behind what was *released* — a retraction
+        splices into the release log — so the releases are caught up with
+        the watermark the rows before a late row advanced, as the per-event
+        path does, before the policy sees it.
+        """
         buffer = self._reorder
-        times = block.times
-        sequences = block.sequences
-        base = block.start
-        stop = block.stop
-        # Sortedness probe at C speed: a sorted-copy compare (Timsort is
-        # one linear pass on already-sorted input) plus a set-size check
-        # that rules out equal-time ties; only a tied, time-sorted block
-        # needs the per-row (time, sequence) Python loop.
-        section = times[base:stop]
-        if sorted(section) != section:
-            sorted_block = False
-        elif len(set(section)) == count:
-            sorted_block = True
-        else:
-            sorted_block = True
-            previous_time = times[base]
-            previous_seq = sequences[base]
-            for position in range(base + 1, stop):
-                time_value = times[position]
-                seq_value = sequences[position]
-                if time_value < previous_time or (
-                    time_value == previous_time and seq_value < previous_seq
-                ):
-                    sorted_block = False
-                    break
-                previous_time = time_value
-                previous_seq = seq_value
-        if not sorted_block:
-            # Internal regressions: the zero-copy segment path needs sorted
-            # columns, so buffer lazily materialized row views one by one.
-            for local in range(count):
-                time_value = times[base + local]
-                if buffer.is_late(time_value):
-                    # Late means behind what was *released* (a retraction
-                    # splices into the release log): catch the releases up
-                    # with the watermark this block's own rows advanced.
-                    self._drain(buffer.release_ready())
-                    self._handle_late_event(block.event_at(local))
-                else:
-                    buffer.add(time_value, sequences[base + local], block.event_at(local))
-                    buffer.observe(time_value)
-            self._drain(buffer.release_ready())
-            return
-        # Sorted: one split at the entry watermark is exactly per-row
-        # classification (a sorted block's own rows can never make a later
-        # row of the same block late).
-        watermark = buffer.watermark
-        split = bisect.bisect_left(times, watermark, base, stop)
-        if split > base:
-            if self.late_policy == "raise":
-                raise late_event_error(
-                    times[base], sequences[base], watermark, self.allowed_lateness
+        assert buffer is not None
+        count = len(block)
+        times = block.times[block.start : block.stop]
+        cursor = 0
+        for index in (*buffer.late_rows(times), count):
+            if index > cursor:
+                buffer.add_segment(block.slice(cursor, index))
+                buffer.observe(max(times[cursor:index]))
+                self._drain(buffer.release_ready())
+            if index < count:
+                self._handle_late(
+                    times[index],
+                    block.sequences[block.start + index],
+                    lambda: block.event_at(index),
                 )
-            if self.late_policy == "drop":
-                self._late_dropped += split - base
-            else:
-                for local in range(split - base):
-                    self._handle_late_event(block.event_at(local))
-        if split < stop:
-            buffer.add_segment(block.slice(split - base, count))
-            buffer.observe(times[stop - 1])
-            self._drain(buffer.release_ready())
+            cursor = index + 1
 
     def _ingest_block(self, block: EventBlock) -> None:
         """Feed one in-order block to the core (past the reorder buffer)."""
@@ -791,26 +750,27 @@ class StreamingExecutor:
         for event in events:
             self._ingest_event(event)
 
-    def _handle_late_event(self, event: Event) -> None:
-        """Apply the configured policy to one beyond-the-watermark event."""
+    def _handle_late(
+        self, time_value: float, sequence: int, view: Callable[[], Event]
+    ) -> None:
+        """Apply the configured policy to one beyond-the-watermark arrival;
+        ``view`` yields its :class:`Event` for the policies that take one."""
         policy = self.late_policy
         if policy == "drop":
             self._late_dropped += 1
-            return
-        if policy == "side_output":
+        elif policy == "side_output":
             self._late_side_output += 1
-            self.on_late(event)  # type: ignore[misc]  # validated non-None
-            return
-        if policy == "retract":
-            self._apply_retraction(event)
+            self.on_late(view())  # type: ignore[misc]  # validated non-None
+        elif policy == "retract":
+            self._apply_retraction(view())
             self._late_retracted += 1
-            return
-        raise late_event_error(
-            event.time,
-            event.sequence,
-            self._reorder.watermark,  # type: ignore[union-attr]
-            self.allowed_lateness,
-        )
+        else:
+            raise late_event_error(
+                time_value,
+                sequence,
+                self._reorder.watermark,  # type: ignore[union-attr]
+                self.allowed_lateness,
+            )
 
     def _output(self) -> tuple[list, list, list]:
         """The append-only output: one row per closed window in each list,

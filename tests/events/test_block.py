@@ -273,3 +273,140 @@ class TestRoundTripProperty:
         lo = min(cut, len(events))
         identical(block.slice(0, lo).to_events(), events[:lo])
         identical(block.slice(lo, len(events)).to_events(), events[lo:])
+
+
+# --------------------------------------------------------------------- #
+# Column-at-a-time gather and join (PR 15) against the row-by-row definition
+# --------------------------------------------------------------------- #
+def assert_well_formed(block):
+    """The invariants every consumer of a compact (root) block leans on:
+    slots are handed out in row order per shape, and each shape's columns
+    hold exactly its rows."""
+    assert block.start == 0 and block.stop == len(block.times)
+    occupancy = [0] * len(block.key_table)
+    for code, slot in zip(block.key_codes, block.row_slots):
+        assert slot == occupancy[code]
+        occupancy[code] += 1
+    for code, columns in enumerate(block.shape_columns):
+        assert all(len(column) == occupancy[code] for column in columns)
+
+
+class TestSelectConcatProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(events=_fuzz_events(), data=st.data())
+    def test_select_is_the_row_by_row_gather(self, events, data):
+        block = EventBlock.from_events(events)
+        lo = data.draw(st.integers(0, len(events)))
+        hi = data.draw(st.integers(lo, len(events)))
+        view = block.slice(lo, hi)  # a gather must honour the slice's base
+        indices = data.draw(
+            st.lists(st.integers(0, max(0, hi - lo - 1)), max_size=30)
+            if hi > lo
+            else st.just([])
+        )
+        for picked in (indices, tuple(indices), iter(indices)):
+            gathered = view.select(picked)
+            identical(gathered.to_events(), [events[lo + index] for index in indices])
+            assert_well_formed(gathered)
+            assert gathered.type_table == block.type_table
+            assert gathered.key_table == block.key_table
+        # ... and what it ships is what the rows encode to.
+        identical(
+            columnar.decode_events(view.select(indices).to_bytes()),
+            [events[lo + index] for index in indices],
+        )
+
+    def test_select_rejects_each_out_of_range_index(self):
+        block = EventBlock.from_events(make([{"a": 1}, {"b": 2}, {"a": 3}])).slice(1, 3)
+        for indices in ([2], [-1], [0, 1, 2], range(1, 4)):
+            with pytest.raises(IndexError, match="out of range for 2 rows"):
+                block.select(indices)
+        assert block.select([]).to_events() == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(_fuzz_events(), max_size=4), data=st.data())
+    def test_concat_is_the_row_by_row_join(self, parts, data):
+        # Independently built blocks: different interned type tables, key
+        # tables and payload shapes, each joined from an arbitrary slice.
+        blocks, expected = [], []
+        for events in parts:
+            lo = data.draw(st.integers(0, len(events)))
+            hi = data.draw(st.integers(lo, len(events)))
+            blocks.append(EventBlock.from_events(events).slice(lo, hi))
+            expected.extend(events[lo:hi])
+        joined = EventBlock.concat(blocks)
+        identical(joined.to_events(), expected)
+        if sum(map(bool, blocks)) > 1:  # (a lone block is handed back as is)
+            assert_well_formed(joined)
+        identical(columnar.decode_events(joined.to_bytes()), expected)
+        for name in {key for event in expected for key in event.payload}:
+            assert joined.payload_column(name) == [e.get(name) for e in expected]
+
+    def test_concat_of_one_producers_slices_keeps_the_tables(self):
+        events = make([{"a": 1.0}, {"b": 2}, {"a": 3.0}, {"b": 4}, {"a": 5.0}])
+        block = EventBlock.from_events(events)
+        joined = EventBlock.concat([block.slice(3, 5), block.slice(0, 2)])
+        assert joined.type_table is block.type_table
+        assert joined.key_table is block.key_table
+        identical(joined.to_events(), events[3:5] + events[0:2])
+
+    def test_concat_unites_differing_tables_in_first_appearance_order(self):
+        left = EventBlock.from_events(
+            [Event("A", 1.0, {"x": 1}), Event("B", 2.0, {"y": 2.0})]
+        )
+        right = EventBlock.from_events(
+            [Event("C", 3.0, {"y": 3.0}), Event("A", 4.0, {"z": "s"}), Event("B", 5.0, {"x": 5})]
+        )
+        joined = EventBlock.concat([left, EventBlock.empty(), right])
+        assert joined.type_table == ("A", "B", "C")
+        assert joined.key_table == (("x",), ("y",), ("z",))
+        identical(joined.to_events(), left.to_events() + right.to_events())
+        assert EventBlock.concat([]).to_events() == []
+        assert EventBlock.concat([EventBlock.empty(), left]) is left
+
+
+class TestPickle:
+    """A block pickles the rows of its own range, compacted (PR 15): a
+    slice used to drag its whole root — columns *and* lazily filled caches
+    — into every buffered reorder segment, retract-log entry and
+    checkpoint."""
+
+    @staticmethod
+    def _root(rows=5_000):
+        builder = EventBlockBuilder()
+        for index in range(rows):
+            shape = {"g": float(index % 7), "v": index} if index % 3 else {"w": str(index)}
+            builder.append_row("AB"[index % 2], float(index), shape, sequence=index)
+        return builder.finish()
+
+    def test_slice_pickles_its_rows_not_its_root(self):
+        import pickle
+
+        root = self._root()
+        view = root.slice(2_500, 2_510)
+        compact = view.select(range(10))
+        baseline = len(pickle.dumps(compact))
+        assert len(pickle.dumps(view)) <= baseline  # at the parent: 240x
+        root.group_keys(("g",))  # fill the root's and the slice's caches
+        view.group_keys(("g",))
+        view.payload_column("v")
+        assert len(pickle.dumps(view)) <= baseline
+        assert baseline < len(pickle.dumps(root)) / 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=_fuzz_events(), data=st.data())
+    def test_round_trip_equals_the_slice(self, events, data):
+        import pickle
+
+        block = EventBlock.from_events(events)
+        lo = data.draw(st.integers(0, len(events)))
+        hi = data.draw(st.integers(lo, len(events)))
+        view = block.slice(lo, hi)
+        view.group_keys(tuple(sorted({k for e in events[lo:hi] for k in e.payload}))[:2])
+        clone = pickle.loads(pickle.dumps(view))
+        identical(clone.to_events(), events[lo:hi])
+        assert_well_formed(clone)
+        assert clone.start == 0 and clone.stop == len(clone.times) == hi - lo
+        assert clone.type_table == block.type_table
+        assert clone.key_table == block.key_table
+        assert clone.to_bytes() == view.to_bytes()

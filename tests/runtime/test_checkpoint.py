@@ -689,19 +689,18 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A pre-PR-14 snapshot (v3: the whole accumulated report pickled inside
-    the core state, no output section) is refused with a typed error instead
-    of resuming a report whose output lists would be attached twice."""
+    """A pre-PR-15 snapshot (v4: reorder segments pickled as ``[block,
+    cursor]`` pairs over whole root blocks) is refused with a typed error
+    instead of resuming a buffer whose segments are not plain blocks."""
     import pickle
 
-    from repro.errors import ExecutionError
     from repro.runtime.streaming import SNAPSHOT_VERSION
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 4
-    state["version"] = 3
-    with pytest.raises(ExecutionError, match="schema version 3"):
+    assert state["version"] == SNAPSHOT_VERSION == 5
+    state["version"] = 4
+    with pytest.raises(CheckpointError, match="schema version 4"):
         executor.restore_state(pickle.dumps(state))
 
 

@@ -8,6 +8,10 @@ partition results, same emission order — through every ingestion surface
 every backend/transport combination.  Events later than the horizon hit
 the configured policy: ``raise`` (default), ``drop``, ``side_output`` or
 ``retract``.
+
+Since PR 15 the block side is columnar whatever the row order: a shuffled
+block is sorted, merged and released as a block (one per release), and a
+row becomes an ``Event`` only when ``side_output`` / ``retract`` take it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.core import HamletEngine
 from repro.errors import ExecutionError, OutOfOrderError
 from repro.events import Event, EventStream
 from repro.events.block import EventBlock
-from repro.query import Query, Window, kleene, seq
+from repro.query import Query, Window, avg, kleene, seq, sum_of
 from repro.runtime import (
     ReorderBuffer,
     ShardedStreamingExecutor,
@@ -31,6 +35,8 @@ from repro.runtime import (
     run_sharded,
     run_streaming,
 )
+from repro.runtime.checkpoint import CheckpointStore
+from tests.conftest import decision_counters
 
 try:
     import numpy  # noqa: F401
@@ -157,15 +163,122 @@ class TestReorderBuffer:
         keys = self._drain_keys(buffer.flush())
         assert keys == [(event.time, event.sequence) for event in events]
 
-    def test_block_segments_release_zero_copy_slices(self):
+    def test_single_segment_releases_zero_copy_slices(self):
         events = make_events(seed=4, size=12)
-        buffer = ReorderBuffer(0.0)
-        buffer.add_segment(EventBlock.from_events(events))
+        block = EventBlock.from_events(events)
+        buffer = ReorderBuffer(2.0)
+        buffer.add_segment(block)
         buffer.observe(events[-1].time)
+        (kind, ready), = buffer.release_ready()
+        assert kind == "block" and 0 < len(ready) < len(block)
+        assert ready.times is block.times  # the in-order stream copies nothing
+        (kind, rest), = buffer.flush()
+        assert rest.times is block.times and len(ready) + len(rest) == len(block)
+        assert buffer.flush() == [] and len(buffer) == 0
+
+    def test_shuffled_segments_release_one_block_per_call(self):
+        # Frames of a shuffled stream overlap in time — the normal case:
+        # every release is still a single block, in key order, strictly
+        # below the watermark, and nothing is lost or repeated.
+        events = make_events(seed=5, size=400)
+        shuffled = shuffle_within(events, horizon=12.0, seed=6)
+        buffer = ReorderBuffer(12.0)
+        released: list[tuple] = []
+        for start in range(0, len(shuffled), 37):
+            frame = shuffled[start : start + 37]
+            buffer.add_segment(EventBlock.from_events(frame))
+            buffer.observe(max(event.time for event in frame))
+            releases = buffer.release_ready()
+            assert [kind for kind, _ in releases] in ([], ["block"])
+            keys = self._drain_keys(releases)
+            assert all(time < buffer.watermark for time, _ in keys)
+            released.extend(keys)
+            assert len(buffer) == start + len(frame) - len(released)
+        assert 0 < len(buffer) < 200  # the horizon's population stays behind
+        final = buffer.flush()
+        assert [kind for kind, _ in final] == ["block"]
+        released.extend(self._drain_keys(final))
+        assert released == [(event.time, event.sequence) for event in events]
+
+    def test_segments_of_different_producers_merge_in_one_release(self):
+        # Independently built blocks: different interned type tables, key
+        # tables, and more than one payload shape each.
+        first = [
+            Event("A", 1.0, {"g": 1.0}, sequence=0),
+            Event("B", 4.0, {"g": 1.0, "v": 2.0}, sequence=3),
+            Event("A", 6.0, {"w": "x"}, sequence=5),
+        ]
+        second = [
+            Event("C", 5.0, {"v": 1.0, "g": 2.0}, sequence=4),
+            Event("B", 3.0, {"g": 2.0}, sequence=2),
+            Event("D", 2.0, {}, sequence=1),
+        ]
+        buffer = ReorderBuffer(100.0)
+        buffer.add_segment(EventBlock.from_events(first))
+        buffer.add_segment(EventBlock.from_events(second))
+        (kind, merged), = buffer.flush()
+        assert kind == "block"
+        expected = sorted(first + second)
+        assert merged.to_events() == expected
+        assert [e.payload for e in merged.to_events()] == [e.payload for e in expected]
+        assert merged.group_keys(("g",)) == [(e.get("g"),) for e in expected]
+
+    def test_equal_time_rows_sequence_shuffled_across_two_blocks(self):
+        rows = [Event("B", 2.0, {"g": 1.0}, sequence=index) for index in range(8)]
+        rows += [Event("B", 3.0, {"g": 1.0}, sequence=8)]
+        buffer = ReorderBuffer(1.0)
+        buffer.add_segment(EventBlock.from_events([rows[i] for i in (6, 1, 8, 3)]))
+        buffer.add_segment(EventBlock.from_events([rows[i] for i in (7, 0, 5, 2, 4)]))
+        buffer.observe(3.0)  # watermark exactly 2.0: equal-time rows stay put
+        assert buffer.release_ready() == []
+        buffer.observe(3.5)
+        (_, merged), = buffer.release_ready()
+        assert merged.to_events() == rows[:8]
+        assert self._drain_keys(buffer.flush()) == [(3.0, 8)]
+
+    def test_loose_events_interleave_with_slices_of_the_one_block(self):
+        events = make_events(seed=7, size=40)
+        shuffled = shuffle_within(events, horizon=6.0, seed=8)
+        loose = shuffled[::3]
+        blocked = [event for event in shuffled if event not in loose]
+        buffer = ReorderBuffer(1000.0)
+        for event in loose:
+            buffer.add(event.time, event.sequence, (event.time, event.sequence))
+        buffer.add_segment(EventBlock.from_events(blocked[:15]))
+        buffer.add_segment(EventBlock.from_events(blocked[15:]))
         releases = buffer.flush()
-        kinds = [kind for kind, _ in releases]
-        assert kinds == ["block"]
-        assert releases[0][1].times is not None  # a block slice, not a list
+        assert self._drain_keys(releases) == [(e.time, e.sequence) for e in events]
+        roots = {id(payload.times) for kind, payload in releases if kind == "block"}
+        assert len(roots) == 1  # one gather; the rest are slices of it
+
+    def test_late_rows_is_the_per_row_is_late_then_observe_sequence(self):
+        rng = random.Random(9)
+        times = [rng.uniform(0.0, 60.0) for _ in range(300)]
+        for entry in (float("-inf"), 30.0, 100.0):
+            column, reference = ReorderBuffer(5.0), ReorderBuffer(5.0)
+            column.observe(entry)
+            reference.observe(entry)
+            expected = []
+            for index, time in enumerate(times):
+                if reference.is_late(time):
+                    expected.append(index)
+                else:
+                    reference.observe(time)
+            assert column.late_rows(times) == expected
+            assert column.max_event_time == entry  # classification only
+        assert ReorderBuffer(5.0).late_rows([]) == []
+
+    def test_buffered_segments_pickle_their_unreleased_rows_only(self):
+        events = make_events(seed=10, size=3_000)
+        block = EventBlock.from_events(events)
+        buffer = ReorderBuffer(10.0)
+        buffer.add_segment(block)
+        buffer.observe(events[-1].time)
+        buffer.release_ready()
+        assert 0 < len(buffer) < 100
+        clone = pickle.loads(pickle.dumps(buffer))
+        assert len(pickle.dumps(buffer)) < len(pickle.dumps(block)) / 10
+        assert self._drain_keys(clone.flush()) == self._drain_keys(buffer.flush())
 
     def test_negative_or_nan_lateness_rejected(self):
         with pytest.raises(ExecutionError, match="allowed_lateness"):
@@ -197,7 +310,7 @@ class TestTailCompaction:
             for time, sequence in chunk:
                 out = buffer.push(time, sequence, (time, sequence))
                 released.extend(drain(buffer.release_ready()) if out is None else out)
-        else:  # the unsorted-block path of StreamingExecutor._buffer_block
+        else:  # add + observe per item, one release per chunk
             for time, sequence in chunk:
                 buffer.add(time, sequence, (time, sequence))
                 buffer.observe(time)
@@ -387,6 +500,127 @@ class TestWithinHorizonDifferential:
         assert emission_trace(buffered_emissions) == emission_trace(strict_emissions)
         assert buffered.metrics.late_dropped == 0
         assert buffered.metrics.late_retracted == 0
+
+
+# --------------------------------------------------------------------- #
+# Shuffled blocks, cut anywhere, == the ordered scalar run (PR 15)
+# --------------------------------------------------------------------- #
+def adaptive_queries() -> list[Query]:
+    """Two 2-member classes on one vector unit: per-burst decisions are
+    taken, so the decision counters are part of the comparison."""
+    return [
+        Query.build(
+            seq(prefix, kleene("B")),
+            aggregate=aggregate,
+            group_by=("g",),
+            window=WINDOW,
+            name=f"{prefix}_{tag}",
+        )
+        for prefix in ("A", "C")
+        for aggregate, tag in ((sum_of("B", "v"), "sum"), (avg("B", "v"), "avg"))
+    ]
+
+
+def run_traced(queries, feed, **options):
+    """``feed(executor)`` then finish: everything deterministic about a run
+    — report, emission order, abstract operations, decision counters."""
+    emitted: list = []
+    executor = StreamingExecutor(queries, HamletEngine, on_window=emitted.append, **options)
+    feed(executor)
+    report = executor.finish()
+    return (
+        report_fingerprint(report),
+        emission_trace(emitted),
+        report.metrics.operations,
+        decision_counters(report),
+    )
+
+
+def spy_on_event_at(monkeypatch) -> list[int]:
+    """Record every ``EventBlock.event_at`` call (the row view edge)."""
+    calls: list[int] = []
+    event_at = EventBlock.event_at
+    monkeypatch.setattr(
+        EventBlock, "event_at", lambda self, index: calls.append(index) or event_at(self, index)
+    )
+    return calls
+
+
+def cut_into_frames(arrivals: list[Event], sizes: list[int]) -> list[list[Event]]:
+    """``arrivals`` cut at the drawn frame sizes (zeros are empty frames),
+    the remainder as one last frame."""
+    frames, start = [], 0
+    for size in sizes:
+        frames.append(arrivals[start : start + size])
+        start += size
+    frames.append(arrivals[start:])
+    return frames
+
+
+@st.composite
+def _framed_shuffle(draw):
+    events, shuffled, horizon = draw(_stream_and_horizon())
+    sizes = draw(st.lists(st.sampled_from((0, 1, 1, 2, 5, 17, 64)), max_size=40))
+    return events, cut_into_frames(shuffled, sizes), horizon
+
+
+class TestShuffledBlockDifferential:
+    @staticmethod
+    def _ordered(queries, events, optimizer):
+        def feed(executor):
+            for event in events:
+                executor.process(event)
+
+        return run_traced(queries, feed, optimizer=optimizer)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(data=_framed_shuffle(), optimizer=st.sampled_from((None, "dynamic")))
+    def test_process_block_alone(self, data, optimizer):
+        events, frames, horizon = data
+        queries = adaptive_queries()
+
+        def feed(executor):
+            # Every frame its own block: own interned tables, as frames of
+            # independent producers would have.
+            for frame in frames:
+                executor.process_block(EventBlock.from_events(frame))
+
+        assert run_traced(
+            queries, feed, optimizer=optimizer, allowed_lateness=horizon
+        ) == self._ordered(queries, events, optimizer)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(data=_framed_shuffle(), optimizer=st.sampled_from((None, "dynamic")))
+    def test_process_block_interleaved_with_scalar_process(self, data, optimizer):
+        events, frames, horizon = data
+        queries = adaptive_queries()
+
+        def feed(executor):
+            for index, frame in enumerate(frames):
+                if index % 2:
+                    for event in frame:
+                        executor.process(event)
+                else:
+                    executor.process_block(EventBlock.from_events(frame))
+
+        assert run_traced(
+            queries, feed, optimizer=optimizer, allowed_lateness=horizon
+        ) == self._ordered(queries, events, optimizer)
+
+    @pytest.mark.parametrize("rows", (1, 64, 10_000))
+    def test_no_row_becomes_an_event_without_late_rows(self, monkeypatch, rows):
+        events = make_events(seed=71, size=600)
+        block = EventBlock.from_events(shuffle_within(events, horizon=8.0, seed=72))
+        calls = spy_on_event_at(monkeypatch)
+        executor = StreamingExecutor(grouped_queries(), HamletEngine, allowed_lateness=8.0)
+        for start in range(0, len(block), rows):
+            executor.process_block(block.slice(start, start + rows))
+        report = executor.finish()
+        assert calls == []
+        monkeypatch.undo()
+        assert report_fingerprint(report) == report_fingerprint(
+            run_streaming(grouped_queries(), events, HamletEngine)
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -675,6 +909,103 @@ class TestLatePolicies:
 
 
 # --------------------------------------------------------------------- #
+# Late rows inside unsorted blocks == the same arrivals through process()
+# --------------------------------------------------------------------- #
+class TestLateRowsInsideUnsortedBlocks:
+    """The scalar path is the definition: a row is late against the
+    watermark everything before it advanced, the block's own rows
+    included, and everything releasable is released before the policy
+    sees it.  The block path must be indistinguishable, however the
+    arrivals are cut into blocks."""
+
+    HORIZON = 5.0
+    LATE = 9
+
+    @classmethod
+    def _arrivals(cls) -> tuple[list[Event], list[Event]]:
+        """A stream shuffled within the horizon, plus rows held back ~15
+        time units: late on arrival, inside otherwise unsorted blocks."""
+        events = make_events(seed=81, size=260)
+        arrivals = shuffle_within(events, cls.HORIZON, seed=82)
+        held_back = [arrivals[index] for index in range(20, 200, 20)]
+        for event in held_back:
+            position = arrivals.index(event)
+            arrivals.insert(position + 30, arrivals.pop(position))
+        return events, arrivals
+
+    def _run(self, arrivals, rows, policy):
+        """Returns the interleaved callback log, the report and the error."""
+        log: list[tuple] = []
+        options = dict(allowed_lateness=self.HORIZON, late_policy=policy)
+        if policy == "side_output":
+            options["on_late"] = lambda event: log.append(("late", event, event.payload))
+        executor = StreamingExecutor(
+            grouped_queries(),
+            HamletEngine,
+            on_window=lambda r: log.append(("window", *emission_trace([r])[0])),
+            **options,
+        )
+        try:
+            if rows is None:
+                for event in arrivals:
+                    executor.process(event)
+            else:
+                for start in range(0, len(arrivals), rows):
+                    executor.process_block(
+                        EventBlock.from_events(arrivals[start : start + rows])
+                    )
+            report = executor.finish()
+        except OutOfOrderError as error:
+            return log, None, str(error)
+        return log, report, None
+
+    @pytest.mark.parametrize("rows", (1, 7, 64, 1_000))
+    @pytest.mark.parametrize("policy", ("raise", "drop", "side_output", "retract"))
+    def test_block_path_is_the_scalar_path(self, policy, rows):
+        events, arrivals = self._arrivals()
+        scalar_log, scalar_report, scalar_error = self._run(arrivals, None, policy)
+        block_log, block_report, block_error = self._run(arrivals, rows, policy)
+        assert block_error == scalar_error
+        assert block_log == scalar_log  # windows and late rows, interleaved
+        if policy == "raise":
+            # The first late row in arrival order, and the watermark at it.
+            times = [event.time for event in arrivals]
+            late = ReorderBuffer(self.HORIZON).late_rows(times)
+            assert len(late) == self.LATE
+            first = arrivals[late[0]]
+            assert f"time={first.time!r} seq={first.sequence} " in block_error
+            assert f"watermark {max(times[: late[0]]) - self.HORIZON!r}" in block_error
+            return
+        assert report_fingerprint(block_report) == report_fingerprint(scalar_report)
+        for counter in ("late_dropped", "late_side_output", "late_retracted", "operations"):
+            assert getattr(block_report.metrics, counter) == getattr(
+                scalar_report.metrics, counter
+            ), counter
+        late = {
+            "drop": block_report.metrics.late_dropped,
+            "side_output": block_report.metrics.late_side_output,
+            "retract": block_report.metrics.late_retracted,
+        }[policy]
+        assert late == self.LATE
+        if policy == "side_output":
+            side = [entry[1] for entry in block_log if entry[0] == "late"]
+            assert side == [e for e in arrivals if e in side]  # arrival order
+        if policy == "retract":
+            ordered = run_streaming(grouped_queries(), events, HamletEngine)
+            assert report_fingerprint(block_report) == report_fingerprint(ordered)
+
+    @pytest.mark.parametrize("policy", ("drop", "side_output", "retract"))
+    def test_only_rows_a_policy_takes_become_events(self, monkeypatch, policy):
+        _, arrivals = self._arrivals()
+        calls = spy_on_event_at(monkeypatch)
+        _, report, _ = self._run(arrivals, 64, policy)
+        assert len(calls) == (0 if policy == "drop" else self.LATE)
+        assert report.metrics.stream_events == len(arrivals) - (
+            0 if policy == "retract" else self.LATE
+        )
+
+
+# --------------------------------------------------------------------- #
 # Checkpoints carry the buffer
 # --------------------------------------------------------------------- #
 class TestCheckpointWithBufferedEvents:
@@ -705,6 +1036,55 @@ class TestCheckpointWithBufferedEvents:
             second.process(event)
         resumed = second.finish()
         assert report_fingerprint(resumed) == report_fingerprint(reference)
+
+    @pytest.mark.parametrize("late_policy", ("raise", "retract"))
+    def test_restore_in_the_middle_of_a_buffered_block_through_a_store(
+        self, tmp_path, late_policy
+    ):
+        """Shuffled frames, a checkpoint written while rows of several of
+        them are still buffered, and a successor restored from the files:
+        the continuation is bit-identical — report, operations, and the
+        windows emitted after the restore."""
+        events = make_events(seed=54, size=400)
+        shuffled = shuffle_within(events, horizon=20.0, seed=55)
+        frames = [
+            EventBlock.from_events(shuffled[start : start + 24])
+            for start in range(0, len(shuffled), 24)
+        ]
+        queries = grouped_queries()
+        options = dict(allowed_lateness=20.0, late_policy=late_policy)
+
+        def executor_into(emitted):
+            return StreamingExecutor(queries, HamletEngine, on_window=emitted.append, **options)
+
+        reference_emitted: list = []
+        reference = executor_into(reference_emitted)
+        for frame in frames:
+            reference.process_block(frame)
+        expected = reference.finish()
+
+        first_emitted: list = []
+        first = executor_into(first_emitted)
+        for frame in frames[:8]:
+            first.process_block(frame)
+        assert len(first._reorder._segments) >= 2 and len(first._reorder) > 20
+        payload, delta = first.snapshot_state(0)
+        CheckpointStore(tmp_path, shard_id=0).write(0, 8, payload, delta)
+
+        checkpoint = CheckpointStore(tmp_path, shard_id=0).latest()
+        assert checkpoint.seq == 8
+        second_emitted: list = []
+        second = executor_into(second_emitted)
+        second.restore_state(checkpoint.payload, checkpoint.output)
+        assert len(second._reorder) == len(first._reorder)
+        for frame in frames[8:]:
+            second.process_block(frame)
+        resumed = second.finish()
+        assert report_fingerprint(resumed) == report_fingerprint(expected)
+        assert resumed.metrics.operations == expected.metrics.operations
+        assert emission_trace(first_emitted + second_emitted) == emission_trace(
+            reference_emitted
+        )
 
     def test_snapshot_fingerprint_pins_lateness_config(self):
         events = make_events(seed=53, size=40)
