@@ -140,6 +140,13 @@ def ensure_block_in_order(
     loop.  Returns the last time of the slice (the new clock), or
     ``clock`` for an empty slice.
     """
+    window = times[start:stop]
+    # The in-order probe runs at C speed (one linear Timsort pass and one
+    # list compare, as in ``_in_key_order``); the walk below only names the
+    # offending row — and decides the slices the probe cannot (NaN times
+    # compare false either way, so they pass the walk).
+    if window and not window[0] < clock and sorted(window) == window:
+        return window[-1]
     previous = clock
     for position in range(start, stop):
         value = times[position]

@@ -58,6 +58,9 @@ only grouped per window instead of per engine.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 from typing import Optional, Sequence
 
 from repro.core.engine import compile_fast_path_guards
@@ -246,6 +249,10 @@ class UnitCompilation:
                 for spec in specs
             )
         )
+        #: Every type the unit reads folds from columns: a whole mixed-type
+        #: segment can go to :meth:`MultiWindowLinearEngine.process_block_run`
+        #: at once (no store, no negation, no local or edge predicate).
+        self.columnar = not negative and len(self.columnar_types) == len(positive)
 
     def contributions(self, event: Event) -> tuple[float, ...]:
         """The event's contribution to each unit measure (Equation 1)."""
@@ -338,6 +345,59 @@ class _ColumnState:
         self.maps = maps
 
 
+class _ClassPlan:
+    """Hot-loop plan of one query class for the segment fold.
+
+    A *cell* is one ``(class, window)`` pair: its state is one coefficient
+    per positive type of the class, and a row of the class is one step
+    ``value = base + sources in order; total += value`` over that state —
+    no other cell reads or writes it.  The plan numbers the class's types
+    as *slots*, fewest predecessors first, so the dominant shape — a prefix
+    type feeding a Kleene self-loop (``pair``) — reads slot 0 = prefix, slot
+    1 = Kleene type.
+
+    A class reads a segment as its *shared* rows interleaved with its *own*
+    rows.  The shared slot is the class's non-start type that most classes
+    of the unit read (HAMLET's shared Kleene sub-pattern): a row of that
+    type is recorded once, in the list all those classes hold
+    (``shared_rows``), not once per class.  Rows of the other types go to
+    ``own`` as ``(shared rows before it, slot, segment row)``, which pins
+    the interleaving.  Both lists are scratch state of one segment.
+    """
+
+    __slots__ = ("armed", "types", "plans", "starts", "pair", "shared", "shared_rows", "own")
+
+    def __init__(
+        self,
+        spec: QueryClassSpec,
+        armed: dict,
+        plan_of: dict[tuple[int, EventType], _TypePlan],
+        readers: dict[EventType, tuple[QueryClassSpec, ...]],
+    ) -> None:
+        pred_types = spec.pred_types
+        types = sorted(pred_types, key=lambda name: (len(pred_types[name]), name))
+        self.armed = armed
+        self.types = tuple(types)
+        #: Per slot: the ``(class, type)`` plan, and whether the type starts
+        #: a trend (a start row may arm windows mid-segment).
+        self.plans = tuple(plan_of[spec.index, name] for name in types)
+        self.starts = tuple(plan.is_start for plan in self.plans)
+        self.pair = (
+            self.starts == (True, False)
+            and not pred_types[types[0]]
+            and set(pred_types[types[1]]) == set(types)
+        )
+        #: A start row is always an own row; a class of start types only
+        #: has no shared slot.
+        self.shared: Optional[int] = max(
+            (slot for slot, is_start in enumerate(self.starts) if not is_start),
+            key=lambda slot: (len(readers[types[slot]]), -slot),
+            default=None,
+        )
+        self.shared_rows: Sequence[int] = ()
+        self.own: list[tuple[int, int, int]] = []
+
+
 class _OrderPoint:
     """Order cursor left behind by a block run.
 
@@ -407,6 +467,13 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             for event_type, plans in self._plans_by_type.items()
             for plan in plans
         }
+        #: Segment fold, compiled by the first segment (burst-buffered engines
+        #: never pay for it): one plan per class; per shared type the row
+        #: list its classes hold in common; per event type the ``(own, shared
+        #: rows, slot)`` of the classes it is an own row of.
+        self._class_plans: Optional[tuple[_ClassPlan, ...]] = None
+        self._shared_rows: dict[EventType, list[int]] = {}
+        self._own_feeds: dict[EventType, tuple[tuple, ...]] = {}
         #: Split ``(class, type)`` pairs; fully shared pairs have no entry.
         self._columns: dict[tuple[int, EventType], _ColumnState] = {}
         #: Per class: ``(last positive burst type, shared run length)``.  The
@@ -508,36 +575,47 @@ class MultiWindowLinearEngine(MultiWindowEngine):
 
     def process_block_run(
         self,
-        event_type: EventType,
+        event_type: EventType | Sequence[EventType],
         times: Sequence[float],
         sequences: Sequence[int],
         lows: Sequence[int],
         highs: Sequence[int],
         contribution_rows: Optional[Sequence[tuple[float, ...]]] = None,
     ) -> bool:
-        """Fold one same-type run straight from block columns.
+        """Fold consecutive rows of one group straight from block columns.
 
-        The run-level entry point of both ingest paths: the caller hands the
-        run's parallel columns (times, sequences, covering ranges, and —
+        The column-level entry point of both ingest paths: the caller hands
+        the rows' parallel columns (times, sequences, covering ranges, and —
         for vector units — precomputed contribution rows) and no per-event
-        objects exist anywhere on the path.  Each ``(class, type)`` plan —
-        maps, sources, guards, armed sets — is resolved once per run, and
-        the kernel backend folds it with per-event reference arithmetic (the
-        python backend: bit-identical) or a vectorized closed form (the
-        numpy backend: the documented float-tolerance contract).
-        ``lows``/``highs`` must be the non-decreasing covering ranges of the
-        (sorted) ``times`` — what :meth:`Window.instance_range_columns`
-        produces.  Results *and* abstract
-        operation counts equal the equivalent sequence of :meth:`process`
-        calls under the python backend; this is pinned by the block
-        differential suites.
+        objects exist anywhere on the path.  ``lows``/``highs`` must be the
+        non-decreasing covering ranges of the (sorted) ``times`` — what
+        :meth:`Window.instance_range_columns` produces.  ``event_type`` is
+
+        * one type name for a same-type **run** (what a burst-buffered
+          executor flushes): each ``(class, type)`` plan is resolved once
+          and the kernel backend folds every sharing column of it with
+          per-event reference arithmetic (the python backend:
+          bit-identical) or a vectorized closed form (the numpy backend:
+          the documented float-tolerance contract); or
+        * one type name per row for a mixed-type **segment** (what the
+          static block path hands over between two close sweeps), folded
+          class by class (:meth:`_fold_segment`).  Only a unit whose every
+          type is columnar, with no split sharing column, takes one.
+
+        Results *and* abstract operation counts equal the equivalent
+        sequence of :meth:`process` calls under the python backend; this is
+        pinned by the block and segment differential suites.
 
         Returns ``False`` **without touching any engine state** when the
-        run needs per-event :class:`Event` structure — store interactions
+        rows need per-event :class:`Event` structure — store interactions
         (the type is negated or stored by some class), local predicates,
         the scan slow path, or a stale guard — so the caller can replay
-        the rows through the per-event reference entry points.
+        them through the per-event reference entry points.
         """
+        if not isinstance(event_type, str):
+            return self._fold_segment(
+                event_type, times, sequences, lows, highs, contribution_rows
+            )
         unit = self.unit
         store = self._store
         if store is not None and (
@@ -563,29 +641,30 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         if cursor is not None:
             self._latest_event = _OrderPoint(cursor[0], cursor[1])
         count = len(times)
-        if plans is None:
-            return True
-        for plan in plans:
+        for plan in plans or ():
             armed = self._armed[plan.spec.index]
-            if plan.is_start:
-                # Covering ranges are non-decreasing over sorted times
-                # (``Window.instance_range_columns``), so the run is uniform
-                # iff its endpoints agree.
-                lo0, hi0 = lows[0], highs[0]
-                if lows[-1] != lo0 or highs[-1] != hi0:
-                    # Covering ranges differ inside the run: arming
-                    # interleaves with folding, which only the per-event
-                    # order reproduces.  Guards were already resolved fast
-                    # for the whole run, so this never needs Event objects.
-                    self._block_run_reference(plan, lows, highs, contribution_rows)
-                    continue
-                for index in range(lo0, hi0 + 1):
+            if not plan.is_start:
+                if armed:
+                    self._fold_run(plan, armed, count, contribution_rows)
+                continue
+            # A start row arms its covering range before it folds.  Ranges
+            # are non-decreasing over sorted times, so the run is cut where
+            # the high end moves: within a cut the first row's range covers
+            # every later row's.
+            first = 0
+            while first < count:
+                high = highs[first]
+                last = bisect.bisect_right(highs, high, first)
+                for index in range(lows[first], high + 1):
                     if index not in armed:
                         armed[index] = True
                         self._armed_entries += 1
-            if not armed:
-                continue
-            self._fold_run(plan, armed, count, contribution_rows)
+                if armed:
+                    rows = contribution_rows
+                    if rows is not None and last - first < count:
+                        rows = rows[first:last]
+                    self._fold_run(plan, armed, last - first, rows)
+                first = last
         return True
 
     def _fold_run(
@@ -633,35 +712,160 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             count * len(plan.targets) * len(indices) * (1 + len(plan.pred_maps))
         )
 
-    def _block_run_reference(
+    def _fold_segment(
         self,
-        plan: _TypePlan,
+        types: Sequence[EventType],
+        times: Sequence[float],
+        sequences: Sequence[int],
         lows: Sequence[int],
         highs: Sequence[int],
         contribution_rows: Optional[Sequence[tuple[float, ...]]],
-    ) -> None:
-        """Per-event-order fold of one plan over a non-uniform block run.
+    ) -> bool:
+        """Fold one mixed-type segment, class by class.
 
-        For start plans whose covering ranges differ inside the run: arm
-        each row's range, then take the fast path per row.  The caller has
-        already established that every plan of the run's type is
-        fast-eligible (guards present and not stale) and that the type is
-        neither stored nor negated, so no :class:`Event` is ever needed.
+        What may reorder against the per-event run: cells (one class's
+        windows fold before the next class's, whatever the row order).
+        What may not: the rows within a cell.  A start-type row arms its
+        covering range before it folds, so a class's rows are cut where
+        such a row arms a window: the rows before it go to the windows
+        armed so far, and the newly armed ones join from that row on.
         """
-        armed = self._armed[plan.spec.index]
-        scalar = self.unit.scalar
-        for position in range(len(lows)):
-            for index in range(lows[position], highs[position] + 1):
-                if index not in armed:
-                    armed[index] = True
-                    self._armed_entries += 1
-            if not armed:
+        if not self.unit.columnar or self._columns:
+            return False
+        cursor = ensure_shared_run_order(times, sequences, self._latest_event)
+        if cursor is not None:
+            self._latest_event = _OrderPoint(cursor[0], cursor[1])
+        plans = self._class_plans or self._compile_class_plans()
+        shared = self._shared_rows
+        feeds = self._own_feeds
+        for row, event_type in enumerate(types):
+            shared_rows = shared.get(event_type)
+            if shared_rows is not None:
+                shared_rows.append(row)
+            for own, before, slot in feeds.get(event_type, ()):
+                own.append((len(before), slot, row))
+        scalar = contribution_rows is None
+        for plan in plans:
+            own = plan.own
+            stop = len(plan.shared_rows)
+            armed = plan.armed
+            fold = self._fold_pair_cells if plan.pair and scalar else self._fold_class_runs
+            if not own:
+                if stop and armed:
+                    fold(plan, own, 0, stop, contribution_rows)
                 continue
-            if scalar:
-                self._fast_scalar(plan, armed, None)
-            else:
-                assert contribution_rows is not None
-                self._fast_vector(plan, armed, contribution_rows[position], None)
+            first = start = 0
+            starts = plan.starts
+            for position, (before, slot, row) in enumerate(own):
+                if not starts[slot]:
+                    continue
+                fresh = [
+                    index for index in range(lows[row], highs[row] + 1) if index not in armed
+                ]
+                if fresh:
+                    if armed and (position > first or before > start):
+                        fold(plan, own[first:position], start, before, contribution_rows)
+                    first, start = position, before
+                    armed.update(dict.fromkeys(fresh, True))
+                    self._armed_entries += len(fresh)
+            if armed:
+                fold(plan, own[first:] if first else own, start, stop, contribution_rows)
+            own.clear()
+        for shared_rows in shared.values():
+            shared_rows.clear()
+        return True
+
+    def _compile_class_plans(self) -> tuple[_ClassPlan, ...]:
+        """Build the class plans and wire each event type to the scratch
+        lists its rows go to (see :class:`_ClassPlan`)."""
+        readers = self.unit.positive_classes_by_type
+        plans = self._class_plans = tuple(
+            _ClassPlan(spec, self._armed[spec.index], self._plan_of, readers)
+            for spec in self.unit.classes
+        )
+        own_feeds: dict[EventType, list[tuple]] = {}
+        for plan in plans:
+            if plan.shared is not None:
+                plan.shared_rows = self._shared_rows.setdefault(plan.types[plan.shared], [])
+            for slot, event_type in enumerate(plan.types):
+                if slot != plan.shared:
+                    own_feeds.setdefault(event_type, []).append(
+                        (plan.own, plan.shared_rows, slot)
+                    )
+        self._own_feeds = {name: tuple(feeds) for name, feeds in own_feeds.items()}
+        return plans
+
+    def _fold_pair_cells(
+        self,
+        plan: _ClassPlan,
+        own: Sequence[tuple[int, int, int]],
+        start: int,
+        stop: int,
+        contribution_rows: None,
+    ) -> None:
+        """Cell-local fold of a scalar prefix + Kleene class: shared (Kleene)
+        rows ``start..stop`` with the ``own`` (prefix) rows interleaved.
+
+        Each armed cell loads its two coefficients into locals, steps
+        through the rows and stores once.  A prefix row is ``prefix +=
+        1.0``; a Kleene row folds ``0.0 + prefix + total`` (in either source
+        order: a sum of two floats commutes) into ``total``.  An absent
+        coefficient loads as ``0.0`` (``x + 0.0 == x``: no fold produces
+        ``-0.0``) and is stored only if a row touched it, so entries appear
+        exactly where the per-event fold creates them.
+        """
+        armed = plan.armed
+        prefix_map, kleene_map = plan.plans[0].total_map, plan.plans[1].total_map
+        created = -len(prefix_map) - len(kleene_map)
+        prefix_get, kleene_get = prefix_map.get, kleene_map.get
+        kleene_rows = stop - start
+        runs = []
+        for before, _, _ in own:
+            runs.append(range(before - start))
+            start = before
+        last = range(stop - start)
+        for index in armed:
+            prefix = prefix_get(index, 0.0)
+            total = kleene_get(index, 0.0)
+            for run in runs:
+                for _ in run:
+                    total += prefix + total
+                prefix += 1.0
+            for _ in last:
+                total += prefix + total
+            if runs:
+                prefix_map[index] = prefix
+            if kleene_rows:
+                kleene_map[index] = total
+        self._coeff_entries += created + len(prefix_map) + len(kleene_map)
+        self._ops += len(armed) * (len(own) + 3 * kleene_rows)
+
+    def _fold_class_runs(
+        self,
+        plan: _ClassPlan,
+        own: Sequence[tuple[int, int, int]],
+        start: int,
+        stop: int,
+        contribution_rows: Optional[Sequence[tuple[float, ...]]],
+    ) -> None:
+        """Fold any other class: its rows — shared rows ``start..stop`` with
+        ``own`` interleaved — go to the kernel backend one same-type run at a
+        time (runs of the class, so a foreign type in between cuts nothing)."""
+        shared, shared_rows = plan.shared, plan.shared_rows
+        steps: list[tuple[Optional[int], int]] = []
+        for before, slot, row in own:
+            steps += [(shared, at) for at in shared_rows[start:before]]
+            steps.append((slot, row))
+            start = before
+        steps += [(shared, at) for at in shared_rows[start:stop]]
+        for slot, run in itertools.groupby(steps, key=operator.itemgetter(0)):
+            rows = [row for _, row in run]
+            self._fold_run(
+                plan.plans[slot],
+                plan.armed,
+                len(rows),
+                None if contribution_rows is None else [contribution_rows[row] for row in rows],
+            )
 
     def close_window(self, index: int) -> dict[str, float]:
         """Equation 3 readout of one instance from its coefficient column."""

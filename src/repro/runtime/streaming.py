@@ -129,7 +129,9 @@ from repro.template.template import compile_pattern
 #: v5: the reorder buffer holds its segments as plain blocks of unreleased
 #: rows (no ``[block, cursor]`` pairs) and a block pickles its own rows
 #: only, compacted (``EventBlock.__reduce__``).
-SNAPSHOT_VERSION = 5
+#: v6: shared-window engines carry their segment-fold plans
+#: (``MultiWindowLinearEngine._class_plans``, compiled by the first segment).
+SNAPSHOT_VERSION = 6
 
 #: Retract policy: a core snapshot is rotated every this many released
 #: items; the last two are retained, bounding both the replay work of one
@@ -220,8 +222,9 @@ class _SharedGroup:
     #: (``UnitCompilation.columnar_types``).  Burst-buffered configurations
     #: keep it across ``process``/``process_block`` calls (flushed on the
     #: burst schedule: type change, size cap, window close, finish); the
-    #: static path only within one block.  ``burst_type`` is meaningful
-    #: while ``burst`` is non-empty.
+    #: static path only within one block, and not at all for units it folds
+    #: a segment at a time.  ``burst_type`` is meaningful while ``burst``
+    #: is non-empty.
     burst_type: Optional[EventType] = None
     burst: list = field(default_factory=list)
 
@@ -246,6 +249,10 @@ class _BlockUnitColumns:
     #: indices above the cached high — the per-event path re-probes the full
     #: covering range on every event.  Cleared whenever a sweep runs.
     armed: dict = field(default_factory=dict)
+    #: Segment folding only (``None`` otherwise): ``group key -> block rows
+    #: fed since the last close sweep`` — a group's whole segment goes to
+    #: its engine in one call.  Emptied by every segment flush.
+    rows: Optional[dict] = None
 
 
 @dataclass(eq=False)
@@ -382,6 +389,9 @@ class StreamingExecutor:
         self._burst_buffering = (
             self._optimizer_factory is not None or self._kernel_backend.wants_bursts
         )
+        #: The static plan on a reference-exact backend folds a columnar
+        #: unit's rows one ``(group, close-sweep segment)`` at a time.
+        self._segment_folding = not self._burst_buffering and self._kernel_backend.exact
         if burst_size is not None and not self._burst_buffering:
             # Burst segmentation only exists when bursts are buffered;
             # silently ignoring the cap would hide the misconfiguration.
@@ -504,19 +514,23 @@ class StreamingExecutor:
         one vectorized pass over the time column
         (:meth:`~repro.query.windows.Window.instance_range_columns`), group
         keys and measure contributions read the block's cached payload
-        columns, and maximal same-``(group, type)`` runs are buffered as
-        column rows and fed to the engine's run-level fold
+        columns, and the engine folds the rows from columns
         (:meth:`MultiWindowLinearEngine.process_block_run`).
 
-        The static plan folds every pending run by the end of the block.
-        Burst-buffered configurations (an adaptive optimizer, or a kernel
-        backend that wants bursts) keep a group's pending run across the
-        block boundary and flush it on the burst schedule alone — type
-        change, ``burst_size`` cap, window close, finish — so bursts, and
-        with them the per-burst decisions, are those of the per-event run
-        whatever the block cuts.  Row views are materialized only for runs
-        the engine declines (negation, local or edge predicates) and for
-        per-instance fallback units.
+        The static plan on the reference backend hands a unit whose every
+        type is columnar over one ``(group, close-sweep segment)`` at a
+        time: between two sweeps no window closes, so nothing forces a cut,
+        and the group's mixed-type rows go to the engine in one call.  Any
+        other unit buffers maximal same-``(group, type)`` runs as column
+        rows for the engine's run fold; the static plan folds every pending
+        run by the end of the block, while burst-buffered configurations
+        (an adaptive optimizer, or a kernel backend that wants bursts) keep
+        a group's pending run across the block boundary and flush it on the
+        burst schedule alone — type change, ``burst_size`` cap, window
+        close, finish — so bursts, and with them the per-burst decisions,
+        are those of the per-event run whatever the block cuts.  Row views
+        are materialized only for runs the engine declines (negation, local
+        or edge predicates) and for per-instance fallback units.
 
         With ``allowed_lateness`` set the block — in any row order — goes
         through the reorder buffer as columns and comes back as blocks;
@@ -578,13 +592,13 @@ class StreamingExecutor:
         #: ``(window size, slide) -> (lows, highs)`` — units sharing a window
         #: shape share one covering-range pass over the time column.
         range_cache: dict[tuple[float, float], tuple[list[int], list[int]]] = {}
-        prepared: dict[_Unit, _BlockUnitColumns] = {}
         #: Shared-unit states in first-touch order.
-        states: list[_BlockUnitColumns] = []
+        prepared: dict[_Unit, _BlockUnitColumns] = {}
         #: Per type code: the ``_block_code_feeds`` tuples, resolved lazily
         #: on the code's first row.
         feeds_by_code: list[Optional[list]] = [None] * len(block.type_table)
-        #: Groups whose burst took rows of this block (repeats allowed).
+        #: Static path: groups whose run buffer took rows of this block
+        #: (repeats allowed).  Buffered bursts flush on their own schedule.
         touched: list[_SharedGroup] = []
         #: ``None`` per row: the contribution column of scalar units and the
         #: event column of types whose runs are always folded from columns.
@@ -595,8 +609,8 @@ class StreamingExecutor:
         clock = self._clock
         consumed = self._consumed
         engine_feeds = 0
-        metrics = self._report.metrics
         next_close = self._next_close
+        columns = (block.type_table, times_col, codes_col, seqs_col)
         for local, event_time, code, sequence in zip(
             range(count), times_col, codes_col, seqs_col
         ):
@@ -604,14 +618,12 @@ class StreamingExecutor:
             consumed += 1
             if event_time >= next_close:
                 if not buffering:
-                    # Pending rows precede the boundary: fold them before any
-                    # window they may contribute to is read out.  (Buffered
-                    # bursts stay; the sweep flushes those of closing groups.)
-                    for group in touched:
-                        if group.burst:
-                            self._flush_group(group)
-                    touched.clear()
-                for state in states:
+                    # What the static path holds back precedes the boundary:
+                    # fold it before any window it may contribute to is read
+                    # out.  (Buffered bursts stay; the sweep flushes those of
+                    # closing groups.)
+                    self._flush_static(touched, prepared, *columns)
+                for state in prepared.values():
                     state.armed.clear()
                 self._clock = clock
                 self._consumed = consumed
@@ -622,7 +634,7 @@ class StreamingExecutor:
             feeds = feeds_by_code[code]
             if feeds is None:
                 feeds = feeds_by_code[code] = self._block_code_feeds(
-                    block, code, codes_col, nones, prepared, states, range_cache
+                    block, code, codes_col, nones, prepared, range_cache
                 )
             if not feeds:
                 continue
@@ -644,52 +656,44 @@ class StreamingExecutor:
                 hi = state.highs[local]
                 if hi < lo:
                     continue
-                metas = group.metas
                 if qualifies:
                     cached = state.armed.get(group_key)
                     if cached is None or hi > cached:
                         # Indices up to ``cached`` were armed earlier in this
                         # sweep segment and cannot have closed since.
-                        first = lo if cached is None else max(lo, cached + 1)
-                        opened = False
-                        window = unit.spec.window
-                        for index in range(first, hi + 1):
-                            if index not in metas:
-                                end = window.instance_bounds(index)[1]
-                                metas[index] = _WindowMeta(
-                                    index, end, group.fed, group.share_seconds
-                                )
-                                opened = True
-                                self._shared_active += 1
-                                if end < unit.next_close:
-                                    unit.next_close = end
-                                    if end < self._next_close:
-                                        self._next_close = end
-                                        next_close = end
+                        self._open_windows(
+                            unit, group, lo if cached is None else max(lo, cached + 1), hi
+                        )
+                        next_close = self._next_close
                         state.armed[group_key] = hi
-                        if opened:
-                            metrics.note_active_windows(self.active_window_count())
-                if not metas:
+                if not group.metas:
                     continue
-                burst = group.burst
-                if burst and (group.burst_type != event_type or len(burst) >= cap):
-                    self._flush_group(group)
+                pending = state.rows
+                if pending is not None:
+                    rows = pending.get(group_key)
+                    if rows is None:
+                        pending[group_key] = [local]
+                    else:
+                        rows.append(local)
+                else:
                     burst = group.burst
-                if not burst:
-                    group.burst_type = event_type
-                    touched.append(group)
-                burst.append(
-                    (event_time, sequence, lo, hi, contributions[local], events[local])
-                )
+                    if burst and (group.burst_type != event_type or len(burst) >= cap):
+                        self._flush_group(group)
+                        burst = group.burst
+                    if not burst:
+                        group.burst_type = event_type
+                        if not buffering:
+                            touched.append(group)
+                    burst.append(
+                        (event_time, sequence, lo, hi, contributions[local], events[local])
+                    )
                 group.fed += 1
                 # One stamp covers the whole block: every feed of this
                 # group during the block happens at the same arrival.
                 group.last_arrival = arrival
                 engine_feeds += 1
         if not buffering:
-            for group in touched:
-                if group.burst:
-                    self._flush_group(group)
+            self._flush_static(touched, prepared, *columns)
         self._clock = clock
         self._consumed = consumed
         self._engine_feeds += engine_feeds
@@ -1302,21 +1306,9 @@ class StreamingExecutor:
         lo, hi = indices.start, indices.stop - 1
         if hi < lo:
             return
-        metas = group.metas
         if qualifies:
-            opened = False
-            for index in range(lo, hi + 1):
-                if index not in metas:
-                    end = window.instance_bounds(index)[1]
-                    metas[index] = _WindowMeta(index, end, group.fed, group.share_seconds)
-                    opened = True
-                    self._shared_active += 1
-                    if end < unit.next_close:
-                        unit.next_close = end
-                        if end < self._next_close:
-                            self._next_close = end
-            if opened:
-                self._report.metrics.note_active_windows(self.active_window_count())
+            self._open_windows(unit, group, lo, hi)
+        metas = group.metas
         if not metas:
             # No window of this group is open: the event precedes every
             # trend-start event of every instance covering it and is
@@ -1365,6 +1357,60 @@ class StreamingExecutor:
         if self._optimizer_factory is not None:
             group.optimizer = self._optimizer_factory()
         return group
+
+    def _open_windows(self, unit: _Unit, group: _SharedGroup, first: int, last: int) -> None:
+        """Open the window instances ``first..last`` of ``group`` not open yet."""
+        metas = group.metas
+        window = unit.spec.window
+        opened = False
+        for index in range(first, last + 1):
+            if index not in metas:
+                end = window.instance_bounds(index)[1]
+                metas[index] = _WindowMeta(index, end, group.fed, group.share_seconds)
+                opened = True
+                self._shared_active += 1
+                if end < unit.next_close:
+                    unit.next_close = end
+                    if end < self._next_close:
+                        self._next_close = end
+        if opened:
+            self._report.metrics.note_active_windows(self.active_window_count())
+
+    def _flush_static(
+        self,
+        touched: list[_SharedGroup],
+        prepared: dict[_Unit, _BlockUnitColumns],
+        type_table: Sequence[EventType],
+        times: Sequence[float],
+        codes: Sequence[int],
+        sequences: Sequence[int],
+    ) -> None:
+        """Fold what the static block path holds back: the ``touched``
+        groups' pending runs, and what each group of a segment-folded unit
+        took since the last close sweep — one engine call per ``(group,
+        segment)`` on columns gathered once, no per-row tuple in between."""
+        for group in touched:
+            if group.burst:
+                self._flush_group(group)
+        touched.clear()
+        for unit, state in prepared.items():
+            if not state.rows:
+                continue
+            lows, highs, contributions = state.lows, state.highs, state.contributions
+            for group_key, rows in state.rows.items():
+                group = unit.shared_groups[group_key]
+                vector = not group.engine.unit.scalar
+                started = time.perf_counter()
+                group.engine.process_block_run(
+                    [type_table[codes[row]] for row in rows],
+                    [times[row] for row in rows],
+                    [sequences[row] for row in rows],
+                    [lows[row] for row in rows],
+                    [highs[row] for row in rows],
+                    [contributions[row] for row in rows] if vector else None,
+                )
+                group.share_seconds += (time.perf_counter() - started) / len(group.metas)
+            state.rows.clear()
 
     def _flush_group(self, group: _SharedGroup) -> None:
         """Decide (adaptive mode) and fold the group's buffered run.
@@ -1418,7 +1464,6 @@ class StreamingExecutor:
         codes: Sequence[int],
         nones: Sequence[None],
         prepared: dict[_Unit, _BlockUnitColumns],
-        states: list[_BlockUnitColumns],
         range_cache: dict[tuple[float, float], tuple[list[int], list[int]]],
     ) -> list[tuple]:
         """Resolve who one type code's rows feed, and with which columns.
@@ -1464,8 +1509,8 @@ class StreamingExecutor:
                         if compiled.scalar
                         else self._block_contributions(block, compiled, codes)
                     ),
+                    rows={} if self._segment_folding and compiled.columnar else None,
                 )
-                states.append(state)
             events: Sequence[Optional[Event]] = (
                 nones if event_type in compiled.columnar_types else block
             )

@@ -689,18 +689,18 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A pre-PR-15 snapshot (v4: reorder segments pickled as ``[block,
-    cursor]`` pairs over whole root blocks) is refused with a typed error
-    instead of resuming a buffer whose segments are not plain blocks."""
+    """A pre-PR-16 snapshot (v5: shared-window engines pickled without
+    their segment-fold plans) is refused with a typed error instead of
+    resuming engines the static block path cannot fold segments into."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 5
-    state["version"] = 4
-    with pytest.raises(CheckpointError, match="schema version 4"):
+    assert state["version"] == SNAPSHOT_VERSION == 6
+    state["version"] = 5
+    with pytest.raises(CheckpointError, match="schema version 5"):
         executor.restore_state(pickle.dumps(state))
 
 

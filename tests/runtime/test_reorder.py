@@ -1119,6 +1119,39 @@ class TestStrictModeUnchanged:
         with pytest.raises(OutOfOrderError, match="sharded executor"):
             executor.process(Event("B", 4.0, {"g": 1.0}, sequence=1))
 
+    def test_block_order_guard_names_the_offending_row(self):
+        # The in-order case is a C-speed probe; the walk only names the row.
+        from repro.runtime.reorder import ensure_block_in_order
+
+        times = [0.0, 1.0, 1.0, 4.0, 3.5, 9.0]
+        assert ensure_block_in_order(times, 0, 4, float("-inf")) == 4.0
+        assert ensure_block_in_order(times, 1, 4, 1.0) == 4.0
+        assert ensure_block_in_order(times, 2, 2, 7.0) == 7.0  # empty slice
+        with pytest.raises(OutOfOrderError) as error:
+            ensure_block_in_order(times, 0, 6, float("-inf"))
+        assert str(error.value) == (
+            "streaming executor requires in-order arrival: event at 3.5 arrived "
+            "after stream time 4.0; pass allowed_lateness=... to buffer bounded disorder"
+        )
+        with pytest.raises(OutOfOrderError, match="event at 1.0 arrived after stream time 2.0"):
+            ensure_block_in_order(times, 1, 4, 2.0, what="sharded executor")
+
+    def test_block_order_guard_keeps_its_nan_behaviour(self):
+        # NaN compares false either way: it never trips the guard, and it
+        # hides a regression across it (5.0 -> 3.0 below) but not a direct
+        # one — exactly what the per-row walk always did.
+        from repro.runtime.reorder import ensure_block_in_order
+
+        nan = float("nan")
+        assert ensure_block_in_order([1.0, 5.0, nan, 3.0, 4.0], 0, 5, 0.0) == 4.0
+        assert ensure_block_in_order([nan, 2.0], 0, 2, 9.0) == 2.0
+        last = ensure_block_in_order([1.0, nan], 0, 2, 0.0)
+        assert last != last
+        with pytest.raises(OutOfOrderError, match="event at 2.0 arrived after stream time 3.0"):
+            ensure_block_in_order([1.0, nan, 3.0, 2.0], 0, 4, 0.0)
+        with pytest.raises(OutOfOrderError, match="event at 1.0 arrived after stream time 2.0"):
+            ensure_block_in_order([nan] * 70 + [2.0, 1.0], 0, 72, 0.0)
+
     def test_sharded_watermark_is_min_over_shards(self):
         executor = ShardedStreamingExecutor(
             grouped_queries(), HamletEngine, workers=0, shards=2, allowed_lateness=2.0
