@@ -65,6 +65,9 @@ class PartitionResult:
     #: Derived start time of the instance, for reporting.
     window_start: float
     results: Mapping[str, float]
+    #: Engine wall time attributed to the partition.  The streaming executor
+    #: splits each feed of a group's engine evenly over the instances open at
+    #: the time — one engine per instance or not — and adds the readout.
     seconds: float
     events: int
 

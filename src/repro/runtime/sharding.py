@@ -56,7 +56,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from queue import Empty, Full
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.engine import HamletEngine
 from repro.core.kernels import KernelBackendSpec, resolve_kernel_backend
@@ -1771,49 +1771,8 @@ def run_sharded(
     workload: Workload | Sequence[Query],
     stream: EventStream | EventBlock | Iterable[Event],
     engine_factory: EngineFactory = HamletEngine,
-    *,
-    workers: int = 0,
-    shards: Optional[int] = None,
-    routing: str = "auto",
-    batch_size: int = 512,
-    max_inflight: int = 8,
-    lazy_open: bool = True,
-    shared_windows: bool = True,
-    optimizer: OptimizerSpec = None,
-    burst_size: Optional[int] = None,
-    kernel_backend: KernelBackendSpec = None,
-    transport: str = "pickle",
-    slab_bytes: int = DEFAULT_SLAB_BYTES,
-    allowed_lateness: Optional[float] = None,
-    late_policy: str = "raise",
-    on_late: Optional[Callable[[Event], None]] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_interval: int = 16,
-    max_restarts: int = 3,
-    replay_limit: int = 64,
+    **options: Any,
 ) -> ExecutionReport:
-    """One-shot convenience wrapper around :class:`ShardedStreamingExecutor`."""
-    executor = ShardedStreamingExecutor(
-        workload,
-        engine_factory,
-        workers=workers,
-        shards=shards,
-        routing=routing,
-        batch_size=batch_size,
-        max_inflight=max_inflight,
-        lazy_open=lazy_open,
-        shared_windows=shared_windows,
-        optimizer=optimizer,
-        burst_size=burst_size,
-        kernel_backend=kernel_backend,
-        transport=transport,
-        slab_bytes=slab_bytes,
-        allowed_lateness=allowed_lateness,
-        late_policy=late_policy,
-        on_late=on_late,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        max_restarts=max_restarts,
-        replay_limit=replay_limit,
-    )
-    return executor.run(stream)
+    """One-shot convenience wrapper around :class:`ShardedStreamingExecutor`;
+    ``options`` are the constructor's keyword-only arguments."""
+    return ShardedStreamingExecutor(workload, engine_factory, **options).run(stream)

@@ -7,20 +7,21 @@ reference, but its latency, memory and throughput are artifacts of replay.
 This module is the online counterpart:
 
 * events are consumed **in timestamp order exactly once**;
-* with **shared windows** (the default), each ``(group key, execution
-  unit)`` pair is served by one
-  :class:`~repro.runtime.shared_windows.MultiWindowLinearEngine` that does
-  the graph work of an event once for *all* overlapping window instances
-  and tags the running aggregates with per-window-instance coefficients; a
-  window's close is an O(active windows) coefficient readout plus eviction
-  of events that fall out of every live instance;
-* with ``shared_windows=False`` (the per-instance reference path, also the
-  fallback for engines without a shared-window implementation — baselines,
-  MIN/MAX units), an active-window index per ``(group key, window
-  instance)`` feeds each event incrementally to the engines of the window
-  instances covering it — at most ``ceil(size/slide)`` per event; closed
-  instances return their engines to a per-unit pool
-  (``TrendAggregationEngine.close``);
+* **one window lifecycle**: each live ``(group key, execution unit)`` pair
+  is a group — its open window instances plus one
+  :class:`~repro.interfaces.MultiWindowEngine`, fed every relevant event
+  once with the range of instances covering it and read out instance by
+  instance as the stream passes their ends;
+* with **shared windows** (the default) that engine is a
+  :class:`~repro.runtime.shared_windows.MultiWindowLinearEngine`: the graph
+  work of an event is done once for *all* overlapping window instances and
+  the running aggregates carry per-window-instance coefficients; a close is
+  a coefficient readout plus eviction of events no live instance covers;
+* with ``shared_windows=False`` (the semantics reference), and for engines
+  without a shared-window implementation (baselines, MIN/MAX units), it is
+  an :class:`~repro.runtime.instance_windows.InstanceWindowEngine`: one
+  pooled single-window engine per live instance — at most
+  ``ceil(size/slide)`` feeds per event, engines reused across instances;
 * the moment the stream passes a window's end, its result is emitted through
   a callback as a :class:`WindowResult` and the window's state is
   **evicted**, so peak memory is bounded by the *live* state instead of the
@@ -33,11 +34,11 @@ queries arrives inside the instance.  Events preceding every trend-start
 event are provably inert: a trend is a time-ordered match beginning with a
 start-type event, negation constraints only invalidate edges between stored
 positive events, and leading ``NOT`` carries no constraint, so no engine's
-result can depend on the skipped prefix.  The shared-window path propagates
+result can depend on the skipped prefix.  The shared-window engine propagates
 the same invariant per query class: a window is *armed* for a class only
 once a class start-type event arrives inside it, and unarmed windows are
 skipped by every per-window loop.  The randomized equivalence suite asserts
-bit-identical totals across the shared, per-instance and batch paths.
+bit-identical totals across the shared, per-instance and batch evaluations.
 
 With ``optimizer=...`` (a policy name or a
 :class:`~repro.optimizer.decisions.SharingOptimizer` factory) the shared
@@ -74,7 +75,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence, overload
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
 from repro.core.kernels import KernelBackendSpec, resolve_kernel_backend
@@ -83,11 +84,10 @@ from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
 from repro.events.stream import EventStream, slice_stream
 from repro.greta.engine import GretaEngine
-from repro.interfaces import TrendAggregationEngine
+from repro.interfaces import MultiWindowEngine
 from repro.optimizer.decisions import OptimizerStatistics, SharingOptimizer
 from repro.optimizer.registry import OptimizerSpec, resolve_optimizer_factory
 from repro.query.query import Query
-from repro.query.windows import Window
 from repro.query.workload import Workload
 from repro.runtime.executor import (
     EngineFactory,
@@ -99,7 +99,8 @@ from repro.runtime.executor import (
     unit_is_linear,
     unit_relevant_types,
 )
-from repro.runtime.partitioner import PartitionKey, PartitionSpec, group_sort_key
+from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
+from repro.runtime.partitioner import PartitionSpec, group_sort_key
 from repro.runtime.reorder import (
     ReorderBuffer,
     ensure_block_in_order,
@@ -131,7 +132,9 @@ from repro.template.template import compile_pattern
 #: only, compacted (``EventBlock.__reduce__``).
 #: v6: shared-window engines carry their segment-fold plans
 #: (``MultiWindowLinearEngine._class_plans``, compiled by the first segment).
-SNAPSHOT_VERSION = 6
+#: v7: a unit ships ``(groups, engine pool, next close)``; per-instance
+#: engines live inside their group's ``InstanceWindowEngine``.
+SNAPSHOT_VERSION = 7
 
 #: Retract policy: a core snapshot is rotated every this many released
 #: items; the last two are retained, bounding both the replay work of one
@@ -141,7 +144,8 @@ _RETRACT_INTERVAL = 256
 
 @dataclass(frozen=True)
 class WindowResult:
-    """One closed window instance, emitted the moment the stream passes it."""
+    """One closed window instance, emitted the moment the stream passes it
+    (engine seconds: see ``PartitionResult.seconds`` of the same key)."""
 
     group_key: tuple
     #: Integer window-instance index (instance spans ``[k*slide, k*slide+size)``).
@@ -150,8 +154,8 @@ class WindowResult:
     window_end: float
     #: Final aggregate per query of the instance's execution unit.
     results: Mapping[str, float]
-    #: Events fed to this instance (shared mode: relevant group events that
-    #: arrived between the instance's opening and its close).
+    #: Relevant group events that arrived between the instance's opening
+    #: and its close.
     events: int
     #: Wall-clock seconds from the arrival of the instance's last contributing
     #: event to the emission of this result.
@@ -162,22 +166,9 @@ class WindowResult:
     retraction: bool = False
 
 
-@dataclass
-class _Instance:
-    """Runtime state of one open ``(group key, window instance)`` (per-instance mode)."""
-
-    key: PartitionKey
-    end: float
-    engine: TrendAggregationEngine
-    events: int = 0
-    seconds: float = 0.0
-    #: ``time.perf_counter()`` at the arrival of the last fed event.
-    last_arrival: float = 0.0
-
-
 @dataclass(slots=True)
 class _WindowMeta:
-    """Bookkeeping of one open window instance of a shared group."""
+    """Bookkeeping of one open window instance of a group."""
 
     index: int
     end: float
@@ -189,15 +180,18 @@ class _WindowMeta:
 
 @dataclass(slots=True)
 class _SharedGroup:
-    """One ``(group key, execution unit)`` pair on the shared-window path."""
+    """One live ``(group key, execution unit)`` pair: its open window
+    instances and the engine that evaluates all of them."""
 
-    engine: MultiWindowLinearEngine
+    #: :class:`MultiWindowLinearEngine` (compiled units: the only kind with
+    #: bursts or an optimizer), else :class:`InstanceWindowEngine`.
+    engine: MultiWindowEngine
     #: True when the engine keeps a node store that needs eviction sweeps.
     evicts: bool
     #: Open window instances in ascending index order (windows open and
     #: close monotonically for an in-order stream).
     metas: dict[int, _WindowMeta] = field(default_factory=dict)
-    #: Relevant events fed to the shared engine so far.
+    #: Relevant events fed to the engine so far.
     fed: int = 0
     #: ``time.perf_counter()`` at the arrival of the last fed event.
     last_arrival: float = 0.0
@@ -270,23 +264,14 @@ class _Unit:
     #: Types that can start a trend of at least one unit query (lazy-open gate).
     opening_types: frozenset[EventType]
     linear: bool
-    #: Shared-window compilation; None means the per-instance fallback.
+    #: Idle single-window engines (taken by uncompiled units only).
+    pool: EnginePool
+    #: Shared-window compilation; ``None``: one pooled engine per instance.
     compiled: Optional[UnitCompilation] = None
-    #: Shared mode: one engine + window bookkeeping per group key.
+    #: One engine + window bookkeeping per live group key.
     shared_groups: dict[tuple, _SharedGroup] = field(default_factory=dict)
-    #: Per-instance mode: open instances and the engine pool.
-    open: dict[PartitionKey, _Instance] = field(default_factory=dict)
-    pool: list[TrendAggregationEngine] = field(default_factory=list)
     #: Earliest end among open instances (``inf`` when none are open).
     next_close: float = float("inf")
-
-    @property
-    def window(self) -> Window:
-        return self.spec.window
-
-    @property
-    def shared(self) -> bool:
-        return self.compiled is not None
 
 
 class StreamingExecutor:
@@ -322,11 +307,11 @@ class StreamingExecutor:
             shared_windows: Evaluate all overlapping window instances of a
                 ``(group, unit)`` pair with one shared multi-window engine
                 (events processed once, per-window coefficients, see
-                :mod:`repro.runtime.shared_windows`).  Disable to fall back
-                to one engine per window instance — the semantics reference.
+                :mod:`repro.runtime.shared_windows`).  Disable to evaluate
+                one engine per window instance — the semantics reference.
                 Engines without a shared-window implementation (baselines,
-                MIN/MAX units, ``fast_predecessor_totals=False``) use the
-                per-instance path regardless.
+                MIN/MAX units, ``fast_predecessor_totals=False``) are
+                evaluated per instance regardless.
             optimizer: Per-burst sharing policy for the shared-window path:
                 ``None`` (the default) keeps the static compile-time plan
                 with zero burst overhead; a policy name (``"dynamic"``,
@@ -337,7 +322,7 @@ class StreamingExecutor:
                 decides per burst which class members share, and the engine
                 splits/merges its coefficient columns accordingly.  Results
                 are bit-identical whatever the policy; only the work and
-                memory profiles change.  Per-instance fallback units are
+                memory profiles change.  Per-instance units are
                 unaffected (their engines keep their own optimizers).
             burst_size: Optional cap on the events per burst when bursts are
                 buffered (``None``: bursts are the maximal same-type runs).
@@ -421,17 +406,11 @@ class StreamingExecutor:
         self._units_by_type = {
             event_type: tuple(units) for event_type, units in self._units_by_type.items()
         }
-        if prebuilt is not None:
-            first_instances = next(
-                (unit for unit in self._units if unit.linear and not unit.shared), None
-            )
-            if first_instances is not None:
-                first_instances.pool.append(prebuilt)
-                self._engines: list[TrendAggregationEngine] = [prebuilt]
-            else:
-                self._engines = []
-        else:
-            self._engines = []
+        pools = [unit.pool for unit in self._units if unit.linear and unit.compiled is None]
+        if prebuilt is not None and pools:
+            # The engine built to probe an opaque factory is the first pooled one.
+            pools[0].idle.append(prebuilt)
+            pools[0].created = 1
         self._begin_run()
 
     # ------------------------------------------------------------------ #
@@ -498,10 +477,7 @@ class StreamingExecutor:
             return
         arrival = time.perf_counter()
         for unit in units:
-            if unit.shared:
-                self._feed_shared(unit, event, arrival)
-            else:
-                self._feed_unit(unit, event, arrival)
+            self._feed(unit, event, arrival)
 
     def process_block(self, block: EventBlock) -> None:
         """Ingest a whole columnar block of events.
@@ -530,7 +506,8 @@ class StreamingExecutor:
         close, finish — so bursts, and with them the per-burst decisions,
         are those of the per-event run whatever the block cuts.  Row views
         are materialized only for runs the engine declines (negation, local
-        or edge predicates) and for per-instance fallback units.
+        or edge predicates) and for units evaluated per instance, whose
+        engines take an :class:`Event`.
 
         With ``allowed_lateness`` set the block — in any row order — goes
         through the reorder buffer as columns and comes back as blocks;
@@ -592,7 +569,7 @@ class StreamingExecutor:
         #: ``(window size, slide) -> (lows, highs)`` — units sharing a window
         #: shape share one covering-range pass over the time column.
         range_cache: dict[tuple[float, float], tuple[list[int], list[int]]] = {}
-        #: Shared-unit states in first-touch order.
+        #: Compiled-unit states in first-touch order.
         prepared: dict[_Unit, _BlockUnitColumns] = {}
         #: Per type code: the ``_block_code_feeds`` tuples, resolved lazily
         #: on the code's first row.
@@ -641,10 +618,11 @@ class StreamingExecutor:
             event: Optional[Event] = None
             for unit, state, qualifies, event_type, contributions, events in feeds:
                 if state is None:
+                    # Single-window engines take Events: the scalar feed.
                     if event is None:
                         event = block.event_at(local)
-                    self._feed_unit(unit, event, arrival)
-                    next_close = self._next_close  # an instance may have opened
+                    self._feed(unit, event, arrival)
+                    next_close = self._next_close  # a window may have opened
                     continue
                 group_key = state.group_keys[local]
                 group = unit.shared_groups.get(group_key)
@@ -790,12 +768,11 @@ class StreamingExecutor:
             "clock": self._clock,
             "consumed": self._consumed,
             "engine_feeds": self._engine_feeds,
-            "shared_active": self._shared_active,
+            "active_windows": self._active_windows,
             "windows_closed": self._windows_closed,
             "next_close": self._next_close,
             "units": [
-                (unit.shared_groups, unit.open, unit.pool, unit.next_close)
-                for unit in self._units
+                (unit.shared_groups, unit.pool, unit.next_close) for unit in self._units
             ],
             "report": replace(
                 report,
@@ -813,13 +790,11 @@ class StreamingExecutor:
         counters and retract log live *upstream* of the core and survive a
         retraction's state rollback.
         """
-        restored_engines: list[TrendAggregationEngine] = []
         arrival = time.perf_counter()
-        for unit, (shared_groups, open_instances, pool, next_close) in zip(
-            self._units, core["units"]
-        ):
+        for unit, (shared_groups, pool, next_close) in zip(self._units, core["units"]):
+            # Factories are never pickled; the restored groups share this pool.
+            pool.build = unit.pool.build
             unit.shared_groups = shared_groups
-            unit.open = open_instances
             unit.pool = pool
             unit.next_close = next_close
             # Arrival stamps came from another perf_counter epoch (a dead
@@ -827,15 +802,10 @@ class StreamingExecutor:
             # emission latencies stay non-negative.
             for group in shared_groups.values():
                 group.last_arrival = arrival
-            for instance in open_instances.values():
-                instance.last_arrival = arrival
-                restored_engines.append(instance.engine)
-            restored_engines.extend(pool)
-        self._engines = restored_engines
         self._clock = core["clock"]
         self._consumed = core["consumed"]
         self._engine_feeds = core["engine_feeds"]
-        self._shared_active = core["shared_active"]
+        self._active_windows = core["active_windows"]
         self._windows_closed = core["windows_closed"]
         self._next_close = core["next_close"]
         self._report = report = core["report"]
@@ -992,29 +962,8 @@ class StreamingExecutor:
         """Close every remaining window and return the report."""
         if self._reorder is not None:
             self._drain(self._reorder.flush())
-        self._report.metrics.note_memory_units(self._open_memory_units())
-        for unit in self._units:
-            if unit.shared:
-                for group in unit.shared_groups.values():
-                    if group.burst:
-                        self._flush_group(group)
-                pending = [
-                    (meta.end, group_key, meta.index)
-                    for group_key, group in unit.shared_groups.items()
-                    for meta in group.metas.values()
-                ]
-                pending.sort(key=lambda item: (item[0], group_sort_key(item[1]), item[2]))
-                for _, group_key, index in pending:
-                    group = unit.shared_groups[group_key]
-                    self._close_shared_window(unit, group_key, group, group.metas.pop(index))
-            else:
-                # Sorted for a deterministic emission order of the final flush.
-                for key in sorted(
-                    unit.open, key=lambda item: (item[1], group_sort_key(item[0]))
-                ):
-                    self._close_instance(unit, unit.open.pop(key))
-            unit.next_close = float("inf")
-        self._next_close = float("inf")
+        # Everything still open has passed its end now.
+        self._close_passed_windows(float("inf"))
         report = self._report
         report.metrics.stream_events = self._consumed
         report.metrics.wall_seconds = time.perf_counter() - self._run_started
@@ -1038,18 +987,20 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     def active_window_count(self) -> int:
         """Number of currently open ``(group, window instance)`` states."""
-        return self._shared_active + sum(len(unit.open) for unit in self._units)
+        return self._active_windows
 
     @property
     def engines_created(self) -> int:
         """Per-instance engines built so far (shared-window engines are one
         per live ``(group, unit)`` pair and are not pooled)."""
-        return len(self._engines)
+        return sum(unit.pool.created for unit in self._units)
 
     @property
     def shared_group_count(self) -> int:
         """Live shared multi-window engines (one per ``(group, unit)`` pair)."""
-        return sum(len(unit.shared_groups) for unit in self._units if unit.shared)
+        return sum(
+            len(unit.shared_groups) for unit in self._units if unit.compiled is not None
+        )
 
     @property
     def engine_feeds(self) -> int:
@@ -1099,10 +1050,11 @@ class StreamingExecutor:
         The snapshot captures everything :meth:`restore_state` needs to
         continue the run bit-identically on a fresh executor built from
         the same workload and configuration: per-unit shared groups
-        (coefficient state, window bookkeeping, optimizer statistics and
-        the *unflushed* burst buffer — flushing here would force a burst
-        decision the uninterrupted run takes later), per-instance open
-        windows and engine pools, the partial :class:`ExecutionReport`,
+        (engine state — coefficients, or one engine per live instance —
+        window bookkeeping, optimizer statistics and the *unflushed* burst
+        buffer: flushing here would force a burst decision the
+        uninterrupted run takes later), the units' idle engine pools
+        (engines only, never the factory), the partial :class:`ExecutionReport`,
         and the stream/close clocks.  With ``since`` — ``windows_closed``
         at the caller's previous snapshot — the result is ``(payload,
         delta)``: live state alone, and the output rows from ``since`` on
@@ -1221,24 +1173,25 @@ class StreamingExecutor:
             relevant_types=relevant,
             opening_types=frozenset(opening),
             linear=linear,
+            pool=EnginePool(self.engine_factory if linear else GretaEngine),
             compiled=compiled,
         )
 
     def _begin_run(self) -> None:
         for unit in self._units:
+            for group in unit.shared_groups.values():
+                # Interrupted run: a readout returns per-instance engines.
+                for index in group.metas:
+                    group.engine.close_window(index)
             unit.shared_groups.clear()
-            for instance in unit.open.values():
-                instance.engine.close()
-                unit.pool.append(instance.engine)
-            unit.open.clear()
             unit.next_close = float("inf")
-        # The report's optimizer statistics are per run: pooled engines
-        # survive across run() calls (keeping their compiled templates), so
-        # their optimizers' counters must restart with the run.
-        for engine in self._engines:
-            optimizer = getattr(engine, "optimizer", None)
-            if optimizer is not None:
-                optimizer.statistics = OptimizerStatistics()
+            # The report's optimizer statistics are per run: pooled engines
+            # survive across run() calls (keeping their compiled templates),
+            # so their optimizers' counters must restart with the run.
+            for engine in unit.pool.idle:
+                optimizer = getattr(engine, "optimizer", None)
+                if optimizer is not None:
+                    optimizer.statistics = OptimizerStatistics()
         self._report = ExecutionReport(engine_name=self._engine_label)
         self._run_started = time.perf_counter()
         self._clock = float("-inf")
@@ -1249,11 +1202,10 @@ class StreamingExecutor:
         self._adaptive_stats: Optional[OptimizerStatistics] = (
             OptimizerStatistics() if self._optimizer_factory is not None else None
         )
-        #: Open shared-window instances (kept incrementally; per-instance
-        #: opens are counted from the units' ``open`` dicts directly).
-        self._shared_active = 0
+        #: Open window instances, over all groups of all units.
+        self._active_windows = 0
         self._next_close = float("inf")
-        #: Window instances closed this run (both paths) — the checkpoint
+        #: Window instances closed this run — the checkpoint
         #: scheduler's "every N window boundaries" trigger reads this.
         self._windows_closed = 0
         #: Lowest mark a retraction rolled the output back to since the
@@ -1288,9 +1240,9 @@ class StreamingExecutor:
             self._retract_snapshots = None
 
     # ------------------------------------------------------------------ #
-    # Shared-window path
+    # Window lifecycle: open, feed, close/emit
     # ------------------------------------------------------------------ #
-    def _feed_shared(self, unit: _Unit, event: Event, arrival: float) -> None:
+    def _feed(self, unit: _Unit, event: Event, arrival: float) -> None:
         window = unit.spec.window
         group_key = unit.spec.group_key(event)
         group = unit.shared_groups.get(group_key)
@@ -1313,9 +1265,10 @@ class StreamingExecutor:
             # No window of this group is open: the event precedes every
             # trend-start event of every instance covering it and is
             # provably inert (see the module docstring); it is skipped
-            # without touching the shared engine.
+            # without touching the engine.
             return
-        if self._burst_buffering:
+        compiled = unit.compiled
+        if compiled is not None and self._burst_buffering:
             # Buffer the burst; decisions (adaptive mode) and engine feeds
             # happen at flush (type change, cap, window close, or finish).
             if group.burst and (
@@ -1324,7 +1277,6 @@ class StreamingExecutor:
             ):
                 self._flush_group(group)
             group.burst_type = event.event_type
-            compiled = group.engine.unit
             group.burst.append(
                 (
                     event.time,
@@ -1345,17 +1297,24 @@ class StreamingExecutor:
         group.fed += 1
         group.last_arrival = arrival
         group.share_seconds += duration / len(metas)
-        self._engine_feeds += 1
+        # Per-instance: one feed per live instance (each covers the event).
+        self._engine_feeds += 1 if compiled is not None else len(metas)
 
     def _open_group(self, unit: _Unit, group_key: tuple) -> _SharedGroup:
-        """Build the shared engine of a ``(group, unit)`` pair seen anew."""
-        assert unit.compiled is not None
-        engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
-        group = unit.shared_groups[group_key] = _SharedGroup(
-            engine=engine, evicts=engine.store is not None
-        )
-        if self._optimizer_factory is not None:
-            group.optimizer = self._optimizer_factory()
+        """Build the engine of a ``(group, unit)`` pair seen anew."""
+        if unit.compiled is None:
+            group = _SharedGroup(
+                engine=InstanceWindowEngine(
+                    unit.queries, unit.pool, unit.opening_types if self.lazy_open else None
+                ),
+                evicts=False,
+            )
+        else:
+            engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
+            group = _SharedGroup(engine=engine, evicts=engine.store is not None)
+            if self._optimizer_factory is not None:
+                group.optimizer = self._optimizer_factory()
+        unit.shared_groups[group_key] = group
         return group
 
     def _open_windows(self, unit: _Unit, group: _SharedGroup, first: int, last: int) -> None:
@@ -1368,7 +1327,7 @@ class StreamingExecutor:
                 end = window.instance_bounds(index)[1]
                 metas[index] = _WindowMeta(index, end, group.fed, group.share_seconds)
                 opened = True
-                self._shared_active += 1
+                self._active_windows += 1
                 if end < unit.next_close:
                     unit.next_close = end
                     if end < self._next_close:
@@ -1399,9 +1358,11 @@ class StreamingExecutor:
             lows, highs, contributions = state.lows, state.highs, state.contributions
             for group_key, rows in state.rows.items():
                 group = unit.shared_groups[group_key]
-                vector = not group.engine.unit.scalar
+                engine = group.engine
+                assert isinstance(engine, MultiWindowLinearEngine)  # rows: compiled units only
+                vector = not engine.unit.scalar
                 started = time.perf_counter()
-                group.engine.process_block_run(
+                engine.process_block_run(
                     [type_table[codes[row]] for row in rows],
                     [times[row] for row in rows],
                     [sequences[row] for row in rows],
@@ -1431,8 +1392,8 @@ class StreamingExecutor:
         event_type = group.burst_type
         group.burst = []
         engine = group.engine
+        assert isinstance(engine, MultiWindowLinearEngine) and event_type is not None
         compiled = engine.unit
-        assert event_type is not None
         started = time.perf_counter()
         optimizer = group.optimizer
         if optimizer is not None and event_type in compiled.positive_classes_by_type:
@@ -1547,10 +1508,11 @@ class StreamingExecutor:
                 )
         return list(zip(*columns))
 
-    def _close_shared_window(
+    def _close_window(
         self, unit: _Unit, group_key: tuple, group: _SharedGroup, meta: _WindowMeta
     ) -> None:
-        self._shared_active -= 1  # callers pop the meta before closing
+        """Read one window instance out of its group's engine and emit it."""
+        self._active_windows -= 1  # the caller popped the meta
         self._windows_closed += 1
         engine = group.engine
         started = time.perf_counter()
@@ -1559,10 +1521,10 @@ class StreamingExecutor:
             engine.evict_to(next(iter(group.metas), None))
         if not group.metas:
             # The group's last window closed: evict the group itself so
-            # shared-path memory tracks *live* state, not every group key
-            # ever seen.  A returning key rebuilds its engine from the
-            # unit's shared compilation (cheap — state only).  The group's
-            # decision statistics outlive it in the run accumulator.
+            # memory tracks *live* state, not every group key ever seen.  A
+            # returning key rebuilds its engine from the unit's compilation
+            # or pool (cheap — state only).  The group's decision
+            # statistics outlive it in the run accumulator.
             if group.optimizer is not None and self._adaptive_stats is not None:
                 self._adaptive_stats.merge(group.optimizer.statistics)
             del unit.shared_groups[group_key]
@@ -1573,7 +1535,7 @@ class StreamingExecutor:
         operations = engine.operations()
         ops_delta = operations - group.ops_reported
         group.ops_reported = operations
-        window_start, window_end = unit.window.instance_bounds(meta.index)
+        window_start, window_end = unit.spec.window.instance_bounds(meta.index)
         metrics = self._report.metrics
         metrics.record_partition(
             seconds=seconds,
@@ -1611,78 +1573,21 @@ class StreamingExecutor:
                 )
             )
 
-    # ------------------------------------------------------------------ #
-    # Per-instance path (semantics reference and fallback)
-    # ------------------------------------------------------------------ #
-    def _feed_unit(self, unit: _Unit, event: Event, arrival: float) -> None:
-        window = unit.spec.window
-        group_key = unit.spec.group_key(event)
-        opens = not self.lazy_open or event.event_type in unit.opening_types
-        for index in window.instance_indices_covering(event.time):
-            key = (group_key, index)
-            instance = unit.open.get(key)
-            if instance is None:
-                if not opens:
-                    # No trend of any unit query can have started in this
-                    # instance yet; the event is inert for it (see module
-                    # docstring) and is skipped without touching an engine.
-                    continue
-                instance = self._open_instance(unit, key)
-            started = time.perf_counter()
-            instance.engine.process(event)
-            instance.seconds += time.perf_counter() - started
-            instance.events += 1
-            instance.last_arrival = arrival
-            self._engine_feeds += 1
-
-    def _open_instance(self, unit: _Unit, key: PartitionKey) -> _Instance:
-        engine = unit.pool.pop() if unit.pool else self._new_engine(unit)
-        started = time.perf_counter()
-        engine.start(unit.queries)
-        end = unit.window.instance_bounds(key[1])[1]
-        instance = _Instance(key=key, end=end, engine=engine, seconds=time.perf_counter() - started)
-        unit.open[key] = instance
-        if end < unit.next_close:
-            unit.next_close = end
-            if end < self._next_close:
-                self._next_close = end
-        self._report.metrics.note_active_windows(self.active_window_count())
-        return instance
-
-    def _new_engine(self, unit: _Unit) -> TrendAggregationEngine:
-        engine = self.engine_factory() if unit.linear else GretaEngine()
-        self._engines.append(engine)
-        return engine
-
-    # ------------------------------------------------------------------ #
-    # Window close sweeps
-    # ------------------------------------------------------------------ #
     def _close_passed_windows(self, now: float) -> None:
         # Peak memory is the state held *concurrently*; sample the combined
         # open footprint at its local high-water mark — just before a batch
-        # of windows is evicted (and again before the final flush).
+        # of windows is evicted (``finish`` is the last such batch).
         self._report.metrics.note_memory_units(self._open_memory_units())
         self._next_close = float("inf")
         for unit in self._units:
             if now >= unit.next_close:
-                if unit.shared:
-                    self._sweep_unit_shared(unit, now)
-                else:
-                    self._sweep_unit(unit, now)
+                self._close_expired(unit, now)
             if unit.next_close < self._next_close:
                 self._next_close = unit.next_close
 
-    def _sweep_unit(self, unit: _Unit, now: float) -> None:
-        expired = [instance for instance in unit.open.values() if instance.end <= now]
-        expired.sort(key=lambda instance: (instance.end, group_sort_key(instance.key[0])))
-        for instance in expired:
-            del unit.open[instance.key]
-            self._close_instance(unit, instance)
-        unit.next_close = min(
-            (instance.end for instance in unit.open.values()), default=float("inf")
-        )
-
-    def _sweep_unit_shared(self, unit: _Unit, now: float) -> None:
+    def _close_expired(self, unit: _Unit, now: float) -> None:
+        """Close every window of ``unit`` whose end the stream has passed,
+        in ``(end, group, index)`` order."""
         expired = []
         for group_key, group in unit.shared_groups.items():
             if (
@@ -1701,7 +1606,7 @@ class StreamingExecutor:
         expired.sort(key=lambda item: (item[0], group_sort_key(item[1]), item[2]))
         for _, group_key, index in expired:
             group = unit.shared_groups[group_key]
-            self._close_shared_window(unit, group_key, group, group.metas.pop(index))
+            self._close_window(unit, group_key, group, group.metas.pop(index))
         unit.next_close = min(
             (
                 next(iter(group.metas.values())).end
@@ -1711,82 +1616,21 @@ class StreamingExecutor:
             default=float("inf"),
         )
 
-    def _close_instance(self, unit: _Unit, instance: _Instance) -> None:
-        self._windows_closed += 1
-        engine = instance.engine
-        started = time.perf_counter()
-        results = engine.results()
-        now = time.perf_counter()
-        seconds = instance.seconds + (now - started)
-        latency = now - instance.last_arrival if instance.events else 0.0
-        group_key, window_index = instance.key
-        window_start, window_end = unit.window.instance_bounds(window_index)
-        metrics = self._report.metrics
-        metrics.record_partition(
-            seconds=seconds,
-            events=instance.events,
-            memory_units=engine.memory_units(),
-            operations=engine.operations(),
-        )
-        metrics.record_emission(latency)
-        self._report.partition_results.append(
-            PartitionResult(
-                group_key=group_key,
-                window_index=window_index,
-                window_start=window_start,
-                results=dict(results),
-                seconds=seconds,
-                events=instance.events,
-            )
-        )
-        for name, value in results.items():
-            self._report.totals[name] = self._report.totals.get(name, 0.0) + value
-        engine.close()
-        unit.pool.append(engine)
-        if self.on_window is not None:
-            self._emit_window(
-                WindowResult(
-                    group_key=group_key,
-                    window_index=window_index,
-                    window_start=window_start,
-                    window_end=window_end,
-                    results=dict(results),
-                    events=instance.events,
-                    emission_latency=latency,
-                )
-            )
-
     def _open_memory_units(self) -> int:
         """Combined footprint of the live state, counted once.
 
-        Shared-window engines hold each event and coefficient exactly once,
-        so their footprints sum directly.  On the per-instance path the
-        engines of overlapping instances of the same ``(unit, group)`` pair
-        duplicate the shared suffix of events; summing them would multiply
-        identical state by the overlap factor (the PR 2 over-counting), so
-        the sample takes the *largest* instance per ``(unit, group)`` — the
-        oldest open window, whose state subsumes its younger overlaps.
+        Group footprints sum: a shared-window engine holds each event and
+        coefficient once, a per-instance one reports its largest instance.
+        A pending burst is live state too (one unit per buffered event, like
+        the engines' stored events); sampling happens just before close
+        sweeps — the buffer's high-water mark — so the cross-plan memory
+        comparison stays honest.
         """
-        units = 0
-        for unit in self._units:
-            if unit.shared:
-                # A pending adaptive burst is live state too (one unit per
-                # buffered event, like the engines' stored events); sampling
-                # happens just before close sweeps — the buffer's high-water
-                # mark — so the cross-plan memory comparison stays honest.
-                units += sum(
-                    group.engine.memory_units() + len(group.burst)
-                    for group in unit.shared_groups.values()
-                )
-            else:
-                largest: dict[tuple, int] = {}
-                for instance in unit.open.values():
-                    group_key = instance.key[0]
-                    footprint = instance.engine.memory_units()
-                    if footprint > largest.get(group_key, -1):
-                        largest[group_key] = footprint
-                units += sum(largest.values())
-        return units
+        return sum(
+            group.engine.memory_units() + len(group.burst)
+            for unit in self._units
+            for group in unit.shared_groups.values()
+        )
 
     def _attach_optimizer_statistics(self, report: ExecutionReport) -> None:
         merged: Optional[OptimizerStatistics] = None
@@ -1802,13 +1646,15 @@ class StreamingExecutor:
                 for group in unit.shared_groups.values():
                     if group.optimizer is not None:
                         merged.merge(group.optimizer.statistics)
-        for engine in self._engines:
-            optimizer = getattr(engine, "optimizer", None)
-            if optimizer is None:
-                continue
-            if merged is None:
-                merged = OptimizerStatistics()
-            merged.merge(optimizer.statistics)
+        # Single-window engines' own optimizers: all back in their pools.
+        for unit in self._units:
+            for pooled in unit.pool.idle:
+                optimizer = getattr(pooled, "optimizer", None)
+                if optimizer is None:
+                    continue
+                if merged is None:
+                    merged = OptimizerStatistics()
+                merged.merge(optimizer.statistics)
         if merged is not None:
             report.optimizer_statistics = merged
 
@@ -1817,29 +1663,8 @@ def run_streaming(
     workload: Workload | Sequence[Query],
     stream: EventStream | EventBlock | Iterable[Event],
     engine_factory: EngineFactory = HamletEngine,
-    *,
-    on_window: Optional[Callable[[WindowResult], None]] = None,
-    lazy_open: bool = True,
-    shared_windows: bool = True,
-    optimizer: OptimizerSpec = None,
-    burst_size: Optional[int] = None,
-    kernel_backend: KernelBackendSpec = None,
-    allowed_lateness: Optional[float] = None,
-    late_policy: str = "raise",
-    on_late: Optional[Callable[[Event], None]] = None,
+    **options: Any,
 ) -> ExecutionReport:
-    """One-shot convenience wrapper around :class:`StreamingExecutor`."""
-    executor = StreamingExecutor(
-        workload,
-        engine_factory,
-        on_window=on_window,
-        lazy_open=lazy_open,
-        shared_windows=shared_windows,
-        optimizer=optimizer,
-        burst_size=burst_size,
-        kernel_backend=kernel_backend,
-        allowed_lateness=allowed_lateness,
-        late_policy=late_policy,
-        on_late=on_late,
-    )
-    return executor.run(stream)
+    """One-shot convenience wrapper around :class:`StreamingExecutor`;
+    ``options`` are the constructor's keyword-only arguments."""
+    return StreamingExecutor(workload, engine_factory, **options).run(stream)

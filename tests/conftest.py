@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import HamletEngine
 from repro.events import Event, EventStream
-from repro.query import Query, Window, count_trends, kleene, seq
+from repro.query import Query, Window, count_trends, kleene, max_of, seq
 
 
 def make_events(spec: str, *, spacing: float = 1.0, start: float = 0.0, **payloads) -> list[Event]:
@@ -38,6 +39,36 @@ def decision_counters(report):
         statistics.merges,
         statistics.splits,
     )
+
+
+#: Ways a streaming unit ends up with one pooled engine per window instance
+#: (``InstanceWindowEngine``) instead of a shared-window engine.
+PER_INSTANCE_KINDS = ("instances", "extremum", "unshared-factory", "opaque-factory")
+
+
+def per_instance_setup(kind: str, queries: list[Query]) -> tuple[list[Query], dict]:
+    """``(queries, StreamingExecutor options)`` putting the workload — for
+    ``"extremum"``, one added MAX query on GRETA — on per-instance engines.
+    The factories are lambdas on purpose: nothing a caller passes in may
+    reach a snapshot's pickle."""
+    if kind == "instances":
+        return queries, {"shared_windows": False}
+    if kind == "extremum":
+        first = queries[0]
+        extremum = Query.build(
+            seq("A", kleene("B")),
+            aggregate=max_of("B", "v"),
+            group_by=first.group_by,
+            window=first.window,
+            name="per_instance_max",
+        )
+        return [*queries, extremum], {}
+    if kind == "unshared-factory":  # no shared-window flavour to lift
+        return queries, {
+            "engine_factory": lambda: HamletEngine(fast_predecessor_totals=False)
+        }
+    assert kind == "opaque-factory"  # its probe engine seeds the pool
+    return queries, {"engine_factory": lambda: HamletEngine(), "shared_windows": False}
 
 
 @pytest.fixture

@@ -56,7 +56,7 @@ from repro.runtime.checkpoint import (
     pack_log_record,
     unpack_checkpoint,
 )
-from tests.conftest import decision_counters
+from tests.conftest import PER_INSTANCE_KINDS, decision_counters, per_instance_setup
 
 SETTINGS = settings(
     deadline=None,
@@ -363,7 +363,10 @@ def _workload(window: Window, group_by: tuple, with_negation: bool) -> list[Quer
 
 
 @st.composite
-def round_trip_cases(draw):
+def round_trip_cases(draw, kinds=("shared",)):
+    """``(queries, events, split, executor options)``; ``kinds`` other than
+    ``"shared"`` put units on per-instance engines (``per_instance_setup``)."""
+    kind = draw(st.sampled_from(kinds))
     window = draw(st.sampled_from(WINDOWS))
     group_by = draw(st.sampled_from(((), ("g",))))
     with_negation = draw(st.booleans())
@@ -388,28 +391,31 @@ def round_trip_cases(draw):
             )
             clock += rng.choice((0.5, 1.0))
     events = events[:size]
-    return _workload(window, group_by, with_negation), events, split, optimizer
+    queries, options = _workload(window, group_by, with_negation), {}
+    if kind != "shared":
+        queries, options = per_instance_setup(kind, queries)
+    return queries, events, split, {"optimizer": optimizer, **options}
 
 
-def _fresh(queries, optimizer) -> StreamingExecutor:
-    return StreamingExecutor(queries, optimizer=optimizer)
+def _fresh(queries, optimizer=None, **options) -> StreamingExecutor:
+    return StreamingExecutor(queries, optimizer=optimizer, **options)
 
 
 @SETTINGS
 @given(case=round_trip_cases())
 def test_snapshot_round_trip_is_bit_identical(case):
-    queries, events, split, optimizer = case
-    uninterrupted = _fresh(queries, optimizer)
+    queries, events, split, options = case
+    uninterrupted = _fresh(queries, **options)
     for event in events:
         uninterrupted.process(event)
     expected = canonical_report(uninterrupted.finish())
 
-    first = _fresh(queries, optimizer)
+    first = _fresh(queries, **options)
     for event in events[:split]:
         first.process(event)
     payload = first.snapshot_state()
 
-    second = _fresh(queries, optimizer)
+    second = _fresh(queries, **options)
     second.restore_state(payload)
     for event in events[split:]:
         second.process(event)
@@ -423,13 +429,13 @@ def test_snapshot_survives_the_disk_container(case, tmp_path_factory):
     restore from the newest: still bit-identical, latencies included in
     the count (the worker loop's path: every snapshot passes the mark of
     the previous one and the store keeps the deltas)."""
-    queries, events, split, optimizer = case
-    uninterrupted = _fresh(queries, optimizer)
+    queries, events, split, options = case
+    uninterrupted = _fresh(queries, **options)
     for event in events:
         uninterrupted.process(event)
     expected = uninterrupted.finish()
 
-    first = _fresh(queries, optimizer)
+    first = _fresh(queries, **options)
     store = CheckpointStore(tmp_path_factory.mktemp("ckpt"), shard_id=0)
     marked = 0
     for position, event in enumerate(events[:split], start=1):
@@ -440,7 +446,7 @@ def test_snapshot_survives_the_disk_container(case, tmp_path_factory):
 
     latest = CheckpointStore(store.directory, shard_id=0).latest()
     assert latest.seq == split
-    second = _fresh(queries, optimizer)
+    second = _fresh(queries, **options)
     second.restore_state(latest.payload, latest.output)
     assert second.windows_closed == marked
     for event in events[split:]:
@@ -462,18 +468,18 @@ def test_snapshot_between_block_slices_is_bit_identical(case, rows):
     taken between the two ``process_block`` slices, and the resumed run must
     reproduce the per-event run — results *and* decision counters — with the
     rest fed as further slices of ``rows`` rows."""
-    queries, events, split, optimizer = case
-    uninterrupted = _fresh(queries, optimizer)
+    queries, events, split, options = case
+    uninterrupted = _fresh(queries, **options)
     for event in events:
         uninterrupted.process(event)
     expected = uninterrupted.finish()
 
     block = EventBlock.from_events(events)
-    first = _fresh(queries, optimizer)
+    first = _fresh(queries, **options)
     first.process_block(block.slice(0, split))
     payload = first.snapshot_state()
 
-    second = _fresh(queries, optimizer)
+    second = _fresh(queries, **options)
     second.restore_state(payload)
     for start in range(split, len(block), rows):
         second.process_block(block.slice(start, min(start + rows, len(block))))
@@ -481,6 +487,32 @@ def test_snapshot_between_block_slices_is_bit_identical(case, rows):
     assert canonical_report(resumed) == canonical_report(expected)
     assert resumed.metrics.operations == expected.metrics.operations
     assert decision_counters(resumed) == decision_counters(expected)
+
+
+PER_INSTANCE_CASES = round_trip_cases(kinds=PER_INSTANCE_KINDS)
+
+
+@SETTINGS
+@given(case=PER_INSTANCE_CASES)
+def test_snapshot_round_trip_over_per_instance_units(case):
+    """The three properties above, over units whose groups hold one pooled
+    engine per live window instance: the snapshot ships those engines and
+    the idle pool — never the (lambda) factory — and the restored groups
+    keep drawing from the restored pool.  With an ``optimizer`` the burst
+    buffer is on for the executor and must bypass these groups."""
+    test_snapshot_round_trip_is_bit_identical.hypothesis.inner_test(case)
+
+
+@SETTINGS
+@given(case=PER_INSTANCE_CASES)
+def test_snapshot_of_per_instance_units_survives_the_disk_container(case, tmp_path_factory):
+    test_snapshot_survives_the_disk_container.hypothesis.inner_test(case, tmp_path_factory)
+
+
+@SETTINGS
+@given(case=PER_INSTANCE_CASES, rows=st.sampled_from((2, 5, 16)))
+def test_snapshot_of_per_instance_units_between_block_slices(case, rows):
+    test_snapshot_between_block_slices_is_bit_identical.hypothesis.inner_test(case, rows)
 
 
 def test_snapshot_carries_the_pending_burst_as_column_rows():
@@ -689,18 +721,18 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A pre-PR-16 snapshot (v5: shared-window engines pickled without
-    their segment-fold plans) is refused with a typed error instead of
-    resuming engines the static block path cannot fold segments into."""
+    """A pre-PR-17 snapshot (v6: per-instance engines in an open-instance
+    index beside the groups, four fields per unit) is refused with a typed
+    error instead of being unpacked into the three-field unit state."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 6
-    state["version"] = 5
-    with pytest.raises(CheckpointError, match="schema version 5"):
+    assert state["version"] == SNAPSHOT_VERSION == 7
+    state["version"] = 6
+    with pytest.raises(CheckpointError, match="schema version 6"):
         executor.restore_state(pickle.dumps(state))
 
 

@@ -36,7 +36,7 @@ from repro.runtime import (
     run_streaming,
 )
 from repro.runtime.checkpoint import CheckpointStore
-from tests.conftest import decision_counters
+from tests.conftest import PER_INSTANCE_KINDS, decision_counters, per_instance_setup
 
 try:
     import numpy  # noqa: F401
@@ -993,6 +993,32 @@ class TestLateRowsInsideUnsortedBlocks:
         if policy == "retract":
             ordered = run_streaming(grouped_queries(), events, HamletEngine)
             assert report_fingerprint(block_report) == report_fingerprint(ordered)
+
+    @pytest.mark.parametrize("rows", (None, 7, 1_000), ids=("scalar", "rows7", "rows1000"))
+    @pytest.mark.parametrize("kind", PER_INSTANCE_KINDS)
+    def test_retract_over_per_instance_units_matches_the_ordered_run(self, kind, rows):
+        """A retraction restores a pickled core state and replays: over
+        units that hold one pooled engine per live instance the restored
+        groups must keep drawing from the restored pool, and the pickle
+        must not need the (lambda) engine factory."""
+        events, arrivals = self._arrivals()
+        queries, options = per_instance_setup(kind, grouped_queries())
+        ordered = run_streaming(queries, events, **options)
+        executor = StreamingExecutor(
+            queries, allowed_lateness=self.HORIZON, late_policy="retract", **options
+        )
+        if rows is None:
+            for event in arrivals:
+                executor.process(event)
+        else:
+            for start in range(0, len(arrivals), rows):
+                executor.process_block(EventBlock.from_events(arrivals[start : start + rows]))
+        report = executor.finish()
+        assert report.metrics.late_retracted == self.LATE
+        assert report_fingerprint(report) == report_fingerprint(ordered)
+        assert executor.active_window_count() == 0
+        # Every engine is back in its pool: restores lose none, replays leak none.
+        assert executor.engines_created == sum(len(u.pool.idle) for u in executor._units)
 
     @pytest.mark.parametrize("policy", ("drop", "side_output", "retract"))
     def test_only_rows_a_policy_takes_become_events(self, monkeypatch, policy):

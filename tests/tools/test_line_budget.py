@@ -1,0 +1,31 @@
+"""Line-budget ratchet for the three big runtime modules.
+
+ROADMAP item 2: every perf PR of the last round grew them.  The ceilings
+are each module's length after the PR that last shrank it; a PR may not
+push a module past its ceiling without saying why.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+RUNTIME = Path(__file__).resolve().parents[2] / "src" / "repro" / "runtime"
+
+#: module -> ``wc -l`` ceiling.
+CEILINGS = {
+    "streaming.py": 1670,
+    "sharding.py": 1778,
+    "shared_windows.py": 1434,
+}
+
+
+@pytest.mark.parametrize("module", sorted(CEILINGS))
+def test_module_stays_within_its_line_budget(module):
+    lines = (RUNTIME / module).read_text().count("\n")
+    assert lines <= CEILINGS[module], (
+        f"{module} has {lines} lines, over its ceiling of {CEILINGS[module]}: "
+        "lower the number when a module shrinks; raising it needs a sentence "
+        "in CHANGES.md saying what the lines buy"
+    )

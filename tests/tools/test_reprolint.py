@@ -672,7 +672,7 @@ class TestRL010:
                 for local in range(len(block)):
                     def fallback():
                         return block.event_at(local)
-                    self._feed_unit(fallback())
+                    self._feed(fallback())
 
             def single_view(block, position):
                 return block.event_at(position), block.to_events()

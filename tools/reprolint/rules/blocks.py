@@ -51,7 +51,7 @@ _LOOPS = (
 VIEW_EDGES: dict[str, str] = {
     "_buffer_block": "late-policy hand-off (side_output / retract take an Event)",
     "_flush_group": "replay of a run the engine's column fold declined",
-    "_ingest_block": "per-instance fallback units are fed Events",
+    "_ingest_block": "hand-off to the scalar feed: single-window engines take Events",
 }
 
 
