@@ -2,16 +2,19 @@
 
 ``python benchmarks/soak.py`` drives minutes-scale synthetic traffic
 through the checkpointed, supervised :class:`~repro.runtime.sharding.
-ShardedStreamingExecutor` while a killer thread SIGKILLs random live
-shard workers at random (seeded) intervals — no cooperation from the
-workers, no planted kill points: pure external violence.  After every
-round it asserts the soak contract:
+ShardedStreamingExecutor`, feeding each round one event at a time and
+SIGKILLing a random live shard worker at seeded **event counts** — no
+cooperation from the workers, no planted kill points: pure external
+violence, found the way an operator would find the victims (the
+``repro-shard-*`` children of this process).  Counting events instead of
+seconds is what keeps the soak from being vacuous: however fast a round
+runs, it schedules at least two kills, and a round in which none landed
+fails.  After every round it asserts the soak contract:
 
 * the merged report is **bit-identical** (canonical serialization, see
   :func:`faultline.canonical_report`) to an uninterrupted in-process run
   of the same round's stream;
-* at least one restart actually happened across the soak (otherwise the
-  run proved nothing);
+* at least one kill landed on a live worker, and it was recovered from;
 * the driver's RSS stays under a **flat ceiling**: recovery must not
   accumulate state — the replay buffer is bounded, dead incarnations'
   channels are reclaimed — so memory at the end of the soak looks like
@@ -19,10 +22,12 @@ round it asserts the soak contract:
 * zero leaked ``/dev/shm/repro-ring-*`` segments and zero orphaned
   checkpoint ``*.tmp`` files once everything is torn down.
 
-Time-boxed by ``--seconds`` (default 90): rounds repeat, alternating
-randomized kill schedules, until the budget is spent.  ``--transport
-both`` splits the budget between the pickle and shm transports.  Exit
-status 0 on a fully green soak, 1 on any violation.
+Every round runs under a hard deadline (:data:`ROUND_DEADLINE_SECONDS`):
+a driver that hangs is killed with every thread's traceback on stderr,
+never left to wedge the job.  Time-boxed by ``--seconds`` (default 90):
+rounds repeat, each with its own seeded kill schedule, until the budget
+is spent.  ``--transport both`` splits the budget between the pickle and
+shm transports.  Exit status 0 on a fully green soak, 1 on any violation.
 
 This is the *soak tier* (see docs/TESTING.md): too slow for the default
 pytest run, wired into CI as its own time-boxed job.
@@ -31,12 +36,13 @@ pytest run, wired into CI as its own time-boxed job.
 from __future__ import annotations
 
 import argparse
+import faulthandler
 import glob
+import multiprocessing
 import os
 import random
 import signal
 import sys
-import threading
 import time
 from typing import Optional, Sequence
 
@@ -55,6 +61,11 @@ from faultline import canonical_report, checkpoint_temp_files
 #: channel leak scales with restart count), which blows through this in
 #: any minutes-scale run.
 DEFAULT_RSS_CEILING_MIB = 256.0
+
+#: Hard deadline of one round (a few thousand events plus a handful of
+#: recoveries: seconds).  Past it the process dumps every thread's
+#: traceback and exits — a driver hang is a failure, not a wedged job.
+ROUND_DEADLINE_SECONDS = 60.0
 
 
 def _workload(window: Window) -> list[Query]:
@@ -87,39 +98,40 @@ def _rss_mib() -> float:
     return 0.0
 
 
-class _Killer(threading.Thread):
-    """SIGKILL a random live shard worker at random (seeded) intervals."""
+def _kill_schedule(
+    rng: random.Random, events: int, min_gap: float, max_gap: float
+) -> list[int]:
+    """Event counts after which a kill lands: gaps are seeded draws from
+    ``[min_gap, max_gap]``, as fractions of the round.  ``max_gap < 0.5``
+    (checked by the parser) makes that at least two per round; the last
+    one may fall on the final event, just ahead of ``finish()``."""
+    schedule: list[int] = []
+    at = 0
+    while True:
+        at += max(1, round(rng.uniform(min_gap, max_gap) * events))
+        if at > events:
+            return schedule
+        schedule.append(at)
 
-    def __init__(
-        self, executor: ShardedStreamingExecutor, seed: int, min_gap: float, max_gap: float
-    ) -> None:
-        super().__init__(name="soak-killer", daemon=True)
-        self._executor = executor
-        self._rng = random.Random(seed)
-        self._min_gap = min_gap
-        self._max_gap = max_gap
-        # Name avoids threading.Thread's internal _stop attribute.
-        self._halt = threading.Event()
-        self.kills = 0
-        self.peak_rss_mib = _rss_mib()
 
-    def stop(self) -> None:
-        self._halt.set()
-
-    def run(self) -> None:
-        while not self._halt.wait(self._rng.uniform(self._min_gap, self._max_gap)):
-            self.peak_rss_mib = max(self.peak_rss_mib, _rss_mib())
-            processes = list(getattr(self._executor, "_processes", []) or [])
-            live = [p for p in processes if p is not None and p.is_alive()]
-            if not live:
-                continue
-            victim = self._rng.choice(live)
-            try:
-                os.kill(victim.pid, signal.SIGKILL)
-                self.kills += 1
-            except (ProcessLookupError, TypeError):
-                continue
-        self.peak_rss_mib = max(self.peak_rss_mib, _rss_mib())
+def _kill_live_worker(rng: random.Random) -> bool:
+    """SIGKILL one seeded-random live shard worker of this process; False
+    when there was none to kill."""
+    live = sorted(
+        (
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        ),
+        key=lambda child: child.name,
+    )
+    if not live:
+        return False
+    try:
+        os.kill(rng.choice(live).pid, signal.SIGKILL)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _soak_transport(
@@ -138,7 +150,6 @@ def _soak_transport(
     window = Window(16.0, 4.0)
     rounds = kills = restarts = 0
     peak_rss = _rss_mib()
-    failures = 0
     while time.perf_counter() < deadline:
         seed = base_seed + rounds
         stream = _stream(events, seed, groups=8)
@@ -156,32 +167,42 @@ def _soak_transport(
             checkpoint_interval=4,
             max_restarts=10_000,
         )
-        killer = _Killer(executor, seed, *kill_gap)
-        killer.start()
+        rng = random.Random(seed)
+        schedule = _kill_schedule(rng, len(stream), *kill_gap)
+        round_kills = 0
+        faulthandler.dump_traceback_later(ROUND_DEADLINE_SECONDS, exit=True)
         try:
-            report = executor.run(stream)
+            for count, event in enumerate(stream, 1):
+                executor.process(event)
+                if schedule and count == schedule[0]:
+                    del schedule[0]
+                    round_kills += _kill_live_worker(rng)
+                    peak_rss = max(peak_rss, _rss_mib())
+            report = executor.finish()
         finally:
-            killer.stop()
-            killer.join(timeout=5.0)
+            faulthandler.cancel_dump_traceback_later()
         rounds += 1
-        kills += killer.kills
+        kills += round_kills
         round_restarts = report.recovery.restarts if report.recovery else 0
         restarts += round_restarts
-        peak_rss = max(peak_rss, killer.peak_rss_mib)
+        peak_rss = max(peak_rss, _rss_mib())
         identical = canonical_report(report) == baseline
-        if not identical:
-            failures += 1
         if verbose or not identical:
             print(
                 f"  [{transport}] round {rounds}: identical={identical} "
-                f"kills={killer.kills} restarts={round_restarts} "
+                f"kills={round_kills} restarts={round_restarts} "
                 f"replayed={report.recovery.replayed_batches if report.recovery else 0} "
-                f"rss={killer.peak_rss_mib:.0f}MiB"
+                f"rss={peak_rss:.0f}MiB"
             )
         if not identical:
             raise AssertionError(
                 f"soak round {rounds} ({transport}): recovered report is NOT "
                 f"bit-identical to the uninterrupted run (seed {seed})"
+            )
+        if not (round_kills and round_restarts):
+            raise AssertionError(
+                f"soak round {rounds} ({transport}): {round_kills} kills landed, "
+                f"{round_restarts} restarts — the round proved nothing (seed {seed})"
             )
     return rounds, kills, restarts, peak_rss
 
@@ -210,14 +231,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--kill-min-gap",
         type=float,
-        default=0.2,
-        help="minimum seconds between kills (default: 0.2)",
+        default=0.15,
+        help="minimum gap between kills, as a fraction of a round's events "
+        "(default: 0.15)",
     )
     parser.add_argument(
         "--kill-max-gap",
         type=float,
-        default=0.8,
-        help="maximum seconds between kills (default: 0.8)",
+        default=0.45,
+        help="maximum gap between kills, same unit; must stay under 0.5 so "
+        "every round schedules at least two (default: 0.45)",
     )
     parser.add_argument(
         "--rss-ceiling-mib",
@@ -234,6 +257,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     if arguments.workers < 1:
         parser.error("--workers must be >= 1 (the soak needs processes to kill)")
+    if not 0.0 < arguments.kill_min_gap <= arguments.kill_max_gap < 0.5:
+        parser.error("kill gaps must satisfy 0 < min <= max < 0.5 (>= 2 kills a round)")
 
     import tempfile
 

@@ -50,14 +50,9 @@ from repro.runtime.executor import (
 from repro.runtime.metrics import ExecutionMetrics, RecoveryStats, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey, group_sort_key
 from repro.runtime.reorder import LATE_POLICIES, ReorderBuffer
+from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation
-from repro.runtime.sharding import (
-    ShardReport,
-    ShardRouter,
-    ShardedStreamingExecutor,
-    run_sharded,
-    stable_shard_hash,
-)
+from repro.runtime.sharding import ShardReport, ShardedStreamingExecutor, run_sharded
 from repro.runtime.streaming import StreamingExecutor, WindowResult, run_streaming
 from repro.runtime.transport import SlabReader, SlabRing
 

@@ -39,7 +39,10 @@ on the worker's checkpoint writer thread, in ``CheckpointStore.write``):
   appended and fsynced, the snapshot that covers it not yet renamed in
   (the uncovered-log-tail case);
 * ``pre-report`` — everything folded, sentinel seen, death just before
-  the final report ships.
+  the final report ships;
+* ``mid-report`` — death halfway through sending that report: the worker
+  puts the length header and the first half of the message on its pipe by
+  hand (:func:`tear_message`) and dies — the message no reader can finish.
 
 Used by :mod:`tools.faultline` (the orchestration harness) and the
 recovery test matrix; never set in production.
@@ -48,7 +51,9 @@ recovery test matrix; never set in production.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -60,6 +65,7 @@ __all__ = [
     "FaultTrigger",
     "parse_faultline",
     "resolve_fault_hook",
+    "tear_message",
 ]
 
 #: Environment variable carrying the kill-point spec.
@@ -75,6 +81,7 @@ KILL_POINTS = (
     "post-close-pre-ack",
     "post-log-pre-snapshot",
     "pre-report",
+    "mid-report",
 )
 
 _MODES = ("exit", "kill")
@@ -151,12 +158,24 @@ def parse_faultline(spec: str) -> list[FaultTrigger]:
     return triggers
 
 
-def resolve_fault_hook(shard_id: int, epoch: int = 0) -> Optional[Callable[[str], None]]:
+def tear_message(connection, message: object) -> None:
+    """Leave ``message`` half-sent on ``connection``, as a sender killed
+    inside ``Connection.send`` does: the 4-byte length header, then the
+    first half of the pickle.  The ``mid-report`` site's last act."""
+    payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    torn = struct.pack("!i", len(payload)) + payload[: len(payload) // 2]
+    while torn:
+        torn = torn[os.write(connection.fileno(), torn) :]
+
+
+def resolve_fault_hook(shard_id: int, epoch: int = 0) -> Optional[Callable[..., None]]:
     """The shard's kill-point hook, or None when fault injection is off.
 
     Resolved once per worker incarnation at startup; the returned callable
     is invoked with the site name at every planted point and dies when an
-    armed trigger's hit count is reached.
+    armed trigger's hit count is reached — after running the site's
+    ``last_act``, if it passed one (what the worker gets done before a
+    death *inside* an operation).
     """
     spec = os.environ.get(FAULTLINE_ENV)
     if not spec:
@@ -170,11 +189,13 @@ def resolve_fault_hook(shard_id: int, epoch: int = 0) -> Optional[Callable[[str]
     if not triggers:
         return None
 
-    def hook(point: str) -> None:
+    def hook(point: str, last_act: Optional[Callable[[], None]] = None) -> None:
         for trigger in triggers:
             if trigger.point == point:
                 trigger.hits += 1
                 if trigger.hits == trigger.nth:
+                    if last_act is not None:
+                        last_act()
                     trigger.fire()
 
     return hook

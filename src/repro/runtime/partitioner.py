@@ -56,7 +56,7 @@ def _value_sort_key(value) -> tuple:
     ``>`` and would make the result depend on input order.  Every tag's
     tail has a fixed element layout so comparisons never cross types.
 
-    Sibling of ``repro.runtime.sharding._canonical_key_element``, which
+    Sibling of ``repro.runtime.routing._canonical_key_element``, which
     answers the *equality-collapse* question for shard hashing over the
     same key population; a new group-key value type should be considered
     for both.

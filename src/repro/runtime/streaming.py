@@ -78,15 +78,15 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
-from repro.core.kernels import KernelBackendSpec, resolve_kernel_backend
-from repro.errors import CheckpointError, ExecutionError, OutOfOrderError
+from repro.core.kernels import KernelBackendSpec
+from repro.errors import CheckpointError, OutOfOrderError
 from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
 from repro.events.stream import EventStream, slice_stream
 from repro.greta.engine import GretaEngine
 from repro.interfaces import MultiWindowEngine
 from repro.optimizer.decisions import OptimizerStatistics, SharingOptimizer
-from repro.optimizer.registry import OptimizerSpec, resolve_optimizer_factory
+from repro.optimizer.registry import OptimizerSpec
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime.executor import (
@@ -106,7 +106,7 @@ from repro.runtime.reorder import (
     ensure_block_in_order,
     ensure_in_order,
     late_event_error,
-    validate_lateness,
+    validate_stream_options,
 )
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
@@ -363,10 +363,9 @@ class StreamingExecutor:
         self.on_window = on_window
         self.lazy_open = lazy_open
         self.shared_windows = shared_windows
-        if burst_size is not None and burst_size < 1:
-            raise ExecutionError(f"burst size must be >= 1, got {burst_size}")
-        self._optimizer_factory = resolve_optimizer_factory(optimizer)
-        self._kernel_backend = resolve_kernel_backend(kernel_backend)
+        self._optimizer_factory, self._kernel_backend = validate_stream_options(
+            optimizer, burst_size, kernel_backend, allowed_lateness, late_policy, on_late
+        )
         #: Buffer maximal same-type runs per shared group: required by
         #: adaptive mode (per-burst decisions) and requested by vectorizing
         #: backends (run-level folds); off otherwise — the static python
@@ -377,16 +376,7 @@ class StreamingExecutor:
         #: The static plan on a reference-exact backend folds a columnar
         #: unit's rows one ``(group, close-sweep segment)`` at a time.
         self._segment_folding = not self._burst_buffering and self._kernel_backend.exact
-        if burst_size is not None and not self._burst_buffering:
-            # Burst segmentation only exists when bursts are buffered;
-            # silently ignoring the cap would hide the misconfiguration.
-            raise ExecutionError(
-                "burst_size requires an optimizer (pass optimizer='dynamic', "
-                "'always', 'never', 'static' or a SharingOptimizer factory) "
-                "or a kernel backend that folds bursts (kernel_backend='numpy')"
-            )
         self.burst_size = burst_size
-        validate_lateness(allowed_lateness, late_policy, on_late)
         self.allowed_lateness = allowed_lateness
         self.late_policy = late_policy
         self.on_late = on_late

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import sys
+
 import pytest
 
 from repro.core import HamletEngine
@@ -69,6 +72,27 @@ def per_instance_setup(kind: str, queries: list[Query]) -> tuple[list[Query], di
         }
     assert kind == "opaque-factory"  # its probe engine seeds the pool
     return queries, {"engine_factory": lambda: HamletEngine(), "shared_windows": False}
+
+
+#: Seconds a process-spawning recovery test may take (they take ~1).
+HARD_DEADLINE_SECONDS = 120.0
+
+
+@pytest.fixture
+def hard_deadline(request):
+    """A driver that hangs on a dead worker must fail, not wedge the job:
+    past the deadline every thread's traceback goes to pytest's own
+    uncaptured stderr (the faulthandler plugin's descriptor) and the
+    process exits."""
+    try:
+        from _pytest.faulthandler import fault_handler_stderr_fd_key
+
+        stderr = request.config.stash[fault_handler_stderr_fd_key]
+    except (ImportError, AttributeError, KeyError):  # another pytest: captured
+        stderr = sys.__stderr__
+    faulthandler.dump_traceback_later(HARD_DEADLINE_SECONDS, file=stderr, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

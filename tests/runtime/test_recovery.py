@@ -3,15 +3,18 @@
 The fault-tolerance contract (docs/DESIGN.md, "Fault tolerance") is that
 a shard worker killed at *any* planted point — pre-fold,
 mid-batch-decode, post-close-pre-ack, post-log-pre-snapshot (on the
-checkpoint writer thread), pre-report, by ``os._exit`` or self-SIGKILL — is restored from its last checkpoint, replayed, and the
-merged report comes out **bit-identical** to an uninterrupted run, with
-no leaked shared-memory segments or orphaned checkpoint temp files.
+checkpoint writer thread), pre-report, mid-report (half the report on
+the pipe), by ``os._exit`` or self-SIGKILL — is restored from its last
+checkpoint, replayed, and the merged report comes out **bit-identical**
+to an uninterrupted run, with no leaked shared-memory segments or
+orphaned checkpoint temp files.
 This file runs a tier-1-sized slice of that matrix through
 :func:`faultline.run_differential` (the full sweep is ``python -m
 faultline``; the randomized version is ``benchmarks/soak.py`` — see
 docs/TESTING.md, "soak tier") plus the failure-path pins: crash
 diagnostics when recovery is off, restart-budget exhaustion, the spec
-grammar, and epoch-scoped trigger arming.
+grammar, and epoch-scoped trigger arming.  Every test runs under the
+``hard_deadline`` fixture: a driver hang is a traceback and a dead run.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from repro.runtime.faultpoints import (
     parse_faultline,
     resolve_fault_hook,
 )
+
+pytestmark = pytest.mark.usefixtures("hard_deadline")
 
 WINDOW = Window(16.0, 4.0)
 
@@ -81,7 +86,7 @@ def _assert_no_ring_leak():
 @pytest.mark.parametrize("transport", ["pickle", "shm"])
 @pytest.mark.parametrize("point", KILL_POINTS)
 def test_sigkill_at_every_point_recovers_bit_identically(point, transport):
-    nth = 1 if point == "pre-report" else 3
+    nth = 1 if point.endswith("-report") else 3  # reached once per run
     result = run_differential(
         _workload,
         _stream,
@@ -182,7 +187,7 @@ def test_retraction_after_a_checkpoint_survives_every_kill_point(point, transpor
     the report is exactly what the log chain reassembles — are the sharp
     ones; the worker-loop points restore from wherever the async writer
     had got to, often before the retractions, which the replay then redoes."""
-    nth = 1 if point == "pre-report" else 12
+    nth = 1 if point.endswith("-report") else 12
     result = run_differential(
         _workload,
         _late_stream,
@@ -264,18 +269,18 @@ def test_scalar_ingest_replay_reships_frames_only(transport, monkeypatch, tmp_pa
     recovering = False
     put, recover = executor._put, executor._recover
 
-    def recording_put(shard_id, item):
+    def recording_put(shard, item):
         if item is not None:
             shipped.append((recovering, item))
-            for _seq, payload, _events in executor._replay[shard_id]:
+            for _seq, payload, _events in shard.replay:
                 assert type(payload) is bytes and payload[:5] == b"RPEB\x02"
-        put(shard_id, item)
+        put(shard, item)
 
-    def recording_recover(shard_id):
+    def recording_recover(shard):
         nonlocal recovering
         recovering = True
         try:
-            recover(shard_id)
+            recover(shard)
         finally:
             recovering = False
 

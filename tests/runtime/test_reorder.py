@@ -1188,7 +1188,7 @@ class TestStrictModeUnchanged:
             event = Event("B", time, {"g": float(sequence % 2 + 1)}, sequence=sequence)
             executor.process(event)
             fed.append(event)
-        marks = executor._shard_max_time
+        marks = [shard.max_time for shard in executor._shards]
         expected = min(mark for mark in marks if mark != float("-inf")) - 2.0
         assert executor.watermark == expected
         executor.finish()

@@ -1,8 +1,8 @@
 """``run_streaming`` / ``run_sharded`` forward to their constructors.
 
 The wrappers used to re-declare the constructors' keyword-only arguments
-with copied defaults and drifted (``run_sharded`` lost ``on_window`` and
-``worker_grace_seconds``).  They take ``**options`` now; this walks each
+with copied defaults and drifted (``run_sharded`` lost ``on_window`` and a
+since-deleted supervision knob).  They take ``**options`` now; this walks each
 constructor's signature so a keyword added there is reachable through the
 wrapper by construction — and pins how many there are.
 """
@@ -29,7 +29,7 @@ EVENTS = [Event("AB"[index % 2], float(index)) for index in range(40)]
 
 @pytest.mark.parametrize(
     "wrapper, executor, keyword_only",
-    ((run_streaming, StreamingExecutor, 9), (run_sharded, ShardedStreamingExecutor, 21)),
+    ((run_streaming, StreamingExecutor, 9), (run_sharded, ShardedStreamingExecutor, 20)),
     ids=("run_streaming", "run_sharded"),
 )
 def test_every_constructor_keyword_passes_through(monkeypatch, wrapper, executor, keyword_only):
@@ -53,7 +53,7 @@ def test_every_constructor_keyword_passes_through(monkeypatch, wrapper, executor
 def test_the_keywords_run_sharded_had_lost_work_and_unknown_ones_still_fail():
     emitted = []
     report = run_sharded(
-        QUERIES, EVENTS, on_window=emitted.append, shards=2, worker_grace_seconds=0.5
+        QUERIES, EVENTS, on_window=emitted.append, shards=2, max_restarts=1
     )
     assert len(emitted) == len(report.partition_results) > 0
     assert report.totals == run_streaming(QUERIES, EVENTS).totals

@@ -1,4 +1,4 @@
-"""Line-budget ratchet for the three big runtime modules.
+"""Line-budget ratchet for the big runtime modules.
 
 ROADMAP item 2: every perf PR of the last round grew them.  The ceilings
 are each module's length after the PR that last shrank it; a PR may not
@@ -15,8 +15,9 @@ RUNTIME = Path(__file__).resolve().parents[2] / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1670,
-    "sharding.py": 1778,
+    "streaming.py": 1660,
+    "sharding.py": 1258,
+    "routing.py": 319,
     "shared_windows.py": 1434,
 }
 

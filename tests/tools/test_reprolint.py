@@ -657,7 +657,7 @@ class TestRL010:
                     block = self.consume(block.to_events())
                 return [block.event_at(i) for i in self.pending]
             """
-        for module in ("streaming", "reorder", "sharding"):
+        for module in ("streaming", "reorder", "sharding", "routing"):
             violations = run_rule(self.RULE, bad, f"repro/runtime/{module}.py")
             assert rule_ids(violations) == ["RL010"] * 3
             assert "VIEW_EDGES" in violations[0].message

@@ -13,9 +13,15 @@ package orchestrates that experiment:
   synthetic stream, clean and with a :mod:`repro.runtime.faultpoints`
   spec armed, and report whether the two canonical forms match along
   with the recovery counters;
+* :func:`sweep_exhaustive` — the small-scope enumeration: on a stream
+  of a few batches per shard, *every* kill point × hit count × shard ×
+  death mode, each held to bit-identity and to the restart count the
+  trigger's reachability predicts (enumerate the state space instead of
+  sampling it);
 * ``python -m faultline`` (see :mod:`faultline.cli`) — sweep kill
-  points × modes × transports from the command line; exit 0 only if
-  every injected run recovered to bit-identity.
+  points × modes × transports from the command line (``--exhaustive``:
+  the enumeration above); exit 0 only if every injected run recovered
+  to bit-identity.
 
 The kill points themselves live in the runtime
 (:mod:`repro.runtime.faultpoints`): deaths must happen *inside* the
@@ -28,16 +34,18 @@ tracking) lives in ``benchmarks/soak.py`` and reuses these helpers.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.events.event import Event
 from repro.query.query import Query
 from repro.runtime.executor import ExecutionReport
-from repro.runtime.faultpoints import FAULTLINE_ENV, parse_faultline
+from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.faultpoints import FAULTLINE_ENV, KILL_POINTS, parse_faultline
 from repro.runtime.metrics import RecoveryStats
 from repro.runtime.sharding import ShardedStreamingExecutor
 
@@ -46,6 +54,7 @@ __all__ = [
     "canonical_report",
     "checkpoint_temp_files",
     "run_differential",
+    "sweep_exhaustive",
 ]
 
 
@@ -106,22 +115,25 @@ def run_differential(
     checkpoint_interval: int = 4,
     max_restarts: int = 8,
     checkpoint_dir: Optional[str] = None,
+    clean: Optional[ExecutionReport] = None,
     **options: object,
 ) -> DifferentialResult:
     """Run clean then injected, and compare canonically.
 
     The clean run uses the in-process sharded executor (same router and
-    merge, no processes to kill) at the same shard count; the injected
-    run arms ``spec`` in :data:`FAULTLINE_ENV` for its worker pool and
-    runs with checkpointing + supervision enabled.  Factories (not
-    values) keep the two runs independent: each builds its own workload
-    objects and replays its own stream.  ``options`` (lateness, late
-    policy, ...) go to both executors.
+    merge, no processes to kill) at the same shard count — or is the
+    ``clean`` report a sweep over one stream already has; the injected
+    run arms ``spec`` in :data:`FAULTLINE_ENV` (empty: nothing armed) for
+    its worker pool and runs with checkpointing + supervision enabled.
+    Factories (not values) keep the two runs independent: each builds its
+    own workload objects and replays its own stream.  ``options``
+    (lateness, late policy, ...) go to both executors.
     """
     parse_faultline(spec)  # fail fast on a malformed spec
-    clean = ShardedStreamingExecutor(
-        list(workload_factory()), workers=0, shards=workers, **options
-    ).run(stream_factory())
+    if clean is None:
+        clean = ShardedStreamingExecutor(
+            list(workload_factory()), workers=0, shards=workers, **options
+        ).run(stream_factory())
     previous = os.environ.get(FAULTLINE_ENV)
     owned_dir: Optional[tempfile.TemporaryDirectory] = None
     if checkpoint_dir is None:
@@ -156,3 +168,60 @@ def run_differential(
         clean=clean,
         injected=injected,
     )
+
+
+def sweep_exhaustive(
+    workload_factory: Callable[[], Sequence[Query]],
+    stream_factory: Callable[[], Iterable[Event]],
+    *,
+    workers: int = 2,
+    transport: str = "pickle",
+    modes: Sequence[str] = ("exit", "kill"),
+    max_hit: int = 6,
+    **options: object,
+) -> Iterator[tuple[DifferentialResult, int]]:
+    """Every ``kill point x hit count 1..max_hit x shard x mode`` over one
+    small stream: yields each case's result with the restart count it must
+    show — 1 where the trigger fires, 0 where the shard's original worker
+    never reaches the hit count.
+
+    How often a worker reaches each site is read off one pooled run with
+    nothing armed, not guessed: once per batch the driver shipped it for
+    the worker-loop sites, once per record of its output log for
+    ``post-log-pre-snapshot``, once for the two report sites.  All of it
+    is fixed by the stream and the options, none of it by timing.
+    """
+    with tempfile.TemporaryDirectory(prefix="faultline-probe-") as probe_dir:
+        probe = run_differential(
+            workload_factory,
+            stream_factory,
+            spec="",
+            workers=workers,
+            transport=transport,
+            checkpoint_dir=probe_dir,
+            **options,
+        )
+        writes = []
+        for shard_id in range(workers):
+            latest = CheckpointStore(probe_dir, shard_id).latest()
+            writes.append(0 if latest is None else len(latest.output))
+    assert probe.identical and probe.recovery.restarts == 0
+    for point, hit, shard, mode in itertools.product(
+        KILL_POINTS, range(1, max_hit + 1), range(workers), modes
+    ):
+        if point == "post-log-pre-snapshot":
+            reached = writes[shard]
+        elif point.endswith("-report"):
+            reached = 1
+        else:
+            reached = probe.injected.shards[shard].batches
+        result = run_differential(
+            workload_factory,
+            stream_factory,
+            spec=f"{point}@{shard}:{hit}:{mode}",
+            workers=workers,
+            transport=transport,
+            clean=probe.clean,
+            **options,
+        )
+        yield result, int(hit <= reached)

@@ -8,23 +8,38 @@ leaked checkpoint temp files, 1 otherwise, 2 on usage errors.
 
 The default sweep covers every kill point with both ``exit`` and
 SIGKILL deaths; ``--spec`` replaces it with one explicit
-:data:`~repro.runtime.faultpoints.FAULTLINE_ENV` spec.
+:data:`~repro.runtime.faultpoints.FAULTLINE_ENV` spec; ``--exhaustive``
+replaces it with the small-scope enumeration
+(:func:`faultline.sweep_exhaustive`): on a stream of about six batches
+per shard, every kill point x hit count 1..6 x shard x death mode, where
+a case passes with *exactly* the restarts its trigger's reachability
+predicts.  Every case runs under a hard deadline
+(:data:`CASE_DEADLINE_SECONDS`): a hung driver dumps its tracebacks and
+exits nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
+import faulthandler
+import glob
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from faultline import run_differential
+from faultline import run_differential, sweep_exhaustive
 from repro.events.event import Event
 from repro.query.query import Query
 from repro.query.windows import Window
 from repro.runtime.faultpoints import KILL_POINTS
 
 __all__ = ["main"]
+
+#: Hard deadline of one injected run (they take well under a second).
+CASE_DEADLINE_SECONDS = 60.0
+#: The small-scope stream: events per batch, batches per shard (about).
+EXHAUSTIVE_BATCH_SIZE = 32
+EXHAUSTIVE_BATCHES = 6
 
 
 def _workload() -> list[Query]:
@@ -61,6 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "default: sweep every kill point in both exit and kill modes",
     )
     parser.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="enumerate kill point x hit count 1..6 x shard x mode over a "
+        "six-batch stream instead (ignores --events, --batch-size and "
+        "--checkpoint-interval)",
+    )
+    parser.add_argument(
         "--workers", type=int, default=2, help="shard worker processes (default: 2)"
     )
     parser.add_argument(
@@ -94,10 +116,24 @@ def _sweep_specs(workers: int) -> list[str]:
     shard = 1 if workers > 1 else 0
     specs = []
     for point in KILL_POINTS:
-        nth = 1 if point == "pre-report" else 3
+        nth = 1 if point.endswith("-report") else 3
         for mode in ("exit", "kill"):
             specs.append(f"{point}@{shard}:{nth}:{mode}")
     return specs
+
+
+def _under_deadline(sweep: Iterator) -> Iterator:
+    """``sweep``, each step of it — one injected run — under the hard
+    deadline: a hang becomes a traceback dump and a nonzero exit."""
+    while True:
+        faulthandler.dump_traceback_later(CASE_DEADLINE_SECONDS, exit=True)
+        try:
+            case = next(sweep, None)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        if case is None:
+            return
+        yield case
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -105,34 +141,61 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     if arguments.workers < 1:
         parser.error("--workers must be >= 1 (fault injection needs processes to kill)")
+    if arguments.exhaustive and arguments.spec:
+        parser.error("--exhaustive enumerates its own specs; drop --spec")
     transports = arguments.transport or ["pickle", "shm"]
-    specs = [arguments.spec] if arguments.spec else _sweep_specs(arguments.workers)
-    failures = 0
+    failures = cases = 0
     for transport in transports:
-        for spec in specs:
-            result = run_differential(
+        if arguments.exhaustive:
+            events = EXHAUSTIVE_BATCHES * EXHAUSTIVE_BATCH_SIZE * arguments.workers
+            sweep = sweep_exhaustive(
                 _workload,
-                lambda: _stream(arguments.events, arguments.seed),
-                spec=spec,
+                lambda: _stream(events, arguments.seed),
                 workers=arguments.workers,
                 transport=transport,
-                batch_size=arguments.batch_size,
-                checkpoint_interval=arguments.checkpoint_interval,
+                batch_size=EXHAUSTIVE_BATCH_SIZE,
+                checkpoint_interval=1,
             )
+        else:
+            specs = [arguments.spec] if arguments.spec else _sweep_specs(arguments.workers)
+            sweep = (
+                (
+                    run_differential(
+                        _workload,
+                        lambda: _stream(arguments.events, arguments.seed),
+                        spec=spec,
+                        workers=arguments.workers,
+                        transport=transport,
+                        batch_size=arguments.batch_size,
+                        checkpoint_interval=arguments.checkpoint_interval,
+                    ),
+                    None,  # any restart count >= 1 will do
+                )
+                for spec in specs
+            )
+        for result, expected in _under_deadline(sweep):
             restarts = result.recovery.restarts if result.recovery else 0
-            ok = result.identical and restarts >= 1 and not result.leaked_temporaries
+            ok = (
+                result.identical
+                and (restarts >= 1 if expected is None else restarts == expected)
+                and not result.leaked_temporaries
+                and not glob.glob("/dev/shm/repro-ring-*")
+            )
+            cases += 1
             failures += 0 if ok else 1
+            if ok and arguments.exhaustive:
+                continue  # 288 "ok" lines help nobody
             verdict = "ok" if ok else "FAIL"
             print(
-                f"{verdict:4s} {transport:6s} {spec:32s} "
+                f"{verdict:4s} {transport:6s} {result.spec:32s} "
                 f"identical={result.identical} restarts={restarts} "
                 f"replayed={result.recovery.replayed_batches if result.recovery else 0} "
                 f"leaked_tmp={len(result.leaked_temporaries)}"
             )
     if failures:
-        print(f"{failures} case(s) failed")
+        print(f"{failures} of {cases} case(s) failed")
         return 1
-    print("all cases recovered to bit-identical reports")
+    print(f"all {cases} cases recovered to bit-identical reports")
     return 0
 
 

@@ -91,6 +91,7 @@ class EventConstructionRule(Rule):
     scope: ClassVar[tuple[str, ...]] = (
         "repro/runtime/streaming.py",
         "repro/runtime/sharding.py",
+        "repro/runtime/routing.py",
         "repro/runtime/shared_windows.py",
         "repro/runtime/transport.py",
         "repro/runtime/reorder.py",

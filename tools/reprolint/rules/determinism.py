@@ -50,7 +50,7 @@ class UnstableIdentityOrderingRule(Rule):
         "per-process, so neither may feed shard routing, partition keys, or "
         "merge order; repr/str sort keys order numbers lexicographically and "
         "interleave types by class-name spelling.  Use "
-        "repro.runtime.sharding.stable_shard_hash (BLAKE2b) for routing and "
+        "repro.runtime.routing.stable_shard_hash (BLAKE2b) for routing and "
         "repro.runtime.partitioner.group_sort_key for ordering (PR 4 incident)."
     )
     scope: ClassVar[tuple[str, ...]] = ("repro/runtime/",)
