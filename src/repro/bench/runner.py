@@ -76,7 +76,10 @@ def run_comparison(
     for spec in engines:
         executor = WorkloadExecutor(workload, spec.factory)
         report = executor.run(stream)
-        extra: dict = {"partitions": report.metrics.partitions}
+        extra: dict = {
+            "partitions": report.metrics.partitions,
+            "operations": report.metrics.operations,
+        }
         if report.optimizer_statistics is not None:
             stats = report.optimizer_statistics
             extra.update(

@@ -31,6 +31,10 @@ closed-form alternative.  Backends resolve by *name* through
 :func:`resolve_kernel_backend` — the same registry pattern as
 :mod:`repro.optimizer.registry` — so a backend choice crosses shard-worker
 process boundaries as a plain picklable string.
+
+:func:`settle_kleene` is the one closed form on the reference path: a run
+of scalar Kleene rows applied to a cell at once, taken only where it is the
+iterated fold bit for bit (the multi-window engine's deferred segment fold).
 """
 
 from __future__ import annotations
@@ -401,6 +405,32 @@ class PythonKernelBackend(KernelBackend):
                     total_measures[position] += value
                 total.count += count
         return created
+
+
+#: Below 2**53 every integer is a double: a Kleene count that stays under it
+#: was computed without a single rounding, in whatever association.
+_EXACT_LIMIT = 2.0**53
+_POWERS = tuple(2.0**steps for steps in range(54))
+
+
+def settle_kleene(prefix: float, total: float, steps: int) -> float:
+    """``total`` after ``steps`` Kleene rows, each ``total += prefix + total``.
+
+    The closed form is taken only when it lands below 2**53: the iterated
+    fold only grows, so its intermediates are then exact integers too and
+    both are the same double.  (Testing the *computed* value is sound: each
+    rounding in it is monotone and 2**53 is a double, so a true value at or
+    past the limit never computes below it.)  Anything else — a count
+    already past 2**53, ``inf`` — iterates, as the per-event fold does.
+    """
+    if steps <= 53:
+        power = _POWERS[steps]
+        settled = total * power + prefix * (power - 1.0)
+        if settled < _EXACT_LIMIT:
+            return settled
+    for _ in range(steps):
+        total += prefix + total
+    return total
 
 
 def _load_numpy_backend() -> KernelBackend:

@@ -31,7 +31,7 @@ import pickle
 import struct
 import sys
 from array import array
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.errors import ExecutionError
 from repro.events.event import Event, EventType
@@ -62,9 +62,6 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
 
 
 # ---------------------------------------------------------------------- #
@@ -111,45 +108,31 @@ def parse_frame(data: Buffer) -> memoryview:
 def _encode_column(values: Sequence[Any], out: bytearray) -> None:
     """Append one typed column: tag byte, payload length, payload.
 
-    The dtype is chosen by exact-type scan so decoding restores ``type(v)``
-    for every value: ``float`` -> f64, ``int`` within i64 -> i64, ``bool`` ->
+    The dtype is chosen by exact type so decoding restores ``type(v)`` for
+    every value: ``float`` -> f64, ``int`` within i64 -> i64, ``bool`` ->
     bytes, anything else (or a mixed column) -> a pickled object column.
+    The set of types and the i64 range check (``array`` raising) both run
+    at C speed: no per-value Python step.
     """
-    tag = 0
-    for value in values:
-        kind = type(value)
-        if kind is float:
-            code = 1
-        elif kind is int:
-            code = 2 if _I64_MIN <= value <= _I64_MAX else 4
-        elif kind is bool:
-            code = 3
-        else:
-            code = 4
-        if tag == 0:
-            tag = code
-        elif tag != code:
-            tag = 4
-        if tag == 4:
-            break
-    if tag in (0, 1):  # empty columns encode as (empty) f64
-        f64s = array("d", values)
+    kinds = set(map(type, values))
+    typed: Optional["array[Any]"] = None
+    if kinds <= {float}:  # empty columns encode as (empty) f64
+        tag, typed = b"d", array("d", values)
+    elif kinds == {int}:
+        try:
+            tag, typed = b"q", array("q", values)
+        except OverflowError:  # an int outside i64: object column
+            pass
+    if typed is not None:
         if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-            f64s.byteswap()
-        payload = f64s.tobytes()
-        out += b"d"
-    elif tag == 2:
-        i64s = array("q", values)
-        if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-            i64s.byteswap()
-        payload = i64s.tobytes()
-        out += b"q"
-    elif tag == 3:
-        payload = bytes(values)
-        out += b"b"
+            typed.byteswap()
+        payload = typed.tobytes()
+    elif kinds == {bool}:
+        tag, payload = b"b", bytes(values)
     else:
+        tag = b"O"
         payload = pickle.dumps(list(values), protocol=pickle.HIGHEST_PROTOCOL)
-        out += b"O"
+    out += tag
     out += _U32.pack(len(payload))
     out += payload
 

@@ -59,13 +59,11 @@ only grouped per window instead of per engine.
 from __future__ import annotations
 
 import bisect
-import itertools
-import operator
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.core.engine import compile_fast_path_guards
 from repro.core.hamlet_graph import SharedWindowStore
-from repro.core.kernels import KernelBackend, MutableAggregate, PythonKernelBackend
+from repro.core.kernels import KernelBackend, MutableAggregate, PythonKernelBackend, settle_kleene
 from repro.core.snapshot import WindowCoefficientTable
 from repro.errors import ExecutionError
 from repro.events.event import Event, EventType
@@ -345,57 +343,45 @@ class _ColumnState:
         self.maps = maps
 
 
-class _ClassPlan:
-    """Hot-loop plan of one query class for the segment fold.
+class _DeferredKleene:
+    """The Kleene type shared by a unit's scalar prefix + Kleene classes.
 
-    A *cell* is one ``(class, window)`` pair: its state is one coefficient
-    per positive type of the class, and a row of the class is one step
-    ``value = base + sources in order; total += value`` over that state —
-    no other cell reads or writes it.  The plan numbers the class's types
-    as *slots*, fewest predecessors first, so the dominant shape — a prefix
-    type feeding a Kleene self-loop (``pair``) — reads slot 0 = prefix, slot
-    1 = Kleene type.
-
-    A class reads a segment as its *shared* rows interleaved with its *own*
-    rows.  The shared slot is the class's non-start type that most classes
-    of the unit read (HAMLET's shared Kleene sub-pattern): a row of that
-    type is recorded once, in the list all those classes hold
-    (``shared_rows``), not once per class.  Rows of the other types go to
-    ``own`` as ``(shared rows before it, slot, segment row)``, which pins
-    the interleaving.  Both lists are scratch state of one segment.
+    The segment fold counts a row of the type (``rows``) instead of applying
+    it to the cells that read it.  A cell's *stamp*, its value in the armed
+    map, is the count it is settled up to: it owes ``rows - stamp`` steps
+    (:func:`settle_kleene`).  ``cells`` (armed cells of the reading classes)
+    and ``entries`` (those a Kleene row has reached: the eager fold holds a
+    Kleene coefficient for them) make a row's accounting O(1).
     """
 
-    __slots__ = ("armed", "types", "plans", "starts", "pair", "shared", "shared_rows", "own")
+    __slots__ = ("rows", "cells", "entries")
 
-    def __init__(
-        self,
-        spec: QueryClassSpec,
-        armed: dict,
-        plan_of: dict[tuple[int, EventType], _TypePlan],
-        readers: dict[EventType, tuple[QueryClassSpec, ...]],
-    ) -> None:
-        pred_types = spec.pred_types
-        types = sorted(pred_types, key=lambda name: (len(pred_types[name]), name))
+    def __init__(self) -> None:
+        self.rows = self.cells = self.entries = 0
+
+
+class _DeferredClass(NamedTuple):
+    """Segment-fold state of one scalar class of the dominant shape, a
+    prefix type (start, no predecessor) feeding a Kleene self-loop."""
+
+    armed: dict
+    prefix_map: dict
+    kleene_map: dict
+    kleene: _DeferredKleene
+
+
+class _EagerClass:
+    """Segment-fold scratch of any other class, which folds one same-type
+    run *of the class* at a time: ``rows`` collects the segment rows of
+    ``plan``'s type until a row of another type of the class, or a start
+    row arming a window, ends the run."""
+
+    __slots__ = ("armed", "plan", "rows")
+
+    def __init__(self, armed: dict) -> None:
         self.armed = armed
-        self.types = tuple(types)
-        #: Per slot: the ``(class, type)`` plan, and whether the type starts
-        #: a trend (a start row may arm windows mid-segment).
-        self.plans = tuple(plan_of[spec.index, name] for name in types)
-        self.starts = tuple(plan.is_start for plan in self.plans)
-        self.pair = (
-            self.starts == (True, False)
-            and not pred_types[types[0]]
-            and set(pred_types[types[1]]) == set(types)
-        )
-        #: A start row is always an own row; a class of start types only
-        #: has no shared slot.
-        self.shared: Optional[int] = max(
-            (slot for slot, is_start in enumerate(self.starts) if not is_start),
-            key=lambda slot: (len(readers[types[slot]]), -slot),
-            default=None,
-        )
-        self.shared_rows: Sequence[int] = ()
-        self.own: list[tuple[int, int, int]] = []
+        self.plan: Optional[_TypePlan] = None
+        self.rows: list[int] = []
 
 
 class _OrderPoint:
@@ -453,7 +439,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             backend if backend is not None else PythonKernelBackend()
         )
         self._coefficients = WindowCoefficientTable(unit.dimension)
-        self._armed: list[dict[int, bool]] = [dict() for _ in unit.classes]
+        #: Per class: ``armed window -> stamp`` (:class:`_DeferredKleene`; else 0).
+        self._armed: list[dict[int, int]] = [dict() for _ in unit.classes]
         self._store: Optional[SharedWindowStore] = (
             SharedWindowStore() if unit.needs_store else None
         )
@@ -468,12 +455,15 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             for plan in plans
         }
         #: Segment fold, compiled by the first segment (burst-buffered engines
-        #: never pay for it): one plan per class; per shared type the row
-        #: list its classes hold in common; per event type the ``(own, shared
-        #: rows, slot)`` of the classes it is an own row of.
-        self._class_plans: Optional[tuple[_ClassPlan, ...]] = None
-        self._shared_rows: dict[EventType, list[int]] = {}
-        self._own_feeds: dict[EventType, tuple[tuple, ...]] = {}
+        #: never pay for it): per event type what a row of it feeds — ``(the
+        #: deferred counter it advances, the deferred classes it prefixes, the
+        #: (eager class, type plan) pairs reading it)`` — and the class states
+        #: behind it, the deferred ones by class index.
+        self._segment_feeds: Optional[dict[EventType, tuple]] = None
+        self._deferred: dict[int, _DeferredClass] = {}
+        self._eager: list[_EagerClass] = []
+        #: True while cells may owe Kleene steps; eager readers ``_settle`` first.
+        self._unsettled = False
         #: Split ``(class, type)`` pairs; fully shared pairs have no entry.
         self._columns: dict[tuple[int, EventType], _ColumnState] = {}
         #: Per class: ``(last positive burst type, shared run length)``.  The
@@ -514,6 +504,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         """Do the event's graph work once; fold coefficients per armed window."""
         ensure_shared_order(self._latest_event, event)
         self._latest_event = event
+        if self._unsettled:
+            self._settle()
         unit = self.unit
         store = self._store
         negative_specs = unit.negative_classes_by_type.get(event.event_type)
@@ -537,7 +529,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             if plan.is_start:
                 for index in range(lo, hi + 1):
                     if index not in armed:
-                        armed[index] = True
+                        armed[index] = 0
                         self._armed_entries += 1
             if not armed:
                 continue
@@ -598,9 +590,9 @@ class MultiWindowLinearEngine(MultiWindowEngine):
           bit-identical) or a vectorized closed form (the numpy backend:
           the documented float-tolerance contract); or
         * one type name per row for a mixed-type **segment** (what the
-          static block path hands over between two close sweeps), folded
-          class by class (:meth:`_fold_segment`).  Only a unit whose every
-          type is columnar, with no split sharing column, takes one.
+          static block path hands over between two close sweeps:
+          :meth:`_fold_segment`).  Only a unit whose every type is
+          columnar, with no split sharing column, takes one.
 
         Results *and* abstract operation counts equal the equivalent
         sequence of :meth:`process` calls under the python backend; this is
@@ -640,6 +632,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         cursor = ensure_shared_run_order(times, sequences, self._latest_event)
         if cursor is not None:
             self._latest_event = _OrderPoint(cursor[0], cursor[1])
+        if self._unsettled:
+            self._settle()
         count = len(times)
         for plan in plans or ():
             armed = self._armed[plan.spec.index]
@@ -657,7 +651,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 last = bisect.bisect_right(highs, high, first)
                 for index in range(lows[first], high + 1):
                     if index not in armed:
-                        armed[index] = True
+                        armed[index] = 0
                         self._armed_entries += 1
                 if armed:
                     rows = contribution_rows
@@ -721,151 +715,132 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         highs: Sequence[int],
         contribution_rows: Optional[Sequence[tuple[float, ...]]],
     ) -> bool:
-        """Fold one mixed-type segment, class by class.
+        """Fold one mixed-type segment, in one pass over its rows.
 
-        What may reorder against the per-event run: cells (one class's
-        windows fold before the next class's, whatever the row order).
-        What may not: the rows within a cell.  A start-type row arms its
-        covering range before it folds, so a class's rows are cut where
-        such a row arms a window: the rows before it go to the windows
-        armed so far, and the newly armed ones join from that row on.
+        What may reorder against the per-event run: cells.  What may not:
+        the rows within a cell.  A Kleene row is counted once for all the
+        deferred classes; a prefix row arms its covering range, settles the
+        class's cells up to the count and steps their prefix.  An eager
+        class collects same-type runs; a start-type row arms before it
+        folds, so the run before it goes to the windows armed so far.
         """
         if not self.unit.columnar or self._columns:
             return False
         cursor = ensure_shared_run_order(times, sequences, self._latest_event)
         if cursor is not None:
             self._latest_event = _OrderPoint(cursor[0], cursor[1])
-        plans = self._class_plans or self._compile_class_plans()
-        shared = self._shared_rows
-        feeds = self._own_feeds
+        feeds = self._segment_feeds or self._compile_segment_feeds()
+        if self._deferred and not self._unsettled:
+            # Deferral resumes: count the cells and entries the maps hold.
+            self._unsettled = True
+            for state in self._deferred.values():
+                state.kleene.cells += len(state.armed)
+                state.kleene.entries += len(state.kleene_map)
+        ops = created = armings = 0
         for row, event_type in enumerate(types):
-            shared_rows = shared.get(event_type)
-            if shared_rows is not None:
-                shared_rows.append(row)
-            for own, before, slot in feeds.get(event_type, ()):
-                own.append((len(before), slot, row))
-        scalar = contribution_rows is None
-        for plan in plans:
-            own = plan.own
-            stop = len(plan.shared_rows)
-            armed = plan.armed
-            fold = self._fold_pair_cells if plan.pair and scalar else self._fold_class_runs
-            if not own:
-                if stop and armed:
-                    fold(plan, own, 0, stop, contribution_rows)
-                continue
-            first = start = 0
-            starts = plan.starts
-            for position, (before, slot, row) in enumerate(own):
-                if not starts[slot]:
-                    continue
-                fresh = [
+            counter, prefixed, eager = feeds.get(event_type, (None, (), ()))
+            if counter is not None:
+                # What the per-event fold does at this row: three operations
+                # per armed cell, a Kleene entry for the cells that had none.
+                counter.rows += 1
+                cells = counter.cells
+                ops += 3 * cells
+                if counter.entries != cells:
+                    created += cells - counter.entries
+                    counter.entries = cells
+            for armed, prefix_map, kleene_map, kleene in prefixed:
+                now = kleene.rows
+                for index in range(lows[row], highs[row] + 1):
+                    if index not in armed:
+                        armed[index] = now
+                        prefix_map[index] = 0.0
+                        kleene.cells += 1
+                        created += 1
+                        armings += 1
+                ops += len(armed)
+                for index, stamp in armed.items():
+                    prefix = prefix_map[index]
+                    if stamp != now:
+                        kleene_map[index] = settle_kleene(
+                            prefix, kleene_map.get(index, 0.0), now - stamp
+                        )
+                        armed[index] = now
+                    prefix_map[index] = prefix + 1.0
+            for state, plan in eager:
+                armed = state.armed
+                fresh = plan.is_start and [
                     index for index in range(lows[row], highs[row] + 1) if index not in armed
                 ]
-                if fresh:
-                    if armed and (position > first or before > start):
-                        fold(plan, own[first:position], start, before, contribution_rows)
-                    first, start = position, before
-                    armed.update(dict.fromkeys(fresh, True))
-                    self._armed_entries += len(fresh)
-            if armed:
-                fold(plan, own[first:] if first else own, start, stop, contribution_rows)
-            own.clear()
-        for shared_rows in shared.values():
-            shared_rows.clear()
+                if fresh or plan is not state.plan:
+                    self._fold_class_run(state, contribution_rows)
+                    state.plan = plan
+                    if fresh:
+                        armed.update(dict.fromkeys(fresh, 0))
+                        armings += len(fresh)
+                state.rows.append(row)
+        self._ops += ops
+        self._coeff_entries += created
+        self._armed_entries += armings
+        for state in self._eager:
+            self._fold_class_run(state, contribution_rows)
         return True
 
-    def _compile_class_plans(self) -> tuple[_ClassPlan, ...]:
-        """Build the class plans and wire each event type to the scratch
-        lists its rows go to (see :class:`_ClassPlan`)."""
-        readers = self.unit.positive_classes_by_type
-        plans = self._class_plans = tuple(
-            _ClassPlan(spec, self._armed[spec.index], self._plan_of, readers)
-            for spec in self.unit.classes
-        )
-        own_feeds: dict[EventType, list[tuple]] = {}
-        for plan in plans:
-            if plan.shared is not None:
-                plan.shared_rows = self._shared_rows.setdefault(plan.types[plan.shared], [])
-            for slot, event_type in enumerate(plan.types):
-                if slot != plan.shared:
-                    own_feeds.setdefault(event_type, []).append(
-                        (plan.own, plan.shared_rows, slot)
+    def _fold_class_run(
+        self, state: _EagerClass, contribution_rows: Optional[Sequence[tuple[float, ...]]]
+    ) -> None:
+        """Hand the run an eager class has collected to the kernel backend
+        (rows that precede the class's first armed window fold nowhere)."""
+        rows = state.rows
+        if rows and state.armed:
+            picked = None if contribution_rows is None else [contribution_rows[r] for r in rows]
+            self._fold_run(state.plan, state.armed, len(rows), picked)
+        rows.clear()
+
+    def _compile_segment_feeds(self) -> dict[EventType, tuple]:
+        """Sort the unit's classes into deferred and eager ones and wire each
+        event type to what a row of it feeds (``_segment_feeds``)."""
+        counters: dict[EventType, _DeferredKleene] = {}
+        prefixed: dict[EventType, list[_DeferredClass]] = {}
+        eager: dict[EventType, list[tuple[_EagerClass, _TypePlan]]] = {}
+        for spec in self.unit.classes:
+            armed = self._armed[spec.index]
+            preds = spec.pred_types
+            names = sorted(preds, key=lambda name: (len(preds[name]), name))
+            plans = [self._plan_of[spec.index, name] for name in names]
+            if (
+                self.unit.scalar
+                and [plan.is_start for plan in plans] == [True, False]
+                and not preds[names[0]]
+                and set(preds[names[1]]) == set(names)
+            ):
+                kleene = counters.setdefault(names[1], _DeferredKleene())
+                state = _DeferredClass(armed, plans[0].total_map, plans[1].total_map, kleene)
+                self._deferred[spec.index] = state
+                prefixed.setdefault(names[0], []).append(state)
+            else:
+                self._eager.append(_EagerClass(armed))
+                for name, plan in zip(names, plans):
+                    eager.setdefault(name, []).append((self._eager[-1], plan))
+        feeds = self._segment_feeds = {
+            name: (counters.get(name), tuple(prefixed.get(name, ())), tuple(eager.get(name, ())))
+            for name in self.unit.positive_classes_by_type
+        }
+        return feeds
+
+    def _settle(self) -> None:
+        """Pay every cell's owed Kleene steps: back to the state the per-event
+        fold holds (every stamp and counter at 0), which every reader but the
+        segment fold and the readout of one window expects."""
+        self._unsettled = False
+        for armed, prefix_map, kleene_map, kleene in self._deferred.values():
+            for index, stamp in armed.items():
+                if stamp != kleene.rows:
+                    kleene_map[index] = settle_kleene(
+                        prefix_map[index], kleene_map.get(index, 0.0), kleene.rows - stamp
                     )
-        self._own_feeds = {name: tuple(feeds) for name, feeds in own_feeds.items()}
-        return plans
-
-    def _fold_pair_cells(
-        self,
-        plan: _ClassPlan,
-        own: Sequence[tuple[int, int, int]],
-        start: int,
-        stop: int,
-        contribution_rows: None,
-    ) -> None:
-        """Cell-local fold of a scalar prefix + Kleene class: shared (Kleene)
-        rows ``start..stop`` with the ``own`` (prefix) rows interleaved.
-
-        Each armed cell loads its two coefficients into locals, steps
-        through the rows and stores once.  A prefix row is ``prefix +=
-        1.0``; a Kleene row folds ``0.0 + prefix + total`` (in either source
-        order: a sum of two floats commutes) into ``total``.  An absent
-        coefficient loads as ``0.0`` (``x + 0.0 == x``: no fold produces
-        ``-0.0``) and is stored only if a row touched it, so entries appear
-        exactly where the per-event fold creates them.
-        """
-        armed = plan.armed
-        prefix_map, kleene_map = plan.plans[0].total_map, plan.plans[1].total_map
-        created = -len(prefix_map) - len(kleene_map)
-        prefix_get, kleene_get = prefix_map.get, kleene_map.get
-        kleene_rows = stop - start
-        runs = []
-        for before, _, _ in own:
-            runs.append(range(before - start))
-            start = before
-        last = range(stop - start)
-        for index in armed:
-            prefix = prefix_get(index, 0.0)
-            total = kleene_get(index, 0.0)
-            for run in runs:
-                for _ in run:
-                    total += prefix + total
-                prefix += 1.0
-            for _ in last:
-                total += prefix + total
-            if runs:
-                prefix_map[index] = prefix
-            if kleene_rows:
-                kleene_map[index] = total
-        self._coeff_entries += created + len(prefix_map) + len(kleene_map)
-        self._ops += len(armed) * (len(own) + 3 * kleene_rows)
-
-    def _fold_class_runs(
-        self,
-        plan: _ClassPlan,
-        own: Sequence[tuple[int, int, int]],
-        start: int,
-        stop: int,
-        contribution_rows: Optional[Sequence[tuple[float, ...]]],
-    ) -> None:
-        """Fold any other class: its rows — shared rows ``start..stop`` with
-        ``own`` interleaved — go to the kernel backend one same-type run at a
-        time (runs of the class, so a foreign type in between cuts nothing)."""
-        shared, shared_rows = plan.shared, plan.shared_rows
-        steps: list[tuple[Optional[int], int]] = []
-        for before, slot, row in own:
-            steps += [(shared, at) for at in shared_rows[start:before]]
-            steps.append((slot, row))
-            start = before
-        steps += [(shared, at) for at in shared_rows[start:stop]]
-        for slot, run in itertools.groupby(steps, key=operator.itemgetter(0)):
-            rows = [row for _, row in run]
-            self._fold_run(
-                plan.plans[slot],
-                plan.armed,
-                len(rows),
-                None if contribution_rows is None else [contribution_rows[row] for row in rows],
-            )
+                armed[index] = 0
+        for state in self._deferred.values():
+            state.kleene.rows = state.kleene.cells = state.kleene.entries = 0
 
     def close_window(self, index: int) -> dict[str, float]:
         """Equation 3 readout of one instance from its coefficient column."""
@@ -875,9 +850,23 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         evicted = 0
         replica_evicted = 0
         columns = self._columns
+        deferred = self._deferred if self._unsettled else None
         for spec in unit.classes:
-            if self._armed[spec.index].pop(index, None) is not None:
+            stamp = self._armed[spec.index].pop(index, None)
+            if stamp is not None:
                 self._armed_entries -= 1
+                state = deferred.get(spec.index) if deferred else None
+                if state is not None:
+                    # Pay what this one cell owes; the others stay deferred.
+                    _, prefix_map, kleene_map, kleene = state
+                    kleene.cells -= 1
+                    if stamp != kleene.rows:
+                        kleene_map[index] = settle_kleene(
+                            prefix_map[index], kleene_map.get(index, 0.0), kleene.rows - stamp
+                        )
+                        kleene.entries -= 1
+                    elif index in kleene_map:
+                        kleene.entries -= 1
             end_states = (
                 [columns.get((spec.index, t)) for t in spec.end_types] if columns else None
             )
@@ -1048,6 +1037,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         simply drops replicas — sound because every column of a pair holds
         bit-identical values at all times.
         """
+        if self._unsettled:
+            self._settle()
         queries = spec.queries
         count = len(queries)
         shared_positions = [
@@ -1138,6 +1129,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     @property
     def coefficients(self) -> WindowCoefficientTable:
         """The per-window coefficient table (ground truth for accounting)."""
+        if self._unsettled:
+            self._settle()
         return self._coefficients
 
     def live_coefficient_entries(self) -> int:

@@ -130,11 +130,11 @@ from repro.template.template import compile_pattern
 #: v5: the reorder buffer holds its segments as plain blocks of unreleased
 #: rows (no ``[block, cursor]`` pairs) and a block pickles its own rows
 #: only, compacted (``EventBlock.__reduce__``).
-#: v6: shared-window engines carry their segment-fold plans
-#: (``MultiWindowLinearEngine._class_plans``, compiled by the first segment).
+#: v6: shared-window engines carry their segment-fold plans.
 #: v7: a unit ships ``(groups, engine pool, next close)``; per-instance
 #: engines live inside their group's ``InstanceWindowEngine``.
-SNAPSHOT_VERSION = 7
+#: v8: an engine's armed maps hold stamps (the deferred Kleene fold), not ``True``.
+SNAPSHOT_VERSION = 8
 
 #: Retract policy: a core snapshot is rotated every this many released
 #: items; the last two are retained, bounding both the replay work of one

@@ -721,18 +721,18 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A pre-PR-17 snapshot (v6: per-instance engines in an open-instance
-    index beside the groups, four fields per unit) is refused with a typed
-    error instead of being unpacked into the three-field unit state."""
+    """A pre-PR-21 snapshot (v7: the engines' armed maps hold ``True``, not
+    the deferred Kleene fold's stamps, and carry ``_ClassPlan`` objects) is
+    refused with a typed error instead of being resumed."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 7
-    state["version"] = 6
-    with pytest.raises(CheckpointError, match="schema version 6"):
+    assert state["version"] == SNAPSHOT_VERSION == 8
+    state["version"] = 7
+    with pytest.raises(CheckpointError, match="schema version 7"):
         executor.restore_state(pickle.dumps(state))
 
 

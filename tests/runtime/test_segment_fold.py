@@ -12,8 +12,17 @@ association shows), abstract operation counts, ``WindowResult.events``,
 emission order, peak memory units and the engines' incremental entry
 counters.
 
+Scalar prefix + Kleene classes fold *deferred*: a Kleene row is counted,
+and a cell pays the steps it owes when one of its own prefix rows arrives,
+when its window is read out, or when a reader needs eager state.  The
+``check`` of these tests is such a reader (``engine.coefficients``), so
+every differential also runs with ``introspect=False``, where cells stay
+unsettled from block to block; further down, the readers one by one —
+``process()`` between blocks, a snapshot, a retraction's rollback.
+
 The last test is a mechanism gate in counts, not seconds: on the fig9 query
-shape the engine is entered at most once per ``(group, sweep segment)``.
+shape the engine is entered at most once per ``(group, sweep segment)`` and
+a Kleene row costs no cell visit.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, avg, kleene, parse_pattern, seq, sum_of
 from repro.query.predicates import attr_less
-from repro.runtime import MultiWindowLinearEngine, StreamingExecutor
+from repro.runtime import MultiWindowLinearEngine, StreamingExecutor, shared_windows
 from repro.runtime.shared_windows import UnitCompilation
 
 #: ``size % slide != 0``: windows open at multiples of 4 and close at
@@ -101,27 +110,36 @@ def live_engines(executor: StreamingExecutor):
     ]
 
 
-def run_collecting(queries, feed):
+def emission(r):
+    """What a differential compares of one emitted ``WindowResult``."""
+    return (
+        r.group_key,
+        r.window_index,
+        r.events,
+        r.retraction,
+        {name: float(value).hex() for name, value in r.results.items()},
+    )
+
+
+def run_collecting(queries, feed, *, introspect=True, **options):
     """Run ``feed(executor)``: the report, what was emitted in which order,
-    and whether the incremental entry counters held after every feed step."""
+    and whether the incremental entry counters held after every feed step.
+    ``introspect=False`` leaves the coefficient table alone between steps
+    (reading it settles every deferred cell)."""
     emitted = []
     executor = StreamingExecutor(
         queries,
         kernel_backend="python",  # the segment fold is the reference backend's path
-        on_window=lambda r: emitted.append(
-            (
-                r.group_key,
-                r.window_index,
-                r.events,
-                {name: float(value).hex() for name, value in r.results.items()},
-            )
-        ),
+        on_window=lambda r: emitted.append(emission(r)),
+        **options,
     )
 
     def check():
         for engine in live_engines(executor):
-            assert engine.live_coefficient_entries() == engine.coefficients.entry_count()
             assert engine._armed_entries == engine.armed_window_count()
+            if introspect:
+                assert engine.live_coefficient_entries() == engine.coefficients.entry_count()
+                assert not engine._unsettled
 
     feed(executor, check)
     check()
@@ -184,7 +202,9 @@ def test_segment_fold_equals_per_event_under_random_cuts(monkeypatch, seed, work
     spy = _SegmentSpy(monkeypatch)
     rng = random.Random(seed)
     for cuts in ((), rng.sample(range(1, len(events)), 5), range(40, len(events), 40)):
-        assert_same_run(expected, run_collecting(queries, in_blocks(events, cuts)))
+        for introspect in (True, False):
+            got = run_collecting(queries, in_blocks(events, cuts), introspect=introspect)
+            assert_same_run(expected, got)
     assert spy.calls > 0
 
 
@@ -195,7 +215,9 @@ def test_segment_fold_equals_per_event_at_every_cut():
     for queries in (scalar_workload(UNEVEN), vector_workload(UNEVEN)):
         expected = run_collecting(queries, per_event(events))
         for cut in range(len(events) + 1):
-            assert_same_run(expected, run_collecting(queries, in_blocks(events, (cut,))))
+            for introspect in (True, False):
+                got = run_collecting(queries, in_blocks(events, (cut,)), introspect=introspect)
+                assert_same_run(expected, got)
 
 
 def test_prefix_arriving_mid_segment_and_inert_group_prefix():
@@ -230,7 +252,140 @@ def test_counts_past_two_to_the_53rd_stay_bit_identical():
         expected = run_collecting(queries, per_event(events))
         assert max(expected[0].totals.values()) > 2.0**53
         for cuts in ((), (57, 58, 211)):
-            assert_same_run(expected, run_collecting(queries, in_blocks(events, cuts)))
+            for introspect in (True, False):
+                got = run_collecting(queries, in_blocks(events, cuts), introspect=introspect)
+                assert_same_run(expected, got)
+
+
+# --------------------------------------------------------------------- #
+# The deferred fold's eager readers
+# --------------------------------------------------------------------- #
+def owed_steps(executor) -> int:
+    """Kleene steps the executor's deferred cells have not been paid yet."""
+    return sum(
+        state.kleene.rows - stamp
+        for engine in live_engines(executor)
+        for state in engine._deferred.values()
+        for stamp in state.armed.values()
+    )
+
+
+@pytest.mark.parametrize("window", (UNEVEN, Window(10.0, 5.0)), ids=("uneven", "past2to53"))
+def test_process_and_process_block_interleave_on_one_executor(window):
+    # process() is an eager reader: it settles what the blocks before it
+    # left deferred, and the next block resumes deferral from its state.
+    rng = random.Random(11)
+    if window is UNEVEN:
+        events = make_stream(11, 400)
+    else:
+        events = [
+            Event(rng.choices("ABC", weights=(1, 8, 1))[0], 0.1 * index, {"v": 1.0, "g": 1.0})
+            for index in range(400)
+        ]
+    queries = scalar_workload(window)
+    expected = run_collecting(queries, per_event(events))
+    block = EventBlock.from_events(events)
+    deferred = []
+
+    def feed(executor, check):
+        position = 0
+        while position < len(events):
+            stop = min(position + rng.randint(1, 40), len(events))
+            if rng.random() < 0.5:
+                for event in events[position:stop]:
+                    executor.process(event)
+            else:
+                executor.process_block(block.slice(position, stop))
+                deferred.append(owed_steps(executor))
+            position = stop
+            check()
+
+    for introspect in (True, False):
+        assert_same_run(expected, run_collecting(queries, feed, introspect=introspect))
+    assert max(deferred) > 0
+    if window is not UNEVEN:
+        assert max(expected[0].totals.values()) > 2.0**53
+
+
+def test_snapshot_taken_while_cells_are_unsettled_resumes_bit_identically():
+    events = make_stream(6, 360)
+    queries = scalar_workload(UNEVEN)
+    expected = run_collecting(queries, per_event(events))
+    block = EventBlock.from_events(events)
+    for cut in (97, 180, 251):
+        emitted: list = []
+
+        def on_window(r):
+            emitted.append(emission(r))
+
+        first = StreamingExecutor(queries, kernel_backend="python", on_window=on_window)
+        first.process_block(block.slice(0, cut))
+        owed = owed_steps(first)
+        assert owed > 0  # the snapshot is taken over unsettled cells ...
+        payload = first.snapshot_state()
+        before = list(emitted)
+        second = StreamingExecutor(queries, kernel_backend="python", on_window=on_window)
+        second.restore_state(payload)
+        assert owed_steps(second) == owed  # ... and carries them as they are
+        second.process_block(block.slice(cut, len(block)))
+        assert_same_run(expected, (second.finish(), emitted))
+        # The snapshot did not disturb the run it was taken from either.
+        del emitted[len(before) :]
+        first.process_block(block.slice(cut, len(block)))
+        assert_same_run(expected, (first.finish(), emitted))
+
+
+def test_retraction_rolls_back_across_unsettled_cells(monkeypatch):
+    events = make_stream(8, 320)
+    arrivals = list(events)
+    for index in range(60, 300, 60):
+        arrivals.insert(index + 40, arrivals.pop(index))  # 10 time units late
+    queries = scalar_workload(UNEVEN)
+    options = {"allowed_lateness": 2.0, "late_policy": "retract"}
+    scalar = run_collecting(queries, per_event(arrivals), **options)
+    settled_unsettled = []
+    settle = MultiWindowLinearEngine._settle
+
+    def counting(engine):
+        settled_unsettled.append(engine._unsettled)
+        return settle(engine)
+
+    monkeypatch.setattr(MultiWindowLinearEngine, "_settle", counting)
+    blocked = run_collecting(
+        queries, in_blocks(arrivals, range(50, 320, 50)), introspect=False, **options
+    )
+    assert_same_run(scalar, blocked)
+    assert blocked[0].metrics.late_retracted == scalar[0].metrics.late_retracted == 4
+    assert any(settled_unsettled)  # snapshots and replays did meet deferred cells
+    ordered = run_collecting(queries, per_event(events))
+    assert {k: v.hex() for k, v in blocked[0].totals.items()} == {
+        k: v.hex() for k, v in ordered[0].totals.items()
+    }
+
+
+def test_introspection_settles_and_the_entry_counters_agree():
+    executor = StreamingExecutor(scalar_workload(UNEVEN), kernel_backend="python")
+    executor.process_block(EventBlock.from_events(make_stream(3, 150)))
+    engines = live_engines(executor)
+    assert engines and owed_steps(executor) > 0
+    behind = 0
+    for engine in engines:
+        counted, units, ops = (
+            engine.live_coefficient_entries(),
+            engine.memory_units(),
+            engine.operations(),
+        )
+        # The counters run ahead of the table: an owed Kleene step may be
+        # the one that creates the cell's Kleene entry.
+        behind += counted - engine._coefficients.entry_count()
+        assert engine.coefficients.entry_count() == counted  # the read settles
+        assert not engine._unsettled
+        assert (engine.live_coefficient_entries(), engine.memory_units(), engine.operations()) == (
+            counted,
+            units,
+            ops,
+        )
+    assert behind > 0 and owed_steps(executor) == 0
 
 
 def test_unit_with_a_declined_type_keeps_the_run_path(monkeypatch):
@@ -265,8 +420,9 @@ def test_burst_buffered_configurations_keep_the_run_path(monkeypatch, options):
 
 def test_prefix_kleene_classes_fold_cell_locally(monkeypatch):
     # The dominant shape never enters the kernel backend on the static
-    # path; any other class goes there one same-type run of the class at a
-    # time, so a foreign type in between cuts nothing.
+    # path (its Kleene rows are counted, its cells settled in closed form);
+    # any other class goes there one same-type run of the class at a time,
+    # so a foreign type in between cuts nothing.
     from repro.core.kernels import PythonKernelBackend
 
     calls = []
@@ -345,8 +501,9 @@ def coefficient_bits(engine):
     }
 
 
+@pytest.mark.parametrize("introspect", (True, False), ids=("settled", "unsettled"))
 @pytest.mark.parametrize("workload", (scalar_workload, vector_workload), ids=("scalar", "vector"))
-def test_engine_segment_equals_per_event_process(workload):
+def test_engine_segment_equals_per_event_process(workload, introspect):
     rng = random.Random(3)
     queries = [query for query in workload(UNEVEN)]
     by_event, by_segment = engine_pair(queries)
@@ -373,14 +530,17 @@ def test_engine_segment_equals_per_event_process(workload):
             highs,
             None if by_segment.unit.scalar else [by_segment.unit.contributions(e) for e in rows],
         )
-        assert coefficient_bits(by_segment) == coefficient_bits(by_event)
         assert by_segment.operations() == by_event.operations()
         assert by_segment.memory_units() == by_event.memory_units()
-        assert by_segment.live_coefficient_entries() == by_segment.coefficients.entry_count()
+        assert by_segment.live_coefficient_entries() == by_event.live_coefficient_entries()
+        if introspect:  # reading the table settles the deferred cells
+            assert coefficient_bits(by_segment) == coefficient_bits(by_event)
+            assert by_segment.live_coefficient_entries() == by_segment.coefficients.entry_count()
         # Close the oldest window now and then: later segments fold around it.
         oldest = min((i for armed in by_event._armed for i in armed), default=None)
         if oldest is not None and rng.random() < 0.4:
             assert by_segment.close_window(oldest) == by_event.close_window(oldest)
+    assert coefficient_bits(by_segment) == coefficient_bits(by_event)
 
 
 def test_engine_declines_a_segment_it_cannot_fold_from_columns():
@@ -425,6 +585,14 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
         return close_passed(executor, now)
 
     monkeypatch.setattr(StreamingExecutor, "_close_passed_windows", counting_sweep)
+    settles = []
+    settle_kleene = shared_windows.settle_kleene
+
+    def counting_settle(prefix, total, steps):
+        settles.append(steps)
+        return settle_kleene(prefix, total, steps)
+
+    monkeypatch.setattr(shared_windows, "settle_kleene", counting_settle)
     executor = StreamingExecutor(queries, kernel_backend="python")
     executor.process_block(block)
     report = executor.finish()
@@ -432,3 +600,8 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
     assert 0 < spy.calls <= districts * (sweeps + 1)
     assert spy.rows == executor.engine_feeds
     assert spy.rows / spy.calls >= 10
+    # The shared Kleene run is counted, not stepped through the cells: a
+    # settle pays ~10 owed steps at once here (the eager fold visited the
+    # cell once per step), and only ever more than zero.
+    assert min(settles) >= 1
+    assert sum(settles) >= 5 * len(settles)

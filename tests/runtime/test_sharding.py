@@ -176,6 +176,61 @@ class TestWireBatchFuzz:
             assert tuple(copy.payload) == tuple(original.payload)
 
 
+#: Whole columns at the edges of the dtype choice: uniform ones, the int64
+#: boundaries, one value that breaks a typed column (an int outside i64, a
+#: bool among ints, an int among floats), and the empty column.
+_i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_edge_columns = st.one_of(
+    st.just([]),
+    st.lists(st.floats(allow_nan=False, width=64), max_size=12),
+    st.lists(_i64, max_size=12),
+    st.lists(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]), min_size=1, max_size=6),
+    st.lists(st.booleans(), max_size=12),
+    st.tuples(st.lists(_i64, max_size=6), st.sampled_from([2**63, -(2**63) - 1, 2**70])).map(
+        lambda pair: pair[0] + [pair[1]]
+    ),
+    st.tuples(st.lists(_i64, min_size=1, max_size=6), st.booleans()).map(
+        lambda pair: pair[0] + [pair[1]]
+    ),
+    st.tuples(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6), _i64).map(
+        lambda pair: [pair[1]] + pair[0]
+    ),
+    st.lists(_scalar_values, max_size=8),
+)
+
+
+def _scanned_tag(values) -> bytes:
+    """The dtype rule, one value at a time (the scan the codec once ran)."""
+    tags = set()
+    for value in values:
+        if type(value) is float:
+            tags.add(b"d")
+        elif type(value) is int and -(2**63) <= value <= 2**63 - 1:
+            tags.add(b"q")
+        elif type(value) is bool:
+            tags.add(b"b")
+        else:
+            tags.add(b"O")
+    return tags.pop() if len(tags) == 1 else (b"O" if tags else b"d")
+
+
+class TestColumnDtypeFuzz:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(values=_edge_columns)
+    def test_column_tag_and_round_trip(self, values):
+        from repro.events import columnar
+
+        out = bytearray()
+        columnar._encode_column(values, out)
+        assert bytes(out[:1]) == _scanned_tag(values)
+        decoded, offset = columnar._decode_column(memoryview(out), 0, len(values))
+        assert offset == len(out)
+        assert decoded == values
+        assert [type(v) for v in decoded] == [type(v) for v in values]
+        # -0.0 == 0.0: the f64 column must keep the sign bit too.
+        assert [str(v) for v in decoded] == [str(v) for v in values]
+
+
 class TestShardRouter:
     def test_group_routing_is_deterministic_across_router_instances(self):
         events = make_events(4, 300)
