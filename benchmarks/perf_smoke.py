@@ -865,7 +865,7 @@ def run_scenario(name: str, runner: Callable, workload, events, repeats: int) ->
     }
     if report.metrics.peak_active_windows:
         result["peak_active_windows"] = report.metrics.peak_active_windows
-    if report.metrics.emission_latencies:
+    if report.metrics.emissions:
         result["avg_emission_latency_ms"] = round(
             report.metrics.average_emission_latency * 1e3, 4
         )

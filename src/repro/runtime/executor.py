@@ -70,6 +70,9 @@ class PartitionResult:
     #: the time — one engine per instance or not — and adds the readout.
     seconds: float
     events: int
+    #: Streaming executor only: wall-clock seconds from the arrival of the
+    #: partition's last contributing event to the emission of its result.
+    emission_latency: float = 0.0
 
     @property
     def key(self) -> PartitionKey:

@@ -7,7 +7,8 @@ The paper reports three metrics (Section 6.1):
   setting this is approximated by the time to process a window partition and
   extract its result; the streaming executor measures it directly as the
   wall-clock span from the arrival of a window's last contributing event to
-  the emission of that window's result (``emission_latencies``);
+  the emission of that window's result (``PartitionResult.emission_latency``,
+  aggregated here as ``average_`` / ``max_emission_latency``);
 * **throughput** — average number of events processed by all queries per
   second;
 * **peak memory** — the maximum amount of state held at any point in time
@@ -18,7 +19,7 @@ The paper reports three metrics (Section 6.1):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Stopwatch:
@@ -56,12 +57,16 @@ class ExecutionMetrics:
     events_processed: int = 0
     #: Number of distinct stream events consumed.
     stream_events: int = 0
-    #: Per-partition latencies in seconds.
-    latencies: list[float] = field(default_factory=list)
+    #: Worst per-partition latency (``PartitionResult.seconds``) in seconds;
+    #: their sum and count are ``total_seconds`` and ``partitions``.
+    max_latency: float = 0.0
     #: True event-arrival-to-emission latencies (streaming executor): seconds
     #: between the arrival of a window's last contributing event and the
-    #: emission of that window's result.
-    emission_latencies: list[float] = field(default_factory=list)
+    #: emission of that window's result — ``PartitionResult.emission_latency``
+    #: row by row; here their count, sum and maximum.
+    emissions: int = 0
+    emission_seconds: float = 0.0
+    max_emission_latency: float = 0.0
     #: Maximum state held at any sampled point, in abstract units.  The batch
     #: executor samples one engine per partition; the streaming executor
     #: samples the live state summed over engines with each piece of state
@@ -98,13 +103,17 @@ class ExecutionMetrics:
         self.total_seconds += seconds
         self.partitions += 1
         self.events_processed += events
-        self.latencies.append(seconds)
+        if seconds > self.max_latency:
+            self.max_latency = seconds
         self.peak_memory_units = max(self.peak_memory_units, memory_units)
         self.operations += operations
 
     def record_emission(self, latency_seconds: float) -> None:
         """Record one window result's event-arrival-to-emission latency."""
-        self.emission_latencies.append(latency_seconds)
+        self.emissions += 1
+        self.emission_seconds += latency_seconds
+        if latency_seconds > self.max_emission_latency:
+            self.max_emission_latency = latency_seconds
 
     def note_active_windows(self, count: int) -> None:
         """Track the peak number of simultaneously open window instances."""
@@ -119,24 +128,12 @@ class ExecutionMetrics:
     @property
     def average_latency(self) -> float:
         """Average per-partition latency in seconds."""
-        return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
-    @property
-    def max_latency(self) -> float:
-        """Worst per-partition latency in seconds."""
-        return max(self.latencies) if self.latencies else 0.0
+        return self.total_seconds / self.partitions if self.partitions else 0.0
 
     @property
     def average_emission_latency(self) -> float:
         """Average arrival-to-emission latency in seconds (streaming runs)."""
-        if not self.emission_latencies:
-            return 0.0
-        return sum(self.emission_latencies) / len(self.emission_latencies)
-
-    @property
-    def max_emission_latency(self) -> float:
-        """Worst arrival-to-emission latency in seconds (streaming runs)."""
-        return max(self.emission_latencies) if self.emission_latencies else 0.0
+        return self.emission_seconds / self.emissions if self.emissions else 0.0
 
     @property
     def throughput_engine(self) -> float:
@@ -170,17 +167,19 @@ class ExecutionMetrics:
     def merge(self, other: "ExecutionMetrics") -> None:
         """Fold another metrics object into this one.
 
-        Additive counters sum; ``wall_seconds`` takes the maximum — merged
-        metrics describe runs that happened *concurrently* (shards), whose
-        elapsed time is the slowest member, not the sum.
+        Additive counters sum, worst-case latencies take the maximum, and
+        so does ``wall_seconds`` — merged metrics describe runs that happened
+        *concurrently* (shards), whose elapsed time is the slowest member.
         """
         self.total_seconds += other.total_seconds
         self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
         self.partitions += other.partitions
         self.events_processed += other.events_processed
         self.stream_events += other.stream_events
-        self.latencies.extend(other.latencies)
-        self.emission_latencies.extend(other.emission_latencies)
+        self.max_latency = max(self.max_latency, other.max_latency)
+        self.emissions += other.emissions
+        self.emission_seconds += other.emission_seconds
+        self.max_emission_latency = max(self.max_emission_latency, other.max_emission_latency)
         self.peak_memory_units = max(self.peak_memory_units, other.peak_memory_units)
         self.peak_active_windows = max(self.peak_active_windows, other.peak_active_windows)
         self.operations += other.operations

@@ -13,12 +13,10 @@ replays.  This module turns that crash into configurable behaviour:
   replays the fully ordered stream bit-identically into the executor core
   (and window close is automatically deferred until the watermark passes
   the window end, because closes are driven by *released* event times);
-* an event older than the watermark is **late** and hits a policy:
-  ``"raise"`` (the pre-buffer behaviour, default), ``"drop"`` (counted in
-  :class:`~repro.runtime.metrics.ExecutionMetrics`), ``"side_output"``
-  (handed to a callback) or ``"retract"`` (the affected closed windows are
-  re-emitted from checkpoint-style engine state with bounded per-update
-  work — see :class:`~repro.runtime.streaming.StreamingExecutor`).
+* an event older than the watermark is **late** and hits a policy —
+  ``"raise"`` (default), ``"drop"``, ``"side_output"`` or ``"retract"`` —
+  applied by :class:`~repro.runtime.lateness.Lateness`, the stage that
+  owns the buffer, the policies and the retract state.
 
 The buffer is columnar: an :class:`~repro.events.block.EventBlock` in any
 row order is buffered as a *segment* (argsorted and gathered once on entry
@@ -43,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from math import isfinite
 from typing import Any, Optional, Sequence, Union
 
 from repro.core.kernels import resolve_kernel_backend
@@ -142,19 +141,41 @@ def validate_stream_options(
 # ---------------------------------------------------------------------- #
 # Order guards (the one sanctioned home of raw order comparisons)
 # ---------------------------------------------------------------------- #
+def non_finite_time_error(time, *, what: str = "streaming executor") -> OutOfOrderError:
+    """The admission-edge rejection of a NaN / infinite event time."""
+    return OutOfOrderError(f"{what} requires finite event times: got an event at time={time!r}")
+
+
+def _regression_error(time, clock, what: str) -> OutOfOrderError:
+    return OutOfOrderError(
+        f"{what} requires in-order arrival: event at {time} arrived after stream "
+        f"time {clock}; pass allowed_lateness=... to buffer bounded disorder"
+    )
+
+
+def ensure_finite_times(times: Sequence, *, what: str = "streaming executor") -> None:
+    """Reject a time column holding a NaN or an infinity, naming the value.
+
+    One C-speed pass: a non-finite value makes the sum non-finite.  (So can
+    overflow of huge finite times; the walk then finds nothing to name.)
+    """
+    if not isfinite(sum(times)):
+        for value in times:
+            if not isfinite(value):
+                raise non_finite_time_error(value, what=what)
+
+
 def ensure_in_order(time, clock, *, what: str = "streaming executor") -> None:
-    """Reject an event time regressing behind the stream clock.
+    """Reject an event time regressing behind the stream clock, or not finite.
 
     The time-only, non-strict contract of the executor boundaries: equal
     times are fine (``(time, sequence)`` strictness is the shared-window
     engines' stricter, separate contract).
     """
     if time < clock:
-        raise OutOfOrderError(
-            f"{what} requires in-order arrival: event at {time} arrived "
-            f"after stream time {clock}; pass allowed_lateness=... to "
-            "buffer bounded disorder"
-        )
+        raise _regression_error(time, clock, what)
+    if not isfinite(time):
+        raise non_finite_time_error(time, what=what)
 
 
 def ensure_block_in_order(
@@ -169,21 +190,17 @@ def ensure_block_in_order(
     ``clock`` for an empty slice.
     """
     window = times[start:stop]
+    ensure_finite_times(window, what=what)
     # The in-order probe runs at C speed (one linear Timsort pass and one
     # list compare, as in ``_in_key_order``); the walk below only names the
-    # offending row — and decides the slices the probe cannot (NaN times
-    # compare false either way, so they pass the walk).
+    # offending row.
     if window and not window[0] < clock and sorted(window) == window:
         return window[-1]
     previous = clock
     for position in range(start, stop):
         value = times[position]
         if value < previous:
-            raise OutOfOrderError(
-                f"{what} requires in-order arrival: event at {value} arrived "
-                f"after stream time {previous}; pass allowed_lateness=... to "
-                "buffer bounded disorder"
-            )
+            raise _regression_error(value, previous, what)
         previous = value
     return previous
 

@@ -51,18 +51,13 @@ property suite in ``tests/runtime/test_adaptive_equivalence.py`` pins it),
 only the work and memory profiles change.  ``optimizer=None`` (default)
 skips the burst machinery entirely.
 
-With ``allowed_lateness=N`` a watermark-driven
-:class:`~repro.runtime.reorder.ReorderBuffer` fronts the ingest paths:
-events within the lateness horizon are buffered and replayed to the core
-in ``(time, sequence)`` order (so a stream shuffled within the horizon is
-bit-identical to its ordered run — results, partitions, emission order),
-window close is deferred until the watermark passes the window end, and
-events older than the watermark hit the configured late policy —
-``"raise"`` (default, the historical crash), ``"drop"``,
-``"side_output"`` or ``"retract"`` (re-derive and re-emit the affected
-closed windows from periodic engine snapshots with bounded per-update
-work).  ``allowed_lateness=None`` (default) keeps the strict in-order
-contract with zero overhead.
+With ``allowed_lateness=N`` a :class:`~repro.runtime.lateness.Lateness`
+stage fronts the ingest paths and this class is the *core* behind it: the
+stage buffers, reorders, applies the late policy and owns all of that
+state; the core only ever sees an in-order stream, so a stream shuffled
+within the horizon is bit-identical to its ordered run.
+``allowed_lateness=None`` (default) keeps the strict in-order contract
+with zero overhead.
 
 The executor is incremental: ``process(event)`` / ``finish()`` drive it from
 a live source, ``run(stream)`` wraps them for replay-style use.
@@ -70,7 +65,6 @@ a live source, ``run(stream)`` wraps them for replay-style use.
 
 from __future__ import annotations
 
-import bisect
 import pickle
 import sys
 import time
@@ -79,7 +73,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overloa
 
 from repro.core.engine import HamletEngine
 from repro.core.kernels import KernelBackendSpec
-from repro.errors import CheckpointError, OutOfOrderError
+from repro.errors import CheckpointError
 from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
 from repro.events.stream import EventStream, slice_stream
@@ -100,12 +94,11 @@ from repro.runtime.executor import (
     unit_relevant_types,
 )
 from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
+from repro.runtime.lateness import Lateness
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
 from repro.runtime.reorder import (
-    ReorderBuffer,
     ensure_block_in_order,
     ensure_in_order,
-    late_event_error,
     validate_stream_options,
 )
 from repro.runtime.shared_windows import (
@@ -119,27 +112,21 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v2: core state moved under a ``"core"`` key and an optional ``"reorder"``
-#: section (buffered events, watermark, late counters, retract snapshots)
-#: rides along.
-#: v3: the unflushed burst buffer inside the core state holds column rows
-#: (see ``_SharedGroup.burst``), not ``(Event, lo, hi)`` tuples.
-#: v4: the core state is the *live* state only; the append-only output
-#: (``StreamingExecutor._output``) rides beside it under ``"output"`` in
-#: the self-contained form, or outside the payload in the incremental one.
-#: v5: the reorder buffer holds its segments as plain blocks of unreleased
-#: rows (no ``[block, cursor]`` pairs) and a block pickles its own rows
-#: only, compacted (``EventBlock.__reduce__``).
-#: v6: shared-window engines carry their segment-fold plans.
-#: v7: a unit ships ``(groups, engine pool, next close)``; per-instance
-#: engines live inside their group's ``InstanceWindowEngine``.
-#: v8: an engine's armed maps hold stamps (the deferred Kleene fold), not ``True``.
-SNAPSHOT_VERSION = 8
+#: v9: ``{core: the core's own pickle, lateness: the stage}``; the output is
+#: one list.  (What v2-v8 changed: CHANGES.md, PRs 10-21.)
+SNAPSHOT_VERSION = 9
 
-#: Retract policy: a core snapshot is rotated every this many released
-#: items; the last two are retained, bounding both the replay work of one
-#: retraction (at most two intervals of events) and the snapshot memory.
-_RETRACT_INTERVAL = 256
+#: The core's per-run scalars (set by ``_begin_run``), pickled by name.
+_CORE_FIELDS = (
+    "_clock",
+    "_consumed",
+    "_engine_feeds",
+    "_active_windows",
+    "_windows_closed",
+    "_next_close",
+    "_report",
+    "_adaptive_stats",
+)
 
 
 @dataclass(frozen=True)
@@ -179,7 +166,7 @@ class _WindowMeta:
 
 
 @dataclass(slots=True)
-class _SharedGroup:
+class _Group:
     """One live ``(group key, execution unit)`` pair: its open window
     instances and the engine that evaluates all of them."""
 
@@ -269,7 +256,7 @@ class _Unit:
     #: Shared-window compilation; ``None``: one pooled engine per instance.
     compiled: Optional[UnitCompilation] = None
     #: One engine + window bookkeeping per live group key.
-    shared_groups: dict[tuple, _SharedGroup] = field(default_factory=dict)
+    groups: dict[tuple, _Group] = field(default_factory=dict)
     #: Earliest end among open instances (``inf`` when none are open).
     next_close: float = float("inf")
 
@@ -337,22 +324,19 @@ class StreamingExecutor:
                 on exactly-representable integer workloads and within the
                 documented float tolerance otherwise (see docs/DESIGN.md).
             allowed_lateness: ``None`` (default) keeps the strict in-order
-                arrival contract.  A number turns on the watermark reorder
-                buffer: events within ``allowed_lateness`` of the maximum
-                event time seen are buffered and replayed to the core in
-                ``(time, sequence)`` order, so streams shuffled within the
-                horizon reproduce their ordered run bit-identically.
+                arrival contract.  A number turns on the lateness stage:
+                events within ``allowed_lateness`` of the maximum event
+                time seen are buffered and fed to the core in ``(time,
+                sequence)`` order, so streams shuffled within the horizon
+                reproduce their ordered run bit-identically.
             late_policy: What happens to an event *older* than the
-                watermark (``max event time - allowed_lateness``):
-                ``"raise"`` (default) raises
+                watermark (``max event time - allowed_lateness``), each
+                counted in ``metrics.late_*``: ``"raise"`` (default) raises
                 :class:`~repro.errors.OutOfOrderError`; ``"drop"`` discards
-                it (counted in ``metrics.late_dropped``); ``"side_output"``
-                hands it to ``on_late`` (counted in
-                ``metrics.late_side_output``); ``"retract"`` folds it in by
-                restoring a periodic engine snapshot and replaying the
-                bounded tail, re-emitting any closed window whose result
-                changed with ``WindowResult.retraction=True`` (counted in
-                ``metrics.late_retracted``).
+                it; ``"side_output"`` hands it to ``on_late``; ``"retract"``
+                folds it in by restoring a periodic core snapshot and
+                replaying the bounded tail, re-emitting any closed window
+                whose result changed with ``WindowResult.retraction=True``.
             on_late: The ``"side_output"`` policy's callback, invoked with
                 each late :class:`~repro.events.event.Event` in arrival
                 order.
@@ -436,28 +420,18 @@ class StreamingExecutor:
     def process(self, event: Event) -> None:
         """Ingest one event, feeding engines and emitting closed windows.
 
-        With ``allowed_lateness`` set the event passes through the reorder
-        buffer first: it is buffered (and the core fed whatever the
-        advancing watermark releases, in ``(time, sequence)`` order) or,
-        when it is older than the watermark, handed to the late policy.
+        With ``allowed_lateness`` set it goes to the lateness stage, which
+        feeds the core whatever the advancing watermark releases.
         """
-        buffer = self._reorder
-        if buffer is None:
+        lateness = self._lateness
+        if lateness is None:
             ensure_in_order(event.time, self._clock)
             self._ingest_event(event)
-            return
-        if buffer.is_late(event.time):
-            self._handle_late(event.time, event.sequence, lambda: event)
-            return
-        released = buffer.push(event.time, event.sequence, event)
-        if released is None:
-            # Heap or block segments in play: run the full k-way merge.
-            self._drain(buffer.release_ready())
-        elif released:
-            self._drain_events(released)
+        else:
+            lateness.offer(self, event)
 
     def _ingest_event(self, event: Event) -> None:
-        """Feed one in-order event to the core (past the reorder buffer)."""
+        """Feed one in-order event to the core (past the lateness stage)."""
         self._clock = event.time
         self._consumed += 1
         if event.time >= self._next_close:
@@ -500,48 +474,17 @@ class StreamingExecutor:
         engines take an :class:`Event`.
 
         With ``allowed_lateness`` set the block — in any row order — goes
-        through the reorder buffer as columns and comes back as blocks;
-        only a late row handed to ``side_output`` / ``retract`` becomes an
-        :class:`Event`.
+        through the lateness stage as columns and comes back as blocks.
         """
-        if self._reorder is None:
-            if len(block):
-                ensure_block_in_order(
-                    block.times, block.start, block.stop, self._clock
-                )
-            self._ingest_block(block)
+        if self._lateness is not None:
+            self._lateness.offer_block(self, block)
             return
-        self._buffer_block(block)
-
-    def _buffer_block(self, block: EventBlock) -> None:
-        """Route one block, in any row order, through the reorder buffer.
-
-        The block is cut at its late rows (usually none: one segment, one
-        drain).  Late means behind what was *released* — a retraction
-        splices into the release log — so the releases are caught up with
-        the watermark the rows before a late row advanced, as the per-event
-        path does, before the policy sees it.
-        """
-        buffer = self._reorder
-        assert buffer is not None
-        count = len(block)
-        times = block.times[block.start : block.stop]
-        cursor = 0
-        for index in (*buffer.late_rows(times), count):
-            if index > cursor:
-                buffer.add_segment(block.slice(cursor, index))
-                buffer.observe(max(times[cursor:index]))
-                self._drain(buffer.release_ready())
-            if index < count:
-                self._handle_late(
-                    times[index],
-                    block.sequences[block.start + index],
-                    lambda: block.event_at(index),
-                )
-            cursor = index + 1
+        if len(block):
+            ensure_block_in_order(block.times, block.start, block.stop, self._clock)
+        self._ingest_block(block)
 
     def _ingest_block(self, block: EventBlock) -> None:
-        """Feed one in-order block to the core (past the reorder buffer)."""
+        """Feed one in-order block to the core (past the lateness stage)."""
         count = len(block)
         if count == 0:
             return
@@ -566,7 +509,7 @@ class StreamingExecutor:
         feeds_by_code: list[Optional[list]] = [None] * len(block.type_table)
         #: Static path: groups whose run buffer took rows of this block
         #: (repeats allowed).  Buffered bursts flush on their own schedule.
-        touched: list[_SharedGroup] = []
+        touched: list[_Group] = []
         #: ``None`` per row: the contribution column of scalar units and the
         #: event column of types whose runs are always folded from columns.
         nones: list[None] = [None] * count
@@ -615,7 +558,7 @@ class StreamingExecutor:
                     next_close = self._next_close  # a window may have opened
                     continue
                 group_key = state.group_keys[local]
-                group = unit.shared_groups.get(group_key)
+                group = unit.groups.get(group_key)
                 if group is None:
                     if not qualifies:
                         continue
@@ -667,301 +610,68 @@ class StreamingExecutor:
         self._engine_feeds += engine_feeds
 
     # ------------------------------------------------------------------ #
-    # Out-of-order ingestion (reorder buffer, late policies, retraction)
+    # The core's two neighbours: the lateness stage in front, the output behind
     # ------------------------------------------------------------------ #
     @property
-    def max_event_time(self) -> float:
-        """Maximum event time seen (buffered or ingested); the stream clock
-        when no reorder buffer is configured."""
-        if self._reorder is not None:
-            return self._reorder.max_event_time
-        return self._clock
+    def lateness(self) -> Optional[Lateness]:
+        """The stage in front of this run's core (``None``: strict order);
+        its ``buffer`` holds the watermark, its attributes the late counts."""
+        return self._lateness
 
-    @property
-    def watermark(self) -> float:
-        """``max_event_time - allowed_lateness`` (the stream clock when no
-        reorder buffer is configured)."""
-        if self._reorder is not None:
-            return self._reorder.watermark
-        return self._clock
+    def _core_state(self) -> bytes:
+        """The core's own pickle: a detached copy of its *live* ingest state
+        — all it owns except the output rows, which ``windows_closed`` marks."""
+        core = {name: getattr(self, name) for name in _CORE_FIELDS}
+        core["units"] = [(unit.groups, unit.pool, unit.next_close) for unit in self._units]
+        core["_report"] = replace(self._report, partition_results=[])
+        return pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _drain(self, releases: list) -> None:
-        """Ingest what the reorder buffer released, logging for retraction."""
-        if not releases:
-            return
-        retracting = self._retract_snapshots is not None
-        for kind, payload in releases:
-            if kind == "events":
-                if not payload:
-                    continue
-                if retracting:
-                    self._released_log.append(("events", payload))
-                    last = payload[-1]
-                    self._release_cursor = (last.time, last.sequence)
-                    self._released_since_rotate += len(payload)
-                for event in payload:
-                    self._ingest_event(event)
-            else:
-                if retracting:
-                    self._released_log.append(("block", payload))
-                    position = payload.stop - 1
-                    self._release_cursor = (
-                        payload.times[position],
-                        payload.sequences[position],
-                    )
-                    self._released_since_rotate += len(payload)
-                self._ingest_block(payload)
-        if retracting and self._released_since_rotate >= _RETRACT_INTERVAL:
-            self._rotate_retract_snapshot()
-
-    def _drain_events(self, events: list) -> None:
-        """Ingest a loose-event release without the per-release wrappers."""
-        if self._retract_snapshots is not None:
-            self._drain([("events", events)])
-            return
-        for event in events:
-            self._ingest_event(event)
-
-    def _handle_late(
-        self, time_value: float, sequence: int, view: Callable[[], Event]
-    ) -> None:
-        """Apply the configured policy to one beyond-the-watermark arrival;
-        ``view`` yields its :class:`Event` for the policies that take one."""
-        policy = self.late_policy
-        if policy == "drop":
-            self._late_dropped += 1
-        elif policy == "side_output":
-            self._late_side_output += 1
-            self.on_late(view())  # type: ignore[misc]  # validated non-None
-        elif policy == "retract":
-            self._apply_retraction(view())
-            self._late_retracted += 1
-        else:
-            raise late_event_error(
-                time_value,
-                sequence,
-                self._reorder.watermark,  # type: ignore[union-attr]
-                self.allowed_lateness,
-            )
-
-    def _output(self) -> tuple[list, list, list]:
-        """The append-only output: one row per closed window in each list,
-        so ``windows_closed`` is the one mark that addresses all three."""
-        report, metrics = self._report, self._report.metrics
-        return report.partition_results, metrics.latencies, metrics.emission_latencies
-
-    def _core_state(self) -> dict:
-        """The pickled-copy view of the *live* core ingest state: all the
-        core owns except its :meth:`_output`, which ``windows_closed`` marks."""
-        report = self._report
-        return {
-            "clock": self._clock,
-            "consumed": self._consumed,
-            "engine_feeds": self._engine_feeds,
-            "active_windows": self._active_windows,
-            "windows_closed": self._windows_closed,
-            "next_close": self._next_close,
-            "units": [
-                (unit.shared_groups, unit.pool, unit.next_close) for unit in self._units
-            ],
-            "report": replace(
-                report,
-                partition_results=[],
-                metrics=replace(report.metrics, latencies=[], emission_latencies=[]),
-            ),
-            "adaptive_stats": self._adaptive_stats,
-        }
-
-    def _restore_core(self, core: dict, output: tuple[list, list, list]) -> None:
-        """Reattach a :meth:`_core_state` copy (snapshot restore / retract)
-        and the ``output`` lists, rolled back to the copy's mark.
-
-        Never touches the lateness machinery: the reorder buffer, late
-        counters and retract log live *upstream* of the core and survive a
-        retraction's state rollback.
-        """
+    def _restore_core(self, payload: bytes, output: Optional[list] = None) -> int:
+        """Reattach a :meth:`_core_state` copy and the ``output`` rows —
+        ``None``: this run's own, a retraction's rollback in place — cut
+        back to the copy's mark, which is returned.  Never touches the
+        lateness stage: it lives upstream and survives the rollback."""
+        core = pickle.loads(payload)
+        if output is None:
+            output = self._report.partition_results
         arrival = time.perf_counter()
-        for unit, (shared_groups, pool, next_close) in zip(self._units, core["units"]):
+        for unit, (groups, pool, next_close) in zip(self._units, core["units"]):
             # Factories are never pickled; the restored groups share this pool.
             pool.build = unit.pool.build
-            unit.shared_groups = shared_groups
+            unit.groups = groups
             unit.pool = pool
             unit.next_close = next_close
             # Arrival stamps came from another perf_counter epoch (a dead
             # process, or this run's pre-rollback past); re-anchor them so
             # emission latencies stay non-negative.
-            for group in shared_groups.values():
+            for group in groups.values():
                 group.last_arrival = arrival
-        self._clock = core["clock"]
-        self._consumed = core["consumed"]
-        self._engine_feeds = core["engine_feeds"]
-        self._active_windows = core["active_windows"]
-        self._windows_closed = core["windows_closed"]
-        self._next_close = core["next_close"]
-        self._report = report = core["report"]
-        self._adaptive_stats = core["adaptive_stats"]
-        mark, rows = self._windows_closed, min(map(len, output))
-        if rows < mark:
-            raise CheckpointError(f"snapshot marks {mark} emitted windows, got only {rows}")
-        self._output_rewound = min(self._output_rewound, mark)
-        for values in output:
-            del values[mark:]
-        report.partition_results, report.metrics.latencies = output[:2]
-        report.metrics.emission_latencies = output[2]
-
-    def _rotate_retract_snapshot(self) -> None:
-        """Snapshot the core at the release cursor; retain the last two.
-
-        Dropping older snapshots trims the released log (replay never
-        reaches behind the oldest retained snapshot) and prunes emitted-log
-        entries whose windows closed before it (they can never re-close).
-        """
-        snapshots = self._retract_snapshots
-        assert snapshots is not None
-        payload = pickle.dumps(self._core_state(), protocol=pickle.HIGHEST_PROTOCOL)
-        snapshots.append([self._release_cursor, payload, len(self._released_log)])
-        if len(snapshots) > 2:
-            del snapshots[:-2]
-            cut = snapshots[0][2]
-            if cut:
-                del self._released_log[:cut]
-                for snapshot in snapshots:
-                    snapshot[2] -= cut
-            horizon = snapshots[0][0][0]
-            self._emitted_log = {
-                key: value
-                for key, value in self._emitted_log.items()
-                if value[1] > horizon
-            }
-        self._released_since_rotate = 0
-
-    def _apply_retraction(self, event: Event) -> None:
-        """Fold one beyond-the-watermark event into already-processed state.
-
-        Bounded per-update work: restore the newest core snapshot at or
-        before the event's ``(time, sequence)`` position, splice the event
-        into the released log at that position (splitting a block segment
-        when it lands inside one), and replay the log tail — at most two
-        rotation intervals of events.  Windows that re-close are reconciled
-        by :meth:`_emit_window`: unchanged results are suppressed, changed
-        ones re-emit with ``retraction=True``.
-        """
-        key = (event.time, event.sequence)
-        snapshots = self._retract_snapshots
-        assert snapshots is not None
-        chosen = None
-        for index in range(len(snapshots) - 1, -1, -1):
-            if not key < snapshots[index][0]:
-                chosen = index
-                break
-        if chosen is None:
-            raise OutOfOrderError(
-                f"retract horizon exceeded: event at time={event.time!r} "
-                f"seq={event.sequence} predates the oldest retained engine "
-                f"snapshot; raise allowed_lateness to buffer more disorder"
+        for name in _CORE_FIELDS:
+            setattr(self, name, core[name])
+        mark = self._windows_closed
+        if len(output) < mark:
+            raise CheckpointError(
+                f"snapshot marks {mark} emitted windows, got only {len(output)}"
             )
-        _, payload, log_index = snapshots[chosen]
-        # Newer snapshots were taken without this event; restoring one
-        # later would silently lose it.
-        del snapshots[chosen + 1 :]
-        merged = self._merge_late_into_log(self._released_log[log_index:], event, key)
-        self._released_log[log_index:] = merged
-        self._restore_core(pickle.loads(payload), self._output())
-        for kind, entry in merged:
-            if kind == "events":
-                for item in entry:
-                    self._ingest_event(item)
-            else:
-                self._ingest_block(entry)
-        last_kind, last_entry = merged[-1]
-        if last_kind == "events":
-            last = last_entry[-1]
-            self._release_cursor = (last.time, last.sequence)
-        else:
-            position = last_entry.stop - 1
-            self._release_cursor = (
-                last_entry.times[position],
-                last_entry.sequences[position],
-            )
-
-    @staticmethod
-    def _merge_late_into_log(entries: list, event: Event, key: tuple) -> list:
-        """Splice ``event`` into release-log ``entries`` at its key position."""
-        merged: list = []
-        inserted = False
-        for entry in entries:
-            if inserted:
-                merged.append(entry)
-                continue
-            kind, payload = entry
-            if kind == "events":
-                index = len(payload)
-                for position, item in enumerate(payload):
-                    if key < (item.time, item.sequence):
-                        index = position
-                        break
-                if index < len(payload):
-                    merged.append(("events", payload[:index] + [event] + payload[index:]))
-                    inserted = True
-                else:
-                    merged.append(entry)
-            else:
-                last = payload.stop - 1
-                if key < (payload.times[last], payload.sequences[last]):
-                    base = payload.start
-                    split = bisect.bisect_left(payload.times, key[0], base, payload.stop)
-                    sequences = payload.sequences
-                    while (
-                        split < payload.stop
-                        and payload.times[split] == key[0]
-                        and sequences[split] <= key[1]
-                    ):
-                        split += 1
-                    relative = split - base
-                    if relative:
-                        merged.append(("block", payload.slice(0, relative)))
-                    merged.append(("events", [event]))
-                    merged.append(("block", payload.slice(relative, len(payload))))
-                    inserted = True
-                else:
-                    merged.append(entry)
-        if not inserted:
-            merged.append(("events", [event]))
-        return merged
-
-    def _emit_window(self, result: WindowResult) -> None:
-        """Deliver one closed window, reconciling retract re-emissions.
-
-        Under the retract policy a replay re-closes windows the original
-        pass already emitted: identical results are suppressed, changed
-        ones go out again flagged ``retraction=True`` so downstream
-        consumers can overwrite the stale value.
-        """
-        if self._retract_snapshots is not None:
-            key = (result.group_key, result.window_index)
-            previous = self._emitted_log.get(key)
-            if previous is not None:
-                if previous[0] == result.results:
-                    return
-                result = replace(result, retraction=True)
-            # Log a copy: the callback may mutate the dict it is handed.
-            self._emitted_log[key] = (dict(result.results), result.window_end)
-        self.on_window(result)  # type: ignore[misc]  # callers gate on None
+        del output[mark:]
+        self._report.partition_results = output
+        return mark
 
     def finish(self) -> ExecutionReport:
         """Close every remaining window and return the report."""
-        if self._reorder is not None:
-            self._drain(self._reorder.flush())
+        lateness = self._lateness
+        if lateness is not None:
+            lateness.flush(self)
         # Everything still open has passed its end now.
         self._close_passed_windows(float("inf"))
         report = self._report
         report.metrics.stream_events = self._consumed
         report.metrics.wall_seconds = time.perf_counter() - self._run_started
-        # Late counters live on the executor (a retraction's state rollback
-        # must not roll them back) and land in the report here.
-        report.metrics.late_dropped = self._late_dropped
-        report.metrics.late_side_output = self._late_side_output
-        report.metrics.late_retracted = self._late_retracted
+        if lateness is not None:
+            # The stage's counters (no rollback reaches them) land here.
+            report.metrics.late_dropped = lateness.late_dropped
+            report.metrics.late_side_output = lateness.late_side_output
+            report.metrics.late_retracted = lateness.late_retracted
         if self._consumed:
             for unit in self._units:
                 for query in unit.queries:
@@ -989,7 +699,7 @@ class StreamingExecutor:
     def shared_group_count(self) -> int:
         """Live shared multi-window engines (one per ``(group, unit)`` pair)."""
         return sum(
-            len(unit.shared_groups) for unit in self._units if unit.compiled is not None
+            len(unit.groups) for unit in self._units if unit.compiled is not None
         )
 
     @property
@@ -1037,55 +747,41 @@ class StreamingExecutor:
     def snapshot_state(self, since: Optional[int] = None) -> bytes | tuple[bytes, bytes]:
         """Serialize the full mid-stream execution state.
 
-        The snapshot captures everything :meth:`restore_state` needs to
-        continue the run bit-identically on a fresh executor built from
-        the same workload and configuration: per-unit shared groups
-        (engine state — coefficients, or one engine per live instance —
+        Everything :meth:`restore_state` needs to continue the run
+        bit-identically on a fresh executor built from the same workload
+        and configuration, as ``{version, fingerprint, core, lateness}``.
+        ``core`` is the core's own pickle: per-unit groups (engine state,
         window bookkeeping, optimizer statistics and the *unflushed* burst
         buffer: flushing here would force a burst decision the
         uninterrupted run takes later), the units' idle engine pools
-        (engines only, never the factory), the partial :class:`ExecutionReport`,
-        and the stream/close clocks.  With ``since`` — ``windows_closed``
-        at the caller's previous snapshot — the result is ``(payload,
-        delta)``: live state alone, and the output rows from ``since`` on
-        tagged with their start row (further back when a retraction
-        rewrote rows an earlier delta carried), so a snapshot costs the
-        open windows, not the stream's history.  With ``allowed_lateness`` set, the
-        reorder buffer (buffered events and the watermark), the late
-        counters and the retract machinery ride along under a ``"reorder"``
-        section, so a restore resumes mid-horizon disorder handling too.
-        The payload is an opaque pickle; the on-disk container
-        (:mod:`repro.runtime.checkpoint`) adds the versioned, checksummed
-        header.
+        (engines only, never the factory), the partial
+        :class:`ExecutionReport` without its rows, and the stream/close
+        clocks.  ``lateness`` is the stage itself (``None`` in strict
+        order), so a restore resumes mid-horizon disorder handling too.
+
+        The output — ``report.partition_results``, one row per closed
+        window — rides under ``"output"`` in this self-contained form.
+        With ``since`` — ``windows_closed`` at the caller's previous
+        snapshot — the result is ``(payload, delta)`` instead: live state
+        alone, and ``(start, rows)`` with the output rows from ``since`` on
+        (further back when a retraction rewrote rows an earlier delta
+        carried), so a snapshot costs the open windows, not the stream's
+        history.  The on-disk container (:mod:`repro.runtime.checkpoint`)
+        adds the versioned, checksummed header.
         """
-        reorder: Optional[dict] = None
-        if self._reorder is not None:
-            reorder = {
-                "buffer": self._reorder,
-                "late_dropped": self._late_dropped,
-                "late_side_output": self._late_side_output,
-                "late_retracted": self._late_retracted,
-                "release_cursor": self._release_cursor,
-                "released_log": self._released_log,
-                "released_since_rotate": self._released_since_rotate,
-                "emitted_log": self._emitted_log,
-                "retract_snapshots": self._retract_snapshots,
-            }
+        lateness, rows = self._lateness, self._report.partition_results
         state = {
             "version": SNAPSHOT_VERSION,
             "fingerprint": self._snapshot_fingerprint(),
             "core": self._core_state(),
-            "reorder": reorder,
+            "lateness": lateness,
         }
         protocol = pickle.HIGHEST_PROTOCOL
         if since is None:
-            state["output"] = self._output()
-            return pickle.dumps(state, protocol=protocol)
-        # A retraction since the previous snapshot rewrote rows that one
-        # already handed out: the delta restarts at the lowest mark reached.
-        start = min(since, self._output_rewound)
-        self._output_rewound = sys.maxsize
-        delta = (start, *(values[start:] for values in self._output()))
+            return pickle.dumps({**state, "output": rows}, protocol=protocol)
+        # Before the stage is pickled: the mark it resets is not state.
+        start = since if lateness is None else lateness.delta_start(since)
+        delta = (start, rows[start:])
         return pickle.dumps(state, protocol=protocol), pickle.dumps(delta, protocol=protocol)
 
     def restore_state(self, payload: bytes, output: Sequence[bytes] = ()) -> None:
@@ -1116,26 +812,17 @@ class StreamingExecutor:
                 f"snapshot {state['fingerprint']!r} vs executor {fingerprint!r}"
             )
         self._begin_run()
-        restored: tuple[list, list, list] = state.get("output") or ([], [], [])
-        for start, *suffixes in deltas:
-            if start > len(restored[0]):
+        restored: list = state.get("output") or []
+        for start, rows in deltas:
+            if start > len(restored):
                 raise CheckpointError(
-                    f"output delta starts at row {start}, only {len(restored[0])} came before it"
+                    f"output delta starts at row {start}, only {len(restored)} came before it"
                 )
-            for values, suffix in zip(restored, suffixes):
-                values[start:] = suffix
+            restored[start:] = rows
         self._restore_core(state["core"], restored)
-        reorder = state.get("reorder")
-        if reorder is not None:
-            self._reorder = reorder["buffer"]
-            self._late_dropped = reorder["late_dropped"]
-            self._late_side_output = reorder["late_side_output"]
-            self._late_retracted = reorder["late_retracted"]
-            self._release_cursor = reorder["release_cursor"]
-            self._released_log = reorder["released_log"]
-            self._released_since_rotate = reorder["released_since_rotate"]
-            self._emitted_log = reorder["emitted_log"]
-            self._retract_snapshots = reorder["retract_snapshots"]
+        self._lateness = lateness = state["lateness"]
+        if lateness is not None:
+            lateness.on_late = self.on_late
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -1169,11 +856,11 @@ class StreamingExecutor:
 
     def _begin_run(self) -> None:
         for unit in self._units:
-            for group in unit.shared_groups.values():
+            for group in unit.groups.values():
                 # Interrupted run: a readout returns per-instance engines.
                 for index in group.metas:
                     group.engine.close_window(index)
-            unit.shared_groups.clear()
+            unit.groups.clear()
             unit.next_close = float("inf")
             # The report's optimizer statistics are per run: pooled engines
             # survive across run() calls (keeping their compiled templates),
@@ -1198,36 +885,13 @@ class StreamingExecutor:
         #: Window instances closed this run — the checkpoint
         #: scheduler's "every N window boundaries" trigger reads this.
         self._windows_closed = 0
-        #: Lowest mark a retraction rolled the output back to since the
-        #: last incremental snapshot (``sys.maxsize``: none did).
-        self._output_rewound = sys.maxsize
-        #: Lateness machinery: buffer, policy counters and retract state.
-        self._reorder: Optional[ReorderBuffer] = (
-            ReorderBuffer(self.allowed_lateness)
+        #: The stage in front of the core, built last: under the retract
+        #: policy it starts by snapshotting the (now reset) core.
+        self._lateness: Optional[Lateness] = (
+            Lateness(self, self.allowed_lateness, self.late_policy, self.on_late)
             if self.allowed_lateness is not None
             else None
         )
-        self._late_dropped = 0
-        self._late_side_output = 0
-        self._late_retracted = 0
-        #: Retract policy only: ``(time, sequence)`` of the last item fed
-        #: to the core, the release log since the oldest snapshot, the
-        #: retained ``[cursor, pickled core, log offset]`` snapshots, and
-        #: the emitted-window reconciliation log.
-        self._release_cursor: tuple = (float("-inf"), float("-inf"))
-        self._released_log: list = []
-        self._released_since_rotate = 0
-        self._emitted_log: dict = {}
-        if self._reorder is not None and self.late_policy == "retract":
-            self._retract_snapshots: Optional[list] = [
-                [
-                    self._release_cursor,
-                    pickle.dumps(self._core_state(), protocol=pickle.HIGHEST_PROTOCOL),
-                    0,
-                ]
-            ]
-        else:
-            self._retract_snapshots = None
 
     # ------------------------------------------------------------------ #
     # Window lifecycle: open, feed, close/emit
@@ -1235,7 +899,7 @@ class StreamingExecutor:
     def _feed(self, unit: _Unit, event: Event, arrival: float) -> None:
         window = unit.spec.window
         group_key = unit.spec.group_key(event)
-        group = unit.shared_groups.get(group_key)
+        group = unit.groups.get(group_key)
         qualifies = not self.lazy_open or event.event_type in unit.opening_types
         if group is None:
             if not qualifies:
@@ -1290,10 +954,10 @@ class StreamingExecutor:
         # Per-instance: one feed per live instance (each covers the event).
         self._engine_feeds += 1 if compiled is not None else len(metas)
 
-    def _open_group(self, unit: _Unit, group_key: tuple) -> _SharedGroup:
+    def _open_group(self, unit: _Unit, group_key: tuple) -> _Group:
         """Build the engine of a ``(group, unit)`` pair seen anew."""
         if unit.compiled is None:
-            group = _SharedGroup(
+            group = _Group(
                 engine=InstanceWindowEngine(
                     unit.queries, unit.pool, unit.opening_types if self.lazy_open else None
                 ),
@@ -1301,13 +965,13 @@ class StreamingExecutor:
             )
         else:
             engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
-            group = _SharedGroup(engine=engine, evicts=engine.store is not None)
+            group = _Group(engine=engine, evicts=engine.store is not None)
             if self._optimizer_factory is not None:
                 group.optimizer = self._optimizer_factory()
-        unit.shared_groups[group_key] = group
+        unit.groups[group_key] = group
         return group
 
-    def _open_windows(self, unit: _Unit, group: _SharedGroup, first: int, last: int) -> None:
+    def _open_windows(self, unit: _Unit, group: _Group, first: int, last: int) -> None:
         """Open the window instances ``first..last`` of ``group`` not open yet."""
         metas = group.metas
         window = unit.spec.window
@@ -1327,7 +991,7 @@ class StreamingExecutor:
 
     def _flush_static(
         self,
-        touched: list[_SharedGroup],
+        touched: list[_Group],
         prepared: dict[_Unit, _BlockUnitColumns],
         type_table: Sequence[EventType],
         times: Sequence[float],
@@ -1347,7 +1011,7 @@ class StreamingExecutor:
                 continue
             lows, highs, contributions = state.lows, state.highs, state.contributions
             for group_key, rows in state.rows.items():
-                group = unit.shared_groups[group_key]
+                group = unit.groups[group_key]
                 engine = group.engine
                 assert isinstance(engine, MultiWindowLinearEngine)  # rows: compiled units only
                 vector = not engine.unit.scalar
@@ -1363,7 +1027,7 @@ class StreamingExecutor:
                 group.share_seconds += (time.perf_counter() - started) / len(group.metas)
             state.rows.clear()
 
-    def _flush_group(self, group: _SharedGroup) -> None:
+    def _flush_group(self, group: _Group) -> None:
         """Decide (adaptive mode) and fold the group's buffered run.
 
         One consultation of the group's optimizer per eligible query class
@@ -1499,7 +1163,7 @@ class StreamingExecutor:
         return list(zip(*columns))
 
     def _close_window(
-        self, unit: _Unit, group_key: tuple, group: _SharedGroup, meta: _WindowMeta
+        self, unit: _Unit, group_key: tuple, group: _Group, meta: _WindowMeta
     ) -> None:
         """Read one window instance out of its group's engine and emit it."""
         self._active_windows -= 1  # the caller popped the meta
@@ -1517,7 +1181,7 @@ class StreamingExecutor:
             # statistics outlive it in the run accumulator.
             if group.optimizer is not None and self._adaptive_stats is not None:
                 self._adaptive_stats.merge(group.optimizer.statistics)
-            del unit.shared_groups[group_key]
+            del unit.groups[group_key]
         now = time.perf_counter()
         events = group.fed - meta.opened_fed
         seconds = (group.share_seconds - meta.share_at_open) + (now - started)
@@ -1544,6 +1208,7 @@ class StreamingExecutor:
                 results=results,
                 seconds=seconds,
                 events=events,
+                emission_latency=latency,
             )
         )
         totals = self._report.totals
@@ -1551,17 +1216,20 @@ class StreamingExecutor:
             if value != 0.0:  # adding exact zero is a no-op; skip the fold
                 totals[name] = totals.get(name, 0.0) + value
         if self.on_window is not None:
-            self._emit_window(
-                WindowResult(
-                    group_key=group_key,
-                    window_index=meta.index,
-                    window_start=window_start,
-                    window_end=window_end,
-                    results=dict(results),
-                    events=events,
-                    emission_latency=latency,
-                )
+            result: Optional[WindowResult] = WindowResult(
+                group_key=group_key,
+                window_index=meta.index,
+                window_start=window_start,
+                window_end=window_end,
+                results=dict(results),
+                events=events,
+                emission_latency=latency,
             )
+            if self._lateness is not None:
+                # A retraction's replay re-closes windows already emitted.
+                result = self._lateness.reconcile(result)
+            if result is not None:
+                self.on_window(result)
 
     def _close_passed_windows(self, now: float) -> None:
         # Peak memory is the state held *concurrently*; sample the combined
@@ -1579,7 +1247,7 @@ class StreamingExecutor:
         """Close every window of ``unit`` whose end the stream has passed,
         in ``(end, group, index)`` order."""
         expired = []
-        for group_key, group in unit.shared_groups.items():
+        for group_key, group in unit.groups.items():
             if (
                 group.burst
                 and group.metas
@@ -1595,12 +1263,12 @@ class StreamingExecutor:
                     break
         expired.sort(key=lambda item: (item[0], group_sort_key(item[1]), item[2]))
         for _, group_key, index in expired:
-            group = unit.shared_groups[group_key]
+            group = unit.groups[group_key]
             self._close_window(unit, group_key, group, group.metas.pop(index))
         unit.next_close = min(
             (
                 next(iter(group.metas.values())).end
-                for group in unit.shared_groups.values()
+                for group in unit.groups.values()
                 if group.metas
             ),
             default=float("inf"),
@@ -1619,7 +1287,7 @@ class StreamingExecutor:
         return sum(
             group.engine.memory_units() + len(group.burst)
             for unit in self._units
-            for group in unit.shared_groups.values()
+            for group in unit.groups.values()
         )
 
     def _attach_optimizer_statistics(self, report: ExecutionReport) -> None:
@@ -1633,7 +1301,7 @@ class StreamingExecutor:
             merged = OptimizerStatistics()
             merged.merge(self._adaptive_stats)
             for unit in self._units:
-                for group in unit.shared_groups.values():
+                for group in unit.groups.values():
                     if group.optimizer is not None:
                         merged.merge(group.optimizer.statistics)
         # Single-window engines' own optimizers: all back in their pools.

@@ -32,6 +32,7 @@ Four layers, matching `repro/runtime/checkpoint.py`'s split:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
@@ -45,6 +46,7 @@ from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, kleene, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor
+from repro.runtime.executor import PartitionResult
 from repro.runtime.checkpoint import (
     MAGIC,
     TEMP_SUFFIX,
@@ -401,6 +403,17 @@ def _fresh(queries, optimizer=None, **options) -> StreamingExecutor:
     return StreamingExecutor(queries, optimizer=optimizer, **options)
 
 
+#: The wall-clock fields of an output row; every other one is deterministic.
+_WALL_CLOCK = {"seconds", "emission_latency"}
+
+
+def _rows(report) -> list[tuple]:
+    """The report's output, row for row, on every field but the wall-clock ones."""
+    names = [f.name for f in dataclasses.fields(PartitionResult) if f.name not in _WALL_CLOCK]
+    assert len(names) == len(dataclasses.fields(PartitionResult)) - len(_WALL_CLOCK)
+    return [tuple(getattr(row, name) for name in names) for row in report.partition_results]
+
+
 @SETTINGS
 @given(case=round_trip_cases())
 def test_snapshot_round_trip_is_bit_identical(case):
@@ -454,10 +467,8 @@ def test_snapshot_survives_the_disk_container(case, tmp_path_factory):
     resumed = second.finish()
     assert canonical_report(resumed) == canonical_report(expected)
     assert resumed.metrics.partitions == expected.metrics.partitions
-    assert len(resumed.metrics.latencies) == len(expected.metrics.latencies)
-    assert len(resumed.metrics.emission_latencies) == len(
-        expected.metrics.emission_latencies
-    )
+    assert resumed.metrics.emissions == expected.metrics.emissions
+    assert _rows(resumed) == _rows(expected)
 
 
 @SETTINGS
@@ -529,39 +540,45 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
     first = _fresh(queries, "dynamic")
     first.process_block(block.slice(0, 3))
     (unit,) = first._units
-    (group,) = unit.shared_groups.values()
+    (group,) = unit.groups.values()
     assert group.burst_type == "B" and len(group.burst) == 2
     time_, sequence, lo, hi, contributions, event = group.burst[0]
     assert (time_, sequence) == (1.0, events[1].sequence) and lo <= hi
     assert contributions == (2.0,) and event is None  # no row view on this path
     second = _fresh(queries, "dynamic")
     second.restore_state(first.snapshot_state())
-    (restored,) = second._units[0].shared_groups.values()
+    (restored,) = second._units[0].groups.values()
     assert restored.burst == group.burst
 
 
 def test_snapshot_splits_output_from_live_state():
-    """Pinned shape (v4): the core state's report carries scalars and
-    totals only; the three per-window output lists ride under ``"output"``
-    in the self-contained form and outside the payload in the incremental
-    one, all three addressed by the one ``windows_closed`` mark."""
+    """Pinned shape (v9): ``{version, fingerprint, core, lateness}``; the
+    core is its own pickle and its report carries scalars and totals only;
+    the output — one list, one row per closed window, addressed by the one
+    ``windows_closed`` mark — rides under ``"output"`` in the self-contained
+    form and outside the payload in the incremental one."""
     executor = _fresh(_workload(Window(8.0), ("g",), False), None)
     for index in range(60):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     closed = executor.windows_closed
     assert closed > 2
     state = pickle.loads(executor.snapshot_state())
-    assert sorted(state) == ["core", "fingerprint", "output", "reorder", "version"]
-    report = state["core"]["report"]
-    assert report.partition_results == [] and report.metrics.latencies == []
-    assert report.metrics.emission_latencies == []
-    assert report.metrics.partitions == closed and report.totals
-    assert [len(values) for values in state["output"]] == [closed] * 3
+    assert sorted(state) == ["core", "fingerprint", "lateness", "output", "version"]
+    assert state["lateness"] is None  # strict order: no stage
+    report = pickle.loads(state["core"])["_report"]
+    assert report.partition_results == []
+    assert report.metrics.partitions == report.metrics.emissions == closed and report.totals
+    # No per-window list on the metrics: the rows are the only O(windows) state.
+    assert not [
+        f.name for f in dataclasses.fields(report.metrics)
+        if isinstance(getattr(report.metrics, f.name), (list, tuple, dict, set))
+    ]
+    assert len(state["output"]) == closed
+    assert all(isinstance(row, PartitionResult) for row in state["output"])
     payload, delta = executor.snapshot_state(closed - 2)
     assert "output" not in pickle.loads(payload)
-    start, *rows = pickle.loads(delta)  # a delta names the row it starts at
-    assert start == closed - 2 and [len(values) for values in rows] == [2, 2, 2]
-    assert rows[0] == state["output"][0][-2:]
+    start, rows = pickle.loads(delta)  # a delta names the row it starts at: one list
+    assert start == closed - 2 and rows == state["output"][-2:]
     # The live report still owns its lists: snapshotting detached nothing.
     assert len(executor.finish().partition_results) >= closed
 
@@ -577,7 +594,7 @@ def test_restore_refuses_an_incremental_snapshot_without_its_output():
         fresh.restore_state(payload)
     with pytest.raises(CheckpointError, match="undecodable"):
         fresh.restore_state(payload, [b"not a delta"])
-    gap = pickle.dumps((3, [], [], []))  # starts past the rows restored so far
+    gap = pickle.dumps((3, []))  # starts past the rows restored so far
     with pytest.raises(CheckpointError, match="starts at row 3"):
         fresh.restore_state(payload, [gap, delta])
     fresh.restore_state(payload, [delta])
@@ -628,9 +645,10 @@ def test_retract_rotation_payload_is_flat_in_stream_length(ingest):
             block = EventBlock.from_events(events)
             for start in range(0, size, 128):
                 executor.process_block(block.slice(start, min(start + 128, size)))
-        assert len(executor._retract_snapshots) == 2
-        assert len(executor._output()[0]) == executor.windows_closed > size // 40
-        return len(executor._retract_snapshots[-1][1])
+        snapshots = executor.lateness.retained_snapshots
+        assert len(snapshots) == 2
+        assert executor.windows_closed > size // 40
+        return len(snapshots[-1])
 
     assert rotation_bytes(6_000) <= 1.25 * rotation_bytes(1_500)
 
@@ -654,9 +672,10 @@ def _retracting(queries) -> StreamingExecutor:
 
 
 def test_retraction_restarts_the_output_delta_at_the_rolled_back_row():
-    """A retraction truncates the output lists below the previous
-    snapshot's mark and re-closes those windows: the next delta starts at
-    the lowest row reached, not at ``since``, and says so."""
+    """A retraction truncates the output below the previous snapshot's mark
+    and re-closes those windows: the next delta starts at the lowest row
+    reached, not at ``since``, and says so — and a restore from the payload
+    plus both deltas equals the uninterrupted run row for row."""
     queries = _workload(Window(16.0, 4.0), ("g",), False)
     events = _retract_stream(400, seed=5, late_until=300)
     executor = _retracting(queries)
@@ -665,15 +684,31 @@ def test_retraction_restarts_the_output_delta_at_the_rolled_back_row():
         executor.process(event)
     marked = executor.windows_closed
     assert marked > 4
-    executor.snapshot_state(0)  # the previous checkpoint: rows [0, marked) logged
+    _, first_delta = executor.snapshot_state(0)  # the previous checkpoint: rows [0, marked)
     executor.process(events[late])
-    assert executor._late_retracted == 5
-    start, *rows = pickle.loads(executor.snapshot_state(marked)[1])
+    assert executor.lateness.late_retracted == 5
+    payload, second_delta = executor.snapshot_state(marked)
+    state = pickle.loads(payload)
+    assert state["lateness"].late_retracted == 5  # the stage rides the payload ...
+    assert b"lateness" not in state["core"]  # ... and the core's pickle knows no stage
+    start, rows = pickle.loads(second_delta)
     assert start < marked  # rewound: rows an earlier delta carried are re-sent
-    assert start + len(rows[0]) == executor.windows_closed
+    assert start + len(rows) == executor.windows_closed
     # ... once: the next delta is back to starting at its caller's mark.
     marked = executor.windows_closed
     assert pickle.loads(executor.snapshot_state(marked)[1])[0] == marked
+
+    resumed = _retracting(queries)
+    resumed.restore_state(payload, [first_delta, second_delta])
+    uninterrupted = _retracting(queries)
+    for event in events[: late + 1]:
+        uninterrupted.process(event)
+    for event in events[late + 1 :]:
+        resumed.process(event)
+        uninterrupted.process(event)
+    resumed_report, expected = resumed.finish(), uninterrupted.finish()
+    assert _rows(resumed_report) == _rows(expected)
+    assert resumed_report.metrics.late_retracted == expected.metrics.late_retracted > 5
 
 
 @SETTINGS
@@ -717,22 +752,22 @@ def test_retract_survives_the_disk_container(
     resumed = second.finish()
     assert canonical_report(resumed) == canonical_report(expected)
     assert resumed.metrics.late_retracted == expected.metrics.late_retracted
-    assert len(resumed.metrics.latencies) == len(expected.metrics.latencies)
+    assert _rows(resumed) == _rows(expected)
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A pre-PR-21 snapshot (v7: the engines' armed maps hold ``True``, not
-    the deferred Kleene fold's stamps, and carry ``_ClassPlan`` objects) is
-    refused with a typed error instead of being resumed."""
+    """A v8 snapshot (core state as a dict beside a ``"reorder"`` dict of
+    executor fields, three parallel output lists) is refused with a typed
+    error instead of being resumed."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 8
-    state["version"] = 7
-    with pytest.raises(CheckpointError, match="schema version 7"):
+    assert state["version"] == SNAPSHOT_VERSION == 9
+    state["version"] = 8
+    with pytest.raises(CheckpointError, match="schema version 8"):
         executor.restore_state(pickle.dumps(state))
 
 

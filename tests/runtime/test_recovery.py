@@ -107,6 +107,16 @@ def test_exit_mode_death_recovers_too():
     )
     assert result.identical
     assert result.recovery.restarts == 1
+    # The merged metrics aggregate exactly the rows the report carries —
+    # through the shard merge, and through a restore + replay.
+    for report in (result.clean, result.injected):
+        latencies = [row.emission_latency for row in report.partition_results]
+        assert report.metrics.emissions == report.metrics.partitions == len(latencies) > 0
+        assert report.metrics.average_emission_latency == pytest.approx(
+            sum(latencies) / len(latencies)
+        )
+        assert report.metrics.max_emission_latency == max(latencies) > 0.0
+        assert report.metrics.max_latency == max(row.seconds for row in report.partition_results)
 
 
 @pytest.mark.parametrize("transport", ["pickle", "shm"])
@@ -163,7 +173,7 @@ def test_uncovered_log_record_of_a_dead_writer_is_not_replayed_twice(tmp_path):
     latest = CheckpointStore(tmp_path, shard_id=1).latest()
     assert latest.epoch == 1
     logged = sum(len(pickle.loads(delta)[1]) for delta in latest.output)
-    assert logged == pickle.loads(latest.payload)["core"]["windows_closed"] > 0
+    assert logged == pickle.loads(pickle.loads(latest.payload)["core"])["_windows_closed"] > 0
 
 
 def _late_stream() -> list[Event]:

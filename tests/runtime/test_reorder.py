@@ -1093,7 +1093,8 @@ class TestCheckpointWithBufferedEvents:
         first = executor_into(first_emitted)
         for frame in frames[:8]:
             first.process_block(frame)
-        assert len(first._reorder._segments) >= 2 and len(first._reorder) > 20
+        # More rows than one frame holds: several frames' segments are buffered.
+        assert len(first.lateness.buffer) > 24
         payload, delta = first.snapshot_state(0)
         CheckpointStore(tmp_path, shard_id=0).write(0, 8, payload, delta)
 
@@ -1102,7 +1103,7 @@ class TestCheckpointWithBufferedEvents:
         second_emitted: list = []
         second = executor_into(second_emitted)
         second.restore_state(checkpoint.payload, checkpoint.output)
-        assert len(second._reorder) == len(first._reorder)
+        assert len(second.lateness.buffer) == len(first.lateness.buffer)
         for frame in frames[8:]:
             second.process_block(frame)
         resumed = second.finish()
@@ -1162,21 +1163,55 @@ class TestStrictModeUnchanged:
         with pytest.raises(OutOfOrderError, match="event at 1.0 arrived after stream time 2.0"):
             ensure_block_in_order(times, 1, 4, 2.0, what="sharded executor")
 
-    def test_block_order_guard_keeps_its_nan_behaviour(self):
-        # NaN compares false either way: it never trips the guard, and it
-        # hides a regression across it (5.0 -> 3.0 below) but not a direct
-        # one — exactly what the per-row walk always did.
+    def test_block_order_guard_rejects_non_finite_times(self):
+        # NaN compares false either way, so it used to pass the walk (and
+        # hide a regression across it); now the guard names the value.
         from repro.runtime.reorder import ensure_block_in_order
 
-        nan = float("nan")
-        assert ensure_block_in_order([1.0, 5.0, nan, 3.0, 4.0], 0, 5, 0.0) == 4.0
-        assert ensure_block_in_order([nan, 2.0], 0, 2, 9.0) == 2.0
-        last = ensure_block_in_order([1.0, nan], 0, 2, 0.0)
-        assert last != last
-        with pytest.raises(OutOfOrderError, match="event at 2.0 arrived after stream time 3.0"):
-            ensure_block_in_order([1.0, nan, 3.0, 2.0], 0, 4, 0.0)
-        with pytest.raises(OutOfOrderError, match="event at 1.0 arrived after stream time 2.0"):
-            ensure_block_in_order([nan] * 70 + [2.0, 1.0], 0, 72, 0.0)
+        nan, inf = float("nan"), float("inf")
+        for times, named in (
+            ([1.0, 5.0, nan, 3.0, 4.0], "nan"),
+            ([nan, 2.0], "nan"),
+            ([1.0, inf], "inf"),
+            ([-inf, 1.0], "-inf"),
+            ([nan] * 70 + [2.0, 1.0], "nan"),
+        ):
+            with pytest.raises(OutOfOrderError, match=f"finite event times.*time={named}"):
+                ensure_block_in_order(times, 0, len(times), 0.0)
+        # Huge finite times overflow the one-pass sum; the walk clears them.
+        assert ensure_block_in_order([1e308, 1.5e308], 0, 2, 0.0) == 1.5e308
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    @pytest.mark.parametrize("ingest", ("process", "process_block"))
+    @pytest.mark.parametrize("lateness", (None, 4.0))
+    def test_non_finite_time_is_rejected_before_any_state_changes(self, bad, ingest, lateness):
+        """All four admission edges: a typed error naming the value, and the
+        executor exactly as it was — the run continues as if never offered."""
+        events = make_events(seed=61, size=60)
+        poisoned = Event("B", bad, {"g": 1.0, "v": 1.0})
+
+        def run(poison_at=None):
+            executor = StreamingExecutor(grouped_queries(), HamletEngine, allowed_lateness=lateness)
+            for start in range(0, len(events), 10):
+                chunk = events[start : start + 10]
+                if start == poison_at:
+                    before = executor.snapshot_state()
+                    with pytest.raises(OutOfOrderError, match="finite event times.*time="):
+                        if ingest == "process":
+                            executor.process(poisoned)
+                        else:
+                            executor.process_block(
+                                EventBlock.from_events(chunk[:5] + [poisoned] + chunk[5:])
+                            )
+                    assert executor.snapshot_state() == before
+                if ingest == "process":
+                    for event in chunk:
+                        executor.process(event)
+                else:
+                    executor.process_block(EventBlock.from_events(chunk))
+            return executor.finish()
+
+        assert report_fingerprint(run(poison_at=30)) == report_fingerprint(run())
 
     def test_sharded_watermark_is_min_over_shards(self):
         executor = ShardedStreamingExecutor(

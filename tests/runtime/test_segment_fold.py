@@ -106,7 +106,7 @@ def vector_workload(window: Window) -> list[Query]:
 
 def live_engines(executor: StreamingExecutor):
     return [
-        group.engine for unit in executor._units for group in unit.shared_groups.values()
+        group.engine for unit in executor._units for group in unit.groups.values()
     ]
 
 

@@ -353,7 +353,7 @@ class TestSharedWindows:
 
         def engines():
             for unit in executor._units:
-                for group in unit.shared_groups.values():
+                for group in unit.groups.values():
                     yield group.engine
 
         for step, event in enumerate(events):
@@ -407,7 +407,7 @@ class TestSharedWindows:
 
         def engines():
             for unit in executor._units:
-                for group in unit.shared_groups.values():
+                for group in unit.groups.values():
                     yield group.engine
 
         saw_replicas = False
@@ -467,7 +467,7 @@ class TestSharedWindows:
         for t in range(1, 6):  # same-type run: stays buffered, no close passes
             executor.process(Event("B", float(t), {"v": 1.0}))
         (unit,) = executor._units
-        (group,) = unit.shared_groups.values()
+        (group,) = unit.groups.values()
         assert len(group.burst) == 5
         assert (
             executor._open_memory_units()

@@ -657,16 +657,16 @@ class TestRL010:
                     block = self.consume(block.to_events())
                 return [block.event_at(i) for i in self.pending]
             """
-        for module in ("streaming", "reorder", "sharding", "routing"):
+        for module in ("streaming", "lateness", "reorder", "sharding", "routing"):
             violations = run_rule(self.RULE, bad, f"repro/runtime/{module}.py")
             assert rule_ids(violations) == ["RL010"] * 3
             assert "VIEW_EDGES" in violations[0].message
 
     def test_good_row_views_at_the_named_edges(self):
         good = """
-            def _buffer_block(self, block):
+            def offer_block(self, block):
                 for index in self.buffer.late_rows(block.times):
-                    self._handle_late(index, lambda: block.event_at(index))
+                    self._late(index, lambda: block.event_at(index))
 
             def _ingest_block(self, block):
                 for local in range(len(block)):
@@ -678,13 +678,15 @@ class TestRL010:
                 return block.event_at(position), block.to_events()
             """
         assert run_rule(self.RULE, good, "repro/runtime/streaming.py") == []
+        assert run_rule(self.RULE, good, "repro/runtime/lateness.py") == []
 
     def test_view_edges_name_functions_that_exist(self):
         # The allow-list is by function name: a renamed edge must not leave
         # a stale entry behind that a new per-row loop could hide under.
         from reprolint.rules.blocks import VIEW_EDGES
 
-        source = (REPO_ROOT / "src" / "repro" / "runtime" / "streaming.py").read_text()
+        runtime = REPO_ROOT / "src" / "repro" / "runtime"
+        source = (runtime / "streaming.py").read_text() + (runtime / "lateness.py").read_text()
         for name in VIEW_EDGES:
             assert f"    def {name}(" in source
 

@@ -49,7 +49,7 @@ _LOOPS = (
 #: Functions that may materialize row views per iteration — each an edge
 #: where an :class:`Event` is the contract, reached for a bounded few rows.
 VIEW_EDGES: dict[str, str] = {
-    "_buffer_block": "late-policy hand-off (side_output / retract take an Event)",
+    "offer_block": "late-policy hand-off (side_output / retract take an Event)",
     "_flush_group": "replay of a run the engine's column fold declined",
     "_ingest_block": "hand-off to the scalar feed: single-window engines take Events",
 }
@@ -90,6 +90,7 @@ class EventConstructionRule(Rule):
     #: replay).
     scope: ClassVar[tuple[str, ...]] = (
         "repro/runtime/streaming.py",
+        "repro/runtime/lateness.py",
         "repro/runtime/sharding.py",
         "repro/runtime/routing.py",
         "repro/runtime/shared_windows.py",
