@@ -4,6 +4,12 @@ Paper's shape: in the high-rate setting only the two online Kleene engines
 run; HAMLET's shared execution keeps latency orders of magnitude below
 GRETA's, and the gap widens as the arrival rate and the workload size grow.
 
+The orderings are asserted on the seeded abstract operation counts
+(``row.extra["operations"]``), the machine-independent cost behind the
+latency and throughput columns; wall-clock latency and throughput are
+printed only, since a loaded machine can shrink a millisecond-scale gap.
+Memory units are deterministic and asserted as before.
+
 Streaming scenarios: the simulators model live feeds consumed online in
 one pass.  They generate in-order arrivals; unsorted real feeds run
 through the same executors with ``allowed_lateness`` (the reorder buffer,
@@ -25,18 +31,28 @@ EVENT_VALUES = (500, 1000, 1500)
 QUERY_VALUES = (10, 20, 30)
 
 
+def operations_by_approach(rows, value) -> dict[str, int]:
+    """``approach -> abstract operations`` for one swept-parameter value."""
+    return {row.approach: row.extra["operations"] for row in rows if row.value == value}
+
+
+def gap(rows, value) -> float:
+    """How many times GRETA's operation count HAMLET's is."""
+    operations = operations_by_approach(rows, value)
+    return operations["greta"] / operations["hamlet"]
+
+
 def test_fig11ace_nyc_latency_throughput_memory_vs_events(benchmark):
     rows = run_once(benchmark, lambda: figure11_nyc_events_sweep(EVENT_VALUES, num_queries=10))
     print_rows(rows)
     for value in EVENT_VALUES:
-        latency = metric_by_approach(rows, value)
+        operations = operations_by_approach(rows, value)
         memory = metric_by_approach(rows, value, "memory_units")
-        assert latency["hamlet"] < latency["greta"]
+        assert operations["hamlet"] < operations["greta"]
         assert memory["hamlet"] < memory["greta"]
-    # The latency gap grows with the arrival rate.
-    first = metric_by_approach(rows, EVENT_VALUES[0])
-    last = metric_by_approach(rows, EVENT_VALUES[-1])
-    assert (last["greta"] / last["hamlet"]) > (first["greta"] / first["hamlet"]) * 0.8
+    # The gap grows with the arrival rate (~45x at 500 events/min, ~150x at 1500).
+    gaps = [gap(rows, value) for value in EVENT_VALUES]
+    assert gaps == sorted(gaps) and gaps[-1] > 2 * gaps[0]
 
 
 def test_fig11bdf_smart_home_vs_events(benchmark):
@@ -45,8 +61,8 @@ def test_fig11bdf_smart_home_vs_events(benchmark):
     )
     print_rows(rows)
     for value in EVENT_VALUES:
-        latency = metric_by_approach(rows, value)
-        assert latency["hamlet"] < latency["greta"]
+        operations = operations_by_approach(rows, value)
+        assert operations["hamlet"] < operations["greta"]
 
 
 def test_fig11gh_nyc_vs_queries(benchmark):
@@ -55,7 +71,9 @@ def test_fig11gh_nyc_vs_queries(benchmark):
     )
     print_rows(rows, metrics=["latency_seconds", "throughput_eps"])
     for value in QUERY_VALUES:
-        latency = metric_by_approach(rows, value)
-        throughput = metric_by_approach(rows, value, "throughput_eps")
-        assert latency["hamlet"] < latency["greta"]
-        assert throughput["hamlet"] > throughput["greta"]
+        # Same events for both engines: fewer operations is the higher
+        # throughput and the lower latency.
+        operations = operations_by_approach(rows, value)
+        assert operations["hamlet"] < operations["greta"]
+    # The gap grows with the workload size too.
+    assert gap(rows, QUERY_VALUES[-1]) > gap(rows, QUERY_VALUES[0])

@@ -27,6 +27,7 @@ from repro.query.query import Query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports us)
     from repro.runtime.executor import ExecutionReport
+    from repro.runtime.results import WindowValues
 
 #: Result type: final aggregate value per query name.
 ResultMap = Mapping[str, float]
@@ -146,7 +147,9 @@ class MultiWindowEngine(abc.ABC):
       which, for an in-order stream, is exactly the set of live instances;
     * :meth:`close_window` is called once per instance, in ascending index
       order, the moment the stream passes the instance's end; it returns
-      the final aggregate per query and evicts the instance's coefficients;
+      the final aggregate per query as one compact row
+      (:class:`~repro.runtime.results.WindowValues`) and evicts the
+      instance's coefficients;
     * :meth:`evict_to` drops stored events that fall outside every window
       instance at or after ``oldest`` (``None`` empties the store).
     """
@@ -156,7 +159,7 @@ class MultiWindowEngine(abc.ABC):
         """Ingest one event covered by window instances ``lo..hi`` (inclusive)."""
 
     @abc.abstractmethod
-    def close_window(self, index: int) -> dict[str, float]:
+    def close_window(self, index: int) -> "WindowValues":
         """Read out the final aggregates of instance ``index`` and evict it."""
 
     @abc.abstractmethod

@@ -50,6 +50,7 @@ from repro.runtime.executor import (
 from repro.runtime.metrics import ExecutionMetrics, RecoveryStats, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey, group_sort_key
 from repro.runtime.reorder import LATE_POLICIES, ReorderBuffer
+from repro.runtime.results import ResultLayout, WindowValues
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation
 from repro.runtime.sharding import ShardReport, ShardedStreamingExecutor, run_sharded
@@ -69,6 +70,7 @@ __all__ = [
     "PartitionResult",
     "RecoveryStats",
     "ReorderBuffer",
+    "ResultLayout",
     "ShardReport",
     "ShardRouter",
     "ShardedStreamingExecutor",
@@ -78,6 +80,7 @@ __all__ = [
     "Stopwatch",
     "StreamingExecutor",
     "WindowResult",
+    "WindowValues",
     "WorkloadExecutor",
     "group_sort_key",
     "run_sharded",

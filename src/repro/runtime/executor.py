@@ -101,6 +101,8 @@ class ExecutionReport:
     #: (:class:`~repro.runtime.metrics.RecoveryStats`) when the sharded
     #: driver ran with checkpointing enabled; None otherwise.
     recovery: Optional[object] = None
+    #: The decomposed OR/AND queries recombined into ``totals`` (Section 5).
+    decompositions: Mapping[str, DecomposedQuery] = field(default_factory=dict)
 
     def result_for(self, query: Query | str) -> float:
         """Total result of one query across all groups and windows."""
@@ -108,11 +110,17 @@ class ExecutionReport:
         return self.totals.get(name, 0.0)
 
     def results_by_partition(self, query: Query | str) -> dict[PartitionKey, float]:
-        """Per-partition results of one query, keyed by ``(group, window index)``."""
+        """Per-partition results of one query, keyed by ``(group, window index)``:
+        the partitions whose rows hold it — recombined from its sub-queries'
+        rows for a decomposed OR/AND query."""
         name = query if isinstance(query, str) else query.name
+        decomposition = self.decompositions.get(name)
+        if decomposition is not None:
+            return recombined_partitions(decomposition, self.partition_results)
         return {
-            partition.key: partition.results.get(name, 0.0)
+            partition.key: partition.results[name]
             for partition in self.partition_results
+            if name in partition.results
         }
 
 
@@ -154,12 +162,10 @@ def unit_is_linear(queries: Sequence[Query]) -> bool:
     return all(query.aggregate.kind.is_linear for query in queries)
 
 
-def recombine_decompositions(
-    decompositions: Mapping[str, DecomposedQuery],
-    partition_results: Sequence[PartitionResult],
-    totals: dict[str, float],
-) -> None:
-    """Combine sub-query results of decomposed OR/AND queries (Section 5).
+def recombined_partitions(
+    decomposition: DecomposedQuery, partition_results: Sequence[PartitionResult]
+) -> dict[PartitionKey, float]:
+    """The value of one decomposed OR/AND query per partition (Section 5).
 
     Type-disjoint sub-queries land in *different* execution units, so the two
     halves of one window instance arrive as separate partition results that
@@ -170,25 +176,31 @@ def recombine_decompositions(
     0.0, never be silently dropped — for AND queries a dropped operand would
     silently turn a product into a partial result.
     """
-    if not decompositions:
-        return
+    sub_names = tuple(sub.name for sub in decomposition.sub_queries)
+    per_partition: dict[PartitionKey, dict[str, float]] = {}
+    for partition in partition_results:
+        present = {
+            name: partition.results[name]
+            for name in sub_names
+            if name in partition.results
+        }
+        if not present:
+            continue
+        bucket = per_partition.setdefault(
+            partition.key, {name: 0.0 for name in sub_names}
+        )
+        bucket.update(present)
+    return {key: decomposition.combine(bucket) for key, bucket in per_partition.items()}
+
+
+def recombine_decompositions(
+    decompositions: Mapping[str, DecomposedQuery], report: ExecutionReport
+) -> None:
+    """Total each decomposed OR/AND query of ``report`` over its partitions."""
+    report.decompositions = decompositions
     for original_name, decomposition in decompositions.items():
-        sub_names = tuple(sub.name for sub in decomposition.sub_queries)
-        per_partition: dict[PartitionKey, dict[str, float]] = {}
-        for partition in partition_results:
-            present = {
-                name: partition.results[name]
-                for name in sub_names
-                if name in partition.results
-            }
-            if not present:
-                continue
-            bucket = per_partition.setdefault(
-                partition.key, {name: 0.0 for name in sub_names}
-            )
-            bucket.update(present)
-        totals[original_name] = sum(
-            decomposition.combine(sub_results) for sub_results in per_partition.values()
+        report.totals[original_name] = sum(
+            recombined_partitions(decomposition, report.partition_results).values()
         )
 
 
@@ -255,9 +267,7 @@ class WorkloadExecutor:
                 for queries in execution_units(group.queries):
                     self._run_unit(queries, events, report, indexed)
 
-            recombine_decompositions(
-                self.analysis.decompositions, report.partition_results, report.totals
-            )
+            recombine_decompositions(self.analysis.decompositions, report)
         report.metrics.wall_seconds = run_watch.elapsed
         self._attach_optimizer_statistics(report)
         return report

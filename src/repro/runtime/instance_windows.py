@@ -12,12 +12,14 @@ drives them through the same window lifecycle as a shared-window engine.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional, Sequence
 
 from repro.events.event import Event, EventType
 from repro.interfaces import MultiWindowEngine, TrendAggregationEngine
 from repro.query.query import Query
 from repro.runtime.executor import EngineFactory
+from repro.runtime.results import ResultLayout, WindowValues
 
 
 class EnginePool:
@@ -53,12 +55,15 @@ class InstanceWindowEngine(MultiWindowEngine):
         queries: Sequence[Query],
         pool: EnginePool,
         opening_types: Optional[frozenset[EventType]],
+        layout: Optional[ResultLayout] = None,
     ) -> None:
         self.queries = queries
         self.pool = pool
         #: An instance opens on the first event of one of these types it
         #: covers; ``None`` opens on any event (``lazy_open=False``).
         self.opening_types = opening_types
+        #: The unit's result names (the executor shares one per unit).
+        self.layout = layout if layout is not None else ResultLayout(q.name for q in queries)
         self._live: dict[int, TrendAggregationEngine] = {}
         self._operations = 0
         self._read_out_units = 0
@@ -75,16 +80,17 @@ class InstanceWindowEngine(MultiWindowEngine):
                 engine.start(self.queries)
             engine.process(event)
 
-    def close_window(self, index: int) -> dict[str, float]:
+    def close_window(self, index: int) -> WindowValues:
         engine = self._live.pop(index)
-        results = dict(engine.results())
+        results = engine.results()
         self._operations += engine.operations()
         # The readout can be where an instance's state peaks (the two-step
         # baseline materializes its trends there): the next sample sees it.
         self._read_out_units = max(self._read_out_units, engine.memory_units())
         engine.close()
         self.pool.idle.append(engine)
-        return results
+        names = self.layout.names
+        return WindowValues(self.layout, array("d", [results[name] for name in names]))
 
     def memory_units(self) -> int:
         """The largest instance held since the previous call: live now, or

@@ -79,6 +79,7 @@ from repro.runtime.faultpoints import resolve_fault_hook, tear_message
 from repro.runtime.metrics import RecoveryStats
 from repro.runtime.partitioner import group_sort_key
 from repro.runtime.reorder import ensure_in_order, validate_stream_options
+from repro.runtime.results import window_totals
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.streaming import StreamingExecutor, WindowResult
 from repro.runtime.transport import (
@@ -1213,27 +1214,19 @@ class ShardedStreamingExecutor:
         report.partition_results = merged
         if len(shard_reports) == 1:
             # One shard saw the whole stream: its totals are already the
-            # complete, recombined answer — rebuilding them would only
-            # re-add the same partitions.  (Zero-defaults still need the
-            # driver's consumed count: the router may have dropped every
-            # event before the shard, e.g. an all-irrelevant stream.)
-            report.totals.update(shard_reports[0].totals)
-            if self._consumed:
-                for name in self._unit_of_name:
-                    report.totals.setdefault(name, 0.0)
+            # complete, recombined answer.
+            report.totals = dict(shard_reports[0].totals)
+            report.decompositions = shard_reports[0].decompositions
         else:
-            # Totals are rebuilt from the merged partitions in their
-            # canonical order — never by summing per-shard totals, whose
-            # grouping would depend on the shard count.
-            totals = report.totals
-            for partition in merged:
-                for name, value in partition.results.items():
-                    if value != 0.0:
-                        totals[name] = totals.get(name, 0.0) + value
-            if self._consumed:
-                for name in self._unit_of_name:
-                    totals.setdefault(name, 0.0)
-            recombine_decompositions(self.analysis.decompositions, merged, totals)
+            # Rebuilt from the merged partitions in their canonical order —
+            # never by summing per-shard totals, whose grouping would
+            # depend on the shard count.
+            report.totals = window_totals(merged)
+            recombine_decompositions(self.analysis.decompositions, report)
+        if self._consumed:
+            # The router may have dropped every event before a shard saw it.
+            for name in self._unit_of_name:
+                report.totals.setdefault(name, 0.0)
         report.shards = [
             ShardReport(
                 shard_id=shard.shard_id,

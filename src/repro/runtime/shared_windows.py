@@ -59,6 +59,7 @@ only grouped per window instead of per engine.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import NamedTuple, Optional, Sequence
 
 from repro.core.engine import compile_fast_path_guards
@@ -71,6 +72,7 @@ from repro.greta.aggregators import Measure, measures_for_queries, result_from_v
 from repro.interfaces import MultiWindowEngine, TrendAggregationEngine
 from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
 from repro.runtime.reorder import ensure_shared_order, ensure_shared_run_order
+from repro.runtime.results import ResultLayout, WindowValues
 from repro.query.predicates import CompositePredicate
 from repro.query.query import Query
 from repro.template.template import NegationConstraint, QueryTemplate, compile_pattern
@@ -206,6 +208,8 @@ class UnitCompilation:
             QueryClassSpec(index, grouped[key], templates[grouped[key][0].name])
             for index, key in enumerate(order)
         )
+        #: Result slots in readout order: class-major, members in order.
+        self.layout = ResultLayout(q.name for spec in self.classes for q in spec.queries)
         positive: dict[EventType, list[QueryClassSpec]] = {}
         negative: dict[EventType, list[QueryClassSpec]] = {}
         stored_types: set[EventType] = set()
@@ -842,11 +846,11 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         for state in self._deferred.values():
             state.kleene.rows = state.kleene.cells = state.kleene.entries = 0
 
-    def close_window(self, index: int) -> dict[str, float]:
+    def close_window(self, index: int) -> WindowValues:
         """Equation 3 readout of one instance from its coefficient column."""
         unit = self.unit
         scalar = unit.scalar
-        results: dict[str, float] = {}
+        values: list[float] = []  # in ``unit.layout`` slot order
         evicted = 0
         replica_evicted = 0
         columns = self._columns
@@ -886,37 +890,33 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                             evicted += 1
                         popped.append((None, value))
                     else:
-                        values: dict[int, object] = {}
+                        by_leader: dict[int, object] = {}
                         for leader, window_map in state.maps.items():
                             value = window_map.pop(index, None)
                             if value is not None:
-                                values[leader] = value
+                                by_leader[leader] = value
                                 if window_map is end_map:
                                     evicted += 1
                                 else:
                                     replica_evicted += 1
-                        popped.append((state.leaders, values))
+                        popped.append((state.leaders, by_leader))
                 self._ops += len(spec.queries)
                 for position, query in enumerate(spec.queries):
                     if scalar:
                         query_total = 0.0
                         for leaders, payload in popped:
-                            value = (
-                                payload if leaders is None else payload.get(leaders[position])
-                            )
+                            value = payload if leaders is None else payload.get(leaders[position])
                             if value is not None:
                                 query_total += value
-                        results[query.name] = query_total
+                        values.append(query_total)
                     else:
                         accumulator = MutableAggregate(unit.dimension)
                         for leaders, payload in popped:
-                            value = (
-                                payload if leaders is None else payload.get(leaders[position])
-                            )
+                            value = payload if leaders is None else payload.get(leaders[position])
                             if value is not None:
                                 accumulator.add(value)
-                        results[query.name] = result_from_vector(
-                            query, accumulator.freeze(), unit.measures
+                        values.append(
+                            result_from_vector(query, accumulator.freeze(), unit.measures)
                         )
                 continue
             elif scalar:
@@ -937,12 +937,10 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 total = accumulator
             self._ops += 1
             if scalar:
-                for query in spec.queries:
-                    results[query.name] = total
+                values.extend([total] * len(spec.queries))
             else:
                 frozen = total.freeze()
-                for query in spec.queries:
-                    results[query.name] = result_from_vector(query, frozen, unit.measures)
+                values.extend(result_from_vector(q, frozen, unit.measures) for q in spec.queries)
         for window_map in self._evict_maps:
             if window_map.pop(index, None) is not None:
                 evicted += 1
@@ -957,7 +955,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                         replica_evicted += 1
         self._coeff_entries -= evicted
         self._replica_entries -= replica_evicted
-        return results
+        return WindowValues(unit.layout, array("d", values))
 
     def evict_to(self, oldest: Optional[int]) -> None:
         """Drop stored events outside every instance at or after ``oldest``."""

@@ -68,7 +68,7 @@ from __future__ import annotations
 import pickle
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
@@ -101,6 +101,7 @@ from repro.runtime.reorder import (
     ensure_in_order,
     validate_stream_options,
 )
+from repro.runtime.results import ResultLayout, window_totals
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
     UnitCompilation,
@@ -112,9 +113,10 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v9: ``{core: the core's own pickle, lateness: the stage}``; the output is
-#: one list.  (What v2-v8 changed: CHANGES.md, PRs 10-21.)
-SNAPSHOT_VERSION = 9
+#: v10: an output row's results are a :class:`~repro.runtime.results.WindowValues`
+#: and the core carries its metrics, no totals (``finish`` sums the rows).
+#: (What v2-v9 changed: CHANGES.md, PRs 10-23.)
+SNAPSHOT_VERSION = 10
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
@@ -124,7 +126,6 @@ _CORE_FIELDS = (
     "_active_windows",
     "_windows_closed",
     "_next_close",
-    "_report",
     "_adaptive_stats",
 )
 
@@ -253,6 +254,8 @@ class _Unit:
     linear: bool
     #: Idle single-window engines (taken by uncompiled units only).
     pool: EnginePool
+    #: The unit's query names in readout order, shared by its rows.
+    layout: ResultLayout
     #: Shared-window compilation; ``None``: one pooled engine per instance.
     compiled: Optional[UnitCompilation] = None
     #: One engine + window bookkeeping per live group key.
@@ -623,7 +626,7 @@ class StreamingExecutor:
         — all it owns except the output rows, which ``windows_closed`` marks."""
         core = {name: getattr(self, name) for name in _CORE_FIELDS}
         core["units"] = [(unit.groups, unit.pool, unit.next_close) for unit in self._units]
-        core["_report"] = replace(self._report, partition_results=[])
+        core["metrics"] = self._report.metrics
         return pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _restore_core(self, payload: bytes, output: Optional[list] = None) -> int:
@@ -648,6 +651,7 @@ class StreamingExecutor:
                 group.last_arrival = arrival
         for name in _CORE_FIELDS:
             setattr(self, name, core[name])
+        self._report.metrics = core["metrics"]
         mark = self._windows_closed
         if len(output) < mark:
             raise CheckpointError(
@@ -672,13 +676,12 @@ class StreamingExecutor:
             report.metrics.late_dropped = lateness.late_dropped
             report.metrics.late_side_output = lateness.late_side_output
             report.metrics.late_retracted = lateness.late_retracted
+        report.totals = window_totals(report.partition_results)
         if self._consumed:
             for unit in self._units:
-                for query in unit.queries:
-                    report.totals.setdefault(query.name, 0.0)
-        recombine_decompositions(
-            self.analysis.decompositions, report.partition_results, report.totals
-        )
+                for name in unit.layout.names:
+                    report.totals.setdefault(name, 0.0)
+        recombine_decompositions(self.analysis.decompositions, report)
         self._attach_optimizer_statistics(report)
         return report
 
@@ -754,10 +757,9 @@ class StreamingExecutor:
         window bookkeeping, optimizer statistics and the *unflushed* burst
         buffer: flushing here would force a burst decision the
         uninterrupted run takes later), the units' idle engine pools
-        (engines only, never the factory), the partial
-        :class:`ExecutionReport` without its rows, and the stream/close
-        clocks.  ``lateness`` is the stage itself (``None`` in strict
-        order), so a restore resumes mid-horizon disorder handling too.
+        (engines only, never the factory), the run's metrics and the
+        stream/close clocks.  ``lateness`` is the stage itself (``None`` in
+        strict order), so a restore resumes mid-horizon disorder handling too.
 
         The output — ``report.partition_results``, one row per closed
         window — rides under ``"output"`` in this self-contained form.
@@ -851,6 +853,7 @@ class StreamingExecutor:
             opening_types=frozenset(opening),
             linear=linear,
             pool=EnginePool(self.engine_factory if linear else GretaEngine),
+            layout=compiled.layout if compiled else ResultLayout(q.name for q in queries),
             compiled=compiled,
         )
 
@@ -957,12 +960,9 @@ class StreamingExecutor:
     def _open_group(self, unit: _Unit, group_key: tuple) -> _Group:
         """Build the engine of a ``(group, unit)`` pair seen anew."""
         if unit.compiled is None:
-            group = _Group(
-                engine=InstanceWindowEngine(
-                    unit.queries, unit.pool, unit.opening_types if self.lazy_open else None
-                ),
-                evicts=False,
-            )
+            opening = unit.opening_types if self.lazy_open else None
+            adapter = InstanceWindowEngine(unit.queries, unit.pool, opening, unit.layout)
+            group = _Group(engine=adapter, evicts=False)
         else:
             engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
             group = _Group(engine=engine, evicts=engine.store is not None)
@@ -1198,8 +1198,7 @@ class StreamingExecutor:
             operations=ops_delta,
         )
         metrics.record_emission(latency)
-        # ``results`` is a fresh dict per close; the report owns it, and the
-        # callback (which may mutate what it is handed) gets its own copy.
+        # The report keeps the compact row; the callback gets a plain dict.
         self._report.partition_results.append(
             PartitionResult(
                 group_key=group_key,
@@ -1211,17 +1210,13 @@ class StreamingExecutor:
                 emission_latency=latency,
             )
         )
-        totals = self._report.totals
-        for name, value in results.items():
-            if value != 0.0:  # adding exact zero is a no-op; skip the fold
-                totals[name] = totals.get(name, 0.0) + value
         if self.on_window is not None:
             result: Optional[WindowResult] = WindowResult(
                 group_key=group_key,
                 window_index=meta.index,
                 window_start=window_start,
                 window_end=window_end,
-                results=dict(results),
+                results=dict(zip(results.layout.names, results.slots)),
                 events=events,
                 emission_latency=latency,
             )

@@ -47,6 +47,7 @@ from repro.events.block import EventBlock
 from repro.query import Query, Window, kleene, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor
 from repro.runtime.executor import PartitionResult
+from repro.runtime.results import WindowValues
 from repro.runtime.checkpoint import (
     MAGIC,
     TEMP_SUFFIX,
@@ -552,9 +553,10 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
 
 
 def test_snapshot_splits_output_from_live_state():
-    """Pinned shape (v9): ``{version, fingerprint, core, lateness}``; the
-    core is its own pickle and its report carries scalars and totals only;
-    the output — one list, one row per closed window, addressed by the one
+    """Pinned shape (v10): ``{version, fingerprint, core, lateness}``; the
+    core is its own pickle and carries the run's scalar metrics, no report
+    and no totals (``finish`` sums those from the rows); the output — one
+    list, one compact row per closed window, addressed by the one
     ``windows_closed`` mark — rides under ``"output"`` in the self-contained
     form and outside the payload in the incremental one."""
     executor = _fresh(_workload(Window(8.0), ("g",), False), None)
@@ -565,16 +567,18 @@ def test_snapshot_splits_output_from_live_state():
     state = pickle.loads(executor.snapshot_state())
     assert sorted(state) == ["core", "fingerprint", "lateness", "output", "version"]
     assert state["lateness"] is None  # strict order: no stage
-    report = pickle.loads(state["core"])["_report"]
-    assert report.partition_results == []
-    assert report.metrics.partitions == report.metrics.emissions == closed and report.totals
+    core = pickle.loads(state["core"])
+    assert "_report" not in core and b"totals" not in state["core"]
+    metrics = core["metrics"]
+    assert metrics.partitions == metrics.emissions == closed
     # No per-window list on the metrics: the rows are the only O(windows) state.
     assert not [
-        f.name for f in dataclasses.fields(report.metrics)
-        if isinstance(getattr(report.metrics, f.name), (list, tuple, dict, set))
+        f.name for f in dataclasses.fields(metrics)
+        if isinstance(getattr(metrics, f.name), (list, tuple, dict, set))
     ]
     assert len(state["output"]) == closed
     assert all(isinstance(row, PartitionResult) for row in state["output"])
+    assert all(isinstance(row.results, WindowValues) for row in state["output"])
     payload, delta = executor.snapshot_state(closed - 2)
     assert "output" not in pickle.loads(payload)
     start, rows = pickle.loads(delta)  # a delta names the row it starts at: one list
@@ -756,8 +760,8 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v8 snapshot (core state as a dict beside a ``"reorder"`` dict of
-    executor fields, three parallel output lists) is refused with a typed
+    """A v9 snapshot (a core carrying the partial report and its running
+    totals, output rows holding one dict each) is refused with a typed
     error instead of being resumed."""
     import pickle
 
@@ -765,9 +769,9 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 9
-    state["version"] = 8
-    with pytest.raises(CheckpointError, match="schema version 8"):
+    assert state["version"] == SNAPSHOT_VERSION == 10
+    state["version"] = 9
+    with pytest.raises(CheckpointError, match="schema version 9"):
         executor.restore_state(pickle.dumps(state))
 
 

@@ -232,7 +232,9 @@ class _Recorder(TrendAggregationEngine):
 def _adapter(opening_types):
     log: list = []
     pool = EnginePool(lambda: _Recorder(log))
-    queries = _linear(Window(8.0, 2.0))
+    # One query named after the recorder's one result: an engine reports a
+    # value per unit query, and the adapter reads them out by name.
+    queries = [Query.build(seq("A", kleene("B")), window=Window(8.0, 2.0), name="fed")]
     return InstanceWindowEngine(queries, pool, opening_types), pool, log
 
 

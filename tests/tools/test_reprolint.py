@@ -385,6 +385,34 @@ class TestRL007:
             """
         assert run_rule(self.RULE, good, "repro/events/stream.py") == []
 
+    def test_bad_window_result_row_without_slots(self):
+        """A per-window report row regressing to an instance ``__dict__``."""
+        bad = """
+            class WindowValues(Mapping[str, float]):
+                def __init__(self, layout, slots):
+                    self.layout = layout
+                    self.slots = slots
+            """
+        violations = run_rule(self.RULE, bad, "repro/runtime/results.py")
+        assert rule_ids(violations) == ["RL007"]
+        assert "WindowValues" in violations[0].message
+
+    def test_good_slotted_window_result_row(self):
+        good = """
+            class ResultLayout:
+                __slots__ = ("names", "index")
+
+            class WindowValues(Mapping[str, float]):
+                __slots__ = ("layout", "slots")
+
+            class _Items(ItemsView):
+                __slots__ = ()
+            """
+        assert run_rule(self.RULE, good, "repro/runtime/results.py") == []
+        # The rest of runtime/ is out of this rule's scope.
+        unslotted = "class Lateness:\n    pass\n"
+        assert run_rule(self.RULE, unslotted, "repro/runtime/lateness.py") == []
+
     def test_exempt_bases(self):
         good = """
             class Kind(Enum):

@@ -4,8 +4,9 @@ The engines construct one :class:`~repro.events.event.Event` per stream
 element and one snapshot per window instance; at bench scale those are
 millions of objects.  A ``__dict__`` per instance roughly doubles the
 footprint and slows attribute access, so every class in the hot
-construction paths (``events/``, ``core/snapshot.py``) must be slotted —
-as a ``__slots__`` assignment or ``@dataclass(slots=True)``.
+construction paths (``events/``, ``core/snapshot.py``, and the report row
+every closed window keeps, ``runtime/results.py``) must be slotted — as a
+``__slots__`` assignment or ``@dataclass(slots=True)``.
 """
 
 from __future__ import annotations
@@ -81,13 +82,18 @@ class SlotsRule(Rule):
     title: ClassVar[str] = "per-event/per-window classes must declare __slots__"
     rationale: ClassVar[str] = (
         "Events and snapshots are constructed per stream element / per "
-        "window instance — millions of objects at bench scale.  An instance "
-        "__dict__ doubles their footprint, so classes in events/ and "
-        "core/snapshot.py must declare __slots__ or use "
-        "@dataclass(slots=True).  Enums, exceptions, Protocols and ABCs "
-        "are exempt."
+        "window instance — millions of objects at bench scale — and a "
+        "streaming report keeps one result row per closed window for the "
+        "whole run.  An instance __dict__ doubles their footprint, so "
+        "classes in events/, core/snapshot.py and runtime/results.py must "
+        "declare __slots__ or use @dataclass(slots=True).  Enums, "
+        "exceptions, Protocols and ABCs are exempt."
     )
-    scope: ClassVar[tuple[str, ...]] = ("repro/events/", "repro/core/snapshot.py")
+    scope: ClassVar[tuple[str, ...]] = (
+        "repro/events/",
+        "repro/core/snapshot.py",
+        "repro/runtime/results.py",
+    )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
