@@ -4,27 +4,47 @@ Paper's shape (ridesharing, low setting so every baseline terminates):
 HAMLET beats the two-step MCEP-style engine 7–76x and the SHARON-style
 flattening by orders of magnitude; GRETA is the closest competitor because it
 is online and Kleene-native, just not shared.
+
+The orderings are asserted on the seeded abstract operation counts
+(``row.extra["operations"]``), the machine-independent cost behind the
+latency and throughput columns; wall-clock latency and throughput are
+printed only, since a loaded machine can shrink a millisecond-scale gap.
+Every approach sees the same events, so fewer operations is the lower
+latency and the higher throughput.
 """
 
 from __future__ import annotations
 
-from conftest import metric_by_approach, print_rows, run_once
+from conftest import print_rows, run_once
 
 from repro.bench.fig9 import figure9_events_sweep, figure9_queries_sweep
 
 EVENT_VALUES = (100, 150, 200)
 QUERY_VALUES = (5, 15, 25)
 QUERY_SWEEP_RATE = 150
+BASELINES = ("greta", "sharon-flat", "mcep-two-step")
+
+
+def operations_by_approach(rows, value) -> dict[str, int]:
+    """``approach -> abstract operations`` for one swept-parameter value."""
+    return {row.approach: row.extra["operations"] for row in rows if row.value == value}
+
+
+def assert_hamlet_below_every_baseline(rows, values) -> None:
+    for value in values:
+        operations = operations_by_approach(rows, value)
+        for baseline in BASELINES:
+            assert operations["hamlet"] < operations[baseline], (value, baseline)
 
 
 def test_fig9a_latency_vs_events(benchmark):
     rows = run_once(benchmark, lambda: figure9_events_sweep(EVENT_VALUES, num_queries=5))
     print_rows(rows)
-    # The two-step baseline must lose at the highest rate (trend construction
-    # blows up with the events per window); the online engines stay flat.
-    top = metric_by_approach(rows, EVENT_VALUES[-1])
-    assert top["hamlet"] < top["mcep-two-step"]
-    assert top["hamlet"] < top["sharon-flat"] * 5
+    assert_hamlet_below_every_baseline(rows, EVENT_VALUES)
+    # The two-step baseline constructs every trend: at the top rate it does
+    # 74.5x HAMLET's work here (19,446 vs 261 operations; paper: 7-76x).
+    top = operations_by_approach(rows, EVENT_VALUES[-1])
+    assert top["mcep-two-step"] >= 7 * top["hamlet"]
 
 
 def test_fig9b_latency_vs_queries(benchmark):
@@ -32,16 +52,13 @@ def test_fig9b_latency_vs_queries(benchmark):
         benchmark, lambda: figure9_queries_sweep(QUERY_VALUES, events_per_minute=QUERY_SWEEP_RATE)
     )
     print_rows(rows)
-    for value in QUERY_VALUES:
-        latency = metric_by_approach(rows, value)
-        assert latency["hamlet"] < latency["mcep-two-step"]
+    assert_hamlet_below_every_baseline(rows, QUERY_VALUES)
 
 
 def test_fig9c_throughput_vs_events(benchmark):
     rows = run_once(benchmark, lambda: figure9_events_sweep(EVENT_VALUES, num_queries=5))
     print_rows(rows, metrics=["throughput_eps"])
-    top = metric_by_approach(rows, EVENT_VALUES[-1], "throughput_eps")
-    assert top["hamlet"] > top["mcep-two-step"]
+    assert_hamlet_below_every_baseline(rows, EVENT_VALUES)
 
 
 def test_fig9d_throughput_vs_queries(benchmark):
@@ -49,7 +66,9 @@ def test_fig9d_throughput_vs_queries(benchmark):
         benchmark, lambda: figure9_queries_sweep(QUERY_VALUES, events_per_minute=QUERY_SWEEP_RATE)
     )
     print_rows(rows, metrics=["throughput_eps"])
-    for value in QUERY_VALUES:
-        throughput = metric_by_approach(rows, value, "throughput_eps")
-        assert throughput["hamlet"] > throughput["mcep-two-step"]
-        assert throughput["hamlet"] > throughput["sharon-flat"] / 5
+    assert_hamlet_below_every_baseline(rows, QUERY_VALUES)
+    # HAMLET's work grows with the workload far slower than GRETA's, the
+    # unshared online engine (223 -> 781 against 1,910 -> 8,661).
+    low = operations_by_approach(rows, QUERY_VALUES[0])
+    high = operations_by_approach(rows, QUERY_VALUES[-1])
+    assert high["greta"] / high["hamlet"] > low["greta"] / low["hamlet"]

@@ -40,7 +40,7 @@ from repro.errors import SchemaError
 from repro.events import columnar
 from repro.events import event as _event_module
 from repro.events.columnar import Buffer, build_event
-from repro.events.event import Event, EventType
+from repro.events.event import Event, EventType, collapse_nan
 from repro.events.time import Timestamp
 
 __all__ = ["EventBlock", "EventBlockBuilder"]
@@ -502,13 +502,14 @@ class EventBlock:
     def group_keys(self, attributes: tuple[str, ...]) -> list[tuple[Any, ...]]:
         """Per-row group-key tuples for ``attributes`` (cached per block).
 
-        Equivalent to ``tuple(event.get(a) for a in attributes)`` row by
-        row — the exact :meth:`PartitionSpec.group_key` contract.
+        Equivalent to :func:`~repro.events.event.group_key` row by row —
+        the exact :meth:`PartitionSpec.group_key` contract, float NaN
+        collapsed to one object.
         """
         cached = self._group_cache.get(attributes)
         if cached is not None:
             return cached
-        columns = [self.payload_column(attribute) for attribute in attributes]
+        columns = [collapse_nan(self.payload_column(attribute)) for attribute in attributes]
         if not columns:
             keys: list[tuple[Any, ...]] = [()] * (self._stop - self._start)
         elif len(columns) == 1:

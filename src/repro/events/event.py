@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import eq
 from typing import Any, Mapping, Optional
 
 from repro.errors import SchemaError
@@ -117,3 +118,37 @@ class Event:
         payload = dict(self.payload)
         payload.update(updates)
         return Event(event_type=self.event_type, time=self.time, payload=payload)
+
+
+# ---------------------------------------------------------------------- #
+# Group keys
+# ---------------------------------------------------------------------- #
+#: The one NaN object group keys carry.  ``nan != nan`` and a NaN hashes by
+#: identity, so keys holding distinct NaN objects (every decoded stream's)
+#: would scatter one group over as many groups as it has rows; like SQL
+#: ``GROUP BY``, every float NaN of a grouping attribute is one group.
+GROUP_NAN = float("nan")
+
+
+def group_key(event: Event, attributes: tuple[str, ...]) -> tuple[Any, ...]:
+    """The grouping key of ``event`` (``()`` without GROUP BY), NaN collapsed."""
+    key = tuple(map(event.get, attributes))
+    for value in key:
+        if value != value:
+            return tuple(collapse_nan(list(key)))
+    return key
+
+
+def collapse_nan(values: list[Any]) -> list[Any]:
+    """``values`` with every float NaN replaced by :data:`GROUP_NAN` — the
+    list itself when it holds none, found by one C-speed ``sum`` when every
+    value is a number (NaN propagates; ``inf - inf`` is a harmless false
+    alarm)."""
+    try:
+        total = sum(values)
+        clean = total == total
+    except (TypeError, ArithmeticError):  # not all numbers (or huge ints)
+        clean = all(map(eq, values, values))
+    if clean:
+        return values
+    return [GROUP_NAN if isinstance(value, float) and value != value else value for value in values]

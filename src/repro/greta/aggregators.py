@@ -124,6 +124,43 @@ class AggregateVector:
         return len(self.measures)
 
 
+#: Where a linear aggregate reads a total vector laid out as ``(count,
+#: *measures)``: ``(value position, divisor position)``, the divisor only
+#: for AVG (``None`` otherwise).
+Projection = tuple[int, Optional[int]]
+
+
+def projection_of(aggregate: AggregateFunction, measures: Sequence[Measure]) -> Projection:
+    """Compile the extraction of ``aggregate`` from vectors over ``measures``."""
+    kind = aggregate.kind
+    if kind is AggregateKind.COUNT_TRENDS:
+        return (0, None)
+
+    def position(attribute: Optional[str]) -> int:
+        target = Measure(aggregate.event_type, attribute)  # type: ignore[arg-type]
+        for index, measure in enumerate(measures):
+            if measure == target:
+                return index + 1
+        raise SharingError(f"measure {target!r} missing from vector (have {list(measures)})")
+
+    if kind is AggregateKind.COUNT_EVENTS:
+        return (position(None), None)
+    if kind is AggregateKind.SUM:
+        return (position(aggregate.attribute), None)
+    if kind is AggregateKind.AVG:
+        return (position(aggregate.attribute), position(None))
+    raise SharingError(f"{aggregate.describe()} cannot be extracted from a linear vector")
+
+
+def project(projection: Projection, values: Sequence[float]) -> float:
+    """Read one compiled projection out of ``(count, *measures)``."""
+    position, divisor = projection
+    if divisor is None:
+        return values[position]
+    count = values[divisor]
+    return values[position] / count if count else 0.0
+
+
 def result_from_vector(
     query: Query, vector: AggregateVector, measures: Sequence[Measure]
 ) -> float:
@@ -131,27 +168,8 @@ def result_from_vector(
 
     ``measures`` must be the measure list the vector was built with.
     """
-    aggregate = query.aggregate
-    kind = aggregate.kind
-    if kind is AggregateKind.COUNT_TRENDS:
-        return vector.count
-
-    def measure_value(event_type: EventType, attribute: Optional[str]) -> float:
-        target = Measure(event_type, attribute)
-        for index, measure in enumerate(measures):
-            if measure == target:
-                return vector.measures[index]
-        raise SharingError(f"measure {target!r} missing from vector (have {list(measures)})")
-
-    if kind is AggregateKind.COUNT_EVENTS:
-        return measure_value(aggregate.event_type, None)
-    if kind is AggregateKind.SUM:
-        return measure_value(aggregate.event_type, aggregate.attribute)
-    if kind is AggregateKind.AVG:
-        total = measure_value(aggregate.event_type, aggregate.attribute)
-        count = measure_value(aggregate.event_type, None)
-        return total / count if count else 0.0
-    raise SharingError(f"{aggregate.describe()} cannot be extracted from a linear vector")
+    projection = projection_of(query.aggregate, measures)
+    return project(projection, (vector.count, *vector.measures))
 
 
 # ---------------------------------------------------------------------- #

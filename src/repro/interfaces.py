@@ -148,7 +148,8 @@ class MultiWindowEngine(abc.ABC):
     * :meth:`close_window` is called once per instance, in ascending index
       order, the moment the stream passes the instance's end; it returns
       the final aggregate per query as one compact row
-      (:class:`~repro.runtime.results.WindowValues`) and evicts the
+      (:class:`~repro.runtime.results.WindowValues`: a slot per distinct
+      value, which queries computing the same value share) and evicts the
       instance's coefficients;
     * :meth:`evict_to` drops stored events that fall outside every window
       instance at or after ``oldest`` (``None`` empties the store).

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import PatternError
-from repro.events.event import Event, EventType
+from repro.events.event import Event, EventType, group_key
 from repro.query.aggregates import AggregateFunction, count_trends
 from repro.query.pattern import Pattern
 from repro.query.predicates import CompositePredicate, Predicate
@@ -98,7 +98,7 @@ class Query:
 
     def group_key(self, event: Event) -> tuple[Any, ...]:
         """Return the grouping key of ``event`` (empty tuple when no GROUP BY)."""
-        return tuple(event.get(attribute) for attribute in self.group_by)
+        return group_key(event, self.group_by)
 
     # ------------------------------------------------------------------ #
     # Identity

@@ -123,7 +123,8 @@ class Lateness:
         if late_policy == "retract":
             self._ring = [[(float("-inf"), float("-inf")), core._core_state(), []]]
         self._since_rotate = 0
-        #: ``(group key, window index) -> (results, window end)`` of what went out.
+        #: ``(group key, window index) -> (read-only row, window end)`` of
+        #: what went out; a re-close compares slot arrays against it.
         self._emitted: dict = {}
         #: Lowest output mark a retraction rolled back to since the last
         #: :meth:`delta_start` (``sys.maxsize``: none did).
@@ -289,8 +290,7 @@ class Lateness:
             if previous[0] == result.results:
                 return None
             result = replace(result, retraction=True)
-        # Log a copy: the callback may mutate the dict it is handed.
-        self._emitted[key] = (dict(result.results), result.window_end)
+        self._emitted[key] = (result.results, result.window_end)
         return result
 
     def delta_start(self, since: int) -> int:

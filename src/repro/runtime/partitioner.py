@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.events.event import Event
+from repro.events.event import Event, group_key
 from repro.query.query import Query
 from repro.query.windows import Window
 
@@ -96,8 +96,9 @@ class PartitionSpec:
     window: Window
 
     def group_key(self, event: Event) -> tuple:
-        """Grouping key of an event (empty tuple when there is no GROUP BY)."""
-        return tuple(event.get(attribute) for attribute in self.group_by)
+        """Grouping key of an event (empty tuple when there is no GROUP BY;
+        every float NaN is the one :data:`~repro.events.event.GROUP_NAN`)."""
+        return group_key(event, self.group_by)
 
 
 class GroupWindowPartitioner:

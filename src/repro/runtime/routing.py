@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import ExecutionError
 from repro.events.block import EventBlock
-from repro.events.event import Event, EventType
+from repro.events.event import Event, EventType, group_key
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime.executor import execution_units, unit_relevant_types
@@ -261,7 +261,7 @@ class ShardRouter:
         if event.event_type not in self.plan.relevant_types:
             return ()
         if self.plan.mode == "group":
-            key = tuple(event.get(attribute) for attribute in self.plan.group_by)
+            key = group_key(event, self.plan.group_by)
             shard = self._shard_of_key.get(key)
             if shard is None:
                 shard = stable_shard_hash(key) % self.plan.shards

@@ -68,7 +68,7 @@ from repro.core.kernels import KernelBackend, MutableAggregate, PythonKernelBack
 from repro.core.snapshot import WindowCoefficientTable
 from repro.errors import ExecutionError
 from repro.events.event import Event, EventType
-from repro.greta.aggregators import Measure, measures_for_queries, result_from_vector
+from repro.greta.aggregators import Measure, measures_for_queries, project, projection_of
 from repro.interfaces import MultiWindowEngine, TrendAggregationEngine
 from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
 from repro.runtime.reorder import ensure_shared_order, ensure_shared_run_order
@@ -104,6 +104,7 @@ class QueryClassSpec:
         "pred_types",
         "end_types",
         "candidates",
+        "projections",
     )
 
     def __init__(self, index: int, queries: Sequence[Query], template: QueryTemplate) -> None:
@@ -136,6 +137,9 @@ class QueryClassSpec:
             for event_type in template.event_types
         }
         self.end_types: tuple[EventType, ...] = tuple(sorted(template.end_types))
+        #: Vector units: one compiled projection per readout slot of the
+        #: class, in slot order (set by :class:`UnitCompilation`).
+        self.projections: tuple[tuple, ...] = ()
         #: The static half of every per-burst sharing decision about this
         #: class, per burst type (multi-member classes only — a single query
         #: has nothing to share).  Members are computationally identical, so
@@ -208,8 +212,17 @@ class UnitCompilation:
             QueryClassSpec(index, grouped[key], templates[grouped[key][0].name])
             for index, key in enumerate(order)
         )
-        #: Result slots in readout order: class-major, members in order.
-        self.layout = ResultLayout(q.name for spec in self.classes for q in spec.queries)
+        #: Names in readout order (class-major, members in order), each
+        #: reading its class's slot for its aggregate: members are
+        #: computationally identical, so equal aggregates read one value.
+        slot_of: list[int] = []
+        for spec in self.classes:
+            aggregates = list(dict.fromkeys(query.aggregate for query in spec.queries))
+            base = len(set(slot_of))
+            slot_of.extend(base + aggregates.index(query.aggregate) for query in spec.queries)
+            if not self.scalar:  # a scalar class's one slot is its total
+                spec.projections = tuple(projection_of(each, self.measures) for each in aggregates)
+        self.layout = ResultLayout((q.name for spec in self.classes for q in spec.queries), slot_of)
         positive: dict[EventType, list[QueryClassSpec]] = {}
         negative: dict[EventType, list[QueryClassSpec]] = {}
         stored_types: set[EventType] = set()
@@ -847,7 +860,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             state.kleene.rows = state.kleene.cells = state.kleene.entries = 0
 
     def close_window(self, index: int) -> WindowValues:
-        """Equation 3 readout of one instance from its coefficient column."""
+        """Equation 3 readout of one instance: one double per readout slot."""
         unit = self.unit
         scalar = unit.scalar
         values: list[float] = []  # in ``unit.layout`` slot order
@@ -871,84 +884,42 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                         kleene.entries -= 1
                     elif index in kleene_map:
                         kleene.entries -= 1
-            end_states = (
-                [columns.get((spec.index, t)) for t in spec.end_types] if columns else None
-            )
             if spec.trailing_negations and self._store is not None:
                 total = self._trailing_total(spec, index)
-            elif end_states is not None and any(state is not None for state in end_states):
-                # At least one end type is split: drain every column of
-                # every end type once, then assemble per-query totals from
-                # each query's own columns.  Column values are bit-identical
-                # across a pair, so the per-query sums reproduce the fully
-                # shared readout exactly.
-                popped: list[tuple[Optional[tuple[int, ...]], object]] = []
-                for end_map, state in zip(self._end_maps[spec.index], end_states):
-                    if state is None:
+                self._ops += 1
+            else:
+                # The readout drains the end-type coefficients it reads: the
+                # canonical maps, member 0's columns.  A split end type still
+                # charges one readout per member, but every column of a pair
+                # holds the canonical values bit for bit (the replicas are
+                # evicted below), so each slot is what each member would read.
+                if scalar:
+                    total = 0.0
+                    for end_map in self._end_maps[spec.index]:
                         value = end_map.pop(index, None)
                         if value is not None:
+                            total += value
                             evicted += 1
-                        popped.append((None, value))
-                    else:
-                        by_leader: dict[int, object] = {}
-                        for leader, window_map in state.maps.items():
-                            value = window_map.pop(index, None)
-                            if value is not None:
-                                by_leader[leader] = value
-                                if window_map is end_map:
-                                    evicted += 1
-                                else:
-                                    replica_evicted += 1
-                        popped.append((state.leaders, by_leader))
-                self._ops += len(spec.queries)
-                for position, query in enumerate(spec.queries):
-                    if scalar:
-                        query_total = 0.0
-                        for leaders, payload in popped:
-                            value = payload if leaders is None else payload.get(leaders[position])
-                            if value is not None:
-                                query_total += value
-                        values.append(query_total)
-                    else:
-                        accumulator = MutableAggregate(unit.dimension)
-                        for leaders, payload in popped:
-                            value = payload if leaders is None else payload.get(leaders[position])
-                            if value is not None:
-                                accumulator.add(value)
-                        values.append(
-                            result_from_vector(query, accumulator.freeze(), unit.measures)
-                        )
-                continue
-            elif scalar:
-                # The readout drains the end-type coefficients it reads.
-                total = 0.0
-                for end_map in self._end_maps[spec.index]:
-                    value = end_map.pop(index, None)
-                    if value is not None:
-                        total += value
-                        evicted += 1
-            else:
-                accumulator = MutableAggregate(unit.dimension)
-                for end_map in self._end_maps[spec.index]:
-                    value = end_map.pop(index, None)
-                    if value is not None:
-                        accumulator.add(value)
-                        evicted += 1
-                total = accumulator
-            self._ops += 1
+                else:
+                    total = MutableAggregate(unit.dimension)
+                    for end_map in self._end_maps[spec.index]:
+                        value = end_map.pop(index, None)
+                        if value is not None:
+                            total.add(value)
+                            evicted += 1
+                split = columns and any((spec.index, t) in columns for t in spec.end_types)
+                self._ops += len(spec.queries) if split else 1
             if scalar:
-                values.extend([total] * len(spec.queries))
+                values.append(total)
             else:
-                frozen = total.freeze()
-                values.extend(result_from_vector(q, frozen, unit.measures) for q in spec.queries)
+                sums = (total.count, *total.measures)
+                values.extend([project(projection, sums) for projection in spec.projections])
         for window_map in self._evict_maps:
             if window_map.pop(index, None) is not None:
                 evicted += 1
         if columns:
-            # Replica columns of non-end types (and of trailing-NOT classes)
-            # are not drained by the readout; evict their entries here.  The
-            # pops are idempotent, so columns already drained above cost one
-            # failed lookup and are counted exactly once.
+            # The readout drains canonical columns only: evict every replica
+            # column's entry here.
             for state in columns.values():
                 for leader, window_map in state.maps.items():
                     if leader and window_map.pop(index, None) is not None:

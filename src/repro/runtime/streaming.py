@@ -113,10 +113,10 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v10: an output row's results are a :class:`~repro.runtime.results.WindowValues`
-#: and the core carries its metrics, no totals (``finish`` sums the rows).
-#: (What v2-v9 changed: CHANGES.md, PRs 10-23.)
-SNAPSHOT_VERSION = 10
+#: v11: a :class:`~repro.runtime.results.ResultLayout` pickles ``(names,
+#: slot_of)``, one slot per sharing-class value, and the lateness stage logs
+#: emitted rows, not dicts.  (What v2-v10 changed: CHANGES.md.)
+SNAPSHOT_VERSION = 11
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
@@ -140,7 +140,9 @@ class WindowResult:
     window_index: int
     window_start: float
     window_end: float
-    #: Final aggregate per query of the instance's execution unit.
+    #: Final aggregate per query of the instance's execution unit: the
+    #: report's own read-only row (:class:`~repro.runtime.results.WindowValues`);
+    #: ``dict(result.results)`` is a mutable copy.
     results: Mapping[str, float]
     #: Relevant group events that arrived between the instance's opening
     #: and its close.
@@ -1198,7 +1200,7 @@ class StreamingExecutor:
             operations=ops_delta,
         )
         metrics.record_emission(latency)
-        # The report keeps the compact row; the callback gets a plain dict.
+        # The report and the callback share the one read-only row.
         self._report.partition_results.append(
             PartitionResult(
                 group_key=group_key,
@@ -1212,13 +1214,7 @@ class StreamingExecutor:
         )
         if self.on_window is not None:
             result: Optional[WindowResult] = WindowResult(
-                group_key=group_key,
-                window_index=meta.index,
-                window_start=window_start,
-                window_end=window_end,
-                results=dict(zip(results.layout.names, results.slots)),
-                events=events,
-                emission_latency=latency,
+                group_key, meta.index, window_start, window_end, results, events, latency
             )
             if self._lateness is not None:
                 # A retraction's replay re-closes windows already emitted.

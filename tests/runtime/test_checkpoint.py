@@ -760,18 +760,22 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v9 snapshot (a core carrying the partial report and its running
-    totals, output rows holding one dict each) is refused with a typed
-    error instead of being resumed."""
+    """A v10 snapshot (layouts with one slot per query, a lateness stage
+    logging dict copies of what went out) is refused with a typed error
+    instead of being resumed."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
 
     executor = _fresh(_workload(Window(16.0, 4.0), ("g",), False), "dynamic")
+    for index in range(40):
+        executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 10
-    state["version"] = 9
-    with pytest.raises(CheckpointError, match="schema version 9"):
+    assert state["version"] == SNAPSHOT_VERSION == 11
+    layout = state["output"][0].results.layout
+    assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
+    state["version"] = 10
+    with pytest.raises(CheckpointError, match="schema version 10"):
         executor.restore_state(pickle.dumps(state))
 
 

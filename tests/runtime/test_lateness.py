@@ -211,10 +211,16 @@ def test_rewound_mark_restarts_the_next_delta_once():
 
 
 def test_reconcile_suppresses_unchanged_and_flags_changed_windows():
+    from array import array
+
+    from repro.runtime.results import ResultLayout, WindowValues
     from repro.runtime.streaming import WindowResult
 
-    def result(total: float) -> WindowResult:
-        return WindowResult(("g",), 3, 12.0, 28.0, {"q": total}, 5, 0.0)
+    layout = ResultLayout(("q", "q_twin"), (0, 0))  # two names, one slot
+
+    def result(total: float, layout: ResultLayout = layout) -> WindowResult:
+        row = WindowValues(layout, array("d", [total]))
+        return WindowResult(("g",), 3, 12.0, 28.0, row, 5, 0.0)
 
     passthrough = Lateness(ScriptedCore(), 4.0, "drop")
     first = result(7.0)
@@ -223,9 +229,15 @@ def test_reconcile_suppresses_unchanged_and_flags_changed_windows():
     stage = Lateness(ScriptedCore(), 4.0, "retract")
     assert stage.reconcile(result(7.0)) == result(7.0)
     assert stage.reconcile(result(7.0)) is None  # a re-close that changed nothing
+    # ... also when it comes from a restored engine's (equal, distinct) layout.
+    assert stage.reconcile(result(7.0, pickle.loads(pickle.dumps(layout)))) is None
     changed = stage.reconcile(result(9.0))
-    assert changed.retraction and changed.results == {"q": 9.0}
+    assert changed.retraction and changed.results == {"q": 9.0, "q_twin": 9.0}
     assert stage.reconcile(result(9.0)) is None
+    # The stage logs the row itself and pickles it with the rest of its state.
+    restored = pickle.loads(pickle.dumps(stage))
+    assert restored.reconcile(result(9.0)) is None
+    assert restored.reconcile(result(-0.0)).retraction
 
 
 # --------------------------------------------------------------------- #

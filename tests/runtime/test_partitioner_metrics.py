@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.workloads import kleene_sharing_workload
 from repro.events import Event
+from repro.events.block import EventBlock
+from repro.events.event import GROUP_NAN, collapse_nan, group_key
 from repro.greta import GretaEngine
 from repro.query import Query, Window, kleene, seq
 from repro.runtime import (
@@ -13,6 +16,8 @@ from repro.runtime import (
     Stopwatch,
     StreamingExecutor,
     WorkloadExecutor,
+    run_sharded,
+    run_streaming,
 )
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
 
@@ -230,3 +235,84 @@ class TestStreamingPeakMemoryAccounting:
         # duplicated graphs; its footprint stays within the batch peak of a
         # single partition as well.
         assert 0 < shared.metrics.peak_memory_units <= batch.metrics.peak_memory_units
+
+
+class TestNanGroupKeys:
+    """A NaN group-by value is one group on every path, as in SQL.
+
+    ``nan != nan`` and a NaN hashes by identity, so a stream whose NaN
+    values are distinct float objects — every decoded stream — used to
+    scatter one group over as many groups as it has rows, and the Kleene
+    counts that need a prefix and its continuation in one group read 0.
+    """
+
+    @staticmethod
+    def _workload():
+        return kleene_sharing_workload(
+            2,
+            kleene_type="Travel",
+            prefix_types=("Surge",),
+            window=Window(10.0, 5.0),
+            group_by=("district",),
+            name="q",
+        )
+
+    @staticmethod
+    def _events(district):
+        return [
+            Event(kind, float(time), {"district": district()}, sequence=time)
+            for time, kind in enumerate(("Surge", "Travel", "Travel"))
+        ]
+
+    def test_group_key_collapses_every_float_nan_to_one_object(self):
+        first, second = float("nan"), float("nan")
+        assert first is not second
+        keys = [group_key(Event("A", 0.0, {"d": value, "s": "x"}), ("d", "s"))
+                for value in (first, second)]
+        assert keys[0][0] is keys[1][0] is GROUP_NAN and keys[0] == keys[1]
+        assert len({keys[0], keys[1]}) == 1
+        plain = Event("A", 0.0, {"d": 3.0, "s": "x"})
+        assert group_key(plain, ("d", "s")) == (3.0, "x") and group_key(plain, ()) == ()
+        column = [1.0, first, 2, None, second, "n"]
+        collapsed = collapse_nan(column)
+        assert collapsed[1] is collapsed[4] is GROUP_NAN
+        assert [collapsed[i] for i in (0, 2, 3, 5)] == [1.0, 2, None, "n"]
+        clean = [1.0, float("inf"), float("-inf"), 10**400]
+        assert collapse_nan(clean) is clean and collapse_nan(["a", None]) == ["a", None]
+
+    def test_block_group_keys_collapse_nan(self):
+        built = EventBlock.from_events(self._events(lambda: float("nan")))
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            keys = block.group_keys(("district",))
+            assert len(set(keys)) == 1 and keys[0][0] is GROUP_NAN
+            assert block.payload_column("district")[0] is not GROUP_NAN  # values untouched
+
+    @pytest.mark.parametrize(
+        "path", ("scalar", "block", "per-instance", "per-instance-block", "sharded")
+    )
+    def test_nan_is_one_group_on_every_path(self, path):
+        workload = self._workload()
+        expected = run_streaming(workload, self._events(lambda: 3.0)).totals
+        assert expected == {"q-q1": 3.0, "q-q2": 3.0}
+        events = self._events(lambda: float("nan"))
+        block = EventBlock.from_bytes(EventBlock.from_events(events).to_bytes())
+        if path == "scalar":
+            report = run_streaming(workload, events)
+        elif path == "block":
+            report = run_streaming(workload, block)
+        elif path == "per-instance":
+            report = run_streaming(workload, events, shared_windows=False)
+        elif path == "per-instance-block":
+            report = run_streaming(workload, block, shared_windows=False)
+        else:
+            report = run_sharded(workload, block, workers=0, shards=2)
+        assert report.totals == expected
+        assert {row.group_key for row in report.partition_results} == {(GROUP_NAN,)}
+
+    def test_nan_is_one_group_across_worker_processes(self, hard_deadline):
+        events = self._events(lambda: float("nan"))
+        report = run_sharded(self._workload(), events, workers=2, batch_size=1)
+        assert report.totals == {"q-q1": 3.0, "q-q2": 3.0}
+        assert len({row.key for row in report.partition_results}) == len(
+            report.partition_results
+        )

@@ -1,13 +1,15 @@
 """One compact row per closed window (``runtime/results.py``).
 
 A streaming report keeps a :class:`WindowValues` per closed window — the
-unit's shared :class:`ResultLayout` plus one ``array('d')`` — instead of a
-``dict`` naming every query again.  Pinned here: the row is a faithful
-``Mapping`` (equal to the dict it replaced, same order, same bits), it
-pickles its layout once per dump, it costs a fraction of the dict's bytes,
-callbacks still get plain dicts, ``report.totals`` is bit-identical to a
-running sum over the rows (1-3 shards, a retraction's rollback) and
-``results_by_partition`` reports only the partitions holding the query.
+unit's shared :class:`ResultLayout` plus one ``array('d')`` with one slot
+per distinct value: per sharing class and aggregate, not per query.
+Pinned here: the layout's slot counts, the row as a faithful ``Mapping``
+(equal to the dict of its items, same order, same bits, one-to-one or
+many-to-one), one layout per pickle dump, a fraction of a dict's bytes,
+``on_window`` handed the report's own row, ``report.totals`` bit-identical
+to a running sum over the rows (1-3 shards, a retraction's rollback), the
+class-slot invariant under split columns, and ``results_by_partition``
+reporting only the partitions holding the query.
 """
 
 from __future__ import annotations
@@ -21,11 +23,25 @@ from array import array
 
 import pytest
 
+from repro.bench.workloads import kleene_sharing_workload, multi_aggregate_workload
+from repro.core.kernels import MutableAggregate
 from repro.events import Event
-from repro.query import Query, Window, kleene, max_of, seq, sum_of
+from repro.query import (
+    Query,
+    Window,
+    avg,
+    count_events,
+    kleene,
+    max_of,
+    parse_pattern,
+    seq,
+    sum_of,
+)
 from repro.runtime import (
+    MultiWindowLinearEngine,
     ResultLayout,
     StreamingExecutor,
+    UnitCompilation,
     WindowValues,
     run_sharded,
     run_streaming,
@@ -79,6 +95,36 @@ def test_row_behaves_like_the_dict_it_replaces():
     assert "q_b" in repr(row)
 
 
+#: Four names reading two slots: ``twin_*`` share their sibling's value.
+MANY = ResultLayout(("cnt", "twin_cnt", "sum", "twin_sum"), (0, 0, 1, 1))
+
+
+def test_many_to_one_row_is_the_mapping_of_its_names():
+    row = WindowValues(MANY, array("d", [3.0, -0.0]))
+    plain = {"cnt": 3.0, "twin_cnt": 3.0, "sum": -0.0, "twin_sum": -0.0}
+    assert row == plain and plain == row and not (row != plain)
+    assert row != {**plain, "twin_sum": 1.0} and row != {"cnt": 3.0, "sum": -0.0}
+    assert dict(row) == plain and list(dict(row)) == list(plain)
+    assert list(row) == list(MANY.names) and len(row) == len(row.values()) == 4
+    assert list(row.items()) == list(plain.items())
+    assert _bits(row.values()) == _bits(plain.values())
+    assert row["twin_cnt"] == 3.0 and row.get("twin_sum") == 0.0 and row.get("x") is None
+    assert "twin_sum" in row and "x" not in row and ("twin_cnt", 3.0) in row.items()
+    assert len(row.slots) == 2
+    # Equal to the one-to-one row of the same items, both ways, and not to
+    # another many-to-one row whose names read other slots.
+    identity = WindowValues(ResultLayout(MANY.names), array("d", plain.values()))
+    assert row == identity and identity == row
+    crossed = WindowValues(ResultLayout(MANY.names, (0, 1, 1, 0)), array("d", [3.0, -0.0]))
+    assert row != crossed
+    with pytest.raises(TypeError):
+        row["cnt"] = 1.0  # type: ignore[index]  # read-only
+    assert "twin_cnt" in repr(row) and "slot_of" not in repr(row)
+
+
+# --------------------------------------------------------------------- #
+# The layout: one slot per sharing class and aggregate
+# --------------------------------------------------------------------- #
 def test_rows_share_the_units_layout_and_no_dict_stays_in_the_report():
     report = run_streaming(_queries(), _events(4, 300))
     rows = report.partition_results
@@ -89,9 +135,7 @@ def test_rows_share_the_units_layout_and_no_dict_stays_in_the_report():
     assert len(layouts) == 4 < len(rows)
 
 
-def test_compiled_layout_is_class_major():
-    from repro.runtime import UnitCompilation
-
+def test_compiled_layout_is_class_major_with_one_slot_per_class():
     window = Window(10.0)
     queries = [
         Query.build(seq("A", kleene("B")), window=window, name="first"),
@@ -100,28 +144,85 @@ def test_compiled_layout_is_class_major():
     ]
     unit = UnitCompilation(queries, share_classes=True)
     assert unit.layout.names == ("first", "third", "second")
-    assert unit.layout.index == {"first": 0, "third": 1, "second": 2}
+    assert unit.layout.slot_of == (0, 0, 1)
+    assert unit.layout.index == {"first": 0, "third": 0, "second": 1}
+    # GRETA's flavour shares no class: every query reads its own slot.
+    assert UnitCompilation(queries, share_classes=False).layout.slot_of == (0, 1, 2)
+
+
+def test_a_vector_class_gets_one_slot_per_distinct_projection():
+    window = Window(10.0)
+    pattern = lambda: seq("A", kleene("B"))  # noqa: E731
+    queries = [
+        Query.build(pattern(), aggregate=sum_of("B", "v"), window=window, name="sum"),
+        Query.build(pattern(), window=window, name="cnt"),
+        Query.build(pattern(), aggregate=sum_of("B", "v"), window=window, name="sum_twin"),
+        Query.build(pattern(), aggregate=avg("B", "v"), window=window, name="avg"),
+        Query.build(pattern(), aggregate=count_events("B"), window=window, name="events"),
+        Query.build(pattern(), aggregate=sum_of("B", "w"), window=window, name="sum_w"),
+        Query.build(seq("C", kleene("B")), window=window, name="other"),
+        Query.build(pattern(), window=window, name="cnt_twin"),
+    ]
+    unit = UnitCompilation(queries, share_classes=True)
+    assert [spec.index for spec in unit.classes] == [0, 1]
+    assert unit.layout.names == (
+        "sum", "cnt", "sum_twin", "avg", "events", "sum_w", "cnt_twin", "other"
+    )
+    assert unit.layout.slot_of == (0, 1, 0, 2, 3, 4, 1, 5)
+    assert [len(spec.projections) for spec in unit.classes] == [5, 1]
+
+
+@pytest.mark.parametrize(
+    ("queries", "names", "slots"),
+    (
+        (lambda: kleene_sharing_workload(50, kleene_type="Travel", name="fig9"), 50, 19),
+        (
+            lambda: kleene_sharing_workload(
+                10, kleene_type="Travel", prefix_types=("Surge", "Breakdown"), name="ingest"
+            ),
+            10,
+            2,
+        ),
+        (
+            lambda: multi_aggregate_workload(
+                8, kleene_type="Travel", prefix_types=("Request", "Surge"), name="bursty"
+            ),
+            8,
+            8,
+        ),
+    ),
+    ids=("fig9", "ingest", "bursty"),
+)
+def test_slot_counts_of_the_benchmark_query_sets(queries, names, slots):
+    layouts = [unit.layout for unit in StreamingExecutor(queries())._units]
+    assert sum(len(layout.names) for layout in layouts) == names
+    assert sum(len(set(layout.slot_of)) for layout in layouts) == slots
+    for layout in layouts:
+        assert sorted(set(layout.slot_of)) == list(range(len(set(layout.slot_of))))
 
 
 # --------------------------------------------------------------------- #
 # Pickling and bits
 # --------------------------------------------------------------------- #
-def test_a_pickle_ships_a_shared_layout_once():
+@pytest.mark.parametrize("width", (50, 19))
+def test_a_pickle_ships_a_shared_layout_once(width):
     names = tuple(f"wide_query_{index:02d}" for index in range(50))
-    layout = ResultLayout(names)
+    layout = ResultLayout(names, [index * width // 50 for index in range(50)])
     rows = [
-        WindowValues(layout, array("d", [float(index + slot) for slot in range(50)]))
+        WindowValues(layout, array("d", [float(index + slot) for slot in range(width)]))
         for index in range(200)
     ]
     data = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
     assert data.count(b"wide_query_07") == 1
-    # 200 x 400 bytes of doubles, plus small per-row framing.
-    assert len(data) < 200 * (50 * 8 + 64)
+    # 200 x 8 bytes per slot, plus small per-row framing.
+    assert len(data) < 200 * (width * 8 + 64)
     loaded = pickle.loads(data)
     assert loaded == rows
     assert all(row.layout is loaded[0].layout for row in loaded)
     assert loaded[0].layout is not layout and loaded[0].layout.names == names
+    assert loaded[0].layout.slot_of == layout.slot_of
     assert loaded[0].layout.index == layout.index
+    assert [dict(row) for row in loaded] == [dict(row) for row in rows]
 
 
 def test_doubles_come_back_bit_for_bit():
@@ -137,6 +238,11 @@ def test_doubles_come_back_bit_for_bit():
     restored = pickle.loads(pickle.dumps(row))
     assert _bits(restored.values()) == expected
     assert restored.layout.names == names
+    # A slot read by two names comes back twice, bit for bit.
+    shared = WindowValues(ResultLayout(("a", "b", "c"), (0, 1, 0)), array("d", values[-2:]))
+    assert _bits(pickle.loads(pickle.dumps(shared)).values()) == _bits(
+        [values[-2], values[-1], values[-2]]
+    )
 
 
 def test_totals_key_by_names_across_distinct_layouts():
@@ -146,12 +252,16 @@ def test_totals_key_by_names_across_distinct_layouts():
     first = [_row([rng.random() for _ in NAMES]) for _ in range(20)]
     second = pickle.loads(pickle.dumps([_row([rng.random() for _ in NAMES]) for _ in range(20)]))
     assert first[0].layout is not second[0].layout
+    many = [WindowValues(MANY, array("d", [rng.random(), rng.random()])) for _ in range(20)]
+    many += pickle.loads(pickle.dumps(many[:7]))
     rows = [_Partition(values) for pair in zip(first, second) for values in pair]
+    rows += [_Partition(values) for values in many]
     expected: dict[str, float] = {}
     for row in rows:
         for name, value in row.results.items():
             expected[name] = expected.get(name, 0.0) + value
     assert _hex(window_totals(rows)) == _hex(expected)
+    assert list(window_totals(rows)) == [*NAMES, *MANY.names]
     zeros = [_Partition(_row([-0.0, 0.0, -0.0]))]
     assert _hex(window_totals(zeros)) == {name: (0.0).hex() for name in NAMES}
 
@@ -169,18 +279,27 @@ class _Partition:
 # The streaming report
 # --------------------------------------------------------------------- #
 def _queries() -> list[Query]:
-    """Four units: a scalar one, a vector one (SUM over float values),
-    another window shape, and a per-instance MAX unit."""
+    """Four units: a scalar one with a two-member class, a vector one (SUM
+    over float values and its twin), another window shape, and a
+    per-instance MAX unit."""
     sliding, tumbling = Window(16.0, 4.0), Window(10.0)
     return [
         Query.build(seq("A", kleene("B")), group_by=("g",), window=sliding, name="cnt_ab"),
         Query.build(seq("C", kleene("B")), group_by=("g",), window=sliding, name="cnt_cb"),
+        Query.build(seq("A", kleene("B")), group_by=("g",), window=sliding, name="cnt_ab_twin"),
         Query.build(
             seq("A", kleene("B")),
             aggregate=sum_of("B", "v"),
             group_by=("g",),
             window=tumbling,
             name="sum_ab",
+        ),
+        Query.build(
+            seq("A", kleene("B")),
+            aggregate=sum_of("B", "v"),
+            group_by=("g",),
+            window=tumbling,
+            name="sum_ab_twin",
         ),
         Query.build(
             seq("C", kleene("B")),
@@ -218,21 +337,24 @@ def _running_totals(report) -> dict[str, str]:
     return _hex(totals)
 
 
-def test_every_emitted_result_equals_its_report_row():
+def test_on_window_is_handed_the_report_row_itself():
     emitted: list = []
     report = StreamingExecutor(_queries(), on_window=emitted.append).run(_events(5, 400))
     rows = report.partition_results
     assert len(emitted) == len(rows) > 20
+    widths = set()
     for result, row in zip(emitted, rows):
         assert (result.group_key, result.window_index) == row.key
-        assert type(result.results) is dict
-        assert result.results == row.results
-        assert list(result.results.items()) == list(row.results.items())
-        assert _bits(result.results.values()) == _bits(row.results.values())
-    # The callback owns its dict: mutating it leaves the report alone.
-    before = dict(rows[0].results)
-    emitted[0].results.clear()
-    assert dict(rows[0].results) == before
+        assert result.results is row.results
+        assert isinstance(result.results, WindowValues)
+        widths.add((len(result.results), len(result.results.slots)))
+    assert widths == {(3, 2), (2, 1), (1, 1)}  # two many-to-one units, two of one query
+    # Read-only: a caller that needs to mutate takes a dict.
+    with pytest.raises(TypeError):
+        emitted[0].results["cnt_ab"] = 0.0
+    copy = dict(emitted[0].results)
+    copy.clear()
+    assert len(rows[0].results) > 0
 
 
 @pytest.mark.parametrize("shards", (1, 2, 3))
@@ -240,6 +362,8 @@ def test_totals_are_the_running_sum_of_the_rows_on_any_shard_count(shards):
     queries, events = _queries(), _events(6, 600)
     single = run_streaming(queries, events)
     assert _hex(single.totals) == _running_totals(single)
+    assert single.totals["cnt_ab"] == single.totals["cnt_ab_twin"]
+    assert single.totals["sum_ab"] == single.totals["sum_ab_twin"]
     sharded = run_sharded(queries, events, workers=0, shards=shards)
     assert _hex(sharded.totals) == _running_totals(sharded) == _hex(single.totals)
     assert any(float(value).hex() != float(round(value)).hex() for value in single.totals.values())
@@ -261,10 +385,34 @@ def test_totals_survive_a_retraction_rollback():
     assert _hex(report.totals) == _hex(run_streaming(queries, ordered).totals)
 
 
+def test_a_reclose_that_changes_nothing_is_suppressed():
+    window = Window(60.0, 30.0)
+    queries = [
+        Query.build(seq("A", kleene("B")), window=window, name=name) for name in ("rw", "rw_twin")
+    ]
+    events = [
+        Event("A", 10.0, sequence=0),
+        Event("B", 20.0, sequence=1),
+        Event("B", 70.0, sequence=2),
+        Event("B", 130.0, sequence=3),
+        Event("A", 25.0, sequence=4),  # late but changes nothing in [0, 60)
+        Event("B", 140.0, sequence=5),
+    ]
+    emitted: list = []
+    report = run_streaming(
+        queries, events, allowed_lateness=50.0, late_policy="retract", on_window=emitted.append
+    )
+    assert report.metrics.late_retracted == 1
+    assert [r for r in emitted if r.retraction] == []
+    closes = [(r.group_key, r.window_index) for r in emitted]
+    assert len(closes) == len(set(closes))  # each window emitted once
+    assert all(len(r.results.slots) == 1 < len(r.results) for r in emitted)
+
+
 def test_report_bytes_per_closed_window_stay_compact():
-    """A 50-query scalar unit: a closed window costs its row, one slot per
-    query, not a 50-entry dict (~720 B per window here against ~1.8 KB
-    with the dict, measured on CPython 3.11)."""
+    """A 50-query scalar unit of one sharing class: a closed window costs
+    its row with one slot, not 50 (~325 B per window here against ~717 B
+    with a slot per query and ~1.8 KB with a dict, CPython 3.11)."""
     window = Window(8.0, 4.0)
     queries = [
         Query.build(seq("A", kleene("B")), group_by=("g",), window=window, name=f"wide_{i:02d}")
@@ -289,8 +437,101 @@ def test_report_bytes_per_closed_window_stay_compact():
     finally:
         tracemalloc.stop()
     assert windows > 100
-    # Slots (400 B) + array + row + PartitionResult and its floats.
-    assert released / windows < 900
+    # One slot + array + row + PartitionResult and its floats.
+    assert released / windows < 400
+
+
+# --------------------------------------------------------------------- #
+# The class-slot invariant
+# --------------------------------------------------------------------- #
+def _slot_queries() -> list[Query]:
+    """Three units: COUNT(*) twins in a plain and a trailing-NOT class; SUM
+    twins with AVG and COUNT(E) in one vector class; three COUNT(*) members
+    of one class on another window."""
+    vector, scalar = Window(32.0, 8.0), Window(16.0, 4.0)
+    queries = []
+    for name, aggregate in (
+        ("cnt", None),
+        ("sum", sum_of("B", "v")),
+        ("avg", avg("B", "v")),
+        ("events", count_events("B")),
+        ("cnt_twin", None),
+        ("sum_twin", sum_of("B", "v")),
+    ):
+        extra = {} if aggregate is None else {"aggregate": aggregate}
+        queries.append(
+            Query.build(
+                seq("A", kleene("B")), **extra, group_by=("g",), window=vector, name=f"v_{name}"
+            )
+        )
+    for name in ("t_cnt", "t_twin"):
+        queries.append(
+            Query.build(
+                parse_pattern("SEQ(C, B+, NOT X)"), group_by=("g",), window=vector, name=name
+            )
+        )
+    for name in ("s_one", "s_two", "s_three"):
+        queries.append(Query.build(seq("C", kleene("B")), group_by=("g",), window=scalar, name=name))
+    return queries
+
+
+def _bursty_events(seed: int, runs: int) -> list[Event]:
+    """Same-type runs of varying length; small integers keep sums exact."""
+    rng = random.Random(seed)
+    events, clock = [], 0.0
+    for _ in range(runs):
+        kind, length = rng.choice("AABBBCX"), rng.randint(1, 9)
+        clock += float(rng.randint(1, 4))
+        for _ in range(length):
+            payload = {"v": float(rng.randint(0, 6)), "g": float(rng.randint(1, 2))}
+            events.append(Event(kind, clock, payload))
+            clock += 1.0
+    return events
+
+
+def _cell_bits(value):
+    if isinstance(value, MutableAggregate):
+        return (value.count.hex(), tuple(measure.hex() for measure in value.measures))
+    return None if value is None else value.hex()
+
+
+@pytest.mark.parametrize("policy", ("dynamic", "never"))
+def test_every_member_reads_its_class_slot_bit_for_bit(policy, monkeypatch):
+    """Under split columns every member of a class still holds the
+    canonical column's values bit for bit at each readout — so the slot its
+    aggregate reads is what that member would read — and the rows equal a
+    per-instance run that evaluates every query on its own."""
+    checked: list[int] = []
+    readout = MultiWindowLinearEngine.close_window
+
+    def checking_readout(engine, index):
+        for state in engine._columns.values():
+            canonical = _cell_bits(state.maps[0].get(index))
+            for window_map in state.maps.values():
+                assert _cell_bits(window_map.get(index)) == canonical
+            checked.append(len(state.maps))
+        return readout(engine, index)
+
+    monkeypatch.setattr(MultiWindowLinearEngine, "close_window", checking_readout)
+    queries, events = _slot_queries(), _bursty_events(seed=21, runs=160)
+    report = run_streaming(queries, events, optimizer=policy)
+    assert max(checked) > 1  # split columns were read out
+    assert report.optimizer_statistics.splits > 0 or policy == "never"  # never shared
+    reference = run_streaming(queries, events, shared_windows=False)
+
+    def by_name(result):
+        return {
+            (row.key, name): value.hex()
+            for row in result.partition_results
+            for name, value in row.results.items()
+        }
+
+    assert by_name(report) == by_name(reference)
+    assert _hex(report.totals) == _hex(reference.totals)
+    twins = [("v_cnt", "v_cnt_twin"), ("v_sum", "v_sum_twin"), ("t_cnt", "t_twin")]
+    assert all(report.totals[one] == report.totals[two] for one, two in twins)
+    widths = {(len(row.results), len(row.results.slots)) for row in report.partition_results}
+    assert widths == {(3, 1), (4, 2), (4, 3)}  # COUNT(*) x 2 classes; SUM twins, AVG, COUNT(E)
 
 
 # --------------------------------------------------------------------- #

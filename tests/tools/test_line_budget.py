@@ -15,12 +15,12 @@ RUNTIME = Path(__file__).resolve().parents[2] / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1323,
+    "streaming.py": 1319,
     "lateness.py": 302,
     "sharding.py": 1251,
     "routing.py": 319,
-    "shared_windows.py": 1425,
-    "results.py": 124,
+    "shared_windows.py": 1396,
+    "results.py": 144,
 }
 
 
