@@ -1,6 +1,6 @@
 """Perf smoke microbenchmark — the repo's recorded performance trajectory.
 
-Four fixed-seed suites:
+Nine fixed-seed suites:
 
 * ``smoke`` (``BENCH_PR1.json``) — the fig9-style tumbling-window workload
   (shared ``Travel+`` Kleene sub-pattern over the ridesharing stream)
@@ -61,14 +61,6 @@ Four fixed-seed suites:
   ``speedup_shm_over_pickle`` ratio is the PR 6 transport headline; the
   checksums must be identical and are gated, the wall ratio is
   machine-dependent like every other (see ``environment``).
-
-* ``kernel`` (``BENCH_PR6.json``, section ``kernel``) — the bursty
-  storm/trickle stream through the static streaming runtime under both
-  kernel backends: the pure-Python reference fold versus the NumPy
-  closed-form burst fold (``repro/core/kernels_numpy.py``; row skipped
-  when NumPy is not installed).  Abstract operation counts are
-  backend-invariant by design and gated; ``speedup_numpy_over_python``
-  records the vectorization payoff.
 
 * ``block`` (``BENCH_PR9.json``) — block ingest versus per-event ingest,
   end to end from one columnar payload: the per-event rows decode the
@@ -134,7 +126,6 @@ if str(SRC) not in sys.path:  # allow running without PYTHONPATH
 import random
 
 from repro.core.engine import HamletEngine
-from repro.core.kernels import KERNEL_BACKEND_ENV
 from repro.datasets.ridesharing import RidesharingGenerator
 from repro.events.block import EventBlock
 from repro.events.columnar import decode_events
@@ -433,13 +424,6 @@ def _transport_scenarios() -> dict[str, Callable]:
     }
 
 
-def _kernel_scenario(backend: str) -> Callable:
-    factory = _ENGINE_FACTORIES["hamlet"]
-    return lambda workload, events: StreamingExecutor(
-        workload, factory, kernel_backend=backend
-    ).run(events)
-
-
 # ---------------------------------------------------------------------- #
 # Suite: block (block ingest vs per-event ingest) -> BENCH_PR9.json
 # ---------------------------------------------------------------------- #
@@ -609,17 +593,6 @@ def _ooo_scenarios() -> dict[str, Callable]:
     }
 
 
-def _kernel_scenarios() -> dict[str, Callable]:
-    rows: dict[str, Callable] = {"streaming_python": _kernel_scenario("python")}
-    try:
-        import numpy  # noqa: F401
-
-        rows["streaming_numpy"] = _kernel_scenario("numpy")
-    except ImportError:
-        print("  (numpy not installed: streaming_numpy row skipped)")
-    return rows
-
-
 def _overlap_meta(window: Window) -> dict:
     return {
         "style": "overlapping-window-batch-vs-streaming",
@@ -747,29 +720,6 @@ SUITES = {
             ),
         },
         section="transport",
-        family="transport-and-kernels",
-    ),
-    "kernel": Suite(
-        name="kernel",
-        output=REPO_ROOT / "BENCH_PR6.json",
-        build_input=_bursty_input,
-        scenarios=_kernel_scenarios,
-        workload_meta={
-            "style": "bursty-kernel-backend-python-vs-numpy",
-            "num_queries": BURSTY_QUERIES,
-            "seed": SEED,
-            "districts": BURSTY_DISTRICTS,
-            "window_seconds": BURSTY_WINDOW.size,
-            "slide_seconds": BURSTY_WINDOW.slide,
-            "phases": BURSTY_PHASES,
-            "note": (
-                "abstract operation counts are backend-invariant by design "
-                "and gated; integer-valued measures keep the NumPy closed "
-                "forms bit-identical to the reference (checksums gated), "
-                "wall ratios are informational"
-            ),
-        },
-        section="kernel",
         family="transport-and-kernels",
     ),
     "block": Suite(
@@ -1079,17 +1029,6 @@ def attach_ooo_ratios(results: dict) -> None:
             results.setdefault("wall_ratio_over_scalar_strict", {})[label] = ratios
 
 
-def attach_kernel_ratios(results: dict) -> None:
-    """Wall speedup of the NumPy fold over the reference (informational)."""
-    for label, rows in results["runs"].items():
-        python_row = rows.get("streaming_python")
-        numpy_row = rows.get("streaming_numpy")
-        if python_row and numpy_row and numpy_row.get("wall_seconds"):
-            results.setdefault("speedup_numpy_over_python", {})[label] = round(
-                python_row["wall_seconds"] / numpy_row["wall_seconds"], 2
-            )
-
-
 def gate(results: dict, current: dict, suite: Suite) -> int:
     """Compare deterministic operation counts against the recorded baseline."""
     baseline = baseline_rows(results["runs"])
@@ -1254,9 +1193,8 @@ def run_suite(suite: Suite, args) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        # Runtime configuration the rows defaulted to: rows that override
-        # either (e.g. *_shm, streaming_numpy) say so in their names.
-        "kernel_backend": os.environ.get(KERNEL_BACKEND_ENV) or "python",
+        # The transport the rows defaulted to: rows that override it
+        # (e.g. *_shm) say so in their names.
         "transport": "pickle",
     }
     attach_speedups(results)
@@ -1266,8 +1204,6 @@ def run_suite(suite: Suite, args) -> int:
         attach_adaptive_ratios(results)
     if suite.name == "transport":
         attach_transport_ratios(results)
-    if suite.name == "kernel":
-        attach_kernel_ratios(results)
     if suite.name == "ooo":
         attach_ooo_ratios(results)
     if suite.name == "block":

@@ -23,6 +23,8 @@ import sys
 from typing import Callable, Sequence
 
 from repro.bench import fig9, fig10, fig11, fig12, fig13, overhead, table1
+from repro.errors import ExecutionError
+from repro.runtime.reorder import validate_stream_options
 
 _FIGURES: dict[str, Callable[[], None]] = {
     "fig9": fig9.main,
@@ -91,11 +93,10 @@ def _run_stream(
     workers: int | None,
     shard_batch: int,
     optimizer: str | None,
-    burst_size: int | None,
-    kernel_backend: str | None,
     transport: str,
     allowed_lateness: float | None,
     late_policy: str,
+    on_late: Callable[..., None] | None,
     checkpoint_dir: str | None,
     checkpoint_interval: int,
     max_restarts: int,
@@ -143,8 +144,6 @@ def _run_stream(
             f"trends={total:g} latency={result.emission_latency * 1e3:.2f}ms{flag}"
         )
 
-    on_late = _print_late_event if late_policy == "side_output" else None
-
     def print_lateness(metrics) -> None:
         if allowed_lateness is None:
             return
@@ -164,8 +163,6 @@ def _run_stream(
             batch_size=shard_batch,
             shared_windows=shared_windows,
             optimizer=optimizer,
-            burst_size=burst_size,
-            kernel_backend=kernel_backend,
             transport=transport,
             allowed_lateness=allowed_lateness,
             late_policy=late_policy,
@@ -213,8 +210,6 @@ def _run_stream(
         on_window=emit,
         shared_windows=shared_windows,
         optimizer=optimizer,
-        burst_size=burst_size,
-        kernel_backend=kernel_backend,
         allowed_lateness=allowed_lateness,
         late_policy=late_policy,
         on_late=on_late,
@@ -316,20 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "static compile-time plan with no burst segmentation",
     )
     stream.add_argument(
-        "--burst-size",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="cap bursts at N events (default: maximal same-type runs)",
-    )
-    stream.add_argument(
-        "--kernel-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="burst-fold kernel backend; default: REPRO_KERNEL_BACKEND or "
-        "the pure-Python reference (numpy needs the [numpy] extra)",
-    )
-    stream.add_argument(
         "--transport",
         choices=("pickle", "shm"),
         default="pickle",
@@ -385,25 +366,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
-    if (
-        arguments.command == "stream"
-        and arguments.burst_size is not None
-        and arguments.optimizer is None
-        and arguments.kernel_backend != "numpy"
-    ):
-        parser.error(
-            "--burst-size requires --optimizer (bursts are adaptive-mode only) "
-            "or --kernel-backend numpy (which folds bursts without one)"
-        )
-    if (
-        arguments.command == "stream"
-        and arguments.late_policy != "raise"
-        and arguments.allowed_lateness is None
-    ):
-        parser.error(
-            "--late-policy requires --allowed-lateness (without a horizon "
-            "there is no watermark to be late against)"
-        )
+    on_late = None
+    if arguments.command == "stream":
+        if arguments.late_policy == "side_output":
+            on_late = _print_late_event
+        try:
+            # The executors' own check: the CLI accepts what they accept.
+            validate_stream_options(
+                arguments.optimizer, arguments.allowed_lateness, arguments.late_policy, on_late
+            )
+        except ExecutionError as error:
+            parser.error(str(error))
     if (
         arguments.command == "stream"
         and arguments.late_policy == "side_output"
@@ -437,11 +410,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.workers,
             arguments.shard_batch,
             arguments.optimizer,
-            arguments.burst_size,
-            arguments.kernel_backend,
             arguments.transport,
             arguments.allowed_lateness,
             arguments.late_policy,
+            on_late,
             arguments.checkpoint_dir,
             arguments.checkpoint_interval,
             arguments.max_restarts,

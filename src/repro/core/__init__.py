@@ -21,12 +21,7 @@ from repro.core.engine import HamletEngine
 from repro.core.expression import SnapshotCoefficient, SnapshotExpression
 from repro.core.graphlet import Graphlet, HamletNode
 from repro.core.hamlet_graph import HamletGraph, TypeAccumulator
-from repro.core.kernels import (
-    KERNEL_BACKENDS,
-    KernelBackend,
-    PythonKernelBackend,
-    resolve_kernel_backend,
-)
+from repro.core.kernels import KernelBackend, PythonKernelBackend
 from repro.core.snapshot import Snapshot, SnapshotTable
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "HamletEngine",
     "HamletGraph",
     "HamletNode",
-    "KERNEL_BACKENDS",
     "KernelBackend",
     "PythonKernelBackend",
     "Snapshot",
@@ -42,5 +36,4 @@ __all__ = [
     "SnapshotExpression",
     "SnapshotTable",
     "TypeAccumulator",
-    "resolve_kernel_backend",
 ]

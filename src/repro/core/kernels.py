@@ -22,15 +22,12 @@ Both kernels preserve the summation *order* of the immutable code paths they
 replace, so integer-valued workloads produce bit-identical aggregates on the
 fast and slow paths (the property the cross-engine equivalence suite checks).
 
-The module also defines the :class:`KernelBackend` interface — the swappable
-numeric core behind the multi-window engine's burst folds.  The
-:class:`PythonKernelBackend` here is the reference implementation (the exact
-per-event fold above, with the per-(class, type) plan resolution hoisted to
-burst start); :mod:`repro.core.kernels_numpy` provides the vectorized
-closed-form alternative.  Backends resolve by *name* through
-:func:`resolve_kernel_backend` — the same registry pattern as
-:mod:`repro.optimizer.registry` — so a backend choice crosses shard-worker
-process boundaries as a plain picklable string.
+The module also defines the :class:`KernelBackend` interface of the
+multi-window engine's run folds and :class:`PythonKernelBackend`, the one
+fold the executors run (the exact per-event fold above, with the
+per-(class, type) plan resolution hoisted to run start).
+:mod:`repro.core.kernels_numpy` holds a closed-form NumPy fold that no
+executor reaches; only the fold-level benchmarks and tests use it.
 
 :func:`settle_kleene` is the one closed form on the reference path: a run
 of scalar Kleene rows applied to a cell at once, taken only where it is the
@@ -39,11 +36,9 @@ iterated fold bit for bit (the multi-window engine's deferred segment fold).
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.expression import SnapshotCoefficient, SnapshotExpression
-from repro.errors import ExecutionError
 from repro.greta.aggregators import AggregateVector
 
 #: A per-query snapshot value lookup: ``snapshot_id -> AggregateVector | None``
@@ -271,10 +266,10 @@ class MutableExpressionBuilder:
 
 
 # ---------------------------------------------------------------------- #
-# Kernel backends: the swappable numeric core of the burst fold
+# Kernel backends: the numeric core of the run fold
 # ---------------------------------------------------------------------- #
 class KernelBackend:
-    """Numeric core for the multi-window engine's same-type burst folds.
+    """Numeric core for the multi-window engine's same-type run folds.
 
     A backend folds one *run* — ``count`` consecutive accepted events of one
     type — into one sharing column of one ``(query class, event type)``
@@ -285,18 +280,7 @@ class KernelBackend:
     per event and window, ``value = base + sum(sources[window])`` folds into
     ``total_map[window]`` (the vector form additionally applies the event's
     measure contributions — Equation 1/2 of the paper).
-
-    ``exact`` declares the backend's equivalence contract: ``True`` means
-    bit-identical to the reference loop; ``False`` means equal up to the
-    documented float tolerance (closed-form folds reassociate sums — see
-    docs/DESIGN.md, "Transport & kernel backends").  ``wants_bursts`` asks
-    the streaming executor to buffer maximal same-type runs even without an
-    adaptive optimizer, so the backend sees whole bursts to vectorize.
     """
-
-    name: str = "abstract"
-    exact: bool = True
-    wants_bursts: bool = False
 
     def fold_scalar_run(
         self,
@@ -338,10 +322,6 @@ class PythonKernelBackend(KernelBackend):
     point only hoists the per-(class, type) plan resolution — map lookups,
     source tuples, bound methods — out of the per-event loop.
     """
-
-    name = "python"
-    exact = True
-    wants_bursts = False
 
     def fold_scalar_run(self, total_map, indices, sources, base, count):
         created = 0
@@ -432,54 +412,3 @@ def settle_kleene(prefix: float, total: float, steps: int) -> float:
         total += prefix + total
     return total
 
-
-def _load_numpy_backend() -> KernelBackend:
-    try:
-        from repro.core.kernels_numpy import NumpyKernelBackend
-    except ImportError:
-        raise ExecutionError(
-            "kernel backend 'numpy' requires NumPy, which is not installed; "
-            "install the [numpy] extra or use kernel_backend='python'"
-        ) from None
-    return NumpyKernelBackend()
-
-
-#: Zero-argument factories keyed by backend name (the registry shard
-#: workers resolve names through, mirroring ``OPTIMIZER_POLICIES``).
-KERNEL_BACKENDS: dict[str, Callable[[], KernelBackend]] = {
-    "python": PythonKernelBackend,
-    "numpy": _load_numpy_backend,
-}
-
-#: What callers may pass: nothing (environment default), a backend name, or
-#: a ready instance.
-KernelBackendSpec = Union[None, str, KernelBackend]
-
-#: Environment override for the default backend (used by the CI matrix to
-#: run the whole suite under each backend without touching call sites).
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-
-def resolve_kernel_backend(spec: KernelBackendSpec) -> KernelBackend:
-    """Resolve a backend spec to an instance.
-
-    ``None`` consults the ``REPRO_KERNEL_BACKEND`` environment variable and
-    falls back to the pure-Python reference backend.
-    """
-    if spec is None:
-        spec = os.environ.get(KERNEL_BACKEND_ENV) or "python"
-    if isinstance(spec, KernelBackend):
-        return spec
-    if isinstance(spec, str):
-        try:
-            factory = KERNEL_BACKENDS[spec]
-        except KeyError:
-            raise ExecutionError(
-                f"unknown kernel backend {spec!r}; choose one of "
-                f"{', '.join(sorted(KERNEL_BACKENDS))}"
-            ) from None
-        return factory()
-    raise ExecutionError(
-        f"kernel_backend must be None, a backend name or a KernelBackend "
-        f"instance, got {spec!r}"
-    )

@@ -1,5 +1,10 @@
 """NumPy kernel backend: closed-form vectorized burst folds.
 
+No executor runs this backend: the product's one fold is
+:class:`~repro.core.kernels.PythonKernelBackend`.  The module stays for the
+fold-level rate probes of the end-to-end harness and its own tolerance
+test (docs/DESIGN.md, "Transport").
+
 The reference backend folds a run of ``k`` same-type events with ``k``
 per-event Python loops over the armed windows.  Both fold recurrences have
 closed forms over a run (the event's contribution vector varies per event,
@@ -20,15 +25,14 @@ Python work with a handful of ``O(W)``/``O(W * d)`` array operations:
   (``(x)`` the outer product over windows x measures — the ``np.matmul``
   shape of the burst fold).
 
-Equivalence contract (``exact = False``): the closed form *reassociates*
-floating-point sums, so results match the reference backend bit-for-bit
-only while every intermediate stays in the exactly-representable integer
-range of f64 (|value| < 2^53) — which covers the integer-valued equivalence
-workloads — and to relative tolerance ``1e-9`` beyond (the differential
-suites compare with exactly this tolerance; see docs/DESIGN.md, "Transport
-& kernel backends").  Doubling runs that overflow f64 saturate to ``inf``
-on both backends; the ``_scaled`` guard keeps ``inf * 0`` from minting
-spurious NaNs where the reference loop would keep an exact zero.
+Equivalence contract: the closed form *reassociates* floating-point sums,
+so results match the reference backend bit-for-bit only while every
+intermediate stays in the exactly-representable integer range of f64
+(|value| < 2^53) and to relative tolerance ``1e-9`` beyond (the
+fold-level tolerance test compares with exactly this).  Doubling runs
+that overflow f64 saturate to ``inf`` on both backends; the ``_scaled``
+guard keeps ``inf * 0`` from minting spurious NaNs where the reference
+loop would keep an exact zero.
 """
 
 from __future__ import annotations
@@ -61,10 +65,6 @@ def _scaled(factor: float, values: np.ndarray) -> np.ndarray:
 
 class NumpyKernelBackend(KernelBackend):
     """Closed-form burst folds over contiguous coefficient columns."""
-
-    name = "numpy"
-    exact = False
-    wants_bursts = True
 
     def fold_scalar_run(self, total_map, indices, sources, base, count):
         if not indices:

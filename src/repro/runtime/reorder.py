@@ -44,7 +44,6 @@ import heapq
 from math import isfinite
 from typing import Any, Optional, Sequence, Union
 
-from repro.core.kernels import resolve_kernel_backend
 from repro.errors import ExecutionError, OutOfOrderError
 from repro.events.block import EventBlock
 from repro.optimizer.registry import resolve_optimizer_factory
@@ -112,30 +111,17 @@ def validate_lateness(allowed_lateness, late_policy, on_late) -> None:
         )
 
 
-def validate_stream_options(
-    optimizer, burst_size, kernel_backend, allowed_lateness, late_policy, on_late
-):
+def validate_stream_options(optimizer, allowed_lateness, late_policy, on_late):
     """Fail fast on the options of a :class:`~repro.runtime.streaming.
     StreamingExecutor` that the sharded driver forwards to every shard.
 
-    The one check both constructors run, so what the driver accepts is
-    what its shards' executors will.  Returns the resolved ``(optimizer
-    factory, kernel backend)``.
+    The one check both constructors and the CLI run, so what the driver
+    accepts is what its shards' executors will.  Returns the resolved
+    optimizer factory.
     """
-    if burst_size is not None and burst_size < 1:
-        raise ExecutionError(f"burst size must be >= 1, got {burst_size}")
     optimizer_factory = resolve_optimizer_factory(optimizer)
-    backend = resolve_kernel_backend(kernel_backend)
-    if burst_size is not None and optimizer_factory is None and not backend.wants_bursts:
-        # Burst segmentation only exists when bursts are buffered;
-        # silently ignoring the cap would hide the misconfiguration.
-        raise ExecutionError(
-            "burst_size requires an optimizer (pass optimizer='dynamic', "
-            "'always', 'never', 'static' or a SharingOptimizer factory) "
-            "or a kernel backend that folds bursts (kernel_backend='numpy')"
-        )
     validate_lateness(allowed_lateness, late_policy, on_late)
-    return optimizer_factory, backend
+    return optimizer_factory
 
 
 # ---------------------------------------------------------------------- #

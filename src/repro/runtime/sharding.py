@@ -57,7 +57,6 @@ from queue import Full
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.engine import HamletEngine
-from repro.core.kernels import KernelBackendSpec
 from repro.errors import ExecutionError, OutOfOrderError, WorkerCrashError
 from repro.events.block import EventBlock
 from repro.events.event import Event
@@ -279,12 +278,11 @@ def _shard_worker_main(
     Drives an unmodified :class:`StreamingExecutor` (built from
     ``options``, the one mapping the driver forwards to every shard) over
     the batches the router ships until the ``None`` sentinel arrives, then
-    returns the shard's report.  The adaptive-sharing policy and kernel
-    backend cross the process boundary as their specs (typically names);
-    each shard resolves its own optimizer instances, whose decision counts
-    are shard-placement invariant because bursts are segmented per
-    ``(group, unit)`` stream and every such stream lives wholly inside one
-    shard.
+    returns the shard's report.  The adaptive-sharing policy crosses the
+    process boundary as its spec (typically a name); each shard resolves
+    its own optimizer instances, whose decision counts are shard-placement
+    invariant because bursts are segmented per ``(group, unit)`` stream and
+    every such stream lives wholly inside one shard.
 
     Every queue item carries one framed columnar batch: ``("raw", seq,
     payload)`` holds the bytes themselves; ``("slab", seq, index, nbytes)``
@@ -418,18 +416,13 @@ class ShardedStreamingExecutor:
             back-pressures :meth:`process` instead of buffering the stream.
         lazy_open / shared_windows: Forwarded to every shard's
             :class:`StreamingExecutor`.
-        optimizer / burst_size: Adaptive per-burst sharing policy and burst
-            cap, forwarded to every shard's :class:`StreamingExecutor`.
-            Each shard resolves its own optimizer instances; the driver
-            merges the per-shard
+        optimizer: Adaptive per-burst sharing policy, forwarded to every
+            shard's :class:`StreamingExecutor`.  Each shard resolves its
+            own optimizer instances; the driver merges the per-shard
             :class:`~repro.optimizer.decisions.OptimizerStatistics` in
             shard order, and the merged decision counts are invariant in
             the shard count because bursts are per ``(group, unit)`` stream
             and each such stream lives wholly inside one shard.
-        kernel_backend: Burst-fold kernel backend spec, forwarded to every
-            shard's :class:`StreamingExecutor` (same registry-name pattern
-            as ``optimizer``; see
-            :func:`~repro.core.kernels.resolve_kernel_backend`).
         transport: How a batch's framed columnar bytes cross the process
             boundary with ``workers > 0``: ``"pickle"`` ships them through
             the queues; ``"shm"`` writes them into a per-worker ring of
@@ -499,8 +492,6 @@ class ShardedStreamingExecutor:
         lazy_open: bool = True,
         shared_windows: bool = True,
         optimizer: OptimizerSpec = None,
-        burst_size: Optional[int] = None,
-        kernel_backend: KernelBackendSpec = None,
         transport: str = "pickle",
         slab_bytes: int = DEFAULT_SLAB_BYTES,
         on_window: Optional[Callable[[WindowResult], None]] = None,
@@ -544,13 +535,11 @@ class ShardedStreamingExecutor:
         # What every shard's StreamingExecutor is built from, in both modes:
         # validated as that constructor will (fail fast, not in a worker)
         # and forwarded as given, so each shard resolves its own instances.
-        validate_stream_options(
-            optimizer, burst_size, kernel_backend, allowed_lateness, late_policy, on_late
-        )
+        validate_stream_options(optimizer, allowed_lateness, late_policy, on_late)
         self._options: dict[str, Any] = dict(
             on_window=on_window, lazy_open=lazy_open, shared_windows=shared_windows,
-            optimizer=optimizer, burst_size=burst_size, kernel_backend=kernel_backend,
-            allowed_lateness=allowed_lateness, late_policy=late_policy, on_late=on_late,
+            optimizer=optimizer, allowed_lateness=allowed_lateness,
+            late_policy=late_policy, on_late=on_late,
         )
         self.workload = workload if isinstance(workload, Workload) else Workload(workload)
         self.workers = workers

@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from repro.core.engine import compile_fast_path_guards
 from repro.core.hamlet_graph import SharedWindowStore
-from repro.core.kernels import KernelBackend, MutableAggregate, PythonKernelBackend, settle_kleene
+from repro.core.kernels import MutableAggregate, PythonKernelBackend, settle_kleene
 from repro.core.snapshot import WindowCoefficientTable
 from repro.errors import ExecutionError
 from repro.events.event import Event, EventType
@@ -78,7 +78,9 @@ from repro.query.query import Query
 from repro.template.template import NegationConstraint, QueryTemplate, compile_pattern
 
 
-#: The per-event vector fold is the reference backend's run fold over one row.
+#: The one fold the engine runs: every run fold, and the per-event vector
+#: fold (a run of one row).  Called as methods of this instance, so a probe
+#: wrapping ``KernelBackend.fold_*`` sees every fold.
 _REFERENCE_FOLD = PythonKernelBackend()
 
 
@@ -446,15 +448,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
       once across windows, only for types some class may have to scan.
     """
 
-    def __init__(
-        self, unit: UnitCompilation, backend: Optional[KernelBackend] = None
-    ) -> None:
+    def __init__(self, unit: UnitCompilation) -> None:
         self.unit = unit
-        #: Numeric core for burst folds; the pure-Python reference backend
-        #: (bit-identical per-event arithmetic) unless a caller swaps it.
-        self._backend: KernelBackend = (
-            backend if backend is not None else PythonKernelBackend()
-        )
         self._coefficients = WindowCoefficientTable(unit.dimension)
         #: Per class: ``armed window -> stamp`` (:class:`_DeferredKleene`; else 0).
         self._armed: list[dict[int, int]] = [dict() for _ in unit.classes]
@@ -602,18 +597,16 @@ class MultiWindowLinearEngine(MultiWindowEngine):
 
         * one type name for a same-type **run** (what a burst-buffered
           executor flushes): each ``(class, type)`` plan is resolved once
-          and the kernel backend folds every sharing column of it with
-          per-event reference arithmetic (the python backend:
-          bit-identical) or a vectorized closed form (the numpy backend:
-          the documented float-tolerance contract); or
+          and the reference fold runs every sharing column of it with
+          per-event arithmetic, bit-identical; or
         * one type name per row for a mixed-type **segment** (what the
           static block path hands over between two close sweeps:
           :meth:`_fold_segment`).  Only a unit whose every type is
           columnar, with no split sharing column, takes one.
 
         Results *and* abstract operation counts equal the equivalent
-        sequence of :meth:`process` calls under the python backend; this is
-        pinned by the block and segment differential suites.
+        sequence of :meth:`process` calls; this is pinned by the block and
+        segment differential suites.
 
         Returns ``False`` **without touching any engine state** when the
         rows need per-event :class:`Event` structure — store interactions
@@ -685,13 +678,12 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         count: int,
         contribution_rows: Optional[Sequence[tuple[float, ...]]],
     ) -> None:
-        """Hand one fast-eligible run of ``count`` rows to the kernel backend.
+        """Hand one fast-eligible run of ``count`` rows to the reference fold.
 
         Folds every sharing column of ``plan`` over the armed windows
         (``contribution_rows`` is ``None`` for scalar units) and charges
         exactly the per-event fast-path operation total.
         """
-        backend = self._backend
         scalar = self.unit.scalar
         indices = list(armed)
         base = 1.0 if plan.is_start else 0.0
@@ -701,17 +693,10 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         for total_map in plan.targets:
             sources = plan.fold_sources(total_map)
             if scalar:
-                made = backend.fold_scalar_run(
-                    total_map, indices, sources, base, count
-                )
+                made = _REFERENCE_FOLD.fold_scalar_run(total_map, indices, sources, base, count)
             else:
-                made = backend.fold_vector_run(
-                    total_map,
-                    indices,
-                    sources,
-                    base,
-                    contribution_rows,
-                    self.unit.dimension,
+                made = _REFERENCE_FOLD.fold_vector_run(
+                    total_map, indices, sources, base, contribution_rows, self.unit.dimension
                 )
             if total_map is canonical:
                 created += made
@@ -805,7 +790,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     def _fold_class_run(
         self, state: _EagerClass, contribution_rows: Optional[Sequence[tuple[float, ...]]]
     ) -> None:
-        """Hand the run an eager class has collected to the kernel backend
+        """Hand the run an eager class has collected to the reference fold
         (rows that precede the class's first armed window fold nowhere)."""
         rows = state.rows
         if rows and state.armed:

@@ -43,9 +43,9 @@ bit-identical totals across the shared, per-instance and batch evaluations.
 With ``optimizer=...`` (a policy name or a
 :class:`~repro.optimizer.decisions.SharingOptimizer` factory) the shared
 path becomes **adaptive**: each ``(group, unit)`` stream is segmented into
-bursts (maximal same-type runs, optionally capped), a per-group optimizer
-decides per burst which members of each eligible query class share, and
-the engine splits/merges its coefficient columns accordingly — results are
+bursts (maximal same-type runs), a per-group optimizer decides per burst
+which members of each eligible query class share, and the engine
+splits/merges its coefficient columns accordingly — results are
 bit-identical to both static extremes by construction (the differential
 property suite in ``tests/runtime/test_adaptive_equivalence.py`` pins it),
 only the work and memory profiles change.  ``optimizer=None`` (default)
@@ -66,13 +66,11 @@ a live source, ``run(stream)`` wraps them for replay-style use.
 from __future__ import annotations
 
 import pickle
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
-from repro.core.kernels import KernelBackendSpec
 from repro.errors import CheckpointError
 from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
@@ -113,10 +111,9 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v11: a :class:`~repro.runtime.results.ResultLayout` pickles ``(names,
-#: slot_of)``, one slot per sharing-class value, and the lateness stage logs
-#: emitted rows, not dicts.  (What v2-v10 changed: CHANGES.md.)
-SNAPSHOT_VERSION = 11
+#: v12: engines pickle no kernel backend and the fingerprint has no
+#: ``"kernel"`` / ``"burst_size"`` keys.  (What v2-v11 changed: CHANGES.md.)
+SNAPSHOT_VERSION = 12
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
@@ -203,11 +200,10 @@ class _Group:
     #: contributions (``None`` in scalar units) and — for the per-event
     #: replay of a run the engine declines — the :class:`Event` itself,
     #: ``None`` for block rows of a type whose runs are never declined
-    #: (``UnitCompilation.columnar_types``).  Burst-buffered configurations
-    #: keep it across ``process``/``process_block`` calls (flushed on the
-    #: burst schedule: type change, size cap, window close, finish); the
-    #: static path only within one block, and not at all for units it folds
-    #: a segment at a time.  ``burst_type`` is meaningful while ``burst``
+    #: (``UnitCompilation.columnar_types``).  Adaptive mode keeps it across
+    #: ``process``/``process_block`` calls (flushed on the burst schedule:
+    #: type change, window close, finish); the static path only within one
+    #: block, and not at all for units it folds a segment at a time.  ``burst_type`` is meaningful while ``burst``
     #: is non-empty.
     burst_type: Optional[EventType] = None
     burst: list = field(default_factory=list)
@@ -278,8 +274,6 @@ class StreamingExecutor:
         lazy_open: bool = True,
         shared_windows: bool = True,
         optimizer: OptimizerSpec = None,
-        burst_size: Optional[int] = None,
-        kernel_backend: KernelBackendSpec = None,
         allowed_lateness: Optional[float] = None,
         late_policy: str = "raise",
         on_late: Optional[Callable[[Event], None]] = None,
@@ -316,18 +310,6 @@ class StreamingExecutor:
                 are bit-identical whatever the policy; only the work and
                 memory profiles change.  Per-instance units are
                 unaffected (their engines keep their own optimizers).
-            burst_size: Optional cap on the events per burst when bursts are
-                buffered (``None``: bursts are the maximal same-type runs).
-                Smaller caps mean more frequent decisions in adaptive mode.
-            kernel_backend: Numeric core for the shared-window burst folds:
-                ``None`` (consult ``REPRO_KERNEL_BACKEND``, default the
-                pure-Python reference backend), a backend name (``"python"``,
-                ``"numpy"``) or a
-                :class:`~repro.core.kernels.KernelBackend` instance.  The
-                numpy backend folds each maximal same-type run as one
-                closed-form array operation — bit-identical to the reference
-                on exactly-representable integer workloads and within the
-                documented float tolerance otherwise (see docs/DESIGN.md).
             allowed_lateness: ``None`` (default) keeps the strict in-order
                 arrival contract.  A number turns on the lateness stage:
                 events within ``allowed_lateness`` of the maximum event
@@ -352,20 +334,15 @@ class StreamingExecutor:
         self.on_window = on_window
         self.lazy_open = lazy_open
         self.shared_windows = shared_windows
-        self._optimizer_factory, self._kernel_backend = validate_stream_options(
-            optimizer, burst_size, kernel_backend, allowed_lateness, late_policy, on_late
+        self._optimizer_factory = validate_stream_options(
+            optimizer, allowed_lateness, late_policy, on_late
         )
-        #: Buffer maximal same-type runs per shared group: required by
-        #: adaptive mode (per-burst decisions) and requested by vectorizing
-        #: backends (run-level folds); off otherwise — the static python
-        #: path keeps its zero-overhead per-event feed.
-        self._burst_buffering = (
-            self._optimizer_factory is not None or self._kernel_backend.wants_bursts
-        )
-        #: The static plan on a reference-exact backend folds a columnar
-        #: unit's rows one ``(group, close-sweep segment)`` at a time.
-        self._segment_folding = not self._burst_buffering and self._kernel_backend.exact
-        self.burst_size = burst_size
+        #: Adaptive mode buffers maximal same-type runs per shared group for
+        #: its per-burst decisions; the static plan feeds per event.
+        self._burst_buffering = self._optimizer_factory is not None
+        #: The static plan folds a columnar unit's rows one ``(group,
+        #: close-sweep segment)`` at a time.
+        self._segment_folding = not self._burst_buffering
         self.allowed_lateness = allowed_lateness
         self.late_policy = late_policy
         self.on_late = on_late
@@ -462,21 +439,19 @@ class StreamingExecutor:
         columns, and the engine folds the rows from columns
         (:meth:`MultiWindowLinearEngine.process_block_run`).
 
-        The static plan on the reference backend hands a unit whose every
-        type is columnar over one ``(group, close-sweep segment)`` at a
-        time: between two sweeps no window closes, so nothing forces a cut,
-        and the group's mixed-type rows go to the engine in one call.  Any
-        other unit buffers maximal same-``(group, type)`` runs as column
-        rows for the engine's run fold; the static plan folds every pending
-        run by the end of the block, while burst-buffered configurations
-        (an adaptive optimizer, or a kernel backend that wants bursts) keep
-        a group's pending run across the block boundary and flush it on the
-        burst schedule alone — type change, ``burst_size`` cap, window
-        close, finish — so bursts, and with them the per-burst decisions,
-        are those of the per-event run whatever the block cuts.  Row views
-        are materialized only for runs the engine declines (negation, local
-        or edge predicates) and for units evaluated per instance, whose
-        engines take an :class:`Event`.
+        The static plan hands a unit whose every type is columnar over one
+        ``(group, close-sweep segment)`` at a time: between two sweeps no
+        window closes, so nothing forces a cut, and the group's mixed-type
+        rows go to the engine in one call.  Any other unit buffers maximal
+        same-``(group, type)`` runs as column rows for the engine's run
+        fold; the static plan folds every pending run by the end of the
+        block, while an adaptive optimizer keeps a group's pending run
+        across the block boundary and flushes it on the burst schedule
+        alone — type change, window close, finish — so bursts, and with
+        them the per-burst decisions, are those of the per-event run
+        whatever the block cuts.  Row views are materialized only for runs
+        the engine declines (negation, local or edge predicates) and for
+        units evaluated per instance, whose engines take an :class:`Event`.
 
         With ``allowed_lateness`` set the block — in any row order — goes
         through the lateness stage as columns and comes back as blocks.
@@ -519,7 +494,6 @@ class StreamingExecutor:
         #: event column of types whose runs are always folded from columns.
         nones: list[None] = [None] * count
         buffering = self._burst_buffering
-        cap = self.burst_size if self.burst_size is not None else sys.maxsize
         arrival = time.perf_counter()
         clock = self._clock
         consumed = self._consumed
@@ -593,7 +567,7 @@ class StreamingExecutor:
                         rows.append(local)
                 else:
                     burst = group.burst
-                    if burst and (group.burst_type != event_type or len(burst) >= cap):
+                    if burst and group.burst_type != event_type:
                         self._flush_group(group)
                         burst = group.burst
                     if not burst:
@@ -729,16 +703,14 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     def _snapshot_fingerprint(self) -> dict:
         # Everything the snapshot's meaning depends on: restoring into an
-        # executor with a different workload, sharing configuration or
-        # kernel backend would silently resume the wrong computation.
+        # executor with a different workload or sharing configuration
+        # would silently resume the wrong computation.
         return {
             "queries": tuple(query.name for query in self.workload.queries),
             "engine": self._engine_label,
             "lazy_open": self.lazy_open,
             "shared_windows": self.shared_windows,
             "adaptive": self._optimizer_factory is not None,
-            "burst_size": self.burst_size,
-            "kernel": self._kernel_backend.name,
             "allowed_lateness": self.allowed_lateness,
             "late_policy": self.late_policy,
         }
@@ -929,11 +901,8 @@ class StreamingExecutor:
         compiled = unit.compiled
         if compiled is not None and self._burst_buffering:
             # Buffer the burst; decisions (adaptive mode) and engine feeds
-            # happen at flush (type change, cap, window close, or finish).
-            if group.burst and (
-                group.burst_type != event.event_type
-                or (self.burst_size is not None and len(group.burst) >= self.burst_size)
-            ):
+            # happen at flush (type change, window close, or finish).
+            if group.burst and group.burst_type != event.event_type:
                 self._flush_group(group)
             group.burst_type = event.event_type
             group.burst.append(
@@ -966,7 +935,7 @@ class StreamingExecutor:
             adapter = InstanceWindowEngine(unit.queries, unit.pool, opening, unit.layout)
             group = _Group(engine=adapter, evicts=False)
         else:
-            engine = MultiWindowLinearEngine(unit.compiled, self._kernel_backend)
+            engine = MultiWindowLinearEngine(unit.compiled)
             group = _Group(engine=engine, evicts=engine.store is not None)
             if self._optimizer_factory is not None:
                 group.optimizer = self._optimizer_factory()

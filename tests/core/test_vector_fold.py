@@ -181,12 +181,11 @@ def test_stored_value_fold_agrees_with_the_plain_fold(seed):
     bits of the same pattern without the negation, folded run by run."""
     events = fractional_stream(seed, 80)
     negated = StreamingExecutor(
-        vector_queries(lambda: parse_pattern("SEQ(A, NOT X, B+)"), "nx"),
-        kernel_backend="python",
+        vector_queries(lambda: parse_pattern("SEQ(A, NOT X, B+)"), "nx")
     ).run(events)
-    plain = StreamingExecutor(
-        vector_queries(lambda: seq("A", kleene("B")), "nx"), kernel_backend="python"
-    ).run(EventBlock.from_events(events))
+    plain = StreamingExecutor(vector_queries(lambda: seq("A", kleene("B")), "nx")).run(
+        EventBlock.from_events(events)
+    )
     assert {name: struct.pack("<d", value) for name, value in negated.totals.items()} == {
         name: struct.pack("<d", value) for name, value in plain.totals.items()
     }

@@ -8,7 +8,7 @@ results must be **bit-identical** to both static extremes (always share /
 never share), to the non-adaptive static plan, and to the batch replay
 reference — including the per-window partition results, for GROUP BY,
 negation (leading and trailing NOT), tumbling / sliding / fractional
-windows, burst caps, and 1/2/4 shards.
+windows, and 1/2/4 shards.
 
 Hypothesis generates the workloads (query classes of 1–4 computationally
 identical members mixing COUNT(*) / SUM / AVG / COUNT(E), optionally with
@@ -165,22 +165,6 @@ def test_adaptive_matches_static_extremes_and_batch(queries, events):
 
 
 @SETTINGS
-@given(
-    queries=workloads(),
-    events=bursty_streams(),
-    cap=st.sampled_from((1, 2, 5, None)),
-)
-def test_burst_cap_never_changes_results(queries, events, cap):
-    """Decision granularity (the burst cap) must not leak into results."""
-    reference = run_streaming(queries, events, engine_factory, optimizer="dynamic")
-    capped = run_streaming(
-        queries, events, engine_factory, optimizer="dynamic", burst_size=cap
-    )
-    assert capped.totals == reference.totals
-    assert partition_multiset(capped) == partition_multiset(reference)
-
-
-@SETTINGS
 @given(queries=workloads(), events=bursty_streams())
 def test_adaptive_on_per_instance_fallback_is_inert(queries, events):
     """``shared_windows=False`` has no burst path; policies change nothing."""
@@ -223,13 +207,12 @@ def test_sharded_adaptive_bit_identical_and_decision_invariant(
     queries=workloads(),
     events=bursty_streams(),
     policy=st.sampled_from(("dynamic", "always", "never", "static")),
-    cap=st.sampled_from((None, 2)),
     rows=st.sampled_from((1, 3, 8, 64)),
     lateness=st.sampled_from((None, 4.0)),
     shards=st.sampled_from((None, 1, 2)),
 )
 def test_block_fed_adaptive_reproduces_the_per_event_run(
-    queries, events, policy, cap, rows, lateness, shards
+    queries, events, policy, rows, lateness, shards
 ):
     """Blocks of any size: the per-event bits, operations *and* decisions.
 
@@ -237,7 +220,7 @@ def test_block_fed_adaptive_reproduces_the_per_event_run(
     segment a burst: the decision counters equal the per-event run's — with
     a reorder buffer in front, and sharded (each shard ingests sub-blocks).
     """
-    options = dict(optimizer=policy, burst_size=cap, allowed_lateness=lateness)
+    options = dict(optimizer=policy, allowed_lateness=lateness)
     per_event = run_streaming(queries, events, engine_factory, **options)
     if shards is None:
         executor = StreamingExecutor(queries, engine_factory, **options)

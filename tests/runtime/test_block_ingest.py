@@ -163,13 +163,9 @@ def test_block_ingest_across_paths(lazy_open, shared_windows):
     assert_reports_identical(per_event, block)
 
 
-@pytest.mark.parametrize("backend", ("python", "numpy"))
-def test_block_ingest_across_kernel_backends(backend):
-    pytest.importorskip("numpy") if backend == "numpy" else None
+def test_block_ingest_ungrouped():
     events = make_stream(5, 400)
-    per_event, block = run_pair(
-        workload(SLIDING), events, kernel_backend=backend
-    )
+    per_event, block = run_pair(workload(SLIDING), events)
     assert_reports_identical(per_event, block)
 
 
@@ -223,15 +219,14 @@ def run_collecting(queries, feed, **kwargs):
     return executor.finish(), emitted
 
 
-@pytest.mark.parametrize("burst_size", (None, 1, 3))
 @pytest.mark.parametrize("optimizer", ("dynamic", "always", "never", "static"))
-def test_block_ingest_adaptive_equals_per_event_at_every_cut(optimizer, burst_size):
+def test_block_ingest_adaptive_equals_per_event_at_every_cut(optimizer):
     # A pending burst survives the block boundary: whatever the cut, bursts
     # — and so decisions, merges and splits — are those of the per-event run.
     events = make_stream(3, ADAPTIVE_EVENTS)
     block = EventBlock.from_events(events)
     queries = adaptive_workload()
-    options = dict(optimizer=optimizer, burst_size=burst_size)
+    options = dict(optimizer=optimizer)
 
     def per_event(executor):
         for event in events:

@@ -760,8 +760,8 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v10 snapshot (layouts with one slot per query, a lateness stage
-    logging dict copies of what went out) is refused with a typed error
+    """A v11 snapshot (engines pickling a kernel backend, a fingerprint
+    naming the backend and the burst cap) is refused with a typed error
     instead of being resumed."""
     import pickle
 
@@ -771,11 +771,14 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 11
+    assert state["version"] == SNAPSHOT_VERSION == 12
+    assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
+    (group,) = pickle.loads(state["core"])["units"][0][0].values()
+    assert not hasattr(group.engine, "_backend")
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    state["version"] = 10
-    with pytest.raises(CheckpointError, match="schema version 10"):
+    state["version"] = 11
+    with pytest.raises(CheckpointError, match="schema version 11"):
         executor.restore_state(pickle.dumps(state))
 
 

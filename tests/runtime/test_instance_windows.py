@@ -80,13 +80,10 @@ CONFIGURATIONS = {
         11,
         400,
     ),
-    # The COUNT query beside the extrema runs on a shared-window engine,
-    # whose footprint depends on the kernel backend: pinned, so the literals
-    # hold on the REPRO_KERNEL_BACKEND=numpy leg too.
     "greta-extrema-unit": (
         _extrema(Window(24.0, 6.0)),
         HamletEngine,
-        {"kernel_backend": "python"},
+        {},
         12,
         300,
     ),

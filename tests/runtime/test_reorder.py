@@ -38,13 +38,6 @@ from repro.runtime import (
 from repro.runtime.checkpoint import CheckpointStore
 from tests.conftest import PER_INSTANCE_KINDS, decision_counters, per_instance_setup
 
-try:
-    import numpy  # noqa: F401
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - depends on the environment
-    _HAS_NUMPY = False
-
 WINDOW = Window(16.0, 4.0)
 
 
@@ -624,38 +617,26 @@ class TestShuffledBlockDifferential:
 
 
 # --------------------------------------------------------------------- #
-# Backend x transport x shard-count matrix (pool mode)
+# Transport x shard-count matrix (pool mode)
 # --------------------------------------------------------------------- #
-_BACKENDS = (
-    "python",
-    pytest.param(
-        "numpy", marks=pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed")
-    ),
-)
-
-
 class TestShardedMatrixDifferential:
     EVENTS = make_events(seed=21, size=150)
     SHUFFLED = shuffle_within(EVENTS, horizon=8.0, seed=22)
 
-    def _ordered(self, backend):
-        return run_streaming(
-            grouped_queries(), list(self.EVENTS), HamletEngine, kernel_backend=backend
-        )
+    def _ordered(self):
+        return run_streaming(grouped_queries(), list(self.EVENTS), HamletEngine)
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
     @pytest.mark.parametrize("transport", ("pickle", "shm"))
-    def test_pool_workers_match_ordered_run(self, backend, transport):
+    def test_pool_workers_match_ordered_run(self, transport):
         sharded = run_sharded(
             grouped_queries(),
             list(self.SHUFFLED),
             HamletEngine,
             workers=2,
             transport=transport,
-            kernel_backend=backend,
             allowed_lateness=8.0,
         )
-        assert report_fingerprint(sharded) == report_fingerprint(self._ordered(backend))
+        assert report_fingerprint(sharded) == report_fingerprint(self._ordered())
 
     @pytest.mark.parametrize("workers", (1, 4))
     def test_pool_shard_counts_match_ordered_run(self, workers):
@@ -666,14 +647,14 @@ class TestShardedMatrixDifferential:
             workers=workers,
             allowed_lateness=8.0,
         )
-        assert report_fingerprint(sharded) == report_fingerprint(self._ordered(None))
+        assert report_fingerprint(sharded) == report_fingerprint(self._ordered())
 
     def test_pool_block_ingest_matches_ordered_run(self):
         executor = ShardedStreamingExecutor(
             grouped_queries(), HamletEngine, workers=2, allowed_lateness=8.0
         )
         sharded = executor.run(EventBlock.from_events(self.SHUFFLED))
-        assert report_fingerprint(sharded) == report_fingerprint(self._ordered(None))
+        assert report_fingerprint(sharded) == report_fingerprint(self._ordered())
 
 
 # --------------------------------------------------------------------- #

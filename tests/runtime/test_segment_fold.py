@@ -1,6 +1,6 @@
 """Differential suite for segment-at-a-time folding on the static block path.
 
-With no optimizer and the reference backend, ``process_block`` hands a
+With no optimizer, ``process_block`` hands a
 columnar unit's rows to the engine one ``(group, close-sweep segment)`` at
 a time, and the engine folds the mixed-type segment class by class, cell
 by cell (``MultiWindowLinearEngine.process_block_run`` with one type name
@@ -129,7 +129,6 @@ def run_collecting(queries, feed, *, introspect=True, **options):
     emitted = []
     executor = StreamingExecutor(
         queries,
-        kernel_backend="python",  # the segment fold is the reference backend's path
         on_window=lambda r: emitted.append(emission(r)),
         **options,
     )
@@ -318,13 +317,13 @@ def test_snapshot_taken_while_cells_are_unsettled_resumes_bit_identically():
         def on_window(r):
             emitted.append(emission(r))
 
-        first = StreamingExecutor(queries, kernel_backend="python", on_window=on_window)
+        first = StreamingExecutor(queries, on_window=on_window)
         first.process_block(block.slice(0, cut))
         owed = owed_steps(first)
         assert owed > 0  # the snapshot is taken over unsettled cells ...
         payload = first.snapshot_state()
         before = list(emitted)
-        second = StreamingExecutor(queries, kernel_backend="python", on_window=on_window)
+        second = StreamingExecutor(queries, on_window=on_window)
         second.restore_state(payload)
         assert owed_steps(second) == owed  # ... and carries them as they are
         second.process_block(block.slice(cut, len(block)))
@@ -364,7 +363,7 @@ def test_retraction_rolls_back_across_unsettled_cells(monkeypatch):
 
 
 def test_introspection_settles_and_the_entry_counters_agree():
-    executor = StreamingExecutor(scalar_workload(UNEVEN), kernel_backend="python")
+    executor = StreamingExecutor(scalar_workload(UNEVEN))
     executor.process_block(EventBlock.from_events(make_stream(3, 150)))
     engines = live_engines(executor)
     assert engines and owed_steps(executor) > 0
@@ -407,19 +406,16 @@ def test_unit_with_a_declined_type_keeps_the_run_path(monkeypatch):
     assert spy.calls == 0
 
 
-@pytest.mark.parametrize("options", ({"optimizer": "always"}, {"kernel_backend": "numpy"}))
-def test_burst_buffered_configurations_keep_the_run_path(monkeypatch, options):
-    if "kernel_backend" in options:
-        pytest.importorskip("numpy")
+def test_burst_buffered_configurations_keep_the_run_path(monkeypatch):
     spy = _SegmentSpy(monkeypatch)
-    executor = StreamingExecutor(scalar_workload(SLIDING), **options)
+    executor = StreamingExecutor(scalar_workload(SLIDING), optimizer="always")
     executor.process_block(EventBlock.from_events(make_stream(1, 200)))
     assert executor.finish().metrics.operations > 0
     assert spy.calls == 0
 
 
 def test_prefix_kleene_classes_fold_cell_locally(monkeypatch):
-    # The dominant shape never enters the kernel backend on the static
+    # The dominant shape never enters the run fold on the static
     # path (its Kleene rows are counted, its cells settled in closed form);
     # any other class goes there one same-type run of the class at a time,
     # so a foreign type in between cuts nothing.
@@ -435,12 +431,12 @@ def test_prefix_kleene_classes_fold_cell_locally(monkeypatch):
     monkeypatch.setattr(PythonKernelBackend, "fold_scalar_run", counting)
     events = make_stream(1, 200, groups=1)
     pairs = [query for query in scalar_workload(Window(1000.0)) if query.name[3:] in ("ab", "cb")]
-    executor = StreamingExecutor(pairs, kernel_backend="python")
+    executor = StreamingExecutor(pairs)
     executor.process_block(EventBlock.from_events(events))
     assert executor.finish().metrics.operations > 0
     assert calls == []
     chain = [query for query in scalar_workload(Window(1000.0)) if query.name == "sg_abc"]
-    executor = StreamingExecutor(chain, kernel_backend="python")
+    executor = StreamingExecutor(chain)
     executor.process_block(EventBlock.from_events(events))
     assert executor.finish().metrics.operations > 0
     # One window, one segment: the class's rows from the first A on, cut
@@ -463,7 +459,7 @@ def test_start_run_crossing_a_window_opening_on_the_run_path(monkeypatch, optimi
         for index, name in enumerate(spec.split())
     ]
     queries = vector_workload(UNEVEN)
-    expected = StreamingExecutor(queries, kernel_backend="python")
+    expected = StreamingExecutor(queries)
     for event in events:
         expected.process(event)
     uneven_runs = []
@@ -475,7 +471,7 @@ def test_start_run_crossing_a_window_opening_on_the_run_path(monkeypatch, optimi
         return process_block_run(engine, event_type, times, sequences, lows, highs, *rest)
 
     monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", recording)
-    blocked = StreamingExecutor(queries, optimizer=optimizer, kernel_backend="python")
+    blocked = StreamingExecutor(queries, optimizer=optimizer)
     blocked.process_block(EventBlock.from_events(events))
     expected_report, report = expected.finish(), blocked.finish()
     assert uneven_runs and all(event_type == "A" for event_type, _ in uneven_runs)
@@ -593,7 +589,7 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
         return settle_kleene(prefix, total, steps)
 
     monkeypatch.setattr(shared_windows, "settle_kleene", counting_settle)
-    executor = StreamingExecutor(queries, kernel_backend="python")
+    executor = StreamingExecutor(queries)
     executor.process_block(block)
     report = executor.finish()
     assert report.metrics.operations > 0

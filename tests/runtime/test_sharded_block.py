@@ -143,19 +143,12 @@ def test_sharded_block_pool_workers(transport):
     assert multiset(sharded) == multiset(reference)
 
 
-@pytest.mark.parametrize("backend", ("python", "numpy"))
-def test_sharded_block_kernel_backends(backend):
-    if backend == "numpy":
-        pytest.importorskip("numpy")
+def test_sharded_block_in_process_matches_per_event():
     queries = grouped_workload()
     events = make_stream(17, 400)
     block = EventBlock.from_events(events)
-    per_event = run_sharded(
-        queries, events, HamletEngine, workers=0, shards=2, kernel_backend=backend
-    )
-    per_block = run_sharded(
-        queries, block, HamletEngine, workers=0, shards=2, kernel_backend=backend
-    )
+    per_event = run_sharded(queries, events, HamletEngine, workers=0, shards=2)
+    per_block = run_sharded(queries, block, HamletEngine, workers=0, shards=2)
     assert fingerprint(per_block) == fingerprint(per_event)
 
 

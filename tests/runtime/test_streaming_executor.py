@@ -401,9 +401,7 @@ class TestSharedWindows:
                 name="sw_adp_avg",
             ),
         ]
-        executor = StreamingExecutor(
-            workload, HamletEngine, optimizer=policy, burst_size=3
-        )
+        executor = StreamingExecutor(workload, HamletEngine, optimizer=policy)
 
         def engines():
             for unit in executor._units:
@@ -429,27 +427,15 @@ class TestSharedWindows:
         if policy == "never":
             assert saw_replicas  # the split path was actually exercised
 
-    def test_burst_size_without_optimizer_rejected(self):
-        """A silently ignored burst cap would hide the misconfiguration.
-
-        Pinned to the reference kernel backend: a burst-folding backend
-        (``wants_bursts``, e.g. numpy) legitimately consumes the cap
-        without an optimizer, so the rejection is per-backend and must
-        not depend on the ambient REPRO_KERNEL_BACKEND default.
-        """
+    @pytest.mark.parametrize("option", ("burst_size", "kernel_backend"))
+    def test_one_fold_and_one_burst_rule_take_no_options(self, option):
+        """A burst is the maximal same-type run and the reference fold is
+        the only fold: neither executor takes a knob for either."""
         from repro.runtime import ShardedStreamingExecutor
 
-        window = Window(10.0, 2.0)
-        with pytest.raises(ExecutionError):
-            StreamingExecutor(
-                _ab_workload(window), HamletEngine, burst_size=8, kernel_backend="python"
-            )
-        with pytest.raises(ExecutionError):
-            ShardedStreamingExecutor(
-                _ab_workload(window), HamletEngine, burst_size=8, kernel_backend="python"
-            )
-        # With a policy the same cap is accepted.
-        StreamingExecutor(_ab_workload(window), HamletEngine, optimizer="dynamic", burst_size=8)
+        for executor_class in (StreamingExecutor, ShardedStreamingExecutor):
+            with pytest.raises(TypeError, match=option):
+                executor_class(_ab_workload(Window(10.0, 2.0)), HamletEngine, **{option: None})
 
     def test_open_memory_counts_pending_burst_buffer(self):
         """Buffered adaptive bursts are live state the memory gauge must see."""
@@ -527,12 +513,7 @@ class TestSharedWindows:
         # its events strictly ordered and rejects the second feed.
         late = Event("A", 1.0)
         early = Event("C", 1.0)  # created after `late`, so late < early
-        # Pinned to the reference backend: a burst-buffering backend
-        # (wants_bursts) defers the feed to flush time, so the rejection
-        # would surface there instead of at process().
-        executor = StreamingExecutor(
-            _ab_workload(Window(10.0)), HamletEngine, kernel_backend="python"
-        )
+        executor = StreamingExecutor(_ab_workload(Window(10.0)), HamletEngine)
         executor.process(early)
         with pytest.raises(ExecutionError):
             executor.process(late)
@@ -540,11 +521,10 @@ class TestSharedWindows:
     def test_equal_time_out_of_sequence_rejected_at_burst_flush(self):
         # The burst-buffering path defers engine feeds, but the ordering
         # invariant still holds: the flush rejects the out-of-order run.
-        pytest.importorskip("numpy")
         late = Event("A", 1.0)
         early = Event("C", 1.0)
         executor = StreamingExecutor(
-            _ab_workload(Window(10.0)), HamletEngine, kernel_backend="numpy"
+            _ab_workload(Window(10.0)), HamletEngine, optimizer="dynamic"
         )
         executor.process(early)
         executor.process(late)  # buffered, not yet fed

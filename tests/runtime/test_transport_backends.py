@@ -1,14 +1,9 @@
-"""Transport and kernel-backend matrix: same bits through every path.
+"""Transport matrix: same bits through every path.
 
-Two orthogonal swappable pieces joined this runtime: *how batches cross
-the process boundary* (pickled blobs vs columnar buffers in shared-memory
-slab rings) and *which kernel folds bursts* (the pure-Python reference vs
-NumPy closed forms).  Neither may change a single result bit on the
-integer-valued equivalence workloads — the differential matrix here pins
-every {backend} x {transport} x {shard count} combination against the
-single-process reference.  The NumPy backend's float-tolerance contract
-(relative ``1e-9`` once intermediates leave the exact-integer f64 range)
-gets its own non-integer workload test.
+*How batches cross the process boundary* (pickled blobs vs columnar
+buffers in shared-memory slab rings) may not change a single result bit —
+the differential matrix here pins every {transport} x {shard count}
+combination against the single-process reference.
 
 The slab-ring machinery itself (recycling, oversize fallback, teardown,
 crash cleanup — the "no leaked segments" contract) is unit-tested at the
@@ -24,8 +19,7 @@ import random
 
 import pytest
 
-from repro.core import HamletEngine, resolve_kernel_backend
-from repro.core.kernels import KERNEL_BACKEND_ENV, PythonKernelBackend
+from repro.core import HamletEngine
 from repro.errors import ExecutionError
 from repro.events import Event
 from repro.query import Query, Window, avg, kleene, seq, sum_of
@@ -37,21 +31,6 @@ from repro.runtime import (
     run_workload,
 )
 from repro.runtime.transport import SEGMENT_PREFIX, ring_slots, validate_transport
-
-try:
-    import numpy  # noqa: F401
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on pure-python installs
-    _HAS_NUMPY = False
-
-BACKENDS = (
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed"),
-    ),
-)
 
 WINDOW = Window(32.0, 8.0)
 
@@ -109,13 +88,10 @@ def leaked_segments() -> list[str]:
 # --------------------------------------------------------------------- #
 # The differential matrix
 # --------------------------------------------------------------------- #
-class TestBackendTransportMatrix:
-    @pytest.mark.parametrize("backend", BACKENDS)
+class TestTransportMatrix:
     @pytest.mark.parametrize("transport", ("pickle", "shm"))
     @pytest.mark.parametrize("shards", (1, 2, 4))
-    def test_matrix_bit_identical_on_integer_workloads(
-        self, backend, transport, shards
-    ):
+    def test_matrix_bit_identical_on_integer_workloads(self, transport, shards):
         events = make_stream(3)
         queries = workload()
         reference = run_streaming(queries, events)
@@ -125,30 +101,18 @@ class TestBackendTransportMatrix:
             events,
             workers=shards,
             batch_size=64,
-            kernel_backend=backend,
             transport=transport,
         )
-        # Integer-valued attributes keep every intermediate < 2**53, where
-        # the NumPy closed forms are exact too — so the whole matrix is
-        # held to bit-identity, not just the python column.
         assert sharded.totals == reference.totals
         assert partition_multiset(sharded) == partition_multiset(reference)
         assert not leaked_segments()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_in_process_shards_accept_transport_inertly(self, backend):
+    def test_in_process_shards_accept_transport_inertly(self):
         events = make_stream(4)
         queries = workload()
         reference = run_streaming(queries, events)
         for transport in ("pickle", "shm"):
-            sharded = run_sharded(
-                queries,
-                events,
-                workers=0,
-                shards=2,
-                kernel_backend=backend,
-                transport=transport,
-            )
+            sharded = run_sharded(queries, events, workers=0, shards=2, transport=transport)
             assert sharded.totals == reference.totals
 
     def test_oversize_batches_fall_back_to_the_queue(self):
@@ -166,70 +130,14 @@ class TestBackendTransportMatrix:
         assert sharded.totals == reference.totals
         assert not leaked_segments()
 
-    @pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed")
-    def test_numpy_tolerance_contract_on_non_integer_values(self):
-        # Non-integer measures make the closed form reassociate genuinely
-        # different float sums; the contract is relative 1e-9, not bits.
-        rng = random.Random(11)
-        events = []
-        type_name = "A"
-        for index in range(300):
-            if rng.random() < 0.1:
-                type_name = rng.choice("AB")
-            events.append(
-                Event(type_name, float(index), {"v": rng.random(), "g": 1.0})
-            )
-        queries = workload()
-        reference = run_streaming(queries, events, kernel_backend="python")
-        folded = run_streaming(queries, events, kernel_backend="numpy")
-        assert set(folded.totals) == set(reference.totals)
-        for name, value in reference.totals.items():
-            assert folded.totals[name] == pytest.approx(
-                value, rel=1e-9, abs=1e-12
-            )
-
-    @pytest.mark.skipif(not _HAS_NUMPY, reason="numpy not installed")
-    def test_numpy_backend_folds_bursts_without_an_optimizer(self):
-        # wants_bursts turns burst buffering on even with the static plan;
-        # burst_size is legal and the fold stays equivalent.
-        events = make_stream(6)
-        queries = workload()
-        reference = run_streaming(queries, events)
-        folded = run_streaming(
-            queries, events, kernel_backend="numpy", burst_size=16
-        )
-        assert folded.totals == reference.totals
-
-    def test_ops_accounting_is_backend_invariant(self):
-        events = make_stream(7)
-        queries = workload()
-        reference = run_streaming(queries, events, kernel_backend="python")
-        if _HAS_NUMPY:
-            folded = run_streaming(queries, events, kernel_backend="numpy")
-            assert folded.metrics.operations == reference.metrics.operations
-
 
 # --------------------------------------------------------------------- #
-# Backend resolution
+# Transport validation
 # --------------------------------------------------------------------- #
-class TestBackendResolution:
-    def test_unknown_backend_name_lists_choices(self):
-        with pytest.raises(ExecutionError, match="python"):
-            resolve_kernel_backend("fortran")
-
-    def test_env_default_and_instance_passthrough(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert resolve_kernel_backend(None).name == "python"
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "python")
-        assert resolve_kernel_backend(None).name == "python"
-        backend = PythonKernelBackend()
-        assert resolve_kernel_backend(backend) is backend
-
-    def test_sharded_executor_validates_transport_and_backend_up_front(self):
+class TestTransportValidation:
+    def test_sharded_executor_validates_transport_up_front(self):
         with pytest.raises(ExecutionError, match="transport"):
             ShardedStreamingExecutor(workload(), workers=2, transport="carrier-pigeon")
-        with pytest.raises(ExecutionError, match="kernel backend"):
-            ShardedStreamingExecutor(workload(), workers=2, kernel_backend="fortran")
 
     def test_validate_transport(self):
         assert validate_transport("pickle") == "pickle"

@@ -135,8 +135,6 @@ class TestCli:
                     "600",
                     "--optimizer",
                     "never",
-                    "--burst-size",
-                    "16",
                 ]
             )
             == 0
@@ -169,16 +167,36 @@ class TestCli:
         assert "optimizer always:" in output
         assert "shared fraction 100.0%" in output
 
-    def test_stream_command_rejects_unknown_optimizer_and_bad_burst_size(self):
+    def test_stream_command_rejects_unknown_optimizer(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stream", "--optimizer", "sometimes"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["stream", "--burst-size", "0"])
 
-    def test_stream_command_burst_size_requires_optimizer(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["stream", "--burst-size", "8"])
-        assert "--burst-size requires --optimizer" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ("--burst-size", "--kernel-backend"))
+    def test_stream_command_has_no_burst_or_backend_knob(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", flag, "python"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("arguments", "message"),
+        (
+            (["--allowed-lateness", "-1"], "allowed_lateness must be >= 0, got -1.0"),
+            (["--allowed-lateness", "nan"], "allowed_lateness must be >= 0, got nan"),
+            (["--late-policy", "drop"], "late_policy='drop' requires allowed_lateness"),
+            (
+                ["--allowed-lateness", "1", "--late-policy", "side_output", "--workers", "2"],
+                "--late-policy side_output requires --workers 0",
+            ),
+        ),
+    )
+    def test_stream_command_rejects_invalid_lateness_options(self, arguments, message, capsys):
+        # The executors' own validators run before dispatch: a usage error
+        # (exit 2), never a traceback out of a constructor.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--minutes", "0.05", *arguments])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_stream_command_prints_wall_clock_throughput(self, capsys):
         assert main(["stream", "--queries", "2", "--minutes", "0.3", "--events-per-minute", "600"]) == 0

@@ -15,12 +15,13 @@ RUNTIME = Path(__file__).resolve().parents[2] / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1319,
+    "streaming.py": 1288,
     "lateness.py": 302,
-    "sharding.py": 1251,
+    "sharding.py": 1240,
     "routing.py": 319,
-    "shared_windows.py": 1396,
+    "shared_windows.py": 1381,
     "results.py": 144,
+    "reorder.py": 598,
 }
 
 

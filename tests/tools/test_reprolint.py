@@ -238,7 +238,7 @@ class TestRL004:
 
 
 # --------------------------------------------------------------------- #
-# RL005 — numpy quarantined behind the kernel backend seam
+# RL005 — numpy quarantined in core/kernels_numpy.py
 # --------------------------------------------------------------------- #
 class TestRL005:
     RULE = NumpyImportRule()

@@ -1,10 +1,10 @@
-"""RL005 — numpy stays quarantined behind the kernel backend seam.
+"""RL005 — numpy stays quarantined in ``core/kernels_numpy.py``.
 
-The reproduction installs and runs dependency-free; numpy is an optional
-accelerator reached only through the kernel-backend registry.  A single
-top-level ``import numpy`` anywhere else makes the whole package refuse
-to import on a clean interpreter, which is exactly how optional
-dependencies rot into required ones.
+The reproduction installs and runs dependency-free; numpy is optional and
+only the closed-form fold module (which no executor reaches) imports it
+at top level.  A single top-level ``import numpy`` anywhere else makes
+the whole package refuse to import on a clean interpreter, which is
+exactly how optional dependencies rot into required ones.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class NumpyImportRule(Rule):
     title: ClassVar[str] = "no top-level numpy import outside core/kernels_numpy.py"
     rationale: ClassVar[str] = (
         "The pure-Python install is dependency-free; numpy is optional and "
-        "reached only through the kernel-backend registry.  Import it at "
+        "confined to core/kernels_numpy.py.  Import it anywhere else at "
         "function scope (or under TYPE_CHECKING) so every other module "
         "imports cleanly without it."
     )
@@ -73,5 +73,5 @@ class NumpyImportRule(Rule):
             self,
             statement,
             "top-level numpy import outside core/kernels_numpy.py; defer it "
-            "to function scope behind the kernel-backend registry",
+            "to function scope",
         )
