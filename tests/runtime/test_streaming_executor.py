@@ -437,6 +437,92 @@ class TestSharedWindows:
             with pytest.raises(TypeError, match=option):
                 executor_class(_ab_workload(Window(10.0, 2.0)), HamletEngine, **{option: None})
 
+    @pytest.mark.parametrize("block", (False, True), ids=("events", "block"))
+    @pytest.mark.parametrize("policy", (None, "dynamic", "always", "never", "static"))
+    def test_a_buffered_burst_is_the_maximal_same_type_run(self, monkeypatch, policy, block):
+        """Only a type change cuts a buffered burst: however long the run,
+        one flush folds it (a type the unit ignores cuts nothing), and the
+        static plan buffers no burst at all."""
+        from repro.events.block import EventBlock
+        from repro.runtime import MultiWindowLinearEngine
+
+        process_burst = MultiWindowLinearEngine.process_burst
+        flushed = []
+
+        def recording(engine, burst, event_type):
+            flushed.append((event_type, len(burst)))
+            return process_burst(engine, burst, event_type)
+
+        monkeypatch.setattr(MultiWindowLinearEngine, "process_burst", recording)
+        types = "A" * 3 + "B" * 40 + "C" + "B" * 25 + "A" + "B" * 70
+        events = [Event(name, float(t), {"v": float(t % 4)}) for t, name in enumerate(types)]
+        window = Window(1000.0)  # no window closes: only types cut bursts
+        workload = [
+            Query.build(
+                seq("A", kleene("B")), aggregate=sum_of("B", "v"), window=window, name="mr_sum"
+            ),
+            Query.build(
+                seq("A", kleene("B")), aggregate=avg("B", "v"), window=window, name="mr_avg"
+            ),
+        ]
+        reference = run_streaming(workload, events, HamletEngine)
+        flushed.clear()
+        executor = StreamingExecutor(workload, HamletEngine, optimizer=policy)
+        report = executor.run(EventBlock.from_events(events) if block else events)
+        expected = [] if policy is None else [("A", 3), ("B", 65), ("A", 1), ("B", 70)]
+        assert flushed == expected
+        assert report.totals == reference.totals
+
+    @pytest.mark.parametrize("sharded", (False, True), ids=("streaming", "sharded"))
+    def test_no_environment_variable_chooses_the_fold(self, monkeypatch, sharded):
+        """``REPRO_KERNEL_BACKEND`` is read by nothing: both executors fold
+        every run with the reference fold, bit for bit as without it."""
+        from repro.core.kernels import PythonKernelBackend
+        from repro.runtime import run_sharded
+
+        window = Window(10.0, 2.0)
+        events = [
+            Event("AB"[(t // 6) % 2], float(t), {"g": t % 3, "v": float(t % 5)})
+            for t in range(120)
+        ]
+        workload = [
+            Query.build(
+                seq("A", kleene("B")), aggregate=sum_of("B", "v"), group_by=("g",),
+                window=window, name="env_sum",
+            ),
+            Query.build(
+                seq("A", kleene("B")), aggregate=avg("B", "v"), group_by=("g",),
+                window=window, name="env_avg",
+            ),
+        ]
+
+        def run():
+            if sharded:
+                return run_sharded(
+                    workload, events, HamletEngine, workers=0, shards=2, optimizer="dynamic"
+                )
+            return run_streaming(workload, events, HamletEngine, optimizer="dynamic")
+
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        reference = run()
+        folded = []
+        fold_vector_run = PythonKernelBackend.fold_vector_run
+
+        def counting(backend, total_map, indices, sources, base, rows, dimension):
+            folded.append(len(rows))
+            return fold_vector_run(backend, total_map, indices, sources, base, rows, dimension)
+
+        monkeypatch.setattr(PythonKernelBackend, "fold_vector_run", counting)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        report = run()
+        assert folded and max(folded) > 1  # whole runs, not single events
+        assert report.totals == reference.totals
+
+        def rows(result):
+            return sorted((p.key, tuple(p.results.items())) for p in result.partition_results)
+
+        assert rows(report) == rows(reference)
+
     def test_open_memory_counts_pending_burst_buffer(self):
         """Buffered adaptive bursts are live state the memory gauge must see."""
         window = Window(10.0, 2.0)
