@@ -7,9 +7,13 @@ tuples interned into tables, and one value column per (key shape, attribute
 position).  That makes the block the *native* unit of work end to end:
 
 * a shared-memory slab or a framed byte buffer becomes a block with one
-  column parse (:meth:`EventBlock.from_bytes`) — no per-event assembly;
-* the sharded router partitions a block by hashing each distinct group key
-  once over the payload columns instead of once per event;
+  column parse (:meth:`EventBlock.from_bytes`) — no per-event assembly, and
+  no per-value object either: decoded f64/i64 columns stay ``array('d')`` /
+  ``array('q')``, and :meth:`EventBlock.select` / :meth:`EventBlock.concat`
+  gather a typed column into a typed column;
+* group keys are one interned code column (:meth:`EventBlock.group_codes`):
+  the sharded router hashes each distinct key once and the executor
+  resolves each key's group once, both indexing by integer code;
 * the streaming executor computes window-instance coverage and kernel-run
   segmentation over the raw time/type columns and feeds the fold backends
   directly.
@@ -22,10 +26,12 @@ range — which is why the column accessors return the *root* containers and
 must be indexed with absolute positions from :attr:`start` to :attr:`stop`.
 
 Type preservation matches the codec contract pinned by the codec fuzz
-suite: payload values are stored as the original Python objects (the dtype
+suite: a built block stores the original Python objects in lists (the dtype
 selection of :func:`repro.events.columnar._encode_column` happens only when
-a block is serialized), so ``type(value)``, ``time`` and ``sequence``
+a block is serialized), a decoded one the typed arrays whose elements read
+back as the same types, so ``type(value)``, ``time`` and ``sequence``
 survive a round-trip bit-identically and payload key order is never sorted.
+Column consumers index any ``Sequence``; none may assume a ``list``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import bisect
 from array import array
 from itertools import chain, compress
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union, cast
 
 from repro.errors import SchemaError
 from repro.events import columnar
@@ -46,7 +52,9 @@ from repro.events.time import Timestamp
 __all__ = ["EventBlock", "EventBlockBuilder"]
 
 #: Per-shape value columns: ``shape_columns[key_code][position][slot]``.
-ShapeColumns = list[list[list[Any]]]
+ShapeColumns = list[list[Sequence[Any]]]
+#: ``(table, codes)`` of :meth:`EventBlock.group_codes`.
+GroupCodes = tuple[tuple[tuple[Any, ...], ...], "array[int]"]
 
 
 def _taker(positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple[Any, ...]]:
@@ -58,6 +66,27 @@ def _taker(positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple[Any, ...
     if len(positions) > 1:
         return itemgetter(*positions)
     return lambda column: tuple(column[position] for position in positions)
+
+
+def _gather(
+    column: Sequence[Any], take: Callable[[Sequence[Any]], tuple[Any, ...]]
+) -> Sequence[Any]:
+    """``take(column)`` in a container of the column's own kind: a typed
+    ``array`` stays one of its typecode, anything else becomes a list."""
+    if isinstance(column, array):
+        return array(column.typecode, take(column))
+    return list(take(column))
+
+
+def _join(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
+    """``parts`` end to end: an ``array`` when every non-empty part is one
+    of the same typecode, a list otherwise (empty parts carry no kind)."""
+    parts = [part for part in parts if part]
+    kinds = {part.typecode if isinstance(part, array) else None for part in parts}
+    joined: Any = array(kinds.pop()) if len(kinds) == 1 and None not in kinds else []
+    for part in parts:
+        joined += part
+    return joined
 
 
 def _union_table(tables: Sequence[tuple[Any, ...]]) -> tuple[Any, ...]:
@@ -78,8 +107,8 @@ def _recode(
 
 
 def _block_from_columns(
-    times: list[Timestamp],
-    sequences: list[int],
+    times: Sequence[Timestamp],
+    sequences: Sequence[int],
     type_table: tuple[EventType, ...],
     type_codes: "array[int]",
     key_table: tuple[tuple[str, ...], ...],
@@ -139,8 +168,8 @@ class EventBlock:
 
     def __init__(
         self,
-        times: list[Timestamp],
-        sequences: list[int],
+        times: Sequence[Timestamp],
+        sequences: Sequence[int],
         type_table: tuple[EventType, ...],
         type_codes: "array[int]",
         key_table: tuple[tuple[str, ...], ...],
@@ -163,8 +192,8 @@ class EventBlock:
         self._start = start
         self._stop = len(times) if stop is None else stop
         self._key_positions: Optional[list[dict[str, int]]] = None
-        self._column_cache: dict[str, list[Any]] = {}
-        self._group_cache: dict[tuple[str, ...], list[tuple[Any, ...]]] = {}
+        self._column_cache: dict[str, Sequence[Any]] = {}
+        self._group_cache: dict[tuple[str, ...], GroupCodes] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -184,8 +213,9 @@ class EventBlock:
 
     @classmethod
     def from_bytes(cls, data: Buffer) -> "EventBlock":
-        """Decode a framed buffer into a block: one column parse, the
-        payload columns are adopted as-is, no per-event objects."""
+        """Decode a framed buffer into a block: one column parse, every
+        decoded column — the typed f64/i64 arrays included — adopted as-is,
+        no per-event or per-value objects."""
         parsed = columnar._parse_columns(columnar.parse_frame(data))
         return _block_from_columns(
             parsed.times,
@@ -220,12 +250,12 @@ class EventBlock:
     # Raw columns (absolute indexing: ``start`` .. ``stop``)
     # ------------------------------------------------------------------ #
     @property
-    def times(self) -> list[Timestamp]:
+    def times(self) -> Sequence[Timestamp]:
         """The root time column (index with absolute positions)."""
         return self._times
 
     @property
-    def sequences(self) -> list[int]:
+    def sequences(self) -> Sequence[int]:
         """The root sequence column (index with absolute positions)."""
         return self._sequences
 
@@ -358,8 +388,9 @@ class EventBlock:
         The interned tables are shared; every column is gathered in one
         C-level pass (:func:`operator.itemgetter`) — the row columns once,
         the value columns once per payload shape — so the per-row Python
-        work is integer bookkeeping only.  This is what the sharded router
-        ships and what the reorder buffer sorts and merges with.
+        work is integer bookkeeping only, and a typed column gathers into
+        a typed column.  This is what the sharded router ships and what
+        the reorder buffer sorts and merges with.
         """
         if not isinstance(indices, (list, tuple, range)):
             indices = list(indices)
@@ -384,14 +415,14 @@ class EventBlock:
                 for code in range(len(self._key_table))
             ]
         return _block_from_columns(
-            list(take(self._times)),
-            list(take(self._sequences)),
+            _gather(self._times, take),
+            _gather(self._sequences, take),
             self._type_table,
             array("I", take(self._type_codes)),
             self._key_table,
             key_codes,
             [
-                [list(shape_take(column)) for column in columns]
+                [_gather(column, shape_take) for column in columns]
                 for shape_take, columns in zip(shape_takers, self._shape_columns)
             ],
         )
@@ -403,30 +434,33 @@ class EventBlock:
         Blocks over equal interned tables (frames of one producer, slices
         of one root) keep their codes; otherwise the tables are united in
         first-appearance order and each block's codes are remapped through
-        the union, one C-level pass per code column.
+        the union, one C-level pass per code column.  Each column is joined
+        by :func:`_join`: typed parts of one typecode stay typed.
         """
         blocks = [block for block in blocks if block]
         if len(blocks) < 2:
             return blocks[0] if blocks else cls.empty()
         type_table = _union_table([block._type_table for block in blocks])
         key_table = _union_table([block._key_table for block in blocks])
-        times: list[Timestamp] = []
-        sequences: list[int] = []
+        rows = [block._rows() for block in blocks]
         type_codes = array("I")
         key_codes = array("I")
-        shape_columns: ShapeColumns = [[[] for _ in keys] for keys in key_table]
-        for block in blocks:
-            block_times, block_sequences, block_types, block_keys, shapes = block._rows()
-            times += block_times
-            sequences += block_sequences
+        parts: list[list[list[Sequence[Any]]]] = [[[] for _ in keys] for keys in key_table]
+        for block, (_, _, block_types, block_keys, shapes) in zip(blocks, rows):
             type_codes += _recode(block_types, block._type_table, type_table)
             key_codes += _recode(block_keys, block._key_table, key_table)
             for keys, columns in zip(block._key_table, shapes):
-                targets = shape_columns[key_table.index(keys)]
+                targets = parts[key_table.index(keys)]
                 for target, column in zip(targets, columns):
-                    target += column
+                    target.append(column)
         return _block_from_columns(
-            times, sequences, type_table, type_codes, key_table, key_codes, shape_columns
+            _join([row[0] for row in rows]),
+            _join([row[1] for row in rows]),
+            type_table,
+            type_codes,
+            key_table,
+            key_codes,
+            [[_join(column) for column in columns] for columns in parts],
         )
 
     def slice_time(
@@ -462,12 +496,14 @@ class EventBlock:
             self._key_positions = positions
         return positions
 
-    def payload_column(self, key: str, default: Any = None) -> list[Any]:
+    def payload_column(self, key: str, default: Any = None) -> Sequence[Any]:
         """Per-row values of payload attribute ``key`` (``default`` if absent).
 
         Matches :meth:`Event.get` semantics row by row; the ``default is
         None`` case is cached per block instance (it backs group-key
-        computation on the routing and windowing hot paths).
+        computation on the routing and windowing hot paths).  With one
+        payload shape the answer is a slice of the value column itself, so
+        a typed column answers typed.
         """
         if default is None:
             cached = self._column_cache.get(key)
@@ -477,56 +513,77 @@ class EventBlock:
         key_codes = self._key_codes
         row_slots = self._row_slots
         shapes = self._shape_columns
-        per_shape: list[Optional[list[Any]]] = []
+        per_shape: list[Optional[Sequence[Any]]] = []
         for code, keys in enumerate(self._key_table):
             j = positions[code].get(key)
             per_shape.append(None if j is None else shapes[code][j])
+        out: Sequence[Any]
         if len(per_shape) == 1:
             # Single payload shape: row slots are the identity, so the
-            # column *is* the answer — one C-level slice copy.
+            # column *is* the answer — itself for the whole root, else one
+            # C-level slice copy.
             column = per_shape[0]
             if column is None:
                 out = [default] * (self._stop - self._start)
+            elif self._start == 0 and self._stop == len(column):
+                out = column
             else:
                 out = column[self._start : self._stop]
         else:
-            out = []
-            append = out.append
+            gathered: list[Any] = []
+            append = gathered.append
             for position in range(self._start, self._stop):
                 column = per_shape[key_codes[position]]
                 append(default if column is None else column[row_slots[position]])
+            out = gathered
         if default is None:
             self._column_cache[key] = out
         return out
 
-    def group_keys(self, attributes: tuple[str, ...]) -> list[tuple[Any, ...]]:
-        """Per-row group-key tuples for ``attributes`` (cached per block).
+    def group_codes(self, attributes: tuple[str, ...]) -> GroupCodes:
+        """The group keys of ``attributes`` as ``(table, codes)`` (cached
+        per block).
 
-        Equivalent to :func:`~repro.events.event.group_key` row by row —
-        the exact :meth:`PartitionSpec.group_key` contract, float NaN
-        collapsed to one object.
+        ``table`` holds the block's distinct keys in first-appearance order
+        and ``codes`` one ``array('I')`` entry per block-relative row:
+        ``table[codes[i]]`` is row ``i``'s :func:`~repro.events.event.group_key`
+        (float NaN collapsed to ``GROUP_NAN``) up to dict equality — keys a
+        dict merges (``0.0``/``-0.0``, ``1``/``1.0``/``True``) share one code,
+        the first row's key standing for them (:meth:`group_key_at` is a
+        row's own).  Two C-speed passes; no per-row object outlives them.
         """
         cached = self._group_cache.get(attributes)
         if cached is not None:
             return cached
         columns = [collapse_nan(self.payload_column(attribute)) for attribute in attributes]
+        count = self._stop - self._start
+        table: tuple[tuple[Any, ...], ...]
         if not columns:
-            keys: list[tuple[Any, ...]] = [()] * (self._stop - self._start)
-        elif len(columns) == 1:
-            keys = [(value,) for value in columns[0]]
+            table, codes = ((),) if count else (), array("I", [0]) * count
         else:
-            keys = list(zip(*columns))
-        self._group_cache[attributes] = keys
-        return keys
+            single = len(columns) == 1
+            index = dict.fromkeys(columns[0] if single else zip(*columns))
+            for code, key in enumerate(index):
+                index[key] = code
+            codes = array("I", map(index.__getitem__, columns[0] if single else zip(*columns)))
+            table = tuple((key,) for key in index) if single else tuple(index)
+        self._group_cache[attributes] = table, codes
+        return table, codes
+
+    def group_key_at(self, attributes: tuple[str, ...], index: int) -> tuple[Any, ...]:
+        """Row ``index``'s own group key (block-relative) — the key
+        :meth:`group_codes` may have merged under an equal first one."""
+        return tuple(collapse_nan([self.payload_column(key)[index] for key in attributes]))
 
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
     def _rows(
         self,
-    ) -> tuple[list[Timestamp], list[int], "array[int]", "array[int]", ShapeColumns]:
+    ) -> tuple[Sequence[Timestamp], Sequence[int], "array[int]", "array[int]", ShapeColumns]:
         """This block's rows as compact columns (times, sequences, type
-        codes, key codes, per-shape value columns).
+        codes, key codes, per-shape value columns), each of its root
+        column's own kind.
 
         Slots are handed out in row order per shape, so the rows of
         ``[start, stop)`` occupy one contiguous slot range of each shape's
@@ -625,7 +682,7 @@ class EventBlockBuilder:
         self._key_codes: "array[int]" = array("I")
         self._key_map: dict[tuple[str, ...], int] = {}
         self._row_slots: "array[int]" = array("I")
-        self._shape_columns: ShapeColumns = []
+        self._shape_columns: list[list[list[Any]]] = []
         self._occupancy: list[int] = []
 
     def __len__(self) -> int:
@@ -678,5 +735,5 @@ class EventBlockBuilder:
             tuple(self._key_table),
             self._key_codes,
             self._row_slots,
-            self._shape_columns,
+            cast(ShapeColumns, self._shape_columns),
         )

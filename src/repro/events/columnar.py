@@ -15,14 +15,18 @@ pickle codec) is refused by name and never unpickled.
 Columns use the stdlib :mod:`array` machine formats, normalized to
 little-endian on the (rare) big-endian host, so encode/decode of numeric
 data is a C-speed ``frombytes``/``tobytes`` instead of a per-value loop.
+A decoded f64/i64 column *stays* that ``array('d')``/``array('q')`` — eight
+bytes a value, no Python object per row until a consumer indexes it — and
+an ``array`` column is written back with its own bytes, no type scan.
 :func:`decode_columnar_events` assembles :class:`Event` objects straight
 from the columns (skipping the dataclass ``__init__`` re-validation — values
 were validated when the events were first created).
 
 Type preservation contract (pinned by the codec fuzz suite): decoding is
-exact — ``type(value)`` survives for every payload value, ``time`` and
-``sequence`` round-trip bit-identically, and payload **key order** is
-preserved (key tuples are interned, never sorted).
+exact — ``type(value)`` survives for every payload value (an f64 column
+yields floats, an i64 one ints; bool and object columns are lists),
+``time`` and ``sequence`` round-trip bit-identically, and payload **key
+order** is preserved (key tuples are interned, never sorted).
 """
 
 from __future__ import annotations
@@ -112,8 +116,18 @@ def _encode_column(values: Sequence[Any], out: bytearray) -> None:
     every value: ``float`` -> f64, ``int`` within i64 -> i64, ``bool`` ->
     bytes, anything else (or a mixed column) -> a pickled object column.
     The set of types and the i64 range check (``array`` raising) both run
-    at C speed: no per-value Python step.
+    at C speed: no per-value Python step.  A non-empty ``array('d')`` /
+    ``array('q')`` column (what :meth:`EventBlock.from_bytes` decodes to)
+    is already its own payload and is appended without a scan or a copy.
     """
+    if isinstance(values, array) and values.typecode in "dq" and values:
+        if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
+            values = array(values.typecode, values)
+            values.byteswap()
+        out += values.typecode.encode()
+        out += _U32.pack(len(values) * values.itemsize)
+        out += values
+        return
     kinds = set(map(type, values))
     typed: Optional["array[Any]"] = None
     if kinds <= {float}:  # empty columns encode as (empty) f64
@@ -137,9 +151,36 @@ def _encode_column(values: Sequence[Any], out: bytearray) -> None:
     out += payload
 
 
-def _decode_column(view: memoryview, offset: int, count: int) -> tuple[list[Any], int]:
-    """Decode one column at ``offset``; return ``(values, next_offset)``."""
-    values: list[Any]
+def _typed_array(typecode: str, payload: memoryview) -> "array[Any]":
+    """``payload``'s little-endian values as an exactly sized ``array``.
+
+    One ``memcpy`` into an array allocated at its final length:
+    ``array.frombytes`` would over-allocate it by a sixteenth, and a
+    decoded column lives as long as its block.
+    """
+    itemsize = array(typecode).itemsize
+    if len(payload) % itemsize:
+        raise ExecutionError(
+            f"columnar batch corrupt: {len(payload)} payload bytes are not a whole "
+            f"number of {itemsize}-byte values"
+        )
+    values = array(typecode, [0]) * (len(payload) // itemsize)
+    memoryview(values).cast("B")[:] = payload
+    if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
+        values.byteswap()
+    return values
+
+
+def _decode_column(
+    view: memoryview, offset: int, count: int
+) -> tuple[Sequence[Any], int]:
+    """Decode one column at ``offset``; return ``(values, next_offset)``.
+
+    f64 and i64 columns come back as the decoded ``array`` itself; bool
+    and object columns as lists.  A bool byte other than 0/1 is corruption,
+    not ``False``.
+    """
+    values: Sequence[Any]
     try:
         tag = view[offset : offset + 1].tobytes()
         (nbytes,) = _U32.unpack_from(view, offset + 1)
@@ -149,20 +190,17 @@ def _decode_column(view: memoryview, offset: int, count: int) -> tuple[list[Any]
                 f"columnar batch truncated: column payload of {nbytes} bytes "
                 f"exceeds the remaining buffer"
             )
-        if tag == b"d":
-            f64s = array("d")
-            f64s.frombytes(payload)
-            if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-                f64s.byteswap()
-            values = f64s.tolist()
-        elif tag == b"q":
-            i64s = array("q")
-            i64s.frombytes(payload)
-            if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-                i64s.byteswap()
-            values = i64s.tolist()
+        if tag == b"d" or tag == b"q":
+            values = _typed_array(tag.decode(), payload)
         elif tag == b"b":
-            values = [byte == 1 for byte in payload.tobytes()]
+            flags = payload.tobytes()
+            stray = flags.translate(None, b"\x00\x01")
+            if stray:
+                raise ExecutionError(
+                    f"columnar batch corrupt: bool column byte {stray[0]:#04x} "
+                    "is neither 0 nor 1"
+                )
+            values = [byte == 1 for byte in flags]
         elif tag == b"O":
             values = pickle.loads(payload)
         else:
@@ -198,21 +236,18 @@ def _decode_codes(
     payload = view[offset + 4 : offset + 4 + nbytes]
     if len(payload) != nbytes:
         raise ExecutionError("columnar batch truncated inside a code column")
-    codes = array("I")
-    codes.frombytes(payload)
-    if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
-        codes.byteswap()
+    codes = _typed_array("I", payload)
     if len(codes) != count:
         raise ExecutionError(
             f"columnar batch corrupt: {len(codes)} interning codes for "
             f"{count} events"
         )
-    for code in codes:
-        if code >= table:
-            raise ExecutionError(
-                f"columnar batch corrupt: interning code {code} outside its "
-                f"table of {table} entries"
-            )
+    highest = max(codes, default=-1)
+    if highest >= table:
+        raise ExecutionError(
+            f"columnar batch corrupt: interning code {highest} outside its "
+            f"table of {table} entries"
+        )
     return codes, offset + 4 + nbytes
 
 
@@ -280,13 +315,13 @@ class _ParsedColumns:
     )
 
     count: int
-    times: list[Any]
-    sequences: list[Any]
+    times: Sequence[Any]
+    sequences: Sequence[Any]
     type_table: list[str]
     type_codes: "array[int]"
     key_table: list[tuple[str, ...]]
     key_codes: "array[int]"
-    shape_columns: list[list[list[Any]]]
+    shape_columns: list[list[Sequence[Any]]]
 
 
 def _parse_columns(buffer: Buffer) -> _ParsedColumns:
@@ -322,9 +357,9 @@ def _parse_columns(buffer: Buffer) -> _ParsedColumns:
         occupancy = [0] * shape_count
         for code in parsed.key_codes:
             occupancy[code] += 1
-        shape_columns: list[list[list[Any]]] = []
+        shape_columns: list[list[Sequence[Any]]] = []
         for shape_index, keys in enumerate(key_table):
-            columns: list[list[Any]] = []
+            columns: list[Sequence[Any]] = []
             for _ in range(len(keys)):
                 column, offset = _decode_column(view, offset, occupancy[shape_index])
                 columns.append(column)
@@ -363,9 +398,23 @@ def build_event(
     return event
 
 
+def _listed(column: Sequence[Any]) -> Sequence[Any]:
+    return column.tolist() if isinstance(column, array) else column
+
+
 def decode_columnar_events(buffer: Buffer) -> list[Event]:
-    """Decode a columnar body straight into events."""
+    """Decode a columnar body straight into events.
+
+    Every value becomes an object here anyway, and a list indexes faster
+    than an ``array``: the typed columns are turned into lists one at a
+    time, so no more than one column is held in both forms.
+    """
     parsed = _parse_columns(buffer)
+    parsed.times = _listed(parsed.times)
+    parsed.sequences = _listed(parsed.sequences)
+    for columns in parsed.shape_columns:
+        for position in range(len(columns)):  # (no loop variable pins an array)
+            columns[position] = _listed(columns[position])
     type_table = parsed.type_table
     key_table = parsed.key_table
     times = parsed.times

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.events.block import EventBlock
@@ -276,8 +276,9 @@ class ShardRouter:
         The columnar sibling of :meth:`route`: per-row results are identical
         (the sharded differential suite pins it), but type relevance is
         resolved once per interned type code, group keys come from the
-        block's cached key column, and each distinct group key is hashed at
-        most once (through the same memo the per-event path fills).
+        block's cached code column, and each distinct key of the table is
+        hashed at most once (through the same memo the per-event path
+        fills) on its first relevant row; rows are then dealt by code.
         """
         selections: tuple[list[int], ...] = tuple(
             [] for _ in range(self.plan.shards)
@@ -290,23 +291,22 @@ class ShardRouter:
             relevant_by_code = [
                 event_type in relevant for event_type in block.type_table
             ]
-            keys = block.group_keys(self.plan.group_by)
+            table, group_codes = block.group_codes(self.plan.group_by)
             memo = self._shard_of_key
-            #: key -> that key's selection list (saves the modulo + second
-            #: dict hop for the block's repeated keys).
-            selection_of_key: dict[tuple, list[int]] = {}
-            for local in range(count):
+            #: Per group code: that key's selection list, resolved lazily.
+            selection_of_code: list[Optional[list[int]]] = [None] * len(table)
+            for local, group_code in enumerate(group_codes):
                 if not relevant_by_code[codes[base + local]]:
                     continue
-                key = keys[local]
-                selection = selection_of_key.get(key)
+                selection = selection_of_code[group_code]
                 if selection is None:
+                    key = table[group_code]
                     shard = memo.get(key)
                     if shard is None:
                         shard = stable_shard_hash(key) % self.plan.shards
                         if len(memo) < _SHARD_MEMO_LIMIT:
                             memo[key] = shard
-                    selection = selection_of_key[key] = selections[shard]
+                    selection = selection_of_code[group_code] = selections[shard]
                 selection.append(local)
             return selections
         routes_by_code = [

@@ -94,11 +94,7 @@ from repro.runtime.executor import (
 from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
 from repro.runtime.lateness import Lateness
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
-from repro.runtime.reorder import (
-    ensure_block_in_order,
-    ensure_in_order,
-    validate_stream_options,
-)
+from repro.runtime.reorder import ensure_block_in_order, ensure_in_order, validate_stream_options
 from repro.runtime.results import ResultLayout, window_totals
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
@@ -117,13 +113,8 @@ SNAPSHOT_VERSION = 12
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
-    "_clock",
-    "_consumed",
-    "_engine_feeds",
-    "_active_windows",
-    "_windows_closed",
-    "_next_close",
-    "_adaptive_stats",
+    "_clock", "_consumed", "_engine_feeds", "_active_windows", "_windows_closed",
+    "_next_close", "_adaptive_stats",
 )
 
 
@@ -213,25 +204,28 @@ class _Group:
 class _BlockUnitColumns:
     """Per-unit columns prepared once per ingested block (block fast path)."""
 
-    #: ``spec.group_key(event)`` per block row (the block's cached column).
-    group_keys: Sequence[tuple]
+    #: ``block.group_codes(spec.group_by)``: distinct keys, one code per row.
+    table: Sequence[tuple]
+    codes: Sequence[int]
     #: First / last covering window-instance index per block row.
     lows: Sequence[int]
     highs: Sequence[int]
     #: Lazy-open qualification per *type code* of the block's type table.
     qualifies: Sequence[bool]
-    #: ``compiled.contributions(event)`` per block row (``None`` per row in
-    #: scalar units).
+    #: ``compiled.contributions(event)`` per block row (``None`` if scalar).
     contributions: Sequence[Optional[tuple[float, ...]]]
-    #: ``group key -> highest armed window index`` since the last close sweep.
+    #: ``code -> highest armed window index`` since the last close sweep.
     #: Between sweeps no window closes, so once a row armed ``lo..hi`` every
     #: later row of the group (``lo`` is non-decreasing) only needs to check
     #: indices above the cached high — the per-event path re-probes the full
     #: covering range on every event.  Cleared whenever a sweep runs.
     armed: dict = field(default_factory=dict)
-    #: Segment folding only (``None`` otherwise): ``group key -> block rows
-    #: fed since the last close sweep`` — a group's whole segment goes to
-    #: its engine in one call.  Emptied by every segment flush.
+    #: ``code -> _Group`` resolved since the last close sweep — cleared with
+    #: ``armed``: a sweep may evict a group, and a later row must open anew.
+    groups: dict = field(default_factory=dict)
+    #: Segment folding only (``None`` otherwise): ``code -> block rows fed
+    #: since the last close sweep`` — a group's whole segment goes to its
+    #: engine in one call.  Emptied by every segment flush.
     rows: Optional[dict] = None
 
 
@@ -514,6 +508,7 @@ class StreamingExecutor:
                     self._flush_static(touched, prepared, *columns)
                 for state in prepared.values():
                     state.armed.clear()
+                    state.groups.clear()
                 self._clock = clock
                 self._consumed = consumed
                 self._engine_feeds += engine_feeds
@@ -536,18 +531,23 @@ class StreamingExecutor:
                     self._feed(unit, event, arrival)
                     next_close = self._next_close  # a window may have opened
                     continue
-                group_key = state.group_keys[local]
-                group = unit.groups.get(group_key)
+                key = state.codes[local]
+                group = state.groups.get(key)
                 if group is None:
-                    if not qualifies:
-                        continue
-                    group = self._open_group(unit, group_key)
+                    group = unit.groups.get(state.table[key])
+                    if group is None:
+                        if not qualifies:
+                            continue
+                        # Keyed by the row's own key, as on the per-event path.
+                        row_key = block.group_key_at(unit.spec.group_by, local)
+                        group = self._open_group(unit, row_key)
+                    state.groups[key] = group
                 lo = state.lows[local]
                 hi = state.highs[local]
                 if hi < lo:
                     continue
                 if qualifies:
-                    cached = state.armed.get(group_key)
+                    cached = state.armed.get(key)
                     if cached is None or hi > cached:
                         # Indices up to ``cached`` were armed earlier in this
                         # sweep segment and cannot have closed since.
@@ -555,14 +555,14 @@ class StreamingExecutor:
                             unit, group, lo if cached is None else max(lo, cached + 1), hi
                         )
                         next_close = self._next_close
-                        state.armed[group_key] = hi
+                        state.armed[key] = hi
                 if not group.metas:
                     continue
                 pending = state.rows
                 if pending is not None:
-                    rows = pending.get(group_key)
+                    rows = pending.get(key)
                     if rows is None:
-                        pending[group_key] = [local]
+                        pending[key] = [local]
                     else:
                         rows.append(local)
                 else:
@@ -981,8 +981,8 @@ class StreamingExecutor:
             if not state.rows:
                 continue
             lows, highs, contributions = state.lows, state.highs, state.contributions
-            for group_key, rows in state.rows.items():
-                group = unit.groups[group_key]
+            for key, rows in state.rows.items():
+                group = state.groups[key]  # resolved: no sweep since
                 engine = group.engine
                 assert isinstance(engine, MultiWindowLinearEngine)  # rows: compiled units only
                 vector = not engine.unit.scalar
@@ -1086,7 +1086,7 @@ class StreamingExecutor:
                 else:
                     qualifies_by_code = [True] * len(block.type_table)
                 state = prepared[unit] = _BlockUnitColumns(
-                    group_keys=block.group_keys(unit.spec.group_by),
+                    *block.group_codes(unit.spec.group_by),
                     lows=ranges[0],
                     highs=ranges[1],
                     qualifies=qualifies_by_code,

@@ -9,6 +9,8 @@ preserves exact types and the ``(time, sequence)`` order.
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import ExecutionError, SchemaError
 from repro.events import Event, EventBlock, EventBlockBuilder, EventStream
 from repro.events import columnar
+from repro.events.event import GROUP_NAN
 
 
 def make(payloads, type_name="T"):
@@ -23,6 +26,12 @@ def make(payloads, type_name="T"):
         Event(type_name, float(index), payload)
         for index, payload in enumerate(payloads)
     ]
+
+
+def keys_of(block, attributes):
+    """Per-row group keys, read back through the block's code column."""
+    table, codes = block.group_codes(attributes)
+    return [table[code] for code in codes]
 
 
 def identical(decoded, originals):
@@ -43,7 +52,7 @@ class TestEdgeCases:
         assert list(block) == []
         assert EventBlock.from_events([]).to_events() == []
         assert EventBlock.from_bytes(block.to_bytes()).to_events() == []
-        assert block.group_keys(("district",)) == []
+        assert block.group_codes(("district",)) == ((), array("I"))
         assert block.payload_column("x") == []
 
     def test_single_event(self):
@@ -85,16 +94,19 @@ class TestEdgeCases:
         assert block.payload_column("a") == [1.0, 4.0, None]
         assert block.payload_column("a", default=0.0) == [1.0, 4.0, 0.0]
 
-    def test_group_keys_match_event_get(self):
+    def test_group_codes_match_event_get(self):
         events = make(
             [{"d": 1, "s": 2.0}, {"d": 2}, {"s": 9.0}, {"d": 1, "s": 4.0}]
         )
         block = EventBlock.from_events(events)
         for attrs in ((), ("d",), ("d", "s"), ("missing",)):
             expected = [tuple(e.get(a) for a in attrs) for e in events]
-            assert block.group_keys(attrs) == expected
-        # cached: repeated calls return the same list object
-        assert block.group_keys(("d",)) is block.group_keys(("d",))
+            table, codes = block.group_codes(attrs)
+            assert keys_of(block, attrs) == expected
+            assert table == tuple(dict.fromkeys(expected))  # first appearance
+            assert codes.typecode == "I" and len(codes) == len(events)
+        # cached: repeated calls return the same pair
+        assert block.group_codes(("d",)) is block.group_codes(("d",))
 
     def test_builder_rejects_negative_time(self):
         builder = EventBlockBuilder()
@@ -142,7 +154,7 @@ class TestSlicing:
         assert grand.times is block.times
         identical(grand.to_events(), events[7:13])
         assert grand.payload_column("v") == [e.payload["v"] for e in events[7:13]]
-        assert grand.group_keys(("v",)) == [(e.payload["v"],) for e in events[7:13]]
+        assert keys_of(grand, ("v",)) == [(e.payload["v"],) for e in events[7:13]]
 
     def test_slice_bounds_clamp(self):
         block = EventBlock.from_events(make([{}, {}, {}]))
@@ -387,8 +399,8 @@ class TestPickle:
         compact = view.select(range(10))
         baseline = len(pickle.dumps(compact))
         assert len(pickle.dumps(view)) <= baseline  # at the parent: 240x
-        root.group_keys(("g",))  # fill the root's and the slice's caches
-        view.group_keys(("g",))
+        root.group_codes(("g",))  # fill the root's and the slice's caches
+        view.group_codes(("g",))
         view.payload_column("v")
         assert len(pickle.dumps(view)) <= baseline
         assert baseline < len(pickle.dumps(root)) / 100
@@ -402,7 +414,7 @@ class TestPickle:
         lo = data.draw(st.integers(0, len(events)))
         hi = data.draw(st.integers(lo, len(events)))
         view = block.slice(lo, hi)
-        view.group_keys(tuple(sorted({k for e in events[lo:hi] for k in e.payload}))[:2])
+        view.group_codes(tuple(sorted({k for e in events[lo:hi] for k in e.payload}))[:2])
         clone = pickle.loads(pickle.dumps(view))
         identical(clone.to_events(), events[lo:hi])
         assert_well_formed(clone)
@@ -410,3 +422,211 @@ class TestPickle:
         assert clone.type_table == block.type_table
         assert clone.key_table == block.key_table
         assert clone.to_bytes() == view.to_bytes()
+
+
+# --------------------------------------------------------------------- #
+# Typed columns: a decoded frame's f64/i64 columns stay arrays end to end
+# --------------------------------------------------------------------- #
+def _typed_events(rows=12):
+    """One payload shape, one column of each codec dtype."""
+    return [
+        Event(
+            "AB"[index % 2],
+            float(index) / 2,
+            {"f": index * 0.25, "i": index - 6, "b": bool(index % 3), "o": f"s{index % 4}"},
+        )
+        for index in range(rows)
+    ]
+
+
+def _mixed_events():
+    """Several shapes; per key a float, an int, a mixed and an empty column."""
+    return make(
+        [
+            {"x": 1.5, "n": 2},
+            {"y": 3},
+            {"x": -0.0, "n": -(2**63)},
+            {"y": 4.0},
+            {},
+            {"x": 2.0, "n": 7},
+        ]
+    )
+
+
+def _columns(block):
+    return [block.times, block.sequences] + [
+        column for columns in block.shape_columns for column in columns
+    ]
+
+
+class TestTypedColumns:
+    def test_decoded_numeric_columns_are_typed_arrays(self):
+        events = _typed_events()
+        block = EventBlock.from_bytes(EventBlock.from_events(events).to_bytes())
+        (f, i, b, o), = block.shape_columns
+        assert isinstance(block.times, array) and block.times.typecode == "d"
+        assert isinstance(block.sequences, array) and block.sequences.typecode == "q"
+        assert (f.typecode, i.typecode) == ("d", "q")
+        assert type(b) is list and type(o) is list
+        assert isinstance(block.payload_column("f"), array)
+        identical(block.to_events(), events)
+
+    @pytest.mark.parametrize("events", (_typed_events(), _mixed_events()), ids=("typed", "mixed"))
+    def test_select_and_concat_keep_typed_columns_typed(self, events):
+        built = EventBlock.from_events(events)
+        decoded = EventBlock.from_bytes(built.to_bytes())
+        picked = [5, 0, 3, 3, 1]
+        gathered = decoded.select(picked)
+        joined = EventBlock.concat([decoded.slice(3, 6), decoded.slice(0, 2)])
+        for block, expected in (
+            (gathered, [events[p] for p in picked]),
+            (joined, events[3:6] + events[0:2]),
+        ):
+            identical(block.to_events(), expected)
+            assert_well_formed(block)
+            for typed, column in zip(_columns(decoded), _columns(block)):
+                if isinstance(typed, array) and len(column):
+                    assert isinstance(column, array) and column.typecode == typed.typecode
+
+    def test_concat_of_typed_and_list_parts_is_a_list(self):
+        events = _typed_events()
+        decoded = EventBlock.from_bytes(EventBlock.from_events(events[:6]).to_bytes())
+        joined = EventBlock.concat([decoded, EventBlock.from_events(events[6:])])
+        assert type(joined.times) is list
+        identical(joined.to_events(), events)
+
+    @pytest.mark.parametrize("events", (_typed_events(), _mixed_events()), ids=("typed", "mixed"))
+    def test_typed_encode_writes_the_frame_it_decoded(self, events):
+        # The typed fast path writes an array's own bytes: byte-identical to
+        # what the per-value dtype scan writes for the same values as lists.
+        built = EventBlock.from_events(events)
+        frame = built.to_bytes()
+        decoded = EventBlock.from_bytes(frame)
+        assert decoded.to_bytes() == frame
+        picked = [4, 1, 1, 0]
+        assert decoded.select(picked).to_bytes() == built.select(picked).to_bytes()
+        parts = [(3, 6), (0, 2), (5, 6)]
+        assert (
+            EventBlock.concat([decoded.slice(lo, hi) for lo, hi in parts]).to_bytes()
+            == EventBlock.concat([built.slice(lo, hi) for lo, hi in parts]).to_bytes()
+        )
+        assert decoded.slice(2, 5).to_bytes() == built.slice(2, 5).to_bytes()
+
+    def test_pickled_list_and_typed_blocks_restore(self):
+        import pickle
+
+        events = _typed_events()
+        built = EventBlock.from_events(events)
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            clone = pickle.loads(pickle.dumps(block.slice(2, 9)))
+            identical(clone.to_events(), events[2:9])
+            assert type(clone.times) is type(block.times)
+
+    def test_decode_and_group_codes_allocate_no_per_row_objects(self):
+        import gc
+        import tracemalloc
+
+        def frame(rows):
+            builder = EventBlockBuilder()
+            for index in range(rows):
+                builder.append_row(
+                    "AB"[index % 2],
+                    float(index),
+                    {"g": float(index % 5), "v": index, "flag": bool(index % 2)},
+                    sequence=index,
+                )
+            return builder.finish().to_bytes()
+
+        def live_allocations(data):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                block = EventBlock.from_bytes(data)
+                block.group_codes(("g",))
+                block.group_codes(("g", "flag"))
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            del block
+            return sum(stat.count for stat in snapshot.statistics("filename"))
+
+        small, large = frame(1_024), frame(4_096)
+        live_allocations(small)  # warm caches and free lists
+        assert live_allocations(small) == live_allocations(large)
+
+
+class TestGroupCodes:
+    def test_distinct_nan_objects_share_one_code(self):
+        first, second = float("nan"), float("nan")
+        events = make([{"g": first}, {"g": 1.0}, {"g": second}])
+        built = EventBlock.from_events(events)
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            table, codes = block.group_codes(("g",))
+            assert list(codes) == [0, 1, 0]
+            assert table[0][0] is GROUP_NAN and table[1] == (1.0,)
+
+    def test_signed_zeros_share_one_code_first_row_stands_for_it(self):
+        built = EventBlock.from_events(make([{"g": -0.0}, {"g": 0.0}, {"g": 3.0}]))
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            table, codes = block.group_codes(("g",))
+            assert list(codes) == [0, 0, 1] and str(table[0][0]) == "-0.0"
+            assert str(block.group_key_at(("g",), 1)[0]) == "0.0"  # the row's own
+
+    def test_equal_numbers_of_different_types_share_one_code(self):
+        built = EventBlock.from_events(make([{"g": 1}, {"g": 1.0}, {"g": True}, {"g": 2}]))
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            table, codes = block.group_codes(("g",))
+            assert list(codes) == [0, 0, 0, 1] and type(table[0][0]) is int
+            assert [type(block.group_key_at(("g",), row)[0]) for row in range(3)] == [
+                int, float, bool
+            ]
+
+    def test_multi_attribute_keys(self):
+        nan = float("nan")
+        events = make(
+            [{"d": 1, "s": "x"}, {"d": 1, "s": "y"}, {"d": nan, "s": "x"}, {"s": "x"},
+             {"d": float("nan"), "s": "x"}, {"d": 1.0, "s": "x"}]
+        )
+        built = EventBlock.from_events(events)
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            table, codes = block.group_codes(("d", "s"))
+            assert list(codes) == [0, 1, 2, 3, 2, 0]
+            assert table[2][0] is GROUP_NAN and table[3] == (None, "x")
+            assert keys_of(block, ("s", "d"))[1] == ("y", 1)
+
+    def test_slices_code_their_own_rows(self):
+        events = make([{"g": float(index % 3)} for index in range(9)])
+        built = EventBlock.from_events(events)
+        for block in (built, EventBlock.from_bytes(built.to_bytes())):
+            view = block.slice(4, 8)
+            table, codes = view.group_codes(("g",))
+            assert table == ((1.0,), (2.0,), (0.0,)) and list(codes) == [0, 1, 2, 0]
+            assert view.group_key_at(("g",), 2) == (0.0,)
+
+
+class TestHostileBytes:
+    def test_corrupt_bool_byte_is_an_error_not_false(self):
+        events = make([{"flag": bool(index % 2)} for index in range(4)])
+        frame = bytearray(EventBlock.from_events(events).to_bytes())
+        tag = frame.rindex(b"b" + (4).to_bytes(4, "little"))
+        assert frame[tag + 5 : tag + 9] == bytes([0, 1, 0, 1])
+        frame[tag + 6] = 0x07
+        for decode in (EventBlock.from_bytes, columnar.decode_events):
+            with pytest.raises(ExecutionError, match="corrupt: bool column byte 0x07"):
+                decode(bytes(frame))
+
+    def test_out_of_table_code_is_named(self):
+        payload = array("I", [0, 1, 5, 2]).tobytes()
+        view = memoryview(len(payload).to_bytes(4, "little") + payload)
+        with pytest.raises(ExecutionError, match="interning code 5 outside its table of 3"):
+            columnar._decode_codes(view, 0, 4, 3)
+        codes, offset = columnar._decode_codes(view, 0, 4, 6)
+        assert list(codes) == [0, 1, 5, 2] and offset == len(view)
+
+    def test_ragged_typed_payload_is_corrupt(self):
+        frame = bytearray(EventBlock.from_events(make([{"v": 1.5}, {"v": 2.5}])).to_bytes())
+        # The times column: tag "d", 16 payload bytes -> claim 15.
+        assert frame[9:14] == b"d" + (16).to_bytes(4, "little")
+        frame[10] = 15
+        with pytest.raises(ExecutionError, match="corrupt"):
+            EventBlock.from_bytes(bytes(frame))

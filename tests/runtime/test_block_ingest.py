@@ -169,6 +169,49 @@ def test_block_ingest_ungrouped():
     assert_reports_identical(per_event, block)
 
 
+#: Group values dict equality merges (1 / 1.0 / True, 0.0 / -0.0, every NaN)
+#: next to distinct ones: one code per merged group in a block.
+_EQUAL_KEYS = (1, 1.0, True, 0.0, -0.0, 2.0, "nan")
+
+
+def _reopening_stream(seed: int, size: int = 240) -> list[Event]:
+    """Sparse per-key bursts with gaps longer than the window: a key's last
+    window closes mid-stream and a later row of it must open a fresh group."""
+    rng = random.Random(seed)
+    events, clock = [], 0.0
+    for _ in range(size):
+        clock += rng.choice((0.5, 1.0, 1.0, 9.0))
+        key = rng.choice(_EQUAL_KEYS)
+        events.append(
+            Event(
+                rng.choices(("A", "B", "C", "D"), weights=(1, 3, 1, 1))[0],
+                clock,
+                {"g": float("nan") if key == "nan" else key, "v": float(rng.randint(0, 6))},
+            )
+        )
+    return events
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("window", (Window(8.0), Window(8.0, 4.0)), ids=("tumbling", "sliding"))
+def test_groups_close_and_reopen_inside_one_block(seed, window):
+    # One block holds every close sweep, so the executor's per-block
+    # code -> group cache must forget evicted groups at each sweep.  The
+    # group a row opens is keyed by that row's own value, as per event.
+    events = _reopening_stream(seed)
+    queries = workload(window, group_by=("g",))
+    per_event = StreamingExecutor(queries).run(events)
+    built = EventBlock.from_events(events)
+    for block in (built, EventBlock.from_bytes(built.to_bytes())):
+        report = StreamingExecutor(queries).run(block)
+        assert_reports_identical(per_event, report)
+        assert [repr(p.group_key) for p in report.partition_results] == [
+            repr(p.group_key) for p in per_event.partition_results
+        ]
+    # The merged keys took turns opening their group (and so reopened it).
+    assert len({repr(p.group_key) for p in per_event.partition_results}) > 3
+
+
 # --------------------------------------------------------------------- #
 # Burst-buffered configurations on the block path
 # --------------------------------------------------------------------- #

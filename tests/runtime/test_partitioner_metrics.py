@@ -280,11 +280,12 @@ class TestNanGroupKeys:
         clean = [1.0, float("inf"), float("-inf"), 10**400]
         assert collapse_nan(clean) is clean and collapse_nan(["a", None]) == ["a", None]
 
-    def test_block_group_keys_collapse_nan(self):
+    def test_block_group_codes_collapse_nan(self):
         built = EventBlock.from_events(self._events(lambda: float("nan")))
         for block in (built, EventBlock.from_bytes(built.to_bytes())):
-            keys = block.group_keys(("district",))
-            assert len(set(keys)) == 1 and keys[0][0] is GROUP_NAN
+            table, codes = block.group_codes(("district",))
+            assert list(codes) == [0, 0, 0] and table == ((GROUP_NAN,),)
+            assert table[0][0] is GROUP_NAN
             assert block.payload_column("district")[0] is not GROUP_NAN  # values untouched
 
     @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from repro.runtime import (
     run_streaming,
 )
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.reorder import _in_key_order, ascending
 from tests.conftest import PER_INSTANCE_KINDS, decision_counters, per_instance_setup
 
 WINDOW = Window(16.0, 4.0)
@@ -214,7 +215,8 @@ class TestReorderBuffer:
         expected = sorted(first + second)
         assert merged.to_events() == expected
         assert [e.payload for e in merged.to_events()] == [e.payload for e in expected]
-        assert merged.group_keys(("g",)) == [(e.get("g"),) for e in expected]
+        table, codes = merged.group_codes(("g",))
+        assert [table[code] for code in codes] == [(e.get("g"),) for e in expected]
 
     def test_equal_time_rows_sequence_shuffled_across_two_blocks(self):
         rows = [Event("B", 2.0, {"g": 1.0}, sequence=index) for index in range(8)]
@@ -272,6 +274,43 @@ class TestReorderBuffer:
         clone = pickle.loads(pickle.dumps(buffer))
         assert len(pickle.dumps(buffer)) < len(pickle.dumps(block)) / 10
         assert self._drain_keys(clone.flush()) == self._drain_keys(buffer.flush())
+
+    def test_in_order_typed_segment_is_kept_without_a_gather(self, monkeypatch):
+        # A decoded block's time/sequence columns are typed arrays: the
+        # in-order probe must see that they ascend (``sorted(a) == a`` never
+        # does for an array) and keep the block itself — no argsort, no select.
+        events = make_events(seed=11, size=200)
+        block = EventBlock.from_bytes(EventBlock.from_events(events).to_bytes())
+        assert type(block.times).__name__ == "array"
+        selects = []
+        select = EventBlock.select
+        monkeypatch.setattr(
+            EventBlock, "select", lambda self, rows: selects.append(rows) or select(self, rows)
+        )
+        view = block.slice(20, 180)
+        assert _in_key_order(block) is block and _in_key_order(view) is view
+        buffer = ReorderBuffer(5.0)
+        buffer.add_segment(block)
+        assert selects == []
+        (kind, released), = buffer.flush()
+        assert released.times is block.times and len(released) == len(block)  # a slice
+        assert selects == []
+        # A disordered typed block still gets sorted — and stays typed.
+        swapped = block.select([1, 0] + list(range(2, len(block))))
+        ordered = _in_key_order(swapped)
+        assert ordered.to_events() == events and type(ordered.times).__name__ == "array"
+
+    def test_ascending_probe_matches_the_sorted_compare(self):
+        from array import array
+
+        rng = random.Random(12)
+        for _ in range(200):
+            values = sorted(rng.choice((0.0, 1.0, 2.5)) for _ in range(rng.randint(0, 6)))
+            if values and rng.random() < 0.5:
+                values[rng.randrange(len(values))] = -1.0
+            expected = sorted(values) == values
+            assert ascending(values) is expected
+            assert ascending(array("d", values)) is expected
 
     def test_negative_or_nan_lateness_rejected(self):
         with pytest.raises(ExecutionError, match="allowed_lateness"):

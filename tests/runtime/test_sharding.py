@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -222,13 +223,24 @@ class TestColumnDtypeFuzz:
 
         out = bytearray()
         columnar._encode_column(values, out)
-        assert bytes(out[:1]) == _scanned_tag(values)
+        tag = bytes(out[:1])
+        assert tag == _scanned_tag(values)
         decoded, offset = columnar._decode_column(memoryview(out), 0, len(values))
         assert offset == len(out)
-        assert decoded == values
+        # The typed contract: f64/i64 columns stay typed arrays, bool and
+        # object columns are lists.
+        if tag in (b"d", b"q"):
+            assert isinstance(decoded, array) and decoded.typecode == tag.decode()
+        else:
+            assert type(decoded) is list
+        assert list(decoded) == values
         assert [type(v) for v in decoded] == [type(v) for v in values]
         # -0.0 == 0.0: the f64 column must keep the sign bit too.
         assert [str(v) for v in decoded] == [str(v) for v in values]
+        # ... and a decoded column encodes back to the very same bytes.
+        again = bytearray()
+        columnar._encode_column(decoded, again)
+        assert again == out
 
 
 class TestShardRouter:
