@@ -49,7 +49,7 @@ def main() -> None:
     for name, report in (("HAMLET", hamlet), ("GRETA", greta)):
         print(
             f"{name:<8} {report.metrics.average_latency * 1e3:>18.2f} "
-            f"{report.metrics.throughput:>16.0f} {report.metrics.peak_memory_units:>12d}"
+            f"{report.metrics.throughput_engine:>16.0f} {report.metrics.peak_memory_units:>12d}"
         )
 
     ratio = (

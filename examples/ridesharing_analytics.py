@@ -80,10 +80,10 @@ def main() -> None:
 
     print("\nExecution metrics:")
     print(f"  HAMLET: latency={hamlet.metrics.average_latency * 1e3:8.2f} ms/window, "
-          f"throughput={hamlet.metrics.throughput:9.0f} events/s, "
+          f"throughput={hamlet.metrics.throughput_engine:9.0f} events/s, "
           f"peak memory={hamlet.metrics.peak_memory_units} units")
     print(f"  GRETA : latency={greta.metrics.average_latency * 1e3:8.2f} ms/window, "
-          f"throughput={greta.metrics.throughput:9.0f} events/s, "
+          f"throughput={greta.metrics.throughput_engine:9.0f} events/s, "
           f"peak memory={greta.metrics.peak_memory_units} units")
 
     stats = hamlet.optimizer_statistics

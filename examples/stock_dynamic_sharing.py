@@ -29,7 +29,7 @@ def run_policy(name: str, optimizer_factory, workload, stream) -> dict:
     return {
         "policy": name,
         "latency_ms": report.metrics.average_latency * 1e3,
-        "throughput": report.metrics.throughput,
+        "throughput": report.metrics.throughput_engine,
         "memory": report.metrics.peak_memory_units,
         "snapshots": snapshots,
         "shared_fraction": stats.shared_fraction if stats else 0.0,

@@ -101,7 +101,7 @@ def run_comparison(
                 value=value,
                 approach=spec.name,
                 latency_seconds=report.metrics.average_latency,
-                throughput_eps=report.metrics.throughput,
+                throughput_eps=report.metrics.throughput_engine,
                 memory_units=report.metrics.peak_memory_units,
                 extra=extra,
             )

@@ -148,11 +148,6 @@ class ExecutionMetrics:
         return self.events_processed / self.total_seconds
 
     @property
-    def throughput(self) -> float:
-        """Alias of :attr:`throughput_engine` (kept for existing callers)."""
-        return self.throughput_engine
-
-    @property
     def throughput_wall(self) -> float:
         """Distinct stream events per second of elapsed run time.
 

@@ -248,11 +248,10 @@ class UnitCompilation:
         #: class may scan them later); everything else is never stored.
         self.stored_node_types: frozenset[EventType] = frozenset(stored_types)
         self.needs_store = bool(stored_types) or bool(negative)
-        #: Event types whose runs :meth:`MultiWindowLinearEngine.process_block_run`
-        #: never declines — nothing about them is stored, negated, locally
-        #: filtered or guarded — so their rows never need an ``Event``.  (Runs
-        #: of every other positive type are always declined: a guard can only
-        #: go stale for a class with negations, whose types are all stored.)
+        #: Event types whose rows fold from columns — nothing about them is
+        #: stored, negated, locally filtered or guarded — so they never need
+        #: an ``Event``.  A row of any other type goes through the engine's
+        #: per-event body, on its :class:`Event`.
         self.columnar_types: frozenset[EventType] = frozenset(
             event_type
             for event_type, specs in positive.items()
@@ -266,10 +265,6 @@ class UnitCompilation:
                 for spec in specs
             )
         )
-        #: Every type the unit reads folds from columns: a whole mixed-type
-        #: segment can go to :meth:`MultiWindowLinearEngine.process_block_run`
-        #: at once (no store, no negation, no local or edge predicate).
-        self.columnar = not negative and len(self.columnar_types) == len(positive)
 
     def contributions(self, event: Event) -> tuple[float, ...]:
         """The event's contribution to each unit measure (Equation 1)."""
@@ -519,6 +514,15 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         if self._unsettled:
             self._settle()
         unit = self.unit
+        self._process_event(event, lo, hi, None if unit.scalar else unit.contributions(event))
+
+    def _process_event(
+        self, event: Event, lo: int, hi: int, contributions: Optional[tuple[float, ...]]
+    ) -> None:
+        """The per-event body, past the caller's order check: negation
+        records, arming, one fold per plan and the stored node.  It reads
+        no deferred cell: a deferred class has only columnar types."""
+        unit = self.unit
         store = self._store
         negative_specs = unit.negative_classes_by_type.get(event.event_type)
         if negative_specs is not None and store is not None:
@@ -530,8 +534,6 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         plans = self._plans_by_type.get(event.event_type)
         if plans is None:
             return
-        scalar = unit.scalar
-        contributions = None if scalar else unit.contributions(event)
         node_values: Optional[dict] = None
         for plan in plans:
             spec = plan.spec
@@ -545,36 +547,27 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                         self._armed_entries += 1
             if not armed:
                 continue
-            fast = plan.guards is not None
-            if fast and plan.guards and store is not None:
-                for negated_type in plan.guards:
-                    if store.has_negatives(negated_type):
-                        fast = False
-                        break
-            if fast:
-                if scalar:
-                    node_values = self._fast_scalar(plan, armed, node_values)
-                else:
-                    node_values = self._fast_vector(plan, armed, contributions, node_values)
-            else:
+            guards = plan.guards
+            if guards is None or (
+                store is not None and any(store.has_negatives(t) for t in guards)
+            ):
                 node_values = self._slow_path(plan, event, armed, contributions, node_values)
+            elif spec.store_values:
+                node_values = self._fold_stored(plan, armed, contributions, node_values)
+            else:
+                self._fold_run(plan, armed, 1, None if contributions is None else (contributions,))
         if store is not None and event.event_type in unit.stored_node_types:
             store.add_node(event, lo, hi, node_values)
 
     def process_burst(self, burst: Sequence[tuple], event_type: EventType) -> bool:
-        """Fold one buffered same-type burst of column rows.
-
-        ``burst`` is what the streaming executor buffers per group: rows
-        ``(time, sequence, lo, hi, contribution row, event)`` in arrival
-        order (the contribution row is ``None`` for scalar units; the event
-        is the caller's, for replaying a declined run).  Transposes the
-        rows and hands the columns to :meth:`process_block_run`, whose
-        contract — including returning ``False`` untouched when the run
-        needs per-event structure — is this method's.
-        """
-        times, sequences, lows, highs, rows, _ = zip(*burst)
+        """Fold one buffered same-type burst: the run of
+        :meth:`process_block_run`, given as the rows ``(time, sequence, lo,
+        hi, contribution row, event)`` an optimizer's executor buffers per
+        group (the contribution row is ``None`` in scalar units, the event
+        ``None`` for a columnar type)."""
+        times, sequences, lows, highs, rows, events = zip(*burst)
         return self.process_block_run(
-            event_type, times, sequences, lows, highs, None if self.unit.scalar else rows
+            event_type, times, sequences, lows, highs, None if self.unit.scalar else rows, events
         )
 
     def process_block_run(
@@ -585,67 +578,48 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         lows: Sequence[int],
         highs: Sequence[int],
         contribution_rows: Optional[Sequence[tuple[float, ...]]] = None,
+        events: Optional[Sequence[Event]] = None,
     ) -> bool:
-        """Fold consecutive rows of one group straight from block columns.
+        """Fold consecutive rows of one group, in arrival order.
 
-        The column-level entry point of both ingest paths: the caller hands
-        the rows' parallel columns (times, sequences, covering ranges, and —
-        for vector units — precomputed contribution rows) and no per-event
-        objects exist anywhere on the path.  ``lows``/``highs`` must be the
-        non-decreasing covering ranges of the (sorted) ``times`` — what
-        :meth:`Window.instance_range_columns` produces.  ``event_type`` is
+        The one entry of both ingest paths.  The caller hands the rows'
+        parallel columns: times, sequences, the non-decreasing covering
+        ranges ``lows``/``highs`` of the sorted times (what
+        :meth:`Window.instance_range_columns` produces), and for vector
+        units the contribution rows.  ``events[i]`` is row ``i``'s
+        :class:`Event`, read only for a type outside
+        ``unit.columnar_types``.  ``event_type`` is
 
-        * one type name for a same-type **run** (what a burst-buffered
-          executor flushes): each ``(class, type)`` plan is resolved once
-          and the reference fold runs every sharing column of it with
-          per-event arithmetic, bit-identical; or
-        * one type name per row for a mixed-type **segment** (what the
-          static block path hands over between two close sweeps:
-          :meth:`_fold_segment`).  Only a unit whose every type is
-          columnar, with no split sharing column, takes one.
+        * one type name per row for a **segment**, what the static plan
+          hands over, per event or per ``(group, close-sweep segment)``
+          (:meth:`_fold_segment`); or
+        * one type name for a same-type **run**, what an optimizer's
+          executor flushes after its per-burst decision: the reference
+          fold runs every sharing column of each ``(class, type)`` plan.
 
         Results *and* abstract operation counts equal the equivalent
-        sequence of :meth:`process` calls; this is pinned by the block and
-        segment differential suites.
-
-        Returns ``False`` **without touching any engine state** when the
-        rows need per-event :class:`Event` structure — store interactions
-        (the type is negated or stored by some class), local predicates,
-        the scan slow path, or a stale guard — so the caller can replay
-        them through the per-event reference entry points.
+        sequence of :meth:`process` calls, pinned by the block and segment
+        differential suites.  Returns ``True``; only a run of a type
+        outside ``columnar_types`` without ``events`` returns ``False``,
+        untouched.
         """
         if not isinstance(event_type, str):
             return self._fold_segment(
-                event_type, times, sequences, lows, highs, contribution_rows
+                event_type, times, sequences, lows, highs, contribution_rows, events
             )
-        unit = self.unit
-        store = self._store
-        if store is not None and (
-            event_type in unit.negative_classes_by_type
-            or event_type in unit.stored_node_types
-        ):
+        columnar = event_type in self.unit.columnar_types
+        if not columnar and events is None:
             return False
-        plans = self._plans_by_type.get(event_type)
-        if plans is not None:
-            for plan in plans:
-                if plan.spec.check_locals:
-                    return False
-                guards = plan.guards
-                if guards is None:
-                    return False
-                if guards and store is not None:
-                    for negated_type in guards:
-                        if store.has_negatives(negated_type):
-                            return False
-        # Order check across the whole run — the same contract process()
-        # enforces, on scalar columns.
-        cursor = ensure_shared_run_order(times, sequences, self._latest_event)
-        if cursor is not None:
-            self._latest_event = _OrderPoint(cursor[0], cursor[1])
+        self._advance(times, sequences)
         if self._unsettled:
             self._settle()
+        if not columnar:
+            for row, event in enumerate(events or ()):
+                contributions = None if contribution_rows is None else contribution_rows[row]
+                self._process_event(event, lows[row], highs[row], contributions)
+            return True
         count = len(times)
-        for plan in plans or ():
+        for plan in self._plans_by_type[event_type]:
             armed = self._armed[plan.spec.index]
             if not plan.is_start:
                 if armed:
@@ -677,26 +651,27 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         armed: dict,
         count: int,
         contribution_rows: Optional[Sequence[tuple[float, ...]]],
+        targets: Optional[tuple[dict, ...]] = None,
     ) -> None:
         """Hand one fast-eligible run of ``count`` rows to the reference fold.
 
-        Folds every sharing column of ``plan`` over the armed windows
-        (``contribution_rows`` is ``None`` for scalar units) and charges
-        exactly the per-event fast-path operation total.
+        Folds every sharing column of ``plan`` (or just ``targets``) over
+        the armed windows (``contribution_rows`` is ``None`` for scalar
+        units) and charges exactly the per-event fast-path operation total.
         """
         scalar = self.unit.scalar
-        indices = list(armed)
         base = 1.0 if plan.is_start else 0.0
         created = 0
         replica_created = 0
         canonical = plan.total_map
-        for total_map in plan.targets:
+        targets = plan.targets if targets is None else targets
+        for total_map in targets:
             sources = plan.fold_sources(total_map)
             if scalar:
-                made = _REFERENCE_FOLD.fold_scalar_run(total_map, indices, sources, base, count)
+                made = _REFERENCE_FOLD.fold_scalar_run(total_map, armed, sources, base, count)
             else:
                 made = _REFERENCE_FOLD.fold_vector_run(
-                    total_map, indices, sources, base, contribution_rows, self.unit.dimension
+                    total_map, armed, sources, base, contribution_rows, self.unit.dimension
                 )
             if total_map is canonical:
                 created += made
@@ -704,9 +679,67 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 replica_created += made
         self._coeff_entries += created
         self._replica_entries += replica_created
-        self._ops += (
-            count * len(plan.targets) * len(indices) * (1 + len(plan.pred_maps))
-        )
+        self._ops += count * len(targets) * len(armed) * (1 + len(plan.pred_maps))
+
+    def _fold_stored(
+        self,
+        plan: _TypePlan,
+        armed: dict,
+        contributions: Optional[tuple[float, ...]],
+        node_values: Optional[dict],
+    ) -> dict:
+        """Fold one event into a class that keeps node values for a later
+        scan: the canonical column also records, per armed window, the
+        value the event folds (the node's); replica columns take the run
+        fold."""
+        dimension = self.unit.dimension
+        spec_index = plan.spec.index
+        base = 1.0 if plan.is_start else 0.0
+        total_map = plan.total_map
+        if node_values is None:
+            node_values = {}
+        for index in armed:
+            if contributions is None:
+                value = base
+                for window_map in plan.pred_maps:
+                    previous = window_map.get(index)
+                    if previous is not None:
+                        value += previous
+                current = total_map.get(index)
+                total_map[index] = value if current is None else current + value
+                node_values[spec_index, index] = value
+            else:
+                accumulator = MutableAggregate(dimension)
+                accumulator.count = base
+                for window_map in plan.pred_maps:
+                    previous = window_map.get(index)
+                    if previous is not None:
+                        accumulator.add(previous)
+                accumulator.apply_contributions(contributions)
+                node_values[spec_index, index] = accumulator.freeze()
+                current = total_map.get(index)
+                if current is None:
+                    total_map[index] = accumulator
+                else:
+                    current.add(accumulator)
+            if current is None:
+                self._coeff_entries += 1
+        self._ops += len(armed) * (1 + len(plan.pred_maps))
+        if len(plan.targets) > 1:
+            rows = None if contributions is None else (contributions,)
+            self._fold_run(plan, armed, 1, rows, plan.targets[1:])
+        return node_values
+
+    def _advance(self, times: Sequence[float], sequences: Sequence[int]) -> None:
+        """Check the rows' arrival order against the cursor; move it past
+        them (in place: a one-row segment per event allocates no cursor)."""
+        latest = self._latest_event
+        cursor = ensure_shared_run_order(times, sequences, latest)
+        if cursor is not None:
+            if type(latest) is _OrderPoint:
+                latest.time, latest.sequence = cursor
+            else:
+                self._latest_event = _OrderPoint(*cursor)
 
     def _fold_segment(
         self,
@@ -716,6 +749,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         lows: Sequence[int],
         highs: Sequence[int],
         contribution_rows: Optional[Sequence[tuple[float, ...]]],
+        events: Optional[Sequence[Event]],
     ) -> bool:
         """Fold one mixed-type segment, in one pass over its rows.
 
@@ -724,13 +758,14 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         deferred classes; a prefix row arms its covering range, settles the
         class's cells up to the count and steps their prefix.  An eager
         class collects same-type runs; a start-type row arms before it
-        folds, so the run before it goes to the windows armed so far.
+        folds, so the run before it goes to the windows armed so far.  A
+        row of a type outside ``columnar_types`` folds the collected runs,
+        then itself through the per-event body.  Split sharing columns are
+        adaptive state: a segment refuses them.
         """
-        if not self.unit.columnar or self._columns:
-            return False
-        cursor = ensure_shared_run_order(times, sequences, self._latest_event)
-        if cursor is not None:
-            self._latest_event = _OrderPoint(cursor[0], cursor[1])
+        if self._columns:
+            raise ExecutionError("a segment folds fully shared columns only")
+        self._advance(times, sequences)
         feeds = self._segment_feeds or self._compile_segment_feeds()
         if self._deferred and not self._unsettled:
             # Deferral resumes: count the cells and entries the maps hold.
@@ -740,7 +775,16 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 state.kleene.entries += len(state.kleene_map)
         ops = created = armings = 0
         for row, event_type in enumerate(types):
-            counter, prefixed, eager = feeds.get(event_type, (None, (), ()))
+            try:
+                counter, prefixed, eager = feeds[event_type]
+            except KeyError:  # a declined type (rare on the hot path)
+                for state in self._eager:
+                    self._fold_class_run(state, contribution_rows)
+                if events is None:
+                    raise ExecutionError(f"row of type {event_type!r} needs its event") from None
+                contributions = None if contribution_rows is None else contribution_rows[row]
+                self._process_event(events[row], lows[row], highs[row], contributions)
+                continue
             if counter is not None:
                 # What the per-event fold does at this row: three operations
                 # per armed cell, a Kleene entry for the cells that had none.
@@ -804,6 +848,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         counters: dict[EventType, _DeferredKleene] = {}
         prefixed: dict[EventType, list[_DeferredClass]] = {}
         eager: dict[EventType, list[tuple[_EagerClass, _TypePlan]]] = {}
+        columnar = self.unit.columnar_types
         for spec in self.unit.classes:
             armed = self._armed[spec.index]
             preds = spec.pred_types
@@ -814,6 +859,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 and [plan.is_start for plan in plans] == [True, False]
                 and not preds[names[0]]
                 and set(preds[names[1]]) == set(names)
+                and columnar.issuperset(names)
             ):
                 kleene = counters.setdefault(names[1], _DeferredKleene())
                 state = _DeferredClass(armed, plans[0].total_map, plans[1].total_map, kleene)
@@ -823,9 +869,10 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 self._eager.append(_EagerClass(armed))
                 for name, plan in zip(names, plans):
                     eager.setdefault(name, []).append((self._eager[-1], plan))
+        # A type outside ``columnar`` has no feed: its rows go per event.
         feeds = self._segment_feeds = {
             name: (counters.get(name), tuple(prefixed.get(name, ())), tuple(eager.get(name, ())))
-            for name in self.unit.positive_classes_by_type
+            for name in columnar
         }
         return feeds
 
@@ -1129,112 +1176,6 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     # ------------------------------------------------------------------ #
     # Per-window folds
     # ------------------------------------------------------------------ #
-    def _fast_scalar(self, plan: _TypePlan, armed: dict, node_values: Optional[dict]) -> Optional[dict]:
-        base = 1.0 if plan.is_start else 0.0
-        targets = plan.targets
-        pred_maps = plan.pred_maps
-        spec_index = plan.spec.index
-        store_values = plan.spec.store_values
-        entries = 0
-        if len(targets) == 1 and len(pred_maps) == 2 and not store_values:
-            # The dominant shape (prefix type + Kleene self-loop, fully
-            # shared): unrolled.
-            total_map = plan.total_map
-            first_map, second_map = pred_maps
-            first_get, second_get, total_get = first_map.get, second_map.get, total_map.get
-            for index in armed:
-                value = base
-                previous = first_get(index)
-                if previous is not None:
-                    value += previous
-                previous = second_get(index)
-                if previous is not None:
-                    value += previous
-                current = total_get(index)
-                if current is None:
-                    total_map[index] = value
-                    entries += 1
-                else:
-                    total_map[index] = current + value
-        else:
-            # One fold per sharing column (targets[0] is the canonical map);
-            # a split class genuinely repeats the per-query work, which is
-            # what the cost model's non-shared term charges for.
-            replica_entries = 0
-            canonical = plan.total_map
-            for total_map in targets:
-                is_canonical = total_map is canonical
-                sources = plan.fold_sources(total_map)
-                for index in armed:
-                    value = base
-                    for window_map in sources:
-                        previous = window_map.get(index)
-                        if previous is not None:
-                            value += previous
-                    current = total_map.get(index)
-                    if current is None:
-                        total_map[index] = value
-                        if is_canonical:
-                            entries += 1
-                        else:
-                            replica_entries += 1
-                    else:
-                        total_map[index] = current + value
-                    if store_values and is_canonical:
-                        if node_values is None:
-                            node_values = {}
-                        node_values[(spec_index, index)] = value
-            self._replica_entries += replica_entries
-        self._coeff_entries += entries
-        self._ops += len(targets) * len(armed) * (1 + len(pred_maps))
-        return node_values
-
-    def _fast_vector(
-        self,
-        plan: _TypePlan,
-        armed: dict,
-        contributions: tuple[float, ...],
-        node_values: Optional[dict],
-    ) -> Optional[dict]:
-        dimension = self.unit.dimension
-        canonical = plan.total_map
-        base = 1.0 if plan.is_start else 0.0
-        for total_map in plan.targets:
-            is_canonical = total_map is canonical
-            sources = plan.fold_sources(total_map)
-            if is_canonical and plan.spec.store_values:
-                # The stored node keeps its own per-window value, so this
-                # column needs the accumulator object the plain fold avoids.
-                made = 0
-                spec_index = plan.spec.index
-                if node_values is None:
-                    node_values = {}
-                for index in armed:
-                    accumulator = MutableAggregate(dimension)
-                    accumulator.count = base
-                    for window_map in sources:
-                        previous = window_map.get(index)
-                        if previous is not None:
-                            accumulator.add(previous)
-                    accumulator.apply_contributions(contributions)
-                    node_values[(spec_index, index)] = accumulator.freeze()
-                    total = total_map.get(index)
-                    if total is None:
-                        total_map[index] = accumulator
-                        made += 1
-                    else:
-                        total.add(accumulator)
-            else:
-                made = _REFERENCE_FOLD.fold_vector_run(
-                    total_map, armed, sources, base, (contributions,), dimension
-                )
-            if is_canonical:
-                self._coeff_entries += made
-            else:
-                self._replica_entries += made
-        self._ops += len(plan.targets) * len(armed) * (1 + len(plan.pred_maps))
-        return node_values
-
     def _slow_path(
         self,
         plan: _TypePlan,

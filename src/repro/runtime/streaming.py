@@ -185,17 +185,15 @@ class _Group:
     #: decision counts invariant under sharding, where each group lives
     #: wholly inside one shard.
     optimizer: Optional[SharingOptimizer] = None
-    #: The same-type run being buffered for one engine feed, as column rows
-    #: ``(time, sequence, lo, hi, contribution row, event)``: the event's
-    #: order key, its covering window-instance range, its measure
-    #: contributions (``None`` in scalar units) and — for the per-event
-    #: replay of a run the engine declines — the :class:`Event` itself,
-    #: ``None`` for block rows of a type whose runs are never declined
-    #: (``UnitCompilation.columnar_types``).  Adaptive mode keeps it across
-    #: ``process``/``process_block`` calls (flushed on the burst schedule:
-    #: type change, window close, finish); the static path only within one
-    #: block, and not at all for units it folds a segment at a time.  ``burst_type`` is meaningful while ``burst``
-    #: is non-empty.
+    #: Adaptive mode only: the same-type run buffered for one engine feed,
+    #: as column rows ``(time, sequence, lo, hi, contribution row, event)``:
+    #: the event's order key, its covering window-instance range, its
+    #: measure contributions (``None`` in scalar units) and the
+    #: :class:`Event` the engine folds it on when its type is not in
+    #: ``UnitCompilation.columnar_types`` (``None`` for other block rows).
+    #: Kept across ``process``/``process_block`` calls, flushed on the burst
+    #: schedule: type change, window close, finish.  ``burst_type`` is
+    #: meaningful while ``burst`` is non-empty.
     burst_type: Optional[EventType] = None
     burst: list = field(default_factory=list)
 
@@ -223,10 +221,24 @@ class _BlockUnitColumns:
     #: ``code -> _Group`` resolved since the last close sweep — cleared with
     #: ``armed``: a sweep may evict a group, and a later row must open anew.
     groups: dict = field(default_factory=dict)
-    #: Segment folding only (``None`` otherwise): ``code -> block rows fed
-    #: since the last close sweep`` — a group's whole segment goes to its
-    #: engine in one call.  Emptied by every segment flush.
+    #: The static plan only (``None`` under an optimizer): ``code -> block
+    #: rows fed since the last close sweep`` — a group's whole segment goes
+    #: to its engine in one call.  Emptied by every segment flush.
     rows: Optional[dict] = None
+
+
+class _RowViews:
+    """``views[i]``: the row view of a segment's ``i``-th block row, built
+    when read — the engine reads only rows it folds per event."""
+
+    __slots__ = ("block", "rows")
+
+    def __init__(self, block: EventBlock, rows: Sequence[int]) -> None:
+        self.block = block
+        self.rows = rows
+
+    def __getitem__(self, position: int) -> Event:
+        return self.block.event_at(self.rows[position])
 
 
 @dataclass(eq=False)
@@ -332,11 +344,8 @@ class StreamingExecutor:
             optimizer, allowed_lateness, late_policy, on_late
         )
         #: Adaptive mode buffers maximal same-type runs per shared group for
-        #: its per-burst decisions; the static plan feeds per event.
+        #: its per-burst decisions; the static plan folds segments.
         self._burst_buffering = self._optimizer_factory is not None
-        #: The static plan folds a columnar unit's rows one ``(group,
-        #: close-sweep segment)`` at a time.
-        self._segment_folding = not self._burst_buffering
         self.allowed_lateness = allowed_lateness
         self.late_policy = late_policy
         self.on_late = on_late
@@ -425,27 +434,25 @@ class StreamingExecutor:
         Semantically identical to calling :meth:`process` for every row in
         order — same results, same abstract operation counts, same emission
         order, same sharing decisions (the block differential suites pin
-        this) — but on shared-window units no per-row :class:`Event` object
-        is built on the way to the fold: covering window ranges come from
-        one vectorized pass over the time column
+        this).  Covering window ranges come from one vectorized pass over
+        the time column
         (:meth:`~repro.query.windows.Window.instance_range_columns`), group
-        keys and measure contributions read the block's cached payload
-        columns, and the engine folds the rows from columns
+        keys and measure contributions from the block's columns, and the
+        engine folds the rows from columns
         (:meth:`MultiWindowLinearEngine.process_block_run`).
 
-        The static plan hands a unit whose every type is columnar over one
-        ``(group, close-sweep segment)`` at a time: between two sweeps no
-        window closes, so nothing forces a cut, and the group's mixed-type
-        rows go to the engine in one call.  Any other unit buffers maximal
-        same-``(group, type)`` runs as column rows for the engine's run
-        fold; the static plan folds every pending run by the end of the
-        block, while an adaptive optimizer keeps a group's pending run
-        across the block boundary and flushes it on the burst schedule
-        alone — type change, window close, finish — so bursts, and with
-        them the per-burst decisions, are those of the per-event run
-        whatever the block cuts.  Row views are materialized only for runs
-        the engine declines (negation, local or edge predicates) and for
-        units evaluated per instance, whose engines take an :class:`Event`.
+        The static plan hands each shared unit over one ``(group,
+        close-sweep segment)`` at a time: between two sweeps no window
+        closes, so nothing forces a cut, and the group's mixed-type rows go
+        to the engine in one call.  An optimizer's executor buffers maximal
+        same-``(group, type)`` runs instead and keeps a pending run across
+        the block boundary, flushing it on the burst schedule alone — type
+        change, window close, finish — so bursts, and with them the
+        per-burst decisions, are those of the per-event run whatever the
+        block cuts.  Row views are materialized only for rows of a type
+        outside ``UnitCompilation.columnar_types`` (negation, local or edge
+        predicates) and for units evaluated per instance, whose engines
+        take an :class:`Event`.
 
         With ``allowed_lateness`` set the block — in any row order — goes
         through the lateness stage as columns and comes back as blocks.
@@ -481,11 +488,8 @@ class StreamingExecutor:
         #: Per type code: the ``_block_code_feeds`` tuples, resolved lazily
         #: on the code's first row.
         feeds_by_code: list[Optional[list]] = [None] * len(block.type_table)
-        #: Static path: groups whose run buffer took rows of this block
-        #: (repeats allowed).  Buffered bursts flush on their own schedule.
-        touched: list[_Group] = []
         #: ``None`` per row: the contribution column of scalar units and the
-        #: event column of types whose runs are always folded from columns.
+        #: buffered event column of columnar types.
         nones: list[None] = [None] * count
         buffering = self._burst_buffering
         arrival = time.perf_counter()
@@ -493,7 +497,7 @@ class StreamingExecutor:
         consumed = self._consumed
         engine_feeds = 0
         next_close = self._next_close
-        columns = (block.type_table, times_col, codes_col, seqs_col)
+        columns = (block, times_col, codes_col, seqs_col)
         for local, event_time, code, sequence in zip(
             range(count), times_col, codes_col, seqs_col
         ):
@@ -505,7 +509,7 @@ class StreamingExecutor:
                     # fold it before any window it may contribute to is read
                     # out.  (Buffered bursts stay; the sweep flushes those of
                     # closing groups.)
-                    self._flush_static(touched, prepared, *columns)
+                    self._flush_static(prepared, *columns)
                 for state in prepared.values():
                     state.armed.clear()
                     state.groups.clear()
@@ -570,10 +574,7 @@ class StreamingExecutor:
                     if burst and group.burst_type != event_type:
                         self._flush_group(group)
                         burst = group.burst
-                    if not burst:
-                        group.burst_type = event_type
-                        if not buffering:
-                            touched.append(group)
+                    group.burst_type = event_type
                     burst.append(
                         (event_time, sequence, lo, hi, contributions[local], events[local])
                     )
@@ -583,7 +584,7 @@ class StreamingExecutor:
                 group.last_arrival = arrival
                 engine_feeds += 1
         if not buffering:
-            self._flush_static(touched, prepared, *columns)
+            self._flush_static(prepared, *columns)
         self._clock = clock
         self._consumed = consumed
         self._engine_feeds += engine_feeds
@@ -899,28 +900,30 @@ class StreamingExecutor:
             # without touching the engine.
             return
         compiled = unit.compiled
-        if compiled is not None and self._burst_buffering:
-            # Buffer the burst; decisions (adaptive mode) and engine feeds
-            # happen at flush (type change, window close, or finish).
-            if group.burst and group.burst_type != event.event_type:
-                self._flush_group(group)
-            group.burst_type = event.event_type
-            group.burst.append(
-                (
-                    event.time,
-                    event.sequence,
-                    lo,
-                    hi,
-                    None if compiled.scalar else compiled.contributions(event),
-                    event,
-                )
+        engine = group.engine
+        if compiled is None:
+            started = time.perf_counter()
+            engine.process(event, lo, hi)
+        else:
+            contributions = None if compiled.scalar else compiled.contributions(event)
+            if self._burst_buffering:
+                # Buffer the burst; decisions and engine feeds happen at
+                # flush (type change, window close, or finish).
+                if group.burst and group.burst_type != event.event_type:
+                    self._flush_group(group)
+                group.burst_type = event.event_type
+                group.burst.append((event.time, event.sequence, lo, hi, contributions, event))
+                group.fed += 1
+                group.last_arrival = arrival
+                self._engine_feeds += 1
+                return
+            # The static plan: a one-row segment.
+            assert isinstance(engine, MultiWindowLinearEngine)
+            started = time.perf_counter()
+            engine.process_block_run(
+                (event.event_type,), (event.time,), (event.sequence,), (lo,), (hi,),
+                None if contributions is None else (contributions,), (event,),
             )
-            group.fed += 1
-            group.last_arrival = arrival
-            self._engine_feeds += 1
-            return
-        started = time.perf_counter()
-        group.engine.process(event, lo, hi)
         duration = time.perf_counter() - started
         group.fed += 1
         group.last_arrival = arrival
@@ -962,22 +965,18 @@ class StreamingExecutor:
 
     def _flush_static(
         self,
-        touched: list[_Group],
         prepared: dict[_Unit, _BlockUnitColumns],
-        type_table: Sequence[EventType],
+        block: EventBlock,
         times: Sequence[float],
         codes: Sequence[int],
         sequences: Sequence[int],
     ) -> None:
-        """Fold what the static block path holds back: the ``touched``
-        groups' pending runs, and what each group of a segment-folded unit
-        took since the last close sweep — one engine call per ``(group,
-        segment)`` on columns gathered once, no per-row tuple in between."""
-        for group in touched:
-            if group.burst:
-                self._flush_group(group)
-        touched.clear()
-        for unit, state in prepared.items():
+        """Fold what the static block path holds back: what each group took
+        since the last close sweep — one engine call per ``(group,
+        segment)`` on columns gathered once, no per-row tuple in between,
+        with row views built only for rows the engine folds per event."""
+        type_table = block.type_table
+        for state in prepared.values():
             if not state.rows:
                 continue
             lows, highs, contributions = state.lows, state.highs, state.contributions
@@ -994,6 +993,7 @@ class StreamingExecutor:
                     [lows[row] for row in rows],
                     [highs[row] for row in rows],
                     [contributions[row] for row in rows] if vector else None,
+                    _RowViews(block, rows),
                 )
                 group.share_seconds += (time.perf_counter() - started) / len(group.metas)
             state.rows.clear()
@@ -1006,10 +1006,8 @@ class StreamingExecutor:
         template is positive for the burst type), mirroring the batch
         engine's per-burst decision; the engine's coefficient columns are
         split or merged before the buffered rows are folded.  The fold is
-        one run-level engine feed from the buffered columns; a run the
-        engine declines (store writes, local predicates, the scan slow
-        path) is replayed through its per-event entry point — the only
-        place a buffered block row becomes an :class:`Event`.
+        one run-level engine feed from the buffered columns (the engine
+        folds a type outside ``columnar_types`` on the buffered events).
         """
         burst = group.burst
         if not burst:
@@ -1037,9 +1035,7 @@ class StreamingExecutor:
                     )
                     shared = decision.shared_queries if decision.share else frozenset()
                     engine.apply_burst_decision(spec, event_type, shared, size)
-        if not engine.process_burst(burst, event_type):
-            for _, _, lo, hi, _, event in burst:
-                engine.process(event, lo, hi)
+        engine.process_burst(burst, event_type)
         duration = time.perf_counter() - started
         group.share_seconds += duration / max(1, len(group.metas))
 
@@ -1059,9 +1055,10 @@ class StreamingExecutor:
         first row.  Shared-unit states are built once per unit (covering
         ranges shared between units with the same window shape); a ``None``
         state marks a per-instance fallback unit.  ``events`` is the
-        per-row :class:`Event` column of the buffered rows: ``nones`` where
-        the engine folds every run of the type from columns, the block
-        itself (materializing a row view per index) where it declines them.
+        per-row :class:`Event` column an optimizer's executor buffers:
+        ``nones`` where the engine folds the type from columns, the block
+        itself (materializing a row view per index) where it folds it per
+        event.
         """
         event_type = block.type_table[code]
         feeds: list[tuple] = []
@@ -1095,7 +1092,7 @@ class StreamingExecutor:
                         if compiled.scalar
                         else self._block_contributions(block, compiled, codes)
                     ),
-                    rows={} if self._segment_folding and compiled.columnar else None,
+                    rows=None if self._burst_buffering else {},
                 )
             events: Sequence[Optional[Event]] = (
                 nones if event_type in compiled.columnar_types else block

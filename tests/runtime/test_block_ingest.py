@@ -313,7 +313,8 @@ def test_block_ingest_adaptive_with_declined_runs(optimizer):
 
 
 class _RowViewSpy:
-    """Counts ``EventBlock.event_at`` calls and the rows of declined runs."""
+    """Counts ``EventBlock.event_at`` calls and the rows the engine folds per
+    event: those of a type outside ``columnar_types``."""
 
     def __init__(self, monkeypatch):
         from repro.runtime import MultiWindowLinearEngine
@@ -328,10 +329,10 @@ class _RowViewSpy:
             return event_at(block, index)
 
         def counting_run(engine, event_type, times, *columns):
-            folded = process_block_run(engine, event_type, times, *columns)
-            if not folded:
-                self.declined_rows += len(times)
-            return folded
+            types = [event_type] * len(times) if isinstance(event_type, str) else event_type
+            columnar = engine.unit.columnar_types
+            self.declined_rows += sum(name not in columnar for name in types)
+            return process_block_run(engine, event_type, times, *columns)
 
         monkeypatch.setattr(EventBlock, "event_at", counting_event_at)
         monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", counting_run)

@@ -141,14 +141,14 @@ class TestMetrics:
         assert metrics.total_seconds == pytest.approx(2.0)
         assert metrics.average_latency == pytest.approx(1.0)
         assert metrics.max_latency == pytest.approx(1.5)
-        assert metrics.throughput == pytest.approx(200.0)
+        assert metrics.throughput_engine == pytest.approx(200.0)
         assert metrics.peak_memory_units == 40
         assert metrics.operations == 30
 
     def test_empty_metrics(self):
         metrics = ExecutionMetrics()
         assert metrics.average_latency == 0.0
-        assert metrics.throughput == 0.0
+        assert metrics.throughput_engine == 0.0
         assert metrics.max_latency == 0.0
 
     def test_merge(self):
@@ -169,7 +169,7 @@ class TestMetrics:
         metrics.stream_events = 100
         metrics.wall_seconds = 1.0
         assert metrics.throughput_engine == pytest.approx(100.0)
-        assert metrics.throughput == metrics.throughput_engine
+        assert not hasattr(metrics, "throughput")  # one name per meaning
         # Wall-clock throughput divides distinct events by elapsed time;
         # summed engine seconds would hide the parallelism entirely.
         assert metrics.throughput_wall == pytest.approx(100.0)

@@ -1,11 +1,13 @@
-"""Differential suite for segment-at-a-time folding on the static block path.
+"""Differential suite for segment-at-a-time folding on the static plan.
 
-With no optimizer, ``process_block`` hands a
-columnar unit's rows to the engine one ``(group, close-sweep segment)`` at
-a time, and the engine folds the mixed-type segment class by class, cell
-by cell (``MultiWindowLinearEngine.process_block_run`` with one type name
-per row).  Cells may reorder against the per-event run; the rows within a
-cell may not — so everything observable must be **bit-identical** to the
+With no optimizer, ``process_block`` hands a shared unit's rows to the
+engine one ``(group, close-sweep segment)`` at a time, ``process()`` one
+row at a time, and the engine folds the mixed-type segment class by class,
+cell by cell (``MultiWindowLinearEngine.process_block_run`` with one type
+name per row); a row of a type outside ``columnar_types`` (negation, local
+or edge predicates) folds through the per-event body on its row view.
+Cells may reorder against the per-event run; the rows within a cell may
+not — so everything observable must be **bit-identical** to the
 per-event ``process()`` loop, however the stream is cut into blocks:
 result bits (also past 2**53, where float adds round and any other
 association shows), abstract operation counts, ``WindowResult.events``,
@@ -33,10 +35,11 @@ import pytest
 
 from repro.bench.workloads import kleene_sharing_workload, multi_aggregate_workload
 from repro.datasets import RidesharingGenerator
+from repro.errors import ExecutionError
 from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, avg, kleene, parse_pattern, seq, sum_of
-from repro.query.predicates import attr_less
+from repro.query.predicates import AdjacentComparison, attr_less
 from repro.runtime import MultiWindowLinearEngine, StreamingExecutor, shared_windows
 from repro.runtime.shared_windows import UnitCompilation
 
@@ -105,8 +108,12 @@ def vector_workload(window: Window) -> list[Query]:
 
 
 def live_engines(executor: StreamingExecutor):
+    """The executor's live shared-window engines."""
     return [
-        group.engine for unit in executor._units for group in unit.groups.values()
+        group.engine
+        for unit in executor._units
+        for group in unit.groups.values()
+        if isinstance(group.engine, MultiWindowLinearEngine)
     ]
 
 
@@ -119,6 +126,47 @@ def emission(r):
         r.retraction,
         {name: float(value).hex() for name, value in r.results.items()},
     )
+
+
+def mixed_stream(seed: int, size: int, *, groups: int = 2):
+    """``make_stream`` plus ``X`` rows, the negated type of ``mixed_workload``."""
+    rng = random.Random(seed)
+    types, weights = ("A", "B", "C", "D", "E", "X"), (1.0, 5.0, 1.0, 2.0, 1.0, 0.5)
+    return [
+        Event(
+            rng.choices(types, weights=weights)[0],
+            index * 0.25,
+            {"v": float(rng.randint(0, 6)), "g": float(rng.randint(1, groups))},
+        )
+        for index in range(size)
+    ]
+
+
+def mixed_workload(window: Window, *, vector: bool = False) -> list[Query]:
+    """One static unit: a prefix + Kleene class on the columnar types A and
+    B, classes reading A, B and E or C and B, and NOT, local- and
+    edge-predicate classes, which put C, D, E and X outside
+    ``columnar_types`` (so the C + B class may not defer)."""
+    entries = (
+        ("ab", seq("A", kleene("B")), (), sum_of("B", "v")),
+        ("ab_twin", seq("A", kleene("B")), (), sum_of("B", "v")),
+        ("abe", seq("A", kleene("B"), "E"), (), avg("B", "v")),
+        ("cb", seq("C", kleene("B")), (), sum_of("B", "v")),
+        ("not", parse_pattern("SEQ(C, NOT X, D+)"), (), sum_of("D", "v")),
+        ("local", seq("C", "E"), (attr_less("v", 4.0, event_type="E"),), sum_of("E", "v")),
+        ("edge", seq("C", kleene("D")), (AdjacentComparison("v", "<=", "v", "D"),), avg("D", "v")),
+    )
+    return [
+        Query.build(
+            pattern,
+            predicates=list(predicates),
+            aggregate=aggregate if vector else None,
+            group_by=("g",),
+            window=window,
+            name=f"mx_{name}",
+        )
+        for name, pattern, predicates, aggregate in entries
+    ]
 
 
 def run_collecting(queries, feed, *, introspect=True, **options):
@@ -175,19 +223,29 @@ def assert_same_run(expected, got):
         assert getattr(report.metrics, field) == getattr(expected_report.metrics, field), field
 
 
-class _SegmentSpy:
-    """Counts segment folds and the rows they took."""
+class _EntrySpy:
+    """Records how the engine is entered: ``runs`` holds the rows of every
+    run (``process_block_run`` with one type name, or ``process_burst``),
+    ``segments`` the per-row type lists of every segment."""
 
     def __init__(self, monkeypatch):
-        self.calls = self.rows = 0
-        fold_segment = MultiWindowLinearEngine._fold_segment
+        self.runs, self.segments = [], []
+        process_block_run = MultiWindowLinearEngine.process_block_run
+        process_burst = MultiWindowLinearEngine.process_burst
 
-        def counting(engine, types, *columns):
-            self.calls += 1
-            self.rows += len(types)
-            return fold_segment(engine, types, *columns)
+        def block_run(engine, event_type, times, *columns):
+            if isinstance(event_type, str):
+                self.runs.append(len(times))
+            else:
+                self.segments.append(list(event_type))
+            return process_block_run(engine, event_type, times, *columns)
 
-        monkeypatch.setattr(MultiWindowLinearEngine, "_fold_segment", counting)
+        def burst(engine, rows, event_type):
+            self.runs.append(len(rows))
+            return process_burst(engine, rows, event_type)
+
+        monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", block_run)
+        monkeypatch.setattr(MultiWindowLinearEngine, "process_burst", burst)
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=("uneven", "sliding", "fractional", "tumbling"))
@@ -198,13 +256,13 @@ def test_segment_fold_equals_per_event_under_random_cuts(monkeypatch, seed, work
     queries = workload(window)
     expected = run_collecting(queries, per_event(events))
     assert expected[0].metrics.operations > 0
-    spy = _SegmentSpy(monkeypatch)
+    spy = _EntrySpy(monkeypatch)
     rng = random.Random(seed)
     for cuts in ((), rng.sample(range(1, len(events)), 5), range(40, len(events), 40)):
         for introspect in (True, False):
             got = run_collecting(queries, in_blocks(events, cuts), introspect=introspect)
             assert_same_run(expected, got)
-    assert spy.calls > 0
+    assert spy.segments
 
 
 def test_segment_fold_equals_per_event_at_every_cut():
@@ -271,8 +329,8 @@ def owed_steps(executor) -> int:
 
 @pytest.mark.parametrize("window", (UNEVEN, Window(10.0, 5.0)), ids=("uneven", "past2to53"))
 def test_process_and_process_block_interleave_on_one_executor(window):
-    # process() is an eager reader: it settles what the blocks before it
-    # left deferred, and the next block resumes deferral from its state.
+    # process() hands one-row segments to the same fold: deferral runs on
+    # across both ingest modes, whatever the interleaving.
     rng = random.Random(11)
     if window is UNEVEN:
         events = make_stream(11, 400)
@@ -342,20 +400,20 @@ def test_retraction_rolls_back_across_unsettled_cells(monkeypatch):
     queries = scalar_workload(UNEVEN)
     options = {"allowed_lateness": 2.0, "late_policy": "retract"}
     scalar = run_collecting(queries, per_event(arrivals), **options)
-    settled_unsettled = []
-    settle = MultiWindowLinearEngine._settle
+    owed_at_snapshot = []
+    core_state = StreamingExecutor._core_state
 
-    def counting(engine):
-        settled_unsettled.append(engine._unsettled)
-        return settle(engine)
+    def counting(executor):
+        owed_at_snapshot.append(owed_steps(executor))
+        return core_state(executor)
 
-    monkeypatch.setattr(MultiWindowLinearEngine, "_settle", counting)
+    monkeypatch.setattr(StreamingExecutor, "_core_state", counting)
     blocked = run_collecting(
         queries, in_blocks(arrivals, range(50, 320, 50)), introspect=False, **options
     )
     assert_same_run(scalar, blocked)
     assert blocked[0].metrics.late_retracted == scalar[0].metrics.late_retracted == 4
-    assert any(settled_unsettled)  # snapshots and replays did meet deferred cells
+    assert max(owed_at_snapshot) > 0  # the rollbacks restored deferred cells
     ordered = run_collecting(queries, per_event(events))
     assert {k: v.hex() for k, v in blocked[0].totals.items()} == {
         k: v.hex() for k, v in ordered[0].totals.items()
@@ -387,31 +445,54 @@ def test_introspection_settles_and_the_entry_counters_agree():
     assert behind > 0 and owed_steps(executor) == 0
 
 
-def test_unit_with_a_declined_type_keeps_the_run_path(monkeypatch):
-    # A local predicate on B: B's runs need Events, so the unit is not
-    # columnar and falls back whole — zero segment folds, same results.
-    queries = scalar_workload(SLIDING) + [
-        Query.build(
-            seq("A", kleene("B")),
-            predicates=[attr_less("v", 4.0, event_type="B")],
-            group_by=("g",),
-            window=SLIDING,
-            name="sg_local",
-        )
-    ]
-    events = make_stream(2, 300)
+@pytest.mark.parametrize("vector", (False, True), ids=("scalar", "vector"))
+def test_mixed_unit_rides_the_segment_fold_at_every_cut(vector):
+    # A prefix + Kleene class, a class reading a declined type, and NOT,
+    # local- and edge-predicate classes in one unit: per event, as two
+    # blocks cut anywhere, and per window instance, it is one run.
+    events = mixed_stream(5, 88)
+    types = "".join(event.event_type for event in events)
+    assert any(types[i] == types[i + 2] == "B" and types[i + 1] in "CDEX" for i in range(86))
+    queries = mixed_workload(UNEVEN, vector=vector)
+    compiled = UnitCompilation(queries, share_classes=True)
+    assert compiled.columnar_types == {"A", "B"}
+    engine = MultiWindowLinearEngine(compiled)
+    engine._compile_segment_feeds()
+    assert bool(engine._deferred) is not vector  # the A/B class defers in scalar units
     expected = run_collecting(queries, per_event(events))
-    spy = _SegmentSpy(monkeypatch)
-    assert_same_run(expected, run_collecting(queries, in_blocks(events, (100, 101))))
-    assert spy.calls == 0
+    assert all(expected[0].totals[query.name] != 0.0 for query in queries)
+    for cut in range(len(events) + 1):
+        for introspect in (True, False):
+            got = run_collecting(queries, in_blocks(events, (cut,)), introspect=introspect)
+            assert_same_run(expected, got)
+    report, emitted = run_collecting(queries, per_event(events), shared_windows=False)
+    assert emitted == expected[1]
+    assert {k: v.hex() for k, v in report.totals.items()} == {
+        k: v.hex() for k, v in expected[0].totals.items()
+    }
+
+
+@pytest.mark.parametrize("ingest", ("events", "block"))
+def test_static_plan_enters_the_engine_by_segments_only(monkeypatch, ingest):
+    events = mixed_stream(2, 300)
+    queries = mixed_workload(SLIDING)
+    expected = run_collecting(queries, per_event(events), shared_windows=False)
+    spy = _EntrySpy(monkeypatch)
+    feed = per_event(events) if ingest == "events" else in_blocks(events, (100, 101))
+    got = run_collecting(queries, feed)
+    assert got[0].totals == expected[0].totals
+    assert spy.runs == [] and spy.segments
+    if ingest == "events":
+        assert all(len(types) == 1 for types in spy.segments)
+    assert {t for types in spy.segments for t in types} == set("ABCDEX")
 
 
 def test_burst_buffered_configurations_keep_the_run_path(monkeypatch):
-    spy = _SegmentSpy(monkeypatch)
+    spy = _EntrySpy(monkeypatch)
     executor = StreamingExecutor(scalar_workload(SLIDING), optimizer="always")
     executor.process_block(EventBlock.from_events(make_stream(1, 200)))
     assert executor.finish().metrics.operations > 0
-    assert spy.calls == 0
+    assert spy.segments == [] and spy.runs
 
 
 def test_prefix_kleene_classes_fold_cell_locally(monkeypatch):
@@ -498,12 +579,15 @@ def coefficient_bits(engine):
 
 
 @pytest.mark.parametrize("introspect", (True, False), ids=("settled", "unsettled"))
-@pytest.mark.parametrize("workload", (scalar_workload, vector_workload), ids=("scalar", "vector"))
+@pytest.mark.parametrize(
+    "workload",
+    (scalar_workload, vector_workload, mixed_workload),
+    ids=("scalar", "vector", "mixed"),
+)
 def test_engine_segment_equals_per_event_process(workload, introspect):
     rng = random.Random(3)
     queries = [query for query in workload(UNEVEN)]
     by_event, by_segment = engine_pair(queries)
-    assert by_segment.unit.columnar
     window = UNEVEN
     clock = 0.0
     for _ in range(12):
@@ -511,7 +595,7 @@ def test_engine_segment_equals_per_event_process(workload, introspect):
         for _ in range(rng.randint(1, 14)):
             clock += rng.choice((0.0, 0.25, 1.5))
             rows.append(
-                Event(rng.choice("ABBBCDE"), clock, {"v": float(rng.randint(0, 5)), "g": 1.0})
+                Event(rng.choice("ABBBCDEX"), clock, {"v": float(rng.randint(0, 5)), "g": 1.0})
             )
         covering = [window.instance_indices_covering(event.time) for event in rows]
         lows = [indices.start for indices in covering]
@@ -525,6 +609,7 @@ def test_engine_segment_equals_per_event_process(workload, introspect):
             lows,
             highs,
             None if by_segment.unit.scalar else [by_segment.unit.contributions(e) for e in rows],
+            rows,
         )
         assert by_segment.operations() == by_event.operations()
         assert by_segment.memory_units() == by_event.memory_units()
@@ -539,24 +624,32 @@ def test_engine_segment_equals_per_event_process(workload, introspect):
     assert coefficient_bits(by_segment) == coefficient_bits(by_event)
 
 
-def test_engine_declines_a_segment_it_cannot_fold_from_columns():
+def test_engine_needs_events_only_for_rows_outside_columnar_types():
     negated = [
         Query.build(parse_pattern("SEQ(A, NOT X, B+)"), window=UNEVEN, name="sg_not"),
+        Query.build(seq("C", kleene("D")), window=UNEVEN, name="sg_cd"),
     ]
     engine = MultiWindowLinearEngine(UnitCompilation(negated, share_classes=True))
-    assert not engine.unit.columnar
-    assert engine.process_block_run(["A", "B"], [1.0, 2.0], [1, 2], [0, 0], [0, 0]) is False
+    assert engine.unit.columnar_types == {"C", "D"}
+    # A run of a declined type without its events is refused, untouched ...
+    assert engine.process_block_run("A", [1.0], [1], [0], [0]) is False
     assert engine.operations() == 0 and engine._latest_event is None
-    # A split sharing column (adaptive mode) declines too, untouched.
+    # ... a columnar run needs none ...
+    assert engine.process_block_run("C", [1.0], [1], [0], [0]) is True
+    # ... and neither a segment does, until it reaches a declined row.
+    with pytest.raises(ExecutionError, match="needs its event"):
+        engine.process_block_run(["D", "A"], [2.0, 3.0], [2, 3], [0, 0], [0, 0])
+    assert engine.process_block_run("A", [4.0], [4], [0], [0], None, [Event("A", 4.0)])
+    assert engine.armed_window_count() == 2
+    # Split sharing columns are adaptive state: a segment refuses them.
     shared = [
         Query.build(seq("A", kleene("B")), aggregate=aggregate, window=UNEVEN, name=name)
         for name, aggregate in (("sg_sum", sum_of("B", "v")), ("sg_avg", avg("B", "v")))
     ]
     engine = MultiWindowLinearEngine(UnitCompilation(shared, share_classes=True))
-    spec = engine.unit.classes[0]
-    engine.apply_burst_decision(spec, "B", frozenset(), 1)
-    assert engine.process_block_run(["A"], [1.0], [1], [0], [0], [(0.0, 0.0)]) is False
-    assert engine._latest_event is None
+    engine.apply_burst_decision(engine.unit.classes[0], "B", frozenset(), 1)
+    with pytest.raises(ExecutionError, match="fully shared"):
+        engine.process_block_run(["A"], [1.0], [1], [0], [0], [(0.0, 0.0)])
 
 
 # --------------------------------------------------------------------- #
@@ -571,7 +664,7 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
         events_per_minute=10_000.0, seed=7, districts=districts
     ).generate_block(120.0)
     assert len(block) == 20_000
-    spy = _SegmentSpy(monkeypatch)
+    spy = _EntrySpy(monkeypatch)
     sweeps = 0
     close_passed = StreamingExecutor._close_passed_windows
 
@@ -593,9 +686,10 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
     executor.process_block(block)
     report = executor.finish()
     assert report.metrics.operations > 0
-    assert 0 < spy.calls <= districts * (sweeps + 1)
-    assert spy.rows == executor.engine_feeds
-    assert spy.rows / spy.calls >= 10
+    calls, rows = len(spy.segments), sum(map(len, spy.segments))
+    assert 0 < calls <= districts * (sweeps + 1)
+    assert rows == executor.engine_feeds
+    assert rows / calls >= 10
     # The shared Kleene run is counted, not stepped through the cells: a
     # settle pays ~10 owed steps at once here (the eager fold visited the
     # cell once per step), and only ever more than zero.

@@ -427,6 +427,51 @@ class TestSharedWindows:
         if policy == "never":
             assert saw_replicas  # the split path was actually exercised
 
+    def test_split_columns_of_a_stored_class_track_the_canonical_one(self):
+        """A NOT class keeps node values and folds each event by hand into
+        its canonical column; its replica columns must still receive the
+        same fold, value for value."""
+        window = Window(10.0, 2.0)
+        types = "AXBBCBBABXBB"
+        events = [
+            Event(types[t % len(types)], float(t), {"v": float(t % 5)}) for t in range(120)
+        ]
+
+        def run(policy):
+            executor = StreamingExecutor(
+                [
+                    Query.build(
+                        parse_pattern("SEQ(A, NOT X, B+)"), aggregate=aggregate,
+                        window=window, name=name,
+                    )
+                    for name, aggregate in (
+                        ("sw_nx_sum", sum_of("B", "v")),
+                        ("sw_nx_avg", avg("B", "v")),
+                    )
+                ],
+                HamletEngine,
+                optimizer=policy,
+            )
+            checked = 0
+            for event in events:
+                executor.process(event)
+                for unit in executor._units:
+                    for group in unit.groups.values():
+                        for state in group.engine._columns.values():
+                            canonical = state.maps[0]
+                            for leader, column in state.maps.items():
+                                assert {i: (v.count, v.measures) for i, v in column.items()} == {
+                                    i: (v.count, v.measures) for i, v in canonical.items()
+                                }
+                                checked += leader != 0
+            return executor.finish(), checked
+
+        split, checked = run("never")
+        shared, _ = run("always")
+        assert checked > 0 and split.totals == shared.totals
+        # One fold per column: the split run pays the replica folds too.
+        assert split.metrics.operations > shared.metrics.operations
+
     @pytest.mark.parametrize("option", ("burst_size", "kernel_backend"))
     def test_one_fold_and_one_burst_rule_take_no_options(self, option):
         """A burst is the maximal same-type run and the reference fold is

@@ -12,6 +12,7 @@ relpaths shaped like the shipped tree (``repro/runtime/mod.py``).
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -708,15 +709,38 @@ class TestRL010:
         assert run_rule(self.RULE, good, "repro/runtime/streaming.py") == []
         assert run_rule(self.RULE, good, "repro/runtime/lateness.py") == []
 
+    @staticmethod
+    def block_path_functions() -> dict[str, list[ast.FunctionDef]]:
+        """Every function of the rule's scope modules, by name."""
+        functions: dict[str, list[ast.FunctionDef]] = {}
+        for relpath in EventConstructionRule.scope:
+            tree = ast.parse((REPO_ROOT / "src" / relpath).read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    functions.setdefault(node.name, []).append(node)
+        return functions
+
     def test_view_edges_name_functions_that_exist(self):
         # The allow-list is by function name: a renamed edge must not leave
         # a stale entry behind that a new per-row loop could hide under.
         from reprolint.rules.blocks import VIEW_EDGES
 
-        runtime = REPO_ROOT / "src" / "repro" / "runtime"
-        source = (runtime / "streaming.py").read_text() + (runtime / "lateness.py").read_text()
+        functions = self.block_path_functions()
+        assert [name for name in VIEW_EDGES if name not in functions] == []
+
+    def test_view_edges_still_build_views(self):
+        # An edge that stopped materializing row views is a stale entry too.
+        from reprolint.rules.blocks import VIEW_EDGES
+
+        functions = self.block_path_functions()
         for name in VIEW_EDGES:
-            assert f"    def {name}(" in source
+            calls = {
+                node.func.attr
+                for function in functions[name]
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            }
+            assert calls & {"event_at", "to_events"}, name
 
 
 # --------------------------------------------------------------------- #

@@ -50,7 +50,6 @@ _LOOPS = (
 #: where an :class:`Event` is the contract, reached for a bounded few rows.
 VIEW_EDGES: dict[str, str] = {
     "offer_block": "late-policy hand-off (side_output / retract take an Event)",
-    "_flush_group": "replay of a run the engine's column fold declined",
     "_ingest_block": "hand-off to the scalar feed: single-window engines take Events",
 }
 
