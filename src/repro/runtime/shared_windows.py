@@ -461,11 +461,10 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             for event_type, plans in self._plans_by_type.items()
             for plan in plans
         }
-        #: Segment fold, compiled by the first segment (burst-buffered engines
-        #: never pay for it): per event type what a row of it feeds — ``(the
-        #: deferred counter it advances, the deferred classes it prefixes, the
-        #: (eager class, type plan) pairs reading it)`` — and the class states
-        #: behind it, the deferred ones by class index.
+        #: Segment fold, compiled once by the first segment (``None`` until
+        #: then): per columnar type ``(the deferred counter a row advances, the
+        #: deferred classes it prefixes, the (eager class, plan) pairs reading
+        #: it)``, and the class states behind it, deferred ones by class index.
         self._segment_feeds: Optional[dict[EventType, tuple]] = None
         self._deferred: dict[int, _DeferredClass] = {}
         self._eager: list[_EagerClass] = []
@@ -599,22 +598,22 @@ class MultiWindowLinearEngine(MultiWindowEngine):
 
         Results *and* abstract operation counts equal the equivalent
         sequence of :meth:`process` calls, pinned by the block and segment
-        differential suites.  Returns ``True``; only a run of a type
-        outside ``columnar_types`` without ``events`` returns ``False``,
-        untouched.
+        differential suites.  Returns ``True``, but ``False``, untouched,
+        for a run of a type outside ``columnar_types`` without ``events``.
         """
         if not isinstance(event_type, str):
             return self._fold_segment(
                 event_type, times, sequences, lows, highs, contribution_rows, events
             )
-        columnar = event_type in self.unit.columnar_types
-        if not columnar and events is None:
+        if event_type in self.unit.columnar_types:
+            events = None  # folded from the columns
+        elif events is None:
             return False
         self._advance(times, sequences)
         if self._unsettled:
             self._settle()
-        if not columnar:
-            for row, event in enumerate(events or ()):
+        if events is not None:
+            for row, event in enumerate(events):
                 contributions = None if contribution_rows is None else contribution_rows[row]
                 self._process_event(event, lows[row], highs[row], contributions)
             return True
@@ -766,7 +765,9 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         if self._columns:
             raise ExecutionError("a segment folds fully shared columns only")
         self._advance(times, sequences)
-        feeds = self._segment_feeds or self._compile_segment_feeds()
+        feeds = self._segment_feeds
+        if feeds is None:  # compiled once, even when no type is columnar
+            feeds = self._segment_feeds = self._compile_segment_feeds()
         if self._deferred and not self._unsettled:
             # Deferral resumes: count the cells and entries the maps hold.
             self._unsettled = True
@@ -843,8 +844,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         rows.clear()
 
     def _compile_segment_feeds(self) -> dict[EventType, tuple]:
-        """Sort the unit's classes into deferred and eager ones and wire each
-        event type to what a row of it feeds (``_segment_feeds``)."""
+        """Sort the unit's classes into deferred and eager ones; return, per
+        columnar type, what a row of it feeds (the ``_segment_feeds`` table)."""
         counters: dict[EventType, _DeferredKleene] = {}
         prefixed: dict[EventType, list[_DeferredClass]] = {}
         eager: dict[EventType, list[tuple[_EagerClass, _TypePlan]]] = {}
@@ -870,11 +871,10 @@ class MultiWindowLinearEngine(MultiWindowEngine):
                 for name, plan in zip(names, plans):
                     eager.setdefault(name, []).append((self._eager[-1], plan))
         # A type outside ``columnar`` has no feed: its rows go per event.
-        feeds = self._segment_feeds = {
+        return {
             name: (counters.get(name), tuple(prefixed.get(name, ())), tuple(eager.get(name, ())))
             for name in columnar
         }
-        return feeds
 
     def _settle(self) -> None:
         """Pay every cell's owed Kleene steps: back to the state the per-event

@@ -1058,7 +1058,7 @@ class StreamingExecutor:
         per-row :class:`Event` column an optimizer's executor buffers:
         ``nones`` where the engine folds the type from columns, the block
         itself (materializing a row view per index) where it folds it per
-        event.
+        event; ``None`` on the static plan, whose rows get ``_RowViews``.
         """
         event_type = block.type_table[code]
         feeds: list[tuple] = []
@@ -1094,9 +1094,9 @@ class StreamingExecutor:
                     ),
                     rows=None if self._burst_buffering else {},
                 )
-            events: Sequence[Optional[Event]] = (
-                nones if event_type in compiled.columnar_types else block
-            )
+            events: Optional[Sequence[Optional[Event]]] = None  # static: ``_RowViews``
+            if self._burst_buffering:
+                events = nones if event_type in compiled.columnar_types else block
             feeds.append(
                 (unit, state, bool(state.qualifies[code]), event_type, state.contributions, events)
             )

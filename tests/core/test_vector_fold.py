@@ -109,7 +109,7 @@ def test_an_empty_run_creates_nothing():
 
 
 # --------------------------------------------------------------------- #
-# Engine level: the per-event ``_fast_vector`` sequence vs one run fold
+# Engine level: the per-event one-row run folds vs one run fold
 # --------------------------------------------------------------------- #
 WINDOW = Window(8.0, 2.0)
 
@@ -143,7 +143,7 @@ def coefficient_bits(engine: MultiWindowLinearEngine) -> list:
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_run_fold_equals_the_fast_vector_sequence_in_one_engine_pair(seed):
+def test_run_fold_equals_the_one_row_fold_sequence_in_one_engine_pair(seed):
     events = fractional_stream(seed, 60)
     unit = UnitCompilation(
         vector_queries(lambda: seq("A", kleene("B")), "fv"), share_classes=True
@@ -159,7 +159,7 @@ def test_run_fold_equals_the_fast_vector_sequence_in_one_engine_pair(seed):
             stop += 1
         run = range(position, stop)
         for row in run:
-            per_event.process(events[row], lows[row], highs[row])  # -> _fast_vector
+            per_event.process(events[row], lows[row], highs[row])  # a one-row run fold
         assert by_run.process_block_run(
             events[position].event_type,
             [events[row].time for row in run],
@@ -176,8 +176,8 @@ def test_run_fold_equals_the_fast_vector_sequence_in_one_engine_pair(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stored_value_fold_agrees_with_the_plain_fold(seed):
-    """``SEQ(A, NOT X, B+)`` keeps per-node values (the accumulator branch
-    of ``_fast_vector``); with no ``X`` in the stream it must land on the
+    """``SEQ(A, NOT X, B+)`` keeps per-node values (the engine's
+    ``_fold_stored``); with no ``X`` in the stream it must land on the
     bits of the same pattern without the negation, folded run by run."""
     events = fractional_stream(seed, 80)
     negated = StreamingExecutor(

@@ -487,6 +487,40 @@ def test_static_plan_enters_the_engine_by_segments_only(monkeypatch, ingest):
     assert {t for types in spy.segments for t in types} == set("ABCDEX")
 
 
+@pytest.mark.parametrize("ingest", ("events", "block"))
+@pytest.mark.parametrize(
+    "pattern, predicates",
+    (
+        (parse_pattern("SEQ(A, NOT X, B+)"), ()),
+        (seq("A", kleene("B")), (attr_less("v", 4.0, event_type="B"),)),
+    ),
+    ids=("not", "local"),
+)
+def test_a_unit_with_no_columnar_type_compiles_its_feeds_once(ingest, pattern, predicates):
+    # Every row of such a unit is declined and its feed table is empty: it
+    # must still be compiled once per engine, not once per segment.
+    queries = [
+        Query.build(pattern, predicates=list(predicates), group_by=("g",), window=SLIDING, name=n)
+        for n in ("nc_a", "nc_b")
+    ]
+    assert not UnitCompilation(queries, share_classes=True).columnar_types
+    events = mixed_stream(4, 600)
+    executor = StreamingExecutor(queries)
+    block = EventBlock.from_events(events)
+    for start in range(0, len(events), 50):
+        if ingest == "events":
+            for event in events[start : start + 50]:
+                executor.process(event)
+        else:
+            executor.process_block(block.slice(start, start + 50))
+        engines = live_engines(executor)
+        assert engines
+        for engine in engines:
+            assert engine._segment_feeds == {}
+            assert len(engine._eager) == len(engine.unit.classes) == 1
+    assert executor.finish().metrics.operations > 0
+
+
 def test_burst_buffered_configurations_keep_the_run_path(monkeypatch):
     spy = _EntrySpy(monkeypatch)
     executor = StreamingExecutor(scalar_workload(SLIDING), optimizer="always")
