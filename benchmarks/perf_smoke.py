@@ -989,8 +989,8 @@ def attach_ooo_ratios(results: dict) -> None:
     the **block ingest** path — the end-to-end hot path since PR 9 —
     where the buffer's work is one sortedness probe and a zero-copy
     segment per block, amortized across its rows.  The scalar pair is
-    recorded next to it: per-event buffering pays a constant per event
-    (a key compare, a tail append, a watermark check), which is visible
+    recorded next to it: per-event buffering pays O(log horizon) per event
+    (a heap push and pop, a watermark check), which is visible
     on a workload this light and is the honest price of scalar ingest
     with a horizon.  Like every wall number in this harness the ratios
     are machine-dependent and recorded, never gated — the gate compares

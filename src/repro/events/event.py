@@ -132,7 +132,7 @@ GROUP_NAN = float("nan")
 
 def group_key(event: Event, attributes: tuple[str, ...]) -> tuple[Any, ...]:
     """The grouping key of ``event`` (``()`` without GROUP BY), NaN collapsed."""
-    key = tuple(map(event.get, attributes))
+    key = tuple(map(event.payload.get, attributes))
     for value in key:
         if value != value:
             return tuple(collapse_nan(list(key)))

@@ -68,12 +68,18 @@ class Window:
         part in 1e12 of the next integer are treated as exact multiples.
         ``value`` may be negative (the lower window edge ``timestamp - size``),
         where the same snap applies — e.g. ``-7e-17`` counts as multiple 0.
+
+        The common case skips ``isclose``: ``|index + 1| <= |quotient| + 1``,
+        so a gap above ``1e-12 * (|quotient| + 2)`` exceeds every tolerance
+        ``isclose`` would grant and proves it false.
         """
         quotient = value / self.slide
         index = math.floor(quotient)
+        if index + 1 - quotient > 1e-12 * (abs(quotient) + 2.0):
+            return index
         if math.isclose(index + 1, quotient, rel_tol=1e-12, abs_tol=1e-12):
             index += 1
-        return int(index)
+        return index
 
     @property
     def instances_per_event(self) -> int:
@@ -84,12 +90,6 @@ class Window:
             return int(floor_q)
         return int(floor_q) + 1
 
-    def last_instance_index(self, timestamp: Timestamp) -> int:
-        """Index of the youngest window instance covering ``timestamp``."""
-        if timestamp < 0:
-            raise WindowError(f"timestamp must be non-negative, got {timestamp!r}")
-        return self._floor_index(timestamp)
-
     def instance_indices_covering(self, timestamp: Timestamp) -> range:
         """Indices ``k`` of every window instance containing ``timestamp``.
 
@@ -97,15 +97,23 @@ class Window:
         ``k*slide <= timestamp < k*slide + size``; at most
         :attr:`instances_per_event` indices are returned.
         """
-        last = self.last_instance_index(timestamp)
+        first, last = self.covering_bounds(timestamp)
+        return range(first, last + 1)
+
+    def covering_bounds(self, timestamp: Timestamp) -> tuple[int, int]:
+        """``(first, last)`` index of the instances containing ``timestamp``
+        (``last < first`` when none does) — the per-event hot path's form of
+        :meth:`instance_indices_covering`, with no ``range`` in between."""
+        if timestamp < 0:
+            raise WindowError(f"timestamp must be non-negative, got {timestamp!r}")
         # Covered iff k*slide > timestamp - size, i.e. strictly after the
         # boundary: an instance ending exactly at ``timestamp`` (half-open)
         # does not contain it.  Both edges go through the same snapped
         # division — a raw ``timestamp < size`` test here would disagree with
         # the snapped ``last`` for timestamps a few ulps below a boundary and
         # admit one extra, mutually-exclusive instance.
-        first = max(0, self._floor_index(timestamp - self.size) + 1)
-        return range(first, last + 1)
+        first = self._floor_index(timestamp - self.size) + 1
+        return (first if first > 0 else 0), self._floor_index(timestamp)
 
     def instance_range_columns(
         self, times: "Sequence[Timestamp]", start: int = 0, stop: int | None = None

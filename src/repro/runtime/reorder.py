@@ -24,8 +24,7 @@ when it is not already in key order) and every release hands back **one**
 block — a zero-copy slice when a single segment has rows under the
 watermark, otherwise the ready prefixes of all segments joined, argsorted
 and gathered once — so block ingest never builds a per-row object here.
-Loose events (scalar ingest) ride an in-order fast-path tail list, falling
-back to a heap only when an arrival regresses, and merge against that one
+Loose events (scalar ingest) wait in one heap and merge against that one
 block by ``(time, sequence)``.
 
 This module is also the one sanctioned home (with
@@ -40,11 +39,11 @@ contract, no copy-paste drift.
 from __future__ import annotations
 
 import bisect
-import heapq
+from heapq import heappop, heappush
 from itertools import islice
 from math import isfinite
 from operator import le
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import ExecutionError, OutOfOrderError
 from repro.events.block import EventBlock
@@ -69,7 +68,7 @@ Release = tuple[str, Union[list, EventBlock]]
 
 #: Shared "nothing released" result of :meth:`ReorderBuffer.push` — callers
 #: only iterate releases, so one immutable-by-convention instance avoids an
-#: allocation per in-order event.
+#: allocation per held-back event.
 _NO_RELEASES: list = []
 
 
@@ -286,7 +285,8 @@ class ReorderBuffer:
       would already have released); :meth:`late_rows` does the same for a
       whole arriving time column;
     * :meth:`add` / :meth:`add_segment` buffer an item / a block (any row
-      order);
+      order); :meth:`push` is ``add`` + ``observe`` + the release, for one
+      loose item;
     * :meth:`release_ready` pops everything strictly below the watermark
       in global ``(time, sequence)`` order.  All segment rows among it
       come back as **one** ``("block", ...)`` in key order: a zero-copy
@@ -296,29 +296,23 @@ class ReorderBuffer:
       block handed back as consecutive zero-copy slices of itself;
     * :meth:`flush` drains everything (end of stream).
 
+    Loose items live in one heap keyed ``(time, sequence, push#)``: the
+    push counter releases exact-key duplicates in arrival order and keeps
+    the items themselves out of every comparison.  A heap costs O(log n)
+    per item under any lateness horizon, in order or not (a sorted list's
+    insert moves the whole horizon on every regressed arrival).
+
     Equal-time safety: an event at exactly the watermark stays buffered
     until the watermark strictly passes it, so a same-time,
     later-sequence arrival can never find its predecessor already
     released.  The instance pickles as-is — buffered state rides the
     executor snapshots into checkpoints — and stays horizon-sized: the
-    tail's consumed prefix is dropped whenever it outweighs the live
-    suffix and a segment pickles its unreleased rows only
-    (``EventBlock.__reduce__``), so neither memory nor the pickle grows
-    with the stream.
+    heap holds only unreleased items and a segment pickles its unreleased
+    rows only (``EventBlock.__reduce__``), so neither memory nor the
+    pickle grows with the stream.
     """
 
-    __slots__ = (
-        "allowed_lateness",
-        "_max_time",
-        "_tail",
-        "_tail_pos",
-        "_tail_last_time",
-        "_tail_last_seq",
-        "_heap",
-        "_pushes",
-        "_segments",
-        "_buffered",
-    )
+    __slots__ = ("allowed_lateness", "_max_time", "_heap", "_pushes", "_segments")
 
     def __init__(self, allowed_lateness: float) -> None:
         if not allowed_lateness >= 0.0:
@@ -327,26 +321,15 @@ class ReorderBuffer:
             )
         self.allowed_lateness = allowed_lateness
         self._max_time = float("-inf")
-        #: In-order fast path: arrivals that do not regress behind the last
-        #: buffered key append here (cursor pops, no heap churn) — the
-        #: common case, and what keeps fully in-order overhead near zero.
-        self._tail: list[tuple[Any, int, Any]] = []
-        self._tail_pos = 0
-        #: The last tail key, as two scalars: the hot-path order test is
-        #: two number compares, no tuple allocation.
-        self._tail_last_time: Any = None
-        self._tail_last_seq: int = -1
-        #: Regressed arrivals: a heap keyed ``(time, sequence, push#)`` —
-        #: the push counter breaks exact-key ties without comparing items.
+        #: Loose items as ``(time, sequence, push#, item)`` entries.
         self._heap: list[tuple] = []
         self._pushes = 0
         #: Unreleased rows of the buffered blocks, each in key order.
         self._segments: list[EventBlock] = []
-        self._buffered = 0
 
     def __len__(self) -> int:
         """Items currently buffered (block rows count individually)."""
-        return self._buffered
+        return len(self._heap) + sum(map(len, self._segments))
 
     @property
     def max_event_time(self) -> float:
@@ -391,121 +374,61 @@ class ReorderBuffer:
 
     def add(self, time, sequence: int, item) -> None:
         """Buffer one item under key ``(time, sequence)``."""
-        if self._tail_pos == len(self._tail):
-            # Tail fully drained: any key restarts it in sorted order.
-            if self._tail:
-                self._tail.clear()
-                self._tail_pos = 0
-            self._tail.append((time, sequence, item))
-            self._tail_last_time = time
-            self._tail_last_seq = sequence
-        elif time > self._tail_last_time or (
-            time == self._tail_last_time and sequence >= self._tail_last_seq
-        ):
-            self._tail.append((time, sequence, item))
-            self._tail_last_time = time
-            self._tail_last_seq = sequence
-        else:
-            heapq.heappush(self._heap, (time, sequence, self._pushes, item))
-            self._pushes += 1
-        self._buffered += 1
+        heappush(self._heap, (time, sequence, self._pushes, item))
+        self._pushes += 1
 
     def push(self, time, sequence: int, item) -> Optional[list]:
-        """``add`` + ``observe`` + a pure-tail release, in one call.
+        """``add`` + ``observe`` + the release, in one call.
 
-        The scalar hot path: when only the in-order tail is in play (no
-        heap, no segments — the steady state of a well-behaved stream) the
-        released items come back directly as a list, skipping the k-way
-        merge and its per-release wrappers.  Returns ``None`` when the
-        buffer fell back to the heap or segments exist; the caller must
-        then run :meth:`release_ready` for the full merge.
+        The scalar hot path: with no block segments buffered, the loose
+        items below the watermark come back directly as a list, with no
+        merge and no release wrappers.  Returns ``None`` while segments
+        are buffered; the caller must then run :meth:`release_ready` for
+        the full merge.
         """
         if time > self._max_time:
             self._max_time = time
-        if self._heap or self._segments:
-            self.add(time, sequence, item)
+        heap = self._heap
+        heappush(heap, (time, sequence, self._pushes, item))
+        self._pushes += 1
+        if self._segments:
             return None
-        tail = self._tail
-        position = self._tail_pos
-        if position == len(tail):
-            if tail:
-                tail.clear()
-                position = self._tail_pos = 0
-            tail.append((time, sequence, item))
-            self._tail_last_time = time
-            self._tail_last_seq = sequence
-        elif time > self._tail_last_time or (
-            time == self._tail_last_time and sequence >= self._tail_last_seq
-        ):
-            tail.append((time, sequence, item))
-            self._tail_last_time = time
-            self._tail_last_seq = sequence
-        else:
-            heapq.heappush(self._heap, (time, sequence, self._pushes, item))
-            self._pushes += 1
-            self._buffered += 1
-            return None
-        self._buffered += 1
-        # Release the tail prefix strictly below the watermark: with only
-        # the tail populated, the global (time, sequence) order IS the tail
-        # order, and "key < (watermark,)" reduces to "time < watermark".
+        # Loose items only: "key < (watermark,)" is "time < watermark".
         bound = self._max_time - self.allowed_lateness
-        if tail[position][0] >= bound:
+        if heap[0][0] >= bound:
             return _NO_RELEASES
         released = []
-        while position < len(tail) and tail[position][0] < bound:
-            released.append(tail[position][2])
-            position += 1
-        if position == len(tail):
-            tail.clear()
-            position = 0
-        elif position > len(tail) - position:
-            # Drop the consumed prefix once it outweighs the live suffix:
-            # amortised O(1) per release, and the tail (memory and pickle)
-            # stays within 2x the lateness horizon's population instead
-            # of growing with the stream.
-            del tail[:position]
-            position = 0
-        self._tail_pos = position
-        self._buffered -= len(released)
+        while heap and heap[0][0] < bound:
+            released.append(heappop(heap)[3])
         return released
 
     def add_segment(self, block: EventBlock) -> None:
         """Buffer the rows of ``block``, in whatever order they arrive."""
         if block:
             self._segments.append(_in_key_order(block))
-            self._buffered += len(block)
 
     # ------------------------------------------------------------------ #
     # Release
     # ------------------------------------------------------------------ #
     def release_ready(self) -> list[Release]:
         """Pop every buffered item strictly below the watermark, in order."""
-        if not self._buffered:
+        if not self._heap and not self._segments:
             return []
         return self._release((self._max_time - self.allowed_lateness,))
 
     def flush(self) -> list[Release]:
         """Pop everything (end of stream), in ``(time, sequence)`` order."""
-        if not self._buffered:
+        if not self._heap and not self._segments:
             return []
         return self._release(None)
 
-    def _loose_head(self) -> Optional[tuple]:
-        """Smallest ``(time, sequence)`` among the loose items, if any."""
-        head = None
-        if self._tail_pos < len(self._tail):
-            head = self._tail[self._tail_pos][:2]
-        if self._heap and (head is None or self._heap[0][:2] < head):
-            head = self._heap[0][:2]
-        return head
-
     def _release(self, bound: Optional[tuple]) -> list[Release]:
         # A bound key ``(time,)`` compares below every same-time ``(time,
-        # seq)`` key, which is what keeps equal-time items buffered until
-        # the watermark strictly passes them.
+        # seq, ...)`` entry, which is what keeps equal-time items buffered
+        # until the watermark strictly passes them.
         block = self._pop_ready_block(bound) if self._segments else None
-        if self._tail_pos == len(self._tail) and not self._heap:
+        heap = self._heap
+        if not heap:
             return [] if block is None else [("block", block)]
         # Loose events in play: alternate their runs with slices of the
         # one ready block, cut where a loose key falls between two rows.
@@ -522,7 +445,7 @@ class ReorderBuffer:
                 releases.append(("events", events))
             if row == rows:
                 return releases
-            head = self._loose_head()
+            head = heap[0] if heap else None
             if head is not None and bound is not None and not head < bound:
                 head = None
             # (At least one row: an exact key tie must not stall the merge.)
@@ -546,46 +469,31 @@ class ReorderBuffer:
         self._segments = kept
         # Several segments: their ready prefixes are sorted runs, which is
         # what Timsort merges in near-linear time.
-        block = ready[0] if len(ready) == 1 else _in_key_order(EventBlock.concat(ready))
-        self._buffered -= len(block)
-        return block
+        return ready[0] if len(ready) == 1 else _in_key_order(EventBlock.concat(ready))
 
     def _pop_loose(self, limit: Optional[tuple]) -> list:
-        """Pop the loose items below ``limit`` (all, if ``None``), in order."""
+        """Pop the loose items below ``limit`` (all, if ``None``), in order.
+
+        ``limit`` is ``(time,)`` or ``(time, sequence)``: shorter than an
+        entry, so the comparison never reaches the push counter's tie, let
+        alone an item."""
+        heap = self._heap
         events: list = []
-        tail, heap = self._tail, self._heap
-        while True:
-            tail_head = tail[self._tail_pos][:2] if self._tail_pos < len(tail) else None
-            heap_head = heap[0][:2] if heap else None
-            if heap_head is not None and (tail_head is None or heap_head < tail_head):
-                if limit is not None and not heap_head < limit:
-                    break
-                events.append(heapq.heappop(heap)[3])
-            elif tail_head is not None:
-                if limit is not None and not tail_head < limit:
-                    break
-                events.append(tail[self._tail_pos][2])
-                self._tail_pos += 1
-            else:
-                break
-        if self._tail_pos > len(tail) - self._tail_pos:
-            # Same compaction as push(): consumed prefix dropped once it
-            # outweighs the live suffix (all of it, when the tail drained).
-            del tail[: self._tail_pos]
-            self._tail_pos = 0
-        self._buffered -= len(events)
+        while heap and (limit is None or heap[0] < limit):
+            events.append(heappop(heap)[3])
         return events
 
     @staticmethod
     def _segment_stop(block: EventBlock, relative: int, limit: Optional[tuple]) -> int:
-        """First relative row of ``block`` at or past ``limit`` (len if none)."""
+        """First relative row of ``block`` at or past ``limit`` (len if
+        none); ``limit`` is ``(time,)`` or starts ``(time, sequence, ...)``."""
         length = len(block)
         if limit is None:
             return length
         times = block.times
         base = block.start
         stop = bisect.bisect_left(times, limit[0], base + relative, block.stop) - base
-        if len(limit) == 2:
+        if len(limit) > 1:
             sequences = block.sequences
             while (
                 stop < length

@@ -74,6 +74,7 @@ from repro.core.engine import HamletEngine
 from repro.errors import CheckpointError
 from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
+from repro.events.event import group_key as group_key_of
 from repro.events.stream import EventStream, slice_stream
 from repro.greta.engine import GretaEngine
 from repro.interfaces import MultiWindowEngine
@@ -107,9 +108,9 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v12: engines pickle no kernel backend and the fingerprint has no
-#: ``"kernel"`` / ``"burst_size"`` keys.  (What v2-v11 changed: CHANGES.md.)
-SNAPSHOT_VERSION = 12
+#: v13: the lateness stage's ``ReorderBuffer`` pickles one loose heap and
+#: no in-order tail.  (What v2-v12 changed: CHANGES.md.)
+SNAPSHOT_VERSION = 13
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
@@ -875,9 +876,9 @@ class StreamingExecutor:
     # Window lifecycle: open, feed, close/emit
     # ------------------------------------------------------------------ #
     def _feed(self, unit: _Unit, event: Event, arrival: float) -> None:
-        window = unit.spec.window
-        group_key = unit.spec.group_key(event)
-        group = unit.groups.get(group_key)
+        spec = unit.spec
+        key = group_key_of(event, spec.group_by)
+        group = unit.groups.get(key)
         qualifies = not self.lazy_open or event.event_type in unit.opening_types
         if group is None:
             if not qualifies:
@@ -885,9 +886,8 @@ class StreamingExecutor:
                 # covering this event is unopened, so the event is provably
                 # inert — don't even build the group's engine.
                 return
-            group = self._open_group(unit, group_key)
-        indices = window.instance_indices_covering(event.time)
-        lo, hi = indices.start, indices.stop - 1
+            group = self._open_group(unit, key)
+        lo, hi = spec.window.covering_bounds(event.time)
         if hi < lo:
             return
         if qualifies:

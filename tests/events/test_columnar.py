@@ -9,8 +9,11 @@ the exact-type column classification and the object-column fallback.
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.events import Event, EventBlock
@@ -140,3 +143,71 @@ class TestTypedColumns:
         decoded = columnar.decode_events(data)
         assert decoded == events
         assert decoded[0].payload == events[0].payload
+
+
+def _row(event: Event) -> tuple:
+    """Everything a decoded row carries, value types and key order included
+    (``repr`` tells ``-0.0`` from ``0.0`` and a NaN from nothing)."""
+    payload = [(key, type(value), repr(value)) for key, value in event.payload.items()]
+    return (event.event_type, repr(event.time), event.sequence, payload)
+
+
+def _assert_decodes_like_the_block(frame: bytes) -> None:
+    decoded = columnar.decode_events(frame)
+    block = EventBlock.from_bytes(frame)
+    assert len(decoded) == len(block)
+    assert [_row(event) for event in decoded] == [_row(block.event_at(i)) for i in range(len(block))]
+    assert len({id(event.payload) for event in decoded}) == len(decoded)  # one dict a row
+
+
+#: The frames ``test_golden_frames.py`` pins byte for byte.
+GOLDEN = Path(__file__).parent / "data"
+
+_VALUES = st.one_of(
+    st.floats(allow_infinity=True, allow_nan=True),
+    st.integers(-(2**64), 2**64),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+_PAYLOADS = st.dictionaries(st.sampled_from(("x", "y", "z")), _VALUES, max_size=3)
+
+
+class TestDecodeEventsDifferential:
+    """``decode_events`` (whole frame straight to events) against the block's
+    own row view, ``EventBlock.from_bytes(f).event_at(i)``, row by row."""
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.hex")))
+    def test_golden_frames(self, name):
+        _assert_decodes_like_the_block(bytes.fromhex((GOLDEN / f"{name}.hex").read_text()))
+
+    def test_zero_key_two_shape_and_empty_frames(self):
+        zero_keys = [Event("A", float(i), {}, sequence=i) for i in range(3)]
+        mixed = [
+            Event("A", 0.0, {}, sequence=0),
+            Event("B", 1.0, {"v": 1.5, "n": 2}, sequence=1),
+            Event("A", 1.0, {}, sequence=2),
+            Event("B", 2.0, {"n": 3, "v": 2.5}, sequence=3),
+        ]
+        for events in ([], zero_keys, mixed):
+            frame = EventBlock.from_events(events).to_bytes()
+            _assert_decodes_like_the_block(frame)
+            assert [_row(event) for event in columnar.decode_events(frame)] == [
+                _row(event) for event in events
+            ]
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(("A", "B", "C")),
+                st.floats(0.0, 1e12, allow_nan=False),
+                st.integers(0, 2**62),
+                _PAYLOADS,
+            ),
+            max_size=30,
+        )
+    )
+    def test_hypothesis_frames(self, rows):
+        events = [Event(kind, time, payload, sequence=seq) for kind, time, seq, payload in rows]
+        _assert_decodes_like_the_block(EventBlock.from_events(events).to_bytes())

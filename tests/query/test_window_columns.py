@@ -93,3 +93,66 @@ def test_negative_timestamp_raises():
     window = Window(10.0, 2.0)
     with pytest.raises(WindowError):
         window.instance_range_columns([-1.0])
+
+
+# --------------------------------------------------------------------- #
+# The snap rule's isclose-free fast path
+# --------------------------------------------------------------------- #
+SNAP_WINDOWS = [Window(1.0, 0.1), Window(0.9, 0.3), Window(1.0, 1 / 3), Window(7.0, 3.0)]
+
+
+def isclose_floor_index(window: Window, value: float) -> int:
+    """The snap rule as written before its fast path: always ``isclose``."""
+    quotient = value / window.slide
+    index = math.floor(quotient)
+    if math.isclose(index + 1, quotient, rel_tol=1e-12, abs_tol=1e-12):
+        index += 1
+    return int(index)
+
+
+def ulp_neighbours(value: float, steps: int = 4) -> list[float]:
+    """``value`` and its ``steps`` float neighbours on either side."""
+    out = [value]
+    for direction in (math.inf, -math.inf):
+        neighbour = value
+        for _ in range(steps):
+            neighbour = math.nextafter(neighbour, direction)
+            out.append(neighbour)
+    return out
+
+
+def snap_probes(window: Window) -> list[float]:
+    """Exact slide multiples and their +-1..4-ulp neighbours, both signs
+    (``t - size`` is negative early on), at small times and near 1e9."""
+    probes = []
+    for base in (0, round(1e9 / window.slide)):
+        for k in range(base - 40, base + 40):
+            for boundary in (k * window.slide, k * window.slide - window.size):
+                probes.extend(ulp_neighbours(boundary))
+                probes.append(boundary + window.slide / 2)
+    return probes
+
+
+@pytest.mark.parametrize("window", SNAP_WINDOWS, ids=[w.describe() for w in SNAP_WINDOWS])
+def test_floor_index_equals_the_isclose_reference(window):
+    probes = snap_probes(window)
+    assert [window._floor_index(v) for v in probes] == [
+        isclose_floor_index(window, v) for v in probes
+    ]
+    snapped = sum(
+        window._floor_index(v) != math.floor(v / window.slide) for v in probes
+    )
+    assert snapped  # the probes do reach the isclose branch
+
+
+@pytest.mark.parametrize("window", SNAP_WINDOWS, ids=[w.describe() for w in SNAP_WINDOWS])
+def test_covering_bounds_equal_the_range_columns(window):
+    rng = random.Random(3)
+    times = sorted(
+        [v for v in snap_probes(window) if v >= 0]
+        + [rng.uniform(0.0, 60.0 * window.slide) for _ in range(300)]
+    )
+    lows, highs = window.instance_range_columns(times)
+    assert [window.covering_bounds(t) for t in times] == list(zip(lows, highs))
+    with pytest.raises(WindowError):
+        window.covering_bounds(-1.0)

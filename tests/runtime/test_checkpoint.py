@@ -760,9 +760,9 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v11 snapshot (engines pickling a kernel backend, a fingerprint
-    naming the backend and the burst cap) is refused with a typed error
-    instead of being resumed."""
+    """A v12 snapshot (a reorder buffer pickling an in-order tail beside its
+    heap) is refused with a typed error instead of failing inside
+    unpickling; so is v11 (engines pickling a kernel backend)."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
@@ -771,15 +771,16 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 12
+    assert state["version"] == SNAPSHOT_VERSION == 13
     assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    state["version"] = 11
-    with pytest.raises(CheckpointError, match="schema version 11"):
-        executor.restore_state(pickle.dumps(state))
+    for previous in (12, 11):
+        state["version"] = previous
+        with pytest.raises(CheckpointError, match=f"schema version {previous}"):
+            executor.restore_state(pickle.dumps(state))
 
 
 def test_restore_refuses_a_different_workload():

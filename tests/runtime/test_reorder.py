@@ -319,11 +319,12 @@ class TestReorderBuffer:
             ReorderBuffer(float("nan"))
 
 
-class TestTailCompaction:
-    """The in-order tail drops its consumed prefix (PR 14): buffer memory
-    and its pickle follow the lateness horizon's population, not the stream
-    — at the parent the tail kept every entry ever appended while anything
-    at all stayed buffered, i.e. for the whole life of a steady stream."""
+class TestHorizonBoundedState:
+    """Buffer memory and its pickle follow the lateness horizon's
+    population, not the stream: the loose heap holds unreleased items only
+    (an earlier in-order tail list once kept every entry ever appended
+    while anything at all stayed buffered, i.e. for the whole life of a
+    steady stream)."""
 
     HORIZON = 40.0
 
@@ -364,11 +365,11 @@ class TestTailCompaction:
                 pickled = pickle.dumps(buffer)
         assert len(buffer) == size - len(released)
         released.extend(TestReorderBuffer._drain_keys(buffer.flush()))
-        assert len(buffer) == 0 and not buffer._tail
+        assert len(buffer) == 0 and not buffer._heap
         return released, depths, pickled
 
     @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
-    def test_tail_and_pickle_follow_the_horizon_not_the_stream(self, scalar):
+    def test_heap_and_pickle_follow_the_horizon_not_the_stream(self, scalar):
         small, small_depths, small_pickle = self._feed(20_000, scalar)
         large, large_depths, large_pickle = self._feed(80_000, scalar)
         assert small == sorted(small) and len(small) == 20_000
@@ -377,7 +378,8 @@ class TestTailCompaction:
         assert max(large_depths) <= max(small_depths) + 64 <= 4 * self.HORIZON + 128
         # 4x the stream, same pickle (at the parent: ~4x the bytes).
         assert len(large_pickle) <= 1.5 * len(small_pickle)
-        assert len(pickle.loads(large_pickle)._tail) <= 2 * max(large_depths) + 64
+        clone = pickle.loads(large_pickle)
+        assert len(clone._heap) == len(clone) <= max(large_depths)
 
     @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
     def test_mid_buffer_pickle_round_trip_releases_identically(self, scalar):
@@ -396,6 +398,122 @@ class TestTailCompaction:
                 tails.append(tail)
             assert tails[0] == tails[1]
             assert released + tails[0] == sorted(arrivals)
+
+
+class _SortedListModel:
+    """The buffer's contract as a sorted list: everything pending below a
+    bound comes out ordered by ``(time, sequence)``, block rows before loose
+    items on an exact key tie, and duplicates otherwise in arrival order."""
+
+    BLOCK, LOOSE = 0, 1
+
+    def __init__(self, lateness: float) -> None:
+        self.lateness = lateness
+        self.max_time = float("-inf")
+        self.pending: list[tuple] = []  # (time, sequence, rank, arrival)
+
+    def observe(self, time: float) -> None:
+        self.max_time = max(self.max_time, time)
+
+    def holds_block_rows(self) -> bool:
+        return any(rank == self.BLOCK for _, _, rank, _ in self.pending)
+
+    def release(self, bound) -> list[int]:
+        ready = sorted(e for e in self.pending if bound is None or e[0] < bound)
+        self.pending = [e for e in self.pending if not (bound is None or e[0] < bound)]
+        return [arrival for *_, arrival in ready]
+
+
+_TIMES = st.integers(0, 24).map(lambda half_seconds: half_seconds / 2)
+_KEYS = st.tuples(_TIMES, st.integers(0, 3))  # few sequences: exact-key ties
+_OPERATIONS = st.one_of(
+    st.tuples(st.sampled_from(("push", "add")), _KEYS),
+    st.tuples(st.just("segment"), st.lists(_KEYS, min_size=1, max_size=6)),
+    st.tuples(st.just("observe"), _TIMES),
+    st.tuples(st.sampled_from(("release", "flush")), st.none()),
+)
+
+
+class TestReorderModel:
+    """``ReorderBuffer`` against :class:`_SortedListModel` under random
+    interleavings of every entry point, pickled and restored once midway."""
+
+    @staticmethod
+    def _arrivals(releases) -> list[int]:
+        arrivals: list[int] = []
+        for kind, payload in releases:
+            if kind == "events":
+                arrivals.extend(arrival for _, _, arrival in payload)
+            else:
+                arrivals.extend(event.payload["n"] for event in payload.to_events())
+        return arrivals
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(
+        lateness=st.sampled_from((0.0, 1.0, 2.5, 6.0)),
+        operations=st.lists(_OPERATIONS, max_size=40),
+        pickle_at=st.integers(0, 40),
+    )
+    def test_buffer_matches_the_sorted_list_model(self, lateness, operations, pickle_at):
+        buffer, model = ReorderBuffer(lateness), _SortedListModel(lateness)
+        arrival = 0
+        for step, (name, argument) in enumerate(operations):
+            if step == pickle_at:
+                buffer = pickle.loads(pickle.dumps(buffer))
+            if name in ("push", "add"):
+                time, sequence = argument
+                model.pending.append((time, sequence, model.LOOSE, arrival))
+                if name == "add":
+                    buffer.add(time, sequence, (time, sequence, arrival))
+                else:
+                    model.observe(time)
+                    released = buffer.push(time, sequence, (time, sequence, arrival))
+                    if model.holds_block_rows():
+                        assert released is None
+                        released = self._arrivals(buffer.release_ready())
+                    else:
+                        released = [entry[2] for entry in released]
+                    assert released == model.release(model.max_time - lateness)
+                arrival += 1
+            elif name == "segment":
+                rows = []
+                for time, sequence in argument:
+                    model.pending.append((time, sequence, model.BLOCK, arrival))
+                    rows.append(Event("A", time, {"n": arrival}, sequence=sequence))
+                    arrival += 1
+                buffer.add_segment(EventBlock.from_events(rows))
+            elif name == "observe":
+                buffer.observe(argument)
+                model.observe(argument)
+            elif name == "release":
+                expected = model.release(model.max_time - lateness)
+                assert self._arrivals(buffer.release_ready()) == expected
+            else:
+                assert self._arrivals(buffer.flush()) == model.release(None)
+            assert len(buffer) == len(model.pending)
+            assert buffer.watermark == model.max_time - lateness
+        assert self._arrivals(buffer.flush()) == model.release(None)
+        assert len(buffer) == 0 and buffer.flush() == []
+
+    def test_loose_items_between_the_rows_of_one_ready_block(self):
+        """The merge the model test reaches by chance, spelled out: loose
+        keys inside, tied with and around one block's rows."""
+        buffer, model = ReorderBuffer(0.0), _SortedListModel(0.0)
+        rows = [(1.0, 0), (2.0, 1), (2.0, 3), (4.0, 0)]
+        model.pending = [(t, s, model.BLOCK, n) for n, (t, s) in enumerate(rows)]
+        events = [Event("A", t, {"n": n}, sequence=s) for n, (t, s) in enumerate(rows)]
+        buffer.add_segment(EventBlock.from_events(events))
+        loose = [(2.0, 2), (0.5, 0), (2.0, 1), (3.0, 0), (2.0, 2)]
+        for n, (time, sequence) in enumerate(loose, len(rows)):
+            buffer.add(time, sequence, (time, sequence, n))
+            model.pending.append((time, sequence, model.LOOSE, n))
+        buffer.observe(3.5)
+        releases = buffer.release_ready()
+        # Rows 0 and 1 come apart: row 1's key ties loose item 6, which waits.
+        kinds = [kind for kind, _ in releases]
+        assert kinds == ["events", "block", "block", "events", "block", "events"]
+        assert self._arrivals(releases) == model.release(3.5) == [5, 0, 1, 6, 4, 8, 2, 7]
+        assert self._arrivals(buffer.flush()) == model.release(None) == [3]
 
 
 # --------------------------------------------------------------------- #

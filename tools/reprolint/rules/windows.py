@@ -22,10 +22,10 @@ __all__ = ["FloatWindowIndexRule"]
 #: integer indices — an inline division inside the call re-introduces
 #: float index math at the call site.
 _INDEX_HELPERS = {
+    "covering_bounds",
     "instance_indices_covering",
     "instance_bounds",
     "instances_per_event",
-    "last_instance_index",
 }
 
 #: Attribute / parameter names that denote window geometry.
