@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.engine import HamletEngine
+from repro.errors import ExecutionError
 from repro.events.event import Event, EventType
 from repro.events.stream import EventStream
 from repro.greta.engine import GretaEngine
@@ -43,6 +44,7 @@ from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime.metrics import ExecutionMetrics, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey
+from repro.runtime.results import RunningTotals
 from repro.template.analysis import WorkloadAnalysis, analyze_workload
 from repro.template.decompose import DecomposedQuery
 
@@ -85,6 +87,9 @@ class ExecutionReport:
     """Everything a benchmark needs from one workload execution."""
 
     metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
+    #: One row per closed window, in emission order — when the report is
+    #: the rows' sink.  A streaming run with an ``on_window`` callback hands
+    #: each row to the callback instead and keeps none here.
     partition_results: list[PartitionResult] = field(default_factory=list)
     #: Final aggregate per query, summed over groups and windows (counts/sums)
     #: — a convenient scalar for correctness checks across engines.
@@ -112,7 +117,14 @@ class ExecutionReport:
     def results_by_partition(self, query: Query | str) -> dict[PartitionKey, float]:
         """Per-partition results of one query, keyed by ``(group, window index)``:
         the partitions whose rows hold it — recombined from its sub-queries'
-        rows for a decomposed OR/AND query."""
+        rows for a decomposed OR/AND query.  Raises
+        :class:`~repro.errors.ExecutionError` when windows closed but their
+        rows went to an ``on_window`` callback instead of this report."""
+        if self.metrics.partitions and not self.partition_results:
+            raise ExecutionError(
+                f"{self.metrics.partitions} windows closed but the report kept no rows: "
+                "they went to the on_window callback"
+            )
         name = query if isinstance(query, str) else query.name
         decomposition = self.decompositions.get(name)
         if decomposition is not None:
@@ -194,14 +206,21 @@ def recombined_partitions(
 
 
 def recombine_decompositions(
-    decompositions: Mapping[str, DecomposedQuery], report: ExecutionReport
+    decompositions: Mapping[str, DecomposedQuery],
+    report: ExecutionReport,
+    totals: Optional[RunningTotals] = None,
 ) -> None:
-    """Total each decomposed OR/AND query of ``report`` over its partitions."""
+    """Total each decomposed OR/AND query of ``report``: the sums ``totals``
+    folded as its rows were emitted, else folded here over the report's
+    rows — per query, one ``combine`` per partition in first-seen order."""
     report.decompositions = decompositions
-    for original_name, decomposition in decompositions.items():
-        report.totals[original_name] = sum(
-            recombined_partitions(decomposition, report.partition_results).values()
-        )
+    if totals is None:
+        totals = RunningTotals()
+        for name, decomposition in decompositions.items():
+            for value in recombined_partitions(decomposition, report.partition_results).values():
+                totals.add_recombined(name, value)
+    for name in decompositions:
+        report.totals[name] = totals.recombined.get(name, 0.0)
 
 
 def resolve_engine_label(engine_factory: EngineFactory) -> tuple[str, Optional[TrendAggregationEngine]]:

@@ -69,8 +69,8 @@ class Core(Protocol):
         """An opaque, detached copy of the core's live state."""
 
     def _restore_core(self, snapshot: Any) -> int:
-        """Roll the core (and its output) back to a ``_core_state()`` copy;
-        returns the output mark — windows closed — the copy was taken at."""
+        """Roll the core (its running totals and any kept rows) back to a
+        ``_core_state()`` copy; returns the mark — windows closed — it holds."""
 
 
 def _last_key(release: Release) -> tuple:

@@ -1,26 +1,21 @@
-"""One closed window's results as a compact, read-only row.
+"""Closed windows' results as compact, read-only rows, and the run's totals.
 
-A streaming report keeps one row per closed window for the whole run, and
-a unit's rows all name the same queries.  A :class:`ResultLayout` holds
-those names once per execution unit (in the readout's class-major order)
-and the *readout slot* each name reads; a :class:`WindowValues` row is the
-layout plus one ``array('d')`` of slot values.  The layout is many-to-one:
-members of a sharing class that compute the same aggregate are
-computationally identical, so they read one slot (Definition 5: sharable
-queries compute one value), and a closed window costs one double per
-distinct value, not a name table and a float object per query.
-
-:func:`window_totals` is the one place a report's per-query ``totals`` are
-summed from its rows.
+A :class:`ResultLayout` holds an execution unit's query names once (in the
+readout's class-major order) and the *readout slot* each name reads; a
+:class:`WindowValues` row is the layout plus one ``array('d')`` of slot
+values.  Members of a sharing class computing the same aggregate are
+computationally identical (Definition 5), so they read one slot: a closed
+window costs one double per distinct value.  Each row goes to one sink —
+``on_window``, or else the report, which keeps it — and
+:class:`RunningTotals` folds it into the ``totals`` as it is emitted.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
-from functools import reduce
 from operator import add
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 
 class ResultLayout:
@@ -34,9 +29,7 @@ class ResultLayout:
 
     def __init__(self, names: Iterable[str], slot_of: Optional[Iterable[int]] = None) -> None:
         self.names: tuple[str, ...] = tuple(names)
-        self.slot_of: tuple[int, ...] = (
-            tuple(range(len(self.names))) if slot_of is None else tuple(slot_of)
-        )
+        self.slot_of = tuple(range(len(self.names)) if slot_of is None else slot_of)
         self.index: dict[str, int] = dict(zip(self.names, self.slot_of))
 
     def __reduce__(self) -> tuple[object, ...]:
@@ -65,13 +58,10 @@ class _Items(ItemsView):
 
 
 class WindowValues(Mapping[str, float]):
-    """``query name -> result`` of one closed window: a layout plus slots.
-
-    A read-only :class:`~collections.abc.Mapping` — equal to the ``dict``
-    of its items, iterated in layout order — whose values are float64
-    slots of one array, so the doubles come back bit for bit.  Names that
-    share a slot read the same double.
-    """
+    """``query name -> result`` of one closed window: a layout plus slots —
+    a read-only :class:`~collections.abc.Mapping`, equal to the ``dict`` of
+    its items and iterated in layout order, whose float64 slots come back
+    bit for bit.  Names that share a slot read the same double."""
 
     __slots__ = ("layout", "slots")
 
@@ -119,26 +109,36 @@ def _window_values(layout: ResultLayout, raw: bytes) -> WindowValues:
     return WindowValues(layout, array("d", raw))
 
 
-def window_totals(rows: Sequence[Any]) -> dict[str, float]:
-    """Per-query sums of the rows' :class:`WindowValues`, in row order.
+class RunningTotals:
+    """Per-query totals folded one emitted row at a time: per slot of each
+    ``(names, slot_of)`` (equal layouts unpickled from different shards
+    share one), from ``0.0`` in emission order — the additions of a running
+    ``totals[name] += value``, bit for bit.  ``recombined``: the decomposed
+    OR/AND queries' sums, one ``combine`` per ``(group, window)`` key."""
 
-    Sums per slot, then fans the sums out to the names reading them: every
-    name sees the same additions in the same order as a running
-    ``totals[name] += value`` over the rows, so the sums are bit-identical
-    to it.  Rows are bucketed by ``(names, slot_of)``: rows unpickled from
-    different shards carry equal but distinct layouts.
-    """
-    columns: dict[tuple, list[array]] = {}
-    by_layout: dict[ResultLayout, list[array]] = {}
-    for row in rows:
-        values = row.results
-        layout = values.layout
-        slots = by_layout.get(layout)
-        if slots is None:
-            slots = by_layout[layout] = columns.setdefault((layout.names, layout.slot_of), [])
-        slots.append(values.slots)
-    totals: dict[str, float] = {}
-    for (names, slot_of), arrays in columns.items():
-        sums = [reduce(add, column, 0.0) for column in zip(*arrays)]
-        totals.update(zip(names, map(sums.__getitem__, slot_of)))
-    return totals
+    __slots__ = ("_sums", "_by_layout", "recombined")
+
+    def __init__(self) -> None:
+        self._sums: dict[tuple, array] = {}
+        self._by_layout: dict[ResultLayout, array] = {}  # identity cache: tuple keys rehash
+        self.recombined: dict[str, float] = {}
+
+    def add(self, row: Any) -> None:
+        """Fold one report row's :class:`WindowValues` into the sums."""
+        layout, slots = row.results.layout, row.results.slots
+        sums = self._by_layout.get(layout)
+        if sums is None:
+            key, zeros = (layout.names, layout.slot_of), array("d", bytes(8 * len(slots)))
+            sums = self._by_layout[layout] = self._sums.setdefault(key, zeros)
+        sums[:] = array("d", map(add, sums, slots))  # in place: both maps hold it
+
+    def add_recombined(self, name: str, value: float) -> None:
+        """Fold one window's value of the decomposed query ``name``."""
+        self.recombined[name] = self.recombined.get(name, 0.0) + value
+
+    def totals(self) -> dict[str, float]:
+        """``query name -> total``, in first-seen layout order."""
+        totals: dict[str, float] = {}
+        for (names, slot_of), sums in self._sums.items():
+            totals.update(zip(names, map(sums.__getitem__, slot_of)))
+        return totals

@@ -18,20 +18,19 @@ into parallelism:
   ``multiprocessing`` pool.  **A shard is one object**
   (:class:`_LocalShard`, :class:`_WorkerShard`) holding everything the
   driver knows about it, and every driver method takes the shard.  Events
-  cross process boundaries as framed
-  columnar :class:`~repro.events.block.EventBlock` bytes — through the
-  worker queues (``transport="pickle"``) or in reusable shared-memory slabs
-  with only ``(slab, length)`` references on the queue (``transport="shm"``;
-  see :mod:`repro.runtime.transport`) — the per-shard input queues are
-  bounded (``max_inflight`` batches) so a slow
-  shard back-pressures the router instead of buffering the stream, and the
-  per-shard reports are merged **deterministically**: partition results are
-  ordered by ``(window end, execution unit, group key)`` using the same
+  cross process boundaries as framed columnar
+  :class:`~repro.events.block.EventBlock` bytes — through the worker queues
+  (``transport="pickle"``) or in reusable shared-memory slabs with only
+  ``(slab, length)`` references on the queue (``transport="shm"``; see
+  :mod:`repro.runtime.transport`) — the per-shard input queues are bounded
+  (``max_inflight`` batches) so a slow shard back-pressures the router
+  instead of buffering the stream, and the per-shard reports are merged
+  **deterministically**: partition results are ordered by ``(window end,
+  execution unit, group key)`` using the same
   :func:`~repro.runtime.partitioner.group_sort_key` total order as the
   single-process paths, metrics fold through
-  :meth:`~repro.runtime.metrics.ExecutionMetrics.merge`, and OR/AND
-  decompositions are recombined over the merged partitions — so totals are
-  identical whatever the shard count.
+  :meth:`~repro.runtime.metrics.ExecutionMetrics.merge`, and the totals
+  fold from the merged rows — identical whatever the shard count.
 
 Everything a worker tells the driver travels on **one private pipe per
 worker incarnation** whose only write end the worker holds: checkpoint
@@ -78,7 +77,7 @@ from repro.runtime.faultpoints import resolve_fault_hook, tear_message
 from repro.runtime.metrics import RecoveryStats
 from repro.runtime.partitioner import group_sort_key
 from repro.runtime.reorder import ensure_in_order, validate_stream_options
-from repro.runtime.results import window_totals
+from repro.runtime.results import RunningTotals
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.streaming import StreamingExecutor, WindowResult
 from repro.runtime.transport import (
@@ -817,6 +816,7 @@ class ShardedStreamingExecutor:
                 self.engine_factory,
                 **self._options,
             )
+            shard.executor._keep_rows = True  # the merge re-orders shard rows
 
     def _spawn_worker(self, shard: _WorkerShard, *, resume: bool) -> None:
         """Open one worker incarnation's channels and start it on them."""
@@ -1192,9 +1192,7 @@ class ShardedStreamingExecutor:
             sub.metrics.peak_active_windows for sub in shard_reports
         )
         report.optimizer_statistics = merged_statistics
-        merged = [
-            partition for sub in shard_reports for partition in sub.partition_results
-        ]
+        merged = [row for sub in shard_reports for row in sub.partition_results]
         if len(shard_reports) > 1 or self._unit_count > 1:
             merged.sort(key=self._partition_order)
         # else: one shard, one unit — the shard's emission order (close
@@ -1207,10 +1205,12 @@ class ShardedStreamingExecutor:
             report.totals = dict(shard_reports[0].totals)
             report.decompositions = shard_reports[0].decompositions
         else:
-            # Rebuilt from the merged partitions in their canonical order —
-            # never by summing per-shard totals, whose grouping would
-            # depend on the shard count.
-            report.totals = window_totals(merged)
+            # Folded from the merged rows in canonical order, never summed
+            # from per-shard totals, whose grouping depends on the shard count.
+            totals = RunningTotals()
+            for row in merged:
+                totals.add(row)
+            report.totals = totals.totals()
             recombine_decompositions(self.analysis.decompositions, report)
         if self._consumed:
             # The router may have dropped every event before a shard saw it.

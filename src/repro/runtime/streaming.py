@@ -22,10 +22,11 @@ This module is the online counterpart:
   an :class:`~repro.runtime.instance_windows.InstanceWindowEngine`: one
   pooled single-window engine per live instance — at most
   ``ceil(size/slide)`` feeds per event, engines reused across instances;
-* the moment the stream passes a window's end, its result is emitted through
-  a callback as a :class:`WindowResult` and the window's state is
-  **evicted**, so peak memory is bounded by the *live* state instead of the
-  stream length.
+* the moment the stream passes a window's end, its row goes to **one
+  sink** — the ``on_window`` callback as a :class:`WindowResult`, or else
+  the report, which keeps it — folds into the running ``totals``, and the
+  window's state is **evicted**, so peak memory is bounded by the *live*
+  state instead of the stream length.
 
 Lazy opening (on by default) skips provably-inert stream prefixes: a window
 instance is not opened — and events covering it are not fed to any engine —
@@ -40,16 +41,11 @@ once a class start-type event arrives inside it, and unarmed windows are
 skipped by every per-window loop.  The randomized equivalence suite asserts
 bit-identical totals across the shared, per-instance and batch evaluations.
 
-With ``optimizer=...`` (a policy name or a
-:class:`~repro.optimizer.decisions.SharingOptimizer` factory) the shared
-path becomes **adaptive**: each ``(group, unit)`` stream is segmented into
-bursts (maximal same-type runs), a per-group optimizer decides per burst
-which members of each eligible query class share, and the engine
-splits/merges its coefficient columns accordingly — results are
-bit-identical to both static extremes by construction (the differential
-property suite in ``tests/runtime/test_adaptive_equivalence.py`` pins it),
-only the work and memory profiles change.  ``optimizer=None`` (default)
-skips the burst machinery entirely.
+With ``optimizer=...`` the shared path becomes **adaptive**: per burst
+(maximal same-type run) of a ``(group, unit)`` stream, an optimizer decides
+which class members share and the engine splits/merges its coefficient
+columns — bit-identical to both static extremes
+(``tests/runtime/test_adaptive_equivalence.py``).
 
 With ``allowed_lateness=N`` a :class:`~repro.runtime.lateness.Lateness`
 stage fronts the ingest paths and this class is the *core* behind it: the
@@ -88,6 +84,7 @@ from repro.runtime.executor import (
     PartitionResult,
     execution_units,
     recombine_decompositions,
+    recombined_partitions,
     resolve_engine_label,
     unit_is_linear,
     unit_relevant_types,
@@ -96,7 +93,7 @@ from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
 from repro.runtime.lateness import Lateness
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
 from repro.runtime.reorder import ensure_block_in_order, ensure_in_order, validate_stream_options
-from repro.runtime.results import ResultLayout, window_totals
+from repro.runtime.results import ResultLayout, RunningTotals
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
     UnitCompilation,
@@ -108,14 +105,14 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v13: the lateness stage's ``ReorderBuffer`` pickles one loose heap and
-#: no in-order tail.  (What v2-v12 changed: CHANGES.md.)
-SNAPSHOT_VERSION = 13
+#: v14: the core pickles the run's ``RunningTotals``.  (What v2-v13
+#: changed: CHANGES.md.)
+SNAPSHOT_VERSION = 14
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
     "_clock", "_consumed", "_engine_feeds", "_active_windows", "_windows_closed",
-    "_next_close", "_adaptive_stats",
+    "_next_close", "_adaptive_stats", "_totals",
 )
 
 
@@ -129,9 +126,8 @@ class WindowResult:
     window_index: int
     window_start: float
     window_end: float
-    #: Final aggregate per query of the instance's execution unit: the
-    #: report's own read-only row (:class:`~repro.runtime.results.WindowValues`);
-    #: ``dict(result.results)`` is a mutable copy.
+    #: Final aggregate per query of the instance's execution unit, as a
+    #: read-only row (:class:`~repro.runtime.results.WindowValues`).
     results: Mapping[str, float]
     #: Relevant group events that arrived between the instance's opening
     #: and its close.
@@ -293,7 +289,8 @@ class StreamingExecutor:
                 for linear-aggregate query units (default: HAMLET).  MIN/MAX
                 units run on GRETA, as in the batch executor.
             on_window: Callback invoked with every :class:`WindowResult` the
-                moment its window closes, in emission order.
+                moment its window closes, in emission order — the rows'
+                one sink: the report keeps none (``totals`` cover them all).
             lazy_open: Open a window instance only when a trend-start-type
                 event arrives inside it (skips provably inert prefixes).
                 Disable to mirror the batch executor's instance set exactly.
@@ -339,6 +336,9 @@ class StreamingExecutor:
         self.workload.validate()
         self.engine_factory = engine_factory
         self.on_window = on_window
+        #: Each closed window's row goes to one sink: the callback, else the
+        #: report (the in-process sharded driver sets it to merge shard rows).
+        self._keep_rows = on_window is None
         self.lazy_open = lazy_open
         self.shared_windows = shared_windows
         self._optimizer_factory = validate_stream_options(
@@ -610,8 +610,8 @@ class StreamingExecutor:
     def _restore_core(self, payload: bytes, output: Optional[list] = None) -> int:
         """Reattach a :meth:`_core_state` copy and the ``output`` rows —
         ``None``: this run's own, a retraction's rollback in place — cut
-        back to the copy's mark, which is returned.  Never touches the
-        lateness stage: it lives upstream and survives the rollback."""
+        back (when kept) to the copy's mark, which is returned.  Never
+        touches the lateness stage: it lives upstream and survives."""
         core = pickle.loads(payload)
         if output is None:
             output = self._report.partition_results
@@ -631,11 +631,12 @@ class StreamingExecutor:
             setattr(self, name, core[name])
         self._report.metrics = core["metrics"]
         mark = self._windows_closed
-        if len(output) < mark:
-            raise CheckpointError(
-                f"snapshot marks {mark} emitted windows, got only {len(output)}"
-            )
-        del output[mark:]
+        if self._keep_rows:
+            if len(output) < mark:
+                raise CheckpointError(
+                    f"snapshot marks {mark} emitted windows, got only {len(output)}"
+                )
+            del output[mark:]
         self._report.partition_results = output
         return mark
 
@@ -654,12 +655,12 @@ class StreamingExecutor:
             report.metrics.late_dropped = lateness.late_dropped
             report.metrics.late_side_output = lateness.late_side_output
             report.metrics.late_retracted = lateness.late_retracted
-        report.totals = window_totals(report.partition_results)
+        report.totals = self._totals.totals()
         if self._consumed:
             for unit in self._units:
                 for name in unit.layout.names:
                     report.totals.setdefault(name, 0.0)
-        recombine_decompositions(self.analysis.decompositions, report)
+        recombine_decompositions(self.analysis.decompositions, report, self._totals)
         self._attach_optimizer_statistics(report)
         return report
 
@@ -728,24 +729,17 @@ class StreamingExecutor:
 
         Everything :meth:`restore_state` needs to continue the run
         bit-identically on a fresh executor built from the same workload
-        and configuration, as ``{version, fingerprint, core, lateness}``.
-        ``core`` is the core's own pickle: per-unit groups (engine state,
-        window bookkeeping, optimizer statistics and the *unflushed* burst
-        buffer: flushing here would force a burst decision the
-        uninterrupted run takes later), the units' idle engine pools
-        (engines only, never the factory), the run's metrics and the
-        stream/close clocks.  ``lateness`` is the stage itself (``None`` in
-        strict order), so a restore resumes mid-horizon disorder handling too.
-
-        The output — ``report.partition_results``, one row per closed
-        window — rides under ``"output"`` in this self-contained form.
-        With ``since`` — ``windows_closed`` at the caller's previous
-        snapshot — the result is ``(payload, delta)`` instead: live state
-        alone, and ``(start, rows)`` with the output rows from ``since`` on
+        and configuration, as ``{version, fingerprint, core, lateness}``:
+        ``core`` is :meth:`_core_state` (groups with their engines and
+        *unflushed* bursts — flushing would force a decision the
+        uninterrupted run takes later —, idle pools, metrics, clocks and
+        running totals), ``lateness`` the stage itself (``None`` in strict
+        order).  The kept rows (none under ``on_window``) ride under
+        ``"output"``; with ``since`` — ``windows_closed`` at the caller's
+        previous snapshot — the result is ``(payload, delta)``: live state
+        alone, and ``(start, rows)`` with the rows from ``since`` on
         (further back when a retraction rewrote rows an earlier delta
-        carried), so a snapshot costs the open windows, not the stream's
-        history.  The on-disk container (:mod:`repro.runtime.checkpoint`)
-        adds the versioned, checksummed header.
+        carried).  :mod:`repro.runtime.checkpoint` adds the on-disk header.
         """
         lateness, rows = self._lateness, self._report.partition_results
         state = {
@@ -763,16 +757,12 @@ class StreamingExecutor:
         return pickle.dumps(state, protocol=protocol), pickle.dumps(delta, protocol=protocol)
 
     def restore_state(self, payload: bytes, output: Sequence[bytes] = ()) -> None:
-        """Resume from a :meth:`snapshot_state` payload — and, for an
-        incremental one, the ``output`` deltas of every snapshot up to it.
-
-        The executor must have been constructed from the same workload and
-        configuration as the snapshotting one; mismatches raise
-        :class:`~repro.errors.CheckpointError` instead of resuming the
-        wrong computation.  After the restore, :meth:`process` continues
-        exactly where the snapshot left off — same partition results, same
-        totals, same optimizer decisions.
-        """
+        """Resume from a :meth:`snapshot_state` payload and, for an
+        incremental one, the ``output`` deltas of every snapshot up to it
+        (ignored under ``on_window``: such a run keeps no rows).  A
+        different workload or configuration raises
+        :class:`~repro.errors.CheckpointError`; otherwise :meth:`process`
+        continues exactly where the snapshot left off, totals and all."""
         try:
             state = pickle.loads(payload)
             deltas = [pickle.loads(delta) for delta in output]
@@ -790,8 +780,8 @@ class StreamingExecutor:
                 f"snapshot {state['fingerprint']!r} vs executor {fingerprint!r}"
             )
         self._begin_run()
-        restored: list = state.get("output") or []
-        for start, rows in deltas:
+        restored: list = (state.get("output") or []) if self._keep_rows else []
+        for start, rows in deltas if self._keep_rows else ():
             if start > len(restored):
                 raise CheckpointError(
                     f"output delta starts at row {start}, only {len(restored)} came before it"
@@ -864,6 +854,10 @@ class StreamingExecutor:
         #: Window instances closed this run — the checkpoint
         #: scheduler's "every N window boundaries" trigger reads this.
         self._windows_closed = 0
+        self._totals = RunningTotals()
+        #: Rows of the close sweep under way: decomposed OR/AND queries'
+        #: halves recombine once it ends.
+        self._sweep: list = []
         #: The stage in front of the core, built last: under the retract
         #: policy it starts by snapshotting the (now reset) core.
         self._lateness: Optional[Lateness] = (
@@ -1142,11 +1136,9 @@ class StreamingExecutor:
         if group.evicts:
             engine.evict_to(next(iter(group.metas), None))
         if not group.metas:
-            # The group's last window closed: evict the group itself so
-            # memory tracks *live* state, not every group key ever seen.  A
-            # returning key rebuilds its engine from the unit's compilation
-            # or pool (cheap — state only).  The group's decision
-            # statistics outlive it in the run accumulator.
+            # The group's last window closed: evict it, so memory tracks
+            # *live* state.  A returning key rebuilds its engine (cheap —
+            # state only); decision statistics outlive it in the run's.
             if group.optimizer is not None and self._adaptive_stats is not None:
                 self._adaptive_stats.merge(group.optimizer.statistics)
             del unit.groups[group_key]
@@ -1160,24 +1152,16 @@ class StreamingExecutor:
         window_start, window_end = unit.spec.window.instance_bounds(meta.index)
         metrics = self._report.metrics
         metrics.record_partition(
-            seconds=seconds,
-            events=events,
-            memory_units=engine.memory_units(),
-            operations=ops_delta,
+            seconds=seconds, events=events, memory_units=engine.memory_units(), operations=ops_delta
         )
         metrics.record_emission(latency)
-        # The report and the callback share the one read-only row.
-        self._report.partition_results.append(
-            PartitionResult(
-                group_key=group_key,
-                window_index=meta.index,
-                window_start=window_start,
-                results=results,
-                seconds=seconds,
-                events=events,
-                emission_latency=latency,
-            )
+        row = PartitionResult(
+            group_key, meta.index, window_start, results, seconds, events, latency
         )
+        self._totals.add(row)
+        self._sweep.append(row)
+        if self._keep_rows:
+            self._report.partition_results.append(row)
         if self.on_window is not None:
             result: Optional[WindowResult] = WindowResult(
                 group_key, meta.index, window_start, window_end, results, events, latency
@@ -1199,6 +1183,22 @@ class StreamingExecutor:
                 self._close_expired(unit, now)
             if unit.next_close < self._next_close:
                 self._next_close = unit.next_close
+        if self._sweep:
+            self._fold_recombined()
+
+    def _fold_recombined(self) -> None:
+        """Fold the sweep's decomposed OR/AND windows into the totals, in
+        first-seen key order: a key's halves share its window and close in
+        one sweep."""
+        rows, self._sweep = self._sweep, []
+        for name, decomposition in self.analysis.decompositions.items():
+            subs = {sub.name for sub in decomposition.sub_queries}
+            for (group_key, index), value in recombined_partitions(decomposition, rows).items():
+                assert not any(
+                    index in getattr(unit.groups.get(group_key), "metas", ())
+                    for unit in self._units if subs & unit.layout.index.keys()
+                ), f"{name!r}: half of window {index} of {group_key!r} is still open"
+                self._totals.add_recombined(name, value)
 
     def _close_expired(self, unit: _Unit, now: float) -> None:
         """Close every window of ``unit`` whose end the stream has passed,

@@ -251,11 +251,15 @@ def adaptive_workload(*, with_negation: bool = False) -> list[Query]:
 
 
 def run_collecting(queries, feed, **kwargs):
-    """Run ``feed(executor)``; return the report and the emission sequence."""
+    """Run ``feed(executor)``; return the report and the emission sequence —
+    the rows :func:`partition_tuples` reads, which the callback took instead
+    of the report."""
     emitted = []
     executor = StreamingExecutor(
         queries,
-        on_window=lambda r: emitted.append((r.group_key, r.window_index, dict(r.results))),
+        on_window=lambda r: emitted.append(
+            (r.group_key, r.window_index, dict(r.results), r.events)
+        ),
         **kwargs,
     )
     feed(executor)

@@ -553,12 +553,12 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
 
 
 def test_snapshot_splits_output_from_live_state():
-    """Pinned shape (v10): ``{version, fingerprint, core, lateness}``; the
-    core is its own pickle and carries the run's scalar metrics, no report
-    and no totals (``finish`` sums those from the rows); the output — one
-    list, one compact row per closed window, addressed by the one
-    ``windows_closed`` mark — rides under ``"output"`` in the self-contained
-    form and outside the payload in the incremental one."""
+    """Pinned shape (v14): ``{version, fingerprint, core, lateness}``; the
+    core is its own pickle and carries the run's scalar metrics and running
+    totals (one sum per layout slot), no report; the output — one list, one
+    compact row per closed window, addressed by the one ``windows_closed``
+    mark — rides under ``"output"`` in the self-contained form and outside
+    the payload in the incremental one."""
     executor = _fresh(_workload(Window(8.0), ("g",), False), None)
     for index in range(60):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
@@ -568,7 +568,9 @@ def test_snapshot_splits_output_from_live_state():
     assert sorted(state) == ["core", "fingerprint", "lateness", "output", "version"]
     assert state["lateness"] is None  # strict order: no stage
     core = pickle.loads(state["core"])
-    assert "_report" not in core and b"totals" not in state["core"]
+    assert "_report" not in core and "totals" not in core
+    for (_, slot_of), sums in core["_totals"]._sums.items():
+        assert len(sums) == len(set(slot_of))  # per slot, not per window
     metrics = core["metrics"]
     assert metrics.partitions == metrics.emissions == closed
     # No per-window list on the metrics: the rows are the only O(windows) state.
@@ -760,9 +762,9 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v12 snapshot (a reorder buffer pickling an in-order tail beside its
-    heap) is refused with a typed error instead of failing inside
-    unpickling; so is v11 (engines pickling a kernel backend)."""
+    """A v13 snapshot (a core without running totals) is refused with a
+    typed error instead of failing inside unpickling; so is v12 (a reorder
+    buffer pickling an in-order tail beside its heap)."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
@@ -771,13 +773,13 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 13
+    assert state["version"] == SNAPSHOT_VERSION == 14
     assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (12, 11):
+    for previous in (13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

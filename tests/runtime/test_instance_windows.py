@@ -142,8 +142,14 @@ def measure(name: str, *, block: bool) -> dict:
                 (result.group_key, result.window_index, result.events, sorted(result.results.items()))
             ).encode()
         )
-    partitions = [(p.group_key, p.window_index, p.events) for p in report.partition_results]
-    assert partitions == [(r.group_key, r.window_index, r.events) for r in emitted]
+    # The callback is the rows' one sink; a callback-less twin keeps them.
+    assert report.partition_results == []
+    twin = StreamingExecutor(queries, factory, **options).run(
+        EventStream(events).to_block() if block else events
+    )
+    partitions = [(p.key, p.events, p.results) for p in twin.partition_results]
+    assert partitions == [((r.group_key, r.window_index), r.events, r.results) for r in emitted]
+    assert twin.totals == report.totals
     return {
         "operations": report.metrics.operations,
         "windows": len(emitted),

@@ -308,7 +308,7 @@ def test_executor_and_stage_form_no_reference_cycle(lateness):
         assert alive() is None
     finally:
         gc.enable()
-    assert report.partition_results
+    assert report.metrics.partitions > 0 and report.totals["q"] > 0
 
 
 # --------------------------------------------------------------------- #

@@ -997,7 +997,12 @@ class TestLatePolicies:
         ordered = run_streaming(
             queries, sorted(events, key=lambda e: (e.time, e.sequence)), HamletEngine
         )
-        assert report_fingerprint(report) == report_fingerprint(ordered)
+        # The callback is the rows' one sink; a callback-less twin keeps them.
+        assert report.partition_results == [] and report.totals == ordered.totals
+        twin = run_streaming(
+            queries, events, HamletEngine, allowed_lateness=50.0, late_policy="retract"
+        )
+        assert report_fingerprint(twin) == report_fingerprint(ordered)
         retractions = [r for r in emitted if r.retraction]
         assert len(retractions) == 1
         assert retractions[0].window_index == 0
@@ -1071,8 +1076,9 @@ class TestLateRowsInsideUnsortedBlocks:
             arrivals.insert(position + 30, arrivals.pop(position))
         return events, arrivals
 
-    def _run(self, arrivals, rows, policy):
-        """Returns the interleaved callback log, the report and the error."""
+    def _run(self, arrivals, rows, policy, callback=True):
+        """Returns the interleaved callback log, the report and the error;
+        ``callback=False`` runs without ``on_window``: the report keeps the rows."""
         log: list[tuple] = []
         options = dict(allowed_lateness=self.HORIZON, late_policy=policy)
         if policy == "side_output":
@@ -1080,7 +1086,9 @@ class TestLateRowsInsideUnsortedBlocks:
         executor = StreamingExecutor(
             grouped_queries(),
             HamletEngine,
-            on_window=lambda r: log.append(("window", *emission_trace([r])[0])),
+            on_window=(lambda r: log.append(("window", *emission_trace([r])[0])))
+            if callback
+            else None,
             **options,
         )
         try:
@@ -1114,7 +1122,12 @@ class TestLateRowsInsideUnsortedBlocks:
             assert f"time={first.time!r} seq={first.sequence} " in block_error
             assert f"watermark {max(times[: late[0]]) - self.HORIZON!r}" in block_error
             return
-        assert report_fingerprint(block_report) == report_fingerprint(scalar_report)
+        # The callback is the rows' one sink; callback-less twins keep them.
+        assert block_report.partition_results == scalar_report.partition_results == []
+        _, scalar_rows, _ = self._run(arrivals, None, policy, callback=False)
+        _, block_rows, _ = self._run(arrivals, rows, policy, callback=False)
+        assert report_fingerprint(block_rows) == report_fingerprint(scalar_rows)
+        assert block_rows.totals == block_report.totals == scalar_report.totals
         for counter in ("late_dropped", "late_side_output", "late_retracted", "operations"):
             assert getattr(block_report.metrics, counter) == getattr(
                 scalar_report.metrics, counter
@@ -1130,7 +1143,7 @@ class TestLateRowsInsideUnsortedBlocks:
             assert side == [e for e in arrivals if e in side]  # arrival order
         if policy == "retract":
             ordered = run_streaming(grouped_queries(), events, HamletEngine)
-            assert report_fingerprint(block_report) == report_fingerprint(ordered)
+            assert report_fingerprint(block_rows) == report_fingerprint(ordered)
 
     @pytest.mark.parametrize("rows", (None, 7, 1_000), ids=("scalar", "rows7", "rows1000"))
     @pytest.mark.parametrize("kind", PER_INSTANCE_KINDS)
@@ -1250,6 +1263,26 @@ class TestCheckpointWithBufferedEvents:
         assert emission_trace(first_emitted + second_emitted) == emission_trace(
             reference_emitted
         )
+        # The callback is the rows' one sink; a callback-less chain carries
+        # its rows through the checkpoint's output delta, bit for bit.
+        assert resumed.partition_results == []
+
+        def run_frames(executor, chunk):
+            for frame in chunk:
+                executor.process_block(frame)
+            return executor
+
+        keeper = run_frames(StreamingExecutor(queries, HamletEngine, **options), frames[:8])
+        store = CheckpointStore(tmp_path / "rows", shard_id=0)
+        store.write(0, 8, *keeper.snapshot_state(0))
+        successor = StreamingExecutor(queries, HamletEngine, **options)
+        successor.restore_state(store.latest().payload, store.latest().output)
+        kept = run_frames(successor, frames[8:]).finish()
+        twin = run_frames(StreamingExecutor(queries, HamletEngine, **options), frames).finish()
+        assert report_fingerprint(kept) == report_fingerprint(twin)
+        assert {k: v.hex() for k, v in kept.totals.items()} == {
+            k: v.hex() for k, v in resumed.totals.items()
+        }
 
     def test_snapshot_fingerprint_pins_lateness_config(self):
         events = make_events(seed=53, size=40)

@@ -1,13 +1,13 @@
 """One compact row per closed window (``runtime/results.py``).
 
-A streaming report keeps a :class:`WindowValues` per closed window — the
-unit's shared :class:`ResultLayout` plus one ``array('d')`` with one slot
-per distinct value: per sharing class and aggregate, not per query.
-Pinned here: the layout's slot counts, the row as a faithful ``Mapping``
-(equal to the dict of its items, same order, same bits, one-to-one or
-many-to-one), one layout per pickle dump, a fraction of a dict's bytes,
-``on_window`` handed the report's own row, ``report.totals`` bit-identical
-to a running sum over the rows (1-3 shards, a retraction's rollback), the
+A closed window's row is a :class:`WindowValues` — the unit's shared
+:class:`ResultLayout` plus one ``array('d')`` with one slot per distinct
+value: per sharing class and aggregate, not per query.  Pinned here: the
+layout's slot counts, the row as a faithful ``Mapping`` (equal to the dict
+of its items, same order, same bits, one-to-one or many-to-one), one
+layout per pickle dump, a fraction of a dict's bytes, ``on_window`` handed
+the row a callback-less report keeps, ``report.totals`` bit-identical to a
+running sum over the rows (1-3 shards, a retraction's rollback), the
 class-slot invariant under split columns, and ``results_by_partition``
 reporting only the partitions holding the query.
 """
@@ -47,7 +47,7 @@ from repro.runtime import (
     run_streaming,
     run_workload,
 )
-from repro.runtime.results import window_totals
+from repro.runtime.results import RunningTotals
 
 NAMES = ("q_a", "q_b", "q_c")
 
@@ -260,14 +260,29 @@ def test_totals_key_by_names_across_distinct_layouts():
     for row in rows:
         for name, value in row.results.items():
             expected[name] = expected.get(name, 0.0) + value
-    assert _hex(window_totals(rows)) == _hex(expected)
-    assert list(window_totals(rows)) == [*NAMES, *MANY.names]
+    assert _hex(_fold(rows)) == _hex(expected)
+    assert list(_fold(rows)) == [*NAMES, *MANY.names]
     zeros = [_Partition(_row([-0.0, 0.0, -0.0]))]
-    assert _hex(window_totals(zeros)) == {name: (0.0).hex() for name in NAMES}
+    assert _hex(_fold(zeros)) == {name: (0.0).hex() for name in NAMES}
+    # A pickled fold resumes where it stopped: same sums, same bits.
+    totals = RunningTotals()
+    for row in rows[:25]:
+        totals.add(row)
+    resumed = pickle.loads(pickle.dumps(totals))
+    for row in rows[25:]:
+        resumed.add(row)
+    assert _hex(resumed.totals()) == _hex(expected)
+
+
+def _fold(rows) -> dict[str, float]:
+    totals = RunningTotals()
+    for row in rows:
+        totals.add(row)
+    return totals.totals()
 
 
 class _Partition:
-    """The one attribute :func:`window_totals` reads of a report row."""
+    """The one attribute :meth:`RunningTotals.add` reads of a report row."""
 
     __slots__ = ("results",)
 
@@ -337,16 +352,19 @@ def _running_totals(report) -> dict[str, str]:
     return _hex(totals)
 
 
-def test_on_window_is_handed_the_report_row_itself():
+def test_on_window_is_handed_the_row_the_report_would_keep():
     emitted: list = []
     report = StreamingExecutor(_queries(), on_window=emitted.append).run(_events(5, 400))
-    rows = report.partition_results
+    assert report.partition_results == []  # the callback is the one sink
+    rows = run_streaming(_queries(), _events(5, 400)).partition_results
     assert len(emitted) == len(rows) > 20
     widths = set()
     for result, row in zip(emitted, rows):
         assert (result.group_key, result.window_index) == row.key
-        assert result.results is row.results
         assert isinstance(result.results, WindowValues)
+        assert result.results.layout.names == row.results.layout.names
+        assert result.results.layout.slot_of == row.results.layout.slot_of
+        assert result.results.slots.tobytes() == row.results.slots.tobytes()
         widths.add((len(result.results), len(result.results.slots)))
     assert widths == {(3, 2), (2, 1), (1, 1)}  # two many-to-one units, two of one query
     # Read-only: a caller that needs to mutate takes a dict.
