@@ -49,7 +49,7 @@ from repro.events.columnar import Buffer, build_event
 from repro.events.event import Event, EventType, collapse_nan
 from repro.events.time import Timestamp
 
-__all__ = ["EventBlock", "EventBlockBuilder"]
+__all__ = ["EventBlock", "EventBlockBuilder", "group_codes"]
 
 #: Per-shape value columns: ``shape_columns[key_code][position][slot]``.
 ShapeColumns = list[list[Sequence[Any]]]
@@ -104,6 +104,32 @@ def _recode(
     if union[: len(table)] == table:
         return codes
     return array("I", map([union.index(entry) for entry in table].__getitem__, codes))
+
+
+def group_codes(columns: Sequence[Sequence[Any]], count: int) -> GroupCodes:
+    """The group keys of ``count`` rows, one payload column per key
+    attribute, as ``(table, codes)``.
+
+    ``table`` holds the distinct keys in first-appearance order and
+    ``codes`` one ``array('I')`` entry per row: ``table[codes[i]]`` is row
+    ``i``'s :func:`~repro.events.event.group_key` (float NaN collapsed to
+    ``GROUP_NAN``) up to dict equality — keys a dict merges
+    (``0.0``/``-0.0``, ``1``/``1.0``/``True``) share one code, the first
+    row's key standing for them.  Two C-speed passes; no per-row object
+    outlives them.
+    """
+    columns = [collapse_nan(column) for column in columns]
+    table: tuple[tuple[Any, ...], ...]
+    if not columns:
+        table, codes = ((),) if count else (), array("I", [0]) * count
+    else:
+        single = len(columns) == 1
+        index = dict.fromkeys(columns[0] if single else zip(*columns))
+        for code, key in enumerate(index):
+            index[key] = code
+        codes = array("I", map(index.__getitem__, columns[0] if single else zip(*columns)))
+        table = tuple((key,) for key in index) if single else tuple(index)
+    return table, codes
 
 
 def _block_from_columns(
@@ -541,34 +567,13 @@ class EventBlock:
         return out
 
     def group_codes(self, attributes: tuple[str, ...]) -> GroupCodes:
-        """The group keys of ``attributes`` as ``(table, codes)`` (cached
-        per block).
-
-        ``table`` holds the block's distinct keys in first-appearance order
-        and ``codes`` one ``array('I')`` entry per block-relative row:
-        ``table[codes[i]]`` is row ``i``'s :func:`~repro.events.event.group_key`
-        (float NaN collapsed to ``GROUP_NAN``) up to dict equality — keys a
-        dict merges (``0.0``/``-0.0``, ``1``/``1.0``/``True``) share one code,
-        the first row's key standing for them (:meth:`group_key_at` is a
-        row's own).  Two C-speed passes; no per-row object outlives them.
-        """
+        """:func:`group_codes` of the payload columns of ``attributes``,
+        cached per block (:meth:`group_key_at` is a row's own key)."""
         cached = self._group_cache.get(attributes)
-        if cached is not None:
-            return cached
-        columns = [collapse_nan(self.payload_column(attribute)) for attribute in attributes]
-        count = self._stop - self._start
-        table: tuple[tuple[Any, ...], ...]
-        if not columns:
-            table, codes = ((),) if count else (), array("I", [0]) * count
-        else:
-            single = len(columns) == 1
-            index = dict.fromkeys(columns[0] if single else zip(*columns))
-            for code, key in enumerate(index):
-                index[key] = code
-            codes = array("I", map(index.__getitem__, columns[0] if single else zip(*columns)))
-            table = tuple((key,) for key in index) if single else tuple(index)
-        self._group_cache[attributes] = table, codes
-        return table, codes
+        if cached is None:
+            columns = [self.payload_column(attribute) for attribute in attributes]
+            cached = self._group_cache[attributes] = group_codes(columns, len(self))
+        return cached
 
     def group_key_at(self, attributes: tuple[str, ...], index: int) -> tuple[Any, ...]:
         """Row ``index``'s own group key (block-relative) — the key

@@ -333,6 +333,11 @@ def _parse_columns(buffer: Buffer) -> _ParsedColumns:
         offset = 4
         parsed.count = count
         parsed.times, offset = _decode_column(view, offset, count)
+        low = min(parsed.times, default=0.0)
+        # ``min`` passes over NaN unless row 0 holds one (the executors
+        # reject NaN themselves); only then does a negative time need a scan.
+        if low < 0 or (low != low and any(time < 0 for time in parsed.times)):
+            raise ExecutionError("columnar batch corrupt: negative event time")
         parsed.sequences, offset = _decode_column(view, offset, count)
         (type_count,) = _U32.unpack_from(view, offset)
         offset += 4

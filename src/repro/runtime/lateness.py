@@ -60,7 +60,7 @@ class Core(Protocol):
     names: :class:`~repro.runtime.streaming.StreamingExecutor` is one)."""
 
     def _ingest_event(self, event: Event) -> None:
-        """Feed one in-order event."""
+        """Stage one in-order event (the other three calls fold it first)."""
 
     def _ingest_block(self, block: EventBlock) -> None:
         """Feed one block in key order."""
@@ -69,8 +69,8 @@ class Core(Protocol):
         """An opaque, detached copy of the core's live state."""
 
     def _restore_core(self, snapshot: Any) -> int:
-        """Roll the core (its running totals and any kept rows) back to a
-        ``_core_state()`` copy; returns the mark — windows closed — it holds."""
+        """Roll the core (running totals, kept rows; staged events dropped)
+        back to a ``_core_state()`` copy; returns its mark: windows closed."""
 
 
 def _last_key(release: Release) -> tuple:

@@ -56,7 +56,9 @@ within the horizon is bit-identical to its ordered run.
 with zero overhead.
 
 The executor is incremental: ``process(event)`` / ``finish()`` drive it from
-a live source, ``run(stream)`` wraps them for replay-style use.
+a live source, ``run(stream)`` wraps them for replay-style use.  Both ingest
+paths share one Cover stage: ``process()`` stages rows for the loop
+``process_block`` runs, folded before any window they precede closes.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
 from repro.errors import CheckpointError
-from repro.events.block import EventBlock
+from repro.events.block import EventBlock, GroupCodes, group_codes
 from repro.events.event import Event, EventType
 from repro.events.event import group_key as group_key_of
 from repro.events.stream import EventStream, slice_stream
@@ -108,6 +111,11 @@ from repro.template.template import compile_pattern
 #: v14: the core pickles the run's ``RunningTotals``.  (What v2-v13
 #: changed: CHANGES.md.)
 SNAPSHOT_VERSION = 14
+
+#: Rows a stage holds at most: a close interval longer than that folds in
+#: pieces (a cut between two sweeps changes no result), so ``process()``
+#: buffers a bounded number of events whatever the stream.
+_STAGE_ROWS = 4096
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = (
@@ -197,7 +205,7 @@ class _Group:
 
 @dataclass(slots=True)
 class _BlockUnitColumns:
-    """Per-unit columns prepared once per ingested block (block fast path)."""
+    """Per-unit columns prepared once per block (or fold of staged rows)."""
 
     #: ``block.group_codes(spec.group_by)``: distinct keys, one code per row.
     table: Sequence[tuple]
@@ -212,15 +220,14 @@ class _BlockUnitColumns:
     #: ``code -> highest armed window index`` since the last close sweep.
     #: Between sweeps no window closes, so once a row armed ``lo..hi`` every
     #: later row of the group (``lo`` is non-decreasing) only needs to check
-    #: indices above the cached high — the per-event path re-probes the full
-    #: covering range on every event.  Cleared whenever a sweep runs.
+    #: indices above the cached high.  Cleared whenever a sweep runs.
     armed: dict = field(default_factory=dict)
     #: ``code -> _Group`` resolved since the last close sweep — cleared with
     #: ``armed``: a sweep may evict a group, and a later row must open anew.
     groups: dict = field(default_factory=dict)
-    #: The static plan only (``None`` under an optimizer): ``code -> block
-    #: rows fed since the last close sweep`` — a group's whole segment goes
-    #: to its engine in one call.  Emptied by every segment flush.
+    #: Compiled units on the static plan only (else ``None``): ``code ->
+    #: block rows fed since the last close sweep`` — a group's whole segment
+    #: goes to its engine in one call.  Emptied by every segment flush.
     rows: Optional[dict] = None
 
 
@@ -230,12 +237,50 @@ class _RowViews:
 
     __slots__ = ("block", "rows")
 
-    def __init__(self, block: EventBlock, rows: Sequence[int]) -> None:
+    def __init__(self, block: EventBlock | _StagedRows, rows: Sequence[int]) -> None:
         self.block = block
         self.rows = rows
 
     def __getitem__(self, position: int) -> Event:
         return self.block.event_at(self.rows[position])
+
+
+class _StagedRows(list):
+    """The events ``process()`` staged since the last fold, read by the
+    Cover loop through the reads it makes of an :class:`EventBlock`."""
+
+    __slots__ = ("arrivals", "type_table", "groups", "times", "sequences", "type_codes")
+
+    start = 0
+    stop = property(list.__len__)
+    event_at = list.__getitem__
+
+    def __init__(self, type_table: tuple) -> None:
+        super().__init__()
+        #: ``time.perf_counter()`` at each row's own arrival.
+        self.arrivals: list[float] = []
+        self.type_table = type_table
+        #: ``group_codes`` per attribute tuple, for the one fold.
+        self.groups: dict[tuple[str, ...], GroupCodes] = {}
+
+    def seal(self, codes: dict[EventType, int]) -> None:
+        """Build the order and type columns, one pass each, at the fold."""
+        self.times = [event.time for event in self]
+        self.sequences = [event.sequence for event in self]
+        self.type_codes = [codes.get(event.event_type, -1) for event in self]
+
+    def payload_column(self, key: str) -> list:
+        return [event.payload.get(key) for event in self]
+
+    def group_codes(self, attributes: tuple[str, ...]) -> GroupCodes:
+        cached = self.groups.get(attributes)
+        if cached is None:
+            columns = [self.payload_column(name) for name in attributes]
+            cached = self.groups[attributes] = group_codes(columns, len(self))
+        return cached
+
+    def group_key_at(self, attributes: tuple[str, ...], row: int) -> tuple:
+        return group_key_of(self[row], attributes)
 
 
 @dataclass(eq=False)
@@ -359,13 +404,19 @@ class StreamingExecutor:
         for group in self.analysis.groups:
             for queries in execution_units(group.queries):
                 self._units.append(self._build_unit(queries, flavor))
-        self._units_by_type: dict[EventType, tuple[_Unit, ...]] = {}
+        by_type: dict[EventType, list[_Unit]] = {}
+        #: Per type: the window shapes a row of it opens windows in.
+        opening: dict[EventType, dict] = {}
         for unit in self._units:
-            for event_type in unit.relevant_types:
-                self._units_by_type.setdefault(event_type, []).append(unit)  # type: ignore[arg-type]
-        self._units_by_type = {
-            event_type: tuple(units) for event_type, units in self._units_by_type.items()
-        }
+            for name in unit.relevant_types:
+                by_type.setdefault(name, []).append(unit)
+            for name in unit.opening_types if lazy_open else unit.relevant_types:
+                opening.setdefault(name, {})[unit.spec.window] = None
+        self._units_by_type = {name: tuple(units) for name, units in by_type.items()}
+        #: The staged rows' type table: relevant types, then ``None`` (code -1).
+        self._stage_types = (*self._units_by_type, None)
+        self._stage_codes = {name: code for code, name in enumerate(self._units_by_type)}
+        self._opening_shapes = {name: tuple(shapes) for name, shapes in opening.items()}
         pools = [unit.pool for unit in self._units if unit.linear and unit.compiled is None]
         if prebuilt is not None and pools:
             # The engine built to probe an opaque factory is the first pooled one.
@@ -404,7 +455,13 @@ class StreamingExecutor:
         return self.finish()
 
     def process(self, event: Event) -> None:
-        """Ingest one event, feeding engines and emitting closed windows.
+        """Ingest one event: staged, with its own arrival stamp, for the
+        Cover loop of :meth:`process_block`.  The arrival that passes a
+        window end folds the stage first, so the window still closes — and
+        emits — inside its call.  A per-group ``(time, sequence)`` violation
+        at equal times surfaces at the fold: that arrival (or one finding
+        the stage full), ``process_block``, a snapshot, ``finish`` or a
+        live-state reader.
 
         With ``allowed_lateness`` set it goes to the lateness stage, which
         feeds the core whatever the advancing watermark releases.
@@ -417,26 +474,55 @@ class StreamingExecutor:
             lateness.offer(self, event)
 
     def _ingest_event(self, event: Event) -> None:
-        """Feed one in-order event to the core (past the lateness stage)."""
-        self._clock = event.time
+        """Stage one in-order event (past the lateness stage): no engine
+        call, no group lookup; a type no unit reads is only counted.  The
+        first arrival at or past the earliest end of an open window or of
+        one a staged row opens folds the stage and runs the close sweep
+        before it starts the next stage; one finding the stage full folds
+        it too."""
+        event_time = event.time
+        staged = self._staged
+        if event_time >= self._fold_at or len(staged) >= _STAGE_ROWS:
+            self._fold()
+            staged = self._staged
+        if not staged and event_time >= self._next_close:
+            self._close_passed_windows(event_time)
+        self._clock = event_time
         self._consumed += 1
-        if event.time >= self._next_close:
-            self._close_passed_windows(event.time)
-        units = self._units_by_type.get(event.event_type)
-        if not units:
+        if event.event_type not in self._stage_codes:
             return
-        arrival = time.perf_counter()
-        for unit in units:
-            self._feed(unit, event, arrival)
+        if not staged:
+            self._fold_at = self._next_close
+            self._unseen = dict(self._opening_shapes)
+        shapes = self._unseen.pop(event.event_type, None)
+        if shapes:
+            # A type's first staged row opens the earliest windows any of its
+            # staged rows can: later rows' covering ranges only move up.
+            for window in shapes:
+                end = window.instance_bounds(window.covering_bounds(event_time)[0])[1]
+                self._fold_at = min(self._fold_at, end)
+        staged.append(event)
+        staged.arrivals.append(time.perf_counter())
+
+    def _fold(self) -> None:
+        """Run the staged rows, if any, through the Cover loop.  A fold the
+        engine rejects (a per-group ``(time, sequence)`` violation) drops
+        the rows staged behind the offending one."""
+        staged = self._staged
+        if staged:
+            self._staged = _StagedRows(self._stage_types)
+            staged.seal(self._stage_codes)
+            self._cover(staged, staged.arrivals)
 
     def process_block(self, block: EventBlock) -> None:
-        """Ingest a whole columnar block of events.
+        """Ingest a whole columnar block of events, after the rows
+        :meth:`process` staged.
 
         Semantically identical to calling :meth:`process` for every row in
         order — same results, same abstract operation counts, same emission
         order, same sharing decisions (the block differential suites pin
-        this).  Covering window ranges come from one vectorized pass over
-        the time column
+        this): both paths run one Cover loop.  Covering window ranges come
+        from one vectorized pass over the time column
         (:meth:`~repro.query.windows.Window.instance_range_columns`), group
         keys and measure contributions from the block's columns, and the
         engine folds the rows from columns
@@ -466,25 +552,29 @@ class StreamingExecutor:
         self._ingest_block(block)
 
     def _ingest_block(self, block: EventBlock) -> None:
-        """Feed one in-order block to the core (past the lateness stage)."""
-        count = len(block)
-        if count == 0:
-            return
-        times = block.times
-        base = block.start
-        stop = block.stop
-        if base == 0 and stop == len(times):
-            times_col: Sequence[float] = times
-            codes_col: Sequence[int] = block.type_codes
-            seqs_col: Sequence[int] = block.sequences
-        else:
-            times_col = times[base:stop]
-            codes_col = block.type_codes[base:stop]
-            seqs_col = block.sequences[base:stop]
+        """Feed one in-order block to the core (past the lateness stage)
+        after the staged rows; its rows share one arrival stamp."""
+        self._fold()
+        if len(block):
+            self._clock = block.times[block.stop - 1]
+            self._consumed += len(block)
+            self._cover(block, repeat(time.perf_counter()))
+
+    def _cover(self, block: EventBlock | _StagedRows, arrivals: Iterable[float]) -> None:
+        """The Cover stage: resolve each row's groups and covering window
+        range, open groups and windows lazily, skip inert rows, close what
+        the stream passed, and hand every fed row on — to the group's
+        static segment, its optimizer's burst, or a per-instance engine."""
+        count, times, base, stop = len(block), block.times, block.start, block.stop
+        times_col, codes_col, seqs_col = times, block.type_codes, block.sequences
+        if base or stop != len(times):
+            times_col, codes_col, seqs_col = (
+                times[base:stop], codes_col[base:stop], seqs_col[base:stop]
+            )
         #: ``(window size, slide) -> (lows, highs)`` — units sharing a window
         #: shape share one covering-range pass over the time column.
         range_cache: dict[tuple[float, float], tuple[list[int], list[int]]] = {}
-        #: Compiled-unit states in first-touch order.
+        #: Unit states in first-touch order.
         prepared: dict[_Unit, _BlockUnitColumns] = {}
         #: Per type code: the ``_block_code_feeds`` tuples, resolved lazily
         #: on the code's first row.
@@ -493,102 +583,102 @@ class StreamingExecutor:
         #: buffered event column of columnar types.
         nones: list[None] = [None] * count
         buffering = self._burst_buffering
-        arrival = time.perf_counter()
-        clock = self._clock
-        consumed = self._consumed
         engine_feeds = 0
         next_close = self._next_close
         columns = (block, times_col, codes_col, seqs_col)
-        for local, event_time, code, sequence in zip(
-            range(count), times_col, codes_col, seqs_col
-        ):
-            clock = event_time
-            consumed += 1
-            if event_time >= next_close:
-                if not buffering:
-                    # What the static path holds back precedes the boundary:
-                    # fold it before any window it may contribute to is read
-                    # out.  (Buffered bursts stay; the sweep flushes those of
-                    # closing groups.)
-                    self._flush_static(prepared, *columns)
-                for state in prepared.values():
-                    state.armed.clear()
-                    state.groups.clear()
-                self._clock = clock
-                self._consumed = consumed
-                self._engine_feeds += engine_feeds
-                engine_feeds = 0
-                self._close_passed_windows(event_time)
-                next_close = self._next_close
-            feeds = feeds_by_code[code]
-            if feeds is None:
-                feeds = feeds_by_code[code] = self._block_code_feeds(
-                    block, code, codes_col, nones, prepared, range_cache
-                )
-            if not feeds:
-                continue
-            event: Optional[Event] = None
-            for unit, state, qualifies, event_type, contributions, events in feeds:
-                if state is None:
-                    # Single-window engines take Events: the scalar feed.
-                    if event is None:
-                        event = block.event_at(local)
-                    self._feed(unit, event, arrival)
-                    next_close = self._next_close  # a window may have opened
-                    continue
-                key = state.codes[local]
-                group = state.groups.get(key)
-                if group is None:
-                    group = unit.groups.get(state.table[key])
-                    if group is None:
-                        if not qualifies:
-                            continue
-                        # Keyed by the row's own key, as on the per-event path.
-                        row_key = block.group_key_at(unit.spec.group_by, local)
-                        group = self._open_group(unit, row_key)
-                    state.groups[key] = group
-                lo = state.lows[local]
-                hi = state.highs[local]
-                if hi < lo:
-                    continue
-                if qualifies:
-                    cached = state.armed.get(key)
-                    if cached is None or hi > cached:
-                        # Indices up to ``cached`` were armed earlier in this
-                        # sweep segment and cannot have closed since.
-                        self._open_windows(
-                            unit, group, lo if cached is None else max(lo, cached + 1), hi
-                        )
-                        next_close = self._next_close
-                        state.armed[key] = hi
-                if not group.metas:
-                    continue
-                pending = state.rows
-                if pending is not None:
-                    rows = pending.get(key)
-                    if rows is None:
-                        pending[key] = [local]
-                    else:
-                        rows.append(local)
-                else:
-                    burst = group.burst
-                    if burst and group.burst_type != event_type:
-                        self._flush_group(group)
-                        burst = group.burst
-                    group.burst_type = event_type
-                    burst.append(
-                        (event_time, sequence, lo, hi, contributions[local], events[local])
+        try:
+            for local, event_time, code, sequence, arrival in zip(
+                range(count), times_col, codes_col, seqs_col, arrivals
+            ):
+                if event_time >= next_close:
+                    if not buffering:
+                        # What the static path holds back precedes the boundary:
+                        # fold it before any window it may contribute to is read
+                        # out.  (Buffered bursts stay; the sweep flushes those of
+                        # closing groups.)
+                        self._flush_static(prepared, *columns)
+                    for state in prepared.values():
+                        state.armed.clear()
+                        state.groups.clear()
+                    self._engine_feeds += engine_feeds
+                    engine_feeds = 0
+                    self._close_passed_windows(event_time)
+                    next_close = self._next_close
+                feeds = feeds_by_code[code]
+                if feeds is None:
+                    feeds = feeds_by_code[code] = self._block_code_feeds(
+                        block, code, codes_col, nones, prepared, range_cache
                     )
-                group.fed += 1
-                # One stamp covers the whole block: every feed of this
-                # group during the block happens at the same arrival.
-                group.last_arrival = arrival
-                engine_feeds += 1
-        if not buffering:
-            self._flush_static(prepared, *columns)
-        self._clock = clock
-        self._consumed = consumed
-        self._engine_feeds += engine_feeds
+                if not feeds:
+                    continue
+                event: Optional[Event] = None
+                for unit, state, qualifies, event_type, contributions, events in feeds:
+                    key = state.codes[local]
+                    group = state.groups.get(key)
+                    if group is None:
+                        group = unit.groups.get(state.table[key])
+                        if group is None:
+                            if not qualifies:
+                                continue
+                            # Keyed by the row's own key, not its code's first.
+                            row_key = block.group_key_at(unit.spec.group_by, local)
+                            group = self._open_group(unit, row_key)
+                        state.groups[key] = group
+                    lo = state.lows[local]
+                    hi = state.highs[local]
+                    if hi < lo:
+                        continue
+                    if qualifies:
+                        cached = state.armed.get(key)
+                        if cached is None or hi > cached:
+                            # Indices up to ``cached`` were armed earlier in this
+                            # sweep segment and cannot have closed since.
+                            self._open_windows(
+                                unit, group, lo if cached is None else max(lo, cached + 1), hi
+                            )
+                            next_close = self._next_close
+                            state.armed[key] = hi
+                    metas = group.metas
+                    if not metas:
+                        # No window of the group is open: the row precedes every
+                        # trend-start row of each instance covering it and is
+                        # provably inert (module docstring) — skipped.
+                        continue
+                    pending = state.rows
+                    if pending is not None:
+                        rows = pending.get(key)
+                        if rows is None:
+                            pending[key] = [local]
+                        else:
+                            rows.append(local)
+                        engine_feeds += 1
+                    elif unit.compiled is None:
+                        # Single-window engines take Events, fed at once (also
+                        # under an optimizer): one feed per live instance.
+                        if event is None:
+                            event = block.event_at(local)
+                        started = time.perf_counter()
+                        group.engine.process(event, lo, hi)
+                        group.share_seconds += (time.perf_counter() - started) / len(metas)
+                        engine_feeds += len(metas)
+                    else:
+                        burst = group.burst
+                        if burst and group.burst_type != event_type:
+                            self._flush_group(group)
+                            burst = group.burst
+                        group.burst_type = event_type
+                        burst.append(
+                            (event_time, sequence, lo, hi, contributions[local], events[local])
+                        )
+                        engine_feeds += 1
+                    group.fed += 1
+                    # A block's rows share one stamp; staged rows carry their own.
+                    group.last_arrival = arrival
+            if not buffering:
+                self._flush_static(prepared, *columns)
+        finally:
+            # Also when the engine rejects a row: it holds what came before.
+            self._engine_feeds += engine_feeds
 
     # ------------------------------------------------------------------ #
     # The core's two neighbours: the lateness stage in front, the output behind
@@ -601,7 +691,9 @@ class StreamingExecutor:
 
     def _core_state(self) -> bytes:
         """The core's own pickle: a detached copy of its *live* ingest state
-        — all it owns except the output rows, which ``windows_closed`` marks."""
+        — all it owns except the output rows, which ``windows_closed`` marks
+        (staged rows fold first: a copy never holds any)."""
+        self._fold()
         core = {name: getattr(self, name) for name in _CORE_FIELDS}
         core["units"] = [(unit.groups, unit.pool, unit.next_close) for unit in self._units]
         core["metrics"] = self._report.metrics
@@ -611,8 +703,10 @@ class StreamingExecutor:
         """Reattach a :meth:`_core_state` copy and the ``output`` rows —
         ``None``: this run's own, a retraction's rollback in place — cut
         back (when kept) to the copy's mark, which is returned.  Never
-        touches the lateness stage: it lives upstream and survives."""
+        touches the lateness stage: it lives upstream and survives.  Staged
+        rows are dropped: a retraction's replay feeds them again."""
         core = pickle.loads(payload)
+        self._staged = _StagedRows(self._stage_types)
         if output is None:
             output = self._report.partition_results
         arrival = time.perf_counter()
@@ -645,6 +739,7 @@ class StreamingExecutor:
         lateness = self._lateness
         if lateness is not None:
             lateness.flush(self)
+        self._fold()
         # Everything still open has passed its end now.
         self._close_passed_windows(float("inf"))
         report = self._report
@@ -669,17 +764,20 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     def active_window_count(self) -> int:
         """Number of currently open ``(group, window instance)`` states."""
+        self._fold()
         return self._active_windows
 
     @property
     def engines_created(self) -> int:
         """Per-instance engines built so far (shared-window engines are one
         per live ``(group, unit)`` pair and are not pooled)."""
+        self._fold()
         return sum(unit.pool.created for unit in self._units)
 
     @property
     def shared_group_count(self) -> int:
         """Live shared multi-window engines (one per ``(group, unit)`` pair)."""
+        self._fold()
         return sum(
             len(unit.groups) for unit in self._units if unit.compiled is not None
         )
@@ -689,11 +787,13 @@ class StreamingExecutor:
         """Engine ``process`` calls so far: 1 per (event, unit, group) on the
         shared path versus up to ``ceil(size/slide)`` per event per unit on
         the per-instance path."""
+        self._fold()
         return self._engine_feeds
 
     @property
     def peak_active_windows(self) -> int:
         """Peak number of simultaneously open window instances this run."""
+        self._fold()
         return self._report.metrics.peak_active_windows
 
     @property
@@ -858,6 +958,11 @@ class StreamingExecutor:
         #: Rows of the close sweep under way: decomposed OR/AND queries'
         #: halves recombine once it ends.
         self._sweep: list = []
+        #: Rows ``process()`` staged for the Cover loop; the event time
+        #: that folds them; ``_opening_shapes`` of the types not staged yet.
+        self._staged = _StagedRows(self._stage_types)
+        self._fold_at = float("inf")
+        self._unseen: dict = {}
         #: The stage in front of the core, built last: under the retract
         #: policy it starts by snapshotting the (now reset) core.
         self._lateness: Optional[Lateness] = (
@@ -869,62 +974,6 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     # Window lifecycle: open, feed, close/emit
     # ------------------------------------------------------------------ #
-    def _feed(self, unit: _Unit, event: Event, arrival: float) -> None:
-        spec = unit.spec
-        key = group_key_of(event, spec.group_by)
-        group = unit.groups.get(key)
-        qualifies = not self.lazy_open or event.event_type in unit.opening_types
-        if group is None:
-            if not qualifies:
-                # The group has never seen an opening event: every window
-                # covering this event is unopened, so the event is provably
-                # inert — don't even build the group's engine.
-                return
-            group = self._open_group(unit, key)
-        lo, hi = spec.window.covering_bounds(event.time)
-        if hi < lo:
-            return
-        if qualifies:
-            self._open_windows(unit, group, lo, hi)
-        metas = group.metas
-        if not metas:
-            # No window of this group is open: the event precedes every
-            # trend-start event of every instance covering it and is
-            # provably inert (see the module docstring); it is skipped
-            # without touching the engine.
-            return
-        compiled = unit.compiled
-        engine = group.engine
-        if compiled is None:
-            started = time.perf_counter()
-            engine.process(event, lo, hi)
-        else:
-            contributions = None if compiled.scalar else compiled.contributions(event)
-            if self._burst_buffering:
-                # Buffer the burst; decisions and engine feeds happen at
-                # flush (type change, window close, or finish).
-                if group.burst and group.burst_type != event.event_type:
-                    self._flush_group(group)
-                group.burst_type = event.event_type
-                group.burst.append((event.time, event.sequence, lo, hi, contributions, event))
-                group.fed += 1
-                group.last_arrival = arrival
-                self._engine_feeds += 1
-                return
-            # The static plan: a one-row segment.
-            assert isinstance(engine, MultiWindowLinearEngine)
-            started = time.perf_counter()
-            engine.process_block_run(
-                (event.event_type,), (event.time,), (event.sequence,), (lo,), (hi,),
-                None if contributions is None else (contributions,), (event,),
-            )
-        duration = time.perf_counter() - started
-        group.fed += 1
-        group.last_arrival = arrival
-        group.share_seconds += duration / len(metas)
-        # Per-instance: one feed per live instance (each covers the event).
-        self._engine_feeds += 1 if compiled is not None else len(metas)
-
     def _open_group(self, unit: _Unit, group_key: tuple) -> _Group:
         """Build the engine of a ``(group, unit)`` pair seen anew."""
         if unit.compiled is None:
@@ -955,12 +1004,12 @@ class StreamingExecutor:
                     if end < self._next_close:
                         self._next_close = end
         if opened:
-            self._report.metrics.note_active_windows(self.active_window_count())
+            self._report.metrics.note_active_windows(self._active_windows)
 
     def _flush_static(
         self,
         prepared: dict[_Unit, _BlockUnitColumns],
-        block: EventBlock,
+        block: EventBlock | _StagedRows,
         times: Sequence[float],
         codes: Sequence[int],
         sequences: Sequence[int],
@@ -1035,7 +1084,7 @@ class StreamingExecutor:
 
     def _block_code_feeds(
         self,
-        block: EventBlock,
+        block: EventBlock | _StagedRows,
         code: int,
         codes: Sequence[int],
         nones: Sequence[None],
@@ -1046,21 +1095,19 @@ class StreamingExecutor:
 
         One ``(unit, state, qualifies, event type, contributions, events)``
         tuple per unit the type is relevant to, built lazily on the code's
-        first row.  Shared-unit states are built once per unit (covering
-        ranges shared between units with the same window shape); a ``None``
-        state marks a per-instance fallback unit.  ``events`` is the
-        per-row :class:`Event` column an optimizer's executor buffers:
-        ``nones`` where the engine folds the type from columns, the block
-        itself (materializing a row view per index) where it folds it per
-        event; ``None`` on the static plan, whose rows get ``_RowViews``.
+        first row.  Unit states are built once per unit (covering ranges
+        shared between units with the same window shape), per-instance
+        units' too.  ``events`` is the per-row :class:`Event` column an
+        optimizer's executor buffers: ``nones`` where the engine folds the
+        type from columns, the block itself (materializing a row view per
+        index) where it folds it per event; ``None`` on the static plan,
+        whose rows get ``_RowViews``, and for per-instance units, which
+        take a row view per fed row.
         """
         event_type = block.type_table[code]
         feeds: list[tuple] = []
         for unit in self._units_by_type.get(event_type, ()):
             compiled = unit.compiled
-            if compiled is None:
-                feeds.append((unit, None, True, event_type, None, None))
-                continue
             state = prepared.get(unit)
             if state is None:
                 window = unit.spec.window
@@ -1070,26 +1117,23 @@ class StreamingExecutor:
                     ranges = range_cache[cache_key] = window.instance_range_columns(
                         block.times, block.start, block.stop
                     )
-                if self.lazy_open:
-                    qualifies_by_code = [
-                        name in unit.opening_types for name in block.type_table
-                    ]
-                else:
-                    qualifies_by_code = [True] * len(block.type_table)
                 state = prepared[unit] = _BlockUnitColumns(
                     *block.group_codes(unit.spec.group_by),
                     lows=ranges[0],
                     highs=ranges[1],
-                    qualifies=qualifies_by_code,
+                    qualifies=[
+                        not self.lazy_open or name in unit.opening_types
+                        for name in block.type_table
+                    ],
                     contributions=(
                         nones
-                        if compiled.scalar
+                        if compiled is None or compiled.scalar
                         else self._block_contributions(block, compiled, codes)
                     ),
-                    rows=None if self._burst_buffering else {},
+                    rows=None if compiled is None or self._burst_buffering else {},
                 )
-            events: Optional[Sequence[Optional[Event]]] = None  # static: ``_RowViews``
-            if self._burst_buffering:
+            events: Optional[Sequence[Optional[Event]]] = None
+            if compiled is not None and self._burst_buffering:
                 events = nones if event_type in compiled.columnar_types else block
             feeds.append(
                 (unit, state, bool(state.qualifies[code]), event_type, state.contributions, events)
@@ -1098,7 +1142,7 @@ class StreamingExecutor:
 
     @staticmethod
     def _block_contributions(
-        block: EventBlock, compiled: UnitCompilation, codes: Sequence[int]
+        block: EventBlock | _StagedRows, compiled: UnitCompilation, codes: Sequence[int]
     ) -> Sequence[tuple[float, ...]]:
         """``compiled.contributions(event)`` for every block row, from columns.
 

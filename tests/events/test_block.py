@@ -623,6 +623,22 @@ class TestHostileBytes:
         codes, offset = columnar._decode_codes(view, 0, 4, 6)
         assert list(codes) == [0, 1, 5, 2] and offset == len(view)
 
+    @pytest.mark.parametrize(
+        "times", ([0.5, -1.0, 2.0], [float("nan"), -1.0, 2.0]), ids=("negative", "after-nan")
+    )
+    def test_negative_event_time_is_corrupt(self, times):
+        # ``Event`` refuses a negative time, but neither decoder builds rows
+        # through it: the parse itself must refuse the frame.
+        frame = bytearray(EventBlock.from_events(make([{"v": 1.5}] * 3)).to_bytes())
+        assert frame[9:14] == b"d" + (24).to_bytes(4, "little")
+        frame[14:38] = array("d", times).tobytes()
+        for decode in (EventBlock.from_bytes, columnar.decode_events):
+            with pytest.raises(ExecutionError, match="columnar batch corrupt: negative event time"):
+                decode(bytes(frame))
+        # A NaN alone still decodes: the executors reject it as non-finite.
+        frame[14:38] = array("d", [float("nan"), 1.0, 2.0]).tobytes()
+        assert len(EventBlock.from_bytes(bytes(frame))) == len(columnar.decode_events(bytes(frame)))
+
     def test_ragged_typed_payload_is_corrupt(self):
         frame = bytearray(EventBlock.from_events(make([{"v": 1.5}, {"v": 2.5}])).to_bytes())
         # The times column: tag "d", 16 payload bytes -> claim 15.

@@ -1,10 +1,11 @@
 """Differential suite for segment-at-a-time folding on the static plan.
 
-With no optimizer, ``process_block`` hands a shared unit's rows to the
-engine one ``(group, close-sweep segment)`` at a time, ``process()`` one
-row at a time, and the engine folds the mixed-type segment class by class,
-cell by cell (``MultiWindowLinearEngine.process_block_run`` with one type
-name per row); a row of a type outside ``columnar_types`` (negation, local
+With no optimizer, ``process_block`` — and ``process()``, which stages
+rows for the same loop — hands a shared unit's rows to the engine one
+``(group, close-sweep segment)`` at a time, and the engine folds the
+mixed-type segment class by class, cell by cell
+(``MultiWindowLinearEngine.process_block_run`` with one type name per
+row); a row of a type outside ``columnar_types`` (negation, local
 or edge predicates) folds through the per-event body on its row view.
 Cells may reorder against the per-event run; the rows within a cell may
 not — so everything observable must be **bit-identical** to the
@@ -226,19 +227,27 @@ def assert_same_run(expected, got):
 class _EntrySpy:
     """Records how the engine is entered: ``runs`` holds the rows of every
     run (``process_block_run`` with one type name, or ``process_burst``),
-    ``segments`` the per-row type lists of every segment."""
+    ``segments`` the per-row type lists of every segment and ``entries``
+    its ``(engine, close sweeps before it)``."""
 
     def __init__(self, monkeypatch):
-        self.runs, self.segments = [], []
+        self.runs, self.segments, self.entries = [], [], []
+        self.sweeps = 0
         process_block_run = MultiWindowLinearEngine.process_block_run
         process_burst = MultiWindowLinearEngine.process_burst
+        close_passed_windows = StreamingExecutor._close_passed_windows
 
         def block_run(engine, event_type, times, *columns):
             if isinstance(event_type, str):
                 self.runs.append(len(times))
             else:
                 self.segments.append(list(event_type))
+                self.entries.append((engine, self.sweeps))
             return process_block_run(engine, event_type, times, *columns)
+
+        def sweep(executor, now):
+            self.sweeps += 1
+            return close_passed_windows(executor, now)
 
         def burst(engine, rows, event_type):
             self.runs.append(len(rows))
@@ -246,6 +255,7 @@ class _EntrySpy:
 
         monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", block_run)
         monkeypatch.setattr(MultiWindowLinearEngine, "process_burst", burst)
+        monkeypatch.setattr(StreamingExecutor, "_close_passed_windows", sweep)
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=("uneven", "sliding", "fractional", "tumbling"))
@@ -329,7 +339,7 @@ def owed_steps(executor) -> int:
 
 @pytest.mark.parametrize("window", (UNEVEN, Window(10.0, 5.0)), ids=("uneven", "past2to53"))
 def test_process_and_process_block_interleave_on_one_executor(window):
-    # process() hands one-row segments to the same fold: deferral runs on
+    # process() stages rows for the same segment fold: deferral runs on
     # across both ingest modes, whatever the interleaving.
     rng = random.Random(11)
     if window is UNEVEN:
@@ -483,7 +493,11 @@ def test_static_plan_enters_the_engine_by_segments_only(monkeypatch, ingest):
     assert got[0].totals == expected[0].totals
     assert spy.runs == [] and spy.segments
     if ingest == "events":
-        assert all(len(types) == 1 for types in spy.segments)
+        # process() stages rows and folds them through the block loop: at
+        # most one entry per (group, close sweep), not one per row.
+        keys = [(id(engine), sweeps) for engine, sweeps in spy.entries]
+        assert len(keys) == len(set(keys))
+        assert max(map(len, spy.segments)) > 1
     assert {t for types in spy.segments for t in types} == set("ABCDEX")
 
 
@@ -513,6 +527,8 @@ def test_a_unit_with_no_columnar_type_compiles_its_feeds_once(ingest, pattern, p
                 executor.process(event)
         else:
             executor.process_block(block.slice(start, start + 50))
+        # A public reader folds what process() staged before the peek.
+        assert executor.shared_group_count == len(live_engines(executor))
         engines = live_engines(executor)
         assert engines
         for engine in engines:

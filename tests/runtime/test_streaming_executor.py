@@ -13,6 +13,7 @@ import pytest
 from repro.core import HamletEngine
 from repro.errors import ExecutionError
 from repro.events import Event, EventStream
+from repro.events.block import EventBlock
 from repro.greta import GretaEngine
 from repro.interfaces import TrendAggregationEngine
 from repro.query import Query, Window, Workload, avg, kleene, max_of, parse_pattern, seq, sum_of
@@ -583,6 +584,8 @@ class TestSharedWindows:
         executor.process(Event("A", 0.0, {"v": 1.0}))
         for t in range(1, 6):  # same-type run: stays buffered, no close passes
             executor.process(Event("B", float(t), {"v": 1.0}))
+        # process() stages rows; a public reader folds them into the burst.
+        assert executor.active_window_count() == 1
         (unit,) = executor._units
         (group,) = unit.groups.values()
         assert len(group.burst) == 5
@@ -638,16 +641,33 @@ class TestSharedWindows:
         assert executor.shared_group_count == 0
         assert report.metrics.partitions == 0
 
-    def test_equal_time_out_of_sequence_rejected_per_group_engine(self):
+    @pytest.mark.parametrize(
+        "fold",
+        (
+            lambda executor: executor.process(Event("B", 10.0)),  # passes the window end
+            lambda executor: executor.process_block(EventBlock.empty()),
+            lambda executor: executor.snapshot_state(),
+            lambda executor: executor.active_window_count(),
+            lambda executor: executor.finish(),
+        ),
+        ids=("closing-arrival", "process-block", "snapshot", "reader", "finish"),
+    )
+    def test_equal_time_out_of_sequence_rejected_per_group_engine(self, fold):
         # Two trend-start events at the same timestamp, fed in reverse
         # creation order: the shared engine's coefficient fast path needs
-        # its events strictly ordered and rejects the second feed.
+        # its events strictly ordered.  process() stages both rows, and the
+        # engine rejects the second at the fold, whatever triggers it.
         late = Event("A", 1.0)
         early = Event("C", 1.0)  # created after `late`, so late < early
         executor = StreamingExecutor(_ab_workload(Window(10.0)), HamletEngine)
         executor.process(early)
+        executor.process(late)
         with pytest.raises(ExecutionError):
-            executor.process(late)
+            fold(executor)
+        # The counters hold the two accepted rows, both handed to the engine
+        # (it kept the first), and the stage is empty: nothing folds twice.
+        assert (executor._consumed, executor._clock, executor._engine_feeds) == (2, 1.0, 2)
+        assert not executor._staged
 
     def test_equal_time_out_of_sequence_rejected_at_burst_flush(self):
         # The burst-buffering path defers engine feeds, but the ordering

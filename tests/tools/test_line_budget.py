@@ -18,7 +18,7 @@ RUNTIME = ROOT / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1285,
+    "streaming.py": 1329,
     "lateness.py": 302,
     "sharding.py": 1240,
     "routing.py": 319,

@@ -697,7 +697,7 @@ class TestRL010:
                 for index in self.buffer.late_rows(block.times):
                     self._late(index, lambda: block.event_at(index))
 
-            def _ingest_block(self, block):
+            def _cover(self, block):
                 for local in range(len(block)):
                     def fallback():
                         return block.event_at(local)

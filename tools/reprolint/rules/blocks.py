@@ -50,7 +50,7 @@ _LOOPS = (
 #: where an :class:`Event` is the contract, reached for a bounded few rows.
 VIEW_EDGES: dict[str, str] = {
     "offer_block": "late-policy hand-off (side_output / retract take an Event)",
-    "_ingest_block": "hand-off to the scalar feed: single-window engines take Events",
+    "_cover": "per-instance units: single-window engines take Events",
 }
 
 
