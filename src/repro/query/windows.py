@@ -15,6 +15,14 @@ from repro.errors import WindowError
 from repro.events.time import Timestamp
 
 
+def _finite(value: float) -> bool:
+    """Whether ``value`` is a finite float (an int past the float range is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Window:
     """A sliding window specification.
@@ -29,15 +37,21 @@ class Window:
     slide: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise WindowError(f"window size must be positive, got {self.size!r}")
+        # NaN passes every ``<=`` test: check finiteness first, here rather
+        # than mid-stream in the index arithmetic.
+        if not _finite(self.size) or self.size <= 0:
+            raise WindowError(f"window size must be positive and finite, got {self.size!r}")
         if self.slide == 0.0:
             object.__setattr__(self, "slide", self.size)
-        if self.slide <= 0:
-            raise WindowError(f"window slide must be positive, got {self.slide!r}")
+        if not _finite(self.slide) or self.slide <= 0:
+            raise WindowError(f"window slide must be positive and finite, got {self.slide!r}")
         if self.slide > self.size:
             raise WindowError(
                 f"window slide ({self.slide}) must not exceed the window size ({self.size})"
+            )
+        if not _finite(self.size / self.slide):
+            raise WindowError(
+                f"window size / slide overflows: {self.size!r} / {self.slide!r}"
             )
 
     @classmethod

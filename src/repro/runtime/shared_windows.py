@@ -1,10 +1,8 @@
 """Cross-window shared aggregation: one engine for all overlapping instances.
 
-The per-instance streaming path (PR 2) multiplies every event into up to
-``ceil(size/slide)`` independent engines — graph construction, predicate
-evaluation and Equation-2 totals are redone once per overlapping window
-instance.  This module is the shared execution path the HAMLET paper's
-cross-window sharing calls for: per ``(group key, execution unit)`` pair
+A per-instance path redoes graph work and Equation-2 totals once per
+overlapping window instance.  This module is the shared path the HAMLET
+paper's cross-window sharing calls for: per ``(group key, execution unit)`` pair
 **one** :class:`MultiWindowLinearEngine` holds a single shared event store
 and tags the running aggregates with *per-window-instance coefficients*
 (:class:`~repro.core.snapshot.WindowCoefficientTable`), so that
@@ -71,6 +69,7 @@ from repro.events.event import Event, EventType
 from repro.greta.aggregators import Measure, measures_for_queries, project, projection_of
 from repro.interfaces import MultiWindowEngine, TrendAggregationEngine
 from repro.optimizer.statistics import BurstStatistics, CandidateSet, QueryBurstProfile
+from repro.runtime import foldcore
 from repro.runtime.reorder import ensure_shared_order, ensure_shared_run_order
 from repro.runtime.results import ResultLayout, WindowValues
 from repro.query.predicates import CompositePredicate
@@ -78,9 +77,8 @@ from repro.query.query import Query
 from repro.template.template import NegationConstraint, QueryTemplate, compile_pattern
 
 
-#: The one fold the engine runs: every run fold, and the per-event vector
-#: fold (a run of one row).  Called as methods of this instance, so a probe
-#: wrapping ``KernelBackend.fold_*`` sees every fold.
+#: The run fold of every eager class and of the per-event path.  Called as
+#: methods of this instance, so a probe wrapping ``KernelBackend.fold_*`` sees it.
 _REFERENCE_FOLD = PythonKernelBackend()
 
 
@@ -774,8 +772,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             for state in self._deferred.values():
                 state.kleene.cells += len(state.armed)
                 state.kleene.entries += len(state.kleene_map)
-        ops = created = armings = 0
-        for row, event_type in enumerate(types):
+        ops, created, armings, start = foldcore.fold_segment(self, feeds, types, lows, highs)
+        for row, event_type in enumerate(types[start:], start):  # the core's leftovers
             try:
                 counter, prefixed, eager = feeds[event_type]
             except KeyError:  # a declined type (rare on the hot path)
@@ -893,6 +891,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
 
     def close_window(self, index: int) -> WindowValues:
         """Equation 3 readout of one instance: one double per readout slot."""
+        if (read := foldcore.close_window(self, index)) is not None:
+            return read
         unit = self.unit
         scalar = unit.scalar
         values: list[float] = []  # in ``unit.layout`` slot order

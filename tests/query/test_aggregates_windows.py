@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import PatternError, WindowError
 from repro.events import Event
-from repro.query import Window, avg, count_events, count_trends, max_of, min_of, sum_of
+from repro.query import (
+    Window,
+    avg,
+    count_events,
+    count_trends,
+    max_of,
+    min_of,
+    parse_query,
+    sum_of,
+)
 from repro.query.aggregates import AggregateFunction, AggregateKind
 
 
@@ -76,6 +87,34 @@ class TestWindows:
             Window(10.0, -1.0)
         with pytest.raises(WindowError):
             Window(10.0, 20.0)
+
+    @pytest.mark.parametrize(
+        "size, slide",
+        [
+            (math.nan, 0.0),
+            (10.0, math.nan),
+            (math.inf, 1.0),
+            (math.inf, 0.0),
+            (-math.inf, 1.0),
+            (10.0, math.inf),
+            (1e300, 1e-300),  # size / slide overflows
+            (5.0, 5e-324),
+            (10**400, 1.0),  # an int past the float range
+        ],
+    )
+    def test_non_finite_or_degenerate_shapes_fail_at_construction(self, size, slide):
+        with pytest.raises(WindowError):
+            Window(size, slide)
+
+    def test_the_largest_finite_shape_still_constructs(self):
+        window = Window(1e300, 1e-7)
+        assert math.isfinite(window.size / window.slide)
+
+    def test_parser_rejects_a_within_past_the_float_range(self):
+        # A 400-digit WITHIN parses to inf: rejected where the query is
+        # built, not when the first event reaches covering_bounds.
+        with pytest.raises(WindowError):
+            parse_query("RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN " + "9" * 400)
 
     def test_instances_covering(self):
         window = Window(10.0, 5.0)

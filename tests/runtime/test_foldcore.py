@@ -1,0 +1,356 @@
+"""Compiled-vs-reference differential for the fold core.
+
+``runtime/foldcore.py`` loads ``_foldcore.c``, which runs the segment fold
+of a unit whose classes all defer (scalar ``SEQ(P, K+)``) and the readout
+of a scalar unit with no split column and no event store.  The Python
+loops in ``shared_windows`` stay the reference; a test selects them with
+``foldcore.core = None``.  Both run on the same dict state, so everything
+observable must be identical, whatever mixes the ingest paths: emission
+order and value bits, totals ``float.hex``, operation counts, peak memory
+units and active windows, late and decision counters — and the bytes of
+``snapshot_state()`` after every feed step, so even the dicts' insertion
+order is pinned.  (The executor's and the optimizer's wall clocks are
+replaced by counters: arrival stamps and timings ride in the snapshot.)
+
+The loader cases at the end: an unwritable cache, a corrupt cached
+artifact and a missing compiler each leave the reference fold in place
+with a reason, never a crash.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.workloads import kleene_sharing_workload
+from repro.datasets import RidesharingGenerator
+from repro.errors import ExecutionError
+from repro.events import Event
+from repro.events.block import EventBlock
+from repro.optimizer import decisions
+from repro.query import Query, Window, kleene, seq, sum_of
+from repro.runtime import StreamingExecutor, foldcore, streaming
+from tests.conftest import decision_counters
+
+needs_core = pytest.mark.skipif(foldcore.core is None, reason=foldcore.reason)
+
+WINDOWS = (Window(10.0, 4.0), Window(12.0, 4.0), Window(16.0, 3.2), Window(8.0))
+LATE = {"allowed_lateness": 2.0, "late_policy": "retract"}
+
+
+def deferred_workload(window: Window) -> list[Query]:
+    """COUNT(*) prefix + Kleene classes only, on two Kleene types (two
+    deferred counters), one class with twin members."""
+    patterns = (
+        ("ab", seq("A", kleene("B"))),
+        ("ab_twin", seq("A", kleene("B"))),
+        ("cb", seq("C", kleene("B"))),
+        ("db", seq("D", kleene("B"))),
+        ("ce", seq("C", kleene("E"))),
+    )
+    return [
+        Query.build(pattern, group_by=("g",), window=window, name=f"fc_{name}")
+        for name, pattern in patterns
+    ]
+
+
+def mixed_workload(window: Window) -> list[Query]:
+    """Deferred classes beside an eager one: the reference folds the
+    segment, the core still reads the windows out."""
+    eager = Query.build(seq("A", kleene("B"), "C"), group_by=("g",), window=window, name="fc_abc")
+    return [*deferred_workload(window), eager]
+
+
+def vector_workload(window: Window) -> list[Query]:
+    """SUM classes: the reference folds and reads out everything."""
+    return [
+        Query.build(seq(p, kleene("B")), aggregate=sum_of("B", "v"), group_by=("g",),
+                    window=window, name=f"fc_sum_{p}")
+        for p in "AC"
+    ]
+
+
+def fig9_workload(window: Window) -> list[Query]:
+    return list(
+        kleene_sharing_workload(
+            12, kleene_type="B", prefix_types=("A", "C", "D", "E"), window=window,
+            group_by=("g",), name="fc_fig9",
+        )
+    )
+
+
+WORKLOADS = {
+    "deferred": deferred_workload,
+    "fig9": fig9_workload,
+    "mixed": mixed_workload,
+    "vector": vector_workload,
+}
+
+
+def stream(seed: int, size: int, *, groups: int = 2, spacing: float = 0.25) -> list[Event]:
+    """In-order rows; some share a time (distinct sequences, in order)."""
+    rng = random.Random(seed)
+    types, weights = "ABCDEX", (1.0, 4.0, 1.0, 1.0, 1.5, 0.3)
+    clock = 0.0
+    events = []
+    for _ in range(size):
+        clock += spacing * rng.choice((0, 1, 1, 2))
+        events.append(
+            Event(
+                rng.choices(types, weights=weights)[0],
+                clock,
+                {"v": float(rng.randint(0, 6)), "g": float(rng.randint(1, groups))},
+            )
+        )
+    return events
+
+
+def late_arrivals(events: list[Event]) -> list[Event]:
+    """A row moved 30 rows later every 50: behind the 2.0 horizon."""
+    arrivals = list(events)
+    for index in range(40, len(arrivals) - 40, 50):
+        arrivals.insert(index + 30, arrivals.pop(index))
+    return arrivals
+
+
+class _Clock:
+    """A deterministic stand-in for the executor's ``time`` module."""
+
+    def __init__(self) -> None:
+        self._ticks = itertools.count()
+
+    def perf_counter(self) -> float:
+        return next(self._ticks) * 1e-3
+
+
+class _Counting:
+    """The core, counting the calls of each of its functions."""
+
+    def __init__(self, core) -> None:
+        self.core = core
+        self.calls: Counter = Counter()
+
+    def __getattr__(self, name):
+        function = getattr(self.core, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+
+        return counted
+
+
+@contextmanager
+def fold(core):
+    """Run with ``core`` as the fold (``None``: the reference) and a
+    deterministic executor clock."""
+    with mock.patch.object(foldcore, "core", core), \
+            mock.patch.object(streaming, "time", _Clock()), \
+            mock.patch.object(decisions, "time", _Clock()):
+        yield
+
+
+def outcome(queries, steps, options, core) -> tuple:
+    """Feed ``steps`` (``("events" | "block", rows)``) to one executor."""
+    emitted: list = []
+
+    def record(r) -> None:
+        values = tuple((name, float(value).hex()) for name, value in r.results.items())
+        emitted.append((r.group_key, r.window_index, r.events, r.retraction, values))
+
+    snapshots = []
+    with fold(core):
+        executor = StreamingExecutor(queries, on_window=record, **options)
+        for kind, rows in steps:
+            if kind == "block":
+                executor.process_block(EventBlock.from_events(rows))
+            else:
+                for event in rows:
+                    executor.process(event)
+            snapshots.append(executor.snapshot_state())
+        report = executor.finish()
+    metrics_ = report.metrics
+    return (
+        emitted,
+        {name: value.hex() for name, value in report.totals.items()},
+        metrics_.operations,
+        metrics_.peak_memory_units,
+        metrics_.peak_active_windows,
+        metrics_.late_retracted,
+        decision_counters(report),
+        snapshots,
+    )
+
+
+def assert_same_on_both_folds(queries, steps, options=None) -> Counter:
+    """The reference and the compiled run agree; returns the core's calls."""
+    options = options or {}
+    counting = _Counting(foldcore.core)
+    compiled = outcome(queries, steps, options, counting)
+    reference = outcome(queries, steps, options, None)
+    assert compiled[:-1] == reference[:-1]
+    assert len(compiled[-1]) == len(reference[-1])
+    for step, (got, expected) in enumerate(zip(compiled[-1], reference[-1])):
+        assert got == expected, f"snapshot after step {step} differs"
+    return counting.calls
+
+
+def cut_steps(events, cuts, kinds) -> list[tuple[str, list[Event]]]:
+    bounds = [0, *sorted(set(cuts)), len(events)]
+    return [
+        (kinds[i % len(kinds)], events[start:stop])
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        if stop > start
+    ]
+
+
+@needs_core
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    workload=st.sampled_from(sorted(WORKLOADS)),
+    window=st.sampled_from(WINDOWS),
+    size=st.integers(min_value=10, max_value=240),
+    cuts=st.lists(st.integers(min_value=1, max_value=239), max_size=6),
+    kinds=st.lists(st.sampled_from(("block", "events")), min_size=1, max_size=4),
+)
+def test_segment_fold_strategy_on_both_folds(seed, workload, window, size, cuts, kinds):
+    # The segment-fold differential's shape: random cuts, each slice a
+    # block or per-event rows (the staged path).
+    queries = WORKLOADS[workload](window)
+    calls = assert_same_on_both_folds(queries, cut_steps(stream(seed, size), cuts, kinds))
+    if workload in ("deferred", "fig9") and size >= 40:
+        assert calls["fold_deferred"] > 0
+    if workload != "vector" and size >= 40:
+        assert calls["close_scalar"] > 0
+
+
+@needs_core
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    workload=st.sampled_from(("deferred", "fig9", "mixed")),
+    cut=st.integers(min_value=0, max_value=240),
+    width=st.integers(min_value=0, max_value=80),
+    late=st.booleans(),
+    dynamic=st.booleans(),
+)
+def test_staged_ingest_strategy_on_both_folds(seed, workload, cut, width, late, dynamic):
+    # The staged-ingest differential's shape: process() before ``cut``, one
+    # block of ``width`` rows, process() again — with rows behind the
+    # lateness horizon (retractions roll back unsettled cells) and under an
+    # optimizer's bursts.
+    events = stream(seed, 240)
+    options = dict(LATE) if late else {}
+    if late:
+        events = late_arrivals(events)
+    if dynamic:
+        options["optimizer"] = "dynamic"
+    steps = [
+        ("events", events[:cut]),
+        ("block", events[cut : cut + width]),
+        ("events", events[cut + width :]),
+    ]
+    assert_same_on_both_folds(WORKLOADS[workload](Window(10.0, 4.0)), steps, options)
+
+
+@needs_core
+def test_fig9_shape_and_counts_past_two_to_the_53rd():
+    # The benchmark's query shape at a few thousand rows, and a dense Kleene
+    # stream whose counts pass 2**53 (the settle then iterates).
+    generator = RidesharingGenerator(events_per_minute=6_000.0, seed=7, districts=6)
+    block = generator.generate_block(40.0)
+    queries = list(
+        kleene_sharing_workload(50, kleene_type="Travel", window=Window(10.0, 2.0), name="f9")
+    )
+    events = [block.event_at(row) for row in range(len(block))]
+    calls = assert_same_on_both_folds(queries, cut_steps(events, (900, 1700, 2500), ("block",)))
+    assert calls["fold_deferred"] > 0 and calls["close_scalar"] > 0
+    dense = stream(11, 400, groups=1, spacing=0.05)
+    steps = cut_steps(dense, (57, 58, 211), ("block", "events"))
+    assert_same_on_both_folds(deferred_workload(Window(10.0, 5.0)), steps)
+    reference = outcome(deferred_workload(Window(10.0, 5.0)), steps, {}, None)
+    assert max(float.fromhex(total) for total in reference[1].values()) > 2.0**53
+
+
+def engine_counters(executor) -> list:
+    return [
+        (key, engine._ops, engine._coeff_entries, engine._armed_entries, engine._armed)
+        for unit in executor._units
+        for key, group in sorted(unit.groups.items())
+        if (engine := getattr(group, "engine", None)) is not None
+    ]
+
+
+@needs_core
+def test_an_equal_time_sequence_violation_leaves_the_same_counters():
+    events = stream(2, 60, groups=1)
+    late, early = Event("A", 100.0, {"g": 1.0}), Event("C", 100.0, {"g": 1.0})
+    seen = []
+    for core in (foldcore.core, None):
+        with fold(core):
+            executor = StreamingExecutor(deferred_workload(Window(10.0, 4.0)))
+            executor.process_block(EventBlock.from_events(events))
+            executor.process(early)
+            executor.process(late)  # created before ``early``: out of sequence
+            with pytest.raises(ExecutionError):
+                executor.active_window_count()
+            seen.append(
+                (
+                    executor._consumed,
+                    executor._clock,
+                    executor._engine_feeds,
+                    engine_counters(executor),
+                    executor.snapshot_state(),
+                )
+            )
+    assert seen[0] == seen[1]
+
+
+# --------------------------------------------------------------------- #
+# The loader
+# --------------------------------------------------------------------- #
+def test_a_fresh_cache_builds_a_working_core_and_drops_stale_ones(tmp_path):
+    target = foldcore.artifact_path(tmp_path)
+    stale = tmp_path / ("_foldcore.0123456789abcdef." + target.name.split(".", 2)[2])
+    stale.write_bytes(b"built from an older source")
+    core, reason = foldcore.load(tmp_path)
+    if core is None:
+        pytest.skip(reason)
+    assert reason == ""
+    assert core.settle_kleene(1.0, 0.0, 3) == 7.0
+    assert [path.name for path in tmp_path.iterdir()] == [target.name]
+
+
+def test_an_unwritable_cache_falls_back_with_a_reason(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    core, reason = foldcore.load(blocker / "cache")
+    assert core is None and "reference fold" in reason
+
+
+def test_a_corrupt_artifact_falls_back_and_is_removed(tmp_path):
+    artifact = foldcore.artifact_path(tmp_path)
+    artifact.write_bytes(b"\x7fELF but not really")
+    core, reason = foldcore.load(tmp_path)
+    assert core is None and "reference fold" in reason
+    assert not artifact.exists()  # the next import builds a fresh one
+
+
+def test_a_missing_compiler_falls_back_with_a_reason(tmp_path):
+    core, reason = foldcore.load(tmp_path, compiler=str(tmp_path / "no-such-cc"))
+    assert core is None and "no-such-cc" in reason
+    assert list(tmp_path.iterdir()) == []  # no temporary file left behind
+
+
+def test_a_failing_compiler_reports_its_exit(tmp_path):
+    core, reason = foldcore.load(tmp_path, compiler="false")
+    assert core is None and "exited with" in reason
+    assert list(tmp_path.iterdir()) == []

@@ -41,7 +41,7 @@ from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, avg, kleene, parse_pattern, seq, sum_of
 from repro.query.predicates import AdjacentComparison, attr_less
-from repro.runtime import MultiWindowLinearEngine, StreamingExecutor, shared_windows
+from repro.runtime import MultiWindowLinearEngine, StreamingExecutor, foldcore, shared_windows
 from repro.runtime.shared_windows import UnitCompilation
 
 #: ``size % slide != 0``: windows open at multiples of 4 and close at
@@ -732,8 +732,11 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
         return settle_kleene(prefix, total, steps)
 
     monkeypatch.setattr(shared_windows, "settle_kleene", counting_settle)
+    compiled = foldcore.core
+    monkeypatch.setattr(foldcore, "core", None)  # the spy sees the reference fold's settles
     executor = StreamingExecutor(queries)
     executor.process_block(block)
+    counters = fold_counters(executor)
     report = executor.finish()
     assert report.metrics.operations > 0
     calls, rows = len(spy.segments), sum(map(len, spy.segments))
@@ -745,3 +748,25 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
     # cell once per step), and only ever more than zero.
     assert min(settles) >= 1
     assert sum(settles) >= 5 * len(settles)
+    if compiled is None:
+        pytest.skip(foldcore.reason)
+    # The compiled fold defers the same way: the same engine counters, and
+    # its own settles pay as many owed steps at once.
+    monkeypatch.setattr(foldcore, "core", compiled)
+    before = compiled.settle_counts()
+    twin = StreamingExecutor(queries)
+    twin.process_block(block)
+    assert fold_counters(twin) == counters
+    paid, steps = (now - then for now, then in zip(compiled.settle_counts(), before))
+    assert paid >= 1 and steps >= 5 * paid
+    assert twin.finish().metrics.operations == report.metrics.operations
+
+
+def fold_counters(executor) -> list:
+    """Each live engine's ``(group, _ops, _coeff_entries, _armed_entries)``."""
+    return [
+        (key, engine._ops, engine._coeff_entries, engine._armed_entries)
+        for unit in executor._units
+        for key, group in sorted(unit.groups.items())
+        if isinstance(engine := group.engine, MultiWindowLinearEngine)
+    ]

@@ -23,6 +23,8 @@ CEILINGS = {
     "sharding.py": 1240,
     "routing.py": 319,
     "shared_windows.py": 1322,
+    "foldcore.py": 143,
+    "_foldcore.c": 549,
     "results.py": 144,
     "reorder.py": 504,
 }
@@ -39,7 +41,7 @@ def test_module_stays_within_its_line_budget(module):
 
 
 #: ``docs/DESIGN.md``'s ``wc -l`` ceiling.
-DESIGN_CEILING = 1658
+DESIGN_CEILING = 1657
 
 
 def test_design_doc_only_shrinks():
