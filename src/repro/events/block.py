@@ -46,7 +46,7 @@ from repro.errors import SchemaError
 from repro.events import columnar
 from repro.events import event as _event_module
 from repro.events.columnar import Buffer, build_event
-from repro.events.event import Event, EventType, collapse_nan
+from repro.events.event import Event, EventType, collapse_nan, unhashable_key_error
 from repro.events.time import Timestamp
 
 __all__ = ["EventBlock", "EventBlockBuilder", "group_codes"]
@@ -106,9 +106,11 @@ def _recode(
     return array("I", map([union.index(entry) for entry in table].__getitem__, codes))
 
 
-def group_codes(columns: Sequence[Sequence[Any]], count: int) -> GroupCodes:
+def group_codes(
+    attributes: Sequence[str], columns: Sequence[Sequence[Any]], count: int
+) -> GroupCodes:
     """The group keys of ``count`` rows, one payload column per key
-    attribute, as ``(table, codes)``.
+    attribute (``attributes``), as ``(table, codes)``.
 
     ``table`` holds the distinct keys in first-appearance order and
     ``codes`` one ``array('I')`` entry per row: ``table[codes[i]]`` is row
@@ -116,7 +118,8 @@ def group_codes(columns: Sequence[Sequence[Any]], count: int) -> GroupCodes:
     ``GROUP_NAN``) up to dict equality — keys a dict merges
     (``0.0``/``-0.0``, ``1``/``1.0``/``True``) share one code, the first
     row's key standing for them.  Two C-speed passes; no per-row object
-    outlives them.
+    outlives them.  An unhashable value is a :class:`SchemaError` naming
+    its attribute.
     """
     columns = [collapse_nan(column) for column in columns]
     table: tuple[tuple[Any, ...], ...]
@@ -124,7 +127,15 @@ def group_codes(columns: Sequence[Sequence[Any]], count: int) -> GroupCodes:
         table, codes = ((),) if count else (), array("I", [0]) * count
     else:
         single = len(columns) == 1
-        index = dict.fromkeys(columns[0] if single else zip(*columns))
+        try:
+            index = dict.fromkeys(columns[0] if single else zip(*columns))
+        except TypeError:
+            for key in zip(*columns):
+                try:
+                    hash(key)
+                except TypeError:
+                    raise unhashable_key_error(attributes, key) from None
+            raise
         for code, key in enumerate(index):
             index[key] = code
         codes = array("I", map(index.__getitem__, columns[0] if single else zip(*columns)))
@@ -572,7 +583,7 @@ class EventBlock:
         cached = self._group_cache.get(attributes)
         if cached is None:
             columns = [self.payload_column(attribute) for attribute in attributes]
-            cached = self._group_cache[attributes] = group_codes(columns, len(self))
+            cached = self._group_cache[attributes] = group_codes(attributes, columns, len(self))
         return cached
 
     def group_key_at(self, attributes: tuple[str, ...], index: int) -> tuple[Any, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import eq
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError
 from repro.events.schema import Schema
@@ -137,6 +137,19 @@ def group_key(event: Event, attributes: tuple[str, ...]) -> tuple[Any, ...]:
         if value != value:
             return tuple(collapse_nan(list(key)))
     return key
+
+
+def unhashable_key_error(attributes: Sequence[str], key: Sequence[Any]) -> SchemaError:
+    """The error for a group key a dict cannot hold, naming the attribute
+    whose value (``key`` holds one per attribute) is unhashable."""
+    for name, value in zip(attributes, key):
+        try:
+            hash(value)
+        except TypeError:
+            return SchemaError(
+                f"GROUP BY attribute {name!r} has an unhashable value {value!r}"
+            )
+    return SchemaError(f"GROUP BY key {tuple(key)!r} of {tuple(attributes)!r} is unhashable")
 
 
 def collapse_nan(values: list[Any]) -> list[Any]:

@@ -74,24 +74,32 @@ class Window:
     # partitions of different execution units equal for fractional slides,
     # where ``k*slide`` accumulates rounding error (``3*0.1 != 0.3``).
 
-    def _floor_index(self, value: float) -> int:
+    def _snap_tolerance(self, timestamp: float) -> float:
+        """How far below the next integer an edge quotient of ``timestamp``
+        still counts as that integer, from the operands' magnitude ``m =
+        (timestamp + size) / slide``: four ulps of ``m`` (the rounding that
+        ``timestamp - size`` and the division leave), or one part in 1e12
+        of ``m`` (a time accumulated from decimal steps, ``clock += 0.03``)
+        — but never more than 1e-9 of a slide.  Non-decreasing in
+        ``timestamp``, so the snapped indices of sorted times are too."""
+        magnitude = (timestamp + self.size) / self.slide
+        return max(4.0 * math.ulp(magnitude), min(1e-12 * magnitude, 1e-9))
+
+    def _floor_index(self, value: float, tolerance: float) -> int:
         """``floor(value / slide)``, snapped up at exact-multiple boundaries.
 
         Plain float division places ``0.3 / 0.1`` at ``2.9999...`` and would
-        assign a boundary event to the previous instance; values within one
-        part in 1e12 of the next integer are treated as exact multiples.
-        ``value`` may be negative (the lower window edge ``timestamp - size``),
-        where the same snap applies — e.g. ``-7e-17`` counts as multiple 0.
-
-        The common case skips ``isclose``: ``|index + 1| <= |quotient| + 1``,
-        so a gap above ``1e-12 * (|quotient| + 2)`` exceeds every tolerance
-        ``isclose`` would grant and proves it false.
+        assign a boundary event to the previous instance; a quotient within
+        ``tolerance`` (:meth:`_snap_tolerance`) of the next integer is
+        treated as an exact multiple.  ``value`` may be negative (the lower
+        window edge ``timestamp - size``), where the same snap applies —
+        e.g. ``-7e-17`` counts as multiple 0.  The relative part is capped:
+        uncapped, at Unix-epoch times (1e-12 of 8.5e8 is 1.7 ms at a 2 s
+        slide) it moved events into a window that starts after them.
         """
         quotient = value / self.slide
         index = math.floor(quotient)
-        if index + 1 - quotient > 1e-12 * (abs(quotient) + 2.0):
-            return index
-        if math.isclose(index + 1, quotient, rel_tol=1e-12, abs_tol=1e-12):
+        if index + 1 - quotient <= tolerance:
             index += 1
         return index
 
@@ -103,6 +111,13 @@ class Window:
         if math.isclose(floor_q, quotient, rel_tol=1e-12, abs_tol=1e-12):
             return int(floor_q)
         return int(floor_q) + 1
+
+    @property
+    def index_limit(self) -> float:
+        """Times below this have covering-index quotients below 2**52, where
+        a double holds every integer and its successor exactly (the
+        compiled Cover walk's bound; it leaves later times to Python)."""
+        return self.slide * 2.0**52
 
     def instance_indices_covering(self, timestamp: Timestamp) -> range:
         """Indices ``k`` of every window instance containing ``timestamp``.
@@ -126,8 +141,9 @@ class Window:
         # division — a raw ``timestamp < size`` test here would disagree with
         # the snapped ``last`` for timestamps a few ulps below a boundary and
         # admit one extra, mutually-exclusive instance.
-        first = self._floor_index(timestamp - self.size) + 1
-        return (first if first > 0 else 0), self._floor_index(timestamp)
+        tolerance = self._snap_tolerance(timestamp)
+        first = self._floor_index(timestamp - self.size, tolerance) + 1
+        return (first if first > 0 else 0), self._floor_index(timestamp, tolerance)
 
     def instance_range_columns(
         self, times: "Sequence[Timestamp]", start: int = 0, stop: int | None = None
@@ -147,18 +163,20 @@ class Window:
         slide = self.slide
         size = self.size
         floor = math.floor
-        isclose = math.isclose
+        ulp = math.ulp
         lows: list[int] = []
         highs: list[int] = []
         lows_append = lows.append
         highs_append = highs.append
         # Monotone skip: for sorted times the snapped floor indices are
-        # non-decreasing, so while the quotient stays a safe margin below the
-        # previous index's ceiling the previous index is provably unchanged
-        # (the snap tolerance is 1e-12 relative/absolute; the 1e-6 margin
-        # dominates it for any timestamp the executors see) and the
-        # floor+snap work is skipped.  Whenever the margin is crossed the
-        # full formula runs, so the results are bit-identical either way.
+        # non-decreasing, so while the quotient stays a margin below the
+        # previous index's next integer the previous index is provably
+        # unchanged and the floor+snap work is skipped.  The margin,
+        # ``2e-9`` plus sixteen ulps of ``|index| + 2 + 2 * size / slide``,
+        # exceeds the snap tolerance of any time the skip can reach (at most
+        # 1e-9 or eight ulps of that magnitude); whenever the margin is
+        # crossed the full formula runs, so the results are bit-identical.
+        reach = 2.0 + 2.0 * size / slide
         high = 0
         high_limit = -1.0  # quotients below this keep the previous high
         low = 0
@@ -170,20 +188,22 @@ class Window:
                     f"timestamp must be non-negative, got {timestamp!r}"
                 )
             quotient = timestamp / slide
-            if quotient >= high_limit:
-                high = floor(quotient)
-                if isclose(high + 1, quotient, rel_tol=1e-12, abs_tol=1e-12):
-                    high += 1
-                high_limit = high + 1 - 1e-6 * (1.0 + quotient)
-            quotient = (timestamp - size) / slide
-            if quotient >= low_limit:
-                low = floor(quotient)
-                if isclose(low + 1, quotient, rel_tol=1e-12, abs_tol=1e-12):
+            lower = (timestamp - size) / slide
+            if quotient >= high_limit or lower >= low_limit:
+                tolerance = self._snap_tolerance(timestamp)
+                if quotient >= high_limit:
+                    high = floor(quotient)
+                    if high + 1 - quotient <= tolerance:
+                        high += 1
+                    high_limit = high + 1 - (2e-9 + 16.0 * ulp(high + reach))
+                if lower >= low_limit:
+                    low = floor(lower)
+                    if low + 1 - lower <= tolerance:
+                        low += 1
+                    low_limit = low + 1 - (2e-9 + 16.0 * ulp(abs(low) + reach))
                     low += 1
-                low += 1
-                low_limit = low - 1e-6 * (1.0 + abs(quotient))
-                if low < 0:
-                    low = 0
+                    if low < 0:
+                        low = 0
             lows_append(low)
             highs_append(high)
         return lows, highs

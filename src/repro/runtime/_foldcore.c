@@ -1,7 +1,11 @@
-/* The compiled fold core of the shared engine (built by foldcore.py).
+/* The compiled fold core of the static plan (built by foldcore.py).
  *
- * Two loops of runtime/shared_windows.py, run on the engine's own state:
+ * Three loops of the runtime, run on the executor's and engines' own state:
  *
+ *   Walk           the Cover stage's row loop, StreamingExecutor._cover, for
+ *                  executors whose units are all compiled and static (driven
+ *                  by runtime/cover.py): covering ranges, the inert skip,
+ *                  segments, and at each close the per-group fold;
  *   fold_deferred  the per-row loop of MultiWindowLinearEngine._fold_segment
  *                  where every class of the unit folds deferred (scalar
  *                  SEQ(P, K+));
@@ -14,9 +18,10 @@
  * reference's, in its association, and -ffp-contract=off keeps the compiler
  * from fusing a multiply into an add (one rounding where Python has two).
  *
- * The _DeferredKleene counters (rows, cells, entries) are object __slots__:
- * the core takes their offsets from the class once and reads and writes
- * them in place, without the attribute protocol.
+ * The _DeferredKleene counters (rows, cells, entries) and a streaming
+ * _Group's fields are object __slots__: the core takes their offsets from
+ * the class once and reads and writes them in place, without the attribute
+ * protocol.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -27,9 +32,6 @@
 #define EXACT_LIMIT 9007199254740992.0 /* 2**53, kernels._EXACT_LIMIT */
 
 static double powers[54];
-static PyTypeObject *counter_type = NULL;
-static Py_ssize_t offsets[3];
-enum { ROWS, CELLS, ENTRIES };
 static unsigned long long settles = 0, settled_steps = 0;
 static PyObject *zero = NULL, *array_type = NULL, *typecode = NULL;
 
@@ -74,16 +76,30 @@ settle_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
 }
 
 /* ------------------------------------------------------------------ */
-/* The deferred counters' slots                                        */
+/* Object slots                                                        */
 /* ------------------------------------------------------------------ */
 
+/* The __slots__ of a class the core reads in place: their offsets, taken
+ * from the class once, not the attribute protocol. */
+typedef struct {
+    PyTypeObject *type;
+    int count;
+    const char *names[5];
+    Py_ssize_t offsets[5];
+} layout;
+
+/* A _DeferredKleene and a streaming _Group. */
+static layout counters = {NULL, 3, {"rows", "cells", "entries"}, {0}};
+enum { ROWS, CELLS, ENTRIES };
+static layout groups = {NULL, 5, {"engine", "metas", "fed", "last_arrival", "share_seconds"}, {0}};
+enum { ENGINE, METAS, FED, ARRIVAL, SHARE };
+
 static int
-bind(PyTypeObject *type)
+bind(layout *of, PyTypeObject *type)
 {
-    static const char *names[3] = {"rows", "cells", "entries"};
-    Py_ssize_t found[3];
-    for (int which = ROWS; which <= ENTRIES; which++) {
-        PyObject *member = PyObject_GetAttrString((PyObject *)type, names[which]);
+    Py_ssize_t found[5];
+    for (int which = 0; which < of->count; which++) {
+        PyObject *member = PyObject_GetAttrString((PyObject *)type, of->names[which]);
         if (member == NULL) {
             return -1;
         }
@@ -95,25 +111,37 @@ bind(PyTypeObject *type)
         Py_DECREF(member);
         if (!slot) {
             PyErr_Format(PyExc_TypeError, "fold core: %s.%s is not an object slot",
-                         type->tp_name, names[which]);
+                         type->tp_name, of->names[which]);
             return -1;
         }
     }
     Py_INCREF(type);
-    Py_XSETREF(counter_type, type);
-    memcpy(offsets, found, sizeof(found));
+    Py_XSETREF(of->type, type);
+    memcpy(of->offsets, found, sizeof(Py_ssize_t) * of->count);
     return 0;
+}
+
+/* Where ``object``'s slot ``which`` of ``of`` lives (set), or NULL. */
+static PyObject **
+member(layout *of, PyObject *object, int which)
+{
+    if (Py_TYPE(object) != of->type && bind(of, Py_TYPE(object)) < 0) {
+        return NULL;
+    }
+    PyObject **at = (PyObject **)((char *)object + of->offsets[which]);
+    if (*at == NULL) {
+        PyErr_Format(PyExc_AttributeError, "fold core: %s is unset", of->names[which]);
+        return NULL;
+    }
+    return at;
 }
 
 /* The int in ``counter``'s slot ``which`` (borrowed), or NULL. */
 static PyObject **
 slot(PyObject *counter, int which)
 {
-    if (Py_TYPE(counter) != counter_type && bind(Py_TYPE(counter)) < 0) {
-        return NULL;
-    }
-    PyObject **at = (PyObject **)((char *)counter + offsets[which]);
-    if (*at == NULL || !PyLong_CheckExact(*at)) {
+    PyObject **at = member(&counters, counter, which);
+    if (at != NULL && !PyLong_CheckExact(*at)) {
         PyErr_SetString(PyExc_TypeError, "fold core: a deferred counter is not an int");
         return NULL;
     }
@@ -507,6 +535,850 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Covering ranges                                                     */
+/* ------------------------------------------------------------------ */
+
+/* math.ulp */
+static double
+ulp(double x)
+{
+    x = fabs(x);
+    if (isinf(x) || isnan(x)) {
+        return x;
+    }
+    double up = nextafter(x, INFINITY);
+    return isinf(up) ? x - nextafter(x, -INFINITY) : up - x;
+}
+
+/* Window.covering_bounds(time) for ``0 <= time / slide < 2**52``: both
+ * edges' quotients snap up within Window._snap_tolerance(time). */
+static void
+bounds(double time, double size, double slide, long long *low, long long *high)
+{
+    double magnitude = (time + size) / slide;
+    double tolerance = fmax(4.0 * ulp(magnitude), fmin(1e-12 * magnitude, 1e-9));
+    double quotient = time / slide, index = floor(quotient);
+    *high = (long long)(index + 1 - quotient <= tolerance ? index + 1 : index);
+    quotient = (time - size) / slide;
+    if (quotient < -2.0) { /* snapped it stays below -1: the edge clips to 0 */
+        *low = 0;
+        return;
+    }
+    index = floor(quotient);
+    index = index + 1 - quotient <= tolerance ? index + 1 : index;
+    *low = index + 1 > 0 ? (long long)index + 1 : 0;
+}
+
+static PyObject *
+covering_ranges(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *times, *lows = NULL, *highs = NULL;
+    double size, slide;
+    if (!PyArg_ParseTuple(args, "Odd:covering_ranges", &times, &size, &slide)) {
+        return NULL;
+    }
+    times = PySequence_Fast(times, "covering_ranges: times must be a sequence");
+    if (times == NULL) {
+        return NULL;
+    }
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(times);
+    lows = PyList_New(count);
+    highs = lows ? PyList_New(count) : NULL;
+    for (Py_ssize_t row = 0; highs != NULL && row < count; row++) {
+        double time = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(times, row));
+        long long low, high;
+        if (time == -1.0 && PyErr_Occurred()) {
+            Py_CLEAR(highs);
+            break;
+        }
+        if (!(time >= 0 && time / slide < 0x1p52)) {
+            PyErr_Format(PyExc_ValueError, "covering_ranges: time %R out of range",
+                         PySequence_Fast_GET_ITEM(times, row));
+            Py_CLEAR(highs);
+            break;
+        }
+        bounds(time, size, slide, &low, &high);
+        PyList_SET_ITEM(lows, row, PyLong_FromLongLong(low));
+        PyList_SET_ITEM(highs, row, PyLong_FromLongLong(high));
+    }
+    Py_DECREF(times);
+    if (highs == NULL) {
+        Py_XDECREF(lows);
+        return NULL;
+    }
+    return Py_BuildValue("NN", lows, highs);
+}
+
+/* ------------------------------------------------------------------ */
+/* Block columns                                                       */
+/* ------------------------------------------------------------------ */
+
+/* A list, or an array of doubles ('d'), int64s ('q') or uint32s ('I'). */
+typedef struct {
+    PyObject *list;
+    Py_buffer view;
+    char format;
+} column;
+
+static int
+column_open(column *of, PyObject *source, Py_ssize_t length)
+{
+    of->list = NULL;
+    of->view.obj = NULL;
+    if (PyList_CheckExact(source)) {
+        Py_INCREF(source);
+        of->list = source;
+        of->format = 'o';
+        if (PyList_GET_SIZE(source) >= length) {
+            return 0;
+        }
+    }
+    else {
+        if (PyObject_GetBuffer(source, &of->view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0) {
+            return -1;
+        }
+        of->format = of->view.format != NULL && of->view.format[1] == '\0' ? of->view.format[0] : 0;
+        int size = of->format == 'd' || of->format == 'q' ? 8 : of->format == 'I' ? 4 : 0;
+        if (size == 0 || of->view.itemsize != size) {
+            PyErr_SetString(PyExc_TypeError, "fold core: a column must be a list or a typed array");
+            return -1;
+        }
+        if (of->view.len / size >= length) {
+            return 0;
+        }
+    }
+    PyErr_SetString(PyExc_ValueError, "fold core: a column is shorter than the block");
+    return -1;
+}
+
+static void
+column_close(column *of)
+{
+    Py_CLEAR(of->list);
+    if (of->view.obj != NULL) {
+        PyBuffer_Release(&of->view);
+    }
+}
+
+static int
+column_double(const column *of, Py_ssize_t row, double *out)
+{
+    const void *at = of->view.buf;
+    switch (of->format) {
+        case 'o': {
+            PyObject *item = PyList_GET_ITEM(of->list, row);
+            *out = PyFloat_CheckExact(item) ? PyFloat_AS_DOUBLE(item) : PyFloat_AsDouble(item);
+            return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+        }
+        case 'd': *out = ((const double *)at)[row]; return 0;
+        case 'q': *out = (double)((const long long *)at)[row]; return 0;
+        default: PyErr_SetString(PyExc_TypeError, "fold core: a time column holds no numbers");
+    }
+    return -1;
+}
+
+static int
+column_long(const column *of, Py_ssize_t row, long long *out)
+{
+    const void *at = of->view.buf;
+    switch (of->format) {
+        case 'o': {
+            *out = PyLong_AsLongLong(PyList_GET_ITEM(of->list, row));
+            return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+        }
+        case 'q': *out = ((const long long *)at)[row]; return 0;
+        case 'I': *out = ((const unsigned int *)at)[row]; return 0;
+        default: PyErr_SetString(PyExc_TypeError, "fold core: an integer column holds floats");
+    }
+    return -1;
+}
+
+/* The row's value as the column's own object would read in Python. */
+static PyObject *
+column_object(const column *of, Py_ssize_t row)
+{
+    if (of->format == 'o') {
+        return Py_NewRef(PyList_GET_ITEM(of->list, row));
+    }
+    if (of->format == 'd') {
+        return PyFloat_FromDouble(((const double *)of->view.buf)[row]);
+    }
+    long long value;
+    return column_long(of, row, &value) < 0 ? NULL : PyLong_FromLongLong(value);
+}
+
+/* ------------------------------------------------------------------ */
+/* Walk: the Cover stage of the static plan                            */
+/* ------------------------------------------------------------------ */
+
+#define UNARMED LLONG_MIN
+enum { DONE, SWEEP, PREPARE, RESOLVE };
+static unsigned long long walked_rows = 0, handed_rows = 0;
+
+/* One unit's side of a walk: its group codes and per-code caches (shared
+ * with the Python row body), and the rows fed since the last fold. */
+typedef struct {
+    int attached, fast;
+    column codes;
+    PyObject *resolved;  /* list per code: the group, False (no group), None */
+    Py_buffer armed;     /* array('q') per code: highest armed index */
+    PyObject *qualifies; /* bytes per type code: the type opens windows */
+    PyObject *scratch;   /* the executor's array('q'): fed (row, slot) pairs */
+    Py_buffer view;
+    double size, slide;
+    Py_ssize_t table, entries, slots;
+    Py_ssize_t *slot_of;  /* per code: its group's slot, -1 */
+    Py_ssize_t *slot_code;
+    PyObject **slot_group; /* per slot, in first-fed order */
+} unit_walk;
+
+typedef struct {
+    PyObject_HEAD
+    column times, sequences, types;
+    PyObject *type_table, *arrivals, *clock, *fold, *fallback, *order_error, *order_point;
+    Py_ssize_t base, count, type_count, unit_count, attached;
+    Py_ssize_t *feed_start, *feed_units, *touched;
+    unit_walk *units;
+} Walk;
+
+static PyObject *s_latest, *s_time, *s_sequence, *s_feeds, *s_compile, *s_deferred,
+    *s_unsettled, *s_ops, *s_entries, *s_armed_entries, *s_frombytes;
+
+static void
+unit_release(unit_walk *unit)
+{
+    column_close(&unit->codes);
+    Py_CLEAR(unit->resolved);
+    Py_CLEAR(unit->qualifies);
+    if (unit->armed.obj != NULL) {
+        PyBuffer_Release(&unit->armed);
+    }
+    if (unit->view.obj != NULL) {
+        PyBuffer_Release(&unit->view);
+    }
+    Py_CLEAR(unit->scratch);
+    for (Py_ssize_t slot = 0; slot < unit->slots; slot++) {
+        Py_CLEAR(unit->slot_group[slot]);
+    }
+    PyMem_Free(unit->slot_of);
+    PyMem_Free(unit->slot_code);
+    PyMem_Free(unit->slot_group);
+    memset(unit, 0, sizeof(*unit));
+}
+
+static PyObject *
+walk_close(Walk *self, PyObject *Py_UNUSED(args))
+{
+    column_close(&self->times);
+    column_close(&self->sequences);
+    column_close(&self->types);
+    for (Py_ssize_t unit = 0; self->units != NULL && unit < self->unit_count; unit++) {
+        unit_release(&self->units[unit]);
+    }
+    PyMem_Free(self->units);
+    PyMem_Free(self->feed_start);
+    PyMem_Free(self->feed_units);
+    PyMem_Free(self->touched);
+    self->units = NULL;
+    self->feed_start = self->feed_units = self->touched = NULL;
+    self->unit_count = self->type_count = self->attached = 0;
+    Py_CLEAR(self->type_table);
+    Py_CLEAR(self->arrivals);
+    Py_CLEAR(self->clock);
+    Py_CLEAR(self->fold);
+    Py_CLEAR(self->fallback);
+    Py_CLEAR(self->order_error);
+    Py_CLEAR(self->order_point);
+    Py_RETURN_NONE;
+}
+
+static void
+walk_dealloc(Walk *self)
+{
+    Py_XDECREF(walk_close(self, NULL));
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+walk_init(Walk *self, PyObject *args, PyObject *Py_UNUSED(kwargs))
+{
+    PyObject *times, *sequences, *types, *by_code;
+    Py_XDECREF(walk_close(self, NULL));
+    if (!PyArg_ParseTuple(args, "OOOO!nnO!OOOOOOn:Walk", &times, &sequences, &types,
+                          &PyTuple_Type, &self->type_table, &self->base, &self->count,
+                          &PyTuple_Type, &by_code, &self->arrivals, &self->clock, &self->fold,
+                          &self->fallback, &self->order_error, &self->order_point,
+                          &self->unit_count)) {
+        self->type_table = self->arrivals = self->clock = self->fold = self->fallback = NULL;
+        self->order_error = self->order_point = NULL;
+        return -1;
+    }
+    Py_INCREF(self->type_table);
+    Py_INCREF(self->arrivals);
+    Py_INCREF(self->clock);
+    Py_INCREF(self->fold);
+    Py_INCREF(self->fallback);
+    Py_INCREF(self->order_error);
+    Py_INCREF(self->order_point);
+    Py_ssize_t end = self->base + self->count, feeds = 0;
+    self->type_count = PyTuple_GET_SIZE(by_code);
+    if (self->base < 0 || self->count < 0 || self->unit_count < 0
+        || PyTuple_GET_SIZE(self->type_table) != self->type_count
+        || (PyList_Check(self->arrivals) && PyList_GET_SIZE(self->arrivals) < self->count)) {
+        PyErr_SetString(PyExc_ValueError, "Walk: malformed block");
+        return -1;
+    }
+    for (Py_ssize_t code = 0; code < self->type_count; code++) {
+        PyObject *units = PyTuple_GET_ITEM(by_code, code);
+        if (!PyTuple_Check(units)) {
+            PyErr_SetString(PyExc_TypeError, "Walk: by_code holds a tuple of units per type");
+            return -1;
+        }
+        feeds += PyTuple_GET_SIZE(units);
+    }
+    self->units = PyMem_Calloc(self->unit_count + 1, sizeof(unit_walk));
+    self->feed_start = PyMem_Calloc(self->type_count + 1, sizeof(Py_ssize_t));
+    self->feed_units = PyMem_Calloc(feeds + 1, sizeof(Py_ssize_t));
+    self->touched = PyMem_Calloc(self->unit_count + 1, sizeof(Py_ssize_t));
+    if (!self->units || !self->feed_start || !self->feed_units || !self->touched) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    feeds = 0;
+    for (Py_ssize_t code = 0; code < self->type_count; code++) {
+        PyObject *units = PyTuple_GET_ITEM(by_code, code);
+        self->feed_start[code] = feeds;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(units); i++) {
+            Py_ssize_t unit = PyLong_AsSsize_t(PyTuple_GET_ITEM(units, i));
+            if (unit < 0 || unit >= self->unit_count) {
+                if (!PyErr_Occurred()) {
+                    PyErr_SetString(PyExc_ValueError, "Walk: no such unit");
+                }
+                return -1;
+            }
+            self->feed_units[feeds++] = unit;
+        }
+    }
+    self->feed_start[self->type_count] = feeds;
+    if (column_open(&self->times, times, end) < 0
+        || column_open(&self->sequences, sequences, end) < 0
+        || column_open(&self->types, types, end) < 0) {
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+walk_attach(Walk *self, PyObject *args)
+{
+    Py_ssize_t index;
+    int fast;
+    PyObject *codes, *resolved, *armed, *qualifies, *scratch;
+    double size, slide;
+    if (!PyArg_ParseTuple(args, "nOO!OO!ddpO:attach", &index, &codes, &PyList_Type, &resolved,
+                          &armed, &PyBytes_Type, &qualifies, &size, &slide, &fast, &scratch)) {
+        return NULL;
+    }
+    if (index < 0 || index >= self->unit_count || self->units[index].attached
+        || PyBytes_GET_SIZE(qualifies) < self->type_count) {
+        PyErr_SetString(PyExc_ValueError, "attach: malformed unit");
+        return NULL;
+    }
+    unit_walk *unit = &self->units[index];
+    unit->table = PyList_GET_SIZE(resolved);
+    unit->resolved = Py_NewRef(resolved);
+    unit->qualifies = Py_NewRef(qualifies);
+    unit->scratch = Py_NewRef(scratch);
+    unit->size = size;
+    unit->slide = slide;
+    unit->fast = fast;
+    unit->slot_of = PyMem_Malloc((unit->table + 1) * sizeof(Py_ssize_t));
+    unit->slot_code = PyMem_Malloc((unit->table + 1) * sizeof(Py_ssize_t));
+    unit->slot_group = PyMem_Calloc(unit->table + 1, sizeof(PyObject *));
+    if (!unit->slot_of || !unit->slot_code || !unit->slot_group) {
+        unit_release(unit);
+        return PyErr_NoMemory();
+    }
+    for (Py_ssize_t code = 0; code < unit->table; code++) {
+        unit->slot_of[code] = -1;
+    }
+    if (column_open(&unit->codes, codes, self->count) < 0
+        || PyObject_GetBuffer(armed, &unit->armed, PyBUF_FORMAT | PyBUF_WRITABLE) < 0
+        || PyObject_GetBuffer(scratch, &unit->view, PyBUF_FORMAT | PyBUF_WRITABLE) < 0) {
+        unit_release(unit);
+        return NULL;
+    }
+    if (strcmp(unit->armed.format, "q") || unit->armed.len != unit->table * 8
+        || strcmp(unit->view.format, "q")) {
+        unit_release(unit);
+        PyErr_SetString(PyExc_TypeError, "attach: armed and scratch must be array('q')");
+        return NULL;
+    }
+    unit->attached = 1;
+    self->touched[self->attached++] = index;
+    Py_RETURN_NONE;
+}
+
+/* Room for ``need`` int64s in the unit's scratch, which only grows. */
+static long long *
+room(unit_walk *unit, Py_ssize_t need)
+{
+    Py_ssize_t have = unit->view.len / 8;
+    if (have < need) {
+        Py_ssize_t more = (need > 2 * have ? need : 2 * have) + 64 - have;
+        PyBuffer_Release(&unit->view);
+        PyObject *zeros = PyBytes_FromStringAndSize(NULL, more * 8);
+        if (zeros != NULL) {
+            memset(PyBytes_AS_STRING(zeros), 0, more * 8);
+        }
+        PyObject *done = zeros ? PyObject_CallMethodOneArg(unit->scratch, s_frombytes, zeros)
+                               : NULL;
+        Py_XDECREF(zeros);
+        if (done == NULL) {
+            return NULL;
+        }
+        Py_DECREF(done);
+        if (PyObject_GetBuffer(unit->scratch, &unit->view, PyBUF_FORMAT | PyBUF_WRITABLE) < 0) {
+            return NULL;
+        }
+    }
+    return (long long *)unit->view.buf;
+}
+
+/* Feed local ``row`` to the group of code ``key``'s slot. */
+static int
+feed(Walk *self, unit_walk *unit, Py_ssize_t row, Py_ssize_t key)
+{
+    PyObject *group = PyList_GET_ITEM(unit->resolved, key);
+    Py_ssize_t slot = unit->slot_of[key];
+    if (slot < 0) {
+        slot = unit->slot_of[key] = unit->slots;
+        unit->slot_code[slot] = key;
+        unit->slot_group[unit->slots++] = Py_NewRef(group);
+    }
+    long long *entries = room(unit, 2 * (unit->entries + 1));
+    PyObject **fed = member(&groups, group, FED), **arrival = member(&groups, group, ARRIVAL);
+    if (entries == NULL || fed == NULL || arrival == NULL) {
+        return -1;
+    }
+    entries[2 * unit->entries] = row;
+    entries[2 * unit->entries + 1] = slot;
+    unit->entries += 1;
+    long long count = PyLong_AsLongLong(*fed);
+    PyObject *boxed = count == -1 && PyErr_Occurred() ? NULL : PyLong_FromLongLong(count + 1);
+    if (boxed == NULL) {
+        return -1;
+    }
+    Py_SETREF(*fed, boxed);
+    PyObject *stamp = PyList_Check(self->arrivals) ? PyList_GET_ITEM(self->arrivals, row)
+                                                   : self->arrivals;
+    Py_SETREF(*arrival, Py_NewRef(stamp));
+    return 0;
+}
+
+/* Where local ``row`` of type ``code`` goes in ``unit`` (its group code
+ * in ``*key``): 1 its group, 0 nowhere, RESOLVE the Python row body first,
+ * -1 an error.  ``prepared``: that body just ran for the row. */
+static int
+classify(unit_walk *unit, Py_ssize_t row, long long code, double time, int prepared,
+         Py_ssize_t *key)
+{
+    long long value, low, high;
+    if (column_long(&unit->codes, row, &value) < 0 || value < 0 || value >= unit->table) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_IndexError, "run: group code out of range");
+        }
+        return -1;
+    }
+    *key = (Py_ssize_t)value;
+    int qualifies = PyBytes_AS_STRING(unit->qualifies)[code] != 0;
+    PyObject *group = PyList_GET_ITEM(unit->resolved, *key);
+    if (group == Py_None || group == Py_False) { /* unresolved; no group, which a
+                                                     * qualifying row opens */
+        return !prepared && (group == Py_None || qualifies) ? RESOLVE : 0;
+    }
+    PyObject **metas = member(&groups, group, METAS);
+    if (metas == NULL) {
+        return -1;
+    }
+    if (!PyDict_CheckExact(*metas) || PyDict_GET_SIZE(*metas) == 0) {
+        return prepared ? 0 : RESOLVE; /* evicted since (or never opened) */
+    }
+    bounds(time, unit->size, unit->slide, &low, &high);
+    if (high < low) {
+        return 0;
+    }
+    long long armed = ((long long *)unit->armed.buf)[*key];
+    return !prepared && qualifies && (armed == UNARMED || high > armed) ? RESOLVE : 1;
+}
+
+static PyObject *
+walk_run(Walk *self, PyObject *args)
+{
+    Py_ssize_t row, prepared, unit_index = -1, key;
+    double next_close;
+    long long fed = 0;
+    int reason = DONE;
+    if (!PyArg_ParseTuple(args, "nnd:run", &row, &prepared, &next_close)) {
+        return NULL;
+    }
+    for (; row < self->count && reason == DONE; row++) {
+        Py_ssize_t at = self->base + row;
+        double time;
+        long long code;
+        if (column_double(&self->times, at, &time) < 0
+            || column_long(&self->types, at, &code) < 0) {
+            return NULL;
+        }
+        if (time >= next_close) {
+            reason = SWEEP;
+            break;
+        }
+        code = code < 0 ? code + self->type_count : code;
+        if (code < 0 || code >= self->type_count) {
+            PyErr_SetString(PyExc_IndexError, "run: type code out of range");
+            return NULL;
+        }
+        Py_ssize_t first = self->feed_start[code], last = self->feed_start[code + 1];
+        /* Every unit the row feeds is attached before any is resolved. */
+        for (Py_ssize_t i = first; i < last && reason == DONE; i++) {
+            if (!self->units[self->feed_units[i]].attached) {
+                reason = PREPARE;
+                unit_index = self->feed_units[i];
+            }
+        }
+        for (Py_ssize_t i = first; i < last && reason == DONE; i++) {
+            int verdict = classify(&self->units[self->feed_units[i]], row, code, time,
+                                   row == prepared, &key);
+            if (verdict < 0) {
+                return NULL;
+            }
+            if (verdict == RESOLVE) {
+                handed_rows += 1;
+                reason = RESOLVE;
+            }
+        }
+        if (reason != DONE) {
+            break;
+        }
+        for (Py_ssize_t i = first; i < last; i++) { /* the same verdicts, now fed */
+            unit_walk *unit = &self->units[self->feed_units[i]];
+            int verdict = classify(unit, row, code, time, row == prepared, &key);
+            if (verdict < 0 || (verdict == 1 && feed(self, unit, row, key) < 0)) {
+                return NULL;
+            }
+            fed += verdict == 1;
+        }
+        walked_rows += 1;
+    }
+    return Py_BuildValue("niiL", row, reason, (int)unit_index, fed);
+}
+
+/* A Python int attribute of ``object`` plus ``delta``. */
+static int
+add_attribute(PyObject *object, PyObject *name, long long delta)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    long long now = value == NULL ? -1 : PyLong_AsLongLong(value);
+    Py_XDECREF(value);
+    if (now == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    PyObject *boxed = PyLong_FromLongLong(now + delta);
+    int status = boxed == NULL ? -1 : PyObject_SetAttr(object, name, boxed);
+    Py_XDECREF(boxed);
+    return status;
+}
+
+/* The engine's arrival-order check over the segment's rows (the
+ * reference's ensure_shared_run_order), then its cursor moved past them. */
+static int
+advance(Walk *self, PyObject *engine, const long long *rows, Py_ssize_t count)
+{
+    PyObject *latest = PyObject_GetAttr(engine, s_latest), *last_time = NULL, *last_sequence = NULL;
+    PyObject *time_value = NULL, *sequence_value = NULL;
+    int status = -1, have = latest != NULL && latest != Py_None;
+    double previous = 0.0, time;
+    long long previous_sequence = 0, sequence;
+    if (latest == NULL) {
+        return -1;
+    }
+    if (have) {
+        last_time = PyObject_GetAttr(latest, s_time);
+        last_sequence = last_time ? PyObject_GetAttr(latest, s_sequence) : NULL;
+        if (last_sequence == NULL || as_double(last_time, &previous) < 0
+            || ((previous_sequence = PyLong_AsLongLong(last_sequence)) == -1 && PyErr_Occurred())) {
+            goto done;
+        }
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_ssize_t at = self->base + rows[i];
+        if (column_double(&self->times, at, &time) < 0
+            || column_long(&self->sequences, at, &sequence) < 0) {
+            goto done;
+        }
+        if (have && !(previous < time || (previous == time && previous_sequence < sequence))) {
+            if (i > 0) {
+                Py_ssize_t before = self->base + rows[i - 1];
+                Py_XSETREF(last_time, column_object(&self->times, before));
+                Py_XSETREF(last_sequence, column_object(&self->sequences, before));
+            }
+            time_value = column_object(&self->times, at);
+            sequence_value = column_object(&self->sequences, at);
+            if (last_time && last_sequence && time_value && sequence_value) {
+                PyObject *error = PyObject_CallFunctionObjArgs(
+                    self->order_error, time_value, sequence_value, last_time, last_sequence, NULL);
+                if (error != NULL) {
+                    PyErr_SetObject((PyObject *)Py_TYPE(error), error);
+                    Py_DECREF(error);
+                }
+            }
+            goto done;
+        }
+        previous = time;
+        previous_sequence = sequence;
+        have = 1;
+    }
+    time_value = column_object(&self->times, self->base + rows[count - 1]);
+    sequence_value = column_object(&self->sequences, self->base + rows[count - 1]);
+    if (time_value == NULL || sequence_value == NULL) {
+        goto done;
+    }
+    if ((PyObject *)Py_TYPE(latest) == self->order_point) {
+        status = PyObject_SetAttr(latest, s_time, time_value) < 0
+                 || PyObject_SetAttr(latest, s_sequence, sequence_value) < 0 ? -1 : 0;
+    }
+    else {
+        PyObject *cursor = PyObject_CallFunctionObjArgs(self->order_point, time_value,
+                                                        sequence_value, NULL);
+        status = cursor == NULL ? -1 : PyObject_SetAttr(engine, s_latest, cursor);
+        Py_XDECREF(cursor);
+    }
+done:
+    Py_DECREF(latest);
+    Py_XDECREF(last_time);
+    Py_XDECREF(last_sequence);
+    Py_XDECREF(time_value);
+    Py_XDECREF(sequence_value);
+    return status;
+}
+
+/* One group's segment, where every class of the unit defers: the
+ * reference's _fold_segment, its rows folded by fold_deferred. */
+static int
+fold_fast(Walk *self, unit_walk *unit, PyObject *engine, const long long *rows, Py_ssize_t count)
+{
+    if (advance(self, engine, rows, count) < 0) {
+        return -1;
+    }
+    PyObject *feeds = PyObject_GetAttr(engine, s_feeds), *deferred = NULL, *unsettled = NULL;
+    PyObject *types = NULL, *lows = NULL, *highs = NULL, *done = NULL;
+    int status = -1;
+    if (feeds == Py_None) {
+        Py_SETREF(feeds, PyObject_CallMethodNoArgs(engine, s_compile));
+        if (feeds == NULL || PyObject_SetAttr(engine, s_feeds, feeds) < 0) {
+            goto done;
+        }
+    }
+    deferred = feeds ? PyObject_GetAttr(engine, s_deferred) : NULL;
+    unsettled = deferred ? PyObject_GetAttr(engine, s_unsettled) : NULL;
+    if (unsettled == NULL || !PyDict_Check(deferred)) {
+        goto done;
+    }
+    if (PyDict_GET_SIZE(deferred) && !PyObject_IsTrue(unsettled)) {
+        /* Deferral resumes: count the cells and entries the maps hold. */
+        Py_ssize_t position = 0;
+        PyObject *key, *state, *armed, *prefix_map, *kleene_map, *kleene;
+        if (PyObject_SetAttr(engine, s_unsettled, Py_True) < 0) {
+            goto done;
+        }
+        while (PyDict_Next(deferred, &position, &key, &state)) {
+            if (unpack(state, &armed, &prefix_map, &kleene_map, &kleene) < 0
+                || add(kleene, CELLS, PyDict_GET_SIZE(armed)) < 0
+                || add(kleene, ENTRIES, PyDict_GET_SIZE(kleene_map)) < 0) {
+                goto done;
+            }
+        }
+    }
+    types = PyTuple_New(count);
+    lows = types ? PyTuple_New(count) : NULL;
+    highs = lows ? PyTuple_New(count) : NULL;
+    for (Py_ssize_t i = 0; highs != NULL && i < count; i++) {
+        double time;
+        long long code, low, high;
+        Py_ssize_t at = self->base + rows[i];
+        if (column_double(&self->times, at, &time) < 0
+            || column_long(&self->types, at, &code) < 0) {
+            goto done;
+        }
+        code = code < 0 ? code + self->type_count : code;
+        bounds(time, unit->size, unit->slide, &low, &high);
+        PyTuple_SET_ITEM(types, i, Py_NewRef(PyTuple_GET_ITEM(self->type_table, code)));
+        PyTuple_SET_ITEM(lows, i, PyLong_FromLongLong(low));
+        PyTuple_SET_ITEM(highs, i, PyLong_FromLongLong(high));
+    }
+    done = highs ? PyObject_CallFunctionObjArgs(self->fold, feeds, types, lows, highs, NULL) : NULL;
+    long long ops, created, armings;
+    Py_ssize_t folded;
+    if (done == NULL || !PyArg_ParseTuple(done, "LLLn", &ops, &created, &armings, &folded)) {
+        goto done;
+    }
+    if (folded != count) {
+        PyErr_SetString(PyExc_SystemError, "fold core: a deferred unit's row was declined");
+        goto done;
+    }
+    status = add_attribute(engine, s_ops, ops) < 0 || add_attribute(engine, s_entries, created) < 0
+             || add_attribute(engine, s_armed_entries, armings) < 0 ? -1 : 0;
+done:
+    Py_XDECREF(feeds);
+    Py_XDECREF(deferred);
+    Py_XDECREF(unsettled);
+    Py_XDECREF(types);
+    Py_XDECREF(lows);
+    Py_XDECREF(highs);
+    Py_XDECREF(done);
+    return status;
+}
+
+/* Any other unit's segment: the Python gather and process_block_run. */
+static int
+fold_slow(Walk *self, Py_ssize_t index, PyObject *group, const long long *rows, Py_ssize_t count)
+{
+    unit_walk *unit = &self->units[index];
+    PyObject *local = PyList_New(count), *lows = PyList_New(count), *highs = PyList_New(count);
+    int status = -1;
+    for (Py_ssize_t i = 0; local && lows && highs && i < count; i++) {
+        double time;
+        long long low, high;
+        if (column_double(&self->times, self->base + rows[i], &time) < 0) {
+            goto done;
+        }
+        bounds(time, unit->size, unit->slide, &low, &high);
+        PyList_SET_ITEM(local, i, PyLong_FromLongLong(rows[i]));
+        PyList_SET_ITEM(lows, i, PyLong_FromLongLong(low));
+        PyList_SET_ITEM(highs, i, PyLong_FromLongLong(high));
+    }
+    if (local && lows && highs) {
+        PyObject *done = PyObject_CallFunction(self->fallback, "nOOOO", index, group, local,
+                                               lows, highs);
+        status = done == NULL ? -1 : 0;
+        Py_XDECREF(done);
+    }
+done:
+    Py_XDECREF(local);
+    Py_XDECREF(lows);
+    Py_XDECREF(highs);
+    return status;
+}
+
+/* The segment of one group: timed like the reference's flush. */
+static int
+fold_group(Walk *self, Py_ssize_t index, PyObject *group, const long long *rows, Py_ssize_t count)
+{
+    unit_walk *unit = &self->units[index];
+    if (!unit->fast) {
+        return fold_slow(self, index, group, rows, count);
+    }
+    PyObject **engine = member(&groups, group, ENGINE);
+    PyObject *started = engine ? PyObject_CallNoArgs(self->clock) : NULL, *ended = NULL;
+    int status = -1;
+    if (started != NULL && fold_fast(self, unit, *engine, rows, count) == 0
+        && (ended = PyObject_CallNoArgs(self->clock)) != NULL) {
+        PyObject **share = member(&groups, group, SHARE), **metas = member(&groups, group, METAS);
+        double from, to, before;
+        if (share && metas && as_double(started, &from) == 0 && as_double(ended, &to) == 0
+            && as_double(*share, &before) == 0) {
+            Py_ssize_t open = PyObject_Length(*metas);
+            PyObject *after = open <= 0 ? NULL
+                                        : PyFloat_FromDouble(before + (to - from) / (double)open);
+            if (after != NULL) {
+                Py_SETREF(*share, after);
+                status = 0;
+            }
+            else if (!PyErr_Occurred()) {
+                PyErr_SetString(PyExc_ZeroDivisionError, "fold core: a fed group has no window");
+            }
+        }
+    }
+    Py_XDECREF(started);
+    Py_XDECREF(ended);
+    return status;
+}
+
+static PyObject *
+walk_fold(Walk *self, PyObject *Py_UNUSED(args))
+{
+    for (Py_ssize_t k = 0; k < self->attached; k++) {
+        Py_ssize_t index = self->touched[k];
+        unit_walk *unit = &self->units[index];
+        Py_ssize_t count = unit->entries, slots = unit->slots;
+        if (count == 0) {
+            continue;
+        }
+        /* Counting sort of the fed (row, slot) pairs into one run per slot
+         * (stable: each run stays in row order), after the pairs. */
+        long long *entries = room(unit, 3 * count + slots + 1);
+        if (entries == NULL) {
+            return NULL;
+        }
+        long long *sorted = entries + 2 * count, *ends = sorted + count;
+        memset(ends, 0, (slots + 1) * sizeof(long long));
+        for (Py_ssize_t i = 0; i < count; i++) {
+            ends[entries[2 * i + 1] + 1] += 1;
+        }
+        for (Py_ssize_t slot = 0; slot < slots; slot++) {
+            ends[slot + 1] += ends[slot];
+        }
+        for (Py_ssize_t i = 0; i < count; i++) {
+            sorted[ends[entries[2 * i + 1]]++] = entries[2 * i];
+        }
+        /* ``ends[slot]`` is now where the run of ``slot`` ends. */
+        for (Py_ssize_t slot = 0; slot < slots; slot++) {
+            long long begin = slot ? ends[slot - 1] : 0;
+            /* The walk's buffer export keeps the scratch from moving. */
+            PyObject *group = unit->slot_group[slot];
+            if (fold_group(self, index, group, sorted + begin, ends[slot] - begin) < 0) {
+                return NULL;
+            }
+        }
+        for (Py_ssize_t slot = 0; slot < slots; slot++) {
+            unit->slot_of[unit->slot_code[slot]] = -1;
+            Py_CLEAR(unit->slot_group[slot]);
+        }
+        unit->entries = unit->slots = 0;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+cover_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+{
+    return Py_BuildValue("KK", walked_rows, handed_rows);
+}
+
+static PyMethodDef walk_methods[] = {
+    {"attach", (PyCFunction)walk_attach, METH_VARARGS,
+     "attach(unit, codes, resolved, armed, qualifies, size, slide, fast, scratch)"},
+    {"run", (PyCFunction)walk_run, METH_VARARGS,
+     "run(row, prepared, next_close) -> (row, reason, unit, rows fed)"},
+    {"fold", (PyCFunction)walk_fold, METH_NOARGS, "fold() every group's fed rows"},
+    {"close", (PyCFunction)walk_close, METH_NOARGS, "close(): release the columns"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject walk_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_foldcore.Walk",
+    .tp_basicsize = sizeof(Walk),
+    .tp_dealloc = (destructor)walk_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The Cover stage's walk over one block (see runtime/cover.py).",
+    .tp_methods = walk_methods,
+    .tp_init = (initproc)walk_init,
+    .tp_new = PyType_GenericNew,
+};
+
 static PyMethodDef methods[] = {
     {"fold_deferred", fold_deferred, METH_VARARGS,
      "fold_deferred(feeds, types, lows, highs) -> (ops, created, armings, rows folded)"},
@@ -515,6 +1387,10 @@ static PyMethodDef methods[] = {
      " -> (array('d') readout, cells disarmed, coefficients evicted)"},
     {"settle_kleene", settle_kleene, METH_VARARGS,
      "settle_kleene(prefix, total, steps): repro.core.kernels.settle_kleene"},
+    {"covering_ranges", covering_ranges, METH_VARARGS,
+     "covering_ranges(times, size, slide) -> (lows, highs): Window.covering_bounds per time"},
+    {"cover_counts", cover_counts, METH_NOARGS,
+     "cover_counts() -> (rows walked, rows handed back to the Python row body)"},
     {"settle_counts", settle_counts, METH_NOARGS,
      "settle_counts() -> (settles, steps) the fold and the readout paid so far"},
     {NULL, NULL, 0, NULL},
@@ -545,5 +1421,24 @@ PyInit__foldcore(void)
     if (array_type == NULL || typecode == NULL || zero == NULL) {
         return NULL;
     }
-    return PyModule_Create(&module_def);
+    struct { PyObject **name; const char *text; } names[] = {
+        {&s_latest, "_latest_event"}, {&s_time, "time"}, {&s_sequence, "sequence"},
+        {&s_feeds, "_segment_feeds"}, {&s_compile, "_compile_segment_feeds"},
+        {&s_deferred, "_deferred"}, {&s_unsettled, "_unsettled"}, {&s_ops, "_ops"},
+        {&s_entries, "_coeff_entries"}, {&s_armed_entries, "_armed_entries"},
+        {&s_frombytes, "frombytes"},
+    };
+    for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        if ((*names[i].name = PyUnicode_InternFromString(names[i].text)) == NULL) {
+            return NULL;
+        }
+    }
+    if (PyType_Ready(&walk_type) < 0) {
+        return NULL;
+    }
+    PyObject *module = PyModule_Create(&module_def);
+    if (module != NULL && PyModule_AddObjectRef(module, "Walk", (PyObject *)&walk_type) < 0) {
+        Py_CLEAR(module);
+    }
+    return module;
 }

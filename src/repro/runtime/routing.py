@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.errors import ExecutionError
 from repro.events.block import EventBlock
-from repro.events.event import Event, EventType, group_key
+from repro.events.event import Event, EventType, group_key, unhashable_key_error
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime.executor import execution_units, unit_relevant_types
@@ -262,7 +262,10 @@ class ShardRouter:
             return ()
         if self.plan.mode == "group":
             key = group_key(event, self.plan.group_by)
-            shard = self._shard_of_key.get(key)
+            try:
+                shard = self._shard_of_key.get(key)
+            except TypeError:
+                raise unhashable_key_error(self.plan.group_by, key) from None
             if shard is None:
                 shard = stable_shard_hash(key) % self.plan.shards
                 if len(self._shard_of_key) < _SHARD_MEMO_LIMIT:

@@ -264,6 +264,18 @@ class UnitCompilation:
             )
         )
 
+        #: The classes the segment fold defers (:class:`_DeferredKleene`), by
+        #: index: scalar ``SEQ(P, K+)`` — a columnar start type with no
+        #: predecessor feeding a columnar Kleene self-loop — as ``(P, K)``.
+        self.deferred_shapes: dict[int, tuple[EventType, EventType]] = {}
+        for spec in self.classes if self.scalar else ():
+            preds = spec.pred_types
+            names = sorted(preds, key=lambda name: (len(preds[name]), name))
+            if [spec.template.is_start(name) for name in names] == [True, False] and (
+                not preds[names[0]] and set(preds[names[1]]) == set(names)
+            ) and self.columnar_types.issuperset(names):
+                self.deferred_shapes[spec.index] = (names[0], names[1])
+
     def contributions(self, event: Event) -> tuple[float, ...]:
         """The event's contribution to each unit measure (Equation 1)."""
         return tuple(measure.contribution(event) for measure in self.measures)
@@ -577,22 +589,16 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         contribution_rows: Optional[Sequence[tuple[float, ...]]] = None,
         events: Optional[Sequence[Event]] = None,
     ) -> bool:
-        """Fold consecutive rows of one group, in arrival order.
-
-        The one entry of both ingest paths.  The caller hands the rows'
-        parallel columns: times, sequences, the non-decreasing covering
-        ranges ``lows``/``highs`` of the sorted times (what
-        :meth:`Window.instance_range_columns` produces), and for vector
-        units the contribution rows.  ``events[i]`` is row ``i``'s
-        :class:`Event`, read only for a type outside
-        ``unit.columnar_types``.  ``event_type`` is
-
-        * one type name per row for a **segment**, what the static plan
-          hands over, per event or per ``(group, close-sweep segment)``
-          (:meth:`_fold_segment`); or
-        * one type name for a same-type **run**, what an optimizer's
-          executor flushes after its per-burst decision: the reference
-          fold runs every sharing column of each ``(class, type)`` plan.
+        """Fold consecutive rows of one group, in arrival order: times,
+        sequences, the non-decreasing covering ranges ``lows``/``highs``,
+        for vector units the contribution rows, and ``events[i]``, row
+        ``i``'s :class:`Event`, read only for a type outside
+        ``unit.columnar_types``.  ``event_type`` is one type name per row
+        for a **segment** (:meth:`_fold_segment`), what the static plan
+        hands over per ``(group, close-sweep segment)`` — the compiled
+        Cover walk folds a unit whose classes all defer itself, through
+        the same state — or one type name for a same-type **run**, what an
+        optimizer's executor flushes after its per-burst decision.
 
         Results *and* abstract operation counts equal the equivalent
         sequence of :meth:`process` calls, pinned by the block and segment
@@ -847,31 +853,25 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         counters: dict[EventType, _DeferredKleene] = {}
         prefixed: dict[EventType, list[_DeferredClass]] = {}
         eager: dict[EventType, list[tuple[_EagerClass, _TypePlan]]] = {}
-        columnar = self.unit.columnar_types
         for spec in self.unit.classes:
             armed = self._armed[spec.index]
-            preds = spec.pred_types
-            names = sorted(preds, key=lambda name: (len(preds[name]), name))
-            plans = [self._plan_of[spec.index, name] for name in names]
-            if (
-                self.unit.scalar
-                and [plan.is_start for plan in plans] == [True, False]
-                and not preds[names[0]]
-                and set(preds[names[1]]) == set(names)
-                and columnar.issuperset(names)
-            ):
-                kleene = counters.setdefault(names[1], _DeferredKleene())
-                state = _DeferredClass(armed, plans[0].total_map, plans[1].total_map, kleene)
+            shape = self.unit.deferred_shapes.get(spec.index)
+            if shape is not None:
+                prefix, kleene_type = shape
+                prefix_map, kleene_map = (self._plan_of[spec.index, n].total_map for n in shape)
+                kleene = counters.setdefault(kleene_type, _DeferredKleene())
+                state = _DeferredClass(armed, prefix_map, kleene_map, kleene)
                 self._deferred[spec.index] = state
-                prefixed.setdefault(names[0], []).append(state)
-            else:
-                self._eager.append(_EagerClass(armed))
-                for name, plan in zip(names, plans):
-                    eager.setdefault(name, []).append((self._eager[-1], plan))
-        # A type outside ``columnar`` has no feed: its rows go per event.
+                prefixed.setdefault(prefix, []).append(state)
+                continue
+            self._eager.append(collector := _EagerClass(armed))
+            preds = spec.pred_types
+            for name in sorted(preds, key=lambda name: (len(preds[name]), name)):
+                eager.setdefault(name, []).append((collector, self._plan_of[spec.index, name]))
+        # A type outside ``columnar_types`` has no feed: its rows go per event.
         return {
             name: (counters.get(name), tuple(prefixed.get(name, ())), tuple(eager.get(name, ())))
-            for name in columnar
+            for name in self.unit.columnar_types
         }
 
     def _settle(self) -> None:

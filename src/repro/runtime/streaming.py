@@ -71,9 +71,8 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overloa
 
 from repro.core.engine import HamletEngine
 from repro.errors import CheckpointError
-from repro.events.block import EventBlock, GroupCodes, group_codes
+from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
-from repro.events.event import group_key as group_key_of
 from repro.events.stream import EventStream, slice_stream
 from repro.greta.engine import GretaEngine
 from repro.interfaces import MultiWindowEngine
@@ -81,6 +80,8 @@ from repro.optimizer.decisions import OptimizerStatistics, SharingOptimizer
 from repro.optimizer.registry import OptimizerSpec
 from repro.query.query import Query
 from repro.query.workload import Workload
+from repro.runtime import cover
+from repro.runtime.cover import RowViews, StagedRows, block_contributions
 from repro.runtime.executor import (
     EngineFactory,
     ExecutionReport,
@@ -231,58 +232,6 @@ class _BlockUnitColumns:
     rows: Optional[dict] = None
 
 
-class _RowViews:
-    """``views[i]``: the row view of a segment's ``i``-th block row, built
-    when read — the engine reads only rows it folds per event."""
-
-    __slots__ = ("block", "rows")
-
-    def __init__(self, block: EventBlock | _StagedRows, rows: Sequence[int]) -> None:
-        self.block = block
-        self.rows = rows
-
-    def __getitem__(self, position: int) -> Event:
-        return self.block.event_at(self.rows[position])
-
-
-class _StagedRows(list):
-    """The events ``process()`` staged since the last fold, read by the
-    Cover loop through the reads it makes of an :class:`EventBlock`."""
-
-    __slots__ = ("arrivals", "type_table", "groups", "times", "sequences", "type_codes")
-
-    start = 0
-    stop = property(list.__len__)
-    event_at = list.__getitem__
-
-    def __init__(self, type_table: tuple) -> None:
-        super().__init__()
-        #: ``time.perf_counter()`` at each row's own arrival.
-        self.arrivals: list[float] = []
-        self.type_table = type_table
-        #: ``group_codes`` per attribute tuple, for the one fold.
-        self.groups: dict[tuple[str, ...], GroupCodes] = {}
-
-    def seal(self, codes: dict[EventType, int]) -> None:
-        """Build the order and type columns, one pass each, at the fold."""
-        self.times = [event.time for event in self]
-        self.sequences = [event.sequence for event in self]
-        self.type_codes = [codes.get(event.event_type, -1) for event in self]
-
-    def payload_column(self, key: str) -> list:
-        return [event.payload.get(key) for event in self]
-
-    def group_codes(self, attributes: tuple[str, ...]) -> GroupCodes:
-        cached = self.groups.get(attributes)
-        if cached is None:
-            columns = [self.payload_column(name) for name in attributes]
-            cached = self.groups[attributes] = group_codes(columns, len(self))
-        return cached
-
-    def group_key_at(self, attributes: tuple[str, ...], row: int) -> tuple:
-        return group_key_of(self[row], attributes)
-
-
 @dataclass(eq=False)
 class _Unit:
     """One execution unit: queries sharing a partition set, plus its state.
@@ -417,6 +366,7 @@ class StreamingExecutor:
         self._stage_types = (*self._units_by_type, None)
         self._stage_codes = {name: code for code, name in enumerate(self._units_by_type)}
         self._opening_shapes = {name: tuple(shapes) for name, shapes in opening.items()}
+        self._walk_plan = cover.WalkPlan.of(self._units, self._burst_buffering)
         pools = [unit.pool for unit in self._units if unit.linear and unit.compiled is None]
         if prebuilt is not None and pools:
             # The engine built to probe an opaque factory is the first pooled one.
@@ -510,7 +460,7 @@ class StreamingExecutor:
         the rows staged behind the offending one."""
         staged = self._staged
         if staged:
-            self._staged = _StagedRows(self._stage_types)
+            self._staged = StagedRows(self._stage_types)
             staged.seal(self._stage_codes)
             self._cover(staged, staged.arrivals)
 
@@ -558,13 +508,21 @@ class StreamingExecutor:
         if len(block):
             self._clock = block.times[block.stop - 1]
             self._consumed += len(block)
-            self._cover(block, repeat(time.perf_counter()))
+            self._cover(block, time.perf_counter())
 
-    def _cover(self, block: EventBlock | _StagedRows, arrivals: Iterable[float]) -> None:
+    def _cover(self, block: EventBlock | StagedRows, arrivals: float | list[float]) -> None:
         """The Cover stage: resolve each row's groups and covering window
         range, open groups and windows lazily, skip inert rows, close what
         the stream passed, and hand every fed row on — to the group's
-        static segment, its optimizer's burst, or a per-instance engine."""
+        static segment, its optimizer's burst, or a per-instance engine.
+        ``arrivals`` is the block's one stamp or the staged rows' own.
+
+        The compiled walk (:func:`repro.runtime.cover.walk`) takes the
+        static plan of compiled units; this loop is its reference."""
+        if cover.walk(self, block, arrivals, time.perf_counter):
+            return
+        if not isinstance(arrivals, list):
+            arrivals = repeat(arrivals)
         count, times, base, stop = len(block), block.times, block.start, block.stop
         times_col, codes_col, seqs_col = times, block.type_codes, block.sequences
         if base or stop != len(times):
@@ -706,7 +664,7 @@ class StreamingExecutor:
         touches the lateness stage: it lives upstream and survives.  Staged
         rows are dropped: a retraction's replay feeds them again."""
         core = pickle.loads(payload)
-        self._staged = _StagedRows(self._stage_types)
+        self._staged = StagedRows(self._stage_types)
         if output is None:
             output = self._report.partition_results
         arrival = time.perf_counter()
@@ -960,7 +918,7 @@ class StreamingExecutor:
         self._sweep: list = []
         #: Rows ``process()`` staged for the Cover loop; the event time
         #: that folds them; ``_opening_shapes`` of the types not staged yet.
-        self._staged = _StagedRows(self._stage_types)
+        self._staged = StagedRows(self._stage_types)
         self._fold_at = float("inf")
         self._unseen: dict = {}
         #: The stage in front of the core, built last: under the retract
@@ -1009,7 +967,7 @@ class StreamingExecutor:
     def _flush_static(
         self,
         prepared: dict[_Unit, _BlockUnitColumns],
-        block: EventBlock | _StagedRows,
+        block: EventBlock | StagedRows,
         times: Sequence[float],
         codes: Sequence[int],
         sequences: Sequence[int],
@@ -1036,7 +994,7 @@ class StreamingExecutor:
                     [lows[row] for row in rows],
                     [highs[row] for row in rows],
                     [contributions[row] for row in rows] if vector else None,
-                    _RowViews(block, rows),
+                    RowViews(block, rows),
                 )
                 group.share_seconds += (time.perf_counter() - started) / len(group.metas)
             state.rows.clear()
@@ -1084,7 +1042,7 @@ class StreamingExecutor:
 
     def _block_code_feeds(
         self,
-        block: EventBlock | _StagedRows,
+        block: EventBlock | StagedRows,
         code: int,
         codes: Sequence[int],
         nones: Sequence[None],
@@ -1101,7 +1059,7 @@ class StreamingExecutor:
         optimizer's executor buffers: ``nones`` where the engine folds the
         type from columns, the block itself (materializing a row view per
         index) where it folds it per event; ``None`` on the static plan,
-        whose rows get ``_RowViews``, and for per-instance units, which
+        whose rows get ``RowViews``, and for per-instance units, which
         take a row view per fed row.
         """
         event_type = block.type_table[code]
@@ -1128,7 +1086,7 @@ class StreamingExecutor:
                     contributions=(
                         nones
                         if compiled is None or compiled.scalar
-                        else self._block_contributions(block, compiled, codes)
+                        else block_contributions(block, compiled, codes)
                     ),
                     rows=None if compiled is None or self._burst_buffering else {},
                 )
@@ -1139,34 +1097,6 @@ class StreamingExecutor:
                 (unit, state, bool(state.qualifies[code]), event_type, state.contributions, events)
             )
         return feeds
-
-    @staticmethod
-    def _block_contributions(
-        block: EventBlock | _StagedRows, compiled: UnitCompilation, codes: Sequence[int]
-    ) -> Sequence[tuple[float, ...]]:
-        """``compiled.contributions(event)`` for every block row, from columns.
-
-        Per measure: a foreign event type contributes 0.0, ``COUNT``-style
-        measures (no attribute) contribute 1.0, and attribute measures read
-        the block's cached payload column — the same values
-        :meth:`Measure.contribution` computes per event.
-        """
-        count = len(block)
-        type_table = block.type_table
-        columns: list[list[float]] = []
-        for measure in compiled.measures:
-            if measure.event_type not in type_table:
-                columns.append([0.0] * count)
-                continue
-            own = type_table.index(measure.event_type)
-            if measure.attribute is None:
-                columns.append([1.0 if code == own else 0.0 for code in codes])
-            else:
-                source = block.payload_column(measure.attribute)
-                columns.append(
-                    [float(value) if code == own else 0.0 for value, code in zip(source, codes)]
-                )
-        return list(zip(*columns))
 
     def _close_window(
         self, unit: _Unit, group_key: tuple, group: _Group, meta: _WindowMeta

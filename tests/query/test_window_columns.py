@@ -51,7 +51,7 @@ def test_matches_scalar_on_random_sorted_times(window, seed):
 @pytest.mark.parametrize("window", WINDOWS, ids=[w.describe() for w in WINDOWS])
 def test_matches_scalar_at_boundaries(window):
     # Exact multiples of the slide, and a few ulps around them: the scalar
-    # path snaps quotients within 1e-12 of the next integer; the column pass
+    # path snaps quotients within a few ulps of the next integer; the column pass
     # must snap the same values.
     times = []
     for k in range(0, 40):
@@ -96,18 +96,24 @@ def test_negative_timestamp_raises():
 
 
 # --------------------------------------------------------------------- #
-# The snap rule's isclose-free fast path
+# The snap rule
 # --------------------------------------------------------------------- #
 SNAP_WINDOWS = [Window(1.0, 0.1), Window(0.9, 0.3), Window(1.0, 1 / 3), Window(7.0, 3.0)]
 
 
-def isclose_floor_index(window: Window, value: float) -> int:
-    """The snap rule as written before its fast path: always ``isclose``."""
-    quotient = value / window.slide
-    index = math.floor(quotient)
-    if math.isclose(index + 1, quotient, rel_tol=1e-12, abs_tol=1e-12):
-        index += 1
-    return int(index)
+def snap_rule_bounds(window: Window, timestamp: float) -> tuple[int, int]:
+    """The snap rule, written out: both edges' quotients snap up to the next
+    integer within four ulps of ``m = (timestamp + size) / slide``, or one
+    part in 1e12 of ``m`` but at most 1e-9."""
+    magnitude = (timestamp + window.size) / window.slide
+    tolerance = max(4 * math.ulp(magnitude), min(1e-12 * magnitude, 1e-9))
+
+    def floor_index(value: float) -> int:
+        quotient = value / window.slide
+        index = math.floor(quotient)
+        return index + 1 if index + 1 - quotient <= tolerance else index
+
+    return max(floor_index(timestamp - window.size) + 1, 0), floor_index(timestamp)
 
 
 def ulp_neighbours(value: float, steps: int = 4) -> list[float]:
@@ -134,15 +140,15 @@ def snap_probes(window: Window) -> list[float]:
 
 
 @pytest.mark.parametrize("window", SNAP_WINDOWS, ids=[w.describe() for w in SNAP_WINDOWS])
-def test_floor_index_equals_the_isclose_reference(window):
-    probes = snap_probes(window)
-    assert [window._floor_index(v) for v in probes] == [
-        isclose_floor_index(window, v) for v in probes
+def test_floor_index_equals_the_snap_rule_model(window):
+    probes = [t for v in snap_probes(window) for t in (v, v + window.size) if t >= 0]
+    assert [window.covering_bounds(t) for t in probes] == [
+        snap_rule_bounds(window, t) for t in probes
     ]
     snapped = sum(
-        window._floor_index(v) != math.floor(v / window.slide) for v in probes
+        window.covering_bounds(t)[1] != math.floor(t / window.slide) for t in probes
     )
-    assert snapped  # the probes do reach the isclose branch
+    assert snapped  # the probes do reach the snap
 
 
 @pytest.mark.parametrize("window", SNAP_WINDOWS, ids=[w.describe() for w in SNAP_WINDOWS])
@@ -156,3 +162,54 @@ def test_covering_bounds_equal_the_range_columns(window):
     assert [window.covering_bounds(t) for t in times] == list(zip(lows, highs))
     with pytest.raises(WindowError):
         window.covering_bounds(-1.0)
+
+
+# --------------------------------------------------------------------- #
+# Unix-epoch times, and the fold core's twin of the arithmetic
+# --------------------------------------------------------------------- #
+#: An uncapped relative snap (1e-12 of the quotient: 1.7 ms at 8.5e8) moved these
+#: events into a window that starts after them.
+EPOCH_CASES = [
+    (Window(10.0, 2.0), 1_700_000_001.999, (849_999_996, 850_000_000)),
+    (Window(10_000.0, 2_000.0), 1.7e12 + 1_999.0, (849_999_996, 850_000_000)),
+]
+
+
+@pytest.mark.parametrize("window, timestamp, expected", EPOCH_CASES)
+def test_epoch_times_land_in_the_windows_containing_them(window, timestamp, expected):
+    assert window.covering_bounds(timestamp) == expected
+    lows, highs = window.instance_range_columns([timestamp])
+    assert (lows[0], highs[0]) == expected
+    for index in range(expected[0], expected[1] + 1):
+        start, end = window.instance_bounds(index)
+        assert start <= timestamp < end
+    assert window.instance_bounds(expected[1] + 1)[0] > timestamp
+
+
+def epoch_probes(window: Window) -> list[float]:
+    """Slide multiples near 1.7e9 seconds and 1.7e12 milliseconds, their
+    +-4-ulp neighbours, and the two epoch cases."""
+    probes = []
+    for base in (1.7e9, 1.7e12):
+        k = round(base / window.slide)
+        for boundary in (k * window.slide, k * window.slide + window.size):
+            probes.extend(ulp_neighbours(boundary))
+            probes.append(boundary - 0.001)
+    return sorted(probes + [case[1] for case in EPOCH_CASES])
+
+
+@pytest.mark.parametrize("window", SNAP_WINDOWS + [case[0] for case in EPOCH_CASES],
+                         ids=[w.describe() for w in SNAP_WINDOWS + [c[0] for c in EPOCH_CASES]])
+def test_scalar_columns_and_compiled_ranges_agree(window):
+    from repro.runtime import foldcore
+
+    times = sorted(v for v in snap_probes(window) if v >= 0) + epoch_probes(window)
+    times = [t for t in times if t < window.index_limit]
+    scalar = [window.covering_bounds(t) for t in times]
+    lows, highs = window.instance_range_columns(times)
+    assert list(zip(lows, highs)) == scalar
+    assert [snap_rule_bounds(window, t) for t in times] == scalar
+    if foldcore.core is None:
+        pytest.skip(foldcore.reason)
+    lows, highs = foldcore.core.covering_ranges(times, window.size, window.slide)
+    assert list(zip(lows, highs)) == scalar

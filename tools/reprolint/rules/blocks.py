@@ -89,6 +89,7 @@ class EventConstructionRule(Rule):
     #: replay).
     scope: ClassVar[tuple[str, ...]] = (
         "repro/runtime/streaming.py",
+        "repro/runtime/cover.py",
         "repro/runtime/lateness.py",
         "repro/runtime/sharding.py",
         "repro/runtime/routing.py",
