@@ -5,7 +5,8 @@
  *   Walk           the Cover stage's row loop, StreamingExecutor._cover, for
  *                  executors whose units are all compiled and static (driven
  *                  by runtime/cover.py): covering ranges, the inert skip,
- *                  segments, and at each close the per-group fold;
+ *                  segments, and at each close each group's segment
+ *                  gathered for its engine's process_block_run;
  *   fold_deferred  the per-row loop of MultiWindowLinearEngine._fold_segment
  *                  where every class of the unit folds deferred (scalar
  *                  SEQ(P, K+));
@@ -719,9 +720,11 @@ static unsigned long long walked_rows = 0, handed_rows = 0;
 /* One unit's side of a walk: its group codes and per-code caches (shared
  * with the Python row body), and the rows fed since the last fold. */
 typedef struct {
-    int attached, fast;
+    int attached;
     column codes;
     PyObject *resolved;  /* list per code: the group, False (no group), None */
+    PyObject *contributions; /* per row: the unit's contributions, None */
+    PyObject *views;         /* rows -> their row views, None: never read */
     Py_buffer armed;     /* array('q') per code: highest armed index */
     PyObject *qualifies; /* bytes per type code: the type opens windows */
     PyObject *scratch;   /* the executor's array('q'): fed (row, slot) pairs */
@@ -736,20 +739,21 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     column times, sequences, types;
-    PyObject *type_table, *arrivals, *clock, *fold, *fallback, *order_error, *order_point;
+    PyObject *type_table, *arrivals, *clock;
     Py_ssize_t base, count, type_count, unit_count, attached;
     Py_ssize_t *feed_start, *feed_units, *touched;
     unit_walk *units;
 } Walk;
 
-static PyObject *s_latest, *s_time, *s_sequence, *s_feeds, *s_compile, *s_deferred,
-    *s_unsettled, *s_ops, *s_entries, *s_armed_entries, *s_frombytes;
+static PyObject *s_process_block_run, *s_frombytes;
 
 static void
 unit_release(unit_walk *unit)
 {
     column_close(&unit->codes);
     Py_CLEAR(unit->resolved);
+    Py_CLEAR(unit->contributions);
+    Py_CLEAR(unit->views);
     Py_CLEAR(unit->qualifies);
     if (unit->armed.obj != NULL) {
         PyBuffer_Release(&unit->armed);
@@ -786,10 +790,6 @@ walk_close(Walk *self, PyObject *Py_UNUSED(args))
     Py_CLEAR(self->type_table);
     Py_CLEAR(self->arrivals);
     Py_CLEAR(self->clock);
-    Py_CLEAR(self->fold);
-    Py_CLEAR(self->fallback);
-    Py_CLEAR(self->order_error);
-    Py_CLEAR(self->order_point);
     Py_RETURN_NONE;
 }
 
@@ -805,22 +805,16 @@ walk_init(Walk *self, PyObject *args, PyObject *Py_UNUSED(kwargs))
 {
     PyObject *times, *sequences, *types, *by_code;
     Py_XDECREF(walk_close(self, NULL));
-    if (!PyArg_ParseTuple(args, "OOOO!nnO!OOOOOOn:Walk", &times, &sequences, &types,
+    if (!PyArg_ParseTuple(args, "OOOO!nnO!OOn:Walk", &times, &sequences, &types,
                           &PyTuple_Type, &self->type_table, &self->base, &self->count,
-                          &PyTuple_Type, &by_code, &self->arrivals, &self->clock, &self->fold,
-                          &self->fallback, &self->order_error, &self->order_point,
+                          &PyTuple_Type, &by_code, &self->arrivals, &self->clock,
                           &self->unit_count)) {
-        self->type_table = self->arrivals = self->clock = self->fold = self->fallback = NULL;
-        self->order_error = self->order_point = NULL;
+        self->type_table = self->arrivals = self->clock = NULL;
         return -1;
     }
     Py_INCREF(self->type_table);
     Py_INCREF(self->arrivals);
     Py_INCREF(self->clock);
-    Py_INCREF(self->fold);
-    Py_INCREF(self->fallback);
-    Py_INCREF(self->order_error);
-    Py_INCREF(self->order_point);
     Py_ssize_t end = self->base + self->count, feeds = 0;
     self->type_count = PyTuple_GET_SIZE(by_code);
     if (self->base < 0 || self->count < 0 || self->unit_count < 0
@@ -873,11 +867,11 @@ static PyObject *
 walk_attach(Walk *self, PyObject *args)
 {
     Py_ssize_t index;
-    int fast;
-    PyObject *codes, *resolved, *armed, *qualifies, *scratch;
+    PyObject *codes, *resolved, *armed, *qualifies, *contributions, *views, *scratch;
     double size, slide;
-    if (!PyArg_ParseTuple(args, "nOO!OO!ddpO:attach", &index, &codes, &PyList_Type, &resolved,
-                          &armed, &PyBytes_Type, &qualifies, &size, &slide, &fast, &scratch)) {
+    if (!PyArg_ParseTuple(args, "nOO!OO!OOddO:attach", &index, &codes, &PyList_Type, &resolved,
+                          &armed, &PyBytes_Type, &qualifies, &contributions, &views, &size,
+                          &slide, &scratch)) {
         return NULL;
     }
     if (index < 0 || index >= self->unit_count || self->units[index].attached
@@ -889,10 +883,11 @@ walk_attach(Walk *self, PyObject *args)
     unit->table = PyList_GET_SIZE(resolved);
     unit->resolved = Py_NewRef(resolved);
     unit->qualifies = Py_NewRef(qualifies);
+    unit->contributions = Py_NewRef(contributions);
+    unit->views = Py_NewRef(views);
     unit->scratch = Py_NewRef(scratch);
     unit->size = size;
     unit->slide = slide;
-    unit->fast = fast;
     unit->slot_of = PyMem_Malloc((unit->table + 1) * sizeof(Py_ssize_t));
     unit->slot_code = PyMem_Malloc((unit->table + 1) * sizeof(Py_ssize_t));
     unit->slot_group = PyMem_Calloc(unit->table + 1, sizeof(PyObject *));
@@ -1075,136 +1070,26 @@ walk_run(Walk *self, PyObject *args)
     return Py_BuildValue("niiL", row, reason, (int)unit_index, fed);
 }
 
-/* A Python int attribute of ``object`` plus ``delta``. */
+/* One group's segment, as the reference's _flush_static hands it over:
+ * its rows' columns gathered, folded by the engine's process_block_run and
+ * timed into the group's share_seconds.  Lists, not tuples: a tuple under
+ * 20 items goes to a free list of 2,000 per size when freed, which would
+ * hold the segments' columns as live memory. */
 static int
-add_attribute(PyObject *object, PyObject *name, long long delta)
+fold_group(Walk *self, unit_walk *unit, PyObject *group, const long long *rows, Py_ssize_t count)
 {
-    PyObject *value = PyObject_GetAttr(object, name);
-    long long now = value == NULL ? -1 : PyLong_AsLongLong(value);
-    Py_XDECREF(value);
-    if (now == -1 && PyErr_Occurred()) {
-        return -1;
-    }
-    PyObject *boxed = PyLong_FromLongLong(now + delta);
-    int status = boxed == NULL ? -1 : PyObject_SetAttr(object, name, boxed);
-    Py_XDECREF(boxed);
-    return status;
-}
-
-/* The engine's arrival-order check over the segment's rows (the
- * reference's ensure_shared_run_order), then its cursor moved past them. */
-static int
-advance(Walk *self, PyObject *engine, const long long *rows, Py_ssize_t count)
-{
-    PyObject *latest = PyObject_GetAttr(engine, s_latest), *last_time = NULL, *last_sequence = NULL;
-    PyObject *time_value = NULL, *sequence_value = NULL;
-    int status = -1, have = latest != NULL && latest != Py_None;
-    double previous = 0.0, time;
-    long long previous_sequence = 0, sequence;
-    if (latest == NULL) {
-        return -1;
-    }
-    if (have) {
-        last_time = PyObject_GetAttr(latest, s_time);
-        last_sequence = last_time ? PyObject_GetAttr(latest, s_sequence) : NULL;
-        if (last_sequence == NULL || as_double(last_time, &previous) < 0
-            || ((previous_sequence = PyLong_AsLongLong(last_sequence)) == -1 && PyErr_Occurred())) {
+    enum { TYPES, TIMES, SEQUENCES, LOWS, HIGHS, CONTRIBUTIONS, ROWS_OF, COLUMNS };
+    PyObject *column[COLUMNS] = {NULL}, *views = NULL, *started = NULL, *folded = NULL;
+    PyObject *ended = NULL, **engine, **share = NULL, **metas = NULL;
+    int status = -1;
+    for (int which = 0; which < COLUMNS; which++) {
+        int none = (which == CONTRIBUTIONS && unit->contributions == Py_None)
+                   || (which == ROWS_OF && unit->views == Py_None);
+        if ((column[which] = none ? Py_NewRef(Py_None) : PyList_New(count)) == NULL) {
             goto done;
         }
     }
     for (Py_ssize_t i = 0; i < count; i++) {
-        Py_ssize_t at = self->base + rows[i];
-        if (column_double(&self->times, at, &time) < 0
-            || column_long(&self->sequences, at, &sequence) < 0) {
-            goto done;
-        }
-        if (have && !(previous < time || (previous == time && previous_sequence < sequence))) {
-            if (i > 0) {
-                Py_ssize_t before = self->base + rows[i - 1];
-                Py_XSETREF(last_time, column_object(&self->times, before));
-                Py_XSETREF(last_sequence, column_object(&self->sequences, before));
-            }
-            time_value = column_object(&self->times, at);
-            sequence_value = column_object(&self->sequences, at);
-            if (last_time && last_sequence && time_value && sequence_value) {
-                PyObject *error = PyObject_CallFunctionObjArgs(
-                    self->order_error, time_value, sequence_value, last_time, last_sequence, NULL);
-                if (error != NULL) {
-                    PyErr_SetObject((PyObject *)Py_TYPE(error), error);
-                    Py_DECREF(error);
-                }
-            }
-            goto done;
-        }
-        previous = time;
-        previous_sequence = sequence;
-        have = 1;
-    }
-    time_value = column_object(&self->times, self->base + rows[count - 1]);
-    sequence_value = column_object(&self->sequences, self->base + rows[count - 1]);
-    if (time_value == NULL || sequence_value == NULL) {
-        goto done;
-    }
-    if ((PyObject *)Py_TYPE(latest) == self->order_point) {
-        status = PyObject_SetAttr(latest, s_time, time_value) < 0
-                 || PyObject_SetAttr(latest, s_sequence, sequence_value) < 0 ? -1 : 0;
-    }
-    else {
-        PyObject *cursor = PyObject_CallFunctionObjArgs(self->order_point, time_value,
-                                                        sequence_value, NULL);
-        status = cursor == NULL ? -1 : PyObject_SetAttr(engine, s_latest, cursor);
-        Py_XDECREF(cursor);
-    }
-done:
-    Py_DECREF(latest);
-    Py_XDECREF(last_time);
-    Py_XDECREF(last_sequence);
-    Py_XDECREF(time_value);
-    Py_XDECREF(sequence_value);
-    return status;
-}
-
-/* One group's segment, where every class of the unit defers: the
- * reference's _fold_segment, its rows folded by fold_deferred. */
-static int
-fold_fast(Walk *self, unit_walk *unit, PyObject *engine, const long long *rows, Py_ssize_t count)
-{
-    if (advance(self, engine, rows, count) < 0) {
-        return -1;
-    }
-    PyObject *feeds = PyObject_GetAttr(engine, s_feeds), *deferred = NULL, *unsettled = NULL;
-    PyObject *types = NULL, *lows = NULL, *highs = NULL, *done = NULL;
-    int status = -1;
-    if (feeds == Py_None) {
-        Py_SETREF(feeds, PyObject_CallMethodNoArgs(engine, s_compile));
-        if (feeds == NULL || PyObject_SetAttr(engine, s_feeds, feeds) < 0) {
-            goto done;
-        }
-    }
-    deferred = feeds ? PyObject_GetAttr(engine, s_deferred) : NULL;
-    unsettled = deferred ? PyObject_GetAttr(engine, s_unsettled) : NULL;
-    if (unsettled == NULL || !PyDict_Check(deferred)) {
-        goto done;
-    }
-    if (PyDict_GET_SIZE(deferred) && !PyObject_IsTrue(unsettled)) {
-        /* Deferral resumes: count the cells and entries the maps hold. */
-        Py_ssize_t position = 0;
-        PyObject *key, *state, *armed, *prefix_map, *kleene_map, *kleene;
-        if (PyObject_SetAttr(engine, s_unsettled, Py_True) < 0) {
-            goto done;
-        }
-        while (PyDict_Next(deferred, &position, &key, &state)) {
-            if (unpack(state, &armed, &prefix_map, &kleene_map, &kleene) < 0
-                || add(kleene, CELLS, PyDict_GET_SIZE(armed)) < 0
-                || add(kleene, ENTRIES, PyDict_GET_SIZE(kleene_map)) < 0) {
-                goto done;
-            }
-        }
-    }
-    types = PyTuple_New(count);
-    lows = types ? PyTuple_New(count) : NULL;
-    highs = lows ? PyTuple_New(count) : NULL;
-    for (Py_ssize_t i = 0; highs != NULL && i < count; i++) {
         double time;
         long long code, low, high;
         Py_ssize_t at = self->base + rows[i];
@@ -1214,94 +1099,55 @@ fold_fast(Walk *self, unit_walk *unit, PyObject *engine, const long long *rows, 
         }
         code = code < 0 ? code + self->type_count : code;
         bounds(time, unit->size, unit->slide, &low, &high);
-        PyTuple_SET_ITEM(types, i, Py_NewRef(PyTuple_GET_ITEM(self->type_table, code)));
-        PyTuple_SET_ITEM(lows, i, PyLong_FromLongLong(low));
-        PyTuple_SET_ITEM(highs, i, PyLong_FromLongLong(high));
-    }
-    done = highs ? PyObject_CallFunctionObjArgs(self->fold, feeds, types, lows, highs, NULL) : NULL;
-    long long ops, created, armings;
-    Py_ssize_t folded;
-    if (done == NULL || !PyArg_ParseTuple(done, "LLLn", &ops, &created, &armings, &folded)) {
-        goto done;
-    }
-    if (folded != count) {
-        PyErr_SetString(PyExc_SystemError, "fold core: a deferred unit's row was declined");
-        goto done;
-    }
-    status = add_attribute(engine, s_ops, ops) < 0 || add_attribute(engine, s_entries, created) < 0
-             || add_attribute(engine, s_armed_entries, armings) < 0 ? -1 : 0;
-done:
-    Py_XDECREF(feeds);
-    Py_XDECREF(deferred);
-    Py_XDECREF(unsettled);
-    Py_XDECREF(types);
-    Py_XDECREF(lows);
-    Py_XDECREF(highs);
-    Py_XDECREF(done);
-    return status;
-}
-
-/* Any other unit's segment: the Python gather and process_block_run. */
-static int
-fold_slow(Walk *self, Py_ssize_t index, PyObject *group, const long long *rows, Py_ssize_t count)
-{
-    unit_walk *unit = &self->units[index];
-    PyObject *local = PyList_New(count), *lows = PyList_New(count), *highs = PyList_New(count);
-    int status = -1;
-    for (Py_ssize_t i = 0; local && lows && highs && i < count; i++) {
-        double time;
-        long long low, high;
-        if (column_double(&self->times, self->base + rows[i], &time) < 0) {
+        PyList_SET_ITEM(column[TYPES], i, Py_NewRef(PyTuple_GET_ITEM(self->type_table, code)));
+        PyList_SET_ITEM(column[TIMES], i, column_object(&self->times, at));
+        PyList_SET_ITEM(column[SEQUENCES], i, column_object(&self->sequences, at));
+        PyList_SET_ITEM(column[LOWS], i, PyLong_FromLongLong(low));
+        PyList_SET_ITEM(column[HIGHS], i, PyLong_FromLongLong(high));
+        if (unit->views != Py_None) {
+            PyList_SET_ITEM(column[ROWS_OF], i, PyLong_FromLongLong(rows[i]));
+        }
+        if (unit->contributions != Py_None) {
+            PyList_SET_ITEM(column[CONTRIBUTIONS], i,
+                            PySequence_GetItem(unit->contributions, rows[i]));
+        }
+        if (PyErr_Occurred()) {
             goto done;
         }
-        bounds(time, unit->size, unit->slide, &low, &high);
-        PyList_SET_ITEM(local, i, PyLong_FromLongLong(rows[i]));
-        PyList_SET_ITEM(lows, i, PyLong_FromLongLong(low));
-        PyList_SET_ITEM(highs, i, PyLong_FromLongLong(high));
     }
-    if (local && lows && highs) {
-        PyObject *done = PyObject_CallFunction(self->fallback, "nOOOO", index, group, local,
-                                               lows, highs);
-        status = done == NULL ? -1 : 0;
-        Py_XDECREF(done);
+    if ((engine = member(&groups, group, ENGINE)) != NULL
+        && (share = member(&groups, group, SHARE)) != NULL) {
+        metas = member(&groups, group, METAS);
     }
-done:
-    Py_XDECREF(local);
-    Py_XDECREF(lows);
-    Py_XDECREF(highs);
-    return status;
-}
-
-/* The segment of one group: timed like the reference's flush. */
-static int
-fold_group(Walk *self, Py_ssize_t index, PyObject *group, const long long *rows, Py_ssize_t count)
-{
-    unit_walk *unit = &self->units[index];
-    if (!unit->fast) {
-        return fold_slow(self, index, group, rows, count);
-    }
-    PyObject **engine = member(&groups, group, ENGINE);
-    PyObject *started = engine ? PyObject_CallNoArgs(self->clock) : NULL, *ended = NULL;
-    int status = -1;
-    if (started != NULL && fold_fast(self, unit, *engine, rows, count) == 0
-        && (ended = PyObject_CallNoArgs(self->clock)) != NULL) {
-        PyObject **share = member(&groups, group, SHARE), **metas = member(&groups, group, METAS);
-        double from, to, before;
-        if (share && metas && as_double(started, &from) == 0 && as_double(ended, &to) == 0
-            && as_double(*share, &before) == 0) {
-            Py_ssize_t open = PyObject_Length(*metas);
-            PyObject *after = open <= 0 ? NULL
-                                        : PyFloat_FromDouble(before + (to - from) / (double)open);
-            if (after != NULL) {
-                Py_SETREF(*share, after);
-                status = 0;
-            }
-            else if (!PyErr_Occurred()) {
-                PyErr_SetString(PyExc_ZeroDivisionError, "fold core: a fed group has no window");
-            }
+    views = metas == NULL          ? NULL
+            : unit->views == Py_None ? Py_NewRef(Py_None)
+                                     : PyObject_CallOneArg(unit->views, column[ROWS_OF]);
+    started = views ? PyObject_CallNoArgs(self->clock) : NULL;
+    folded = started ? PyObject_CallMethodObjArgs(*engine, s_process_block_run, column[TYPES],
+                                                  column[TIMES], column[SEQUENCES], column[LOWS],
+                                                  column[HIGHS], column[CONTRIBUTIONS], views, NULL)
+                     : NULL;
+    ended = folded ? PyObject_CallNoArgs(self->clock) : NULL;
+    double from, to, before;
+    if (ended && as_double(started, &from) == 0 && as_double(ended, &to) == 0
+        && as_double(*share, &before) == 0) {
+        Py_ssize_t open = PyObject_Length(*metas);
+        PyObject *after = open <= 0 ? NULL : PyFloat_FromDouble(before + (to - from) / (double)open);
+        if (after != NULL) {
+            Py_SETREF(*share, after);
+            status = 0;
+        }
+        else if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "fold core: a fed group has no window");
         }
     }
+done:
+    for (int which = 0; which < COLUMNS; which++) {
+        Py_XDECREF(column[which]);
+    }
+    Py_XDECREF(views);
     Py_XDECREF(started);
+    Py_XDECREF(folded);
     Py_XDECREF(ended);
     return status;
 }
@@ -1338,7 +1184,7 @@ walk_fold(Walk *self, PyObject *Py_UNUSED(args))
             long long begin = slot ? ends[slot - 1] : 0;
             /* The walk's buffer export keeps the scratch from moving. */
             PyObject *group = unit->slot_group[slot];
-            if (fold_group(self, index, group, sorted + begin, ends[slot] - begin) < 0) {
+            if (fold_group(self, unit, group, sorted + begin, ends[slot] - begin) < 0) {
                 return NULL;
             }
         }
@@ -1359,7 +1205,7 @@ cover_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
 
 static PyMethodDef walk_methods[] = {
     {"attach", (PyCFunction)walk_attach, METH_VARARGS,
-     "attach(unit, codes, resolved, armed, qualifies, size, slide, fast, scratch)"},
+     "attach(unit, codes, resolved, armed, qualifies, contributions, views, size, slide, scratch)"},
     {"run", (PyCFunction)walk_run, METH_VARARGS,
      "run(row, prepared, next_close) -> (row, reason, unit, rows fed)"},
     {"fold", (PyCFunction)walk_fold, METH_NOARGS, "fold() every group's fed rows"},
@@ -1422,11 +1268,7 @@ PyInit__foldcore(void)
         return NULL;
     }
     struct { PyObject **name; const char *text; } names[] = {
-        {&s_latest, "_latest_event"}, {&s_time, "time"}, {&s_sequence, "sequence"},
-        {&s_feeds, "_segment_feeds"}, {&s_compile, "_compile_segment_feeds"},
-        {&s_deferred, "_deferred"}, {&s_unsettled, "_unsettled"}, {&s_ops, "_ops"},
-        {&s_entries, "_coeff_entries"}, {&s_armed_entries, "_armed_entries"},
-        {&s_frombytes, "frombytes"},
+        {&s_process_block_run, "process_block_run"}, {&s_frombytes, "frombytes"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if ((*names[i].name = PyUnicode_InternFromString(names[i].text)) == NULL) {

@@ -20,8 +20,10 @@ hands a row back to the Python row body (:func:`_resolve`) only when the
 row's group code is unresolved in this block, the group it cached was
 evicted, or a qualifying row's range passes the code's armed high; and it
 returns at the next close, where the sweep folds every segment
-(``Walk.fold``: a counting sort of the fed rows by group, then one fold per
-group, ``fold_deferred`` where every class of the unit defers).
+(``Walk.fold``: a counting sort of the fed rows by group, then per group
+the columns :meth:`StreamingExecutor._flush_static
+<repro.runtime.streaming.StreamingExecutor._flush_static>` gathers, handed
+to the engine's ``process_block_run``, which keeps every engine rule).
 
 The per-code caches (group, armed high) survive close sweeps: a sweep at
 ``now`` closes only windows ending at or before ``now``, and those lie below
@@ -32,14 +34,14 @@ windows; an evicted group has no window left, which the core sees.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.events.block import EventBlock, GroupCodes, group_codes
 from repro.events.event import Event, EventType
 from repro.events.event import group_key as group_key_of
 from repro.runtime import foldcore
-from repro.runtime.reorder import _shared_order_error
-from repro.runtime.shared_windows import UnitCompilation, _OrderPoint
+from repro.runtime.shared_windows import UnitCompilation
 
 if TYPE_CHECKING:
     from repro.runtime.streaming import StreamingExecutor, _Unit
@@ -48,6 +50,8 @@ if TYPE_CHECKING:
 DONE, SWEEP, PREPARE, RESOLVE = range(4)
 #: An ``armed`` entry of a code no qualifying row has armed in this block.
 UNARMED = -(2**63)
+#: Every int of smaller magnitude is a double exactly.
+EXACT = 2.0**53
 
 
 class RowViews:
@@ -144,26 +148,24 @@ class _UnitRecord(NamedTuple):
     qualifies: bytes
     #: ``compiled.contributions`` per row (``None``: a scalar unit).
     contributions: Optional[Sequence[tuple[float, ...]]]
+    #: A segment's rows -> their :class:`RowViews` (``None``: the engine
+    #: folds every type the unit reads from columns, and reads no view).
+    views: Optional[Callable[[Sequence[int]], RowViews]]
 
 
 class WalkPlan:
-    """What :func:`walk` keeps of one executor: each unit's index and
-    whether every class of it defers (its segments fold in the core), the
+    """What :func:`walk` keeps of one executor: each unit's index, the
     scratch the core appends fed rows to (one ``array('q')`` per unit, only
-    growing), and the time below which covering indices fit the core."""
+    growing), and the bound on times the core takes: below it covering
+    indices fit, and every time is a double exactly (under 2**53), so the
+    core's comparisons of times as doubles agree with Python's exact ones."""
 
-    __slots__ = ("index", "fast", "scratch", "limit")
+    __slots__ = ("index", "scratch", "limit")
 
     def __init__(self, units: Sequence["_Unit"]) -> None:
         self.index = {unit: position for position, unit in enumerate(units)}
-        self.fast = [
-            len(compiled.deferred_shapes) == len(compiled.classes)
-            and unit.relevant_types <= compiled.columnar_types
-            for unit in units
-            if (compiled := unit.compiled) is not None
-        ]
         self.scratch = [array("q") for _ in units]
-        self.limit = min(unit.spec.window.index_limit for unit in units)
+        self.limit = min(EXACT, *(unit.spec.window.index_limit for unit in units))
 
     @classmethod
     def of(cls, units: Sequence["_Unit"], buffering: bool) -> Optional["WalkPlan"]:
@@ -182,13 +184,15 @@ def walk(
 ) -> bool:
     """Run ``block``'s rows through the compiled Cover stage; ``False``,
     untouched, where the reference loop must run instead (no core, no
-    :class:`WalkPlan`, or a time whose indices the core cannot hold)."""
+    :class:`WalkPlan`, or a time outside the plan's bound)."""
     plan: Optional[WalkPlan] = executor._walk_plan
     core = foldcore.core
     base, count = block.start, len(block)
     times = block.times
-    if core is None or plan is None or not count or not times[base + count - 1] < plan.limit:
+    if core is None or plan is None or not count:
         return False
+    if not -plan.limit < times[base] <= times[base + count - 1] < plan.limit:
+        return False  # (rows come in time order: the first and last bound them all)
     type_table, type_codes, sequences = block.type_table, block.type_codes, block.sequences
     units = executor._units
     by_code = tuple(
@@ -196,25 +200,8 @@ def walk(
         for name in type_table
     )
     records: list[Any] = [None] * len(units)  # per unit index, once attached
-
-    def fold_rows(index: int, group: Any, rows: list, lows: list, highs: list) -> None:
-        # A segment of a unit with an eager class: the reference's gather.
-        contributions = records[index].contributions
-        started = clock()
-        group.engine.process_block_run(
-            [type_table[type_codes[base + row]] for row in rows],
-            [times[base + row] for row in rows],
-            [sequences[base + row] for row in rows],
-            lows,
-            highs,
-            None if contributions is None else [contributions[row] for row in rows],
-            RowViews(block, rows),
-        )
-        group.share_seconds += (clock() - started) / len(group.metas)
-
     walker = core.Walk(
-        times, sequences, type_codes, type_table, base, count, by_code, arrivals, clock,
-        core.fold_deferred, fold_rows, _shared_order_error, _OrderPoint, len(units),
+        times, sequences, type_codes, type_table, base, count, by_code, arrivals, clock, len(units)
     )
     row, prepared, fed = 0, -1, 0
     next_close = executor._next_close
@@ -235,7 +222,8 @@ def walk(
                 window = record.unit.spec.window
                 walker.attach(
                     index, record.codes, record.resolved, record.armed, record.qualifies,
-                    window.size, window.slide, plan.fast[index], plan.scratch[index],
+                    record.contributions, record.views, window.size, window.slide,
+                    plan.scratch[index],
                 )
             else:
                 code = type_codes[base + row]
@@ -269,7 +257,10 @@ def _prepare(
         local = block.type_codes[block.start : block.stop]
         contributions = block_contributions(block, compiled, local)
     armed = array("q", [UNARMED]) * len(table)
-    return _UnitRecord(unit, table, codes, [None] * len(table), armed, qualifies, contributions)
+    views = None if unit.relevant_types <= compiled.columnar_types else partial(RowViews, block)
+    return _UnitRecord(
+        unit, table, codes, [None] * len(table), armed, qualifies, contributions, views
+    )
 
 
 def _resolve(
@@ -286,24 +277,17 @@ def _resolve(
     group, open it and its windows for a qualifying row, and cache the
     group."""
     for index in indices:
-        unit, table, codes, resolved, armed, qualifies, _ = records[index]
+        unit, table, codes, resolved, armed, qualifies, *_ = records[index]
         key = codes[row]
-        group = resolved[key]
+        group, qualify = resolved[key], qualifies[code] != 0
         if not group or not group.metas:  # unresolved, absent, or evicted since
             # (an evicted group's armed high lies below every later row's range)
-            group = unit.groups.get(table[key])
-        qualify = qualifies[code]
-        if group is None:
-            if not qualify:
+            group = executor._row_group(unit, block, table[key], row, qualify)
+            if group is None:
                 resolved[key] = False
                 continue
-            # Keyed by the row's own key, not its code's first.
-            group = executor._open_group(unit, block.group_key_at(unit.spec.group_by, row))
         lo, hi = unit.spec.window.covering_bounds(time_value)
         if hi >= lo and qualify:
             cached = armed[key]
-            if cached == UNARMED or hi > cached:
-                first = lo if cached == UNARMED else max(lo, cached + 1)
-                executor._open_windows(unit, group, first, hi)
-                armed[key] = hi
+            armed[key] = executor._arm(unit, group, lo, hi, None if cached == UNARMED else cached)
         resolved[key] = group  # the core treats a group with no window as unresolved

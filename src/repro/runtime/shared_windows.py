@@ -595,9 +595,8 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         ``i``'s :class:`Event`, read only for a type outside
         ``unit.columnar_types``.  ``event_type`` is one type name per row
         for a **segment** (:meth:`_fold_segment`), what the static plan
-        hands over per ``(group, close-sweep segment)`` — the compiled
-        Cover walk folds a unit whose classes all defer itself, through
-        the same state — or one type name for a same-type **run**, what an
+        hands over per ``(group, close-sweep segment)``, from either
+        Cover loop, or one type name for a same-type **run**, what an
         optimizer's executor flushes after its per-burst decision.
 
         Results *and* abstract operation counts equal the equivalent

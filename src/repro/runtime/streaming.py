@@ -574,28 +574,17 @@ class StreamingExecutor:
                     key = state.codes[local]
                     group = state.groups.get(key)
                     if group is None:
-                        group = unit.groups.get(state.table[key])
+                        group = self._row_group(unit, block, state.table[key], local, qualifies)
                         if group is None:
-                            if not qualifies:
-                                continue
-                            # Keyed by the row's own key, not its code's first.
-                            row_key = block.group_key_at(unit.spec.group_by, local)
-                            group = self._open_group(unit, row_key)
+                            continue
                         state.groups[key] = group
                     lo = state.lows[local]
                     hi = state.highs[local]
                     if hi < lo:
                         continue
                     if qualifies:
-                        cached = state.armed.get(key)
-                        if cached is None or hi > cached:
-                            # Indices up to ``cached`` were armed earlier in this
-                            # sweep segment and cannot have closed since.
-                            self._open_windows(
-                                unit, group, lo if cached is None else max(lo, cached + 1), hi
-                            )
-                            next_close = self._next_close
-                            state.armed[key] = hi
+                        state.armed[key] = self._arm(unit, group, lo, hi, state.armed.get(key))
+                        next_close = self._next_close
                     metas = group.metas
                     if not metas:
                         # No window of the group is open: the row precedes every
@@ -945,6 +934,27 @@ class StreamingExecutor:
                 group.optimizer = self._optimizer_factory()
         unit.groups[group_key] = group
         return group
+
+    def _row_group(
+        self, unit: _Unit, block: EventBlock | StagedRows, key: tuple, row: int, qualifies: bool
+    ) -> Optional[_Group]:
+        """The group of ``unit`` that block row ``row`` (group ``key``)
+        feeds: open, opened now for a qualifying row, or ``None``."""
+        group = unit.groups.get(key)
+        if group is None and qualifies:
+            # Keyed by the row's own key, not its code's first.
+            group = self._open_group(unit, block.group_key_at(unit.spec.group_by, row))
+        return group
+
+    def _arm(self, unit: _Unit, group: _Group, lo: int, hi: int, armed: Optional[int]) -> int:
+        """Open the windows ``lo..hi`` of a qualifying row above ``armed``,
+        the highest index an earlier row of its group code armed (``None``:
+        none), and return the new high.  Indices up to ``armed`` were opened
+        then; any closed since lie below ``lo``."""
+        if armed is not None and hi <= armed:
+            return armed
+        self._open_windows(unit, group, lo if armed is None else max(lo, armed + 1), hi)
+        return hi
 
     def _open_windows(self, unit: _Unit, group: _Group, first: int, last: int) -> None:
         """Open the window instances ``first..last`` of ``group`` not open yet."""

@@ -287,3 +287,28 @@ def test_times_past_the_index_limit_keep_the_reference_loop():
     assert foldcore.core.cover_counts() == before
     assert compiled == observe(queries, [("block", events)], {}, None)
     assert compiled[0]
+
+
+@needs_core
+@pytest.mark.parametrize("ingest", ("block", "events"))
+def test_integer_nanosecond_epoch_times_keep_the_reference_loop(ingest, hard_deadline):
+    # Past 2**53 an int time has no double of its own: one 100 ns below a
+    # window end rounds up onto the end, where the Python close sweep,
+    # comparing ints exactly, closes nothing.  The walk declines such a
+    # block and the Python loop runs, on both ingest paths, and returns.
+    second = 10**9
+    window = Window(10 * second, 2 * second)
+    end = 850_000_000 * 2 * second + 10 * second  # a window end at ~1.7e18 ns
+    assert end > 2**53 and float(end - 100) == end
+    moments = (end - 7 * second, end - 3 * second, end - 100, end - 100, end - 1, end, end + 5)
+    events = [
+        Event(name, moment, {"g": key, "v": 1.0})
+        for moment in moments
+        for name, key in (("A", 1), ("B", 1), ("D", 2), ("E", 2))
+    ]
+    queries = workload("deferred", window, Window(8 * second))
+    before = foldcore.core.cover_counts()
+    compiled = observe(queries, [(ingest, events)], {}, foldcore.core)
+    assert foldcore.core.cover_counts() == before
+    assert compiled == observe(queries, [(ingest, events)], {}, None)
+    assert compiled[0]
