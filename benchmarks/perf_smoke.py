@@ -54,14 +54,6 @@ Nine fixed-seed suites:
   records the transport overhead, not the scale-out) — while operation
   counts and result checksums are shard-count-invariant and gated.
 
-* ``transport`` (``BENCH_PR6.json``, section ``transport``) — the
-  overlap-shared workload through 4 worker processes over both batch
-  transports: framed columnar bytes through the worker queues versus the
-  same bytes in shared-memory slab rings (``repro/runtime/transport.py``).  The recorded
-  ``speedup_shm_over_pickle`` ratio is the PR 6 transport headline; the
-  checksums must be identical and are gated, the wall ratio is
-  machine-dependent like every other (see ``environment``).
-
 * ``block`` (``BENCH_PR9.json``) — block ingest versus per-event ingest,
   end to end from one columnar payload: the per-event rows decode the
   payload into ``Event`` objects and stream them one by one, the block
@@ -165,9 +157,6 @@ class Suite:
     scenarios: Callable
     workload_meta: dict
     section: str | None = None
-    #: Benchmark family name of a fresh sectioned container (files holding
-    #: several sections share one; BENCH_PR3.json predates the field).
-    family: str = "shared-windows"
 
 
 # ---------------------------------------------------------------------- #
@@ -394,10 +383,10 @@ def _bursty_scenarios() -> dict[str, Callable]:
 DECISION_FIELDS = ("decisions", "merges", "splits", "shared_fraction")
 
 
-def _sharded_scenario(workers: int, transport: str = "pickle") -> Callable:
+def _sharded_scenario(workers: int) -> Callable:
     factory = _ENGINE_FACTORIES["hamlet"]
     return lambda workload, events: ShardedStreamingExecutor(
-        workload, factory, workers=workers, transport=transport
+        workload, factory, workers=workers
     ).run(events)
 
 
@@ -410,17 +399,6 @@ def _sharded_scenarios() -> dict[str, Callable]:
         "sharded_inprocess": _sharded_scenario(0),
         "sharded_w1": _sharded_scenario(1),
         "sharded_w4": _sharded_scenario(4),
-    }
-
-
-def _transport_scenarios() -> dict[str, Callable]:
-    # Same fixed-seed input as the sharded suite, so the pickle row is
-    # directly comparable to BENCH_PR4's sharded_w4; both transports must
-    # reproduce the single-process checksum bit-identically.
-    return {
-        "streaming_single": _streaming_scenario("hamlet", shared_windows=True),
-        "sharded_w4_pickle": _sharded_scenario(4, "pickle"),
-        "sharded_w4_shm": _sharded_scenario(4, "shm"),
     }
 
 
@@ -703,25 +681,6 @@ SUITES = {
             ),
         },
     ),
-    "transport": Suite(
-        name="transport",
-        output=REPO_ROOT / "BENCH_PR6.json",
-        build_input=_overlap_input,
-        scenarios=_transport_scenarios,
-        workload_meta={
-            **_overlap_meta(OVERLAP_WINDOW),
-            "style": "sharded-transport-pickle-vs-shm",
-            "group_keys": OVERLAP_DISTRICTS,
-            "note": (
-                "--gate compares ops/checksums only; wall ratios (incl. "
-                "speedup_shm_over_pickle) are informational — on a 1-CPU "
-                "box (see environment.cpu_count) every row time-slices "
-                "one core and measures transport overhead, not scale-out"
-            ),
-        },
-        section="transport",
-        family="transport-and-kernels",
-    ),
     "block": Suite(
         name="block",
         output=REPO_ROOT / "BENCH_PR9.json",
@@ -844,7 +803,7 @@ def load_container(suite: Suite) -> dict:
             "workload": suite.workload_meta,
             "runs": {},
         }
-    return {"benchmark": f"perf_smoke/{suite.family}", "suites": {}}
+    return {"benchmark": "perf_smoke/shared-windows", "suites": {}}
 
 
 def suite_node(container: dict, suite: Suite) -> dict:
@@ -932,27 +891,6 @@ def attach_adaptive_ratios(results: dict) -> None:
                 "ops_static_over_dynamic": ops_ratios,
                 "wall_speedup_dynamic_over_static": wall_speedups,
             }
-
-
-def attach_transport_ratios(results: dict) -> None:
-    """Throughput of the shm rows over their pickle twins (informational).
-
-    Like every wall number in this harness the ratio is machine-dependent;
-    ``--gate`` only compares ops and checksums, so a 1-CPU CI box cannot
-    flake on it.
-    """
-    for label, rows in results["runs"].items():
-        ratios = {}
-        for name, row in rows.items():
-            if not name.endswith("_shm"):
-                continue
-            partner = rows.get(name[: -len("_shm")] + "_pickle")
-            if partner and partner.get("events_per_second"):
-                ratios[name[: -len("_shm")]] = round(
-                    row["events_per_second"] / partner["events_per_second"], 2
-                )
-        if ratios:
-            results.setdefault("speedup_shm_over_pickle", {})[label] = ratios
 
 
 def attach_block_ratios(results: dict) -> None:
@@ -1193,17 +1131,12 @@ def run_suite(suite: Suite, args) -> int:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        # The transport the rows defaulted to: rows that override it
-        # (e.g. *_shm) say so in their names.
-        "transport": "pickle",
     }
     attach_speedups(results)
     if suite.name == "sharded":
         attach_sharded_speedups(results)
     if suite.name == "bursty":
         attach_adaptive_ratios(results)
-    if suite.name == "transport":
-        attach_transport_ratios(results)
     if suite.name == "ooo":
         attach_ooo_ratios(results)
     if suite.name == "block":

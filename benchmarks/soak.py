@@ -26,8 +26,7 @@ Every round runs under a hard deadline (:data:`ROUND_DEADLINE_SECONDS`):
 a driver that hangs is killed with every thread's traceback on stderr,
 never left to wedge the job.  Time-boxed by ``--seconds`` (default 90):
 rounds repeat, each with its own seeded kill schedule, until the budget
-is spent.  ``--transport both`` splits the budget between the pickle and
-shm transports.  Exit status 0 on a fully green soak, 1 on any violation.
+is spent.  Exit status 0 on a fully green soak, 1 on any violation.
 
 This is the *soak tier* (see docs/TESTING.md): too slow for the default
 pytest run, wired into CI as its own time-boxed job.
@@ -134,8 +133,7 @@ def _kill_live_worker(rng: random.Random) -> bool:
     return True
 
 
-def _soak_transport(
-    transport: str,
+def _soak(
     *,
     deadline: float,
     workers: int,
@@ -145,7 +143,7 @@ def _soak_transport(
     kill_gap: tuple[float, float],
     verbose: bool,
 ) -> tuple[int, int, int, float]:
-    """Soak one transport until ``deadline``; returns
+    """Soak until ``deadline``; returns
     (rounds, total kills, total restarts, peak driver RSS MiB)."""
     window = Window(16.0, 4.0)
     rounds = kills = restarts = 0
@@ -162,7 +160,6 @@ def _soak_transport(
             _workload(window),
             workers=workers,
             batch_size=64,
-            transport=transport,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=4,
             max_restarts=10_000,
@@ -189,19 +186,19 @@ def _soak_transport(
         identical = canonical_report(report) == baseline
         if verbose or not identical:
             print(
-                f"  [{transport}] round {rounds}: identical={identical} "
+                f"  round {rounds}: identical={identical} "
                 f"kills={round_kills} restarts={round_restarts} "
                 f"replayed={report.recovery.replayed_batches if report.recovery else 0} "
                 f"rss={peak_rss:.0f}MiB"
             )
         if not identical:
             raise AssertionError(
-                f"soak round {rounds} ({transport}): recovered report is NOT "
+                f"soak round {rounds}: recovered report is NOT "
                 f"bit-identical to the uninterrupted run (seed {seed})"
             )
         if not (round_kills and round_restarts):
             raise AssertionError(
-                f"soak round {rounds} ({transport}): {round_kills} kills landed, "
+                f"soak round {rounds}: {round_kills} kills landed, "
                 f"{round_restarts} restarts — the round proved nothing (seed {seed})"
             )
     return rounds, kills, restarts, peak_rss
@@ -222,12 +219,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--events", type=int, default=4000, help="events per round (default: 4000)"
     )
     parser.add_argument("--seed", type=int, default=7, help="base seed (default: 7)")
-    parser.add_argument(
-        "--transport",
-        choices=("pickle", "shm", "both"),
-        default="both",
-        help="transport(s) to soak (default: both, splitting the budget)",
-    )
     parser.add_argument(
         "--kill-min-gap",
         type=float,
@@ -262,45 +253,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     import tempfile
 
-    transports = (
-        ["pickle", "shm"] if arguments.transport == "both" else [arguments.transport]
-    )
     started = time.perf_counter()
     start_rss = _rss_mib()
-    budget_each = arguments.seconds / len(transports)
     total_rounds = total_kills = total_restarts = 0
     peak_rss = start_rss
     ok = True
-    for transport in transports:
-        deadline = time.perf_counter() + budget_each
-        with tempfile.TemporaryDirectory(prefix=f"soak-ckpt-{transport}-") as ckpt_dir:
-            try:
-                rounds, kills, restarts, rss = _soak_transport(
-                    transport,
-                    deadline=deadline,
-                    workers=arguments.workers,
-                    events=arguments.events,
-                    base_seed=arguments.seed,
-                    checkpoint_dir=ckpt_dir,
-                    kill_gap=(arguments.kill_min_gap, arguments.kill_max_gap),
-                    verbose=arguments.verbose,
-                )
-            except AssertionError as error:
-                print(f"SOAK FAILURE: {error}")
-                ok = False
-                break
-            leaked_tmp = checkpoint_temp_files(ckpt_dir)
-            if leaked_tmp:
-                print(f"SOAK FAILURE: orphaned checkpoint temp files: {leaked_tmp}")
-                ok = False
-            total_rounds += rounds
-            total_kills += kills
-            total_restarts += restarts
+    with tempfile.TemporaryDirectory(prefix="soak-ckpt-") as ckpt_dir:
+        try:
+            total_rounds, total_kills, total_restarts, rss = _soak(
+                deadline=started + arguments.seconds,
+                workers=arguments.workers,
+                events=arguments.events,
+                base_seed=arguments.seed,
+                checkpoint_dir=ckpt_dir,
+                kill_gap=(arguments.kill_min_gap, arguments.kill_max_gap),
+                verbose=arguments.verbose,
+            )
+        except AssertionError as error:
+            print(f"SOAK FAILURE: {error}")
+            ok = False
+        else:
             peak_rss = max(peak_rss, rss)
             print(
-                f"[{transport}] {rounds} rounds, {kills} kills, "
-                f"{restarts} restarts — all bit-identical"
+                f"{total_rounds} rounds, {total_kills} kills, "
+                f"{total_restarts} restarts — all bit-identical"
             )
+        leaked_tmp = checkpoint_temp_files(ckpt_dir)
+        if leaked_tmp:
+            print(f"SOAK FAILURE: orphaned checkpoint temp files: {leaked_tmp}")
+            ok = False
     leaked_shm = sorted(glob.glob("/dev/shm/repro-ring-*"))
     if leaked_shm:
         print(f"SOAK FAILURE: leaked shared-memory segments: {leaked_shm}")

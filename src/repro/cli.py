@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -93,7 +94,6 @@ def _run_stream(
     workers: int | None,
     shard_batch: int,
     optimizer: str | None,
-    transport: str,
     allowed_lateness: float | None,
     late_policy: str,
     on_late: Callable[..., None] | None,
@@ -163,7 +163,6 @@ def _run_stream(
             batch_size=shard_batch,
             shared_windows=shared_windows,
             optimizer=optimizer,
-            transport=transport,
             allowed_lateness=allowed_lateness,
             late_policy=late_policy,
             on_late=on_late,
@@ -176,7 +175,7 @@ def _run_stream(
         print(
             f"sharded execution: {executor.shard_count} shard(s), "
             f"{workers} worker process(es), routing by {executor.routing_mode}, "
-            f"batches of {shard_batch} over the {transport} transport"
+            f"batches of {shard_batch}"
         )
         for shard in report.shards:
             print(
@@ -254,6 +253,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -269,10 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     stream = subparsers.add_parser(
         "stream", help="run the single-pass streaming executor, emitting window results live"
     )
-    stream.add_argument("--queries", type=int, default=5, help="number of workload queries")
-    stream.add_argument("--minutes", type=float, default=2.0, help="stream duration in minutes")
     stream.add_argument(
-        "--events-per-minute", type=float, default=1200.0, help="stream arrival rate"
+        "--queries", type=_positive_int, default=5, help="number of workload queries"
+    )
+    stream.add_argument(
+        "--minutes", type=_positive_float, default=2.0, help="stream duration in minutes"
+    )
+    stream.add_argument(
+        "--events-per-minute", type=_positive_float, default=1200.0, help="stream arrival rate"
     )
     stream.add_argument(
         "--shared-windows",
@@ -309,14 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="adaptive per-burst sharing policy (uses the multi-aggregate "
         "workload so query classes have members to share); default: the "
         "static compile-time plan with no burst segmentation",
-    )
-    stream.add_argument(
-        "--transport",
-        choices=("pickle", "shm"),
-        default="pickle",
-        help="how batches reach shard workers (--workers >= 1): pickled "
-        "blobs through the queues, or columnar buffers in reusable "
-        "shared-memory slabs (default: pickle)",
     )
     stream.add_argument(
         "--allowed-lateness",
@@ -410,7 +412,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             arguments.workers,
             arguments.shard_batch,
             arguments.optimizer,
-            arguments.transport,
             arguments.allowed_lateness,
             arguments.late_policy,
             on_late,

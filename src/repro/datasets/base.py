@@ -16,6 +16,7 @@ from repro.errors import DatasetError
 from repro.events.block import EventBlock, EventBlockBuilder
 from repro.events.event import Event, EventType
 from repro.events.stream import EventStream
+from repro.query.windows import _finite
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,10 @@ class BurstModel:
     burstiness: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean_burst_length < 1:
-            raise DatasetError("mean_burst_length must be at least 1")
+        if not _finite(self.mean_burst_length) or self.mean_burst_length < 1:
+            raise DatasetError(
+                f"mean_burst_length must be finite and at least 1, got {self.mean_burst_length!r}"
+            )
         if not 0.0 <= self.burstiness <= 1.0:
             raise DatasetError("burstiness must be within [0, 1]")
 
@@ -61,8 +64,10 @@ class StreamGenerator:
         seed: int = 7,
         burst_model: BurstModel | None = None,
     ) -> None:
-        if events_per_minute <= 0:
-            raise DatasetError("events_per_minute must be positive")
+        if not _finite(events_per_minute) or events_per_minute <= 0:
+            raise DatasetError(
+                f"events_per_minute must be positive and finite, got {events_per_minute!r}"
+            )
         self.events_per_minute = events_per_minute
         self.seed = seed
         self.burst_model = burst_model or BurstModel()
@@ -96,8 +101,10 @@ class StreamGenerator:
         this loop, so they consume the pseudo-random source identically and
         describe the same stream.
         """
-        if duration_seconds <= 0:
-            raise DatasetError("duration_seconds must be positive")
+        if not _finite(duration_seconds) or duration_seconds <= 0:
+            raise DatasetError(
+                f"duration_seconds must be positive and finite, got {duration_seconds!r}"
+            )
         rng = random.Random(self.seed)
         total_events = max(1, int(self.events_per_minute * duration_seconds / 60.0))
         spacing = duration_seconds / total_events

@@ -67,7 +67,6 @@ class WorkerCrashError(ExecutionError):
         *,
         shard_id: int,
         exit_code: Optional[int] = None,
-        last_acked_slab: Optional[int] = None,
         worker_traceback: Optional[str] = None,
     ) -> None:
         super().__init__(message)
@@ -75,9 +74,6 @@ class WorkerCrashError(ExecutionError):
         self.shard_id = shard_id
         #: ``Process.exitcode`` (negative: killed by that signal number).
         self.exit_code = exit_code
-        #: Shm transport only: last slab index the worker acked before
-        #: dying — localizes the death relative to the in-flight batches.
-        self.last_acked_slab = last_acked_slab
         #: The worker's formatted traceback when one surfaced before death.
         self.worker_traceback = worker_traceback
 

@@ -6,11 +6,11 @@ wire — times and sequences as flat columns, event types and payload key
 tuples interned into tables, and one value column per (key shape, attribute
 position).  That makes the block the *native* unit of work end to end:
 
-* a shared-memory slab or a framed byte buffer becomes a block with one
-  column parse (:meth:`EventBlock.from_bytes`) — no per-event assembly, and
-  no per-value object either: decoded f64/i64 columns stay ``array('d')`` /
-  ``array('q')``, and :meth:`EventBlock.select` / :meth:`EventBlock.concat`
-  gather a typed column into a typed column;
+* a framed byte buffer (a shard worker's queue message) becomes a block
+  with one column parse (:meth:`EventBlock.from_bytes`) — no per-event
+  assembly, and no per-value object either: decoded f64/i64 columns stay
+  ``array('d')`` / ``array('q')``, and :meth:`EventBlock.select` /
+  :meth:`EventBlock.concat` gather a typed column into a typed column;
 * group keys are one interned code column (:meth:`EventBlock.group_codes`):
   the sharded router hashes each distinct key once and the executor
   resolves each key's group once, both indexing by integer code;

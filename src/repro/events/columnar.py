@@ -1,7 +1,7 @@
 """Versioned wire framing and the fixed-dtype columnar event codec.
 
 Every byte-level batch (:meth:`repro.events.block.EventBlock.to_bytes`, a
-shared-memory slab, a raw queue message) is one *frame*: a four-byte magic,
+shard worker's queue message) is one *frame*: a four-byte magic,
 a codec id, and a columnar body — times as f64, sequences as i64, event
 types and payload key tuples interned into tables, and one typed column per
 (key shape, attribute).  A payload column whose values are not uniformly

@@ -55,7 +55,6 @@ from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation
 from repro.runtime.sharding import ShardReport, ShardedStreamingExecutor, run_sharded
 from repro.runtime.streaming import StreamingExecutor, WindowResult, run_streaming
-from repro.runtime.transport import SlabReader, SlabRing
 
 __all__ = [
     "AsyncCheckpointWriter",
@@ -74,8 +73,6 @@ __all__ = [
     "ShardReport",
     "ShardRouter",
     "ShardedStreamingExecutor",
-    "SlabReader",
-    "SlabRing",
     "UnitCompilation",
     "Stopwatch",
     "StreamingExecutor",

@@ -29,10 +29,9 @@ post-close-pre-ack site.
 The kill sites (see ``_shard_worker_main``; ``post-log-pre-snapshot`` sits
 on the worker's checkpoint writer thread, in ``CheckpointStore.write``):
 
-* ``pre-fold`` — batch decoded (and, on shm, the slab acked) but no
-  event of it folded yet;
-* ``mid-batch-decode`` — between decoding a slab/raw payload and acking
-  or folding it (the unacked-slab reclamation case);
+* ``mid-batch-decode`` — a batch's frame just decoded into a block;
+* ``pre-fold`` — the decoded batch about to fold, no event of it folded
+  yet;
 * ``post-close-pre-ack`` — after folding a batch (window closes
   included) but before the checkpoint covering it is acked;
 * ``post-log-pre-snapshot`` — a checkpoint's output-log record is

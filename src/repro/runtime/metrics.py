@@ -81,7 +81,7 @@ class ExecutionMetrics:
     #: Total abstract work units reported by engines.
     operations: int = 0
     #: Seconds the sharded driver spent *waiting* on its workers: full
-    #: input queues (backpressure), slab-ack stalls, result-queue polls and
+    #: input queues (backpressure), liveness polls and
     #: recovery backoff.  Separates "the driver was slow" from "the driver
     #: was idle behind a slow (or dead) worker"; single-process runs leave
     #: it at 0.

@@ -19,12 +19,10 @@ into parallelism:
   (:class:`_LocalShard`, :class:`_WorkerShard`) holding everything the
   driver knows about it, and every driver method takes the shard.  Events
   cross process boundaries as framed columnar
-  :class:`~repro.events.block.EventBlock` bytes — through the worker queues
-  (``transport="pickle"``) or in reusable shared-memory slabs with only
-  ``(slab, length)`` references on the queue (``transport="shm"``; see
-  :mod:`repro.runtime.transport`) — the per-shard input queues are bounded
-  (``max_inflight`` batches) so a slow shard back-pressures the router
-  instead of buffering the stream, and the per-shard reports are merged
+  :class:`~repro.events.block.EventBlock` bytes, one queue message per
+  batch; the per-shard input queues are bounded (``max_inflight``
+  batches) so a slow shard back-pressures the router instead of
+  buffering the stream, and the per-shard reports are merged
   **deterministically**: partition results are ordered by ``(window end,
   execution unit, group key)`` using the same
   :func:`~repro.runtime.partitioner.group_sort_key` total order as the
@@ -80,13 +78,6 @@ from repro.runtime.reorder import ensure_in_order, validate_stream_options
 from repro.runtime.results import RunningTotals
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.streaming import StreamingExecutor, WindowResult
-from repro.runtime.transport import (
-    DEFAULT_SLAB_BYTES,
-    SlabReader,
-    SlabRing,
-    ring_slots,
-    validate_transport,
-)
 
 __all__ = [
     "ShardReport",
@@ -96,8 +87,6 @@ __all__ = [
     "stable_shard_hash",
 ]
 
-#: Seconds a slab acquire polls the ack pipe between liveness checks.
-_POLL_SECONDS = 0.05
 #: Jittered-exponential-backoff geometry of the driver's liveness-polling
 #: waits (full queue, stalled round-robin): start microscopic so a healthy
 #: worker costs almost nothing, double to a cap low enough that worker
@@ -206,8 +195,6 @@ class _WorkerShard(_Shard):
         self.process = None
         #: Bounded driver -> worker queue of batch messages.
         self.in_queue = None
-        #: Slab ring of the shm transport (None under pickle).
-        self.ring: Optional[SlabRing] = None
         #: Read end of the incarnation's private worker -> driver pipe; the
         #: worker holds the only write end, so its death is an EOF here.
         self.pipe = None
@@ -229,9 +216,7 @@ class _WorkerShard(_Shard):
         self.report: Optional[ExecutionReport] = None
 
     def retire(self, *, terminate: bool = True) -> None:
-        """Reap the worker and close its channels (idempotent).  Closing
-        the ring unlinks its shm segment — after the worker is gone, the
-        "no leaked segments" half of the transport contract."""
+        """Reap the worker and close its channels (idempotent)."""
         if self.process is not None:
             if terminate and self.process.is_alive():
                 self.process.terminate()
@@ -239,11 +224,9 @@ class _WorkerShard(_Shard):
         if self.in_queue is not None:
             self.in_queue.close()
             self.in_queue.cancel_join_thread()
-        if self.ring is not None:
-            self.ring.close()
         if self.pipe is not None:
             self.pipe.close()
-        self.process = self.in_queue = self.ring = self.pipe = None
+        self.process = self.in_queue = self.pipe = None
 
 
 @dataclass
@@ -269,7 +252,6 @@ def _shard_worker_main(
     options: Mapping[str, Any],
     in_queue,
     up,
-    channel: Optional[tuple[str, int, object]],
     recovery: Optional[tuple[str, int, int, int, bool]] = None,
 ) -> None:
     """Entry point of one shard worker process.
@@ -283,12 +265,8 @@ def _shard_worker_main(
     invariant because bursts are segmented per ``(group, unit)`` stream and
     every such stream lives wholly inside one shard.
 
-    Every queue item carries one framed columnar batch: ``("raw", seq,
-    payload)`` holds the bytes themselves; ``("slab", seq, index, nbytes)``
-    references them in the shared-memory ring ``channel`` names (a
-    ``(segment name, slab bytes, ack pipe)`` triple; ``None`` under the
-    pickle transport, which ships ``raw`` only) and is acked back after
-    decoding.  The driver-assigned ``seq`` tags identify batches across
+    Every queue item ``("raw", seq, payload)`` carries one framed columnar
+    batch.  The driver-assigned ``seq`` tags identify batches across
     worker incarnations (checkpoint bookkeeping and post-restore replay).
 
     ``recovery`` enables checkpointing: ``(checkpoint dir, window
@@ -306,7 +284,6 @@ def _shard_worker_main(
     ``("error", traceback)`` for any failure (the driver re-raises it)
     rather than dying silently.
     """
-    reader: Optional[SlabReader] = None
     writer: Optional[AsyncCheckpointWriter] = None
     epoch = recovery[3] if recovery is not None else 0
     try:
@@ -322,35 +299,16 @@ def _shard_worker_main(
                 if latest is not None:
                     executor.restore_state(latest.payload, latest.output)
             writer = AsyncCheckpointWriter(store, up)
-        if channel is not None:
-            segment_name, slab_bytes, ack_send = channel
-            reader = SlabReader(segment_name, slab_bytes, ack_send)
         windows_marked = executor.windows_closed
         batches_since = 0
         while True:
             message = in_queue.get()
             if message is None:
                 break
-            if message[0] == "slab":
-                assert reader is not None
-                _, seq, slab, nbytes = message
-                view = reader.view(slab, nbytes)
-                try:
-                    # Parsing copies every column out of the mapped
-                    # slab, so the slab is recyclable the moment the
-                    # block is built — ack before processing.
-                    block = EventBlock.from_bytes(view)
-                finally:
-                    view.release()
-                if fault is not None:
-                    fault("mid-batch-decode")  # decoded, slab unacked
-                reader.ack(slab)
-            else:
-                _, seq, payload = message
-                block = EventBlock.from_bytes(payload)
-                if fault is not None:
-                    fault("mid-batch-decode")
+            _, seq, payload = message
+            block = EventBlock.from_bytes(payload)
             if fault is not None:
+                fault("mid-batch-decode")
                 fault("pre-fold")
             executor.process_block(block)
             if writer is not None:
@@ -383,9 +341,6 @@ def _shard_worker_main(
             writer.abort()
             writer = None
         up.send(("error", traceback.format_exc()))
-    finally:
-        if reader is not None:
-            reader.close()
 
 
 class ShardedStreamingExecutor:
@@ -422,16 +377,6 @@ class ShardedStreamingExecutor:
             shard order, and the merged decision counts are invariant in
             the shard count because bursts are per ``(group, unit)`` stream
             and each such stream lives wholly inside one shard.
-        transport: How a batch's framed columnar bytes cross the process
-            boundary with ``workers > 0``: ``"pickle"`` ships them through
-            the queues; ``"shm"`` writes them into a per-worker ring of
-            reusable shared-memory slabs and ships only ``(slab index,
-            length)`` references (see :mod:`repro.runtime.transport`).
-            Accepted-and-inert with ``workers=0`` — there is no process
-            boundary to cross — so callers can sweep transports across
-            worker counts uniformly.
-        slab_bytes: Slab payload capacity for the shm transport; batches
-            that encode larger fall back to the queue.
         on_window: Per-window callback; only available with ``workers=0``
             (results cross process boundaries only at :meth:`finish`).
         allowed_lateness / late_policy: Bounded out-of-order tolerance,
@@ -491,8 +436,6 @@ class ShardedStreamingExecutor:
         lazy_open: bool = True,
         shared_windows: bool = True,
         optimizer: OptimizerSpec = None,
-        transport: str = "pickle",
-        slab_bytes: int = DEFAULT_SLAB_BYTES,
         on_window: Optional[Callable[[WindowResult], None]] = None,
         allowed_lateness: Optional[float] = None,
         late_policy: str = "raise",
@@ -544,10 +487,6 @@ class ShardedStreamingExecutor:
         self.workers = workers
         self.batch_size = batch_size
         self.max_inflight = max_inflight
-        self.transport = validate_transport(transport)
-        if slab_bytes < 1:
-            raise ExecutionError(f"slab_bytes must be >= 1, got {slab_bytes}")
-        self.slab_bytes = slab_bytes
         self.allowed_lateness = allowed_lateness
         self.checkpoint_dir = os.fspath(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_interval = checkpoint_interval
@@ -822,12 +761,6 @@ class ShardedStreamingExecutor:
         """Open one worker incarnation's channels and start it on them."""
         context = self._context
         shard.in_queue = context.Queue(maxsize=self.max_inflight)
-        channel = None
-        if self.transport == "shm":
-            ring = shard.ring = SlabRing(
-                context, slots=ring_slots(self.max_inflight), slab_bytes=self.slab_bytes
-            )
-            channel = (ring.name, ring.slab_bytes, ring.ack_send)
         shard.pipe, up = context.Pipe(duplex=False)
         recovery = None
         if self.checkpoint_dir is not None:
@@ -846,7 +779,6 @@ class ShardedStreamingExecutor:
                 self._options,
                 shard.in_queue,
                 up,
-                channel,
                 recovery,
             ),
             daemon=True,
@@ -876,11 +808,8 @@ class ShardedStreamingExecutor:
 
     def _frame(self, shard: _WorkerShard, block: EventBlock) -> tuple[int, bytes]:
         """Encode one shard batch and enter it in the books: batch count,
-        next seq and — with recovery on — the replay buffer.
-
-        The frame bytes are what re-shipping needs: replay goes through
-        :meth:`_send` like any batch, never by slab reference (a dead
-        worker's ring is torn down with it).
+        next seq and — with recovery on — the replay buffer, whose frame
+        bytes a recovery re-ships through :meth:`_send` like any batch.
         """
         shard.batches += 1
         payload = block.to_bytes()
@@ -897,23 +826,12 @@ class ShardedStreamingExecutor:
         self._send(shard, *self._frame(shard, block))
 
     def _send(self, shard: _WorkerShard, seq: int, payload: bytes) -> None:
-        """Ship one frame: through a slab when the shm ring has one it fits,
-        else as a raw queue message (pickle transport, oversized batches)."""
+        """Ship one frame as a raw queue message."""
         try:
-            ring = shard.ring
-            if ring is not None and ring.fits(payload):
-                slab = ring.acquire(
-                    poll_seconds=_POLL_SECONDS,
-                    on_stall=lambda: self._check_alive(shard),
-                )
-                ring.write(slab, payload)
-                self._put(shard, ("slab", seq, slab, len(payload)))
-            else:
-                self._put(shard, ("raw", seq, payload))
+            self._put(shard, ("raw", seq, payload))
         except _WorkerRecovered:
             # Recovery replayed the buffer (this batch included) into the
-            # respawned worker's fresh ring/queue; the interrupted send —
-            # possibly holding a slab of the now-unlinked old ring — is
+            # respawned worker's fresh queue; the interrupted send is
             # simply abandoned.
             pass
 
@@ -1003,7 +921,6 @@ class ShardedStreamingExecutor:
         if recovery is not None and recovery.restarts < self.max_restarts:
             self._recover(shard)
             raise _WorkerRecovered
-        last_acked = shard.ring.last_acked if shard.ring is not None else None
         self._shutdown()
         detail = f"exit code {exit_code}"
         if exit_code is not None and exit_code < 0:
@@ -1015,21 +932,20 @@ class ShardedStreamingExecutor:
             f"shard worker {shard.shard_id} died without a report ({detail})",
             shard_id=shard.shard_id,
             exit_code=exit_code,
-            last_acked_slab=last_acked,
         )
 
     def _recover(self, shard: _WorkerShard) -> None:
         """Respawn a dead shard worker and make its loss unobservable.
 
         The sequence: capped-exponential-backoff pause; retire the dead
-        incarnation's channels (its acks were read on the way to the EOF;
-        closing the ring unlinks its shm segment); sweep its orphaned
-        checkpoint temp files; bump the shard's epoch; spawn the new
-        incarnation on fresh channels with ``resume=True`` (it restores
-        the shard's last good checkpoint); replay the post-checkpoint tail
-        from the replay buffer — and the end-of-stream sentinel, if the
-        stream has ended.  A nested recovery (the respawn dies mid-replay)
-        restarts the replay itself, so this invocation just stops.
+        incarnation's channels (its acks were read on the way to the EOF);
+        sweep its orphaned checkpoint temp files; bump the shard's epoch;
+        spawn the new incarnation on fresh channels with ``resume=True``
+        (it restores the shard's last good checkpoint); replay the
+        post-checkpoint tail from the replay buffer — and the end-of-stream
+        sentinel, if the stream has ended.  A nested recovery (the respawn
+        dies mid-replay) restarts the replay itself, so this invocation
+        just stops.
         """
         assert self._recovery is not None
         self._recovery.restarts += 1
@@ -1076,9 +992,6 @@ class ShardedStreamingExecutor:
         for shard in self._shards:
             items: list = []
             if shard.buffer:
-                # Tail batches ride raw messages under both transports:
-                # acquiring a slab can block on worker acks, which would
-                # defeat this round-robin of strictly non-blocking puts.
                 tail = EventBlock.from_events(shard.buffer)
                 items.append(("raw", *self._frame(shard, tail)))
                 shard.buffer.clear()

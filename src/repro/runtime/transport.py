@@ -1,35 +1,27 @@
-"""Shared-memory slab transport for the sharded runtime.
+"""Shared-memory slab ring: a transport no executor runs.
 
-Every batch the driver ships to a shard worker is one framed columnar
-buffer (:meth:`repro.events.block.EventBlock.to_bytes`).  With the pickle
-transport those bytes ride the worker's input queue: serialized by the
-queue's feeder thread and copied through a pipe.  This module replaces the
-copy with a **ring of reusable shared-memory slabs** per (driver, worker)
-channel:
+Pool mode ships every batch as one ``("raw", seq, frame)`` queue message
+(:mod:`repro.runtime.sharding`).  This module has the same standing as
+:mod:`repro.core.kernels_numpy`: the end-to-end harness probes
+``SlabRing.acquire/write`` and ``SlabReader.view/ack`` for its transport
+rates, so the ring stays, with its own unit and teardown tests, until that
+probe is retired (docs/DESIGN.md, "Transport").
 
-* the driver writes the frame into a free slab of the ring — one
-  ``memcpy``-shaped write into the mapped segment;
-* the hand-off through the bounded input queue is just ``("slab", seq,
-  index, nbytes)`` — a few dozen bytes instead of the whole batch;
-* the worker parses a block straight out of the mapped slab (typed columns
-  are C-speed ``frombytes`` reads) and then *acks* the slab index back over
-  a pipe, recycling it for the driver's next acquire;
-* a batch that outgrows the slab (or the end-of-stream residual) falls back
-  to ``("raw", seq, payload)`` through the queue — same framed bytes, no
-  slab, exactly what the pickle transport ships for every batch.
+A ring is one shared-memory segment cut into reusable slabs:
 
-Crash and teardown discipline (the "no leaked segments" contract, checked
-by the transport tests and a CI sweep of ``/dev/shm``):
+* the writer copies a frame into a free slab of the ring;
+* the reader parses it straight out of the mapped slab and *acks* the
+  slab index back over a pipe, recycling it for the writer's next acquire.
 
-* the **driver** owns the segment: it creates it, and unlinks it in
-  ``ShardedStreamingExecutor._shutdown`` on every path — clean finish,
-  worker crash, driver-side error.  A ``weakref.finalize`` guard unlinks
-  even if an executor is dropped mid-run without ``finish()``;
-* **workers** only attach.  On interpreters without ``track=False``
-  (< 3.13) the attach is explicitly unregistered from the worker's
-  ``resource_tracker``, which would otherwise unlink the live segment when
-  the first worker exits (the well-known premature-cleanup hazard);
-* a driver killed hard (``SIGKILL``) leaves cleanup to its resource
+Teardown discipline (the "no leaked segments" contract, checked by the
+transport tests and a CI sweep of ``/dev/shm``):
+
+* the **creator** owns the segment and unlinks it in :meth:`SlabRing.close`.
+  A ``weakref.finalize`` guard unlinks even if a ring is dropped unclosed;
+* **readers** only attach, without adopting cleanup ownership
+  (:func:`attach_segment`), so a reader process exiting never unlinks the
+  live segment (the well-known premature-cleanup hazard);
+* a creator killed hard (``SIGKILL``) leaves cleanup to its resource
   tracker process, which outlives it precisely for this purpose.
 
 Segment names carry the ``repro-ring-`` prefix so humans (and the CI leak
@@ -46,19 +38,10 @@ from typing import Callable, Optional
 
 from repro.errors import ExecutionError
 
-__all__ = ["SlabReader", "SlabRing", "TRANSPORTS", "attach_segment"]
-
-#: Transport names the sharded executor accepts.
-TRANSPORTS = ("pickle", "shm")
+__all__ = ["SlabReader", "SlabRing", "attach_segment"]
 
 #: Recognizable prefix of every ring segment (``/dev/shm/repro-ring-*``).
 SEGMENT_PREFIX = "repro-ring-"
-
-#: Default slab payload capacity.  A 512-event batch of the simulators'
-#: numeric payloads encodes to a few tens of KiB; oversized batches fall
-#: back to the queue, so the cap trades /dev/shm footprint for fallback
-#: frequency rather than correctness.
-DEFAULT_SLAB_BYTES = 256 * 1024
 
 
 def _unlink_quietly(
@@ -100,15 +83,14 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 class SlabRing:
-    """Driver-side ring of reusable slabs over one shared-memory segment.
+    """Writer-side ring of reusable slabs over one shared-memory segment.
 
-    One ring serves one (driver, worker) channel.  Slab indices cycle
-    through three states: *free* (driver-owned), *in flight* (referenced by
-    a queued message), *acked* (the worker sent the index back over the ack
-    pipe after decoding).  ``slots`` exceeds the channel's queue bound, so
-    an acquire normally never waits; when it must (worker mid-decode with
-    the queue full), it polls the ack pipe and re-checks liveness through
-    the caller's hook instead of deadlocking on a dead worker.
+    One ring serves one (writer, reader) channel.  Slab indices cycle
+    through three states: *free* (writer-owned), *in flight* (written, not
+    yet acked), *acked* (the reader sent the index back over the ack pipe
+    after decoding).  When no slab is free, an acquire polls the ack pipe
+    and re-checks liveness through the caller's hook instead of
+    deadlocking on a dead reader.
     """
 
     def __init__(self, context, *, slots: int, slab_bytes: int) -> None:
@@ -117,13 +99,12 @@ class SlabRing:
                 f"slab ring needs positive geometry, got slots={slots}, "
                 f"slab_bytes={slab_bytes}"
             )
-        self.slots = slots
         self.slab_bytes = slab_bytes
         name = SEGMENT_PREFIX + secrets.token_hex(8)
         self._segment = shared_memory.SharedMemory(
             name=name, create=True, size=slots * slab_bytes
         )
-        #: Last-resort cleanup if the executor is dropped without finish();
+        #: Last-resort cleanup if the ring is dropped without close();
         #: the normal paths unlink explicitly via close().  Registered
         #: immediately after creation: anything that can raise in between
         #: (a failing Pipe() constructor, historically) would leak the
@@ -133,52 +114,37 @@ class SlabRing:
         )
         self.name = self._segment.name
         self._free = list(range(slots))
-        #: Last slab index the worker acked (None before the first ack).
-        #: Crash forensics: a dead worker's :class:`~repro.errors.
-        #: WorkerCrashError` carries it to localize the death relative to
-        #: the in-flight batches.
-        self.last_acked: Optional[int] = None
-        #: Worker -> driver slab recycling channel.  A pipe, not a queue: the
-        #: payload is one small int and the worker's send never meaningfully
+        #: Reader -> writer slab recycling channel.  A pipe, not a queue: the
+        #: payload is one small int and the reader's send never meaningfully
         #: blocks, so the queue's feeder-thread machinery buys nothing.
         self.ack_recv, self.ack_send = context.Pipe(duplex=False)
 
-    def _recycle(self, slab: int) -> None:
-        self.last_acked = slab
-        self._free.append(slab)
-
     def _drain_acks(self) -> None:
         while self.ack_recv.poll():
-            self._recycle(self.ack_recv.recv())
+            self._free.append(self.ack_recv.recv())
 
     def acquire(
         self, *, poll_seconds: float, on_stall: Callable[[], None]
     ) -> int:
-        """Pop a free slab index, waiting on worker acks when none is free.
+        """Pop a free slab index, waiting on reader acks when none is free.
 
         ``on_stall`` runs once per ``poll_seconds`` of waiting; callers use
-        it to distinguish "worker slow" (still alive: keep polling) from
-        "worker dead" (exit-code inspection: raise a typed
-        :class:`~repro.errors.WorkerCrashError` — carrying
-        :attr:`last_acked` — or trigger recovery) so a dead worker's
-        unacked slabs cannot wedge the driver.
+        it to tell a slow reader (keep polling) from a dead one (raise), so
+        a dead reader's unacked slabs cannot wedge the writer.
         """
         self._drain_acks()
         while not self._free:
             if self.ack_recv.poll(poll_seconds):
-                self._recycle(self.ack_recv.recv())
+                self._free.append(self.ack_recv.recv())
             else:
                 on_stall()
             self._drain_acks()
         return self._free.pop()
 
     def write(self, slab: int, payload: bytes) -> None:
-        """Copy a framed batch into ``slab`` (caller checked the size)."""
+        """Copy a framed batch into ``slab`` (at most ``slab_bytes`` long)."""
         offset = slab * self.slab_bytes
         self._segment.buf[offset : offset + len(payload)] = payload
-
-    def fits(self, payload: bytes) -> bool:
-        return len(payload) <= self.slab_bytes
 
     def close(self) -> None:
         """Tear the channel down and unlink the segment (idempotent)."""
@@ -192,7 +158,7 @@ class SlabRing:
 
 
 class SlabReader:
-    """Worker-side view of a ring: decode from the mapped slab, then ack."""
+    """Reader-side view of a ring: decode from the mapped slab, then ack."""
 
     def __init__(self, name: str, slab_bytes: int, ack_send) -> None:
         self._segment = attach_segment(name)
@@ -214,20 +180,3 @@ class SlabReader:
         except OSError:  # pragma: no cover - close is best-effort on exit
             pass
 
-
-def validate_transport(transport: str) -> str:
-    if transport not in TRANSPORTS:
-        raise ExecutionError(
-            f"unknown transport {transport!r}; choose one of {', '.join(TRANSPORTS)}"
-        )
-    return transport
-
-
-def ring_slots(max_inflight: int) -> int:
-    """Ring size for a channel bounded at ``max_inflight`` queued batches.
-
-    At most ``max_inflight`` messages sit in the queue plus one being
-    decoded by the worker; one extra slot keeps the driver's acquire from
-    synchronizing with the ack of the oldest in-flight slab.
-    """
-    return max_inflight + 2

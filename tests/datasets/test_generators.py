@@ -98,6 +98,18 @@ class TestBurstiness:
         with pytest.raises(DatasetError):
             generator.generate_events(0)
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), 10**400))
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(DatasetError, match="events_per_minute"):
+            RidesharingGenerator(events_per_minute=value)
+        with pytest.raises(DatasetError, match="mean_burst_length"):
+            BurstModel(mean_burst_length=value)
+        generator = RidesharingGenerator(events_per_minute=100)
+        with pytest.raises(DatasetError, match="duration_seconds"):
+            generator.generate(value)
+        with pytest.raises(DatasetError, match="duration_seconds"):
+            generator.generate_block(value)
+
 
 class TestDomainSpecifics:
     def test_ridesharing_travel_speed_split(self):

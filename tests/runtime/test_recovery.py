@@ -83,18 +83,16 @@ def _assert_no_ring_leak():
 # --------------------------------------------------------------------- #
 # The kill-point matrix (tier-1 slice; full sweep: python -m faultline)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
 @pytest.mark.parametrize("point", KILL_POINTS)
-def test_sigkill_at_every_point_recovers_bit_identically(point, transport):
+def test_sigkill_at_every_point_recovers_bit_identically(point):
     nth = 1 if point.endswith("-report") else 3  # reached once per run
     result = run_differential(
         _workload,
         _stream,
         spec=f"{point}@1:{nth}:kill",
         workers=2,
-        transport=transport,
     )
-    assert result.identical, f"{point}/{transport}: recovered report differs"
+    assert result.identical, f"{point}: recovered report differs"
     assert result.recovery is not None and result.recovery.restarts == 1
     assert result.recovery.checkpoints >= 1
     assert result.leaked_temporaries == []
@@ -119,15 +117,13 @@ def test_exit_mode_death_recovers_too():
         assert report.metrics.max_latency == max(row.seconds for row in report.partition_results)
 
 
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
 @pytest.mark.parametrize("workers", [1, 4])
-def test_recovery_is_shard_count_invariant(workers, transport):
+def test_recovery_is_shard_count_invariant(workers):
     result = run_differential(
         _workload,
         _stream,
         spec="pre-fold@0:2:kill",
         workers=workers,
-        transport=transport,
     )
     assert result.identical
     assert result.recovery.restarts == 1
@@ -187,9 +183,8 @@ def _late_stream() -> list[Event]:
     return events
 
 
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
 @pytest.mark.parametrize("point", KILL_POINTS)
-def test_retraction_after_a_checkpoint_survives_every_kill_point(point, transport):
+def test_retraction_after_a_checkpoint_survives_every_kill_point(point):
     """``late_policy="retract"`` rewrites output rows an earlier checkpoint
     already logged, and every checkpoint after it must carry the rewritten
     rows.  Shard 0's last (12th) batch comes after its last retraction, so
@@ -203,13 +198,12 @@ def test_retraction_after_a_checkpoint_survives_every_kill_point(point, transpor
         _late_stream,
         spec=f"{point}@0:{nth}:kill",
         workers=2,
-        transport=transport,
         checkpoint_interval=1,
         allowed_lateness=4.0,
         late_policy="retract",
     )
     assert result.clean.metrics.late_retracted > 10
-    assert result.identical, f"{point}/{transport}: recovered report differs"
+    assert result.identical, f"{point}: recovered report differs"
     assert result.injected.metrics.late_retracted == result.clean.metrics.late_retracted
     assert result.recovery.restarts == 1
     assert result.leaked_temporaries == []
@@ -260,8 +254,7 @@ def test_checkpoint_bytes_scale_with_the_stream_not_its_square(workers, tmp_path
     assert long_bytes <= 2.3 * short_bytes
 
 
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
-def test_scalar_ingest_replay_reships_frames_only(transport, monkeypatch, tmp_path):
+def test_scalar_ingest_replay_reships_frames_only(monkeypatch, tmp_path):
     """The replay tail of a worker fed by scalar ``process()`` calls is
     framed columnar bytes — the one thing a worker loop understands — and
     recovery re-ships exactly those, never event objects."""
@@ -270,7 +263,6 @@ def test_scalar_ingest_replay_reships_frames_only(transport, monkeypatch, tmp_pa
     executor = ShardedStreamingExecutor(
         _workload(),
         workers=2,
-        transport=transport,
         batch_size=64,
         checkpoint_dir=str(tmp_path),
         checkpoint_interval=4,
@@ -304,11 +296,9 @@ def test_scalar_ingest_replay_reships_frames_only(transport, monkeypatch, tmp_pa
     assert report.recovery.restarts == 1
     replayed = [item for in_recovery, item in shipped if in_recovery]
     assert len(replayed) == report.recovery.replayed_batches >= 1
-    kinds = {"raw"} if transport == "pickle" else {"raw", "slab"}
-    assert {item[0] for _, item in shipped} <= kinds
+    assert {item[0] for _, item in shipped} == {"raw"}
     for item in replayed:
-        if item[0] == "raw":
-            assert type(item[2]) is bytes and item[2][:5] == b"RPEB\x02"
+        assert type(item[2]) is bytes and item[2][:5] == b"RPEB\x02"
     _assert_no_ring_leak()
 
 

@@ -5,7 +5,7 @@ whose events arrive within the lateness horizon of the watermark produces
 **bit-identical** results to the fully ordered run — same totals, same
 partition results, same emission order — through every ingestion surface
 (scalar ``process``, columnar ``process_block``, the sharded driver) and
-every backend/transport combination.  Events later than the horizon hit
+every backend and shard-count combination.  Events later than the horizon hit
 the configured policy: ``raise`` (default), ``drop``, ``side_output`` or
 ``retract``.
 
@@ -774,7 +774,7 @@ class TestShuffledBlockDifferential:
 
 
 # --------------------------------------------------------------------- #
-# Transport x shard-count matrix (pool mode)
+# Shard-count matrix (pool mode)
 # --------------------------------------------------------------------- #
 class TestShardedMatrixDifferential:
     EVENTS = make_events(seed=21, size=150)
@@ -783,14 +783,12 @@ class TestShardedMatrixDifferential:
     def _ordered(self):
         return run_streaming(grouped_queries(), list(self.EVENTS), HamletEngine)
 
-    @pytest.mark.parametrize("transport", ("pickle", "shm"))
-    def test_pool_workers_match_ordered_run(self, transport):
+    def test_pool_workers_match_ordered_run(self):
         sharded = run_sharded(
             grouped_queries(),
             list(self.SHUFFLED),
             HamletEngine,
             workers=2,
-            transport=transport,
             allowed_lateness=8.0,
         )
         assert report_fingerprint(sharded) == report_fingerprint(self._ordered())

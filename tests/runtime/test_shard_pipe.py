@@ -157,7 +157,7 @@ def test_a_dead_incarnations_pipe_is_closed_for_good(monkeypatch, tmp_path):
 
 def test_every_kill_point_hit_count_and_shard_at_small_scope():
     """The tier-1 slice of ``python -m faultline --exhaustive``: SIGKILL
-    deaths on the pickle transport, 6 points x 6 hit counts x 2 shards."""
+    deaths, 6 points x 6 hit counts x 2 shards."""
     fired = cases = 0
     for result, restarts in sweep_exhaustive(
         _workload,

@@ -4,7 +4,7 @@ The routing invariant extends to columns: :meth:`ShardRouter.route_block`
 must select exactly the rows :meth:`ShardRouter.route` would ship, and a
 sharded run fed one :class:`EventBlock` must merge to the same report as
 the per-event sharded run and the single-process streaming run — across
-shard counts, workers=0 / pool mode, both transports and kernel backends.
+shard counts, workers=0 / pool mode and kernel backends.
 Pool-mode workers rebuild blocks from the shipped columnar bytes and
 ingest them without constructing events; these tests pin that the whole
 chain stays bit-identical.
@@ -125,8 +125,7 @@ def test_sharded_block_matches_sharded_events(shards):
     assert fingerprint(per_block) == fingerprint(per_event)
 
 
-@pytest.mark.parametrize("transport", ("pickle", "shm"))
-def test_sharded_block_pool_workers(transport):
+def test_sharded_block_pool_workers():
     queries = grouped_workload()
     events = make_stream(13, 400)
     block = EventBlock.from_events(events)
@@ -137,7 +136,6 @@ def test_sharded_block_pool_workers(transport):
         HamletEngine,
         workers=2,
         shards=2,
-        transport=transport,
         batch_size=64,
     )
     assert multiset(sharded) == multiset(reference)
@@ -196,14 +194,11 @@ def test_sharded_block_out_of_order_block_rejected():
 
 @pytest.mark.parametrize("lateness", (None, 6.0))
 @pytest.mark.parametrize("workers", (1, 2, 4))
-@pytest.mark.parametrize("transport", ("pickle", "shm"))
-def test_pool_scalar_ingest_equals_block_ingest_equals_single_process(
-    transport, workers, lateness
-):
+def test_pool_scalar_ingest_equals_block_ingest_equals_single_process(workers, lateness):
     # One worker loop: scalar process() calls are batched into the same
     # framed blocks process_block() ships, so results, partitions, their
     # merged emission order and the abstract op counts cannot depend on
-    # the ingest method — under either transport, with or without the
+    # the ingest method — with or without the
     # shard reorder buffers in front.
     queries = grouped_workload()
     events = make_stream(23, 400)
@@ -219,7 +214,6 @@ def test_pool_scalar_ingest_equals_block_ingest_equals_single_process(
             queries,
             HamletEngine,
             workers=workers,
-            transport=transport,
             batch_size=64,
             allowed_lateness=lateness,
         )

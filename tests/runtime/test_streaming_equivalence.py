@@ -42,8 +42,8 @@ from repro.query import (
     sum_of,
 )
 from repro.query.predicates import attr_less
-from repro.events import Event
-from repro.runtime import run_sharded, run_streaming, run_workload
+from repro.events import Event, EventBlock
+from repro.runtime import StreamingExecutor, run_sharded, run_streaming, run_workload
 
 TYPE_NAMES = ("A", "B", "C", "D", "X")
 
@@ -361,3 +361,43 @@ def test_streaming_recombines_decomposed_or_queries(lazy_open):
     batch = run_workload([or_query], stream)
     streaming = run_streaming([or_query], stream, lazy_open=lazy_open)
     assert streaming.result_for("sor_q") == batch.result_for("sor_q") == 4.0
+
+
+@pytest.mark.parametrize(
+    ("window", "lateness"),
+    (
+        (Window(1000.0, 1000.0), None),
+        (Window(1000.0, 7.0), None),
+        (Window(10.0, 2.0), 1000.0),
+        (Window(1e-300), None),
+    ),
+    ids=("tumbling-past-stream", "sliding-past-stream", "lateness-past-stream", "sub-ulp"),
+)
+def test_degenerate_window_geometry_agrees_on_every_path(window, lateness):
+    """Windows longer than the stream, a lateness horizon longer than the
+    stream, and a window far below one ulp of the event times: batch,
+    scalar ``process()``, ``process_block()`` and two in-process shards
+    agree bit for bit.  With lateness set the streaming paths read the
+    stream shuffled (every row inside the horizon); the batch replay reads
+    it in order."""
+    events = make_stream(5, 50)  # one event per second: a 50 s stream
+    queries = workload(window, group_by=("g",))
+    arrivals = list(events)
+    if lateness is not None:
+        random.Random(6).shuffle(arrivals)
+
+    def hexed(report) -> dict[str, str]:
+        return {name: float(value).hex() for name, value in report.totals.items()}
+
+    reference = hexed(run_workload(queries, events))
+    scalar = StreamingExecutor(queries, HamletEngine, allowed_lateness=lateness)
+    for event in arrivals:
+        scalar.process(event)
+    block = StreamingExecutor(queries, HamletEngine, allowed_lateness=lateness)
+    block.process_block(EventBlock.from_events(arrivals))
+    sharded = run_sharded(
+        queries, arrivals, HamletEngine, workers=0, shards=2, allowed_lateness=lateness
+    )
+    assert hexed(scalar.finish()) == reference
+    assert hexed(block.finish()) == reference
+    assert hexed(sharded) == reference

@@ -1,13 +1,14 @@
-"""Transport matrix: same bits through every path.
+"""Transport: same bits across the process boundary, one way to ship them.
 
-*How batches cross the process boundary* (pickled blobs vs columnar
-buffers in shared-memory slab rings) may not change a single result bit —
-the differential matrix here pins every {transport} x {shard count}
-combination against the single-process reference.
+Pool mode ships every batch as one framed columnar queue message; the
+differential matrix here pins every shard count against the
+single-process reference, and the executor and CLI reject the deleted
+``transport=``/``slab_bytes=`` options.
 
-The slab-ring machinery itself (recycling, oversize fallback, teardown,
-crash cleanup — the "no leaked segments" contract) is unit-tested at the
-bottom against a live ``/dev/shm``.
+The slab ring (:mod:`repro.runtime.transport`), which no executor runs but
+the end-to-end harness still probes, keeps its unit tests at the bottom —
+recycling, teardown, the "no leaked segments" contract — against a live
+``/dev/shm``.
 """
 
 from __future__ import annotations
@@ -19,18 +20,12 @@ import random
 
 import pytest
 
-from repro.core import HamletEngine
+from repro.cli import main
 from repro.errors import ExecutionError
 from repro.events import Event
 from repro.query import Query, Window, avg, kleene, seq, sum_of
-from repro.runtime import (
-    ShardedStreamingExecutor,
-    SlabRing,
-    run_sharded,
-    run_streaming,
-    run_workload,
-)
-from repro.runtime.transport import SEGMENT_PREFIX, ring_slots, validate_transport
+from repro.runtime import ShardedStreamingExecutor, run_sharded, run_streaming, run_workload
+from repro.runtime.transport import SEGMENT_PREFIX, SlabRing
 
 WINDOW = Window(32.0, 8.0)
 
@@ -89,61 +84,39 @@ def leaked_segments() -> list[str]:
 # The differential matrix
 # --------------------------------------------------------------------- #
 class TestTransportMatrix:
-    @pytest.mark.parametrize("transport", ("pickle", "shm"))
     @pytest.mark.parametrize("shards", (1, 2, 4))
-    def test_matrix_bit_identical_on_integer_workloads(self, transport, shards):
+    def test_matrix_bit_identical_on_integer_workloads(self, shards):
         events = make_stream(3)
         queries = workload()
         reference = run_streaming(queries, events)
         assert reference.totals == run_workload(queries, events).totals
-        sharded = run_sharded(
-            queries,
-            events,
-            workers=shards,
-            batch_size=64,
-            transport=transport,
-        )
+        sharded = run_sharded(queries, events, workers=shards, batch_size=64)
         assert sharded.totals == reference.totals
         assert partition_multiset(sharded) == partition_multiset(reference)
         assert not leaked_segments()
 
-    def test_in_process_shards_accept_transport_inertly(self):
+    def test_in_process_shards_match_the_reference(self):
         events = make_stream(4)
         queries = workload()
         reference = run_streaming(queries, events)
-        for transport in ("pickle", "shm"):
-            sharded = run_sharded(queries, events, workers=0, shards=2, transport=transport)
-            assert sharded.totals == reference.totals
-
-    def test_oversize_batches_fall_back_to_the_queue(self):
-        events = make_stream(5)
-        queries = workload()
-        reference = run_streaming(queries, events)
-        sharded = run_sharded(
-            queries,
-            events,
-            workers=2,
-            batch_size=64,
-            transport="shm",
-            slab_bytes=64,  # every batch oversized -> raw path end to end
-        )
+        sharded = run_sharded(queries, events, workers=0, shards=2)
         assert sharded.totals == reference.totals
-        assert not leaked_segments()
 
 
 # --------------------------------------------------------------------- #
-# Transport validation
+# The deleted transport options
 # --------------------------------------------------------------------- #
-class TestTransportValidation:
-    def test_sharded_executor_validates_transport_up_front(self):
-        with pytest.raises(ExecutionError, match="transport"):
-            ShardedStreamingExecutor(workload(), workers=2, transport="carrier-pigeon")
+class TestNoTransportOption:
+    @pytest.mark.parametrize("option", ({"transport": "shm"}, {"slab_bytes": 1024}))
+    def test_sharded_executor_rejects_transport_keywords(self, option):
+        with pytest.raises(TypeError):
+            ShardedStreamingExecutor(workload(), workers=2, **option)
 
-    def test_validate_transport(self):
-        assert validate_transport("pickle") == "pickle"
-        assert validate_transport("shm") == "shm"
-        with pytest.raises(ExecutionError, match="transport"):
-            validate_transport("tcp")
+    def test_cli_rejects_transport_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stream", "--workers", "1", "--transport", "shm"])
+        assert excinfo.value.code == 2
+        assert "--transport" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -172,15 +145,6 @@ class TestSlabRing:
             ring.close()
         assert not leaked_segments()
 
-    def test_fits_respects_slab_capacity(self):
-        context = multiprocessing.get_context()
-        ring = SlabRing(context, slots=1, slab_bytes=8)
-        try:
-            assert ring.fits(b"x" * 8)
-            assert not ring.fits(b"x" * 9)
-        finally:
-            ring.close()
-
     def test_segment_name_is_recognizable_and_unlinked_on_close(self):
         context = multiprocessing.get_context()
         ring = SlabRing(context, slots=1, slab_bytes=8)
@@ -204,57 +168,3 @@ class TestSlabRing:
         with pytest.raises(ExecutionError, match="geometry"):
             SlabRing(context, slots=0, slab_bytes=8)
 
-    def test_ring_slots_covers_queue_bound_plus_decode(self):
-        assert ring_slots(8) == 10
-
-
-class _ExplodingEngine(HamletEngine):
-    """Raises mid-stream; per-instance path so ``process`` actually runs."""
-
-    shared_window_flavor = None
-
-    def process(self, event):
-        if event.time >= 50.0:
-            raise RuntimeError("engine exploded for the transport crash test")
-        super().process(event)
-
-
-class _DyingEngine(HamletEngine):
-    """Kills its worker process outright (no traceback makes it back)."""
-
-    shared_window_flavor = None
-
-    def process(self, event):
-        os._exit(23)
-
-
-class TestShmCrashCleanup:
-    """A dead worker must leave neither deadlock nor segment behind."""
-
-    def test_worker_exception_unlinks_every_ring(self):
-        with pytest.raises(ExecutionError, match="engine exploded"):
-            run_sharded(
-                workload(),
-                make_stream(8),
-                _ExplodingEngine,
-                workers=2,
-                batch_size=32,
-                shared_windows=False,
-                transport="shm",
-            )
-        assert not leaked_segments()
-
-    def test_worker_hard_crash_unlinks_every_ring(self):
-        with pytest.raises(ExecutionError, match="died without a report"):
-            run_sharded(
-                workload(),
-                make_stream(9),
-                _DyingEngine,
-                workers=2,
-                batch_size=32,
-                shared_windows=False,
-                transport="shm",
-                max_inflight=1,
-                slab_bytes=1024,
-            )
-        assert not leaked_segments()

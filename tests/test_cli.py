@@ -198,6 +198,25 @@ class TestCli:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        (
+            ("--queries", "0"),
+            ("--queries", "-3"),
+            ("--minutes", "0"),
+            ("--minutes", "nan"),
+            ("--minutes", "inf"),
+            ("--events-per-minute", "0"),
+            ("--events-per-minute", "nan"),
+            ("--events-per-minute", "-inf"),
+        ),
+    )
+    def test_stream_command_rejects_bad_sizes(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_stream_command_prints_wall_clock_throughput(self, capsys):
         assert main(["stream", "--queries", "2", "--minutes", "0.3", "--events-per-minute", "600"]) == 0
         output = capsys.readouterr().out

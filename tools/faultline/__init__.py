@@ -19,7 +19,7 @@ package orchestrates that experiment:
   trigger's reachability predicts (enumerate the state space instead of
   sampling it);
 * ``python -m faultline`` (see :mod:`faultline.cli`) — sweep kill
-  points × modes × transports from the command line (``--exhaustive``:
+  points × modes from the command line (``--exhaustive``:
   the enumeration above); exit 0 only if every injected run recovered
   to bit-identity.
 
@@ -110,7 +110,6 @@ def run_differential(
     *,
     spec: str,
     workers: int,
-    transport: str = "pickle",
     batch_size: int = 64,
     checkpoint_interval: int = 4,
     max_restarts: int = 8,
@@ -145,7 +144,6 @@ def run_differential(
             list(workload_factory()),
             workers=workers,
             batch_size=batch_size,
-            transport=transport,
             checkpoint_dir=checkpoint_dir,
             checkpoint_interval=checkpoint_interval,
             max_restarts=max_restarts,
@@ -175,7 +173,6 @@ def sweep_exhaustive(
     stream_factory: Callable[[], Iterable[Event]],
     *,
     workers: int = 2,
-    transport: str = "pickle",
     modes: Sequence[str] = ("exit", "kill"),
     max_hit: int = 6,
     **options: object,
@@ -197,7 +194,6 @@ def sweep_exhaustive(
             stream_factory,
             spec="",
             workers=workers,
-            transport=transport,
             checkpoint_dir=probe_dir,
             **options,
         )
@@ -220,7 +216,6 @@ def sweep_exhaustive(
             stream_factory,
             spec=f"{point}@{shard}:{hit}:{mode}",
             workers=workers,
-            transport=transport,
             clean=probe.clean,
             **options,
         )

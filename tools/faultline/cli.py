@@ -86,13 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="shard worker processes (default: 2)"
     )
     parser.add_argument(
-        "--transport",
-        choices=("pickle", "shm"),
-        action="append",
-        default=None,
-        help="transport(s) to sweep (repeatable; default: both)",
-    )
-    parser.add_argument(
         "--events", type=int, default=3000, help="synthetic stream length (default: 3000)"
     )
     parser.add_argument("--seed", type=int, default=7, help="stream seed (default: 7)")
@@ -143,55 +136,51 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--workers must be >= 1 (fault injection needs processes to kill)")
     if arguments.exhaustive and arguments.spec:
         parser.error("--exhaustive enumerates its own specs; drop --spec")
-    transports = arguments.transport or ["pickle", "shm"]
     failures = cases = 0
-    for transport in transports:
-        if arguments.exhaustive:
-            events = EXHAUSTIVE_BATCHES * EXHAUSTIVE_BATCH_SIZE * arguments.workers
-            sweep = sweep_exhaustive(
-                _workload,
-                lambda: _stream(events, arguments.seed),
-                workers=arguments.workers,
-                transport=transport,
-                batch_size=EXHAUSTIVE_BATCH_SIZE,
-                checkpoint_interval=1,
+    if arguments.exhaustive:
+        events = EXHAUSTIVE_BATCHES * EXHAUSTIVE_BATCH_SIZE * arguments.workers
+        sweep = sweep_exhaustive(
+            _workload,
+            lambda: _stream(events, arguments.seed),
+            workers=arguments.workers,
+            batch_size=EXHAUSTIVE_BATCH_SIZE,
+            checkpoint_interval=1,
+        )
+    else:
+        specs = [arguments.spec] if arguments.spec else _sweep_specs(arguments.workers)
+        sweep = (
+            (
+                run_differential(
+                    _workload,
+                    lambda: _stream(arguments.events, arguments.seed),
+                    spec=spec,
+                    workers=arguments.workers,
+                    batch_size=arguments.batch_size,
+                    checkpoint_interval=arguments.checkpoint_interval,
+                ),
+                None,  # any restart count >= 1 will do
             )
-        else:
-            specs = [arguments.spec] if arguments.spec else _sweep_specs(arguments.workers)
-            sweep = (
-                (
-                    run_differential(
-                        _workload,
-                        lambda: _stream(arguments.events, arguments.seed),
-                        spec=spec,
-                        workers=arguments.workers,
-                        transport=transport,
-                        batch_size=arguments.batch_size,
-                        checkpoint_interval=arguments.checkpoint_interval,
-                    ),
-                    None,  # any restart count >= 1 will do
-                )
-                for spec in specs
-            )
-        for result, expected in _under_deadline(sweep):
-            restarts = result.recovery.restarts if result.recovery else 0
-            ok = (
-                result.identical
-                and (restarts >= 1 if expected is None else restarts == expected)
-                and not result.leaked_temporaries
-                and not glob.glob("/dev/shm/repro-ring-*")
-            )
-            cases += 1
-            failures += 0 if ok else 1
-            if ok and arguments.exhaustive:
-                continue  # 288 "ok" lines help nobody
-            verdict = "ok" if ok else "FAIL"
-            print(
-                f"{verdict:4s} {transport:6s} {result.spec:32s} "
-                f"identical={result.identical} restarts={restarts} "
-                f"replayed={result.recovery.replayed_batches if result.recovery else 0} "
-                f"leaked_tmp={len(result.leaked_temporaries)}"
-            )
+            for spec in specs
+        )
+    for result, expected in _under_deadline(sweep):
+        restarts = result.recovery.restarts if result.recovery else 0
+        ok = (
+            result.identical
+            and (restarts >= 1 if expected is None else restarts == expected)
+            and not result.leaked_temporaries
+            and not glob.glob("/dev/shm/repro-ring-*")
+        )
+        cases += 1
+        failures += 0 if ok else 1
+        if ok and arguments.exhaustive:
+            continue  # 144 "ok" lines help nobody
+        verdict = "ok" if ok else "FAIL"
+        print(
+            f"{verdict:4s} {result.spec:32s} "
+            f"identical={result.identical} restarts={restarts} "
+            f"replayed={result.recovery.replayed_batches if result.recovery else 0} "
+            f"leaked_tmp={len(result.leaked_temporaries)}"
+        )
     if failures:
         print(f"{failures} of {cases} case(s) failed")
         return 1
