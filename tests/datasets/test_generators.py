@@ -54,6 +54,19 @@ class TestAllGenerators:
         assert stream.start_time >= 0.0
         assert stream.end_time <= 30.0 * 2  # spacing jitter stays bounded
 
+    @pytest.mark.parametrize("value", (float("nan"), float("inf")))
+    @pytest.mark.parametrize("generator_class, type_names, schemas", GENERATORS)
+    def test_non_finite_rate_and_duration_rejected(
+        self, generator_class, type_names, schemas, value
+    ):
+        with pytest.raises(DatasetError, match="events_per_minute"):
+            generator_class(events_per_minute=value)
+        generator = generator_class(events_per_minute=100, seed=1)
+        with pytest.raises(DatasetError, match="duration_seconds"):
+            generator.generate(value)
+        with pytest.raises(DatasetError, match="duration_seconds"):
+            generator.generate_block(value)
+
     @pytest.mark.parametrize("generator_class, type_names, schemas", GENERATORS)
     def test_generate_events_helper(self, generator_class, type_names, schemas):
         stream = generator_class(events_per_minute=600, seed=4).generate_events(100)

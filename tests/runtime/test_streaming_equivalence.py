@@ -363,7 +363,7 @@ def test_streaming_recombines_decomposed_or_queries(lazy_open):
     assert streaming.result_for("sor_q") == batch.result_for("sor_q") == 4.0
 
 
-@pytest.mark.parametrize(
+DEGENERATE_GEOMETRY = pytest.mark.parametrize(
     ("window", "lateness"),
     (
         (Window(1000.0, 1000.0), None),
@@ -373,6 +373,24 @@ def test_streaming_recombines_decomposed_or_queries(lazy_open):
     ),
     ids=("tumbling-past-stream", "sliding-past-stream", "lateness-past-stream", "sub-ulp"),
 )
+
+
+def degenerate_case(window: Window, lateness):
+    """A 50 s stream (one event per second), its workload, and the arrival
+    order: shuffled when a lateness horizon is set (every row inside it)."""
+    events = make_stream(5, 50)
+    queries = workload(window, group_by=("g",))
+    arrivals = list(events)
+    if lateness is not None:
+        random.Random(6).shuffle(arrivals)
+    return events, queries, arrivals
+
+
+def hexed(report) -> dict[str, str]:
+    return {name: float(value).hex() for name, value in report.totals.items()}
+
+
+@DEGENERATE_GEOMETRY
 def test_degenerate_window_geometry_agrees_on_every_path(window, lateness):
     """Windows longer than the stream, a lateness horizon longer than the
     stream, and a window far below one ulp of the event times: batch,
@@ -380,15 +398,7 @@ def test_degenerate_window_geometry_agrees_on_every_path(window, lateness):
     agree bit for bit.  With lateness set the streaming paths read the
     stream shuffled (every row inside the horizon); the batch replay reads
     it in order."""
-    events = make_stream(5, 50)  # one event per second: a 50 s stream
-    queries = workload(window, group_by=("g",))
-    arrivals = list(events)
-    if lateness is not None:
-        random.Random(6).shuffle(arrivals)
-
-    def hexed(report) -> dict[str, str]:
-        return {name: float(value).hex() for name, value in report.totals.items()}
-
+    events, queries, arrivals = degenerate_case(window, lateness)
     reference = hexed(run_workload(queries, events))
     scalar = StreamingExecutor(queries, HamletEngine, allowed_lateness=lateness)
     for event in arrivals:
@@ -401,3 +411,16 @@ def test_degenerate_window_geometry_agrees_on_every_path(window, lateness):
     assert hexed(scalar.finish()) == reference
     assert hexed(block.finish()) == reference
     assert hexed(sharded) == reference
+
+
+@DEGENERATE_GEOMETRY
+def test_degenerate_window_geometry_survives_pool_workers(window, lateness):
+    """The same geometry through two worker processes: every batch crosses
+    the process boundary as a framed queue message and the totals still
+    match the batch replay bit for bit."""
+    events, queries, arrivals = degenerate_case(window, lateness)
+    reference = hexed(run_workload(queries, events))
+    pooled = run_sharded(
+        queries, arrivals, HamletEngine, workers=2, batch_size=8, allowed_lateness=lateness
+    )
+    assert hexed(pooled) == reference

@@ -25,7 +25,7 @@ from repro.errors import ExecutionError
 from repro.events import Event
 from repro.query import Query, Window, avg, kleene, seq, sum_of
 from repro.runtime import ShardedStreamingExecutor, run_sharded, run_streaming, run_workload
-from repro.runtime.transport import SEGMENT_PREFIX, SlabRing
+from repro.runtime.transport import SEGMENT_PREFIX, SlabReader, SlabRing
 
 WINDOW = Window(32.0, 8.0)
 
@@ -161,6 +161,38 @@ class TestSlabRing:
         name = ring.name.lstrip("/")
         assert os.path.exists(f"/dev/shm/{name}")
         del ring
+        assert not os.path.exists(f"/dev/shm/{name}")
+
+    def test_reader_views_the_written_slab_and_its_ack_recycles_it(self):
+        context = multiprocessing.get_context()
+        ring = SlabRing(context, slots=1, slab_bytes=16)
+        reader = SlabReader(ring.name, ring.slab_bytes, ring.ack_send)
+        try:
+            slab = ring.acquire(poll_seconds=0.01, on_stall=lambda: None)
+            ring.write(slab, b"frame-bytes")
+            assert bytes(reader.view(slab, len(b"frame-bytes"))) == b"frame-bytes"
+            reader.ack(slab)
+
+            def on_stall():
+                raise AssertionError("the reader's ack did not free the slab")
+
+            assert ring.acquire(poll_seconds=0.01, on_stall=on_stall) == slab
+        finally:
+            reader.close()
+            ring.close()
+        assert not leaked_segments()
+
+    def test_reader_close_leaves_the_segment_to_its_creator(self):
+        context = multiprocessing.get_context()
+        ring = SlabRing(context, slots=1, slab_bytes=8)
+        name = ring.name.lstrip("/")
+        try:
+            reader = SlabReader(ring.name, ring.slab_bytes, ring.ack_send)
+            reader.close()
+            assert os.path.exists(f"/dev/shm/{name}")
+            ring.write(0, b"still-ok")  # the writer's mapping is untouched
+        finally:
+            ring.close()
         assert not os.path.exists(f"/dev/shm/{name}")
 
     def test_invalid_geometry(self):

@@ -203,12 +203,15 @@ class TestCli:
         (
             ("--queries", "0"),
             ("--queries", "-3"),
+            ("--queries", "2.5"),
             ("--minutes", "0"),
             ("--minutes", "nan"),
             ("--minutes", "inf"),
+            ("--minutes", "-1"),
             ("--events-per-minute", "0"),
             ("--events-per-minute", "nan"),
             ("--events-per-minute", "-inf"),
+            ("--events-per-minute", "1e400"),
         ),
     )
     def test_stream_command_rejects_bad_sizes(self, flag, value, capsys):
