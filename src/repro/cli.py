@@ -104,7 +104,8 @@ def _run_stream(
     from repro.core import HamletEngine
     from repro.datasets.ridesharing import RidesharingGenerator
     from repro.query import Window
-    from repro.runtime import ShardedStreamingExecutor, StreamingExecutor, WindowResult
+    from repro.runtime import ShardedStreamingExecutor, StreamingExecutor
+    from repro.runtime.results import WindowResult
     from repro.bench.workloads import kleene_sharing_workload, multi_aggregate_workload
 
     window = Window.minutes(1.0, 0.2)  # overlapping: slide = size/5

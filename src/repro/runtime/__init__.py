@@ -7,7 +7,7 @@ Two executors evaluate a workload over a stream:
   window instance, replays each partition through an engine;
 * :class:`~repro.runtime.streaming.StreamingExecutor` — the single-pass
   online path: consumes events in timestamp order exactly once, emits each
-  :class:`~repro.runtime.streaming.WindowResult` the moment its window
+  :class:`~repro.runtime.results.WindowResult` the moment its window
   closes and evicts the closed state, so peak memory is bounded by the
   *live* state.  By default overlapping window instances share one
   :class:`~repro.runtime.shared_windows.MultiWindowLinearEngine` per
@@ -50,11 +50,11 @@ from repro.runtime.executor import (
 from repro.runtime.metrics import ExecutionMetrics, RecoveryStats, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey, group_sort_key
 from repro.runtime.reorder import LATE_POLICIES, ReorderBuffer
-from repro.runtime.results import ResultLayout, WindowValues
+from repro.runtime.results import ResultLayout, WindowResult, WindowValues
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation
 from repro.runtime.sharding import ShardReport, ShardedStreamingExecutor, run_sharded
-from repro.runtime.streaming import StreamingExecutor, WindowResult, run_streaming
+from repro.runtime.streaming import StreamingExecutor, run_streaming
 
 __all__ = [
     "AsyncCheckpointWriter",

@@ -1,6 +1,6 @@
 /* The compiled fold core of the static plan (built by foldcore.py).
  *
- * Three loops of the runtime, run on the executor's and engines' own state:
+ * Four loops of the runtime, run on the executor's and engines' own state:
  *
  *   Walk           the Cover stage's row loop, StreamingExecutor._cover, for
  *                  executors whose units are all compiled and static (driven
@@ -12,6 +12,9 @@
  *                  SEQ(P, K+));
  *   close_scalar   the readout of MultiWindowLinearEngine.close_window for a
  *                  scalar unit with no split column and no event store;
+ *   sweep_unit     the Close/Emit stage's sweep of such a unit (driven by
+ *                  runtime/close.py): readouts, evictions, metrics, totals
+ *                  and the emitted rows;
  *
  * and their one helper, settle_kleene (repro.core.kernels).  Each dict is
  * read and written in the order the Python reference does it, so insertion
@@ -19,10 +22,10 @@
  * reference's, in its association, and -ffp-contract=off keeps the compiler
  * from fusing a multiply into an add (one rounding where Python has two).
  *
- * The _DeferredKleene counters (rows, cells, entries) and a streaming
- * _Group's fields are object __slots__: the core takes their offsets from
- * the class once and reads and writes them in place, without the attribute
- * protocol.
+ * The _DeferredKleene counters (rows, cells, entries), a streaming _Group's
+ * and _WindowMeta's fields and the rows a close builds are object __slots__:
+ * the core takes their offsets from the class once and reads and writes
+ * them in place, without the attribute protocol.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -85,20 +88,21 @@ settle_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
 typedef struct {
     PyTypeObject *type;
     int count;
-    const char *names[5];
-    Py_ssize_t offsets[5];
+    const char *names[8];
+    Py_ssize_t offsets[8];
 } layout;
 
 /* A _DeferredKleene and a streaming _Group. */
 static layout counters = {NULL, 3, {"rows", "cells", "entries"}, {0}};
 enum { ROWS, CELLS, ENTRIES };
-static layout groups = {NULL, 5, {"engine", "metas", "fed", "last_arrival", "share_seconds"}, {0}};
-enum { ENGINE, METAS, FED, ARRIVAL, SHARE };
+static layout groups = {NULL, 7, {"engine", "metas", "fed", "last_arrival", "share_seconds",
+                                  "ops_reported", "sort_key"}, {0}};
+enum { ENGINE, METAS, FED, ARRIVAL, SHARE, REPORTED, SORT_KEY };
 
 static int
 bind(layout *of, PyTypeObject *type)
 {
-    Py_ssize_t found[5];
+    Py_ssize_t found[8];
     for (int which = 0; which < of->count; which++) {
         PyObject *member = PyObject_GetAttrString((PyObject *)type, of->names[which]);
         if (member == NULL) {
@@ -160,16 +164,10 @@ get(PyObject *counter, int which, long long *value)
     return (*value == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
+/* ``*at += delta`` for the int in an object slot. */
 static int
-add(PyObject *counter, int which, long long delta)
+bump(PyObject **at, long long delta)
 {
-    if (delta == 0) {
-        return 0;
-    }
-    PyObject **at = slot(counter, which);
-    if (at == NULL) {
-        return -1;
-    }
     long long value = PyLong_AsLongLong(*at);
     if (value == -1 && PyErr_Occurred()) {
         return -1;
@@ -180,6 +178,16 @@ add(PyObject *counter, int which, long long delta)
     }
     Py_SETREF(*at, boxed);
     return 0;
+}
+
+static int
+add(PyObject *counter, int which, long long delta)
+{
+    if (delta == 0) {
+        return 0;
+    }
+    PyObject **at = slot(counter, which);
+    return at == NULL ? -1 : bump(at, delta);
 }
 
 /* ------------------------------------------------------------------ */
@@ -475,6 +483,52 @@ drain(PyObject *window_map, PyObject *index, double *total, long long *evicted)
     return 0;
 }
 
+/* The readout of window ``index`` into ``values`` (one double per class):
+ * MultiWindowLinearEngine.close_window for a scalar unit with no split
+ * column and no event store, on the engine's maps. */
+static int
+read_scalar(PyObject *index, PyObject *armed, PyObject *deferred, PyObject *end_maps,
+            PyObject *evict_maps, double *values, long long *disarmed, long long *evicted)
+{
+    Py_ssize_t classes = PyList_GET_SIZE(armed);
+    if (PyList_GET_SIZE(end_maps) != classes || (deferred != Py_None && !PyDict_Check(deferred))) {
+        PyErr_SetString(PyExc_TypeError, "close_scalar: malformed engine state");
+        return -1;
+    }
+    for (Py_ssize_t spec = 0; spec < classes; spec++) {
+        PyObject *cells = PyList_GET_ITEM(armed, spec), *ends = PyList_GET_ITEM(end_maps, spec);
+        PyObject *state = NULL;
+        if (!PyDict_CheckExact(cells) || !PyTuple_Check(ends)) {
+            PyErr_SetString(PyExc_TypeError, "close_scalar: malformed engine state");
+            return -1;
+        }
+        if (deferred != Py_None && PyDict_GET_SIZE(deferred)) {
+            PyObject *key = PyLong_FromSsize_t(spec);
+            state = key == NULL ? NULL : PyDict_GetItemWithError(deferred, key);
+            Py_XDECREF(key);
+            if (state == NULL && PyErr_Occurred()) {
+                return -1;
+            }
+        }
+        if (disarm(cells, state, index, disarmed) < 0) {
+            return -1;
+        }
+        /* The readout drains the end-type coefficients it reads. */
+        values[spec] = 0.0;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(ends); i++) {
+            if (drain(PyTuple_GET_ITEM(ends, i), index, &values[spec], evicted) < 0) {
+                return -1;
+            }
+        }
+    }
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(evict_maps); i++) {
+        if (drain(PyTuple_GET_ITEM(evict_maps, i), index, NULL, evicted) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
 static PyObject *
 close_scalar(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -484,54 +538,18 @@ close_scalar(PyObject *Py_UNUSED(module), PyObject *args)
                           &evict_maps)) {
         return NULL;
     }
-    Py_ssize_t classes = PyList_GET_SIZE(armed);
-    if (PyList_GET_SIZE(end_maps) != classes || (deferred != Py_None && !PyDict_Check(deferred))) {
-        PyErr_SetString(PyExc_TypeError, "close_scalar: malformed engine state");
-        return NULL;
-    }
-    PyObject *bytes = PyBytes_FromStringAndSize(NULL, classes * (Py_ssize_t)sizeof(double));
+    Py_ssize_t size = PyList_GET_SIZE(armed) * (Py_ssize_t)sizeof(double);
+    PyObject *bytes = PyBytes_FromStringAndSize(NULL, size);
     if (bytes == NULL) {
         return NULL;
     }
-    double *values = (double *)PyBytes_AS_STRING(bytes);
     long long disarmed = 0, evicted = 0;
-    PyObject *result = NULL;
-    for (Py_ssize_t spec = 0; spec < classes; spec++) {
-        PyObject *cells = PyList_GET_ITEM(armed, spec), *ends = PyList_GET_ITEM(end_maps, spec);
-        PyObject *state = NULL;
-        if (!PyDict_CheckExact(cells) || !PyTuple_Check(ends)) {
-            PyErr_SetString(PyExc_TypeError, "close_scalar: malformed engine state");
-            goto done;
-        }
-        if (deferred != Py_None && PyDict_GET_SIZE(deferred)) {
-            PyObject *key = PyLong_FromSsize_t(spec);
-            state = key == NULL ? NULL : PyDict_GetItemWithError(deferred, key);
-            Py_XDECREF(key);
-            if (state == NULL && PyErr_Occurred()) {
-                goto done;
-            }
-        }
-        if (disarm(cells, state, index, &disarmed) < 0) {
-            goto done;
-        }
-        /* The readout drains the end-type coefficients it reads. */
-        values[spec] = 0.0;
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(ends); i++) {
-            if (drain(PyTuple_GET_ITEM(ends, i), index, &values[spec], &evicted) < 0) {
-                goto done;
-            }
-        }
-    }
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(evict_maps); i++) {
-        if (drain(PyTuple_GET_ITEM(evict_maps, i), index, NULL, &evicted) < 0) {
-            goto done;
-        }
-    }
-    PyObject *readout = PyObject_CallFunctionObjArgs(array_type, typecode, bytes, NULL);
-    if (readout != NULL) {
+    PyObject *result = NULL, *readout = NULL;
+    if (read_scalar(index, armed, deferred, end_maps, evict_maps,
+                    (double *)PyBytes_AS_STRING(bytes), &disarmed, &evicted) == 0
+        && (readout = PyObject_CallFunctionObjArgs(array_type, typecode, bytes, NULL)) != NULL) {
         result = Py_BuildValue("NLL", readout, disarmed, evicted);
     }
-done:
     Py_DECREF(bytes);
     return result;
 }
@@ -1225,6 +1243,534 @@ static PyTypeObject walk_type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ------------------------------------------------------------------ */
+/* sweep_unit: the Close/Emit stage of one unit (runtime/close.py)     */
+/* ------------------------------------------------------------------ */
+
+/* A streaming _WindowMeta, the CloseStage, and the three rows a close
+ * builds: WindowValues, PartitionResult and WindowResult (slotted classes
+ * with no __init__ logic, filled slot by slot in field order). */
+static layout window_metas = {NULL, 4, {"index", "end", "opened_fed", "share_at_open"}, {0}};
+enum { INDEX, END, OPENED, AT_OPEN };
+static layout stages = {NULL, 2, {"active", "closed"}, {0}};
+enum { ACTIVE, CLOSED };
+static layout values_row = {NULL, 2, {"layout", "slots"}, {0}};
+static layout partition_row = {NULL, 7, {"group_key", "window_index", "window_start", "results",
+                                         "seconds", "events", "emission_latency"}, {0}};
+static layout window_row = {NULL, 8, {"group_key", "window_index", "window_start", "window_end",
+                                      "results", "events", "emission_latency", "retraction"}, {0}};
+
+static PyObject *s_unit, *s_layout, *s_armed, *s_deferred, *s_unsettled, *s_end_maps, *s_evict_maps;
+static PyObject *s_ops, *s_coeff_entries, *s_replica_entries, *s_armed_entries, *s_by_layout;
+static PyObject *s_sums_of, *s_copy;
+
+/* A new ``type`` object holding ``values`` (stolen, NULL-checked) in the
+ * slots of ``of``, in order. */
+static PyObject *
+build(layout *of, PyObject *type, PyObject **values)
+{
+    PyObject *object = NULL;
+    int ready = 1;
+    for (int which = 0; which < of->count; which++) {
+        ready &= values[which] != NULL;
+    }
+    if (ready && (of->type == (PyTypeObject *)type || bind(of, (PyTypeObject *)type) == 0)) {
+        object = ((PyTypeObject *)type)->tp_alloc((PyTypeObject *)type, 0);
+    }
+    for (int which = 0; which < of->count; which++) {
+        if (object != NULL) {
+            *(PyObject **)((char *)object + of->offsets[which]) = values[which];
+        }
+        else {
+            Py_XDECREF(values[which]);
+        }
+    }
+    return object;
+}
+
+/* ``a <= b`` as Python compares them (exactly, for an int past 2**53). */
+static int
+at_or_before(PyObject *a, PyObject *b)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
+        return PyFloat_AS_DOUBLE(a) <= PyFloat_AS_DOUBLE(b);
+    }
+    return PyObject_RichCompareBool(a, b, Py_LE);
+}
+
+static int
+get_long(PyObject *object, PyObject *name, long long *out)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    *out = value == NULL ? -1 : PyLong_AsLongLong(value);
+    Py_XDECREF(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+set_long(PyObject *object, PyObject *name, long long value)
+{
+    PyObject *boxed = PyLong_FromLongLong(value);
+    int status = boxed == NULL ? -1 : PyObject_SetAttr(object, name, boxed);
+    Py_XDECREF(boxed);
+    return status;
+}
+
+/* ``*out = object.<name> + delta``, stored back. */
+static int
+step_long(PyObject *object, PyObject *name, long long delta, long long *out)
+{
+    return get_long(object, name, out) < 0 ? -1 : set_long(object, name, *out += delta);
+}
+
+/* The ExecutionMetrics fields a close records, folded in C over one unit
+ * sweep and stored back at its end (or at an error). */
+static const char *tally_names[] = {"total_seconds", "max_latency", "emission_seconds",
+                                    "max_emission_latency", "partitions", "events_processed",
+                                    "peak_memory_units", "operations", "emissions"};
+enum { TOTAL_SECONDS, MAX_LATENCY, EMISSION_SECONDS, MAX_EMISSION, FLOATS,
+       PARTITIONS = FLOATS, EVENTS_PROCESSED, PEAK_MEMORY, OPERATIONS, EMISSIONS, TALLIES };
+typedef struct {
+    double real[FLOATS];
+    long long count[TALLIES - FLOATS];
+} tally;
+
+static int
+tally_read(PyObject *metrics, tally *into)
+{
+    for (int which = 0; which < TALLIES; which++) {
+        PyObject *value = PyObject_GetAttrString(metrics, tally_names[which]);
+        if (value == NULL) {
+            return -1;
+        }
+        if (which < FLOATS) {
+            into->real[which] = PyFloat_AsDouble(value);
+        }
+        else {
+            into->count[which - FLOATS] = PyLong_AsLongLong(value);
+        }
+        Py_DECREF(value);
+        if (PyErr_Occurred()) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Store the tally back, keeping any error already raised. */
+static void
+tally_write(PyObject *metrics, const tally *from)
+{
+    PyObject *type, *value, *traceback;
+    PyErr_Fetch(&type, &value, &traceback);
+    for (int which = 0; which < TALLIES; which++) {
+        PyObject *boxed = which < FLOATS ? PyFloat_FromDouble(from->real[which])
+                                         : PyLong_FromLongLong(from->count[which - FLOATS]);
+        if (boxed == NULL || PyObject_SetAttrString(metrics, tally_names[which], boxed) < 0) {
+            PyErr_WriteUnraisable(metrics);
+        }
+        Py_XDECREF(boxed);
+    }
+    PyErr_Restore(type, value, traceback);
+}
+
+/* What one unit sweep closes with. */
+typedef struct {
+    PyObject *groups, *slide, *stage, *by_layout, *totals, *rows, *recombine, *emit, *clock;
+    PyObject *types[3];
+    PyObject *blank; /* an array('d') of one zero per class: readouts are its copies */
+    tally tally;
+} sweep;
+
+/* One expired window, in collection order. */
+typedef struct {
+    PyObject *key, *group, *meta;
+} expiry;
+
+static int
+clock_read(sweep *of, double *out)
+{
+    PyObject *now = PyObject_CallNoArgs(of->clock);
+    if (now == NULL) {
+        return -1;
+    }
+    int status = as_double(now, out);
+    Py_DECREF(now);
+    return status;
+}
+
+/* The engine's readout of window ``index`` as its WindowValues row, the
+ * engine's counters moved as foldcore.close_window moves them; its
+ * operations() and memory_units() after it. */
+static PyObject *
+read_out(sweep *of, PyObject *engine, PyObject *index, long long *operations, long long *memory)
+{
+    PyObject *armed = PyObject_GetAttr(engine, s_armed), *deferred = NULL, *end_maps = NULL;
+    PyObject *evict_maps = NULL, *unsettled = NULL, *unit = NULL;
+    PyObject *row[2] = {NULL, NULL}, *values = NULL;
+    Py_buffer view = {0};
+    long long disarmed = 0, evicted = 0, armed_entries, coeff_entries, replica_entries;
+    int settled = -1;
+    if (armed != NULL && (unsettled = PyObject_GetAttr(engine, s_unsettled)) != NULL) {
+        int truth = PyObject_IsTrue(unsettled);
+        settled = truth < 0 ? -1 : !truth;
+    }
+    if (settled >= 0) {
+        deferred = settled ? Py_NewRef(Py_None) : PyObject_GetAttr(engine, s_deferred);
+    }
+    if (deferred != NULL && (end_maps = PyObject_GetAttr(engine, s_end_maps)) != NULL) {
+        evict_maps = PyObject_GetAttr(engine, s_evict_maps);
+    }
+    if (evict_maps == NULL) {
+        goto done;
+    }
+    if (!PyList_Check(armed) || !PyList_Check(end_maps) || !PyTuple_Check(evict_maps)) {
+        PyErr_SetString(PyExc_TypeError, "sweep_unit: malformed engine state");
+        goto done;
+    }
+    Py_ssize_t classes = PyList_GET_SIZE(armed);
+    if (of->blank == NULL) {
+        PyObject *zeros = PyBytes_FromStringAndSize(NULL, classes * (Py_ssize_t)sizeof(double));
+        if (zeros != NULL) {
+            memset(PyBytes_AS_STRING(zeros), 0, classes * sizeof(double));
+            of->blank = PyObject_CallFunctionObjArgs(array_type, typecode, zeros, NULL);
+            Py_DECREF(zeros);
+        }
+    }
+    row[1] = of->blank ? PyObject_CallMethodNoArgs(of->blank, s_copy) : NULL;
+    if (row[1] == NULL || PyObject_GetBuffer(row[1], &view, PyBUF_WRITABLE) < 0) {
+        goto done;
+    }
+    if (view.len != classes * (Py_ssize_t)sizeof(double)) {
+        PyErr_SetString(PyExc_ValueError, "sweep_unit: one unit's engines read out alike");
+        goto done;
+    }
+    if (read_scalar(index, armed, deferred, end_maps, evict_maps, view.buf, &disarmed,
+                    &evicted) < 0
+        || step_long(engine, s_armed_entries, -disarmed, &armed_entries) < 0
+        || step_long(engine, s_coeff_entries, -evicted, &coeff_entries) < 0
+        || step_long(engine, s_ops, classes, operations) < 0
+        || get_long(engine, s_replica_entries, &replica_entries) < 0
+        || (unit = PyObject_GetAttr(engine, s_unit)) == NULL) {
+        goto done;
+    }
+    *memory = coeff_entries + replica_entries + armed_entries; /* one unit per scalar entry */
+    PyBuffer_Release(&view);
+    row[0] = PyObject_GetAttr(unit, s_layout);
+    values = build(&values_row, of->types[0], row);
+    row[1] = NULL; /* build took it */
+done:
+    if (view.obj != NULL) {
+        PyBuffer_Release(&view);
+    }
+    Py_XDECREF(row[1]);
+    Py_XDECREF(armed);
+    Py_XDECREF(unsettled);
+    Py_XDECREF(deferred);
+    Py_XDECREF(end_maps);
+    Py_XDECREF(evict_maps);
+    Py_XDECREF(unit);
+    return values;
+}
+
+/* ``totals.add(values)``: the row's slots added in place to its layout's
+ * sums. */
+static int
+total(sweep *of, PyObject *values)
+{
+    PyObject **layout_at = member(&values_row, values, 0), **slots = member(&values_row, values, 1);
+    if (layout_at == NULL || slots == NULL) {
+        return -1;
+    }
+    PyObject *sums = PyDict_GetItemWithError(of->by_layout, *layout_at);
+    if (sums == NULL && PyErr_Occurred()) {
+        return -1;
+    }
+    sums = sums ? Py_NewRef(sums) : PyObject_CallMethodOneArg(of->totals, s_sums_of, values);
+    if (sums == NULL) {
+        return -1;
+    }
+    Py_buffer into, from;
+    int status = -1;
+    if (PyObject_GetBuffer(sums, &into, PyBUF_FORMAT | PyBUF_WRITABLE) == 0) {
+        if (PyObject_GetBuffer(*slots, &from, PyBUF_FORMAT) == 0) {
+            if (strcmp(into.format, "d") || strcmp(from.format, "d") || into.len < from.len) {
+                PyErr_SetString(PyExc_TypeError, "sweep_unit: totals and slots must be array('d')");
+            }
+            else {
+                double *sum = into.buf;
+                const double *value = from.buf;
+                for (Py_ssize_t i = 0; i < from.len / 8; i++) {
+                    sum[i] += value[i];
+                }
+                status = 0;
+            }
+            PyBuffer_Release(&from);
+        }
+        PyBuffer_Release(&into);
+    }
+    Py_DECREF(sums);
+    return status;
+}
+
+/* Close one expired window, as CloseStage._close_window does (its meta
+ * still in the group: popped first). */
+static int
+close_one(sweep *of, const expiry *window)
+{
+    PyObject **open = member(&groups, window->group, METAS), **engine = NULL;
+    PyObject **fed = NULL, **arrival = NULL, **share = NULL, **reported = NULL;
+    PyObject **index = member(&window_metas, window->meta, INDEX);
+    PyObject **end = member(&window_metas, window->meta, END);
+    PyObject **opened = member(&window_metas, window->meta, OPENED);
+    PyObject **at_open = member(&window_metas, window->meta, AT_OPEN);
+    PyObject **active = member(&stages, of->stage, ACTIVE);
+    PyObject **closed = member(&stages, of->stage, CLOSED);
+    if (open == NULL || index == NULL || end == NULL || opened == NULL || at_open == NULL
+        || active == NULL || closed == NULL
+        || (engine = member(&groups, window->group, ENGINE)) == NULL
+        || (fed = member(&groups, window->group, FED)) == NULL
+        || (arrival = member(&groups, window->group, ARRIVAL)) == NULL
+        || (share = member(&groups, window->group, SHARE)) == NULL
+        || (reported = member(&groups, window->group, REPORTED)) == NULL) {
+        return -1;
+    }
+    PyObject *key = Py_NewRef(*index), *values = NULL;
+    int status = -1;
+    double started, ended, last = 0.0, seconds, latency, share_now, share_then;
+    long long events, fed_now, fed_then, operations = 0, memory = 0, reported_then;
+    if (PyDict_DelItem(*open, key) < 0 || bump(active, -1) < 0 || bump(closed, 1) < 0
+        || clock_read(of, &started) < 0
+        || (values = read_out(of, *engine, key, &operations, &memory)) == NULL) {
+        goto done;
+    }
+    if (PyDict_GET_SIZE(*open) == 0 && PyDict_DelItem(of->groups, window->key) < 0) {
+        goto done;
+    }
+    if (clock_read(of, &ended) < 0 || (fed_now = PyLong_AsLongLong(*fed), PyErr_Occurred())
+        || (fed_then = PyLong_AsLongLong(*opened), PyErr_Occurred())
+        || as_double(*share, &share_now) < 0 || as_double(*at_open, &share_then) < 0) {
+        goto done;
+    }
+    events = fed_now - fed_then;
+    seconds = (share_now - share_then) + (ended - started);
+    if (events && as_double(*arrival, &last) < 0) {
+        goto done;
+    }
+    latency = events ? ended - last : 0.0;
+    if ((reported_then = PyLong_AsLongLong(*reported), PyErr_Occurred())
+        || bump(reported, operations - reported_then) < 0) {
+        goto done;
+    }
+    /* metrics.record_partition + record_emission */
+    tally *sums = &of->tally;
+    sums->real[TOTAL_SECONDS] += seconds;
+    sums->count[PARTITIONS - FLOATS] += 1;
+    sums->count[EVENTS_PROCESSED - FLOATS] += events;
+    if (seconds > sums->real[MAX_LATENCY]) {
+        sums->real[MAX_LATENCY] = seconds;
+    }
+    if (memory > sums->count[PEAK_MEMORY - FLOATS]) {
+        sums->count[PEAK_MEMORY - FLOATS] = memory;
+    }
+    sums->count[OPERATIONS - FLOATS] += operations - reported_then;
+    sums->count[EMISSIONS - FLOATS] += 1;
+    sums->real[EMISSION_SECONDS] += latency;
+    if (latency > sums->real[MAX_EMISSION]) {
+        sums->real[MAX_EMISSION] = latency;
+    }
+    if (total(of, values) < 0) {
+        goto done;
+    }
+    if (of->rows != Py_None || of->recombine != Py_None) {
+        PyObject *fields[7] = {
+            Py_NewRef(window->key), Py_NewRef(key), PyNumber_Multiply(key, of->slide),
+            Py_NewRef(values), PyFloat_FromDouble(seconds), PyLong_FromLongLong(events),
+            PyFloat_FromDouble(latency),
+        };
+        PyObject *row = build(&partition_row, of->types[1], fields);
+        if (row == NULL || (of->recombine != Py_None && PyList_Append(of->recombine, row) < 0)
+            || (of->rows != Py_None && PyList_Append(of->rows, row) < 0)) {
+            Py_XDECREF(row);
+            goto done;
+        }
+        Py_DECREF(row);
+    }
+    if (of->emit != Py_None) {
+        PyObject *fields[8] = {
+            Py_NewRef(window->key), Py_NewRef(key), PyNumber_Multiply(key, of->slide),
+            Py_NewRef(*end), Py_NewRef(values), PyLong_FromLongLong(events),
+            PyFloat_FromDouble(latency), Py_NewRef(Py_False),
+        };
+        PyObject *result = build(&window_row, of->types[2], fields);
+        PyObject *emitted = result ? PyObject_CallOneArg(of->emit, result) : NULL;
+        Py_XDECREF(result);
+        if (emitted == NULL) {
+            goto done;
+        }
+        Py_DECREF(emitted);
+    }
+    status = 0;
+done:
+    Py_DECREF(key);
+    Py_XDECREF(values);
+    return status;
+}
+
+/* The earliest first end over the groups' open windows (inf: none), as
+ * ``min(..., default=inf)`` picks it. */
+static PyObject *
+next_end(PyObject *groups_map)
+{
+    Py_ssize_t position = 0;
+    PyObject *key, *group, *best = NULL;
+    while (PyDict_Next(groups_map, &position, &key, &group)) {
+        PyObject **open = member(&groups, group, METAS);
+        if (open == NULL || !PyDict_CheckExact(*open)) {
+            if (open != NULL) {
+                PyErr_SetString(PyExc_TypeError, "sweep_unit: a group's metas must be a dict");
+            }
+            return NULL;
+        }
+        Py_ssize_t at = 0;
+        PyObject *index, *meta;
+        if (!PyDict_Next(*open, &at, &index, &meta)) {
+            continue;
+        }
+        PyObject **end = member(&window_metas, meta, END);
+        int earlier = end == NULL    ? -1
+                      : best == NULL ? 1
+                                     : PyObject_RichCompareBool(*end, best, Py_LT);
+        if (earlier < 0) {
+            return NULL;
+        }
+        if (earlier) {
+            best = *end;
+        }
+    }
+    return best ? Py_NewRef(best) : PyFloat_FromDouble(INFINITY);
+}
+
+static PyObject *
+sweep_unit(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    sweep of = {.blank = NULL};
+    PyObject *now, *metrics, *types, *result = NULL, *order = NULL;
+    if (!PyArg_ParseTuple(args, "O!OOOOOOOOOO!:sweep_unit", &PyDict_Type, &of.groups, &now,
+                          &of.slide, &of.stage, &metrics, &of.totals, &of.rows, &of.recombine,
+                          &of.emit, &of.clock, &PyTuple_Type, &types)) {
+        return NULL;
+    }
+    if (PyTuple_GET_SIZE(types) != 3 || (of.rows != Py_None && !PyList_Check(of.rows))
+        || (of.recombine != Py_None && !PyList_Check(of.recombine))) {
+        PyErr_SetString(PyExc_TypeError, "sweep_unit: malformed sinks");
+        return NULL;
+    }
+    for (int which = 0; which < 3; which++) {
+        of.types[which] = PyTuple_GET_ITEM(types, which);
+        if (!PyType_Check(of.types[which])) {
+            PyErr_SetString(PyExc_TypeError, "sweep_unit: the row classes must be types");
+            return NULL;
+        }
+    }
+    if ((of.by_layout = PyObject_GetAttr(of.totals, s_by_layout)) == NULL) {
+        return NULL;
+    }
+    if (!PyDict_CheckExact(of.by_layout) || tally_read(metrics, &of.tally) < 0) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_TypeError, "sweep_unit: malformed totals");
+        }
+        Py_DECREF(of.by_layout);
+        return NULL;
+    }
+    expiry *expired = NULL;
+    Py_ssize_t count = 0, capacity = 0, *sequence = NULL;
+    /* Collect: per group, its open windows up to the first not yet passed. */
+    Py_ssize_t position = 0;
+    PyObject *key, *group;
+    while (PyDict_Next(of.groups, &position, &key, &group)) {
+        PyObject **open = member(&groups, group, METAS);
+        if (open == NULL || !PyDict_CheckExact(*open)) {
+            if (open != NULL) {
+                PyErr_SetString(PyExc_TypeError, "sweep_unit: a group's metas must be a dict");
+            }
+            goto done;
+        }
+        Py_ssize_t at = 0;
+        PyObject *index, *meta;
+        while (PyDict_Next(*open, &at, &index, &meta)) {
+            PyObject **end = member(&window_metas, meta, END);
+            int passed = end == NULL ? -1 : at_or_before(*end, now);
+            if (passed < 0) {
+                goto done;
+            }
+            if (!passed) {
+                break;
+            }
+            if (count == capacity) {
+                capacity = 2 * capacity + 16;
+                expiry *grown = PyMem_Realloc(expired, capacity * sizeof(expiry));
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto done;
+                }
+                expired = grown;
+            }
+            expired[count++] = (expiry){Py_NewRef(key), Py_NewRef(group), Py_NewRef(meta)};
+        }
+    }
+    /* Order: (end, group sort key, index), ties in collection order. */
+    sequence = PyMem_Malloc((count + 1) * sizeof(Py_ssize_t));
+    if (sequence == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        sequence[i] = i;
+    }
+    if (count > 1) {
+        if ((order = PyList_New(count)) == NULL) {
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < count; i++) {
+            PyObject **end = member(&window_metas, expired[i].meta, END);
+            PyObject **index = member(&window_metas, expired[i].meta, INDEX);
+            PyObject **rank = member(&groups, expired[i].group, SORT_KEY);
+            PyObject *item = end && index && rank
+                                 ? Py_BuildValue("OOOn", *end, *rank, *index, i) : NULL;
+            if (item == NULL) {
+                goto done;
+            }
+            PyList_SET_ITEM(order, i, item);
+        }
+        if (PyList_Sort(order) < 0) {
+            goto done;
+        }
+        for (Py_ssize_t i = 0; i < count; i++) {
+            sequence[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(PyList_GET_ITEM(order, i), 3));
+        }
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (close_one(&of, &expired[sequence[i]]) < 0) {
+            goto done;
+        }
+    }
+    result = next_end(of.groups);
+done:
+    tally_write(metrics, &of.tally);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_DECREF(expired[i].key);
+        Py_DECREF(expired[i].group);
+        Py_DECREF(expired[i].meta);
+    }
+    PyMem_Free(expired);
+    PyMem_Free(sequence);
+    Py_XDECREF(order);
+    Py_XDECREF(of.blank);
+    Py_DECREF(of.by_layout);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"fold_deferred", fold_deferred, METH_VARARGS,
      "fold_deferred(feeds, types, lows, highs) -> (ops, created, armings, rows folded)"},
@@ -1235,6 +1781,9 @@ static PyMethodDef methods[] = {
      "settle_kleene(prefix, total, steps): repro.core.kernels.settle_kleene"},
     {"covering_ranges", covering_ranges, METH_VARARGS,
      "covering_ranges(times, size, slide) -> (lows, highs): Window.covering_bounds per time"},
+    {"sweep_unit", sweep_unit, METH_VARARGS,
+     "sweep_unit(groups, now, slide, stage, metrics, totals, rows, recombine, emit, clock,"
+     " types) -> the unit's next close (see runtime/close.py)"},
     {"cover_counts", cover_counts, METH_NOARGS,
      "cover_counts() -> (rows walked, rows handed back to the Python row body)"},
     {"settle_counts", settle_counts, METH_NOARGS,
@@ -1269,6 +1818,11 @@ PyInit__foldcore(void)
     }
     struct { PyObject **name; const char *text; } names[] = {
         {&s_process_block_run, "process_block_run"}, {&s_frombytes, "frombytes"},
+        {&s_unit, "unit"}, {&s_layout, "layout"}, {&s_armed, "_armed"},
+        {&s_deferred, "_deferred"}, {&s_unsettled, "_unsettled"}, {&s_end_maps, "_end_maps"},
+        {&s_evict_maps, "_evict_maps"}, {&s_ops, "_ops"}, {&s_coeff_entries, "_coeff_entries"},
+        {&s_replica_entries, "_replica_entries"}, {&s_armed_entries, "_armed_entries"},
+        {&s_by_layout, "_by_layout"}, {&s_sums_of, "sums_of"}, {&s_copy, "__copy__"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if ((*names[i].name = PyUnicode_InternFromString(names[i].text)) == NULL) {

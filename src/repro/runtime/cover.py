@@ -204,7 +204,7 @@ def walk(
         times, sequences, type_codes, type_table, base, count, by_code, arrivals, clock, len(units)
     )
     row, prepared, fed = 0, -1, 0
-    next_close = executor._next_close
+    next_close = executor._close.next_close
     try:
         while True:
             row, reason, index, more = walker.run(row, prepared, next_close)
@@ -215,8 +215,8 @@ def walk(
                 walker.fold()
                 executor._engine_feeds += fed
                 fed = 0
-                executor._close_passed_windows(times[base + row])
-                next_close = executor._next_close
+                executor._close.sweep(times[base + row])
+                next_close = executor._close.next_close
             elif reason == PREPARE:
                 records[index] = record = _prepare(executor, block, units[index])
                 window = record.unit.spec.window
@@ -228,7 +228,7 @@ def walk(
             else:
                 code = type_codes[base + row]
                 _resolve(executor, block, row, times[base + row], code, by_code[code], records)
-                next_close = executor._next_close
+                next_close = executor._close.next_close
                 prepared = row
         walker.fold()
     finally:

@@ -2,13 +2,13 @@
 
 ``_foldcore.c`` runs, on the engine's own dict state, the per-row loop of
 :meth:`~repro.runtime.shared_windows.MultiWindowLinearEngine._fold_segment`
-for a unit whose classes all fold deferred (scalar ``SEQ(P, K+)``) and the
-readout of :meth:`~repro.runtime.shared_windows.MultiWindowLinearEngine.close_window`
-for a scalar unit with no split columns and no event store; and the Cover
-stage's walk (:mod:`repro.runtime.cover`).  The Python loops stay the
-*reference*: the runtime takes the core where :data:`core` is loaded and
-its shape applies, bit for bit the same state either way.  Tests select
-the reference by setting ``foldcore.core = None``; nothing else does.
+for a unit whose classes all fold deferred (scalar ``SEQ(P, K+)``), the
+readout of a scalar unit with no split columns and no event store, and the
+close sweep of such a unit (:mod:`repro.runtime.close`); and the Cover
+stage's walk (:mod:`repro.runtime.cover`).  The Python loops stay the *reference*:
+the runtime takes the core where :data:`core` is loaded and its shape
+applies, bit for bit the same state either way.  Tests select the
+reference by setting ``foldcore.core = None``; nothing else does.
 
 The core is built at first import with the C compiler ``cc`` and cached
 beside this module, in ``__pycache__``, keyed by a hash of the source, the

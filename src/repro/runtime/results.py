@@ -6,16 +6,17 @@ readout's class-major order) and the *readout slot* each name reads; a
 values.  Members of a sharing class computing the same aggregate are
 computationally identical (Definition 5), so they read one slot: a closed
 window costs one double per distinct value.  Each row goes to one sink —
-``on_window``, or else the report, which keeps it — and
-:class:`RunningTotals` folds it into the ``totals`` as it is emitted.
+``on_window`` as a :class:`WindowResult`, or else the report, which keeps
+it — and :class:`RunningTotals` folds it into the ``totals`` as it is
+emitted.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
-from operator import add
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 class ResultLayout:
@@ -123,14 +124,21 @@ class RunningTotals:
         self._by_layout: dict[ResultLayout, array] = {}  # identity cache: tuple keys rehash
         self.recombined: dict[str, float] = {}
 
-    def add(self, row: Any) -> None:
-        """Fold one report row's :class:`WindowValues` into the sums."""
-        layout, slots = row.results.layout, row.results.slots
-        sums = self._by_layout.get(layout)
+    def add(self, values: WindowValues) -> None:
+        """Fold one emitted row's values into the sums, in place."""
+        sums = self._by_layout.get(values.layout)
         if sums is None:
-            key, zeros = (layout.names, layout.slot_of), array("d", bytes(8 * len(slots)))
-            sums = self._by_layout[layout] = self._sums.setdefault(key, zeros)
-        sums[:] = array("d", map(add, sums, slots))  # in place: both maps hold it
+            sums = self.sums_of(values)
+        for slot, value in enumerate(values.slots):
+            sums[slot] += value
+
+    def sums_of(self, values: WindowValues) -> array:
+        """The sums of ``values``' layout, created at its first row (the
+        compiled close sweep calls this too)."""
+        layout = values.layout
+        key, zeros = (layout.names, layout.slot_of), array("d", bytes(8 * len(values.slots)))
+        sums = self._by_layout[layout] = self._sums.setdefault(key, zeros)
+        return sums
 
     def add_recombined(self, name: str, value: float) -> None:
         """Fold one window's value of the decomposed query ``name``."""
@@ -142,3 +150,29 @@ class RunningTotals:
         for (names, slot_of), sums in self._sums.items():
             totals.update(zip(names, map(sums.__getitem__, slot_of)))
         return totals
+
+
+@dataclass(frozen=True, slots=True)
+class WindowResult:
+    """One closed window instance, emitted the moment the stream passes it
+    (engine seconds: see ``PartitionResult.seconds`` of the same key).
+    Built once per window an ``on_window`` callback takes."""
+
+    group_key: tuple
+    #: Integer window-instance index (instance spans ``[k*slide, k*slide+size)``).
+    window_index: int
+    window_start: float
+    window_end: float
+    #: Final aggregate per query of the instance's execution unit, as a
+    #: read-only row (:class:`WindowValues`).
+    results: Mapping[str, float]
+    #: Relevant group events that arrived between the instance's opening
+    #: and its close.
+    events: int
+    #: Wall-clock seconds from the arrival of the instance's last contributing
+    #: event to the emission of this result.
+    emission_latency: float
+    #: ``late_policy="retract"`` only: True when this emission *replaces* a
+    #: previously emitted result of the same ``(group_key, window_index)``
+    #: whose value changed after a late event was folded in.
+    retraction: bool = False

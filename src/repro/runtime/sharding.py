@@ -75,9 +75,9 @@ from repro.runtime.faultpoints import resolve_fault_hook, tear_message
 from repro.runtime.metrics import RecoveryStats
 from repro.runtime.partitioner import group_sort_key
 from repro.runtime.reorder import ensure_in_order, validate_stream_options
-from repro.runtime.results import RunningTotals
+from repro.runtime.results import RunningTotals, WindowResult
 from repro.runtime.routing import ShardRouter, stable_shard_hash
-from repro.runtime.streaming import StreamingExecutor, WindowResult
+from repro.runtime.streaming import StreamingExecutor
 
 __all__ = [
     "ShardReport",
@@ -1122,7 +1122,7 @@ class ShardedStreamingExecutor:
             # from per-shard totals, whose grouping depends on the shard count.
             totals = RunningTotals()
             for row in merged:
-                totals.add(row)
+                totals.add(row.results)
             report.totals = totals.totals()
             recombine_decompositions(self.analysis.decompositions, report)
         if self._consumed:

@@ -58,7 +58,8 @@ with zero overhead.
 The executor is incremental: ``process(event)`` / ``finish()`` drive it from
 a live source, ``run(stream)`` wraps them for replay-style use.  Both ingest
 paths share one Cover stage: ``process()`` stages rows for the loop
-``process_block`` runs, folded before any window they precede closes.
+``process_block`` runs, folded before any window they precede closes; and
+one Close/Emit stage (:mod:`repro.runtime.close`) closes what they pass.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, overload
+from typing import Any, Callable, Iterable, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
 from repro.errors import CheckpointError
@@ -81,14 +82,13 @@ from repro.optimizer.registry import OptimizerSpec
 from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime import cover
+from repro.runtime.close import CloseStage
 from repro.runtime.cover import RowViews, StagedRows, block_contributions
 from repro.runtime.executor import (
     EngineFactory,
     ExecutionReport,
-    PartitionResult,
     execution_units,
     recombine_decompositions,
-    recombined_partitions,
     resolve_engine_label,
     unit_is_linear,
     unit_relevant_types,
@@ -97,7 +97,7 @@ from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
 from repro.runtime.lateness import Lateness
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
 from repro.runtime.reorder import ensure_block_in_order, ensure_in_order, validate_stream_options
-from repro.runtime.results import ResultLayout, RunningTotals
+from repro.runtime.results import ResultLayout, RunningTotals, WindowResult
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
     UnitCompilation,
@@ -109,9 +109,9 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v14: the core pickles the run's ``RunningTotals``.  (What v2-v13
-#: changed: CHANGES.md.)
-SNAPSHOT_VERSION = 14
+#: v15: each group caches its ``group_sort_key``.  (What v2-v14 changed:
+#: CHANGES.md.)
+SNAPSHOT_VERSION = 15
 
 #: Rows a stage holds at most: a close interval longer than that folds in
 #: pieces (a cut between two sweeps changes no result), so ``process()``
@@ -119,35 +119,9 @@ SNAPSHOT_VERSION = 14
 _STAGE_ROWS = 4096
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
-_CORE_FIELDS = (
-    "_clock", "_consumed", "_engine_feeds", "_active_windows", "_windows_closed",
-    "_next_close", "_adaptive_stats", "_totals",
-)
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    """One closed window instance, emitted the moment the stream passes it
-    (engine seconds: see ``PartitionResult.seconds`` of the same key)."""
-
-    group_key: tuple
-    #: Integer window-instance index (instance spans ``[k*slide, k*slide+size)``).
-    window_index: int
-    window_start: float
-    window_end: float
-    #: Final aggregate per query of the instance's execution unit, as a
-    #: read-only row (:class:`~repro.runtime.results.WindowValues`).
-    results: Mapping[str, float]
-    #: Relevant group events that arrived between the instance's opening
-    #: and its close.
-    events: int
-    #: Wall-clock seconds from the arrival of the instance's last contributing
-    #: event to the emission of this result.
-    emission_latency: float
-    #: ``late_policy="retract"`` only: True when this emission *replaces* a
-    #: previously emitted result of the same ``(group_key, window_index)``
-    #: whose value changed after a late event was folded in.
-    retraction: bool = False
+_CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
+#: The Close/Emit stage's ``state()``, pickled under these names.
+_CLOSE_FIELDS = ("_next_close", "_active_windows", "_windows_closed")
 
 
 @dataclass(slots=True)
@@ -172,6 +146,8 @@ class _Group:
     engine: MultiWindowEngine
     #: True when the engine keeps a node store that needs eviction sweeps.
     evicts: bool
+    #: ``group_sort_key`` of the group's key: its place in the close order.
+    sort_key: tuple
     #: Open window instances in ascending index order (windows open and
     #: close monotonically for an in-order stream).
     metas: dict[int, _WindowMeta] = field(default_factory=dict)
@@ -435,14 +411,14 @@ class StreamingExecutor:
         if event_time >= self._fold_at or len(staged) >= _STAGE_ROWS:
             self._fold()
             staged = self._staged
-        if not staged and event_time >= self._next_close:
-            self._close_passed_windows(event_time)
+        if not staged and event_time >= self._close.next_close:
+            self._close.sweep(event_time)
         self._clock = event_time
         self._consumed += 1
         if event.event_type not in self._stage_codes:
             return
         if not staged:
-            self._fold_at = self._next_close
+            self._fold_at = self._close.next_close
             self._unseen = dict(self._opening_shapes)
         shapes = self._unseen.pop(event.event_type, None)
         if shapes:
@@ -542,7 +518,8 @@ class StreamingExecutor:
         nones: list[None] = [None] * count
         buffering = self._burst_buffering
         engine_feeds = 0
-        next_close = self._next_close
+        close = self._close
+        next_close = close.next_close
         columns = (block, times_col, codes_col, seqs_col)
         try:
             for local, event_time, code, sequence, arrival in zip(
@@ -560,8 +537,8 @@ class StreamingExecutor:
                         state.groups.clear()
                     self._engine_feeds += engine_feeds
                     engine_feeds = 0
-                    self._close_passed_windows(event_time)
-                    next_close = self._next_close
+                    close.sweep(event_time)
+                    next_close = close.next_close
                 feeds = feeds_by_code[code]
                 if feeds is None:
                     feeds = feeds_by_code[code] = self._block_code_feeds(
@@ -584,7 +561,7 @@ class StreamingExecutor:
                         continue
                     if qualifies:
                         state.armed[key] = self._arm(unit, group, lo, hi, state.armed.get(key))
-                        next_close = self._next_close
+                        next_close = close.next_close
                     metas = group.metas
                     if not metas:
                         # No window of the group is open: the row precedes every
@@ -643,6 +620,7 @@ class StreamingExecutor:
         self._fold()
         core = {name: getattr(self, name) for name in _CORE_FIELDS}
         core["units"] = [(unit.groups, unit.pool, unit.next_close) for unit in self._units]
+        core.update(zip(_CLOSE_FIELDS, self._close.state()))
         core["metrics"] = self._report.metrics
         return pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -670,8 +648,9 @@ class StreamingExecutor:
                 group.last_arrival = arrival
         for name in _CORE_FIELDS:
             setattr(self, name, core[name])
+        self._close.rebuild(*(core[name] for name in _CLOSE_FIELDS))
         self._report.metrics = core["metrics"]
-        mark = self._windows_closed
+        mark = self._close.closed
         if self._keep_rows:
             if len(output) < mark:
                 raise CheckpointError(
@@ -688,7 +667,7 @@ class StreamingExecutor:
             lateness.flush(self)
         self._fold()
         # Everything still open has passed its end now.
-        self._close_passed_windows(float("inf"))
+        self._close.sweep(float("inf"))
         report = self._report
         report.metrics.stream_events = self._consumed
         report.metrics.wall_seconds = time.perf_counter() - self._run_started
@@ -712,7 +691,7 @@ class StreamingExecutor:
     def active_window_count(self) -> int:
         """Number of currently open ``(group, window instance)`` states."""
         self._fold()
-        return self._active_windows
+        return self._close.active
 
     @property
     def engines_created(self) -> int:
@@ -746,7 +725,7 @@ class StreamingExecutor:
     @property
     def windows_closed(self) -> int:
         """Window instances closed (emitted) so far this run."""
-        return self._windows_closed
+        return self._close.closed
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -895,16 +874,9 @@ class StreamingExecutor:
         self._adaptive_stats: Optional[OptimizerStatistics] = (
             OptimizerStatistics() if self._optimizer_factory is not None else None
         )
-        #: Open window instances, over all groups of all units.
-        self._active_windows = 0
-        self._next_close = float("inf")
-        #: Window instances closed this run — the checkpoint
-        #: scheduler's "every N window boundaries" trigger reads this.
-        self._windows_closed = 0
         self._totals = RunningTotals()
-        #: Rows of the close sweep under way: decomposed OR/AND queries'
-        #: halves recombine once it ends.
-        self._sweep: list = []
+        #: The Close/Emit stage: the next window end, open and closed counts.
+        self._close = CloseStage(self)
         #: Rows ``process()`` staged for the Cover loop; the event time
         #: that folds them; ``_opening_shapes`` of the types not staged yet.
         self._staged = StagedRows(self._stage_types)
@@ -923,13 +895,14 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     def _open_group(self, unit: _Unit, group_key: tuple) -> _Group:
         """Build the engine of a ``(group, unit)`` pair seen anew."""
+        sort_key = group_sort_key(group_key)
         if unit.compiled is None:
             opening = unit.opening_types if self.lazy_open else None
             adapter = InstanceWindowEngine(unit.queries, unit.pool, opening, unit.layout)
-            group = _Group(engine=adapter, evicts=False)
+            group = _Group(engine=adapter, evicts=False, sort_key=sort_key)
         else:
             engine = MultiWindowLinearEngine(unit.compiled)
-            group = _Group(engine=engine, evicts=engine.store is not None)
+            group = _Group(engine=engine, evicts=engine.store is not None, sort_key=sort_key)
             if self._optimizer_factory is not None:
                 group.optimizer = self._optimizer_factory()
         unit.groups[group_key] = group
@@ -960,19 +933,20 @@ class StreamingExecutor:
         """Open the window instances ``first..last`` of ``group`` not open yet."""
         metas = group.metas
         window = unit.spec.window
+        close = self._close
         opened = False
         for index in range(first, last + 1):
             if index not in metas:
                 end = window.instance_bounds(index)[1]
                 metas[index] = _WindowMeta(index, end, group.fed, group.share_seconds)
                 opened = True
-                self._active_windows += 1
+                close.active += 1
                 if end < unit.next_close:
                     unit.next_close = end
-                    if end < self._next_close:
-                        self._next_close = end
+                    if end < close.next_close:
+                        close.next_close = end
         if opened:
-            self._report.metrics.note_active_windows(self._active_windows)
+            self._report.metrics.note_active_windows(close.active)
 
     def _flush_static(
         self,
@@ -1107,129 +1081,6 @@ class StreamingExecutor:
                 (unit, state, bool(state.qualifies[code]), event_type, state.contributions, events)
             )
         return feeds
-
-    def _close_window(
-        self, unit: _Unit, group_key: tuple, group: _Group, meta: _WindowMeta
-    ) -> None:
-        """Read one window instance out of its group's engine and emit it."""
-        self._active_windows -= 1  # the caller popped the meta
-        self._windows_closed += 1
-        engine = group.engine
-        started = time.perf_counter()
-        results = engine.close_window(meta.index)
-        if group.evicts:
-            engine.evict_to(next(iter(group.metas), None))
-        if not group.metas:
-            # The group's last window closed: evict it, so memory tracks
-            # *live* state.  A returning key rebuilds its engine (cheap —
-            # state only); decision statistics outlive it in the run's.
-            if group.optimizer is not None and self._adaptive_stats is not None:
-                self._adaptive_stats.merge(group.optimizer.statistics)
-            del unit.groups[group_key]
-        now = time.perf_counter()
-        events = group.fed - meta.opened_fed
-        seconds = (group.share_seconds - meta.share_at_open) + (now - started)
-        latency = now - group.last_arrival if events else 0.0
-        operations = engine.operations()
-        ops_delta = operations - group.ops_reported
-        group.ops_reported = operations
-        window_start, window_end = unit.spec.window.instance_bounds(meta.index)
-        metrics = self._report.metrics
-        metrics.record_partition(
-            seconds=seconds, events=events, memory_units=engine.memory_units(), operations=ops_delta
-        )
-        metrics.record_emission(latency)
-        row = PartitionResult(
-            group_key, meta.index, window_start, results, seconds, events, latency
-        )
-        self._totals.add(row)
-        self._sweep.append(row)
-        if self._keep_rows:
-            self._report.partition_results.append(row)
-        if self.on_window is not None:
-            result: Optional[WindowResult] = WindowResult(
-                group_key, meta.index, window_start, window_end, results, events, latency
-            )
-            if self._lateness is not None:
-                # A retraction's replay re-closes windows already emitted.
-                result = self._lateness.reconcile(result)
-            if result is not None:
-                self.on_window(result)
-
-    def _close_passed_windows(self, now: float) -> None:
-        # Peak memory is the state held *concurrently*; sample the combined
-        # open footprint at its local high-water mark — just before a batch
-        # of windows is evicted (``finish`` is the last such batch).
-        self._report.metrics.note_memory_units(self._open_memory_units())
-        self._next_close = float("inf")
-        for unit in self._units:
-            if now >= unit.next_close:
-                self._close_expired(unit, now)
-            if unit.next_close < self._next_close:
-                self._next_close = unit.next_close
-        if self._sweep:
-            self._fold_recombined()
-
-    def _fold_recombined(self) -> None:
-        """Fold the sweep's decomposed OR/AND windows into the totals, in
-        first-seen key order: a key's halves share its window and close in
-        one sweep."""
-        rows, self._sweep = self._sweep, []
-        for name, decomposition in self.analysis.decompositions.items():
-            subs = {sub.name for sub in decomposition.sub_queries}
-            for (group_key, index), value in recombined_partitions(decomposition, rows).items():
-                assert not any(
-                    index in getattr(unit.groups.get(group_key), "metas", ())
-                    for unit in self._units if subs & unit.layout.index.keys()
-                ), f"{name!r}: half of window {index} of {group_key!r} is still open"
-                self._totals.add_recombined(name, value)
-
-    def _close_expired(self, unit: _Unit, now: float) -> None:
-        """Close every window of ``unit`` whose end the stream has passed,
-        in ``(end, group, index)`` order."""
-        expired = []
-        for group_key, group in unit.groups.items():
-            if (
-                group.burst
-                and group.metas
-                and next(iter(group.metas.values())).end <= now
-            ):
-                # A window of this group is about to be read out: fold the
-                # pending burst first — its events precede the close.
-                self._flush_group(group)
-            for meta in group.metas.values():  # ascending index == ascending end
-                if meta.end <= now:
-                    expired.append((meta.end, group_key, meta.index))
-                else:
-                    break
-        expired.sort(key=lambda item: (item[0], group_sort_key(item[1]), item[2]))
-        for _, group_key, index in expired:
-            group = unit.groups[group_key]
-            self._close_window(unit, group_key, group, group.metas.pop(index))
-        unit.next_close = min(
-            (
-                next(iter(group.metas.values())).end
-                for group in unit.groups.values()
-                if group.metas
-            ),
-            default=float("inf"),
-        )
-
-    def _open_memory_units(self) -> int:
-        """Combined footprint of the live state, counted once.
-
-        Group footprints sum: a shared-window engine holds each event and
-        coefficient once, a per-instance one reports its largest instance.
-        A pending burst is live state too (one unit per buffered event, like
-        the engines' stored events); sampling happens just before close
-        sweeps — the buffer's high-water mark — so the cross-plan memory
-        comparison stays honest.
-        """
-        return sum(
-            group.engine.memory_units() + len(group.burst)
-            for unit in self._units
-            for group in unit.groups.values()
-        )
 
     def _attach_optimizer_statistics(self, report: ExecutionReport) -> None:
         merged: Optional[OptimizerStatistics] = None

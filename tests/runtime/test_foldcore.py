@@ -36,7 +36,7 @@ from repro.events import Event
 from repro.events.block import EventBlock
 from repro.optimizer import decisions
 from repro.query import Query, Window, kleene, seq, sum_of
-from repro.runtime import StreamingExecutor, foldcore, streaming
+from repro.runtime import StreamingExecutor, close, foldcore, streaming
 from tests.conftest import decision_counters
 
 needs_core = pytest.mark.skipif(foldcore.core is None, reason=foldcore.reason)
@@ -151,8 +151,10 @@ class _Counting:
 def fold(core):
     """Run with ``core`` as the fold (``None``: the reference) and a
     deterministic executor clock."""
+    clock = _Clock()  # one clock: the Cover and Close stages read it in turn
     with mock.patch.object(foldcore, "core", core), \
-            mock.patch.object(streaming, "time", _Clock()), \
+            mock.patch.object(streaming, "time", clock), \
+            mock.patch.object(close, "time", clock), \
             mock.patch.object(decisions, "time", _Clock()):
         yield
 
@@ -229,7 +231,9 @@ def test_segment_fold_strategy_on_both_folds(seed, workload, window, size, cuts,
     if workload in ("deferred", "fig9") and size >= 40:
         assert calls["fold_deferred"] > 0
     if workload != "vector" and size >= 40:
-        assert calls["close_scalar"] > 0
+        # Scalar store-free units with no optimizer: the compiled sweep reads
+        # them out (close_scalar's internals, one call per unit sweep).
+        assert calls["sweep_unit"] > 0
 
 
 @needs_core
@@ -272,7 +276,7 @@ def test_fig9_shape_and_counts_past_two_to_the_53rd():
     )
     events = [block.event_at(row) for row in range(len(block))]
     calls = assert_same_on_both_folds(queries, cut_steps(events, (900, 1700, 2500), ("block",)))
-    assert calls["fold_deferred"] > 0 and calls["close_scalar"] > 0
+    assert calls["fold_deferred"] > 0 and calls["sweep_unit"] > 0
     dense = stream(11, 400, groups=1, spacing=0.05)
     steps = cut_steps(dense, (57, 58, 211), ("block", "events"))
     assert_same_on_both_folds(deferred_workload(Window(10.0, 5.0)), steps)

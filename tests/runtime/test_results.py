@@ -254,15 +254,15 @@ def test_totals_key_by_names_across_distinct_layouts():
     assert first[0].layout is not second[0].layout
     many = [WindowValues(MANY, array("d", [rng.random(), rng.random()])) for _ in range(20)]
     many += pickle.loads(pickle.dumps(many[:7]))
-    rows = [_Partition(values) for pair in zip(first, second) for values in pair]
-    rows += [_Partition(values) for values in many]
+    rows = [values for pair in zip(first, second) for values in pair]
+    rows += many
     expected: dict[str, float] = {}
     for row in rows:
-        for name, value in row.results.items():
+        for name, value in row.items():
             expected[name] = expected.get(name, 0.0) + value
     assert _hex(_fold(rows)) == _hex(expected)
     assert list(_fold(rows)) == [*NAMES, *MANY.names]
-    zeros = [_Partition(_row([-0.0, 0.0, -0.0]))]
+    zeros = [_row([-0.0, 0.0, -0.0])]
     assert _hex(_fold(zeros)) == {name: (0.0).hex() for name in NAMES}
     # A pickled fold resumes where it stopped: same sums, same bits.
     totals = RunningTotals()
@@ -279,15 +279,6 @@ def _fold(rows) -> dict[str, float]:
     for row in rows:
         totals.add(row)
     return totals.totals()
-
-
-class _Partition:
-    """The one attribute :meth:`RunningTotals.add` reads of a report row."""
-
-    __slots__ = ("results",)
-
-    def __init__(self, results: WindowValues) -> None:
-        self.results = results
 
 
 # --------------------------------------------------------------------- #

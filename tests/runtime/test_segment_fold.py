@@ -42,6 +42,7 @@ from repro.events.block import EventBlock
 from repro.query import Query, Window, avg, kleene, parse_pattern, seq, sum_of
 from repro.query.predicates import AdjacentComparison, attr_less
 from repro.runtime import MultiWindowLinearEngine, StreamingExecutor, foldcore, shared_windows
+from repro.runtime.close import CloseStage
 from repro.runtime.shared_windows import UnitCompilation
 
 #: ``size % slide != 0``: windows open at multiples of 4 and close at
@@ -235,7 +236,7 @@ class _EntrySpy:
         self.sweeps = 0
         process_block_run = MultiWindowLinearEngine.process_block_run
         process_burst = MultiWindowLinearEngine.process_burst
-        close_passed_windows = StreamingExecutor._close_passed_windows
+        sweep_of = CloseStage.sweep
 
         def block_run(engine, event_type, times, *columns):
             if isinstance(event_type, str):
@@ -245,9 +246,9 @@ class _EntrySpy:
                 self.entries.append((engine, self.sweeps))
             return process_block_run(engine, event_type, times, *columns)
 
-        def sweep(executor, now):
+        def sweep(stage, now):
             self.sweeps += 1
-            return close_passed_windows(executor, now)
+            return sweep_of(stage, now)
 
         def burst(engine, rows, event_type):
             self.runs.append(len(rows))
@@ -255,7 +256,7 @@ class _EntrySpy:
 
         monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", block_run)
         monkeypatch.setattr(MultiWindowLinearEngine, "process_burst", burst)
-        monkeypatch.setattr(StreamingExecutor, "_close_passed_windows", sweep)
+        monkeypatch.setattr(CloseStage, "sweep", sweep)
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=("uneven", "sliding", "fractional", "tumbling"))
@@ -716,14 +717,14 @@ def test_fig9_shape_enters_the_engine_once_per_group_segment(monkeypatch):
     assert len(block) == 20_000
     spy = _EntrySpy(monkeypatch)
     sweeps = 0
-    close_passed = StreamingExecutor._close_passed_windows
+    sweep_of = CloseStage.sweep
 
-    def counting_sweep(executor, now):
+    def counting_sweep(stage, now):
         nonlocal sweeps
         sweeps += 1
-        return close_passed(executor, now)
+        return sweep_of(stage, now)
 
-    monkeypatch.setattr(StreamingExecutor, "_close_passed_windows", counting_sweep)
+    monkeypatch.setattr(CloseStage, "sweep", counting_sweep)
     settles = []
     settle_kleene = shared_windows.settle_kleene
 

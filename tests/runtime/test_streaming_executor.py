@@ -590,7 +590,7 @@ class TestSharedWindows:
         (group,) = unit.groups.values()
         assert len(group.burst) == 5
         assert (
-            executor._open_memory_units()
+            executor._close.open_memory_units()
             == group.engine.memory_units() + len(group.burst)
         )
         executor.finish()

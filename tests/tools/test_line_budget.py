@@ -18,15 +18,16 @@ RUNTIME = ROOT / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1269,
+    "streaming.py": 1120,
     "lateness.py": 302,
     "sharding.py": 1153,
     "routing.py": 322,
     "shared_windows.py": 1321,
     "foldcore.py": 143,
-    "_foldcore.c": 1286,
+    "_foldcore.c": 1840,
     "cover.py": 293,
-    "results.py": 144,
+    "close.py": 265,
+    "results.py": 178,
     "reorder.py": 504,
 }
 

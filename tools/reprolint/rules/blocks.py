@@ -90,6 +90,7 @@ class EventConstructionRule(Rule):
     scope: ClassVar[tuple[str, ...]] = (
         "repro/runtime/streaming.py",
         "repro/runtime/cover.py",
+        "repro/runtime/close.py",
         "repro/runtime/lateness.py",
         "repro/runtime/sharding.py",
         "repro/runtime/routing.py",
