@@ -19,8 +19,9 @@ A decoded f64/i64 column *stays* that ``array('d')``/``array('q')`` — eight
 bytes a value, no Python object per row until a consumer indexes it — and
 an ``array`` column is written back with its own bytes, no type scan.
 :func:`decode_columnar_events` assembles :class:`Event` objects straight
-from the columns (skipping the dataclass ``__init__`` re-validation — values
-were validated when the events were first created).
+from the columns, in the runtime's compiled fold core where it is loaded
+(skipping the dataclass ``__init__`` re-validation — values were
+validated when the events were first created).
 
 Type preservation contract (pinned by the codec fuzz suite): decoding is
 exact — ``type(value)`` survives for every payload value (an f64 column
@@ -413,16 +414,38 @@ def _listed(column: Sequence[Any]) -> Sequence[Any]:
     return column.tolist() if isinstance(column, array) else column
 
 
-def decode_columnar_events(buffer: Buffer) -> list[Event]:
-    """Decode a columnar body straight into events, at C speed.
+def _fold_core() -> Any:
+    """The compiled fold core, or ``None``: imported at the first decode,
+    so this package takes no import-time dependency on the runtime."""
+    from repro.runtime import foldcore
 
-    Every value becomes an object here anyway: the typed columns are turned
-    into lists one at a time, so no more than one column is held in both
-    forms.  Each key shape's payload dicts are zipped from its columns in
-    one pass (a zero-key shape gets a fresh ``{}`` per row), then dealt out
-    in row order by the shape codes.
+    return foldcore.core
+
+
+def _column(values: Sequence[Any]) -> Sequence[Any]:
+    return values if isinstance(values, (list, array)) else list(values)
+
+
+def decode_columnar_events(buffer: Buffer) -> list[Event]:
+    """Decode a columnar body straight into events.
+
+    With the fold core loaded the events are built there, in one call
+    (``_foldcore.assemble_events``).  The map below is its reference
+    (``foldcore.core = None``): the typed columns are turned into lists one
+    at a time, so no more than one column is held in both forms; each key
+    shape's payload dicts are zipped from its columns in one pass (a
+    zero-key shape gets a fresh ``{}`` per row), then dealt out in row
+    order by the shape codes.  Either way a payload's keys come in its
+    shape's order.
     """
     parsed = _parse_columns(buffer)
+    core = _fold_core()
+    if core is not None:
+        shapes = [[_column(column) for column in columns] for columns in parsed.shape_columns]
+        return core.assemble_events(
+            Event, parsed.count, _column(parsed.times), _column(parsed.sequences),
+            parsed.type_table, parsed.type_codes, parsed.key_table, parsed.key_codes, shapes,
+        )
     times = parsed.times = _listed(parsed.times)
     sequences = parsed.sequences = _listed(parsed.sequences)
     shapes: list[Iterator[dict[str, Any]]] = []

@@ -16,7 +16,8 @@
  *                  runtime/close.py): readouts, evictions, metrics, totals
  *                  and the emitted rows;
  *
- * and their one helper, settle_kleene (repro.core.kernels).  Each dict is
+ * their one helper, settle_kleene (repro.core.kernels); and assemble_events,
+ * the Events of a decoded frame (events/columnar.py).  Each dict is
  * read and written in the order the Python reference does it, so insertion
  * order -- and the snapshot bytes -- match; each float operation is the
  * reference's, in its association, and -ffp-contract=off keeps the compiler
@@ -1771,6 +1772,154 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Decoded events                                                      */
+/* ------------------------------------------------------------------ */
+
+/* An Event's four slots. */
+static layout event_slots = {NULL, 4, {"event_type", "time", "payload", "sequence"}, {0}};
+enum { EVENT_TYPE, EVENT_TIME, EVENT_PAYLOAD, EVENT_SEQUENCE };
+
+/* One key shape of a frame: where its payload columns start among all of
+ * them, how many it has, the next of its rows to read, and its row count. */
+typedef struct {
+    Py_ssize_t first, keys, next, rows;
+} shape_rows;
+
+static void
+set_slot(PyObject *event, int which, PyObject *value)
+{
+    *(PyObject **)((char *)event + event_slots.offsets[which]) = value;
+}
+
+/* columnar.decode_columnar_events's events, built from a parsed frame's
+ * columns: per row a payload dict in its shape's key order, and an Event
+ * allocated by its type and given its four slots (no __init__: the values
+ * were validated when the events were first created). */
+static PyObject *
+assemble_events(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyTypeObject *type;
+    PyObject *times, *sequences, *type_table, *type_codes, *key_table, *key_codes, *shapes;
+    Py_ssize_t count;
+    if (!PyArg_ParseTuple(args, "O!nOOO!OO!OO!:assemble_events", &PyType_Type, &type, &count,
+                          &times, &sequences, &PyList_Type, &type_table, &type_codes,
+                          &PyList_Type, &key_table, &key_codes, &PyList_Type, &shapes)) {
+        return NULL;
+    }
+    if (event_slots.type != type && bind(&event_slots, type) < 0) {
+        return NULL;
+    }
+    Py_ssize_t shape_count = PyList_GET_SIZE(key_table), type_count = PyList_GET_SIZE(type_table);
+    PyObject *sources[4] = {times, sequences, type_codes, key_codes};
+    column rows[4], *values = NULL;
+    shape_rows *shape = NULL;
+    Py_ssize_t opened = 0, value_count = 0, values_opened = 0;
+    PyObject *result = NULL;
+    if (count < 0 || PyList_GET_SIZE(shapes) != shape_count) {
+        PyErr_SetString(PyExc_ValueError, "assemble_events: malformed frame");
+        return NULL;
+    }
+    for (; opened < 4; opened++) {
+        if (column_open(&rows[opened], sources[opened], count) < 0) {
+            column_close(&rows[opened]);
+            goto done;
+        }
+    }
+    if ((shape = PyMem_Calloc(shape_count + 1, sizeof(shape_rows))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t row = 0; row < count; row++) {
+        long long code;
+        if (column_long(&rows[3], row, &code) < 0) {
+            goto done;
+        }
+        if (code < 0 || code >= shape_count) {
+            PyErr_SetString(PyExc_ValueError, "assemble_events: a key code outside its table");
+            goto done;
+        }
+        shape[code].rows++;
+    }
+    for (Py_ssize_t code = 0; code < shape_count; code++) {
+        PyObject *keys = PyList_GET_ITEM(key_table, code), *columns = PyList_GET_ITEM(shapes, code);
+        if (!PyTuple_Check(keys) || !PyList_Check(columns)
+            || PyList_GET_SIZE(columns) != PyTuple_GET_SIZE(keys)) {
+            PyErr_SetString(PyExc_TypeError, "assemble_events: a shape is keys and columns");
+            goto done;
+        }
+        shape[code].first = value_count;
+        value_count += shape[code].keys = PyTuple_GET_SIZE(keys);
+    }
+    if ((values = PyMem_Calloc(value_count + 1, sizeof(column))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t code = 0; code < shape_count; code++) {
+        for (Py_ssize_t key = 0; key < shape[code].keys; key++, values_opened++) {
+            PyObject *source = PyList_GET_ITEM(PyList_GET_ITEM(shapes, code), key);
+            if (column_open(&values[values_opened], source, shape[code].rows) < 0) {
+                column_close(&values[values_opened]);
+                goto done;
+            }
+        }
+    }
+    if ((result = PyList_New(count)) == NULL) {
+        goto done;
+    }
+    for (Py_ssize_t row = 0; row < count; row++) {
+        long long type_code, code;
+        if (column_long(&rows[2], row, &type_code) < 0 || column_long(&rows[3], row, &code) < 0) {
+            goto fail;
+        }
+        if (type_code < 0 || type_code >= type_count) {
+            PyErr_SetString(PyExc_ValueError, "assemble_events: a type code outside its table");
+            goto fail;
+        }
+        PyObject *keys = PyList_GET_ITEM(key_table, code), *payload = PyDict_New();
+        if (payload == NULL) {
+            goto fail;
+        }
+        shape_rows *of = &shape[code];
+        for (Py_ssize_t key = 0; key < of->keys; key++) {
+            PyObject *value = column_object(&values[of->first + key], of->next);
+            if (value == NULL || PyDict_SetItem(payload, PyTuple_GET_ITEM(keys, key), value) < 0) {
+                Py_XDECREF(value);
+                Py_DECREF(payload);
+                goto fail;
+            }
+            Py_DECREF(value);
+        }
+        of->next++;
+        PyObject *time = column_object(&rows[0], row), *sequence = column_object(&rows[1], row);
+        PyObject *event = time && sequence ? type->tp_alloc(type, 0) : NULL;
+        if (event == NULL) {
+            Py_XDECREF(time);
+            Py_XDECREF(sequence);
+            Py_DECREF(payload);
+            goto fail;
+        }
+        set_slot(event, EVENT_TYPE, Py_NewRef(PyList_GET_ITEM(type_table, type_code)));
+        set_slot(event, EVENT_TIME, time);
+        set_slot(event, EVENT_PAYLOAD, payload);
+        set_slot(event, EVENT_SEQUENCE, sequence);
+        PyList_SET_ITEM(result, row, event);
+    }
+    goto done;
+fail:
+    Py_CLEAR(result);
+done:
+    for (Py_ssize_t i = 0; i < opened; i++) {
+        column_close(&rows[i]);
+    }
+    for (Py_ssize_t i = 0; i < values_opened; i++) {
+        column_close(&values[i]);
+    }
+    PyMem_Free(values);
+    PyMem_Free(shape);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"fold_deferred", fold_deferred, METH_VARARGS,
      "fold_deferred(feeds, types, lows, highs) -> (ops, created, armings, rows folded)"},
@@ -1784,6 +1933,9 @@ static PyMethodDef methods[] = {
     {"sweep_unit", sweep_unit, METH_VARARGS,
      "sweep_unit(groups, now, slide, stage, metrics, totals, rows, recombine, emit, clock,"
      " types) -> the unit's next close (see runtime/close.py)"},
+    {"assemble_events", assemble_events, METH_VARARGS,
+     "assemble_events(Event, count, times, sequences, type_table, type_codes, key_table,"
+     " key_codes, shape_columns) -> the frame's events (see events/columnar.py)"},
     {"cover_counts", cover_counts, METH_NOARGS,
      "cover_counts() -> (rows walked, rows handed back to the Python row body)"},
     {"settle_counts", settle_counts, METH_NOARGS,

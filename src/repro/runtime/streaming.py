@@ -68,6 +68,7 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
@@ -94,9 +95,9 @@ from repro.runtime.executor import (
     unit_relevant_types,
 )
 from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
-from repro.runtime.lateness import Lateness
+from repro.runtime.lateness import STAGE_ROWS, Lateness, validate_stream_options
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
-from repro.runtime.reorder import ensure_block_in_order, ensure_in_order, validate_stream_options
+from repro.runtime.reorder import Rows, ensure_block_in_order, ensure_in_order
 from repro.runtime.results import ResultLayout, RunningTotals, WindowResult
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
@@ -109,14 +110,9 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v15: each group caches its ``group_sort_key``.  (What v2-v14 changed:
-#: CHANGES.md.)
-SNAPSHOT_VERSION = 15
-
-#: Rows a stage holds at most: a close interval longer than that folds in
-#: pieces (a cut between two sweeps changes no result), so ``process()``
-#: buffers a bounded number of events whatever the stream.
-_STAGE_ROWS = 4096
+#: v16: the lateness stage holds a pending segment and its release schedule.
+#: (What v2-v15 changed: CHANGES.md.)
+SNAPSHOT_VERSION = 16
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
@@ -390,7 +386,9 @@ class StreamingExecutor:
         live-state reader.
 
         With ``allowed_lateness`` set it goes to the lateness stage, which
-        feeds the core whatever the advancing watermark releases.
+        feeds the core what the watermark passed, in batches, no later than
+        the arrival that lifts the watermark past a row that can close a
+        window.
         """
         lateness = self._lateness
         if lateness is None:
@@ -408,7 +406,7 @@ class StreamingExecutor:
         it too."""
         event_time = event.time
         staged = self._staged
-        if event_time >= self._fold_at or len(staged) >= _STAGE_ROWS:
+        if event_time >= self._fold_at or len(staged) >= STAGE_ROWS:
             self._fold()
             staged = self._staged
         if not staged and event_time >= self._close.next_close:
@@ -485,6 +483,41 @@ class StreamingExecutor:
             self._clock = block.times[block.stop - 1]
             self._consumed += len(block)
             self._cover(block, time.perf_counter())
+
+    def _ingest_rows(self, rows: Rows) -> None:
+        """Feed one run of events the lateness stage released, in key
+        order, as one staged block: its columns built once, one stamp."""
+        staged = StagedRows(self._stage_types)
+        staged.extend(rows)
+        staged.times, staged.sequences = rows.times, rows.sequences
+        unread = len(self._stage_types) - 1  # (the ``None`` type: no unit reads it)
+        types = map(attrgetter("event_type"), rows)
+        staged.type_codes = list(map(self._stage_codes.get, types, repeat(unread)))
+        self._clock = rows.times[-1]
+        self._consumed += len(rows)
+        self._cover(staged, time.perf_counter())
+
+    def _edge_after(self, moment: float) -> float:
+        """The smallest window end after ``moment`` over the units' windows
+        (the instance before the first one covering ``moment`` too: a time
+        snapped onto a window's end is not covered by it)."""
+        edge = float("inf")
+        for unit in self._units:
+            window = unit.spec.window
+            first = window.covering_bounds(moment)[0]
+            for index in (first - 1, first) if first else (first,):
+                end = window.instance_bounds(index)[1]
+                if end > moment:
+                    edge = min(edge, end)
+                    break
+        return edge
+
+    def _settle(self) -> None:
+        """Bring the core up to the stream: the rows the lateness stage holds
+        below the watermark, then the staged rows."""
+        if self._lateness is not None:
+            self._lateness.release(self)
+        self._fold()
 
     def _cover(self, block: EventBlock | StagedRows, arrivals: float | list[float]) -> None:
         """The Cover stage: resolve each row's groups and covering window
@@ -690,20 +723,20 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     def active_window_count(self) -> int:
         """Number of currently open ``(group, window instance)`` states."""
-        self._fold()
+        self._settle()
         return self._close.active
 
     @property
     def engines_created(self) -> int:
         """Per-instance engines built so far (shared-window engines are one
         per live ``(group, unit)`` pair and are not pooled)."""
-        self._fold()
+        self._settle()
         return sum(unit.pool.created for unit in self._units)
 
     @property
     def shared_group_count(self) -> int:
         """Live shared multi-window engines (one per ``(group, unit)`` pair)."""
-        self._fold()
+        self._settle()
         return sum(
             len(unit.groups) for unit in self._units if unit.compiled is not None
         )
@@ -713,13 +746,13 @@ class StreamingExecutor:
         """Engine ``process`` calls so far: 1 per (event, unit, group) on the
         shared path versus up to ``ceil(size/slide)`` per event per unit on
         the per-instance path."""
-        self._fold()
+        self._settle()
         return self._engine_feeds
 
     @property
     def peak_active_windows(self) -> int:
         """Peak number of simultaneously open window instances this run."""
-        self._fold()
+        self._settle()
         return self._report.metrics.peak_active_windows
 
     @property
@@ -767,6 +800,7 @@ class StreamingExecutor:
         (further back when a retraction rewrote rows an earlier delta
         carried).  :mod:`repro.runtime.checkpoint` adds the on-disk header.
         """
+        self._settle()
         lateness, rows = self._lateness, self._report.partition_results
         state = {
             "version": SNAPSHOT_VERSION,

@@ -762,10 +762,11 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v14 snapshot (groups without a cached sort key) is refused with a
-    typed error instead of failing inside unpickling; so are v13 (a core
-    without running totals) and v12 (a reorder buffer pickling an in-order
-    tail beside its heap)."""
+    """A v15 snapshot (a lateness stage whose reorder buffer pickles a heap)
+    is refused with a typed error instead of failing inside unpickling; so
+    are v14 (groups without a cached sort key), v13 (a core without running
+    totals) and v12 (a reorder buffer pickling an in-order tail beside its
+    heap)."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
@@ -774,13 +775,13 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 15
+    assert state["version"] == SNAPSHOT_VERSION == 16
     assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (14, 13, 12):
+    for previous in (15, 14, 13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

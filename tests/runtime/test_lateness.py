@@ -1,6 +1,6 @@
 """The lateness stage on its own, in front of a scripted core.
 
-``Lateness`` reaches the executor through the four calls of ``Core`` only
+``Lateness`` reaches the executor through the calls of ``Core`` only
 (and is handed the core with every arrival), so everything it owns —
 release order, the late policies and their counters, the retract ring and
 its bounded replay, its own pickle — is checked here without an executor:
@@ -25,16 +25,22 @@ from repro.runtime.lateness import _RETRACT_INTERVAL, Lateness, _splice
 class ScriptedCore:
     """An in-memory core: its whole state is the list of keys it was fed."""
 
-    def __init__(self) -> None:
+    def __init__(self, edge: float = float("-inf")) -> None:
+        #: What ``_edge_after`` answers: ``-inf`` makes every row one that can
+        #: close a window (a release at every watermark advance), ``inf`` none.
+        self.edge = edge
         self.fed: list[tuple] = []
-        #: One entry per ingest call: ``("event" | "block", rows)``.
+        #: One entry per ingest call: ``("rows" | "block", rows)``.
         self.calls: list[tuple] = []
         #: Marks handed back by ``restore`` (one per retraction).
         self.restores: list[int] = []
 
-    def _ingest_event(self, event) -> None:
-        self.fed.append((event.time, event.sequence))
-        self.calls.append(("event", 1))
+    def _ingest_rows(self, rows) -> None:
+        self.fed.extend(zip(rows.times, rows.sequences))
+        self.calls.append(("rows", len(rows)))
+
+    def _edge_after(self, time) -> float:
+        return self.edge
 
     def _ingest_block(self, block) -> None:
         self.fed.extend(
@@ -200,6 +206,34 @@ def test_retraction_replays_at_most_two_rotation_intervals():
     with pytest.raises(OutOfOrderError, match="retract horizon exceeded"):
         stage.offer(core, Event("B", fed[oldest - 5][0], {"v": 1.0}, sequence=20_000))
     assert core.fed == fed and core.restores == [oldest] and stage.late_retracted == 1
+
+
+@pytest.mark.parametrize("mode", ("scalar", "mixed"))
+def test_snapshots_rotate_where_a_release_per_arrival_would(mode):
+    # The same arrivals, released at every watermark advance or batched up
+    # to the stage bound: the same rotations (cursors and the rows logged
+    # between them), so the same retractions restore the same snapshots.
+    events = make_events(seed=12, size=3 * _RETRACT_INTERVAL + 40, step=0.25)
+    arrivals = shuffled(events, horizon=3.0, seed=13)
+    for index in range(150, len(arrivals) - 40, 170):  # behind the horizon
+        arrivals.insert(index + 30, arrivals.pop(index))
+    stages = []
+    for edge in (float("-inf"), float("inf")):
+        core = ScriptedCore(edge)
+        stage = Lateness(core, 3.0, "retract")
+        cursors = []
+        rotate = stage._rotate
+
+        def spy(core, cursor, rotate=rotate, cursors=cursors):
+            cursors.append(cursor)
+            rotate(core, cursor)
+
+        stage._rotate = spy
+        offer_mixed(stage, core, arrivals, seed=14, mode=mode)
+        stage.flush(core)
+        stages.append((cursors, core.restores, core.fed, stage.late_retracted))
+    assert stages[0] == stages[1]
+    assert len(stages[0][0]) >= 3 and stages[0][3] >= 2 and stages[0][2] == keys(events)
 
 
 def test_rewound_mark_restarts_the_next_delta_once():

@@ -112,7 +112,7 @@ class TestReorderBuffer:
     def _drain_keys(releases) -> list[tuple]:
         keys: list[tuple] = []
         for kind, payload in releases:
-            if kind == "events":
+            if kind == "rows":
                 keys.extend((item[0], item[1]) for item in payload)
             else:  # an EventBlock slice
                 keys.extend(
@@ -321,8 +321,8 @@ class TestReorderBuffer:
 
 class TestHorizonBoundedState:
     """Buffer memory and its pickle follow the lateness horizon's
-    population, not the stream: the loose heap holds unreleased items only
-    (an earlier in-order tail list once kept every entry ever appended
+    population, not the stream: the pending segment holds unreleased items
+    only (an earlier in-order tail list once kept every entry ever appended
     while anything at all stayed buffered, i.e. for the whole life of a
     steady stream)."""
 
@@ -341,8 +341,7 @@ class TestHorizonBoundedState:
         released: list[tuple] = []
         if scalar:
             for time, sequence in chunk:
-                out = buffer.push(time, sequence, (time, sequence))
-                released.extend(drain(buffer.release_ready()) if out is None else out)
+                released.extend(drain(buffer.push(time, sequence, (time, sequence))))
         else:  # add + observe per item, one release per chunk
             for time, sequence in chunk:
                 buffer.add(time, sequence, (time, sequence))
@@ -365,11 +364,11 @@ class TestHorizonBoundedState:
                 pickled = pickle.dumps(buffer)
         assert len(buffer) == size - len(released)
         released.extend(TestReorderBuffer._drain_keys(buffer.flush()))
-        assert len(buffer) == 0 and not buffer._heap
+        assert len(buffer) == 0 and not buffer.pending
         return released, depths, pickled
 
     @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
-    def test_heap_and_pickle_follow_the_horizon_not_the_stream(self, scalar):
+    def test_pending_segment_and_pickle_follow_the_horizon_not_the_stream(self, scalar):
         small, small_depths, small_pickle = self._feed(20_000, scalar)
         large, large_depths, large_pickle = self._feed(80_000, scalar)
         assert small == sorted(small) and len(small) == 20_000
@@ -379,7 +378,7 @@ class TestHorizonBoundedState:
         # 4x the stream, same pickle (at the parent: ~4x the bytes).
         assert len(large_pickle) <= 1.5 * len(small_pickle)
         clone = pickle.loads(large_pickle)
-        assert len(clone._heap) == len(clone) <= max(large_depths)
+        assert len(clone.pending) == len(clone) <= max(large_depths)
 
     @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
     def test_mid_buffer_pickle_round_trip_releases_identically(self, scalar):
@@ -415,9 +414,6 @@ class _SortedListModel:
     def observe(self, time: float) -> None:
         self.max_time = max(self.max_time, time)
 
-    def holds_block_rows(self) -> bool:
-        return any(rank == self.BLOCK for _, _, rank, _ in self.pending)
-
     def release(self, bound) -> list[int]:
         ready = sorted(e for e in self.pending if bound is None or e[0] < bound)
         self.pending = [e for e in self.pending if not (bound is None or e[0] < bound)]
@@ -442,7 +438,7 @@ class TestReorderModel:
     def _arrivals(releases) -> list[int]:
         arrivals: list[int] = []
         for kind, payload in releases:
-            if kind == "events":
+            if kind == "rows":
                 arrivals.extend(arrival for _, _, arrival in payload)
             else:
                 arrivals.extend(event.payload["n"] for event in payload.to_events())
@@ -468,12 +464,7 @@ class TestReorderModel:
                 else:
                     model.observe(time)
                     released = buffer.push(time, sequence, (time, sequence, arrival))
-                    if model.holds_block_rows():
-                        assert released is None
-                        released = self._arrivals(buffer.release_ready())
-                    else:
-                        released = [entry[2] for entry in released]
-                    assert released == model.release(model.max_time - lateness)
+                    assert self._arrivals(released) == model.release(model.max_time - lateness)
                 arrival += 1
             elif name == "segment":
                 rows = []
@@ -495,6 +486,27 @@ class TestReorderModel:
         assert self._arrivals(buffer.flush()) == model.release(None)
         assert len(buffer) == 0 and buffer.flush() == []
 
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(
+        steps=st.lists(st.tuples(st.booleans(), st.lists(_KEYS, max_size=20)), max_size=8),
+        probe=_TIMES,
+    )
+    def test_first_at_or_after_is_the_earliest_buffered_time_there(self, steps, probe):
+        """The release schedule's one query, over pending items (filed one
+        by one or sorted whole) and block segments alike."""
+        buffer = ReorderBuffer(1.0)
+        held: list[float] = []
+        for as_block, keys in steps:
+            if as_block and keys:
+                rows = [Event("A", time, {}, sequence=sequence) for time, sequence in keys]
+                buffer.add_segment(EventBlock.from_events(rows))
+            else:
+                for time, sequence in keys:
+                    buffer.add(time, sequence, None)
+            held.extend(time for time, _ in keys)
+            expected = min((time for time in held if time >= probe), default=float("inf"))
+            assert buffer.first_at_or_after(probe) == expected
+
     def test_loose_items_between_the_rows_of_one_ready_block(self):
         """The merge the model test reaches by chance, spelled out: loose
         keys inside, tied with and around one block's rows."""
@@ -511,7 +523,7 @@ class TestReorderModel:
         releases = buffer.release_ready()
         # Rows 0 and 1 come apart: row 1's key ties loose item 6, which waits.
         kinds = [kind for kind, _ in releases]
-        assert kinds == ["events", "block", "block", "events", "block", "events"]
+        assert kinds == ["rows", "block", "block", "rows", "block", "rows"]
         assert self._arrivals(releases) == model.release(3.5) == [5, 0, 1, 6, 4, 8, 2, 7]
         assert self._arrivals(buffer.flush()) == model.release(None) == [3]
 
@@ -520,6 +532,24 @@ class TestReorderModel:
 # Config validation
 # --------------------------------------------------------------------- #
 class TestLatenessConfig:
+    @pytest.mark.parametrize(
+        ("horizon", "message"),
+        ((float("inf"), "finite"), (float("-inf"), ">= 0"), (1e400, "finite")),
+        ids=("inf", "-inf", "1e400"),
+    )
+    def test_non_finite_lateness_rejected(self, horizon, message):
+        # An infinite horizon would hold the whole stream until finish().
+        for build in (
+            lambda: ReorderBuffer(horizon),
+            lambda: StreamingExecutor(grouped_queries(), allowed_lateness=horizon),
+            lambda: ShardedStreamingExecutor(grouped_queries(), allowed_lateness=horizon),
+            lambda: ShardedStreamingExecutor(
+                grouped_queries(), workers=2, allowed_lateness=horizon
+            ),
+        ):
+            with pytest.raises(ExecutionError, match=f"allowed_lateness must be {message}"):
+                build()
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ExecutionError, match="late policy"):
             StreamingExecutor(

@@ -28,7 +28,7 @@ from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, avg, kleene, max_of, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor
-from repro.runtime.streaming import _STAGE_ROWS
+from repro.runtime.lateness import STAGE_ROWS, Lateness
 from tests.conftest import decision_counters
 
 #: ``size % slide != 0``: covering ranges change between close sweeps.
@@ -167,14 +167,18 @@ def test_a_retraction_drops_the_staged_rows_its_replay_feeds_again(monkeypatch):
     arrivals = late_arrivals(stream(9))
     expected = all_block(arrivals, **LATE)
     assert expected[7] > 0  # rows were retracted
+    # Under lateness the rows the core has not taken yet wait in the stage's
+    # pending segment: a late arrival hands them over before the rollback,
+    # and the replay feeds them again.
     staged_at_rollback = []
-    restore_core = StreamingExecutor._restore_core
+    late = Lateness._late
 
-    def counting(executor, *args):
-        staged_at_rollback.append(len(executor._staged))
-        return restore_core(executor, *args)
+    def counting(stage, *args):
+        watermark = stage.buffer.watermark
+        staged_at_rollback.append(sum(key[0] < watermark for key in stage.buffer.pending))
+        return late(stage, *args)
 
-    monkeypatch.setattr(StreamingExecutor, "_restore_core", counting)
+    monkeypatch.setattr(Lateness, "_late", counting)
     for cut in range(0, len(arrivals), 9):
         run = Run(**LATE)
         run.events(arrivals[:cut])
@@ -213,6 +217,75 @@ def test_a_window_closes_inside_the_call_of_the_arrival_that_passes_its_end(bloc
     for made, end in closed:
         first = next((i for i, event in enumerate(events) if event.time >= end), None)
         assert made == (None if first is None else call_of_row[first]), (made, end)
+
+
+def shuffled_within(events: list[Event], horizon: float, seed: int) -> list[Event]:
+    """``events`` reordered so every arrival stays within ``horizon`` of the
+    watermark (a key displaced at most ``horizon / 2``)."""
+    rng = random.Random(seed)
+    return sorted(events, key=lambda event: event.time + rng.uniform(-horizon / 2, horizon / 2))
+
+
+@pytest.mark.parametrize("block_every", (0, 40), ids=("events", "mixed"))
+@pytest.mark.parametrize("policy", ("raise", "drop", "side_output"))
+def test_under_lateness_a_window_closes_inside_the_call_that_lifts_the_watermark_past_it(
+    policy, block_every
+):
+    # The twin of the strict-order pin: a window emits inside the call whose
+    # arrival first lifts the watermark strictly past the earliest row, in
+    # key order, at or after its end.  Rows behind the watermark on arrival
+    # never reach the core (``drop`` / ``side_output`` see some).
+    lateness = 2.0
+    arrivals = shuffled_within(stream(7), lateness, seed=8)
+    if policy != "raise":
+        arrivals = late_arrivals(arrivals)
+    handed: list = []
+    closed: list = []
+    call = [None]
+    executor = StreamingExecutor(
+        workload(),
+        on_window=lambda r: closed.append((call[0], r.window_end)),
+        allowed_lateness=lateness,
+        late_policy=policy,
+        on_late=handed.append if policy == "side_output" else None,
+    )
+    calls: list[list[Event]] = []
+    position = 0
+    while position < len(arrivals):
+        call[0] = len(calls)
+        if block_every and position % block_every == 0:
+            rows = arrivals[position : position + 10]
+            executor.process_block(EventBlock.from_events(rows))
+        else:
+            rows = arrivals[position : position + 1]
+            executor.process(rows[0])
+        calls.append(rows)
+        position += len(rows)
+    call[0] = None
+    report = executor.finish()
+    # The watermark after each call, and the rows that were not late.
+    newest, accepted, watermarks = float("-inf"), [], []
+    for rows in calls:
+        for event in rows:
+            if event.time >= newest - lateness:
+                accepted.append(event)
+                newest = max(newest, event.time)
+        watermarks.append(newest - lateness)
+    ordered = sorted(accepted, key=lambda event: (event.time, event.sequence))
+    late = len(arrivals) - len(accepted)
+    assert (report.metrics.late_dropped, report.metrics.late_side_output) == (
+        (late, 0) if policy == "drop" else (0, late)
+    )
+    assert (late > 0) == (policy != "raise") and len(handed) == report.metrics.late_side_output
+    assert sum(made is not None for made, _ in closed) > 20
+    for made, end in closed:
+        first = next((event for event in ordered if event.time >= end), None)
+        expected = None
+        if first is not None:
+            expected = next(
+                (index for index, mark in enumerate(watermarks) if mark > first.time), None
+            )
+        assert made == expected, (made, end)
 
 
 def test_a_block_that_opens_a_window_leaves_the_next_arrival_to_close_it():
@@ -256,7 +329,7 @@ def test_the_stage_stays_bounded_on_a_long_stream_with_nothing_to_close():
     ]
     busy = [
         Event(rng.choice("ABBB"), 5e4 + index * 0.5, {"g": float(rng.randint(1, 3))})
-        for index in range(3 * _STAGE_ROWS)
+        for index in range(3 * STAGE_ROWS)
     ]
     unread = StreamingExecutor(queries)
     for index in range(1000):
@@ -268,12 +341,12 @@ def test_the_stage_stays_bounded_on_a_long_stream_with_nothing_to_close():
     for event in quiet:
         executor.process(event)
         high = max(high, len(executor._staged))
-    assert 0 < high <= _STAGE_ROWS
+    assert 0 < high <= STAGE_ROWS
     assert executor.active_window_count() == 0 and executor.shared_group_count == 0
     for event in busy:
         executor.process(event)
         high = max(high, len(executor._staged))
-    assert high <= _STAGE_ROWS
+    assert high <= STAGE_ROWS
     report = executor.finish()
     assert report.metrics.stream_events == len(quiet) + len(busy)
     assert report.totals == expected.totals and report.totals["si_long"] > 0

@@ -183,6 +183,9 @@ class TestCli:
         (
             (["--allowed-lateness", "-1"], "allowed_lateness must be >= 0, got -1.0"),
             (["--allowed-lateness", "nan"], "allowed_lateness must be >= 0, got nan"),
+            (["--allowed-lateness=-inf"], "allowed_lateness must be >= 0, got -inf"),
+            (["--allowed-lateness", "inf"], "allowed_lateness must be finite, got inf"),
+            (["--allowed-lateness", "1e400"], "allowed_lateness must be finite, got inf"),
             (["--late-policy", "drop"], "late_policy='drop' requires allowed_lateness"),
             (
                 ["--allowed-lateness", "1", "--late-policy", "side_output", "--workers", "2"],

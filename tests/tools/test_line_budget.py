@@ -18,17 +18,17 @@ RUNTIME = ROOT / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1120,
-    "lateness.py": 302,
-    "sharding.py": 1153,
+    "streaming.py": 1154,
+    "lateness.py": 417,
+    "sharding.py": 1154,
     "routing.py": 322,
     "shared_windows.py": 1321,
     "foldcore.py": 143,
-    "_foldcore.c": 1840,
+    "_foldcore.c": 1992,
     "cover.py": 293,
     "close.py": 265,
     "results.py": 178,
-    "reorder.py": 504,
+    "reorder.py": 400,
 }
 
 
@@ -43,7 +43,7 @@ def test_module_stays_within_its_line_budget(module):
 
 
 #: ``docs/DESIGN.md``'s ``wc -l`` ceiling.
-DESIGN_CEILING = 1636
+DESIGN_CEILING = 1600
 
 
 def test_design_doc_only_shrinks():
