@@ -927,9 +927,9 @@ def attach_ooo_ratios(results: dict) -> None:
     the **block ingest** path — the end-to-end hot path since PR 9 —
     where the buffer's work is one sortedness probe and a zero-copy
     segment per block, amortized across its rows.  The scalar pair is
-    recorded next to it: per-event buffering pays an append to the
-    pending segment and a watermark check per event, and its share of one
-    sort per release, which is visible on a workload this light and is
+    recorded next to it: per-event buffering pays an append and a
+    watermark check per event, and its share of the sort of each release's
+    new entries, which is visible on a workload this light and is
     the honest price of scalar ingest with a horizon.  Like every wall number in this harness the ratios
     are machine-dependent and recorded, never gated — the gate compares
     digests and ops.

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from repro.bench import fig9, fig10, fig11, fig12, fig13, overhead, table1
 from repro.errors import ExecutionError
-from repro.runtime.lateness import validate_stream_options
+from repro.runtime.reorder import validate_stream_options
 
 _FIGURES: dict[str, Callable[[], None]] = {
     "fig9": fig9.main,

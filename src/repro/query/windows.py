@@ -213,6 +213,15 @@ class Window:
         start = index * self.slide
         return (start, start + self.size)
 
+    def end_after(self, timestamp: Timestamp) -> float:
+        """The smallest instance end strictly after ``timestamp``: the first
+        covering instance's, or the one before it when ``timestamp`` was
+        snapped onto that instance's end (not covered, yet before it)."""
+        first = self.covering_bounds(timestamp)[0]
+        if first and self.instance_bounds(first - 1)[1] > timestamp:
+            return self.instance_bounds(first - 1)[1]
+        return self.instance_bounds(first)[1]
+
     def instances_covering(self, timestamp: Timestamp) -> Iterator[tuple[float, float]]:
         """Yield ``(start, end)`` of every window instance containing ``timestamp``."""
         for index in self.instance_indices_covering(timestamp):

@@ -47,10 +47,9 @@ from repro.runtime.executor import (
     WorkloadExecutor,
     run_workload,
 )
-from repro.runtime.lateness import LATE_POLICIES
 from repro.runtime.metrics import ExecutionMetrics, RecoveryStats, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey, group_sort_key
-from repro.runtime.reorder import ReorderBuffer
+from repro.runtime.reorder import LATE_POLICIES, ReorderBuffer
 from repro.runtime.results import ResultLayout, WindowResult, WindowValues
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation

@@ -78,8 +78,8 @@ class StagedRows(list):
     stop = property(list.__len__)
     event_at = list.__getitem__
 
-    def __init__(self, type_table: tuple) -> None:
-        super().__init__()
+    def __init__(self, type_table: tuple, events: Sequence[Event] = ()) -> None:
+        super().__init__(events)
         #: ``time.perf_counter()`` at each row's own arrival.
         self.arrivals: list[float] = []
         self.type_table = type_table

@@ -16,21 +16,13 @@ windows are reconciled against.  A retraction is an *update* with bounded
 work, never a replay of the stream: restore the newest retained snapshot
 at or before the late key, merge the late event into the releases logged
 since, feed those — at most two rotation intervals of rows — again.  Both
-ordering decisions (which snapshot, where in the log) are the reorder
-module's sort.
+ordering decisions (which snapshot, where in the log) are made by a
+scratch ``ReorderBuffer``: this module compares no key itself.
 
-Between two answers the core needs no row, so scalar arrivals wait in the
-buffer's pending segment and reach the core in batches, each one run of
-rows in key order with one arrival stamp, as a block's.  A batch goes when
-the watermark strictly passes the earliest buffered time at or after the
-*edge* — the smallest window end, over the core's windows, after the last
-released row: the first arrival that can close a window — so a window
-still closes inside the call whose arrival lifts the watermark past it;
-and when ``STAGE_ROWS`` rows are pending, a block arrives, a late arrival
-needs the core, or the core's live state is read (a snapshot, ``finish``,
-a live-state reader).  Under ``"retract"`` a batch is logged as the
-per-arrival releases it stands for, so snapshots rotate where they did
-when every arrival released at once.
+Scalar arrivals wait until the watermark strictly passes the first one at
+or after the *edge*, the next window end after the last released row (so a
+window closes in the call that lifts the watermark past it), and go to the
+core as one run; under ``"retract"`` the edge stays ``-inf``.
 
 The stage pickles itself — it *is* the ``"lateness"`` section of an
 executor snapshot — minus the ``on_late`` callback, which its new owner
@@ -45,33 +37,26 @@ core.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from math import inf, isfinite
 from typing import Any, Callable, Optional, Protocol
 
-from repro.errors import ExecutionError, OutOfOrderError
+from repro.errors import OutOfOrderError
 from repro.events.block import EventBlock
 from repro.events.event import Event
-from repro.optimizer.registry import resolve_optimizer_factory
 from repro.runtime.reorder import (
     Release,
     ReorderBuffer,
-    Rows,
-    check_horizon,
     ensure_finite_times,
     late_event_error,
     non_finite_time_error,
-    sort_by_key,
 )
 
-__all__ = ["LATE_POLICIES", "STAGE_ROWS", "Core", "Lateness", "validate_lateness"]
+__all__ = ["STAGE_ROWS", "Core", "Lateness"]
 
-#: The supported late-event policies, in documentation order.
-LATE_POLICIES = ("raise", "drop", "side_output", "retract")
-
-#: Rows the core takes at most in one fold: so many pending rows release
-#: (and ``process()`` stages no more in strict order).
+#: Rows the core takes at most in one fold: so many arrivals since the last
+#: release force one, as do a block, a snapshot, ``finish`` and a live-state
+#: reader (and ``process()`` stages no more in strict order).
 STAGE_ROWS = 4096
 
 #: Retract policy: a core snapshot is rotated every this many released
@@ -80,49 +65,12 @@ STAGE_ROWS = 4096
 _RETRACT_INTERVAL = 256
 
 
-def validate_lateness(allowed_lateness, late_policy, on_late) -> None:
-    """Fail fast on an inconsistent lateness configuration (the executors,
-    the sharded driver and the CLI share it, so they cannot drift)."""
-    if late_policy not in LATE_POLICIES:
-        raise ExecutionError(
-            f"late policy must be one of {', '.join(LATE_POLICIES)}, got {late_policy!r}"
-        )
-    if allowed_lateness is None:
-        if late_policy != "raise":
-            raise ExecutionError(
-                f"late_policy={late_policy!r} requires allowed_lateness: without a "
-                "lateness horizon there is no watermark to be late against"
-            )
-        if on_late is not None:
-            raise ExecutionError("on_late requires allowed_lateness and late_policy='side_output'")
-        return
-    check_horizon(allowed_lateness)
-    if late_policy == "side_output" and on_late is None:
-        raise ExecutionError(
-            "late_policy='side_output' requires an on_late callback to receive the late events"
-        )
-    if on_late is not None and late_policy != "side_output":
-        raise ExecutionError(
-            "on_late is only consumed by late_policy='side_output'; "
-            f"got late_policy={late_policy!r}"
-        )
-
-
-def validate_stream_options(optimizer, allowed_lateness, late_policy, on_late):
-    """Fail fast on the options the sharded driver forwards to every
-    shard's executor (both constructors and the CLI run it); returns the
-    resolved optimizer factory."""
-    optimizer_factory = resolve_optimizer_factory(optimizer)
-    validate_lateness(allowed_lateness, late_policy, on_late)
-    return optimizer_factory
-
-
 class Core(Protocol):
     """What the stage calls on the executor core behind it (package-private
     names: :class:`~repro.runtime.streaming.StreamingExecutor` is one)."""
 
-    def _ingest_rows(self, rows: Rows) -> None:
-        """Feed one run of released rows, in key order."""
+    def _ingest_events(self, events: list[Event]) -> None:
+        """Feed one run of released events in key order."""
 
     def _ingest_block(self, block: EventBlock) -> None:
         """Feed one block in key order."""
@@ -138,25 +86,21 @@ class Core(Protocol):
         back to a ``_core_state()`` copy; returns its mark: windows closed."""
 
 
-def _last_key(payload: Any) -> tuple:
-    """``(time, sequence)`` of the last row of one release's block or rows."""
+def _last_key(release: Release) -> tuple:
+    """``(time, sequence)`` of the last row of one release."""
+    kind, payload = release
+    if kind == "events":
+        last = payload[-1]
+        return last.time, last.sequence
     position = payload.stop - 1
     return payload.times[position], payload.sequences[position]
-
-
-def _feed(core: Core, kind: str, payload: Any) -> Release:
-    if kind == "block":
-        core._ingest_block(payload)
-    else:
-        core._ingest_rows(payload)
-    return kind, payload
 
 
 def _splice(releases: list[Release], event: Event) -> list[Release]:
     """``releases`` (consecutive, each in key order) with ``event`` merged
     in at its ``(time, sequence)`` position — by the reorder buffer's own
     merge, which joins the blocks and cuts the result only where a run of
-    rows falls between two block rows."""
+    events falls between two block rows."""
     merge = ReorderBuffer(0.0)
     for kind, payload in releases:
         if kind == "block":
@@ -198,16 +142,9 @@ class Lateness:
         #: Lowest output mark a retraction rolled back to since the last
         #: :meth:`delta_start` (``sys.maxsize``: none did).
         self._rewound = sys.maxsize
-        #: The release schedule of scalar arrivals: the edge (module
-        #: docstring), the earliest buffered time at or after it — a release
-        #: is due once the watermark passes it — and the pending length
-        #: that forces one.
+        #: The edge, and the earliest buffered time at or after it: the release is due.
         self._edge = -inf
         self._due = inf
-        self._full = STAGE_ROWS
-        #: Retract policy only: the watermark each scalar arrival set since
-        #: the last release (where a release per arrival would have cut).
-        self._marks: Optional[list[float]] = [] if late_policy == "retract" else None
 
     def __getstate__(self) -> dict:
         # Callbacks never pickle: whoever unpickles the stage sets its own.
@@ -222,9 +159,8 @@ class Lateness:
     # Ingest
     # ------------------------------------------------------------------ #
     def offer(self, core: Core, event: Event) -> None:
-        """Take one arrival: append it to the pending segment and release
-        once the watermark passes what can close a window (or the segment
-        is full); or apply the late policy."""
+        """Take one arrival: buffer it and feed ``core`` the rows below the
+        watermark once it passes what can close a window; or apply the late policy."""
         time = event.time
         buffer = self.buffer
         if not buffer.floor <= time < inf:  # late, or not finite (NaN too)
@@ -236,9 +172,8 @@ class Lateness:
         pending.append((time, event.sequence, event))
         if self._edge <= time < self._due:
             self._due = time
-        if buffer.observe(time) and self._marks is not None:
-            self._marks.append(buffer.floor)
-        if self._due < buffer.floor or len(pending) >= self._full:
+        buffer.observe(time)
+        if self._due < buffer.floor or len(pending) >= STAGE_ROWS:
             self.release(core)
 
     def offer_block(self, core: Core, block: EventBlock) -> None:
@@ -278,61 +213,28 @@ class Lateness:
         self._drain(core, self.buffer.flush())
 
     def _drain(self, core: Core, releases: list[Release], replay: bool = False) -> None:
-        """Feed the core what the buffer released and schedule the next
-        release; under ``"retract"`` log it and rotate the snapshots
-        (``replay``: a retraction feeding its merged log again — neither)."""
-        if self._marks is None or replay:
-            for kind, payload in releases:
-                _feed(core, kind, payload)
-        else:
-            self._log(core, releases)
-        if releases:
-            self._edge = core._edge_after(_last_key(releases[-1][1])[0])
-        self._due = self.buffer.first_at_or_after(self._edge)
-        self._full = len(self.buffer.pending) + STAGE_ROWS
-
-    def _log(self, core: Core, releases: list[Release]) -> None:
-        """Feed and log ``releases``, rotating a snapshot once an interval
-        of rows went through — where a release per arrival would have: a
-        batch is cut at the watermarks its arrivals set (``_marks``), and
-        only where such a cut completes an interval, so rotations, and with
-        them the retraction horizon, do not depend on the batching."""
-        ring, marks = self._ring, self._marks
-        assert ring is not None and marks is not None
-        self._marks, mark, cursor = [], 0, None
+        """Feed the core what the buffer released, schedule the next release;
+        under ``"retract"`` log it, rotating a snapshot once an interval of rows
+        went through (``replay``: a retraction feeding its log again — neither)."""
         for kind, payload in releases:
-            times, base, count = payload.times, payload.start, len(payload)
-            start = row = 0
-            while row < count:
-                passed = bisect_right(marks, times[base + row], mark)
-                if passed > mark:  # one arrival's release ended before this row
-                    mark = passed
-                    if self._since_rotate >= _RETRACT_INTERVAL:
-                        if row > start:
-                            piece = payload.slice(start, row)
-                            ring[-1][2].append(_feed(core, kind, piece))
-                            cursor, start = _last_key(piece), row
-                        self._rotate(core, cursor)
-                end = count
-                if mark < len(marks):
-                    end = bisect_left(times, marks[mark], base + row, base + count) - base
-                self._since_rotate += end - row
-                row = end
-            if start < count:
-                piece = payload if start == 0 else payload.slice(start, count)
-                ring[-1][2].append(_feed(core, kind, piece))
-                cursor = _last_key(piece)
-        if self._since_rotate >= _RETRACT_INTERVAL:
-            self._rotate(core, cursor)
+            (core._ingest_block if kind == "block" else core._ingest_events)(payload)
+        ring = self._ring
+        if ring is None:
+            if releases:
+                self._edge = core._edge_after(_last_key(releases[-1])[0])
+        elif releases and not replay:
+            ring[-1][2].extend(releases)
+            self._since_rotate += sum(len(payload) for _, payload in releases)
+            if self._since_rotate >= _RETRACT_INTERVAL:
+                self._rotate(core, _last_key(releases[-1]))
+        self._due = self.buffer.first_at_or_after(self._edge)
 
     # ------------------------------------------------------------------ #
     # Late arrivals
     # ------------------------------------------------------------------ #
     def _late(self, core: Core, time: float, sequence: int, view: Callable[[], Event]) -> None:
         """Apply the policy to one arrival behind the watermark; ``view``
-        yields its :class:`Event` for the policies that take one.  The core
-        first takes the rows below the watermark, as it had in strict order."""
-        self.release(core)
+        yields its :class:`Event` for the policies that take one."""
         policy = self.late_policy
         if policy == "drop":
             self.late_dropped += 1
@@ -371,10 +273,11 @@ class Lateness:
         assert ring is not None
         # Rank the late key among the retained cursors: the newest entry
         # whose cursor does not follow it is the one to restore.
-        ranks = [(*entry[0], index) for index, entry in enumerate(ring)]
-        ranks.append((event.time, event.sequence, None))
-        sort_by_key(ranks)
-        chosen = [rank[2] for rank in ranks].index(None) - 1
+        ranks = ReorderBuffer(0.0)
+        for index, entry in enumerate(ring):
+            ranks.add(*entry[0], index)
+        ranks.add(event.time, event.sequence, None)
+        chosen = ranks.flush()[0][1].index(None) - 1
         if chosen < 0:
             raise OutOfOrderError(
                 f"retract horizon exceeded: event at time={event.time!r} "

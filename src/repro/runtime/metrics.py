@@ -8,7 +8,11 @@ The paper reports three metrics (Section 6.1):
   extract its result; the streaming executor measures it directly as the
   wall-clock span from the arrival of a window's last contributing event to
   the emission of that window's result (``PartitionResult.emission_latency``,
-  aggregated here as ``average_`` / ``max_emission_latency``);
+  aggregated here as ``average_`` / ``max_emission_latency``).  A row's
+  arrival is its ``process()`` call in strict order, its block's ingest for
+  a block, and under ``allowed_lateness`` the release that hands the rows
+  the watermark passed to the core as one batch: the call that can close
+  their windows, so there the span is mostly the close itself;
 * **throughput** — average number of events processed by all queries per
   second;
 * **peak memory** — the maximum amount of state held at any point in time

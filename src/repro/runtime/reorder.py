@@ -1,4 +1,4 @@
-"""Watermark-driven reorder buffer and the runtime's arrival-order guards.
+"""Watermark-driven reorder buffer, lateness options and the order guards.
 
 With ``allowed_lateness=N`` an arrival is *buffered* until the
 **watermark** (the maximum event time seen minus ``N``) passes it, then
@@ -7,18 +7,14 @@ horizon replays the ordered stream bit-identically into the executor core.
 An arrival behind the watermark is **late**: :class:`~repro.runtime.
 lateness.Lateness`, the stage owning the buffer, applies its policy.
 
-The buffer is columnar.  A block in any row order is one *segment*
-(sorted once on entry unless in key order); scalar arrivals are ``(time,
-sequence, item)`` entries of one *pending segment*, sorted by the same two
-stable key passes at a release.  A release hands back **one** block (a
-zero-copy slice, or the ready prefixes of all segments joined and sorted
-once) and the pending items as :class:`Rows` runs with their time and
-sequence columns: no per-row object is built here.
+A block in any row order is one *segment* (sorted once on entry unless in
+key order); scalar arrivals are ``(time, sequence, item)`` entries, filed
+at a release as one more sorted *run*, so a release sorts what arrived
+since the last one, not the horizon's population.  A release hands back
+**one** block and the ready items as ``("events", [...])`` runs.
 
-This module is also the one sanctioned home (with
-:mod:`repro.events.stream`) of raw "cursor versus event time" order
-comparisons (reprolint RL011): everything else calls the ``ensure_*``
-guards below — one exception type, one message format per contract.
+It is also the one sanctioned home (with :mod:`repro.events.stream`) of raw
+"cursor versus event time" order comparisons (RL011): the ``ensure_*`` guards.
 """
 
 from __future__ import annotations
@@ -28,30 +24,70 @@ from itertools import islice
 from math import inf, isfinite
 from operator import itemgetter, le
 from sys import float_info
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import ExecutionError, OutOfOrderError
 from repro.events.block import EventBlock
+from repro.optimizer.registry import resolve_optimizer_factory
 
 __all__ = [
-    "ReorderBuffer", "Rows", "ensure_block_in_order", "ensure_in_order", "ensure_shared_order",
-    "ensure_shared_run_order", "late_event_error", "sort_by_key",
+    "LATE_POLICIES", "ReorderBuffer", "ensure_block_in_order", "ensure_in_order",
+    "ensure_shared_order", "ensure_shared_run_order", "late_event_error", "sort_by_key",
+    "validate_lateness",
 ]
 
-#: A release batch, in key order: ``("rows", Rows)`` or ``("block", EventBlock)``.
-Release = tuple[str, Union["Rows", EventBlock]]
+#: The supported late-event policies, in documentation order.
+LATE_POLICIES = ("raise", "drop", "side_output", "retract")
+
+#: A release batch, in key order: ``("events", [item, ...])`` or ``("block", EventBlock)``.
+Release = tuple[str, Union[list, EventBlock]]
 
 _TIME, _SEQUENCE, _ITEM, _KEY = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 1)
+#: New entries a release files into the newest run one by one (more: a run).
 _INSERTS = 16
 
 
-def check_horizon(allowed_lateness) -> None:
-    """Reject a lateness horizon that is negative, NaN or infinite (a
-    watermark stuck at -inf, which releases nothing before the end)."""
+def _check_horizon(allowed_lateness) -> None:
+    # Infinite: a watermark stuck at -inf, which releases nothing before the end.
     if not allowed_lateness >= 0.0:  # also rejects NaN
         raise ExecutionError(f"allowed_lateness must be >= 0, got {allowed_lateness!r}")
     if allowed_lateness == inf:
         raise ExecutionError(f"allowed_lateness must be finite, got {allowed_lateness!r}")
+
+
+def validate_lateness(allowed_lateness, late_policy, on_late) -> None:
+    """Fail fast on an inconsistent lateness configuration (shared by every surface)."""
+    if late_policy not in LATE_POLICIES:
+        raise ExecutionError(
+            f"late policy must be one of {', '.join(LATE_POLICIES)}, got {late_policy!r}"
+        )
+    if allowed_lateness is None:
+        if late_policy != "raise":
+            raise ExecutionError(
+                f"late_policy={late_policy!r} requires allowed_lateness: without a "
+                "lateness horizon there is no watermark to be late against"
+            )
+        if on_late is not None:
+            raise ExecutionError("on_late requires allowed_lateness and late_policy='side_output'")
+        return
+    _check_horizon(allowed_lateness)
+    if late_policy == "side_output" and on_late is None:
+        raise ExecutionError(
+            "late_policy='side_output' requires an on_late callback to receive the late events"
+        )
+    if on_late is not None and late_policy != "side_output":
+        raise ExecutionError(
+            "on_late is only consumed by late_policy='side_output'; "
+            f"got late_policy={late_policy!r}"
+        )
+
+
+def validate_stream_options(optimizer, allowed_lateness, late_policy, on_late):
+    """Fail fast on the options every shard's executor takes; returns the
+    resolved optimizer factory (both constructors and the CLI run it)."""
+    optimizer_factory = resolve_optimizer_factory(optimizer)
+    validate_lateness(allowed_lateness, late_policy, on_late)
+    return optimizer_factory
 
 
 # ---------------------------------------------------------------------- #
@@ -128,30 +164,21 @@ def ensure_shared_order(latest, event) -> None:
     engine's cursor ``latest`` (duck-typed like ``Event.__lt__``; ``None``
     at start of stream)."""
     if latest is not None and not latest < event:
-        raise _shared_order_error(
-            event.time, event.sequence, latest.time, latest.sequence
-        )
+        raise _shared_order_error(event.time, event.sequence, latest.time, latest.sequence)
 
 
 def ensure_shared_run_order(times: Sequence, sequences: Sequence, latest):
     """Strict guard over parallel columns (the engine's column folds);
     returns the run's last ``(time, sequence)``, ``None`` if empty."""
-    if latest is not None:
-        last_time, last_sequence = latest.time, latest.sequence
-    else:
-        last_time, last_sequence = None, -1
+    last_time, last_sequence = (None, -1) if latest is None else (latest.time, latest.sequence)
     for time_value, sequence_value in zip(times, sequences):
         if last_time is not None and not (
             last_time < time_value
             or (last_time == time_value and last_sequence < sequence_value)
         ):
-            raise _shared_order_error(
-                time_value, sequence_value, last_time, last_sequence
-            )
+            raise _shared_order_error(time_value, sequence_value, last_time, last_sequence)
         last_time, last_sequence = time_value, sequence_value
-    if last_time is None:
-        return None
-    return last_time, last_sequence
+    return None if last_time is None else (last_time, last_sequence)
 
 
 def late_event_error(
@@ -166,9 +193,6 @@ def late_event_error(
     )
 
 
-# ---------------------------------------------------------------------- #
-# The reorder buffer
-# ---------------------------------------------------------------------- #
 def sort_by_key(entries: list) -> None:
     """Sort ``(time, sequence, ...)`` entries in place by their key, exact
     ties in list order: two stable passes over homogeneous keys (one pass
@@ -189,65 +213,42 @@ def _in_key_order(block: EventBlock) -> EventBlock:
     return block.select(order)
 
 
-class Rows(list):
-    """Released pending items in key order, with their ``times`` and
-    ``sequences`` columns: read like an :class:`EventBlock` slice."""
-
-    __slots__ = ("times", "sequences")
-
-    start = 0
-    stop = property(list.__len__)
-
-    def __init__(self, items: Iterable, times: Iterable, sequences: Iterable) -> None:
-        super().__init__(items)
-        self.times = list(times)
-        self.sequences = list(sequences)
-
-    @classmethod
-    def of(cls, entries: list) -> "Rows":  # from ``(time, sequence, item)`` entries
-        return cls(map(_ITEM, entries), map(_TIME, entries), map(_SEQUENCE, entries))
-
-    def slice(self, start: int, stop: int) -> "Rows":
-        return Rows(self[start:stop], self.times[start:stop], self.sequences[start:stop])
-
-
 class ReorderBuffer:
     """Buffer-and-resort stage with a bounded lateness horizon: opaque
     items ordered by the ``(time, sequence)`` keys handed in.
 
-    :meth:`observe` advances the watermark (and :attr:`floor`);
-    :meth:`is_late` / :meth:`late_rows` classify arrivals strictly below
-    it.  :meth:`add` / :meth:`add_segment` buffer an item / a block (a
-    stage with its own release schedule appends ``(time, sequence, item)``
-    to :attr:`pending` itself; :meth:`push` is ``add`` + ``observe`` + the
-    release).  :meth:`release_ready` pops everything strictly below the
-    watermark in key order, :meth:`flush` everything: the block rows as one
-    block, the pending items as ``("rows", Rows)`` runs cut into it where
-    they fall between two of its rows (the block row first on a key tie;
-    exact-key duplicates in arrival order).  An item at the watermark waits
-    until it strictly passes, so a same-time, later-sequence arrival never
-    finds its predecessor released.  The instance pickles as-is (it rides
-    the executor snapshots) and holds only unreleased items and rows.
+    :meth:`observe` advances the watermark; :meth:`is_late` /
+    :meth:`late_rows` classify arrivals strictly below it.  :meth:`add` /
+    :meth:`add_segment` buffer an item / a block (a stage with its own
+    release schedule appends entries to :attr:`pending` itself).
+    :meth:`release_ready` pops everything strictly below the watermark in
+    key order (:meth:`flush`: everything): the block rows as one block, the
+    items as runs cut into it (the block row first on a key tie, exact-key
+    duplicates in arrival order).  An item at the watermark waits until it
+    strictly passes, so a same-time, later-sequence arrival never finds its
+    predecessor released.  The instance pickles as-is (it rides the
+    executor snapshots) and holds only unreleased items and rows.
     """
 
-    __slots__ = ("allowed_lateness", "_max_time", "floor", "pending", "_sorted", "_segments")
+    __slots__ = ("allowed_lateness", "_max_time", "floor", "pending", "_runs", "_segments")
 
     def __init__(self, allowed_lateness: float) -> None:
-        check_horizon(allowed_lateness)
+        _check_horizon(allowed_lateness)
         self.allowed_lateness = allowed_lateness
         self._max_time = -inf
         #: The watermark, or the lowest double before any time: ``floor <=
         #: time < inf`` admits exactly the finite times that are not late.
         self.floor = -float_info.max
-        #: ``(time, sequence, item)`` entries, the first ``_sorted`` in order.
+        #: ``(time, sequence, item)`` entries added since the last release.
         self.pending: list[tuple] = []
-        self._sorted = 0
+        #: The older entries as runs in key order, oldest arrivals first.
+        self._runs: list[list[tuple]] = []
         #: Unreleased rows of the buffered blocks, each in key order.
         self._segments: list[EventBlock] = []
 
     def __len__(self) -> int:
         """Items currently buffered (block rows count individually)."""
-        return len(self.pending) + sum(map(len, self._segments))
+        return len(self.pending) + sum(map(len, self._runs)) + sum(map(len, self._segments))
 
     @property
     def max_event_time(self) -> float:
@@ -259,13 +260,11 @@ class ReorderBuffer:
         """``max_event_time - allowed_lateness`` (``-inf`` before any)."""
         return self._max_time - self.allowed_lateness
 
-    def observe(self, time) -> bool:
-        """Advance the maximum event time (watermark) past ``time``; True if it did."""
+    def observe(self, time) -> None:
+        """Advance the maximum event time (and the watermark) past ``time``."""
         if time > self._max_time:
             self._max_time = time
             self.floor = time - self.allowed_lateness
-            return True
-        return False
 
     def is_late(self, time) -> bool:
         """True when ``time`` is strictly behind the watermark."""
@@ -274,10 +273,8 @@ class ReorderBuffer:
     def late_rows(self, times: Sequence) -> list[int]:
         """Indices of the late rows of an arriving time column: per row
         ``is_late`` then ``observe``, without advancing the watermark."""
-        newest = self._max_time
-        lateness = self.allowed_lateness
+        newest, lateness, late = self._max_time, self.allowed_lateness, []
         bound = newest - lateness
-        late: list[int] = []
         for index, time in enumerate(times):
             if time > newest:
                 newest = time
@@ -303,14 +300,12 @@ class ReorderBuffer:
 
     def first_at_or_after(self, time) -> float:
         """The earliest buffered time at or after ``time`` (``inf``: none)."""
-        pending = self._sort()
-        at = bisect_left(pending, (time,))
-        earliest = pending[at][0] if at < len(pending) else inf
+        heads = [run[bisect_left(run, (time,))][0] for run in self._file() if run[-1][0] >= time]
         for segment in self._segments:
-            row = bisect_left(segment.times, time, segment.start, segment.stop)
-            if row < segment.stop and segment.times[row] < earliest:
-                earliest = segment.times[row]
-        return earliest
+            times, stop = segment.times, segment.stop
+            if times[stop - 1] >= time:
+                heads.append(times[bisect_left(times, time, segment.start, stop)])
+        return min(heads, default=inf)
 
     def release_ready(self) -> list[Release]:
         """Pop every buffered item strictly below the watermark, in order."""
@@ -320,35 +315,41 @@ class ReorderBuffer:
         """Pop everything (end of stream), in ``(time, sequence)`` order."""
         return self._release(None)
 
-    def _sort(self) -> list[tuple]:
-        # A few new items are filed one by one, more sort the whole segment.
-        pending, done = self.pending, self._sorted
-        if done < len(pending):
-            if done and len(pending) - done <= _INSERTS:
-                tail = pending[done:]
-                del pending[done:]
+    def _file(self) -> list[list[tuple]]:
+        """File the new entries as a sorted run, merged into the newest run
+        while that one is at most twice as long (O(log n) runs)."""
+        tail, runs = self.pending, self._runs
+        if tail:
+            self.pending = []
+            if runs and len(tail) <= _INSERTS:
+                newest = runs[-1]
                 for entry in tail:  # after its exact-key twins: arrival order
-                    insort(pending, entry, key=_KEY)
+                    insort(newest, entry, key=_KEY)
             else:
-                sort_by_key(pending)
-            self._sorted = len(pending)
-        return pending
+                sort_by_key(tail)
+                while runs and len(runs[-1]) <= 2 * len(tail):
+                    tail = runs.pop() + tail  # older first: ties keep arrival order
+                    sort_by_key(tail)
+                runs.append(tail)
+        return runs
 
     def _release(self, bound: Optional[float]) -> list[Release]:
-        # An entry ``(time, sequence, item)`` compares with a shorter key
-        # ``(time,)`` / ``(time, sequence)`` on the key alone (an equal
-        # prefix is the smaller tuple): the bisects never reach an item, and
-        # equal-time items wait until the watermark strictly passes them.
-        pending = self._sort()
+        # An entry compares with a shorter key ``(time,)`` / ``(time,
+        # sequence)`` on the key alone (an equal prefix is the smaller tuple):
+        # bisects never reach an item; equal-time items wait for the watermark.
+        runs = self._file()
+        ready: list[tuple] = []
+        for run in runs:
+            cut = len(run) if bound is None else bisect_left(run, (bound,))
+            ready += run[:cut]
+            del run[:cut]
+        if len(runs) > 1:  # the runs' ready prefixes, merged in run order
+            sort_by_key(ready)
+        self._runs = [run for run in runs if run]
         block = self._pop_ready_block(bound) if self._segments else None
-        count = len(pending) if bound is None else bisect_left(pending, (bound,))
-        if not count:
-            return [] if block is None else [("block", block)]
-        ready = pending[:count]
-        del pending[:count]
-        self._sorted -= count
+        count = len(ready)
         if block is None:
-            return [("rows", Rows.of(ready))]
+            return [("events", list(map(_ITEM, ready)))] if count else []
         releases: list[Release] = []
         rows, row, at = len(block), 0, 0
         while True:
@@ -357,7 +358,7 @@ class ReorderBuffer:
                 key = (block.times[block.start + row], block.sequences[block.start + row])
                 stop = bisect_left(ready, key, at)
             if stop > at:
-                releases.append(("rows", Rows.of(ready[at:stop])))
+                releases.append(("events", list(map(_ITEM, ready[at:stop]))))
                 at = stop
             if row == rows:
                 return releases
@@ -369,8 +370,7 @@ class ReorderBuffer:
 
     def _pop_ready_block(self, bound: Optional[float]) -> Optional[EventBlock]:
         """Pop the segments' rows below ``bound`` as one block in key order."""
-        ready: list[EventBlock] = []
-        kept: list[EventBlock] = []
+        ready, kept = [], []
         for segment in self._segments:
             rows = len(segment)
             cut = rows if bound is None else self._segment_stop(segment, 0, (bound,))

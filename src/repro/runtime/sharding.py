@@ -72,10 +72,9 @@ from repro.runtime.executor import (
 )
 from repro.runtime.checkpoint import AsyncCheckpointWriter, CheckpointStore
 from repro.runtime.faultpoints import resolve_fault_hook, tear_message
-from repro.runtime.lateness import validate_stream_options
 from repro.runtime.metrics import RecoveryStats
 from repro.runtime.partitioner import group_sort_key
-from repro.runtime.reorder import ensure_in_order
+from repro.runtime.reorder import ensure_in_order, validate_stream_options
 from repro.runtime.results import RunningTotals, WindowResult
 from repro.runtime.routing import ShardRouter, stable_shard_hash
 from repro.runtime.streaming import StreamingExecutor

@@ -68,7 +68,6 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Sequence, overload
 
 from repro.core.engine import HamletEngine
@@ -95,9 +94,9 @@ from repro.runtime.executor import (
     unit_relevant_types,
 )
 from repro.runtime.instance_windows import EnginePool, InstanceWindowEngine
-from repro.runtime.lateness import STAGE_ROWS, Lateness, validate_stream_options
+from repro.runtime.lateness import STAGE_ROWS, Lateness
 from repro.runtime.partitioner import PartitionSpec, group_sort_key
-from repro.runtime.reorder import Rows, ensure_block_in_order, ensure_in_order
+from repro.runtime.reorder import ensure_block_in_order, ensure_in_order, validate_stream_options
 from repro.runtime.results import ResultLayout, RunningTotals, WindowResult
 from repro.runtime.shared_windows import (
     MultiWindowLinearEngine,
@@ -110,8 +109,7 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v16: the lateness stage holds a pending segment and its release schedule.
-#: (What v2-v15 changed: CHANGES.md.)
+#: v16: the lateness buffer holds sorted runs, not a heap (v2-v15: CHANGES.md).
 SNAPSHOT_VERSION = 16
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
@@ -378,33 +376,20 @@ class StreamingExecutor:
 
     def process(self, event: Event) -> None:
         """Ingest one event: staged, with its own arrival stamp, for the
-        Cover loop of :meth:`process_block`.  The arrival that passes a
-        window end folds the stage first, so the window still closes — and
-        emits — inside its call.  A per-group ``(time, sequence)`` violation
-        at equal times surfaces at the fold: that arrival (or one finding
-        the stage full), ``process_block``, a snapshot, ``finish`` or a
-        live-state reader.
-
-        With ``allowed_lateness`` set it goes to the lateness stage, which
-        feeds the core what the watermark passed, in batches, no later than
-        the arrival that lifts the watermark past a row that can close a
-        window.
+        Cover loop of :meth:`process_block` (a type no unit reads is only
+        counted).  The arrival that passes the earliest end of an open window
+        or of one a staged row opens folds the stage first, so the window
+        still closes — and emits — inside its call; one finding the stage
+        full folds it too.  A per-group ``(time, sequence)`` violation at
+        equal times surfaces at the fold.  With ``allowed_lateness`` set it
+        goes to the lateness stage, which feeds the core in batches.
         """
         lateness = self._lateness
-        if lateness is None:
-            ensure_in_order(event.time, self._clock)
-            self._ingest_event(event)
-        else:
+        if lateness is not None:
             lateness.offer(self, event)
-
-    def _ingest_event(self, event: Event) -> None:
-        """Stage one in-order event (past the lateness stage): no engine
-        call, no group lookup; a type no unit reads is only counted.  The
-        first arrival at or past the earliest end of an open window or of
-        one a staged row opens folds the stage and runs the close sweep
-        before it starts the next stage; one finding the stage full folds
-        it too."""
+            return
         event_time = event.time
+        ensure_in_order(event_time, self._clock)
         staged = self._staged
         if event_time >= self._fold_at or len(staged) >= STAGE_ROWS:
             self._fold()
@@ -484,37 +469,20 @@ class StreamingExecutor:
             self._consumed += len(block)
             self._cover(block, time.perf_counter())
 
-    def _ingest_rows(self, rows: Rows) -> None:
-        """Feed one run of events the lateness stage released, in key
-        order, as one staged block: its columns built once, one stamp."""
-        staged = StagedRows(self._stage_types)
-        staged.extend(rows)
-        staged.times, staged.sequences = rows.times, rows.sequences
-        unread = len(self._stage_types) - 1  # (the ``None`` type: no unit reads it)
-        types = map(attrgetter("event_type"), rows)
-        staged.type_codes = list(map(self._stage_codes.get, types, repeat(unread)))
-        self._clock = rows.times[-1]
-        self._consumed += len(rows)
+    def _ingest_events(self, events: list[Event]) -> None:
+        """Feed a run of released events, in key order, as one staged block."""
+        staged = StagedRows(self._stage_types, events)
+        staged.seal(self._stage_codes)
+        self._clock = staged.times[-1]
+        self._consumed += len(staged)
         self._cover(staged, time.perf_counter())
 
     def _edge_after(self, moment: float) -> float:
-        """The smallest window end after ``moment`` over the units' windows
-        (the instance before the first one covering ``moment`` too: a time
-        snapped onto a window's end is not covered by it)."""
-        edge = float("inf")
-        for unit in self._units:
-            window = unit.spec.window
-            first = window.covering_bounds(moment)[0]
-            for index in (first - 1, first) if first else (first,):
-                end = window.instance_bounds(index)[1]
-                if end > moment:
-                    edge = min(edge, end)
-                    break
-        return edge
+        """The smallest window end after ``moment`` over the units' windows."""
+        return min(unit.spec.window.end_after(moment) for unit in self._units)
 
     def _settle(self) -> None:
-        """Bring the core up to the stream: the rows the lateness stage holds
-        below the watermark, then the staged rows."""
+        """Fold what the lateness stage holds below the watermark, then the staged rows."""
         if self._lateness is not None:
             self._lateness.release(self)
         self._fold()
@@ -737,9 +705,7 @@ class StreamingExecutor:
     def shared_group_count(self) -> int:
         """Live shared multi-window engines (one per ``(group, unit)`` pair)."""
         self._settle()
-        return sum(
-            len(unit.groups) for unit in self._units if unit.compiled is not None
-        )
+        return sum(len(unit.groups) for unit in self._units if unit.compiled is not None)
 
     @property
     def engine_feeds(self) -> int:

@@ -170,3 +170,12 @@ class TestWindows:
         window = Window(0.3, 0.1)
         timestamp = 0.7 - 0.4
         assert list(window.instance_indices_covering(timestamp)) == [1, 2, 3]
+
+    @pytest.mark.parametrize("window", (Window(10.0, 2.0), Window(0.3, 0.1), Window(5.0, 2.5)))
+    def test_end_after_is_the_smallest_instance_end_past_the_time(self, window):
+        # Brute force over the instances around the time; 0.3-ish times land
+        # a few ulps off an end, where the snapped covering range drops it.
+        for timestamp in (0.0, 0.7 - 0.4, 0.6 - 0.3, 0.9999999999999999, 1.0, 5.5, 10.0, 29.9):
+            low = max(0, math.floor(timestamp / window.slide) - 400)
+            ends = (window.instance_bounds(index)[1] for index in range(low, low + 800))
+            assert window.end_after(timestamp) == min(e for e in ends if e > timestamp)

@@ -30,14 +30,14 @@ class ScriptedCore:
         #: close a window (a release at every watermark advance), ``inf`` none.
         self.edge = edge
         self.fed: list[tuple] = []
-        #: One entry per ingest call: ``("rows" | "block", rows)``.
+        #: One entry per ingest call: ``("events" | "block", rows)``.
         self.calls: list[tuple] = []
         #: Marks handed back by ``restore`` (one per retraction).
         self.restores: list[int] = []
 
-    def _ingest_rows(self, rows) -> None:
-        self.fed.extend(zip(rows.times, rows.sequences))
-        self.calls.append(("rows", len(rows)))
+    def _ingest_events(self, events) -> None:
+        self.fed.extend((event.time, event.sequence) for event in events)
+        self.calls.append(("events", len(events)))
 
     def _edge_after(self, time) -> float:
         return self.edge
@@ -208,32 +208,23 @@ def test_retraction_replays_at_most_two_rotation_intervals():
     assert core.fed == fed and core.restores == [oldest] and stage.late_retracted == 1
 
 
-@pytest.mark.parametrize("mode", ("scalar", "mixed"))
-def test_snapshots_rotate_where_a_release_per_arrival_would(mode):
-    # The same arrivals, released at every watermark advance or batched up
-    # to the stage bound: the same rotations (cursors and the rows logged
-    # between them), so the same retractions restore the same snapshots.
-    events = make_events(seed=12, size=3 * _RETRACT_INTERVAL + 40, step=0.25)
-    arrivals = shuffled(events, horizon=3.0, seed=13)
-    for index in range(150, len(arrivals) - 40, 170):  # behind the horizon
-        arrivals.insert(index + 30, arrivals.pop(index))
-    stages = []
-    for edge in (float("-inf"), float("inf")):
-        core = ScriptedCore(edge)
-        stage = Lateness(core, 3.0, "retract")
-        cursors = []
-        rotate = stage._rotate
-
-        def spy(core, cursor, rotate=rotate, cursors=cursors):
-            cursors.append(cursor)
-            rotate(core, cursor)
-
-        stage._rotate = spy
-        offer_mixed(stage, core, arrivals, seed=14, mode=mode)
-        stage.flush(core)
-        stages.append((cursors, core.restores, core.fed, stage.late_retracted))
-    assert stages[0] == stages[1]
-    assert len(stages[0][0]) >= 3 and stages[0][3] >= 2 and stages[0][2] == keys(events)
+@pytest.mark.parametrize("policy", ("raise", "retract"))
+def test_scalar_rows_wait_for_the_edge_except_under_retract(policy):
+    # No window end ahead of the first release (edge +inf): the rows below
+    # the watermark wait, except under retract, which releases at every
+    # watermark advance past a buffered row.
+    events = make_events(seed=12, size=200)
+    core = ScriptedCore(edge=float("inf"))
+    stage = Lateness(core, 3.0, policy)
+    for event in shuffled(events, horizon=3.0, seed=13):
+        stage.offer(core, event)
+        below = [key for key in keys(events) if key[0] < stage.buffer.watermark]
+        assert core.fed == below if policy == "retract" else len(core.calls) <= 1
+    assert policy == "retract" or len(core.fed) < len(below) // 2
+    stage.release(core)
+    assert core.fed == below
+    stage.flush(core)
+    assert core.fed == keys(events)
 
 
 def test_rewound_mark_restarts_the_next_delta_once():

@@ -112,7 +112,7 @@ class TestReorderBuffer:
     def _drain_keys(releases) -> list[tuple]:
         keys: list[tuple] = []
         for kind, payload in releases:
-            if kind == "rows":
+            if kind == "events":
                 keys.extend((item[0], item[1]) for item in payload)
             else:  # an EventBlock slice
                 keys.extend(
@@ -321,7 +321,7 @@ class TestReorderBuffer:
 
 class TestHorizonBoundedState:
     """Buffer memory and its pickle follow the lateness horizon's
-    population, not the stream: the pending segment holds unreleased items
+    population, not the stream: the pending entries are unreleased items
     only (an earlier in-order tail list once kept every entry ever appended
     while anything at all stayed buffered, i.e. for the whole life of a
     steady stream)."""
@@ -378,7 +378,7 @@ class TestHorizonBoundedState:
         # 4x the stream, same pickle (at the parent: ~4x the bytes).
         assert len(large_pickle) <= 1.5 * len(small_pickle)
         clone = pickle.loads(large_pickle)
-        assert len(clone.pending) == len(clone) <= max(large_depths)
+        assert len(clone.pending) + sum(map(len, clone._runs)) == len(clone) <= max(large_depths)
 
     @pytest.mark.parametrize("scalar", (True, False), ids=("push", "add"))
     def test_mid_buffer_pickle_round_trip_releases_identically(self, scalar):
@@ -424,6 +424,8 @@ _TIMES = st.integers(0, 24).map(lambda half_seconds: half_seconds / 2)
 _KEYS = st.tuples(_TIMES, st.integers(0, 3))  # few sequences: exact-key ties
 _OPERATIONS = st.one_of(
     st.tuples(st.sampled_from(("push", "add")), _KEYS),
+    # More than the few entries a release files one by one: a sorted run.
+    st.tuples(st.just("adds"), st.lists(_KEYS, min_size=17, max_size=40)),
     st.tuples(st.just("segment"), st.lists(_KEYS, min_size=1, max_size=6)),
     st.tuples(st.just("observe"), _TIMES),
     st.tuples(st.sampled_from(("release", "flush")), st.none()),
@@ -438,7 +440,7 @@ class TestReorderModel:
     def _arrivals(releases) -> list[int]:
         arrivals: list[int] = []
         for kind, payload in releases:
-            if kind == "rows":
+            if kind == "events":
                 arrivals.extend(arrival for _, _, arrival in payload)
             else:
                 arrivals.extend(event.payload["n"] for event in payload.to_events())
@@ -466,6 +468,11 @@ class TestReorderModel:
                     released = buffer.push(time, sequence, (time, sequence, arrival))
                     assert self._arrivals(released) == model.release(model.max_time - lateness)
                 arrival += 1
+            elif name == "adds":
+                for time, sequence in argument:
+                    model.pending.append((time, sequence, model.LOOSE, arrival))
+                    buffer.add(time, sequence, (time, sequence, arrival))
+                    arrival += 1
             elif name == "segment":
                 rows = []
                 for time, sequence in argument:
@@ -492,8 +499,8 @@ class TestReorderModel:
         probe=_TIMES,
     )
     def test_first_at_or_after_is_the_earliest_buffered_time_there(self, steps, probe):
-        """The release schedule's one query, over pending items (filed one
-        by one or sorted whole) and block segments alike."""
+        """The release schedule's one query, over pending items (new or
+        filed into runs) and block segments alike."""
         buffer = ReorderBuffer(1.0)
         held: list[float] = []
         for as_block, keys in steps:
@@ -523,7 +530,7 @@ class TestReorderModel:
         releases = buffer.release_ready()
         # Rows 0 and 1 come apart: row 1's key ties loose item 6, which waits.
         kinds = [kind for kind, _ in releases]
-        assert kinds == ["rows", "block", "block", "rows", "block", "rows"]
+        assert kinds == ["events", "block", "block", "events", "block", "events"]
         assert self._arrivals(releases) == model.release(3.5) == [5, 0, 1, 6, 4, 8, 2, 7]
         assert self._arrivals(buffer.flush()) == model.release(None) == [3]
 

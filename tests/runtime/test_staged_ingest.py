@@ -168,17 +168,16 @@ def test_a_retraction_drops_the_staged_rows_its_replay_feeds_again(monkeypatch):
     expected = all_block(arrivals, **LATE)
     assert expected[7] > 0  # rows were retracted
     # Under lateness the rows the core has not taken yet wait in the stage's
-    # pending segment: a late arrival hands them over before the rollback,
-    # and the replay feeds them again.
+    # buffer, above the watermark: a rollback leaves them there, and the
+    # replay feeds only what the core had taken.
     staged_at_rollback = []
-    late = Lateness._late
+    retract = Lateness._retract
 
     def counting(stage, *args):
-        watermark = stage.buffer.watermark
-        staged_at_rollback.append(sum(key[0] < watermark for key in stage.buffer.pending))
-        return late(stage, *args)
+        staged_at_rollback.append(len(stage.buffer))
+        return retract(stage, *args)
 
-    monkeypatch.setattr(Lateness, "_late", counting)
+    monkeypatch.setattr(Lateness, "_retract", counting)
     for cut in range(0, len(arrivals), 9):
         run = Run(**LATE)
         run.events(arrivals[:cut])
