@@ -7,8 +7,9 @@ Two executors evaluate a workload over a stream:
   window instance, replays each partition through an engine;
 * :class:`~repro.runtime.streaming.StreamingExecutor` — the single-pass
   online path: consumes events in timestamp order exactly once, emits each
-  :class:`~repro.runtime.results.WindowResult` the moment its window
-  closes and evicts the closed state, so peak memory is bounded by the
+  :class:`~repro.runtime.results.WindowResult` — the one row type of every
+  sink: callback, report, recombination and sharded merge — the moment its
+  window closes and evicts the closed state, so peak memory is bounded by the
   *live* state.  By default overlapping window instances share one
   :class:`~repro.runtime.shared_windows.MultiWindowLinearEngine` per
   ``(group, unit)`` pair (events processed once, per-window-instance
@@ -43,7 +44,6 @@ configurable policy: ``raise`` (default), ``drop``, ``side_output`` or
 from repro.runtime.checkpoint import AsyncCheckpointWriter, Checkpoint, CheckpointStore
 from repro.runtime.executor import (
     ExecutionReport,
-    PartitionResult,
     WorkloadExecutor,
     run_workload,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "LATE_POLICIES",
     "MultiWindowLinearEngine",
     "PartitionKey",
-    "PartitionResult",
     "RecoveryStats",
     "ReorderBuffer",
     "ResultLayout",

@@ -14,7 +14,7 @@
  *                  scalar unit with no split column and no event store;
  *   sweep_unit     the Close/Emit stage's sweep of such a unit (driven by
  *                  runtime/close.py): readouts, evictions, metrics, totals
- *                  and the emitted rows;
+ *                  and each closed window's one row, a WindowResult;
  *
  * their one helper, settle_kleene (repro.core.kernels); and assemble_events,
  * the Events of a decoded frame (events/columnar.py).  Each dict is
@@ -1248,16 +1248,14 @@ static PyTypeObject walk_type = {
 /* sweep_unit: the Close/Emit stage of one unit (runtime/close.py)     */
 /* ------------------------------------------------------------------ */
 
-/* A streaming _WindowMeta, the CloseStage, and the three rows a close
- * builds: WindowValues, PartitionResult and WindowResult (slotted classes
+/* A streaming _WindowMeta, the CloseStage, and the two objects a close
+ * builds: WindowValues and the one row type, WindowResult (slotted classes
  * with no __init__ logic, filled slot by slot in field order). */
 static layout window_metas = {NULL, 4, {"index", "end", "opened_fed", "share_at_open"}, {0}};
 enum { INDEX, END, OPENED, AT_OPEN };
 static layout stages = {NULL, 2, {"active", "closed"}, {0}};
 enum { ACTIVE, CLOSED };
 static layout values_row = {NULL, 2, {"layout", "slots"}, {0}};
-static layout partition_row = {NULL, 7, {"group_key", "window_index", "window_start", "results",
-                                         "seconds", "events", "emission_latency"}, {0}};
 static layout window_row = {NULL, 8, {"group_key", "window_index", "window_start", "window_end",
                                       "results", "events", "emission_latency", "retraction"}, {0}};
 
@@ -1378,7 +1376,7 @@ tally_write(PyObject *metrics, const tally *from)
 /* What one unit sweep closes with. */
 typedef struct {
     PyObject *groups, *slide, *stage, *by_layout, *totals, *rows, *recombine, *emit, *clock;
-    PyObject *types[3];
+    PyObject *types[2];
     PyObject *blank; /* an array('d') of one zero per class: readouts are its copies */
     tally tally;
 } sweep;
@@ -1583,34 +1581,20 @@ close_one(sweep *of, const expiry *window)
     if (total(of, values) < 0) {
         goto done;
     }
-    if (of->rows != Py_None || of->recombine != Py_None) {
-        PyObject *fields[7] = {
-            Py_NewRef(window->key), Py_NewRef(key), PyNumber_Multiply(key, of->slide),
-            Py_NewRef(values), PyFloat_FromDouble(seconds), PyLong_FromLongLong(events),
-            PyFloat_FromDouble(latency),
-        };
-        PyObject *row = build(&partition_row, of->types[1], fields);
-        if (row == NULL || (of->recombine != Py_None && PyList_Append(of->recombine, row) < 0)
-            || (of->rows != Py_None && PyList_Append(of->rows, row) < 0)) {
-            Py_XDECREF(row);
-            goto done;
-        }
-        Py_DECREF(row);
+    PyObject *fields[8] = {
+        Py_NewRef(window->key), Py_NewRef(key), PyNumber_Multiply(key, of->slide),
+        Py_NewRef(*end), Py_NewRef(values), PyLong_FromLongLong(events),
+        PyFloat_FromDouble(latency), Py_NewRef(Py_False),
+    };
+    PyObject *row = build(&window_row, of->types[1], fields), *emitted = NULL;
+    if (row == NULL || (of->recombine != Py_None && PyList_Append(of->recombine, row) < 0)
+        || (of->rows != Py_None && PyList_Append(of->rows, row) < 0)
+        || (of->emit != Py_None && (emitted = PyObject_CallOneArg(of->emit, row)) == NULL)) {
+        Py_XDECREF(row);
+        goto done;
     }
-    if (of->emit != Py_None) {
-        PyObject *fields[8] = {
-            Py_NewRef(window->key), Py_NewRef(key), PyNumber_Multiply(key, of->slide),
-            Py_NewRef(*end), Py_NewRef(values), PyLong_FromLongLong(events),
-            PyFloat_FromDouble(latency), Py_NewRef(Py_False),
-        };
-        PyObject *result = build(&window_row, of->types[2], fields);
-        PyObject *emitted = result ? PyObject_CallOneArg(of->emit, result) : NULL;
-        Py_XDECREF(result);
-        if (emitted == NULL) {
-            goto done;
-        }
-        Py_DECREF(emitted);
-    }
+    Py_XDECREF(emitted);
+    Py_DECREF(row);
     status = 0;
 done:
     Py_DECREF(key);
@@ -1662,12 +1646,12 @@ sweep_unit(PyObject *Py_UNUSED(module), PyObject *args)
                           &of.emit, &of.clock, &PyTuple_Type, &types)) {
         return NULL;
     }
-    if (PyTuple_GET_SIZE(types) != 3 || (of.rows != Py_None && !PyList_Check(of.rows))
+    if (PyTuple_GET_SIZE(types) != 2 || (of.rows != Py_None && !PyList_Check(of.rows))
         || (of.recombine != Py_None && !PyList_Check(of.recombine))) {
         PyErr_SetString(PyExc_TypeError, "sweep_unit: malformed sinks");
         return NULL;
     }
-    for (int which = 0; which < 3; which++) {
+    for (int which = 0; which < 2; which++) {
         of.types[which] = PyTuple_GET_ITEM(types, which);
         if (!PyType_Check(of.types[which])) {
             PyErr_SetString(PyExc_TypeError, "sweep_unit: the row classes must be types");

@@ -9,12 +9,11 @@ group in ``(end, group order, index)`` order, the group order being the
 the engine's readout and eviction, the group's eviction when its last
 window closed, the metrics (the engine seconds and events the window took,
 its operations and emission latency), the fold of its values into the
-run's :class:`~repro.runtime.results.RunningTotals`, and its row to the
-one sink: ``emit`` — ``on_window``, behind ``Lateness.reconcile`` under
-``late_policy="retract"`` — as a :class:`~repro.runtime.results.WindowResult`,
-else the report.  A :class:`~repro.runtime.executor.PartitionResult` is
-built only for a sink that keeps it: the report, or the recombination of
-decomposed OR/AND queries that ends a sweep.
+run's :class:`~repro.runtime.results.RunningTotals`, and its one row — a
+:class:`~repro.runtime.results.WindowResult`, the one row type, built once —
+to the one sink: ``emit`` (``on_window``, behind ``Lateness.reconcile``
+under ``late_policy="retract"``), else the report; the same object also
+joins the recombination of decomposed OR/AND queries that ends a sweep.
 
 For a unit whose groups are all store-free scalar shared-window engines
 and whose executor runs no optimizer, one fold-core call per unit sweep
@@ -40,7 +39,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.runtime import foldcore
-from repro.runtime.executor import PartitionResult, recombined_partitions
+from repro.runtime.executor import recombined_partitions
 from repro.runtime.results import RunningTotals, WindowResult, WindowValues
 
 if TYPE_CHECKING:
@@ -52,7 +51,7 @@ INF = float("inf")
 #: is stable, so equal keys keep the groups' order.
 _ORDER = itemgetter(0, 1, 2)
 #: The classes the compiled sweep builds, in its argument order.
-_TYPES = (WindowValues, PartitionResult, WindowResult)
+_TYPES = (WindowValues, WindowResult)
 
 
 class CloseStage:
@@ -218,19 +217,15 @@ class CloseStage:
         metrics.record_emission(latency)
         self._executor()._totals.add(results)
         window_start, window_end = unit.spec.window.instance_bounds(meta.index)
-        recombine = self._recombine
-        if rows is not None or recombine is not None:
-            row = PartitionResult(
-                group_key, meta.index, window_start, results, seconds, events, latency
-            )
-            if recombine is not None:
-                recombine.append(row)
-            if rows is not None:
-                rows.append(row)
+        row = WindowResult(
+            group_key, meta.index, window_start, window_end, results, events, latency
+        )
+        if self._recombine is not None:
+            self._recombine.append(row)
+        if rows is not None:
+            rows.append(row)
         if emit is not None:
-            emit(WindowResult(
-                group_key, meta.index, window_start, window_end, results, events, latency
-            ))
+            emit(row)
 
     def _fold_recombined(self) -> None:
         """Fold the sweep's decomposed OR/AND windows into the totals, in

@@ -44,42 +44,12 @@ from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime.metrics import ExecutionMetrics, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey
-from repro.runtime.results import RunningTotals
+from repro.runtime.results import RunningTotals, WindowResult
 from repro.template.analysis import WorkloadAnalysis, analyze_workload
 from repro.template.decompose import DecomposedQuery
 
 #: Factory producing a fresh (or reusable) engine for a set of queries.
 EngineFactory = Callable[[], TrendAggregationEngine]
-
-
-@dataclass(slots=True)
-class PartitionResult:
-    """Results of one ``(group key, window instance)`` partition.
-
-    Slotted and non-frozen: one instance is created per closed window on the
-    streaming hot path, and frozen-dataclass ``__setattr__`` indirection is
-    measurable there.  Treat instances as immutable regardless.
-    """
-
-    group_key: tuple
-    #: Integer window-instance index (instance spans ``[k*slide, k*slide+size)``).
-    window_index: int
-    #: Derived start time of the instance, for reporting.
-    window_start: float
-    results: Mapping[str, float]
-    #: Engine wall time attributed to the partition.  The streaming executor
-    #: splits each feed of a group's engine evenly over the instances open at
-    #: the time — one engine per instance or not — and adds the readout.
-    seconds: float
-    events: int
-    #: Streaming executor only: wall-clock seconds from the arrival of the
-    #: partition's last contributing event to the emission of its result.
-    emission_latency: float = 0.0
-
-    @property
-    def key(self) -> PartitionKey:
-        """The partition key ``(group key, window index)``."""
-        return (self.group_key, self.window_index)
 
 
 @dataclass
@@ -90,7 +60,7 @@ class ExecutionReport:
     #: One row per closed window, in emission order — when the report is
     #: the rows' sink.  A streaming run with an ``on_window`` callback hands
     #: each row to the callback instead and keeps none here.
-    partition_results: list[PartitionResult] = field(default_factory=list)
+    partition_results: list[WindowResult] = field(default_factory=list)
     #: Final aggregate per query, summed over groups and windows (counts/sums)
     #: — a convenient scalar for correctness checks across engines.
     totals: dict[str, float] = field(default_factory=dict)
@@ -130,9 +100,9 @@ class ExecutionReport:
         if decomposition is not None:
             return recombined_partitions(decomposition, self.partition_results)
         return {
-            partition.key: partition.results[name]
-            for partition in self.partition_results
-            if name in partition.results
+            (row.group_key, row.window_index): row.results[name]
+            for row in self.partition_results
+            if name in row.results
         }
 
 
@@ -175,13 +145,13 @@ def unit_is_linear(queries: Sequence[Query]) -> bool:
 
 
 def recombined_partitions(
-    decomposition: DecomposedQuery, partition_results: Sequence[PartitionResult]
+    decomposition: DecomposedQuery, rows: Sequence[WindowResult]
 ) -> dict[PartitionKey, float]:
     """The value of one decomposed OR/AND query per partition (Section 5).
 
     Type-disjoint sub-queries land in *different* execution units, so the two
-    halves of one window instance arrive as separate partition results that
-    share the ``(group, window index)`` key.  Every key's bucket is
+    halves of one window instance arrive as separate rows that share the
+    ``(group, window index)`` key.  Every key's bucket is
     initialized with an explicit 0.0 for each sub-query before the observed
     results are merged in: a sub-query with no matches in a window (e.g. a
     stream matching only one OR branch) must enter ``combine`` as exactly
@@ -190,16 +160,12 @@ def recombined_partitions(
     """
     sub_names = tuple(sub.name for sub in decomposition.sub_queries)
     per_partition: dict[PartitionKey, dict[str, float]] = {}
-    for partition in partition_results:
-        present = {
-            name: partition.results[name]
-            for name in sub_names
-            if name in partition.results
-        }
+    for row in rows:
+        present = {name: row.results[name] for name in sub_names if name in row.results}
         if not present:
             continue
         bucket = per_partition.setdefault(
-            partition.key, {name: 0.0 for name in sub_names}
+            (row.group_key, row.window_index), {name: 0.0 for name in sub_names}
         )
         bucket.update(present)
     return {key: decomposition.combine(bucket) for key, bucket in per_partition.items()}
@@ -322,6 +288,7 @@ class WorkloadExecutor:
             unit_events = [event for event in events if event.event_type in relevant]
         partitioner = GroupWindowPartitioner.for_queries(queries)
         partitioner.add_all(unit_events)
+        window = partitioner.spec.window
         engine = self._engine_for(queries)
         if events:
             # A unit whose types never occur in a non-empty stream produces
@@ -342,14 +309,11 @@ class WorkloadExecutor:
                 memory_units=engine.memory_units(),
                 operations=engine.operations(),
             )
+            window_start, window_end = window.instance_bounds(window_index)
             report.partition_results.append(
-                PartitionResult(
-                    group_key=group_key,
-                    window_index=window_index,
-                    window_start=partitioner.window_start(key),
-                    results=dict(results),
-                    seconds=watch.elapsed,
-                    events=len(partition_events),
+                WindowResult(
+                    group_key, window_index, window_start, window_end, dict(results),
+                    len(partition_events), emission_latency=0.0,
                 )
             )
             for name, value in results.items():

@@ -136,8 +136,8 @@ class Lateness:
         if late_policy == "retract":
             self._ring = [[(float("-inf"), float("-inf")), core._core_state(), []]]
         self._since_rotate = 0
-        #: ``(group key, window index) -> (read-only row, window end)`` of
-        #: what went out; a re-close compares slot arrays against it.
+        #: ``(group key, window index, unit's names) -> (read-only row,
+        #: window end)`` of what went out; a re-close compares slots to it.
         self._emitted: dict = {}
         #: Lowest output mark a retraction rolled back to since the last
         #: :meth:`delta_start` (``sys.maxsize``: none did).
@@ -302,7 +302,7 @@ class Lateness:
         can overwrite the stale value."""
         if self._ring is None:
             return result
-        key = (result.group_key, result.window_index)
+        key = (result.group_key, result.window_index, result.results.layout.names)
         previous = self._emitted.get(key)
         if previous is not None:
             if previous[0] == result.results:

@@ -7,7 +7,7 @@ The paper reports three metrics (Section 6.1):
   setting this is approximated by the time to process a window partition and
   extract its result; the streaming executor measures it directly as the
   wall-clock span from the arrival of a window's last contributing event to
-  the emission of that window's result (``PartitionResult.emission_latency``,
+  the emission of that window's result (``WindowResult.emission_latency``,
   aggregated here as ``average_`` / ``max_emission_latency``).  A row's
   arrival is its ``process()`` call in strict order, its block's ingest for
   a block, and under ``allowed_lateness`` the release that hands the rows
@@ -61,12 +61,15 @@ class ExecutionMetrics:
     events_processed: int = 0
     #: Number of distinct stream events consumed.
     stream_events: int = 0
-    #: Worst per-partition latency (``PartitionResult.seconds``) in seconds;
-    #: their sum and count are ``total_seconds`` and ``partitions``.
+    #: Worst per-partition latency in seconds: the engine seconds a window
+    #: took (the streaming executor splits each feed of a group's engine
+    #: evenly over the instances open at the time and adds the readout) —
+    #: folded here only, no row carries them; their sum and count are
+    #: ``total_seconds`` and ``partitions``.
     max_latency: float = 0.0
     #: True event-arrival-to-emission latencies (streaming executor): seconds
     #: between the arrival of a window's last contributing event and the
-    #: emission of that window's result — ``PartitionResult.emission_latency``
+    #: emission of that window's result — ``WindowResult.emission_latency``
     #: row by row; here their count, sum and maximum.
     emissions: int = 0
     emission_seconds: float = 0.0

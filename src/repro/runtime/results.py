@@ -2,13 +2,11 @@
 
 A :class:`ResultLayout` holds an execution unit's query names once (in the
 readout's class-major order) and the *readout slot* each name reads; a
-:class:`WindowValues` row is the layout plus one ``array('d')`` of slot
-values.  Members of a sharing class computing the same aggregate are
-computationally identical (Definition 5), so they read one slot: a closed
-window costs one double per distinct value.  Each row goes to one sink —
-``on_window`` as a :class:`WindowResult`, or else the report, which keeps
-it — and :class:`RunningTotals` folds it into the ``totals`` as it is
-emitted.
+:class:`WindowValues` row is the layout plus one ``array('d')``: members of
+a sharing class computing the same aggregate are identical (Definition 5)
+and read one slot, one double per distinct value.  A closed window is one
+:class:`WindowResult`, the one row type of every sink, which
+:class:`RunningTotals` folds into the ``totals`` as it is emitted.
 """
 
 from __future__ import annotations
@@ -16,15 +14,13 @@ from __future__ import annotations
 from array import array
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 
 class ResultLayout:
-    """The query names of one execution unit and the slot each one reads.
-
-    ``slot_of[i]`` is the slot of ``names[i]``; ``None`` is the identity
-    (one slot per name, what per-instance units use).
-    """
+    """The query names of one execution unit and the slot each one reads:
+    ``slot_of[i]`` is ``names[i]``'s (``None``: one slot per name)."""
 
     __slots__ = ("names", "slot_of", "index")
 
@@ -34,8 +30,7 @@ class ResultLayout:
         self.index: dict[str, int] = dict(zip(self.names, self.slot_of))
 
     def __reduce__(self) -> tuple[object, ...]:
-        # The index is derived; a pickle memoizes the layout, so rows
-        # sharing one in a dump ship its names once.
+        # The index is derived; a dump memoizes the layout (names ship once).
         return (ResultLayout, (self.names, self.slot_of))
 
     def __repr__(self) -> str:
@@ -111,11 +106,10 @@ def _window_values(layout: ResultLayout, raw: bytes) -> WindowValues:
 
 
 class RunningTotals:
-    """Per-query totals folded one emitted row at a time: per slot of each
-    ``(names, slot_of)`` (equal layouts unpickled from different shards
-    share one), from ``0.0`` in emission order — the additions of a running
-    ``totals[name] += value``, bit for bit.  ``recombined``: the decomposed
-    OR/AND queries' sums, one ``combine`` per ``(group, window)`` key."""
+    """Per-query totals folded one emitted row at a time, per slot of each
+    ``(names, slot_of)`` (equal layouts from different shards share one),
+    from ``0.0`` in emission order: a running ``totals[name] += value``, bit
+    for bit.  ``recombined``: decomposed OR/AND sums, a ``combine`` per key."""
 
     __slots__ = ("_sums", "_by_layout", "recombined")
 
@@ -133,8 +127,7 @@ class RunningTotals:
             sums[slot] += value
 
     def sums_of(self, values: WindowValues) -> array:
-        """The sums of ``values``' layout, created at its first row (the
-        compiled close sweep calls this too)."""
+        """``values``' layout's sums, made at its first row (also by the core)."""
         layout = values.layout
         key, zeros = (layout.names, layout.slot_of), array("d", bytes(8 * len(values.slots)))
         sums = self._by_layout[layout] = self._sums.setdefault(key, zeros)
@@ -154,25 +147,32 @@ class RunningTotals:
 
 @dataclass(frozen=True, slots=True)
 class WindowResult:
-    """One closed window instance, emitted the moment the stream passes it
-    (engine seconds: see ``PartitionResult.seconds`` of the same key).
-    Built once per window an ``on_window`` callback takes."""
+    """One closed window, emitted the moment the stream passes it: the one row
+    type of every sink (its engine seconds feed ``ExecutionMetrics`` only)."""
 
     group_key: tuple
     #: Integer window-instance index (instance spans ``[k*slide, k*slide+size)``).
     window_index: int
     window_start: float
     window_end: float
-    #: Final aggregate per query of the instance's execution unit, as a
-    #: read-only row (:class:`WindowValues`).
+    #: Per query of the instance's unit (streaming: a :class:`WindowValues`).
     results: Mapping[str, float]
-    #: Relevant group events that arrived between the instance's opening
-    #: and its close.
+    #: Group events fed between the instance's opening and its close.
     events: int
     #: Wall-clock seconds from the arrival of the instance's last contributing
-    #: event to the emission of this result.
+    #: event to the emission of this result (0.0 from the batch executor).
     emission_latency: float
-    #: ``late_policy="retract"`` only: True when this emission *replaces* a
-    #: previously emitted result of the same ``(group_key, window_index)``
-    #: whose value changed after a late event was folded in.
+    #: ``late_policy="retract"``: True when this row *replaces* its unit's
+    #: earlier one for the window, whose value a late event changed.
     retraction: bool = False
+
+    def __getstate__(self) -> tuple:  # slot by slot: shard reports and logs
+        return _slot_values(self)
+
+    def __setstate__(self, state: tuple) -> None:  # not the frozen __setattr__
+        for set_slot, value in zip(_SET_SLOTS, state):
+            set_slot(self, value)
+
+
+_slot_values = attrgetter(*WindowResult.__slots__)
+_SET_SLOTS = tuple(getattr(WindowResult, name).__set__ for name in WindowResult.__slots__)

@@ -20,7 +20,7 @@ into parallelism:
   driver knows about it, and every driver method takes the shard.  Events
   cross process boundaries as framed columnar
   :class:`~repro.events.block.EventBlock` bytes, one queue message per
-  batch; the per-shard input queues are bounded (``max_inflight``
+  batch; the per-shard input queues are bounded (:data:`MAX_INFLIGHT`
   batches) so a slow shard back-pressures the router instead of
   buffering the stream, and the per-shard reports are merged
   **deterministically**: partition results are ordered by ``(window end,
@@ -61,12 +61,10 @@ from repro.events.stream import EventStream, slice_stream
 from repro.optimizer.decisions import OptimizerStatistics
 from repro.optimizer.registry import OptimizerSpec
 from repro.query.query import Query
-from repro.query.windows import Window
 from repro.query.workload import Workload
 from repro.runtime.executor import (
     EngineFactory,
     ExecutionReport,
-    PartitionResult,
     execution_units,
     recombine_decompositions,
 )
@@ -103,6 +101,15 @@ _RESTART_BACKOFF_MAX_EXPONENT = 6
 #: single in-process shard is fed the stream as it comes (its own per-type
 #: dispatch drops irrelevant events as fast as the router would).
 _UNROUTED = (0,)
+#: Undelivered batches per shard queue: a full queue back-pressures
+#: :meth:`ShardedStreamingExecutor.process` instead of buffering the stream.
+MAX_INFLIGHT = 8
+#: Per-shard replay buffer bound, in batches.  A shard whose checkpoint acks
+#: lag this far behind back-pressures ``process`` — the buffer is what makes
+#: recovery lossless, so it is never silently dropped from — and workers
+#: checkpoint every ``REPLAY_LIMIT // 2`` batches regardless of window
+#: closes, keeping the replayed tail short through window droughts.
+REPLAY_LIMIT = 64
 
 
 class _Backoff:
@@ -265,7 +272,7 @@ def _shard_worker_main(
     invariant because bursts are segmented per ``(group, unit)`` stream and
     every such stream lives wholly inside one shard.
 
-    Every queue item ``("raw", seq, payload)`` carries one framed columnar
+    Every queue item ``(seq, payload)`` carries one framed columnar
     batch.  The driver-assigned ``seq`` tags identify batches across
     worker incarnations (checkpoint bookkeeping and post-restore replay).
 
@@ -305,7 +312,7 @@ def _shard_worker_main(
             message = in_queue.get()
             if message is None:
                 break
-            _, seq, payload = message
+            seq, payload = message
             block = EventBlock.from_bytes(payload)
             if fault is not None:
                 fault("mid-batch-decode")
@@ -366,8 +373,6 @@ class ShardedStreamingExecutor:
         routing: ``"auto"`` (group hash when the workload has a common
             GROUP BY, else by execution unit), ``"group"`` or ``"unit"``.
         batch_size: Events per batch :meth:`process` ships to a worker.
-        max_inflight: Bound on undelivered batches per shard; a full queue
-            back-pressures :meth:`process` instead of buffering the stream.
         lazy_open / shared_windows: Forwarded to every shard's
             :class:`StreamingExecutor`.
         optimizer: Adaptive per-burst sharing policy, forwarded to every
@@ -414,13 +419,6 @@ class ShardedStreamingExecutor:
         max_restarts: Total worker respawns the driver will perform per
             run before declaring the crash fatal
             (:class:`~repro.errors.WorkerCrashError`).
-        replay_limit: Bound on the per-shard replay buffer, in batches.
-            A shard whose checkpoint acks lag this far behind
-            back-pressures :meth:`process` — the buffer is what makes
-            recovery lossless, so it must never be silently dropped from.
-            Workers additionally checkpoint every ``replay_limit // 2``
-            batches regardless of window closes, keeping the replayed
-            tail short even through window droughts.
     """
 
     def __init__(
@@ -432,7 +430,6 @@ class ShardedStreamingExecutor:
         shards: Optional[int] = None,
         routing: str = "auto",
         batch_size: int = 512,
-        max_inflight: int = 8,
         lazy_open: bool = True,
         shared_windows: bool = True,
         optimizer: OptimizerSpec = None,
@@ -443,22 +440,17 @@ class ShardedStreamingExecutor:
         checkpoint_dir: Optional[str] = None,
         checkpoint_interval: int = 16,
         max_restarts: int = 3,
-        replay_limit: int = 64,
     ) -> None:
         if workers < 0:
             raise ExecutionError(f"workers must be >= 0, got {workers}")
         if batch_size < 1:
             raise ExecutionError(f"batch size must be >= 1, got {batch_size}")
-        if max_inflight < 1:
-            raise ExecutionError(f"max_inflight must be >= 1, got {max_inflight}")
         if checkpoint_interval < 1:
             raise ExecutionError(
                 f"checkpoint interval must be >= 1, got {checkpoint_interval}"
             )
         if max_restarts < 0:
             raise ExecutionError(f"max_restarts must be >= 0, got {max_restarts}")
-        if replay_limit < 2:
-            raise ExecutionError(f"replay_limit must be >= 2, got {replay_limit}")
         if workers > 0 and shards is not None and shards != workers:
             raise ExecutionError(
                 f"with worker processes the shard count is the worker count "
@@ -486,12 +478,10 @@ class ShardedStreamingExecutor:
         self.workload = workload if isinstance(workload, Workload) else Workload(workload)
         self.workers = workers
         self.batch_size = batch_size
-        self.max_inflight = max_inflight
         self.allowed_lateness = allowed_lateness
         self.checkpoint_dir = os.fspath(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_interval = checkpoint_interval
         self.max_restarts = max_restarts
-        self.replay_limit = replay_limit
         #: Seeded driver RNG for backoff jitter (reprolint RL006: runtime
         #: paths draw no global-RNG randomness; determinism of *results*
         #: never depends on these timings).
@@ -509,15 +499,15 @@ class ShardedStreamingExecutor:
         self._unrouted = workers == 0 and self.router.shards == 1
         self.analysis = self.router.analysis
         # Driver-side unit enumeration for the deterministic merge: every
-        # (post-decomposition) query name -> (unit index, window).  Shard
-        # modes agree on this order because it is derived from the full
-        # workload's analysis, not from any shard's slice of it.
-        self._unit_of_name: dict[str, tuple[int, Window]] = {}
+        # (post-decomposition) query name -> unit index.  Shard modes agree
+        # on this order because it is derived from the full workload's
+        # analysis, not from any shard's slice of it.
+        self._unit_of_name: dict[str, int] = {}
         unit_index = 0
         for group in self.analysis.groups:
             for unit in execution_units(group.queries):
                 for query in unit:
-                    self._unit_of_name[query.name] = (unit_index, query.window)
+                    self._unit_of_name[query.name] = unit_index
                 unit_index += 1
         self._unit_count = unit_index
         self._shards: list = []
@@ -760,13 +750,13 @@ class ShardedStreamingExecutor:
     def _spawn_worker(self, shard: _WorkerShard, *, resume: bool) -> None:
         """Open one worker incarnation's channels and start it on them."""
         context = self._context
-        shard.in_queue = context.Queue(maxsize=self.max_inflight)
+        shard.in_queue = context.Queue(maxsize=MAX_INFLIGHT)
         shard.pipe, up = context.Pipe(duplex=False)
         recovery = None
         if self.checkpoint_dir is not None:
             # The batch cadence bounds the replay tail (and with it recovery
             # latency) even when no window closes for a long time.
-            cadence = max(1, self.replay_limit // 2)
+            cadence = REPLAY_LIMIT // 2
             recovery = (
                 self.checkpoint_dir, self.checkpoint_interval, cadence, shard.epoch, resume
             )
@@ -826,9 +816,9 @@ class ShardedStreamingExecutor:
         self._send(shard, *self._frame(shard, block))
 
     def _send(self, shard: _WorkerShard, seq: int, payload: bytes) -> None:
-        """Ship one frame as a raw queue message."""
+        """Ship one frame as a ``(seq, frame)`` queue message."""
         try:
-            self._put(shard, ("raw", seq, payload))
+            self._put(shard, (seq, payload))
         except _WorkerRecovered:
             # Recovery replayed the buffer (this batch included) into the
             # respawned worker's fresh queue; the interrupted send is
@@ -897,7 +887,7 @@ class ShardedStreamingExecutor:
                 self._check_alive(shard)
             except _WorkerRecovered:
                 continue
-            if len(shard.replay) < self.replay_limit:
+            if len(shard.replay) < REPLAY_LIMIT:
                 return
             self._wait_seconds += backoff.sleep()
 
@@ -993,7 +983,7 @@ class ShardedStreamingExecutor:
             items: list = []
             if shard.buffer:
                 tail = EventBlock.from_events(shard.buffer)
-                items.append(("raw", *self._frame(shard, tail)))
+                items.append(self._frame(shard, tail))
                 shard.buffer.clear()
             items.append(None)
             shard.ended = True
@@ -1052,24 +1042,9 @@ class ShardedStreamingExecutor:
     # ------------------------------------------------------------------ #
     # Deterministic merge
     # ------------------------------------------------------------------ #
-    def _partition_order(self, partition: PartitionResult) -> tuple:
-        for name in partition.results:
-            placed = self._unit_of_name.get(name)
-            if placed is not None:
-                unit_index, window = placed
-                window_end = window.instance_bounds(partition.window_index)[1]
-                return (
-                    window_end,
-                    unit_index,
-                    group_sort_key(partition.group_key),
-                    partition.window_index,
-                )
-        return (  # pragma: no cover - engines always report unit queries
-            partition.window_start,
-            -1,
-            group_sort_key(partition.group_key),
-            partition.window_index,
-        )
+    def _partition_order(self, row: WindowResult) -> tuple:
+        unit_index = self._unit_of_name[next(iter(row.results))]
+        return (row.window_end, unit_index, group_sort_key(row.group_key), row.window_index)
 
     def _merge(
         self, shard_reports: Sequence[ExecutionReport], wall_seconds: float

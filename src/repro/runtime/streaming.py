@@ -22,11 +22,11 @@ This module is the online counterpart:
   an :class:`~repro.runtime.instance_windows.InstanceWindowEngine`: one
   pooled single-window engine per live instance — at most
   ``ceil(size/slide)`` feeds per event, engines reused across instances;
-* the moment the stream passes a window's end, its row goes to **one
-  sink** — the ``on_window`` callback as a :class:`WindowResult`, or else
-  the report, which keeps it — folds into the running ``totals``, and the
-  window's state is **evicted**, so peak memory is bounded by the *live*
-  state instead of the stream length.
+* the moment the stream passes a window's end, its one row, a
+  :class:`WindowResult`, goes to **one sink** — the ``on_window`` callback,
+  or else the report, which keeps it — folds into the running ``totals``,
+  and the window's state is **evicted**, so peak memory is bounded by the
+  *live* state instead of the stream length.
 
 Lazy opening (on by default) skips provably-inert stream prefixes: a window
 instance is not opened — and events covering it are not fed to any engine —
@@ -109,8 +109,8 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v16: the lateness buffer holds sorted runs, not a heap (v2-v15: CHANGES.md).
-SNAPSHOT_VERSION = 16
+#: v17: kept rows are ``WindowResult``s, the one row type (v2-v16: CHANGES.md).
+SNAPSHOT_VERSION = 17
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
@@ -324,18 +324,13 @@ class StreamingExecutor:
             for queries in execution_units(group.queries):
                 self._units.append(self._build_unit(queries, flavor))
         by_type: dict[EventType, list[_Unit]] = {}
-        #: Per type: the window shapes a row of it opens windows in.
-        opening: dict[EventType, dict] = {}
         for unit in self._units:
             for name in unit.relevant_types:
                 by_type.setdefault(name, []).append(unit)
-            for name in unit.opening_types if lazy_open else unit.relevant_types:
-                opening.setdefault(name, {})[unit.spec.window] = None
         self._units_by_type = {name: tuple(units) for name, units in by_type.items()}
         #: The staged rows' type table: relevant types, then ``None`` (code -1).
         self._stage_types = (*self._units_by_type, None)
         self._stage_codes = {name: code for code, name in enumerate(self._units_by_type)}
-        self._opening_shapes = {name: tuple(shapes) for name, shapes in opening.items()}
         self._walk_plan = cover.WalkPlan.of(self._units, self._burst_buffering)
         pools = [unit.pool for unit in self._units if unit.linear and unit.compiled is None]
         if prebuilt is not None and pools:
@@ -377,11 +372,11 @@ class StreamingExecutor:
     def process(self, event: Event) -> None:
         """Ingest one event: staged, with its own arrival stamp, for the
         Cover loop of :meth:`process_block` (a type no unit reads is only
-        counted).  The arrival that passes the earliest end of an open window
-        or of one a staged row opens folds the stage first, so the window
-        still closes — and emits — inside its call; one finding the stage
-        full folds it too.  A per-group ``(time, sequence)`` violation at
-        equal times surfaces at the fold.  With ``allowed_lateness`` set it
+        counted).  The arrival at or past the first window end after the
+        first staged row's time folds the stage first, so a window still
+        closes — and emits — inside the call that passes it; one finding
+        the stage full folds it too.  A per-group ``(time, sequence)``
+        violation at equal times surfaces at the fold.  With ``allowed_lateness`` set it
         goes to the lateness stage, which feeds the core in batches.
         """
         lateness = self._lateness
@@ -401,15 +396,10 @@ class StreamingExecutor:
         if event.event_type not in self._stage_codes:
             return
         if not staged:
-            self._fold_at = self._close.next_close
-            self._unseen = dict(self._opening_shapes)
-        shapes = self._unseen.pop(event.event_type, None)
-        if shapes:
-            # A type's first staged row opens the earliest windows any of its
-            # staged rows can: later rows' covering ranges only move up.
-            for window in shapes:
-                end = window.instance_bounds(window.covering_bounds(event_time)[0])[1]
-                self._fold_at = min(self._fold_at, end)
+            # Every open window, and every window a staged row can open, ends
+            # after this first staged time: no staged row closes one before
+            # the next window end past it.
+            self._fold_at = self._edge_after(event_time)
         staged.append(event)
         staged.arrivals.append(time.perf_counter())
 
@@ -877,11 +867,10 @@ class StreamingExecutor:
         self._totals = RunningTotals()
         #: The Close/Emit stage: the next window end, open and closed counts.
         self._close = CloseStage(self)
-        #: Rows ``process()`` staged for the Cover loop; the event time
-        #: that folds them; ``_opening_shapes`` of the types not staged yet.
+        #: Rows ``process()`` staged for the Cover loop, and the event time
+        #: that folds them.
         self._staged = StagedRows(self._stage_types)
         self._fold_at = float("inf")
-        self._unseen: dict = {}
         #: The stage in front of the core, built last: under the retract
         #: policy it starts by snapshotting the (now reset) core.
         self._lateness: Optional[Lateness] = (

@@ -140,7 +140,8 @@ def bursty_streams(draw):
 def partition_multiset(report) -> Counter:
     """Every emitted partition (units of one key kept apart via Counter)."""
     return Counter(
-        (p.key, tuple(sorted(p.results.items()))) for p in report.partition_results
+        ((p.group_key, p.window_index), tuple(sorted(p.results.items())))
+        for p in report.partition_results
     )
 
 

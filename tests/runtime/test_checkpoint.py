@@ -46,8 +46,7 @@ from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, kleene, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor
-from repro.runtime.executor import PartitionResult
-from repro.runtime.results import WindowValues
+from repro.runtime.results import WindowResult, WindowValues
 from repro.runtime.checkpoint import (
     MAGIC,
     TEMP_SUFFIX,
@@ -405,13 +404,13 @@ def _fresh(queries, optimizer=None, **options) -> StreamingExecutor:
 
 
 #: The wall-clock fields of an output row; every other one is deterministic.
-_WALL_CLOCK = {"seconds", "emission_latency"}
+_WALL_CLOCK = {"emission_latency"}
 
 
 def _rows(report) -> list[tuple]:
     """The report's output, row for row, on every field but the wall-clock ones."""
-    names = [f.name for f in dataclasses.fields(PartitionResult) if f.name not in _WALL_CLOCK]
-    assert len(names) == len(dataclasses.fields(PartitionResult)) - len(_WALL_CLOCK)
+    names = [f.name for f in dataclasses.fields(WindowResult) if f.name not in _WALL_CLOCK]
+    assert len(names) == len(dataclasses.fields(WindowResult)) - len(_WALL_CLOCK)
     return [tuple(getattr(row, name) for name in names) for row in report.partition_results]
 
 
@@ -553,10 +552,10 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
 
 
 def test_snapshot_splits_output_from_live_state():
-    """Pinned shape (v15): ``{version, fingerprint, core, lateness}``; the
+    """Pinned shape (v17): ``{version, fingerprint, core, lateness}``; the
     core is its own pickle and carries the run's scalar metrics and running
     totals (one sum per layout slot), no report; the output — one list, one
-    compact row per closed window, addressed by the one ``windows_closed``
+    compact ``WindowResult`` per closed window, addressed by the one ``windows_closed``
     mark — rides under ``"output"`` in the self-contained form and outside
     the payload in the incremental one."""
     executor = _fresh(_workload(Window(8.0), ("g",), False), None)
@@ -579,7 +578,7 @@ def test_snapshot_splits_output_from_live_state():
         if isinstance(getattr(metrics, f.name), (list, tuple, dict, set))
     ]
     assert len(state["output"]) == closed
-    assert all(isinstance(row, PartitionResult) for row in state["output"])
+    assert all(type(row) is WindowResult for row in state["output"])
     assert all(isinstance(row.results, WindowValues) for row in state["output"])
     payload, delta = executor.snapshot_state(closed - 2)
     assert "output" not in pickle.loads(payload)
@@ -762,11 +761,11 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v15 snapshot (a lateness stage whose reorder buffer pickles a heap)
-    is refused with a typed error instead of failing inside unpickling; so
-    are v14 (groups without a cached sort key), v13 (a core without running
-    totals) and v12 (a reorder buffer pickling an in-order tail beside its
-    heap)."""
+    """A v16 snapshot (kept rows of the deleted second row class) is
+    refused with a typed error instead of failing inside unpickling; so are
+    v15 (a lateness stage whose reorder buffer pickles a heap), v14 (groups
+    without a cached sort key), v13 (a core without running totals) and v12
+    (a reorder buffer pickling an in-order tail beside its heap)."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
@@ -775,13 +774,13 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 16
+    assert state["version"] == SNAPSHOT_VERSION == 17
     assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (15, 14, 13, 12):
+    for previous in (16, 15, 14, 13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

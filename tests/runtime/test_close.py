@@ -7,9 +7,10 @@ evictions, the metrics, the totals and the emission.  The Python sweep is
 the reference, selected with ``foldcore.core = None``.  Both run on the
 same state under ``test_foldcore``'s deterministic clock, so everything
 must agree: emitted rows (values as ``float.hex``, events, retraction
-flags, and the clock-derived seconds and latencies), kept report rows,
-totals, operations, peak memory units and active windows — and the bytes
-of ``snapshot_state()`` after every step.
+flags and the clock-derived latencies), kept report rows, totals, the
+clock-derived engine seconds (``total_seconds``, ``max_latency``),
+operations, peak memory units and active windows — and the bytes of
+``snapshot_state()`` after every step.
 
 The cases are what the compiled sweep handles on its own: the close order
 over mixed-kind group keys, units of different windows closing in one
@@ -52,6 +53,13 @@ MIXED_KEYS = (
 )
 
 
+def _row(r) -> tuple:
+    """One row's fields, values as ``float.hex``."""
+    values = tuple((name, float(value).hex()) for name, value in r.results.items())
+    return (r.group_key, r.window_index, r.window_start, r.window_end, r.events,
+            r.emission_latency.hex(), r.retraction, values)
+
+
 def run(queries, steps, options, core, *, sink: str = "window", raise_at: int = 0) -> tuple:
     """Feed ``steps`` (``("events" | "block", rows)``) to one executor with
     ``sink`` ``"window"`` (``on_window``) or ``"report"``; ``raise_at``
@@ -62,11 +70,7 @@ def run(queries, steps, options, core, *, sink: str = "window", raise_at: int = 
 
     def record(r) -> None:
         nonlocal calls
-        values = tuple((name, float(value).hex()) for name, value in r.results.items())
-        emitted.append(
-            (r.group_key, r.window_index, r.window_start, r.window_end, r.events,
-             r.emission_latency.hex(), r.retraction, values)
-        )
+        emitted.append(_row(r))
         calls += 1
         if calls == raise_at:
             raise RuntimeError("sink failed")
@@ -91,21 +95,15 @@ def run(queries, steps, options, core, *, sink: str = "window", raise_at: int = 
             snapshots.append(executor.snapshot_state())
         report = executor.finish()
     metrics = report.metrics
-    kept = [
-        (row.group_key, row.window_index, row.window_start, row.events,
-         row.seconds.hex(), row.emission_latency.hex(),
-         tuple((name, float(value).hex()) for name, value in row.results.items()))
-        for row in report.partition_results
-    ]
     return (
         emitted,
-        kept,
+        [_row(row) for row in report.partition_results],
         {name: value.hex() for name, value in report.totals.items()},
         metrics.operations,
         metrics.peak_memory_units,
         metrics.peak_active_windows,
         metrics.partitions,
-        metrics.total_seconds.hex(),
+        (metrics.total_seconds.hex(), metrics.max_latency.hex()),
         metrics.emission_seconds.hex(),
         metrics.late_retracted,
         after_failure,
@@ -195,9 +193,7 @@ def test_report_rows_match_the_emitted_windows():
     steps = [("block", stream(4, 200))]
     window_run = run(queries, steps, {}, foldcore.core)
     report_run = run(queries, steps, {}, foldcore.core, sink="report")
-    emitted = [(g, i, s, n, latency, v) for g, i, s, _, n, latency, _, v in window_run[0]]
-    kept = [(g, i, s, n, latency, v) for g, i, s, n, _, latency, v in report_run[1]]
-    assert emitted == kept
+    assert window_run[0] == report_run[1]
     assert window_run[2] == report_run[2]
 
 

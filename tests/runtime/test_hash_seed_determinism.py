@@ -73,7 +73,10 @@ for routing in ("group", "unit"):
     document[routing] = {
         "totals": sorted(report.totals.items()),
         "partitions": [
-            [repr(partition.key), sorted(partition.results.items())]
+            [
+                repr((partition.group_key, partition.window_index)),
+                sorted(partition.results.items()),
+            ]
             for partition in report.partition_results
         ],
         "shards": [

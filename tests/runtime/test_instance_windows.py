@@ -147,7 +147,9 @@ def measure(name: str, *, block: bool) -> dict:
     twin = StreamingExecutor(queries, factory, **options).run(
         EventStream(events).to_block() if block else events
     )
-    partitions = [(p.key, p.events, p.results) for p in twin.partition_results]
+    partitions = [
+        ((p.group_key, p.window_index), p.events, p.results) for p in twin.partition_results
+    ]
     assert partitions == [((r.group_key, r.window_index), r.events, r.results) for r in emitted]
     assert twin.totals == report.totals
     return {

@@ -265,6 +265,53 @@ def test_reconcile_suppresses_unchanged_and_flags_changed_windows():
     assert restored.reconcile(result(-0.0)).retraction
 
 
+@pytest.mark.parametrize("ingest", ("events", "block"))
+def test_reconcile_keeps_the_units_of_one_window_apart(ingest):
+    """COUNT(*) and MAX run in two units, so each window closes one row per
+    unit.  Under ``retract`` no first emission is a retraction, and a replay
+    that re-closes a window without changing its row emits nothing: every
+    repeat of a ``(group, window, unit)`` row is a flagged, changed one."""
+    from repro.query import Query, Window, kleene, max_of, seq
+    from repro.runtime import StreamingExecutor
+
+    window = Window(5.0, 2.5)
+    pattern = seq("A", kleene("B"))
+    queries = [
+        Query.build(pattern, group_by=("g",), window=window, name="cnt"),
+        Query.build(pattern, group_by=("g",), window=window, aggregate=max_of("B", "v"), name="mx"),
+    ]
+    rng = random.Random(5)
+    events = [
+        Event(rng.choice("AB"), index * 0.25, {"v": float(rng.randint(1, 9)), "g": index % 2},
+              sequence=index)
+        for index in range(240)
+    ]
+    arrivals = [*events]
+    for index in (120, 200):  # each arrives 3 time units behind the watermark
+        arrivals.remove(events[index])
+        arrivals.insert(arrivals.index(events[index + 16]) + 1, events[index])
+    emitted: list = []
+    executor = StreamingExecutor(
+        queries, on_window=emitted.append, allowed_lateness=1.0, late_policy="retract"
+    )
+    if ingest == "block":
+        for first in range(0, len(arrivals), 10):
+            executor.process_block(EventBlock.from_events(arrivals[first : first + 10]))
+    else:
+        for event in arrivals:
+            executor.process(event)
+    report = executor.finish()
+    assert report.metrics.late_retracted == 2
+    seen: dict = {}
+    for result in emitted:
+        key = (result.group_key, result.window_index, tuple(result.results))
+        assert result.retraction == (key in seen), key
+        assert seen.get(key) != result.results, key
+        seen[key] = result.results
+    assert len(seen) < len(emitted)  # a retraction rewrote some window
+    assert {name for _, _, names in seen for name in names} == {"cnt", "mx"}
+
+
 # --------------------------------------------------------------------- #
 # The stage pickles itself
 # --------------------------------------------------------------------- #

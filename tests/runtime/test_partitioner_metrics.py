@@ -314,6 +314,6 @@ class TestNanGroupKeys:
         events = self._events(lambda: float("nan"))
         report = run_sharded(self._workload(), events, workers=2, batch_size=1)
         assert report.totals == {"q-q1": 3.0, "q-q2": 3.0}
-        assert len({row.key for row in report.partition_results}) == len(
+        assert len({(row.group_key, row.window_index) for row in report.partition_results}) == len(
             report.partition_results
         )

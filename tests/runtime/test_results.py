@@ -351,7 +351,7 @@ def test_on_window_is_handed_the_row_the_report_would_keep():
     assert len(emitted) == len(rows) > 20
     widths = set()
     for result, row in zip(emitted, rows):
-        assert (result.group_key, result.window_index) == row.key
+        assert (result.group_key, result.window_index) == (row.group_key, row.window_index)
         assert isinstance(result.results, WindowValues)
         assert result.results.layout.names == row.results.layout.names
         assert result.results.layout.slot_of == row.results.layout.slot_of
@@ -446,7 +446,7 @@ def test_report_bytes_per_closed_window_stay_compact():
     finally:
         tracemalloc.stop()
     assert windows > 100
-    # One slot + array + row + PartitionResult and its floats.
+    # One slot + array + values row + WindowResult and its floats.
     assert released / windows < 400
 
 
@@ -530,7 +530,7 @@ def test_every_member_reads_its_class_slot_bit_for_bit(policy, monkeypatch):
 
     def by_name(result):
         return {
-            (row.key, name): value.hex()
+            ((row.group_key, row.window_index), name): value.hex()
             for row in result.partition_results
             for name, value in row.results.items()
         }

@@ -29,7 +29,7 @@ EVENTS = [Event("AB"[index % 2], float(index)) for index in range(40)]
 
 @pytest.mark.parametrize(
     "wrapper, executor, keyword_only",
-    ((run_streaming, StreamingExecutor, 7), (run_sharded, ShardedStreamingExecutor, 16)),
+    ((run_streaming, StreamingExecutor, 7), (run_sharded, ShardedStreamingExecutor, 14)),
     ids=("run_streaming", "run_sharded"),
 )
 def test_every_constructor_keyword_passes_through(monkeypatch, wrapper, executor, keyword_only):

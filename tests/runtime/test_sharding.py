@@ -351,7 +351,7 @@ class TestShardedStreamingExecutor:
         owner: dict[tuple, int] = {}
         for shard in report.shards:
             for partition in shard.report.partition_results:
-                key = partition.key
+                key = (partition.group_key, partition.window_index)
                 assert owner.setdefault(key, shard.shard_id) == shard.shard_id
 
     def test_shard_reports_account_for_all_routed_events(self):
@@ -375,7 +375,7 @@ class TestShardedStreamingExecutor:
         keys = None
         for shards in (1, 2, 4):
             report = run_sharded(grouped_queries(), events, workers=0, shards=shards)
-            ordered = [p.key for p in report.partition_results]
+            ordered = [(p.group_key, p.window_index) for p in report.partition_results]
             if keys is None:
                 keys = ordered
             assert ordered == keys
@@ -613,10 +613,13 @@ class TestWorkerFailurePropagation:
             grouped_queries(), events, factory, workers=2, batch_size=64
         )
         assert forked.totals == single.totals
-        # Multiset comparison: partitions of different units share p.key, so
-        # a dict keyed by it would drop all but one partition per key.
-        assert Counter(
-            (p.key, tuple(sorted(p.results.items()))) for p in forked.partition_results
-        ) == Counter(
-            (p.key, tuple(sorted(p.results.items()))) for p in single.partition_results
-        )
+        # Multiset comparison: partitions of different units share a
+        # (group key, window index) key, so a dict keyed by it would drop
+        # all but one partition per key.
+        def rows(report):
+            return Counter(
+                ((p.group_key, p.window_index), tuple(sorted(p.results.items())))
+                for p in report.partition_results
+            )
+
+        assert rows(forked) == rows(single)

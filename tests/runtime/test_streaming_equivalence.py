@@ -204,8 +204,11 @@ def test_shared_windows_per_window_results_match_per_instance(seed, size):
     factory = lambda: HamletEngine(DynamicSharingOptimizer())  # noqa: E731
     shared = run_streaming(queries, events, factory)
     instances = run_streaming(queries, events, factory, shared_windows=False)
-    shared_map = {p.key: dict(p.results) for p in shared.partition_results}
-    instance_map = {p.key: dict(p.results) for p in instances.partition_results}
+
+    def by_key(report):
+        return {(p.group_key, p.window_index): dict(p.results) for p in report.partition_results}
+
+    shared_map, instance_map = by_key(shared), by_key(instances)
     assert shared_map == instance_map
 
 
@@ -235,13 +238,14 @@ def partition_multiset(report):
     """Every emitted partition as a multiset entry.
 
     Partitions of *different execution units* share the ``(group, window
-    index)`` key, so a dict keyed by ``p.key`` would silently drop all but
-    one unit's partition per key; the Counter keeps them all.
+    index)`` key, so a dict keyed by it would silently drop all but one
+    unit's partition per key; the Counter keeps them all.
     """
     from collections import Counter
 
     return Counter(
-        (p.key, tuple(sorted(p.results.items()))) for p in report.partition_results
+        ((p.group_key, p.window_index), tuple(sorted(p.results.items())))
+        for p in report.partition_results
     )
 
 

@@ -62,7 +62,7 @@ class TestEmission:
         assert ends == sorted(ends)
         # Every emitted window matches the corresponding batch partition result.
         batch = WorkloadExecutor(_ab_workload(window), HamletEngine).run(events)
-        batch_results = {p.key: p.results for p in batch.partition_results}
+        batch_results = {(p.group_key, p.window_index): p.results for p in batch.partition_results}
         for result in emitted:
             assert dict(result.results) == batch_results[(result.group_key, result.window_index)]
         assert report.totals == batch.totals
@@ -565,7 +565,10 @@ class TestSharedWindows:
         assert report.totals == reference.totals
 
         def rows(result):
-            return sorted((p.key, tuple(p.results.items())) for p in result.partition_results)
+            return sorted(
+                ((p.group_key, p.window_index), tuple(p.results.items()))
+                for p in result.partition_results
+            )
 
         assert rows(report) == rows(reference)
 

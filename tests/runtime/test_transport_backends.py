@@ -72,7 +72,8 @@ def partition_multiset(report):
     from collections import Counter
 
     return Counter(
-        (p.key, tuple(sorted(p.results.items()))) for p in report.partition_results
+        ((p.group_key, p.window_index), tuple(sorted(p.results.items())))
+        for p in report.partition_results
     )
 
 

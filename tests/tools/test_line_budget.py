@@ -18,17 +18,18 @@ RUNTIME = ROOT / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1120,
+    "streaming.py": 1109,
     "lateness.py": 320,
-    "sharding.py": 1153,
+    "sharding.py": 1128,
     "routing.py": 322,
     "shared_windows.py": 1321,
     "foldcore.py": 143,
-    "_foldcore.c": 1992,
+    "_foldcore.c": 1976,
     "cover.py": 293,
-    "close.py": 265,
+    "close.py": 260,
     "results.py": 178,
     "reorder.py": 400,
+    "executor.py": 334,
 }
 
 
