@@ -188,7 +188,7 @@ def _run_stream(
             f"{metrics.stream_events} events -> {metrics.partitions} windows "
             f"in {metrics.wall_seconds:.3f}s wall = "
             f"{metrics.throughput_wall:,.0f} events/s wall-clock "
-            f"({metrics.throughput_engine:,.0f} events/s per engine-second)"
+            f"(avg emission latency {metrics.average_emission_latency * 1e3:.2f}ms)"
         )
         recovery = report.recovery
         if recovery is not None:

@@ -36,7 +36,6 @@ Column consumers index any ``Sequence``; none may assume a ``list``.
 
 from __future__ import annotations
 
-import bisect
 from array import array
 from itertools import chain, compress
 from operator import itemgetter
@@ -499,27 +498,6 @@ class EventBlock:
             key_codes,
             [[_join(column) for column in columns] for columns in parts],
         )
-
-    def slice_time(
-        self, start: Optional[Timestamp] = None, end: Optional[Timestamp] = None
-    ) -> "EventBlock":
-        """Zero-copy sub-block covering the half-open time slice ``[start, end)``.
-
-        The cut points come from binary search over the (sorted) time
-        column — the block analogue of :func:`repro.events.stream.slice_stream`.
-        """
-        times = self._times
-        lo = (
-            bisect.bisect_left(times, start, self._start, self._stop) - self._start
-            if start is not None
-            else 0
-        )
-        hi = (
-            bisect.bisect_left(times, end, self._start, self._stop) - self._start
-            if end is not None
-            else self._stop - self._start
-        )
-        return self.slice(lo, hi)
 
     # ------------------------------------------------------------------ #
     # Columnar payload access

@@ -230,32 +230,6 @@ class EventStream:
         return f"EventStream({self.name!r}, {len(self._events)} events)"
 
 
-def slice_stream(
-    stream: "EventStream | Iterable[Event]",
-    start: Optional[Timestamp] = None,
-    end: Optional[Timestamp] = None,
-) -> "EventStream | Iterable[Event]":
-    """Cut ``stream`` to the half-open time slice ``[start, end)``.
-
-    With both bounds ``None`` the stream is returned untouched (no copy).
-    Otherwise the input is indexed as an :class:`EventStream` (if it is not
-    one already) and the slice is cut with the cached timestamp array —
-    binary search, no scan.  Both executors' ``run(start=, end=)`` replay
-    windows go through this one helper so their slice semantics cannot
-    drift apart.
-    """
-    if start is None and end is None:
-        return stream
-    if not isinstance(stream, EventStream):
-        stream = EventStream(stream)
-    # Event times are validated non-negative, so -inf is equivalent to 0.0
-    # here — but it states the actual semantics: no lower bound.
-    return stream.between(
-        start if start is not None else float("-inf"),
-        end if end is not None else float("inf"),
-    )
-
-
 def merge_streams(*streams: EventStream, name: str = "merged") -> EventStream:
     """Merge streams into a single stream ordered by ``(time, sequence)``.
 

@@ -96,9 +96,9 @@ typedef struct {
 /* A _DeferredKleene and a streaming _Group. */
 static layout counters = {NULL, 3, {"rows", "cells", "entries"}, {0}};
 enum { ROWS, CELLS, ENTRIES };
-static layout groups = {NULL, 7, {"engine", "metas", "fed", "last_arrival", "share_seconds",
-                                  "ops_reported", "sort_key"}, {0}};
-enum { ENGINE, METAS, FED, ARRIVAL, SHARE, REPORTED, SORT_KEY };
+static layout groups = {NULL, 6, {"engine", "metas", "fed", "last_arrival", "ops_reported",
+                                  "sort_key"}, {0}};
+enum { ENGINE, METAS, FED, ARRIVAL, REPORTED, SORT_KEY };
 
 static int
 bind(layout *of, PyTypeObject *type)
@@ -758,7 +758,7 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     column times, sequences, types;
-    PyObject *type_table, *arrivals, *clock;
+    PyObject *type_table, *arrivals;
     Py_ssize_t base, count, type_count, unit_count, attached;
     Py_ssize_t *feed_start, *feed_units, *touched;
     unit_walk *units;
@@ -808,7 +808,6 @@ walk_close(Walk *self, PyObject *Py_UNUSED(args))
     self->unit_count = self->type_count = self->attached = 0;
     Py_CLEAR(self->type_table);
     Py_CLEAR(self->arrivals);
-    Py_CLEAR(self->clock);
     Py_RETURN_NONE;
 }
 
@@ -824,16 +823,14 @@ walk_init(Walk *self, PyObject *args, PyObject *Py_UNUSED(kwargs))
 {
     PyObject *times, *sequences, *types, *by_code;
     Py_XDECREF(walk_close(self, NULL));
-    if (!PyArg_ParseTuple(args, "OOOO!nnO!OOn:Walk", &times, &sequences, &types,
+    if (!PyArg_ParseTuple(args, "OOOO!nnO!On:Walk", &times, &sequences, &types,
                           &PyTuple_Type, &self->type_table, &self->base, &self->count,
-                          &PyTuple_Type, &by_code, &self->arrivals, &self->clock,
-                          &self->unit_count)) {
-        self->type_table = self->arrivals = self->clock = NULL;
+                          &PyTuple_Type, &by_code, &self->arrivals, &self->unit_count)) {
+        self->type_table = self->arrivals = NULL;
         return -1;
     }
     Py_INCREF(self->type_table);
     Py_INCREF(self->arrivals);
-    Py_INCREF(self->clock);
     Py_ssize_t end = self->base + self->count, feeds = 0;
     self->type_count = PyTuple_GET_SIZE(by_code);
     if (self->base < 0 || self->count < 0 || self->unit_count < 0
@@ -1090,16 +1087,15 @@ walk_run(Walk *self, PyObject *args)
 }
 
 /* One group's segment, as the reference's _flush_static hands it over:
- * its rows' columns gathered, folded by the engine's process_block_run and
- * timed into the group's share_seconds.  Lists, not tuples: a tuple under
- * 20 items goes to a free list of 2,000 per size when freed, which would
- * hold the segments' columns as live memory. */
+ * its rows' columns gathered and folded, untimed, by the engine's
+ * process_block_run.  Lists, not tuples: a tuple under 20 items goes to a
+ * free list of 2,000 per size when freed, which would hold the segments'
+ * columns as live memory. */
 static int
 fold_group(Walk *self, unit_walk *unit, PyObject *group, const long long *rows, Py_ssize_t count)
 {
     enum { TYPES, TIMES, SEQUENCES, LOWS, HIGHS, CONTRIBUTIONS, ROWS_OF, COLUMNS };
-    PyObject *column[COLUMNS] = {NULL}, *views = NULL, *started = NULL, *folded = NULL;
-    PyObject *ended = NULL, **engine, **share = NULL, **metas = NULL;
+    PyObject *column[COLUMNS] = {NULL}, *views = NULL, *folded = NULL, **engine;
     int status = -1;
     for (int which = 0; which < COLUMNS; which++) {
         int none = (which == CONTRIBUTIONS && unit->contributions == Py_None)
@@ -1134,40 +1130,22 @@ fold_group(Walk *self, unit_walk *unit, PyObject *group, const long long *rows, 
             goto done;
         }
     }
-    if ((engine = member(&groups, group, ENGINE)) != NULL
-        && (share = member(&groups, group, SHARE)) != NULL) {
-        metas = member(&groups, group, METAS);
+    if ((engine = member(&groups, group, ENGINE)) == NULL) {
+        goto done;
     }
-    views = metas == NULL          ? NULL
-            : unit->views == Py_None ? Py_NewRef(Py_None)
-                                     : PyObject_CallOneArg(unit->views, column[ROWS_OF]);
-    started = views ? PyObject_CallNoArgs(self->clock) : NULL;
-    folded = started ? PyObject_CallMethodObjArgs(*engine, s_process_block_run, column[TYPES],
-                                                  column[TIMES], column[SEQUENCES], column[LOWS],
-                                                  column[HIGHS], column[CONTRIBUTIONS], views, NULL)
-                     : NULL;
-    ended = folded ? PyObject_CallNoArgs(self->clock) : NULL;
-    double from, to, before;
-    if (ended && as_double(started, &from) == 0 && as_double(ended, &to) == 0
-        && as_double(*share, &before) == 0) {
-        Py_ssize_t open = PyObject_Length(*metas);
-        PyObject *after = open <= 0 ? NULL : PyFloat_FromDouble(before + (to - from) / (double)open);
-        if (after != NULL) {
-            Py_SETREF(*share, after);
-            status = 0;
-        }
-        else if (!PyErr_Occurred()) {
-            PyErr_SetString(PyExc_ZeroDivisionError, "fold core: a fed group has no window");
-        }
-    }
+    views = unit->views == Py_None ? Py_NewRef(Py_None)
+                                   : PyObject_CallOneArg(unit->views, column[ROWS_OF]);
+    folded = views ? PyObject_CallMethodObjArgs(*engine, s_process_block_run, column[TYPES],
+                                                column[TIMES], column[SEQUENCES], column[LOWS],
+                                                column[HIGHS], column[CONTRIBUTIONS], views, NULL)
+                   : NULL;
+    status = folded ? 0 : -1;
 done:
     for (int which = 0; which < COLUMNS; which++) {
         Py_XDECREF(column[which]);
     }
     Py_XDECREF(views);
-    Py_XDECREF(started);
     Py_XDECREF(folded);
-    Py_XDECREF(ended);
     return status;
 }
 
@@ -1251,8 +1229,8 @@ static PyTypeObject walk_type = {
 /* A streaming _WindowMeta, the CloseStage, and the two objects a close
  * builds: WindowValues and the one row type, WindowResult (slotted classes
  * with no __init__ logic, filled slot by slot in field order). */
-static layout window_metas = {NULL, 4, {"index", "end", "opened_fed", "share_at_open"}, {0}};
-enum { INDEX, END, OPENED, AT_OPEN };
+static layout window_metas = {NULL, 3, {"index", "end", "opened_fed"}, {0}};
+enum { INDEX, END, OPENED };
 static layout stages = {NULL, 2, {"active", "closed"}, {0}};
 enum { ACTIVE, CLOSED };
 static layout values_row = {NULL, 2, {"layout", "slots"}, {0}};
@@ -1323,11 +1301,12 @@ step_long(PyObject *object, PyObject *name, long long delta, long long *out)
 }
 
 /* The ExecutionMetrics fields a close records, folded in C over one unit
- * sweep and stored back at its end (or at an error). */
-static const char *tally_names[] = {"total_seconds", "max_latency", "emission_seconds",
-                                    "max_emission_latency", "partitions", "events_processed",
-                                    "peak_memory_units", "operations", "emissions"};
-enum { TOTAL_SECONDS, MAX_LATENCY, EMISSION_SECONDS, MAX_EMISSION, FLOATS,
+ * sweep and stored back at its end (or at an error).  No engine seconds: a
+ * streaming run leaves total_seconds and max_latency to the batch executor. */
+static const char *tally_names[] = {"emission_seconds", "max_emission_latency", "partitions",
+                                    "events_processed", "peak_memory_units", "operations",
+                                    "emissions"};
+enum { EMISSION_SECONDS, MAX_EMISSION, FLOATS,
        PARTITIONS = FLOATS, EVENTS_PROCESSED, PEAK_MEMORY, OPERATIONS, EMISSIONS, TALLIES };
 typedef struct {
     double real[FLOATS];
@@ -1513,33 +1492,31 @@ total(sweep *of, PyObject *values)
 }
 
 /* Close one expired window, as CloseStage._close_window does (its meta
- * still in the group: popped first). */
+ * still in the group: popped first); the clock is read once, for the
+ * emission latency. */
 static int
 close_one(sweep *of, const expiry *window)
 {
     PyObject **open = member(&groups, window->group, METAS), **engine = NULL;
-    PyObject **fed = NULL, **arrival = NULL, **share = NULL, **reported = NULL;
+    PyObject **fed = NULL, **arrival = NULL, **reported = NULL;
     PyObject **index = member(&window_metas, window->meta, INDEX);
     PyObject **end = member(&window_metas, window->meta, END);
     PyObject **opened = member(&window_metas, window->meta, OPENED);
-    PyObject **at_open = member(&window_metas, window->meta, AT_OPEN);
     PyObject **active = member(&stages, of->stage, ACTIVE);
     PyObject **closed = member(&stages, of->stage, CLOSED);
-    if (open == NULL || index == NULL || end == NULL || opened == NULL || at_open == NULL
-        || active == NULL || closed == NULL
+    if (open == NULL || index == NULL || end == NULL || opened == NULL || active == NULL
+        || closed == NULL
         || (engine = member(&groups, window->group, ENGINE)) == NULL
         || (fed = member(&groups, window->group, FED)) == NULL
         || (arrival = member(&groups, window->group, ARRIVAL)) == NULL
-        || (share = member(&groups, window->group, SHARE)) == NULL
         || (reported = member(&groups, window->group, REPORTED)) == NULL) {
         return -1;
     }
     PyObject *key = Py_NewRef(*index), *values = NULL;
     int status = -1;
-    double started, ended, last = 0.0, seconds, latency, share_now, share_then;
+    double ended, last = 0.0, latency;
     long long events, fed_now, fed_then, operations = 0, memory = 0, reported_then;
     if (PyDict_DelItem(*open, key) < 0 || bump(active, -1) < 0 || bump(closed, 1) < 0
-        || clock_read(of, &started) < 0
         || (values = read_out(of, *engine, key, &operations, &memory)) == NULL) {
         goto done;
     }
@@ -1547,12 +1524,10 @@ close_one(sweep *of, const expiry *window)
         goto done;
     }
     if (clock_read(of, &ended) < 0 || (fed_now = PyLong_AsLongLong(*fed), PyErr_Occurred())
-        || (fed_then = PyLong_AsLongLong(*opened), PyErr_Occurred())
-        || as_double(*share, &share_now) < 0 || as_double(*at_open, &share_then) < 0) {
+        || (fed_then = PyLong_AsLongLong(*opened), PyErr_Occurred())) {
         goto done;
     }
     events = fed_now - fed_then;
-    seconds = (share_now - share_then) + (ended - started);
     if (events && as_double(*arrival, &last) < 0) {
         goto done;
     }
@@ -1563,12 +1538,8 @@ close_one(sweep *of, const expiry *window)
     }
     /* metrics.record_partition + record_emission */
     tally *sums = &of->tally;
-    sums->real[TOTAL_SECONDS] += seconds;
     sums->count[PARTITIONS - FLOATS] += 1;
     sums->count[EVENTS_PROCESSED - FLOATS] += events;
-    if (seconds > sums->real[MAX_LATENCY]) {
-        sums->real[MAX_LATENCY] = seconds;
-    }
     if (memory > sums->count[PEAK_MEMORY - FLOATS]) {
         sums->count[PEAK_MEMORY - FLOATS] = memory;
     }

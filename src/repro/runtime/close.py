@@ -7,22 +7,24 @@ earliest end has passed, the sweep closes every expired window of every
 group in ``(end, group order, index)`` order, the group order being the
 ``group_sort_key`` each group caches when it opens.  Closing one window is
 the engine's readout and eviction, the group's eviction when its last
-window closed, the metrics (the engine seconds and events the window took,
-its operations and emission latency), the fold of its values into the
-run's :class:`~repro.runtime.results.RunningTotals`, and its one row — a
-:class:`~repro.runtime.results.WindowResult`, the one row type, built once —
-to the one sink: ``emit`` (``on_window``, behind ``Lateness.reconcile``
-under ``late_policy="retract"``), else the report; the same object also
-joins the recombination of decomposed OR/AND queries that ends a sweep.
+window closed, the metrics (the events the window took, its operations and
+its emission latency: the close's one clock read), the fold of its values
+into the run's :class:`~repro.runtime.results.RunningTotals`, and its one
+row — a :class:`~repro.runtime.results.WindowResult`, the one row type,
+built once — to the one sink: ``emit`` (``on_window``, behind
+``Lateness.reconcile`` under ``late_policy="retract"``), else the report;
+the same object also joins the recombination of decomposed OR/AND queries
+that ends a sweep.  No engine call is timed: engine seconds
+(``total_seconds``, ``max_latency``) are the batch executor's.
 
 For a unit whose groups are all store-free scalar shared-window engines
 and whose executor runs no optimizer, one fold-core call per unit sweep
 (``_foldcore.sweep_unit``) does all of the above on the same state, bit for
 bit: readout through ``close_scalar``'s internals, metrics and totals folded
-in the same order, the ``perf_counter`` it is handed read exactly where this
-module reads it.  The Python sweep here is the *reference* (``foldcore.core
-= None``) and runs every other unit: per-instance, vector, store or
-optimizer units.
+in the same order, the ``perf_counter`` it is handed read once per window,
+where this module reads it.  The Python sweep here is the *reference*
+(``foldcore.core = None``) and runs every other unit: per-instance, vector,
+store or optimizer units.
 
 An exception from ``emit`` propagates out of the call that swept: the
 windows closed before it and the one it was called with are closed and
@@ -192,7 +194,6 @@ class CloseStage:
         self.active -= 1
         self.closed += 1
         engine = group.engine
-        started = clock()
         results = engine.close_window(meta.index)
         if group.evicts:
             engine.evict_to(next(iter(group.metas), None))
@@ -206,14 +207,11 @@ class CloseStage:
             del unit.groups[group_key]
         ended = clock()
         events = group.fed - meta.opened_fed
-        seconds = (group.share_seconds - meta.share_at_open) + (ended - started)
         latency = ended - group.last_arrival if events else 0.0
         operations = engine.operations()
         ops_delta = operations - group.ops_reported
         group.ops_reported = operations
-        metrics.record_partition(
-            seconds=seconds, events=events, memory_units=engine.memory_units(), operations=ops_delta
-        )
+        metrics.record_partition(events, engine.memory_units(), ops_delta)
         metrics.record_emission(latency)
         self._executor()._totals.add(results)
         window_start, window_end = unit.spec.window.instance_bounds(meta.index)

@@ -180,7 +180,6 @@ def walk(
     executor: "StreamingExecutor",
     block: "EventBlock | StagedRows",
     arrivals: "float | list[float]",
-    clock: Callable[[], float],
 ) -> bool:
     """Run ``block``'s rows through the compiled Cover stage; ``False``,
     untouched, where the reference loop must run instead (no core, no
@@ -201,7 +200,7 @@ def walk(
     )
     records: list[Any] = [None] * len(units)  # per unit index, once attached
     walker = core.Walk(
-        times, sequences, type_codes, type_table, base, count, by_code, arrivals, clock, len(units)
+        times, sequences, type_codes, type_table, base, count, by_code, arrivals, len(units)
     )
     row, prepared, fed = 0, -1, 0
     next_close = executor._close.next_close

@@ -214,28 +214,21 @@ class WorkloadExecutor:
         self,
         workload: Workload | Sequence[Query],
         engine_factory: EngineFactory = HamletEngine,
-        *,
-        reuse_engine: bool = True,
     ) -> None:
         """Create an executor.
 
         Args:
             workload: The queries to evaluate.
             engine_factory: Zero-argument callable returning the engine used
-                for linear-aggregate query groups (default: HAMLET).
-            reuse_engine: Reuse one engine instance across partitions (keeps
-                optimizer statistics across the run).  Set to False to create
-                a fresh engine per partition.
+                for linear-aggregate query groups (default: HAMLET).  One
+                engine serves every partition (``start()`` resets it), so
+                its optimizer's statistics cover the whole run.
         """
         self.workload = workload if isinstance(workload, Workload) else Workload(workload)
         self.workload.validate()
         self.engine_factory = engine_factory
-        self.reuse_engine = reuse_engine
         self.analysis: WorkloadAnalysis = analyze_workload(self.workload)
-        self._engine_label, built = resolve_engine_label(engine_factory)
-        self._shared_engine: Optional[TrendAggregationEngine] = (
-            built if reuse_engine else None
-        )
+        self._engine_label, self._shared_engine = resolve_engine_label(engine_factory)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -263,11 +256,9 @@ class WorkloadExecutor:
     def _engine_for(self, queries: Sequence[Query]) -> TrendAggregationEngine:
         if not unit_is_linear(queries):
             return GretaEngine()
-        if self.reuse_engine:
-            if self._shared_engine is None:
-                self._shared_engine = self.engine_factory()
-            return self._shared_engine
-        return self.engine_factory()
+        if self._shared_engine is None:
+            self._shared_engine = self.engine_factory()
+        return self._shared_engine
 
     def _run_unit(
         self,

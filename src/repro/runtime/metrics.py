@@ -3,11 +3,13 @@
 The paper reports three metrics (Section 6.1):
 
 * **latency** — average time between a query's aggregation result output and
-  the arrival of the last event contributing to it.  In the replayed batch
-  setting this is approximated by the time to process a window partition and
-  extract its result; the streaming executor measures it directly as the
-  wall-clock span from the arrival of a window's last contributing event to
-  the emission of that window's result (``WindowResult.emission_latency``,
+  the arrival of the last event contributing to it.  The batch executor
+  replays partitions and approximates it by the engine seconds a partition's
+  processing and readout took (``total_seconds`` / ``max_latency``, and
+  ``average_latency`` / ``throughput_engine`` derived from them; streaming
+  runs leave them at 0.0).  The streaming executor measures it directly as
+  the wall-clock span from the arrival of a window's last contributing event
+  to the emission of that window's result (``WindowResult.emission_latency``,
   aggregated here as ``average_`` / ``max_emission_latency``).  A row's
   arrival is its ``process()`` call in strict order, its block's ingest for
   a block, and under ``allowed_lateness`` the release that hands the rows
@@ -46,9 +48,9 @@ class Stopwatch:
 class ExecutionMetrics:
     """Aggregate metrics collected over an execution run."""
 
-    #: Total wall-clock seconds spent inside engines (feeding + results).
-    #: Summed over engines, so parallel shards contribute additively — this
-    #: measures *work*, not elapsed time.
+    #: Batch executor only: total wall-clock seconds spent inside engines
+    #: (feeding + results), summed over partitions — *work*, not elapsed
+    #: time.  The streaming executors time no engine call and leave it 0.0.
     total_seconds: float = 0.0
     #: Elapsed wall-clock seconds of the whole run (stream start to final
     #: flush).  Unlike ``total_seconds`` this does not grow with the number
@@ -61,11 +63,9 @@ class ExecutionMetrics:
     events_processed: int = 0
     #: Number of distinct stream events consumed.
     stream_events: int = 0
-    #: Worst per-partition latency in seconds: the engine seconds a window
-    #: took (the streaming executor splits each feed of a group's engine
-    #: evenly over the instances open at the time and adds the readout) —
-    #: folded here only, no row carries them; their sum and count are
-    #: ``total_seconds`` and ``partitions``.
+    #: Batch executor only: the worst partition's engine seconds (their sum
+    #: and count are ``total_seconds`` and ``partitions``; no row carries
+    #: them).  Streaming runs leave it 0.0 and report ``max_emission_latency``.
     max_latency: float = 0.0
     #: True event-arrival-to-emission latencies (streaming executor): seconds
     #: between the arrival of a window's last contributing event and the
@@ -104,9 +104,10 @@ class ExecutionMetrics:
     late_retracted: int = 0
 
     def record_partition(
-        self, seconds: float, events: int, memory_units: int, operations: int
+        self, events: int, memory_units: int, operations: int, seconds: float = 0.0
     ) -> None:
-        """Record the evaluation of one partition."""
+        """Record the evaluation of one partition; ``seconds``, the engine
+        time it took, only the batch executor measures."""
         self.total_seconds += seconds
         self.partitions += 1
         self.events_processed += events
@@ -134,7 +135,7 @@ class ExecutionMetrics:
 
     @property
     def average_latency(self) -> float:
-        """Average per-partition latency in seconds."""
+        """Average per-partition engine seconds (batch executor runs)."""
         return self.total_seconds / self.partitions if self.partitions else 0.0
 
     @property
@@ -144,11 +145,11 @@ class ExecutionMetrics:
 
     @property
     def throughput_engine(self) -> float:
-        """Events processed per second of summed *engine* time.
+        """Events processed per second of summed *engine* time (batch
+        executor runs; 0.0 for streaming ones, which time no engine call).
 
-        Engine seconds add up across parallel shard workers, so this ratio
-        deliberately ignores parallelism: it measures per-event engine cost,
-        not end-to-end speed.  Use :attr:`throughput_wall` for the latter.
+        It measures per-event engine cost, not end-to-end speed: use
+        :attr:`throughput_wall` for the latter.
         """
         if self.total_seconds <= 0:
             return 0.0

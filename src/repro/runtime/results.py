@@ -148,7 +148,7 @@ class RunningTotals:
 @dataclass(frozen=True, slots=True)
 class WindowResult:
     """One closed window, emitted the moment the stream passes it: the one row
-    type of every sink (its engine seconds feed ``ExecutionMetrics`` only)."""
+    type of every sink (no engine seconds: only the batch executor times any)."""
 
     group_key: tuple
     #: Integer window-instance index (instance spans ``[k*slide, k*slide+size)``).

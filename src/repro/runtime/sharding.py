@@ -57,7 +57,7 @@ from repro.core.engine import HamletEngine
 from repro.errors import ExecutionError, OutOfOrderError, WorkerCrashError
 from repro.events.block import EventBlock
 from repro.events.event import Event
-from repro.events.stream import EventStream, slice_stream
+from repro.events.stream import EventStream
 from repro.optimizer.decisions import OptimizerStatistics
 from repro.optimizer.registry import OptimizerSpec
 from repro.query.query import Query
@@ -516,26 +516,19 @@ class ShardedStreamingExecutor:
     # ------------------------------------------------------------------ #
     # Lifecycle (StreamProcessor)
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        stream: EventStream | EventBlock | Iterable[Event],
-        *,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> ExecutionReport:
+    def run(self, stream: EventStream | EventBlock | Iterable[Event]) -> ExecutionReport:
         """Consume ``stream`` in one pass and return the merged report.
 
         ``stream`` may be an :class:`~repro.events.block.EventBlock`: the
-        whole block is ingested columnar (:meth:`process_block`), and the
-        ``start``/``end`` slice is cut zero-copy by binary search.
+        whole block is ingested columnar (:meth:`process_block`).
         """
         self._begin_run()
         try:
             if isinstance(stream, EventBlock):
-                self.process_block(stream.slice_time(start, end))
+                self.process_block(stream)
             else:
                 process = self.process
-                for event in slice_stream(stream, start, end):
+                for event in stream:
                     process(event)
         except BaseException:
             # A failing stream iterable (process() cleans up after itself)

@@ -74,7 +74,7 @@ from repro.core.engine import HamletEngine
 from repro.errors import CheckpointError
 from repro.events.block import EventBlock
 from repro.events.event import Event, EventType
-from repro.events.stream import EventStream, slice_stream
+from repro.events.stream import EventStream
 from repro.greta.engine import GretaEngine
 from repro.interfaces import MultiWindowEngine
 from repro.optimizer.decisions import OptimizerStatistics, SharingOptimizer
@@ -109,8 +109,8 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v17: kept rows are ``WindowResult``s, the one row type (v2-v16: CHANGES.md).
-SNAPSHOT_VERSION = 17
+#: v18: groups and window metas carry no engine seconds (v2-v17: CHANGES.md).
+SNAPSHOT_VERSION = 18
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
@@ -126,8 +126,6 @@ class _WindowMeta:
     end: float
     #: ``group.fed`` when the window opened (events before it are not ours).
     opened_fed: int
-    #: ``group.share_seconds`` when the window opened.
-    share_at_open: float
 
 
 @dataclass(slots=True)
@@ -149,10 +147,6 @@ class _Group:
     fed: int = 0
     #: ``time.perf_counter()`` at the arrival of the last fed event.
     last_arrival: float = 0.0
-    #: Engine seconds split evenly across the windows open at feed time —
-    #: summing per-window attributions recovers the engine wall time once,
-    #: instead of multiplying it by the overlap factor.
-    share_seconds: float = 0.0
     #: Engine operations already attributed to closed windows.
     ops_reported: int = 0
     #: Adaptive mode only: the group's per-burst sharing optimizer.  Bursts
@@ -342,29 +336,17 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        stream: EventStream | EventBlock | Iterable[Event],
-        *,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> ExecutionReport:
+    def run(self, stream: EventStream | EventBlock | Iterable[Event]) -> ExecutionReport:
         """Consume ``stream`` in one pass and return the final report.
 
         ``stream`` may be an :class:`~repro.events.block.EventBlock`, which
         is ingested columnar (:meth:`process_block`) without materializing
         per-event objects on the hot path.
-
-        ``start`` / ``end`` replay only the half-open time slice
-        ``[start, end)`` of a recorded :class:`EventStream` (or block); the
-        slice is cut with the cached timestamp column (binary search, no
-        scan — blocks slice zero-copy).
         """
         self._begin_run()
         if isinstance(stream, EventBlock):
-            self.process_block(stream.slice_time(start, end))
+            self.process_block(stream)
             return self.finish()
-        stream = slice_stream(stream, start, end)
         for event in stream:
             self.process(event)
         return self.finish()
@@ -486,7 +468,7 @@ class StreamingExecutor:
 
         The compiled walk (:func:`repro.runtime.cover.walk`) takes the
         static plan of compiled units; this loop is its reference."""
-        if cover.walk(self, block, arrivals, time.perf_counter):
+        if cover.walk(self, block, arrivals):
             return
         if not isinstance(arrivals, list):
             arrivals = repeat(arrivals)
@@ -572,9 +554,7 @@ class StreamingExecutor:
                         # under an optimizer): one feed per live instance.
                         if event is None:
                             event = block.event_at(local)
-                        started = time.perf_counter()
                         group.engine.process(event, lo, hi)
-                        group.share_seconds += (time.perf_counter() - started) / len(metas)
                         engine_feeds += len(metas)
                     else:
                         burst = group.burst
@@ -927,7 +907,7 @@ class StreamingExecutor:
         for index in range(first, last + 1):
             if index not in metas:
                 end = window.instance_bounds(index)[1]
-                metas[index] = _WindowMeta(index, end, group.fed, group.share_seconds)
+                metas[index] = _WindowMeta(index, end, group.fed)
                 opened = True
                 close.active += 1
                 if end < unit.next_close:
@@ -955,11 +935,9 @@ class StreamingExecutor:
                 continue
             lows, highs, contributions = state.lows, state.highs, state.contributions
             for key, rows in state.rows.items():
-                group = state.groups[key]  # resolved: no sweep since
-                engine = group.engine
+                engine = state.groups[key].engine  # resolved: no sweep since
                 assert isinstance(engine, MultiWindowLinearEngine)  # rows: compiled units only
                 vector = not engine.unit.scalar
-                started = time.perf_counter()
                 engine.process_block_run(
                     [type_table[codes[row]] for row in rows],
                     [times[row] for row in rows],
@@ -969,7 +947,6 @@ class StreamingExecutor:
                     [contributions[row] for row in rows] if vector else None,
                     RowViews(block, rows),
                 )
-                group.share_seconds += (time.perf_counter() - started) / len(group.metas)
             state.rows.clear()
 
     def _flush_group(self, group: _Group) -> None:
@@ -991,7 +968,6 @@ class StreamingExecutor:
         engine = group.engine
         assert isinstance(engine, MultiWindowLinearEngine) and event_type is not None
         compiled = engine.unit
-        started = time.perf_counter()
         optimizer = group.optimizer
         if optimizer is not None and event_type in compiled.positive_classes_by_type:
             engine.note_positive_burst(event_type)
@@ -1010,8 +986,6 @@ class StreamingExecutor:
                     shared = decision.shared_queries if decision.share else frozenset()
                     engine.apply_burst_decision(spec, event_type, shared, size)
         engine.process_burst(burst, event_type)
-        duration = time.perf_counter() - started
-        group.share_seconds += duration / max(1, len(group.metas))
 
     def _block_code_feeds(
         self,

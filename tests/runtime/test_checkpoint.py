@@ -552,7 +552,7 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
 
 
 def test_snapshot_splits_output_from_live_state():
-    """Pinned shape (v17): ``{version, fingerprint, core, lateness}``; the
+    """Pinned shape (v18): ``{version, fingerprint, core, lateness}``; the
     core is its own pickle and carries the run's scalar metrics and running
     totals (one sum per layout slot), no report; the output — one list, one
     compact ``WindowResult`` per closed window, addressed by the one ``windows_closed``
@@ -761,11 +761,13 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v16 snapshot (kept rows of the deleted second row class) is
-    refused with a typed error instead of failing inside unpickling; so are
-    v15 (a lateness stage whose reorder buffer pickles a heap), v14 (groups
-    without a cached sort key), v13 (a core without running totals) and v12
-    (a reorder buffer pickling an in-order tail beside its heap)."""
+    """A v17 snapshot (groups and window metas pickling the engine
+    seconds streaming no longer attributes) is refused with a typed error
+    instead of failing inside unpickling; so are v16 (kept rows of the
+    deleted second row class), v15 (a lateness stage whose reorder buffer
+    pickles a heap), v14 (groups without a cached sort key), v13 (a core
+    without running totals) and v12 (a reorder buffer pickling an in-order
+    tail beside its heap)."""
     import pickle
 
     from repro.runtime.streaming import SNAPSHOT_VERSION
@@ -774,13 +776,15 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 17
+    assert state["version"] == SNAPSHOT_VERSION == 18
     assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
+    assert not hasattr(group, "share_seconds")
+    assert not any(hasattr(meta, "share_at_open") for meta in group.metas.values())
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (16, 15, 14, 13, 12):
+    for previous in (17, 16, 15, 14, 13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

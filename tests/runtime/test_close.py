@@ -7,10 +7,11 @@ evictions, the metrics, the totals and the emission.  The Python sweep is
 the reference, selected with ``foldcore.core = None``.  Both run on the
 same state under ``test_foldcore``'s deterministic clock, so everything
 must agree: emitted rows (values as ``float.hex``, events, retraction
-flags and the clock-derived latencies), kept report rows, totals, the
-clock-derived engine seconds (``total_seconds``, ``max_latency``),
+flags and the clock-derived latencies), kept report rows, totals,
 operations, peak memory units and active windows — and the bytes of
-``snapshot_state()`` after every step.
+``snapshot_state()`` after every step.  Neither sweep times an engine:
+``total_seconds`` and ``max_latency`` stay 0.0, and a pass reads the clock
+once per closed window and once per ingest stamp, plus ``finish()``'s.
 
 The cases are what the compiled sweep handles on its own: the close order
 over mixed-kind group keys, units of different windows closing in one
@@ -30,7 +31,7 @@ from repro.datasets import RidesharingGenerator
 from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, kleene, seq
-from repro.runtime import StreamingExecutor, foldcore, group_sort_key
+from repro.runtime import StreamingExecutor, foldcore, group_sort_key, streaming
 from repro.runtime.close import CloseStage
 from tests.runtime.test_foldcore import (
     LATE,
@@ -103,7 +104,7 @@ def run(queries, steps, options, core, *, sink: str = "window", raise_at: int = 
         metrics.peak_memory_units,
         metrics.peak_active_windows,
         metrics.partitions,
-        (metrics.total_seconds.hex(), metrics.max_latency.hex()),
+        (metrics.total_seconds, metrics.max_latency),
         metrics.emission_seconds.hex(),
         metrics.late_retracted,
         after_failure,
@@ -119,6 +120,7 @@ def assert_same_on_both_sweeps(queries, steps, options=None, **run_options) -> t
     compiled = run(queries, steps, options, counting, **run_options)
     reference = run(queries, steps, options, None, **run_options)
     assert compiled[:-1] == reference[:-1]
+    assert compiled[7] == (0.0, 0.0)  # engine seconds: the batch executor's alone
     assert len(compiled[-1]) == len(reference[-1])
     for step, (got, expected) in enumerate(zip(compiled[-1], reference[-1])):
         assert got == expected, f"snapshot after step {step} differs"
@@ -299,6 +301,37 @@ def test_the_ingest_shape_closes_in_one_core_call_per_unit_sweep(monkeypatch):
     compiled.finish()
     assert counting.calls["sweep_unit"] == unit_sweeps
     assert compiled.windows_closed == reference.windows_closed
+
+
+@pytest.mark.parametrize("core", ("compiled", "reference"))
+@pytest.mark.parametrize(
+    "options",
+    ({}, {"shared_windows": False}, {"optimizer": "dynamic"}),
+    ids=("deferred", "per-instance", "dynamic"),
+)
+def test_a_pass_reads_the_clock_once_per_closed_window_and_per_ingest_call(core, options):
+    if core == "compiled" and foldcore.core is None:
+        pytest.skip(foldcore.reason)
+    events = stream(11, 300, groups=3)
+    blocks, scalars = (events[:100], events[200:]), events[100:200]
+    with fold(foldcore.core if core == "compiled" else None):
+        clock = streaming.time
+        executor = StreamingExecutor(
+            deferred_workload(Window(10.0, 4.0)), on_window=lambda result: None, **options
+        )
+        before = clock.reads
+        executor.process_block(EventBlock.from_events(blocks[0]))
+        for event in scalars:
+            executor.process(event)
+        executor.process_block(EventBlock.from_events(blocks[1]))
+        report = executor.finish()
+    # No engine call is timed: one read per close (its emission latency),
+    # one arrival stamp per block and per staged process() row (a type no
+    # unit reads is only counted), and finish()'s wall clock.
+    stamps = len(blocks) + sum(event.event_type != "X" for event in scalars)
+    assert report.metrics.partitions > 20
+    assert clock.reads - before == report.metrics.partitions + stamps + 1
+    assert (report.metrics.total_seconds, report.metrics.max_latency) == (0.0, 0.0)
 
 
 def test_window_result_replaces_and_pickles():

@@ -147,7 +147,7 @@ class TestWorkloadExecutor:
         assert report.result_for("w_q2") == 3.0
 
     def test_engine_factory_pluggable(self):
-        report = WorkloadExecutor(_workload(), TwoStepEngine, reuse_engine=False).run(_stream())
+        report = WorkloadExecutor(_workload(), TwoStepEngine).run(_stream())
         assert report.result_for("ex_q1") == 28.0
         assert report.engine_name == "two-step"
 

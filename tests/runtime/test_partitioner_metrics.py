@@ -153,9 +153,9 @@ class TestMetrics:
 
     def test_merge(self):
         first = ExecutionMetrics()
-        first.record_partition(1.0, 10, 5, 1)
+        first.record_partition(10, 5, 1, seconds=1.0)
         second = ExecutionMetrics()
-        second.record_partition(2.0, 20, 50, 2)
+        second.record_partition(20, 50, 2, seconds=2.0)
         first.merge(second)
         assert first.partitions == 2
         assert first.peak_memory_units == 50

@@ -190,20 +190,6 @@ class TestIncrementalApi:
         with pytest.raises(ExecutionError):
             executor.process(Event("B", 1.0))
 
-    def test_run_time_slice_uses_stream_index(self):
-        window = Window(10.0)
-        stream = EventStream(
-            [Event("A", 1.0), Event("B", 2.0), Event("A", 11.0), Event("B", 12.0), Event("B", 25.0)]
-        )
-        executor = StreamingExecutor(_ab_workload(window), HamletEngine)
-        # Replaying only the second tumbling pane [10, 20) sees one A+B pair;
-        # window indices stay aligned with absolute time.
-        report = executor.run(stream, start=10.0, end=20.0)
-        assert report.metrics.stream_events == 2
-        assert report.result_for("st_q1") == 1.0
-        full = executor.run(stream)
-        assert full.metrics.stream_events == 5
-
     def test_run_resets_previous_state(self):
         window = Window(10.0)
         executor = StreamingExecutor(_ab_workload(window), HamletEngine)
