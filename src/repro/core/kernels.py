@@ -23,9 +23,9 @@ replace, so integer-valued workloads produce bit-identical aggregates on the
 fast and slow paths (the property the cross-engine equivalence suite checks).
 
 The module also defines the :class:`KernelBackend` interface of the
-multi-window engine's run folds and :class:`PythonKernelBackend`, the one
-fold the executors run (the exact per-event fold above, with the
-per-(class, type) plan resolution hoisted to run start).
+multi-window engine's run folds and :class:`PythonKernelBackend`, the
+reference the fold core's ``fold_run`` reproduces bit for bit, run where
+the core is not loaded (``repro.runtime.foldcore``).
 :mod:`repro.core.kernels_numpy` holds a closed-form NumPy fold that no
 executor reaches; only the fold-level benchmarks and tests use it.
 
@@ -315,12 +315,12 @@ class KernelBackend:
 
 
 class PythonKernelBackend(KernelBackend):
-    """The reference backend: the exact per-event fold, hoisted per run.
+    """The reference run fold (the named oracle of the core's ``fold_run``,
+    which runs instead wherever ``repro.runtime.foldcore`` loaded it).
 
-    Arithmetic, iteration order and entry creation match the engine's
-    per-event fast path exactly (bit-identical totals); the run-level entry
-    point only hoists the per-(class, type) plan resolution — map lookups,
-    source tuples, bound methods — out of the per-event loop.
+    Arithmetic, iteration order and entry creation match the per-event
+    fold exactly (bit-identical totals), only the per-(class, type) plan
+    resolution — map lookups, source tuples — is hoisted out of the loop.
     """
 
     def fold_scalar_run(self, total_map, indices, sources, base, count):

@@ -1,6 +1,6 @@
 /* The compiled fold core of the static plan (built by foldcore.py).
  *
- * Four loops of the runtime, run on the executor's and engines' own state:
+ * Five loops of the runtime, run on the executor's and engines' own state:
  *
  *   Walk           the Cover stage's row loop, StreamingExecutor._cover, for
  *                  executors whose units are all compiled and static (driven
@@ -10,6 +10,10 @@
  *   fold_deferred  the per-row loop of MultiWindowLinearEngine._fold_segment
  *                  where every class of the unit folds deferred (scalar
  *                  SEQ(P, K+));
+ *   fold_run       MultiWindowLinearEngine._fold_run, the run fold of every
+ *                  eager or vector class, the optimizer's runs and the
+ *                  per-event fast path: every sharing column, scalar or
+ *                  vector (PythonKernelBackend is its reference);
  *   close_scalar   the readout of MultiWindowLinearEngine.close_window for a
  *                  scalar unit with no split column and no event store;
  *   sweep_unit     the Close/Emit stage's sweep of such a unit (driven by
@@ -23,8 +27,9 @@
  * reference's, in its association, and -ffp-contract=off keeps the compiler
  * from fusing a multiply into an add (one rounding where Python has two).
  *
- * The _DeferredKleene counters (rows, cells, entries), a streaming _Group's
- * and _WindowMeta's fields and the rows a close builds are object __slots__:
+ * The _DeferredKleene counters (rows, cells, entries), a MutableAggregate's
+ * count and measures, a streaming _Group's and _WindowMeta's fields and the
+ * rows a close builds are object __slots__:
  * the core takes their offsets from the class once and reads and writes
  * them in place, without the attribute protocol.
  */
@@ -1875,9 +1880,326 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* fold_run                                                            */
+/* ------------------------------------------------------------------ */
+
+/* A MutableAggregate, a vector column's entry. */
+static layout aggregates = {NULL, 2, {"count", "measures"}, {0}};
+enum { COUNT, MEASURES };
+enum { MAX_SOURCES = 64 };
+static unsigned long long folded_runs = 0, folded_rows = 0;
+
+/* ``a + b`` and ``a * b`` with ``a`` the first operand, as CPython's float
+ * ops compute them: where both are NaN, x86 returns the first one's, and a
+ * compiler may swap the operands of a C ``+`` or ``*``. */
+#if defined(__GNUC__) && defined(__x86_64__)
+static inline double
+plus(double a, double b)
+{
+    __asm__("addsd %1, %0" : "+x"(a) : "x"(b));
+    return a;
+}
+
+static inline double
+times(double a, double b)
+{
+    __asm__("mulsd %1, %0" : "+x"(a) : "x"(b));
+    return a;
+}
+#else
+#define plus(a, b) ((a) + (b))
+#define times(a, b) ((a) * (b))
+#endif
+
+/* ``entry``'s count and its first ``dimension`` measures, as doubles. */
+static int
+aggregate_read(PyObject *entry, double *count, double *measures, Py_ssize_t dimension)
+{
+    if (Py_TYPE(entry) != aggregates.type) {
+        PyErr_SetString(PyExc_TypeError, "fold_run: a vector entry is not an aggregate");
+        return -1;
+    }
+    PyObject **at = member(&aggregates, entry, COUNT), *list;
+    if (at == NULL || as_double(*at, count) < 0
+        || (at = member(&aggregates, entry, MEASURES)) == NULL) {
+        return -1;
+    }
+    if (!PyList_Check(list = *at) || PyList_GET_SIZE(list) < dimension) {
+        PyErr_SetString(PyExc_ValueError, "fold_run: an entry's measures are a list per measure");
+        return -1;
+    }
+    for (Py_ssize_t position = 0; position < dimension; position++) {
+        if (as_double(PyList_GET_ITEM(list, position), &measures[position]) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* Store the running count and measures back into ``entry`` (read above). */
+static int
+aggregate_write(PyObject *entry, double count, const double *measures, Py_ssize_t dimension)
+{
+    PyObject **at = member(&aggregates, entry, COUNT), *boxed = PyFloat_FromDouble(count);
+    if (at == NULL || boxed == NULL) {
+        Py_XDECREF(boxed);
+        return -1;
+    }
+    Py_SETREF(*at, boxed);
+    if ((at = member(&aggregates, entry, MEASURES)) == NULL) {
+        return -1;
+    }
+    for (Py_ssize_t position = 0; position < dimension; position++) {
+        if ((boxed = PyFloat_FromDouble(measures[position])) == NULL
+            || PyList_SetItem(*at, position, boxed) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A zero entry: MutableAggregate(dimension). */
+static PyObject *
+aggregate_new(Py_ssize_t dimension)
+{
+    PyObject *list = PyList_New(dimension), *values[2];
+    for (Py_ssize_t position = 0; list != NULL && position < dimension; position++) {
+        PyList_SET_ITEM(list, position, Py_NewRef(zero));
+    }
+    values[COUNT] = Py_NewRef(zero);
+    values[MEASURES] = list;
+    return build(&aggregates, (PyObject *)aggregates.type, values);
+}
+
+/* PythonKernelBackend.fold_scalar_run into ``target`` over the windows
+ * ``keys``, window by window with the rows inside: per window the total
+ * stays a double (``present``: the entry exists) and is stored once.  A
+ * source that is ``target`` itself (the Kleene self-loop) reads the
+ * running total. */
+static int
+fold_scalar(PyObject *target, PyObject **sources, Py_ssize_t source_count, PyObject **keys,
+            Py_ssize_t windows, double base, Py_ssize_t count, long long *created)
+{
+    double values[MAX_SOURCES];
+    char held[MAX_SOURCES];
+    for (Py_ssize_t window = 0; window < windows && count > 0; window++) {
+        PyObject *index = keys[window], *current = PyDict_GetItemWithError(target, index);
+        double total = 0.0;
+        int present = current != NULL;
+        if (present ? as_double(current, &total) < 0 : PyErr_Occurred() != NULL) {
+            return -1;
+        }
+        for (Py_ssize_t j = 0; j < source_count; j++) {
+            PyObject *previous = sources[j] == target ? NULL
+                                                     : PyDict_GetItemWithError(sources[j], index);
+            held[j] = previous != NULL;
+            if (previous == NULL ? PyErr_Occurred() != NULL : as_double(previous, &values[j]) < 0) {
+                return -1;
+            }
+        }
+        for (Py_ssize_t row = 0; row < count; row++) {
+            double value = base;
+            for (Py_ssize_t j = 0; j < source_count; j++) {
+                if (sources[j] == target ? present : held[j]) {
+                    value = plus(value, sources[j] == target ? total : values[j]);
+                }
+            }
+            if (present) {
+                total = plus(total, value);
+            }
+            else {
+                total = value;
+                present = 1;
+                *created += 1;
+            }
+        }
+        if (put(target, index, PyFloat_FromDouble(total)) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* PythonKernelBackend.fold_vector_run into ``target``, window by window:
+ * the total's count and measures (``running``: count, then measures) and
+ * the other found entries' (``found``, after it, the same shape per entry)
+ * are read once, the rows fold in doubles, the total is stored once.  A found entry
+ * that is the total (the self-loop) reads the running values. */
+static int
+fold_vector(PyObject *target, PyObject **sources, Py_ssize_t source_count, PyObject **keys,
+            Py_ssize_t windows, double base, const double *contributions, Py_ssize_t rows,
+            Py_ssize_t dimension, double *running, long long *created)
+{
+    Py_ssize_t stride = dimension + 1;
+    double *found = running + stride;
+    for (Py_ssize_t window = 0; window < windows && rows > 0; window++) {
+        PyObject *index = keys[window], *total = PyDict_GetItemWithError(target, index);
+        if (total == NULL) {
+            /* Created before the sources are read: a self-loop finds it. */
+            if (PyErr_Occurred() || (total = aggregate_new(dimension)) == NULL
+                || put(target, index, Py_NewRef(total)) < 0) {
+                Py_XDECREF(total);
+                return -1;
+            }
+            Py_DECREF(total); /* the dict holds it */
+            *created += 1;
+        }
+        if (aggregate_read(total, &running[0], &running[1], dimension) < 0) {
+            return -1;
+        }
+        /* The entries the sources hold here, in source order: ``self[f]``
+         * where the f-th is the total, else its values at ``found[f *
+         * stride]`` (count, then measures). */
+        Py_ssize_t entries = 0;
+        char self[MAX_SOURCES];
+        for (Py_ssize_t j = 0; j < source_count; j++) {
+            PyObject *previous = PyDict_GetItemWithError(sources[j], index);
+            if (previous == NULL) {
+                if (PyErr_Occurred()) {
+                    return -1;
+                }
+                continue;
+            }
+            self[entries] = previous == total;
+            if (!self[entries]
+                && aggregate_read(previous, &found[entries * stride],
+                                  &found[entries * stride + 1], dimension) < 0) {
+                return -1;
+            }
+            entries++;
+        }
+        double *measures = &running[1];
+        for (Py_ssize_t row = 0; row < rows; row++) {
+            const double *contribution = &contributions[row * dimension];
+            double count = base;
+            for (Py_ssize_t f = 0; f < entries; f++) {
+                count = plus(count, self[f] ? running[0] : found[f * stride]);
+            }
+            for (Py_ssize_t position = 0; position < dimension; position++) {
+                double value = 0.0;
+                for (Py_ssize_t f = 0; f < entries; f++) {
+                    value = plus(value, self[f] ? measures[position]
+                                                : found[f * stride + 1 + position]);
+                }
+                if (contribution[position] != 0.0) {
+                    value = plus(value, times(contribution[position], count));
+                }
+                measures[position] = plus(measures[position], value);
+            }
+            running[0] = plus(running[0], count);
+        }
+        if (aggregate_write(total, running[0], measures, dimension) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* MultiWindowLinearEngine._fold_run: every column of ``targets`` folds
+ * the run over the windows of ``indices``, reading ``pred_maps`` with
+ * ``canonical`` (the plan's own map) replaced by the column, as
+ * _TypePlan.fold_sources does.  ``rows`` is None for a scalar unit (then
+ * ``count`` rows fold), else the run's contribution tuples. */
+static PyObject *
+fold_run(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *targets, *canonical, *pred_maps, *indices, *rows, *aggregate, *result = NULL;
+    PyObject *keys = NULL, *table = NULL, *sources[MAX_SOURCES];
+    double base, *scratch = NULL;
+    Py_ssize_t count, dimension;
+    if (!PyArg_ParseTuple(args, "O!OO!OdnOnO!:fold_run", &PyTuple_Type, &targets, &canonical,
+                          &PyTuple_Type, &pred_maps, &indices, &base, &count, &rows, &dimension,
+                          &PyType_Type, &aggregate)) {
+        return NULL;
+    }
+    Py_ssize_t source_count = PyTuple_GET_SIZE(pred_maps), row_count = count < 0 ? 0 : count;
+    if (source_count > MAX_SOURCES || dimension < 0) {
+        PyErr_SetString(PyExc_ValueError, "fold_run: at most 64 sources, a dimension >= 0");
+        return NULL;
+    }
+    if (rows != Py_None) {
+        if (aggregates.type != (PyTypeObject *)aggregate
+            && bind(&aggregates, (PyTypeObject *)aggregate) < 0) {
+            return NULL;
+        }
+        if ((table = PySequence_Fast(rows, "fold_run: rows must be a sequence")) == NULL) {
+            return NULL;
+        }
+        row_count = PySequence_Fast_GET_SIZE(table);
+        /* The contribution rows, then the running total and a (count,
+         * measures) block per source. */
+        Py_ssize_t need = row_count * dimension + (dimension + 1) * (source_count + 1);
+        if ((scratch = PyMem_Malloc(need * sizeof(double))) == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+    }
+    for (Py_ssize_t row = 0; table != NULL && row < row_count; row++) {
+        PyObject *line = PySequence_Fast_GET_ITEM(table, row);
+        if (!(PyTuple_Check(line) || PyList_Check(line))
+            || PySequence_Fast_GET_SIZE(line) < dimension) {
+            PyErr_SetString(PyExc_ValueError, "fold_run: a contribution per measure and row");
+            goto done;
+        }
+        for (Py_ssize_t position = 0; position < dimension; position++) {
+            if (as_double(PySequence_Fast_GET_ITEM(line, position),
+                          &scratch[row * dimension + position]) < 0) {
+                goto done;
+            }
+        }
+    }
+    keys = PyDict_Check(indices) ? PyDict_Keys(indices)
+                                 : PySequence_Fast(indices, "fold_run: indices must iterate");
+    if (keys == NULL) {
+        goto done;
+    }
+    long long created[2] = {0, 0}; /* canonical, replica entries */
+    for (Py_ssize_t t = 0; t < PyTuple_GET_SIZE(targets); t++) {
+        PyObject *target = PyTuple_GET_ITEM(targets, t);
+        int maps = PyDict_Check(target);
+        for (Py_ssize_t j = 0; j < source_count; j++) {
+            PyObject *source = PyTuple_GET_ITEM(pred_maps, j);
+            sources[j] = source == canonical ? target : source;
+            maps &= PyDict_Check(sources[j]);
+        }
+        if (!maps) {
+            PyErr_SetString(PyExc_TypeError, "fold_run: coefficient maps must be dicts");
+            goto done;
+        }
+        long long *made = &created[target != canonical];
+        PyObject **window_keys = PySequence_Fast_ITEMS(keys);
+        Py_ssize_t windows = PySequence_Fast_GET_SIZE(keys);
+        if (table == NULL ? fold_scalar(target, sources, source_count, window_keys, windows,
+                                        base, row_count, made)
+                          : fold_vector(target, sources, source_count, window_keys, windows,
+                                        base, scratch, row_count, dimension,
+                                        scratch + row_count * dimension, made)) {
+            goto done;
+        }
+    }
+    folded_runs += 1;
+    folded_rows += (unsigned long long)row_count;
+    result = Py_BuildValue("LL", created[0], created[1]);
+done:
+    PyMem_Free(scratch);
+    Py_XDECREF(keys);
+    Py_XDECREF(table);
+    return result;
+}
+
+static PyObject *
+run_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+{
+    return Py_BuildValue("KK", folded_runs, folded_rows);
+}
+
 static PyMethodDef methods[] = {
     {"fold_deferred", fold_deferred, METH_VARARGS,
      "fold_deferred(feeds, types, lows, highs) -> (ops, created, armings, rows folded)"},
+    {"fold_run", fold_run, METH_VARARGS,
+     "fold_run(targets, canonical, pred_maps, indices, base, count, rows, dimension, aggregate)"
+     " -> (canonical entries created, replica entries created)"},
     {"close_scalar", close_scalar, METH_VARARGS,
      "close_scalar(index, armed, deferred, end_maps, evict_maps)"
      " -> (array('d') readout, cells disarmed, coefficients evicted)"},
@@ -1893,6 +2215,7 @@ static PyMethodDef methods[] = {
      " key_codes, shape_columns) -> the frame's events (see events/columnar.py)"},
     {"cover_counts", cover_counts, METH_NOARGS,
      "cover_counts() -> (rows walked, rows handed back to the Python row body)"},
+    {"run_counts", run_counts, METH_NOARGS, "run_counts() -> (runs, rows) fold_run folded so far"},
     {"settle_counts", settle_counts, METH_NOARGS,
      "settle_counts() -> (settles, steps) the fold and the readout paid so far"},
     {NULL, NULL, 0, NULL},

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.runtime import foldcore
 from repro.runtime.executor import recombined_partitions
-from repro.runtime.results import RunningTotals, WindowResult, WindowValues
+from repro.runtime.results import RunningTotals, WindowResult, WindowValues, window_row
 
 if TYPE_CHECKING:
     from repro.runtime.metrics import ExecutionMetrics
@@ -215,9 +215,7 @@ class CloseStage:
         metrics.record_emission(latency)
         self._executor()._totals.add(results)
         window_start, window_end = unit.spec.window.instance_bounds(meta.index)
-        row = WindowResult(
-            group_key, meta.index, window_start, window_end, results, events, latency
-        )
+        row = window_row(group_key, meta.index, window_start, window_end, results, events, latency)
         if self._recombine is not None:
             self._recombine.append(row)
         if rows is not None:

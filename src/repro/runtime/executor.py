@@ -44,7 +44,7 @@ from repro.query.query import Query
 from repro.query.workload import Workload
 from repro.runtime.metrics import ExecutionMetrics, Stopwatch
 from repro.runtime.partitioner import GroupWindowPartitioner, PartitionKey
-from repro.runtime.results import RunningTotals, WindowResult
+from repro.runtime.results import RunningTotals, WindowResult, window_row
 from repro.template.analysis import WorkloadAnalysis, analyze_workload
 from repro.template.decompose import DecomposedQuery
 
@@ -302,9 +302,9 @@ class WorkloadExecutor:
             )
             window_start, window_end = window.instance_bounds(window_index)
             report.partition_results.append(
-                WindowResult(
+                window_row(
                     group_key, window_index, window_start, window_end, dict(results),
-                    len(partition_events), emission_latency=0.0,
+                    len(partition_events), 0.0,
                 )
             )
             for name, value in results.items():

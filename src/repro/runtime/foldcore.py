@@ -2,10 +2,13 @@
 
 ``_foldcore.c`` runs, on the engine's own dict state, the per-row loop of
 :meth:`~repro.runtime.shared_windows.MultiWindowLinearEngine._fold_segment`
-for a unit whose classes all fold deferred (scalar ``SEQ(P, K+)``), the
-readout of a scalar unit with no split columns and no event store, and the
-close sweep of such a unit (:mod:`repro.runtime.close`); and the Cover
-stage's walk (:mod:`repro.runtime.cover`).  The Python loops stay the *reference*:
+for a unit whose classes all fold deferred (scalar ``SEQ(P, K+)``), the run
+fold of every other class, scalar or vector, split columns included
+(``_fold_run``: eager classes, the optimizer's runs, the per-event fast
+path), the readout of a scalar unit with no split columns and no event
+store, and the close sweep of such a unit (:mod:`repro.runtime.close`); and
+the Cover stage's walk (:mod:`repro.runtime.cover`).  The Python loops
+(for runs, :class:`~repro.core.kernels.PythonKernelBackend`) stay the *reference*:
 the runtime takes the core where :data:`core` is loaded and its shape
 applies, bit for bit the same state either way.  Tests select the
 reference by setting ``foldcore.core = None``; nothing else does.
@@ -35,10 +38,11 @@ from pathlib import Path
 from types import ModuleType
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.core.kernels import MutableAggregate
 from repro.runtime.results import WindowValues
 
 if TYPE_CHECKING:
-    from repro.runtime.shared_windows import MultiWindowLinearEngine
+    from repro.runtime.shared_windows import MultiWindowLinearEngine, _TypePlan
 
 SOURCE = Path(__file__).with_name("_foldcore.c")
 #: ``-ffp-contract=off``: a fused multiply-add rounds once where the
@@ -117,6 +121,26 @@ def fold_segment(
     if core is None or engine._eager:
         return 0, 0, 0, 0
     return core.fold_deferred(feeds, types, lows, highs)
+
+
+def fold_run(
+    engine: "MultiWindowLinearEngine",
+    plan: "_TypePlan",
+    armed: dict,
+    count: int,
+    rows: Optional[Sequence[tuple[float, ...]]],
+    targets: tuple[dict, ...],
+) -> Optional[tuple[int, int]]:
+    """Fold a run of ``count`` rows into every column of ``targets`` over
+    the ``armed`` windows in the core: ``(canonical, replica)`` entries it
+    created, or ``None`` where the reference fold runs (no core)."""
+    if core is None:
+        return None
+    unit = engine.unit
+    return core.fold_run(
+        targets, plan.total_map, plan.pred_maps, armed, 1.0 if plan.is_start else 0.0, count,
+        None if unit.scalar else rows, unit.dimension, MutableAggregate,
+    )
 
 
 def close_window(engine: "MultiWindowLinearEngine", index: int) -> Optional[WindowValues]:

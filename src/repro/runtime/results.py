@@ -176,3 +176,23 @@ class WindowResult:
 
 _slot_values = attrgetter(*WindowResult.__slots__)
 _SET_SLOTS = tuple(getattr(WindowResult, name).__set__ for name in WindowResult.__slots__)
+_KEY, _INDEX, _START, _END, _RESULTS, _EVENTS, _LATENCY, _RETRACTION = _SET_SLOTS
+
+
+def window_row(
+    group_key: tuple, window_index: int, window_start: float, window_end: float,
+    results: Mapping[str, float], events: int, emission_latency: float,
+) -> WindowResult:
+    """``WindowResult(...)`` built through its slots' ``__set__``, as
+    ``__setstate__`` does: the frozen ``__init__``'s ``object.__setattr__``
+    per field costs ~1.4 us a row, this ~0.9 (the rows Python closes build)."""
+    row = object.__new__(WindowResult)
+    _KEY(row, group_key)
+    _INDEX(row, window_index)
+    _START(row, window_start)
+    _END(row, window_end)
+    _RESULTS(row, results)
+    _EVENTS(row, events)
+    _LATENCY(row, emission_latency)
+    _RETRACTION(row, False)
+    return row

@@ -77,8 +77,8 @@ from repro.query.query import Query
 from repro.template.template import NegationConstraint, QueryTemplate, compile_pattern
 
 
-#: The run fold of every eager class and of the per-event path.  Called as
-#: methods of this instance, so a probe wrapping ``KernelBackend.fold_*`` sees it.
+#: The reference run fold, where ``foldcore.core`` is ``None``: only then does a
+#: probe wrapping ``KernelBackend.fold_*`` see a fold (the core's is in C).
 _REFERENCE_FOLD = PythonKernelBackend()
 
 
@@ -655,32 +655,29 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         contribution_rows: Optional[Sequence[tuple[float, ...]]],
         targets: Optional[tuple[dict, ...]] = None,
     ) -> None:
-        """Hand one fast-eligible run of ``count`` rows to the reference fold.
+        """Fold one fast-eligible run of ``count`` rows: the core's
+        ``fold_run``, else the reference fold, one column at a time.
 
         Folds every sharing column of ``plan`` (or just ``targets``) over
         the armed windows (``contribution_rows`` is ``None`` for scalar
         units) and charges exactly the per-event fast-path operation total.
         """
-        scalar = self.unit.scalar
-        base = 1.0 if plan.is_start else 0.0
-        created = 0
-        replica_created = 0
-        canonical = plan.total_map
         targets = plan.targets if targets is None else targets
-        for total_map in targets:
-            sources = plan.fold_sources(total_map)
-            if scalar:
-                made = _REFERENCE_FOLD.fold_scalar_run(total_map, armed, sources, base, count)
-            else:
-                made = _REFERENCE_FOLD.fold_vector_run(
-                    total_map, armed, sources, base, contribution_rows, self.unit.dimension
-                )
-            if total_map is canonical:
-                created += made
-            else:
-                replica_created += made
-        self._coeff_entries += created
-        self._replica_entries += replica_created
+        made = foldcore.fold_run(self, plan, armed, count, contribution_rows, targets)
+        if made is None:
+            made = [0, 0]  # entries created: canonical, replica
+            base = 1.0 if plan.is_start else 0.0
+            for total_map in targets:
+                sources = plan.fold_sources(total_map)
+                if self.unit.scalar:
+                    fresh = _REFERENCE_FOLD.fold_scalar_run(total_map, armed, sources, base, count)
+                else:
+                    fresh = _REFERENCE_FOLD.fold_vector_run(
+                        total_map, armed, sources, base, contribution_rows, self.unit.dimension
+                    )
+                made[total_map is not plan.total_map] += fresh
+        self._coeff_entries += made[0]
+        self._replica_entries += made[1]
         self._ops += count * len(targets) * len(armed) * (1 + len(plan.pred_maps))
 
     def _fold_stored(

@@ -4,12 +4,59 @@ from __future__ import annotations
 
 import faulthandler
 import sys
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from repro.core import HamletEngine
 from repro.events import Event, EventStream
 from repro.query import Query, Window, count_trends, kleene, max_of, seq
+from repro.runtime import foldcore
+from repro.runtime.shared_windows import MultiWindowLinearEngine
+
+#: Parametrizes a test over both folds as ``fold``: ``"compiled"`` (the fold
+#: core; skipped where it did not load) and ``"reference"`` (the Python loops).
+on_both_folds = pytest.mark.parametrize(
+    "fold",
+    (
+        pytest.param(
+            "compiled", marks=pytest.mark.skipif(foldcore.core is None, reason=foldcore.reason)
+        ),
+        "reference",
+    ),
+)
+
+
+@contextmanager
+def selected_fold(fold: str):
+    """Run the body on ``fold``: the reference is ``foldcore.core = None``."""
+    with mock.patch.object(foldcore, "core", foldcore.core if fold == "compiled" else None):
+        yield
+
+
+class RunFolds:
+    """The row count of every ``MultiWindowLinearEngine._fold_run`` call,
+    on either fold; :meth:`check` asserts that the core, where it runs,
+    folded exactly those runs (its ``run_counts()``)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.counts: list[int] = []
+        self._core = foldcore.core
+        self._start = None if self._core is None else self._core.run_counts()
+        fold_run = MultiWindowLinearEngine._fold_run
+
+        def counting(engine, plan, armed, count, rows, targets=None):
+            self.counts.append(count)
+            return fold_run(engine, plan, armed, count, rows, targets)
+
+        monkeypatch.setattr(MultiWindowLinearEngine, "_fold_run", counting)
+
+    def check(self) -> None:
+        if self._core is not None:
+            runs, rows = self._core.run_counts()
+            folded = (runs - self._start[0], rows - self._start[1])
+            assert folded == (len(self.counts), sum(self.counts))
 
 
 def make_events(spec: str, *, spacing: float = 1.0, start: float = 0.0, **payloads) -> list[Event]:

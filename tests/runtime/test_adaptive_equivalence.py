@@ -8,7 +8,8 @@ results must be **bit-identical** to both static extremes (always share /
 never share), to the non-adaptive static plan, and to the batch replay
 reference — including the per-window partition results, for GROUP BY,
 negation (leading and trailing NOT), tumbling / sliding / fractional
-windows, and 1/2/4 shards.
+windows, and 1/2/4 shards — on the fold core and on the reference fold
+(``foldcore.core = None``) alike.
 
 Hypothesis generates the workloads (query classes of 1–4 computationally
 identical members mixing COUNT(*) / SUM / AVG / COUNT(E), optionally with
@@ -50,7 +51,7 @@ from repro.runtime import (
     run_streaming,
     run_workload,
 )
-from tests.conftest import decision_counters
+from tests.conftest import decision_counters, on_both_folds, selected_fold
 
 SETTINGS = settings(
     deadline=None,
@@ -149,20 +150,22 @@ def engine_factory():
     return HamletEngine(DynamicSharingOptimizer())
 
 
+@on_both_folds
 @SETTINGS
 @given(queries=workloads(), events=bursty_streams())
-def test_adaptive_matches_static_extremes_and_batch(queries, events):
+def test_adaptive_matches_static_extremes_and_batch(fold, queries, events):
     """adaptive == always-share == never-share == static plan == batch."""
     batch = run_workload(queries, events, engine_factory)
-    reference = run_streaming(queries, events, engine_factory)
-    assert reference.totals == batch.totals
-    reference_partitions = partition_multiset(reference)
-    for policy in ("dynamic", "always", "never", "static"):
-        report = run_streaming(queries, events, engine_factory, optimizer=policy)
-        assert report.totals == batch.totals, policy
-        assert partition_multiset(report) == reference_partitions, policy
-        # Adaptive runs always carry decision statistics (possibly empty).
-        assert report.optimizer_statistics is not None
+    with selected_fold(fold):
+        reference = run_streaming(queries, events, engine_factory)
+        assert reference.totals == batch.totals
+        reference_partitions = partition_multiset(reference)
+        for policy in ("dynamic", "always", "never", "static"):
+            report = run_streaming(queries, events, engine_factory, optimizer=policy)
+            assert report.totals == batch.totals, policy
+            assert partition_multiset(report) == reference_partitions, policy
+            # Adaptive runs always carry decision statistics (possibly empty).
+            assert report.optimizer_statistics is not None
 
 
 @SETTINGS
@@ -178,6 +181,7 @@ def test_adaptive_on_per_instance_fallback_is_inert(queries, events):
         assert partition_multiset(report) == partition_multiset(reference)
 
 
+@on_both_folds
 @SETTINGS
 @given(
     queries=workloads(),
@@ -186,7 +190,7 @@ def test_adaptive_on_per_instance_fallback_is_inert(queries, events):
     policy=st.sampled_from(("dynamic", "never")),
 )
 def test_sharded_adaptive_bit_identical_and_decision_invariant(
-    queries, events, shards, policy
+    fold, queries, events, shards, policy
 ):
     """1/2/4 shards reproduce the single-process bits *and* decisions.
 
@@ -194,15 +198,17 @@ def test_sharded_adaptive_bit_identical_and_decision_invariant(
     lives wholly inside one shard, so the merged decision counts must be
     identical whatever the shard count — not just the results.
     """
-    single = run_streaming(queries, events, engine_factory, optimizer=policy)
-    sharded = run_sharded(
-        queries, events, engine_factory, workers=0, shards=shards, optimizer=policy
-    )
+    with selected_fold(fold):
+        single = run_streaming(queries, events, engine_factory, optimizer=policy)
+        sharded = run_sharded(
+            queries, events, engine_factory, workers=0, shards=shards, optimizer=policy
+        )
     assert sharded.totals == single.totals
     assert partition_multiset(sharded) == partition_multiset(single)
     assert decision_counters(sharded) == decision_counters(single)
 
 
+@on_both_folds
 @SETTINGS
 @given(
     queries=workloads(),
@@ -213,7 +219,7 @@ def test_sharded_adaptive_bit_identical_and_decision_invariant(
     shards=st.sampled_from((None, 1, 2)),
 )
 def test_block_fed_adaptive_reproduces_the_per_event_run(
-    queries, events, policy, rows, lateness, shards
+    fold, queries, events, policy, rows, lateness, shards
 ):
     """Blocks of any size: the per-event bits, operations *and* decisions.
 
@@ -222,17 +228,18 @@ def test_block_fed_adaptive_reproduces_the_per_event_run(
     a reorder buffer in front, and sharded (each shard ingests sub-blocks).
     """
     options = dict(optimizer=policy, allowed_lateness=lateness)
-    per_event = run_streaming(queries, events, engine_factory, **options)
-    if shards is None:
-        executor = StreamingExecutor(queries, engine_factory, **options)
-    else:
-        executor = ShardedStreamingExecutor(
-            queries, engine_factory, workers=0, shards=shards, **options
-        )
-    block = EventBlock.from_events(events)
-    for start in range(0, len(block), rows):
-        executor.process_block(block.slice(start, min(start + rows, len(block))))
-    report = executor.finish()
+    with selected_fold(fold):
+        per_event = run_streaming(queries, events, engine_factory, **options)
+        if shards is None:
+            executor = StreamingExecutor(queries, engine_factory, **options)
+        else:
+            executor = ShardedStreamingExecutor(
+                queries, engine_factory, workers=0, shards=shards, **options
+            )
+        block = EventBlock.from_events(events)
+        for start in range(0, len(block), rows):
+            executor.process_block(block.slice(start, min(start + rows, len(block))))
+        report = executor.finish()
     assert report.totals == per_event.totals
     assert partition_multiset(report) == partition_multiset(per_event)
     assert report.metrics.operations == per_event.metrics.operations

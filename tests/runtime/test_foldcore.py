@@ -1,7 +1,8 @@
 """Compiled-vs-reference differential for the fold core.
 
 ``runtime/foldcore.py`` loads ``_foldcore.c``, which runs the segment fold
-of a unit whose classes all defer (scalar ``SEQ(P, K+)``) and the readout
+of a unit whose classes all defer (scalar ``SEQ(P, K+)``), the run fold of
+every other class (``fold_run``, scalar and vector columns) and the readout
 of a scalar unit with no split column and no event store.  The Python
 loops in ``shared_windows`` stay the reference; a test selects them with
 ``foldcore.core = None``.  Both run on the same dict state, so everything
@@ -12,6 +13,9 @@ units and active windows, late and decision counters — and the bytes of
 order is pinned.  (The executor's and the optimizer's wall clocks are
 replaced by counters: arrival stamps and timings ride in the snapshot.)
 
+Then the run fold call by call: ``fold_run`` against the reference
+``PythonKernelBackend``, column by column, to the bit.
+
 The loader cases at the end: an unwritable cache, a corrupt cached
 artifact and a missing compiler each leave the reference fold in place
 with a reason, never a crash.
@@ -19,8 +23,12 @@ with a reason, never a crash.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import math
 import random
+import struct
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -30,14 +38,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.workloads import kleene_sharing_workload
+from repro.core.kernels import MutableAggregate, PythonKernelBackend
 from repro.datasets import RidesharingGenerator
 from repro.errors import ExecutionError
 from repro.events import Event
 from repro.events.block import EventBlock
 from repro.optimizer import decisions
-from repro.query import Query, Window, kleene, seq, sum_of
+from repro.query import Query, Window, avg, kleene, seq, sum_of
 from repro.runtime import StreamingExecutor, close, foldcore, streaming
 from tests.conftest import decision_counters
+from tests.core.test_vector_fold import SELF_LOOP_POSITIONS, bits, clone, random_map
 
 needs_core = pytest.mark.skipif(foldcore.core is None, reason=foldcore.reason)
 
@@ -69,11 +79,14 @@ def mixed_workload(window: Window) -> list[Query]:
 
 
 def vector_workload(window: Window) -> list[Query]:
-    """SUM classes: the reference folds and reads out everything."""
+    """SUM and AVG classes: the core folds their runs, the reference reads
+    them out.  A prefix's SUM and AVG are one class of two members, which
+    an optimizer splits into two columns and merges back."""
     return [
-        Query.build(seq(p, kleene("B")), aggregate=sum_of("B", "v"), group_by=("g",),
-                    window=window, name=f"fc_sum_{p}")
+        Query.build(seq(p, kleene("B")), aggregate=aggregate("B", "v"), group_by=("g",),
+                    window=window, name=f"fc_{name}_{p}")
         for p in "AC"
+        for name, aggregate in (("sum", sum_of), ("avg", avg))
     ]
 
 
@@ -236,13 +249,15 @@ def test_segment_fold_strategy_on_both_folds(seed, workload, window, size, cuts,
         # Scalar store-free units with no optimizer: the compiled sweep reads
         # them out (close_scalar's internals, one call per unit sweep).
         assert calls["sweep_unit"] > 0
+    if workload in ("mixed", "vector") and size >= 40:
+        assert calls["fold_run"] > 0  # the eager and vector classes' runs
 
 
 @needs_core
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
-    workload=st.sampled_from(("deferred", "fig9", "mixed")),
+    workload=st.sampled_from(("deferred", "fig9", "mixed", "vector")),
     cut=st.integers(min_value=0, max_value=240),
     width=st.integers(min_value=0, max_value=80),
     late=st.booleans(),
@@ -252,7 +267,7 @@ def test_staged_ingest_strategy_on_both_folds(seed, workload, cut, width, late, 
     # The staged-ingest differential's shape: process() before ``cut``, one
     # block of ``width`` rows, process() again — with rows behind the
     # lateness horizon (retractions roll back unsettled cells) and under an
-    # optimizer's bursts.
+    # optimizer's bursts (which split the vector workload's columns).
     events = stream(seed, 240)
     options = dict(LATE) if late else {}
     if late:
@@ -318,6 +333,165 @@ def test_an_equal_time_sequence_violation_leaves_the_same_counters():
                 )
             )
     assert seen[0] == seen[1]
+
+
+@needs_core
+def test_split_vector_columns_on_both_folds():
+    # The optimizer splits the vector classes into per-member columns: the
+    # core folds each replica with the self-loop substituted.
+    steps = cut_steps(stream(3, 240), (60, 61, 150), ("events", "block"))
+    options = {"optimizer": "dynamic"}
+    calls = assert_same_on_both_folds(vector_workload(Window(10.0, 4.0)), steps, options)
+    assert calls["fold_run"] > 0
+    *_, splits = outcome(vector_workload(Window(10.0, 4.0)), steps, options, None)[6]
+    assert splits > 0
+
+
+# --------------------------------------------------------------------- #
+# The run fold, call by call: fold_run vs PythonKernelBackend
+# --------------------------------------------------------------------- #
+SPECIALS = (-0.0, math.nan, math.inf, -math.inf, 1e308, -1e308)
+
+
+def odd_value(rng: random.Random) -> float:
+    """A value that shows a changed operation: special, or a 0.1-multiple."""
+    return rng.choice((*SPECIALS, rng.randint(-90, 90) * 0.1))
+
+
+def vector_map(rng: random.Random, windows: range, dimension: int, density: float) -> dict:
+    window_map = random_map(rng, windows, dimension, density)
+    for entry in window_map.values():
+        if rng.random() < 0.3:
+            entry.count = odd_value(rng)
+        entry.measures = [odd_value(rng) if rng.random() < 0.3 else m for m in entry.measures]
+    return window_map
+
+
+def scalar_map(rng: random.Random, windows: range, density: float) -> dict:
+    values = (0.0, 1.0, 3.0, 2.0**53)
+    return {
+        w: rng.choice(values) if rng.random() < 0.7 else odd_value(rng)
+        for w in windows
+        if rng.random() < density
+    }
+
+
+def run_case(seed: int, dimension, self_loop):
+    """One ``fold_run`` argument tuple, built afresh from ``seed``: a
+    canonical map with replica columns (or replicas only, as the stored
+    fold hands them), predecessor maps with the self-loop at ``self_loop``,
+    list or dict indices that may miss every map, and ``count`` rows
+    (``dimension`` ``None``: scalar) -- zero included."""
+    rng = random.Random(seed)
+    windows = range(3, 3 + rng.randint(0, 6))
+    density = rng.choice((0.0, 0.5, 1.0))
+
+    def new_map(density):
+        if dimension is None:
+            return scalar_map(rng, windows, density)
+        return vector_map(rng, windows, dimension, density)
+
+    canonical = new_map(density)
+    replicas = [
+        (dict(canonical) if dimension is None else clone(canonical))
+        if rng.random() < 0.5 else new_map(rng.random())
+        for _ in range(rng.randint(0, 2))
+    ]
+    targets = (canonical, *replicas)
+    if replicas and rng.random() < 0.2:
+        targets = tuple(replicas)
+    pred_maps = [new_map(0.7) for _ in range(rng.randint(0, 2))]
+    if self_loop is not None:
+        pred_maps.insert(min(self_loop, len(pred_maps)), canonical)
+    picked = [w for w in range(2, 11) if rng.random() < 0.6]
+    indices = dict.fromkeys(picked, 0) if rng.random() < 0.5 else picked
+    base = rng.choice((0.0, 1.0))
+    count = rng.randint(0, 6)
+    rows = None
+    if dimension is not None:
+        rows = [
+            tuple(rng.choice((0.0, 1.0, odd_value(rng))) for _ in range(dimension))
+            for _ in range(count)
+        ]
+    maps = [*targets, *(m for m in pred_maps if m is not canonical)]
+    return (targets, canonical, tuple(pred_maps), indices, base, count, rows), maps
+
+
+def reference_run(targets, canonical, pred_maps, indices, base, count, rows, dimension):
+    """``_fold_run``'s reference branch: column by column, the self-loop
+    substituted by ``_TypePlan.fold_sources``."""
+    backend = PythonKernelBackend()
+    made = [0, 0]
+    for target in targets:
+        sources = tuple(target if m is canonical else m for m in pred_maps)
+        if rows is None:
+            fresh = backend.fold_scalar_run(target, indices, sources, base, count)
+        else:
+            fresh = backend.fold_vector_run(target, indices, sources, base, rows, dimension)
+        made[target is not canonical] += fresh
+    return tuple(made)
+
+
+def map_bits(window_map: dict) -> list:
+    if all(isinstance(value, float) for value in window_map.values()):
+        return [(index, struct.pack("<d", value)) for index, value in window_map.items()]
+    return bits(window_map)
+
+
+@needs_core
+@pytest.mark.parametrize("dimension", (None, 0, 1, 2, 3, 4), ids=lambda d: f"dim{d}")
+@pytest.mark.parametrize("self_loop", SELF_LOOP_POSITIONS)
+def test_fold_run_is_the_reference_fold_to_the_bit(dimension, self_loop):
+    for seed in range(60):
+        args, ours = run_case(seed, dimension, self_loop)
+        reference_args, theirs = run_case(seed, dimension, self_loop)
+        made = foldcore.core.fold_run(*args, max(dimension or 0, 0), MutableAggregate)
+        expected = reference_run(*reference_args, dimension)
+        assert made == expected, seed
+        assert [map_bits(m) for m in ours] == [map_bits(m) for m in theirs], seed
+
+
+@needs_core
+def test_fold_run_refuses_what_the_reference_cannot_fold():
+    fold_run = foldcore.core.fold_run
+    total: dict = {1: 2.0}
+    with pytest.raises(TypeError):  # a vector entry of another type
+        fold_run((total,), total, (), [1], 0.0, 1, [(1.0,)], 1, MutableAggregate)
+    with pytest.raises(ValueError):  # a contribution row short of the dimension
+        fold_run(({},), None, (), [1], 0.0, 1, [()], 1, MutableAggregate)
+    with pytest.raises(TypeError):  # a source that is not a map
+        fold_run(({},), None, ([],), [1], 0.0, 1, None, 0, MutableAggregate)
+    assert total == {1: 2.0}
+
+
+@needs_core
+def test_fold_run_holds_no_memory_across_calls():
+    fold_run = foldcore.core.fold_run
+    cases = [run_case(seed, dimension, 1)[0] for seed in range(4) for dimension in (None, 2)]
+
+    def loop() -> None:
+        for targets, canonical, pred_maps, indices, base, count, rows in cases:
+            fresh = tuple(dict(target) for target in targets)  # entries come and go
+            fold_run(fresh, fresh[0], pred_maps, indices, base, count, rows, 2, MutableAggregate)
+        with pytest.raises(TypeError):  # the error path releases what it holds
+            fold_run(({1: 1.0},), None, (), [1], 0.0, 1, [(1.0, 2.0)], 2, MutableAggregate)
+
+    for _ in range(50):  # warm caches and free lists
+        loop()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loop()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1250):  # ~10k calls
+            loop()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # A leak of one object per call would be hundreds of kilobytes.
+    assert after - before < 8 * 1024, after - before
 
 
 # --------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ reporting only the partitions holding the query.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import pickle
 import random
@@ -47,7 +48,7 @@ from repro.runtime import (
     run_streaming,
     run_workload,
 )
-from repro.runtime.results import RunningTotals
+from repro.runtime.results import RunningTotals, WindowResult, window_row
 
 NAMES = ("q_a", "q_b", "q_c")
 
@@ -243,6 +244,22 @@ def test_doubles_come_back_bit_for_bit():
     assert _bits(pickle.loads(pickle.dumps(shared)).values()) == _bits(
         [values[-2], values[-1], values[-2]]
     )
+
+
+def test_a_row_built_through_the_slots_is_the_constructed_row():
+    # window_row (how the Python closers make rows) against the frozen __init__:
+    # equal, the same hash, the same pickle, and frozen all the same.
+    values = WindowValues(ResultLayout(("a", "b")), array("d", [1.5, -0.0]))
+    fields = (("g", 2.0), 4, 8.0, 18.0, values, 5, 0.25)
+    built, constructed = window_row(*fields), WindowResult(*fields)
+    assert type(built) is WindowResult and built == constructed
+    assert not built.retraction
+    assert pickle.dumps(built) == pickle.dumps(constructed)
+    assert pickle.loads(pickle.dumps(built)) == constructed
+    hashable = (*fields[:4], (1.5, -0.0), *fields[5:])
+    assert hash(window_row(*hashable)) == hash(WindowResult(*hashable))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.events = 6  # type: ignore[misc]
 
 
 def test_totals_key_by_names_across_distinct_layouts():

@@ -44,6 +44,7 @@ from repro.query.predicates import AdjacentComparison, attr_less
 from repro.runtime import MultiWindowLinearEngine, StreamingExecutor, foldcore, shared_windows
 from repro.runtime.close import CloseStage
 from repro.runtime.shared_windows import UnitCompilation
+from tests.conftest import RunFolds, on_both_folds, selected_fold
 
 #: ``size % slide != 0``: windows open at multiples of 4 and close at
 #: 10, 14, 18, ... so covering ranges change *inside* a sweep segment.
@@ -546,37 +547,31 @@ def test_burst_buffered_configurations_keep_the_run_path(monkeypatch):
     assert spy.segments == [] and spy.runs
 
 
-def test_prefix_kleene_classes_fold_cell_locally(monkeypatch):
+@on_both_folds
+def test_prefix_kleene_classes_fold_cell_locally(monkeypatch, fold):
     # The dominant shape never enters the run fold on the static
     # path (its Kleene rows are counted, its cells settled in closed form);
     # any other class goes there one same-type run of the class at a time,
     # so a foreign type in between cuts nothing.
-    from repro.core.kernels import PythonKernelBackend
-
-    calls = []
-    fold_scalar_run = PythonKernelBackend.fold_scalar_run
-
-    def counting(backend, total_map, indices, sources, base, count):
-        calls.append(count)
-        return fold_scalar_run(backend, total_map, indices, sources, base, count)
-
-    monkeypatch.setattr(PythonKernelBackend, "fold_scalar_run", counting)
-    events = make_stream(1, 200, groups=1)
-    pairs = [query for query in scalar_workload(Window(1000.0)) if query.name[3:] in ("ab", "cb")]
-    executor = StreamingExecutor(pairs)
-    executor.process_block(EventBlock.from_events(events))
-    assert executor.finish().metrics.operations > 0
-    assert calls == []
-    chain = [query for query in scalar_workload(Window(1000.0)) if query.name == "sg_abc"]
-    executor = StreamingExecutor(chain)
-    executor.process_block(EventBlock.from_events(events))
-    assert executor.finish().metrics.operations > 0
+    with selected_fold(fold):
+        runs = RunFolds(monkeypatch)
+        events = make_stream(1, 200, groups=1)
+        pairs = [q for q in scalar_workload(Window(1000.0)) if q.name[3:] in ("ab", "cb")]
+        executor = StreamingExecutor(pairs)
+        executor.process_block(EventBlock.from_events(events))
+        assert executor.finish().metrics.operations > 0
+        assert runs.counts == []
+        chain = [query for query in scalar_workload(Window(1000.0)) if query.name == "sg_abc"]
+        executor = StreamingExecutor(chain)
+        executor.process_block(EventBlock.from_events(events))
+        assert executor.finish().metrics.operations > 0
+        runs.check()
     # One window, one segment: the class's rows from the first A on, cut
     # only where *its* type changes (D and E rows in between cut nothing).
     own = [event.event_type for event in events if event.event_type in "ABC"]
     own = own[own.index("A") :]
-    assert len(calls) == 1 + sum(a != b for a, b in zip(own, own[1:]))
-    assert sum(calls) == len(own)
+    assert len(runs.counts) == 1 + sum(a != b for a, b in zip(own, own[1:]))
+    assert sum(runs.counts) == len(own)
 
 
 @pytest.mark.parametrize("optimizer", ("always", "dynamic"))

@@ -18,6 +18,7 @@ from repro.greta import GretaEngine
 from repro.interfaces import TrendAggregationEngine
 from repro.query import Query, Window, Workload, avg, kleene, max_of, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor, WorkloadExecutor, run_streaming
+from tests.conftest import RunFolds, on_both_folds, selected_fold
 
 
 def _ab_workload(window: Window, group_by=()) -> Workload:
@@ -505,11 +506,11 @@ class TestSharedWindows:
         assert flushed == expected
         assert report.totals == reference.totals
 
+    @on_both_folds
     @pytest.mark.parametrize("sharded", (False, True), ids=("streaming", "sharded"))
-    def test_no_environment_variable_chooses_the_fold(self, monkeypatch, sharded):
+    def test_no_environment_variable_chooses_the_fold(self, monkeypatch, sharded, fold):
         """``REPRO_KERNEL_BACKEND`` is read by nothing: both executors fold
-        every run with the reference fold, bit for bit as without it."""
-        from repro.core.kernels import PythonKernelBackend
+        every run with the selected fold, bit for bit as without it."""
         from repro.runtime import run_sharded
 
         window = Window(10.0, 2.0)
@@ -536,18 +537,13 @@ class TestSharedWindows:
             return run_streaming(workload, events, HamletEngine, optimizer="dynamic")
 
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        reference = run()
-        folded = []
-        fold_vector_run = PythonKernelBackend.fold_vector_run
-
-        def counting(backend, total_map, indices, sources, base, rows, dimension):
-            folded.append(len(rows))
-            return fold_vector_run(backend, total_map, indices, sources, base, rows, dimension)
-
-        monkeypatch.setattr(PythonKernelBackend, "fold_vector_run", counting)
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        report = run()
-        assert folded and max(folded) > 1  # whole runs, not single events
+        with selected_fold(fold):
+            reference = run()
+            runs = RunFolds(monkeypatch)
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+            report = run()
+            runs.check()
+        assert runs.counts and max(runs.counts) > 1  # whole runs, not single events
         assert report.totals == reference.totals
 
         def rows(result):

@@ -22,12 +22,12 @@ CEILINGS = {
     "lateness.py": 320,
     "sharding.py": 1121,
     "routing.py": 322,
-    "shared_windows.py": 1321,
-    "foldcore.py": 143,
-    "_foldcore.c": 1947,
+    "shared_windows.py": 1318,
+    "foldcore.py": 167,
+    "_foldcore.c": 2270,
     "cover.py": 292,
-    "close.py": 258,
-    "results.py": 178,
+    "close.py": 256,
+    "results.py": 198,
     "reorder.py": 400,
     "executor.py": 325,
 }
