@@ -150,12 +150,6 @@ class HamletGraph:
         self._active_by_type[graphlet.event_type] = graphlet
         return graphlet
 
-    def deactivate_type(self, event_type: EventType) -> None:
-        """Deactivate the active graphlet of ``event_type`` (if any)."""
-        graphlet = self._active_by_type.get(event_type)
-        if graphlet is not None:
-            graphlet.deactivate()
-
     def deactivate_other_types(self, event_type: EventType) -> None:
         """Deactivate active graphlets of every type except ``event_type``.
 
@@ -245,13 +239,6 @@ class HamletGraph:
         accumulator = MutableAggregate(self._dimension)
         self.predecessor_total_into(accumulator, query, template, event_type, table)
         return accumulator.freeze()
-
-    def fold_accumulators(self, event_types: Iterable[EventType], table: SnapshotTable) -> None:
-        """Fold pending expressions of the given types into resolved totals."""
-        for event_type in event_types:
-            accumulator = self._accumulators.get(event_type)
-            if accumulator is not None:
-                self.operations += accumulator.fold(table)
 
     # ------------------------------------------------------------------ #
     # Non-shared (GRETA-style) predecessor access — the slow path

@@ -227,10 +227,6 @@ class Window:
         for index in self.instance_indices_covering(timestamp):
             yield self.instance_bounds(index)
 
-    def instance_starting_at(self, start: float) -> tuple[float, float]:
-        """Return the ``(start, end)`` bounds of the instance starting at ``start``."""
-        return (start, start + self.size)
-
     def overlaps(self, other: "Window") -> bool:
         """Return True if instances of this window can overlap instances of ``other``.
 

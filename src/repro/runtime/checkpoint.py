@@ -76,6 +76,7 @@ __all__ = [
     "AsyncCheckpointWriter",
     "Checkpoint",
     "CheckpointStore",
+    "KEEP",
     "LOG_MAGIC",
     "MAGIC",
     "TEMP_SUFFIX",
@@ -98,6 +99,9 @@ TEMP_SUFFIX = ".tmp"
 CHECKPOINT_SUFFIX = ".ckpt"
 #: File suffix of a shard's append-only output log.
 LOG_SUFFIX = ".log"
+#: Snapshots a shard keeps: the newest and the one before it, the
+#: fallback when the newest turns out torn.
+KEEP = 2
 
 #: magic, version, flags, reserved, epoch, seq, payload length — the 32
 #: header bytes in front of the digest — and the whole 48-byte header.
@@ -203,9 +207,9 @@ class CheckpointStore:
     """One shard's checkpoint files inside a shared checkpoint directory.
 
     File names order lexicographically by ``(epoch, seq)`` thanks to the
-    zero padding, so "newest" never needs header reads.  ``keep`` bounds
-    the snapshot footprint: after every successful write all but the
-    newest ``keep`` snapshots of the shard are pruned.  The output log is
+    zero padding, so "newest" never needs header reads.  :data:`KEEP`
+    bounds the snapshot footprint: after every successful write all but the
+    newest ``KEEP`` snapshots of the shard are pruned.  The output log is
     never pruned — it *is* the report the run will return.
 
     One instance serves one writer incarnation.  A resuming one calls
@@ -218,12 +222,9 @@ class CheckpointStore:
     start of every run).
     """
 
-    def __init__(self, directory: str | os.PathLike, shard_id: int, *, keep: int = 2) -> None:
-        if keep < 1:
-            raise CheckpointError(f"checkpoint store must keep >= 1 files, got {keep}")
+    def __init__(self, directory: str | os.PathLike, shard_id: int) -> None:
         self.directory = Path(directory)
         self.shard_id = shard_id
-        self.keep = keep
         self.directory.mkdir(parents=True, exist_ok=True)
         #: Kill-point hook (:mod:`repro.runtime.faultpoints`) of the shard
         #: worker that owns this store; called with the name of the site
@@ -300,8 +301,8 @@ class CheckpointStore:
         return len(record) + len(blob)
 
     def _prune(self, pointed: str) -> None:
-        for stale in self._candidates()[self.keep :]:
-            if stale.name == pointed:  # pragma: no cover - keep >= 1 shields it
+        for stale in self._candidates()[KEEP:]:
+            if stale.name == pointed:  # pragma: no cover - KEEP >= 1 shields it
                 continue
             try:
                 stale.unlink()

@@ -246,9 +246,7 @@ def _prepare(
     if block.times[block.start] < 0:  # the reference's range pass raises here
         window.instance_range_columns(block.times, block.start, block.stop)
     table, codes = block.group_codes(unit.spec.group_by)
-    qualifies = bytes(
-        not executor.lazy_open or name in unit.opening_types for name in block.type_table
-    )
+    qualifies = bytes(name in unit.opening_types for name in block.type_table)
     compiled = unit.compiled
     assert compiled is not None  # a WalkPlan's units are compiled
     contributions = None

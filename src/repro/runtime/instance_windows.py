@@ -8,6 +8,8 @@ instance)``.  :class:`InstanceWindowEngine` packs the live instances of one
 ``(group key, execution unit)`` pair behind
 :class:`~repro.interfaces.MultiWindowEngine`, so the streaming executor
 drives them through the same window lifecycle as a shared-window engine.
+An instance opens lazily, on the first event it covers whose type is one
+of the unit's opening types, as the shared-window engine arms a window.
 """
 
 from __future__ import annotations
@@ -54,13 +56,14 @@ class InstanceWindowEngine(MultiWindowEngine):
         self,
         queries: Sequence[Query],
         pool: EnginePool,
-        opening_types: Optional[frozenset[EventType]],
+        opening_types: frozenset[EventType],
         layout: Optional[ResultLayout] = None,
     ) -> None:
         self.queries = queries
         self.pool = pool
         #: An instance opens on the first event of one of these types it
-        #: covers; ``None`` opens on any event (``lazy_open=False``).
+        #: covers: a unit's trend-start types, or every relevant type of a
+        #: MIN/MAX unit (GRETA's extrema can come from start-less chains).
         self.opening_types = opening_types
         #: The unit's result names (the executor shares one per unit).
         self.layout = layout if layout is not None else ResultLayout(q.name for q in queries)
@@ -70,7 +73,7 @@ class InstanceWindowEngine(MultiWindowEngine):
 
     def process(self, event: Event, lo: int, hi: int) -> None:
         live = self._live
-        opens = self.opening_types is None or event.event_type in self.opening_types
+        opens = event.event_type in self.opening_types
         for index in range(lo, hi + 1):
             engine = live.get(index)
             if engine is None:

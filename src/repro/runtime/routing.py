@@ -1,16 +1,16 @@
 """Shard routing: which shard(s) must see each event of a workload's stream.
 
 A :class:`ShardRouter` splits the workload into *shards* and maps every
-event to the shard(s) that must see it.  When the workload has GROUP BY
-(every query groups by the same attributes), events are **hash-routed by
-group key** — :func:`stable_shard_hash`, a process-stable hash, so routing
-is deterministic across runs and machines.  Without GROUP BY there is only
-one group per window and the stream cannot be split by key, so the router
-falls back to **sharding by execution unit**: each shard owns a subset of
-the query clusters and sees exactly the events relevant to them.  Both
-placements keep every ``(group, window instance)`` partition wholly inside
-one shard, so the shared-window engines work unchanged per shard and no
-cross-shard coordination is ever needed.
+event to the shard(s) that must see it, in a mode it derives from the
+workload.  When every query groups by the same non-empty attributes,
+events are **hash-routed by group key** — :func:`stable_shard_hash`, a
+process-stable hash, so routing is deterministic across runs and machines.
+Otherwise — no GROUP BY, or queries grouping by different attributes —
+no one key splits the stream, so the router **shards by execution unit**:
+each shard owns a subset of the query clusters and sees exactly the events
+relevant to them.  Both placements keep every ``(group, window instance)``
+partition wholly inside one shard, so the shared-window engines work
+unchanged per shard and no cross-shard coordination is ever needed.
 
 Pure routing: no processes, queues or transports live here — those are
 :mod:`repro.runtime.sharding`, which drives one executor per shard over
@@ -136,32 +136,15 @@ class ShardRouter:
     every sharing opportunity the single-process runtime has.
     """
 
-    def __init__(
-        self,
-        workload: Workload | Sequence[Query],
-        shards: int,
-        *,
-        routing: str = "auto",
-    ) -> None:
+    def __init__(self, workload: Workload | Sequence[Query], shards: int) -> None:
         if shards < 1:
             raise ExecutionError(f"shard count must be >= 1, got {shards}")
-        if routing not in ("auto", "group", "unit"):
-            raise ExecutionError(
-                f"routing must be 'auto', 'group' or 'unit', got {routing!r}"
-            )
         self.workload = workload if isinstance(workload, Workload) else Workload(workload)
         self.workload.validate()
         self.analysis = analyze_workload(self.workload)
         queries = tuple(self.workload.queries)
         group_bys = {query.group_by for query in queries}
-        groupable = len(group_bys) == 1 and next(iter(group_bys)) != ()
-        if routing == "group" and not groupable:
-            raise ExecutionError(
-                "group routing requires every query to share one non-empty "
-                "GROUP BY clause; this workload does not (use routing='unit')"
-            )
-        mode = routing if routing != "auto" else ("group" if groupable else "unit")
-        if mode == "group":
+        if len(group_bys) == 1 and next(iter(group_bys)) != ():
             self.plan = self._plan_group(queries, shards)
         else:
             self.plan = self._plan_unit(queries, shards)

@@ -369,11 +369,10 @@ class ShardedStreamingExecutor:
             callbacks possible.  ``workers >= 1`` spawns one process per
             shard.
         shards: Router fan-out for ``workers=0`` (defaults to 1).  With
-            ``workers > 0`` the shard count *is* the worker count.
-        routing: ``"auto"`` (group hash when the workload has a common
-            GROUP BY, else by execution unit), ``"group"`` or ``"unit"``.
+            ``workers > 0`` the shard count *is* the worker count.  The
+            router picks its mode (:attr:`routing_mode`) from the workload.
         batch_size: Events per batch :meth:`process` ships to a worker.
-        lazy_open / shared_windows: Forwarded to every shard's
+        shared_windows: Forwarded to every shard's
             :class:`StreamingExecutor`.
         optimizer: Adaptive per-burst sharing policy, forwarded to every
             shard's :class:`StreamingExecutor`.  Each shard resolves its
@@ -428,9 +427,7 @@ class ShardedStreamingExecutor:
         *,
         workers: int = 0,
         shards: Optional[int] = None,
-        routing: str = "auto",
         batch_size: int = 512,
-        lazy_open: bool = True,
         shared_windows: bool = True,
         optimizer: OptimizerSpec = None,
         on_window: Optional[Callable[[WindowResult], None]] = None,
@@ -471,7 +468,7 @@ class ShardedStreamingExecutor:
         # and forwarded as given, so each shard resolves its own instances.
         validate_stream_options(optimizer, allowed_lateness, late_policy, on_late)
         self._options: dict[str, Any] = dict(
-            on_window=on_window, lazy_open=lazy_open, shared_windows=shared_windows,
+            on_window=on_window, shared_windows=shared_windows,
             optimizer=optimizer, allowed_lateness=allowed_lateness,
             late_policy=late_policy, on_late=on_late,
         )
@@ -493,7 +490,6 @@ class ShardedStreamingExecutor:
         self.router = ShardRouter(
             self.workload,
             workers if workers > 0 else (shards if shards is not None else 1),
-            routing=routing,
         )
         #: One in-process shard: nothing to route between (see _UNROUTED).
         self._unrouted = workers == 0 and self.router.shards == 1

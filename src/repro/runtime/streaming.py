@@ -28,7 +28,7 @@ This module is the online counterpart:
   and the window's state is **evicted**, so peak memory is bounded by the
   *live* state instead of the stream length.
 
-Lazy opening (on by default) skips provably-inert stream prefixes: a window
+Windows open lazily, skipping provably-inert stream prefixes: a window
 instance is not opened — and events covering it are not fed to any engine —
 until the first event whose type can *start* a trend of one of the unit's
 queries arrives inside the instance.  Events preceding every trend-start
@@ -39,7 +39,9 @@ result can depend on the skipped prefix.  The shared-window engine propagates
 the same invariant per query class: a window is *armed* for a class only
 once a class start-type event arrives inside it, and unarmed windows are
 skipped by every per-window loop.  The randomized equivalence suite asserts
-bit-identical totals across the shared, per-instance and batch evaluations.
+bit-identical totals across the shared, per-instance and batch evaluations,
+and that every window the batch replay reports but no lazy run opens holds
+zero.
 
 With ``optimizer=...`` the shared path becomes **adaptive**: per burst
 (maximal same-type run) of a ``(group, unit)`` stream, an optimizer decides
@@ -109,8 +111,8 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v18: groups and window metas carry no engine seconds (v2-v17: CHANGES.md).
-SNAPSHOT_VERSION = 18
+#: v19: the fingerprint names no window-opening mode (v2-v18: CHANGES.md).
+SNAPSHOT_VERSION = 19
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
@@ -178,7 +180,7 @@ class _BlockUnitColumns:
     #: First / last covering window-instance index per block row.
     lows: Sequence[int]
     highs: Sequence[int]
-    #: Lazy-open qualification per *type code* of the block's type table.
+    #: Window-opening qualification per *type code* of the block's type table.
     qualifies: Sequence[bool]
     #: ``compiled.contributions(event)`` per block row (``None`` if scalar).
     contributions: Sequence[Optional[tuple[float, ...]]]
@@ -208,7 +210,8 @@ class _Unit:
     queries: tuple[Query, ...]
     spec: PartitionSpec
     relevant_types: frozenset[EventType]
-    #: Types that can start a trend of at least one unit query (lazy-open gate).
+    #: Types that can start a trend of at least one unit query: a window
+    #: opens on the first of them inside it.
     opening_types: frozenset[EventType]
     linear: bool
     #: Idle single-window engines (taken by uncompiled units only).
@@ -232,7 +235,6 @@ class StreamingExecutor:
         engine_factory: EngineFactory = HamletEngine,
         *,
         on_window: Optional[Callable[[WindowResult], None]] = None,
-        lazy_open: bool = True,
         shared_windows: bool = True,
         optimizer: OptimizerSpec = None,
         allowed_lateness: Optional[float] = None,
@@ -249,9 +251,6 @@ class StreamingExecutor:
             on_window: Callback invoked with every :class:`WindowResult` the
                 moment its window closes, in emission order — the rows'
                 one sink: the report keeps none (``totals`` cover them all).
-            lazy_open: Open a window instance only when a trend-start-type
-                event arrives inside it (skips provably inert prefixes).
-                Disable to mirror the batch executor's instance set exactly.
             shared_windows: Evaluate all overlapping window instances of a
                 ``(group, unit)`` pair with one shared multi-window engine
                 (events processed once, per-window coefficients, see
@@ -297,7 +296,6 @@ class StreamingExecutor:
         #: Each closed window's row goes to one sink: the callback, else the
         #: report (the in-process sharded driver sets it to merge shard rows).
         self._keep_rows = on_window is None
-        self.lazy_open = lazy_open
         self.shared_windows = shared_windows
         self._optimizer_factory = validate_stream_options(
             optimizer, allowed_lateness, late_policy, on_late
@@ -706,7 +704,6 @@ class StreamingExecutor:
         return {
             "queries": tuple(query.name for query in self.workload.queries),
             "engine": self._engine_label,
-            "lazy_open": self.lazy_open,
             "shared_windows": self.shared_windows,
             "adaptive": self._optimizer_factory is not None,
             "allowed_lateness": self.allowed_lateness,
@@ -866,8 +863,7 @@ class StreamingExecutor:
         """Build the engine of a ``(group, unit)`` pair seen anew."""
         sort_key = group_sort_key(group_key)
         if unit.compiled is None:
-            opening = unit.opening_types if self.lazy_open else None
-            adapter = InstanceWindowEngine(unit.queries, unit.pool, opening, unit.layout)
+            adapter = InstanceWindowEngine(unit.queries, unit.pool, unit.opening_types, unit.layout)
             group = _Group(engine=adapter, evicts=False, sort_key=sort_key)
         else:
             engine = MultiWindowLinearEngine(unit.compiled)
@@ -1026,10 +1022,7 @@ class StreamingExecutor:
                     *block.group_codes(unit.spec.group_by),
                     lows=ranges[0],
                     highs=ranges[1],
-                    qualifies=[
-                        not self.lazy_open or name in unit.opening_types
-                        for name in block.type_table
-                    ],
+                    qualifies=[name in unit.opening_types for name in block.type_table],
                     contributions=(
                         nones
                         if compiled is None or compiled.scalar
@@ -1041,7 +1034,7 @@ class StreamingExecutor:
             if compiled is not None and self._burst_buffering:
                 events = nones if event_type in compiled.columnar_types else block
             feeds.append(
-                (unit, state, bool(state.qualifies[code]), event_type, state.contributions, events)
+                (unit, state, state.qualifies[code], event_type, state.contributions, events)
             )
         return feeds
 

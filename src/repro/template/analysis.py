@@ -67,16 +67,6 @@ class WorkloadAnalysis:
     #: split into sub-queries before grouping (Section 5).
     decompositions: dict[str, "DecomposedQuery"] = field(default_factory=dict)
 
-    @property
-    def shared_groups(self) -> list[SharableGroup]:
-        """Groups with genuine sharing opportunities."""
-        return [group for group in self.groups if group.is_shared]
-
-    @property
-    def singleton_groups(self) -> list[SharableGroup]:
-        """Groups containing a single query (always executed non-shared)."""
-        return [group for group in self.groups if len(group.queries) == 1]
-
     def group_of(self, query: Query) -> SharableGroup:
         """Return the group containing ``query``."""
         for group in self.groups:

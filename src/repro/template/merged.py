@@ -27,13 +27,10 @@ class MergedTemplate:
         self._templates: dict[Query, QueryTemplate] = dict(templates)
         self._event_types: set[EventType] = set()
         self._transition_queries: dict[tuple[EventType, EventType], set[Query]] = {}
-        self._queries_per_type: dict[EventType, set[Query]] = {}
         for query, template in self._templates.items():
             self._event_types |= template.event_types
             for edge in template.edges:
                 self._transition_queries.setdefault(edge, set()).add(query)
-            for event_type in template.event_types | template.negated_types:
-                self._queries_per_type.setdefault(event_type, set()).add(query)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -67,10 +64,6 @@ class MergedTemplate:
     def transition_label(self, source: EventType, target: EventType) -> frozenset[Query]:
         """Queries for which the transition ``source -> target`` holds."""
         return frozenset(self._transition_queries.get((source, target), ()))
-
-    def queries_matching_type(self, event_type: EventType) -> frozenset[Query]:
-        """Queries whose pattern references ``event_type`` (positively or negatively)."""
-        return frozenset(self._queries_per_type.get(event_type, ()))
 
     def predecessor_types(self, event_type: EventType, query: Query) -> tuple[EventType, ...]:
         """``pt(E, q)`` within this merged template (sorted, see QueryTemplate)."""

@@ -146,10 +146,6 @@ class QueryTemplate:
         """True if events of ``event_type`` can start a trend."""
         return event_type in self._start_types
 
-    def is_end(self, event_type: EventType) -> bool:
-        """True if events of ``event_type`` can finish a trend."""
-        return event_type in self._end_types
-
     def is_relevant(self, event_type: EventType) -> bool:
         """True if the type is matched positively or negatively by the query."""
         return event_type in self._event_types or event_type in self._negated_types

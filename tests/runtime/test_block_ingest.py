@@ -150,15 +150,11 @@ def test_block_ingest_with_group_by(seed):
     assert_reports_identical(*run_pair(workload(SLIDING, group_by=("g",)), events))
 
 
-@pytest.mark.parametrize("lazy_open", (True, False), ids=("lazy", "eager"))
 @pytest.mark.parametrize("shared_windows", (True, False), ids=("shared", "instances"))
-def test_block_ingest_across_paths(lazy_open, shared_windows):
+def test_block_ingest_across_paths(shared_windows):
     events = make_stream(11, 400)
     per_event, block = run_pair(
-        workload(SLIDING, group_by=("g",)),
-        events,
-        lazy_open=lazy_open,
-        shared_windows=shared_windows,
+        workload(SLIDING, group_by=("g",)), events, shared_windows=shared_windows
     )
     assert_reports_identical(per_event, block)
 

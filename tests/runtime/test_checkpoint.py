@@ -48,6 +48,7 @@ from repro.query import Query, Window, kleene, parse_pattern, seq, sum_of
 from repro.runtime import StreamingExecutor
 from repro.runtime.results import WindowResult, WindowValues
 from repro.runtime.checkpoint import (
+    KEEP,
     MAGIC,
     TEMP_SUFFIX,
     VERSION,
@@ -132,7 +133,7 @@ class TestStore:
 
     def test_corrupt_newest_falls_back_to_previous(self, tmp_path):
         """The last-good guarantee: a torn newest file is skipped."""
-        store = CheckpointStore(tmp_path, shard_id=0, keep=2)
+        store = CheckpointStore(tmp_path, shard_id=0)
         store.write(0, 5, b"good")
         store.write(0, 9, b"about to be torn")
         newest = max(tmp_path.glob("shard000-e*.ckpt"), key=lambda p: p.name)
@@ -146,11 +147,11 @@ class TestStore:
         assert store.latest().seq == 5
 
     def test_prune_bounds_the_footprint(self, tmp_path):
-        store = CheckpointStore(tmp_path, shard_id=0, keep=2)
+        store = CheckpointStore(tmp_path, shard_id=0)
         for seq in range(6):
             store.write(0, seq, b"s%d" % seq)
         remaining = sorted(p.name for p in tmp_path.glob("*.ckpt"))
-        assert len(remaining) == 2
+        assert len(remaining) == KEEP == 2
         assert store.latest().seq == 5
 
     def test_shards_are_isolated(self, tmp_path):
@@ -181,17 +182,13 @@ class TestStore:
         assert CheckpointStore(tmp_path, shard_id=0).latest() is None
         assert one.latest().payload == b"one"
 
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(CheckpointError, match="keep"):
-            CheckpointStore(tmp_path, shard_id=0, keep=0)
-
 
 class TestOutputLog:
     """The append-only per-shard log beside the snapshot files."""
 
     @staticmethod
     def _store_with_two(tmp_path) -> CheckpointStore:
-        store = CheckpointStore(tmp_path, shard_id=0, keep=2)
+        store = CheckpointStore(tmp_path, shard_id=0)
         store.write(0, 3, b"state three", b"delta-a")
         store.write(0, 7, b"state seven", b"delta-bb")
         return store
@@ -552,7 +549,7 @@ def test_snapshot_carries_the_pending_burst_as_column_rows():
 
 
 def test_snapshot_splits_output_from_live_state():
-    """Pinned shape (v18): ``{version, fingerprint, core, lateness}``; the
+    """Pinned shape (v19): ``{version, fingerprint, core, lateness}``; the
     core is its own pickle and carries the run's scalar metrics and running
     totals (one sum per layout slot), no report; the output — one list, one
     compact ``WindowResult`` per closed window, addressed by the one ``windows_closed``
@@ -761,9 +758,11 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v17 snapshot (groups and window metas pickling the engine
-    seconds streaming no longer attributes) is refused with a typed error
-    instead of failing inside unpickling; so are v16 (kept rows of the
+    """A v18 snapshot (a fingerprint naming the window-opening mode, which
+    is no longer a choice) is refused with a typed error instead of
+    resuming under a fingerprint that means something else; so are v17
+    (groups and window metas pickling the engine seconds streaming no
+    longer attributes), v16 (kept rows of the
     deleted second row class), v15 (a lateness stage whose reorder buffer
     pickles a heap), v14 (groups without a cached sort key), v13 (a core
     without running totals) and v12 (a reorder buffer pickling an in-order
@@ -776,15 +775,16 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 18
-    assert "kernel" not in state["fingerprint"] and "burst_size" not in state["fingerprint"]
+    assert state["version"] == SNAPSHOT_VERSION == 19
+    fingerprint = state["fingerprint"]
+    assert not {"kernel", "burst_size", "lazy_open"} & set(fingerprint)
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
     assert not hasattr(group, "share_seconds")
     assert not any(hasattr(meta, "share_at_open") for meta in group.metas.values())
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (17, 16, 15, 14, 13, 12):
+    for previous in (18, 17, 16, 15, 14, 13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

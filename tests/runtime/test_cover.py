@@ -8,7 +8,7 @@ group and armed high across close sweeps and hands a row back to the Python
 row body only to resolve a code or open windows, so the cases here aim at
 what that could get wrong: groups evicted and reopened inside one block,
 groups that never open, NaN keys and int/float keys a dict merges,
-``lazy_open=False``, two units with different window shapes, a type no unit
+two units with different window shapes, a type no unit
 reads, Unix-epoch times on and a few ulps off window boundaries, random
 block cuts and ``process()``/``process_block()`` interleavings.  After
 every step the two runs must agree on emissions with value bits, totals
@@ -155,16 +155,15 @@ def assert_same_on_both_covers(queries, steps, options, introspect) -> tuple[int
     size=st.integers(min_value=10, max_value=260),
     cuts=st.lists(st.integers(min_value=1, max_value=259), max_size=6),
     kinds=st.lists(st.sampled_from(("block", "frame", "events")), min_size=1, max_size=4),
-    lazy=st.booleans(),
     introspect=st.booleans(),
     whole=st.booleans(),
 )
 def test_cover_strategy_on_both_loops(
-    seed, kind, shapes, base, keys, size, cuts, kinds, lazy, introspect, whole
+    seed, kind, shapes, base, keys, size, cuts, kinds, introspect, whole
 ):
     events = stream(seed, size, base, keys, whole)
     walked, handed = assert_same_on_both_covers(
-        workload(kind, *shapes), cut_steps(events, cuts, kinds), {"lazy_open": lazy}, introspect
+        workload(kind, *shapes), cut_steps(events, cuts, kinds), {}, introspect
     )
     relevant = sum(event.event_type != "X" for event in events)
     assert walked >= relevant and handed <= walked

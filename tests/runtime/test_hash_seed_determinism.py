@@ -35,7 +35,7 @@ import random
 
 from repro.events import Event
 from repro.query import Query, Window, count_events, kleene, seq, sum_of
-from repro.runtime import run_sharded
+from repro.runtime import ShardRouter, run_sharded
 
 rng = random.Random(7)
 events = []
@@ -67,10 +67,14 @@ workload = [
     ),
 ]
 
+# One ungrouped query more leaves no common GROUP BY: the router shards
+# that workload by execution unit.
+ungrouped = Query.build(seq("A", kleene("C")), window=window, name="q_all")
 document = {}
-for routing in ("group", "unit"):
-    report = run_sharded(workload, events, shards=4, workers=0, routing=routing)
-    document[routing] = {
+for mode, queries in (("group", workload), ("unit", workload + [ungrouped])):
+    report = run_sharded(queries, events, shards=4, workers=0)
+    assert ShardRouter(queries, 4).mode == mode
+    document[mode] = {
         "totals": sorted(report.totals.items()),
         "partitions": [
             [
@@ -110,13 +114,15 @@ def test_sharded_reports_identical_across_hash_seeds():
 
     # Sanity: the run produced real results (not vacuously-equal empties).
     document = json.loads(first)
-    for routing in ("group", "unit"):
-        totals = dict(document[routing]["totals"])
-        assert set(totals) == {"q_count", "q_sum"}
-        assert any(value > 0 for value in totals.values())
-        assert document[routing]["partitions"]
-    # Both routing modes agree on the results themselves.
-    assert document["group"]["totals"] == document["unit"]["totals"]
+    grouped = {"q_count", "q_sum"}
+    for mode, names in (("group", grouped), ("unit", grouped | {"q_all"})):
+        totals = dict(document[mode]["totals"])
+        assert set(totals) == names
+        assert all(value > 0 for value in totals.values())
+        assert document[mode]["partitions"]
+    # Both routing modes agree on the results of the queries they share.
+    unit_totals = dict(document["unit"]["totals"])
+    assert all(unit_totals[name] == value for name, value in document["group"]["totals"])
     # Group routing actually spread work across shards (exercises
     # stable_shard_hash, the invariant under test).
     group_shards = [entry for entry in document["group"]["shards"] if entry[1] > 0]

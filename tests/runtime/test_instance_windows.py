@@ -1,6 +1,6 @@
 """Per-instance window evaluation behind ``MultiWindowEngine``.
 
-Two things live here.  **Pinned numbers**: what three seeded per-instance
+Two things live here.  **Pinned numbers**: what two seeded per-instance
 configurations reported at the commit *before* the per-instance path became
 an adapter inside the one window lifecycle (PR 17's parent) — the code that
 produced them is deleted, so they are literals, not a differential.  And a
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro.baselines import TwoStepEngine
 from repro.core import HamletEngine
 from repro.events import Event, EventStream
 from repro.interfaces import MultiWindowEngine, TrendAggregationEngine
@@ -87,13 +86,6 @@ CONFIGURATIONS = {
         12,
         300,
     ),
-    "two-step-baseline-eager": (
-        _linear(Window(12.0, 4.0)),
-        TwoStepEngine,
-        {"lazy_open": False},
-        13,
-        160,
-    ),
 }
 
 #: Measured on the parent commit (the last one with a per-instance lifecycle
@@ -116,15 +108,6 @@ PINNED = {
         "peak_active_windows": 24,
         "engine_feeds": 2115,
         "engines_created": 24,
-    },
-    "two-step-baseline-eager": {
-        "operations": 5173,
-        "windows": 80,
-        "digest": "e25ffa45482cbc75",
-        "peak_memory_units": 1051,
-        "peak_active_windows": 6,
-        "engine_feeds": 765,
-        "engines_created": 6,
     },
 }
 
@@ -243,8 +226,12 @@ def _adapter(opening_types):
     return InstanceWindowEngine(queries, pool, opening_types), pool, log
 
 
+#: What a MIN/MAX unit passes: every relevant type opens an instance.
+EVERY_TYPE = frozenset({"A", "B"})
+
+
 def test_adapter_is_a_multi_window_engine():
-    adapter, _, _ = _adapter(None)
+    adapter, _, _ = _adapter(EVERY_TYPE)
     assert isinstance(adapter, MultiWindowEngine)
     assert adapter.memory_units() == 0 and adapter.operations() == 0
 
@@ -262,14 +249,14 @@ def test_adapter_opens_lazily_only_on_an_opening_type():
         adapter.close_window(2)  # never opened: the executor holds no meta for it
 
 
-def test_adapter_opens_eagerly_without_opening_types():
-    adapter, pool, _ = _adapter(None)  # lazy_open=False
+def test_adapter_opens_on_any_event_of_a_minmax_units_types():
+    adapter, pool, _ = _adapter(EVERY_TYPE)
     adapter.process(Event("B", 0.0), 3, 5)
     assert pool.created == 3 and sorted(adapter._live) == [3, 4, 5]
 
 
 def test_adapter_closes_ascending_with_monotone_operations_and_pooled_engines():
-    adapter, pool, log = _adapter(None)
+    adapter, pool, log = _adapter(EVERY_TYPE)
     adapter.process(Event("A", 0.0), 0, 0)
     adapter.process(Event("B", 1.0), 0, 1)
     adapter.process(Event("B", 2.0), 0, 2)
@@ -295,7 +282,7 @@ def test_adapter_closes_ascending_with_monotone_operations_and_pooled_engines():
 
 
 def test_a_pickled_pool_ships_its_engines_without_the_factory():
-    adapter, pool, _ = _adapter(None)
+    adapter, pool, _ = _adapter(EVERY_TYPE)
     adapter.process(Event("A", 0.0), 0, 1)
     adapter.close_window(0)
     restored_adapter, restored_pool = pickle.loads(pickle.dumps((adapter, pool)))

@@ -16,10 +16,13 @@ in the stream length.
 from __future__ import annotations
 
 import gc
+import os
 import pickle
 import random
-import statistics
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.runtime import (
 from repro.runtime.executor import recombined_partitions
 
 SLIDING, TUMBLING = Window(8.0, 4.0), Window(10.0)
+REPO_ROOT = Path(__file__).resolve().parents[2]
 HORIZON = 4.0
 
 
@@ -313,13 +317,34 @@ def _traced_peak(events: list[Event], every: int = 500) -> int:
         tracemalloc.stop()
 
 
+#: One stream length's traced peak, measured in a fresh interpreter: the
+#: median of three runs after a warm-up that fills lazy caches and
+#: interned tables.
+_FRESH_PEAK = """
+import statistics, sys
+from tests.runtime.test_output_sink import _events, _traced_peak
+events = _events(8, int(sys.argv[1]))
+_traced_peak(_events(8, 1_500))
+print(statistics.median(_traced_peak(events) for _ in range(3)))
+"""
+
+
+def _fresh_peak(size: int) -> float:
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join((str(REPO_ROOT / "src"), str(REPO_ROOT)))
+    result = subprocess.run(
+        [sys.executable, "-c", _FRESH_PEAK, str(size)],
+        env=env, capture_output=True, text=True, timeout=300, cwd=REPO_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    return float(result.stdout)
+
+
 def test_a_callback_run_holds_no_output_as_the_stream_grows():
     """State is bounded by the open windows, not by the windows emitted:
     at 4x the stream length the traced peak stays within +10%.  Each length
-    takes the median of three traced runs: one run's peak moves by tens of
-    bytes with the allocator state earlier tests leave."""
-    short, long = _events(8, 1_500), _events(8, 6_000)
-    _traced_peak(short)  # warm lazy caches and interned tables
-    runs = [(_traced_peak(short), _traced_peak(long)) for _ in range(3)]
-    peaks = [statistics.median(column) for column in zip(*runs)]
+    is measured in its own fresh interpreter: a peak in this one moves by
+    tens of bytes with the allocator and free-list state earlier tests
+    leave, and the margin is about that."""
+    peaks = [_fresh_peak(1_500), _fresh_peak(6_000)]
     assert peaks[1] <= peaks[0] * 1.10, peaks

@@ -217,10 +217,8 @@ class TestStreamingPeakMemoryAccounting:
     def test_per_instance_sample_dedupes_overlapping_instances(self):
         events = self._events()
         batch = WorkloadExecutor(self._queries(), GretaEngine).run(events)
-        streaming = StreamingExecutor(
-            self._queries(), GretaEngine, lazy_open=False, shared_windows=False
-        ).run(events)
-        # Eager instances replay exactly the batch partitions, so the
+        streaming = run_streaming(self._queries(), events, GretaEngine, shared_windows=False)
+        # A lazy instance replays a suffix of its batch partition, so the
         # deduplicated concurrent sample can never exceed the batch peak —
         # with the old per-instance sum it was ~overlap-factor times larger.
         assert 0 < streaming.metrics.peak_memory_units <= batch.metrics.peak_memory_units
@@ -228,9 +226,7 @@ class TestStreamingPeakMemoryAccounting:
     def test_shared_windows_hold_state_once(self):
         events = self._events()
         batch = WorkloadExecutor(self._queries(), GretaEngine).run(events)
-        shared = StreamingExecutor(
-            self._queries(), GretaEngine, lazy_open=False
-        ).run(events)
+        shared = StreamingExecutor(self._queries(), GretaEngine).run(events)
         # The shared engine keeps per-window coefficients instead of
         # duplicated graphs; its footprint stays within the batch peak of a
         # single partition as well.

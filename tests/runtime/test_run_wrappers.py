@@ -17,6 +17,8 @@ from repro.core import HamletEngine
 from repro.events import Event
 from repro.query import Query, Window, kleene, seq
 from repro.runtime import (
+    CheckpointStore,
+    ShardRouter,
     ShardedStreamingExecutor,
     StreamingExecutor,
     run_sharded,
@@ -29,7 +31,7 @@ EVENTS = [Event("AB"[index % 2], float(index)) for index in range(40)]
 
 @pytest.mark.parametrize(
     "wrapper, executor, keyword_only",
-    ((run_streaming, StreamingExecutor, 7), (run_sharded, ShardedStreamingExecutor, 14)),
+    ((run_streaming, StreamingExecutor, 6), (run_sharded, ShardedStreamingExecutor, 12)),
     ids=("run_streaming", "run_sharded"),
 )
 def test_every_constructor_keyword_passes_through(monkeypatch, wrapper, executor, keyword_only):
@@ -60,3 +62,23 @@ def test_the_keywords_run_sharded_had_lost_work_and_unknown_ones_still_fail():
     for wrapper in (run_streaming, run_sharded):
         with pytest.raises(TypeError, match="no_such_option"):
             wrapper(QUERIES, EVENTS, no_such_option=1)
+
+
+@pytest.mark.parametrize(
+    "build, option",
+    (
+        (StreamingExecutor, "lazy_open"),
+        (ShardedStreamingExecutor, "lazy_open"),
+        (ShardedStreamingExecutor, "routing"),
+        (lambda queries, **option: ShardRouter(queries, 2, **option), "routing"),
+        (lambda queries, **option: CheckpointStore("unused", 0, **option), "keep"),
+    ),
+    ids=("streaming-lazy_open", "sharded-lazy_open", "sharded-routing", "router-routing",
+         "checkpoint-keep"),
+)
+def test_window_opening_routing_and_kept_snapshots_are_constants_not_options(build, option):
+    """Windows always open lazily, the router derives its mode from the
+    workload and a shard keeps ``checkpoint.KEEP`` snapshots: none of the
+    three is a keyword."""
+    with pytest.raises(TypeError, match=option):
+        build(QUERIES, **{option: False})

@@ -92,10 +92,11 @@ def multiset(report):
 
 
 @pytest.mark.parametrize("shards", (1, 2, 4))
-@pytest.mark.parametrize("routing", ("group", "unit"))
-def test_route_block_matches_per_event_route(shards, routing):
-    queries = grouped_workload() if routing == "group" else ungrouped_workload()
-    router = ShardRouter(queries, shards, routing=routing)
+@pytest.mark.parametrize("mode", ("group", "unit"))
+def test_route_block_matches_per_event_route(shards, mode):
+    queries = grouped_workload() if mode == "group" else ungrouped_workload()
+    router = ShardRouter(queries, shards)
+    assert router.mode == mode
     events = make_stream(3, 300)
     block = EventBlock.from_events(events)
     expected: list[list[int]] = [[] for _ in range(router.shards)]
@@ -155,9 +156,8 @@ def test_sharded_block_unit_routing():
     events = make_stream(19, 300)
     block = EventBlock.from_events(events)
     reference = StreamingExecutor(queries, HamletEngine).run(events)
-    sharded = run_sharded(
-        queries, block, HamletEngine, workers=0, shards=2, routing="unit"
-    )
+    assert ShardRouter(queries, 2).mode == "unit"
+    sharded = run_sharded(queries, block, HamletEngine, workers=0, shards=2)
     assert multiset(sharded) == multiset(reference)
 
 

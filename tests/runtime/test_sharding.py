@@ -49,6 +49,10 @@ def ungrouped_queries(window: Window = WINDOW) -> list[Query]:
     ]
 
 
+def _grouped_by_h() -> Query:
+    return Query.build(seq("C", kleene("D")), group_by=("h",), window=WINDOW, name="hq")
+
+
 def make_events(seed: int, size: int, groups: int = 6) -> list[Event]:
     rng = random.Random(seed)
     events = []
@@ -328,15 +332,34 @@ class TestShardRouter:
             assert len(routed) == 1
 
     def test_unit_routing_keeps_sharing_units_together(self):
-        # shq1..shq3 share the Kleene B+ sub-pattern and the window, so they
-        # form one execution unit: unit routing must keep them co-located.
-        router = ShardRouter(grouped_queries(), 4, routing="unit")
-        assert router.shards == 1
-        assert len(router.shard_queries(0)) == 3
+        # shq1..shq3 share the Kleene B+ sub-pattern, the window and the
+        # GROUP BY, so they form one execution unit; the ungrouped unq2
+        # leaves no common GROUP BY, and unit routing must keep the unit
+        # co-located.
+        router = ShardRouter([*grouped_queries(), ungrouped_queries()[1]], 4)
+        assert router.mode == "unit" and router.shards == 2
+        placement = [
+            {query.name for query in router.shard_queries(shard)} for shard in range(2)
+        ]
+        assert placement == [{"shq1", "shq2", "shq3"}, {"unq2"}]
 
-    def test_group_routing_requires_common_group_by(self):
-        with pytest.raises(ExecutionError):
-            ShardRouter(ungrouped_queries(), 2, routing="group")
+    @pytest.mark.parametrize(
+        "queries, mode",
+        (
+            (grouped_queries(), "group"),
+            ([*grouped_queries(), ungrouped_queries()[1]], "unit"),
+            ([grouped_queries()[0], _grouped_by_h()], "unit"),
+            (ungrouped_queries(), "unit"),
+        ),
+        ids=("common-group-by", "grouped-and-ungrouped", "two-group-bys", "no-group-by"),
+    )
+    def test_the_workload_decides_the_routing_mode(self, queries, mode):
+        """Group hashing needs one non-empty GROUP BY on every query; any
+        other workload is sharded by execution unit, without an error."""
+        router = ShardRouter(queries, 2)
+        assert router.mode == ShardedStreamingExecutor(queries, shards=2).routing_mode == mode
+        if mode == "group":
+            assert router.shards == 2 and router.shard_queries(0) == router.shard_queries(1)
 
     def test_shard_count_must_be_positive(self):
         with pytest.raises(ExecutionError):

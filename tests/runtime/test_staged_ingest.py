@@ -129,8 +129,8 @@ def switched(arrivals, cut: int, width: int, **options) -> tuple:
 
 @pytest.mark.parametrize(
     "options",
-    ({}, {"optimizer": "dynamic"}, {"lazy_open": False}),
-    ids=("static", "dynamic", "eager"),
+    ({}, {"optimizer": "dynamic"}),
+    ids=("static", "dynamic"),
 )
 def test_switching_ingest_paths_at_every_offset_is_the_block_run(options):
     events = stream(3)

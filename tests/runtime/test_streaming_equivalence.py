@@ -6,11 +6,14 @@ randomized integer-valued streams, the single-pass
 to the batch replay :class:`~repro.runtime.WorkloadExecutor` — across
 HAMLET (every sharing policy), GRETA and the two-step / SHARON-style
 baselines, for tumbling and overlapping (including fractional-slide)
-windows, GROUP BY, negation and decomposed OR queries, with lazy opening on
-and off, and on **both** streaming execution paths: the shared multi-window
-engine (``shared_windows=True``, the default — one engine per ``(group,
-unit)`` pair, per-window-instance coefficients) and the per-instance
-reference pool (``shared_windows=False``), up to 600-event streams.
+windows, GROUP BY, negation and decomposed OR queries, and on **both**
+streaming execution paths: the shared multi-window engine
+(``shared_windows=True``, the default — one engine per ``(group, unit)``
+pair, per-window-instance coefficients) and the per-instance reference pool
+(``shared_windows=False``), up to 600-event streams.  Windows open lazily,
+on the first trend-start event inside them: each one the streaming run
+emits is the batch row bit for bit, and each batch row it never emits
+holds 0.0 for every query.
 
 The sharded driver joins the same equivalence class: in-process shards
 (1/2/4, both routing modes) and real multi-process workers must reproduce
@@ -43,7 +46,13 @@ from repro.query import (
 )
 from repro.query.predicates import attr_less
 from repro.events import Event, EventBlock
-from repro.runtime import StreamingExecutor, run_sharded, run_streaming, run_workload
+from repro.runtime import (
+    ShardRouter,
+    StreamingExecutor,
+    run_sharded,
+    run_streaming,
+    run_workload,
+)
 
 TYPE_NAMES = ("A", "B", "C", "D", "X")
 
@@ -56,13 +65,18 @@ TUMBLING = Window(32.0)
 FRACTIONAL = Window(16.0, 3.2)
 
 
-def make_stream(seed: int, size: int, *, negative_weight: float = 0.08) -> list[Event]:
-    """A random in-order stream with integer-valued attributes."""
+def make_stream(
+    seed: int, size: int, *, negative_weight: float = 0.08, inert: range = range(0)
+) -> list[Event]:
+    """A random in-order stream with integer-valued attributes; the rows
+    at ``inert`` positions carry no type a trend can start with."""
     rng = random.Random(seed)
     weights = [1.0, 3.0, 1.0, 1.0, negative_weight]
     events = []
     for index in range(size):
         type_name = rng.choices(TYPE_NAMES, weights=weights)[0]
+        if index in inert and type_name not in ("B", "X"):
+            type_name = "B"
         events.append(
             Event(
                 type_name,
@@ -151,16 +165,45 @@ def test_streaming_bit_identical_to_batch_greta(seed, size, window):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("shared_windows", (True, False), ids=("shared", "instances"))
-@pytest.mark.parametrize("lazy_open", (True, False), ids=("lazy", "eager"))
-def test_streaming_matches_batch_with_group_by(seed, lazy_open, shared_windows):
+def test_streaming_matches_batch_with_group_by(seed, shared_windows):
     events = make_stream(seed, 400)
     queries = workload(SLIDING, group_by=("g",))
     factory = lambda: HamletEngine(DynamicSharingOptimizer())  # noqa: E731
     batch = run_workload(queries, events, factory)
-    streaming = run_streaming(
-        queries, events, factory, lazy_open=lazy_open, shared_windows=shared_windows
-    )
+    streaming = run_streaming(queries, events, factory, shared_windows=shared_windows)
     assert streaming.totals == batch.totals
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shared_windows", (True, False), ids=("shared", "instances"))
+def test_lazily_skipped_windows_hold_zero_and_the_rest_are_batch_rows(seed, shared_windows):
+    """Windows open lazily, on the first trend-start event inside them.
+    Every window the streaming run emits is the batch replay's row for it,
+    bounds and value bits; every batch row it never emits — a window
+    holding no start event, here inside a start-free stretch of the
+    stream — is 0.0 for every query."""
+    events = make_stream(seed, 400, inert=range(120, 200))
+    queries = workload(SLIDING, group_by=("g",))
+    factory = lambda: HamletEngine(DynamicSharingOptimizer())  # noqa: E731
+
+    def rows(report) -> dict:
+        return {
+            (row.group_key, row.window_index, tuple(sorted(row.results))): (
+                row.window_start,
+                row.window_end,
+                {name: float(value).hex() for name, value in row.results.items()},
+            )
+            for row in report.partition_results
+        }
+
+    batch = rows(run_workload(queries, events, factory))
+    streaming = rows(run_streaming(queries, events, factory, shared_windows=shared_windows))
+    for key, row in streaming.items():
+        assert row == batch[key], key
+    skipped = batch.keys() - streaming.keys()
+    assert len(skipped) >= 2  # the stretch's windows, one per group at least
+    for key in skipped:
+        assert set(batch[key][2].values()) == {(0.0).hex()}, key
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,27 +301,36 @@ def assert_sharded_matches(queries, events, factory, **sharded_kwargs):
     assert partition_multiset(sharded) == partition_multiset(streaming)
 
 
+def mixed_group_by_workload(window: Window) -> list[Query]:
+    """:func:`workload` with its last three queries ungrouped: no GROUP BY
+    common to every query, so the router shards by execution unit."""
+    return workload(window, group_by=("g",))[:5] + workload(window)[5:]
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("shards", (1, 2, 4))
-@pytest.mark.parametrize("routing", ("group", "unit"))
+@pytest.mark.parametrize("mode", ("group", "unit"))
 @pytest.mark.parametrize(
     "window", (TUMBLING, SLIDING, FRACTIONAL), ids=("tumbling", "sliding", "fractional")
 )
-def test_sharded_bit_identical_to_streaming_and_batch(seed, shards, routing, window):
+def test_sharded_bit_identical_to_streaming_and_batch(seed, shards, mode, window):
     """Sharded (1/2/4 shards, both routing modes) == streaming == batch.
 
-    GROUP BY workloads admit both routing modes: hash-on-group-key and
-    by-execution-unit.  Shard executors run in-process (``workers=0``) so
-    the suite exercises router + merge on every parametrization without
-    paying fork startup 36 times; the multiprocess transport is covered by
-    ``test_sharding.py`` and the 4-worker case below.
+    The router derives its mode from the workload: a GROUP BY every query
+    shares hashes on the group key, a mixed one shards by execution unit.
+    Shard executors run in-process (``workers=0``) so the suite exercises
+    router + merge on every parametrization without paying fork startup 36
+    times; the multiprocess transport is covered by ``test_sharding.py``
+    and the 4-worker case below.
     """
     events = make_stream(seed, 400)
-    queries = workload(window, group_by=("g",))
+    if mode == "group":
+        queries = workload(window, group_by=("g",))
+    else:
+        queries = mixed_group_by_workload(window)
+    assert ShardRouter(queries, shards).mode == mode
     factory = lambda: HamletEngine(DynamicSharingOptimizer())  # noqa: E731
-    assert_sharded_matches(
-        queries, events, factory, workers=0, shards=shards, routing=routing
-    )
+    assert_sharded_matches(queries, events, factory, workers=0, shards=shards)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -355,15 +407,14 @@ def test_sharded_recombines_decomposed_or_queries_across_group_shards():
         assert sharded.totals == streaming.totals == batch.totals
 
 
-@pytest.mark.parametrize("lazy_open", (True, False), ids=("lazy", "eager"))
-def test_streaming_recombines_decomposed_or_queries(lazy_open):
+def test_streaming_recombines_decomposed_or_queries():
     window = Window(60.0)
     or_query = Query.build(
         seq("A", kleene("B")) | seq("C", kleene("D")), window=window, name="sor_q"
     )
     stream = [Event("A", 0.0), Event("B", 1.0), Event("C", 2.0), Event("D", 3.0), Event("D", 4.0)]
     batch = run_workload([or_query], stream)
-    streaming = run_streaming([or_query], stream, lazy_open=lazy_open)
+    streaming = run_streaming([or_query], stream)
     assert streaming.result_for("sor_q") == batch.result_for("sor_q") == 4.0
 
 
