@@ -176,6 +176,11 @@ class WindowCoefficientTable:
             window_map = self._maps[consumer] = {}
         return window_map
 
+    def clear(self) -> None:
+        """Empty every map in place: the engines' plans hold them."""
+        for window_map in self._maps.values():
+            window_map.clear()
+
     def entry_count(self) -> int:
         """Number of live ``(consumer, window)`` coefficients.
 

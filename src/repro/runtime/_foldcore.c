@@ -5,11 +5,12 @@
  *   Walk           the Cover stage's row loop, StreamingExecutor._cover, for
  *                  executors whose units are all compiled and static (driven
  *                  by runtime/cover.py): covering ranges, the inert skip,
- *                  segments, and at each close each group's segment
- *                  gathered for its engine's process_block_run;
+ *                  segments, and at each close each group's segment folded
+ *                  in place where its engine folds every class deferred
+ *                  (fold_direct), else handed to its process_block_run;
  *   fold_deferred  the per-row loop of MultiWindowLinearEngine._fold_segment
  *                  where every class of the unit folds deferred (scalar
- *                  SEQ(P, K+));
+ *                  SEQ(P, K+)), fold_direct's loop too;
  *   fold_run       MultiWindowLinearEngine._fold_run, the run fold of every
  *                  eager or vector class, the optimizer's runs and the
  *                  per-event fast path: every sharing column, scalar or
@@ -196,6 +197,32 @@ add(PyObject *counter, int which, long long delta)
     return at == NULL ? -1 : bump(at, delta);
 }
 
+/* ``object.<name>`` as an int (attribute protocol: engine counters). */
+static int
+get_long(PyObject *object, PyObject *name, long long *out)
+{
+    PyObject *value = PyObject_GetAttr(object, name);
+    *out = value == NULL ? -1 : PyLong_AsLongLong(value);
+    Py_XDECREF(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+set_long(PyObject *object, PyObject *name, long long value)
+{
+    PyObject *boxed = PyLong_FromLongLong(value);
+    int status = boxed == NULL ? -1 : PyObject_SetAttr(object, name, boxed);
+    Py_XDECREF(boxed);
+    return status;
+}
+
+/* ``*out = object.<name> + delta``, stored back. */
+static int
+step_long(PyObject *object, PyObject *name, long long delta, long long *out)
+{
+    return get_long(object, name, out) < 0 ? -1 : set_long(object, name, *out += delta);
+}
+
 /* ------------------------------------------------------------------ */
 /* Dict helpers                                                        */
 /* ------------------------------------------------------------------ */
@@ -346,7 +373,7 @@ done:
 
 /* One row of a segment through its feed ``(counter, prefixed, eager)``. */
 static int
-fold_row(PyObject *feed, PyObject *low, PyObject *high, long long *ops, long long *created,
+fold_row(PyObject *feed, long long lo, long long hi, long long *ops, long long *created,
          long long *armings)
 {
     PyObject *counter = PyTuple_GET_ITEM(feed, 0);
@@ -361,13 +388,6 @@ fold_row(PyObject *feed, PyObject *low, PyObject *high, long long *ops, long lon
         }
         *ops += 3 * cells;
         *created += cells - entries;
-    }
-    if (PyTuple_GET_SIZE(prefixed) == 0) {
-        return 0;
-    }
-    long long lo = PyLong_AsLongLong(low), hi = PyLong_AsLongLong(high);
-    if ((lo == -1 || hi == -1) && PyErr_Occurred()) {
-        return -1;
     }
     for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(prefixed); i++) {
         long long fresh = 0;
@@ -411,8 +431,10 @@ fold_deferred(PyObject *Py_UNUSED(module), PyObject *args)
             PyErr_Clear();
             break; /* a declined type or an eager reader: the reference's row */
         }
-        if (fold_row(feed, PySequence_Fast_GET_ITEM(lows, row),
-                     PySequence_Fast_GET_ITEM(highs, row), &ops, &created, &armings) < 0) {
+        long long lo = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(lows, row));
+        long long hi = lo == -1 && PyErr_Occurred()
+                           ? 0 : PyLong_AsLongLong(PySequence_Fast_GET_ITEM(highs, row));
+        if (PyErr_Occurred() || fold_row(feed, lo, hi, &ops, &created, &armings) < 0) {
             goto done;
         }
     }
@@ -739,7 +761,7 @@ column_object(const column *of, Py_ssize_t row)
 
 #define UNARMED LLONG_MIN
 enum { DONE, SWEEP, PREPARE, RESOLVE };
-static unsigned long long walked_rows = 0, handed_rows = 0;
+static unsigned long long walked_rows = 0, handed_rows = 0, in_place = 0, handed_over = 0;
 
 /* One unit's side of a walk: its group codes and per-code caches (shared
  * with the Python row body), and the rows fed since the last fold. */
@@ -749,6 +771,7 @@ typedef struct {
     PyObject *resolved;  /* list per code: the group, False (no group), None */
     PyObject *contributions; /* per row: the unit's contributions, None */
     PyObject *views;         /* rows -> their row views, None: never read */
+    PyObject *cursor;        /* the engines' order cursor class, None: no direct fold */
     Py_buffer armed;     /* array('q') per code: highest armed index */
     PyObject *qualifies; /* bytes per type code: the type opens windows */
     PyObject *scratch;   /* the executor's array('q'): fed (row, slot) pairs */
@@ -769,7 +792,10 @@ typedef struct {
     unit_walk *units;
 } Walk;
 
-static PyObject *s_process_block_run, *s_frombytes;
+static PyObject *s_process_block_run, *s_frombytes, *s_segment_feeds, *s_eager, *s_columns;
+static PyObject *s_latest_event, *s_unit, *s_layout, *s_armed, *s_deferred, *s_unsettled;
+static PyObject *s_end_maps, *s_evict_maps, *s_ops, *s_coeff_entries, *s_replica_entries;
+static PyObject *s_armed_entries, *s_by_layout, *s_sums_of, *s_copy;
 
 static void
 unit_release(unit_walk *unit)
@@ -778,6 +804,7 @@ unit_release(unit_walk *unit)
     Py_CLEAR(unit->resolved);
     Py_CLEAR(unit->contributions);
     Py_CLEAR(unit->views);
+    Py_CLEAR(unit->cursor);
     Py_CLEAR(unit->qualifies);
     if (unit->armed.obj != NULL) {
         PyBuffer_Release(&unit->armed);
@@ -888,11 +915,11 @@ static PyObject *
 walk_attach(Walk *self, PyObject *args)
 {
     Py_ssize_t index;
-    PyObject *codes, *resolved, *armed, *qualifies, *contributions, *views, *scratch;
+    PyObject *codes, *resolved, *armed, *qualifies, *contributions, *views, *cursor, *scratch;
     double size, slide;
-    if (!PyArg_ParseTuple(args, "nOO!OO!OOddO:attach", &index, &codes, &PyList_Type, &resolved,
-                          &armed, &PyBytes_Type, &qualifies, &contributions, &views, &size,
-                          &slide, &scratch)) {
+    if (!PyArg_ParseTuple(args, "nOO!OO!OOOddO:attach", &index, &codes, &PyList_Type, &resolved,
+                          &armed, &PyBytes_Type, &qualifies, &contributions, &views, &cursor,
+                          &size, &slide, &scratch)) {
         return NULL;
     }
     if (index < 0 || index >= self->unit_count || self->units[index].attached
@@ -906,6 +933,7 @@ walk_attach(Walk *self, PyObject *args)
     unit->qualifies = Py_NewRef(qualifies);
     unit->contributions = Py_NewRef(contributions);
     unit->views = Py_NewRef(views);
+    unit->cursor = Py_NewRef(cursor);
     unit->scratch = Py_NewRef(scratch);
     unit->size = size;
     unit->slide = slide;
@@ -1091,17 +1119,190 @@ walk_run(Walk *self, PyObject *args)
     return Py_BuildValue("niiL", row, reason, (int)unit_index, fed);
 }
 
-/* One group's segment, as the reference's _flush_static hands it over:
- * its rows' columns gathered and folded, untimed, by the engine's
- * process_block_run.  Lists, not tuples: a tuple under 20 items goes to a
- * free list of 2,000 per size when freed, which would hold the segments'
- * columns as live memory. */
+/* An order cursor's two slots (shared_windows._OrderPoint). */
+static layout cursors = {NULL, 2, {"time", "sequence"}, {0}};
+enum { AT_TIME, AT_SEQUENCE };
+
+/* A cursor's time as a double (1), or 0 where no double holds it exactly. */
+static int
+exact_time(PyObject *value, double *out)
+{
+    if (PyFloat_CheckExact(value)) {
+        *out = PyFloat_AS_DOUBLE(value);
+        return 1;
+    }
+    *out = PyLong_CheckExact(value) ? PyLong_AsDouble(value) : NAN;
+    if (PyErr_Occurred()) { /* an int past a double's range */
+        PyErr_Clear();
+        return 0;
+    }
+    return fabs(*out) < EXACT_LIMIT;
+}
+
+/* 1 where the rows are in strict (time, sequence) order after the cursor
+ * ``(time, sequence)`` (NULL: none), else 0: a value the reference must
+ * compare, or rows out of order. */
+static int
+in_order(Walk *self, PyObject *time, PyObject *sequence, const long long *rows,
+         Py_ssize_t count)
+{
+    double last_time = 0.0, now;
+    long long last_sequence = 0, next;
+    int first = time == NULL;
+    if (!first && (!exact_time(time, &last_time) || !PyLong_CheckExact(sequence)
+                   || ((last_sequence = PyLong_AsLongLong(sequence)) == -1 && PyErr_Occurred()))) {
+        PyErr_Clear();
+        return 0;
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_ssize_t at = self->base + rows[i];
+        if (column_double(&self->times, at, &now) < 0
+            || column_long(&self->sequences, at, &next) < 0) {
+            PyErr_Clear();
+            return 0;
+        }
+        if (!first && !(last_time < now || (last_time == now && last_sequence < next))) {
+            return 0;
+        }
+        first = 0;
+        last_time = now;
+        last_sequence = next;
+    }
+    return 1;
+}
+
+/* _fold_segment without the hand-off, on the walk's rows and ranges, where
+ * the unit is scalar and reads every row from columns (``unit->cursor`` is
+ * set) and the engine folds every class deferred (no eager class, no split
+ * column): _advance's order check and cursor, the deferral's resumption,
+ * fold_deferred's loop, and the engine's books.  1 folded; 0 another
+ * shape, or rows out of order (the hand-off then raises the reference's
+ * error), nothing touched; -1 an error. */
+static int
+fold_direct(Walk *self, unit_walk *unit, PyObject *engine, const long long *rows,
+            Py_ssize_t count)
+{
+    PyObject *feeds = PyObject_GetAttr(engine, s_segment_feeds), *deferred = NULL;
+    PyObject *eager = feeds ? PyObject_GetAttr(engine, s_eager) : NULL;
+    PyObject *columns = eager ? PyObject_GetAttr(engine, s_columns) : NULL;
+    PyObject *latest = columns ? PyObject_GetAttr(engine, s_latest_event) : NULL;
+    PyObject *unsettled = NULL, **time = NULL, **sequence = NULL, *last[2] = {NULL, NULL};
+    long long ops = 0, created = 0, armings = 0, total;
+    int status = -1;
+    if (latest == NULL) {
+        goto done;
+    }
+    status = 0;
+    if (!PyDict_CheckExact(feeds) || !PyList_CheckExact(eager) || PyList_GET_SIZE(eager)
+        || !PyDict_CheckExact(columns) || PyDict_GET_SIZE(columns)
+        || (latest != Py_None && Py_TYPE(latest) != (PyTypeObject *)unit->cursor)) {
+        goto done;
+    }
+    if (latest != Py_None && ((time = member(&cursors, latest, AT_TIME)) == NULL
+                              || (sequence = member(&cursors, latest, AT_SEQUENCE)) == NULL)) {
+        status = -1;
+        goto done;
+    }
+    if (!in_order(self, time ? *time : NULL, sequence ? *sequence : NULL, rows, count)) {
+        goto done;
+    }
+    status = -1;
+    Py_ssize_t end = self->base + rows[count - 1];
+    if ((last[0] = column_object(&self->times, end)) == NULL
+        || (last[1] = column_object(&self->sequences, end)) == NULL) {
+        goto done;
+    }
+    if (time != NULL) { /* moved in place, as _advance moves it */
+        Py_SETREF(*time, last[0]);
+        Py_SETREF(*sequence, last[1]);
+        last[0] = last[1] = NULL;
+    }
+    else {
+        PyObject *point = PyObject_CallFunctionObjArgs(unit->cursor, last[0], last[1], NULL);
+        int stored = point == NULL ? -1 : PyObject_SetAttr(engine, s_latest_event, point);
+        Py_XDECREF(point);
+        if (stored < 0) {
+            goto done;
+        }
+    }
+    int owing = (unsettled = PyObject_GetAttr(engine, s_unsettled)) == NULL
+                    ? -1 : PyObject_IsTrue(unsettled);
+    if (owing < 0 || (!owing && (deferred = PyObject_GetAttr(engine, s_deferred)) == NULL)) {
+        goto done;
+    }
+    if (deferred != NULL && PyDict_CheckExact(deferred) && PyDict_GET_SIZE(deferred)) {
+        /* Deferral resumes: count the cells and entries the maps hold. */
+        Py_ssize_t position = 0;
+        PyObject *key, *state, *armed, *prefix_map, *kleene_map, *kleene;
+        if (PyObject_SetAttr(engine, s_unsettled, Py_True) < 0) {
+            goto done;
+        }
+        while (PyDict_Next(deferred, &position, &key, &state)) {
+            if (unpack(state, &armed, &prefix_map, &kleene_map, &kleene) < 0
+                || add(kleene, CELLS, PyDict_GET_SIZE(armed)) < 0
+                || add(kleene, ENTRIES, PyDict_GET_SIZE(kleene_map)) < 0) {
+                goto done;
+            }
+        }
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_ssize_t at = self->base + rows[i];
+        double moment;
+        long long code, low, high;
+        if (column_double(&self->times, at, &moment) < 0
+            || column_long(&self->types, at, &code) < 0) {
+            goto done;
+        }
+        code = code < 0 ? code + self->type_count : code;
+        PyObject *feed = PyDict_GetItemWithError(feeds, PyTuple_GET_ITEM(self->type_table, code));
+        if (feed == NULL || !PyTuple_Check(feed) || PyTuple_GET_SIZE(feed) != 3
+            || !PyTuple_Check(PyTuple_GET_ITEM(feed, 1))) {
+            if (!PyErr_Occurred()) {
+                PyErr_SetString(PyExc_TypeError, "fold core: a fed row's type has no feed");
+            }
+            goto done;
+        }
+        bounds(moment, unit->size, unit->slide, &low, &high);
+        if (fold_row(feed, low, high, &ops, &created, &armings) < 0) {
+            goto done;
+        }
+    }
+    if (step_long(engine, s_ops, ops, &total) == 0
+        && step_long(engine, s_coeff_entries, created, &total) == 0
+        && step_long(engine, s_armed_entries, armings, &total) == 0) {
+        status = 1;
+    }
+done:
+    Py_XDECREF(feeds);
+    Py_XDECREF(eager);
+    Py_XDECREF(columns);
+    Py_XDECREF(latest);
+    Py_XDECREF(unsettled);
+    Py_XDECREF(deferred);
+    Py_XDECREF(last[0]);
+    Py_XDECREF(last[1]);
+    return status;
+}
+
+/* One group's segment: folded in place (fold_direct), else as the
+ * reference's _flush_static hands it over: its rows' columns gathered and
+ * folded, untimed, by the engine's process_block_run.  Lists, not tuples:
+ * a tuple under 20 items goes to a free list of 2,000 per size when freed,
+ * which would hold the segments' columns as live memory. */
 static int
 fold_group(Walk *self, unit_walk *unit, PyObject *group, const long long *rows, Py_ssize_t count)
 {
     enum { TYPES, TIMES, SEQUENCES, LOWS, HIGHS, CONTRIBUTIONS, ROWS_OF, COLUMNS };
-    PyObject *column[COLUMNS] = {NULL}, *views = NULL, *folded = NULL, **engine;
-    int status = -1;
+    PyObject *column[COLUMNS] = {NULL}, *views = NULL, *folded = NULL;
+    PyObject **engine = member(&groups, group, ENGINE);
+    int status = engine == NULL ? -1 : unit->cursor == Py_None ? 0
+                                     : fold_direct(self, unit, *engine, rows, count);
+    if (status != 0) {
+        in_place += status > 0;
+        return status < 0 ? -1 : 0;
+    }
+    handed_over += 1;
+    status = -1;
     for (int which = 0; which < COLUMNS; which++) {
         int none = (which == CONTRIBUTIONS && unit->contributions == Py_None)
                    || (which == ROWS_OF && unit->views == Py_None);
@@ -1134,9 +1335,6 @@ fold_group(Walk *self, unit_walk *unit, PyObject *group, const long long *rows, 
         if (PyErr_Occurred()) {
             goto done;
         }
-    }
-    if ((engine = member(&groups, group, ENGINE)) == NULL) {
-        goto done;
     }
     views = unit->views == Py_None ? Py_NewRef(Py_None)
                                    : PyObject_CallOneArg(unit->views, column[ROWS_OF]);
@@ -1205,9 +1403,16 @@ cover_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
     return Py_BuildValue("KK", walked_rows, handed_rows);
 }
 
+static PyObject *
+segment_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
+{
+    return Py_BuildValue("KK", in_place, handed_over);
+}
+
 static PyMethodDef walk_methods[] = {
     {"attach", (PyCFunction)walk_attach, METH_VARARGS,
-     "attach(unit, codes, resolved, armed, qualifies, contributions, views, size, slide, scratch)"},
+     "attach(unit, codes, resolved, armed, qualifies, contributions, views, cursor, size, slide,"
+     " scratch)"},
     {"run", (PyCFunction)walk_run, METH_VARARGS,
      "run(row, prepared, next_close) -> (row, reason, unit, rows fed)"},
     {"fold", (PyCFunction)walk_fold, METH_NOARGS, "fold() every group's fed rows"},
@@ -1242,9 +1447,6 @@ static layout values_row = {NULL, 2, {"layout", "slots"}, {0}};
 static layout window_row = {NULL, 8, {"group_key", "window_index", "window_start", "window_end",
                                       "results", "events", "emission_latency", "retraction"}, {0}};
 
-static PyObject *s_unit, *s_layout, *s_armed, *s_deferred, *s_unsettled, *s_end_maps, *s_evict_maps;
-static PyObject *s_ops, *s_coeff_entries, *s_replica_entries, *s_armed_entries, *s_by_layout;
-static PyObject *s_sums_of, *s_copy;
 
 /* A new ``type`` object holding ``values`` (stolen, NULL-checked) in the
  * slots of ``of``, in order. */
@@ -1278,31 +1480,6 @@ at_or_before(PyObject *a, PyObject *b)
         return PyFloat_AS_DOUBLE(a) <= PyFloat_AS_DOUBLE(b);
     }
     return PyObject_RichCompareBool(a, b, Py_LE);
-}
-
-static int
-get_long(PyObject *object, PyObject *name, long long *out)
-{
-    PyObject *value = PyObject_GetAttr(object, name);
-    *out = value == NULL ? -1 : PyLong_AsLongLong(value);
-    Py_XDECREF(value);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-set_long(PyObject *object, PyObject *name, long long value)
-{
-    PyObject *boxed = PyLong_FromLongLong(value);
-    int status = boxed == NULL ? -1 : PyObject_SetAttr(object, name, boxed);
-    Py_XDECREF(boxed);
-    return status;
-}
-
-/* ``*out = object.<name> + delta``, stored back. */
-static int
-step_long(PyObject *object, PyObject *name, long long delta, long long *out)
-{
-    return get_long(object, name, out) < 0 ? -1 : set_long(object, name, *out += delta);
 }
 
 /* The ExecutionMetrics fields a close records, folded in C over one unit
@@ -1360,6 +1537,7 @@ tally_write(PyObject *metrics, const tally *from)
 /* What one unit sweep closes with. */
 typedef struct {
     PyObject *groups, *slide, *stage, *by_layout, *totals, *rows, *recombine, *emit, *clock;
+    PyObject *retire; /* takes an evicted group's engine back */
     PyObject *types[2];
     PyObject *blank; /* an array('d') of one zero per class: readouts are its copies */
     tally tally;
@@ -1541,6 +1719,13 @@ close_one(sweep *of, const expiry *window)
         || bump(reported, operations - reported_then) < 0) {
         goto done;
     }
+    if (PyDict_GET_SIZE(*open) == 0) { /* read out: the free list takes the engine */
+        PyObject *retired = PyObject_CallOneArg(of->retire, *engine);
+        if (retired == NULL) {
+            goto done;
+        }
+        Py_DECREF(retired);
+    }
     /* metrics.record_partition + record_emission */
     tally *sums = &of->tally;
     sums->count[PARTITIONS - FLOATS] += 1;
@@ -1617,9 +1802,9 @@ sweep_unit(PyObject *Py_UNUSED(module), PyObject *args)
 {
     sweep of = {.blank = NULL};
     PyObject *now, *metrics, *types, *result = NULL, *order = NULL;
-    if (!PyArg_ParseTuple(args, "O!OOOOOOOOOO!:sweep_unit", &PyDict_Type, &of.groups, &now,
+    if (!PyArg_ParseTuple(args, "O!OOOOOOOOOO!O:sweep_unit", &PyDict_Type, &of.groups, &now,
                           &of.slide, &of.stage, &metrics, &of.totals, &of.rows, &of.recombine,
-                          &of.emit, &of.clock, &PyTuple_Type, &types)) {
+                          &of.emit, &of.clock, &PyTuple_Type, &types, &of.retire)) {
         return NULL;
     }
     if (PyTuple_GET_SIZE(types) != 2 || (of.rows != Py_None && !PyList_Check(of.rows))
@@ -2209,13 +2394,15 @@ static PyMethodDef methods[] = {
      "covering_ranges(times, size, slide) -> (lows, highs): Window.covering_bounds per time"},
     {"sweep_unit", sweep_unit, METH_VARARGS,
      "sweep_unit(groups, now, slide, stage, metrics, totals, rows, recombine, emit, clock,"
-     " types) -> the unit's next close (see runtime/close.py)"},
+     " types, retire) -> the unit's next close (see runtime/close.py)"},
     {"assemble_events", assemble_events, METH_VARARGS,
      "assemble_events(Event, count, times, sequences, type_table, type_codes, key_table,"
      " key_codes, shape_columns) -> the frame's events (see events/columnar.py)"},
     {"cover_counts", cover_counts, METH_NOARGS,
      "cover_counts() -> (rows walked, rows handed back to the Python row body)"},
     {"run_counts", run_counts, METH_NOARGS, "run_counts() -> (runs, rows) fold_run folded so far"},
+    {"segment_counts", segment_counts, METH_NOARGS,
+     "segment_counts() -> (segments the walk folded in place, handed to process_block_run)"},
     {"settle_counts", settle_counts, METH_NOARGS,
      "settle_counts() -> (settles, steps) the fold and the readout paid so far"},
     {NULL, NULL, 0, NULL},
@@ -2248,6 +2435,8 @@ PyInit__foldcore(void)
     }
     struct { PyObject **name; const char *text; } names[] = {
         {&s_process_block_run, "process_block_run"}, {&s_frombytes, "frombytes"},
+        {&s_segment_feeds, "_segment_feeds"}, {&s_eager, "_eager"}, {&s_columns, "_columns"},
+        {&s_latest_event, "_latest_event"},
         {&s_unit, "unit"}, {&s_layout, "layout"}, {&s_armed, "_armed"},
         {&s_deferred, "_deferred"}, {&s_unsettled, "_unsettled"}, {&s_end_maps, "_end_maps"},
         {&s_evict_maps, "_evict_maps"}, {&s_ops, "_ops"}, {&s_coeff_entries, "_coeff_entries"},

@@ -7,15 +7,15 @@ earliest end has passed, the sweep closes every expired window of every
 group in ``(end, group order, index)`` order, the group order being the
 ``group_sort_key`` each group caches when it opens.  Closing one window is
 the engine's readout and eviction, the group's eviction when its last
-window closed, the metrics (the events the window took, its operations and
-its emission latency: the close's one clock read), the fold of its values
-into the run's :class:`~repro.runtime.results.RunningTotals`, and its one
-row — a :class:`~repro.runtime.results.WindowResult`, the one row type,
-built once — to the one sink: ``emit`` (``on_window``, behind
-``Lateness.reconcile`` under ``late_policy="retract"``), else the report;
-the same object also joins the recombination of decomposed OR/AND queries
-that ends a sweep.  No engine call is timed: engine seconds
-(``total_seconds``, ``max_latency``) are the batch executor's.
+window closed (its engine, reset, to the unit's free list), the metrics
+(the events the window took, its operations and its emission latency: the
+close's one clock read), the fold of its values into the run's
+:class:`~repro.runtime.results.RunningTotals`, and its one row — a
+:class:`~repro.runtime.results.WindowResult`, built once — to the one
+sink: ``emit`` (``on_window``, behind ``Lateness.reconcile`` under
+``late_policy="retract"``), else the report; the same object also joins
+the recombination of decomposed OR/AND queries that ends a sweep.  No
+engine call is timed: engine seconds are the batch executor's.
 
 For a unit whose groups are all store-free scalar shared-window engines
 and whose executor runs no optimizer, one fold-core call per unit sweep
@@ -23,8 +23,7 @@ and whose executor runs no optimizer, one fold-core call per unit sweep
 bit: readout through ``close_scalar``'s internals, metrics and totals folded
 in the same order, the ``perf_counter`` it is handed read once per window,
 where this module reads it.  The Python sweep here is the *reference*
-(``foldcore.core = None``) and runs every other unit: per-instance, vector,
-store or optimizer units.
+(``foldcore.core = None``) and runs every other unit.
 
 An exception from ``emit`` propagates out of the call that swept: the
 windows closed before it and the one it was called with are closed and
@@ -136,7 +135,7 @@ class CloseStage:
                     window = unit.spec.window
                     unit.next_close = core.sweep_unit(
                         unit.groups, now, window.slide, self, metrics, executor._totals,
-                        rows, self._recombine, emit, clock, _TYPES,
+                        rows, self._recombine, emit, clock, _TYPES, unit.retire,
                     )
                 else:
                     self._close_expired(unit, now, metrics, rows, emit, clock)
@@ -199,8 +198,7 @@ class CloseStage:
             engine.evict_to(next(iter(group.metas), None))
         if not group.metas:
             # The group's last window closed: evict it, so memory tracks
-            # *live* state.  A returning key rebuilds its engine (cheap —
-            # state only); decision statistics outlive it in the run's.
+            # *live* state; decision statistics outlive it in the run's.
             stats = self._executor()._adaptive_stats
             if group.optimizer is not None and stats is not None:
                 stats.merge(group.optimizer.statistics)
@@ -212,6 +210,8 @@ class CloseStage:
         ops_delta = operations - group.ops_reported
         group.ops_reported = operations
         metrics.record_partition(events, engine.memory_units(), ops_delta)
+        if not group.metas:  # read out: the next group to open takes the engine
+            unit.retire(engine)
         metrics.record_emission(latency)
         self._executor()._totals.add(results)
         window_start, window_end = unit.spec.window.instance_bounds(meta.index)

@@ -20,10 +20,11 @@ hands a row back to the Python row body (:func:`_resolve`) only when the
 row's group code is unresolved in this block, the group it cached was
 evicted, or a qualifying row's range passes the code's armed high; and it
 returns at the next close, where the sweep folds every segment
-(``Walk.fold``: a counting sort of the fed rows by group, then per group
-the columns :meth:`StreamingExecutor._flush_static
-<repro.runtime.streaming.StreamingExecutor._flush_static>` gathers, handed
-to the engine's ``process_block_run``, which keeps every engine rule).
+(``Walk.fold``: a counting sort of the fed rows by group).  The segment of
+a scalar unit that reads every row from columns, whose engine folds every
+class deferred, folds in place, as ``_fold_segment`` does (order check,
+cursor, deferred-row loop, books); any other, or one out of order, goes to
+the engine's ``process_block_run`` as the columns ``_flush_static`` gathers.
 
 The per-code caches (group, armed high) survive close sweeps: a sweep at
 ``now`` closes only windows ending at or before ``now``, and those lie below
@@ -41,7 +42,7 @@ from repro.events.block import EventBlock, GroupCodes, group_codes
 from repro.events.event import Event, EventType
 from repro.events.event import group_key as group_key_of
 from repro.runtime import foldcore
-from repro.runtime.shared_windows import UnitCompilation
+from repro.runtime.shared_windows import UnitCompilation, _OrderPoint
 
 if TYPE_CHECKING:
     from repro.runtime.streaming import StreamingExecutor, _Unit
@@ -141,6 +142,7 @@ class _UnitRecord(NamedTuple):
 
     unit: "_Unit"
     table: Sequence[tuple]
+    #: From here on, in order, what ``Walk.attach`` takes.
     codes: Sequence[int]
     resolved: list
     armed: "array[int]"
@@ -151,6 +153,8 @@ class _UnitRecord(NamedTuple):
     #: A segment's rows -> their :class:`RowViews` (``None``: the engine
     #: folds every type the unit reads from columns, and reads no view).
     views: Optional[Callable[[Sequence[int]], RowViews]]
+    #: Segments fold in place: the engines' order cursor class (else ``None``).
+    cursor: Optional[type]
 
 
 class WalkPlan:
@@ -219,11 +223,7 @@ def walk(
             elif reason == PREPARE:
                 records[index] = record = _prepare(executor, block, units[index])
                 window = record.unit.spec.window
-                walker.attach(
-                    index, record.codes, record.resolved, record.armed, record.qualifies,
-                    record.contributions, record.views, window.size, window.slide,
-                    plan.scratch[index],
-                )
+                walker.attach(index, *record[2:], window.size, window.slide, plan.scratch[index])
             else:
                 code = type_codes[base + row]
                 _resolve(executor, block, row, times[base + row], code, by_code[code], records)
@@ -249,14 +249,14 @@ def _prepare(
     qualifies = bytes(name in unit.opening_types for name in block.type_table)
     compiled = unit.compiled
     assert compiled is not None  # a WalkPlan's units are compiled
-    contributions = None
-    if not compiled.scalar:
-        local = block.type_codes[block.start : block.stop]
-        contributions = block_contributions(block, compiled, local)
+    contributions = None if compiled.scalar else block_contributions(
+        block, compiled, block.type_codes[block.start : block.stop]
+    )
     armed = array("q", [UNARMED]) * len(table)
     views = None if unit.relevant_types <= compiled.columnar_types else partial(RowViews, block)
+    cursor = _OrderPoint if compiled.scalar and views is None else None
     return _UnitRecord(
-        unit, table, codes, [None] * len(table), armed, qualifies, contributions, views
+        unit, table, codes, [None] * len(table), armed, qualifies, contributions, views, cursor
     )
 
 

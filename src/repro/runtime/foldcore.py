@@ -7,11 +7,12 @@ fold of every other class, scalar or vector, split columns included
 (``_fold_run``: eager classes, the optimizer's runs, the per-event fast
 path), the readout of a scalar unit with no split columns and no event
 store, and the close sweep of such a unit (:mod:`repro.runtime.close`); and
-the Cover stage's walk (:mod:`repro.runtime.cover`).  The Python loops
-(for runs, :class:`~repro.core.kernels.PythonKernelBackend`) stay the *reference*:
-the runtime takes the core where :data:`core` is loaded and its shape
-applies, bit for bit the same state either way.  Tests select the
-reference by setting ``foldcore.core = None``; nothing else does.
+the Cover stage's walk (:mod:`repro.runtime.cover`), which folds a deferred
+unit's segments itself.  The Python loops
+(for runs, :class:`~repro.core.kernels.PythonKernelBackend`) stay the
+*reference*, taken where :data:`core` is ``None`` or its shape does not
+apply: bit for bit the same state either way.  Tests select the reference
+with ``foldcore.core = None``; nothing else does.
 
 The core is built at first import with the C compiler ``cc`` and cached
 beside this module, in ``__pycache__``, keyed by a hash of the source, the
@@ -116,8 +117,7 @@ def fold_segment(
 ) -> tuple[int, int, int, int]:
     """Fold the segment's leading rows in the core, where every class of
     the unit folds deferred: ``(ops, created, armings)`` they owe the
-    engine's counters and how many rows it folded (the reference folds the
-    rest; all of them without the core)."""
+    engine's books and how many rows it folded (the reference folds the rest)."""
     if core is None or engine._eager:
         return 0, 0, 0, 0
     return core.fold_deferred(feeds, types, lows, highs)

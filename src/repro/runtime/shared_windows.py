@@ -92,19 +92,9 @@ class QueryClassSpec:
     """
 
     __slots__ = (
-        "index",
-        "queries",
-        "template",
-        "predicates",
-        "check_locals",
-        "store_values",
-        "fast_guards",
-        "sequence_negations",
-        "trailing_negations",
-        "pred_types",
-        "end_types",
-        "candidates",
-        "projections",
+        "index", "queries", "template", "predicates", "check_locals", "store_values",
+        "fast_guards", "sequence_negations", "trailing_negations", "pred_types", "end_types",
+        "candidates", "projections",
     )
 
     def __init__(self, index: int, queries: Sequence[Query], template: QueryTemplate) -> None:
@@ -454,13 +444,11 @@ class MultiWindowLinearEngine(MultiWindowEngine):
     """
 
     def __init__(self, unit: UnitCompilation) -> None:
+        # The structure: maps, and the plans and feeds holding them.
         self.unit = unit
         self._coefficients = WindowCoefficientTable(unit.dimension)
         #: Per class: ``armed window -> stamp`` (:class:`_DeferredKleene`; else 0).
         self._armed: list[dict[int, int]] = [dict() for _ in unit.classes]
-        self._store: Optional[SharedWindowStore] = (
-            SharedWindowStore() if unit.needs_store else None
-        )
         self._plans_by_type: dict[EventType, tuple[_TypePlan, ...]] = {
             event_type: tuple(_TypePlan(spec, event_type, self._coefficients) for spec in specs)
             for event_type, specs in unit.positive_classes_by_type.items()
@@ -471,15 +459,9 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             for event_type, plans in self._plans_by_type.items()
             for plan in plans
         }
-        #: Segment fold, compiled once by the first segment (``None`` until
-        #: then): per columnar type ``(the deferred counter a row advances, the
-        #: deferred classes it prefixes, the (eager class, plan) pairs reading
-        #: it)``, and the class states behind it, deferred ones by class index.
-        self._segment_feeds: Optional[dict[EventType, tuple]] = None
-        self._deferred: dict[int, _DeferredClass] = {}
-        self._eager: list[_EagerClass] = []
-        #: True while cells may owe Kleene steps; eager readers ``_settle`` first.
-        self._unsettled = False
+        #: Segment fold: per columnar type, what a row feeds; sets ``_deferred``
+        #: (class index -> state) and ``_eager`` (the other classes' states).
+        self._segment_feeds = self._compile_segment_feeds()
         #: Split ``(class, type)`` pairs; fully shared pairs have no entry.
         self._columns: dict[tuple[int, EventType], _ColumnState] = {}
         #: Per class: ``(last positive burst type, shared run length)``.  The
@@ -487,31 +469,46 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         #: uninterrupted fully-shared run — the analog of the batch engine's
         #: active shared graphlet size (``g`` in the cost model).
         self._runs: dict[int, tuple[Optional[EventType], int]] = {}
-        #: Live coefficient entries held by replica (non-canonical) columns,
-        #: maintained incrementally like ``_coeff_entries``.
-        self._replica_entries = 0
+        window_map = self._coefficients.window_map
         #: Per-class end-type coefficient maps, resolved once for the readout.
         self._end_maps: list[tuple[dict, ...]] = [
-            tuple(
-                self._coefficients.window_map((spec.index, event_type))
-                for event_type in spec.end_types
-            )
+            tuple(window_map((spec.index, name)) for name in spec.end_types)
             for spec in unit.classes
         ]
         #: Maps the readout does not already drain: non-end types, plus every
         #: map of trailing-NOT classes (their readout scans nodes instead).
-        evict_maps: list[dict] = []
-        for spec in unit.classes:
-            for event_type in spec.template.event_types:
-                if spec.trailing_negations or event_type not in spec.template.end_types:
-                    evict_maps.append(self._coefficients.window_map((spec.index, event_type)))
-        self._evict_maps: tuple[dict, ...] = tuple(evict_maps)
-        self._armed_entries = 0
+        self._evict_maps: tuple[dict, ...] = tuple(
+            window_map((spec.index, name))
+            for spec in unit.classes
+            for name in spec.template.event_types
+            if spec.trailing_negations or name not in spec.template.end_types
+        )
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to a fresh engine's state: every map, armed set and deferred
+        counter emptied *in place* (plans and feeds hold them), books and
+        cursor cleared, a new event store (split columns stay: :meth:`recyclable`)."""
+        for armed in self._armed:
+            armed.clear()
+        self._coefficients.clear()
+        for state in self._deferred.values():
+            state.kleene.rows = state.kleene.cells = state.kleene.entries = 0
+        for collector in self._eager:  # (a segment leaves no rows behind)
+            collector.plan = None
+        self._runs.clear()
+        self._store = SharedWindowStore() if self.unit.needs_store else None
+        #: True while cells may owe Kleene steps; eager readers ``_settle`` first.
+        self._unsettled = False
         self._latest_event: Event | _OrderPoint | None = None
-        #: Live ``(class, type, window)`` coefficient entries, maintained
-        #: incrementally so memory accounting never scans the table.
-        self._coeff_entries = 0
-        self._ops = 0
+        #: Live entries, kept incrementally so memory accounting never scans
+        #: the table: ``(class, type, window)`` coefficients, those of
+        #: replica (non-canonical) columns, armed cells; and the operations.
+        self._coeff_entries = self._replica_entries = self._armed_entries = self._ops = 0
+
+    def recyclable(self) -> bool:
+        """Whether :meth:`reset` makes this a fresh engine: no split column."""
+        return not self._columns
 
     # ------------------------------------------------------------------ #
     # MultiWindowEngine interface
@@ -595,9 +592,10 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         ``i``'s :class:`Event`, read only for a type outside
         ``unit.columnar_types``.  ``event_type`` is one type name per row
         for a **segment** (:meth:`_fold_segment`), what the static plan
-        hands over per ``(group, close-sweep segment)``, from either
-        Cover loop, or one type name for a same-type **run**, what an
-        optimizer's executor flushes after its per-burst decision.
+        hands over per ``(group, close-sweep segment)`` (the compiled walk
+        only where it does not fold it in place), or one type name for a
+        same-type **run**, what an optimizer's executor flushes after its
+        per-burst decision.
 
         Results *and* abstract operation counts equal the equivalent
         sequence of :meth:`process` calls, pinned by the block and segment
@@ -766,8 +764,6 @@ class MultiWindowLinearEngine(MultiWindowEngine):
             raise ExecutionError("a segment folds fully shared columns only")
         self._advance(times, sequences)
         feeds = self._segment_feeds
-        if feeds is None:  # compiled once, even when no type is columnar
-            feeds = self._segment_feeds = self._compile_segment_feeds()
         if self._deferred and not self._unsettled:
             # Deferral resumes: count the cells and entries the maps hold.
             self._unsettled = True
@@ -845,7 +841,11 @@ class MultiWindowLinearEngine(MultiWindowEngine):
 
     def _compile_segment_feeds(self) -> dict[EventType, tuple]:
         """Sort the unit's classes into deferred and eager ones; return, per
-        columnar type, what a row of it feeds (the ``_segment_feeds`` table)."""
+        columnar type, what a row of it feeds: ``(the deferred counter it
+        advances, the deferred classes it prefixes, the (eager class, plan)
+        pairs reading it)``."""
+        self._deferred: dict[int, _DeferredClass] = {}
+        self._eager: list[_EagerClass] = []
         counters: dict[EventType, _DeferredKleene] = {}
         prefixed: dict[EventType, list[_DeferredClass]] = {}
         eager: dict[EventType, list[tuple[_EagerClass, _TypePlan]]] = {}

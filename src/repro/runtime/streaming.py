@@ -25,7 +25,8 @@ This module is the online counterpart:
 * the moment the stream passes a window's end, its one row, a
   :class:`WindowResult`, goes to **one sink** — the ``on_window`` callback,
   or else the report, which keeps it — folds into the running ``totals``,
-  and the window's state is **evicted**, so peak memory is bounded by the
+  and the window's state is **evicted** (an evicted group's engine, reset,
+  serves the next group that opens), so peak memory is bounded by the
   *live* state instead of the stream length.
 
 Windows open lazily, skipping provably-inert stream prefixes: a window
@@ -46,8 +47,7 @@ zero.
 With ``optimizer=...`` the shared path becomes **adaptive**: per burst
 (maximal same-type run) of a ``(group, unit)`` stream, an optimizer decides
 which class members share and the engine splits/merges its coefficient
-columns — bit-identical to both static extremes
-(``tests/runtime/test_adaptive_equivalence.py``).
+columns — bit-identical to both static extremes.
 
 With ``allowed_lateness=N`` a :class:`~repro.runtime.lateness.Lateness`
 stage fronts the ingest paths and this class is the *core* behind it: the
@@ -111,8 +111,8 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v19: the fingerprint names no window-opening mode (v2-v18: CHANGES.md).
-SNAPSHOT_VERSION = 19
+#: v20: an engine's segment feeds are built with it, never ``None`` (v2-v19: CHANGES.md).
+SNAPSHOT_VERSION = 20
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
@@ -158,14 +158,12 @@ class _Group:
     #: wholly inside one shard.
     optimizer: Optional[SharingOptimizer] = None
     #: Adaptive mode only: the same-type run buffered for one engine feed,
-    #: as column rows ``(time, sequence, lo, hi, contribution row, event)``:
-    #: the event's order key, its covering window-instance range, its
-    #: measure contributions (``None`` in scalar units) and the
-    #: :class:`Event` the engine folds it on when its type is not in
-    #: ``UnitCompilation.columnar_types`` (``None`` for other block rows).
-    #: Kept across ``process``/``process_block`` calls, flushed on the burst
-    #: schedule: type change, window close, finish.  ``burst_type`` is
-    #: meaningful while ``burst`` is non-empty.
+    #: as rows ``(time, sequence, lo, hi, contribution row, event)``: the
+    #: order key, covering range, measure contributions (``None`` in scalar
+    #: units) and the :class:`Event` the engine folds a type outside
+    #: ``UnitCompilation.columnar_types`` on (else ``None``).  Kept across
+    #: ingest calls, flushed on the burst schedule: type change, window
+    #: close, finish.  ``burst_type`` is meaningful while ``burst`` is not empty.
     burst_type: Optional[EventType] = None
     burst: list = field(default_factory=list)
 
@@ -224,6 +222,15 @@ class _Unit:
     groups: dict[tuple, _Group] = field(default_factory=dict)
     #: Earliest end among open instances (``inf`` when none are open).
     next_close: float = float("inf")
+    #: Reset engines of evicted groups, for the groups that open next (at
+    #: most the peak of live groups); no snapshot holds them: they are fresh.
+    free: list[MultiWindowLinearEngine] = field(default_factory=list)
+
+    def retire(self, engine: MultiWindowEngine) -> None:
+        """Reset an evicted group's read-out engine onto the free list."""
+        if isinstance(engine, MultiWindowLinearEngine) and engine.recyclable():
+            engine.reset()
+            self.free.append(engine)
 
 
 class StreamingExecutor:
@@ -398,27 +405,19 @@ class StreamingExecutor:
         :meth:`process` staged.
 
         Semantically identical to calling :meth:`process` for every row in
-        order — same results, same abstract operation counts, same emission
-        order, same sharing decisions (the block differential suites pin
-        this): both paths run one Cover loop.  Covering window ranges come
-        from one vectorized pass over the time column
-        (:meth:`~repro.query.windows.Window.instance_range_columns`), group
-        keys and measure contributions from the block's columns, and the
-        engine folds the rows from columns
-        (:meth:`MultiWindowLinearEngine.process_block_run`).
-
-        The static plan hands each shared unit over one ``(group,
-        close-sweep segment)`` at a time: between two sweeps no window
-        closes, so nothing forces a cut, and the group's mixed-type rows go
-        to the engine in one call.  An optimizer's executor buffers maximal
-        same-``(group, type)`` runs instead and keeps a pending run across
-        the block boundary, flushing it on the burst schedule alone — type
-        change, window close, finish — so bursts, and with them the
-        per-burst decisions, are those of the per-event run whatever the
-        block cuts.  Row views are materialized only for rows of a type
-        outside ``UnitCompilation.columnar_types`` (negation, local or edge
-        predicates) and for units evaluated per instance, whose engines
-        take an :class:`Event`.
+        order — same results, operation counts, emission order and sharing
+        decisions (pinned by the block differential suites): both paths run
+        one Cover loop, on covering ranges, group keys and contributions
+        computed from the block's columns.  The static plan folds each
+        shared unit one ``(group, close-sweep segment)`` at a time: between
+        two sweeps no window closes, so nothing forces a cut.  An
+        optimizer's executor buffers maximal same-``(group, type)`` runs
+        instead, kept across the block boundary and flushed on the burst
+        schedule alone (type change, window close, finish), so its
+        decisions are the per-event run's whatever the block cuts.  Row
+        views are built only for rows of a type outside
+        ``UnitCompilation.columnar_types`` and for units evaluated per
+        instance, whose engines take an :class:`Event`.
 
         With ``allowed_lateness`` set the block — in any row order — goes
         through the lateness stage as columns and comes back as blocks.
@@ -665,7 +664,7 @@ class StreamingExecutor:
     @property
     def engines_created(self) -> int:
         """Per-instance engines built so far (shared-window engines are one
-        per live ``(group, unit)`` pair and are not pooled)."""
+        per live ``(group, unit)`` pair, recycled through ``_Unit.free``)."""
         self._settle()
         return sum(unit.pool.created for unit in self._units)
 
@@ -860,13 +859,14 @@ class StreamingExecutor:
     # Window lifecycle: open, feed, close/emit
     # ------------------------------------------------------------------ #
     def _open_group(self, unit: _Unit, group_key: tuple) -> _Group:
-        """Build the engine of a ``(group, unit)`` pair seen anew."""
+        """Open a ``(group, unit)`` pair seen anew; a compiled unit's engine
+        comes off the unit's free list where it holds one."""
         sort_key = group_sort_key(group_key)
         if unit.compiled is None:
             adapter = InstanceWindowEngine(unit.queries, unit.pool, unit.opening_types, unit.layout)
             group = _Group(engine=adapter, evicts=False, sort_key=sort_key)
         else:
-            engine = MultiWindowLinearEngine(unit.compiled)
+            engine = unit.free.pop() if unit.free else MultiWindowLinearEngine(unit.compiled)
             group = _Group(engine=engine, evicts=engine.store is not None, sort_key=sort_key)
             if self._optimizer_factory is not None:
                 group.optimizer = self._optimizer_factory()

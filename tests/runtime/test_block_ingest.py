@@ -42,6 +42,7 @@ from repro.query import (
 from repro.query.predicates import attr_less
 from repro.runtime import StreamingExecutor
 from tests.conftest import decision_counters
+from tests.runtime.test_engine_reuse import RetireSpy
 
 TYPE_NAMES = ("A", "B", "C", "D", "X")
 
@@ -190,10 +191,13 @@ def _reopening_stream(seed: int, size: int = 240) -> list[Event]:
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("window", (Window(8.0), Window(8.0, 4.0)), ids=("tumbling", "sliding"))
-def test_groups_close_and_reopen_inside_one_block(seed, window):
+def test_groups_close_and_reopen_inside_one_block(seed, window, monkeypatch):
     # One block holds every close sweep, so the executor's per-block
     # code -> group cache must forget evicted groups at each sweep.  The
     # group a row opens is keyed by that row's own value, as per event.
+    # An evicted group's engine goes to the next group that opens, of
+    # another key too; the group object itself is never fed again.
+    spy = RetireSpy(monkeypatch)
     events = _reopening_stream(seed)
     queries = workload(window, group_by=("g",))
     per_event = StreamingExecutor(queries).run(events)
@@ -206,6 +210,9 @@ def test_groups_close_and_reopen_inside_one_block(seed, window):
         ]
     # The merged keys took turns opening their group (and so reopened it).
     assert len({repr(p.group_key) for p in per_event.partition_results}) > 3
+    spy.check_evicted_stay_empty()
+    assert spy.recycled > 0
+    assert any(len(set(keys)) > 1 for keys in spy.keys.values())  # another key's engine
 
 
 # --------------------------------------------------------------------- #

@@ -758,9 +758,11 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v18 snapshot (a fingerprint naming the window-opening mode, which
-    is no longer a choice) is refused with a typed error instead of
-    resuming under a fingerprint that means something else; so are v17
+    """A v19 snapshot (engines whose segment feeds may be ``None``, which a
+    segment no longer compiles) is refused with a typed error; so are v18
+    (a fingerprint naming the window-opening mode, which is no longer a
+    choice, and would resume under a fingerprint that means something
+    else), v17
     (groups and window metas pickling the engine seconds streaming no
     longer attributes), v16 (kept rows of the
     deleted second row class), v15 (a lateness stage whose reorder buffer
@@ -775,16 +777,17 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 19
+    assert state["version"] == SNAPSHOT_VERSION == 20
     fingerprint = state["fingerprint"]
     assert not {"kernel", "burst_size", "lazy_open"} & set(fingerprint)
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
     assert not hasattr(group.engine, "_backend")
+    assert group.engine._segment_feeds is not None
     assert not hasattr(group, "share_seconds")
     assert not any(hasattr(meta, "share_at_open") for meta in group.metas.values())
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (18, 17, 16, 15, 14, 13, 12):
+    for previous in (19, 18, 17, 16, 15, 14, 13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

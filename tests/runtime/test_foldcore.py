@@ -29,6 +29,7 @@ import math
 import random
 import struct
 import tracemalloc
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -40,12 +41,13 @@ from hypothesis import strategies as st
 from repro.bench.workloads import kleene_sharing_workload
 from repro.core.kernels import MutableAggregate, PythonKernelBackend
 from repro.datasets import RidesharingGenerator
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, OutOfOrderError
 from repro.events import Event
 from repro.events.block import EventBlock
 from repro.optimizer import decisions
 from repro.query import Query, Window, avg, kleene, seq, sum_of
-from repro.runtime import StreamingExecutor, close, foldcore, streaming
+from repro.runtime import StreamingExecutor, close, cover, foldcore, streaming
+from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation, _OrderPoint
 from tests.conftest import decision_counters
 from tests.core.test_vector_fold import SELF_LOOP_POSITIONS, bits, clone, random_map
 
@@ -242,9 +244,12 @@ def test_segment_fold_strategy_on_both_folds(seed, workload, window, size, cuts,
     # The segment-fold differential's shape: random cuts, each slice a
     # block or per-event rows (the staged path).
     queries = WORKLOADS[workload](window)
+    before = foldcore.core.segment_counts()
     calls = assert_same_on_both_folds(queries, cut_steps(stream(seed, size), cuts, kinds))
+    in_place, handed = (now - then for now, then in zip(foldcore.core.segment_counts(), before))
     if workload in ("deferred", "fig9") and size >= 40:
-        assert calls["fold_deferred"] > 0
+        # The walk folds every segment of a deferred unit in place.
+        assert in_place > 0 and handed == calls["fold_deferred"] == 0
     if workload != "vector" and size >= 40:
         # Scalar store-free units with no optimizer: the compiled sweep reads
         # them out (close_scalar's internals, one call per unit sweep).
@@ -292,8 +297,10 @@ def test_fig9_shape_and_counts_past_two_to_the_53rd():
         kleene_sharing_workload(50, kleene_type="Travel", window=Window(10.0, 2.0), name="f9")
     )
     events = [block.event_at(row) for row in range(len(block))]
+    before = foldcore.core.segment_counts()
     calls = assert_same_on_both_folds(queries, cut_steps(events, (900, 1700, 2500), ("block",)))
-    assert calls["fold_deferred"] > 0 and calls["sweep_unit"] > 0
+    in_place, handed = (now - then for now, then in zip(foldcore.core.segment_counts(), before))
+    assert in_place > 0 and handed == 0 and calls["sweep_unit"] > 0
     dense = stream(11, 400, groups=1, spacing=0.05)
     steps = cut_steps(dense, (57, 58, 211), ("block", "events"))
     assert_same_on_both_folds(deferred_workload(Window(10.0, 5.0)), steps)
@@ -345,6 +352,174 @@ def test_split_vector_columns_on_both_folds():
     assert calls["fold_run"] > 0
     *_, splits = outcome(vector_workload(Window(10.0, 4.0)), steps, options, None)[6]
     assert splits > 0
+
+
+# --------------------------------------------------------------------- #
+# The direct segment fold, call by call: Walk.fold in place vs the reference
+# --------------------------------------------------------------------- #
+def fold_in_walk(engine, window: Window, types, times, sequences) -> None:
+    """Fold one segment of one group through the core's walk, as the
+    Cover stage hands it over: the group's windows open, its ranges armed."""
+    table = tuple(sorted(set(types)))
+    codes = array("q", map(table.index, types))
+    group = streaming._Group(engine=engine, evicts=False, sort_key=(), metas={0: None})
+    walker = foldcore.core.Walk(
+        list(times), list(sequences), codes, table, 0, len(times), ((0,),) * len(table), 0.0, 1
+    )
+    try:
+        walker.attach(
+            0, array("q", bytes(8 * len(times))), [group], array("q", [2**62]),
+            bytes(len(table)), None, None, _OrderPoint, window.size, window.slide, array("q"),
+        )
+        assert walker.run(0, -1, math.inf)[:2] == (len(times), cover.DONE)
+        walker.fold()
+    finally:
+        walker.close()
+
+
+def fold_by_reference(engine, window: Window, types, times, sequences) -> None:
+    bounds = [window.covering_bounds(moment) for moment in times]
+    with mock.patch.object(foldcore, "core", None):
+        engine.process_block_run(
+            list(types), list(times), list(sequences), [lo for lo, _ in bounds],
+            [hi for _, hi in bounds],
+        )
+
+
+def deferred_state(engine) -> tuple:
+    """The engine's books, cursor and maps, every value as its bits."""
+    latest = engine._latest_event
+    return (
+        engine._ops, engine._coeff_entries, engine._armed_entries, engine._unsettled,
+        None if latest is None else (type(latest), repr(latest.time), repr(latest.sequence)),
+        [list(armed.items()) for armed in engine._armed],
+        [(s.kleene.rows, s.kleene.cells, s.kleene.entries) for s in engine._deferred.values()],
+        {key: [(i, float(v).hex()) for i, v in window_map.items()]
+         for key, window_map in engine._coefficients._maps.items()},
+    )
+
+
+def direct_segments(rng: random.Random, types: str, count: int):
+    """Segments of a few rows each, in (time, sequence) order; equal times
+    and int times included, and rows of one type only."""
+    clock, sequence = 0.0, 0
+    for _ in range(count):
+        rows = []
+        for _ in range(rng.choice((1, 1, 2, 5, 12, 30))):
+            clock += rng.choice((0.0, 0.5, 1.0, 3.0)) * rng.choice((0.0, 1.0))
+            sequence += rng.randint(1, 3)
+            rows.append((rng.choice(types), int(clock) if clock.is_integer() else clock, sequence))
+        yield [list(column) for column in zip(*rows)]
+
+
+@needs_core
+@pytest.mark.parametrize("workload", ("deferred", "fig9"))
+@pytest.mark.parametrize("seed", range(6))
+def test_direct_segment_fold_is_the_reference_call_by_call(workload, seed):
+    # Segments resuming from settled and unsettled states, into empty armed
+    # sets, cells disarmed by a close and armed again, ranges arming new
+    # windows; then a first row behind the cursor, refused on both paths.
+    rng = random.Random(seed)
+    window = rng.choice(WINDOWS)
+    compiled = UnitCompilation(WORKLOADS[workload](window), share_classes=True)
+    direct, reference = MultiWindowLinearEngine(compiled), MultiWindowLinearEngine(compiled)
+    types = "".join(sorted(compiled.columnar_types))
+    for types_, times, sequences in direct_segments(rng, types, 40):
+        before = foldcore.core.segment_counts()
+        fold_in_walk(direct, window, types_, times, sequences)
+        fold_by_reference(reference, window, types_, times, sequences)
+        assert foldcore.core.segment_counts()[0] == before[0] + 1
+        assert deferred_state(direct) == deferred_state(reference)
+        move = rng.random()
+        if move < 0.2:  # settle: the next segment resumes the deferral
+            direct.coefficients, reference.coefficients
+        elif move < 0.6:  # close the oldest windows, at times all of them
+            armed = sorted({index for cells in reference._armed for index in cells})
+            for index in armed[: rng.choice((1, 2, len(armed)))]:
+                got, expected = direct.close_window(index), reference.close_window(index)
+                assert [v.hex() for v in got.slots] == [v.hex() for v in expected.slots]
+        assert deferred_state(direct) == deferred_state(reference)
+    assert direct.operations() > 0 and direct._armed_entries >= 0
+    latest = reference._latest_event
+    for behind in ((latest.time - 1.0, latest.sequence + 1), (latest.time, latest.sequence)):
+        state = deferred_state(reference)
+        errors = []
+        for engine, fold_one in ((direct, fold_in_walk), (reference, fold_by_reference)):
+            with pytest.raises(OutOfOrderError) as raised:
+                fold_one(engine, window, [types[0]] * 2, [behind[0], latest.time + 5.0],
+                         [behind[1], latest.sequence + 9])
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] and "strictly ordered" in errors[0]
+        assert deferred_state(direct) == deferred_state(reference) == state
+
+
+@needs_core
+def test_direct_segment_fold_holds_no_memory_across_calls():
+    window = Window(10.0, 4.0)
+    compiled = UnitCompilation(deferred_workload(window), share_classes=True)
+    engine = MultiWindowLinearEngine(compiled)
+    segments = list(direct_segments(random.Random(4), "ABCDE", 400))
+
+    def run() -> None:
+        engine.reset()
+        for types_, times, sequences in segments:
+            fold_in_walk(engine, window, types_, times, sequences)
+            for index in sorted({i for cells in engine._armed for i in cells})[:-3]:
+                engine.close_window(index)
+        with pytest.raises(OutOfOrderError):  # the refused path too
+            fold_in_walk(engine, window, ["A"], [0.0], [0])
+
+    run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            run()
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - first < 4096
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", ("ingest", "fig9"))
+@pytest.mark.parametrize("ingest", ("events", "block"))
+def test_the_walk_never_hands_ingest_or_fig9_segments_over(shape, ingest, monkeypatch):
+    # A spy on process_block_run: the compiled walk folds every segment of
+    # the benchmark's two deferred shapes in place; the reference hands
+    # each one over.
+    calls = Counter()
+    process_block_run = MultiWindowLinearEngine.process_block_run
+
+    def counted(engine, *args):
+        calls[foldcore.core is not None] += 1
+        return process_block_run(engine, *args)
+
+    monkeypatch.setattr(MultiWindowLinearEngine, "process_block_run", counted)
+    prefixes = ("Surge", "Breakdown") if shape == "ingest" else ()
+    queries = kleene_sharing_workload(
+        10 if shape == "ingest" else 50, kleene_type="Travel", prefix_types=prefixes,
+        window=Window(10.0, 2.0),
+    )
+    block = RidesharingGenerator(events_per_minute=3_000.0, seed=7, districts=6).generate_block(
+        60.0
+    )
+    totals = []
+    for core in (foldcore.core, None):
+        with fold(core):
+            executor = StreamingExecutor(queries)
+            if ingest == "block":
+                for start in range(0, len(block), 512):
+                    executor.process_block(block.slice(start, min(len(block), start + 512)))
+            else:
+                for row in range(len(block)):
+                    executor.process(block.event_at(row))
+            totals.append(executor.finish().totals)
+    assert totals[0] == totals[1]
+    assert calls[False] > 0
+    assert calls[True] == 0 or foldcore.core is None
 
 
 # --------------------------------------------------------------------- #

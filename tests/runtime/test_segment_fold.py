@@ -468,8 +468,7 @@ def test_mixed_unit_rides_the_segment_fold_at_every_cut(vector):
     queries = mixed_workload(UNEVEN, vector=vector)
     compiled = UnitCompilation(queries, share_classes=True)
     assert compiled.columnar_types == {"A", "B"}
-    engine = MultiWindowLinearEngine(compiled)
-    engine._compile_segment_feeds()
+    engine = MultiWindowLinearEngine(compiled)  # (its segment feeds built with it)
     assert bool(engine._deferred) is not vector  # the A/B class defers in scalar units
     expected = run_collecting(queries, per_event(events))
     assert all(expected[0].totals[query.name] != 0.0 for query in queries)

@@ -24,7 +24,7 @@ CEILINGS = {
     "routing.py": 305,
     "shared_windows.py": 1318,
     "foldcore.py": 167,
-    "_foldcore.c": 2270,
+    "_foldcore.c": 2459,
     "cover.py": 290,
     "close.py": 256,
     "results.py": 198,
