@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 from repro.bench import fig9, fig10, fig11, fig12, fig13, overhead, table1
 from repro.errors import ExecutionError
+from repro.optimizer.registry import OPTIMIZER_POLICIES
 from repro.runtime.reorder import validate_stream_options
 
 _FIGURES: dict[str, Callable[[], None]] = {
@@ -81,7 +82,6 @@ def _hamlet_with_policy(policy: str):
     """Module-level engine factory: picklable for shard workers even under
     the ``spawn`` multiprocessing start method (a lambda would not be)."""
     from repro.core import HamletEngine
-    from repro.optimizer import OPTIMIZER_POLICIES
 
     return HamletEngine(OPTIMIZER_POLICIES[policy]())
 
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--optimizer",
-        choices=("dynamic", "always", "never", "static"),
+        choices=tuple(OPTIMIZER_POLICIES),
         default=None,
         help="adaptive per-burst sharing policy (uses the multi-aggregate "
         "workload so query classes have members to share); default: the "

@@ -1,10 +1,11 @@
 """Named sharing-optimizer policies and their resolution.
 
 The runtime layers (streaming executor, sharded driver, CLI, benchmarks)
-select a per-burst sharing policy by name so that a policy choice can cross
-a process boundary as a plain string — shard workers rebuild their own
-optimizer instances from the name, which keeps the spawn start method
-picklable and the per-shard decision state independent:
+select a per-burst sharing policy by name only, so that a policy choice
+always crosses a process boundary as a plain string — shard workers
+rebuild their own optimizer instances from the name, which keeps the
+spawn start method picklable and the per-shard decision state
+independent:
 
 * ``"dynamic"`` — the HAMLET optimizer: benefit-model decision per burst;
 * ``"always"`` — static plan that shares every burst (Figures 12–13's
@@ -15,7 +16,7 @@ picklable and the per-shard decision state independent:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.errors import SharingError
 from repro.optimizer.decisions import DynamicSharingOptimizer, SharingOptimizer
@@ -35,30 +36,25 @@ OPTIMIZER_POLICIES: dict[str, Callable[[], SharingOptimizer]] = {
     "static": StaticPlanOptimizer,
 }
 
-#: What callers may pass: nothing, a policy name, or a custom factory.
-OptimizerSpec = Union[None, str, Callable[[], SharingOptimizer]]
+#: What callers may pass: nothing or a policy name.
+OptimizerSpec = Optional[str]
 
 
 def resolve_optimizer_factory(
     spec: OptimizerSpec,
 ) -> Optional[Callable[[], SharingOptimizer]]:
-    """Resolve an optimizer spec to a zero-argument factory (or ``None``).
+    """Resolve a policy name to its zero-argument factory (or ``None``).
 
     ``None`` means *no adaptive decisions*: the runtime keeps its static
-    compile-time plan and pays no burst-segmentation overhead.
+    compile-time plan and pays no burst-segmentation overhead.  Anything
+    but ``None`` or a name in :data:`OPTIMIZER_POLICIES` — a factory
+    included — raises :class:`~repro.errors.SharingError`.
     """
     if spec is None:
         return None
-    if isinstance(spec, str):
-        try:
-            return OPTIMIZER_POLICIES[spec]
-        except KeyError:
-            raise SharingError(
-                f"unknown sharing optimizer {spec!r}; choose one of "
-                f"{', '.join(sorted(OPTIMIZER_POLICIES))}"
-            ) from None
-    if callable(spec):
-        return spec
+    if isinstance(spec, str) and spec in OPTIMIZER_POLICIES:
+        return OPTIMIZER_POLICIES[spec]
     raise SharingError(
-        f"optimizer must be None, a policy name or a factory, got {spec!r}"
+        f"optimizer must be None or a policy name "
+        f"({', '.join(sorted(OPTIMIZER_POLICIES))}), got {spec!r}"
     )

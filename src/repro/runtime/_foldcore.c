@@ -617,46 +617,6 @@ bounds(double time, double size, double slide, long long *low, long long *high)
     *low = index + 1 > 0 ? (long long)index + 1 : 0;
 }
 
-static PyObject *
-covering_ranges(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    PyObject *times, *lows = NULL, *highs = NULL;
-    double size, slide;
-    if (!PyArg_ParseTuple(args, "Odd:covering_ranges", &times, &size, &slide)) {
-        return NULL;
-    }
-    times = PySequence_Fast(times, "covering_ranges: times must be a sequence");
-    if (times == NULL) {
-        return NULL;
-    }
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(times);
-    lows = PyList_New(count);
-    highs = lows ? PyList_New(count) : NULL;
-    for (Py_ssize_t row = 0; highs != NULL && row < count; row++) {
-        double time = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(times, row));
-        long long low, high;
-        if (time == -1.0 && PyErr_Occurred()) {
-            Py_CLEAR(highs);
-            break;
-        }
-        if (!(time >= 0 && time / slide < 0x1p52)) {
-            PyErr_Format(PyExc_ValueError, "covering_ranges: time %R out of range",
-                         PySequence_Fast_GET_ITEM(times, row));
-            Py_CLEAR(highs);
-            break;
-        }
-        bounds(time, size, slide, &low, &high);
-        PyList_SET_ITEM(lows, row, PyLong_FromLongLong(low));
-        PyList_SET_ITEM(highs, row, PyLong_FromLongLong(high));
-    }
-    Py_DECREF(times);
-    if (highs == NULL) {
-        Py_XDECREF(lows);
-        return NULL;
-    }
-    return Py_BuildValue("NN", lows, highs);
-}
-
 /* ------------------------------------------------------------------ */
 /* Block columns                                                       */
 /* ------------------------------------------------------------------ */
@@ -2390,8 +2350,6 @@ static PyMethodDef methods[] = {
      " -> (array('d') readout, cells disarmed, coefficients evicted)"},
     {"settle_kleene", settle_kleene, METH_VARARGS,
      "settle_kleene(prefix, total, steps): repro.core.kernels.settle_kleene"},
-    {"covering_ranges", covering_ranges, METH_VARARGS,
-     "covering_ranges(times, size, slide) -> (lows, highs): Window.covering_bounds per time"},
     {"sweep_unit", sweep_unit, METH_VARARGS,
      "sweep_unit(groups, now, slide, stage, metrics, totals, rows, recombine, emit, clock,"
      " types, retire) -> the unit's next close (see runtime/close.py)"},

@@ -267,7 +267,7 @@ def _shard_worker_main(
     ``options``, the one mapping the driver forwards to every shard) over
     the batches the router ships until the ``None`` sentinel arrives, then
     returns the shard's report.  The adaptive-sharing policy crosses the
-    process boundary as its spec (typically a name); each shard resolves
+    process boundary as its name (or ``None``); each shard resolves
     its own optimizer instances, whose decision counts are shard-placement
     invariant because bursts are segmented per ``(group, unit)`` stream and
     every such stream lives wholly inside one shard.
@@ -374,13 +374,13 @@ class ShardedStreamingExecutor:
         batch_size: Events per batch :meth:`process` ships to a worker.
         shared_windows: Forwarded to every shard's
             :class:`StreamingExecutor`.
-        optimizer: Adaptive per-burst sharing policy, forwarded to every
-            shard's :class:`StreamingExecutor`.  Each shard resolves its
-            own optimizer instances; the driver merges the per-shard
-            :class:`~repro.optimizer.decisions.OptimizerStatistics` in
-            shard order, and the merged decision counts are invariant in
-            the shard count because bursts are per ``(group, unit)`` stream
-            and each such stream lives wholly inside one shard.
+        optimizer: Adaptive per-burst sharing policy name (or ``None``;
+            else :class:`~repro.errors.SharingError`), forwarded to every
+            shard's :class:`StreamingExecutor`.  Each shard resolves its own
+            optimizer instances; the driver merges the per-shard
+            :class:`~repro.optimizer.decisions.OptimizerStatistics` in shard
+            order; the merged decision counts are shard-count invariant (each
+            ``(group, unit)`` stream, whose bursts they count, is in one shard).
         on_window: Per-window callback; only available with ``workers=0``
             (results cross process boundaries only at :meth:`finish`).
         allowed_lateness / late_policy: Bounded out-of-order tolerance,

@@ -30,12 +30,14 @@ positioning in benchmarks.
 
 Class sharing is additionally *adaptive*: under a per-burst
 :class:`~repro.optimizer.decisions.SharingOptimizer` (see
-``runtime/streaming.py``), each ``(class, event type)`` pair can be split
-into per-member coefficient columns and merged back mid-stream —
-:meth:`MultiWindowLinearEngine.apply_burst_decision`.  Columns of one pair
-hold bit-identical values at all times (members are computationally
-identical), so a split is an O(live windows) copy of the canonical column,
-a merge just drops the replicas, and results are unaffected whatever the
+``runtime/streaming.py``), each ``(class, event type)`` pair is either
+shared (the canonical column only) or split (the canonical column plus one
+replica per other member), switched mid-stream by
+:meth:`MultiWindowLinearEngine.apply_burst_decision`.  Members are
+computationally identical, so every decision shares all of a class or none
+of it, and all columns of a pair hold bit-identical values at all times: a
+split is an O(live windows) copy of the canonical column per replica, a
+merge just drops the replicas, and results are unaffected whatever the
 decisions — only the work and memory profiles change.  See the "Adaptive
 sharing" section of ``docs/DESIGN.md``.
 
@@ -305,10 +307,10 @@ class _TypePlan:
             coefficients.window_map((spec.index, predecessor))
             for predecessor in self.pred_types
         )
-        #: Coefficient maps the per-event fold writes into.  All-shared (the
-        #: static plan and the adaptive default) folds once into the class's
-        #: canonical map; a split class folds once per sharing column — the
-        #: canonical map always first.  Rewired by ``apply_burst_decision``.
+        #: Coefficient maps the per-event fold writes into: the class's
+        #: canonical map while the pair is shared (the static plan and the
+        #: adaptive default), then the replicas while it is split.  Rewired
+        #: by ``apply_burst_decision``.
         self.targets: tuple[dict, ...] = (self.total_map,)
 
     def fold_sources(self, total_map: dict) -> tuple[dict, ...]:
@@ -326,35 +328,6 @@ class _TypePlan:
             total_map if window_map is self.total_map else window_map
             for window_map in self.pred_maps
         )
-
-
-class _ColumnState:
-    """Sharing partition of one ``(query class, event type)`` pair.
-
-    Absent from the engine's column table when the pair is fully shared (the
-    static default): every member query folds into the class's canonical
-    coefficient map.  Present only while a per-burst decision keeps at least
-    one member on its own column:
-
-    * ``leaders[pos]`` is the column of the ``pos``-th member query, named by
-      the smallest member position of that column;
-    * ``maps[leader]`` is the column's ``window index -> coefficient`` map.
-      The column containing query position 0 always owns the class's
-      *canonical* map object — the dict other type plans hold direct
-      predecessor references to — so canonical values keep being maintained
-      whatever the partition.
-
-    All columns of a pair hold bit-identical values at all times (member
-    queries are computationally identical), which is what makes split and
-    merge pure state transitions: a split copies the canonical column, a
-    merge keeps it and drops the replicas — no replay, no reconciliation.
-    """
-
-    __slots__ = ("leaders", "maps")
-
-    def __init__(self, leaders: tuple[int, ...], maps: dict[int, dict]) -> None:
-        self.leaders = leaders
-        self.maps = maps
 
 
 class _DeferredKleene:
@@ -462,8 +435,9 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         #: Segment fold: per columnar type, what a row feeds; sets ``_deferred``
         #: (class index -> state) and ``_eager`` (the other classes' states).
         self._segment_feeds = self._compile_segment_feeds()
-        #: Split ``(class, type)`` pairs; fully shared pairs have no entry.
-        self._columns: dict[tuple[int, EventType], _ColumnState] = {}
+        #: Split ``(class, type)`` pairs -> their replica maps, one per member
+        #: after the first; a shared pair has no entry.
+        self._columns: dict[tuple[int, EventType], tuple[dict, ...]] = {}
         #: Per class: ``(last positive burst type, shared run length)``.  The
         #: run length counts events folded into the class's current
         #: uninterrupted fully-shared run — the analog of the batch engine's
@@ -945,13 +919,12 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         for window_map in self._evict_maps:
             if window_map.pop(index, None) is not None:
                 evicted += 1
-        if columns:
-            # The readout drains canonical columns only: evict every replica
-            # column's entry here.
-            for state in columns.values():
-                for leader, window_map in state.maps.items():
-                    if leader and window_map.pop(index, None) is not None:
-                        replica_evicted += 1
+        # The readout drains canonical columns only: evict every replica
+        # column's entry here.
+        for replicas in columns.values():
+            for window_map in replicas:
+                if window_map.pop(index, None) is not None:
+                    replica_evicted += 1
         self._coeff_entries -= evicted
         self._replica_entries -= replica_evicted
         return WindowValues(unit.layout, array("d", values))
@@ -1019,98 +992,40 @@ class MultiWindowLinearEngine(MultiWindowEngine):
         )
 
     def apply_burst_decision(
-        self,
-        spec: QueryClassSpec,
-        event_type: EventType,
-        shared_names: frozenset,
-        burst_size: int,
+        self, spec: QueryClassSpec, event_type: EventType, share: bool, burst_size: int
     ) -> None:
-        """Reconfigure the ``(class, type)`` sharing partition for one burst.
+        """Share or split the ``(class, type)`` pair's columns for one burst.
 
-        ``shared_names`` (fewer than two names means no sharing) partitions
-        the member queries into one shared column plus singletons.  The
-        transition is incremental: a newly split column starts as a copy of
-        the canonical column (O(live windows), never a replay) and a merge
-        simply drops replicas — sound because every column of a pair holds
-        bit-identical values at all times.
+        Shared, every member folds into the class's canonical column; split,
+        each member after the first folds into its own replica.  A split
+        copies the canonical column once per replica (O(live windows), never
+        a replay) and a merge drops the replicas — sound because every
+        column of a pair holds bit-identical values at all times.
         """
         if self._unsettled:
             self._settle()
-        queries = spec.queries
-        count = len(queries)
-        shared_positions = [
-            position for position, query in enumerate(queries) if query.name in shared_names
-        ]
-        if len(shared_positions) >= 2:
-            shared_set = set(shared_positions)
-            leader = shared_positions[0]
-            new_leaders = tuple(
-                leader if position in shared_set else position for position in range(count)
-            )
-        else:
-            new_leaders = tuple(range(count))
-        fully_shared = new_leaders == (0,) * count
         continuing, run_length = self._continuing_run(spec, event_type)
         key = (spec.index, event_type)
-        state = self._columns.get(key)
-        old_leaders = state.leaders if state is not None else (0,) * count
-        if new_leaders != old_leaders:
-            self._transition_columns(key, state, old_leaders, new_leaders)
-        if fully_shared:
-            self._runs[spec.index] = (
-                event_type,
-                (run_length + burst_size) if continuing else burst_size,
-            )
-        else:
-            self._runs[spec.index] = (event_type, 0)
-
-    def _transition_columns(
-        self,
-        key: tuple[int, EventType],
-        state: Optional[_ColumnState],
-        old_leaders: tuple[int, ...],
-        new_leaders: tuple[int, ...],
-    ) -> None:
-        canonical = self._coefficients.window_map(key)
-        old_maps = state.maps if state is not None else {0: canonical}
-        old_groups: dict[int, set[int]] = {}
-        for position, leader in enumerate(old_leaders):
-            old_groups.setdefault(leader, set()).add(position)
-        new_groups: dict[int, set[int]] = {}
-        for position, leader in enumerate(new_leaders):
-            new_groups.setdefault(leader, set()).add(position)
-        scalar = self.unit.scalar
-        new_maps: dict[int, dict] = {}
-        for leader, members in new_groups.items():
-            if leader == 0:
-                # The column containing query position 0 always keeps the
-                # canonical map object (predecessor plans reference it).
-                new_maps[0] = canonical
-            elif old_groups.get(leader) == members:
-                new_maps[leader] = old_maps[leader]
-            else:
-                replica = (
-                    dict(canonical)
-                    if scalar
-                    else {index: value.copy() for index, value in canonical.items()}
+        replicas = self._columns.get(key)
+        if share == (replicas is not None):
+            plan = self._plan_of[key]
+            canonical = plan.total_map
+            if replicas is not None:  # merge
+                del self._columns[key]
+                self._replica_entries -= sum(map(len, replicas))
+            else:  # split
+                scalar = self.unit.scalar
+                replicas = self._columns[key] = tuple(
+                    dict(canonical) if scalar else {i: v.copy() for i, v in canonical.items()}
+                    for _ in spec.queries[1:]
                 )
-                new_maps[leader] = replica
-                self._replica_entries += len(replica)
-                self._ops += len(replica)
-        for leader, window_map in old_maps.items():
-            if window_map is canonical or new_maps.get(leader) is window_map:
-                continue
-            self._replica_entries -= len(window_map)
-        self._ops += 1  # the split/merge transition itself
-        plan = self._plan_of[key]
-        if len(new_maps) == 1:
-            self._columns.pop(key, None)
-            plan.targets = (canonical,)
-        else:
-            self._columns[key] = _ColumnState(new_leaders, new_maps)
-            plan.targets = (canonical,) + tuple(
-                new_maps[leader] for leader in sorted(new_maps) if leader != 0
-            )
+                self._replica_entries += len(canonical) * len(replicas)
+                self._ops += len(canonical) * len(replicas)
+            plan.targets = (canonical,) if share else (canonical, *replicas)
+            self._ops += 1  # the split/merge transition itself
+        self._runs[spec.index] = (
+            event_type, (run_length + burst_size if continuing else burst_size) if share else 0
+        )
 
     def operations(self) -> int:
         """Abstract work units (coefficient folds, scans, readouts) so far."""
@@ -1143,26 +1058,7 @@ class MultiWindowLinearEngine(MultiWindowEngine):
 
     def replica_entry_count(self) -> int:
         """Ground-truth O(columns) scan of the replica column maps."""
-        return sum(
-            len(window_map)
-            for state in self._columns.values()
-            for leader, window_map in state.maps.items()
-            if leader
-        )
-
-    def sharing_partition(self, spec_index: int, event_type: EventType) -> tuple[int, ...]:
-        """Current column of each member query of a ``(class, type)`` pair.
-
-        ``(0, 0, ..., 0)`` is the fully shared default; distinct values mean
-        split columns (each named by its smallest member position).
-        """
-        state = self._columns.get((spec_index, event_type))
-        if state is not None:
-            return state.leaders
-        for spec in self.unit.classes:
-            if spec.index == spec_index:
-                return (0,) * len(spec.queries)
-        raise ExecutionError(f"unknown query class index {spec_index}")
+        return sum(len(replica) for replicas in self._columns.values() for replica in replicas)
 
     @property
     def store(self) -> Optional[SharedWindowStore]:

@@ -46,7 +46,7 @@ zero.
 
 With ``optimizer=...`` the shared path becomes **adaptive**: per burst
 (maximal same-type run) of a ``(group, unit)`` stream, an optimizer decides
-which class members share and the engine splits/merges its coefficient
+whether each class shares and the engine merges/splits its coefficient
 columns — bit-identical to both static extremes.
 
 With ``allowed_lateness=N`` a :class:`~repro.runtime.lateness.Lateness`
@@ -111,8 +111,8 @@ from repro.template.template import compile_pattern
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
 #: reject snapshots from other versions instead of resuming corrupt state.
-#: v20: an engine's segment feeds are built with it, never ``None`` (v2-v19: CHANGES.md).
-SNAPSHOT_VERSION = 20
+#: v21: an engine's split pair pickles as a tuple of replica maps (v2-v20: CHANGES.md).
+SNAPSHOT_VERSION = 21
 
 #: The core's per-run scalars (set by ``_begin_run``), pickled by name.
 _CORE_FIELDS = ("_clock", "_consumed", "_engine_feeds", "_adaptive_stats", "_totals")
@@ -269,14 +269,14 @@ class StreamingExecutor:
             optimizer: Per-burst sharing policy for the shared-window path:
                 ``None`` (the default) keeps the static compile-time plan
                 with zero burst overhead; a policy name (``"dynamic"``,
-                ``"always"``, ``"never"``, ``"static"``) or a zero-argument
-                :class:`~repro.optimizer.decisions.SharingOptimizer` factory
-                turns on adaptive mode — each ``(group, unit)`` stream is
-                segmented into bursts (maximal same-type runs), the policy
-                decides per burst which class members share, and the engine
-                splits/merges its coefficient columns accordingly.  Results
-                are bit-identical whatever the policy; only the work and
-                memory profiles change.  Per-instance units are
+                ``"always"``, ``"never"``, ``"static"``; anything else
+                raises :class:`~repro.errors.SharingError`) turns on
+                adaptive mode — each ``(group, unit)`` stream is segmented
+                into bursts (maximal same-type runs), the policy decides per
+                burst whether each eligible class shares, and the engine
+                merges or splits its coefficient columns accordingly.
+                Results are bit-identical whatever the policy; only the work
+                and memory profiles change.  Per-instance units are
                 unaffected (their engines keep their own optimizers).
             allowed_lateness: ``None`` (default) keeps the strict in-order
                 arrival contract.  A number turns on the lateness stage:
@@ -979,8 +979,7 @@ class StreamingExecutor:
                     decision = optimizer.decide(
                         engine.burst_statistics(spec, event_type, size, events_in_window)
                     )
-                    shared = decision.shared_queries if decision.share else frozenset()
-                    engine.apply_burst_decision(spec, event_type, shared, size)
+                    engine.apply_burst_decision(spec, event_type, decision.share, size)
         engine.process_burst(burst, event_type)
 
     def _block_code_feeds(

@@ -75,10 +75,11 @@ class WorkloadAnalysis:
         raise KeyError(f"query {query.name!r} not found in any group")
 
 
-def _sharable(query_a: Query, query_b: Query) -> bool:
-    """Definition 5: can these two queries share execution?"""
-    common_kleene = query_a.kleene_types() & query_b.kleene_types()
-    if not common_kleene:
+def _sharable(
+    query_a: Query, query_b: Query, kleene_a: set[EventType], kleene_b: set[EventType]
+) -> bool:
+    """Definition 5: can these two queries, with these Kleene types, share execution?"""
+    if kleene_a.isdisjoint(kleene_b):
         return False
     if not query_a.aggregate.sharable_with(query_b.aggregate):
         return False
@@ -130,9 +131,11 @@ def analyze_workload(workload: Workload | Iterable[Query]) -> WorkloadAnalysis:
         if root_a != root_b:
             parent[root_b] = root_a
 
-    for i, query_a in enumerate(expanded):
-        for query_b in expanded[i + 1:]:
-            if _sharable(query_a, query_b):
+    # One pattern walk per query, not one per pair.
+    walked = [(query, query.kleene_types()) for query in expanded]
+    for i, (query_a, kleene_a) in enumerate(walked):
+        for query_b, kleene_b in walked[i + 1:]:
+            if _sharable(query_a, query_b, kleene_a, kleene_b):
                 union(query_a.name, query_b.name)
 
     members: dict[str, list[Query]] = {}

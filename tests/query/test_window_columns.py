@@ -211,5 +211,37 @@ def test_scalar_columns_and_compiled_ranges_agree(window):
     assert [snap_rule_bounds(window, t) for t in times] == scalar
     if foldcore.core is None:
         pytest.skip(foldcore.reason)
-    lows, highs = foldcore.core.covering_ranges(times, window.size, window.slide)
-    assert list(zip(lows, highs)) == scalar
+    assert compiled_ranges(window, times) == scalar
+
+
+def compiled_ranges(window: Window, times) -> list[tuple[int, int]]:
+    """The core's covering range of each row, as its Cover walk hands one
+    group's rows over to the engine's ``process_block_run``."""
+    from array import array
+
+    from repro.runtime import cover, foldcore, streaming
+
+    handed: list[tuple[int, int]] = []
+
+    class Engine:
+        def process_block_run(self, types, times, sequences, lows, highs, rows, views):
+            handed.extend(zip(lows, highs))
+            return True
+
+    group = streaming._Group(engine=Engine(), evicts=False, sort_key=(), metas={0: None})
+    zeros = array("q", bytes(8 * len(times)))
+    walker = foldcore.core.Walk(
+        list(times), list(range(len(times))), zeros, ("A",), 0, len(times), ((0,),), 0.0, 1
+    )
+    try:
+        # One group, armed past every range and not qualifying: every row is
+        # fed without a handback; no cursor: the run goes to the engine.
+        walker.attach(
+            0, zeros, [group], array("q", [2**62]), bytes(1), None, None, None,
+            window.size, window.slide, array("q"),
+        )
+        assert walker.run(0, -1, math.inf)[:2] == (len(times), cover.DONE)
+        walker.fold()
+    finally:
+        walker.close()
+    return handed

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core import HamletEngine
 from repro.events import Event
 from repro.events.block import EventBlock
-from repro.optimizer import DynamicSharingOptimizer
+from repro.optimizer import DynamicSharingOptimizer, SharingOptimizer
 from repro.query import (
     Query,
     Window,
@@ -166,6 +167,38 @@ def test_adaptive_matches_static_extremes_and_batch(fold, queries, events):
             assert partition_multiset(report) == reference_partitions, policy
             # Adaptive runs always carry decision statistics (possibly empty).
             assert report.optimizer_statistics is not None
+
+
+@on_both_folds
+@SETTINGS
+@given(queries=workloads(), events=bursty_streams())
+def test_every_decision_shares_all_of_a_class_or_none(fold, queries, events):
+    """The premise of the engine's two sharing states (shared, or split into
+    one column per member): a class's members are computationally identical,
+    so every decision the streaming runtime receives, under every policy,
+    shares every member of its class or none of them."""
+    decide = SharingOptimizer.decide
+    seen: list[tuple] = []
+
+    def spy(optimizer, stats):
+        decision = decide(optimizer, stats)
+        seen.append((stats.candidates.names, decision))
+        return decision
+
+    with selected_fold(fold), mock.patch.object(SharingOptimizer, "decide", spy):
+        for policy in ("dynamic", "static", "always", "never"):
+            seen.clear()
+            report = run_streaming(queries, events, engine_factory, optimizer=policy)
+            assert len(seen) == report.optimizer_statistics.decisions, policy
+            for members, decision in seen:
+                assert len(members) >= 2, policy
+                if decision.share:
+                    assert decision.shared_queries == members, policy
+                    assert not decision.non_shared_queries, policy
+                else:
+                    assert not decision.shared_queries, policy
+                    assert decision.non_shared_queries == members, policy
+                assert decision.share or policy != "always"
 
 
 @SETTINGS

@@ -758,8 +758,10 @@ def test_retract_survives_the_disk_container(
 
 
 def test_restore_refuses_a_snapshot_of_the_previous_schema():
-    """A v19 snapshot (engines whose segment feeds may be ``None``, which a
-    segment no longer compiles) is refused with a typed error; so are v18
+    """A v20 snapshot (engines pickling a split pair as a per-member
+    partition object, which no engine reads now) is refused with a typed
+    error; so are v19 (engines whose segment feeds may be ``None``, which a
+    segment no longer compiles), v18
     (a fingerprint naming the window-opening mode, which is no longer a
     choice, and would resume under a fingerprint that means something
     else), v17
@@ -777,7 +779,7 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     for index in range(40):
         executor.process(Event("AB"[index % 2], float(index), {"v": 1.0, "g": 1.0}))
     state = pickle.loads(executor.snapshot_state())
-    assert state["version"] == SNAPSHOT_VERSION == 20
+    assert state["version"] == SNAPSHOT_VERSION == 21
     fingerprint = state["fingerprint"]
     assert not {"kernel", "burst_size", "lazy_open"} & set(fingerprint)
     (group,) = pickle.loads(state["core"])["units"][0][0].values()
@@ -787,7 +789,7 @@ def test_restore_refuses_a_snapshot_of_the_previous_schema():
     assert not any(hasattr(meta, "share_at_open") for meta in group.metas.values())
     layout = state["output"][0].results.layout
     assert layout.__reduce__() == (type(layout), (layout.names, layout.slot_of))
-    for previous in (19, 18, 17, 16, 15, 14, 13, 12):
+    for previous in (20, 19, 18, 17, 16, 15, 14, 13, 12):
         state["version"] = previous
         with pytest.raises(CheckpointError, match=f"schema version {previous}"):
             executor.restore_state(pickle.dumps(state))

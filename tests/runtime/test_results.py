@@ -531,11 +531,11 @@ def test_every_member_reads_its_class_slot_bit_for_bit(policy, monkeypatch):
     readout = MultiWindowLinearEngine.close_window
 
     def checking_readout(engine, index):
-        for state in engine._columns.values():
-            canonical = _cell_bits(state.maps[0].get(index))
-            for window_map in state.maps.values():
+        for key, replicas in engine._columns.items():
+            canonical = _cell_bits(engine._coefficients.window_map(key).get(index))
+            for window_map in replicas:
                 assert _cell_bits(window_map.get(index)) == canonical
-            checked.append(len(state.maps))
+            checked.append(1 + len(replicas))
         return readout(engine, index)
 
     monkeypatch.setattr(MultiWindowLinearEngine, "close_window", checking_readout)

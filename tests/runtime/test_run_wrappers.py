@@ -14,7 +14,9 @@ import inspect
 import pytest
 
 from repro.core import HamletEngine
+from repro.errors import SharingError
 from repro.events import Event
+from repro.optimizer import OPTIMIZER_POLICIES, DynamicSharingOptimizer
 from repro.query import Query, Window, kleene, seq
 from repro.runtime import (
     CheckpointStore,
@@ -24,6 +26,7 @@ from repro.runtime import (
     run_sharded,
     run_streaming,
 )
+from repro.runtime.reorder import validate_stream_options
 
 QUERIES = [Query.build(seq("A", kleene("B")), window=Window(8.0, 4.0), name="wq")]
 EVENTS = [Event("AB"[index % 2], float(index)) for index in range(40)]
@@ -82,3 +85,23 @@ def test_window_opening_routing_and_kept_snapshots_are_constants_not_options(bui
     three is a keyword."""
     with pytest.raises(TypeError, match=option):
         build(QUERIES, **{option: False})
+
+
+@pytest.mark.parametrize(
+    "build",
+    (
+        StreamingExecutor,
+        ShardedStreamingExecutor,
+        lambda queries, optimizer: validate_stream_options(optimizer, None, "raise", None),
+    ),
+    ids=("streaming", "sharded", "validate_stream_options"),
+)
+def test_optimizer_takes_a_policy_name_not_a_factory(build):
+    """``optimizer=`` is ``None`` or a name of ``OPTIMIZER_POLICIES``, so a
+    policy always crosses to a shard worker as a name: a factory — even
+    one the registry holds — or an unknown name raises ``SharingError``."""
+    for refused in (DynamicSharingOptimizer, OPTIMIZER_POLICIES["never"], "sometimes"):
+        with pytest.raises(SharingError, match="policy name"):
+            build(QUERIES, optimizer=refused)
+    for accepted in (None, *OPTIMIZER_POLICIES):
+        build(QUERIES, optimizer=accepted)

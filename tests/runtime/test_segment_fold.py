@@ -692,7 +692,7 @@ def test_engine_needs_events_only_for_rows_outside_columnar_types():
         for name, aggregate in (("sg_sum", sum_of("B", "v")), ("sg_avg", avg("B", "v")))
     ]
     engine = MultiWindowLinearEngine(UnitCompilation(shared, share_classes=True))
-    engine.apply_burst_decision(engine.unit.classes[0], "B", frozenset(), 1)
+    engine.apply_burst_decision(engine.unit.classes[0], "B", False, 1)
     with pytest.raises(ExecutionError, match="fully shared"):
         engine.process_block_run(["A"], [1.0], [1], [0], [0], [(0.0, 0.0)])
 

@@ -16,9 +16,25 @@ from repro.events import Event, EventStream
 from repro.events.block import EventBlock
 from repro.greta import GretaEngine
 from repro.interfaces import TrendAggregationEngine
-from repro.query import Query, Window, Workload, avg, kleene, max_of, parse_pattern, seq, sum_of
+from repro.query import (
+    Query,
+    Window,
+    Workload,
+    avg,
+    count_events,
+    kleene,
+    max_of,
+    parse_pattern,
+    seq,
+    sum_of,
+)
 from repro.runtime import StreamingExecutor, WorkloadExecutor, run_streaming
 from tests.conftest import RunFolds, on_both_folds, selected_fold
+
+
+def _cells(column: dict) -> dict:
+    """A vector coefficient column's values, comparable with ``==``."""
+    return {index: (value.count, value.measures) for index, value in column.items()}
 
 
 def _ab_workload(window: Window, group_by=()) -> Workload:
@@ -441,13 +457,12 @@ class TestSharedWindows:
                 executor.process(event)
                 for unit in executor._units:
                     for group in unit.groups.values():
-                        for state in group.engine._columns.values():
-                            canonical = state.maps[0]
-                            for leader, column in state.maps.items():
-                                assert {i: (v.count, v.measures) for i, v in column.items()} == {
-                                    i: (v.count, v.measures) for i, v in canonical.items()
-                                }
-                                checked += leader != 0
+                        engine = group.engine
+                        for key, replicas in engine._columns.items():
+                            canonical = _cells(engine._coefficients.window_map(key))
+                            for column in replicas:
+                                assert _cells(column) == canonical
+                                checked += 1
             return executor.finish(), checked
 
         split, checked = run("never")
@@ -576,42 +591,52 @@ class TestSharedWindows:
         )
         executor.finish()
 
-    def test_engine_level_split_and_merge_partitions(self):
-        """Direct pin of the engine's column state machine."""
+    def test_engine_level_split_and_merge_columns(self):
+        """Direct pin of the engine's two sharing states: a split holds one
+        copy of the canonical column per member after the first, a merge
+        drops them; each transition charges what it copies, plus one."""
         from repro.runtime import MultiWindowLinearEngine, UnitCompilation
 
         window = Window(10.0, 2.0)
         queries = [
-            Query.build(
-                seq("A", kleene("B")), aggregate=sum_of("B", "v"), window=window, name="col_sum"
-            ),
-            Query.build(
-                seq("A", kleene("B")), aggregate=avg("B", "v"), window=window, name="col_avg"
-            ),
+            Query.build(seq("A", kleene("B")), aggregate=aggregate, window=window, name=name)
+            for name, aggregate in (
+                ("col_sum", sum_of("B", "v")),
+                ("col_avg", avg("B", "v")),
+                ("col_events", count_events("B")),
+            )
         ]
         compiled = UnitCompilation(queries, share_classes=True)
         (spec,) = compiled.classes
         engine = MultiWindowLinearEngine(compiled)
-        assert engine.sharing_partition(spec.index, "B") == (0, 0)
-        engine.process(Event("A", 0.0, {"v": 1.0}), 0, 0)
-        engine.process(Event("B", 1.0, {"v": 2.0}), 0, 0)
-        # Split: the replica column copies the canonical one.
-        engine.apply_burst_decision(spec, "B", frozenset(), 1)
-        assert engine.sharing_partition(spec.index, "B") == (0, 1)
-        assert engine.replica_coefficient_entries() == engine.replica_entry_count() > 0
-        engine.process(Event("B", 2.0, {"v": 3.0}), 0, 0)
+        canonical = engine.coefficients.window_map((spec.index, "B"))
+        engine.process(Event("A", 0.0, {"v": 1.0}), 0, 1)
+        engine.process(Event("B", 1.0, {"v": 2.0}), 0, 1)
+        assert len(canonical) == 2 and not engine._columns
+        # Split: k - 1 replicas, each a copy of the canonical column.
+        ops = engine.operations()
+        engine.apply_burst_decision(spec, "B", False, 1)
+        replicas = engine._columns[spec.index, "B"]
+        assert len(replicas) == len(queries) - 1
+        assert all(r is not canonical and _cells(r) == _cells(canonical) for r in replicas)
+        assert engine.operations() - ops == (len(queries) - 1) * len(canonical) + 1
+        assert engine.replica_coefficient_entries() == engine.replica_entry_count() == 4
+        # Staying split is no transition; the replicas fold with the canonical.
+        ops = engine.operations()
+        engine.apply_burst_decision(spec, "B", False, 1)
+        assert engine.operations() == ops and engine._columns[spec.index, "B"] is replicas
+        engine.process(Event("B", 2.0, {"v": 3.0}), 0, 1)
+        assert all(_cells(r) == _cells(canonical) for r in replicas)
         # Merge: replicas dropped, canonical kept.
-        engine.apply_burst_decision(
-            spec, "B", frozenset(q.name for q in queries), 1
-        )
-        assert engine.sharing_partition(spec.index, "B") == (0, 0)
+        ops = engine.operations()
+        engine.apply_burst_decision(spec, "B", True, 1)
+        assert engine.operations() - ops == 1 and not engine._columns
         assert engine.replica_coefficient_entries() == engine.replica_entry_count() == 0
+        assert engine.coefficients.window_map((spec.index, "B")) is canonical
         results = engine.close_window(0)
-        # SUM(B.v) over trends of A B... within the window; both members
-        # were maintained bit-identically through the split and merge.
-        assert set(results) == {"col_sum", "col_avg"}
-        with pytest.raises(ExecutionError):
-            engine.sharing_partition(99, "B")
+        # SUM(B.v) over trends of A B... within the window; every member
+        # was maintained bit-identically through the split and merge.
+        assert set(results) == {"col_sum", "col_avg", "col_events"}
 
     def test_inert_groups_never_build_engines(self):
         """Lazy opening is per group: start-less groups allocate nothing."""

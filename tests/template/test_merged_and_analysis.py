@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import TemplateError
@@ -16,6 +18,7 @@ from repro.query import (
     seq,
     sum_of,
 )
+from repro.bench.workloads import kleene_sharing_workload, multi_aggregate_workload
 from repro.template import MergedTemplate, analyze_workload
 from repro.template.decompose import decomposable, decompose_query
 
@@ -104,6 +107,70 @@ class TestWorkloadAnalysis:
         analysis = analyze_workload([q1, q2, q3])
         assert len(analysis.groups) == 1
         assert analysis.groups[0].shared_kleene_types == {"B", "C"}
+
+
+def _definition5_groups(queries) -> list[set[str]]:
+    """Reference grouping: connected components of Definition 5, each pair
+    walking both patterns afresh."""
+
+    def sharable(a, b):
+        return bool(
+            a.kleene_types() & b.kleene_types()
+            and a.aggregate.sharable_with(b.aggregate)
+            and a.group_by == b.group_by
+            and a.window.overlaps(b.window)
+        )
+
+    groups: list[dict[str, Query]] = []
+    for query in queries:
+        linked = [g for g in groups if any(sharable(query, other) for other in g.values())]
+        merged = {query.name: query}
+        for group in linked:
+            merged.update(group)
+            groups.remove(group)
+        groups.append(merged)
+    return sorted((set(g) for g in groups), key=sorted)
+
+
+def _random_workload(seed: int) -> list[Query]:
+    rng = random.Random(seed)
+    aggregates = (count_trends, lambda: sum_of("B", "x"), lambda: avg("C", "x"),
+                  lambda: max_of("B", "x"))
+    queries = []
+    for index in range(rng.randint(2, 14)):
+        first, second = rng.sample("ABCDE", 2)
+        pattern = seq(first, kleene(second)) if rng.random() < 0.7 else seq(
+            kleene(first), kleene(second)
+        )
+        window = Window(rng.choice((60.0, 120.0)), rng.choice((30.0, 60.0)))
+        queries.append(
+            _q(pattern, f"r{seed}_{index}", aggregate=rng.choice(aggregates)(),
+               group_by=rng.choice(((), ("g",))), window=window)
+        )
+    return queries
+
+
+WORKLOADS = {
+    "fig9": lambda: list(kleene_sharing_workload(50, window=Window(10.0, 2.0))),
+    "multi-aggregate": lambda: list(multi_aggregate_workload(12)),
+    **{f"random-{seed}": (lambda seed=seed: _random_workload(seed)) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_grouping_walks_each_pattern_once(name, monkeypatch):
+    """The groups are Definition 5's components, computed with one
+    ``kleene_types`` pattern walk per query rather than two per pair."""
+    queries = WORKLOADS[name]()
+    expected = _definition5_groups(queries)
+    calls = []
+    kleene_types = Query.kleene_types
+    monkeypatch.setattr(
+        Query, "kleene_types", lambda self: calls.append(self) or kleene_types(self)
+    )
+    analysis = analyze_workload(queries)
+    assert sorted(({q.name for q in g.queries} for g in analysis.groups), key=sorted) == expected
+    assert len(calls) <= len(queries)
 
 
 class TestDecomposition:

@@ -171,6 +171,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["stream", "--optimizer", "sometimes"])
 
+    def test_stream_optimizer_choices_are_the_registry_names(self, monkeypatch):
+        import repro.cli
+
+        for name in repro.cli.OPTIMIZER_POLICIES:
+            assert build_parser().parse_args(["stream", "--optimizer", name]).optimizer == name
+        monkeypatch.setattr(repro.cli, "OPTIMIZER_POLICIES", {"sometimes": None})
+        parsed = build_parser().parse_args(["stream", "--optimizer", "sometimes"])
+        assert parsed.optimizer == "sometimes"
+
     @pytest.mark.parametrize("flag", ("--burst-size", "--kernel-backend"))
     def test_stream_command_has_no_burst_or_backend_knob(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -18,13 +18,13 @@ RUNTIME = ROOT / "src" / "repro" / "runtime"
 
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
-    "streaming.py": 1076,
+    "streaming.py": 1075,
     "lateness.py": 320,
     "sharding.py": 1117,
     "routing.py": 305,
-    "shared_windows.py": 1318,
+    "shared_windows.py": 1214,
     "foldcore.py": 167,
-    "_foldcore.c": 2459,
+    "_foldcore.c": 2417,
     "cover.py": 290,
     "close.py": 256,
     "results.py": 198,
@@ -44,7 +44,7 @@ def test_module_stays_within_its_line_budget(module):
 
 
 #: ``docs/DESIGN.md``'s ``wc -l`` ceiling.
-DESIGN_CEILING = 1472
+DESIGN_CEILING = 1469
 
 
 def test_design_doc_only_shrinks():
