@@ -557,11 +557,20 @@ class EventBlock:
 
     def group_codes(self, attributes: tuple[str, ...]) -> GroupCodes:
         """:func:`group_codes` of the payload columns of ``attributes``,
-        cached per block (:meth:`group_key_at` is a row's own key)."""
+        cached per block (:meth:`group_key_at` is a row's own key).  One
+        ``array('q')`` column is coded in the fold core
+        (``_foldcore.group_codes``), where it is loaded; the function is its
+        reference."""
         cached = self._group_cache.get(attributes)
         if cached is None:
             columns = [self.payload_column(attribute) for attribute in attributes]
-            cached = self._group_cache[attributes] = group_codes(attributes, columns, len(self))
+            core = columnar._fold_core()
+            typed = len(columns) == 1 and getattr(columns[0], "typecode", None) == "q"
+            if typed and core is not None:
+                cached = core.group_codes(columns[0])
+            else:
+                cached = group_codes(attributes, columns, len(self))
+            self._group_cache[attributes] = cached
         return cached
 
     def group_key_at(self, attributes: tuple[str, ...], index: int) -> tuple[Any, ...]:

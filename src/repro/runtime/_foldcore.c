@@ -4,10 +4,12 @@
  *
  *   Walk           the Cover stage's row loop, StreamingExecutor._cover, for
  *                  executors whose units are all compiled and static (driven
- *                  by runtime/cover.py): covering ranges, the inert skip,
- *                  segments, and at each close each group's segment folded
- *                  in place where its engine folds every class deferred
- *                  (fold_direct), else handed to its process_block_run;
+ *                  by runtime/cover.py): group lookup, covering ranges,
+ *                  window arming (_open_windows), the inert skip, segments,
+ *                  and at each close each group's segment folded in place
+ *                  where its engine folds every class deferred
+ *                  (fold_direct), else handed to its process_block_run --
+ *                  Python runs only to open a group;
  *   fold_deferred  the per-row loop of MultiWindowLinearEngine._fold_segment
  *                  where every class of the unit folds deferred (scalar
  *                  SEQ(P, K+)), fold_direct's loop too;
@@ -21,8 +23,9 @@
  *                  runtime/close.py): readouts, evictions, metrics, totals
  *                  and each closed window's one row, a WindowResult;
  *
- * their one helper, settle_kleene (repro.core.kernels); and assemble_events,
- * the Events of a decoded frame (events/columnar.py).  Each dict is
+ * their one helper, settle_kleene (repro.core.kernels); assemble_events, the
+ * Events of a decoded frame (events/columnar.py); and group_codes, an
+ * array('q') key column's codes (events/block.py).  Each dict is
  * read and written in the order the Python reference does it, so insertion
  * order -- and the snapshot bytes -- match; each float operation is the
  * reference's, in its association, and -ffp-contract=off keeps the compiler
@@ -719,6 +722,38 @@ column_object(const column *of, Py_ssize_t row)
 /* Walk: the Cover stage of the static plan                            */
 /* ------------------------------------------------------------------ */
 
+/* A streaming _WindowMeta and the CloseStage: the walk opens windows, the
+ * sweep closes them. */
+static layout window_metas = {NULL, 3, {"index", "end", "opened_fed"}, {0}};
+enum { INDEX, END, OPENED };
+static layout stages = {NULL, 3, {"active", "closed", "next_close"}, {0}};
+enum { ACTIVE, CLOSED, NEXT_CLOSE };
+
+/* A new ``type`` object holding ``values`` (stolen, NULL-checked) in the
+ * slots of ``of``, in order. */
+static PyObject *
+build(layout *of, PyObject *type, PyObject **values)
+{
+    PyObject *object = NULL;
+    int ready = 1;
+    for (int which = 0; which < of->count; which++) {
+        ready &= values[which] != NULL;
+    }
+    if (ready && (of->type == (PyTypeObject *)type || bind(of, (PyTypeObject *)type) == 0)) {
+        object = ((PyTypeObject *)type)->tp_alloc((PyTypeObject *)type, 0);
+    }
+    for (int which = 0; which < of->count; which++) {
+        if (object != NULL) {
+            *(PyObject **)((char *)object + of->offsets[which]) = values[which];
+        }
+        else {
+            Py_XDECREF(values[which]);
+        }
+    }
+    return object;
+}
+
+
 #define UNARMED LLONG_MIN
 enum { DONE, SWEEP, PREPARE, RESOLVE };
 static unsigned long long walked_rows = 0, handed_rows = 0, in_place = 0, handed_over = 0;
@@ -728,6 +763,10 @@ static unsigned long long walked_rows = 0, handed_rows = 0, in_place = 0, handed
 typedef struct {
     int attached;
     column codes;
+    PyObject *unit;      /* the streaming _Unit: its next_close */
+    PyObject *groups;    /* its groups dict, looked up by ``table``'s keys */
+    PyObject *table_keys; /* tuple per code: the block's group key */
+    PyObject *size_obj, *slide_obj; /* the window's own numbers, for window ends */
     PyObject *resolved;  /* list per code: the group, False (no group), None */
     PyObject *contributions; /* per row: the unit's contributions, None */
     PyObject *views;         /* rows -> their row views, None: never read */
@@ -747,20 +786,28 @@ typedef struct {
     PyObject_HEAD
     column times, sequences, types;
     PyObject *type_table, *arrivals;
+    PyObject *stage, *metrics, *meta_type; /* CloseStage, ExecutionMetrics, _WindowMeta */
     Py_ssize_t base, count, type_count, unit_count, attached;
-    Py_ssize_t *feed_start, *feed_units, *touched;
+    Py_ssize_t *feed_start, *feed_units, *touched, *keys;
+    int *verdicts;  /* per unit a row feeds: classify's verdict and group code */
     unit_walk *units;
 } Walk;
 
 static PyObject *s_process_block_run, *s_frombytes, *s_segment_feeds, *s_eager, *s_columns;
 static PyObject *s_latest_event, *s_unit, *s_layout, *s_armed, *s_deferred, *s_unsettled;
 static PyObject *s_end_maps, *s_evict_maps, *s_ops, *s_coeff_entries, *s_replica_entries;
-static PyObject *s_armed_entries, *s_by_layout, *s_sums_of, *s_copy;
+static PyObject *s_armed_entries, *s_by_layout, *s_sums_of, *s_copy, *s_next_close;
+static PyObject *s_peak_active;
 
 static void
 unit_release(unit_walk *unit)
 {
     column_close(&unit->codes);
+    Py_CLEAR(unit->unit);
+    Py_CLEAR(unit->groups);
+    Py_CLEAR(unit->table_keys);
+    Py_CLEAR(unit->size_obj);
+    Py_CLEAR(unit->slide_obj);
     Py_CLEAR(unit->resolved);
     Py_CLEAR(unit->contributions);
     Py_CLEAR(unit->views);
@@ -795,11 +842,17 @@ walk_close(Walk *self, PyObject *Py_UNUSED(args))
     PyMem_Free(self->feed_start);
     PyMem_Free(self->feed_units);
     PyMem_Free(self->touched);
+    PyMem_Free(self->keys);
+    PyMem_Free(self->verdicts);
     self->units = NULL;
-    self->feed_start = self->feed_units = self->touched = NULL;
+    self->feed_start = self->feed_units = self->touched = self->keys = NULL;
+    self->verdicts = NULL;
     self->unit_count = self->type_count = self->attached = 0;
     Py_CLEAR(self->type_table);
     Py_CLEAR(self->arrivals);
+    Py_CLEAR(self->stage);
+    Py_CLEAR(self->metrics);
+    Py_CLEAR(self->meta_type);
     Py_RETURN_NONE;
 }
 
@@ -815,15 +868,19 @@ walk_init(Walk *self, PyObject *args, PyObject *Py_UNUSED(kwargs))
 {
     PyObject *times, *sequences, *types, *by_code;
     Py_XDECREF(walk_close(self, NULL));
-    if (!PyArg_ParseTuple(args, "OOOO!nnO!On:Walk", &times, &sequences, &types,
+    if (!PyArg_ParseTuple(args, "OOOO!nnO!OnOOO!:Walk", &times, &sequences, &types,
                           &PyTuple_Type, &self->type_table, &self->base, &self->count,
-                          &PyTuple_Type, &by_code, &self->arrivals, &self->unit_count)) {
-        self->type_table = self->arrivals = NULL;
+                          &PyTuple_Type, &by_code, &self->arrivals, &self->unit_count,
+                          &self->stage, &self->metrics, &PyType_Type, &self->meta_type)) {
+        self->type_table = self->arrivals = self->stage = self->metrics = self->meta_type = NULL;
         return -1;
     }
     Py_INCREF(self->type_table);
     Py_INCREF(self->arrivals);
-    Py_ssize_t end = self->base + self->count, feeds = 0;
+    Py_INCREF(self->stage);
+    Py_INCREF(self->metrics);
+    Py_INCREF(self->meta_type);
+    Py_ssize_t end = self->base + self->count, feeds = 0, widest = 0;
     self->type_count = PyTuple_GET_SIZE(by_code);
     if (self->base < 0 || self->count < 0 || self->unit_count < 0
         || PyTuple_GET_SIZE(self->type_table) != self->type_count
@@ -838,12 +895,16 @@ walk_init(Walk *self, PyObject *args, PyObject *Py_UNUSED(kwargs))
             return -1;
         }
         feeds += PyTuple_GET_SIZE(units);
+        widest = PyTuple_GET_SIZE(units) > widest ? PyTuple_GET_SIZE(units) : widest;
     }
     self->units = PyMem_Calloc(self->unit_count + 1, sizeof(unit_walk));
     self->feed_start = PyMem_Calloc(self->type_count + 1, sizeof(Py_ssize_t));
     self->feed_units = PyMem_Calloc(feeds + 1, sizeof(Py_ssize_t));
     self->touched = PyMem_Calloc(self->unit_count + 1, sizeof(Py_ssize_t));
-    if (!self->units || !self->feed_start || !self->feed_units || !self->touched) {
+    self->keys = PyMem_Calloc(widest + 1, sizeof(Py_ssize_t));
+    self->verdicts = PyMem_Calloc(widest + 1, sizeof(int));
+    if (!self->units || !self->feed_start || !self->feed_units || !self->touched || !self->keys
+        || !self->verdicts) {
         PyErr_NoMemory();
         return -1;
     }
@@ -875,28 +936,36 @@ static PyObject *
 walk_attach(Walk *self, PyObject *args)
 {
     Py_ssize_t index;
-    PyObject *codes, *resolved, *armed, *qualifies, *contributions, *views, *cursor, *scratch;
-    double size, slide;
-    if (!PyArg_ParseTuple(args, "nOO!OO!OOOddO:attach", &index, &codes, &PyList_Type, &resolved,
+    PyObject *owner, *groups_map, *table, *codes, *resolved, *armed, *qualifies, *contributions;
+    PyObject *views, *cursor, *size, *slide, *scratch;
+    if (!PyArg_ParseTuple(args, "nOO!O!OO!OO!OOOOOO:attach", &index, &owner, &PyDict_Type,
+                          &groups_map, &PyTuple_Type, &table, &codes, &PyList_Type, &resolved,
                           &armed, &PyBytes_Type, &qualifies, &contributions, &views, &cursor,
                           &size, &slide, &scratch)) {
         return NULL;
     }
     if (index < 0 || index >= self->unit_count || self->units[index].attached
-        || PyBytes_GET_SIZE(qualifies) < self->type_count) {
+        || PyBytes_GET_SIZE(qualifies) < self->type_count
+        || PyTuple_GET_SIZE(table) != PyList_GET_SIZE(resolved)) {
         PyErr_SetString(PyExc_ValueError, "attach: malformed unit");
         return NULL;
     }
     unit_walk *unit = &self->units[index];
+    if (as_double(size, &unit->size) < 0 || as_double(slide, &unit->slide) < 0) {
+        return NULL;
+    }
     unit->table = PyList_GET_SIZE(resolved);
+    unit->unit = Py_NewRef(owner);
+    unit->groups = Py_NewRef(groups_map);
+    unit->table_keys = Py_NewRef(table);
+    unit->size_obj = Py_NewRef(size);
+    unit->slide_obj = Py_NewRef(slide);
     unit->resolved = Py_NewRef(resolved);
     unit->qualifies = Py_NewRef(qualifies);
     unit->contributions = Py_NewRef(contributions);
     unit->views = Py_NewRef(views);
     unit->cursor = Py_NewRef(cursor);
     unit->scratch = Py_NewRef(scratch);
-    unit->size = size;
-    unit->slide = slide;
     unit->slot_of = PyMem_Malloc((unit->table + 1) * sizeof(Py_ssize_t));
     unit->slot_code = PyMem_Malloc((unit->table + 1) * sizeof(Py_ssize_t));
     unit->slot_group = PyMem_Calloc(unit->table + 1, sizeof(PyObject *));
@@ -981,12 +1050,80 @@ feed(Walk *self, unit_walk *unit, Py_ssize_t row, Py_ssize_t key)
     return 0;
 }
 
-/* Where local ``row`` of type ``code`` goes in ``unit`` (its group code
- * in ``*key``): 1 its group, 0 nowhere, RESOLVE the Python row body first,
- * -1 an error.  ``prepared``: that body just ran for the row. */
+/* ``a < b`` as Python compares them. */
 static int
-classify(unit_walk *unit, Py_ssize_t row, long long code, double time, int prepared,
-         Py_ssize_t *key)
+less(PyObject *a, PyObject *b)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b)) {
+        return PyFloat_AS_DOUBLE(a) < PyFloat_AS_DOUBLE(b);
+    }
+    return PyObject_RichCompareBool(a, b, Py_LT);
+}
+
+/* StreamingExecutor._open_windows: open the windows ``first..last`` of
+ * ``group`` not open yet -- each a _WindowMeta(index, index * slide + size,
+ * group.fed), Window.instance_bounds' arithmetic on the window's own
+ * numbers --, count each open, lower the unit's and then the stage's next
+ * close (and the walk's, ``*next_close``) to an earlier end, and note the
+ * peak of open windows. */
+static int
+open_windows(Walk *self, unit_walk *unit, PyObject *group, long long first, long long last,
+             double *next_close)
+{
+    PyObject **metas = member(&groups, group, METAS), **fed = member(&groups, group, FED);
+    PyObject **active = member(&stages, self->stage, ACTIVE);
+    PyObject **stage_close = member(&stages, self->stage, NEXT_CLOSE);
+    int status = metas && fed && active && stage_close ? 0 : -1, opened = 0;
+    for (long long at = first; at <= last && status == 0; at++) {
+        PyObject *index = PyLong_FromLongLong(at), *start = NULL, *end = NULL, *meta = NULL;
+        PyObject *unit_close = NULL;
+        int open = index == NULL ? -1 : PyDict_Contains(*metas, index);
+        if (open == 0) {
+            start = PyNumber_Multiply(index, unit->slide_obj);
+            end = start == NULL ? NULL : PyNumber_Add(start, unit->size_obj);
+            PyObject *values[3] = {Py_NewRef(index), Py_XNewRef(end), Py_NewRef(*fed)};
+            meta = build(&window_metas, self->meta_type, values);
+            opened = 1;
+            if (meta == NULL || PyDict_SetItem(*metas, index, meta) < 0 || bump(active, 1) < 0
+                || (unit_close = PyObject_GetAttr(unit->unit, s_next_close)) == NULL
+                || (open = less(end, unit_close)) < 0
+                || (open && PyObject_SetAttr(unit->unit, s_next_close, end) < 0)
+                || (open && (open = less(end, *stage_close)) < 0)
+                || (open && as_double(end, next_close) < 0)) {
+                open = -1;
+            }
+            else if (open) {
+                Py_SETREF(*stage_close, Py_NewRef(end));
+            }
+        }
+        status = open < 0 ? -1 : 0;
+        Py_XDECREF(index);
+        Py_XDECREF(start);
+        Py_XDECREF(end);
+        Py_XDECREF(meta);
+        Py_XDECREF(unit_close);
+    }
+    if (status == 0 && opened) {
+        PyObject *peak = PyObject_GetAttr(self->metrics, s_peak_active);
+        int higher = peak == NULL ? -1 : less(peak, *active);
+        Py_XDECREF(peak);
+        status = higher > 0 ? PyObject_SetAttr(self->metrics, s_peak_active, *active) : higher;
+    }
+    return status;
+}
+
+/* Where local ``row`` of type ``code`` goes in ``unit`` (its group code
+ * in ``*key``): 1 its group, 0 nowhere, RESOLVE the Python row body first
+ * (a qualifying row whose key has no group: it opens one), -1 an error.
+ * On the way it resolves the code's group -- a code unresolved, cached with
+ * no group (for a qualifying row) or with a group with no window left
+ * (evicted since, or never armed) is looked up in the unit's groups -- and,
+ * for a qualifying row, arms the windows of its covering range above the
+ * code's armed high, as StreamingExecutor._arm does.  ``prepared``: that
+ * body just ran for the row. */
+static int
+classify(Walk *self, unit_walk *unit, Py_ssize_t row, long long code, double time, int prepared,
+         Py_ssize_t *key, double *next_close)
 {
     long long value, low, high;
     if (column_long(&unit->codes, row, &value) < 0 || value < 0 || value >= unit->table) {
@@ -997,34 +1134,59 @@ classify(unit_walk *unit, Py_ssize_t row, long long code, double time, int prepa
     }
     *key = (Py_ssize_t)value;
     int qualifies = PyBytes_AS_STRING(unit->qualifies)[code] != 0;
-    PyObject *group = PyList_GET_ITEM(unit->resolved, *key);
-    if (group == Py_None || group == Py_False) { /* unresolved; no group, which a
-                                                     * qualifying row opens */
-        return !prepared && (group == Py_None || qualifies) ? RESOLVE : 0;
+    PyObject *group = PyList_GET_ITEM(unit->resolved, *key), **metas = NULL;
+    if (group == Py_False && !qualifies) {
+        return 0;
     }
-    PyObject **metas = member(&groups, group, METAS);
-    if (metas == NULL) {
+    if (group != Py_None && group != Py_False && (metas = member(&groups, group, METAS)) == NULL) {
         return -1;
     }
-    if (!PyDict_CheckExact(*metas) || PyDict_GET_SIZE(*metas) == 0) {
-        return prepared ? 0 : RESOLVE; /* evicted since (or never opened) */
+    if (metas == NULL || !PyDict_CheckExact(*metas) || PyDict_GET_SIZE(*metas) == 0) {
+        group = PyDict_GetItemWithError(unit->groups, PyTuple_GET_ITEM(unit->table_keys, *key));
+        if (group == NULL && PyErr_Occurred()) {
+            return -1;
+        }
+        if (PyList_SetItem(unit->resolved, *key, Py_NewRef(group ? group : Py_False)) < 0) {
+            return -1;
+        }
+        if (group == NULL) {
+            return qualifies && !prepared ? RESOLVE : 0;
+        }
+        if ((metas = member(&groups, group, METAS)) == NULL) {
+            return -1;
+        }
+        if (!PyDict_CheckExact(*metas)) {
+            PyErr_SetString(PyExc_TypeError, "run: a group's metas must be a dict");
+            return -1;
+        }
     }
     bounds(time, unit->size, unit->slide, &low, &high);
     if (high < low) {
         return 0;
     }
-    long long armed = ((long long *)unit->armed.buf)[*key];
-    return !prepared && qualifies && (armed == UNARMED || high > armed) ? RESOLVE : 1;
+    long long *armed = &((long long *)unit->armed.buf)[*key];
+    if (qualifies && (*armed == UNARMED || high > *armed)) {
+        long long first = *armed == UNARMED || low > *armed ? low : *armed + 1;
+        if (open_windows(self, unit, group, first, high, next_close) < 0) {
+            return -1;
+        }
+        *armed = high;
+    }
+    return PyDict_GET_SIZE(*metas) != 0;
 }
 
 static PyObject *
 walk_run(Walk *self, PyObject *args)
 {
-    Py_ssize_t row, prepared, unit_index = -1, key;
+    Py_ssize_t row, prepared, unit_index = -1;
     double next_close;
     long long fed = 0;
     int reason = DONE;
-    if (!PyArg_ParseTuple(args, "nnd:run", &row, &prepared, &next_close)) {
+    if (!PyArg_ParseTuple(args, "nn:run", &row, &prepared)) {
+        return NULL;
+    }
+    PyObject **stage_close = member(&stages, self->stage, NEXT_CLOSE);
+    if (stage_close == NULL || as_double(*stage_close, &next_close) < 0) {
         return NULL;
     }
     for (; row < self->count && reason == DONE; row++) {
@@ -1053,8 +1215,9 @@ walk_run(Walk *self, PyObject *args)
             }
         }
         for (Py_ssize_t i = first; i < last && reason == DONE; i++) {
-            int verdict = classify(&self->units[self->feed_units[i]], row, code, time,
-                                   row == prepared, &key);
+            int verdict = self->verdicts[i - first]
+                = classify(self, &self->units[self->feed_units[i]], row, code, time,
+                           row == prepared, &self->keys[i - first], &next_close);
             if (verdict < 0) {
                 return NULL;
             }
@@ -1066,13 +1229,13 @@ walk_run(Walk *self, PyObject *args)
         if (reason != DONE) {
             break;
         }
-        for (Py_ssize_t i = first; i < last; i++) { /* the same verdicts, now fed */
-            unit_walk *unit = &self->units[self->feed_units[i]];
-            int verdict = classify(unit, row, code, time, row == prepared, &key);
-            if (verdict < 0 || (verdict == 1 && feed(self, unit, row, key) < 0)) {
-                return NULL;
+        for (Py_ssize_t i = first; i < last; i++) { /* every verdict in: feed */
+            if (self->verdicts[i - first] == 1) {
+                if (feed(self, &self->units[self->feed_units[i]], row, self->keys[i - first]) < 0) {
+                    return NULL;
+                }
+                fed += 1;
             }
-            fed += verdict == 1;
         }
         walked_rows += 1;
     }
@@ -1371,10 +1534,10 @@ segment_counts(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(args))
 
 static PyMethodDef walk_methods[] = {
     {"attach", (PyCFunction)walk_attach, METH_VARARGS,
-     "attach(unit, codes, resolved, armed, qualifies, contributions, views, cursor, size, slide,"
-     " scratch)"},
+     "attach(index, unit, groups, table, codes, resolved, armed, qualifies, contributions, views,"
+     " cursor, size, slide, scratch)"},
     {"run", (PyCFunction)walk_run, METH_VARARGS,
-     "run(row, prepared, next_close) -> (row, reason, unit, rows fed)"},
+     "run(row, prepared) -> (row, reason, unit, rows fed)"},
     {"fold", (PyCFunction)walk_fold, METH_NOARGS, "fold() every group's fed rows"},
     {"close", (PyCFunction)walk_close, METH_NOARGS, "close(): release the columns"},
     {NULL, NULL, 0, NULL},
@@ -1396,41 +1559,13 @@ static PyTypeObject walk_type = {
 /* sweep_unit: the Close/Emit stage of one unit (runtime/close.py)     */
 /* ------------------------------------------------------------------ */
 
-/* A streaming _WindowMeta, the CloseStage, and the two objects a close
- * builds: WindowValues and the one row type, WindowResult (slotted classes
- * with no __init__ logic, filled slot by slot in field order). */
-static layout window_metas = {NULL, 3, {"index", "end", "opened_fed"}, {0}};
-enum { INDEX, END, OPENED };
-static layout stages = {NULL, 2, {"active", "closed"}, {0}};
-enum { ACTIVE, CLOSED };
+/* The two objects a close builds: WindowValues and the one row type,
+ * WindowResult (slotted classes with no __init__ logic, filled slot by slot
+ * in field order). */
 static layout values_row = {NULL, 2, {"layout", "slots"}, {0}};
 static layout window_row = {NULL, 8, {"group_key", "window_index", "window_start", "window_end",
                                       "results", "events", "emission_latency", "retraction"}, {0}};
 
-
-/* A new ``type`` object holding ``values`` (stolen, NULL-checked) in the
- * slots of ``of``, in order. */
-static PyObject *
-build(layout *of, PyObject *type, PyObject **values)
-{
-    PyObject *object = NULL;
-    int ready = 1;
-    for (int which = 0; which < of->count; which++) {
-        ready &= values[which] != NULL;
-    }
-    if (ready && (of->type == (PyTypeObject *)type || bind(of, (PyTypeObject *)type) == 0)) {
-        object = ((PyTypeObject *)type)->tp_alloc((PyTypeObject *)type, 0);
-    }
-    for (int which = 0; which < of->count; which++) {
-        if (object != NULL) {
-            *(PyObject **)((char *)object + of->offsets[which]) = values[which];
-        }
-        else {
-            Py_XDECREF(values[which]);
-        }
-    }
-    return object;
-}
 
 /* ``a <= b`` as Python compares them (exactly, for an int past 2**53). */
 static int
@@ -2026,6 +2161,101 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* Group codes of a typed key column                                   */
+/* ------------------------------------------------------------------ */
+
+/* A key's slot hash: MurmurHash3's fmix64, so keys apart only in their
+ * high bits still spread over a small table's low bits. */
+static inline unsigned long long
+key_hash(unsigned long long bits)
+{
+    bits ^= bits >> 33;
+    bits *= 0xff51afd7ed558ccdULL;
+    bits ^= bits >> 33;
+    bits *= 0xc4ceb9fe1a85ec53ULL;
+    return bits ^ (bits >> 33);
+}
+
+/* block.group_codes of one array('q') key column, as (table, codes): the
+ * distinct values in first-appearance order, each a 1-tuple of its int,
+ * and one array('I') code per row.  An open-addressing table on the
+ * values, kept at least twice the keys in size, stands in for the dict. */
+static PyObject *
+group_codes(PyObject *Py_UNUSED(module), PyObject *source)
+{
+    PyObject *keys = NULL, *bytes = NULL, *result = NULL;
+    column of;
+    if (column_open(&of, source, 0) < 0 || of.format != 'q') {
+        if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_TypeError, "group_codes: the column must be array('q')");
+        }
+        column_close(&of);
+        return NULL;
+    }
+    Py_ssize_t count = of.view.len / 8, mask = -1, distinct = 0;
+    Py_ssize_t *slot_code = NULL; /* per slot: its key's code, -1: empty */
+    long long *key_of = NULL;     /* per code: its key */
+    keys = PyList_New(0);
+    bytes = PyBytes_FromStringAndSize(NULL, count * sizeof(unsigned int));
+    if (keys == NULL || bytes == NULL) {
+        goto done;
+    }
+    unsigned int *codes = (unsigned int *)PyBytes_AS_STRING(bytes);
+    const long long *column_keys = (const long long *)of.view.buf;
+    for (Py_ssize_t row = 0; row < count; row++) {
+        long long key = column_keys[row];
+        if (2 * (distinct + 1) > mask + 1) { /* double the table, and rehash */
+            mask = mask < 0 ? 31 : 2 * mask + 1;
+            long long *grown = PyMem_Realloc(key_of, (mask + 1) / 2 * sizeof(long long));
+            key_of = grown == NULL ? key_of : grown;
+            PyMem_Free(slot_code);
+            slot_code = PyMem_Malloc((mask + 1) * sizeof(Py_ssize_t));
+            if (grown == NULL || slot_code == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            memset(slot_code, -1, (mask + 1) * sizeof(Py_ssize_t));
+            for (Py_ssize_t code = 0; code < distinct; code++) {
+                Py_ssize_t at = (Py_ssize_t)key_hash((unsigned long long)key_of[code]) & mask;
+                while (slot_code[at] >= 0) {
+                    at = (at + 1) & mask;
+                }
+                slot_code[at] = code;
+            }
+        }
+        Py_ssize_t at = (Py_ssize_t)key_hash((unsigned long long)key) & mask;
+        while (slot_code[at] >= 0 && key_of[slot_code[at]] != key) {
+            at = (at + 1) & mask;
+        }
+        if (slot_code[at] < 0) {
+            PyObject *value = PyLong_FromLongLong(key);
+            PyObject *entry = value == NULL ? NULL : PyTuple_Pack(1, value);
+            Py_XDECREF(value);
+            if (entry == NULL || PyList_Append(keys, entry) < 0) {
+                Py_XDECREF(entry);
+                goto done;
+            }
+            Py_DECREF(entry);
+            key_of[distinct] = key;
+            slot_code[at] = distinct++;
+        }
+        codes[row] = (unsigned int)slot_code[at];
+    }
+    PyObject *table = PyList_AsTuple(keys);
+    PyObject *array = table == NULL ? NULL : PyObject_CallFunction(array_type, "sO", "I", bytes);
+    result = array == NULL ? NULL : PyTuple_Pack(2, table, array);
+    Py_XDECREF(table);
+    Py_XDECREF(array);
+done:
+    column_close(&of);
+    PyMem_Free(slot_code);
+    PyMem_Free(key_of);
+    Py_XDECREF(keys);
+    Py_XDECREF(bytes);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
 /* fold_run                                                            */
 /* ------------------------------------------------------------------ */
 
@@ -2356,8 +2586,11 @@ static PyMethodDef methods[] = {
     {"assemble_events", assemble_events, METH_VARARGS,
      "assemble_events(Event, count, times, sequences, type_table, type_codes, key_table,"
      " key_codes, shape_columns) -> the frame's events (see events/columnar.py)"},
+    {"group_codes", group_codes, METH_O,
+     "group_codes(column) -> (table, codes) of one array('q') key column"
+     " (see events/block.py)"},
     {"cover_counts", cover_counts, METH_NOARGS,
-     "cover_counts() -> (rows walked, rows handed back to the Python row body)"},
+     "cover_counts() -> (rows walked, rows handed back to open a group)"},
     {"run_counts", run_counts, METH_NOARGS, "run_counts() -> (runs, rows) fold_run folded so far"},
     {"segment_counts", segment_counts, METH_NOARGS,
      "segment_counts() -> (segments the walk folded in place, handed to process_block_run)"},
@@ -2400,6 +2633,7 @@ PyInit__foldcore(void)
         {&s_evict_maps, "_evict_maps"}, {&s_ops, "_ops"}, {&s_coeff_entries, "_coeff_entries"},
         {&s_replica_entries, "_replica_entries"}, {&s_armed_entries, "_armed_entries"},
         {&s_by_layout, "_by_layout"}, {&s_sums_of, "sums_of"}, {&s_copy, "__copy__"},
+        {&s_next_close, "next_close"}, {&s_peak_active, "peak_active_windows"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if ((*names[i].name = PyUnicode_InternFromString(names[i].text)) == NULL) {

@@ -14,17 +14,19 @@ reference with ``foldcore.core = None``; nothing else does.
 The core walks the rows up to the next close.  It skips a type no unit
 reads, a non-qualifying row of a code with no group and a range no window
 covers; it computes each row's range with :meth:`Window.covering_bounds
-<repro.query.windows.Window.covering_bounds>`'s arithmetic and appends the
-row to its group's segment in the executor's ``array('q')`` scratch.  It
-hands a row back to the Python row body (:func:`_resolve`) only when the
-row's group code is unresolved in this block, the group it cached was
-evicted, or a qualifying row's range passes the code's armed high; and it
-returns at the next close, where the sweep folds every segment
-(``Walk.fold``: a counting sort of the fed rows by group).  The segment of
-a scalar unit that reads every row from columns, whose engine folds every
-class deferred, folds in place, as ``_fold_segment`` does (order check,
-cursor, deferred-row loop, books); any other, or one out of order, goes to
-the engine's ``process_block_run`` as the columns ``_flush_static`` gathers.
+<repro.query.windows.Window.covering_bounds>`'s arithmetic, looks a code's
+group up in the unit's ``groups`` (again once its cached group has no
+window), opens a qualifying row's windows above the code's armed high as
+``StreamingExecutor._open_windows`` does, and appends the row to its
+group's segment in the executor's ``array('q')`` scratch.  It hands a row
+back to Python (:func:`_resolve`) only to open a group, for a qualifying
+row whose key has none; and it returns at the next close, where the sweep
+folds every segment (``Walk.fold``: a counting sort of the fed rows by
+group).  The segment of a scalar unit that reads every row from columns,
+whose engine folds every class deferred, folds in place, as
+``_fold_segment`` does (order check, cursor, deferred-row loop, books); any
+other, or one out of order, goes to the engine's ``process_block_run`` as
+the columns ``_flush_static`` gathers.
 
 The per-code caches (group, armed high) survive close sweeps: a sweep at
 ``now`` closes only windows ending at or before ``now``, and those lie below
@@ -140,9 +142,11 @@ class _UnitRecord(NamedTuple):
     codes of the unit, and per code the resolved group (``None``:
     unresolved, ``False``: no group) and armed high."""
 
+    #: In order, what ``Walk.attach`` takes between the unit's index and its
+    #: window's size, slide and scratch.
     unit: "_Unit"
+    groups: dict
     table: Sequence[tuple]
-    #: From here on, in order, what ``Walk.attach`` takes.
     codes: Sequence[int]
     resolved: list
     armed: "array[int]"
@@ -164,12 +168,16 @@ class WalkPlan:
     indices fit, and every time is a double exactly (under 2**53), so the
     core's comparisons of times as doubles agree with Python's exact ones."""
 
-    __slots__ = ("index", "scratch", "limit")
+    __slots__ = ("index", "scratch", "limit", "meta")
 
     def __init__(self, units: Sequence["_Unit"]) -> None:
+        from repro.runtime.streaming import _WindowMeta  # (streaming imports this module)
+
         self.index = {unit: position for position, unit in enumerate(units)}
         self.scratch = [array("q") for _ in units]
         self.limit = min(EXACT, *(unit.spec.window.index_limit for unit in units))
+        #: The class of the window bookkeeping the core opens.
+        self.meta = _WindowMeta
 
     @classmethod
     def of(cls, units: Sequence["_Unit"], buffering: bool) -> Optional["WalkPlan"]:
@@ -203,14 +211,15 @@ def walk(
         for name in type_table
     )
     records: list[Any] = [None] * len(units)  # per unit index, once attached
+    close = executor._close
     walker = core.Walk(
-        times, sequences, type_codes, type_table, base, count, by_code, arrivals, len(units)
+        times, sequences, type_codes, type_table, base, count, by_code, arrivals, len(units),
+        close, executor._report.metrics, plan.meta,
     )
     row, prepared, fed = 0, -1, 0
-    next_close = executor._close.next_close
     try:
         while True:
-            row, reason, index, more = walker.run(row, prepared, next_close)
+            row, reason, index, more = walker.run(row, prepared)
             fed += more
             if reason == DONE:
                 break
@@ -218,16 +227,14 @@ def walk(
                 walker.fold()
                 executor._engine_feeds += fed
                 fed = 0
-                executor._close.sweep(times[base + row])
-                next_close = executor._close.next_close
+                close.sweep(times[base + row])
             elif reason == PREPARE:
                 records[index] = record = _prepare(executor, block, units[index])
                 window = record.unit.spec.window
-                walker.attach(index, *record[2:], window.size, window.slide, plan.scratch[index])
+                walker.attach(index, *record, window.size, window.slide, plan.scratch[index])
             else:
                 code = type_codes[base + row]
-                _resolve(executor, block, row, times[base + row], code, by_code[code], records)
-                next_close = executor._close.next_close
+                _resolve(executor, block, row, code, by_code[code], records)
                 prepared = row
         walker.fold()
     finally:
@@ -256,7 +263,8 @@ def _prepare(
     views = None if unit.relevant_types <= compiled.columnar_types else partial(RowViews, block)
     cursor = _OrderPoint if compiled.scalar and views is None else None
     return _UnitRecord(
-        unit, table, codes, [None] * len(table), armed, qualifies, contributions, views, cursor
+        unit, unit.groups, table, codes, [None] * len(table), armed, qualifies, contributions,
+        views, cursor,
     )
 
 
@@ -264,27 +272,16 @@ def _resolve(
     executor: "StreamingExecutor",
     block: "EventBlock | StagedRows",
     row: int,
-    time_value: float,
     code: int,
     indices: tuple[int, ...],
     records: list,
 ) -> None:
-    """The reference's row body for every unit row ``row`` feeds, up to the
-    feed itself (the core feeds the row once this returns): resolve the
-    group, open it and its windows for a qualifying row, and cache the
-    group."""
+    """The reference's row body where the core cannot run it: open, for
+    every unit qualifying row ``row`` feeds, the group its key has none of
+    (the core then arms its windows and feeds the row)."""
     for index in indices:
-        unit, table, codes, resolved, armed, qualifies, *_ = records[index]
+        unit, groups, table, codes, resolved, _, qualifies, *_ = records[index]
         key = codes[row]
-        group, qualify = resolved[key], qualifies[code] != 0
-        if not group or not group.metas:  # unresolved, absent, or evicted since
-            # (an evicted group's armed high lies below every later row's range)
-            group = executor._row_group(unit, block, table[key], row, qualify)
-            if group is None:
-                resolved[key] = False
-                continue
-        lo, hi = unit.spec.window.covering_bounds(time_value)
-        if hi >= lo and qualify:
-            cached = armed[key]
-            armed[key] = executor._arm(unit, group, lo, hi, None if cached == UNARMED else cached)
-        resolved[key] = group  # the core treats a group with no window as unresolved
+        if qualifies[code] and table[key] not in groups:
+            # Keyed by the row's own key, not its code's first.
+            resolved[key] = executor._open_group(unit, block.group_key_at(unit.spec.group_by, row))

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.engine import compile_fast_path_guards
 from repro.core.hamlet_graph import SharedWindowStore
@@ -180,29 +180,28 @@ class UnitCompilation:
     the per-group engine instances (which hold only state).
     """
 
-    def __init__(self, queries: Sequence[Query], *, share_classes: bool) -> None:
+    def __init__(
+        self, queries: Sequence[Query], *, share_classes: bool,
+        templates: Optional[Mapping[str, QueryTemplate]] = None,
+    ) -> None:
+        """``templates``: the queries' compiled patterns by name (``None``: compiled here)."""
         self.queries = tuple(queries)
         self.share_classes = share_classes
         self.measures: tuple[Measure, ...] = measures_for_queries(self.queries)
         self.dimension = len(self.measures)
         #: Scalar mode: a COUNT(*)-only unit tracks bare floats per window.
         self.scalar = self.dimension == 0
-        templates = {query.name: compile_pattern(query.pattern) for query in self.queries}
-        grouped: dict[object, list[Query]] = {}
-        order: list[object] = []
+        if templates is None:
+            templates = {query.name: compile_pattern(query.pattern) for query in self.queries}
+        grouped: dict[object, list[Query]] = {}  # (in first-member order)
         for query in self.queries:
-            key: object
+            key: object = query.name
             if share_classes:
                 key = (_template_signature(templates[query.name]), query.predicates.signature())
-            else:
-                key = query.name
-            if key not in grouped:
-                order.append(key)
-                grouped[key] = []
-            grouped[key].append(query)
+            grouped.setdefault(key, []).append(query)
         self.classes: tuple[QueryClassSpec, ...] = tuple(
-            QueryClassSpec(index, grouped[key], templates[grouped[key][0].name])
-            for index, key in enumerate(order)
+            QueryClassSpec(index, members, templates[members[0].name])
+            for index, members in enumerate(grouped.values())
         )
         #: Names in readout order (class-major, members in order), each
         #: reading its class's slot for its aggregate: members are

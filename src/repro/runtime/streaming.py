@@ -106,7 +106,7 @@ from repro.runtime.shared_windows import (
     shared_window_flavor_of,
 )
 from repro.template.analysis import analyze_workload
-from repro.template.template import compile_pattern
+from repro.template.merged import MergedTemplate
 
 #: Version of the :meth:`StreamingExecutor.snapshot_state` payload schema.
 #: Bumped whenever the pickled state shape changes incompatibly; restores
@@ -321,7 +321,7 @@ class StreamingExecutor:
         self._units: list[_Unit] = []
         for group in self.analysis.groups:
             for queries in execution_units(group.queries):
-                self._units.append(self._build_unit(queries, flavor))
+                self._units.append(self._build_unit(queries, group.merged_template, flavor))
         by_type: dict[EventType, list[_Unit]] = {}
         for unit in self._units:
             for name in unit.relevant_types:
@@ -521,7 +521,10 @@ class StreamingExecutor:
                     key = state.codes[local]
                     group = state.groups.get(key)
                     if group is None:
-                        group = self._row_group(unit, block, state.table[key], local, qualifies)
+                        group = unit.groups.get(state.table[key])
+                        if group is None and qualifies:  # keyed by the row's own key
+                            row_key = block.group_key_at(unit.spec.group_by, local)
+                            group = self._open_group(unit, row_key)
                         if group is None:
                             continue
                         state.groups[key] = group
@@ -787,14 +790,17 @@ class StreamingExecutor:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _build_unit(self, queries: tuple[Query, ...], flavor: Optional[str]) -> _Unit:
+    def _build_unit(
+        self, queries: tuple[Query, ...], merged: MergedTemplate, flavor: Optional[str]
+    ) -> _Unit:
+        """``merged``: the analysis' template of the queries' group, which
+        holds each query's compiled pattern."""
         first = queries[0]
         linear = unit_is_linear(queries)
         relevant = frozenset(unit_relevant_types(queries))
+        templates = {query.name: merged.template(query) for query in queries}
         if linear:
-            opening: set[EventType] = set()
-            for query in queries:
-                opening |= set(compile_pattern(query.pattern).start_types)
+            opening: set[EventType] = set().union(*(t.start_types for t in templates.values()))
         else:
             # The inert-prefix argument relies on linearity (zero starts ==
             # zero aggregate); GRETA's extremum propagation can yield values
@@ -803,7 +809,8 @@ class StreamingExecutor:
             opening = set(relevant)
         compiled: Optional[UnitCompilation] = None
         if flavor is not None and linear:
-            compiled = UnitCompilation(queries, share_classes=flavor == "classes")
+            share = flavor == "classes"
+            compiled = UnitCompilation(queries, share_classes=share, templates=templates)
         return _Unit(
             queries=queries,
             spec=PartitionSpec(group_by=first.group_by, window=first.window),
@@ -871,17 +878,6 @@ class StreamingExecutor:
             if self._optimizer_factory is not None:
                 group.optimizer = self._optimizer_factory()
         unit.groups[group_key] = group
-        return group
-
-    def _row_group(
-        self, unit: _Unit, block: EventBlock | StagedRows, key: tuple, row: int, qualifies: bool
-    ) -> Optional[_Group]:
-        """The group of ``unit`` that block row ``row`` (group ``key``)
-        feeds: open, opened now for a qualifying row, or ``None``."""
-        group = unit.groups.get(key)
-        if group is None and qualifies:
-            # Keyed by the row's own key, not its code's first.
-            group = self._open_group(unit, block.group_key_at(unit.spec.group_by, row))
         return group
 
     def _arm(self, unit: _Unit, group: _Group, lo: int, hi: int, armed: Optional[int]) -> int:

@@ -220,6 +220,8 @@ def compiled_ranges(window: Window, times) -> list[tuple[int, int]]:
     from array import array
 
     from repro.runtime import cover, foldcore, streaming
+    from repro.runtime.close import CloseStage
+    from repro.runtime.metrics import ExecutionMetrics
 
     handed: list[tuple[int, int]] = []
 
@@ -230,17 +232,20 @@ def compiled_ranges(window: Window, times) -> list[tuple[int, int]]:
 
     group = streaming._Group(engine=Engine(), evicts=False, sort_key=(), metas={0: None})
     zeros = array("q", bytes(8 * len(times)))
+    stage = CloseStage.__new__(CloseStage)
+    stage.rebuild(math.inf, 1, 0)
     walker = foldcore.core.Walk(
-        list(times), list(range(len(times))), zeros, ("A",), 0, len(times), ((0,),), 0.0, 1
+        list(times), list(range(len(times))), zeros, ("A",), 0, len(times), ((0,),), 0.0, 1,
+        stage, ExecutionMetrics(), streaming._WindowMeta,
     )
     try:
         # One group, armed past every range and not qualifying: every row is
         # fed without a handback; no cursor: the run goes to the engine.
         walker.attach(
-            0, zeros, [group], array("q", [2**62]), bytes(1), None, None, None,
+            0, None, {}, ((),), zeros, [group], array("q", [2**62]), bytes(1), None, None, None,
             window.size, window.slide, array("q"),
         )
-        assert walker.run(0, -1, math.inf)[:2] == (len(times), cover.DONE)
+        assert walker.run(0, -1)[:2] == (len(times), cover.DONE)
         walker.fold()
     finally:
         walker.close()

@@ -32,12 +32,14 @@ from repro.errors import ExecutionError
 from repro.events import Event
 from repro.events.block import EventBlock
 from repro.query import Query, Window, kleene, seq, sum_of
-from repro.runtime import StreamingExecutor, foldcore
+from repro.runtime import StreamingExecutor, close, foldcore
 from tests.runtime.test_foldcore import _Counting, cut_steps, fold
 
 needs_core = pytest.mark.skipif(foldcore.core is None, reason=foldcore.reason)
 
-SHAPES = (Window(10.0, 4.0), Window(12.0, 4.0), Window(16.0, 3.2), Window(8.0))
+#: ``Window(0.3, 0.1)``: ``k * 0.1`` drifts from the decimal grid, so each
+#: ``_WindowMeta.end`` the walk builds must be ``instance_bounds``' own float.
+SHAPES = (Window(10.0, 4.0), Window(12.0, 4.0), Window(16.0, 3.2), Window(8.0), Window(0.3, 0.1))
 #: Group values: ``1``/``1.0`` and ``2``/``2.0`` are one dict key each;
 #: ``"nan"`` stands for a fresh float NaN per row (one group on every path).
 KEYS = (1, 1.0, 2, 2.0, 3.5, "nan", 7)
@@ -236,32 +238,147 @@ def test_epoch_stream_block_scalar_and_per_instance_runs_agree(ingest):
 
 
 @needs_core
-def test_the_walk_hands_few_rows_back():
-    # The bench's ingest shape (20 districts, 10,000 events a minute): with
-    # the per-code caches surviving close sweeps, the Python row body runs
-    # only for a code's first row in a block, an evicted group's return and
-    # a window opening — a small share of the fed rows.
+@pytest.mark.parametrize(
+    "shape",
+    (
+        # The bench's ingest shape (20 districts, 10,000 events a minute).
+        dict(count=10, prefix_types=("Surge", "Breakdown"), window=Window(10.0, 2.0)),
+        # fig9-50q's: 50 queries sharing Travel+.
+        dict(count=50, prefix_types=(), window=Window(10.0, 2.0)),
+    ),
+    ids=("ingest", "fig9"),
+)
+def test_the_walk_hands_rows_back_only_to_open_groups(shape, monkeypatch):
+    # The walk resolves codes, finds evicted groups' returns and arms
+    # windows itself: the Python row body runs only where a qualifying row
+    # opens a group, so no more rows come back than groups open.
     block = RidesharingGenerator(
         events_per_minute=10_000.0, seed=7, districts=20
     ).generate_block(240.0)
+    block = EventBlock.from_bytes(block.to_bytes())  # typed columns, as decoded
     queries = list(
         kleene_sharing_workload(
-            10, kleene_type="Travel", prefix_types=("Surge", "Breakdown"),
-            window=Window(10.0, 2.0), name="cv_ingest",
+            shape["count"], kleene_type="Travel", prefix_types=shape["prefix_types"],
+            window=shape["window"], name="cv_handback",
         )
     )
+    opened = []
+    open_group = StreamingExecutor._open_group
+
+    def opening(executor, unit, key):
+        opened.append(key)
+        return open_group(executor, unit, key)
+
+    monkeypatch.setattr(StreamingExecutor, "_open_group", opening)
     before = foldcore.core.cover_counts()
     executor = StreamingExecutor(queries)
     for start in range(0, len(block), 4096):
         executor.process_block(block.slice(start, start + 4096))
-    fed = executor.engine_feeds
     walked, handed = (now - then for now, then in zip(foldcore.core.cover_counts(), before))
     assert walked == len(block)
-    assert 0 < handed <= 0.1 * fed
+    assert 0 < handed <= len(opened)
     twin = StreamingExecutor(queries)
     with fold(None):
         twin.process_block(block)
     assert twin.finish().totals == executor.finish().totals
+
+
+def sweeps(monkeypatch) -> list:
+    """Every close sweep's ``now``, as the executor calls it."""
+    seen: list = []
+    sweep = close.CloseStage.sweep
+
+    def recording(stage, now):
+        seen.append(now)
+        return sweep(stage, now)
+
+    monkeypatch.setattr(close.CloseStage, "sweep", recording)
+    return seen
+
+
+@needs_core
+@pytest.mark.parametrize("ingest", ("block", "frame"))
+def test_a_group_evicted_and_reopened_in_one_block_on_both_folds(ingest, monkeypatch):
+    # Group 1 opens, passes every window end (a sweep evicts it), takes a
+    # non-qualifying row (no group: cached as none) and opens anew, all in
+    # one block; group 2 stays open throughout.
+    rows = [("A", 0.0, 1), ("B", 0.5, 1), ("D", 0.5, 2), ("E", 1.0, 2), ("B", 2.0, 1)]
+    rows += [("E", 12.0 + step, 2) for step in range(6)]
+    rows += [("B", 30.0, 1), ("E", 30.5, 2), ("A", 31.0, 1), ("B", 31.5, 1), ("B", 45.0, 1)]
+    events = [Event(name, moment, {"g": key, "v": 1.0}) for name, moment, key in rows]
+    queries = workload("deferred", Window(10.0, 4.0), Window(8.0))
+    seen = sweeps(monkeypatch)
+    walked, handed = assert_same_on_both_covers(queries, [(ingest, events)], {}, False)
+    compiled, reference = seen[: len(seen) // 2], seen[len(seen) // 2 :]
+    assert compiled == reference
+    assert walked == len(events) and handed == 3  # group 1 twice, group 2 once
+
+
+@needs_core
+def test_a_qualifying_row_with_an_empty_covering_range_on_both_folds():
+    # At these times a tumbling 0.1 s window's edges snap apart: no instance
+    # covers the row.  The first qualifying ``A`` opens the group with no
+    # window; later rows find the group, inert until an ``A`` with a range
+    # arms it.  At the second such time the window armed just before (ending
+    # an ulp-scale step later) is still open, and its rows, ``A`` too, are
+    # fed nowhere.
+    window = Window(0.1)
+    moment, later = 5612394.099999997, 5612394.599999997
+    for at in (moment, later):
+        lo, hi = window.covering_bounds(at)
+        assert hi < lo
+    rows = [("A", moment, 1), ("B", moment, 1), ("C", moment, 1), ("B", moment + 0.01, 1)]
+    rows += [("A", moment + 0.02, 1), ("B", moment + 0.03, 1), ("A", later - 0.05, 1)]
+    rows += [("B", later, 1), ("A", later, 1), ("B", later, 1), ("B", later + 0.01, 1)]
+    events = [Event(name, at, {"g": key, "v": 1.0}) for name, at, key in rows]
+    queries = workload("deferred", window, Window(8.0))
+    walked, handed = assert_same_on_both_covers(queries, [("frame", events)], {}, False)
+    assert walked == len(events) and handed == 2
+
+
+@needs_core
+@pytest.mark.parametrize("ingest", ("block", "events"))
+def test_next_close_lowered_mid_block_sweeps_at_the_same_row_on_both_folds(ingest, monkeypatch):
+    # The 16 s unit opens first (next close 16); a row of the 8 s unit then
+    # opens a window ending at 8, lowering it mid-block: the sweep must fire
+    # at the first row past 8, not 16, on both Cover loops.
+    rows = [("A", 0.0, 1), ("B", 0.5, 1), ("D", 1.0, 2), ("E", 2.0, 2)]
+    rows += [("B", 3.0 + step, 1) for step in range(10)]
+    events = [Event(name, at, {"g": key, "v": 1.0}) for name, at, key in rows]
+    queries = workload("deferred", Window(16.0, 3.2), Window(8.0))
+    seen = sweeps(monkeypatch)
+    assert_same_on_both_covers(queries, [(ingest, events)], {}, False)
+    compiled, reference = seen[: len(seen) // 2], seen[len(seen) // 2 :]
+    assert compiled == reference
+    assert compiled[0] == 8.0
+
+
+@needs_core
+def test_peak_active_windows_on_both_folds():
+    # Ten groups arm their windows in one block, then half of them pass
+    # their ends: the peak is the walk's count mid-block, above the open
+    # count at the end, and the same on both folds.
+    rows = [("A", 8.0 + 0.1 * key, key) for key in range(10)]
+    rows += [("B", 9.5, key) for key in range(10)]
+    rows += [("A", 20.0, key) for key in range(5)]
+    events = [Event(name, at, {"g": key, "v": 1.0}) for name, at, key in rows]
+    queries = workload("deferred", Window(10.0, 4.0), Window(8.0))
+    compiled = observe(queries, [("frame", events)], {}, foldcore.core)
+    reference = observe(queries, [("frame", events)], {}, None)
+    assert compiled == reference
+    _, _, peak, active, _ = compiled[-1][-1]
+    assert peak > active > 0
+
+
+@needs_core
+def test_int_window_numbers_keep_int_window_ends_on_both_folds():
+    # A window of int size and slide: ``index * slide + size`` is an int,
+    # and so is each _WindowMeta.end the walk opens (the snapshots compare).
+    events = stream(4, 200, 0.0, 3, whole=True)
+    walked, handed = assert_same_on_both_covers(
+        workload("deferred", Window(10, 4), Window(8)), [("frame", events)], {}, False
+    )
+    assert walked and handed
 
 
 @needs_core

@@ -47,6 +47,8 @@ from repro.events.block import EventBlock
 from repro.optimizer import decisions
 from repro.query import Query, Window, avg, kleene, seq, sum_of
 from repro.runtime import StreamingExecutor, close, cover, foldcore, streaming
+from repro.runtime.close import CloseStage
+from repro.runtime.metrics import ExecutionMetrics
 from repro.runtime.shared_windows import MultiWindowLinearEngine, UnitCompilation, _OrderPoint
 from tests.conftest import decision_counters
 from tests.core.test_vector_fold import SELF_LOOP_POSITIONS, bits, clone, random_map
@@ -363,15 +365,18 @@ def fold_in_walk(engine, window: Window, types, times, sequences) -> None:
     table = tuple(sorted(set(types)))
     codes = array("q", map(table.index, types))
     group = streaming._Group(engine=engine, evicts=False, sort_key=(), metas={0: None})
+    stage = CloseStage.__new__(CloseStage)
+    stage.rebuild(math.inf, 1, 0)
     walker = foldcore.core.Walk(
-        list(times), list(sequences), codes, table, 0, len(times), ((0,),) * len(table), 0.0, 1
+        list(times), list(sequences), codes, table, 0, len(times), ((0,),) * len(table), 0.0, 1,
+        stage, ExecutionMetrics(), streaming._WindowMeta,
     )
     try:
         walker.attach(
-            0, array("q", bytes(8 * len(times))), [group], array("q", [2**62]),
+            0, None, {}, ((),), array("q", bytes(8 * len(times))), [group], array("q", [2**62]),
             bytes(len(table)), None, None, _OrderPoint, window.size, window.slide, array("q"),
         )
-        assert walker.run(0, -1, math.inf)[:2] == (len(times), cover.DONE)
+        assert walker.run(0, -1)[:2] == (len(times), cover.DONE)
         walker.fold()
     finally:
         walker.close()

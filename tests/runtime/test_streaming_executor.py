@@ -8,6 +8,8 @@ per-event feed bound, lazy opening, the incremental API and metrics.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import HamletEngine
@@ -736,3 +738,26 @@ class TestSharedWindows:
         # The COUNT unit ran shared; the MAX unit built per-instance engines.
         assert peak_groups == 1
         assert executor.engines_created >= 1
+
+
+@pytest.mark.parametrize("count", (1, 50))
+def test_each_query_pattern_compiles_once_per_executor(count, monkeypatch):
+    # The workload analysis compiles every pattern for its merged templates;
+    # the units and their shared-window plans take those templates instead
+    # of compiling again (fig9-50q's 50 queries: 50 compiles, not 150).
+    from repro.bench.workloads import kleene_sharing_workload
+    from repro.template import template
+
+    compiled = []
+    real = template.compile_pattern
+
+    def counting(pattern):
+        compiled.append(pattern)
+        return real(pattern)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "compile_pattern", None) is real:
+            monkeypatch.setattr(module, "compile_pattern", counting)
+    workload = kleene_sharing_workload(count, kleene_type="Travel", window=Window(10.0, 2.0))
+    StreamingExecutor(workload)
+    assert len(compiled) == count
