@@ -77,6 +77,30 @@ def _gather(
     return list(take(column))
 
 
+def _gather_columns(
+    core: Any, columns: Sequence[Sequence[Any]], indices: Sequence[int], base: int, length: int
+) -> Optional[list[Sequence[Any]]]:
+    """``columns`` gathered at ``base + i`` for each ``i`` of ``indices``:
+    the typed arrays in the fold core (``_foldcore.gather``, which checks
+    every index against ``length`` in the same pass), the rest through
+    :func:`_gather`; ``None`` for an index that is no int."""
+    typed = [isinstance(column, array) and column.typecode in "dqI" for column in columns]
+    got: Union[int, None, list[Sequence[Any]]] = core.gather(
+        indices, base, length, list(compress(columns, typed))
+    )
+    if isinstance(got, int):
+        raise IndexError(f"block index {indices[got]} out of range for {length} rows")
+    if got is None or all(typed):
+        return got
+    take, arrays = _taker(list(map(base.__add__, indices)) if base else indices), iter(got)
+    return [next(arrays) if kind else _gather(column, take) for kind, column in zip(typed, columns)]
+
+
+def _span(column: Any, low: int, high: int) -> Any:
+    """``column[low:high]``: the column itself when that is all of it."""
+    return column if low == 0 and high == len(column) else column[low:high]
+
+
 def _join(parts: Sequence[Sequence[Any]]) -> Sequence[Any]:
     """``parts`` end to end: an ``array`` when every non-empty part is one
     of the same typecode, a list otherwise (empty parts carry no kind)."""
@@ -150,17 +174,22 @@ def _block_from_columns(
     key_table: tuple[tuple[str, ...], ...],
     key_codes: "array[int]",
     shape_columns: ShapeColumns,
+    row_slots: Optional["array[int]"] = None,
 ) -> "EventBlock":
     """A block over *compact* columns: every shape's value columns hold
     exactly the block's rows of that shape, in row order.
 
     Hands out the row slots — the one place that does, for decoded frames,
     gathers, joins and unpickled blocks alike (module-level so a pickle
-    can name it).
+    can name it): the fold core's ``code_scan`` of the key codes where it
+    is loaded (a decoded frame's, made in its parse, are handed in), else
+    the loop below, the reference.
     """
-    if len(key_table) == 1:
+    if row_slots is None and (core := columnar._fold_core()) is not None:
+        row_slots = core.code_scan(key_codes, len(key_table), True)[2]
+    if row_slots is None and len(key_table) == 1:
         row_slots = array("I", range(len(times)))
-    else:
+    elif row_slots is None:
         row_slots = array("I")
         occupancy = [0] * len(key_table)
         for code in key_codes:
@@ -261,6 +290,7 @@ class EventBlock:
             tuple(parsed.key_table),
             parsed.key_codes,
             parsed.shape_columns,
+            parsed.row_slots,
         )
 
     # ------------------------------------------------------------------ #
@@ -431,6 +461,10 @@ class EventBlock:
         if not isinstance(indices, (list, tuple, range)):
             indices = list(indices)
         length = self._stop - self._start
+        core = columnar._fold_core()
+        selected = None if core is None else self._select_typed(core, indices, length)
+        if selected is not None:
+            return selected
         if indices and not (0 <= min(indices) and max(indices) < length):
             index = next(index for index in indices if not 0 <= index < length)
             raise IndexError(f"block index {index} out of range for {length} rows")
@@ -461,6 +495,34 @@ class EventBlock:
                 [_gather(column, shape_take) for column in columns]
                 for shape_take, columns in zip(shape_takers, self._shape_columns)
             ],
+        )
+
+    def _select_typed(
+        self, core: Any, indices: Sequence[int], length: int
+    ) -> Optional["EventBlock"]:
+        """:meth:`select` by :func:`_gather_columns`: the row columns (with
+        the one shape's value columns) at the indices, then each shape's at
+        its gathered slots; ``None`` for an index that is no int."""
+        one = len(self._key_table) == 1
+        rows: list[Sequence[Any]] = [self._times, self._sequences, self._type_codes]
+        rows += self._shape_columns[0] if one else [self._key_codes, self._row_slots]
+        got = _gather_columns(core, rows, indices, self._start, length)
+        if got is None:
+            return None
+        times, sequences, type_codes, *rest = got
+        if one:
+            key_codes, shapes = array("I", [0]) * len(indices), [rest]
+        else:
+            key_codes, slots = cast("list[array[int]]", rest)
+            shapes = []
+            for code, columns in enumerate(self._shape_columns):
+                taken = list(compress(slots, map(code.__eq__, key_codes)))
+                # (Slots are ints: the gather never declines them.)
+                shape = _gather_columns(core, columns, taken, 0, len(columns[0])) if columns else []
+                shapes.append(shape or [])
+        return _block_from_columns(
+            times, sequences, self._type_table, cast("array[int]", type_codes),
+            self._key_table, key_codes, shapes,
         )
 
     @classmethod
@@ -586,23 +648,25 @@ class EventBlock:
     ) -> tuple[Sequence[Timestamp], Sequence[int], "array[int]", "array[int]", ShapeColumns]:
         """This block's rows as compact columns (times, sequences, type
         codes, key codes, per-shape value columns), each of its root
-        column's own kind.
+        column's own kind: the column itself where the rows span all of it,
+        so a compact block (a decoded frame, a gather) is encoded or
+        pickled without a copy.
 
         Slots are handed out in row order per shape, so the rows of
         ``[start, stop)`` occupy one contiguous slot range of each shape's
         columns — found with C-speed ``array.count/index``.
         """
         start, stop = self._start, self._stop
-        key_codes = self._key_codes[start:stop]
+        key_codes = _span(self._key_codes, start, stop)
         shape_columns: ShapeColumns = []
         for code, columns in enumerate(self._shape_columns):
             rows = key_codes.count(code)
             low = self._row_slots[start + key_codes.index(code)] if rows else 0
-            shape_columns.append([column[low : low + rows] for column in columns])
+            shape_columns.append([_span(column, low, low + rows) for column in columns])
         return (
-            self._times[start:stop],
-            self._sequences[start:stop],
-            self._type_codes[start:stop],
+            _span(self._times, start, stop),
+            _span(self._sequences, start, stop),
+            _span(self._type_codes, start, stop),
             key_codes,
             shape_columns,
         )

@@ -14,10 +14,14 @@ pickle codec) is refused by name and never unpickled.
 
 Columns use the stdlib :mod:`array` machine formats, normalized to
 little-endian on the (rare) big-endian host, so encode/decode of numeric
-data is a C-speed ``frombytes``/``tobytes`` instead of a per-value loop.
-A decoded f64/i64 column *stays* that ``array('d')``/``array('q')`` — eight
-bytes a value, no Python object per row until a consumer indexes it — and
-an ``array`` column is written back with its own bytes, no type scan.
+data is one ``memcpy`` instead of a per-value loop.  A decoded f64/i64
+column *stays* that ``array('d')``/``array('q')`` — eight bytes a value,
+no Python object per row until a consumer indexes it — and an ``array``
+column is written back with its own bytes, no type scan.  The parse's
+per-row checks and counts (the least time, each code column's highest
+code, each key shape's rows and the row slots) are the runtime's fold-core
+column kernels (``time_scan``, ``code_scan``) where it is loaded; the
+Python passes are their reference.
 :func:`decode_columnar_events` assembles :class:`Event` objects straight
 from the columns, in the runtime's compiled fold core where it is loaded
 (skipping the dataclass ``__init__`` re-validation — values were
@@ -45,6 +49,8 @@ from repro.events.time import Timestamp
 
 #: Anything the decoders accept: raw bytes or a (shared-memory) view.
 Buffer = Union[bytes, bytearray, memoryview]
+#: A piece of an encoded frame: bytes, or a typed column's own buffer.
+_Part = Union[bytes, "array[Any]"]
 
 __all__ = [
     "CODEC_COLUMNAR",
@@ -111,8 +117,8 @@ def parse_frame(data: Buffer) -> memoryview:
 # ---------------------------------------------------------------------- #
 # Column primitives
 # ---------------------------------------------------------------------- #
-def _encode_column(values: Sequence[Any], out: bytearray) -> None:
-    """Append one typed column: tag byte, payload length, payload.
+def _column_parts(values: Sequence[Any]) -> tuple[bytes, bytes, _Part]:
+    """One typed column as its tag byte, payload length and payload.
 
     The dtype is chosen by exact type so decoding restores ``type(v)`` for
     every value: ``float`` -> f64, ``int`` within i64 -> i64, ``bool`` ->
@@ -120,16 +126,13 @@ def _encode_column(values: Sequence[Any], out: bytearray) -> None:
     The set of types and the i64 range check (``array`` raising) both run
     at C speed: no per-value Python step.  A non-empty ``array('d')`` /
     ``array('q')`` column (what :meth:`EventBlock.from_bytes` decodes to)
-    is already its own payload and is appended without a scan or a copy.
+    is already its own payload and is handed on without a scan or a copy.
     """
     if isinstance(values, array) and values.typecode in "dq" and values:
         if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
             values = array(values.typecode, values)
             values.byteswap()
-        out += values.typecode.encode()
-        out += _U32.pack(len(values) * values.itemsize)
-        out += values
-        return
+        return values.typecode.encode(), _U32.pack(len(values) * values.itemsize), values
     kinds = set(map(type, values))
     typed: Optional["array[Any]"] = None
     if kinds <= {float}:  # empty columns encode as (empty) f64
@@ -139,6 +142,7 @@ def _encode_column(values: Sequence[Any], out: bytearray) -> None:
             tag, typed = b"q", array("q", values)
         except OverflowError:  # an int outside i64: object column
             pass
+    payload: _Part
     if typed is not None:
         if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
             typed.byteswap()
@@ -148,9 +152,13 @@ def _encode_column(values: Sequence[Any], out: bytearray) -> None:
     else:
         tag = b"O"
         payload = pickle.dumps(list(values), protocol=pickle.HIGHEST_PROTOCOL)
-    out += tag
-    out += _U32.pack(len(payload))
-    out += payload
+    return tag, _U32.pack(len(payload)), payload
+
+
+def _encode_column(values: Sequence[Any], out: bytearray) -> None:
+    """Append one typed column (:func:`_column_parts`) to ``out``."""
+    for part in _column_parts(values):
+        out += part
 
 
 def _typed_array(typecode: str, payload: memoryview) -> "array[Any]":
@@ -217,10 +225,9 @@ def _decode_column(
     return values, offset + 5 + nbytes
 
 
-def _encode_string(text: str, out: bytearray) -> None:
+def _string_parts(text: str) -> tuple[bytes, bytes]:
     data = text.encode("utf-8")
-    out += _U32.pack(len(data))
-    out += data
+    return _U32.pack(len(data)), data
 
 
 def _decode_string(view: memoryview, offset: int) -> tuple[str, int]:
@@ -232,8 +239,12 @@ def _decode_string(view: memoryview, offset: int) -> tuple[str, int]:
 
 
 def _decode_codes(
-    view: memoryview, offset: int, count: int, table: int
+    view: memoryview, offset: int, count: int, table: int, into: Optional["_ParsedColumns"] = None
 ) -> tuple["array[int]", int]:
+    """A code column into a table of ``table`` entries, and the next
+    offset; ``into`` (key codes) takes each code's row count and the row
+    slots, from the core's one pass (``_foldcore.code_scan``) where it is
+    loaded (the slots are then left for the block to hand out)."""
     (nbytes,) = _U32.unpack_from(view, offset)
     payload = view[offset + 4 : offset + 4 + nbytes]
     if len(payload) != nbytes:
@@ -244,7 +255,13 @@ def _decode_codes(
             f"columnar batch corrupt: {len(codes)} interning codes for "
             f"{count} events"
         )
-    highest = max(codes, default=-1)
+    core = _fold_core()
+    if core is None:
+        highest = max(codes, default=-1)
+    else:
+        highest, occupancy, slots = core.code_scan(codes, table, into is not None)
+        if into is not None:
+            into.occupancy, into.row_slots = occupancy, slots
     if highest >= table:
         raise ExecutionError(
             f"columnar batch corrupt: interning code {highest} outside its "
@@ -253,13 +270,11 @@ def _decode_codes(
     return codes, offset + 4 + nbytes
 
 
-def _encode_codes(codes: "array[int]", out: bytearray) -> None:
+def _code_parts(codes: "array[int]") -> tuple[bytes, _Part]:
     if _BIG_ENDIAN:  # pragma: no cover - big-endian hosts only
         codes = array("I", codes)
         codes.byteswap()
-    packed = codes.tobytes()
-    out += _U32.pack(len(packed))
-    out += packed
+    return _U32.pack(len(codes) * codes.itemsize), codes
 
 
 # ---------------------------------------------------------------------- #
@@ -279,27 +294,27 @@ def encode_frame(
     The row-aligned arguments (``times``, ``sequences`` and the two
     ``array("I")`` code columns) cover exactly the batch's rows;
     ``shape_columns[k][j]`` holds attribute ``j`` of the rows whose key
-    shape is ``k``, in stream order.
+    shape is ``k``, in stream order.  The frame is joined from its parts
+    in one exactly sized allocation, so an encode holds it once: a typed
+    column is copied straight into it.
     """
-    out = bytearray(MAGIC)
-    out += _U8.pack(CODEC_COLUMNAR)
-    out += _U32.pack(len(times))
-    _encode_column(times, out)
-    _encode_column(sequences, out)
-    out += _U32.pack(len(type_table))
+    parts: list[_Part] = [MAGIC, _U8.pack(CODEC_COLUMNAR), _U32.pack(len(times))]
+    parts += _column_parts(times)
+    parts += _column_parts(sequences)
+    parts.append(_U32.pack(len(type_table)))
     for name in type_table:
-        _encode_string(name, out)
-    _encode_codes(type_codes, out)
-    out += _U32.pack(len(key_table))
+        parts += _string_parts(name)
+    parts += _code_parts(type_codes)
+    parts.append(_U32.pack(len(key_table)))
     for keys in key_table:
-        out += _U16.pack(len(keys))
+        parts.append(_U16.pack(len(keys)))
         for key in keys:
-            _encode_string(key, out)
-    _encode_codes(key_codes, out)
+            parts += _string_parts(key)
+    parts += _code_parts(key_codes)
     for columns in shape_columns:
         for column in columns:
-            _encode_column(column, out)
-    return bytes(out)
+            parts += _column_parts(column)
+    return b"".join(parts)
 
 
 class _ParsedColumns:
@@ -314,6 +329,8 @@ class _ParsedColumns:
         "key_table",
         "key_codes",
         "shape_columns",
+        "occupancy",
+        "row_slots",
     )
 
     count: int
@@ -324,21 +341,33 @@ class _ParsedColumns:
     key_table: list[tuple[str, ...]]
     key_codes: "array[int]"
     shape_columns: list[list[Sequence[Any]]]
+    #: Rows per key shape and per-row slots (``None``: the core did not scan).
+    occupancy: Optional[list[int]]
+    row_slots: Optional["array[int]"]
 
 
 def _parse_columns(buffer: Buffer) -> _ParsedColumns:
     view = memoryview(buffer)
     parsed = _ParsedColumns()
+    parsed.occupancy = parsed.row_slots = None
     try:
         (count,) = _U32.unpack_from(view, 0)
         offset = 4
         parsed.count = count
-        parsed.times, offset = _decode_column(view, offset, count)
-        low = min(parsed.times, default=0.0)
-        # ``min`` passes over NaN unless row 0 holds one (the executors
-        # reject NaN themselves); only then does a negative time need a scan.
-        if low < 0 or (low != low and any(time < 0 for time in parsed.times)):
-            raise ExecutionError("columnar batch corrupt: negative event time")
+        times, offset = _decode_column(view, offset, count)
+        parsed.times = times
+        core = _fold_core()
+        facts = None if core is None else core.time_scan(times, 0, count)
+        # A NaN time is no negative one (the executors reject NaN themselves):
+        # the core's least time passes over every NaN, the reference's
+        # ``min`` over all but one at row 0, which then costs a scan.
+        if facts is not None:
+            if facts[0] >= 0 and times[facts[0]] < 0:
+                raise ExecutionError("columnar batch corrupt: negative event time")
+        else:
+            low = min(times, default=0.0)
+            if low < 0 or (low != low and any(time < 0 for time in times)):
+                raise ExecutionError("columnar batch corrupt: negative event time")
         parsed.sequences, offset = _decode_column(view, offset, count)
         (type_count,) = _U32.unpack_from(view, offset)
         offset += 4
@@ -360,10 +389,12 @@ def _parse_columns(buffer: Buffer) -> _ParsedColumns:
                 keys.append(key)
             key_table.append(tuple(keys))
         parsed.key_table = key_table
-        parsed.key_codes, offset = _decode_codes(view, offset, count, shape_count)
-        occupancy = [0] * shape_count
-        for code in parsed.key_codes:
-            occupancy[code] += 1
+        parsed.key_codes, offset = _decode_codes(view, offset, count, shape_count, parsed)
+        occupancy = parsed.occupancy
+        if occupancy is None:
+            occupancy = [0] * shape_count
+            for code in parsed.key_codes:
+                occupancy[code] += 1
         shape_columns: list[list[Sequence[Any]]] = []
         for shape_index, keys in enumerate(key_table):
             columns: list[Sequence[Any]] = []

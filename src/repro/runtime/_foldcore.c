@@ -24,8 +24,14 @@
  *                  and each closed window's one row, a WindowResult;
  *
  * their one helper, settle_kleene (repro.core.kernels); assemble_events, the
- * Events of a decoded frame (events/columnar.py); and group_codes, an
- * array('q') key column's codes (events/block.py).  Each dict is
+ * Events of a decoded frame (events/columnar.py); group_codes, an
+ * array('q') key column's codes (events/block.py); the column kernels,
+ * which return facts about a typed column and leave every decision and
+ * error message to Python: time_scan and code_scan (a frame's parse, the
+ * row slots, the order checks of runtime/reorder.py), late_scan
+ * (Lateness.offer_block's cuts), gather (EventBlock.select) -- none keeps
+ * scratch that grows with the rows; and memory_units, the close sweep's
+ * memory sample (runtime/close.py).  Each dict is
  * read and written in the order the Python reference does it, so insertion
  * order -- and the snapshot bytes -- match; each float operation is the
  * reference's, in its association, and -ffp-contract=off keeps the compiler
@@ -48,6 +54,7 @@
 static double powers[54];
 static unsigned long long settles = 0, settled_steps = 0;
 static PyObject *zero = NULL, *array_type = NULL, *typecode = NULL;
+static PyObject *templates[3]; /* array('d' / 'q' / 'I') of one 0 */
 
 /* ``total`` after ``steps`` (>= 0) Kleene rows, each ``total += prefix +
  * total``: the closed form when it lands below 2**53, else the iterated
@@ -105,9 +112,9 @@ typedef struct {
 /* A _DeferredKleene and a streaming _Group. */
 static layout counters = {NULL, 3, {"rows", "cells", "entries"}, {0}};
 enum { ROWS, CELLS, ENTRIES };
-static layout groups = {NULL, 6, {"engine", "metas", "fed", "last_arrival", "ops_reported",
-                                  "sort_key"}, {0}};
-enum { ENGINE, METAS, FED, ARRIVAL, REPORTED, SORT_KEY };
+static layout groups = {NULL, 7, {"engine", "metas", "fed", "last_arrival", "ops_reported",
+                                  "sort_key", "burst"}, {0}};
+enum { ENGINE, METAS, FED, ARRIVAL, REPORTED, SORT_KEY, BURST };
 
 static int
 bind(layout *of, PyTypeObject *type)
@@ -797,7 +804,8 @@ static PyObject *s_process_block_run, *s_frombytes, *s_segment_feeds, *s_eager, 
 static PyObject *s_latest_event, *s_unit, *s_layout, *s_armed, *s_deferred, *s_unsettled;
 static PyObject *s_end_maps, *s_evict_maps, *s_ops, *s_coeff_entries, *s_replica_entries;
 static PyObject *s_armed_entries, *s_by_layout, *s_sums_of, *s_copy, *s_next_close;
-static PyObject *s_peak_active;
+static PyObject *s_peak_active, *s_groups, *s_store, *s_scalar, *s_dimension, *s_memory_units;
+static PyObject *s_start, *s_step;
 
 static void
 unit_release(unit_walk *unit)
@@ -2256,6 +2264,469 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
+/* Column kernels: facts about a frame's typed columns                 */
+/* ------------------------------------------------------------------ */
+
+/* A new array('d' / 'q' / 'I') of ``count`` zeroed items, sized exactly,
+ * and its writable buffer in ``view``. */
+static PyObject *
+new_array(char code, Py_ssize_t count, Py_buffer *view)
+{
+    PyObject *made = PySequence_Repeat(templates[code == 'd' ? 0 : code == 'q' ? 1 : 2], count);
+    if (made != NULL && PyObject_GetBuffer(made, view, PyBUF_WRITABLE) < 0) {
+        Py_CLEAR(made);
+    }
+    return made;
+}
+
+/* ``source`` as a typed array of a typecode in ``codes`` holding at least
+ * ``stop`` items, with ``0 <= start <= stop``: 1; a list or another kind
+ * of column: 0 (nothing held). */
+static int
+typed_open(column *of, PyObject *source, Py_ssize_t start, Py_ssize_t stop, const char *codes)
+{
+    of->list = NULL;
+    of->view.obj = NULL;
+    if (!PyObject_CheckBuffer(source)) {
+        return 0;
+    }
+    if (PyObject_GetBuffer(source, &of->view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0) {
+        return -1;
+    }
+    const char *format = of->view.format;
+    of->format = format != NULL && format[0] != '\0' && format[1] == '\0' ? format[0] : 0;
+    if (of->format == 0 || strchr(codes, of->format) == NULL
+        || of->view.itemsize != (of->format == 'I' ? 4 : 8)) {
+        column_close(of);
+        return 0;
+    }
+    if (start < 0 || start > stop || of->view.len / of->view.itemsize < stop) {
+        column_close(of);
+        PyErr_SetString(PyExc_ValueError, "fold core: a row range outside its column");
+        return -1;
+    }
+    return 1;
+}
+
+/* ``list.append(value)`` for an index. */
+static int
+append_index(PyObject *list, Py_ssize_t value)
+{
+    PyObject *boxed = PyLong_FromSsize_t(value);
+    int status = boxed == NULL ? -1 : PyList_Append(list, boxed);
+    Py_XDECREF(boxed);
+    return status;
+}
+
+/* Facts about ``times[start:stop]``, an array('d') or array('q'): (the
+ * first row of its least value, NaN aside; the first row of a NaN or an
+ * infinity; the first row not at or above the row before it) -- each -1
+ * if none; or None for a list.  An int64 is compared as one. */
+static PyObject *
+time_scan(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *source;
+    Py_ssize_t start, stop, low = -1, bad = -1, descent = -1;
+    column of;
+    if (!PyArg_ParseTuple(args, "Onn:time_scan", &source, &start, &stop)) {
+        return NULL;
+    }
+    int typed = typed_open(&of, source, start, stop, "dq");
+    if (typed <= 0) {
+        return typed < 0 ? NULL : Py_NewRef(Py_None);
+    }
+    if (of.format == 'd') {
+        const double *at = of.view.buf;
+        for (Py_ssize_t row = start; row < stop; row++) {
+            double value = at[row];
+            if (bad < 0 && !isfinite(value)) {
+                bad = row;
+            }
+            if (descent < 0 && row > start && !(at[row - 1] <= value)) {
+                descent = row;
+            }
+            if (value == value && (low < 0 || value < at[low])) {
+                low = row;
+            }
+        }
+    }
+    else {
+        const long long *at = of.view.buf;
+        for (Py_ssize_t row = start; row < stop; row++) {
+            if (descent < 0 && row > start && at[row - 1] > at[row]) {
+                descent = row;
+            }
+            if (low < 0 || at[row] < at[low]) {
+                low = row;
+            }
+        }
+    }
+    column_close(&of);
+    return Py_BuildValue("nnn", low, bad, descent);
+}
+
+/* One pass over an array('I') of codes into a table of ``table`` entries:
+ * (the highest code, -1 if none; with ``slots``, each code's row count --
+ * a list -- and each row's rank among its code's rows -- an array('I') --
+ * else None twice).  A code past the table counts toward the highest only. */
+static PyObject *
+code_scan(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *source, *occupancy = NULL, *ranks = NULL, *result = NULL;
+    Py_ssize_t table, *seen = NULL;
+    int slots;
+    column of;
+    Py_buffer out = {.obj = NULL};
+    if (!PyArg_ParseTuple(args, "Onp:code_scan", &source, &table, &slots)) {
+        return NULL;
+    }
+    if (table < 0 || typed_open(&of, source, 0, 0, "I") <= 0) {
+        if (!PyErr_Occurred()) {
+            PyErr_SetString(PyExc_TypeError, "code_scan: the codes must be array('I')");
+        }
+        return NULL;
+    }
+    Py_ssize_t count = of.view.len / 4;
+    const unsigned int *codes = of.view.buf;
+    long long highest = -1;
+    if (!slots) {
+        for (Py_ssize_t row = 0; row < count; row++) {
+            highest = codes[row] > highest ? codes[row] : highest;
+        }
+        result = Py_BuildValue("LOO", highest, Py_None, Py_None);
+        goto done;
+    }
+    if ((seen = PyMem_Calloc(table + 1, sizeof(Py_ssize_t))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((ranks = new_array('I', count, &out)) == NULL) {
+        goto done;
+    }
+    unsigned int *rank = out.buf;
+    for (Py_ssize_t row = 0; row < count; row++) {
+        unsigned int code = codes[row];
+        highest = code > highest ? code : highest;
+        if (code < table) {
+            rank[row] = (unsigned int)seen[code]++;
+        }
+    }
+    if ((occupancy = PyList_New(table)) == NULL) {
+        goto done;
+    }
+    for (Py_ssize_t code = 0; code < table; code++) {
+        PyObject *rows = PyLong_FromSsize_t(seen[code]);
+        if (rows == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(occupancy, code, rows);
+    }
+    result = Py_BuildValue("LOO", highest, occupancy, ranks);
+done:
+    if (out.obj != NULL) {
+        PyBuffer_Release(&out);
+    }
+    column_close(&of);
+    PyMem_Free(seen);
+    Py_XDECREF(occupancy);
+    Py_XDECREF(ranks);
+    return result;
+}
+
+/* EventBlock.select's gather: per column -- each an array('d' / 'q' /
+ * 'I') -- a new array of its typecode holding ``column[base + i]`` for
+ * each ``i`` of ``indices`` (a list, tuple or range of ints); or, at the
+ * first index outside ``[0, length)``, that index's position in
+ * ``indices``; or None for an index that is no int. */
+static PyObject *
+gather(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *indices, *sources, *result = NULL, *made = NULL;
+    Py_ssize_t base, length, count, first = 0, step = 1, width, opened = 0, filled = 0;
+    if (!PyArg_ParseTuple(args, "OnnO!:gather", &indices, &base, &length, &PyList_Type,
+                          &sources)) {
+        return NULL;
+    }
+    PyObject **items = NULL;
+    if (PyList_CheckExact(indices) || PyTuple_CheckExact(indices)) {
+        count = PySequence_Fast_GET_SIZE(indices);
+        items = PySequence_Fast_ITEMS(indices);
+    }
+    else if (PyRange_Check(indices)) {
+        PyObject *low = PyObject_GetAttr(indices, s_start);
+        PyObject *stride = low == NULL ? NULL : PyObject_GetAttr(indices, s_step);
+        first = low == NULL ? -1 : PyLong_AsSsize_t(low);
+        step = stride == NULL ? -1 : PyLong_AsSsize_t(stride);
+        Py_XDECREF(low);
+        Py_XDECREF(stride);
+        count = PyErr_Occurred() ? -1 : PyObject_Size(indices);
+        if (count < 0) {
+            return NULL;
+        }
+    }
+    else {
+        PyErr_SetString(PyExc_TypeError, "gather: indices must be a list, tuple or range");
+        return NULL;
+    }
+    if (base < 0 || length < 0) {
+        PyErr_SetString(PyExc_ValueError, "gather: a negative row range");
+        return NULL;
+    }
+    width = PyList_GET_SIZE(sources);
+    column *in = PyMem_Calloc(width + 1, sizeof(column));
+    Py_buffer *out = PyMem_Calloc(width + 1, sizeof(Py_buffer));
+    if (in == NULL || out == NULL || (made = PyList_New(width)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (; opened < width; opened++) {
+        int typed = typed_open(&in[opened], PyList_GET_ITEM(sources, opened), 0, base + length,
+                               "dqI");
+        if (typed <= 0) {
+            if (typed == 0) {
+                PyErr_SetString(PyExc_TypeError, "gather: a column must be array('d'/'q'/'I')");
+            }
+            goto done;
+        }
+    }
+    for (; filled < width; filled++) {
+        PyObject *array = new_array(in[filled].format, count, &out[filled]);
+        if (array == NULL) {
+            goto done;
+        }
+        PyList_SET_ITEM(made, filled, array);
+    }
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_ssize_t index = first + i * step;
+        if (items != NULL) {
+            if (!PyLong_Check(items[i])) {
+                result = Py_NewRef(Py_None);
+                goto done;
+            }
+            int overflow;
+            long long wide = PyLong_AsLongLongAndOverflow(items[i], &overflow);
+            index = overflow || wide < 0 || wide >= length ? -1 : (Py_ssize_t)wide;
+        }
+        if (index < 0 || index >= length) {
+            result = PyLong_FromSsize_t(i);
+            goto done;
+        }
+        for (Py_ssize_t c = 0; c < width; c++) {
+            const char *from = in[c].view.buf;
+            char *to = out[c].buf;
+            if (in[c].format == 'I') {
+                ((unsigned int *)to)[i] = ((const unsigned int *)from)[base + index];
+            }
+            else {
+                memcpy(to + 8 * i, from + 8 * (base + index), 8);
+            }
+        }
+    }
+    result = Py_NewRef(made);
+done:
+    for (Py_ssize_t c = 0; c < opened; c++) {
+        column_close(&in[c]);
+    }
+    for (Py_ssize_t c = 0; c < filled; c++) {
+        PyBuffer_Release(&out[c]);
+    }
+    PyMem_Free(in);
+    PyMem_Free(out);
+    Py_XDECREF(made);
+    return result;
+}
+
+/* ``value < bound``, exactly, for an int64 against a double. */
+static int
+below(long long value, double bound)
+{
+    if (bound != bound || bound < -9223372036854775808.0) {
+        return 0;
+    }
+    double up = ceil(bound);
+    return up >= 9223372036854775808.0 || value < (long long)up;
+}
+
+/* Lateness.offer_block's scan of ``times[start:stop]``, rows in any
+ * order, against a reorder buffer's newest time and horizon: (the first
+ * row of a NaN or an infinity, or -1; the late rows -- each strictly behind
+ * the newest time before it minus the horizon; at each late row and at the
+ * end, the row of the newest time so far, or -1 while that is ``newest``),
+ * rows relative to ``start``.  None for a list, and where the reference's
+ * arithmetic is not the double or int64 one used here: an array('d')
+ * against an int newest time or a horizon past 2**53, an array('q')
+ * against a float newest time other than -inf. */
+static PyObject *
+late_scan(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *source, *newest, *horizon, *late = NULL, *tops = NULL, *result = NULL;
+    Py_ssize_t start, stop, bad = -1, top = -1;
+    column of;
+    if (!PyArg_ParseTuple(args, "OnnOO:late_scan", &source, &start, &stop, &newest, &horizon)) {
+        return NULL;
+    }
+    int typed = typed_open(&of, source, start, stop, "dq");
+    if (typed <= 0) {
+        return typed < 0 ? NULL : Py_NewRef(Py_None);
+    }
+    /* A float horizon, or an int one as ``whole``; the newest time as a
+     * double, or as an int64 (``none``: still -inf). */
+    int real = PyFloat_CheckExact(horizon), overflow = 0;
+    long long whole = 0, floor_q = 0;
+    double lateness = real ? PyFloat_AS_DOUBLE(horizon) : 0.0;
+    double floor_d = PyFloat_CheckExact(newest) ? PyFloat_AS_DOUBLE(newest) : 0.0;
+    int none = PyFloat_CheckExact(newest) && floor_d == -INFINITY;
+    if (!real && PyLong_CheckExact(horizon)) {
+        whole = PyLong_AsLongLongAndOverflow(horizon, &overflow);
+    }
+    int usable = real || (PyLong_CheckExact(horizon) && !overflow && whole >= 0);
+    if (of.format == 'd') {
+        usable = usable && PyFloat_CheckExact(newest) && (real || whole <= (1LL << 53));
+        lateness = real ? lateness : (double)whole;
+    }
+    else if (!none) {
+        usable = usable && PyLong_CheckExact(newest);
+        floor_q = usable ? PyLong_AsLongLongAndOverflow(newest, &overflow) : 0;
+        usable = usable && !overflow;
+    }
+    if (!usable) {
+        column_close(&of);
+        return Py_NewRef(Py_None);
+    }
+    if ((late = PyList_New(0)) == NULL || (tops = PyList_New(0)) == NULL) {
+        goto done;
+    }
+    lateness = PyFloat_CheckExact(horizon) ? lateness : (double)whole;
+    for (Py_ssize_t row = start; row < stop; row++) {
+        int behind;
+        if (of.format == 'd') {
+            double time = ((const double *)of.view.buf)[row];
+            if (!isfinite(time)) {
+                bad = row - start;
+                break;
+            }
+            behind = !(time > floor_d) && time < floor_d - lateness;
+            if (time > floor_d) {
+                floor_d = time;
+                top = row - start;
+            }
+        }
+        else {
+            long long time = ((const long long *)of.view.buf)[row];
+            behind = !none && !(time > floor_q)
+                     && (real ? below(time, (double)floor_q - lateness)
+                             : (unsigned long long)floor_q - (unsigned long long)time
+                                   > (unsigned long long)whole);
+            if (none || time > floor_q) {
+                floor_q = time;
+                none = 0;
+                top = row - start;
+            }
+        }
+        if (behind && (append_index(late, row - start) < 0 || append_index(tops, top) < 0)) {
+            goto done;
+        }
+    }
+    if (append_index(tops, top) == 0) {
+        result = Py_BuildValue("nOO", bad, late, tops);
+    }
+done:
+    column_close(&of);
+    Py_XDECREF(late);
+    Py_XDECREF(tops);
+    return result;
+}
+
+/* A store-free MultiWindowLinearEngine's memory_units(), off its counters
+ * and its unit compilation (``*per_entry`` cached for ``*compiled``): 1;
+ * an engine with an event store: 0. */
+static int
+linear_units(PyObject *engine, PyObject **compiled, long long *per_entry, long long *out)
+{
+    PyObject *store = PyObject_GetAttr(engine, s_store);
+    if (store == NULL || store != Py_None) {
+        Py_XDECREF(store);
+        return store == NULL ? -1 : 0;
+    }
+    Py_DECREF(store);
+    PyObject *unit = PyObject_GetAttr(engine, s_unit);
+    if (unit == NULL) {
+        return -1;
+    }
+    if (unit != *compiled) {
+        PyObject *scalar = PyObject_GetAttr(unit, s_scalar);
+        int is_scalar = scalar == NULL ? -1 : PyObject_IsTrue(scalar);
+        Py_XDECREF(scalar);
+        long long dimension = 0;
+        if (is_scalar < 0 || (!is_scalar && get_long(unit, s_dimension, &dimension) < 0)) {
+            Py_DECREF(unit);
+            return -1;
+        }
+        *per_entry = is_scalar ? 1 : 1 + dimension;
+        *compiled = unit;
+    }
+    Py_DECREF(unit); /* (the engine holds it: the cache compares identity only) */
+    long long coeff, replica, armed;
+    if (get_long(engine, s_coeff_entries, &coeff) < 0
+        || get_long(engine, s_replica_entries, &replica) < 0
+        || get_long(engine, s_armed_entries, &armed) < 0) {
+        return -1;
+    }
+    *out = (coeff + replica) * *per_entry + armed;
+    return 1;
+}
+
+/* CloseStage.open_memory_units over ``units`` (each with a ``groups``
+ * dict of _Groups): per group its buffered burst plus its engine's
+ * memory_units(), read off the counters of an engine of exactly the type
+ * ``linear`` with no event store, else by the engine's own method. */
+static PyObject *
+memory_units(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *units, *linear, *compiled = NULL;
+    long long total = 0, per_entry = 1;
+    if (!PyArg_ParseTuple(args, "O!O!:memory_units", &PyList_Type, &units, &PyType_Type,
+                          &linear)) {
+        return NULL;
+    }
+    for (Py_ssize_t index = 0; index < PyList_GET_SIZE(units); index++) {
+        PyObject *groups_map = PyObject_GetAttr(PyList_GET_ITEM(units, index), s_groups);
+        if (groups_map == NULL || !PyDict_Check(groups_map)) {
+            if (groups_map != NULL) {
+                PyErr_SetString(PyExc_TypeError, "memory_units: a unit's groups must be a dict");
+            }
+            Py_XDECREF(groups_map);
+            return NULL;
+        }
+        Py_ssize_t at = 0;
+        PyObject *key, *group;
+        while (PyDict_Next(groups_map, &at, &key, &group)) {
+            PyObject **engine = member(&groups, group, ENGINE);
+            PyObject **burst = engine == NULL ? NULL : member(&groups, group, BURST);
+            Py_ssize_t buffered = burst == NULL ? -1 : PyObject_Size(*burst);
+            long long units_of = 0;
+            int read = buffered < 0 ? -1 : 0;
+            if (read == 0 && Py_TYPE(*engine) == (PyTypeObject *)linear) {
+                read = linear_units(*engine, &compiled, &per_entry, &units_of);
+            }
+            if (read == 0) {
+                PyObject *own = PyObject_CallMethodNoArgs(*engine, s_memory_units);
+                units_of = own == NULL ? -1 : PyLong_AsLongLong(own);
+                Py_XDECREF(own);
+                read = units_of == -1 && PyErr_Occurred() ? -1 : 1;
+            }
+            if (read < 0) {
+                Py_DECREF(groups_map);
+                return NULL;
+            }
+            total += units_of + buffered;
+        }
+        Py_DECREF(groups_map);
+    }
+    return PyLong_FromLongLong(total);
+}
+
+/* ------------------------------------------------------------------ */
 /* fold_run                                                            */
 /* ------------------------------------------------------------------ */
 
@@ -2589,6 +3060,20 @@ static PyMethodDef methods[] = {
     {"group_codes", group_codes, METH_O,
      "group_codes(column) -> (table, codes) of one array('q') key column"
      " (see events/block.py)"},
+    {"time_scan", time_scan, METH_VARARGS,
+     "time_scan(times, start, stop) -> (row of the least, of the first non-finite, of the first"
+     " descent; -1: none) of a typed time column, or None (see runtime/reorder.py)"},
+    {"code_scan", code_scan, METH_VARARGS,
+     "code_scan(codes, table, slots) -> (highest code, rows per code, row slots)"
+     " (see events/columnar.py)"},
+    {"gather", gather, METH_VARARGS,
+     "gather(indices, base, length, columns) -> the typed columns gathered, or the position of"
+     " the first index out of range, or None (see events/block.py)"},
+    {"late_scan", late_scan, METH_VARARGS,
+     "late_scan(times, start, stop, newest, lateness) -> (first non-finite row, late rows,"
+     " newest rows), or None (see runtime/reorder.py)"},
+    {"memory_units", memory_units, METH_VARARGS,
+     "memory_units(units, linear engine type) -> CloseStage.open_memory_units"},
     {"cover_counts", cover_counts, METH_NOARGS,
      "cover_counts() -> (rows walked, rows handed back to open a group)"},
     {"run_counts", run_counts, METH_NOARGS, "run_counts() -> (runs, rows) fold_run folded so far"},
@@ -2624,6 +3109,12 @@ PyInit__foldcore(void)
     if (array_type == NULL || typecode == NULL || zero == NULL) {
         return NULL;
     }
+    for (int which = 0; which < 3; which++) {
+        templates[which] = PyObject_CallFunction(array_type, "s(i)", (char[]){"dqI"[which], 0}, 0);
+        if (templates[which] == NULL) {
+            return NULL;
+        }
+    }
     struct { PyObject **name; const char *text; } names[] = {
         {&s_process_block_run, "process_block_run"}, {&s_frombytes, "frombytes"},
         {&s_segment_feeds, "_segment_feeds"}, {&s_eager, "_eager"}, {&s_columns, "_columns"},
@@ -2634,6 +3125,9 @@ PyInit__foldcore(void)
         {&s_replica_entries, "_replica_entries"}, {&s_armed_entries, "_armed_entries"},
         {&s_by_layout, "_by_layout"}, {&s_sums_of, "sums_of"}, {&s_copy, "__copy__"},
         {&s_next_close, "next_close"}, {&s_peak_active, "peak_active_windows"},
+        {&s_groups, "groups"}, {&s_store, "_store"}, {&s_scalar, "scalar"},
+        {&s_dimension, "dimension"}, {&s_memory_units, "memory_units"}, {&s_start, "start"},
+        {&s_step, "step"},
     };
     for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         if ((*names[i].name = PyUnicode_InternFromString(names[i].text)) == NULL) {

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.runtime import foldcore
 from repro.runtime.executor import recombined_partitions
 from repro.runtime.results import RunningTotals, WindowResult, WindowValues, window_row
+from repro.runtime.shared_windows import MultiWindowLinearEngine
 
 if TYPE_CHECKING:
     from repro.runtime.metrics import ExecutionMetrics
@@ -107,11 +108,15 @@ class CloseStage:
         A pending burst is live state too (one unit per buffered event, like
         the engines' stored events); sampling happens just before close
         sweeps — the buffer's high-water mark — so the cross-plan memory
-        comparison stays honest.
+        comparison stays honest.  One fold-core loop where it is loaded
+        (``_foldcore.memory_units``); the sum is its reference.
         """
+        units = self._executor()._units
+        if foldcore.core is not None:
+            return foldcore.core.memory_units(units, MultiWindowLinearEngine)
         return sum(
             group.engine.memory_units() + len(group.burst)
-            for unit in self._executor()._units
+            for unit in units
             for group in unit.groups.values()
         )
 

@@ -6,12 +6,17 @@ for a unit whose classes all fold deferred (scalar ``SEQ(P, K+)``), the run
 fold of every other class, scalar or vector, split columns included
 (``_fold_run``: eager classes, the optimizer's runs, the per-event fast
 path), the readout of a scalar unit with no split columns and no event
-store, and the close sweep of such a unit (:mod:`repro.runtime.close`); and
+store, and the close sweep of such a unit (:mod:`repro.runtime.close`);
 the Cover stage's walk (:mod:`repro.runtime.cover`), which folds a deferred
-unit's segments itself.  The Python loops
-(for runs, :class:`~repro.core.kernels.PythonKernelBackend`) stay the
-*reference*, taken where :data:`core` is ``None`` or its shape does not
-apply: bit for bit the same state either way.  Tests select the reference
+unit's segments itself; and the column kernels, which answer a typed
+column's per-row questions in place and leave every decision to Python: a
+frame's least time, highest codes, shape rows and row slots
+(:mod:`repro.events.columnar`), the order and lateness scans
+(:mod:`repro.runtime.reorder`), ``EventBlock.select``'s gather and the
+close sweep's memory sample.  The Python loops (for runs,
+:class:`~repro.core.kernels.PythonKernelBackend`) stay the *reference*,
+taken where :data:`core` is ``None`` or its shape does not apply: bit for
+bit the same state either way.  Tests select the reference
 with ``foldcore.core = None``; nothing else does.
 
 The core is built at first import with the C compiler ``cc`` and cached

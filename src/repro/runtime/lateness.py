@@ -47,7 +47,6 @@ from repro.events.event import Event
 from repro.runtime.reorder import (
     Release,
     ReorderBuffer,
-    ensure_finite_times,
     late_event_error,
     non_finite_time_error,
 )
@@ -186,20 +185,19 @@ class Lateness:
         ``side_output`` / ``retract`` becomes an :class:`Event`.
         """
         buffer = self.buffer
-        count = len(block)
-        times = block.times[block.start : block.stop]
-        ensure_finite_times(times)
+        count, base, times = len(block), block.start, block.times
+        late, newest = buffer.late_cuts(times, base, block.stop)
         cursor = 0
-        for index in (*buffer.late_rows(times), count):
+        for index, top in zip((*late, count), newest):
             if index > cursor:
                 buffer.add_segment(block.slice(cursor, index))
-                buffer.observe(max(times[cursor:index]))
+                buffer.observe(top)
                 self._drain(core, buffer.release_ready())
             if index < count:
                 self._late(
                     core,
-                    times[index],
-                    block.sequences[block.start + index],
+                    times[base + index],
+                    block.sequences[base + index],
                     lambda: block.event_at(index),
                 )
             cursor = index + 1

@@ -15,6 +15,9 @@ since the last one, not the horizon's population.  A release hands back
 
 It is also the one sanctioned home (with :mod:`repro.events.stream`) of raw
 "cursor versus event time" order comparisons (RL011): the ``ensure_*`` guards.
+A typed time column is scanned in place by the fold core's column kernels
+(``_foldcore.time_scan`` / ``late_scan``) where it is loaded; the Python
+passes here are their reference and name every culprit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Optional, Sequence, Union
 from repro.errors import ExecutionError, OutOfOrderError
 from repro.events.block import EventBlock
 from repro.optimizer.registry import resolve_optimizer_factory
+from repro.runtime import foldcore
 
 __all__ = [
     "LATE_POLICIES", "ReorderBuffer", "ensure_block_in_order", "ensure_in_order",
@@ -108,7 +112,8 @@ def _regression_error(time, clock, what: str) -> OutOfOrderError:
 def ensure_finite_times(times: Sequence, *, what: str = "streaming executor") -> None:
     """Reject a time column holding a NaN or an infinity, naming the value:
     one C-speed ``sum`` (huge finite times may overflow it: the walk then
-    names nothing)."""
+    names nothing).  The reference of the fold core's scans (``time_scan``,
+    ``late_scan``), which flag a typed column's culprit in place."""
     if not isfinite(sum(times)):
         for value in times:
             if not isfinite(value):
@@ -117,7 +122,8 @@ def ensure_finite_times(times: Sequence, *, what: str = "streaming executor") ->
 
 def ascending(column: Sequence) -> bool:
     """Whether ``column`` never decreases: one C-speed pairwise pass, typed
-    ``array`` or list (``sorted(column) == column`` is never true for one)."""
+    ``array`` or list (``sorted(column) == column`` is never true for one);
+    the reference of the fold core's ``time_scan`` descent, used in place."""
     return all(map(le, column, islice(column, 1, None)))
 
 
@@ -135,6 +141,10 @@ def ensure_block_in_order(
 ):
     """:func:`ensure_in_order` over ``times[start:stop]`` with an
     advancing clock, in one pass; returns the new clock."""
+    core = foldcore.core  # a typed column is scanned in place; the passes name a culprit
+    facts = None if core is None else core.time_scan(times, start, stop)
+    if facts is not None and facts[1:] == (-1, -1) and not (start < stop and times[start] < clock):
+        return times[stop - 1] if start < stop else clock
     window = times[start:stop]
     ensure_finite_times(window, what=what)
     # The in-order probe runs at C speed; the walk only names the culprit.
@@ -204,9 +214,14 @@ def sort_by_key(entries: list) -> None:
 def _in_key_order(block: EventBlock) -> EventBlock:
     """``block`` in key order: itself when both columns already ascend,
     else the two passes of :func:`sort_by_key` as an argsort, one gather."""
+    core, start, stop = foldcore.core, block.start, block.stop
+    scans = [None if core is None else core.time_scan(column, start, stop)
+             for column in (block.times, block.sequences)]
+    if None not in scans and scans[0][2] < 0 and scans[1][2] < 0:
+        return block
     times = block.times[block.start : block.stop]
     sequences = block.sequences[block.start : block.stop]
-    if ascending(times) and ascending(sequences):
+    if None in scans and ascending(times) and ascending(sequences):
         return block
     order = sorted(range(len(times)), key=sequences.__getitem__)
     order.sort(key=times.__getitem__)
@@ -282,6 +297,20 @@ class ReorderBuffer:
             elif time < bound:
                 late.append(index)
         return late
+
+    def late_cuts(self, times: Sequence, start: int, stop: int) -> tuple[list[int], list]:
+        """:meth:`late_rows` of ``times[start:stop]`` (a NaN or infinity
+        refused first) and the newest time to :meth:`observe` at each and at
+        the end: the fold core's one scan in place, else these passes."""
+        core, newest, lateness = foldcore.core, self._max_time, self.allowed_lateness
+        facts = None if core is None else core.late_scan(times, start, stop, newest, lateness)
+        if facts is not None and facts[0] < 0:
+            return facts[1], [-inf if top < 0 else times[start + top] for top in facts[2]]
+        window = times[start:stop]
+        ensure_finite_times(window)
+        late = self.late_rows(window)
+        cuts = zip((0, *(index + 1 for index in late)), (*late, len(window)))
+        return late, [max(window[low:high], default=-inf) for low, high in cuts]
 
     def add(self, time, sequence: int, item) -> None:
         """Buffer one item under key ``(time, sequence)``."""

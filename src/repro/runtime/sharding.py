@@ -788,14 +788,14 @@ class ShardedStreamingExecutor:
     def _frame(self, shard: _WorkerShard, block: EventBlock) -> tuple[int, bytes]:
         """Encode one shard batch and enter it in the books: batch count,
         next seq and — with recovery on — the replay buffer, whose frame
-        bytes a recovery re-ships through :meth:`_send` like any batch.
-        """
+        bytes a recovery re-ships through :meth:`_send` like any batch (the
+        acks are read before the encode: the frames they cover go first)."""
         shard.batches += 1
-        payload = block.to_bytes()
-        shard.seq += 1
-        seq = shard.seq
         if self._recovery is not None:
             self._wait_replay_capacity(shard)
+        payload = block.to_bytes()
+        seq = shard.seq = shard.seq + 1
+        if self._recovery is not None:
             shard.replay.append((seq, payload, len(block)))
         return seq, payload
 

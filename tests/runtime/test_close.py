@@ -30,7 +30,7 @@ from repro.bench.workloads import kleene_sharing_workload
 from repro.datasets import RidesharingGenerator
 from repro.events import Event
 from repro.events.block import EventBlock
-from repro.query import Query, Window, kleene, seq
+from repro.query import Query, Window, kleene, parse_pattern, seq
 from repro.runtime import StreamingExecutor, foldcore, group_sort_key, streaming
 from repro.runtime.close import CloseStage
 from tests.runtime.test_foldcore import (
@@ -39,8 +39,10 @@ from tests.runtime.test_foldcore import (
     deferred_workload,
     fold,
     late_arrivals,
+    mixed_workload,
     needs_core,
     stream,
+    vector_workload,
 )
 
 #: A sweep that leaves a passed window open sweeps again forever: fail instead.
@@ -332,6 +334,48 @@ def test_a_pass_reads_the_clock_once_per_closed_window_and_per_ingest_call(core,
     assert report.metrics.partitions > 20
     assert clock.reads - before == report.metrics.partitions + stamps + 1
     assert (report.metrics.total_seconds, report.metrics.max_latency) == (0.0, 0.0)
+
+
+def negation_workload(window: Window) -> list[Query]:
+    """A NOT class: its engines keep an event store."""
+    return [
+        Query.build(parse_pattern("SEQ(A, NOT X, B+)"), group_by=("g",), window=window,
+                    name="fc_not"),
+        *deferred_workload(window),
+    ]
+
+
+@needs_core
+@pytest.mark.parametrize(
+    "workload, options",
+    [
+        (deferred_workload, {}),
+        (mixed_workload, {}),
+        (vector_workload, {}),
+        (negation_workload, {}),
+        (deferred_workload, {"shared_windows": False}),
+        (vector_workload, {"optimizer": "dynamic"}),
+    ],
+    ids=("deferred", "mixed", "vector", "store", "per-instance", "dynamic-bursts"),
+)
+def test_the_core_samples_the_reference_memory_units(workload, options):
+    # ``open_memory_units`` is one core loop over the live groups; the
+    # Python sum is its reference, on the same state at every step.
+    events = stream(5, 400, groups=4)
+    peaks = []
+    for core in (foldcore.core, None):
+        with fold(core):
+            executor = StreamingExecutor(
+                workload(Window(6.0, 2.0)), on_window=lambda result: None, **options
+            )
+            for start in range(0, len(events), 37):
+                executor.process_block(EventBlock.from_events(events[start : start + 37]))
+                executor.active_window_count()  # (folds what is staged)
+                sampled = executor._close.open_memory_units()
+                with fold(None):
+                    assert executor._close.open_memory_units() == sampled
+            peaks.append(executor.finish().metrics.peak_memory_units)
+    assert peaks[0] == peaks[1] > 0
 
 
 def test_window_result_replaces_and_pickles():

@@ -1,4 +1,4 @@
-"""Line-budget ratchet for the big runtime modules and the design doc.
+"""Line-budget ratchet for the big runtime and events modules and the design doc.
 
 ROADMAP item 2: every perf PR of the last round grew them.  The ceilings
 are each module's length after the PR that last shrank it; a PR may not
@@ -19,16 +19,16 @@ RUNTIME = ROOT / "src" / "repro" / "runtime"
 #: module -> ``wc -l`` ceiling.
 CEILINGS = {
     "streaming.py": 1071,
-    "lateness.py": 320,
+    "lateness.py": 318,
     "sharding.py": 1117,
     "routing.py": 305,
     "shared_windows.py": 1213,
-    "foldcore.py": 167,
-    "_foldcore.c": 2651,
+    "foldcore.py": 172,
+    "_foldcore.c": 3145,
     "cover.py": 287,
-    "close.py": 256,
+    "close.py": 261,
     "results.py": 198,
-    "reorder.py": 400,
+    "reorder.py": 429,
     "executor.py": 325,
 }
 
@@ -38,6 +38,23 @@ def test_module_stays_within_its_line_budget(module):
     lines = (RUNTIME / module).read_text().count("\n")
     assert lines <= CEILINGS[module], (
         f"{module} has {lines} lines, over its ceiling of {CEILINGS[module]}: "
+        "lower the number when a module shrinks; raising it needs a sentence "
+        "in CHANGES.md saying what the lines buy"
+    )
+
+
+#: ``src/repro/events`` module -> ``wc -l`` ceiling (the block and its codec).
+EVENT_CEILINGS = {
+    "columnar.py": 503,
+    "block.py": 806,
+}
+
+
+@pytest.mark.parametrize("module", sorted(EVENT_CEILINGS))
+def test_events_module_stays_within_its_line_budget(module):
+    lines = (ROOT / "src" / "repro" / "events" / module).read_text().count("\n")
+    assert lines <= EVENT_CEILINGS[module], (
+        f"events/{module} has {lines} lines, over its ceiling of {EVENT_CEILINGS[module]}: "
         "lower the number when a module shrinks; raising it needs a sentence "
         "in CHANGES.md saying what the lines buy"
     )
