@@ -27,7 +27,7 @@ must be indexed with absolute positions from :attr:`start` to :attr:`stop`.
 
 Type preservation matches the codec contract pinned by the codec fuzz
 suite: a built block stores the original Python objects in lists (the dtype
-selection of :func:`repro.events.columnar._encode_column` happens only when
+selection of :func:`repro.events.columnar._column_parts` happens only when
 a block is serialized), a decoded one the typed arrays whose elements read
 back as the same types, so ``type(value)``, ``time`` and ``sequence``
 survive a round-trip bit-identically and payload key order is never sorted.
@@ -77,23 +77,39 @@ def _gather(
     return list(take(column))
 
 
-def _gather_columns(
-    core: Any, columns: Sequence[Sequence[Any]], indices: Sequence[int], base: int, length: int
-) -> Optional[list[Sequence[Any]]]:
-    """``columns`` gathered at ``base + i`` for each ``i`` of ``indices``:
-    the typed arrays in the fold core (``_foldcore.gather``, which checks
-    every index against ``length`` in the same pass), the rest through
-    :func:`_gather`; ``None`` for an index that is no int."""
-    typed = [isinstance(column, array) and column.typecode in "dqI" for column in columns]
-    got: Union[int, None, list[Sequence[Any]]] = core.gather(
-        indices, base, length, list(compress(columns, typed))
-    )
-    if isinstance(got, int):
-        raise IndexError(f"block index {indices[got]} out of range for {length} rows")
-    if got is None or all(typed):
-        return got
-    take, arrays = _taker(list(map(base.__add__, indices)) if base else indices), iter(got)
-    return [next(arrays) if kind else _gather(column, take) for kind, column in zip(typed, columns)]
+def _gatherer(
+    indices: Sequence[int], base: int, length: int
+) -> Callable[[Sequence[Sequence[Any]]], list[Sequence[Any]]]:
+    """``columns -> [column[base + i] for each i of indices]``, each of its
+    column's own kind, every index checked against ``length`` by the first
+    call: the fold core's typed gather (``_foldcore.gather``, which checks in
+    the same pass) of the ``array('d'/'q'/'I')`` columns where it is loaded,
+    one :func:`_taker` pass for the rest (built on first use, after a
+    Python bounds check unless the core made one)."""
+    core, checked = columnar._fold_core(), False
+    take: list[Callable[[Sequence[Any]], tuple[Any, ...]]] = []  # the taker, once built
+
+    def gather(columns: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+        nonlocal core, checked
+        typed = [core is not None and isinstance(c, array) and c.typecode in "dqI" for c in columns]
+        arrays: Any = []
+        if any(typed):
+            arrays = core.gather(indices, base, length, list(compress(columns, typed)))
+            if isinstance(arrays, int):
+                raise IndexError(f"block index {indices[arrays]} out of range for {length} rows")
+            if arrays is None:  # an index that is no int: the Python pass words its error
+                core, typed, arrays = None, [False] * len(typed), []
+            checked = checked or core is not None
+        if not take and not all(typed):
+            ends = (indices[0], indices[-1]) if isinstance(indices, range) and indices else indices
+            if not checked and indices and not (0 <= min(ends) and max(ends) < length):
+                index = next(index for index in indices if not 0 <= index < length)
+                raise IndexError(f"block index {index} out of range for {length} rows")
+            take.append(_taker(list(map(base.__add__, indices)) if base else indices))
+        made = iter(arrays)
+        return [next(made) if t else _gather(column, take[0]) for t, column in zip(typed, columns)]
+
+    return gather
 
 
 def _span(column: Any, low: int, high: int) -> Any:
@@ -452,77 +468,41 @@ class EventBlock:
         """Gather block-relative ``indices`` into a new compact block.
 
         The interned tables are shared; every column is gathered in one
-        C-level pass (:func:`operator.itemgetter`) — the row columns once,
-        the value columns once per payload shape — so the per-row Python
-        work is integer bookkeeping only, and a typed column gathers into
-        a typed column.  This is what the sharded router ships and what
-        the reorder buffer sorts and merges with.
+        C-level pass (:func:`_gatherer`: the fold core's typed gather, or
+        :func:`operator.itemgetter`) — the row columns once, the value
+        columns once per payload shape — so the per-row Python work is
+        integer bookkeeping only, and a typed column gathers into a typed
+        column.  This is what the sharded router ships and what the reorder
+        buffer sorts and merges with.
         """
         if not isinstance(indices, (list, tuple, range)):
             indices = list(indices)
-        length = self._stop - self._start
-        core = columnar._fold_core()
-        selected = None if core is None else self._select_typed(core, indices, length)
-        if selected is not None:
-            return selected
-        if indices and not (0 <= min(indices) and max(indices) < length):
-            index = next(index for index in indices if not 0 <= index < length)
-            raise IndexError(f"block index {index} out of range for {length} rows")
-        base = self._start
-        positions: Sequence[int] = (
-            list(map(base.__add__, indices)) if base else indices
-        )
-        take = _taker(positions)
-        if len(self._key_table) == 1:
-            # One payload shape: a row's slot is its position.
-            key_codes = array("I", [0]) * len(positions)
-            shape_takers = [take]
-        else:
-            key_codes = array("I", take(self._key_codes))
-            slots = take(self._row_slots)
-            shape_takers = [
-                _taker(list(compress(slots, map(code.__eq__, key_codes))))
-                for code in range(len(self._key_table))
-            ]
-        return _block_from_columns(
-            _gather(self._times, take),
-            _gather(self._sequences, take),
-            self._type_table,
-            array("I", take(self._type_codes)),
-            self._key_table,
-            key_codes,
-            [
-                [_gather(column, shape_take) for column in columns]
-                for shape_take, columns in zip(shape_takers, self._shape_columns)
-            ],
-        )
-
-    def _select_typed(
-        self, core: Any, indices: Sequence[int], length: int
-    ) -> Optional["EventBlock"]:
-        """:meth:`select` by :func:`_gather_columns`: the row columns (with
-        the one shape's value columns) at the indices, then each shape's at
-        its gathered slots; ``None`` for an index that is no int."""
+        gather = _gatherer(indices, self._start, self._stop - self._start)
         one = len(self._key_table) == 1
         rows: list[Sequence[Any]] = [self._times, self._sequences, self._type_codes]
+        # One payload shape: a row's slot is its position.
         rows += self._shape_columns[0] if one else [self._key_codes, self._row_slots]
-        got = _gather_columns(core, rows, indices, self._start, length)
-        if got is None:
-            return None
-        times, sequences, type_codes, *rest = got
+        times, sequences, type_codes, *rest = gather(rows)  # checks every index first
         if one:
             key_codes, shapes = array("I", [0]) * len(indices), [rest]
         else:
             key_codes, slots = cast("list[array[int]]", rest)
-            shapes = []
-            for code, columns in enumerate(self._shape_columns):
-                taken = list(compress(slots, map(code.__eq__, key_codes)))
-                # (Slots are ints: the gather never declines them.)
-                shape = _gather_columns(core, columns, taken, 0, len(columns[0])) if columns else []
-                shapes.append(shape or [])
+            shapes = [
+                _gatherer(
+                    list(compress(slots, map(code.__eq__, key_codes))),
+                    0,
+                    len(columns[0]) if columns else 0,
+                )(columns)
+                for code, columns in enumerate(self._shape_columns)
+            ]
         return _block_from_columns(
-            times, sequences, self._type_table, cast("array[int]", type_codes),
-            self._key_table, key_codes, shapes,
+            times,
+            sequences,
+            self._type_table,
+            cast("array[int]", type_codes),
+            self._key_table,
+            key_codes,
+            shapes,
         )
 
     @classmethod

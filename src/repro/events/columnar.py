@@ -155,12 +155,6 @@ def _column_parts(values: Sequence[Any]) -> tuple[bytes, bytes, _Part]:
     return tag, _U32.pack(len(payload)), payload
 
 
-def _encode_column(values: Sequence[Any], out: bytearray) -> None:
-    """Append one typed column (:func:`_column_parts`) to ``out``."""
-    for part in _column_parts(values):
-        out += part
-
-
 def _typed_array(typecode: str, payload: memoryview) -> "array[Any]":
     """``payload``'s little-endian values as an exactly sized ``array``.
 

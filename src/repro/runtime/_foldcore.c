@@ -2437,7 +2437,8 @@ done:
  * 'I') -- a new array of its typecode holding ``column[base + i]`` for
  * each ``i`` of ``indices`` (a list, tuple or range of ints); or, at the
  * first index outside ``[0, length)``, that index's position in
- * ``indices``; or None for an index that is no int. */
+ * ``indices``; or None for an index that is no int and for a range with
+ * a bound past Py_ssize_t. */
 static PyObject *
 gather(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -2461,7 +2462,12 @@ gather(PyObject *Py_UNUSED(module), PyObject *args)
         Py_XDECREF(stride);
         count = PyErr_Occurred() ? -1 : PyObject_Size(indices);
         if (count < 0) {
-            return NULL;
+            /* A bound past Py_ssize_t: the Python pass words the error. */
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError)) {
+                return NULL;
+            }
+            PyErr_Clear();
+            return Py_NewRef(Py_None);
         }
     }
     else {
@@ -2496,8 +2502,11 @@ gather(PyObject *Py_UNUSED(module), PyObject *args)
         }
         PyList_SET_ITEM(made, filled, array);
     }
-    for (Py_ssize_t i = 0; i < count; i++) {
-        Py_ssize_t index = first + i * step;
+    for (Py_ssize_t i = 0, index = first; i < count; i++) {
+        if (i > 0 && items == NULL) {
+            /* The range's next index; one past Py_ssize_t is out of range. */
+            index = step > 0 && index > PY_SSIZE_T_MAX - step ? -1 : index + step;
+        }
         if (items != NULL) {
             if (!PyLong_Check(items[i])) {
                 result = Py_NewRef(Py_None);
@@ -2596,7 +2605,6 @@ late_scan(PyObject *Py_UNUSED(module), PyObject *args)
     if ((late = PyList_New(0)) == NULL || (tops = PyList_New(0)) == NULL) {
         goto done;
     }
-    lateness = PyFloat_CheckExact(horizon) ? lateness : (double)whole;
     for (Py_ssize_t row = start; row < stop; row++) {
         int behind;
         if (of.format == 'd') {

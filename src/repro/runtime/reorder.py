@@ -15,9 +15,6 @@ since the last one, not the horizon's population.  A release hands back
 
 It is also the one sanctioned home (with :mod:`repro.events.stream`) of raw
 "cursor versus event time" order comparisons (RL011): the ``ensure_*`` guards.
-A typed time column is scanned in place by the fold core's column kernels
-(``_foldcore.time_scan`` / ``late_scan``) where it is loaded; the Python
-passes here are their reference and name every culprit.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.runtime import foldcore
 __all__ = [
     "LATE_POLICIES", "ReorderBuffer", "ensure_block_in_order", "ensure_in_order",
     "ensure_shared_order", "ensure_shared_run_order", "late_event_error", "sort_by_key",
-    "validate_lateness",
 ]
 
 #: The supported late-event policies, in documentation order.
@@ -59,22 +55,23 @@ def _check_horizon(allowed_lateness) -> None:
         raise ExecutionError(f"allowed_lateness must be finite, got {allowed_lateness!r}")
 
 
-def validate_lateness(allowed_lateness, late_policy, on_late) -> None:
-    """Fail fast on an inconsistent lateness configuration (shared by every surface)."""
+def validate_stream_options(optimizer, allowed_lateness, late_policy, on_late):
+    """Fail fast on the options every shard's executor takes, lateness included;
+    returns the resolved optimizer factory (both constructors and the CLI run it)."""
+    optimizer_factory = resolve_optimizer_factory(optimizer)
     if late_policy not in LATE_POLICIES:
         raise ExecutionError(
             f"late policy must be one of {', '.join(LATE_POLICIES)}, got {late_policy!r}"
         )
-    if allowed_lateness is None:
-        if late_policy != "raise":
-            raise ExecutionError(
-                f"late_policy={late_policy!r} requires allowed_lateness: without a "
-                "lateness horizon there is no watermark to be late against"
-            )
-        if on_late is not None:
-            raise ExecutionError("on_late requires allowed_lateness and late_policy='side_output'")
-        return
-    _check_horizon(allowed_lateness)
+    if allowed_lateness is not None:
+        _check_horizon(allowed_lateness)
+    elif late_policy != "raise":
+        raise ExecutionError(
+            f"late_policy={late_policy!r} requires allowed_lateness: without a "
+            "lateness horizon there is no watermark to be late against"
+        )
+    elif on_late is not None:
+        raise ExecutionError("on_late requires allowed_lateness and late_policy='side_output'")
     if late_policy == "side_output" and on_late is None:
         raise ExecutionError(
             "late_policy='side_output' requires an on_late callback to receive the late events"
@@ -84,13 +81,6 @@ def validate_lateness(allowed_lateness, late_policy, on_late) -> None:
             "on_late is only consumed by late_policy='side_output'; "
             f"got late_policy={late_policy!r}"
         )
-
-
-def validate_stream_options(optimizer, allowed_lateness, late_policy, on_late):
-    """Fail fast on the options every shard's executor takes; returns the
-    resolved optimizer factory (both constructors and the CLI run it)."""
-    optimizer_factory = resolve_optimizer_factory(optimizer)
-    validate_lateness(allowed_lateness, late_policy, on_late)
     return optimizer_factory
 
 
@@ -111,9 +101,8 @@ def _regression_error(time, clock, what: str) -> OutOfOrderError:
 
 def ensure_finite_times(times: Sequence, *, what: str = "streaming executor") -> None:
     """Reject a time column holding a NaN or an infinity, naming the value:
-    one C-speed ``sum`` (huge finite times may overflow it: the walk then
-    names nothing).  The reference of the fold core's scans (``time_scan``,
-    ``late_scan``), which flag a typed column's culprit in place."""
+    one ``sum`` (an overflow walks to no culprit), the reference of the fold
+    core's ``time_scan`` / ``late_scan``, which scan a typed column in place."""
     if not isfinite(sum(times)):
         for value in times:
             if not isfinite(value):
@@ -121,9 +110,8 @@ def ensure_finite_times(times: Sequence, *, what: str = "streaming executor") ->
 
 
 def ascending(column: Sequence) -> bool:
-    """Whether ``column`` never decreases: one C-speed pairwise pass, typed
-    ``array`` or list (``sorted(column) == column`` is never true for one);
-    the reference of the fold core's ``time_scan`` descent, used in place."""
+    """Whether ``column`` never decreases (``sorted(column) == column`` never
+    holds for an ``array``): one pairwise pass, ``time_scan``'s reference."""
     return all(map(le, column, islice(column, 1, None)))
 
 
@@ -139,15 +127,14 @@ def ensure_in_order(time, clock, *, what: str = "streaming executor") -> None:
 def ensure_block_in_order(
     times: Sequence, start: int, stop: int, clock, *, what: str = "streaming executor"
 ):
-    """:func:`ensure_in_order` over ``times[start:stop]`` with an
-    advancing clock, in one pass; returns the new clock."""
-    core = foldcore.core  # a typed column is scanned in place; the passes name a culprit
-    facts = None if core is None else core.time_scan(times, start, stop)
-    if facts is not None and facts[1:] == (-1, -1) and not (start < stop and times[start] < clock):
+    """:func:`ensure_in_order` over ``times[start:stop]`` with an advancing
+    clock; returns the new clock.  The fold core's ``time_scan`` (else a C-speed
+    probe) clears an in-order column in one pass; the walk only names the culprit."""
+    facts = foldcore.core and foldcore.core.time_scan(times, start, stop)
+    if facts and facts[1:] == (-1, -1) and (start == stop or not times[start] < clock):
         return times[stop - 1] if start < stop else clock
     window = times[start:stop]
     ensure_finite_times(window, what=what)
-    # The in-order probe runs at C speed; the walk only names the culprit.
     if window and not window[0] < clock and ascending(window):
         return window[-1]
     previous = clock
@@ -215,14 +202,11 @@ def _in_key_order(block: EventBlock) -> EventBlock:
     """``block`` in key order: itself when both columns already ascend,
     else the two passes of :func:`sort_by_key` as an argsort, one gather."""
     core, start, stop = foldcore.core, block.start, block.stop
-    scans = [None if core is None else core.time_scan(column, start, stop)
-             for column in (block.times, block.sequences)]
-    if None not in scans and scans[0][2] < 0 and scans[1][2] < 0:
+    columns = (block.times, block.sequences)
+    scans = [core and core.time_scan(column, start, stop) for column in columns]
+    if all(scan[2] < 0 if scan else ascending(c[start:stop]) for scan, c in zip(scans, columns)):
         return block
-    times = block.times[block.start : block.stop]
-    sequences = block.sequences[block.start : block.stop]
-    if None in scans and ascending(times) and ascending(sequences):
-        return block
+    times, sequences = block.times[start:stop], block.sequences[start:stop]
     order = sorted(range(len(times)), key=sequences.__getitem__)
     order.sort(key=times.__getitem__)
     return block.select(order)
@@ -232,17 +216,16 @@ class ReorderBuffer:
     """Buffer-and-resort stage with a bounded lateness horizon: opaque
     items ordered by the ``(time, sequence)`` keys handed in.
 
-    :meth:`observe` advances the watermark; :meth:`is_late` /
-    :meth:`late_rows` classify arrivals strictly below it.  :meth:`add` /
-    :meth:`add_segment` buffer an item / a block (a stage with its own
-    release schedule appends entries to :attr:`pending` itself).
-    :meth:`release_ready` pops everything strictly below the watermark in
-    key order (:meth:`flush`: everything): the block rows as one block, the
-    items as runs cut into it (the block row first on a key tie, exact-key
-    duplicates in arrival order).  An item at the watermark waits until it
-    strictly passes, so a same-time, later-sequence arrival never finds its
-    predecessor released.  The instance pickles as-is (it rides the
-    executor snapshots) and holds only unreleased items and rows.
+    :meth:`observe` advances the watermark; :meth:`late_cuts` finds arrivals
+    strictly below it.  :meth:`add` / :meth:`add_segment` buffer an item / a
+    block (a stage with its own release schedule appends entries to
+    :attr:`pending` itself).  :meth:`release_ready` pops everything strictly
+    below the watermark in key order (:meth:`flush`: everything): the block
+    rows as one block, the items as runs cut into it (the block row first on a
+    key tie, exact-key duplicates in arrival order).  An item at the watermark
+    waits until it strictly passes, so a same-time, later-sequence arrival
+    never finds its predecessor released.  The instance pickles as-is (it rides
+    the executor snapshots) and holds only unreleased items and rows.
     """
 
     __slots__ = ("allowed_lateness", "_max_time", "floor", "pending", "_runs", "_segments")
@@ -281,36 +264,23 @@ class ReorderBuffer:
             self._max_time = time
             self.floor = time - self.allowed_lateness
 
-    def is_late(self, time) -> bool:
-        """True when ``time`` is strictly behind the watermark."""
-        return time < self._max_time - self.allowed_lateness
-
-    def late_rows(self, times: Sequence) -> list[int]:
-        """Indices of the late rows of an arriving time column: per row
-        ``is_late`` then ``observe``, without advancing the watermark."""
-        newest, lateness, late = self._max_time, self.allowed_lateness, []
-        bound = newest - lateness
-        for index, time in enumerate(times):
-            if time > newest:
-                newest = time
-                bound = time - lateness
-            elif time < bound:
-                late.append(index)
-        return late
-
     def late_cuts(self, times: Sequence, start: int, stop: int) -> tuple[list[int], list]:
-        """:meth:`late_rows` of ``times[start:stop]`` (a NaN or infinity
-        refused first) and the newest time to :meth:`observe` at each and at
-        the end: the fold core's one scan in place, else these passes."""
+        """Late rows of finite ``times[start:stop]`` (behind the watermark of the rows
+        before) and the newest time at each and at the end: ``late_scan``, else this loop."""
         core, newest, lateness = foldcore.core, self._max_time, self.allowed_lateness
-        facts = None if core is None else core.late_scan(times, start, stop, newest, lateness)
-        if facts is not None and facts[0] < 0:
-            return facts[1], [-inf if top < 0 else times[start + top] for top in facts[2]]
+        facts = core and core.late_scan(times, start, stop, newest, lateness)
+        if facts and facts[0] < 0:
+            return facts[1], [newest if top < 0 else times[start + top] for top in facts[2]]
         window = times[start:stop]
         ensure_finite_times(window)
-        late = self.late_rows(window)
-        cuts = zip((0, *(index + 1 for index in late)), (*late, len(window)))
-        return late, [max(window[low:high], default=-inf) for low, high in cuts]
+        late, tops, bound = [], [], newest - lateness
+        for index, time in enumerate(window):
+            if time > newest:
+                newest, bound = time, time - lateness
+            elif time < bound:
+                late.append(index)
+                tops.append(newest)
+        return late, [*tops, newest]
 
     def add(self, time, sequence: int, item) -> None:
         """Buffer one item under key ``(time, sequence)``."""

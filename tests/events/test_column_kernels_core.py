@@ -308,20 +308,35 @@ def test_lateness_edges_on_both_paths(times, lateness, newest):
 # ---------------------------------------------------------------------- #
 # select
 # ---------------------------------------------------------------------- #
+#: Ranges with a bound or a length the core cannot read as ``Py_ssize_t``
+#: (it declines them) or whose next index would overflow one: the
+#: reference words the error.
+HUGE_RANGES = (
+    range(2**63, 2**63 + 1),
+    range(-(2**63) - 1, 0),
+    range(2**64),
+    range(2, 2**64, 2**63 - 2),
+)
+
+
 @needs_core
 @settings(deadline=None, derandomize=True, max_examples=300)
 @given(
     frame=frames(),
     start=st.integers(0, 5),
     picks=st.lists(st.integers(-3, 45), max_size=50),
-    as_range=st.booleans(),
+    as_range=st.sampled_from((None, "down", *HUGE_RANGES)),
 )
 def test_select_gathers_and_refuses_alike_on_both_paths(frame, start, picks, as_range):
     decoded = decode_on_both(frame)
     if decoded[0] != "ok":
         return
     block = decoded[1].slice(start, len(decoded[1]))
-    indices: Any = range(len(block) - 1, -1, -2) if as_range else picks
+    indices: Any = (
+        picks if as_range is None
+        else range(len(block) - 1, -1, -2) if as_range == "down"
+        else as_range
+    )
     pick = lambda: block.select(indices)  # noqa: E731
     assert state_of(outcome(pick, reference=False)) == state_of(outcome(pick, reference=True))
 
@@ -331,7 +346,7 @@ def test_select_of_a_built_block_with_list_columns_on_both_paths():
     events = [build_event("AB"[i % 2], i * 0.5, {"x": i, "o": [i]} if i % 3 else {}, i)
               for i in range(30)]
     block = EventBlock.from_events(events).slice(2, 28)
-    for indices in ([5, 1, 1, 20], (3,), range(0, 26, 5), [], [1, 26], [-1]):
+    for indices in ([5, 1, 1, 20], (3,), range(0, 26, 5), [], [1, 26], [-1], *HUGE_RANGES):
         pick = lambda: block.select(indices)  # noqa: E731
         assert state_of(outcome(pick, reference=False)) == state_of(outcome(pick, reference=True))
 
@@ -358,6 +373,9 @@ def test_the_kernels_leak_nothing_on_success_or_error():
         (core.gather, ([0], 0, 3, [[1.0]]), TypeError),
         (core.gather, ({0}, 0, 3, [times]), TypeError),
         (core.gather, ([0], 0, 9, [times]), ValueError),
+        (core.gather, (HUGE_RANGES[0], 0, 3, [times]), None),  # declined: None
+        (core.gather, (HUGE_RANGES[2], 0, 3, [times]), None),  # a length past Py_ssize_t
+        (core.gather, (HUGE_RANGES[3], 0, 3, [times]), None),  # position 1 out of range
         (core.late_scan, (times, 0, 9, -INF, 1.0), ValueError),
         (core.memory_units, ([object()], object), AttributeError),  # no groups
         (core.memory_units, ([], 1), TypeError),

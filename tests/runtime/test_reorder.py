@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -142,7 +143,7 @@ class TestReorderBuffer:
         buffer.add(15.0, 1, (15.0, 1))
         buffer.observe(15.0)  # watermark now exactly 5.0
         assert self._drain_keys(buffer.release_ready()) == []
-        assert not buffer.is_late(5.0)  # a same-time arrival is not late
+        assert not 5.0 < buffer.watermark  # a same-time arrival is not late
         buffer.add(5.0, 2, (5.0, 2))
         buffer.observe(5.0)
         assert self._drain_keys(buffer.flush()) == [(5.0, 0), (5.0, 2), (15.0, 1)]
@@ -246,22 +247,26 @@ class TestReorderBuffer:
         roots = {id(payload.times) for kind, payload in releases if kind == "block"}
         assert len(roots) == 1  # one gather; the rest are slices of it
 
-    def test_late_rows_is_the_per_row_is_late_then_observe_sequence(self):
+    def test_late_cuts_is_the_per_row_watermark_then_observe_sequence(self):
         rng = random.Random(9)
         times = [rng.uniform(0.0, 60.0) for _ in range(300)]
         for entry in (float("-inf"), 30.0, 100.0):
             column, reference = ReorderBuffer(5.0), ReorderBuffer(5.0)
             column.observe(entry)
             reference.observe(entry)
-            expected = []
+            expected, newest = [], []
             for index, time in enumerate(times):
-                if reference.is_late(time):
+                if time < reference.watermark:
                     expected.append(index)
+                    newest.append(reference.max_event_time)
                 else:
                     reference.observe(time)
-            assert column.late_rows(times) == expected
+            newest.append(reference.max_event_time)
+            # A list takes the Python loop, a typed column the fold core's scan.
+            for kind in (list, lambda values: array("d", values)):
+                assert column.late_cuts(kind(times), 0, len(times)) == (expected, newest)
             assert column.max_event_time == entry  # classification only
-        assert ReorderBuffer(5.0).late_rows([]) == []
+        assert ReorderBuffer(5.0).late_cuts([], 0, 0) == ([], [float("-inf")])
 
     def test_buffered_segments_pickle_their_unreleased_rows_only(self):
         events = make_events(seed=10, size=3_000)
@@ -301,8 +306,6 @@ class TestReorderBuffer:
         assert ordered.to_events() == events and type(ordered.times).__name__ == "array"
 
     def test_ascending_probe_matches_the_sorted_compare(self):
-        from array import array
-
         rng = random.Random(12)
         for _ in range(200):
             values = sorted(rng.choice((0.0, 1.0, 2.5)) for _ in range(rng.randint(0, 6)))
@@ -1151,7 +1154,7 @@ class TestLateRowsInsideUnsortedBlocks:
         if policy == "raise":
             # The first late row in arrival order, and the watermark at it.
             times = [event.time for event in arrivals]
-            late = ReorderBuffer(self.HORIZON).late_rows(times)
+            late, _ = ReorderBuffer(self.HORIZON).late_cuts(times, 0, len(times))
             assert len(late) == self.LATE
             first = arrivals[late[0]]
             assert f"time={first.time!r} seq={first.sequence} " in block_error
